@@ -258,6 +258,10 @@ func (c *Cluster) OnNotify(fn func(Notification)) { c.eng.OnNotify(fn) }
 // Notifications returns every notification delivered so far.
 func (c *Cluster) Notifications() []Notification { return c.eng.Notifications() }
 
+// NotificationCount returns how many notifications have been delivered so
+// far, without copying them.
+func (c *Cluster) NotificationCount() int { return c.eng.NotificationCount() }
+
 // Traffic exposes the overlay-hop ledger for measurement.
 func (c *Cluster) Traffic() *Traffic { return c.net.Traffic() }
 

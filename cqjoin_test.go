@@ -58,8 +58,8 @@ func TestClusterQuickstartFlow(t *testing.T) {
 	if seen[0].QueryKey != q.Key() {
 		t.Fatalf("notification for %s, want %s", seen[0].QueryKey, q.Key())
 	}
-	if got := cluster.Notifications(); len(got) != 1 {
-		t.Fatalf("Notifications() = %d entries", len(got))
+	if got := cluster.Notifications(); len(got) != 1 || cluster.NotificationCount() != 1 {
+		t.Fatalf("Notifications() = %d entries, NotificationCount() = %d", len(got), cluster.NotificationCount())
 	}
 	if cluster.Traffic().TotalHops() == 0 {
 		t.Fatal("no overlay traffic recorded")

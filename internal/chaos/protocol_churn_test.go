@@ -151,7 +151,9 @@ func TestProtocolChurnConvergence(t *testing.T) {
 	seed := chaosSeed(t, 23)
 	batches := 40
 	if testing.Short() {
-		batches = 20
+		// 28 is the fewest at which this seed's schedule has drawn every
+		// event kind the vacuity check at the end demands; 20 never joined.
+		batches = 28
 	}
 	for _, alg := range []engine.Algorithm{engine.SAI, engine.DAIQ, engine.DAIT, engine.DAIV} {
 		t.Run(alg.String(), func(t *testing.T) {

@@ -2,7 +2,7 @@ package chord
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"cqjoin/internal/id"
 )
@@ -170,19 +170,14 @@ func (n *Node) Multisend(batch []Deliverable) ([]*Node, int, error) {
 	if !n.Alive() {
 		return nil, 0, fmt.Errorf("%w: origin %s is not in the overlay", ErrRoutingFailed, n)
 	}
-	// Sort clockwise from the sender: ascending distance(id(n), target).
-	type item struct {
-		d   Deliverable
-		idx int
-	}
-	sorted := make([]item, len(batch))
-	for i, d := range batch {
-		sorted[i] = item{d: d, idx: i}
-	}
+	// Sort clockwise from the sender: ascending distance(id(n), target),
+	// computed once per deliverable.
 	origin := n.ID()
-	sort.SliceStable(sorted, func(i, j int) bool {
-		return id.Distance(origin, sorted[i].d.Target).Less(id.Distance(origin, sorted[j].d.Target))
-	})
+	sorted := make([]multisendItem, len(batch))
+	for i, d := range batch {
+		sorted[i] = multisendItem{d: d, idx: i, dist: id.Distance(origin, d.Target)}
+	}
+	slices.SortStableFunc(sorted, func(a, b multisendItem) int { return a.dist.Cmp(b.dist) })
 
 	kind := sorted[0].d.Msg.Kind()
 	for _, it := range sorted {
@@ -192,6 +187,9 @@ func (n *Node) Multisend(batch []Deliverable) ([]*Node, int, error) {
 	n.net.obs.multisendSize.Observe(int64(len(sorted)))
 
 	recipients := make([]*Node, len(batch))
+	// One scratch slice carries every run of the call: a transport is done
+	// with a run when DeliverBatch returns.
+	msgs := make([]Message, 0, len(batch))
 	cur := n
 	totalHops := 0
 	budget := 2*n.net.Size() + 16*len(sorted) + 16
@@ -206,11 +204,11 @@ func (n *Node) Multisend(batch []Deliverable) ([]*Node, int, error) {
 			run++
 		}
 		if run > 0 {
-			msgs := make([]Message, run)
+			msgs = msgs[:0]
 			for i := 0; i < run; i++ {
 				// Each message rode the shared walk for totalHops legs so far.
 				n.chargeBytes(sorted[i].d.Msg, totalHops)
-				msgs[i] = sorted[i].d.Msg
+				msgs = append(msgs, sorted[i].d.Msg)
 			}
 			for i, ok := range n.deliverBatchTo(cur, msgs) {
 				// A failed delivery leaves recipients[idx] nil; the batch
@@ -254,6 +252,14 @@ func (n *Node) Multisend(batch []Deliverable) ([]*Node, int, error) {
 	n.net.traffic.RecordHopsOnly(kind, totalHops)
 	n.net.obs.multisendHops.Observe(int64(totalHops))
 	return recipients, totalHops, nil
+}
+
+// multisendItem is one deliverable of a multisend with its position in the
+// caller's batch and its clockwise distance from the sender.
+type multisendItem struct {
+	d    Deliverable
+	idx  int
+	dist id.ID
 }
 
 // MultisendIterative is the baseline the paper implemented "for comparison

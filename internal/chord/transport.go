@@ -16,7 +16,8 @@ package chord
 // (at least once) before Deliver returned — the ack semantics the engine's
 // retry layer (reliable.go) depends on. DeliverBatch delivers msgs to one
 // destination in order and returns one ack per message; it exists so a
-// remote transport can move a whole multisend leg in a single frame.
+// remote transport can move a whole multisend leg in a single frame; the
+// msgs slice belongs to the caller again once DeliverBatch returns.
 // Implementations must tolerate reentrancy: handlers send new messages
 // from inside a delivery.
 type Transport interface {
@@ -33,19 +34,22 @@ type simTransport struct {
 }
 
 func (t *simTransport) Deliver(from, dst *Node, msg Message) bool {
-	forward := func() bool {
-		if !dst.Alive() {
-			return false
-		}
-		if h := dst.Handler(); h != nil {
-			h.HandleMessage(dst, msg)
-		}
-		return true
-	}
 	if ic := t.net.Interceptor(); ic != nil {
-		return ic.Deliver(from, dst, msg, forward) > 0
+		return ic.Deliver(from, dst, msg, func() bool { return handOver(dst, msg) }) > 0
 	}
-	return forward()
+	return handOver(dst, msg)
+}
+
+// handOver is one synchronous delivery attempt: it reports whether dst was
+// alive to receive msg.
+func handOver(dst *Node, msg Message) bool {
+	if !dst.Alive() {
+		return false
+	}
+	if h := dst.Handler(); h != nil {
+		h.HandleMessage(dst, msg)
+	}
+	return true
 }
 
 func (t *simTransport) DeliverBatch(from, dst *Node, msgs []Message) []bool {

@@ -111,7 +111,8 @@ type queryRef struct {
 
 type listener struct {
 	mu  sync.Mutex
-	enc *json.Encoder
+	w   io.Writer
+	enc *json.Encoder // writes to w
 }
 
 // New builds a server around a fresh cluster. With cfg.OverlayAddr set it
@@ -616,8 +617,7 @@ var errLineTooLong = errors.New("daemon: line too long")
 func (s *Server) handleConn(conn net.Conn) {
 	defer s.connWG.Done()
 	defer func() { _ = conn.Close() }()
-	enc := json.NewEncoder(conn)
-	lst := &listener{enc: enc}
+	lst := &listener{w: conn, enc: json.NewEncoder(conn)}
 	defer func() {
 		s.mu.Lock()
 		delete(s.listeners, lst)
@@ -814,7 +814,7 @@ func (s *Server) dispatch(req *request, lst *listener) map[string]interface{} {
 		resp := map[string]interface{}{
 			"ok":             true,
 			"nodes":          s.cluster.Size(),
-			"notifications":  len(s.cluster.Notifications()),
+			"notifications":  s.cluster.NotificationCount(),
 			"hops":           tr.TotalHops(),
 			"messages":       tr.TotalMessages(),
 			"bytes":          tr.TotalBytes(),
@@ -864,8 +864,29 @@ func (s *Server) dispatch(req *request, lst *listener) map[string]interface{} {
 	}
 }
 
-// broadcast pushes one notification to every listening connection.
+// notificationEvent is the line a listening connection receives per
+// notification. Its fields are in alphabetical key order — the order
+// encoding/json gave the map this struct replaces — so the bytes on the
+// client socket did not change.
+type notificationEvent struct {
+	Event      string        `json:"event"`
+	Query      string        `json:"query"`
+	Subscriber string        `json:"subscriber"`
+	Values     []interface{} `json:"values"`
+}
+
+// broadcast pushes one notification to every listening connection: the
+// line is encoded once and the same bytes go to each listener.
 func (s *Server) broadcast(n cqjoin.Notification) {
+	s.mu.Lock()
+	targets := make([]*listener, 0, len(s.listeners))
+	for l := range s.listeners {
+		targets = append(targets, l)
+	}
+	s.mu.Unlock()
+	if len(targets) == 0 {
+		return
+	}
 	vals := make([]interface{}, len(n.Values))
 	for i, v := range n.Values {
 		if v.Kind() == cqjoin.NumberKind {
@@ -874,21 +895,23 @@ func (s *Server) broadcast(n cqjoin.Notification) {
 			vals[i] = v.Str()
 		}
 	}
-	event := map[string]interface{}{
-		"event":      "notification",
-		"query":      n.QueryKey,
-		"subscriber": n.Subscriber,
-		"values":     vals,
+	line, err := json.Marshal(notificationEvent{
+		Event: "notification", Query: n.QueryKey, Subscriber: n.Subscriber, Values: vals,
+	})
+	if err != nil {
+		return // a NaN or infinite value has no JSON form; json.Encoder wrote nothing either
 	}
-	s.mu.Lock()
-	targets := make([]*listener, 0, len(s.listeners))
-	for l := range s.listeners {
-		targets = append(targets, l)
-	}
-	s.mu.Unlock()
+	line = append(line, '\n')
 	for _, l := range targets {
-		l.send(event)
+		l.sendLine(line)
 	}
+}
+
+// sendLine writes one already-encoded, newline-terminated line.
+func (l *listener) sendLine(line []byte) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	_, _ = l.w.Write(line) // a dead connection is reaped by its reader
 }
 
 func (l *listener) send(v interface{}) {

@@ -210,7 +210,7 @@ func decodeRecord(r *wire.Reader) (any, error) {
 		if m.Node, err = r.String(); err != nil {
 			return nil, err
 		}
-		if m.T, err = wire.DecodeTuple(r); err != nil {
+		if m.T, err = wire.DecodeTuple(r, nil, nil); err != nil {
 			return nil, err
 		}
 		return m, nil
@@ -233,7 +233,7 @@ func decodeRecord(r *wire.Reader) (any, error) {
 		}
 		m.Tuples = make([]*relation.Tuple, nt)
 		for i := range m.Tuples {
-			if m.Tuples[i], err = wire.DecodeTuple(r); err != nil {
+			if m.Tuples[i], err = wire.DecodeTuple(r, nil, nil); err != nil {
 				return nil, err
 			}
 		}

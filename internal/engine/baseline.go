@@ -193,7 +193,7 @@ func (st *nodeState) handleBaselineTuple(m baselineTupleMsg) {
 		tb = newVLTTBucket(m.Input)
 		st.vltt[m.Input] = tb
 	}
-	if ck := tupleContentKey(t); !tb.seen[ck] {
+	if ck := t.ContentKey(); !tb.seen[ck] {
 		tb.seen[ck] = true
 		tb.tuples = append(tb.tuples, t)
 	}
@@ -344,7 +344,7 @@ func (st *nodeState) handlePairTuple(m baselineTupleMsg) {
 			}
 		}
 	}
-	ck := tupleContentKey(t)
+	ck := t.ContentKey()
 	if !b.seen[ck] {
 		b.seen[ck] = true
 		b.tuples[m.Side] = append(b.tuples[m.Side], t)

@@ -505,7 +505,7 @@ func DecodeMessage(r *wire.Reader, catalog *relation.Catalog) (chord.Message, er
 	switch byte(tag) {
 	//wire:field dec queryMsg Q Attr Side Replica
 	case tagQuery:
-		q, err := wire.DecodeQuery(r, catalog)
+		q, err := wire.DecodeQuery(r, catalog, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -524,7 +524,7 @@ func DecodeMessage(r *wire.Reader, catalog *relation.Catalog) (chord.Message, er
 		return queryMsg{Q: q, Attr: attr, Side: query.Side(side), Replica: int(replica)}, nil
 	//wire:field dec alIndexMsg T Attr Replica
 	case tagALIndex:
-		t, err := wire.DecodeTuple(r)
+		t, err := wire.DecodeTuple(r, catalog, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -539,7 +539,7 @@ func DecodeMessage(r *wire.Reader, catalog *relation.Catalog) (chord.Message, er
 		return alIndexMsg{T: t, Attr: attr, Replica: int(replica)}, nil
 	//wire:field dec vlIndexMsg T Attr
 	case tagVLIndex:
-		t, err := wire.DecodeTuple(r)
+		t, err := wire.DecodeTuple(r, catalog, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -573,7 +573,7 @@ func DecodeMessage(r *wire.Reader, catalog *relation.Catalog) (chord.Message, er
 		if err != nil {
 			return nil, err
 		}
-		trig, err := wire.DecodeTuple(r)
+		trig, err := wire.DecodeTuple(r, catalog, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -585,9 +585,10 @@ func DecodeMessage(r *wire.Reader, catalog *relation.Catalog) (chord.Message, er
 		if err != nil {
 			return nil, err
 		}
+		parsed := parseMemo(n)
 		qs := make([]*query.Query, n)
 		for i := range qs {
-			if qs[i], err = wire.DecodeQuery(r, catalog); err != nil {
+			if qs[i], err = wire.DecodeQuery(r, catalog, parsed); err != nil {
 				return nil, err
 			}
 		}
@@ -665,7 +666,7 @@ func DecodeMessage(r *wire.Reader, catalog *relation.Catalog) (chord.Message, er
 		return purgeMsg{QueryKey: key, Input: input}, nil
 	//wire:field dec baselineQueryMsg Q Side Input
 	case tagBaselineQuery:
-		q, err := wire.DecodeQuery(r, catalog)
+		q, err := wire.DecodeQuery(r, catalog, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -680,7 +681,7 @@ func DecodeMessage(r *wire.Reader, catalog *relation.Catalog) (chord.Message, er
 		return baselineQueryMsg{Q: q, Side: query.Side(side), Input: input}, nil
 	//wire:field dec baselineTupleMsg T Input Side
 	case tagBaselineTuple:
-		t, err := wire.DecodeTuple(r)
+		t, err := wire.DecodeTuple(r, catalog, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -763,7 +764,7 @@ func DecodeMessage(r *wire.Reader, catalog *relation.Catalog) (chord.Message, er
 		if err != nil {
 			return nil, err
 		}
-		t, err := wire.DecodeTuple(r)
+		t, err := wire.DecodeTuple(r, catalog, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -820,7 +821,7 @@ func DecodeMessage(r *wire.Reader, catalog *relation.Catalog) (chord.Message, er
 		}
 		tuples := make([]*relation.Tuple, nt)
 		for i := range tuples {
-			if tuples[i], err = wire.DecodeTuple(r); err != nil {
+			if tuples[i], err = wire.DecodeTuple(r, catalog, nil); err != nil {
 				return nil, err
 			}
 		}
@@ -850,6 +851,16 @@ func decodeHotHeader(r *wire.Reader) (shard, version, k int, err error) {
 	return int(s), int(v), int(kk), nil
 }
 
+// parseMemo returns the map wire.DecodeQuery remembers parsed SQL texts in
+// for a message carrying n queries: a rewriter's group is the subscribers of
+// (mostly) one text, parsed once per message. One query needs no memo.
+func parseMemo(n int) map[string]*query.Query {
+	if n < 2 {
+		return nil
+	}
+	return make(map[string]*query.Query, 1)
+}
+
 func decodeRewrittens(r *wire.Reader, catalog *relation.Catalog) ([]*rewritten, error) {
 	count, err := r.Uvarint()
 	if err != nil {
@@ -859,9 +870,10 @@ func decodeRewrittens(r *wire.Reader, catalog *relation.Catalog) ([]*rewritten, 
 	if err != nil {
 		return nil, err
 	}
+	parsed := parseMemo(n)
 	out := make([]*rewritten, n)
 	for i := range out {
-		if out[i], err = decodeRewritten(r, catalog); err != nil {
+		if out[i], err = decodeRewritten(r, catalog, parsed); err != nil {
 			return nil, err
 		}
 	}
@@ -869,12 +881,12 @@ func decodeRewrittens(r *wire.Reader, catalog *relation.Catalog) ([]*rewritten, 
 }
 
 //wire:field dec rewritten Key Orig IndexSide Trigger WantRel WantAttr WantValue
-func decodeRewritten(r *wire.Reader, catalog *relation.Catalog) (*rewritten, error) {
+func decodeRewritten(r *wire.Reader, catalog *relation.Catalog, parsed map[string]*query.Query) (*rewritten, error) {
 	key, err := r.String()
 	if err != nil {
 		return nil, err
 	}
-	q, err := wire.DecodeQuery(r, catalog)
+	q, err := wire.DecodeQuery(r, catalog, parsed)
 	if err != nil {
 		return nil, err
 	}
@@ -882,7 +894,12 @@ func decodeRewritten(r *wire.Reader, catalog *relation.Catalog) (*rewritten, err
 	if err != nil {
 		return nil, err
 	}
-	trig, err := wire.DecodeTuple(r)
+	// The trigger is the index side's projection: its schema is the plan's.
+	var shape *relation.Schema
+	if side <= uint64(query.SideRight) {
+		shape = q.Projection(query.Side(side))
+	}
+	trig, err := wire.DecodeTuple(r, catalog, shape)
 	if err != nil {
 		return nil, err
 	}
@@ -1006,7 +1023,7 @@ func decodeMRewritten(r *wire.Reader, catalog *relation.Catalog) (*mRewritten, e
 	}
 	acc := make([]*relation.Tuple, count)
 	for i := range acc {
-		if acc[i], err = wire.DecodeTuple(r); err != nil {
+		if acc[i], err = wire.DecodeTuple(r, catalog, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -1090,7 +1107,7 @@ func decodeALGroupSection(r *wire.Reader, catalog *relation.Catalog) (alGroupSec
 	}
 	g.Queries = make([]*query.Query, nq)
 	for j := range g.Queries {
-		if g.Queries[j], err = wire.DecodeQuery(r, catalog); err != nil {
+		if g.Queries[j], err = wire.DecodeQuery(r, catalog, nil); err != nil {
 			return g, err
 		}
 	}
@@ -1164,7 +1181,7 @@ func decodeALSection(r *wire.Reader, catalog *relation.Catalog) (alSection, erro
 func decodeVQEntry(r *wire.Reader, catalog *relation.Catalog) (vqEntry, error) {
 	var e vqEntry
 	var err error
-	if e.Rw, err = decodeRewritten(r, catalog); err != nil {
+	if e.Rw, err = decodeRewritten(r, catalog, nil); err != nil {
 		return e, err
 	}
 	nt, err := decodeCount(r)
@@ -1224,7 +1241,7 @@ func decodeMQSection(r *wire.Reader, catalog *relation.Catalog) (mqSection, erro
 }
 
 //wire:field dec vtSection Input Tuples
-func decodeVTSection(r *wire.Reader) (vtSection, error) {
+func decodeVTSection(r *wire.Reader, catalog *relation.Catalog) (vtSection, error) {
 	var sec vtSection
 	var err error
 	if sec.Input, err = r.String(); err != nil {
@@ -1236,7 +1253,7 @@ func decodeVTSection(r *wire.Reader) (vtSection, error) {
 	}
 	sec.Tuples = make([]*relation.Tuple, n)
 	for i := range sec.Tuples {
-		if sec.Tuples[i], err = wire.DecodeTuple(r); err != nil {
+		if sec.Tuples[i], err = wire.DecodeTuple(r, catalog, nil); err != nil {
 			return sec, err
 		}
 	}
@@ -1244,7 +1261,7 @@ func decodeVTSection(r *wire.Reader) (vtSection, error) {
 }
 
 //wire:field dec dvEntry Cond Left Right
-func decodeDVEntry(r *wire.Reader) (dvEntry, error) {
+func decodeDVEntry(r *wire.Reader, catalog *relation.Catalog) (dvEntry, error) {
 	var e dvEntry
 	var err error
 	if e.Cond, err = r.String(); err != nil {
@@ -1256,7 +1273,7 @@ func decodeDVEntry(r *wire.Reader) (dvEntry, error) {
 	}
 	e.Left = make([]*relation.Tuple, nl)
 	for j := range e.Left {
-		if e.Left[j], err = wire.DecodeTuple(r); err != nil {
+		if e.Left[j], err = wire.DecodeTuple(r, catalog, nil); err != nil {
 			return e, err
 		}
 	}
@@ -1266,7 +1283,7 @@ func decodeDVEntry(r *wire.Reader) (dvEntry, error) {
 	}
 	e.Right = make([]*relation.Tuple, nr)
 	for j := range e.Right {
-		if e.Right[j], err = wire.DecodeTuple(r); err != nil {
+		if e.Right[j], err = wire.DecodeTuple(r, catalog, nil); err != nil {
 			return e, err
 		}
 	}
@@ -1274,7 +1291,7 @@ func decodeDVEntry(r *wire.Reader) (dvEntry, error) {
 }
 
 //wire:field dec dvSection Input Entries
-func decodeDVSection(r *wire.Reader) (dvSection, error) {
+func decodeDVSection(r *wire.Reader, catalog *relation.Catalog) (dvSection, error) {
 	var sec dvSection
 	var err error
 	if sec.Input, err = r.String(); err != nil {
@@ -1286,7 +1303,7 @@ func decodeDVSection(r *wire.Reader) (dvSection, error) {
 	}
 	sec.Entries = make([]dvEntry, n)
 	for i := range sec.Entries {
-		if sec.Entries[i], err = decodeDVEntry(r); err != nil {
+		if sec.Entries[i], err = decodeDVEntry(r, catalog); err != nil {
 			return sec, err
 		}
 	}
@@ -1352,7 +1369,7 @@ func decodeHandoff(r *wire.Reader, catalog *relation.Catalog) (chord.Message, er
 	}
 	m.VT = make([]vtSection, nVT)
 	for i := range m.VT {
-		if m.VT[i], err = decodeVTSection(r); err != nil {
+		if m.VT[i], err = decodeVTSection(r, catalog); err != nil {
 			return nil, err
 		}
 	}
@@ -1362,7 +1379,7 @@ func decodeHandoff(r *wire.Reader, catalog *relation.Catalog) (chord.Message, er
 	}
 	m.DV = make([]dvSection, nDV)
 	for i := range m.DV {
-		if m.DV[i], err = decodeDVSection(r); err != nil {
+		if m.DV[i], err = decodeDVSection(r, catalog); err != nil {
 			return nil, err
 		}
 	}
@@ -1424,7 +1441,7 @@ func decodeSnapMeta(r *wire.Reader, catalog *relation.Catalog) (chord.Message, e
 	}
 	m.Conds = make([]*query.Query, nConds)
 	for i := range m.Conds {
-		if m.Conds[i], err = wire.DecodeQuery(r, catalog); err != nil {
+		if m.Conds[i], err = wire.DecodeQuery(r, catalog, nil); err != nil {
 			return nil, err
 		}
 	}

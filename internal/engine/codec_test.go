@@ -455,3 +455,124 @@ func TestDecodeTruncated(t *testing.T) {
 		}
 	}
 }
+
+// The decode side reuses schemas the receiver already holds: a full tuple
+// takes the catalog's schema, a rewritten query's trigger takes the decoded
+// query's plan schema, and a group of one SQL text decodes to queries that
+// share one plan — whose every field still equals the sender's.
+func TestCodecDecodeReusesCatalogAndPlanSchemas(t *testing.T) {
+	env := newTestEnv(t, 16, Config{Algorithm: SAI})
+	const sql = `SELECT R.A, S.D FROM R, S WHERE R.B = S.E AND S.F >= 1`
+	tu := rTuple(env, 1, 7, 2).WithPubT(9)
+	var rws []*rewritten
+	for i := 0; i < 3; i++ {
+		q := env.subscribe(t, i, sql)
+		proj, err := tu.ProjectOnto(q.Projection(query.SideLeft))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rws = append(rws, &rewritten{
+			Key: q.Key() + "+1+7", Orig: q, IndexSide: query.SideLeft, Trigger: proj,
+			WantRel: "S", WantAttr: "E", WantValue: relation.N(7),
+		})
+	}
+	roundTrip := func(msg chord.Message) chord.Message {
+		t.Helper()
+		var w wire.Buffer
+		if err := EncodeMessage(&w, msg); err != nil {
+			t.Fatal(err)
+		}
+		if s := msg.(chord.Sizer).Size(); s != w.Len() {
+			t.Fatalf("%T: Size()=%d, encoding=%d", msg, s, w.Len())
+		}
+		got, err := DecodeMessage(wire.NewReader(w.Bytes()), env.catalog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+
+	al := roundTrip(alIndexMsg{T: tu, Attr: "B"}).(alIndexMsg)
+	if al.T.Schema() != env.r {
+		t.Fatal("a full tuple did not decode onto the catalog's schema")
+	}
+	if al.T.ContentKey() != tu.ContentKey() {
+		t.Fatalf("content key changed over the wire: %q vs %q", al.T.ContentKey(), tu.ContentKey())
+	}
+
+	join := roundTrip(joinMsg{Rewrites: rws}).(joinMsg)
+	for i, g := range join.Rewrites {
+		w := rws[i]
+		assertRewrittenEqual(t, w, g)
+		if g.Trigger.Schema() != g.Orig.Projection(query.SideLeft) || g.Trigger.Schema() != w.Trigger.Schema() {
+			t.Fatalf("rewrite %d: trigger did not decode onto the plan's projection schema", i)
+		}
+		if g.Orig.ConditionKey() != w.Orig.ConditionKey() || g.Orig.Type() != w.Orig.Type() {
+			t.Fatalf("rewrite %d: plan condition/type changed over the wire", i)
+		}
+		for _, s := range []query.Side{query.SideLeft, query.SideRight} {
+			rel := w.Orig.Rel(s).Name()
+			if !reflect.DeepEqual(g.Orig.SideAttrs(s), w.Orig.SideAttrs(s)) ||
+				!reflect.DeepEqual(g.Orig.NeededAttrs(rel), w.Orig.NeededAttrs(rel)) ||
+				g.Orig.Projection(s) != w.Orig.Projection(s) {
+				t.Fatalf("rewrite %d: plan of side %s changed over the wire", i, s)
+			}
+		}
+		if g.Orig.Key() == join.Rewrites[(i+1)%3].Orig.Key() {
+			t.Fatal("queries parsed once lost their own identities")
+		}
+	}
+}
+
+// Hostile input never aliases a shared schema: a tuple whose attribute list
+// is not exactly the catalog's or the plan's decodes onto a private schema,
+// and the shared ones are left as they were.
+func TestCodecForgedTupleGetsPrivateSchema(t *testing.T) {
+	env := newTestEnv(t, 16, Config{Algorithm: SAI})
+	q := env.subscribe(t, 0, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
+	shape := q.Projection(query.SideLeft) // R(A, B)
+	forge := func(attrs ...string) *relation.Tuple {
+		t.Helper()
+		var w wire.Buffer
+		w.PutString("R")
+		w.PutUvarint(uint64(len(attrs)))
+		for _, a := range attrs {
+			w.PutString(a)
+		}
+		for i := range attrs {
+			w.PutValue(relation.N(float64(i)))
+		}
+		w.PutVarint(5)
+		tu, err := wire.DecodeTuple(wire.NewReader(w.Bytes()), env.catalog, shape)
+		if err != nil {
+			t.Fatalf("forged %v: %v", attrs, err)
+		}
+		return tu
+	}
+	if got := forge("A", "B", "C"); got.Schema() != env.r {
+		t.Fatal("the catalog's own list did not reuse the catalog schema")
+	}
+	if got := forge("A", "B"); got.Schema() != shape {
+		t.Fatal("the plan's own list did not reuse the plan schema")
+	}
+	for _, attrs := range [][]string{
+		{"B", "A"},           // the plan's attributes, reordered
+		{"A", "B", "C", "Z"}, // the catalog's plus one it never declared
+		{"A", "C"},           // a subset neither holds
+		{"A", "B", "Z"},      // the catalog's arity, a foreign name
+	} {
+		got := forge(attrs...)
+		if got.Schema() == env.r || got.Schema() == shape {
+			t.Fatalf("forged list %v aliased a shared schema", attrs)
+		}
+		if !reflect.DeepEqual(got.Schema().Attrs(), attrs) {
+			t.Fatalf("forged list %v decoded as %v", attrs, got.Schema().Attrs())
+		}
+	}
+	if !reflect.DeepEqual(env.r.Attrs(), []string{"A", "B", "C"}) || !reflect.DeepEqual(shape.Attrs(), []string{"A", "B"}) {
+		t.Fatal("decoding forged tuples altered a shared schema")
+	}
+	if again := query.MustParse(env.catalog, q.Text()).Projection(query.SideLeft); again != shape {
+		t.Fatal("decoding forged tuples disturbed the interned projection")
+	}
+}

@@ -17,6 +17,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -302,6 +303,14 @@ func (e *Engine) Notifications() []Notification {
 	return out
 }
 
+// NotificationCount returns how many notifications have been delivered so
+// far — len(Notifications()) without the copy.
+func (e *Engine) NotificationCount() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.sink)
+}
+
 // ResetNotifications clears the delivered-notification record (the load and
 // traffic ledgers are reset through their own types).
 func (e *Engine) ResetNotifications() {
@@ -316,7 +325,15 @@ func (e *Engine) ResetNotifications() {
 // alone is NOT an identity; publication times are (the logical clock gives
 // every published tuple a unique timestamp).
 func deliveryKey(n Notification) string {
-	return fmt.Sprintf("%s|%s|%d|%d", n.Subscriber, n.ContentKey(), n.LeftPubT, n.RightPubT)
+	var buf [keyScratch]byte
+	b := append(buf[:0], n.Subscriber...)
+	b = append(b, '|')
+	b = n.appendContentKey(b)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, n.LeftPubT, 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, n.RightPubT, 10)
+	return string(b)
 }
 
 func (e *Engine) record(n Notification) {

@@ -37,8 +37,13 @@ func (st *nodeState) handleJoin(m joinMsg) {
 	}
 
 	st.mu.Lock()
-	for _, rw := range m.Rewrites {
-		input := vlInput(rw.WantRel, rw.WantAttr, rw.WantValue)
+	var input string
+	for i, rw := range m.Rewrites {
+		// A rewriter's group shares one identifier (Section 4.3.5): derive
+		// it once, again only where a message mixes targets.
+		if i == 0 || !rw.sameTarget(m.Rewrites[i-1]) {
+			input = vlInput(rw.WantRel, rw.WantAttr, rw.WantValue)
+		}
 
 		if alg == SAI || alg == DAIT {
 			qb := st.vlqt[input]
@@ -138,7 +143,7 @@ func (st *nodeState) handleVLIndex(m vlIndexMsg) {
 		}
 		// Absorb duplicated deliveries: storing the tuple twice would
 		// double every future rewritten-query match.
-		if ck := tupleContentKey(t); !tb.seen[ck] {
+		if ck := t.ContentKey(); !tb.seen[ck] {
 			tb.seen[ck] = true
 			tb.tuples = append(tb.tuples, t)
 			stored++
@@ -214,7 +219,7 @@ func (st *nodeState) handleJoinV(m joinVMsg) {
 	}
 	// Store the triggering tuple once, even when equivalent query groups
 	// indexed under different attributes deliver it twice.
-	ck := tupleContentKey(m.Trigger)
+	ck := m.Trigger.ContentKey()
 	if !entry.seen[ck] {
 		entry.seen[ck] = true
 		entry.tuples[m.Side] = append(entry.tuples[m.Side], m.Trigger)

@@ -293,7 +293,7 @@ func (st *nodeState) merge(on *chord.Node, m handoffMsg, replayNotifs bool) {
 		b := newVLTTBucket(sec.Input)
 		b.tuples = sec.Tuples
 		for _, t := range sec.Tuples {
-			b.seen[tupleContentKey(t)] = true
+			b.seen[t.ContentKey()] = true
 		}
 		addedEvaluator += st.mergeVLTT(b)
 	}
@@ -304,10 +304,10 @@ func (st *nodeState) merge(on *chord.Node, m handoffMsg, replayNotifs bool) {
 			entry.tuples[query.SideLeft] = e.Left
 			entry.tuples[query.SideRight] = e.Right
 			for _, t := range e.Left {
-				entry.seen[tupleContentKey(t)] = true
+				entry.seen[t.ContentKey()] = true
 			}
 			for _, t := range e.Right {
-				entry.seen[tupleContentKey(t)] = true
+				entry.seen[t.ContentKey()] = true
 			}
 			b.byCond[e.Cond] = entry
 		}

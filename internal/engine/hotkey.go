@@ -73,7 +73,7 @@ func shardOf(t *relation.Tuple, k int) int {
 		return 0
 	}
 	h := fnv.New64a()
-	_, _ = h.Write([]byte(tupleContentKey(t)))
+	_, _ = h.Write([]byte(t.ContentKey()))
 	return int(h.Sum64() % uint64(k))
 }
 
@@ -376,8 +376,11 @@ func (st *nodeState) runHotTransition(tr hotTransition, ok bool) {
 func (st *nodeState) hotScatterJoins(hot *hotTracker, rws []*rewritten) []chord.Deliverable {
 	var order []string
 	byInput := make(map[string][]*rewritten)
-	for _, rw := range rws {
-		input := vlInput(rw.WantRel, rw.WantAttr, rw.WantValue)
+	var input string
+	for i, rw := range rws {
+		if i == 0 || !rw.sameTarget(rws[i-1]) {
+			input = vlInput(rw.WantRel, rw.WantAttr, rw.WantValue)
+		}
 		st.runHotTransition(hot.bump(input, rw.Trigger.PubT()))
 		if _, seen := byInput[input]; !seen {
 			order = append(order, input)
@@ -528,7 +531,7 @@ func (st *nodeState) handleHotVLIndex(m hotVLIndexMsg) {
 		tb = newVLTTBucket(key)
 		st.vltt[key] = tb
 	}
-	if ck := tupleContentKey(m.T); !tb.seen[ck] {
+	if ck := m.T.ContentKey(); !tb.seen[ck] {
 		tb.seen[ck] = true
 		tb.tuples = append(tb.tuples, m.T)
 		stored++
@@ -581,7 +584,7 @@ func (st *nodeState) handleHotMigrate(m hotMigrateMsg) {
 				continue
 			}
 			groups[s] = append(groups[s], t)
-			delete(tb.seen, tupleContentKey(t))
+			delete(tb.seen, t.ContentKey())
 			shipped++
 		}
 		tb.tuples = kept
@@ -789,7 +792,7 @@ func (st *nodeState) mergeHotBucket(key string, entries []vqEntry, tuples []*rel
 			st.vltt[key] = tb
 		}
 		for _, t := range tuples {
-			ck := tupleContentKey(t)
+			ck := t.ContentKey()
 			if tb.seen[ck] {
 				continue
 			}

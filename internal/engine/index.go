@@ -34,7 +34,12 @@ func alInput(rel, attr string, replica int) string {
 
 // vlInput is the value-level hash input: Hash(R + A + v).
 func vlInput(rel, attr string, v relation.Value) string {
-	return rel + "+" + attr + "+" + v.Canon()
+	var buf [keyScratch]byte
+	b := append(buf[:0], rel...)
+	b = append(b, '+')
+	b = append(b, attr...)
+	b = append(b, '+')
+	return string(v.AppendCanon(b))
 }
 
 // daivInput is DAI-V's value-level hash input: just the value the join
@@ -141,10 +146,9 @@ func (e *Engine) indexTuple(from *chord.Node, t *relation.Tuple) error {
 		return e.indexTupleBaseline(from, t)
 	}
 	schema := t.Schema()
-	attrs := schema.Attrs()
-	batch := make([]chord.Deliverable, 0, 2*len(attrs))
-	for _, a := range attrs {
-		v := t.MustValue(a)
+	batch := make([]chord.Deliverable, 0, 2*schema.Arity())
+	for i := 0; i < schema.Arity(); i++ {
+		a, v := schema.Attr(i), t.ValueAt(i)
 		rep := e.replicaOf(v)
 		batch = append(batch, chord.Deliverable{
 			Target: e.hashInput(alInput(schema.Name(), a, rep)),

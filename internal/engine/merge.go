@@ -164,7 +164,7 @@ func (st *nodeState) mergeVLTT(b *vlttBucket) int {
 		if b.seen == nil {
 			b.seen = make(map[string]bool, len(b.tuples))
 			for _, t := range b.tuples {
-				b.seen[tupleContentKey(t)] = true
+				b.seen[t.ContentKey()] = true
 			}
 		}
 		st.vltt[b.input] = b
@@ -173,12 +173,12 @@ func (st *nodeState) mergeVLTT(b *vlttBucket) int {
 	if ex.seen == nil {
 		ex.seen = make(map[string]bool, len(ex.tuples))
 		for _, t := range ex.tuples {
-			ex.seen[tupleContentKey(t)] = true
+			ex.seen[t.ContentKey()] = true
 		}
 	}
 	added := 0
 	for _, t := range b.tuples {
-		if ck := tupleContentKey(t); !ex.seen[ck] {
+		if ck := t.ContentKey(); !ex.seen[ck] {
 			ex.seen[ck] = true
 			ex.tuples = append(ex.tuples, t)
 			added++
@@ -209,7 +209,7 @@ func (st *nodeState) mergeDAIV(b *daivBucket) int {
 		}
 		for side := 0; side < 2; side++ {
 			for _, t := range entry.tuples[side] {
-				if ck := tupleContentKey(t); !eentry.seen[ck] {
+				if ck := t.ContentKey(); !eentry.seen[ck] {
 					eentry.seen[ck] = true
 					eentry.tuples[side] = append(eentry.tuples[side], t)
 					added++
@@ -248,7 +248,7 @@ func (st *nodeState) mergePair(b *pairBucket) int {
 	}
 	for side := 0; side < 2; side++ {
 		for _, t := range b.tuples[side] {
-			if ck := tupleContentKey(t); !ex.seen[ck] {
+			if ck := t.ContentKey(); !ex.seen[ck] {
 				ex.seen[ck] = true
 				ex.tuples[side] = append(ex.tuples[side], t)
 				added++

@@ -66,6 +66,12 @@ type rewritten struct {
 	WantValue relation.Value  // valDA(q, t)
 }
 
+// sameTarget reports whether rw and o wait at the same value-level
+// identifier.
+func (rw *rewritten) sameTarget(o *rewritten) bool {
+	return rw.WantValue == o.WantValue && rw.WantAttr == o.WantAttr && rw.WantRel == o.WantRel
+}
+
 // joinMsg reindexes one or more rewritten queries that share the same
 // evaluator — the join(q') message of Section 4.3.2, grouped per
 // Section 4.3.5 so similar queries travel in one message.

@@ -163,27 +163,6 @@ func (e *Engine) probeMultiEndpoint(from *chord.Node, mq *query.MultiQuery) (rew
 	return e.state(dst).readStats(input), nil
 }
 
-// readStats reads one ALQT bucket's arrival statistics.
-func (st *nodeState) readStats(input string) rewriterStats {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	b, ok := st.alqt[input]
-	if !ok {
-		return rewriterStats{}
-	}
-	var cutoff int64
-	if w := st.engine.cfg.Window; w > 0 {
-		cutoff = st.engine.net.Clock().Now() - w
-	}
-	var rate int64
-	for _, ts := range b.arrivals {
-		if ts >= cutoff {
-			rate++
-		}
-	}
-	return rewriterStats{rate: rate, domain: len(b.distinct)}
-}
-
 // handleMQueryIndex stores a multi-way query at its rewriter, grouped by
 // chain condition.
 func (st *nodeState) handleMQueryIndex(m mQueryMsg) {

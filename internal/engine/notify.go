@@ -40,13 +40,22 @@ type Notification struct {
 // under which all four algorithms must agree (duplicate-avoidance
 // invariant of Section 4.4).
 func (n Notification) ContentKey() string {
-	var b strings.Builder
-	b.WriteString(n.QueryKey)
+	var buf [keyScratch]byte
+	return string(n.appendContentKey(buf[:0]))
+}
+
+// keyScratch sizes the stack buffers the engine's key and identifier-input
+// builders append into: a key that fits costs exactly one allocation, its
+// final string.
+const keyScratch = 160
+
+func (n Notification) appendContentKey(b []byte) []byte {
+	b = append(b, n.QueryKey...)
 	for _, v := range n.Values {
-		b.WriteByte('|')
-		b.WriteString(v.Canon())
+		b = append(b, '|')
+		b = v.AppendCanon(b)
 	}
-	return b.String()
+	return b
 }
 
 // String renders the notification for logs and example output.

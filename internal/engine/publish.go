@@ -89,8 +89,8 @@ func (e *Engine) conflictKeys(t *relation.Tuple, keys []string) []string {
 	alg := e.cfg.Algorithm
 	rel := t.Relation()
 	if alg != DAIV {
-		for _, a := range t.Schema().Attrs() {
-			keys = append(keys, vlInput(rel, a, t.MustValue(a)))
+		for i, schema := 0, t.Schema(); i < schema.Arity(); i++ {
+			keys = append(keys, vlInput(rel, schema.Attr(i), t.ValueAt(i)))
 		}
 	}
 	e.condMu.Lock()

@@ -64,9 +64,7 @@ type outbound struct {
 func (st *nodeState) handleALIndex(m alIndexMsg) {
 	e := st.engine
 	t := m.T
-	rel := t.Relation()
-	input := alInput(rel, m.Attr, m.Replica)
-	v := t.MustValue(m.Attr)
+	input := alInput(t.Relation(), m.Attr, m.Replica)
 
 	var outs []outbound
 	examined := 0
@@ -77,9 +75,12 @@ func (st *nodeState) handleALIndex(m alIndexMsg) {
 		b = newALBucket(input)
 		st.alqt[input] = b
 	}
-	// Track arrival statistics for the Section 4.3.6 strategies.
-	b.arrivals = append(b.arrivals, t.PubT())
-	b.distinct[v.Canon()] = struct{}{}
+	if e.probesRewriters() {
+		// Arrival statistics for the Section 4.3.6 strategies; no other
+		// strategy ever reads them.
+		b.arrivals = append(b.arrivals, t.PubT())
+		b.distinct[t.MustValue(m.Attr).Canon()] = struct{}{}
+	}
 
 	// Iterate groups in registration order, not map order: the sequence of
 	// outgoing join messages must be deterministic for a chaos run to be
@@ -90,7 +91,7 @@ func (st *nodeState) handleALIndex(m alIndexMsg) {
 			// Retraction removed the group; its order slot stays behind.
 			continue
 		}
-		var triggered []*query.Query
+		triggered := make([]*query.Query, 0, len(g.queries))
 		for _, q := range g.queries {
 			examined++
 			if t.PubT() < q.InsT() {
@@ -150,7 +151,12 @@ func (st *nodeState) rewriteGroup(b *alBucket, g *queryGroup, triggered []*query
 	target := vlInput(wantRel, wantAttr, valDA)
 	storesRewrites := st.engine.cfg.Algorithm == SAI || st.engine.cfg.Algorithm == DAIT
 
-	var rws []*rewritten
+	// The trigger is projected once per projection shape: queries needing
+	// the same attributes share one schema (query.Projection), so all of a
+	// group's rewrites with that shape carry the same immutable tuple.
+	var shapeBuf [4]*relation.Tuple
+	shapes := shapeBuf[:0]
+	rws := make([]*rewritten, 0, len(triggered))
 	for _, q := range triggered {
 		key, err := q.RewriteKey(t, valDA)
 		if err != nil {
@@ -174,9 +180,19 @@ func (st *nodeState) rewriteGroup(b *alBucket, g *queryGroup, triggered []*query
 			}
 			b.sentRewrites[key] = true
 		}
-		proj, err := t.Project(q.NeededAttrs(t.Relation()))
-		if err != nil {
-			continue
+		shape := q.Projection(g.side)
+		var proj *relation.Tuple
+		for _, p := range shapes {
+			if p.Schema() == shape {
+				proj = p
+				break
+			}
+		}
+		if proj == nil {
+			if proj, err = t.ProjectOnto(shape); err != nil {
+				continue
+			}
+			shapes = append(shapes, proj)
 		}
 		rws = append(rws, &rewritten{
 			Key:       key,

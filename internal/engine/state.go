@@ -60,9 +60,10 @@ func newNodeState(e *Engine, n *chord.Node) *nodeState {
 // alBucket is the slice of the attribute-level query table (ALQT) reached
 // through one attribute-level identifier. Queries are grouped by equivalent
 // join condition (Section 4.3.5) so one incoming tuple handles a whole
-// group at once. The bucket also tracks the tuple-arrival statistics the
-// index-attribute strategies of Section 4.3.6 probe: arrival timestamps
-// (rate) and distinct values seen (domain size).
+// group at once. When the configured strategy probes rewriters
+// (Engine.probesRewriters) the bucket also tracks the tuple-arrival
+// statistics of Section 4.3.6: arrival timestamps (rate) and distinct values
+// seen (domain size); under any other strategy both stay empty.
 type alBucket struct {
 	input     string // the hashed string, e.g. "R+B" or "R+B#r2"
 	byCond    map[string]*queryGroup
@@ -382,7 +383,7 @@ func (st *nodeState) evictBefore(cutoff int64) {
 				kept = append(kept, t)
 			} else {
 				evicted++
-				delete(b.seen, tupleContentKey(t))
+				delete(b.seen, t.ContentKey())
 			}
 		}
 		b.tuples = kept
@@ -396,7 +397,7 @@ func (st *nodeState) evictBefore(cutoff int64) {
 						kept = append(kept, t)
 					} else {
 						evicted++
-						delete(e.seen, tupleContentKey(t))
+						delete(e.seen, t.ContentKey())
 					}
 				}
 				e.tuples[side] = kept
@@ -411,7 +412,7 @@ func (st *nodeState) evictBefore(cutoff int64) {
 					kept = append(kept, t)
 				} else {
 					evicted++
-					delete(b.seen, tupleContentKey(t))
+					delete(b.seen, t.ContentKey())
 				}
 			}
 			b.tuples[side] = kept
@@ -421,15 +422,4 @@ func (st *nodeState) evictBefore(cutoff int64) {
 	if evicted > 0 {
 		st.load.AddStorage(metrics.Evaluator, -evicted)
 	}
-}
-
-// tupleContentKey renders a tuple's identity (relation, values, time) for
-// the deduplication sets of DAI-V and the pair baseline.
-func tupleContentKey(t *relation.Tuple) string {
-	key := t.Relation()
-	for _, a := range t.Schema().Attrs() {
-		key += "|" + a + "=" + t.MustValue(a).Canon()
-	}
-	key += "|@" + relation.N(float64(t.PubT())).Canon()
-	return key
 }

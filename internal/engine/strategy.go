@@ -105,22 +105,34 @@ func (e *Engine) probeRewriter(from *chord.Node, q *query.Query, side query.Side
 	if err != nil {
 		return rewriterStats{}, err
 	}
-	st := e.state(dst)
+	return e.state(dst).readStats(input), nil
+}
+
+// probesRewriters reports whether the configured strategy reads rewriter
+// arrival statistics; rewriters record them only then.
+func (e *Engine) probesRewriters() bool {
+	return e.cfg.Strategy == StrategyMinRate || e.cfg.Strategy == StrategyMinDomain
+}
+
+// readStats reads one ALQT bucket's arrival statistics. With a sliding
+// window configured, arrivals that have left it are dropped here: the
+// clock only moves forward, so they can never count again.
+func (st *nodeState) readStats(input string) rewriterStats {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	b, ok := st.alqt[input]
 	if !ok {
-		return rewriterStats{}, nil
+		return rewriterStats{}
 	}
-	var cutoff int64
-	if e.cfg.Window > 0 {
-		cutoff = e.net.Clock().Now() - e.cfg.Window
-	}
-	var rate int64
-	for _, ts := range b.arrivals {
-		if ts >= cutoff {
-			rate++
+	if w := st.engine.cfg.Window; w > 0 {
+		cutoff := st.engine.net.Clock().Now() - w
+		kept := b.arrivals[:0]
+		for _, ts := range b.arrivals {
+			if ts >= cutoff {
+				kept = append(kept, ts)
+			}
 		}
+		b.arrivals = kept
 	}
-	return rewriterStats{rate: rate, domain: len(b.distinct)}, nil
+	return rewriterStats{rate: int64(len(b.arrivals)), domain: len(b.distinct)}
 }

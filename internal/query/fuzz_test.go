@@ -4,33 +4,36 @@ import (
 	"testing"
 )
 
+// fuzzSeeds seeds FuzzParser; the plan equivalence test reuses them.
+var fuzzSeeds = []string{
+	`SELECT R.A, S.D FROM R, S WHERE R.B = S.E`,
+	`SELECT R.B, S.E FROM R, S WHERE R.A = S.D AND S.F >= 1`,
+	`SELECT R.A FROM R, S WHERE 2 * R.B = S.E + 1`,
+	`SELECT R.A FROM R, S WHERE 2 * R.B + R.C = S.E * S.F AND S.D >= 1`,
+	`SELECT Document.Title, Authors.Name FROM Document, Authors WHERE Document.AuthorId = Authors.Id`,
+	`SELECT R.A, S.D, T.G FROM R, S, T WHERE R.B = S.E AND S.F = T.H`,
+	`SELECT FROM WHERE`,
+	`SELECT R.A FROM R, S WHERE R.B = `,
+	`SELECT R.A FROM R, S WHERE R.B = S.E AND`,
+	`select r.a from r, s where r.b = s.e`,
+	`SELECT R.A FROM R, S WHERE R.B = R.B`,
+	`SELECT R.A FROM R, S WHERE 0 * R.B = S.E`,
+	`SELECT R.A FROM R, S WHERE R.B = S.E OR R.C = S.F`,
+	"SELECT R.A FROM R, S WHERE R.B = S.E\x00",
+	`SELECT R.A FROM R, S WHERE R.B/0 = S.E",`,
+	`𝕊ELECT ℝ.A FROM R, S WHERE R.B = S.E`,
+}
+
 // FuzzParser feeds arbitrary byte strings to both parsers. The contract:
 // never panic, never hang, and for every accepted query the canonical text
 // must re-parse to an equivalent query (stable condition key and
 // equivalent-condition grouping would otherwise silently break — queries
 // travel over the wire as SQL text and are re-parsed on arrival).
 func FuzzParser(f *testing.F) {
-	seeds := []string{
-		`SELECT R.A, S.D FROM R, S WHERE R.B = S.E`,
-		`SELECT R.B, S.E FROM R, S WHERE R.A = S.D AND S.F >= 1`,
-		`SELECT R.A FROM R, S WHERE 2 * R.B = S.E + 1`,
-		`SELECT R.A FROM R, S WHERE 2 * R.B + R.C = S.E * S.F AND S.D >= 1`,
-		`SELECT Document.Title, Authors.Name FROM Document, Authors WHERE Document.AuthorId = Authors.Id`,
-		`SELECT R.A, S.D, T.G FROM R, S, T WHERE R.B = S.E AND S.F = T.H`,
-		`SELECT FROM WHERE`,
-		`SELECT R.A FROM R, S WHERE R.B = `,
-		`SELECT R.A FROM R, S WHERE R.B = S.E AND`,
-		`select r.a from r, s where r.b = s.e`,
-		`SELECT R.A FROM R, S WHERE R.B = R.B`,
-		`SELECT R.A FROM R, S WHERE 0 * R.B = S.E`,
-		`SELECT R.A FROM R, S WHERE R.B = S.E OR R.C = S.F`,
-		"SELECT R.A FROM R, S WHERE R.B = S.E\x00",
-		`SELECT R.A FROM R, S WHERE R.B/0 = S.E",`,
-		`𝕊ELECT ℝ.A FROM R, S WHERE R.B = S.E`,
-	}
-	for _, s := range seeds {
+	for _, s := range fuzzSeeds {
 		f.Add(s)
 	}
+
 	catalog := testCatalog()
 	f.Fuzz(func(t *testing.T, sql string) {
 		q, err := Parse(catalog, sql)

@@ -299,6 +299,10 @@ func (p *parser) parseWhere(sel []Attr) (*Query, error) {
 			return nil, fmt.Errorf("query: SELECT references %s, not a FROM relation", a)
 		}
 	}
+	var err error
+	if q.plan, err = compile(&q); err != nil {
+		return nil, err
+	}
 	return &q, nil
 }
 

@@ -2,7 +2,6 @@ package query
 
 import (
 	"fmt"
-	"strings"
 	"sync/atomic"
 
 	"cqjoin/internal/relation"
@@ -55,6 +54,10 @@ func (t Type) String() string {
 	return "T2"
 }
 
+// keyScratch sizes the stack buffers the key builders append into: a key
+// that fits costs exactly one allocation, its final string.
+const keyScratch = 128
+
 // Query is a continuous two-way equi-join query. Build one with Parse, then
 // attach subscriber identity with WithIdentity before indexing it.
 type Query struct {
@@ -70,6 +73,7 @@ type Query struct {
 	rightRel *relation.Schema
 	filters  []Predicate
 	text     string
+	plan     *plan // compiled by Parse, shared by every copy
 
 	// wireSize memoizes the query's wire-encoded length; 0 means not yet
 	// computed. Accessed atomically because the query value embedded in
@@ -198,31 +202,17 @@ func (q *Query) SideFor(rel string) (Side, error) {
 }
 
 // Type classifies the query as T1 or T2 per Section 3.2.
-func (q *Query) Type() Type {
-	if Invertible(q.left) && Invertible(q.right) {
-		return T1
-	}
-	return T2
-}
+func (q *Query) Type() Type { return q.plan.typ }
 
 // SideAttrs returns the distinct attribute names the given side's
-// expression references, candidates for the role of index attribute.
-func (q *Query) SideAttrs(s Side) []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, a := range Attrs(q.Expr(s)) {
-		if !seen[a.Name] {
-			seen[a.Name] = true
-			out = append(out, a.Name)
-		}
-	}
-	return out
-}
+// expression references, candidates for the role of index attribute. The
+// slice belongs to the query's plan: read it, do not modify it.
+func (q *Query) SideAttrs(s Side) []string { return q.plan.side[s].attrs }
 
 // SingleAttr returns the side's unique join attribute for a T1-style side,
 // or an error when the side references several attributes.
 func (q *Query) SingleAttr(s Side) (string, error) {
-	attrs := q.SideAttrs(s)
+	attrs := q.plan.side[s].attrs
 	if len(attrs) != 1 {
 		return "", fmt.Errorf("query: %s side of %q references %d attributes", s, q.ConditionKey(), len(attrs))
 	}
@@ -240,68 +230,59 @@ func (q *Query) EvalSide(s Side, t *relation.Tuple) (relation.Value, error) {
 // Section 4.3.2: the value attribute DisA(q) must take so the join
 // condition holds.
 func (q *Query) InvertSide(s Side, target relation.Value) (relation.Value, error) {
-	return Invert(q.Expr(s), target)
+	if len(q.plan.side[s].attrs) != 1 {
+		return relation.Value{}, fmt.Errorf("query: invert of multi-attribute expression %s", q.Expr(s))
+	}
+	return invert(q.Expr(s), target)
 }
 
 // ConditionKey renders the join condition canonically. Queries with equal
 // ConditionKey have equivalent join conditions and are grouped together at
 // rewriter and evaluator nodes (Section 4.3.5).
-func (q *Query) ConditionKey() string {
-	return q.left.String() + " = " + q.right.String()
-}
+func (q *Query) ConditionKey() string { return q.plan.condKey }
 
 // NeededAttrs returns the attributes of the named relation required to
 // finish evaluating the query after the other relation's side is fixed:
 // the attributes in the SELECT list, the join expression and the selection
-// predicates. DAI-V ships exactly this projection of a tuple (Section 4.5).
+// predicates — nil for a relation the query does not join. The slice
+// belongs to the query's plan: read it, do not modify it.
 func (q *Query) NeededAttrs(rel string) []string {
-	seen := make(map[string]bool)
-	var out []string
-	add := func(a Attr) {
-		if a.Rel == rel && !seen[a.Name] {
-			seen[a.Name] = true
-			out = append(out, a.Name)
-		}
+	s, err := q.SideFor(rel)
+	if err != nil {
+		return nil
 	}
-	for _, a := range q.sel {
-		add(a)
-	}
-	side, err := q.SideFor(rel)
-	if err == nil {
-		for _, a := range Attrs(q.Expr(side)) {
-			add(a)
-		}
-	}
-	for _, f := range q.filters {
-		if f.Rel != rel {
-			continue
-		}
-		for _, a := range Attrs(f.L) {
-			add(a)
-		}
-		for _, a := range Attrs(f.R) {
-			add(a)
-		}
-	}
-	return out
+	return q.plan.side[s].needed
 }
+
+// Projection returns the schema of the given side's relation restricted to
+// NeededAttrs — the shape of "the projection of t on the attributes needed
+// for the evaluation of the join" (Section 4.5) that a rewritten query
+// carries. Queries needing the same attributes share one schema.
+func (q *Query) Projection(s Side) *relation.Schema { return q.plan.side[s].proj }
 
 // SelectValuesFrom extracts the values of the SELECT attributes that belong
 // to the tuple's relation — the v1, ..., vl that name a rewritten query's
 // key in Section 4.3.3.
 func (q *Query) SelectValuesFrom(t *relation.Tuple) ([]relation.Value, error) {
-	var out []relation.Value
-	for _, a := range q.sel {
-		if a.Rel != t.Relation() {
+	return q.appendSelectValues(nil, t)
+}
+
+func (q *Query) appendSelectValues(dst []relation.Value, t *relation.Tuple) ([]relation.Value, error) {
+	s, err := q.SideFor(t.Relation())
+	if err != nil {
+		return dst, nil // not a relation of the query: no SELECT attribute is t's
+	}
+	for _, r := range q.plan.sel {
+		if r.side != s {
 			continue
 		}
-		v, err := t.Value(a.Name)
+		v, err := q.selValue(r, t)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, v)
+		dst = append(dst, v)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // RewriteKey computes the key of the rewritten query created when tuple t
@@ -313,19 +294,20 @@ func (q *Query) SelectValuesFrom(t *relation.Tuple) ([]relation.Value, error) {
 // Two rewritten queries share a key exactly when they were created from the
 // same query by tuples with the same value of the index attribute.
 func (q *Query) RewriteKey(t *relation.Tuple, valDA relation.Value) (string, error) {
-	vals, err := q.SelectValuesFrom(t)
+	var scratch [8]relation.Value // SELECT lists are short: the values stay on the stack
+	vals, err := q.appendSelectValues(scratch[:0], t)
 	if err != nil {
 		return "", err
 	}
-	var b strings.Builder
-	b.WriteString(q.key)
+	var buf [keyScratch]byte
+	b := append(buf[:0], q.key...)
 	for _, v := range vals {
-		b.WriteByte('+')
-		b.WriteString(v.Canon())
+		b = append(b, '+')
+		b = v.AppendCanon(b)
 	}
-	b.WriteByte('+')
-	b.WriteString(valDA.Canon())
-	return b.String(), nil
+	b = append(b, '+')
+	b = valDA.AppendCanon(b)
+	return string(b), nil
 }
 
 // ProjectNotification computes the SELECT projection over a matched pair of
@@ -335,13 +317,13 @@ func (q *Query) ProjectNotification(left, right *relation.Tuple) ([]relation.Val
 		return nil, fmt.Errorf("query: ProjectNotification tuple relations %s, %s do not match %s ⋈ %s",
 			left.Relation(), right.Relation(), q.leftRel.Name(), q.rightRel.Name())
 	}
-	out := make([]relation.Value, len(q.sel))
-	for i, a := range q.sel {
+	out := make([]relation.Value, len(q.plan.sel))
+	for i, r := range q.plan.sel {
 		src := left
-		if a.Rel == q.rightRel.Name() {
+		if r.side == SideRight {
 			src = right
 		}
-		v, err := src.Value(a.Name)
+		v, err := q.selValue(r, src)
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -208,4 +209,144 @@ func mustPanic(t *testing.T, f func()) {
 		}
 	}()
 	f()
+}
+
+func TestValueAppendCanonMatchesCanon(t *testing.T) {
+	f := func(s string, x float64, isStr bool) bool {
+		v := N(x)
+		if isStr {
+			v = S(s)
+		}
+		return string(v.AppendCanon([]byte("k+"))) == "k+"+v.Canon()
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The content key's bytes are a contract: evaluators' dedup sets hold them
+// across hand-offs and snapshots, and every process must hash a tuple to
+// the same hot-key shard.
+func TestTupleContentKeyFormat(t *testing.T) {
+	s := MustSchema("R", "A", "B", "C")
+	tp := MustTuple(s, N(7), S("x|y"), N(0.5)).WithPubT(12)
+	const want = "R|A=7|B=x|y|C=0.5|@12"
+	if got := tp.ContentKey(); got != want {
+		t.Fatalf("ContentKey = %q, want %q", got, want)
+	}
+	if tp.ContentKey() != want {
+		t.Fatal("memoized ContentKey differs")
+	}
+	// Attribute names are part of the identity: a projection is not its source.
+	p, err := tp.Project([]string{"A"})
+	if err != nil || p.ContentKey() != "R|A=7|@12" {
+		t.Fatalf("projection key = %q, %v", p.ContentKey(), err)
+	}
+	if got := tp.WithPubT(1 << 60).ContentKey(); got != "R|A=7|B=x|y|C=0.5|@1.152921504606847e+18" {
+		t.Fatalf("large pubT key = %q", got)
+	}
+	long := MustTuple(s, S(strings.Repeat("v", 300)), N(1), N(2)).WithPubT(3)
+	if got := long.ContentKey(); got != "R|A="+strings.Repeat("v", 300)+"|B=1|C=2|@3" {
+		t.Fatalf("key longer than the scratch buffer = %q", got)
+	}
+}
+
+// One tuple is shared by every in-flight message carrying it, so first
+// calls of ContentKey race by design; run with -race.
+func TestTupleContentKeyConcurrent(t *testing.T) {
+	s := MustSchema("R", "A", "B")
+	for round := 0; round < 50; round++ {
+		tp := MustTuple(s, N(float64(round)), S("b")).WithPubT(int64(round))
+		want := MustTuple(s, N(float64(round)), S("b")).WithPubT(int64(round)).ContentKey()
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if got := tp.ContentKey(); got != want {
+					t.Errorf("ContentKey = %q, want %q", got, want)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+func TestSchemaProjectionInterned(t *testing.T) {
+	s := MustSchema("R", "A", "B", "C")
+	ab, err := s.Projection([]string{"A", "B"})
+	if err != nil || ab.Name() != "R" || !ab.HasAttrs([]string{"A", "B"}) {
+		t.Fatalf("Projection = %v, %v", ab, err)
+	}
+	if again, _ := s.Projection([]string{"A", "B"}); again != ab {
+		t.Fatal("equal attribute lists got different schemas")
+	}
+	if ba, _ := s.Projection([]string{"B", "A"}); ba == ab || !ba.HasAttrs([]string{"B", "A"}) {
+		t.Fatal("order is part of a projection's identity")
+	}
+	if full, _ := s.Projection([]string{"A", "B", "C"}); full != s {
+		t.Fatal("the full list in order is the schema itself")
+	}
+	for _, bad := range [][]string{{"Z"}, {"A", "A"}, {}} {
+		if _, err := s.Projection(bad); err == nil {
+			t.Fatalf("projection onto %v accepted", bad)
+		}
+	}
+	// Concurrent parsers intern through one table; run with -race.
+	var wg sync.WaitGroup
+	got := make([]*Schema, 8)
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g], _ = s.Projection([]string{"C", "A"})
+		}(g)
+	}
+	wg.Wait()
+	for _, p := range got {
+		if p == nil || p != got[0] {
+			t.Fatal("concurrent Projection calls did not agree on one schema")
+		}
+	}
+}
+
+func TestTupleProjectOnto(t *testing.T) {
+	s := MustSchema("R", "A", "B", "C")
+	tp := MustTuple(s, N(1), N(2), N(3)).WithPubT(7)
+	ca, _ := s.Projection([]string{"C", "A"})
+	p, err := tp.ProjectOnto(ca)
+	if err != nil || p.Schema() != ca || !p.ValueAt(0).Equal(N(3)) || !p.ValueAt(1).Equal(N(1)) || p.PubT() != 7 {
+		t.Fatalf("ProjectOnto = %v, %v", p, err)
+	}
+	if same, _ := tp.ProjectOnto(s); same != tp {
+		t.Fatal("projecting onto the tuple's own schema must return the tuple")
+	}
+	if _, err := tp.ProjectOnto(MustSchema("S", "A")); err == nil {
+		t.Fatal("projection onto another relation accepted")
+	}
+	if _, err := tp.ProjectOnto(MustSchema("R", "Z")); err == nil {
+		t.Fatal("projection onto an unknown attribute accepted")
+	}
+}
+
+func TestStampedTupleAndLookupBytes(t *testing.T) {
+	s := MustSchema("R", "A", "B")
+	tp, err := StampedTuple(s, []Value{N(1), S("x")}, 9)
+	if err != nil || tp.PubT() != 9 || !tp.MustValue("B").Equal(S("x")) {
+		t.Fatalf("StampedTuple = %v, %v", tp, err)
+	}
+	if _, err := StampedTuple(s, []Value{N(1)}, 9); err == nil {
+		t.Fatal("arity mismatch accepted")
+	}
+	if _, err := StampedTuple(nil, nil, 9); err == nil {
+		t.Fatal("nil schema accepted")
+	}
+	c := MustCatalog(s)
+	var none *Catalog
+	if c.LookupBytes([]byte("R")) != s || c.LookupBytes([]byte("S")) != nil || none.LookupBytes([]byte("R")) != nil {
+		t.Fatal("LookupBytes wrong")
+	}
+	if s.Attr(1) != "B" || s.HasAttrs([]string{"A"}) || s.HasAttrs([]string{"B", "A"}) || !s.HasAttrs([]string{"A", "B"}) {
+		t.Fatal("Attr/HasAttrs wrong")
+	}
 }

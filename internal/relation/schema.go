@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Schema describes a relation: its name and the ordered attribute names.
@@ -12,6 +13,12 @@ type Schema struct {
 	name  string
 	attrs []string
 	index map[string]int
+
+	// projections interns the sub-schemas Projection has handed out, so
+	// every query needing the same attributes of this relation shares one
+	// *Schema. Queries come in few shapes: a list searched in order.
+	projMu      sync.Mutex
+	projections []*Schema
 }
 
 // NewSchema builds a schema. Attribute names must be unique and non-empty.
@@ -53,6 +60,53 @@ func (s *Schema) Attrs() []string { return append([]string(nil), s.attrs...) }
 
 // Arity returns the number of attributes.
 func (s *Schema) Arity() int { return len(s.attrs) }
+
+// Attr returns the name of attribute i in declaration order. Loops over a
+// schema use it with Arity where the copy Attrs makes is not needed.
+func (s *Schema) Attr(i int) string { return s.attrs[i] }
+
+// HasAttrs reports whether the schema declares exactly the given attributes
+// in the given order.
+func (s *Schema) HasAttrs(attrs []string) bool {
+	if len(attrs) != len(s.attrs) {
+		return false
+	}
+	for i, a := range attrs {
+		if s.attrs[i] != a {
+			return false
+		}
+	}
+	return true
+}
+
+// Projection returns the schema of this relation restricted to the named
+// attributes in the given order. The result is interned: equal attribute
+// lists yield the same *Schema (s itself for its full list), so tuples
+// projected for different queries of one shape share a schema. The table
+// only ever holds ordered subsets of s's attributes and lives as long as s.
+func (s *Schema) Projection(attrs []string) (*Schema, error) {
+	if s.HasAttrs(attrs) {
+		return s, nil
+	}
+	for _, a := range attrs {
+		if !s.HasAttr(a) {
+			return nil, fmt.Errorf("relation: %s has no attribute %s", s.name, a)
+		}
+	}
+	s.projMu.Lock()
+	defer s.projMu.Unlock()
+	for _, sub := range s.projections {
+		if sub.HasAttrs(attrs) {
+			return sub, nil
+		}
+	}
+	sub, err := NewSchema(s.name, attrs...)
+	if err != nil {
+		return nil, err
+	}
+	s.projections = append(s.projections, sub)
+	return sub, nil
+}
 
 // AttrIndex returns the position of the named attribute, or -1.
 func (s *Schema) AttrIndex(name string) int {
@@ -115,6 +169,15 @@ func (c *Catalog) Lookup(name string) *Schema {
 		return nil
 	}
 	return c.schemas[name]
+}
+
+// LookupBytes is Lookup for a name still in a decoder's buffer; it does not
+// allocate.
+func (c *Catalog) LookupBytes(name []byte) *Schema {
+	if c == nil || c.schemas == nil {
+		return nil
+	}
+	return c.schemas[string(name)]
 }
 
 // Schemas returns every registered schema in relation-name order.

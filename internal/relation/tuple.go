@@ -20,6 +20,11 @@ type Tuple struct {
 	// tuple value is shared by every in-flight message that carries it, and
 	// concurrent cascade workers size those messages independently.
 	wireSize int64
+
+	// contentKey memoizes ContentKey. Like wireSize it is a pure function
+	// of fields that never change after construction, so concurrent first
+	// callers store equal strings and either store may win.
+	contentKey atomic.Pointer[string]
 }
 
 // NewTuple builds a tuple of the given schema. The number of values must
@@ -33,6 +38,20 @@ func NewTuple(schema *Schema, values ...Value) (*Tuple, error) {
 			schema.Name(), schema.Arity(), len(values))
 	}
 	return &Tuple{schema: schema, values: append([]Value(nil), values...)}, nil
+}
+
+// StampedTuple builds a tuple already carrying publication time pubT. It
+// takes ownership of values — the caller must not touch the slice again —
+// which saves a decoder the two copies NewTuple and WithPubT would make.
+func StampedTuple(schema *Schema, values []Value, pubT int64) (*Tuple, error) {
+	if schema == nil {
+		return nil, fmt.Errorf("relation: tuple with nil schema")
+	}
+	if len(values) != schema.Arity() {
+		return nil, fmt.Errorf("relation: tuple of %s needs %d values, got %d",
+			schema.Name(), schema.Arity(), len(values))
+	}
+	return &Tuple{schema: schema, values: values, pubT: pubT}, nil
 }
 
 // MustTuple is NewTuple that panics on error, for literals in tests and
@@ -53,6 +72,9 @@ func (t *Tuple) Relation() string { return t.schema.Name() }
 
 // Values returns the attribute values in schema order.
 func (t *Tuple) Values() []Value { return append([]Value(nil), t.values...) }
+
+// ValueAt returns the value of attribute i of the tuple's schema.
+func (t *Tuple) ValueAt(i int) Value { return t.values[i] }
 
 // Value returns the value of the named attribute.
 func (t *Tuple) Value(attr string) (Value, error) {
@@ -83,6 +105,34 @@ func (t *Tuple) CachedWireSize() int { return int(atomic.LoadInt64(&t.wireSize))
 // SetCachedWireSize memoizes the tuple's wire-encoding length.
 func (t *Tuple) SetCachedWireSize(n int) { atomic.StoreInt64(&t.wireSize, int64(n)) }
 
+// ContentKey renders the tuple's identity — relation, attribute names and
+// values, publication time — as
+//
+//	R|A1=v1|...|Ah=vh|@pubT
+//
+// the key under which every tuple store absorbs duplicated deliveries (the
+// value-level tuple table of SAI and DAI-Q, DAI-V's value store, the pair
+// baseline) and from which hot-key sharding picks a tuple's shard. It is
+// computed once per tuple, however many evaluators store it.
+func (t *Tuple) ContentKey() string {
+	if k := t.contentKey.Load(); k != nil {
+		return *k
+	}
+	var buf [192]byte // a key that fits costs one allocation, its string
+	b := append(buf[:0], t.schema.name...)
+	for i, v := range t.values {
+		b = append(b, '|')
+		b = append(b, t.schema.attrs[i]...)
+		b = append(b, '=')
+		b = v.AppendCanon(b)
+	}
+	b = append(b, '|', '@')
+	b = N(float64(t.pubT)).AppendCanon(b)
+	k := string(b)
+	t.contentKey.Store(&k)
+	return k
+}
+
 // WithPubT returns a copy of the tuple stamped with publication time ts.
 // The engine stamps tuples at insertion; the original is not modified. The
 // copy is built field by field — a struct copy would read wireSize without
@@ -91,28 +141,37 @@ func (t *Tuple) WithPubT(ts int64) *Tuple {
 	return &Tuple{schema: t.schema, values: append([]Value(nil), t.values...), pubT: ts}
 }
 
-// Project returns a new single-use tuple restricted to the named attributes
-// in the given order, used by DAI-V which ships "the projection of t on the
-// attributes needed for the evaluation of the join" (Section 4.5).
+// Project returns a new tuple restricted to the named attributes in the
+// given order, with a schema of its own.
 func (t *Tuple) Project(attrs []string) (*Tuple, error) {
 	sub, err := NewSchema(t.schema.Name(), attrs...)
 	if err != nil {
 		return nil, err
 	}
-	vals := make([]Value, len(attrs))
-	for i, a := range attrs {
-		v, err := t.Value(a)
-		if err != nil {
-			return nil, err
+	return t.ProjectOnto(sub)
+}
+
+// ProjectOnto returns the tuple restricted to the attributes of sub, a
+// schema of the same relation (typically Schema.Projection's): "the
+// projection of t on the attributes needed for the evaluation of the join"
+// (Section 4.5) that rewritten queries carry. Projecting onto the tuple's
+// own schema returns t itself — tuples are immutable, so sharing is safe.
+func (t *Tuple) ProjectOnto(sub *Schema) (*Tuple, error) {
+	if sub == t.schema {
+		return t, nil
+	}
+	if sub.name != t.schema.name {
+		return nil, fmt.Errorf("relation: cannot project a %s tuple onto %s", t.schema.name, sub)
+	}
+	vals := make([]Value, len(sub.attrs))
+	for i, a := range sub.attrs {
+		j := t.schema.AttrIndex(a)
+		if j < 0 {
+			return nil, fmt.Errorf("relation: %s has no attribute %s", t.schema.name, a)
 		}
-		vals[i] = v
+		vals[i] = t.values[j]
 	}
-	p, err := NewTuple(sub, vals...)
-	if err != nil {
-		return nil, err
-	}
-	p.pubT = t.pubT
-	return p, nil
+	return &Tuple{schema: sub, values: vals, pubT: t.pubT}, nil
 }
 
 // String renders the tuple as Relation(v1, v2, ...).

@@ -66,6 +66,15 @@ func (v Value) Canon() string {
 	return strconv.FormatFloat(v.num, 'g', -1, 64)
 }
 
+// AppendCanon appends the canonical form to dst, so a key made of several
+// values is built in one buffer with no intermediate strings.
+func (v Value) AppendCanon(dst []byte) []byte {
+	if v.kind == String {
+		return append(dst, v.str...)
+	}
+	return strconv.AppendFloat(dst, v.num, 'g', -1, 64)
+}
+
 // Equal reports whether two values are the same constant. A String never
 // equals a Number, matching SQL equality over distinct types in this
 // simplified model.

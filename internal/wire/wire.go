@@ -200,21 +200,27 @@ func (r *Reader) Value() (relation.Value, error) {
 // EncodeTuple appends a tuple, including its (possibly projected) schema so
 // the receiver can evaluate expressions against it without catalog access.
 func EncodeTuple(w *Buffer, t *relation.Tuple) {
-	w.PutString(t.Relation())
-	attrs := t.Schema().Attrs()
-	w.PutUvarint(uint64(len(attrs)))
-	for _, a := range attrs {
-		w.PutString(a)
+	schema := t.Schema()
+	w.PutString(schema.Name())
+	w.PutUvarint(uint64(schema.Arity()))
+	for i := 0; i < schema.Arity(); i++ {
+		w.PutString(schema.Attr(i))
 	}
-	for _, a := range attrs {
-		w.PutValue(t.MustValue(a))
+	for i := 0; i < schema.Arity(); i++ {
+		w.PutValue(t.ValueAt(i))
 	}
 	w.PutVarint(t.PubT())
 }
 
-// DecodeTuple reads a tuple encoded by EncodeTuple.
-func DecodeTuple(r *Reader) (*relation.Tuple, error) {
-	rel, err := r.String()
+// DecodeTuple reads a tuple encoded by EncodeTuple. The encoding names its
+// attributes; when that list is exactly the one a schema the receiver
+// already holds declares — the catalog's schema of the relation (a full
+// tuple), or shape, the projection schema of the query the tuple travels
+// with (a trigger; nil when there is none) — the tuple takes that schema and
+// nothing is built. Any other list, however forged, gets a private schema
+// of its own: input never aliases or alters a shared one.
+func DecodeTuple(r *Reader, catalog *relation.Catalog, shape *relation.Schema) (*relation.Tuple, error) {
+	rel, err := r.Bytes()
 	if err != nil {
 		return nil, err
 	}
@@ -227,15 +233,25 @@ func DecodeTuple(r *Reader) (*relation.Tuple, error) {
 		// forged length prefix, not a short read.
 		return nil, fmt.Errorf("wire: implausible tuple arity %d", n)
 	}
-	attrs := make([]string, n)
-	for i := range attrs {
-		if attrs[i], err = r.String(); err != nil {
-			return nil, err
+	attrsAt := r.off
+	var schema *relation.Schema
+	for _, known := range [2]*relation.Schema{catalog.LookupBytes(rel), shape} {
+		if known != nil && r.matchesSchema(known, rel, int(n)) {
+			schema = known
+			break
 		}
+		r.off = attrsAt
 	}
-	schema, err := relation.NewSchema(rel, attrs...)
-	if err != nil {
-		return nil, fmt.Errorf("wire: %w", err)
+	if schema == nil {
+		attrs := make([]string, n)
+		for i := range attrs {
+			if attrs[i], err = r.String(); err != nil {
+				return nil, err
+			}
+		}
+		if schema, err = relation.NewSchema(string(rel), attrs...); err != nil {
+			return nil, fmt.Errorf("wire: %w", err)
+		}
 	}
 	vals := make([]relation.Value, n)
 	for i := range vals {
@@ -243,15 +259,31 @@ func DecodeTuple(r *Reader) (*relation.Tuple, error) {
 			return nil, err
 		}
 	}
-	t, err := relation.NewTuple(schema, vals...)
-	if err != nil {
-		return nil, fmt.Errorf("wire: %w", err)
-	}
 	pubT, err := r.Varint()
 	if err != nil {
 		return nil, err
 	}
-	return t.WithPubT(pubT), nil
+	t, err := relation.StampedTuple(schema, vals, pubT)
+	if err != nil {
+		return nil, fmt.Errorf("wire: %w", err)
+	}
+	return t, nil
+}
+
+// matchesSchema reads n attribute names and reports whether they, with the
+// relation name rel, are exactly what s declares. On false the reader is
+// left mid-list for the caller to rewind.
+func (r *Reader) matchesSchema(s *relation.Schema, rel []byte, n int) bool {
+	if s.Arity() != n || s.Name() != string(rel) {
+		return false
+	}
+	for i := 0; i < n; i++ {
+		a, err := r.Bytes()
+		if err != nil || s.Attr(i) != string(a) {
+			return false
+		}
+	}
+	return true
 }
 
 // EncodeQuery appends a query: identity and times plus the SQL text, which
@@ -265,8 +297,11 @@ func EncodeQuery(w *Buffer, q *query.Query) {
 }
 
 // DecodeQuery reads a query encoded by EncodeQuery, re-parsing its SQL
-// against the catalog and restoring its identity and insertion time.
-func DecodeQuery(r *Reader, catalog *relation.Catalog) (*query.Query, error) {
+// against the catalog and restoring its identity and insertion time. A
+// message carrying many queries passes the same non-nil parsed map for each:
+// it remembers every SQL text's parse, so the subscribers of one text —
+// a rewriter's group — cost one parse per message, not one each.
+func DecodeQuery(r *Reader, catalog *relation.Catalog, parsed map[string]*query.Query) (*query.Query, error) {
 	key, err := r.String()
 	if err != nil {
 		return nil, err
@@ -283,13 +318,18 @@ func DecodeQuery(r *Reader, catalog *relation.Catalog) (*query.Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	sql, err := r.String()
+	sql, err := r.Bytes()
 	if err != nil {
 		return nil, err
 	}
-	q, err := query.Parse(catalog, sql)
-	if err != nil {
-		return nil, fmt.Errorf("wire: re-parse: %w", err)
+	q := parsed[string(sql)]
+	if q == nil {
+		if q, err = query.Parse(catalog, string(sql)); err != nil {
+			return nil, fmt.Errorf("wire: re-parse: %w", err)
+		}
+		if parsed != nil {
+			parsed[q.Text()] = q
+		}
 	}
 	q = q.WithInsT(insT)
 	return q.WithRestoredIdentity(key, sub, ip), nil
@@ -340,10 +380,10 @@ func SizeTuple(t *relation.Tuple) int {
 	if n := t.CachedWireSize(); n > 0 {
 		return n
 	}
-	attrs := t.Schema().Attrs()
-	n := SizeString(t.Relation()) + SizeUvarint(uint64(len(attrs)))
-	for _, a := range attrs {
-		n += SizeString(a) + SizeValue(t.MustValue(a))
+	schema := t.Schema()
+	n := SizeString(schema.Name()) + SizeUvarint(uint64(schema.Arity()))
+	for i := 0; i < schema.Arity(); i++ {
+		n += SizeString(schema.Attr(i)) + SizeValue(t.ValueAt(i))
 	}
 	n += SizeVarint(t.PubT())
 	t.SetCachedWireSize(n)

@@ -64,7 +64,7 @@ func TestTupleRoundTrip(t *testing.T) {
 	tu := relation.MustTuple(s, relation.N(1), relation.S("P2P Joins"), relation.N(17)).WithPubT(99)
 	var w Buffer
 	EncodeTuple(&w, tu)
-	got, err := DecodeTuple(NewReader(w.Bytes()))
+	got, err := DecodeTuple(NewReader(w.Bytes()), nil, nil)
 	if err != nil {
 		t.Fatalf("DecodeTuple: %v", err)
 	}
@@ -91,7 +91,7 @@ func TestQueryRoundTrip(t *testing.T) {
 
 	var w Buffer
 	EncodeQuery(&w, q)
-	got, err := DecodeQuery(NewReader(w.Bytes()), catalog)
+	got, err := DecodeQuery(NewReader(w.Bytes()), catalog, nil)
 	if err != nil {
 		t.Fatalf("DecodeQuery: %v", err)
 	}
@@ -120,7 +120,7 @@ func TestDecodeQueryBadSQL(t *testing.T) {
 	w.PutString("ip")
 	w.PutVarint(1)
 	w.PutString("not sql at all")
-	if _, err := DecodeQuery(NewReader(w.Bytes()), catalog); err == nil {
+	if _, err := DecodeQuery(NewReader(w.Bytes()), catalog, nil); err == nil {
 		t.Fatal("bad SQL accepted")
 	}
 }
@@ -133,7 +133,7 @@ func TestTruncationErrors(t *testing.T) {
 	full := w.Bytes()
 	// Every strict prefix must fail cleanly, never panic.
 	for cut := 0; cut < len(full); cut++ {
-		if _, err := DecodeTuple(NewReader(full[:cut])); err == nil {
+		if _, err := DecodeTuple(NewReader(full[:cut]), nil, nil); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
@@ -141,7 +141,7 @@ func TestTruncationErrors(t *testing.T) {
 
 func TestDecodeGarbageNeverPanics(t *testing.T) {
 	f := func(b []byte) bool {
-		_, _ = DecodeTuple(NewReader(b))
+		_, _ = DecodeTuple(NewReader(b), nil, nil)
 		r := NewReader(b)
 		_, _ = r.Value()
 		_, _ = r.String()
@@ -156,13 +156,13 @@ func TestDecodeTupleImplausibleArity(t *testing.T) {
 	var w Buffer
 	w.PutString("R")
 	w.PutUvarint(1 << 40)
-	if _, err := DecodeTuple(NewReader(w.Bytes())); err == nil {
+	if _, err := DecodeTuple(NewReader(w.Bytes()), nil, nil); err == nil {
 		t.Fatal("absurd arity accepted")
 	}
 	var w2 Buffer
 	w2.PutString("R")
 	w2.PutUvarint(0)
-	if _, err := DecodeTuple(NewReader(w2.Bytes())); err == nil {
+	if _, err := DecodeTuple(NewReader(w2.Bytes()), nil, nil); err == nil {
 		t.Fatal("zero arity accepted")
 	}
 }
