@@ -577,6 +577,7 @@ func (net *Network) buildFingers(n *Node) {
 		i := net.ringIndexLocked(start) % len(net.ring)
 		n.fingers[j] = net.ring[i]
 	}
+	n.strayFingers = 0 // exact fingers are never stray
 }
 
 // MoveNode re-positions an alive node at a new ring identifier — the
@@ -623,6 +624,7 @@ func (net *Network) RepairAll() {
 			k := net.ringIndexLocked(start) % cnt
 			n.fingers[j] = net.ring[k]
 		}
+		n.strayFingers = 0 // exact fingers are never stray
 		n.mu.Unlock()
 	}
 }

@@ -60,7 +60,10 @@ type Node struct {
 	succs      []*Node // successor list; succs[0] is the immediate successor
 	fingers    [id.Bits]*Node
 	nextFinger int // round-robin cursor for amortized fix-fingers
-	handler    Handler
+	// strayFingers counts the entries closer to n than their slot allows
+	// (setFingerLocked); zero on every ring the oracle built.
+	strayFingers int
+	handler      Handler
 }
 
 // Key returns the node's unique key (Section 2.2: e.g. derived from its
@@ -167,14 +170,48 @@ func (n *Node) OwnsKey(k id.ID) bool {
 	return id.BetweenRightIncl(k, n.pred.id, n.id)
 }
 
+// setFingerLocked stores finger-table entry j (0-based) and keeps count of
+// the stray entries: an exact finger j is Successor(id(n) + 2^j) and so lies
+// at least 2^j clockwise of n, but a lookup answered from pointers that
+// predate a join can name a node closer than that. closestPrecedingAlive
+// may skip the fingers too far for its target only while there is no stray
+// one. The caller holds n.mu.
+func (n *Node) setFingerLocked(j int, f *Node) {
+	stray := func(f *Node) int {
+		if f != nil && f != n && id.Distance(n.id, f.id).BitLen() <= j {
+			return 1
+		}
+		return 0
+	}
+	n.strayFingers += stray(f) - stray(n.fingers[j])
+	n.fingers[j] = f
+}
+
 // closestPrecedingAlive returns the furthest finger of n that lies strictly
 // between n and target on the ring and is still alive — the next hop in
 // Chord routing. It returns n itself when no finger qualifies.
+//
+// Finger j lies at least 2^j clockwise of n, so it cannot precede a target
+// closer than that: the scan starts at the highest finger that can, and —
+// runs of table entries being one node, all the low ones the successor —
+// examines each node once.
 func (n *Node) closestPrecedingAlive(target id.ID) *Node {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for j := id.Bits - 1; j >= 0; j-- {
+	top := id.Bits - 1
+	if n.strayFingers == 0 {
+		// Distance 0 is the whole ring: target == id(n) excludes only n.
+		if b := id.Distance(n.id, target).BitLen(); b > 0 {
+			top = b - 1
+		}
+	}
+	var last *Node
+	for j := top; j >= 0; j-- {
 		f := n.fingers[j]
+		if f == last {
+			continue
+		}
+		last = f
 		if f == nil || !f.Alive() {
 			continue
 		}

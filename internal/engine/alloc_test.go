@@ -1,44 +1,52 @@
 package engine
 
 import (
+	"runtime"
 	"testing"
 
 	"cqjoin/internal/relation"
 )
 
 // publicationAllocCeiling bounds the allocations of one SAI publication in
-// TestPublicationAllocCeiling's stream: 67 measured when the compiled plan
-// and the once-per-tuple keys landed (198 before), plus 15 %. A
-// Tuple.Project per triggered query or a content key per evaluator costs
-// more than the margin, a NeededAttrs/SideAttrs walk per call most of it;
-// together they cannot hide. Routing
-// allocates nothing, so ring size and placement do not move the figure; a
-// Go release that moves it is a reason to re-measure, not to add slack.
-const publicationAllocCeiling = 77
+// allocStream: 61 measured with the evaluator tables sized for their buckets
+// and a group's rewrites in one array (67 with a map in every bucket, 198 before the compiled plan and the
+// once-per-tuple keys), plus 15 %. A Tuple.Project per triggered query or a
+// content key per evaluator costs more than the margin, a
+// NeededAttrs/SideAttrs walk per call most of it; together they cannot hide.
+// Routing allocates nothing, so ring size and placement do not move the
+// figure; a Go release that moves it is a reason to re-measure, not to add
+// slack.
+const publicationAllocCeiling = 70
 
-func TestPublicationAllocCeiling(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector allocates on its own")
-	}
+// allocStream is the stream both ceilings are measured on: four subscribers
+// of one join, then R and S tuples alternating, joining pairwise on a fresh
+// key — every R stores the group's four rewrites, every S fires them. It
+// returns a function publishing the next tuple.
+func allocStream(t *testing.T, tuples int) (*testEnv, func()) {
 	env := newTestEnv(t, 64, Config{Algorithm: SAI, Strategy: StrategyLeft, Seed: 1})
 	for i := 0; i < 4; i++ {
 		env.subscribe(t, i, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
 	}
-	// Alternate R and S tuples joining pairwise on a fresh key: every R
-	// stores the group's four rewrites, every S fires them.
-	const runs = 400
-	stream := make([]*relation.Tuple, 0, runs+101)
-	for i := 0; len(stream) < cap(stream); i++ {
+	stream := make([]*relation.Tuple, 0, tuples+1)
+	for i := 0; len(stream) < tuples; i++ {
 		stream = append(stream, rTuple(env, float64(i), float64(1000+i), 1), sTuple(env, float64(i), float64(1000+i), 2))
 	}
 	next := 0
-	publish := func() {
+	return env, func() {
 		if _, err := env.eng.Publish(env.node(next), stream[next]); err != nil {
 			t.Fatal(err)
 		}
 		next++
 	}
-	for next < 100 { // warm the identifier cache and the tables' first buckets
+}
+
+func TestPublicationAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const runs = 400
+	env, publish := allocStream(t, runs+101)
+	for i := 0; i < 100; i++ { // warm the identifier cache and the tables' first buckets
 		publish()
 	}
 	before := env.eng.NotificationCount()
@@ -49,5 +57,42 @@ func TestPublicationAllocCeiling(t *testing.T) {
 	t.Logf("%.0f allocations per publication (ceiling %d)", perPub, publicationAllocCeiling)
 	if perPub > publicationAllocCeiling {
 		t.Fatalf("%.0f allocations per publication, ceiling %d: see publicationAllocCeiling", perPub, publicationAllocCeiling)
+	}
+}
+
+// retainedBytesCeiling bounds what one publication of the same stream leaves
+// on the heap — a stored tuple in three value-level buckets or four stored
+// rewrites and their shared target, the identifier-cache entries of the
+// fresh key, and every other publication's four notifications in the sink:
+// 1679 measured with the evaluator tables sized for their buckets
+// (2439 with a map in every bucket), plus 15 %. One eager map per bucket
+// costs more than the margin.
+const retainedBytesCeiling = 1930
+
+func TestRetainedBytesPerPublicationCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector keeps shadow memory of its own")
+	}
+	const pubs = 2000
+	_, publish := allocStream(t, pubs+100)
+	for i := 0; i < 100; i++ {
+		publish()
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := heap()
+	for i := 0; i < pubs; i++ {
+		publish()
+	}
+	perPub := (int64(heap()) - int64(before)) / pubs
+	runtime.KeepAlive(publish) // the engine and the stream, live across both readings
+	t.Logf("%d bytes retained per publication (ceiling %d)", perPub, retainedBytesCeiling)
+	if perPub > retainedBytesCeiling {
+		t.Fatalf("%d bytes retained per publication, ceiling %d: see retainedBytesCeiling", perPub, retainedBytesCeiling)
 	}
 }

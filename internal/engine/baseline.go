@@ -188,15 +188,7 @@ func (st *nodeState) handleBaselineTuple(m baselineTupleMsg) {
 
 	st.mu.Lock()
 	// Store the tuple so probes from the opposite site can match it.
-	tb := st.vltt[m.Input]
-	if tb == nil {
-		tb = newVLTTBucket(m.Input)
-		st.vltt[m.Input] = tb
-	}
-	if ck := t.ContentKey(); !tb.seen[ck] {
-		tb.seen[ck] = true
-		tb.tuples = append(tb.tuples, t)
-	}
+	st.vlttFor(m.Input).tuples.add(t)
 
 	if b := st.alqt[m.Input]; b != nil {
 		for _, g := range b.byCond {
@@ -229,15 +221,13 @@ func (st *nodeState) handleBaselineTuple(m baselineTupleMsg) {
 				}
 				dstInput = triggered[0].Rel(other).Name() + "+" + oa
 			}
+			tgt := &rewriteTarget{IndexSide: g.side, Trigger: t, WantRel: triggered[0].Rel(other).Name(), WantValue: vSide}
 			var rws []*rewritten
 			for _, q := range triggered {
 				rws = append(rws, &rewritten{
-					Key:       q.Key() + "@" + relation.N(float64(t.PubT())).Canon(),
-					Orig:      q,
-					IndexSide: g.side,
-					Trigger:   t,
-					WantRel:   q.Rel(other).Name(),
-					WantValue: vSide,
+					Key:           q.Key() + "@" + relation.N(float64(t.PubT())).Canon(),
+					Orig:          q,
+					rewriteTarget: tgt,
 				})
 			}
 			outs = append(outs, outbound{input: dstInput, msg: baselineProbeMsg{Rewrites: rws, Input: dstInput}})
@@ -266,7 +256,7 @@ func (st *nodeState) handleBaselineProbe(m baselineProbeMsg) {
 	if tb != nil {
 		for _, rw := range m.Rewrites {
 			other := rw.IndexSide.Other()
-			for _, tt := range tb.tuples {
+			for _, tt := range tb.tuples.all() {
 				work++
 				if tt.Relation() != rw.WantRel {
 					continue
@@ -326,7 +316,7 @@ func (st *nodeState) handlePairTuple(m baselineTupleMsg) {
 			if err != nil {
 				continue
 			}
-			for _, tt := range b.tuples[side.Other()] {
+			for _, tt := range b.tuples[side.Other()].all() {
 				work++
 				if tt.Relation() == t.Relation() || tt.PubT() < q.InsT() {
 					continue
@@ -344,10 +334,7 @@ func (st *nodeState) handlePairTuple(m baselineTupleMsg) {
 			}
 		}
 	}
-	ck := t.ContentKey()
-	if !b.seen[ck] {
-		b.seen[ck] = true
-		b.tuples[m.Side] = append(b.tuples[m.Side], t)
+	if b.tuples[m.Side].add(t) {
 		stored++
 	}
 	st.mu.Unlock()

@@ -277,15 +277,20 @@ func EncodeMessage(w *wire.Buffer, msg chord.Message) error {
 	return nil
 }
 
-//wire:field enc rewritten Key Orig IndexSide Trigger WantRel WantAttr WantValue
+//wire:field enc rewritten Key Orig rewriteTarget
 func encodeRewritten(w *wire.Buffer, rw *rewritten) {
 	w.PutString(rw.Key)
 	wire.EncodeQuery(w, rw.Orig)
-	w.PutUvarint(uint64(rw.IndexSide))
-	wire.EncodeTuple(w, rw.Trigger)
-	w.PutString(rw.WantRel)
-	w.PutString(rw.WantAttr)
-	w.PutValue(rw.WantValue)
+	encodeRewriteTarget(w, rw.rewriteTarget)
+}
+
+//wire:field enc rewriteTarget IndexSide Trigger WantRel WantAttr WantValue
+func encodeRewriteTarget(w *wire.Buffer, tg *rewriteTarget) {
+	w.PutUvarint(uint64(tg.IndexSide))
+	wire.EncodeTuple(w, tg.Trigger)
+	w.PutString(tg.WantRel)
+	w.PutString(tg.WantAttr)
+	w.PutValue(tg.WantValue)
 }
 
 //wire:field enc Notification QueryKey Subscriber subscriberIP Values LeftPubT RightPubT DeliveredAt
@@ -810,8 +815,9 @@ func DecodeMessage(r *wire.Reader, catalog *relation.Catalog) (chord.Message, er
 			return nil, err
 		}
 		entries := make([]vqEntry, ne)
+		d := rewriteDecoder{catalog: catalog, parsed: parseMemo(ne)}
 		for i := range entries {
-			if entries[i], err = decodeVQEntry(r, catalog); err != nil {
+			if entries[i], err = decodeVQEntry(r, &d); err != nil {
 				return nil, err
 			}
 		}
@@ -870,26 +876,55 @@ func decodeRewrittens(r *wire.Reader, catalog *relation.Catalog) ([]*rewritten, 
 	if err != nil {
 		return nil, err
 	}
-	parsed := parseMemo(n)
+	d := rewriteDecoder{catalog: catalog, parsed: parseMemo(n)}
 	out := make([]*rewritten, n)
+	vals := make([]rewritten, n) // one allocation: a message's rewrites are stored together
 	for i := range out {
-		if out[i], err = decodeRewritten(r, catalog, parsed); err != nil {
+		if err = d.decodeRewritten(r, &vals[i]); err != nil {
 			return nil, err
 		}
+		out[i] = &vals[i]
 	}
 	return out, nil
 }
 
-//wire:field dec rewritten Key Orig IndexSide Trigger WantRel WantAttr WantValue
-func decodeRewritten(r *wire.Reader, catalog *relation.Catalog, parsed map[string]*query.Query) (*rewritten, error) {
+// rewriteDecoder decodes consecutive rewritten queries — the rewrites of a
+// join message, the entries of a VLQT section — keeping what neighbours
+// share: the parsed SQL texts, and the previous rewrite's target with the
+// bytes it was decoded from. A rewriter sends a group's rewrites with one
+// target, so the next rewrite usually repeats those bytes exactly; it then
+// takes the same *rewriteTarget instead of decoding a copy, and the
+// receiver stores the shape the sender built.
+type rewriteDecoder struct {
+	catalog   *relation.Catalog
+	parsed    map[string]*query.Query
+	target    *rewriteTarget
+	targetRaw []byte // aliases the reader's input
+}
+
+//wire:field dec rewritten Key Orig rewriteTarget
+func (d *rewriteDecoder) decodeRewritten(r *wire.Reader, rw *rewritten) error {
 	key, err := r.String()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	q, err := wire.DecodeQuery(r, catalog, parsed)
+	q, err := wire.DecodeQuery(r, d.catalog, d.parsed)
 	if err != nil {
-		return nil, err
+		return err
 	}
+	if d.target == nil || !r.SkipPrefix(d.targetRaw) {
+		start := r.Offset()
+		if d.target, err = decodeRewriteTarget(r, d.catalog, q); err != nil {
+			return err
+		}
+		d.targetRaw = r.Since(start)
+	}
+	*rw = rewritten{Key: key, Orig: q, rewriteTarget: d.target}
+	return nil
+}
+
+//wire:field dec rewriteTarget IndexSide Trigger WantRel WantAttr WantValue
+func decodeRewriteTarget(r *wire.Reader, catalog *relation.Catalog, q *query.Query) (*rewriteTarget, error) {
 	side, err := r.Uvarint()
 	if err != nil {
 		return nil, err
@@ -915,8 +950,8 @@ func decodeRewritten(r *wire.Reader, catalog *relation.Catalog, parsed map[strin
 	if err != nil {
 		return nil, err
 	}
-	return &rewritten{
-		Key: key, Orig: q, IndexSide: query.Side(side), Trigger: trig,
+	return &rewriteTarget{
+		IndexSide: query.Side(side), Trigger: trig,
 		WantRel: wantRel, WantAttr: wantAttr, WantValue: wantVal,
 	}, nil
 }
@@ -1178,10 +1213,11 @@ func decodeALSection(r *wire.Reader, catalog *relation.Catalog) (alSection, erro
 }
 
 //wire:field dec vqEntry Rw Times
-func decodeVQEntry(r *wire.Reader, catalog *relation.Catalog) (vqEntry, error) {
+func decodeVQEntry(r *wire.Reader, d *rewriteDecoder) (vqEntry, error) {
 	var e vqEntry
 	var err error
-	if e.Rw, err = decodeRewritten(r, catalog, nil); err != nil {
+	e.Rw = new(rewritten)
+	if err = d.decodeRewritten(r, e.Rw); err != nil {
 		return e, err
 	}
 	nt, err := decodeCount(r)
@@ -1209,8 +1245,9 @@ func decodeVQSection(r *wire.Reader, catalog *relation.Catalog) (vqSection, erro
 		return sec, err
 	}
 	sec.Entries = make([]vqEntry, n)
+	d := rewriteDecoder{catalog: catalog, parsed: parseMemo(n)}
 	for i := range sec.Entries {
-		if sec.Entries[i], err = decodeVQEntry(r, catalog); err != nil {
+		if sec.Entries[i], err = decodeVQEntry(r, &d); err != nil {
 			return sec, err
 		}
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"cqjoin/internal/chord"
@@ -21,10 +22,10 @@ func codecFixtures(t testing.TB) (*relation.Catalog, []chord.Message) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rw := &rewritten{
-		Key: "n#1+1+7", Orig: q, IndexSide: query.SideLeft, Trigger: proj,
+	rw := &rewritten{Key: "n#1+1+7", Orig: q, rewriteTarget: &rewriteTarget{
+		IndexSide: query.SideLeft, Trigger: proj,
 		WantRel: "S", WantAttr: "E", WantValue: relation.N(7),
-	}
+	}}
 	notif, err := buildNotification(q, query.SideLeft, proj, su)
 	if err != nil {
 		t.Fatal(err)
@@ -471,10 +472,10 @@ func TestCodecDecodeReusesCatalogAndPlanSchemas(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rws = append(rws, &rewritten{
-			Key: q.Key() + "+1+7", Orig: q, IndexSide: query.SideLeft, Trigger: proj,
+		rws = append(rws, &rewritten{Key: q.Key() + "+1+7", Orig: q, rewriteTarget: &rewriteTarget{
+			IndexSide: query.SideLeft, Trigger: proj,
 			WantRel: "S", WantAttr: "E", WantValue: relation.N(7),
-		})
+		}})
 	}
 	roundTrip := func(msg chord.Message) chord.Message {
 		t.Helper()
@@ -522,6 +523,102 @@ func TestCodecDecodeReusesCatalogAndPlanSchemas(t *testing.T) {
 			t.Fatal("queries parsed once lost their own identities")
 		}
 	}
+}
+
+// A rewriter builds one rewriteTarget per group and projection shape; the
+// decoder gives the receiver the same shape back: a rewrite whose target
+// bytes repeat its predecessor's takes the predecessor's *rewriteTarget, in
+// a join message, a scattered hot-join and the VLQT entries of a hand-off
+// alike, and a message mixing targets yields one per run.
+func TestCodecDecodeSharesRewriteTargets(t *testing.T) {
+	env := newTestEnv(t, 16, Config{Algorithm: SAI})
+	const sql = `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`
+	var qs []*query.Query
+	for i := 0; i < 4; i++ {
+		qs = append(qs, env.subscribe(t, i, sql))
+	}
+	// A fifth subscriber needs one more attribute: another projection shape.
+	wide := env.subscribe(t, 4, `SELECT R.A, R.C, S.D FROM R, S WHERE R.B = S.E`)
+	target := func(q *query.Query, key float64, pubT int64) *rewriteTarget {
+		t.Helper()
+		proj, err := rTuple(env, 1, key, 2).WithPubT(pubT).ProjectOnto(q.Projection(query.SideLeft))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &rewriteTarget{IndexSide: query.SideLeft, Trigger: proj, WantRel: "S", WantAttr: "E", WantValue: relation.N(key)}
+	}
+	group := func(tg *rewriteTarget, qs ...*query.Query) []*rewritten {
+		var rws []*rewritten
+		for _, q := range qs {
+			rws = append(rws, &rewritten{Key: q.Key() + "+" + tg.WantValue.Canon(), Orig: q, rewriteTarget: tg})
+		}
+		return rws
+	}
+	roundTrip := func(msg chord.Message) chord.Message {
+		t.Helper()
+		var w wire.Buffer
+		if err := EncodeMessage(&w, msg); err != nil {
+			t.Fatal(err)
+		}
+		if s := msg.(chord.Sizer).Size(); s != w.Len() {
+			t.Fatalf("%T: Size()=%d, encoding=%d", msg, s, w.Len())
+		}
+		got, err := DecodeMessage(wire.NewReader(w.Bytes()), env.catalog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	// assertRuns checks the decoded rewrites equal the sent ones and share a
+	// target exactly where the sent neighbours do.
+	assertRuns := func(what string, sent, got []*rewritten, wantTargets int) {
+		t.Helper()
+		if len(got) != len(sent) {
+			t.Fatalf("%s: %d rewrites decoded, sent %d", what, len(got), len(sent))
+		}
+		targets := map[*rewriteTarget]bool{}
+		for i, g := range got {
+			assertRewrittenEqual(t, sent[i], g)
+			targets[g.rewriteTarget] = true
+			if i > 0 && (g.rewriteTarget == got[i-1].rewriteTarget) != (sent[i].rewriteTarget == sent[i-1].rewriteTarget) {
+				t.Fatalf("%s: rewrites %d and %d share a target: %v, the sender's: %v", what, i-1, i,
+					g.rewriteTarget == got[i-1].rewriteTarget, sent[i].rewriteTarget == sent[i-1].rewriteTarget)
+			}
+		}
+		if len(targets) != wantTargets {
+			t.Fatalf("%s: %d distinct targets decoded, want %d", what, len(targets), wantTargets)
+		}
+	}
+
+	one := group(target(qs[0], 7, 9), qs...)
+	assertRuns("one group", one, roundTrip(joinMsg{Rewrites: one}).(joinMsg).Rewrites, 1)
+
+	// Two triggers' groups, then the wide query's own shape of the second.
+	second := target(qs[0], 8, 11)
+	mixed := slices.Concat(one[:2], group(second, qs[2], qs[3]), group(target(wide, 8, 11), wide))
+	assertRuns("two groups and a shape", mixed, roundTrip(joinMsg{Rewrites: mixed}).(joinMsg).Rewrites, 3)
+
+	hot := roundTrip(hotJoinMsg{Input: "S+E+7", Shard: 1, Version: 2, K: 4, Rewrites: one}).(hotJoinMsg)
+	assertRuns("hot-join", one, hot.Rewrites, 1)
+
+	entries := func(rws []*rewritten) []vqEntry {
+		var es []vqEntry
+		for i, rw := range rws {
+			es = append(es, vqEntry{Rw: rw, Times: []int64{int64(i), int64(i) + 5}})
+		}
+		return es
+	}
+	unwrap := func(es []vqEntry) []*rewritten {
+		var rws []*rewritten
+		for _, e := range es {
+			rws = append(rws, e.Rw)
+		}
+		return rws
+	}
+	ho := roundTrip(handoffMsg{VQ: []vqSection{{Input: "S+E+7", Entries: entries(mixed)}}}).(handoffMsg)
+	assertRuns("hand-off section", mixed, unwrap(ho.VQ[0].Entries), 3)
+	hh := roundTrip(hotHandoffMsg{Input: "S+E+7", Shard: 1, Version: 2, K: 4, Entries: entries(one)}).(hotHandoffMsg)
+	assertRuns("hot hand-off", one, unwrap(hh.Entries), 1)
 }
 
 // Hostile input never aliases a shared schema: a tuple whose attribute list

@@ -46,22 +46,10 @@ func (st *nodeState) handleJoin(m joinMsg) {
 		}
 
 		if alg == SAI || alg == DAIT {
-			qb := st.vlqt[input]
-			if qb == nil {
-				qb = newVLQTBucket(input)
-				st.vlqt[input] = qb
-			}
-			if sr, dup := qb.byKey[rw.Key]; dup {
-				// Same rewritten key: created from the same query by a
-				// tuple with the same index-attribute value. Only the new
-				// publication time is recorded (Section 4.3.3).
-				sr.times = append(sr.times, rw.Trigger.PubT())
+			if !st.vlqtFor(input).rewrites.record(rw, rw.Trigger.PubT()) {
 				work++
 				continue
 			}
-			sr := &storedRewrite{rw: rw, times: []int64{rw.Trigger.PubT()}}
-			qb.byKey[rw.Key] = sr
-			qb.sorted = append(qb.sorted, sr)
 			stored++
 		}
 
@@ -69,7 +57,7 @@ func (st *nodeState) handleJoin(m joinMsg) {
 			// Match the rewritten query against stored tuples that were
 			// inserted after the query was posed.
 			if tb := st.vltt[input]; tb != nil {
-				for _, tt := range tb.tuples {
+				for _, tt := range tb.tuples.all() {
 					work++
 					if n, ok := matchRewrite(rw, tt); ok {
 						notifs = append(notifs, n)
@@ -122,7 +110,7 @@ func (st *nodeState) handleVLIndex(m vlIndexMsg) {
 	st.mu.Lock()
 	if alg == SAI || alg == DAIT {
 		if qb := st.vlqt[input]; qb != nil {
-			for _, sr := range qb.sorted {
+			for _, sr := range qb.rewrites.all() {
 				work++
 				if n, ok := matchRewrite(sr.rw, t); ok {
 					notifs = append(notifs, n)
@@ -136,16 +124,9 @@ func (st *nodeState) handleVLIndex(m vlIndexMsg) {
 	outs = append(outs, mOuts...)
 	work += mWork
 	if alg == SAI || alg == DAIQ {
-		tb := st.vltt[input]
-		if tb == nil {
-			tb = newVLTTBucket(input)
-			st.vltt[input] = tb
-		}
 		// Absorb duplicated deliveries: storing the tuple twice would
 		// double every future rewritten-query match.
-		if ck := t.ContentKey(); !tb.seen[ck] {
-			tb.seen[ck] = true
-			tb.tuples = append(tb.tuples, t)
+		if st.vlttFor(input).tuples.add(t) {
 			stored++
 		} else {
 			st.engine.net.Traffic().RecordDuplicate(m.Kind())
@@ -200,10 +181,10 @@ func (st *nodeState) handleJoinV(m joinVMsg) {
 	}
 	entry := b.byCond[m.Cond]
 	if entry == nil {
-		entry = &daivEntry{cond: m.Cond, seen: make(map[string]bool)}
+		entry = &daivEntry{cond: m.Cond}
 		b.byCond[m.Cond] = entry
 	}
-	for _, tt := range entry.tuples[m.Side.Other()] {
+	for _, tt := range entry.tuples[m.Side.Other()].all() {
 		for _, q := range m.Queries {
 			work++
 			if tt.PubT() < q.InsT() {
@@ -219,10 +200,7 @@ func (st *nodeState) handleJoinV(m joinVMsg) {
 	}
 	// Store the triggering tuple once, even when equivalent query groups
 	// indexed under different attributes deliver it twice.
-	ck := m.Trigger.ContentKey()
-	if !entry.seen[ck] {
-		entry.seen[ck] = true
-		entry.tuples[m.Side] = append(entry.tuples[m.Side], m.Trigger)
+	if entry.tuples[m.Side].add(m.Trigger) {
 		stored++
 	}
 	st.mu.Unlock()

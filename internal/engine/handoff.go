@@ -153,6 +153,12 @@ func restoreTargets(entries []targetsEntry) map[string]map[string]struct{} {
 	return m
 }
 
+// empty reports whether the message carries no section at all.
+func (m handoffMsg) empty() bool {
+	return len(m.AL) == 0 && len(m.VQ) == 0 && len(m.MQ) == 0 &&
+		len(m.VT) == 0 && len(m.DV) == 0 && len(m.Notifs) == 0
+}
+
 // ExportHandoff removes node n's movable engine state from this process
 // and returns it as a handoffMsg bound for n on its new owning process.
 // The second return is false when there was nothing to move. The caller
@@ -160,84 +166,39 @@ func restoreTargets(entries []targetsEntry) map[string]map[string]struct{} {
 // state, so callers should use the acked delivery path.
 func (e *Engine) ExportHandoff(n *chord.Node) (chord.Message, bool) {
 	st := e.state(n)
-	var m handoffMsg
 	var removedRewriter, removedEvaluator int
 
 	st.mu.Lock()
-	for _, input := range sortedKeys(st.alqt) {
-		b := st.alqt[input]
-		delete(st.alqt, input)
+	m := st.sectionsLocked()
+	for _, b := range st.alqt {
 		removedRewriter += b.storedItems()
-		sec := alSection{
-			Input:        b.input,
-			SentRewrites: sortedKeys(b.sentRewrites),
-			SentTargets:  flattenTargets(b.sentTargets),
-		}
-		for _, cond := range condsOf(b.byCond, b.condOrder) {
-			g := b.byCond[cond]
-			sec.Groups = append(sec.Groups, alGroupSection{Cond: g.cond, Side: g.side, Queries: g.queries})
-		}
-		for _, cond := range sortedKeys(b.multi) {
-			g := b.multi[cond]
-			sec.Multi = append(sec.Multi, alMultiSection{Cond: g.cond, Queries: g.queries})
-		}
-		m.AL = append(m.AL, sec)
 	}
-	for _, input := range sortedKeys(st.vlqt) {
-		b := st.vlqt[input]
-		delete(st.vlqt, input)
-		removedEvaluator += len(b.byKey)
-		sec := vqSection{Input: b.input}
-		for _, sr := range b.sorted {
-			sec.Entries = append(sec.Entries, vqEntry{Rw: sr.rw, Times: sr.times})
-		}
-		m.VQ = append(m.VQ, sec)
+	for _, b := range st.vlqt {
+		removedEvaluator += b.rewrites.len()
 	}
-	for _, input := range sortedKeys(st.mvlqt) {
-		b := st.mvlqt[input]
-		delete(st.mvlqt, input)
+	for _, b := range st.mvlqt {
 		removedEvaluator += len(b.rewrites)
-		m.MQ = append(m.MQ, mqSection{
-			Input:       b.input,
-			Rewrites:    b.rewrites,
-			SentTargets: flattenTargets(b.sentTargets),
-		})
 	}
-	for _, input := range sortedKeys(st.vltt) {
-		b := st.vltt[input]
-		delete(st.vltt, input)
-		removedEvaluator += len(b.tuples)
-		m.VT = append(m.VT, vtSection{Input: b.input, Tuples: b.tuples})
+	for _, b := range st.vltt {
+		removedEvaluator += b.tuples.len()
 	}
-	for _, input := range sortedKeys(st.vstore) {
-		b := st.vstore[input]
-		delete(st.vstore, input)
+	for _, b := range st.vstore {
 		removedEvaluator += b.storedItems()
-		sec := dvSection{Input: b.input}
-		for _, cond := range sortedKeys(b.byCond) {
-			entry := b.byCond[cond]
-			sec.Entries = append(sec.Entries, dvEntry{
-				Cond:  entry.cond,
-				Left:  entry.tuples[query.SideLeft],
-				Right: entry.tuples[query.SideRight],
-			})
-		}
-		m.DV = append(m.DV, sec)
 	}
-	for _, sub := range sortedKeys(st.storedNotifs) {
-		batch := st.storedNotifs[sub]
-		delete(st.storedNotifs, sub)
+	for _, batch := range st.storedNotifs {
 		removedEvaluator += len(batch)
-		m.Notifs = append(m.Notifs, notifSection{Subscriber: sub, Batch: batch})
 	}
+	clear(st.alqt)
+	clear(st.vlqt)
+	clear(st.mvlqt)
+	clear(st.vltt)
+	clear(st.vstore)
+	clear(st.storedNotifs)
 	st.mu.Unlock()
 
 	st.load.AddStorage(metrics.Rewriter, -removedRewriter)
 	st.load.AddStorage(metrics.Evaluator, -removedEvaluator)
-
-	empty := len(m.AL) == 0 && len(m.VQ) == 0 && len(m.MQ) == 0 &&
-		len(m.VT) == 0 && len(m.DV) == 0 && len(m.Notifs) == 0
-	return m, !empty
+	return m, !m.empty()
 }
 
 // handleHandoff merges an incoming hand-off into this node's state through
@@ -273,13 +234,12 @@ func (st *nodeState) merge(on *chord.Node, m handoffMsg, replayNotifs bool) {
 		addedRewriter += st.mergeAL(b)
 	}
 	for _, sec := range m.VQ {
-		b := newVLQTBucket(sec.Input)
+		qb := st.vlqtFor(sec.Input)
 		for _, e := range sec.Entries {
-			sr := &storedRewrite{rw: e.Rw, times: e.Times}
-			b.byKey[e.Rw.Key] = sr
-			b.sorted = append(b.sorted, sr)
+			if qb.rewrites.record(e.Rw, e.Times...) {
+				addedEvaluator++
+			}
 		}
-		addedEvaluator += st.mergeVLQT(b)
 	}
 	for _, sec := range m.MQ {
 		b := &mvlqtBucket{
@@ -290,25 +250,14 @@ func (st *nodeState) merge(on *chord.Node, m handoffMsg, replayNotifs bool) {
 		addedEvaluator += st.mergeMVLQT(b)
 	}
 	for _, sec := range m.VT {
-		b := newVLTTBucket(sec.Input)
-		b.tuples = sec.Tuples
-		for _, t := range sec.Tuples {
-			b.seen[t.ContentKey()] = true
-		}
-		addedEvaluator += st.mergeVLTT(b)
+		addedEvaluator += st.vlttFor(sec.Input).tuples.addAll(sec.Tuples)
 	}
 	for _, sec := range m.DV {
 		b := newDAIVBucket(sec.Input)
 		for _, e := range sec.Entries {
-			entry := &daivEntry{cond: e.Cond, seen: make(map[string]bool, len(e.Left)+len(e.Right))}
-			entry.tuples[query.SideLeft] = e.Left
-			entry.tuples[query.SideRight] = e.Right
-			for _, t := range e.Left {
-				entry.seen[t.ContentKey()] = true
-			}
-			for _, t := range e.Right {
-				entry.seen[t.ContentKey()] = true
-			}
+			entry := &daivEntry{cond: e.Cond}
+			entry.tuples[query.SideLeft].addAll(e.Left)
+			entry.tuples[query.SideRight].addAll(e.Right)
 			b.byCond[e.Cond] = entry
 		}
 		addedEvaluator += st.mergeDAIV(b)

@@ -438,8 +438,7 @@ func (st *nodeState) handleHotJoin(m hotJoinMsg) {
 		return
 	}
 	hot.observe(m.Input, m.Version, m.K)
-	entry, promoted := hot.lookup(m.Input)
-	if !promoted {
+	if _, promoted := hot.lookup(m.Input); !promoted {
 		e.obs.hotForwards.Add(kindJoin, 1)
 		_ = e.dispatch(st.node, []chord.Deliverable{{
 			Target: e.hashInput(m.Input),
@@ -447,30 +446,21 @@ func (st *nodeState) handleHotJoin(m hotJoinMsg) {
 		}})
 		return
 	}
-	_ = entry
 	key := hotShardInput(m.Input, m.Shard)
 	var notifs []Notification
 	work := 1
 	stored := 0
 
 	st.mu.Lock()
-	qb := st.vlqt[key]
-	if qb == nil {
-		qb = newVLQTBucket(key)
-		st.vlqt[key] = qb
-	}
+	qb := st.vlqtFor(key)
 	for _, rw := range m.Rewrites {
-		if sr, dup := qb.byKey[rw.Key]; dup {
-			sr.times = append(sr.times, rw.Trigger.PubT())
+		if !qb.rewrites.record(rw, rw.Trigger.PubT()) {
 			work++
 			continue
 		}
-		sr := &storedRewrite{rw: rw, times: []int64{rw.Trigger.PubT()}}
-		qb.byKey[rw.Key] = sr
-		qb.sorted = append(qb.sorted, sr)
 		stored++
 		if tb := st.vltt[key]; tb != nil {
-			for _, tt := range tb.tuples {
+			for _, tt := range tb.tuples.all() {
 				work++
 				if n, ok := matchRewrite(rw, tt); ok {
 					notifs = append(notifs, n)
@@ -519,21 +509,14 @@ func (st *nodeState) handleHotVLIndex(m hotVLIndexMsg) {
 
 	st.mu.Lock()
 	if qb := st.vlqt[key]; qb != nil {
-		for _, sr := range qb.sorted {
+		for _, sr := range qb.rewrites.all() {
 			work++
 			if n, ok := matchRewrite(sr.rw, m.T); ok {
 				notifs = append(notifs, n)
 			}
 		}
 	}
-	tb := st.vltt[key]
-	if tb == nil {
-		tb = newVLTTBucket(key)
-		st.vltt[key] = tb
-	}
-	if ck := m.T.ContentKey(); !tb.seen[ck] {
-		tb.seen[ck] = true
-		tb.tuples = append(tb.tuples, m.T)
+	if st.vlttFor(key).tuples.add(m.T) {
 		stored++
 	} else {
 		e.net.Traffic().RecordDuplicate(m.Kind())
@@ -570,24 +553,19 @@ func (st *nodeState) handleHotMigrate(m hotMigrateMsg) {
 
 	st.mu.Lock()
 	if qb := st.vlqt[m.Input]; qb != nil {
-		entries = make([]vqEntry, 0, len(qb.sorted))
-		for _, sr := range qb.sorted {
+		entries = make([]vqEntry, 0, qb.rewrites.len())
+		for _, sr := range qb.rewrites.all() {
 			entries = append(entries, vqEntry{Rw: sr.rw, Times: sr.times})
 		}
 	}
 	if tb := st.vltt[m.Input]; tb != nil {
-		kept := tb.tuples[:0]
-		for _, t := range tb.tuples {
+		shipped = tb.tuples.removeIf(func(t *relation.Tuple) bool {
 			s := shardOf(t, entry.k)
-			if s == 0 {
-				kept = append(kept, t)
-				continue
+			if s != 0 {
+				groups[s] = append(groups[s], t)
 			}
-			groups[s] = append(groups[s], t)
-			delete(tb.seen, t.ContentKey())
-			shipped++
-		}
-		tb.tuples = kept
+			return s != 0
+		})
 	}
 	st.mu.Unlock()
 
@@ -629,12 +607,12 @@ func (st *nodeState) handleHotRecall(m hotRecallMsg) {
 
 	st.mu.Lock()
 	if qb := st.vlqt[key]; qb != nil {
-		removed += len(qb.byKey)
+		removed += qb.rewrites.len()
 		delete(st.vlqt, key)
 	}
 	if tb := st.vltt[key]; tb != nil {
-		tuples = tb.tuples
-		removed += len(tb.tuples)
+		tuples = tb.tuples.all()
+		removed += len(tuples)
 		delete(st.vltt, key)
 	}
 	st.mu.Unlock()
@@ -759,26 +737,18 @@ func (st *nodeState) mergeHotBucket(key string, entries []vqEntry, tuples []*rel
 	qb := st.vlqt[key]
 	var addedRws []*rewritten
 	if len(entries) > 0 {
-		if qb == nil {
-			qb = newVLQTBucket(key)
-			st.vlqt[key] = qb
-		}
+		qb = st.vlqtFor(key)
 		for _, e := range entries {
-			if sr, dup := qb.byKey[e.Rw.Key]; dup {
-				sr.times = append(sr.times, e.Times...)
-				continue
+			if qb.rewrites.record(e.Rw, e.Times...) {
+				added++
+				addedRws = append(addedRws, e.Rw)
 			}
-			sr := &storedRewrite{rw: e.Rw, times: e.Times}
-			qb.byKey[e.Rw.Key] = sr
-			qb.sorted = append(qb.sorted, sr)
-			added++
-			addedRws = append(addedRws, e.Rw)
 		}
 	}
 	tb := st.vltt[key]
 	if tb != nil {
 		for _, rw := range addedRws {
-			for _, tt := range tb.tuples {
+			for _, tt := range tb.tuples.all() {
 				work++
 				if n, ok := matchRewrite(rw, tt); ok {
 					notifs = append(notifs, n)
@@ -787,26 +757,20 @@ func (st *nodeState) mergeHotBucket(key string, entries []vqEntry, tuples []*rel
 		}
 	}
 	if len(tuples) > 0 {
-		if tb == nil {
-			tb = newVLTTBucket(key)
-			st.vltt[key] = tb
-		}
+		tb = st.vlttFor(key)
 		for _, t := range tuples {
-			ck := t.ContentKey()
-			if tb.seen[ck] {
+			if !tb.tuples.add(t) {
 				continue
 			}
-			tb.seen[ck] = true
+			added++
 			if qb != nil {
-				for _, sr := range qb.sorted {
+				for _, sr := range qb.rewrites.all() {
 					work++
 					if n, ok := matchRewrite(sr.rw, t); ok {
 						notifs = append(notifs, n)
 					}
 				}
 			}
-			tb.tuples = append(tb.tuples, t)
-			added++
 		}
 	}
 	return added, work, notifs

@@ -101,45 +101,82 @@ func TestHotKeyUniformWorkloadIdentical(t *testing.T) {
 	}
 }
 
+// largestTupleTable returns the size of the fullest VLTT bucket in the engine.
+func largestTupleTable(env *testEnv) int {
+	largest := 0
+	for _, st := range env.eng.states {
+		for _, tb := range st.vltt {
+			largest = max(largest, tb.tuples.len())
+		}
+	}
+	return largest
+}
+
+// Promotion partitions the base bucket and demotion recalls the shards'
+// partitions into it. Run once with every bucket involved small enough to be
+// scanned and once with all of them indexed (tables.go): the partition
+// leaving a bucket and the merge entering one must keep either form whole.
 func TestHotKeyDemotion(t *testing.T) {
-	run := func(on bool) *testEnv {
-		cfg := Config{Algorithm: SAI, Seed: 7}
-		if on {
-			cfg.HotKeyThreshold = 8
-			cfg.HotKeyReplicas = 4
-			cfg.HotKeyWindow = 16
-			cfg.HotKeyDemoteBelow = 4
-		}
-		env := newTestEnv(t, 64, cfg)
-		env.subscribe(t, 0, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
-		// Burst: promotes S+E+7 (or R+B+7, depending on the index side).
-		for i := 0; i < 20; i++ {
-			env.publish(t, 1+i, sTuple(env, float64(i), 7, float64(i)))
-		}
-		// Cool-down: distinct cold values roll the hot input's window with
-		// sparse counts until a completed window falls below the demotion
-		// floor. Two rounds: the first completed window still holds the
-		// burst's tail.
-		for round := 0; round < 3; round++ {
-			for i := 0; i < 20; i++ {
-				v := float64(100 + round*40 + i)
-				env.publish(t, 3+i, sTuple(env, v, 1000+v, 2000+v))
+	for _, tc := range []struct {
+		name                     string
+		threshold, window, burst int
+		indexed                  bool
+	}{
+		{name: "scanned tables", threshold: 8, window: 16, burst: 20},
+		{name: "indexed tables", threshold: 3 * smallTableMax, window: 64, burst: 120, indexed: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(on bool) *testEnv {
+				cfg := Config{Algorithm: SAI, Seed: 7}
+				if on {
+					cfg.HotKeyThreshold = tc.threshold
+					cfg.HotKeyReplicas = 4
+					cfg.HotKeyWindow = int64(tc.window)
+					cfg.HotKeyDemoteBelow = 4
+				}
+				env := newTestEnv(t, 64, cfg)
+				env.subscribe(t, 0, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
+				// Burst: promotes S+E+7 (or R+B+7, depending on the index side).
+				for i := 0; i < tc.burst; i++ {
+					env.publish(t, 1+i, sTuple(env, float64(i), 7, float64(i)))
+				}
+				if on {
+					if len(env.eng.HotKeys()) == 0 {
+						t.Fatal("the burst promoted nothing")
+					}
+					if got := largestTupleTable(env); (got > smallTableMax) != tc.indexed {
+						t.Fatalf("fullest shard holds %d tuples, threshold %d: not the regime this case is for", got, smallTableMax)
+					}
+				}
+				// Cool-down: distinct cold values roll the hot input's window with
+				// sparse counts until a completed window falls below the demotion
+				// floor. Three rounds: the first completed window still holds the
+				// burst's tail.
+				for round := 0; round < 3; round++ {
+					for i := 0; i < tc.window+4; i++ {
+						v := float64(1000 + round*200 + i)
+						env.publish(t, 3+i, sTuple(env, v, 1000+v, 2000+v))
+					}
+					env.publish(t, 5, sTuple(env, float64(500+round), 7, float64(500+round)))
+				}
+				// Post-demotion matching must see every stored hot tuple.
+				for i := 0; i < 5; i++ {
+					env.publish(t, 7+i, rTuple(env, float64(i), 7, float64(i)))
+				}
+				return env
 			}
-			env.publish(t, 5, sTuple(env, float64(500+round), 7, float64(500+round)))
-		}
-		// Post-demotion matching must see every stored hot tuple.
-		for i := 0; i < 5; i++ {
-			env.publish(t, 7+i, rTuple(env, float64(i), 7, float64(i)))
-		}
-		return env
-	}
-	envOff := run(false)
-	envOn := run(true)
-	if keys := envOn.eng.HotKeys(); len(keys) != 0 {
-		t.Fatalf("inputs still promoted after cool-down: %v", keys)
-	}
-	if got, want := contentKeys(envOn.eng.Notifications()), contentKeys(envOff.eng.Notifications()); !reflect.DeepEqual(got, want) {
-		t.Fatalf("demotion lost or duplicated matches: %d vs %d", len(got), len(want))
+			envOff := run(false)
+			envOn := run(true)
+			if keys := envOn.eng.HotKeys(); len(keys) != 0 {
+				t.Fatalf("inputs still promoted after cool-down: %v", keys)
+			}
+			if got, want := contentKeys(envOn.eng.Notifications()), contentKeys(envOff.eng.Notifications()); !reflect.DeepEqual(got, want) {
+				t.Fatalf("demotion lost or duplicated matches: %d vs %d", len(got), len(want))
+			}
+			if got, want := largestTupleTable(envOn), largestTupleTable(envOff); got != want {
+				t.Fatalf("the recalled base bucket holds %d tuples, the never-sharded one %d", got, want)
+			}
+		})
 	}
 }
 

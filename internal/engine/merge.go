@@ -1,6 +1,10 @@
 package engine
 
-import "sort"
+import (
+	"sort"
+
+	"cqjoin/internal/query"
+)
 
 // Bucket merge helpers for key hand-off (TransferKeys). During churn a
 // node can receive deliveries for an input it is not the converged owner
@@ -34,6 +38,24 @@ func condsOf(byCond map[string]*queryGroup, order []string) []string {
 	return append(out, rest...)
 }
 
+// appendNew appends to *dst the items of src whose key no item of *dst has
+// yet, and returns how many it added.
+func appendNew[T any](dst *[]T, src []T, key func(T) string) int {
+	have := make(map[string]bool, len(*dst))
+	for _, it := range *dst {
+		have[key(it)] = true
+	}
+	added := 0
+	for _, it := range src {
+		if k := key(it); !have[k] {
+			have[k] = true
+			*dst = append(*dst, it)
+			added++
+		}
+	}
+	return added
+}
+
 func (st *nodeState) mergeAL(b *alBucket) int {
 	ex := st.alqt[b.input]
 	if ex == nil {
@@ -49,17 +71,7 @@ func (st *nodeState) mergeAL(b *alBucket) int {
 			ex.byCond[cond] = eg
 			ex.condOrder = append(ex.condOrder, cond)
 		}
-		have := make(map[string]bool, len(eg.queries))
-		for _, q := range eg.queries {
-			have[q.Key()] = true
-		}
-		for _, q := range g.queries {
-			if !have[q.Key()] {
-				have[q.Key()] = true
-				eg.queries = append(eg.queries, q)
-				added++
-			}
-		}
+		added += appendNew(&eg.queries, g.queries, (*query.Query).Key)
 	}
 	mconds := make([]string, 0, len(b.multi))
 	for c := range b.multi {
@@ -73,17 +85,7 @@ func (st *nodeState) mergeAL(b *alBucket) int {
 			eg = &mGroup{cond: cond}
 			ex.multi[cond] = eg
 		}
-		have := make(map[string]bool, len(eg.queries))
-		for _, q := range eg.queries {
-			have[q.Key()] = true
-		}
-		for _, q := range g.queries {
-			if !have[q.Key()] {
-				have[q.Key()] = true
-				eg.queries = append(eg.queries, q)
-				added++
-			}
-		}
+		added += appendNew(&eg.queries, g.queries, (*query.MultiQuery).Key)
 	}
 	ex.arrivals = append(ex.arrivals, b.arrivals...)
 	for v := range b.distinct {
@@ -109,17 +111,13 @@ func (st *nodeState) mergeVLQT(b *vlqtBucket) int {
 	ex := st.vlqt[b.input]
 	if ex == nil {
 		st.vlqt[b.input] = b
-		return len(b.byKey)
+		return b.rewrites.len()
 	}
 	added := 0
-	for _, sr := range b.sorted {
-		if esr, dup := ex.byKey[sr.rw.Key]; dup {
-			esr.times = append(esr.times, sr.times...)
-			continue
+	for _, sr := range b.rewrites.all() {
+		if ex.rewrites.record(sr.rw, sr.times...) {
+			added++
 		}
-		ex.byKey[sr.rw.Key] = sr
-		ex.sorted = append(ex.sorted, sr)
-		added++
 	}
 	return added
 }
@@ -130,18 +128,7 @@ func (st *nodeState) mergeMVLQT(b *mvlqtBucket) int {
 		st.mvlqt[b.input] = b
 		return len(b.rewrites)
 	}
-	have := make(map[string]bool, len(ex.rewrites))
-	for _, rw := range ex.rewrites {
-		have[rw.Key] = true
-	}
-	added := 0
-	for _, rw := range b.rewrites {
-		if !have[rw.Key] {
-			have[rw.Key] = true
-			ex.rewrites = append(ex.rewrites, rw)
-			added++
-		}
-	}
+	added := appendNew(&ex.rewrites, b.rewrites, func(rw *mRewritten) string { return rw.Key })
 	for key, targets := range b.sentTargets {
 		ts := ex.sentTargets[key]
 		if ts == nil {
@@ -153,35 +140,6 @@ func (st *nodeState) mergeMVLQT(b *mvlqtBucket) int {
 		}
 		for t := range targets {
 			ts[t] = struct{}{}
-		}
-	}
-	return added
-}
-
-func (st *nodeState) mergeVLTT(b *vlttBucket) int {
-	ex := st.vltt[b.input]
-	if ex == nil {
-		if b.seen == nil {
-			b.seen = make(map[string]bool, len(b.tuples))
-			for _, t := range b.tuples {
-				b.seen[t.ContentKey()] = true
-			}
-		}
-		st.vltt[b.input] = b
-		return len(b.tuples)
-	}
-	if ex.seen == nil {
-		ex.seen = make(map[string]bool, len(ex.tuples))
-		for _, t := range ex.tuples {
-			ex.seen[t.ContentKey()] = true
-		}
-	}
-	added := 0
-	for _, t := range b.tuples {
-		if ck := t.ContentKey(); !ex.seen[ck] {
-			ex.seen[ck] = true
-			ex.tuples = append(ex.tuples, t)
-			added++
 		}
 	}
 	return added
@@ -204,17 +162,11 @@ func (st *nodeState) mergeDAIV(b *daivBucket) int {
 		eentry := ex.byCond[cond]
 		if eentry == nil {
 			ex.byCond[cond] = entry
-			added += len(entry.tuples[0]) + len(entry.tuples[1])
+			added += entry.tuples[0].len() + entry.tuples[1].len()
 			continue
 		}
-		for side := 0; side < 2; side++ {
-			for _, t := range entry.tuples[side] {
-				if ck := t.ContentKey(); !eentry.seen[ck] {
-					eentry.seen[ck] = true
-					eentry.tuples[side] = append(eentry.tuples[side], t)
-					added++
-				}
-			}
+		for side := range entry.tuples {
+			added += eentry.tuples[side].addAll(entry.tuples[side].all())
 		}
 	}
 	return added
@@ -224,7 +176,7 @@ func (st *nodeState) mergePair(b *pairBucket) int {
 	ex := st.pairStore[b.input]
 	if ex == nil {
 		st.pairStore[b.input] = b
-		return len(b.tuples[0]) + len(b.tuples[1]) + b.storedQueries()
+		return b.storedItems()
 	}
 	added := 0
 	for _, cond := range condsOf(b.byCond, nil) {
@@ -234,26 +186,10 @@ func (st *nodeState) mergePair(b *pairBucket) int {
 			eg = &queryGroup{cond: cond, side: g.side}
 			ex.byCond[cond] = eg
 		}
-		have := make(map[string]bool, len(eg.queries))
-		for _, q := range eg.queries {
-			have[q.Key()] = true
-		}
-		for _, q := range g.queries {
-			if !have[q.Key()] {
-				have[q.Key()] = true
-				eg.queries = append(eg.queries, q)
-				added++
-			}
-		}
+		added += appendNew(&eg.queries, g.queries, (*query.Query).Key)
 	}
-	for side := 0; side < 2; side++ {
-		for _, t := range b.tuples[side] {
-			if ck := t.ContentKey(); !ex.seen[ck] {
-				ex.seen[ck] = true
-				ex.tuples[side] = append(ex.tuples[side], t)
-				added++
-			}
-		}
+	for side := range b.tuples {
+		added += ex.tuples[side].addAll(b.tuples[side].all())
 	}
 	return added
 }

@@ -51,14 +51,23 @@ type vlIndexMsg struct {
 func (vlIndexMsg) Kind() string { return kindVLIndex }
 
 // rewritten is one rewritten query q' produced when a tuple triggers query
-// Orig at the attribute level (Section 4.3.2). The index-relation
-// attributes of Orig have been consumed: Trigger carries the triggering
-// tuple projected on the attributes still needed (SELECT values and join
-// attribute), and the q' asks for tuples of WantRel whose WantAttr equals
-// WantValue.
+// Orig at the attribute level (Section 4.3.2): the per-query part, plus the
+// target every rewrite of the same triggered group and projection shape
+// shares by pointer. Nothing writes through that pointer after the group is
+// built, so a stored rewrite, the message that carried it and its siblings
+// can all hold it.
 type rewritten struct {
-	Key       string // Key(q') per Section 4.3.3
-	Orig      *query.Query
+	Key  string // Key(q') per Section 4.3.3
+	Orig *query.Query
+	*rewriteTarget
+}
+
+// rewriteTarget is what a tuple's rewrites have in common. The
+// index-relation attributes of the query have been consumed: Trigger carries
+// the triggering tuple projected on the attributes still needed (SELECT
+// values and join attribute), and the q' asks for tuples of WantRel whose
+// WantAttr equals WantValue.
+type rewriteTarget struct {
 	IndexSide query.Side      // the side consumed by the trigger
 	Trigger   *relation.Tuple // projection of the triggering tuple
 	WantRel   string          // DisR(q)
@@ -69,7 +78,8 @@ type rewritten struct {
 // sameTarget reports whether rw and o wait at the same value-level
 // identifier.
 func (rw *rewritten) sameTarget(o *rewritten) bool {
-	return rw.WantValue == o.WantValue && rw.WantAttr == o.WantAttr && rw.WantRel == o.WantRel
+	return rw.rewriteTarget == o.rewriteTarget ||
+		rw.WantValue == o.WantValue && rw.WantAttr == o.WantAttr && rw.WantRel == o.WantRel
 }
 
 // joinMsg reindexes one or more rewritten queries that share the same

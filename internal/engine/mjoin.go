@@ -326,7 +326,7 @@ func (st *nodeState) handleMJoin(m mJoinMsg) {
 			st.mvlqt[input] = mb
 		}
 		if tb := st.vltt[input]; tb != nil {
-			for _, tt := range tb.tuples {
+			for _, tt := range tb.tuples.all() {
 				work++
 				if n, out, ok := matchMulti(rw, tt); ok {
 					if out != nil {

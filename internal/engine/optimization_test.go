@@ -289,6 +289,77 @@ func TestWindowLimitsMatching(t *testing.T) {
 	}
 }
 
+// An evicted tuple must take its bucket with it: under a window a stream of
+// mostly-unique values (every key column) would otherwise leave four empty
+// value-level buckets per publication behind, forever. Ten windows of
+// tuples, evicting after every step, must hold no more buckets than a few
+// windows' worth — and must notify exactly what an engine that never evicts
+// does for pairs no further apart than the window.
+func TestWindowEvictionDropsEmptiedBuckets(t *testing.T) {
+	const window, steps = 20, 10 * 20
+	for _, alg := range []Algorithm{SAI, DAIQ, DAIV} {
+		t.Run(alg.String(), func(t *testing.T) {
+			run := func(w int64) (*testEnv, int) {
+				env := newTestEnv(t, 32, Config{Algorithm: alg, Window: w})
+				env.subscribe(t, 0, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
+				maxBuckets := 0
+				for i := 0; i < steps; i++ {
+					// An R and the S it joins are adjacent; their key returns
+					// four windows later, which only the unbounded engine sees.
+					key := float64(i / 2 % (2 * window))
+					if i%2 == 0 {
+						env.publish(t, i, rTuple(env, float64(i), key, float64(i)))
+					} else {
+						env.publish(t, i, sTuple(env, float64(i), key, float64(i)))
+					}
+					env.eng.EvictExpired()
+					buckets := 0
+					for _, st := range env.eng.states {
+						buckets += len(st.vltt)
+						for _, b := range st.vstore {
+							buckets += len(b.byCond)
+						}
+					}
+					maxBuckets = max(maxBuckets, buckets)
+				}
+				return env, maxBuckets
+			}
+			windowed, buckets := run(window)
+			// Each tuple is stored under at most three attributes and lives
+			// for at most window+1 steps.
+			if limit := 3 * (window + 2); buckets > limit {
+				t.Fatalf("%d tuple buckets held at once over %d steps, want at most %d", buckets, steps, limit)
+			}
+			unbounded, _ := run(0)
+			inWindow, all := map[string]bool{}, map[string]bool{}
+			for _, n := range unbounded.eng.Notifications() {
+				all[n.ContentKey()] = true
+				if d := n.LeftPubT - n.RightPubT; -window <= d && d <= window {
+					inWindow[n.ContentKey()] = true
+				}
+			}
+			if len(inWindow) != steps/2 || len(all) <= len(inWindow) {
+				t.Fatalf("the stream joins %d pairs inside the window and %d in all, want %d and more", len(inWindow), len(all), steps/2)
+			}
+			got := map[string]bool{}
+			for _, n := range windowed.eng.Notifications() {
+				got[n.ContentKey()] = true
+				// SAI's stored rewritten queries are continuous and outlive
+				// the window, so it also joins an old R to a new S; the
+				// algorithms that store only tuples join nothing else.
+				if !all[n.ContentKey()] || alg != SAI && !inWindow[n.ContentKey()] {
+					t.Fatalf("notification %s under the window, which the unbounded engine restricted to it does not give", n)
+				}
+			}
+			for k := range inWindow {
+				if !got[k] {
+					t.Fatalf("pair %s inside the window was not notified", k)
+				}
+			}
+		})
+	}
+}
+
 func TestEvictExpiredNoopWithoutWindow(t *testing.T) {
 	env := newTestEnv(t, 16, Config{Algorithm: SAI})
 	env.subscribe(t, 0, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)

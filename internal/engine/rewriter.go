@@ -153,10 +153,11 @@ func (st *nodeState) rewriteGroup(b *alBucket, g *queryGroup, triggered []*query
 
 	// The trigger is projected once per projection shape: queries needing
 	// the same attributes share one schema (query.Projection), so all of a
-	// group's rewrites with that shape carry the same immutable tuple.
-	var shapeBuf [4]*relation.Tuple
+	// group's rewrites with that shape carry the same immutable target.
+	var shapeBuf [4]*rewriteTarget
 	shapes := shapeBuf[:0]
 	rws := make([]*rewritten, 0, len(triggered))
+	rwBuf := make([]rewritten, 0, len(triggered)) // one allocation for the group, which is stored together
 	for _, q := range triggered {
 		key, err := q.RewriteKey(t, valDA)
 		if err != nil {
@@ -181,28 +182,23 @@ func (st *nodeState) rewriteGroup(b *alBucket, g *queryGroup, triggered []*query
 			b.sentRewrites[key] = true
 		}
 		shape := q.Projection(g.side)
-		var proj *relation.Tuple
+		var tgt *rewriteTarget
 		for _, p := range shapes {
-			if p.Schema() == shape {
-				proj = p
+			if p.Trigger.Schema() == shape {
+				tgt = p
 				break
 			}
 		}
-		if proj == nil {
-			if proj, err = t.ProjectOnto(shape); err != nil {
+		if tgt == nil {
+			proj, err := t.ProjectOnto(shape)
+			if err != nil {
 				continue
 			}
-			shapes = append(shapes, proj)
+			tgt = &rewriteTarget{IndexSide: g.side, Trigger: proj, WantRel: wantRel, WantAttr: wantAttr, WantValue: valDA}
+			shapes = append(shapes, tgt)
 		}
-		rws = append(rws, &rewritten{
-			Key:       key,
-			Orig:      q,
-			IndexSide: g.side,
-			Trigger:   proj,
-			WantRel:   wantRel,
-			WantAttr:  wantAttr,
-			WantValue: valDA,
-		})
+		rwBuf = append(rwBuf, rewritten{Key: key, Orig: q, rewriteTarget: tgt})
+		rws = append(rws, &rwBuf[len(rwBuf)-1])
 	}
 	if len(rws) == 0 {
 		return outbound{}, false

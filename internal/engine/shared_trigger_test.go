@@ -36,7 +36,7 @@ func TestSharedTriggerGroup(t *testing.T) {
 		st := env.eng.state(n)
 		st.mu.Lock()
 		if qb := st.vlqt["S+E+7"]; qb != nil {
-			for _, sr := range qb.sorted {
+			for _, sr := range qb.rewrites.all() {
 				triggers[sr.rw.Trigger] = append(triggers[sr.rw.Trigger], sr.rw.Orig.Key())
 			}
 		}

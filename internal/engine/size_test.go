@@ -17,7 +17,7 @@ func TestAllMessagesImplementSizer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rw := &rewritten{Key: "k", Orig: q, Trigger: proj, WantRel: "S", WantAttr: "E", WantValue: tu.MustValue("B")}
+	rw := &rewritten{Key: "k", Orig: q, rewriteTarget: &rewriteTarget{Trigger: proj, WantRel: "S", WantAttr: "E", WantValue: tu.MustValue("B")}}
 	notif, err := buildNotification(q, query.SideLeft, proj, sTuple(env, 2, 7, 0).WithPubT(6))
 	if err != nil {
 		t.Fatal(err)

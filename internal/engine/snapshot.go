@@ -134,12 +134,20 @@ func (e *Engine) ExportSnapshot(down []string) (chord.Message, []NodeSnapshot) {
 }
 
 // snapshotSections builds a handoffMsg copy of this node's movable state
-// without draining it. Mutable slices are copied so later engine activity
-// cannot reach into the snapshot; the immutable leaves (tuples, queries,
-// rewrites) are shared.
+// without draining it.
 func (st *nodeState) snapshotSections() (handoffMsg, bool) {
-	var m handoffMsg
 	st.mu.Lock()
+	m := st.sectionsLocked()
+	st.mu.Unlock()
+	return m, !m.empty()
+}
+
+// sectionsLocked renders this node's movable tables as hand-off sections, in
+// deterministic order. Mutable slices are copied so later engine activity
+// cannot reach into the message; the immutable leaves (tuples, queries,
+// rewrites) are shared. The caller holds st.mu.
+func (st *nodeState) sectionsLocked() handoffMsg {
+	var m handoffMsg
 	for _, input := range sortedKeys(st.alqt) {
 		b := st.alqt[input]
 		sec := alSection{
@@ -164,7 +172,7 @@ func (st *nodeState) snapshotSections() (handoffMsg, bool) {
 	for _, input := range sortedKeys(st.vlqt) {
 		b := st.vlqt[input]
 		sec := vqSection{Input: b.input}
-		for _, sr := range b.sorted {
+		for _, sr := range b.rewrites.all() {
 			sec.Entries = append(sec.Entries, vqEntry{Rw: sr.rw, Times: append([]int64(nil), sr.times...)})
 		}
 		m.VQ = append(m.VQ, sec)
@@ -179,7 +187,7 @@ func (st *nodeState) snapshotSections() (handoffMsg, bool) {
 	}
 	for _, input := range sortedKeys(st.vltt) {
 		b := st.vltt[input]
-		m.VT = append(m.VT, vtSection{Input: b.input, Tuples: append([]*relation.Tuple(nil), b.tuples...)})
+		m.VT = append(m.VT, vtSection{Input: b.input, Tuples: append([]*relation.Tuple(nil), b.tuples.all()...)})
 	}
 	for _, input := range sortedKeys(st.vstore) {
 		b := st.vstore[input]
@@ -188,8 +196,8 @@ func (st *nodeState) snapshotSections() (handoffMsg, bool) {
 			entry := b.byCond[cond]
 			sec.Entries = append(sec.Entries, dvEntry{
 				Cond:  entry.cond,
-				Left:  append([]*relation.Tuple(nil), entry.tuples[query.SideLeft]...),
-				Right: append([]*relation.Tuple(nil), entry.tuples[query.SideRight]...),
+				Left:  append([]*relation.Tuple(nil), entry.tuples[query.SideLeft].all()...),
+				Right: append([]*relation.Tuple(nil), entry.tuples[query.SideRight].all()...),
 			})
 		}
 		m.DV = append(m.DV, sec)
@@ -197,11 +205,7 @@ func (st *nodeState) snapshotSections() (handoffMsg, bool) {
 	for _, sub := range sortedKeys(st.storedNotifs) {
 		m.Notifs = append(m.Notifs, notifSection{Subscriber: sub, Batch: append([]Notification(nil), st.storedNotifs[sub]...)})
 	}
-	st.mu.Unlock()
-
-	empty := len(m.AL) == 0 && len(m.VQ) == 0 && len(m.MQ) == 0 &&
-		len(m.VT) == 0 && len(m.DV) == 0 && len(m.Notifs) == 0
-	return m, !empty
+	return m
 }
 
 // RestoreSnapshot installs an exported snapshot into a freshly built

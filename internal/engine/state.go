@@ -106,39 +106,46 @@ type queryGroup struct {
 // tuples whose attribute A equals v. The second level is keyed by rewritten
 // key so duplicates only add trigger times (Section 4.3.3).
 type vlqtBucket struct {
-	input  string
-	byKey  map[string]*storedRewrite
-	sorted []*storedRewrite // insertion order, for deterministic matching
+	input    string
+	rewrites rewriteTable
 }
 
-type storedRewrite struct {
-	rw    *rewritten
-	times []int64 // publication times of the tuples that produced it
-}
-
-func newVLQTBucket(input string) *vlqtBucket {
-	return &vlqtBucket{input: input, byKey: make(map[string]*storedRewrite)}
+// vlqtFor returns the VLQT bucket of input, creating it when absent. The
+// caller holds st.mu.
+func (st *nodeState) vlqtFor(input string) *vlqtBucket {
+	qb := st.vlqt[input]
+	if qb == nil {
+		qb = &vlqtBucket{input: input}
+		st.vlqt[input] = qb
+	}
+	return qb
 }
 
 // vlttBucket is the slice of the value-level tuple table reached through
 // one value-level identifier: the tuples stored under attribute A = v,
-// awaiting future rewritten queries (Section 4.3.4). The seen set keys
-// stored tuples by content so a duplicated vl-index delivery is absorbed
-// instead of stored twice.
+// awaiting future rewritten queries (Section 4.3.4). The set is unique by
+// content so a duplicated vl-index delivery is absorbed instead of stored
+// twice.
 type vlttBucket struct {
 	input  string
-	tuples []*relation.Tuple
-	seen   map[string]bool
+	tuples tupleSet
 }
 
-func newVLTTBucket(input string) *vlttBucket {
-	return &vlttBucket{input: input, seen: make(map[string]bool)}
+// vlttFor returns the VLTT bucket of input, creating it when absent. The
+// caller holds st.mu.
+func (st *nodeState) vlttFor(input string) *vlttBucket {
+	tb := st.vltt[input]
+	if tb == nil {
+		tb = &vlttBucket{input: input}
+		st.vltt[input] = tb
+	}
+	return tb
 }
 
 // daivBucket is DAI-V's value store reached through Hash(valJC): projected
-// tuples of both relations grouped by join condition, plus content keys for
-// deduplication when the same tuple arrives through two different rewriters
-// of equivalent query groups.
+// tuples of both relations grouped by join condition, each side unique by
+// content for deduplication when the same tuple arrives through two
+// different rewriters of equivalent query groups.
 type daivBucket struct {
 	input  string // the value canon that was hashed
 	byCond map[string]*daivEntry
@@ -146,8 +153,7 @@ type daivBucket struct {
 
 type daivEntry struct {
 	cond   string
-	tuples [2][]*relation.Tuple // per query.Side
-	seen   map[string]bool      // content keys of stored tuples
+	tuples [2]tupleSet // per query.Side; the sides hold different relations
 }
 
 func newDAIVBucket(input string) *daivBucket {
@@ -160,12 +166,11 @@ func newDAIVBucket(input string) *daivBucket {
 type pairBucket struct {
 	input  string
 	byCond map[string]*queryGroup
-	tuples [2][]*relation.Tuple // per query.Side of the pair key
-	seen   map[string]bool
+	tuples [2]tupleSet // per query.Side of the pair key
 }
 
 func newPairBucket(input string) *pairBucket {
-	return &pairBucket{input: input, byCond: make(map[string]*queryGroup), seen: make(map[string]bool)}
+	return &pairBucket{input: input, byCond: make(map[string]*queryGroup)}
 }
 
 // HandleMessage dispatches overlay messages to the role handlers.
@@ -243,42 +248,12 @@ func (st *nodeState) TransferKeys(from, to *chord.Node, lo, hi id.ID) {
 		notifs map[string][]Notification
 	}
 	moved.notifs = make(map[string][]Notification)
-	for k, b := range st.alqt {
-		if inRange(k) {
-			moved.al = append(moved.al, b)
-			delete(st.alqt, k)
-		}
-	}
-	for k, b := range st.vlqt {
-		if inRange(k) {
-			moved.vq = append(moved.vq, b)
-			delete(st.vlqt, k)
-		}
-	}
-	for k, b := range st.mvlqt {
-		if inRange(k) {
-			moved.mq = append(moved.mq, b)
-			delete(st.mvlqt, k)
-		}
-	}
-	for k, b := range st.vltt {
-		if inRange(k) {
-			moved.vt = append(moved.vt, b)
-			delete(st.vltt, k)
-		}
-	}
-	for k, b := range st.vstore {
-		if inRange(k) {
-			moved.dv = append(moved.dv, b)
-			delete(st.vstore, k)
-		}
-	}
-	for k, b := range st.pairStore {
-		if inRange(k) {
-			moved.pair = append(moved.pair, b)
-			delete(st.pairStore, k)
-		}
-	}
+	moved.al = takeInRange(st.alqt, inRange)
+	moved.vq = takeInRange(st.vlqt, inRange)
+	moved.mq = takeInRange(st.mvlqt, inRange)
+	moved.vt = takeInRange(st.vltt, inRange)
+	moved.dv = takeInRange(st.vstore, inRange)
+	moved.pair = takeInRange(st.pairStore, inRange)
 	for sub, batch := range st.storedNotifs {
 		if inRange(sub) {
 			moved.notifs[sub] = batch
@@ -299,7 +274,7 @@ func (st *nodeState) TransferKeys(from, to *chord.Node, lo, hi id.ID) {
 		addedRewriter += dst.mergeAL(b)
 	}
 	for _, b := range moved.vq {
-		removedEvaluator += len(b.byKey)
+		removedEvaluator += b.rewrites.len()
 		addedEvaluator += dst.mergeVLQT(b)
 	}
 	for _, b := range moved.mq {
@@ -307,15 +282,15 @@ func (st *nodeState) TransferKeys(from, to *chord.Node, lo, hi id.ID) {
 		addedEvaluator += dst.mergeMVLQT(b)
 	}
 	for _, b := range moved.vt {
-		removedEvaluator += len(b.tuples)
-		addedEvaluator += dst.mergeVLTT(b)
+		removedEvaluator += b.tuples.len()
+		addedEvaluator += dst.vlttFor(b.input).tuples.addAll(b.tuples.all())
 	}
 	for _, b := range moved.dv {
 		removedEvaluator += b.storedItems()
 		addedEvaluator += dst.mergeDAIV(b)
 	}
 	for _, b := range moved.pair {
-		removedEvaluator += len(b.tuples[0]) + len(b.tuples[1]) + b.storedQueries()
+		removedEvaluator += b.storedItems()
 		addedEvaluator += dst.mergePair(b)
 	}
 	var replay []string
@@ -339,6 +314,19 @@ func (st *nodeState) TransferKeys(from, to *chord.Node, lo, hi id.ID) {
 	}
 }
 
+// takeInRange removes the buckets of m whose key is in range and returns
+// them.
+func takeInRange[B any](m map[string]B, inRange func(string) bool) []B {
+	var out []B
+	for k, b := range m {
+		if inRange(k) {
+			out = append(out, b)
+			delete(m, k)
+		}
+	}
+	return out
+}
+
 // storedItems counts the queries a rewriter bucket stores.
 func (b *alBucket) storedItems() int {
 	n := 0
@@ -355,14 +343,14 @@ func (b *alBucket) storedItems() int {
 func (b *daivBucket) storedItems() int {
 	n := 0
 	for _, e := range b.byCond {
-		n += len(e.tuples[0]) + len(e.tuples[1])
+		n += e.tuples[0].len() + e.tuples[1].len()
 	}
 	return n
 }
 
-// storedQueries counts the queries a pair bucket stores.
-func (b *pairBucket) storedQueries() int {
-	n := 0
+// storedItems counts the tuples and queries a pair bucket stores.
+func (b *pairBucket) storedItems() int {
+	n := b.tuples[0].len() + b.tuples[1].len()
 	for _, g := range b.byCond {
 		n += len(g.queries)
 	}
@@ -370,53 +358,34 @@ func (b *pairBucket) storedQueries() int {
 }
 
 // evictBefore drops stored tuples older than the cutoff — the sliding
-// window of the evaluation chapter. Rewritten queries and the queries
-// themselves are continuous and never expire.
+// window of the evaluation chapter — and the buckets that emptied, so a
+// stream of mostly-unique values does not leave a bucket behind per value.
+// Rewritten queries and the queries themselves are continuous and never
+// expire.
 func (st *nodeState) evictBefore(cutoff int64) {
+	expired := func(t *relation.Tuple) bool { return t.PubT() < cutoff }
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	evicted := 0
-	for _, b := range st.vltt {
-		kept := b.tuples[:0]
-		for _, t := range b.tuples {
-			if t.PubT() >= cutoff {
-				kept = append(kept, t)
-			} else {
-				evicted++
-				delete(b.seen, t.ContentKey())
+	for input, b := range st.vltt {
+		evicted += b.tuples.removeIf(expired)
+		if b.tuples.len() == 0 {
+			delete(st.vltt, input)
+		}
+	}
+	for input, b := range st.vstore {
+		for cond, e := range b.byCond {
+			evicted += e.tuples[0].removeIf(expired) + e.tuples[1].removeIf(expired)
+			if e.tuples[0].len()+e.tuples[1].len() == 0 {
+				delete(b.byCond, cond)
 			}
 		}
-		b.tuples = kept
-	}
-	for _, b := range st.vstore {
-		for _, e := range b.byCond {
-			for side := 0; side < 2; side++ {
-				kept := e.tuples[side][:0]
-				for _, t := range e.tuples[side] {
-					if t.PubT() >= cutoff {
-						kept = append(kept, t)
-					} else {
-						evicted++
-						delete(e.seen, t.ContentKey())
-					}
-				}
-				e.tuples[side] = kept
-			}
+		if len(b.byCond) == 0 {
+			delete(st.vstore, input)
 		}
 	}
 	for _, b := range st.pairStore {
-		for side := 0; side < 2; side++ {
-			kept := b.tuples[side][:0]
-			for _, t := range b.tuples[side] {
-				if t.PubT() >= cutoff {
-					kept = append(kept, t)
-				} else {
-					evicted++
-					delete(b.seen, t.ContentKey())
-				}
-			}
-			b.tuples[side] = kept
-		}
+		evicted += b.tuples[0].removeIf(expired) + b.tuples[1].removeIf(expired)
 	}
 	evicted += st.evictMultiBefore(cutoff)
 	if evicted > 0 {

@@ -1,0 +1,233 @@
+package engine
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+
+	"cqjoin/internal/relation"
+)
+
+// The table types against the layout they replaced — a map for membership
+// beside a slice for order — under random operation sequences that cross
+// smallTableMax in both directions. Membership, order and every return
+// value must agree, and the index must be exactly the keys of the items
+// whenever it exists.
+
+// refTuples is the reference tuple store: the eager seen map plus slice.
+type refTuples struct {
+	seen   map[string]bool
+	tuples []*relation.Tuple
+}
+
+func (r *refTuples) add(t *relation.Tuple) bool {
+	if r.seen[t.ContentKey()] {
+		return false
+	}
+	r.seen[t.ContentKey()] = true
+	r.tuples = append(r.tuples, t)
+	return true
+}
+
+func (r *refTuples) removeIf(drop func(*relation.Tuple) bool) int {
+	kept := r.tuples[:0:0]
+	for _, t := range r.tuples {
+		if drop(t) {
+			delete(r.seen, t.ContentKey())
+		} else {
+			kept = append(kept, t)
+		}
+	}
+	removed := len(r.tuples) - len(kept)
+	r.tuples = kept
+	return removed
+}
+
+func checkTupleSet(t *testing.T, step string, s *tupleSet, ref *refTuples) {
+	t.Helper()
+	if !slices.Equal(s.all(), ref.tuples) || s.len() != len(ref.tuples) {
+		t.Fatalf("%s: set holds %v, reference %v", step, s.all(), ref.tuples)
+	}
+	if s.index == nil {
+		if s.len() > smallTableMax {
+			t.Fatalf("%s: %d tuples and no index", step, s.len())
+		}
+		return
+	}
+	if len(s.index) != s.len() {
+		t.Fatalf("%s: index of %d keys over %d tuples", step, len(s.index), s.len())
+	}
+	for _, tu := range s.all() {
+		if _, ok := s.index[tu.ContentKey()]; !ok {
+			t.Fatalf("%s: %s stored but not indexed", step, tu)
+		}
+	}
+}
+
+func TestTupleSetMatchesMapAndSlice(t *testing.T) {
+	schema := relation.MustSchema("R", "A", "B")
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		limit := 1 + rng.Intn(64) // sizes 0…64: below, at and far above the threshold
+		// A small pool of contents, each built twice, so duplicates arrive
+		// both as the same pointer and as an equal copy — some of them
+		// differing from a stored tuple only in a value, not in pubT.
+		var pool []*relation.Tuple
+		for i := 0; i < limit; i++ {
+			for c := 0; c < 2; c++ {
+				pool = append(pool, relation.MustTuple(schema, relation.N(float64(i%7)), relation.S(fmt.Sprint(i))).WithPubT(int64(i/3)))
+			}
+		}
+		var s tupleSet
+		ref := &refTuples{seen: make(map[string]bool)}
+		for op := 0; op < 300; op++ {
+			step := fmt.Sprintf("seed %d op %d", seed, op)
+			switch k := rng.Intn(10); {
+			case k < 6:
+				tu := pool[rng.Intn(len(pool))]
+				if has, want := s.has(tu), ref.seen[tu.ContentKey()]; has != want {
+					t.Fatalf("%s: has(%s) = %v, reference %v", step, tu, has, want)
+				}
+				if got, want := s.add(tu), ref.add(tu); got != want {
+					t.Fatalf("%s: add(%s) = %v, reference %v", step, tu, got, want)
+				}
+			case k < 7: // a merge: a batch with duplicates inside and against the set
+				batch := make([]*relation.Tuple, rng.Intn(12))
+				for i := range batch {
+					batch[i] = pool[rng.Intn(len(pool))]
+				}
+				want := 0
+				for _, tu := range batch {
+					if ref.add(tu) {
+						want++
+					}
+				}
+				if got := s.addAll(batch); got != want {
+					t.Fatalf("%s: addAll added %d, reference %d", step, got, want)
+				}
+			case k < 8: // the window moves
+				cutoff := int64(rng.Intn(limit/3 + 2))
+				old := func(tu *relation.Tuple) bool { return tu.PubT() < cutoff }
+				if got, want := s.removeIf(old), ref.removeIf(old); got != want {
+					t.Fatalf("%s: evicting before %d removed %d, reference %d", step, cutoff, got, want)
+				}
+			default: // a partition leaves, as on hot-key migration
+				m := 2 + rng.Intn(3)
+				odd := func(tu *relation.Tuple) bool { return len(tu.ContentKey())%m == 0 }
+				if got, want := s.removeIf(odd), ref.removeIf(odd); got != want {
+					t.Fatalf("%s: removeIf removed %d, reference %d", step, got, want)
+				}
+			}
+			checkTupleSet(t, step, &s, ref)
+		}
+	}
+}
+
+// refRewrites is the reference rewrite table: byKey beside sorted.
+type refRewrites struct {
+	byKey  map[string]*storedRewrite
+	sorted []*storedRewrite
+}
+
+func (r *refRewrites) record(rw *rewritten, times ...int64) bool {
+	if sr, dup := r.byKey[rw.Key]; dup {
+		sr.times = append(sr.times, times...)
+		return false
+	}
+	sr := &storedRewrite{rw: rw, times: append([]int64(nil), times...)}
+	r.byKey[rw.Key] = sr
+	r.sorted = append(r.sorted, sr)
+	return true
+}
+
+func TestRewriteTableMatchesMapAndSlice(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		limit := 1 + rng.Intn(64)
+		var tab rewriteTable
+		ref := &refRewrites{byKey: make(map[string]*storedRewrite)}
+		check := func(step string) {
+			t.Helper()
+			if tab.len() != len(ref.sorted) {
+				t.Fatalf("%s: table holds %d rewrites, reference %d", step, tab.len(), len(ref.sorted))
+			}
+			for i, sr := range tab.all() {
+				want := ref.sorted[i]
+				if sr.rw != want.rw || !slices.Equal(sr.times, want.times) {
+					t.Fatalf("%s: entry %d is %s %v, reference %s %v", step, i, sr.rw.Key, sr.times, want.rw.Key, want.times)
+				}
+				if tab.get(sr.rw.Key) != sr {
+					t.Fatalf("%s: get(%s) does not return the stored entry", step, sr.rw.Key)
+				}
+			}
+			if tab.index == nil && tab.len() > smallTableMax {
+				t.Fatalf("%s: %d rewrites and no index", step, tab.len())
+			}
+			if tab.index != nil && len(tab.index) != tab.len() {
+				t.Fatalf("%s: index of %d keys over %d rewrites", step, len(tab.index), tab.len())
+			}
+			if tab.get("absent") != nil {
+				t.Fatalf("%s: get of an absent key returned an entry", step)
+			}
+		}
+		for op := 0; op < 300; op++ {
+			step := fmt.Sprintf("seed %d op %d", seed, op)
+			if rng.Intn(10) < 8 {
+				// A fresh *rewritten per arrival, as off the wire: only the
+				// first of a key is stored.
+				rw := &rewritten{Key: fmt.Sprintf("q%d+%d", rng.Intn(4), rng.Intn(limit))}
+				times := []int64{int64(op)}
+				if rng.Intn(4) == 0 { // a merged entry carries several
+					times = append(times, int64(op)+1000)
+				}
+				if got, want := tab.record(rw, times...), ref.record(rw, times...); got != want {
+					t.Fatalf("%s: record(%s) = %v, reference %v", step, rw.Key, got, want)
+				}
+			} else { // a query is retracted
+				prefix := fmt.Sprintf("q%d+", rng.Intn(4))
+				gone := make(map[*rewritten]bool)
+				kept := ref.sorted[:0:0]
+				for _, sr := range ref.sorted {
+					if strings.HasPrefix(sr.rw.Key, prefix) && rng.Intn(3) > 0 {
+						gone[sr.rw] = true
+						delete(ref.byKey, sr.rw.Key)
+					} else {
+						kept = append(kept, sr)
+					}
+				}
+				want := len(ref.sorted) - len(kept)
+				ref.sorted = kept
+				if got := tab.removeIf(func(sr *storedRewrite) bool { return gone[sr.rw] }); got != want {
+					t.Fatalf("%s: removeIf removed %d, reference %d", step, got, want)
+				}
+			}
+			check(step)
+		}
+	}
+}
+
+// The index is dropped only at half the threshold, so a table hovering at
+// it does not rebuild one per eviction.
+func TestTableIndexHysteresis(t *testing.T) {
+	schema := relation.MustSchema("R", "A")
+	var s tupleSet
+	for i := 0; i <= smallTableMax; i++ {
+		if s.index != nil {
+			t.Fatalf("index built at %d tuples, threshold %d", i, smallTableMax)
+		}
+		s.add(relation.MustTuple(schema, relation.N(float64(i))).WithPubT(int64(i)))
+	}
+	if s.index == nil {
+		t.Fatalf("no index at %d tuples", s.len())
+	}
+	s.removeIf(func(tu *relation.Tuple) bool { return tu.PubT() < 2 })
+	if s.index == nil {
+		t.Fatalf("index dropped at %d tuples, above half the threshold", s.len())
+	}
+	s.removeIf(func(tu *relation.Tuple) bool { return tu.PubT() < int64(smallTableMax/2)+1 })
+	if s.index != nil || s.len() != smallTableMax/2 {
+		t.Fatalf("index kept at %d tuples", s.len())
+	}
+}

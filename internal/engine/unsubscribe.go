@@ -195,17 +195,10 @@ func (st *nodeState) handlePurge(m purgeMsg) {
 
 	st.mu.Lock()
 	if qb := st.vlqt[m.Input]; qb != nil {
-		kept := qb.sorted[:0]
-		for _, sr := range qb.sorted {
-			if sr.rw.Orig.Key() == m.QueryKey || strings.HasPrefix(sr.rw.Key, prefix) {
-				delete(qb.byKey, sr.rw.Key)
-				removed++
-				continue
-			}
-			kept = append(kept, sr)
-		}
-		qb.sorted = kept
-		if len(qb.sorted) == 0 {
+		removed += qb.rewrites.removeIf(func(sr *storedRewrite) bool {
+			return sr.rw.Orig.Key() == m.QueryKey || strings.HasPrefix(sr.rw.Key, prefix)
+		})
+		if qb.rewrites.len() == 0 {
 			delete(st.vlqt, m.Input)
 		}
 	}

@@ -238,12 +238,16 @@ func sizeHotCountEntry(c hotCountEntry) int {
 		wire.SizeVarint(c.WindowStart)
 }
 
-//wire:field size rewritten Key Orig IndexSide Trigger WantRel WantAttr WantValue
+//wire:field size rewritten Key Orig rewriteTarget
 func sizeRewritten(rw *rewritten) int {
-	return wire.SizeString(rw.Key) + wire.SizeQuery(rw.Orig) +
-		wire.SizeUvarint(uint64(rw.IndexSide)) + wire.SizeTuple(rw.Trigger) +
-		wire.SizeString(rw.WantRel) + wire.SizeString(rw.WantAttr) +
-		wire.SizeValue(rw.WantValue)
+	return wire.SizeString(rw.Key) + wire.SizeQuery(rw.Orig) + sizeRewriteTarget(rw.rewriteTarget)
+}
+
+//wire:field size rewriteTarget IndexSide Trigger WantRel WantAttr WantValue
+func sizeRewriteTarget(tg *rewriteTarget) int {
+	return wire.SizeUvarint(uint64(tg.IndexSide)) + wire.SizeTuple(tg.Trigger) +
+		wire.SizeString(tg.WantRel) + wire.SizeString(tg.WantAttr) +
+		wire.SizeValue(tg.WantValue)
 }
 
 //wire:field size Notification QueryKey Subscriber subscriberIP Values LeftPubT RightPubT DeliveredAt

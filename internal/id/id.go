@@ -11,6 +11,7 @@ import (
 	"crypto/sha1"
 	"encoding/hex"
 	"fmt"
+	"math/bits"
 )
 
 // Bits is the size m of the identifier space. The paper (and Chord) use
@@ -77,6 +78,17 @@ func (x ID) Cmp(y ID) int {
 			return -1
 		case x[i] > y[i]:
 			return 1
+		}
+	}
+	return 0
+}
+
+// BitLen returns the number of bits needed to represent x as an unsigned
+// integer: 0 for identifier 0, otherwise the b with 2^(b-1) <= x < 2^b.
+func (x ID) BitLen() int {
+	for i, b := range x {
+		if b != 0 {
+			return (bytesLen-i-1)*8 + bits.Len8(b)
 		}
 	}
 	return 0

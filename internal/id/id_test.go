@@ -66,6 +66,21 @@ func TestCmpOrdering(t *testing.T) {
 	}
 }
 
+func TestBitLen(t *testing.T) {
+	if got := (ID{}).BitLen(); got != 0 {
+		t.Fatalf("BitLen(0) = %d", got)
+	}
+	for k := uint(0); k < Bits; k++ {
+		p := ID{}.AddPow2(k)
+		if got := p.BitLen(); got != int(k)+1 {
+			t.Fatalf("BitLen(2^%d) = %d", k, got)
+		}
+		if got := p.Sub(FromUint64(1)).BitLen(); got != int(k) {
+			t.Fatalf("BitLen(2^%d - 1) = %d", k, got)
+		}
+	}
+}
+
 func TestAddSubInverse(t *testing.T) {
 	f := func(av, bv uint64) bool {
 		a, b := FromUint64(av), FromUint64(bv)

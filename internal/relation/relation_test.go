@@ -251,6 +251,35 @@ func TestTupleContentKeyFormat(t *testing.T) {
 	}
 }
 
+// SameContent is ContentKey equality, decided from the publication times
+// alone when they differ — differ as the key renders them: two int64 times
+// one float64 cannot tell apart still collide.
+func TestTupleSameContentIsContentKeyEquality(t *testing.T) {
+	r, s := MustSchema("R", "A", "B"), MustSchema("S", "A", "B")
+	rp, _ := r.Projection([]string{"A"})
+	var tuples []*Tuple
+	for _, pubT := range []int64{0, 1, 2, 1 << 60, 1<<60 + 1} {
+		for _, schema := range []*Schema{r, s} {
+			for _, v := range []Value{N(1), N(2), S("1")} {
+				tuples = append(tuples, MustTuple(schema, v, S("b")).WithPubT(pubT), MustTuple(schema, v, S("b")).WithPubT(pubT))
+			}
+		}
+		tuples = append(tuples, MustTuple(rp, N(1)).WithPubT(pubT))
+	}
+	for _, a := range tuples {
+		for _, b := range tuples {
+			if got, want := a.SameContent(b), a.ContentKey() == b.ContentKey(); got != want {
+				t.Fatalf("SameContent(%s, %s) = %v, content keys %q and %q", a, b, got, a.ContentKey(), b.ContentKey())
+			}
+		}
+	}
+	// Telling two stored tuples apart by time renders no key.
+	a, b := MustTuple(r, N(1), S("b")).WithPubT(1), MustTuple(r, N(1), S("b")).WithPubT(2)
+	if a.SameContent(b) || a.contentKey.Load() != nil || b.contentKey.Load() != nil {
+		t.Fatal("tuples of different publication times rendered a content key to be told apart")
+	}
+}
+
 // One tuple is shared by every in-flight message carrying it, so first
 // calls of ContentKey race by design; run with -race.
 func TestTupleContentKeyConcurrent(t *testing.T) {

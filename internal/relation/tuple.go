@@ -133,6 +133,17 @@ func (t *Tuple) ContentKey() string {
 	return k
 }
 
+// SameContent reports whether t and o have equal content keys. Tuples whose
+// publication times differ (as the key renders them, through float64) are
+// told apart without rendering either key — the common case in a small
+// tuple store, whose members then never pay for a key at all.
+func (t *Tuple) SameContent(o *Tuple) bool {
+	if t == o {
+		return true
+	}
+	return float64(t.pubT) == float64(o.pubT) && t.ContentKey() == o.ContentKey()
+}
+
 // WithPubT returns a copy of the tuple stamped with publication time ts.
 // The engine stamps tuples at insertion; the original is not modified. The
 // copy is built field by field — a struct copy would read wireSize without

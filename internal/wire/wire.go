@@ -20,6 +20,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -118,6 +119,25 @@ func (r *Reader) Reset(b []byte) {
 
 // Remaining returns the number of unread bytes.
 func (r *Reader) Remaining() int { return len(r.b) - r.off }
+
+// Offset returns the number of bytes read so far.
+func (r *Reader) Offset() int { return r.off }
+
+// Since returns the bytes read since the reader stood at offset from. The
+// slice aliases the reader's input.
+func (r *Reader) Since(from int) []byte { return r.b[from:r.off] }
+
+// SkipPrefix consumes p when the unread input starts with it, and reports
+// whether it did. Every encoding here is self-delimiting, so input that
+// repeats the bytes a value was decoded from decodes to an equal value: a
+// decoder may skip them and reuse the value.
+func (r *Reader) SkipPrefix(p []byte) bool {
+	if !bytes.HasPrefix(r.b[r.off:], p) {
+		return false
+	}
+	r.off += len(p)
+	return true
+}
 
 // Uvarint reads an unsigned varint.
 func (r *Reader) Uvarint() (uint64, error) {

@@ -38,6 +38,41 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 	}
 }
 
+// Since hands back the bytes a value was decoded from; SkipPrefix consumes
+// a repeat of them, and nothing when the input differs or runs short.
+func TestReaderSinceAndSkipPrefix(t *testing.T) {
+	var w Buffer
+	w.PutString("head")
+	w.PutString("again")
+	w.PutString("again")
+	w.PutString("agai")
+	r := NewReader(w.Bytes())
+	if _, err := r.String(); err != nil {
+		t.Fatal(err)
+	}
+	start := r.Offset()
+	if s, err := r.String(); err != nil || s != "again" {
+		t.Fatalf("String = %q, %v", s, err)
+	}
+	raw := r.Since(start)
+	if len(raw) != SizeString("again") || r.Offset() != start+len(raw) {
+		t.Fatalf("Since returned %d bytes, the string took %d", len(raw), SizeString("again"))
+	}
+	if !r.SkipPrefix(raw) {
+		t.Fatal("SkipPrefix refused a repeat of the bytes just read")
+	}
+	at := r.Offset()
+	if r.SkipPrefix(raw) || r.Offset() != at {
+		t.Fatal("SkipPrefix consumed input that differs")
+	}
+	if s, err := r.String(); err != nil || s != "agai" || r.Remaining() != 0 {
+		t.Fatalf("after the skips: String = %q, %v, %d bytes left", s, err, r.Remaining())
+	}
+	if r.SkipPrefix(raw) {
+		t.Fatal("SkipPrefix matched past the end of the input")
+	}
+}
+
 func TestValueRoundTripProperty(t *testing.T) {
 	f := func(s string, n float64, isStr bool) bool {
 		var v relation.Value
