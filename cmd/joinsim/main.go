@@ -16,7 +16,13 @@
 // Experiments run their independent cells — and the engine its publish
 // cascades — on -parallel workers (default: all CPUs). Execution is
 // deterministic at any worker count (DESIGN.md §8): -parallel 1 and
-// -parallel 32 print identical tables and manifests for the same seed.
+// -parallel 32 print identical tables for the same seed. Standard output
+// carries nothing else — each experiment's wall time goes to standard
+// error — so `joinsim -exp all` at CI scale is byte for byte
+// internal/exp/testdata/ci.golden, which `go test ./internal/exp/` holds
+// it to; after an intended change to a figure, regenerate the file with
+//
+//	go run ./cmd/joinsim -exp all > internal/exp/testdata/ci.golden
 package main
 
 import (
@@ -24,12 +30,9 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
 	"time"
 
 	"cqjoin/internal/exp"
-	"cqjoin/internal/obs"
 )
 
 func main() {
@@ -42,7 +45,6 @@ func main() {
 		tuples   = flag.Int("tuples", 0, "override: inserted tuples")
 		seed     = flag.Int64("seed", 0, "override: random seed")
 		format   = flag.String("format", "table", "output format: table or csv")
-		manifest = flag.String("manifest", "", "write a machine-readable run manifest (schema-versioned JSON) to this path")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker budget for experiment cells and publish cascades (results are identical at any value)")
 	)
 	flag.Parse()
@@ -92,72 +94,24 @@ func main() {
 		todo = []exp.Experiment{e}
 	}
 
-	if *format == "table" {
-		fmt.Printf("scale: nodes=%d queries=%d tuples=%d seed=%d\n\n", sc.Nodes, sc.Queries, sc.Tuples, sc.Seed)
-	}
-	collector := obs.NewCollector()
-	for _, e := range todo {
-		start := time.Now()
-		tab := e.Run(sc)
-		elapsed := time.Since(start)
-		collector.Add(manifestEntry(e.ID, tab, sc, elapsed))
-		switch *format {
-		case "csv":
-			if err := tab.PrintCSV(os.Stdout); err != nil {
+	switch *format {
+	case "table":
+		last := time.Now()
+		exp.Report(os.Stdout, sc, todo, func(e exp.Experiment, _ *exp.Table) {
+			now := time.Now()
+			fmt.Fprintf(os.Stderr, "%s (%.1fs)\n", e.ID, now.Sub(last).Seconds())
+			last = now
+		})
+	case "csv":
+		for _, e := range todo {
+			if err := e.Run(sc).PrintCSV(os.Stdout); err != nil {
 				fmt.Fprintln(os.Stderr, "joinsim:", err)
 				os.Exit(1)
 			}
 			fmt.Println()
-		case "table":
-			tab.Print(os.Stdout)
-			fmt.Printf("  (%.1fs)\n\n", elapsed.Seconds())
-		default:
-			fmt.Fprintf(os.Stderr, "joinsim: unknown format %q\n", *format)
-			os.Exit(2)
 		}
-	}
-	if *manifest != "" {
-		m := collector.Manifest("joinsim-" + *scale)
-		if err := m.WriteFile(*manifest); err != nil {
-			fmt.Fprintln(os.Stderr, "joinsim:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "joinsim: wrote %d manifest entries to %s\n", len(m.Entries), *manifest)
-	}
-}
-
-// manifestEntry flattens one experiment table into a manifest entry: every
-// numeric cell becomes a metric named "<row label>/<column header>". The
-// simulator is deterministic for a fixed seed, so every table metric is a
-// hard (deterministic) one; wall time is carried in the entry itself and
-// always compared as noisy.
-func manifestEntry(id string, tab *exp.Table, sc exp.Scale, elapsed time.Duration) obs.Entry {
-	metrics := make(map[string]obs.Metric)
-	for _, row := range tab.Rows {
-		if len(row) == 0 {
-			continue
-		}
-		label := row[0]
-		for col := 1; col < len(row); col++ {
-			cell := strings.TrimSuffix(row[col], "%")
-			v, err := strconv.ParseFloat(cell, 64)
-			if err != nil {
-				continue
-			}
-			name := label
-			if col < len(tab.Header) {
-				name += "/" + tab.Header[col]
-			} else {
-				name += "/col" + strconv.Itoa(col)
-			}
-			metrics[name] = obs.Det(v, "")
-		}
-	}
-	return obs.Entry{
-		Name:       id,
-		Scale:      obs.ScaleInfo{Nodes: sc.Nodes, Queries: sc.Queries, Tuples: sc.Tuples, Seed: sc.Seed},
-		Iterations: 1,
-		WallNS:     elapsed.Nanoseconds(),
-		Metrics:    metrics,
+	default:
+		fmt.Fprintf(os.Stderr, "joinsim: unknown format %q (want table or csv)\n", *format)
+		os.Exit(2)
 	}
 }

@@ -14,7 +14,6 @@ import (
 var goroLeakPackages = []string{
 	"cqjoin/internal/transport",
 	"cqjoin/internal/daemon",
-	"cqjoin/internal/load",
 	"cqjoin/internal/engine",
 }
 
@@ -29,7 +28,7 @@ var goroLeakPackages = []string{
 // is the escape hatch for intentionally unbounded goroutines.
 var GoroLeakAnalyzer = &Analyzer{
 	Name:   "goroleak",
-	Doc:    "every go statement in transport, daemon, load and engine needs a provable stop path (Done pairing, select/receive, channel range)",
+	Doc:    "every go statement in transport, daemon and engine needs a provable stop path (Done pairing, select/receive, channel range)",
 	Filter: goroLeakScope,
 	Run:    runGoroLeak,
 }

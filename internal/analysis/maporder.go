@@ -7,8 +7,8 @@ import (
 
 // orderSensitiveSinks are the built-in order-sensitive consumers: anything
 // whose observable output (wire bytes, hop ledger, notification order,
-// manifest rows, conflict-wave partitions) depends on the order its inputs
-// arrive in. Package-internal sinks are marked at their declaration with
+// conflict-wave partitions) depends on the order its inputs arrive in.
+// Package-internal sinks are marked at their declaration with
 // //cqlint:sink instead of being listed here.
 var orderSensitiveSinks = map[string]bool{
 	"cqjoin/internal/chord.Node.Send":               true,
@@ -22,21 +22,20 @@ var orderSensitiveSinks = map[string]bool{
 	"cqjoin/internal/wire.Buffer.PutVarint":         true,
 	"cqjoin/internal/wire.Buffer.PutString":         true,
 	"cqjoin/internal/wire.Buffer.PutValue":          true,
-	"cqjoin/internal/obs.Collector.Add":             true,
 	"cqjoin/internal/engine.Engine.partitionWaves":  true,
 }
 
 // MapOrderAnalyzer flags `range` statements over maps whose loop body
 // feeds an order-sensitive sink directly: Go map iteration order is
 // random, so such a loop leaks nondeterminism straight into wire traffic,
-// notification order, manifest rows or conflict-wave partitions. The
-// deterministic pattern is collect keys → sort → range the sorted slice
-// (see engine/merge.go). The check is syntactic per loop body — calls made
+// notification order or conflict-wave partitions. The deterministic
+// pattern is collect keys → sort → range the sorted slice (see
+// engine/merge.go). The check is syntactic per loop body — calls made
 // by functions the body invokes are not traced — so sinks reached through
 // helpers should mark the helper itself with //cqlint:sink.
 var MapOrderAnalyzer = &Analyzer{
 	Name: "maporder",
-	Doc:  "flag map iteration feeding wire encodes, sends, manifests or wave partitions without sorting",
+	Doc:  "flag map iteration feeding wire encodes, sends or wave partitions without sorting",
 	Run:  runMapOrder,
 }
 

@@ -18,7 +18,7 @@ var registryMethods = map[string]bool{
 // ObsRegisterAnalyzer enforces the metric-registration discipline:
 //
 //   - the metric name must be a compile-time constant, so the name space
-//     of a run is closed and Snapshot/benchdiff keys are stable;
+//     of a run is closed and Snapshot keys are stable;
 //   - histogram bounds must be constants or a single spread of a
 //     package-level variable (the shared bucket tables), not values
 //     computed at the call site;

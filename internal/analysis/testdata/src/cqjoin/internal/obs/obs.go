@@ -12,9 +12,3 @@ func (r *Registry) Counter(name string) *Counter                      { return n
 func (r *Registry) Gauge(name string) *Gauge                          { return nil }
 func (r *Registry) Histogram(name string, bounds ...int64) *Histogram { return nil }
 func (r *Registry) CounterVec(name string) *CounterVec                { return nil }
-
-type Entry struct{ Name string }
-
-type Collector struct{}
-
-func (c *Collector) Add(e Entry) {}

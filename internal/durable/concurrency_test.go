@@ -3,6 +3,8 @@ package durable
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -237,8 +239,23 @@ func TestAppendFailStop(t *testing.T) {
 	dir := t.TempDir()
 	eng, st := buildStoreEngine(t, gen, dir, 4, -1)
 	net := eng.Network()
-	if _, err := st.Publish(net.NodeByKey("peer0"), gen.Tuple()); err != nil {
+	schema := gen.LeftSchema(0)
+	zeros := make([]relation.Value, schema.Arity())
+	for i := range zeros {
+		zeros[i] = relation.N(0)
+	}
+	if _, err := st.Publish(net.NodeByKey("peer0"), relation.MustTuple(schema, zeros...)); err != nil {
 		t.Fatalf("publish: %v", err)
+	}
+	// The log's cost per publication, pinned: one Publish appends one
+	// frame, 12 bytes of framing around the LSN, the record tag, the node
+	// key and the tuple as wire.EncodeTuple writes it. A record-codec or
+	// framing change that grows the log has to change this number.
+	const publishFrameBytes = 73
+	if fi, err := os.Stat(filepath.Join(dir, walName)); err != nil {
+		t.Fatal(err)
+	} else if fi.Size() != publishFrameBytes {
+		t.Errorf("wal.log holds %d bytes after one publish, want %d", fi.Size(), publishFrameBytes)
 	}
 
 	// Sever the descriptor so the next frame write fails.

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strconv"
 
@@ -292,7 +293,7 @@ func matchMulti(rw *mRewritten, t *relation.Tuple) (n Notification, out *outboun
 			QueryKey:     mq.Key(),
 			Subscriber:   mq.Subscriber(),
 			Values:       vals,
-			LeftPubT:     combo[0].PubT(),
+			LeftPubT:     chainPrefixID(rw),
 			RightPubT:    proj.PubT(),
 			subscriberIP: mq.SubscriberIP(),
 		}, nil, true
@@ -305,6 +306,22 @@ func matchMulti(rw *mRewritten, t *relation.Tuple) (n Notification, out *outboun
 		input: vlInput(next.WantRel, next.WantAttr, next.WantValue),
 		msg:   mJoinMsg{Rewrites: []*mRewritten{next}},
 	}, true
+}
+
+// chainPrefixID is the LeftPubT of the chain match that completes rw: what
+// identifies every matched tuple but the last. One tuple is identified by
+// its publication time, as in a two-way match. Longer prefixes get the top
+// 63 bits of Hash(rw.Key) — the key already lists the prefix's publication
+// times — because the SELECT list may name the end relations only, and
+// then combinations that differ in an interior tuple share their content
+// and both end times; delivery deduplication (deliveryKey) would drop all
+// but one of them as repeats.
+func chainPrefixID(rw *mRewritten) int64 {
+	if len(rw.Acc) == 1 {
+		return rw.Acc[0].PubT()
+	}
+	h := id.Hash(rw.Key)
+	return int64(binary.BigEndian.Uint64(h[:8]) >> 1)
 }
 
 // handleMJoin processes partial matches arriving at a value-level node:

@@ -23,7 +23,9 @@ type Notification struct {
 	// Values is the SELECT projection in declaration order.
 	Values []relation.Value
 	// LeftPubT and RightPubT are the publication times of the matched
-	// tuples of the left and right join relations.
+	// tuples of the left and right join relations. A chain match of more
+	// than two relations has RightPubT for its last tuple and identifies
+	// the others together in LeftPubT (chainPrefixID).
 	LeftPubT, RightPubT int64
 	// DeliveredAt is the logical time the notification reached its
 	// subscriber (possibly after an offline period).

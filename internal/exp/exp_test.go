@@ -2,6 +2,8 @@ package exp
 
 import (
 	"bytes"
+	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -28,15 +30,33 @@ func numCell(t *testing.T, tab *Table, row, col int) float64 {
 	return v
 }
 
+// TestAllExperimentsRunAndPrint holds every cell of every table at CI
+// scale to testdata/ci.golden, which is exactly the stdout of
+// `joinsim -exp all` (both go through Report): the experiments count hops,
+// messages and loads in a seeded simulator, so any difference is a change
+// in behaviour, never noise. After an intended one, regenerate the file:
+//
+//	go run ./cmd/joinsim -exp all > internal/exp/testdata/ci.golden
 func TestAllExperimentsRunAndPrint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are expensive")
 	}
-	sc := tinyScale()
-	for _, e := range All() {
-		e := e
+	golden, err := os.ReadFile("testdata/ci.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tabs []*Table
+	var buf bytes.Buffer
+	Report(&buf, CI(), All(), func(_ Experiment, tab *Table) { tabs = append(tabs, tab) })
+	// Blank lines separate the blocks: the scale header, then one table
+	// each in All() order (and nothing after the last blank line).
+	got, want := strings.Split(buf.String(), "\n\n"), strings.Split(string(golden), "\n\n")
+	if len(got) != len(want) || got[0] != want[0] {
+		t.Fatalf("rendered %d blocks under %q, the golden has %d under %q", len(got), got[0], len(want), want[0])
+	}
+	for i, e := range All() {
+		tab, got, want := tabs[i], got[i+1], want[i+1]
 		t.Run(e.ID, func(t *testing.T) {
-			tab := e.Run(sc)
 			if tab.ID != e.ID {
 				t.Fatalf("table id %q != registry id %q", tab.ID, e.ID)
 			}
@@ -48,12 +68,37 @@ func TestAllExperimentsRunAndPrint(t *testing.T) {
 					t.Fatalf("row width %d != header width %d: %v", len(row), len(tab.Header), row)
 				}
 			}
-			var buf bytes.Buffer
-			tab.Print(&buf)
-			if !strings.Contains(buf.String(), tab.Title) {
+			if !strings.Contains(got, tab.Title) {
 				t.Fatal("Print lost the title")
 			}
+			gotLines, wantLines := strings.Split(got, "\n"), strings.Split(want, "\n")
+			if len(gotLines) != len(wantLines) {
+				t.Fatalf("%d lines, the golden has %d:\n%s", len(gotLines), len(wantLines), got)
+			}
+			for i := range gotLines {
+				if gotLines[i] != wantLines[i] {
+					t.Errorf("line %d:\n   got %q\n  want %q", i+1, gotLines[i], wantLines[i])
+				}
+			}
 		})
+	}
+}
+
+// TestParallelEquality is the determinism contract of DESIGN.md §8 at the
+// table level: one worker and the full budget render the same bytes.
+func TestParallelEquality(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiments are expensive")
+	}
+	defer SetParallelism(0)
+	var seq, par bytes.Buffer
+	SetParallelism(1)
+	Report(&seq, tinyScale(), All(), nil)
+	// At least two workers, so the pool runs even on a one-CPU host.
+	SetParallelism(max(runtime.GOMAXPROCS(0), 2))
+	Report(&par, tinyScale(), All(), nil)
+	if seq.String() != par.String() {
+		t.Fatalf("tables differ between 1 and %d workers:\n--- sequential\n%s\n--- parallel\n%s", Parallelism(), &seq, &par)
 	}
 }
 

@@ -2,6 +2,8 @@ package exp
 
 import (
 	"cqjoin/internal/engine"
+	"cqjoin/internal/query"
+	"cqjoin/internal/relation"
 	"cqjoin/internal/workload"
 )
 
@@ -22,25 +24,7 @@ func X71(sc Scale) *Table {
 	rows := make([][]string, len(ks))
 	ForEach(len(ks), func(ki int) {
 		k := ks[ki]
-		// A moderately sparse value domain keeps the number of completed
-		// combinations from exploding combinatorially with k while still
-		// exercising every pipeline stage.
-		r := Setup(engine.Config{Algorithm: engine.SAI}, sc, workload.Params{Pairs: 2, Attrs: 2, Domain: 200, Theta: 0.5})
-		queries := sc.Queries / 8
-		if queries == 0 {
-			queries = 1
-		}
-		for i := 0; i < queries; i++ {
-			if _, err := r.Eng.SubscribeMulti(r.randomNode(), r.Gen.QueryChain(k)); err != nil {
-				panic(err)
-			}
-		}
-		r.ResetMeters()
-		for i := 0; i < sc.Tuples; i++ {
-			if _, err := r.Eng.Publish(r.randomNode(), r.Gen.ChainTuple(k)); err != nil {
-				panic(err)
-			}
-		}
+		r, _, _ := chainRun(sc, k)
 		m := r.Measure(sc.Tuples)
 		rows[ki] = []string{d(int64(k)), f1(m.HopsPerTuple),
 			d(r.Net.Traffic().Messages("mjoin")),
@@ -50,4 +34,33 @@ func X71(sc Scale) *Table {
 		t.AddRow(row...)
 	}
 	return t
+}
+
+// chainRun is one X7.1 cell: sc.Queries/8 chain queries of arity k, then
+// sc.Tuples chain tuples, meters reset in between. It returns the queries
+// as indexed and the tuples as stamped, so a test can join the same stream
+// by brute force.
+func chainRun(sc Scale, k int) (*Run, []*query.MultiQuery, []*relation.Tuple) {
+	// A moderately sparse value domain keeps the number of completed
+	// combinations from exploding combinatorially with k while still
+	// exercising every pipeline stage.
+	r := Setup(engine.Config{Algorithm: engine.SAI}, sc, workload.Params{Pairs: 2, Attrs: 2, Domain: 200, Theta: 0.5})
+	queries := make([]*query.MultiQuery, max(sc.Queries/8, 1))
+	for i := range queries {
+		mq, err := r.Eng.SubscribeMulti(r.randomNode(), r.Gen.QueryChain(k))
+		if err != nil {
+			panic(err)
+		}
+		queries[i] = mq
+	}
+	r.ResetMeters()
+	tuples := make([]*relation.Tuple, sc.Tuples)
+	for i := range tuples {
+		tu, err := r.Eng.Publish(r.randomNode(), r.Gen.ChainTuple(k))
+		if err != nil {
+			panic(err)
+		}
+		tuples[i] = tu
+	}
+	return r, queries, tuples
 }

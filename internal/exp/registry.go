@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"io"
 	"sort"
 )
 
@@ -50,4 +51,21 @@ func Lookup(idStr string) (Experiment, error) {
 	}
 	sort.Strings(ids)
 	return Experiment{}, fmt.Errorf("exp: unknown experiment %q (available: %v)", idStr, ids)
+}
+
+// Report runs the experiments at scale sc and writes to w what
+// `joinsim -exp ...` prints on stdout: the scale header, then every table,
+// calling done (if non-nil) after each. Those bytes are a pure function of
+// code and scale at any parallelism — testdata/ci.golden is Report(All())
+// at CI() — so wall times are the caller's to take and print elsewhere.
+func Report(w io.Writer, sc Scale, todo []Experiment, done func(Experiment, *Table)) {
+	fmt.Fprintf(w, "scale: nodes=%d queries=%d tuples=%d seed=%d\n\n", sc.Nodes, sc.Queries, sc.Tuples, sc.Seed)
+	for _, e := range todo {
+		tab := e.Run(sc)
+		tab.Print(w)
+		fmt.Fprintln(w)
+		if done != nil {
+			done(e, tab)
+		}
+	}
 }

@@ -9,9 +9,9 @@ import (
 	"cqjoin/internal/workload"
 )
 
-// Scale sets the size of an experiment run. Benchmarks and `go test` use
-// CI(); the CLI defaults to Paper(), the thesis set-up (10^4-node network,
-// 10^5 indexed queries, Section 4.5).
+// Scale sets the size of an experiment run. The CLI and the golden test
+// default to CI(); Paper() is the thesis set-up (10^4-node network, 10^5
+// indexed queries, Section 4.5).
 type Scale struct {
 	Nodes   int
 	Queries int

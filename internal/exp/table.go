@@ -1,7 +1,7 @@
 // Package exp regenerates every table and figure of the paper's evaluation
 // chapter. Each experiment is a function returning a Table whose rows are
 // the series the corresponding thesis figure plots; cmd/joinsim prints them
-// and bench_test.go wraps each one in a testing.B benchmark. The
+// and TestAllExperimentsRunAndPrint pins every cell at CI scale. The
 // experiment ids follow the thesis List of Figures (see DESIGN.md §3 for
 // the full index and the reconstruction caveats).
 package exp

@@ -1,9 +1,7 @@
 // Package obs is the repo's observability layer: a lightweight,
 // allocation-conscious metrics registry (counters, gauges and fixed-bucket
 // histograms) that the simulation substrate, the overlay and the engine
-// hang their instrumentation on, plus the machine-readable run manifests
-// (manifest.go) and the manifest comparison logic behind cmd/benchdiff
-// (diff.go).
+// hang their instrumentation on.
 //
 // The central design decision is that a disabled layer must be zero-cost:
 // every handle type (*Counter, *Gauge, *Histogram, *CounterVec) is a no-op
@@ -23,7 +21,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -405,7 +402,7 @@ func (r *Registry) CounterVec(name string) *CounterVec {
 // as their count, gauges as value plus a ".hwm" entry, histograms as
 // ".count"/".sum"/".p50"/".p99"/".p999" entries, and counter families as
 // one entry per label ("name{kind}") plus a ".total". The flattening is
-// what manifests and tests consume.
+// what tests and the daemon's stats reply consume.
 func (r *Registry) Snapshot() map[string]float64 {
 	if r == nil {
 		return nil
@@ -436,24 +433,6 @@ func (r *Registry) Snapshot() map[string]float64 {
 	return out
 }
 
-// LatencyBounds returns a 1-2-5 log ladder from 10µs to 10s, in
-// nanoseconds — the bucket table load harnesses spread into latency
-// histograms. Quantiles resolve to a bucket upper bound, so at this
-// spacing p50/p99/p999 land within one 1-2-5 step of truth across six
-// decades; anything above 10s reports the overflow sentinel.
-func LatencyBounds() []int64 {
-	const top = int64(10_000_000_000)
-	bounds := make([]int64, 0, 19)
-	for decade := int64(10_000); decade <= top; decade *= 10 {
-		for _, m := range []int64{1, 2, 5} {
-			if b := decade * m; b <= top {
-				bounds = append(bounds, b)
-			}
-		}
-	}
-	return bounds
-}
-
 // quantileOrZero clamps the overflow sentinel so snapshots stay finite.
 func quantileOrZero(h *Histogram, q float64) float64 {
 	v := h.Quantile(q)
@@ -461,21 +440,6 @@ func quantileOrZero(h *Histogram, q float64) float64 {
 		return -1 // observation fell in the overflow bucket
 	}
 	return float64(v)
-}
-
-// Dump renders the snapshot as sorted "name value" lines for logs.
-func (r *Registry) Dump() string {
-	snap := r.Snapshot()
-	names := make([]string, 0, len(snap))
-	for n := range snap {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for _, n := range names {
-		fmt.Fprintf(&b, "%s %g\n", n, snap[n])
-	}
-	return b.String()
 }
 
 // Reset zeroes every registered metric (keeping registrations). No-op on
