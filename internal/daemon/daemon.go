@@ -6,14 +6,17 @@ package daemon
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log"
 	"net"
+	"slices"
 	"strings"
 	"sync"
+	"time"
 
 	"cqjoin"
 	"cqjoin/internal/chord"
@@ -80,7 +83,8 @@ type Server struct {
 	cfg      Config
 	cluster  *cqjoin.Cluster
 	catalog  *cqjoin.Catalog
-	reg      *obs.Registry    // transport metrics; nil in single-process mode
+	reg      *obs.Registry    // daemon.*, codec.* and (multi-process) transport.* metrics
+	met      serverMetrics    // handles into reg
 	tr       *transport.TCP   // nil in single-process mode
 	members  *membership      // nil in single-process mode
 	codec    engine.WireCodec // re-encodes inbound deliveries for the WAL
@@ -90,7 +94,7 @@ type Server struct {
 
 	mu        sync.Mutex
 	queries   map[string]queryRef // query key -> owner + handle
-	listeners map[*listener]struct{}
+	listeners []*listener         // copy-on-write: broadcast reads it outside mu
 	listening net.Listener
 	// conns tracks accepted client connections and connWG their handler
 	// goroutines, so Close can tear both down instead of leaking blocked
@@ -109,10 +113,13 @@ type queryRef struct {
 	mq      *cqjoin.MultiQuery
 }
 
-type listener struct {
-	mu  sync.Mutex
-	w   io.Writer
-	enc *json.Encoder // writes to w
+// serverMetrics is the client-socket side of the daemon as stats reports it.
+type serverMetrics struct {
+	listeners  *obs.Gauge   // connections that have issued "listen"
+	queueBytes *obs.Gauge   // queued for listeners, not yet handed to a Write
+	queueHWM   *obs.Gauge   // the deepest any one listener's queue has been
+	dropped    *obs.Counter // listeners disconnected at maxListenerBacklog
+	writes     *obs.Counter // flushes: events per write is the coalescing factor
 }
 
 // New builds a server around a fresh cluster. With cfg.OverlayAddr set it
@@ -141,16 +148,25 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	reg := obs.NewRegistry()
 	s := &Server{
-		cfg:       cfg,
-		cluster:   cluster,
-		catalog:   catalog,
-		codec:     engine.NewWireCodec(catalog),
-		logf:      log.Printf,
-		queries:   make(map[string]queryRef),
-		listeners: make(map[*listener]struct{}),
-		conns:     make(map[net.Conn]struct{}),
+		cfg:     cfg,
+		cluster: cluster,
+		catalog: catalog,
+		reg:     reg,
+		met: serverMetrics{
+			listeners:  reg.Gauge("daemon.listeners"),
+			queueBytes: reg.Gauge("daemon.listener_queue_bytes"),
+			queueHWM:   reg.Gauge("daemon.listener_queue_hwm_bytes"),
+			dropped:    reg.Counter("daemon.listener_dropped"),
+			writes:     reg.Counter("daemon.listener_writes"),
+		},
+		codec:   engine.NewWireCodec(catalog),
+		logf:    log.Printf,
+		queries: make(map[string]queryRef),
+		conns:   make(map[net.Conn]struct{}),
 	}
+	s.codec.Observe(reg)
 	if cfg.OverlayAddr != "" {
 		self := false
 		for _, p := range cfg.Peers {
@@ -176,7 +192,6 @@ func New(cfg Config) (*Server, error) {
 			}
 			s.members = newMembership(cfg.OverlayAddr, cfg.Peers, 1)
 		}
-		s.reg = obs.NewRegistry()
 		tr, err := transport.New(transport.Config{
 			Self:       cfg.OverlayAddr,
 			OwnerOf:    s.members.ownerOf,
@@ -557,8 +572,9 @@ func (s *Server) Shutdown() error {
 	return first
 }
 
-// Close stops accepting connections, closes every accepted client
-// connection, waits for their handlers to drain, and shuts down the
+// Close stops accepting connections, ends every accepted client connection
+// — a listening one is first sent what is queued for it, under
+// closeFlushGrace — waits for their handlers and writers, and shuts down the
 // overlay transport if one is running.
 func (s *Server) Close() error {
 	s.mu.Lock()
@@ -573,10 +589,11 @@ func (s *Server) Close() error {
 	if ln != nil {
 		err = ln.Close()
 	}
-	// Closing a connection unblocks its handler's readLine, so the drain
-	// below terminates.
+	// The read deadline unblocks a handler's readLine, the write deadline one
+	// writing to a client that stopped reading, so the drain below terminates.
 	for _, c := range conns {
-		_ = c.Close()
+		_ = c.SetReadDeadline(time.Unix(1, 0))
+		_ = c.SetWriteDeadline(time.Now().Add(closeFlushGrace))
 	}
 	s.connWG.Wait()
 	if s.tr != nil {
@@ -616,20 +633,28 @@ var errLineTooLong = errors.New("daemon: line too long")
 
 func (s *Server) handleConn(conn net.Conn) {
 	defer s.connWG.Done()
-	defer func() { _ = conn.Close() }()
-	lst := &listener{w: conn, enc: json.NewEncoder(conn)}
+	lst := &listener{conn: conn, done: make(chan struct{})}
+	lst.enc = json.NewEncoder(&lst.out)
+	lst.wake.L = &lst.mu
 	defer func() {
 		s.mu.Lock()
-		delete(s.listeners, lst)
+		if i := slices.Index(s.listeners, lst); i >= 0 {
+			s.listeners = slices.Delete(slices.Clone(s.listeners), i, i+1)
+		}
 		delete(s.conns, conn)
 		s.mu.Unlock()
+		if lst.queued {
+			lst.finish()
+			s.met.listeners.Add(-1)
+		}
+		_ = conn.Close()
 	}()
 
 	br := bufio.NewReaderSize(conn, 64*1024)
 	for {
 		line, err := readLine(br, maxLineBytes)
 		if err == errLineTooLong {
-			lst.send(map[string]interface{}{
+			s.send(lst, map[string]interface{}{
 				"ok":    false,
 				"error": fmt.Sprintf("line too long: limit is %d bytes", maxLineBytes),
 			})
@@ -639,70 +664,47 @@ func (s *Server) handleConn(conn net.Conn) {
 			s.mu.Lock()
 			closing := s.closed
 			s.mu.Unlock()
-			if err != io.EOF && !closing {
+			// net.ErrClosed: enqueue dropped this listener, and logged it.
+			if err != io.EOF && !errors.Is(err, net.ErrClosed) && !closing {
 				s.logf("daemon: connection %s: read: %v", conn.RemoteAddr(), err)
-				lst.send(map[string]interface{}{"ok": false, "error": "read: " + err.Error()})
+				s.send(lst, map[string]interface{}{"ok": false, "error": "read: " + err.Error()})
 			}
 			return
 		}
-		line = strings.TrimSpace(line)
-		if line == "" {
+		if line = bytes.TrimSpace(line); len(line) == 0 {
 			continue
 		}
 		var req request
-		if err := json.Unmarshal([]byte(line), &req); err != nil {
-			lst.send(map[string]interface{}{"ok": false, "error": "bad json: " + err.Error()})
+		if err := json.Unmarshal(line, &req); err != nil {
+			s.send(lst, map[string]interface{}{"ok": false, "error": "bad json: " + err.Error()})
 			continue
 		}
-		lst.send(s.dispatch(&req, lst))
+		s.send(lst, s.dispatch(&req, lst))
 	}
 }
 
 // readLine returns the next newline-terminated line (or a final
-// unterminated one at EOF). A line exceeding max is drained fully and
-// reported as errLineTooLong, leaving the reader at the next line.
-func readLine(br *bufio.Reader, max int) (string, error) {
-	var buf []byte
-	for {
+// unterminated one at EOF), valid until the next read. A line exceeding max
+// is consumed whole and reported as errLineTooLong, leaving the reader at the
+// next line.
+func readLine(br *bufio.Reader, max int) ([]byte, error) {
+	var long []byte // a line longer than the reader's buffer is assembled here
+	for n := 0; ; {
 		chunk, err := br.ReadSlice('\n')
-		buf = append(buf, chunk...)
-		switch err {
-		case nil:
-			if len(buf) > max {
-				return "", errLineTooLong
+		n += len(chunk)
+		switch {
+		case err == bufio.ErrBufferFull:
+			if n <= max { // past max the rest of the line is only drained
+				long = append(long, chunk...)
 			}
-			return string(buf), nil
-		case bufio.ErrBufferFull:
-			if len(buf) > max {
-				if derr := drainLine(br); derr != nil {
-					return "", derr
-				}
-				return "", errLineTooLong
-			}
-		case io.EOF:
-			if len(buf) > max {
-				return "", errLineTooLong
-			}
-			if len(buf) > 0 {
-				return string(buf), nil
-			}
-			return "", io.EOF
+		case err != nil && (err != io.EOF || n == 0):
+			return nil, err
+		case n > max:
+			return nil, errLineTooLong
+		case long != nil:
+			return append(long, chunk...), nil
 		default:
-			return "", err
-		}
-	}
-}
-
-// drainLine discards the remainder of the current line.
-func drainLine(br *bufio.Reader) error {
-	for {
-		_, err := br.ReadSlice('\n')
-		switch err {
-		case nil:
-			return nil
-		case bufio.ErrBufferFull:
-		default:
-			return err
+			return chunk, nil
 		}
 	}
 }
@@ -737,8 +739,23 @@ func (s *Server) OwnsNode(i int) bool {
 	return s.members.ownerOf(s.cluster.Node(i).Key()) == s.cfg.OverlayAddr
 }
 
-func (s *Server) dispatch(req *request, lst *listener) map[string]interface{} {
-	fail := func(err error) map[string]interface{} {
+// The acknowledgements of the per-operation requests. Each declares its
+// fields in sorted key order — the order encoding/json gave the map it
+// replaces — so the bytes on the client socket did not change.
+type okAck struct {
+	OK bool `json:"ok"`
+}
+type keyAck struct {
+	Key string `json:"key"`
+	OK  bool   `json:"ok"`
+}
+type pubAck struct {
+	OK   bool  `json:"ok"`
+	PubT int64 `json:"pubt"`
+}
+
+func (s *Server) dispatch(req *request, lst *listener) interface{} {
+	fail := func(err error) interface{} {
 		return map[string]interface{}{"ok": false, "error": err.Error()}
 	}
 	switch req.Op {
@@ -754,7 +771,7 @@ func (s *Server) dispatch(req *request, lst *listener) map[string]interface{} {
 		s.mu.Lock()
 		s.queries[q.Key()] = queryRef{nodeKey: node.Key(), q: q}
 		s.mu.Unlock()
-		return map[string]interface{}{"ok": true, "key": q.Key()}
+		return keyAck{Key: q.Key(), OK: true}
 	case "subscribe-multi":
 		node, err := s.localNode(req.Node)
 		if err != nil {
@@ -767,7 +784,7 @@ func (s *Server) dispatch(req *request, lst *listener) map[string]interface{} {
 		s.mu.Lock()
 		s.queries[mq.Key()] = queryRef{nodeKey: node.Key(), mq: mq}
 		s.mu.Unlock()
-		return map[string]interface{}{"ok": true, "key": mq.Key()}
+		return keyAck{Key: mq.Key(), OK: true}
 	case "unsubscribe":
 		s.mu.Lock()
 		ref, ok := s.queries[req.Key]
@@ -789,24 +806,28 @@ func (s *Server) dispatch(req *request, lst *listener) map[string]interface{} {
 		if err != nil {
 			return fail(err)
 		}
-		return map[string]interface{}{"ok": true}
+		return okAck{OK: true}
 	case "publish":
 		node, err := s.localNode(req.Node)
 		if err != nil {
 			return fail(err)
 		}
-		vals := make([]interface{}, len(req.Values))
-		copy(vals, req.Values)
-		t, err := node.Publish(req.Relation, vals...)
+		t, err := node.Publish(req.Relation, req.Values...)
 		if err != nil {
 			return fail(err)
 		}
-		return map[string]interface{}{"ok": true, "pubt": t.PubT()}
+		return pubAck{OK: true, PubT: t.PubT()}
 	case "listen":
-		s.mu.Lock()
-		s.listeners[lst] = struct{}{}
-		s.mu.Unlock()
-		return map[string]interface{}{"ok": true}
+		if !lst.queued {
+			lst.queued = true // this reply already travels through the queue
+			s.mu.Lock()
+			s.listeners = append(slices.Clone(s.listeners), lst)
+			s.mu.Unlock()
+			s.met.listeners.Add(1)
+			s.connWG.Add(1) // under the handler's own count, so never from zero
+			go lst.writeLoop(s)
+		}
+		return okAck{OK: true}
 	case "stats":
 		tr := s.cluster.Traffic()
 		ring := chord.CheckRing(s.cluster.Overlay())
@@ -824,8 +845,15 @@ func (s *Server) dispatch(req *request, lst *listener) map[string]interface{} {
 			"eval_load_gini": eval.Gini,
 			"hot_keys":       len(s.cluster.HotKeys()),
 		}
-		if s.reg != nil {
-			resp["transport"] = s.reg.Snapshot()
+		// A section per layer with metrics: "daemon", "codec", "transport".
+		for name, v := range s.reg.Snapshot() {
+			layer, _, _ := strings.Cut(name, ".")
+			section, _ := resp[layer].(map[string]float64)
+			if section == nil {
+				section = make(map[string]float64)
+				resp[layer] = section
+			}
+			section[name] = v
 		}
 		if s.members != nil {
 			v := s.members.view()
@@ -839,7 +867,7 @@ func (s *Server) dispatch(req *request, lst *listener) map[string]interface{} {
 		if err := s.LeaveOverlay(); err != nil {
 			return fail(err)
 		}
-		return map[string]interface{}{"ok": true}
+		return okAck{OK: true}
 	case "overlay-config":
 		// Enough for `cqjoind -join` to build an identical overlay. Peers
 		// reflects the live membership, not the boot-time list, so a
@@ -862,60 +890,4 @@ func (s *Server) dispatch(req *request, lst *listener) map[string]interface{} {
 	default:
 		return fail(fmt.Errorf("unknown op %q", req.Op))
 	}
-}
-
-// notificationEvent is the line a listening connection receives per
-// notification. Its fields are in alphabetical key order — the order
-// encoding/json gave the map this struct replaces — so the bytes on the
-// client socket did not change.
-type notificationEvent struct {
-	Event      string        `json:"event"`
-	Query      string        `json:"query"`
-	Subscriber string        `json:"subscriber"`
-	Values     []interface{} `json:"values"`
-}
-
-// broadcast pushes one notification to every listening connection: the
-// line is encoded once and the same bytes go to each listener.
-func (s *Server) broadcast(n cqjoin.Notification) {
-	s.mu.Lock()
-	targets := make([]*listener, 0, len(s.listeners))
-	for l := range s.listeners {
-		targets = append(targets, l)
-	}
-	s.mu.Unlock()
-	if len(targets) == 0 {
-		return
-	}
-	vals := make([]interface{}, len(n.Values))
-	for i, v := range n.Values {
-		if v.Kind() == cqjoin.NumberKind {
-			vals[i] = v.Num()
-		} else {
-			vals[i] = v.Str()
-		}
-	}
-	line, err := json.Marshal(notificationEvent{
-		Event: "notification", Query: n.QueryKey, Subscriber: n.Subscriber, Values: vals,
-	})
-	if err != nil {
-		return // a NaN or infinite value has no JSON form; json.Encoder wrote nothing either
-	}
-	line = append(line, '\n')
-	for _, l := range targets {
-		l.sendLine(line)
-	}
-}
-
-// sendLine writes one already-encoded, newline-terminated line.
-func (l *listener) sendLine(line []byte) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	_, _ = l.w.Write(line) // a dead connection is reaped by its reader
-}
-
-func (l *listener) send(v interface{}) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	_ = l.enc.Encode(v)
 }

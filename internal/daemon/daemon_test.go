@@ -2,11 +2,15 @@ package daemon
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"cqjoin"
 )
 
 func startServer(t *testing.T, cfg Config) (*Server, net.Conn) {
@@ -287,19 +291,42 @@ func TestConcurrentClients(t *testing.T) {
 }
 
 // TestCloseDrainsClientConns pins Close's teardown of accepted client
-// connections: Close closes every live conn (unblocking handlers parked
-// in readLine), waits for their goroutines, and returns promptly; the
-// client side observes its connection closing. Without the conns/connWG
-// tracking, Close returned with every handler goroutine still blocked.
+// connections: Close ends every live conn (unblocking handlers parked in
+// readLine), waits for their goroutines, and returns promptly; the client
+// side observes its connection closing. Without the conns/connWG tracking,
+// Close returned with every handler goroutine still blocked. A listening
+// connection is flushed first: what was queued for it before Close reaches a
+// client that reads, and its writer goroutine ends with Close too.
 func TestCloseDrainsClientConns(t *testing.T) {
 	srv, conn := startServer(t, defaultConfig())
 	c := newClient(t, conn)
 	if resp := c.call(map[string]interface{}{"op": "stats"}); resp["ok"] != true {
 		t.Fatalf("stats: %v", resp)
 	}
+	// Queue more for a listener than its socket buffers hold while nobody
+	// reads, so that Close finds events still in the queue.
+	lconn, lr := listenRaw(t, srv)
+	n := cqjoin.Notification{QueryKey: "q#1", Subscriber: "s", Values: []cqjoin.Value{cqjoin.S(strings.Repeat("x", 8<<10))}}
+	const events = 1000 // 8 MB, under maxListenerBacklog
+	for i := 0; i < events; i++ {
+		srv.broadcast(n)
+	}
 
 	done := make(chan error, 1)
 	go func() { done <- srv.Close() }()
+	_ = lconn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	got := 0
+	for {
+		if _, err := lr.ReadSlice('\n'); err == bufio.ErrBufferFull {
+			continue
+		} else if err != nil {
+			break
+		}
+		got++
+	}
+	if got != events {
+		t.Fatalf("the listener received %d of the %d events queued before Close", got, events)
+	}
 	select {
 	case err := <-done:
 		if err != nil {
@@ -307,6 +334,10 @@ func TestCloseDrainsClientConns(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close did not return; client handlers not drained")
+	}
+	stacks := make([]byte, 1<<20)
+	if stacks = stacks[:runtime.Stack(stacks, true)]; bytes.Contains(stacks, []byte("writeLoop")) {
+		t.Fatalf("a listener's writer outlived Close:\n%s", stacks)
 	}
 
 	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))

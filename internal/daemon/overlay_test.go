@@ -261,6 +261,16 @@ func TestDaemonTwoProcessOverlay(t *testing.T) {
 	if tm["transport.dials"].(float64) == 0 || tm["transport.frame_bytes_out"].(float64) == 0 {
 		t.Fatalf("no cross-process traffic in metrics: %v", tm)
 	}
+	for name := range tm {
+		if !strings.HasPrefix(name, "transport.") {
+			t.Fatalf("stats section \"transport\" carries %s", name)
+		}
+	}
+	// The codec's memo counters sit beside them in a section of their own
+	// (which messages cross, and so what they read, depends on the ports).
+	if cm, _ := stats["codec"].(map[string]interface{}); cm["codec.memo_hits"] == nil || cm["codec.memo_misses"] == nil {
+		t.Fatalf("stats carry no codec memo counters: %v", stats)
+	}
 	mem, ok := stats["membership"].(map[string]interface{})
 	if !ok {
 		t.Fatalf("stats carry no membership: %v", stats)
@@ -437,13 +447,30 @@ func TestDaemonOverlayConfig(t *testing.T) {
 }
 
 // TestDaemonSingleProcessStatsHaveNoTransport pins the single-process
-// protocol surface: no overlay, no transport section in stats.
+// protocol surface: no overlay, no transport section in stats — but the
+// daemon's own client-socket metrics and the codec's memo counters, which
+// exist in every mode, each in the section named after its layer.
 func TestDaemonSingleProcessStatsHaveNoTransport(t *testing.T) {
 	_, conn := startServer(t, defaultConfig())
 	c := newClient(t, conn)
+	c.call(map[string]interface{}{"op": "listen"})
 	stats := c.call(map[string]interface{}{"op": "stats"})
 	if _, has := stats["transport"]; has {
 		t.Fatalf("single-process stats carry transport metrics: %v", stats)
+	}
+	for section, names := range map[string][]string{
+		"daemon": {"daemon.listeners", "daemon.listener_queue_bytes", "daemon.listener_queue_hwm_bytes", "daemon.listener_dropped", "daemon.listener_writes"},
+		"codec":  {"codec.memo_hits", "codec.memo_misses", "codec.memo_resets"},
+	} {
+		got, _ := stats[section].(map[string]interface{})
+		for _, name := range names {
+			if _, ok := got[name].(float64); !ok {
+				t.Fatalf("stats section %q has no %s: %v", section, name, stats)
+			}
+		}
+	}
+	if got := stats["daemon"].(map[string]interface{})["daemon.listeners"]; got != 1.0 {
+		t.Fatalf("daemon.listeners = %v with one listening connection", got)
 	}
 	if resp := c.call(map[string]interface{}{"op": "overlay-config"}); resp["ok"] != true {
 		t.Fatalf("overlay-config: %v", resp)

@@ -1,0 +1,5 @@
+//go:build !race
+
+package daemon
+
+const raceEnabled = false

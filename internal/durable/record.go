@@ -266,7 +266,7 @@ func decodeRecord(r *wire.Reader) (any, error) {
 }
 
 // recCount validates an element count against the bytes remaining, like
-// the engine codec's sliceCount: every element takes at least one byte.
+// the engine codec's decodeCount: every element takes at least one byte.
 func recCount(r *wire.Reader) (int, error) {
 	n, err := r.Uvarint()
 	if err != nil {

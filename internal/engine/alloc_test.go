@@ -4,7 +4,10 @@ import (
 	"runtime"
 	"testing"
 
+	"cqjoin/internal/chord"
+	"cqjoin/internal/query"
 	"cqjoin/internal/relation"
+	"cqjoin/internal/wire"
 )
 
 // publicationAllocCeiling bounds the allocations of one SAI publication in
@@ -94,5 +97,71 @@ func TestRetainedBytesPerPublicationCeiling(t *testing.T) {
 	t.Logf("%d bytes retained per publication (ceiling %d)", perPub, retainedBytesCeiling)
 	if perPub > retainedBytesCeiling {
 		t.Fatalf("%d bytes retained per publication, ceiling %d: see retainedBytesCeiling", perPub, retainedBytesCeiling)
+	}
+}
+
+// Decoding what a receiver has decoded before must stay cheap: through a
+// WireCodec whose memo is warm, the four rewrites of one group cost their
+// keys, their message, their shared target and its trigger — no query, no
+// parse — and a one-notification batch its slices and values: 10 and 4
+// measured, and the ceilings are those plus 10 %, rounded down. One re-built
+// query is 2 allocations, one un-interned identity string 1: either passes
+// its ceiling.
+const (
+	warmJoinDecodeAllocCeiling   = 11
+	warmNotifyDecodeAllocCeiling = 4
+)
+
+func TestWarmDecodeAllocCeilings(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	env := newTestEnv(t, 16, Config{Algorithm: SAI})
+	tu := rTuple(env, 1, 7, 2).WithPubT(9)
+	su := sTuple(env, 3, 7, 1).WithPubT(11)
+	var rws []*rewritten
+	var notifs []Notification
+	var target *rewriteTarget
+	for i := 0; i < 4; i++ {
+		q := env.subscribe(t, i, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
+		if target == nil {
+			proj, err := tu.ProjectOnto(q.Projection(query.SideLeft))
+			if err != nil {
+				t.Fatal(err)
+			}
+			target = &rewriteTarget{IndexSide: query.SideLeft, Trigger: proj, WantRel: "S", WantAttr: "E", WantValue: relation.N(7)}
+		}
+		rws = append(rws, &rewritten{Key: q.Key() + "+9", Orig: q, rewriteTarget: target})
+		n, err := buildNotification(q, query.SideLeft, target.Trigger, su)
+		if err != nil {
+			t.Fatal(err)
+		}
+		notifs = append(notifs, n)
+	}
+	codec := NewWireCodec(env.catalog)
+	for _, tc := range []struct {
+		msg     chord.Message
+		ceiling float64
+	}{
+		{joinMsg{Rewrites: rws}, warmJoinDecodeAllocCeiling},
+		{notifyMsg{Subscriber: notifs[0].Subscriber, Batch: notifs[:1]}, warmNotifyDecodeAllocCeiling},
+	} {
+		var w wire.Buffer
+		if err := codec.Encode(&w, tc.msg); err != nil {
+			t.Fatal(err)
+		}
+		var r wire.Reader
+		decode := func() {
+			r.Reset(w.Bytes())
+			if _, err := codec.Decode(&r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		decode() // warm the memo
+		allocs := testing.AllocsPerRun(200, decode)
+		t.Logf("%T: %.0f allocations per warm decode (ceiling %.0f)", tc.msg, allocs, tc.ceiling)
+		if allocs > tc.ceiling {
+			t.Fatalf("%T: %.0f allocations per warm decode, ceiling %.0f", tc.msg, allocs, tc.ceiling)
+		}
 	}
 }

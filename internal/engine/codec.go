@@ -488,12 +488,16 @@ func boolBit(b bool) uint64 {
 	return 0
 }
 
-// sliceCount validates an element count read off the wire against the
-// bytes actually remaining: every element occupies at least one byte, so a
-// larger count is a malformed (or hostile) message — rejecting it here
-// keeps a forged length prefix from driving a giant allocation before the
+// decodeCount reads an element count and validates it against the bytes
+// actually remaining: every element occupies at least one byte, so a larger
+// count is a malformed (or hostile) message — rejecting it here keeps a
+// forged length prefix from driving a giant allocation before the
 // per-element reads would fail anyway.
-func sliceCount(r *wire.Reader, n uint64) (int, error) {
+func decodeCount(r *wire.Reader) (int, error) {
+	n, err := r.Uvarint()
+	if err != nil {
+		return 0, err
+	}
 	if n > uint64(r.Remaining()) {
 		return 0, fmt.Errorf("engine: element count %d exceeds %d remaining bytes", n, r.Remaining())
 	}
@@ -501,8 +505,14 @@ func sliceCount(r *wire.Reader, n uint64) (int, error) {
 }
 
 // DecodeMessage reads one message encoded by EncodeMessage, resolving
-// queries against the catalog.
+// queries against the catalog. Nothing decoded is shared with any other
+// call; a receiver of many messages decodes through a WireCodec, whose memo
+// is.
 func DecodeMessage(r *wire.Reader, catalog *relation.Catalog) (chord.Message, error) {
+	return decodeMessage(r, catalog, new(wire.Memo))
+}
+
+func decodeMessage(r *wire.Reader, catalog *relation.Catalog, memo *wire.Memo) (chord.Message, error) {
 	tag, err := r.Uvarint()
 	if err != nil {
 		return nil, err
@@ -510,7 +520,7 @@ func DecodeMessage(r *wire.Reader, catalog *relation.Catalog) (chord.Message, er
 	switch byte(tag) {
 	//wire:field dec queryMsg Q Attr Side Replica
 	case tagQuery:
-		q, err := wire.DecodeQuery(r, catalog, nil)
+		q, err := wire.DecodeQuery(r, catalog, memo)
 		if err != nil {
 			return nil, err
 		}
@@ -555,7 +565,7 @@ func DecodeMessage(r *wire.Reader, catalog *relation.Catalog) (chord.Message, er
 		return vlIndexMsg{T: t, Attr: attr}, nil
 	//wire:field dec joinMsg Rewrites
 	case tagJoin:
-		rws, err := decodeRewrittens(r, catalog)
+		rws, err := decodeRewrittens(r, catalog, memo)
 		if err != nil {
 			return nil, err
 		}
@@ -582,35 +592,26 @@ func DecodeMessage(r *wire.Reader, catalog *relation.Catalog) (chord.Message, er
 		if err != nil {
 			return nil, err
 		}
-		count, err := r.Uvarint()
+		n, err := decodeCount(r)
 		if err != nil {
 			return nil, err
 		}
-		n, err := sliceCount(r, count)
-		if err != nil {
-			return nil, err
-		}
-		parsed := parseMemo(n)
 		qs := make([]*query.Query, n)
 		for i := range qs {
-			if qs[i], err = wire.DecodeQuery(r, catalog, parsed); err != nil {
+			if qs[i], err = wire.DecodeQuery(r, catalog, memo); err != nil {
 				return nil, err
 			}
 		}
 		return joinVMsg{Input: input, Cond: cond, Side: query.Side(side), Value: val, Trigger: trig, Queries: qs}, nil
 	//wire:field dec joinBatch Msgs
 	case tagJoinBatch:
-		count, err := r.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		n, err := sliceCount(r, count)
+		n, err := decodeCount(r)
 		if err != nil {
 			return nil, err
 		}
 		msgs := make([]chord.Message, n)
 		for i := range msgs {
-			if msgs[i], err = DecodeMessage(r, catalog); err != nil {
+			if msgs[i], err = decodeMessage(r, catalog, memo); err != nil {
 				return nil, err
 			}
 		}
@@ -621,17 +622,13 @@ func DecodeMessage(r *wire.Reader, catalog *relation.Catalog) (chord.Message, er
 		if err != nil {
 			return nil, err
 		}
-		count, err := r.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		n, err := sliceCount(r, count)
+		n, err := decodeCount(r)
 		if err != nil {
 			return nil, err
 		}
 		batch := make([]Notification, n)
 		for i := range batch {
-			if batch[i], err = decodeNotification(r); err != nil {
+			if batch[i], err = decodeNotification(r, memo); err != nil {
 				return nil, err
 			}
 		}
@@ -671,7 +668,7 @@ func DecodeMessage(r *wire.Reader, catalog *relation.Catalog) (chord.Message, er
 		return purgeMsg{QueryKey: key, Input: input}, nil
 	//wire:field dec baselineQueryMsg Q Side Input
 	case tagBaselineQuery:
-		q, err := wire.DecodeQuery(r, catalog, nil)
+		q, err := wire.DecodeQuery(r, catalog, memo)
 		if err != nil {
 			return nil, err
 		}
@@ -705,7 +702,7 @@ func DecodeMessage(r *wire.Reader, catalog *relation.Catalog) (chord.Message, er
 		if err != nil {
 			return nil, err
 		}
-		rws, err := decodeRewrittens(r, catalog)
+		rws, err := decodeRewrittens(r, catalog, memo)
 		if err != nil {
 			return nil, err
 		}
@@ -727,11 +724,7 @@ func DecodeMessage(r *wire.Reader, catalog *relation.Catalog) (chord.Message, er
 		return mQueryMsg{MQ: mq, Attr: attr, Replica: int(replica)}, nil
 	//wire:field dec mJoinMsg Rewrites
 	case tagMJoin:
-		count, err := r.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		n, err := sliceCount(r, count)
+		n, err := decodeCount(r)
 		if err != nil {
 			return nil, err
 		}
@@ -743,7 +736,8 @@ func DecodeMessage(r *wire.Reader, catalog *relation.Catalog) (chord.Message, er
 		}
 		return mJoinMsg{Rewrites: rws}, nil
 	case tagHandoff:
-		return decodeHandoff(r, catalog)
+		// A node's whole state, decoded once: kept out of the long-lived memo.
+		return decodeHandoff(r, catalog, new(wire.Memo))
 	//wire:field dec hotJoinMsg Input Shard Version K Rewrites
 	case tagHotJoin:
 		input, err := r.String()
@@ -754,7 +748,7 @@ func DecodeMessage(r *wire.Reader, catalog *relation.Catalog) (chord.Message, er
 		if err != nil {
 			return nil, err
 		}
-		rws, err := decodeRewrittens(r, catalog)
+		rws, err := decodeRewrittens(r, catalog, memo)
 		if err != nil {
 			return nil, err
 		}
@@ -815,7 +809,7 @@ func DecodeMessage(r *wire.Reader, catalog *relation.Catalog) (chord.Message, er
 			return nil, err
 		}
 		entries := make([]vqEntry, ne)
-		d := rewriteDecoder{catalog: catalog, parsed: parseMemo(ne)}
+		d := rewriteDecoder{catalog: catalog, memo: memo}
 		for i := range entries {
 			if entries[i], err = decodeVQEntry(r, &d); err != nil {
 				return nil, err
@@ -833,7 +827,7 @@ func DecodeMessage(r *wire.Reader, catalog *relation.Catalog) (chord.Message, er
 		}
 		return hotHandoffMsg{Input: input, Shard: shard, Version: version, K: k, Entries: entries, Tuples: tuples}, nil
 	case tagSnapMeta:
-		return decodeSnapMeta(r, catalog)
+		return decodeSnapMeta(r, catalog, new(wire.Memo))
 	default:
 		return nil, fmt.Errorf("engine: unknown message tag %d", tag)
 	}
@@ -857,26 +851,12 @@ func decodeHotHeader(r *wire.Reader) (shard, version, k int, err error) {
 	return int(s), int(v), int(kk), nil
 }
 
-// parseMemo returns the map wire.DecodeQuery remembers parsed SQL texts in
-// for a message carrying n queries: a rewriter's group is the subscribers of
-// (mostly) one text, parsed once per message. One query needs no memo.
-func parseMemo(n int) map[string]*query.Query {
-	if n < 2 {
-		return nil
-	}
-	return make(map[string]*query.Query, 1)
-}
-
-func decodeRewrittens(r *wire.Reader, catalog *relation.Catalog) ([]*rewritten, error) {
-	count, err := r.Uvarint()
+func decodeRewrittens(r *wire.Reader, catalog *relation.Catalog, memo *wire.Memo) ([]*rewritten, error) {
+	n, err := decodeCount(r)
 	if err != nil {
 		return nil, err
 	}
-	n, err := sliceCount(r, count)
-	if err != nil {
-		return nil, err
-	}
-	d := rewriteDecoder{catalog: catalog, parsed: parseMemo(n)}
+	d := rewriteDecoder{catalog: catalog, memo: memo}
 	out := make([]*rewritten, n)
 	vals := make([]rewritten, n) // one allocation: a message's rewrites are stored together
 	for i := range out {
@@ -890,14 +870,14 @@ func decodeRewrittens(r *wire.Reader, catalog *relation.Catalog) ([]*rewritten, 
 
 // rewriteDecoder decodes consecutive rewritten queries — the rewrites of a
 // join message, the entries of a VLQT section — keeping what neighbours
-// share: the parsed SQL texts, and the previous rewrite's target with the
-// bytes it was decoded from. A rewriter sends a group's rewrites with one
+// share: the decode memo, and the previous rewrite's target with the bytes
+// it was decoded from. A rewriter sends a group's rewrites with one
 // target, so the next rewrite usually repeats those bytes exactly; it then
 // takes the same *rewriteTarget instead of decoding a copy, and the
 // receiver stores the shape the sender built.
 type rewriteDecoder struct {
 	catalog   *relation.Catalog
-	parsed    map[string]*query.Query
+	memo      *wire.Memo
 	target    *rewriteTarget
 	targetRaw []byte // aliases the reader's input
 }
@@ -908,7 +888,7 @@ func (d *rewriteDecoder) decodeRewritten(r *wire.Reader, rw *rewritten) error {
 	if err != nil {
 		return err
 	}
-	q, err := wire.DecodeQuery(r, d.catalog, d.parsed)
+	q, err := wire.DecodeQuery(r, d.catalog, d.memo)
 	if err != nil {
 		return err
 	}
@@ -957,23 +937,19 @@ func decodeRewriteTarget(r *wire.Reader, catalog *relation.Catalog, q *query.Que
 }
 
 //wire:field dec Notification QueryKey Subscriber subscriberIP Values LeftPubT RightPubT DeliveredAt
-func decodeNotification(r *wire.Reader) (Notification, error) {
+func decodeNotification(r *wire.Reader, memo *wire.Memo) (Notification, error) {
 	var n Notification
 	var err error
-	if n.QueryKey, err = r.String(); err != nil {
+	if n.QueryKey, err = memo.String(r); err != nil {
 		return n, err
 	}
-	if n.Subscriber, err = r.String(); err != nil {
+	if n.Subscriber, err = memo.String(r); err != nil {
 		return n, err
 	}
-	if n.subscriberIP, err = r.String(); err != nil {
+	if n.subscriberIP, err = memo.String(r); err != nil {
 		return n, err
 	}
-	rawCount, err := r.Uvarint()
-	if err != nil {
-		return n, err
-	}
-	count, err := sliceCount(r, rawCount)
+	count, err := decodeCount(r)
 	if err != nil {
 		return n, err
 	}
@@ -1048,11 +1024,7 @@ func decodeMRewritten(r *wire.Reader, catalog *relation.Catalog) (*mRewritten, e
 	if err != nil {
 		return nil, err
 	}
-	rawCount, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	count, err := sliceCount(r, rawCount)
+	count, err := decodeCount(r)
 	if err != nil {
 		return nil, err
 	}
@@ -1078,16 +1050,6 @@ func decodeMRewritten(r *wire.Reader, catalog *relation.Catalog) (*mRewritten, e
 		Key: key, Orig: mq, Stage: int(stage), Acc: acc,
 		WantRel: wantRel, WantAttr: wantAttr, WantValue: wantVal,
 	}, nil
-}
-
-// decodeCount reads a uvarint element count and validates it with
-// sliceCount.
-func decodeCount(r *wire.Reader) (int, error) {
-	raw, err := r.Uvarint()
-	if err != nil {
-		return 0, err
-	}
-	return sliceCount(r, raw)
 }
 
 //wire:field dec targetsEntry Key Targets
@@ -1125,7 +1087,7 @@ func decodeTargetsEntries(r *wire.Reader) ([]targetsEntry, error) {
 }
 
 //wire:field dec alGroupSection Cond Side Queries
-func decodeALGroupSection(r *wire.Reader, catalog *relation.Catalog) (alGroupSection, error) {
+func decodeALGroupSection(r *wire.Reader, catalog *relation.Catalog, memo *wire.Memo) (alGroupSection, error) {
 	var g alGroupSection
 	var err error
 	if g.Cond, err = r.String(); err != nil {
@@ -1142,7 +1104,7 @@ func decodeALGroupSection(r *wire.Reader, catalog *relation.Catalog) (alGroupSec
 	}
 	g.Queries = make([]*query.Query, nq)
 	for j := range g.Queries {
-		if g.Queries[j], err = wire.DecodeQuery(r, catalog, nil); err != nil {
+		if g.Queries[j], err = wire.DecodeQuery(r, catalog, memo); err != nil {
 			return g, err
 		}
 	}
@@ -1170,7 +1132,7 @@ func decodeALMultiSection(r *wire.Reader, catalog *relation.Catalog) (alMultiSec
 }
 
 //wire:field dec alSection Input Groups Multi SentRewrites SentTargets
-func decodeALSection(r *wire.Reader, catalog *relation.Catalog) (alSection, error) {
+func decodeALSection(r *wire.Reader, catalog *relation.Catalog, memo *wire.Memo) (alSection, error) {
 	var sec alSection
 	var err error
 	if sec.Input, err = r.String(); err != nil {
@@ -1182,7 +1144,7 @@ func decodeALSection(r *wire.Reader, catalog *relation.Catalog) (alSection, erro
 	}
 	sec.Groups = make([]alGroupSection, ng)
 	for i := range sec.Groups {
-		if sec.Groups[i], err = decodeALGroupSection(r, catalog); err != nil {
+		if sec.Groups[i], err = decodeALGroupSection(r, catalog, memo); err != nil {
 			return sec, err
 		}
 	}
@@ -1234,7 +1196,7 @@ func decodeVQEntry(r *wire.Reader, d *rewriteDecoder) (vqEntry, error) {
 }
 
 //wire:field dec vqSection Input Entries
-func decodeVQSection(r *wire.Reader, catalog *relation.Catalog) (vqSection, error) {
+func decodeVQSection(r *wire.Reader, catalog *relation.Catalog, memo *wire.Memo) (vqSection, error) {
 	var sec vqSection
 	var err error
 	if sec.Input, err = r.String(); err != nil {
@@ -1245,7 +1207,7 @@ func decodeVQSection(r *wire.Reader, catalog *relation.Catalog) (vqSection, erro
 		return sec, err
 	}
 	sec.Entries = make([]vqEntry, n)
-	d := rewriteDecoder{catalog: catalog, parsed: parseMemo(n)}
+	d := rewriteDecoder{catalog: catalog, memo: memo}
 	for i := range sec.Entries {
 		if sec.Entries[i], err = decodeVQEntry(r, &d); err != nil {
 			return sec, err
@@ -1348,7 +1310,7 @@ func decodeDVSection(r *wire.Reader, catalog *relation.Catalog) (dvSection, erro
 }
 
 //wire:field dec notifSection Subscriber Batch
-func decodeNotifSection(r *wire.Reader) (notifSection, error) {
+func decodeNotifSection(r *wire.Reader, memo *wire.Memo) (notifSection, error) {
 	var sec notifSection
 	var err error
 	if sec.Subscriber, err = r.String(); err != nil {
@@ -1360,7 +1322,7 @@ func decodeNotifSection(r *wire.Reader) (notifSection, error) {
 	}
 	sec.Batch = make([]Notification, n)
 	for i := range sec.Batch {
-		if sec.Batch[i], err = decodeNotification(r); err != nil {
+		if sec.Batch[i], err = decodeNotification(r, memo); err != nil {
 			return sec, err
 		}
 	}
@@ -1368,7 +1330,7 @@ func decodeNotifSection(r *wire.Reader) (notifSection, error) {
 }
 
 //wire:field dec handoffMsg AL VQ MQ VT DV Notifs
-func decodeHandoff(r *wire.Reader, catalog *relation.Catalog) (chord.Message, error) {
+func decodeHandoff(r *wire.Reader, catalog *relation.Catalog, memo *wire.Memo) (chord.Message, error) {
 	var m handoffMsg
 	nAL, err := decodeCount(r)
 	if err != nil {
@@ -1376,7 +1338,7 @@ func decodeHandoff(r *wire.Reader, catalog *relation.Catalog) (chord.Message, er
 	}
 	m.AL = make([]alSection, nAL)
 	for i := range m.AL {
-		if m.AL[i], err = decodeALSection(r, catalog); err != nil {
+		if m.AL[i], err = decodeALSection(r, catalog, memo); err != nil {
 			return nil, err
 		}
 	}
@@ -1386,7 +1348,7 @@ func decodeHandoff(r *wire.Reader, catalog *relation.Catalog) (chord.Message, er
 	}
 	m.VQ = make([]vqSection, nVQ)
 	for i := range m.VQ {
-		if m.VQ[i], err = decodeVQSection(r, catalog); err != nil {
+		if m.VQ[i], err = decodeVQSection(r, catalog, memo); err != nil {
 			return nil, err
 		}
 	}
@@ -1426,7 +1388,7 @@ func decodeHandoff(r *wire.Reader, catalog *relation.Catalog) (chord.Message, er
 	}
 	m.Notifs = make([]notifSection, nN)
 	for i := range m.Notifs {
-		if m.Notifs[i], err = decodeNotifSection(r); err != nil {
+		if m.Notifs[i], err = decodeNotifSection(r, memo); err != nil {
 			return nil, err
 		}
 	}
@@ -1434,7 +1396,7 @@ func decodeHandoff(r *wire.Reader, catalog *relation.Catalog) (chord.Message, er
 }
 
 //wire:field dec snapMetaMsg Clock Nodes Down Seq Subs Multi Conds Sink HotEpochs HotCounts
-func decodeSnapMeta(r *wire.Reader, catalog *relation.Catalog) (chord.Message, error) {
+func decodeSnapMeta(r *wire.Reader, catalog *relation.Catalog, memo *wire.Memo) (chord.Message, error) {
 	var m snapMetaMsg
 	clock, err := r.Varint()
 	if err != nil {
@@ -1478,7 +1440,7 @@ func decodeSnapMeta(r *wire.Reader, catalog *relation.Catalog) (chord.Message, e
 	}
 	m.Conds = make([]*query.Query, nConds)
 	for i := range m.Conds {
-		if m.Conds[i], err = wire.DecodeQuery(r, catalog, nil); err != nil {
+		if m.Conds[i], err = wire.DecodeQuery(r, catalog, memo); err != nil {
 			return nil, err
 		}
 	}
@@ -1488,7 +1450,7 @@ func decodeSnapMeta(r *wire.Reader, catalog *relation.Catalog) (chord.Message, e
 	}
 	m.Sink = make([]Notification, nSink)
 	for i := range m.Sink {
-		if m.Sink[i], err = decodeNotification(r); err != nil {
+		if m.Sink[i], err = decodeNotification(r, memo); err != nil {
 			return nil, err
 		}
 	}

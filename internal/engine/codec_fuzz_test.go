@@ -9,10 +9,13 @@ import (
 
 // FuzzCodecRoundTrip throws arbitrary bytes at DecodeMessage. The
 // contract: never panic, never allocate proportionally to a forged length
-// prefix (the sliceCount guards), and every ACCEPTED message must
+// prefix (the decodeCount guards), and every ACCEPTED message must
 // re-encode to a stable canonical form — encode(decode(b)) decodes again
-// and re-encodes to the identical bytes. The seed corpus is one valid
-// encoding of every engine message type.
+// and re-encodes to the identical bytes. Every input is also decoded
+// through one WireCodec that lives as long as the run: whatever its memo
+// has collected from the inputs before, it must accept exactly what a
+// memo-less decode accepts and decode it to the same message. The seed
+// corpus is one valid encoding of every engine message type.
 func FuzzCodecRoundTrip(f *testing.F) {
 	catalog, msgs := codecFixtures(f)
 	for _, msg := range msgs {
@@ -24,14 +27,23 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{byte(tagJoin), 0xff, 0xff, 0xff, 0xff, 0x0f}) // forged huge count
+	longLived := NewWireCodec(catalog)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := DecodeMessage(wire.NewReader(data), catalog)
+		memoMsg, memoErr := longLived.Decode(wire.NewReader(data))
+		if (err == nil) != (memoErr == nil) {
+			t.Fatalf("without a memo: %v; through a long-lived one: %v", err, memoErr)
+		}
 		if err != nil {
 			return // malformed input rejected cleanly: that is the point
 		}
 		var w1 wire.Buffer
 		if err := EncodeMessage(&w1, msg); err != nil {
 			t.Fatalf("accepted message fails to re-encode: %v", err)
+		}
+		var wm wire.Buffer
+		if err := EncodeMessage(&wm, memoMsg); err != nil || !bytes.Equal(w1.Bytes(), wm.Bytes()) {
+			t.Fatalf("a long-lived memo changed the decoded message (%v):\nwithout: %x\nwith:    %x", err, w1.Bytes(), wm.Bytes())
 		}
 		msg2, err := DecodeMessage(wire.NewReader(w1.Bytes()), catalog)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cqjoin/internal/chord"
+	"cqjoin/internal/obs"
 	"cqjoin/internal/query"
 	"cqjoin/internal/relation"
 	"cqjoin/internal/wire"
@@ -671,5 +672,72 @@ func TestCodecForgedTupleGetsPrivateSchema(t *testing.T) {
 	}
 	if again := query.MustParse(env.catalog, q.Text()).Projection(query.SideLeft); again != shape {
 		t.Fatal("decoding forged tuples disturbed the interned projection")
+	}
+}
+
+// A WireCodec decodes a standing query once: later messages carrying the
+// same bytes get the same *query.Query, across messages and message kinds.
+// DecodeMessage shares nothing between calls, and a hand-off — a node's
+// whole state, decoded once — goes through a memo of its own and leaves the
+// codec's untouched.
+func TestWireCodecSharesStandingQueriesAcrossMessages(t *testing.T) {
+	catalog, msgs := codecFixtures(t)
+	encode := func(msg chord.Message) []byte {
+		t.Helper()
+		var w wire.Buffer
+		if err := EncodeMessage(&w, msg); err != nil {
+			t.Fatal(err)
+		}
+		return w.Bytes()
+	}
+	var join, hot, handoff []byte
+	for _, msg := range msgs {
+		switch msg.(type) {
+		case joinMsg:
+			join = encode(msg)
+		case hotJoinMsg:
+			hot = encode(msg)
+		case handoffMsg:
+			handoff = encode(msg)
+		}
+	}
+	reg := obs.NewRegistry()
+	codec := NewWireCodec(catalog)
+	codec.Observe(reg)
+	lookups := func() int64 {
+		return reg.Counter("codec.memo_hits").Value() + reg.Counter("codec.memo_misses").Value()
+	}
+	if _, err := codec.Decode(wire.NewReader(handoff)); err != nil {
+		t.Fatal(err)
+	}
+	if n := lookups(); n != 0 {
+		t.Fatalf("decoding a hand-off made %d lookups in the codec's long-lived memo", n)
+	}
+	first, err := codec.Decode(wire.NewReader(join))
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := codec.Decode(wire.NewReader(join))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scattered, err := codec.Decode(wire.NewReader(hot))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := first.(joinMsg).Rewrites[0].Orig
+	if again.(joinMsg).Rewrites[0].Orig != q || scattered.(hotJoinMsg).Rewrites[0].Orig != q {
+		t.Fatal("a codec decoded one standing query into several values")
+	}
+	if hits, misses := reg.Counter("codec.memo_hits").Value(), reg.Counter("codec.memo_misses").Value(); misses != 1 || hits != 5 {
+		t.Fatalf("memo counted %d hits and %d misses over six decodes of one query, want 5 and 1", hits, misses)
+	}
+	alone, err := DecodeMessage(wire.NewReader(join), catalog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertRewrittenEqual(t, first.(joinMsg).Rewrites[0], alone.(joinMsg).Rewrites[0])
+	if alone.(joinMsg).Rewrites[0].Orig == q {
+		t.Fatal("DecodeMessage returned a query of the codec's memo")
 	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"cqjoin/internal/chord"
@@ -103,13 +104,46 @@ func buildNotification(q *query.Query, indexSide query.Side, trig, other *relati
 // Successor(Id(n)) until it reconnects and receives them with the key
 // hand-off.
 //
+// Subscribers are served in first-seen order and each receives its
+// notifications in batch order, whichever way the batch is grouped: up to
+// smallTableMax subscribers by scanning, into one array; more through a map.
+// The batch becomes the engine's: callers build it and end with this call.
+//
 //cqlint:sink
 func (st *nodeState) sendNotifications(batch []Notification) {
-	if len(batch) == 0 {
+	var subs [smallTableMax]string
+	k := 0
+	for i := range batch {
+		if slices.Contains(subs[:k], batch[i].Subscriber) {
+			continue
+		}
+		if k == smallTableMax {
+			st.sendNotificationsByMap(batch)
+			return
+		}
+		subs[k] = batch[i].Subscriber
+		k++
+	}
+	if k == 1 {
+		st.deliverNotify(subs[0], batch)
 		return
 	}
+	grouped := make([]Notification, 0, len(batch))
+	for _, sub := range subs[:k] {
+		start := len(grouped)
+		for i := range batch {
+			if batch[i].Subscriber == sub {
+				grouped = append(grouped, batch[i])
+			}
+		}
+		st.deliverNotify(sub, grouped[start:len(grouped):len(grouped)])
+	}
+}
+
+//cqlint:sink
+func (st *nodeState) sendNotificationsByMap(batch []Notification) {
 	bySub := make(map[string][]Notification)
-	order := make([]string, 0, 4)
+	order := make([]string, 0, 2*smallTableMax)
 	for _, n := range batch {
 		if _, seen := bySub[n.Subscriber]; !seen {
 			order = append(order, n.Subscriber)

@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"slices"
 	"testing"
+
+	"cqjoin/internal/relation"
 )
 
 // Section 4.6: a subscriber that reconnects under a new IP address is first
@@ -89,5 +92,44 @@ func TestNotificationStringAndContentKey(t *testing.T) {
 	other.Values = nil
 	if n.ContentKey() == other.ContentKey() {
 		t.Fatal("content key ignores values")
+	}
+}
+
+// However a batch is grouped — by scanning, for up to smallTableMax
+// subscribers, or through a map above that — subscribers are served in the
+// order the batch first names them and each receives its notifications in
+// batch order: the delivery sequence, which seeded runs replay, is the same.
+func TestSendNotificationsKeepsOrderHoweverGrouped(t *testing.T) {
+	for _, subscribers := range []int{1, 3, smallTableMax, smallTableMax + 1, 3 * smallTableMax} {
+		scan := newTestEnv(t, 64, Config{Algorithm: SAI})
+		byMap := newTestEnv(t, 64, Config{Algorithm: SAI})
+		var batch []Notification
+		var want []string
+		// Interleaved — s0, s0 s1, s0 s1 s2, ... — with first-seen order the
+		// reverse of key order.
+		for round := 0; round < 4; round++ {
+			for s := 0; s <= round*subscribers/3 && s < subscribers; s++ {
+				batch = append(batch, Notification{
+					QueryKey: scan.node(63-s).Key() + "#1", Subscriber: scan.node(63 - s).Key(),
+					Values:   []relation.Value{relation.N(float64(len(batch)))},
+					LeftPubT: int64(len(batch)), subscriberIP: scan.node(63 - s).IP(),
+				})
+			}
+		}
+		for s := 0; s < subscribers; s++ {
+			for _, n := range batch {
+				if n.Subscriber == scan.node(63-s).Key() {
+					want = append(want, n.ContentKey())
+				}
+			}
+		}
+		scan.eng.state(scan.node(40)).sendNotifications(slices.Clone(batch))
+		byMap.eng.state(byMap.node(40)).sendNotificationsByMap(slices.Clone(batch))
+		if got := scan.eng.DeliveredContentKeys(); !slices.Equal(got, want) {
+			t.Fatalf("%d subscribers: delivered %v, want %v", subscribers, got, want)
+		}
+		if got := byMap.eng.DeliveredContentKeys(); !slices.Equal(got, want) {
+			t.Fatalf("%d subscribers, map path: delivered %v, want %v", subscribers, got, want)
+		}
 	}
 }

@@ -316,21 +316,20 @@ func EncodeQuery(w *Buffer, q *query.Query) {
 	w.PutString(q.Text())
 }
 
-// DecodeQuery reads a query encoded by EncodeQuery, re-parsing its SQL
-// against the catalog and restoring its identity and insertion time. A
-// message carrying many queries passes the same non-nil parsed map for each:
-// it remembers every SQL text's parse, so the subscribers of one text —
-// a rewriter's group — cost one parse per message, not one each.
-func DecodeQuery(r *Reader, catalog *relation.Catalog, parsed map[string]*query.Query) (*query.Query, error) {
-	key, err := r.String()
+// DecodeQuery reads a query encoded by EncodeQuery, restoring its identity
+// and insertion time. The SQL is re-parsed against the catalog unless memo
+// has seen it: a query memo already holds, field for field, costs nothing,
+// and the subscribers of one SQL text — a rewriter's group — cost one parse.
+func DecodeQuery(r *Reader, catalog *relation.Catalog, memo *Memo) (*query.Query, error) {
+	key, err := r.Bytes()
 	if err != nil {
 		return nil, err
 	}
-	sub, err := r.String()
+	sub, err := r.Bytes()
 	if err != nil {
 		return nil, err
 	}
-	ip, err := r.String()
+	ip, err := r.Bytes()
 	if err != nil {
 		return nil, err
 	}
@@ -342,17 +341,7 @@ func DecodeQuery(r *Reader, catalog *relation.Catalog, parsed map[string]*query.
 	if err != nil {
 		return nil, err
 	}
-	q := parsed[string(sql)]
-	if q == nil {
-		if q, err = query.Parse(catalog, string(sql)); err != nil {
-			return nil, fmt.Errorf("wire: re-parse: %w", err)
-		}
-		if parsed != nil {
-			parsed[q.Text()] = q
-		}
-	}
-	q = q.WithInsT(insT)
-	return q.WithRestoredIdentity(key, sub, ip), nil
+	return memo.query(catalog, key, sub, ip, insT, sql)
 }
 
 // The Size* functions below compute encoded lengths arithmetically,

@@ -126,7 +126,7 @@ func TestQueryRoundTrip(t *testing.T) {
 
 	var w Buffer
 	EncodeQuery(&w, q)
-	got, err := DecodeQuery(NewReader(w.Bytes()), catalog, nil)
+	got, err := DecodeQuery(NewReader(w.Bytes()), catalog, new(Memo))
 	if err != nil {
 		t.Fatalf("DecodeQuery: %v", err)
 	}
@@ -155,7 +155,7 @@ func TestDecodeQueryBadSQL(t *testing.T) {
 	w.PutString("ip")
 	w.PutVarint(1)
 	w.PutString("not sql at all")
-	if _, err := DecodeQuery(NewReader(w.Bytes()), catalog, nil); err == nil {
+	if _, err := DecodeQuery(NewReader(w.Bytes()), catalog, new(Memo)); err == nil {
 		t.Fatal("bad SQL accepted")
 	}
 }
