@@ -1,8 +1,8 @@
 // Command cqlint is the project's invariant checker: a multichecker that
-// runs the internal/analysis suite — the per-function syntax checks
-// (determinism, maporder, wiresync, sendunderlock, obsregister) and the
-// interprocedural call-graph analyzers (lockorder, goroleak, poolsafe,
-// wiretag) — over the module and exits non-zero on any diagnostic. It is
+// runs the internal/analysis suite of seven analyzers — the per-function
+// syntax checks (determinism, maporder, sendunderlock, obsregister) and the
+// interprocedural call-graph analyzers (lockorder, goroleak, poolsafe) —
+// over the module and exits non-zero on any diagnostic. It is
 // the compile-time counterpart of the differential determinism harness
 // in parallel_test.go — see DESIGN.md §9.
 //

@@ -40,14 +40,6 @@ func TestMapOrderAnalyzer(t *testing.T) {
 	analysistest.Run(t, "testdata/src", analysis.MapOrderAnalyzer, "maporder/a")
 }
 
-// The wiresync/walrec and wiretag/walrec fixtures pin the analyzers on
-// the WAL record codec's shape (internal/durable/record.go): value-typed
-// records switched through an any parameter, typed iota tags, and a
-// decode switch over a converted uvarint.
-func TestWireSyncAnalyzer(t *testing.T) {
-	analysistest.Run(t, "testdata/src", analysis.WireSyncAnalyzer, "wiresync/a", "wiresync/walrec")
-}
-
 func TestSendUnderLockAnalyzer(t *testing.T) {
 	analysistest.Run(t, "testdata/src", analysis.SendUnderLockAnalyzer, "sendunderlock/a")
 }
@@ -70,10 +62,6 @@ func TestGoroLeakAnalyzer(t *testing.T) {
 
 func TestPoolSafeAnalyzer(t *testing.T) {
 	analysistest.Run(t, "testdata/src", analysis.PoolSafeAnalyzer, "poolsafe/a")
-}
-
-func TestWireTagAnalyzer(t *testing.T) {
-	analysistest.Run(t, "testdata/src", analysis.WireTagAnalyzer, "wiretag/a", "wiretag/b", "wiretag/walrec")
 }
 
 // TestSuiteCleanOnTree is the in-repo form of the CI gate: the full suite

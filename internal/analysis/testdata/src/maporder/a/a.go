@@ -23,6 +23,26 @@ func rangeIntoEncode(w *wire.Buffer, fields map[string]string) {
 	}
 }
 
+// rangeIntoWalk lists fields through a Coder leaf straight off a map: the
+// walk would encode them in a different order every run.
+func rangeIntoWalk(c *wire.Coder, fields map[string]string) {
+	for k := range fields {
+		c.String(&k) // want "String called while ranging over a map"
+	}
+}
+
+// sortedWalk feeds the same leaf from the sorted keys. No diagnostics.
+func sortedWalk(c *wire.Coder, fields map[string]string) {
+	keys := make([]string, 0, len(fields))
+	for k := range fields {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for i := range keys {
+		c.String(&keys[i])
+	}
+}
+
 // collectSortSend is the deterministic pattern: drain the map into a
 // slice, sort, then feed the sink from the slice. No diagnostics.
 func collectSortSend(n *chord.Node, pending map[string]chord.Message) {

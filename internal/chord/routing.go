@@ -39,9 +39,11 @@ type Sizer interface {
 }
 
 // chargeBytes records the wire bytes a delivery moved, when the message
-// reports its size. This is the codec choke point of the simulator: each
-// Size() call performs a full wire encoding, and the per-message size is
-// observed into the "chord.wire_bytes" histogram when observability is on.
+// reports its size. This is where the simulator meets the codec: Size() adds
+// up the message's encoded length field by field without writing a byte
+// (tuples and queries remember theirs), once per delivery, and the
+// per-message size is observed into the "chord.wire_bytes" histogram when
+// observability is on.
 func (n *Node) chargeBytes(msg Message, hops int) {
 	if hops <= 0 {
 		return

@@ -214,17 +214,8 @@ func TestDaemonShutdownZeroLoss(t *testing.T) {
 // replay-driven duplicate deliveries idempotently.
 func TestDaemonMultiProcessCrashRestart(t *testing.T) {
 	base := defaultConfig()
-	lns := make([]net.Listener, 2)
-	peers := make([]string, 2)
+	lns, peers := listenOverlay(t, base, 2)
 	dirs := []string{t.TempDir(), t.TempDir()}
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("listen overlay %d: %v", i, err)
-		}
-		lns[i] = ln
-		peers[i] = ln.Addr().String()
-	}
 	procs := make([]*overlayProc, 2)
 	for i, ln := range lns {
 		cfg := base

@@ -164,20 +164,55 @@ func startOverlayProc(t *testing.T, cfg Config, ln net.Listener) *overlayProc {
 	return &overlayProc{srv: srv, c: newClient(t, conn), addr: cfg.OverlayAddr}
 }
 
+// listenOverlay binds count overlay listeners on loopback whose addresses,
+// taken as a founding view, give every process at least two ring positions:
+// the tests subscribe through one node of a process and publish through two.
+// Ownership follows the hash of the addresses, so two random ports that hash
+// next to each other leave one process with fewer (about one draw in sixty
+// with two processes and 48 nodes); the ports are then drawn again. Nothing
+// but the addresses is needed: no server has started yet.
+func listenOverlay(t *testing.T, base Config, count int) ([]net.Listener, []string) {
+	t.Helper()
+	probe, err := New(base) // a single-process server, for the node keys
+	if err != nil {
+		t.Fatalf("New probe server: %v", err)
+	}
+	defer probe.Close()
+	const draws = 10
+	for draw := 1; ; draw++ {
+		lns := make([]net.Listener, count)
+		peers := make([]string, count)
+		for i := range lns {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatalf("listen overlay %d: %v", i, err)
+			}
+			lns[i] = ln
+			peers[i] = ln.Addr().String()
+		}
+		view := newMembership(peers[0], peers, 1)
+		owned := make(map[string]int, count)
+		for i := 0; i < probe.Cluster().Size(); i++ {
+			owned[view.ownerOf(probe.Cluster().Node(i).Key())]++
+		}
+		fewest := owned[peers[0]]
+		for _, p := range peers {
+			fewest = min(fewest, owned[p])
+		}
+		if fewest >= 2 || draw == draws {
+			return lns, peers
+		}
+		for _, ln := range lns {
+			_ = ln.Close()
+		}
+	}
+}
+
 // startOverlayProcs builds count daemon processes sharing one overlay
 // with a static initial membership.
 func startOverlayProcs(t *testing.T, base Config, count int) []*overlayProc {
 	t.Helper()
-	lns := make([]net.Listener, count)
-	peers := make([]string, count)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("listen overlay %d: %v", i, err)
-		}
-		lns[i] = ln
-		peers[i] = ln.Addr().String()
-	}
+	lns, peers := listenOverlay(t, base, count)
 	procs := make([]*overlayProc, count)
 	for i, ln := range lns {
 		cfg := base

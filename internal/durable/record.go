@@ -10,13 +10,12 @@ import (
 // WAL record codec. One record is one engine-visible event: a client
 // operation (subscribe, unsubscribe, publish, batch publish), an inbound
 // overlay delivery from a remote process, or a membership view adoption.
-// The codec mirrors the engine message codec's structure — dense tag
-// constants, one encoder arm per tag, one ordered decoder arm per tag,
-// //wire:field enc/size/dec directives on every arm — so cqlint's wiretag
-// and wiresync analyzers gate the WAL exactly like the overlay wire
-// protocol (ISSUE 10).
+// Like the engine's messages (engine/codec.go), every record lists its
+// fields once, in a walk method against a wire.Coder that recordSize,
+// encodeRecord and decodeRecord all run; testdata/records.golden pins the
+// bytes, tag numbers included, so a wal.log an earlier build wrote replays.
 
-// Record tags. Dense 1..N; the wiretag analyzer rejects gaps and reuse.
+// Record tags.
 const (
 	tagSubscribe byte = iota + 1
 	tagUnsubscribe
@@ -72,216 +71,129 @@ type viewRec struct {
 	View *wire.MemberView
 }
 
+func (m *subscribeRec) walk(c *wire.Coder) {
+	c.String(&m.Node)
+	c.String(&m.SQL)
+	c.String(&m.Key)
+	c.Bool(&m.Multi)
+}
+
+func (m *unsubscribeRec) walk(c *wire.Coder) {
+	c.String(&m.Node)
+	c.String(&m.SQL)
+	c.String(&m.Key)
+	c.Bool(&m.Multi)
+}
+
+func (m *publishRec) walk(c *wire.Coder) {
+	c.String(&m.Node)
+	c.Tuple(&m.T, nil)
+}
+
+func (m *batchRec) walk(c *wire.Coder) {
+	c.Strings(&m.Nodes)
+	c.Tuples(&m.Tuples)
+	c.Int(&m.Workers)
+}
+
+// A decoded Frame aliases the record's bytes.
+func (m *deliveryRec) walk(c *wire.Coder) {
+	c.String(&m.Node)
+	c.Bytes(&m.Frame)
+}
+
+func (m *viewRec) walk(c *wire.Coder) {
+	if c.Decoding() {
+		m.View = new(wire.MemberView)
+	}
+	m.View.Walk(c)
+}
+
 // encodeRecord writes one WAL record, tag first.
 func encodeRecord(w *wire.Buffer, rec any) error {
 	w.Grow(recordSize(rec))
-	switch m := rec.(type) {
-	//wire:field enc subscribeRec Node SQL Key Multi
-	case subscribeRec:
-		w.PutUvarint(uint64(tagSubscribe))
-		w.PutString(m.Node)
-		w.PutString(m.SQL)
-		w.PutString(m.Key)
-		w.PutUvarint(boolBit(m.Multi))
-	//wire:field enc unsubscribeRec Node SQL Key Multi
-	case unsubscribeRec:
-		w.PutUvarint(uint64(tagUnsubscribe))
-		w.PutString(m.Node)
-		w.PutString(m.SQL)
-		w.PutString(m.Key)
-		w.PutUvarint(boolBit(m.Multi))
-	//wire:field enc publishRec Node T
-	case publishRec:
-		w.PutUvarint(uint64(tagPublish))
-		w.PutString(m.Node)
-		wire.EncodeTuple(w, m.T)
-	//wire:field enc batchRec Nodes Tuples Workers
-	case batchRec:
-		w.PutUvarint(uint64(tagBatch))
-		w.PutUvarint(uint64(len(m.Nodes)))
-		for _, k := range m.Nodes {
-			w.PutString(k)
-		}
-		w.PutUvarint(uint64(len(m.Tuples)))
-		for _, t := range m.Tuples {
-			wire.EncodeTuple(w, t)
-		}
-		w.PutUvarint(uint64(m.Workers))
-	//wire:field enc deliveryRec Node Frame
-	case deliveryRec:
-		w.PutUvarint(uint64(tagDelivery))
-		w.PutString(m.Node)
-		w.PutBytes(m.Frame)
-	//wire:field enc viewRec View
-	case viewRec:
-		w.PutUvarint(uint64(tagView))
-		wire.EncodeMemberView(w, m.View)
-	default:
-		return fmt.Errorf("durable: no codec for record type %T", rec)
-	}
-	return nil
+	c := wire.Encoder(w)
+	walkRecord(&c, &rec)
+	return c.Flush(w)
 }
 
-// recordSize returns a record's exact encoded length (mirroring
-// encodeRecord field for field, like the engine's wireSize).
+// recordSize returns a record's exact encoded length, 0 for a type with no
+// codec.
 func recordSize(rec any) int {
-	const tagLen = 1
-	switch m := rec.(type) {
-	//wire:field size subscribeRec Node SQL Key Multi
-	case subscribeRec:
-		return tagLen + wire.SizeString(m.Node) + wire.SizeString(m.SQL) +
-			wire.SizeString(m.Key) + wire.SizeUvarint(boolBit(m.Multi))
-	//wire:field size unsubscribeRec Node SQL Key Multi
-	case unsubscribeRec:
-		return tagLen + wire.SizeString(m.Node) + wire.SizeString(m.SQL) +
-			wire.SizeString(m.Key) + wire.SizeUvarint(boolBit(m.Multi))
-	//wire:field size publishRec Node T
-	case publishRec:
-		return tagLen + wire.SizeString(m.Node) + wire.SizeTuple(m.T)
-	//wire:field size batchRec Nodes Tuples Workers
-	case batchRec:
-		n := tagLen + wire.SizeUvarint(uint64(len(m.Nodes)))
-		for _, k := range m.Nodes {
-			n += wire.SizeString(k)
-		}
-		n += wire.SizeUvarint(uint64(len(m.Tuples)))
-		for _, t := range m.Tuples {
-			n += wire.SizeTuple(t)
-		}
-		return n + wire.SizeUvarint(uint64(m.Workers))
-	//wire:field size deliveryRec Node Frame
-	case deliveryRec:
-		return tagLen + wire.SizeString(m.Node) +
-			wire.SizeUvarint(uint64(len(m.Frame))) + len(m.Frame)
-	//wire:field size viewRec View
-	case viewRec:
-		return tagLen + wire.SizeMemberView(m.View)
-	default:
+	var c wire.Coder
+	walkRecord(&c, &rec)
+	if c.Err() != nil {
 		return 0
 	}
+	return c.Size()
 }
 
-// decodeRecord reads one WAL record encoded by encodeRecord.
+// decodeRecord reads one WAL record encoded by encodeRecord. It holds no
+// catalog: a record's tuples decode onto schemas of their own.
 func decodeRecord(r *wire.Reader) (any, error) {
-	tag, err := r.Uvarint()
-	if err != nil {
+	c := wire.Decoder(r, nil, nil)
+	var rec any
+	walkRecord(&c, &rec)
+	if err := c.Sync(r); err != nil {
 		return nil, err
 	}
-	switch byte(tag) {
-	//wire:field dec subscribeRec Node SQL Key Multi
+	return rec, nil
+}
+
+// walkRecord walks one record behind its tag: by type to size or encode it,
+// by the tag read to decode it.
+func walkRecord(c *wire.Coder, rec *any) {
+	if !c.Decoding() {
+		switch m := (*rec).(type) {
+		case subscribeRec:
+			c.Tag(tagSubscribe)
+			m.walk(c)
+		case unsubscribeRec:
+			c.Tag(tagUnsubscribe)
+			m.walk(c)
+		case publishRec:
+			c.Tag(tagPublish)
+			m.walk(c)
+		case batchRec:
+			c.Tag(tagBatch)
+			m.walk(c)
+		case deliveryRec:
+			c.Tag(tagDelivery)
+			m.walk(c)
+		case viewRec:
+			c.Tag(tagView)
+			m.walk(c)
+		default:
+			c.Fail(fmt.Errorf("durable: no codec for record type %T", m))
+		}
+		return
+	}
+	switch tag := c.Tag(0); tag {
 	case tagSubscribe:
 		var m subscribeRec
-		if m.Node, err = r.String(); err != nil {
-			return nil, err
-		}
-		if m.SQL, err = r.String(); err != nil {
-			return nil, err
-		}
-		if m.Key, err = r.String(); err != nil {
-			return nil, err
-		}
-		multi, err := r.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		m.Multi = multi != 0
-		return m, nil
-	//wire:field dec unsubscribeRec Node SQL Key Multi
+		m.walk(c)
+		*rec = m
 	case tagUnsubscribe:
 		var m unsubscribeRec
-		if m.Node, err = r.String(); err != nil {
-			return nil, err
-		}
-		if m.SQL, err = r.String(); err != nil {
-			return nil, err
-		}
-		if m.Key, err = r.String(); err != nil {
-			return nil, err
-		}
-		multi, err := r.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		m.Multi = multi != 0
-		return m, nil
-	//wire:field dec publishRec Node T
+		m.walk(c)
+		*rec = m
 	case tagPublish:
 		var m publishRec
-		if m.Node, err = r.String(); err != nil {
-			return nil, err
-		}
-		if m.T, err = wire.DecodeTuple(r, nil, nil); err != nil {
-			return nil, err
-		}
-		return m, nil
-	//wire:field dec batchRec Nodes Tuples Workers
+		m.walk(c)
+		*rec = m
 	case tagBatch:
 		var m batchRec
-		nn, err := recCount(r)
-		if err != nil {
-			return nil, err
-		}
-		m.Nodes = make([]string, nn)
-		for i := range m.Nodes {
-			if m.Nodes[i], err = r.String(); err != nil {
-				return nil, err
-			}
-		}
-		nt, err := recCount(r)
-		if err != nil {
-			return nil, err
-		}
-		m.Tuples = make([]*relation.Tuple, nt)
-		for i := range m.Tuples {
-			if m.Tuples[i], err = wire.DecodeTuple(r, nil, nil); err != nil {
-				return nil, err
-			}
-		}
-		workers, err := r.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		m.Workers = int(workers)
-		return m, nil
-	//wire:field dec deliveryRec Node Frame
+		m.walk(c)
+		*rec = m
 	case tagDelivery:
 		var m deliveryRec
-		if m.Node, err = r.String(); err != nil {
-			return nil, err
-		}
-		if m.Frame, err = r.Bytes(); err != nil {
-			return nil, err
-		}
-		return m, nil
-	//wire:field dec viewRec View
+		m.walk(c)
+		*rec = m
 	case tagView:
 		var m viewRec
-		if m.View, err = wire.DecodeMemberView(r); err != nil {
-			return nil, err
-		}
-		return m, nil
+		m.walk(c)
+		*rec = m
 	default:
-		return nil, fmt.Errorf("durable: unknown record tag %d", tag)
+		c.Fail(fmt.Errorf("durable: unknown record tag %d", tag))
 	}
-}
-
-// recCount validates an element count against the bytes remaining, like
-// the engine codec's decodeCount: every element takes at least one byte.
-func recCount(r *wire.Reader) (int, error) {
-	n, err := r.Uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if n > uint64(r.Remaining()) {
-		return 0, fmt.Errorf("durable: element count %d exceeds %d remaining bytes", n, r.Remaining())
-	}
-	return int(n), nil
-}
-
-// boolBit renders a bool as its uvarint wire bit.
-func boolBit(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -31,33 +31,56 @@ type snapImage struct {
 	nodes   []engine.NodeSnapshot
 }
 
+// walk lists the payload's fields in order.
+func (img *snapImage) walk(c *wire.Coder) {
+	c.Uvarint(&img.covered)
+	walkFramed(c, "meta", &img.meta)
+	hasView := img.view != nil
+	c.Bool(&hasView)
+	if hasView {
+		if c.Decoding() {
+			img.view = new(wire.MemberView)
+		}
+		img.view.Walk(c)
+	}
+	c.Strings(&img.down)
+	wire.Slice(c, &img.nodes)
+	for i := range img.nodes {
+		ns := &img.nodes[i]
+		c.String(&ns.Key)
+		walkFramed(c, "node "+ns.Key, &ns.Msg)
+	}
+}
+
+// walkFramed walks an engine message carried as length-prefixed bytes; what
+// names it in an error.
+func walkFramed(c *wire.Coder, what string, msg *chord.Message) {
+	var frame []byte
+	if !c.Decoding() {
+		var w wire.Buffer
+		if err := engine.EncodeMessage(&w, *msg); err != nil {
+			c.Fail(fmt.Errorf("durable: encode snapshot %s: %w", what, err))
+			return
+		}
+		frame = w.Bytes()
+	}
+	c.Bytes(&frame)
+	if !c.Decoding() || c.Err() != nil {
+		return
+	}
+	var err error
+	if *msg, err = engine.DecodeMessage(wire.NewReader(frame), c.Catalog); err != nil {
+		c.Fail(fmt.Errorf("durable: decode snapshot %s: %w", what, err))
+	}
+}
+
 // encodeSnapshot renders a snapshot image to its framed file bytes.
 func encodeSnapshot(img snapImage) ([]byte, error) {
 	var w wire.Buffer
-	w.PutUvarint(img.covered)
-	var mb wire.Buffer
-	if err := engine.EncodeMessage(&mb, img.meta); err != nil {
-		return nil, fmt.Errorf("durable: encode snapshot meta: %w", err)
-	}
-	w.PutBytes(mb.Bytes())
-	if img.view != nil {
-		w.PutUvarint(1)
-		wire.EncodeMemberView(&w, img.view)
-	} else {
-		w.PutUvarint(0)
-	}
-	w.PutUvarint(uint64(len(img.down)))
-	for _, k := range img.down {
-		w.PutString(k)
-	}
-	w.PutUvarint(uint64(len(img.nodes)))
-	for _, ns := range img.nodes {
-		w.PutString(ns.Key)
-		var nb wire.Buffer
-		if err := engine.EncodeMessage(&nb, ns.Msg); err != nil {
-			return nil, fmt.Errorf("durable: encode snapshot node %s: %w", ns.Key, err)
-		}
-		w.PutBytes(nb.Bytes())
+	c := wire.Encoder(&w)
+	img.walk(&c)
+	if err := c.Flush(&w); err != nil {
+		return nil, err
 	}
 	return appendFramedPayload(nil, w.Bytes()), nil
 }
@@ -69,57 +92,7 @@ func decodeSnapshot(data []byte, catalog *relation.Catalog) (snapImage, error) {
 	if err != nil {
 		return img, fmt.Errorf("durable: snapshot: %w", err)
 	}
-	var r wire.Reader
-	r.Reset(payload)
-	if img.covered, err = r.Uvarint(); err != nil {
-		return img, err
-	}
-	metaBytes, err := r.Bytes()
-	if err != nil {
-		return img, err
-	}
-	var mr wire.Reader
-	mr.Reset(metaBytes)
-	if img.meta, err = engine.DecodeMessage(&mr, catalog); err != nil {
-		return img, fmt.Errorf("durable: decode snapshot meta: %w", err)
-	}
-	hasView, err := r.Uvarint()
-	if err != nil {
-		return img, err
-	}
-	if hasView != 0 {
-		if img.view, err = wire.DecodeMemberView(&r); err != nil {
-			return img, err
-		}
-	}
-	nDown, err := recCount(&r)
-	if err != nil {
-		return img, err
-	}
-	img.down = make([]string, nDown)
-	for i := range img.down {
-		if img.down[i], err = r.String(); err != nil {
-			return img, err
-		}
-	}
-	nNodes, err := recCount(&r)
-	if err != nil {
-		return img, err
-	}
-	img.nodes = make([]engine.NodeSnapshot, nNodes)
-	for i := range img.nodes {
-		if img.nodes[i].Key, err = r.String(); err != nil {
-			return img, err
-		}
-		nb, err := r.Bytes()
-		if err != nil {
-			return img, err
-		}
-		var nr wire.Reader
-		nr.Reset(nb)
-		if img.nodes[i].Msg, err = engine.DecodeMessage(&nr, catalog); err != nil {
-			return img, fmt.Errorf("durable: decode snapshot node %s: %w", img.nodes[i].Key, err)
-		}
-	}
-	return img, nil
+	c := wire.Decoder(wire.NewReader(payload), catalog, nil)
+	img.walk(&c)
+	return img, c.Err()
 }

@@ -165,3 +165,68 @@ func TestWarmDecodeAllocCeilings(t *testing.T) {
 		}
 	}
 }
+
+// Sizing a message and encoding it into a buffer already grown allocate
+// nothing, whatever the message: the ledger sizes every delivery, and the
+// walk's Coder and its copy of the message must stay on the stack.
+func TestSizeAndEncodeAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	_, msgs := codecFixtures(t)
+	var w wire.Buffer
+	for _, msg := range msgs {
+		if allocs := testing.AllocsPerRun(100, func() { MessageSize(msg) }); allocs != 0 {
+			t.Errorf("%T: MessageSize allocates %.0f times", msg, allocs)
+		}
+		encode := func() {
+			w.Reset()
+			if err := EncodeMessage(&w, msg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		encode() // grow the buffer
+		if allocs := testing.AllocsPerRun(100, encode); allocs != 0 {
+			t.Errorf("%T: EncodeMessage into a grown buffer allocates %.0f times", msg, allocs)
+		}
+	}
+}
+
+// A Coder must not drag its caller's Reader or Buffer to the heap with the
+// catalog, memo and error it also refers to: a Reader made per message costs
+// no allocation, a Buffer made per message the one that holds the bytes.
+func TestCodecLeavesCallersReaderAndBufferOnTheStack(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	catalog, msgs := codecFixtures(t)
+	codec := NewWireCodec(catalog)
+	msg := msgs[1] // al-index: a tuple, a string, an int
+	var w wire.Buffer
+	if err := codec.Encode(&w, msg); err != nil {
+		t.Fatal(err)
+	}
+	var reused wire.Reader
+	kept := testing.AllocsPerRun(100, func() {
+		reused.Reset(w.Bytes())
+		if _, err := codec.Decode(&reused); err != nil {
+			t.Fatal(err)
+		}
+	})
+	fresh := testing.AllocsPerRun(100, func() {
+		if _, err := codec.Decode(wire.NewReader(w.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if fresh != kept {
+		t.Errorf("decoding through a Reader of its own allocates %.0f times, through a reused one %.0f", fresh, kept)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		var own wire.Buffer
+		if err := codec.Encode(&own, msg); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 1 {
+		t.Errorf("encoding into a Buffer of its own allocates %.0f times, want 1", allocs)
+	}
+}

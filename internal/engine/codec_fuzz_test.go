@@ -9,9 +9,9 @@ import (
 
 // FuzzCodecRoundTrip throws arbitrary bytes at DecodeMessage. The
 // contract: never panic, never allocate proportionally to a forged length
-// prefix (the decodeCount guards), and every ACCEPTED message must
-// re-encode to a stable canonical form — encode(decode(b)) decodes again
-// and re-encodes to the identical bytes. Every input is also decoded
+// prefix (wire.Coder.Count's guard), and every ACCEPTED message must
+// re-encode, in exactly MessageSize bytes, to a stable canonical form —
+// encode(decode(b)) decodes again and re-encodes to the identical bytes. Every input is also decoded
 // through one WireCodec that lives as long as the run: whatever its memo
 // has collected from the inputs before, it must accept exactly what a
 // memo-less decode accepts and decode it to the same message. The seed
@@ -40,6 +40,9 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		var w1 wire.Buffer
 		if err := EncodeMessage(&w1, msg); err != nil {
 			t.Fatalf("accepted message fails to re-encode: %v", err)
+		}
+		if size := MessageSize(msg); size != w1.Len() {
+			t.Fatalf("%T: MessageSize says %d, the encoding is %d bytes", msg, size, w1.Len())
 		}
 		var wm wire.Buffer
 		if err := EncodeMessage(&wm, memoMsg); err != nil || !bytes.Equal(w1.Bytes(), wm.Bytes()) {

@@ -89,6 +89,14 @@ func codecFixtures(t testing.TB) (*relation.Catalog, []chord.Message) {
 		hotHandoffMsg{Input: "S+E+7", Shard: 2, Version: 3, K: 4,
 			Entries: []vqEntry{{Rw: rw, Times: []int64{9, 11}}},
 			Tuples:  []*relation.Tuple{su}},
+		snapMetaMsg{
+			Clock: 12, Nodes: []string{"peer0", "peer1"}, Down: []string{"peer9"},
+			Seq:   []seqEntry{{Key: q.Subscriber(), Seq: 2}},
+			Subs:  []subsEntry{{Key: q.Key(), Inputs: []string{"R+B", "S+E"}}},
+			Multi: true, Conds: []*query.Query{q}, Sink: []Notification{notif},
+			HotEpochs: []hotEpochEntry{{Input: "S+E+7", Version: 3, K: 4}},
+			HotCounts: []hotCountEntry{{Input: "S+E+7", Count: 5, WindowStart: 8}},
+		},
 	}
 	return full, msgs
 }
@@ -345,6 +353,17 @@ func assertSemanticEqual(t *testing.T, want, got chord.Message) {
 				t.Fatalf("hotHandoffMsg tuple %d mismatch", i)
 			}
 		}
+	case snapMetaMsg:
+		g := got.(snapMetaMsg)
+		if g.Clock != w.Clock || g.Multi != w.Multi ||
+			!reflect.DeepEqual(g.Nodes, w.Nodes) || !reflect.DeepEqual(g.Down, w.Down) ||
+			!reflect.DeepEqual(g.Seq, w.Seq) || !reflect.DeepEqual(g.Subs, w.Subs) ||
+			!reflect.DeepEqual(g.HotEpochs, w.HotEpochs) || !reflect.DeepEqual(g.HotCounts, w.HotCounts) ||
+			len(g.Conds) != len(w.Conds) || g.Conds[0].Key() != w.Conds[0].Key() ||
+			len(g.Sink) != len(w.Sink) || g.Sink[0].ContentKey() != w.Sink[0].ContentKey() ||
+			g.Sink[0].subscriberIP != w.Sink[0].subscriberIP {
+			t.Fatalf("snapMetaMsg mismatch: %+v", g)
+		}
 	default:
 		t.Fatalf("no comparer for %T", want)
 	}
@@ -392,13 +411,13 @@ func TestSizeCacheInvalidatedOnCopy(t *testing.T) {
 		if !ok {
 			continue
 		}
-		if wireSize(al) != encodedLen(al) {
-			t.Fatalf("alIndexMsg: size %d != encoding %d", wireSize(al), encodedLen(al))
+		if MessageSize(al) != encodedLen(al) {
+			t.Fatalf("alIndexMsg: size %d != encoding %d", MessageSize(al), encodedLen(al))
 		}
 		// A pubT two varint-lengths away changes the tuple's encoded size.
 		cp := alIndexMsg{T: al.T.WithPubT(1 << 20), Attr: al.Attr, Replica: al.Replica}
-		if wireSize(cp) != encodedLen(cp) {
-			t.Fatalf("copied tuple: size %d != encoding %d", wireSize(cp), encodedLen(cp))
+		if MessageSize(cp) != encodedLen(cp) {
+			t.Fatalf("copied tuple: size %d != encoding %d", MessageSize(cp), encodedLen(cp))
 		}
 		return
 	}
@@ -424,6 +443,15 @@ func TestQuerySizeCacheInvalidatedOnCopy(t *testing.T) {
 	t.Fatal("no queryMsg fixture")
 }
 
+// encodedLen is the length of msg's encoding, 0 when it has none.
+func encodedLen(msg chord.Message) int {
+	var w wire.Buffer
+	if err := EncodeMessage(&w, msg); err != nil {
+		return 0
+	}
+	return w.Len()
+}
+
 func querySizeByEncoding(q *query.Query) int {
 	var w wire.Buffer
 	wire.EncodeQuery(&w, q)
@@ -438,6 +466,8 @@ func TestDecodeUnknownTag(t *testing.T) {
 	}
 }
 
+// A decoder with a sticky error could swallow a failure and hand back zero
+// values: every strict prefix of every encoding must be rejected.
 func TestDecodeTruncated(t *testing.T) {
 	catalog, msgs := codecFixtures(t)
 	for _, msg := range msgs {
@@ -446,15 +476,42 @@ func TestDecodeTruncated(t *testing.T) {
 			t.Fatal(err)
 		}
 		full := w.Bytes()
-		// Strict prefixes must fail cleanly.
-		for _, cut := range []int{0, 1, len(full) / 2, len(full) - 1} {
-			if cut >= len(full) {
-				continue
-			}
+		for cut := 0; cut < len(full); cut++ {
 			if _, err := DecodeMessage(wire.NewReader(full[:cut]), catalog); err == nil {
-				t.Fatalf("%T: truncation at %d accepted", msg, cut)
+				t.Fatalf("%T: truncation at %d of %d accepted", msg, cut, len(full))
 			}
 		}
+	}
+}
+
+// Every tag has exactly one fixture, whose encoding leads with that tag and
+// decodes to the fixture's own type: the two switches of codec.go pair each
+// message kind with one tag, both ways.
+func TestEveryTagRoundTrips(t *testing.T) {
+	catalog, msgs := codecFixtures(t)
+	fixtures := map[byte]chord.Message{}
+	for _, msg := range msgs {
+		var w wire.Buffer
+		if err := EncodeMessage(&w, msg); err != nil {
+			t.Fatalf("%T: encode: %v", msg, err)
+		}
+		tag := w.Bytes()[0]
+		if prev, dup := fixtures[tag]; dup {
+			t.Fatalf("tag %d leads both %T and %T", tag, prev, msg)
+		}
+		fixtures[tag] = msg
+		got, err := DecodeMessage(wire.NewReader(w.Bytes()), catalog)
+		if err != nil || reflect.TypeOf(got) != reflect.TypeOf(msg) {
+			t.Fatalf("tag %d: a %T decoded as %T (%v)", tag, msg, got, err)
+		}
+	}
+	for tag := tagQuery; tag <= tagSnapMeta; tag++ {
+		if fixtures[tag] == nil {
+			t.Errorf("tag %d has no fixture in codecFixtures", tag)
+		}
+	}
+	if len(fixtures) != int(tagSnapMeta) {
+		t.Errorf("%d tags in use, the constants declare %d", len(fixtures), tagSnapMeta)
 	}
 }
 

@@ -55,8 +55,8 @@ type hotCountEntry struct {
 }
 
 // snapMetaMsg is the engine-global section of a snapshot. It reuses the
-// engine message codec (tag tagSnapMeta) so the wiretag/wiresync analyzers
-// gate its encoding like every other frame.
+// engine message codec (tag tagSnapMeta), so it is walked, pinned and fuzzed
+// like every other frame.
 type snapMetaMsg struct {
 	Clock     int64
 	Nodes     []string // alive node keys, ring order

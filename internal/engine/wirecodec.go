@@ -42,7 +42,7 @@ func (c WireCodec) Encode(w *wire.Buffer, msg chord.Message) error {
 
 // Decode reads one message encoded by Encode.
 func (c WireCodec) Decode(r *wire.Reader) (chord.Message, error) {
-	return decodeMessage(r, c.catalog, c.memo)
+	return decodeWith(r, c.catalog, c.memo)
 }
 
 // Size reports msg's exact encoded length (0 when unknown), satisfying

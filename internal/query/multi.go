@@ -330,6 +330,9 @@ func (mq *MultiQuery) Arity() int { return len(mq.rels) }
 // Rels returns the relations in pipeline order.
 func (mq *MultiQuery) Rels() []*relation.Schema { return append([]*relation.Schema(nil), mq.rels...) }
 
+// Rel returns Rels()[i] without copying the slice.
+func (mq *MultiQuery) Rel(i int) *relation.Schema { return mq.rels[i] }
+
 // Links returns the chain's join conditions; Links()[i] relates Rels()[i]
 // to Rels()[i+1].
 func (mq *MultiQuery) Links() []Link { return append([]Link(nil), mq.links...) }

@@ -2,8 +2,7 @@
 // turning the single-process simulated overlay into a multi-process one.
 // It implements chord.Transport: the routing, accounting and reliability
 // layers above are untouched, and the engine's wire codecs
-// (internal/engine/codec.go, guarded by cqlint's wiresync analyzer)
-// finally cross a real socket.
+// (internal/engine/codec.go) finally cross a real socket.
 //
 // Deployment model: every process builds the identical overlay (same
 // seed, same node keys, same ring) and a static peer list assigns each
@@ -52,8 +51,8 @@ type Codec interface {
 // Sizer is an optional Codec extension reporting the exact encoded length
 // of a message (0 when unknown). A sizing codec lets DeliverBatch encode
 // each message directly into the batch frame behind a length prefix — no
-// per-message scratch buffer or copy. engine.WireCodec implements it with
-// the same arithmetic the wiresync analyzer pins to the encoders.
+// per-message scratch buffer or copy. engine.WireCodec implements it by
+// running the encoder's own field walk in sizing mode.
 type Sizer interface {
 	Size(msg chord.Message) int
 }

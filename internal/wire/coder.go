@@ -1,0 +1,297 @@
+package wire
+
+import (
+	"fmt"
+
+	"cqjoin/internal/query"
+	"cqjoin/internal/relation"
+)
+
+// Coder walks the fields of a wire structure. It is in exactly one of three
+// modes — sizing, encoding or decoding — and each leaf method does that
+// mode's thing to the field it is pointed at: adds its encoded length,
+// appends it, or reads it into place. A structure therefore lists its fields
+// once, in wire order, in one walk method:
+//
+//	func (m *alIndexMsg) walk(c *wire.Coder) { c.Tuple(&m.T, nil); c.String(&m.Attr); c.Int(&m.Replica) }
+//
+// and its size, its encoding and its decoding all run that walk, so the three
+// cannot disagree.
+//
+// Sizing and encoding only read the fields: messages under way share queries,
+// rewrite targets and stored notifications, and parallel cells size them
+// concurrently. Decoding keeps the first failure: from then on every leaf is
+// a no-op and Count reads as 0, so a walk needs no error check per field and
+// a failed decode runs out instead of spinning. What a failed walk left
+// behind is garbage; callers use it only after Sync (or Err) returned nil.
+//
+// The zero Coder sizes.
+type Coder struct {
+	mode coderMode
+	n    int    // sizing: the length so far
+	w    Buffer // encoding
+	r    Reader // decoding
+	err  error
+
+	// What decoding resolves input against: Catalog holds the schemas tuples
+	// reuse and queries are re-parsed with; Memo, required to decode a query
+	// or an interned string, remembers what earlier input built; a decoder
+	// of one-off input (a hand-off, a snapshot) swaps in a fresh one for the
+	// duration.
+	Catalog *relation.Catalog
+	Memo    *Memo
+}
+
+type coderMode uint8
+
+const (
+	sizing coderMode = iota
+	encoding
+	decoding
+)
+
+// Encoder returns a Coder that appends to what w holds; Flush ends the walk.
+// The Coder works on its own copy of the Buffer, and of the Reader below:
+// pointing at the caller's would move it to the heap with everything else a
+// Coder refers to, an allocation per message for a caller that declares one
+// per message.
+func Encoder(w *Buffer) Coder { return Coder{mode: encoding, w: *w} }
+
+// Flush ends an encoding walk: w takes what the walk appended, and Flush
+// returns the walk's failure.
+func (c *Coder) Flush(w *Buffer) error {
+	*w = c.w
+	return c.err
+}
+
+// Decoder returns a Coder that reads on from where r stands; Sync ends the
+// walk.
+func Decoder(r *Reader, catalog *relation.Catalog, memo *Memo) Coder {
+	return Coder{mode: decoding, r: *r, Catalog: catalog, Memo: memo}
+}
+
+// Sync ends a decoding walk: r moves past what the walk read, and Sync
+// returns the walk's failure.
+func (c *Coder) Sync(r *Reader) error {
+	*r = c.r
+	return c.err
+}
+
+// Decoding reports whether the walk fills the fields in, for the steps only
+// that direction has: making a slice, parsing text, sharing a neighbour's
+// value.
+func (c *Coder) Decoding() bool { return c.mode == decoding }
+
+// Size returns the length a sizing walk has added up.
+func (c *Coder) Size() int { return c.n }
+
+// Reader returns the input of a decoding walk, for a step that looks at the
+// bytes themselves (SkipPrefix, Since).
+func (c *Coder) Reader() *Reader { return &c.r }
+
+// Err returns the walk's first failure.
+func (c *Coder) Err() error { return c.err }
+
+// Fail records err unless an earlier failure stands.
+func (c *Coder) Fail(err error) {
+	if c.err == nil {
+		c.err = err
+	}
+}
+
+// Uvarint walks an unsigned varint.
+func (c *Coder) Uvarint(v *uint64) {
+	switch c.mode {
+	case sizing:
+		c.n += SizeUvarint(*v)
+	case encoding:
+		c.w.PutUvarint(*v)
+	case decoding:
+		if c.err == nil {
+			*v, c.err = c.r.Uvarint()
+		}
+	}
+}
+
+// Int walks a non-negative int as an unsigned varint.
+func (c *Coder) Int(v *int) {
+	u := uint64(*v)
+	c.Uvarint(&u)
+	if c.mode == decoding {
+		*v = int(u)
+	}
+}
+
+// Bool walks a bool as the unsigned varint 0 or 1; any other value reads as
+// true.
+func (c *Coder) Bool(v *bool) {
+	var u uint64
+	if *v {
+		u = 1
+	}
+	c.Uvarint(&u)
+	if c.mode == decoding {
+		*v = u != 0
+	}
+}
+
+// Tag walks the one-byte type tag that leads a message or record. Sizing and
+// encoding take t; decoding returns the input's tag, 0 — no tag — after a
+// failure.
+func (c *Coder) Tag(t byte) byte {
+	u := uint64(t)
+	c.Uvarint(&u)
+	return byte(u)
+}
+
+// Varint walks a signed varint.
+func (c *Coder) Varint(v *int64) {
+	switch c.mode {
+	case sizing:
+		c.n += SizeVarint(*v)
+	case encoding:
+		c.w.PutVarint(*v)
+	case decoding:
+		if c.err == nil {
+			*v, c.err = c.r.Varint()
+		}
+	}
+}
+
+// String walks a length-prefixed string.
+func (c *Coder) String(s *string) {
+	switch c.mode {
+	case sizing:
+		c.n += SizeString(*s)
+	case encoding:
+		c.w.PutString(*s)
+	case decoding:
+		if c.err == nil {
+			*s, c.err = c.r.String()
+		}
+	}
+}
+
+// Interned walks a string that recurs across messages — an identity, a key:
+// decoding returns Memo's copy of one read before instead of another
+// allocation. The bytes are String's.
+func (c *Coder) Interned(s *string) {
+	if c.mode != decoding {
+		c.String(s)
+	} else if c.err == nil {
+		*s, c.err = c.Memo.String(&c.r)
+	}
+}
+
+// Bytes walks a length-prefixed byte slice. A decoded slice aliases the
+// input, like Reader.Bytes.
+func (c *Coder) Bytes(b *[]byte) {
+	switch c.mode {
+	case sizing:
+		c.n += SizeUvarint(uint64(len(*b))) + len(*b)
+	case encoding:
+		c.w.PutBytes(*b)
+	case decoding:
+		if c.err == nil {
+			*b, c.err = c.r.Bytes()
+		}
+	}
+}
+
+// Value walks one attribute value.
+func (c *Coder) Value(v *relation.Value) {
+	switch c.mode {
+	case sizing:
+		c.n += SizeValue(*v)
+	case encoding:
+		c.w.PutValue(*v)
+	case decoding:
+		if c.err == nil {
+			*v, c.err = c.r.Value()
+		}
+	}
+}
+
+// Tuple walks a tuple with its schema (EncodeTuple, SizeTuple). Decoding
+// reuses Catalog's schema or shape — the projection the tuple's query
+// expects, nil when there is none — under DecodeTuple's rules.
+func (c *Coder) Tuple(t **relation.Tuple, shape *relation.Schema) {
+	switch c.mode {
+	case sizing:
+		c.n += SizeTuple(*t)
+	case encoding:
+		EncodeTuple(&c.w, *t)
+	case decoding:
+		if c.err == nil {
+			*t, c.err = DecodeTuple(&c.r, c.Catalog, shape)
+		}
+	}
+}
+
+// Query walks a query (EncodeQuery, SizeQuery); decoding resolves it through
+// Memo (DecodeQuery).
+func (c *Coder) Query(q **query.Query) {
+	switch c.mode {
+	case sizing:
+		c.n += SizeQuery(*q)
+	case encoding:
+		EncodeQuery(&c.w, *q)
+	case decoding:
+		if c.err == nil {
+			*q, c.err = DecodeQuery(&c.r, c.Catalog, c.Memo)
+		}
+	}
+}
+
+// Count walks the element count n that leads a list and returns the count to
+// walk: n itself, or decoding, the input's. Every element occupies at least
+// one byte, so a count above the bytes remaining is malformed or hostile
+// input, failed here before it can size an allocation; after a failure the
+// count is 0.
+func (c *Coder) Count(n int) int {
+	u := uint64(n)
+	c.Uvarint(&u)
+	if c.mode != decoding {
+		return n
+	}
+	if c.err == nil && u > uint64(c.r.Remaining()) {
+		c.err = fmt.Errorf("wire: element count %d exceeds %d remaining bytes", u, c.r.Remaining())
+	}
+	if c.err != nil {
+		return 0
+	}
+	return int(u)
+}
+
+// Slice walks the count of the list *s and, decoding, makes *s that long;
+// the caller then walks the elements in place.
+func Slice[T any](c *Coder, s *[]T) {
+	n := c.Count(len(*s))
+	if c.mode == decoding {
+		*s = make([]T, n)
+	}
+}
+
+// Strings walks a counted list of strings.
+func (c *Coder) Strings(s *[]string) {
+	Slice(c, s)
+	for i := range *s {
+		c.String(&(*s)[i])
+	}
+}
+
+// Tuples walks a counted list of tuples, each decoded against Catalog alone.
+func (c *Coder) Tuples(ts *[]*relation.Tuple) {
+	Slice(c, ts)
+	for i := range *ts {
+		c.Tuple(&(*ts)[i], nil)
+	}
+}
+
+// Queries walks a counted list of queries.
+func (c *Coder) Queries(qs *[]*query.Query) {
+	Slice(c, qs)
+	for i := range *qs {
+		c.Query(&(*qs)[i])
+	}
+}

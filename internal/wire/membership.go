@@ -1,7 +1,5 @@
 package wire
 
-import "fmt"
-
 // MemberView is the daemon membership gossip payload: the authoritative
 // list of overlay processes at a given version, stamped with the address
 // of the process that originated the change. Views are totally ordered by
@@ -20,53 +18,35 @@ type MemberView struct {
 	Procs   []string
 }
 
+// Walk lists the view's fields in wire order; its size, encoding and
+// decoding all run it.
+func (v *MemberView) Walk(c *Coder) {
+	c.Uvarint(&v.Version)
+	c.String(&v.Origin)
+	c.Strings(&v.Procs)
+}
+
 // EncodeMemberView appends v's wire form to w.
-//
-//wire:field enc MemberView Version Origin Procs
 func EncodeMemberView(w *Buffer, v *MemberView) {
-	w.PutUvarint(v.Version)
-	w.PutString(v.Origin)
-	w.PutUvarint(uint64(len(v.Procs)))
-	for _, p := range v.Procs {
-		w.PutString(p)
-	}
+	c := Encoder(w)
+	v.Walk(&c)
+	_ = c.Flush(w) // encoding a view cannot fail
 }
 
 // SizeMemberView reports the exact encoded length of v.
-//
-//wire:field size MemberView Version Origin Procs
 func SizeMemberView(v *MemberView) int {
-	n := SizeUvarint(v.Version) + SizeString(v.Origin) + SizeUvarint(uint64(len(v.Procs)))
-	for _, p := range v.Procs {
-		n += SizeString(p)
-	}
-	return n
+	var c Coder
+	v.Walk(&c)
+	return c.Size()
 }
 
 // DecodeMemberView reads one view encoded by EncodeMemberView.
-//
-//wire:field dec MemberView Version Origin Procs
 func DecodeMemberView(r *Reader) (*MemberView, error) {
-	version, err := r.Uvarint()
-	if err != nil {
+	c := Decoder(r, nil, nil)
+	v := new(MemberView)
+	v.Walk(&c)
+	if err := c.Sync(r); err != nil {
 		return nil, err
 	}
-	origin, err := r.String()
-	if err != nil {
-		return nil, err
-	}
-	count, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if count > uint64(r.Remaining()) {
-		return nil, fmt.Errorf("wire: member count %d exceeds %d remaining bytes", count, r.Remaining())
-	}
-	procs := make([]string, count)
-	for i := range procs {
-		if procs[i], err = r.String(); err != nil {
-			return nil, err
-		}
-	}
-	return &MemberView{Version: version, Origin: origin, Procs: procs}, nil
+	return v, nil
 }
