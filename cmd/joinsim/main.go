@@ -13,14 +13,14 @@
 // reproduces the thesis set-up (10^4 nodes, 10^5 queries) and takes
 // minutes per experiment.
 //
-// Experiments run their independent cells — and the engine its publish
-// cascades — on -parallel workers (default: all CPUs). Execution is
-// deterministic at any worker count (DESIGN.md §8): -parallel 1 and
-// -parallel 32 print identical tables for the same seed. Standard output
-// carries nothing else — each experiment's wall time goes to standard
-// error — so `joinsim -exp all` at CI scale is byte for byte
-// internal/exp/testdata/ci.golden, which `go test ./internal/exp/` holds
-// it to; after an intended change to a figure, regenerate the file with
+// Experiments run their independent cells on -parallel workers (default:
+// all CPUs); each cell publishes sequentially on its own overlay, so
+// -parallel 1 and -parallel 32 print identical tables for the same seed
+// (DESIGN.md §8). Standard output carries nothing else — each
+// experiment's wall time goes to standard error — so `joinsim -exp all`
+// at CI scale is byte for byte internal/exp/testdata/ci.golden, which
+// `go test ./internal/exp/` holds it to; after an intended change to a
+// figure, regenerate the file with
 //
 //	go run ./cmd/joinsim -exp all > internal/exp/testdata/ci.golden
 package main
@@ -45,7 +45,7 @@ func main() {
 		tuples   = flag.Int("tuples", 0, "override: inserted tuples")
 		seed     = flag.Int64("seed", 0, "override: random seed")
 		format   = flag.String("format", "table", "output format: table or csv")
-		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker budget for experiment cells and publish cascades (results are identical at any value)")
+		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker budget for experiment cells (results are identical at any value)")
 	)
 	flag.Parse()
 	exp.SetParallelism(*parallel)

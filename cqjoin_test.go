@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"cqjoin"
+	"cqjoin/internal/chaos"
+	"cqjoin/internal/engine"
 )
 
 func demoCatalog() *cqjoin.Catalog {
@@ -198,33 +200,51 @@ func TestNodeIndexWrapsAround(t *testing.T) {
 	}
 }
 
+// TestConcurrentPublishersAndSubscribers drives the engine the way the
+// daemon and cqbench do — plain Publish calls from several goroutines —
+// and holds the outcome to the centralized oracle.
 func TestConcurrentPublishersAndSubscribers(t *testing.T) {
 	cluster, _ := cqjoin.NewCluster(cqjoin.Config{Nodes: 64, Catalog: demoCatalog(), UseJFRT: true, Seed: 2})
+	oracle := engine.NewOracle()
+	for w := 0; w < 4; w++ {
+		q, err := cluster.Node(w).Subscribe(`SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
+		if err != nil {
+			t.Fatalf("subscribe: %v", err)
+		}
+		oracle.AddQuery(q)
+	}
+	var oracleMu sync.Mutex
+	publish := func(n *cqjoin.Node, rel string, values ...interface{}) bool {
+		tu, err := n.Publish(rel, values...)
+		if err != nil {
+			t.Errorf("publish %s: %v", rel, err)
+			return false
+		}
+		oracleMu.Lock()
+		oracle.AddTuple(tu)
+		oracleMu.Unlock()
+		return true
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			n := cluster.Node(w)
-			if _, err := n.Subscribe(`SELECT R.A, S.D FROM R, S WHERE R.B = S.E`); err != nil {
-				t.Errorf("subscribe: %v", err)
-				return
-			}
 			for i := 0; i < 50; i++ {
-				if _, err := n.Publish("R", w*100+i, i%5); err != nil {
-					t.Errorf("publish R: %v", err)
-					return
-				}
-				if _, err := cluster.Node(w+10).Publish("S", w*100+i, i%5); err != nil {
-					t.Errorf("publish S: %v", err)
+				if !publish(cluster.Node(w), "R", w*100+i, i%5) ||
+					!publish(cluster.Node(w+10), "S", w*100+i, i%5) {
 					return
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	if len(cluster.Notifications()) == 0 {
-		t.Fatal("concurrent workload produced no notifications")
+	notifs := cluster.Notifications()
+	if err := chaos.Complete(oracle, notifs); err != nil {
+		t.Error(err)
+	}
+	if err := chaos.NoDuplicateDeliveries(notifs); err != nil {
+		t.Error(err)
 	}
 	if cluster.FilteringLoad().Total == 0 {
 		t.Fatal("no load recorded")

@@ -6,8 +6,8 @@ import (
 )
 
 // orderSensitiveSinks are the built-in order-sensitive consumers: anything
-// whose observable output (wire bytes, hop ledger, notification order,
-// conflict-wave partitions) depends on the order its inputs arrive in.
+// whose observable output (wire bytes, hop ledger, notification order)
+// depends on the order its inputs arrive in.
 // Package-internal sinks are marked at their declaration with
 // //cqlint:sink instead of being listed here.
 var orderSensitiveSinks = map[string]bool{
@@ -22,7 +22,6 @@ var orderSensitiveSinks = map[string]bool{
 	"cqjoin/internal/wire.Buffer.PutVarint":         true,
 	"cqjoin/internal/wire.Buffer.PutString":         true,
 	"cqjoin/internal/wire.Buffer.PutValue":          true,
-	"cqjoin/internal/engine.Engine.partitionWaves":  true,
 
 	// The leaves a walk method lists its fields through (wire.Coder): in
 	// encoding mode each is a Put.
@@ -47,15 +46,15 @@ var orderSensitiveSinks = map[string]bool{
 
 // MapOrderAnalyzer flags `range` statements over maps whose loop body
 // feeds an order-sensitive sink directly: Go map iteration order is
-// random, so such a loop leaks nondeterminism straight into wire traffic,
-// notification order or conflict-wave partitions. The deterministic
+// random, so such a loop leaks nondeterminism straight into wire traffic
+// or notification order. The deterministic
 // pattern is collect keys → sort → range the sorted slice (see
 // engine/merge.go). The check is syntactic per loop body — calls made
 // by functions the body invokes are not traced — so sinks reached through
 // helpers should mark the helper itself with //cqlint:sink.
 var MapOrderAnalyzer = &Analyzer{
 	Name: "maporder",
-	Doc:  "flag map iteration feeding wire encodes, sends or wave partitions without sorting",
+	Doc:  "flag map iteration feeding wire encodes or sends without sorting",
 	Run:  runMapOrder,
 }
 

@@ -2,12 +2,15 @@
 // overlay. It hooks the single choke point where the simulation delivers a
 // message to a node (chord.Interceptor) and perturbs the run with message
 // drops, duplications and bounded delays, plus node crash/rejoin schedules
-// and stale-subscriber-address events — every decision drawn from one
-// seeded random source, so one int64 seed reproduces the whole fault
-// schedule event for event. The invariant harness (invariants.go) checks
-// that the engine's robustness mechanisms — retries, duplicate absorption,
-// key hand-off, offline-notification replay — turn this hostile network
-// back into exactly the answer set of the centralized oracle.
+// and stale-subscriber-address events — every decision derived from one
+// int64 seed, so the seed reproduces the whole fault schedule event for
+// event. Per-delivery fates are keyed by message content (keyedDrawLocked),
+// so a recovery replaying the same traffic meets the same faults; Step's
+// membership picks come from a sequential seeded stream. The invariant
+// harness (invariants.go) checks that the engine's robustness mechanisms —
+// retries, duplicate absorption, key hand-off, offline-notification replay
+// — turn this hostile network back into exactly the answer set of the
+// centralized oracle.
 package chaos
 
 import (
@@ -84,15 +87,6 @@ type Config struct {
 	// engine back through Rebind. In-flight parked deliveries die with
 	// the old process, exactly as a kill -9 would lose them.
 	RestartEvery int
-	// KeyedDraws switches per-delivery fault decisions from the shared
-	// sequential rng stream to draws keyed by message content (encoded
-	// bytes + endpoint keys + per-content attempt number + Seed). The fate
-	// of a delivery then no longer depends on how deliveries interleave,
-	// which is what makes a chaos run reproducible under the engine's
-	// parallel publish pipeline (DESIGN.md §8). Step-level events (crashes,
-	// stale IPs) still use the sequential stream — Step runs between
-	// batches, never inside one.
-	KeyedDraws bool
 }
 
 func (c Config) withDefaults() Config {
@@ -140,10 +134,9 @@ type Injector struct {
 	trace       []string
 
 	// Keyed-draw state (all under mu): the per-content attempt counters
-	// give a retried or duplicated message a fresh draw while keeping the
-	// draw independent of delivery interleaving, and encBuf is the reused
-	// encode scratch. Never cleared: whether a counter has been seen must
-	// not depend on delivery order.
+	// give a retried or duplicated message a fresh draw, and encBuf is the
+	// reused encode scratch. Reset only by Rebind: a recovery's replay
+	// counts attempts afresh, as the original run did.
 	attempts map[uint64]int64
 	encBuf   wire.Buffer
 
@@ -181,13 +174,7 @@ func (in *Injector) Deliver(from, dst *chord.Node, msg chord.Message, forward fu
 	kind := msg.Kind()
 	now := in.net.Clock().Now()
 	c := in.cfg
-	var p float64
-	var d, prio int64
-	if c.KeyedDraws {
-		p, d, prio = in.keyedDrawLocked(from, dst, msg)
-	} else {
-		p = in.rng.Float64() // one draw per delivery keeps the schedule stable
-	}
+	p, d := in.keyedDrawLocked(from, dst, msg)
 	switch {
 	case p < c.DropRate:
 		in.tracefLocked("t=%d drop %s %s->%s", now, kind, from.Key(), dst.Key())
@@ -201,15 +188,10 @@ func (in *Injector) Deliver(from, dst *chord.Node, msg chord.Message, forward fu
 		second := forward()
 		return ack(first || second)
 	case p < c.DropRate+c.DupRate+c.DelayRate:
-		if !c.KeyedDraws {
-			// Drawn lazily so the legacy rng stream is untouched on the
-			// other fates — existing seeded traces stay reproducible.
-			d = 1 + in.rng.Int63n(c.MaxDelay)
-		}
 		in.tracefLocked("t=%d delay+%d %s %s->%s", now, d, kind, from.Key(), dst.Key())
 		in.mu.Unlock()
 		in.net.Traffic().RecordDelayed(kind)
-		in.dq.PushAtPrio(now+d, prio, func() {
+		in.dq.PushAt(now+d, func() {
 			in.tracef("t=%d release %s %s->%s", in.net.Clock().Now(), kind, from.Key(), dst.Key())
 			forward() // checks dst.Alive itself; a crashed recipient loses the copy
 		})
@@ -219,13 +201,6 @@ func (in *Injector) Deliver(from, dst *chord.Node, msg chord.Message, forward fu
 		return ack(forward())
 	}
 }
-
-// ParallelSafe reports whether this injector's per-delivery decisions are
-// independent of delivery interleaving, i.e. whether the engine's batched
-// publish pipeline may fan deliveries out to workers without changing the
-// fault schedule. Only keyed draws qualify; the legacy shared-stream mode
-// forces the engine back to sequential publishing.
-func (in *Injector) ParallelSafe() bool { return in.cfg.KeyedDraws }
 
 // mix64 is the splitmix64 finalizer — a cheap bijective scrambler used to
 // fold the seed and attempt number into the content hash.
@@ -241,9 +216,8 @@ func mix64(x uint64) uint64 {
 // endpoint keys identifies the delivery, a per-content attempt counter
 // distinguishes retries and duplicate forwards of the same message, and
 // the seed folds in so different seeds give different schedules. Returns
-// the fate draw p, a delay in [1, MaxDelay] and a release priority that
-// orders same-tick releases content-deterministically. Caller holds in.mu.
-func (in *Injector) keyedDrawLocked(from, dst *chord.Node, msg chord.Message) (p float64, d, prio int64) {
+// the fate draw p and a delay in [1, MaxDelay]. Caller holds in.mu.
+func (in *Injector) keyedDrawLocked(from, dst *chord.Node, msg chord.Message) (p float64, d int64) {
 	const (
 		fnvOffset = 14695981039346656037
 		fnvPrime  = 1099511628211
@@ -269,8 +243,7 @@ func (in *Injector) keyedDrawLocked(from, dst *chord.Node, msg chord.Message) (p
 	p = float64(x>>11) / float64(1<<53)
 	x = mix64(x)
 	d = 1 + int64(x%uint64(in.cfg.MaxDelay))
-	prio = int64(mix64(x) >> 1)
-	return p, d, prio
+	return p, d
 }
 
 func ack(delivered bool) int {

@@ -15,15 +15,13 @@ import (
 // Protocol-churn acceptance: membership changes — joins, voluntary leaves,
 // crashes, rejoins — run through the maintenance protocol only
 // (JoinProtocol/LeaveProtocol/FailProtocol + stabilize/notify/fix-fingers),
-// never the oracle repairs, while the workload flows through the batched
-// parallel publish pipeline. After calming and healing, the ring must
-// satisfy the Zave invariants, no delivery may be lost or duplicated, and
-// the content-level notification fingerprint must equal a never-churned
-// run of the same seeded workload — at any worker count.
+// never the oracle repairs, while the workload flows. After calming and
+// healing, the ring must satisfy the Zave invariants, no delivery may be
+// lost or duplicated, and the content-level notification fingerprint must
+// equal a never-churned run of the same seeded workload.
 
 // protocolFaults is the seeded churn schedule: every membership change is
-// protocol-only, and per-delivery fates are keyed draws so the schedule is
-// identical at any parallelism.
+// protocol-only.
 func protocolFaults() Config {
 	return Config{
 		DropRate:       0.03,
@@ -37,17 +35,15 @@ func protocolFaults() Config {
 		MinAlive:       16,
 		StabilizeEvery: 2,
 		ProtocolChurn:  true,
-		KeyedDraws:     true,
 	}
 }
 
-// runProtocolChurn drives one seeded workload in batches of 4 publishes
-// through PublishBatch at the given worker count, stepping the injector
-// between batches. churn=false runs the identical workload with no
-// injector at all — the never-churned fingerprint oracle. Queries are
-// subscribed up front at fixed base nodes so query keys (and therefore
-// content fingerprints) are comparable across the two runs.
-func runProtocolChurn(t *testing.T, alg engine.Algorithm, seed int64, batches, workers int, churn bool) chaosResult {
+// runProtocolChurn drives one seeded workload in batches of 4 publishes,
+// stepping the injector between batches. churn=false runs the identical
+// workload with no injector at all — the never-churned fingerprint oracle.
+// Queries are subscribed up front at fixed base nodes so query keys (and
+// therefore content fingerprints) are comparable across the two runs.
+func runProtocolChurn(t *testing.T, alg engine.Algorithm, seed int64, batches int, churn bool) chaosResult {
 	t.Helper()
 	r := relation.MustSchema("R", "A", "B", "C")
 	s := relation.MustSchema("S", "D", "E", "F")
@@ -79,10 +75,7 @@ func runProtocolChurn(t *testing.T, alg engine.Algorithm, seed int64, batches, w
 		oracle.AddQuery(q)
 	}
 	for b := 0; b < batches; b++ {
-		const batchLen = 4
-		stamp := net.Clock().Now()
-		ops := make([]engine.PublishOp, 0, batchLen)
-		for i := 0; i < batchLen; i++ {
+		for i := 0; i < 4; i++ {
 			var tu *relation.Tuple
 			if wl.Intn(2) == 0 {
 				tu = relation.MustTuple(r,
@@ -92,13 +85,11 @@ func runProtocolChurn(t *testing.T, alg engine.Algorithm, seed int64, batches, w
 					relation.N(float64(wl.Intn(5))), relation.N(float64(wl.Intn(3))), relation.N(float64(wl.Intn(3))))
 			}
 			nodes := net.Nodes()
-			ops = append(ops, engine.PublishOp{From: nodes[wl.Intn(len(nodes))], T: tu})
-			// PublishBatch pre-stamps event i with now+i+1; mirror that for
-			// the differential oracle.
-			oracle.AddTuple(tu.WithPubT(stamp + int64(i) + 1))
-		}
-		if err := eng.PublishBatch(ops, workers); err != nil {
-			t.Fatalf("batch %d: %v", b, err)
+			stamped, err := eng.Publish(nodes[wl.Intn(len(nodes))], tu)
+			if err != nil {
+				t.Fatalf("batch %d: %v", b, err)
+			}
+			oracle.AddTuple(stamped)
 		}
 		if in != nil {
 			in.Step()
@@ -143,10 +134,9 @@ func traceHas(trace []string, marker string) bool {
 }
 
 // TestProtocolChurnConvergence: for every algorithm, a protocol-churned
-// run at parallelism 1 and at parallelism 8 must (a) be bit-identical to
-// each other — same fault trace, same delivery sequence — (b) converge to
-// a ring satisfying all Zave invariants, (c) lose and duplicate nothing,
-// and (d) reproduce the never-churned run's content fingerprint.
+// run must (a) converge to a ring satisfying all Zave invariants, (b) lose
+// and duplicate nothing, and (c) reproduce the never-churned run's content
+// fingerprint.
 func TestProtocolChurnConvergence(t *testing.T) {
 	seed := chaosSeed(t, 23)
 	batches := 40
@@ -157,76 +147,32 @@ func TestProtocolChurnConvergence(t *testing.T) {
 	}
 	for _, alg := range []engine.Algorithm{engine.SAI, engine.DAIQ, engine.DAIT, engine.DAIV} {
 		t.Run(alg.String(), func(t *testing.T) {
-			calm := runProtocolChurn(t, alg, seed, batches, 8, false)
-			seq := runProtocolChurn(t, alg, seed, batches, 1, true)
-			par := runProtocolChurn(t, alg, seed, batches, 8, true)
+			calm := runProtocolChurn(t, alg, seed, batches, false)
+			res := runProtocolChurn(t, alg, seed, batches, true)
 
-			// (a) Worker count must not change the run: the same fault
-			// events (keyed draws make each delivery's fate a function of
-			// its content, though workers may log them in a different
-			// order within a batch) and the same delivery sequence
-			// (PublishBatch keeps the sink canonically sorted).
-			sortedTrace := func(trace []string) []string {
-				out := append([]string(nil), trace...)
-				sort.Strings(out)
-				return out
+			// (a) Zave invariants and exact pointer convergence.
+			if rep := chord.CheckRing(res.net); !rep.Converged() {
+				t.Error(rep)
 			}
-			ts, tp := sortedTrace(seq.trace), sortedTrace(par.trace)
-			if len(ts) != len(tp) {
-				t.Fatalf("trace lengths differ across parallelism: %d vs %d", len(ts), len(tp))
+			if err := RingIntact(res.net); err != nil {
+				t.Error(err)
 			}
-			for i := range ts {
-				if ts[i] != tp[i] {
-					t.Fatalf("fault-event multisets diverge at %d:\n  w1: %s\n  w8: %s", i, ts[i], tp[i])
-				}
+			// (b) Differential invariants.
+			if err := NoDuplicateDeliveries(res.notifs); err != nil {
+				t.Error(err)
 			}
-			// Deliveries must agree as a multiset of full identities.
-			// (The sequence is canonical within each publish batch, but a
-			// replayed offline queue preserves its arrival order, which a
-			// different worker interleaving may permute.)
-			ids := func(ns []engine.Notification) []string {
-				out := make([]string, len(ns))
-				for i, n := range ns {
-					out[i] = deliveryIdentity(n)
-				}
-				sort.Strings(out)
-				return out
+			if err := Complete(res.oracle, res.notifs); err != nil {
+				t.Error(err)
 			}
-			is, ip := ids(seq.notifs), ids(par.notifs)
-			if len(is) != len(ip) {
-				t.Fatalf("notification counts differ across parallelism: %d vs %d", len(is), len(ip))
-			}
-			for i := range is {
-				if is[i] != ip[i] {
-					t.Fatalf("delivery sets diverge at %d: %s vs %s", i, is[i], ip[i])
-				}
-			}
-
-			for name, res := range map[string]chaosResult{"w1": seq, "w8": par} {
-				// (b) Zave invariants and exact pointer convergence.
-				if rep := chord.CheckRing(res.net); !rep.Converged() {
-					t.Errorf("%s: %s", name, rep)
-				}
-				if err := RingIntact(res.net); err != nil {
-					t.Errorf("%s: %v", name, err)
-				}
-				// (c) Differential invariants.
-				if err := NoDuplicateDeliveries(res.notifs); err != nil {
-					t.Errorf("%s: %v", name, err)
-				}
-				if err := Complete(res.oracle, res.notifs); err != nil {
-					t.Errorf("%s: %v", name, err)
-				}
-				// (d) Fingerprint equals the never-churned oracle run.
-				if got, want := contentFingerprint(res.notifs), contentFingerprint(calm.notifs); got != want {
-					t.Errorf("%s: content fingerprint diverges from never-churned run (%d vs %d distinct keys)",
-						name, len(strings.Split(got, "\n")), len(strings.Split(want, "\n")))
-				}
+			// (c) Fingerprint equals the never-churned oracle run.
+			if got, want := contentFingerprint(res.notifs), contentFingerprint(calm.notifs); got != want {
+				t.Errorf("content fingerprint diverges from never-churned run (%d vs %d distinct keys)",
+					len(strings.Split(got, "\n")), len(strings.Split(want, "\n")))
 			}
 
 			// The run must actually have churned through the protocol paths.
 			for _, marker := range []string{"join chaos-join-", "leave ", "crash ", "rejoin "} {
-				if !traceHas(par.trace, marker) {
+				if !traceHas(res.trace, marker) {
 					t.Errorf("schedule never produced a %q event: test is vacuous", strings.TrimSpace(marker))
 				}
 			}
@@ -237,8 +183,8 @@ func TestProtocolChurnConvergence(t *testing.T) {
 // TestProtocolChurnSeedsDiffer guards the membership schedule against
 // silently ignoring its seed: distinct seeds must churn differently.
 func TestProtocolChurnSeedsDiffer(t *testing.T) {
-	a := runProtocolChurn(t, engine.SAI, 5, 25, 8, true)
-	b := runProtocolChurn(t, engine.SAI, 6, 25, 8, true)
+	a := runProtocolChurn(t, engine.SAI, 5, 25, true)
+	b := runProtocolChurn(t, engine.SAI, 6, 25, true)
 	if strings.Join(a.trace, "\n") == strings.Join(b.trace, "\n") {
 		t.Fatalf("seeds 5 and 6 produced identical %d-event churn traces", len(a.trace))
 	}

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"cqjoin/internal/relation"
 	"cqjoin/internal/wire"
 	"cqjoin/internal/workload"
 )
@@ -22,7 +21,6 @@ func seedRecords() []any {
 		subscribeRec{Node: "peer2", SQL: "SELECT R0.a0, S1.a0 FROM R0, S0, R1, S1 WHERE R0.a0 = S0.a0 AND S0.a1 = R1.a1 AND R1.a0 = S1.a0", Key: "peer2#0", Multi: true},
 		unsubscribeRec{Node: "peer1", SQL: "SELECT R0.a0 FROM R0, S0 WHERE R0.a0 = S0.a1", Key: "peer1#4"},
 		publishRec{Node: "peer3", T: gen.Tuple()},
-		batchRec{Nodes: []string{"peer1", "peer2"}, Tuples: []*relation.Tuple{gen.Tuple(), gen.Tuple()}, Workers: 8},
 		deliveryRec{Node: "peer5", Frame: []byte{1, 2, 3, 4, 5}},
 		viewRec{View: &wire.MemberView{Version: 9, Procs: []string{"x:1", "y:2"}}},
 	}

@@ -112,12 +112,38 @@ func TestEveryRecordTagRoundTripsAndNoPrefixDecodes(t *testing.T) {
 			}
 		}
 	}
+	// Tag 4 logged a batched publish (no daemon ever wrote one) and is
+	// reserved: such a record is refused, and a log holding one fails Open.
+	const tagReserved byte = 4
 	for tag := tagSubscribe; tag <= tagView; tag++ {
-		if !seen[tag] {
+		if !seen[tag] && tag != tagReserved {
 			t.Errorf("record tag %d has no seed record", tag)
 		}
 	}
-	if len(seen) != int(tagView) {
-		t.Errorf("%d record tags in use, the constants declare %d", len(seen), tagView)
+	if seen[tagReserved] || len(seen) != int(tagView)-1 {
+		t.Errorf("tags in use %v, want every tag up to %d but the reserved %d", seen, tagView, tagReserved)
+	}
+	// The batch record line records.golden held while the tag was live.
+	batch, err := hex.DecodeString("04020570656572310570656572320202533104026130026131026132026133014044000000000000014026000000000000013ff0000000000000014018000000000000000253330402613002613102613202613301403a00000000000001400000000000000001408e30000000000001408cd800000000000008")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "unknown record tag 4"
+	var r wire.Reader
+	r.Reset(batch)
+	if _, err := decodeRecord(&r); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("decoding a tag-4 record: %v, want %q", err, want)
+	}
+	dir := t.TempDir()
+	var view wire.Buffer
+	if err := encodeRecord(&view, viewRec{View: &wire.MemberView{Version: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	log := appendFrame(appendFrame(nil, 1, view.Bytes()), 2, batch)
+	if err := os.WriteFile(filepath.Join(dir, walName), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, nil, Options{}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Open on a log holding a tag-4 frame: %v, want %q", err, want)
 	}
 }

@@ -1,0 +1,149 @@
+package durable
+
+import (
+	"os"
+	"path/filepath"
+	"testing"
+
+	"cqjoin/internal/chord"
+	"cqjoin/internal/engine"
+	"cqjoin/internal/query"
+	"cqjoin/internal/relation"
+)
+
+// A state directory an earlier build wrote must still recover. The files
+// under testdata/state-pr18 were written by parentStateScript running at
+// commit 9d67740 (PR 18), the last build whose snapshots list join
+// conditions: snapshot.bin is a graceful checkpoint taken mid-script,
+// wal.log the records appended after it up to a kill -9.
+
+const (
+	parentStateDir   = "testdata/state-pr18"
+	parentStateNodes = 32
+	parentStateSeed  = 19
+	// parentStateNotifs is the notification count parentStateScript had
+	// delivered when the writing process died.
+	parentStateNotifs = 108
+)
+
+func parentStateCatalog() (*relation.Catalog, *relation.Schema, *relation.Schema) {
+	r := relation.MustSchema("R", "A", "B", "C")
+	s := relation.MustSchema("S", "D", "E", "F")
+	return relation.MustCatalog(r, s), r, s
+}
+
+func parentStateEngine(catalog *relation.Catalog) *engine.Engine {
+	net := chord.New(chord.Config{})
+	net.AddNodes("peer", parentStateNodes)
+	return engine.New(net, catalog, engine.Config{Seed: parentStateSeed})
+}
+
+// parentStateScript runs the fixture's workload against a fresh store
+// under dir and leaves the files a kill -9 would: three subscriptions and
+// a first stream of matches, a checkpoint, then a fourth subscription, a
+// retraction and 24 more publications logged behind the snapshot. It
+// returns the number of notifications delivered.
+func parentStateScript(t *testing.T, dir string) int {
+	catalog, r, s := parentStateCatalog()
+	eng := parentStateEngine(catalog)
+	st, err := Open(dir, catalog, Options{SnapshotEvery: -1})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	if _, err := st.Recover(eng); err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	node := func(i int) *chord.Node { return eng.Network().Nodes()[i%parentStateNodes] }
+	subscribe := func(i int, sql string) *query.Query {
+		q, err := st.Subscribe(node(i), query.MustParse(catalog, sql))
+		if err != nil {
+			t.Fatalf("subscribe: %v", err)
+		}
+		return q
+	}
+	publish := func(i int, schema *relation.Schema, a, b, c float64) {
+		if _, err := st.Publish(node(i), relation.MustTuple(schema, relation.N(a), relation.N(b), relation.N(c))); err != nil {
+			t.Fatalf("publish: %v", err)
+		}
+	}
+	byB := subscribe(0, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
+	subscribe(1, `SELECT R.B, S.E FROM R, S WHERE R.A = S.D`)
+	subscribe(0, `SELECT S.D FROM R, S WHERE R.B = S.E AND R.C = 2`)
+	for i := 0; i < 8; i++ {
+		publish(2+i, r, float64(i), float64(i%3), float64(i%4))
+		publish(9+i, s, float64(i+1), float64(i%3), 0)
+	}
+	if err := st.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	subscribe(5, `SELECT R.C, S.F FROM R, S WHERE R.C = S.F`)
+	for i := 8; i < 20; i++ {
+		if i == 14 {
+			if err := st.Unsubscribe(node(0), byB); err != nil {
+				t.Fatalf("unsubscribe: %v", err)
+			}
+		}
+		publish(2+i, r, float64(i), float64(i%3), float64(i%4))
+		publish(9+i, s, float64(i+1), float64(i%3), 0)
+	}
+	st.Abandon()
+	return eng.NotificationCount()
+}
+
+// TestWriteParentState regenerates the fixture. Like TestWriteSeedCorpus
+// it is a maintenance tool: check out the commit whose on-disk format is to
+// be pinned, run it there with WRITE_CORPUS=1, commit the two files and the
+// count it logs.
+func TestWriteParentState(t *testing.T) {
+	if os.Getenv("WRITE_CORPUS") == "" {
+		t.Skip("set WRITE_CORPUS=1 to regenerate " + parentStateDir)
+	}
+	if err := os.RemoveAll(parentStateDir); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("parentStateNotifs = %d", parentStateScript(t, parentStateDir))
+}
+
+func TestParentWrittenStateRecovers(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{snapName, walName} {
+		data, err := os.ReadFile(filepath.Join(parentStateDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	catalog, r, s := parentStateCatalog()
+	eng := parentStateEngine(catalog)
+	st, err := Open(dir, catalog, Options{SnapshotEvery: -1})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	t.Cleanup(st.Abandon)
+	info, err := st.Recover(eng)
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	if info.SnapshotLSN == 0 || info.Replayed < 20 || info.TornBytes != 0 {
+		t.Fatalf("recovered %+v, want a snapshot and at least 20 whole wal records", info)
+	}
+	if got := eng.NotificationCount(); got != parentStateNotifs {
+		t.Fatalf("recovered %d notifications, the writer had delivered %d", got, parentStateNotifs)
+	}
+	// One fresh pair on values the script never used joins under R.A = S.D
+	// alone: exactly one new notification.
+	nodes := eng.Network().Nodes()
+	for _, tu := range []*relation.Tuple{
+		relation.MustTuple(r, relation.N(1000), relation.N(2000), relation.N(3000)),
+		relation.MustTuple(s, relation.N(1000), relation.N(4000), relation.N(5000)),
+	} {
+		if _, err := st.Publish(nodes[3], tu); err != nil {
+			t.Fatalf("publish: %v", err)
+		}
+	}
+	if got := eng.NotificationCount(); got != parentStateNotifs+1 {
+		t.Fatalf("a fresh matching pair delivered %d notifications, want 1", got-parentStateNotifs)
+	}
+}

@@ -8,19 +8,20 @@ import (
 )
 
 // WAL record codec. One record is one engine-visible event: a client
-// operation (subscribe, unsubscribe, publish, batch publish), an inbound
-// overlay delivery from a remote process, or a membership view adoption.
+// operation (subscribe, unsubscribe, publish), an inbound overlay delivery
+// from a remote process, or a membership view adoption.
 // Like the engine's messages (engine/codec.go), every record lists its
 // fields once, in a walk method against a wire.Coder that recordSize,
 // encodeRecord and decodeRecord all run; testdata/records.golden pins the
 // bytes, tag numbers included, so a wal.log an earlier build wrote replays.
 
-// Record tags.
+// Record tags. Tag 4 logged a batched publish; it stays reserved, so a log
+// holding one fails Open as an unknown tag.
 const (
 	tagSubscribe byte = iota + 1
 	tagUnsubscribe
 	tagPublish
-	tagBatch
+	_
 	tagDelivery
 	tagView
 )
@@ -49,13 +50,6 @@ type unsubscribeRec struct {
 type publishRec struct {
 	Node string
 	T    *relation.Tuple
-}
-
-// batchRec logs one completed PublishBatch.
-type batchRec struct {
-	Nodes   []string
-	Tuples  []*relation.Tuple
-	Workers int
 }
 
 // deliveryRec logs one inbound remote delivery, acknowledged only after
@@ -88,12 +82,6 @@ func (m *unsubscribeRec) walk(c *wire.Coder) {
 func (m *publishRec) walk(c *wire.Coder) {
 	c.String(&m.Node)
 	c.Tuple(&m.T, nil)
-}
-
-func (m *batchRec) walk(c *wire.Coder) {
-	c.Strings(&m.Nodes)
-	c.Tuples(&m.Tuples)
-	c.Int(&m.Workers)
 }
 
 // A decoded Frame aliases the record's bytes.
@@ -154,9 +142,6 @@ func walkRecord(c *wire.Coder, rec *any) {
 		case publishRec:
 			c.Tag(tagPublish)
 			m.walk(c)
-		case batchRec:
-			c.Tag(tagBatch)
-			m.walk(c)
 		case deliveryRec:
 			c.Tag(tagDelivery)
 			m.walk(c)
@@ -179,10 +164,6 @@ func walkRecord(c *wire.Coder, rec *any) {
 		*rec = m
 	case tagPublish:
 		var m publishRec
-		m.walk(c)
-		*rec = m
-	case tagBatch:
-		var m batchRec
 		m.walk(c)
 		*rec = m
 	case tagDelivery:

@@ -162,7 +162,6 @@ func TestChurnRestartHandoff(t *testing.T) {
 		RejoinAfter:    12,
 		MinAlive:       16,
 		StabilizeEvery: 4,
-		KeyedDraws:     true,
 		RestartEvery:   24,
 	})
 	openStore := func() *Store {

@@ -285,18 +285,6 @@ func (s *Store) applyRecord(rec any, info *RecoveryInfo) error {
 		if _, err := s.eng.Publish(from, m.T); err != nil {
 			return fmt.Errorf("durable: replay publish: %w", err)
 		}
-	case batchRec:
-		ops := make([]engine.PublishOp, len(m.Tuples))
-		for i := range ops {
-			from, err := node(m.Nodes[i])
-			if err != nil {
-				return err
-			}
-			ops[i] = engine.PublishOp{From: from, T: m.Tuples[i]}
-		}
-		if err := s.eng.PublishBatch(ops, m.Workers); err != nil {
-			return fmt.Errorf("durable: replay batch: %w", err)
-		}
 	case deliveryRec:
 		var r wire.Reader
 		r.Reset(m.Frame)
@@ -375,73 +363,66 @@ func (s *Store) append(rec any) error {
 	return nil
 }
 
-// The op wrappers hold the checkpoint gate shared, then applyMu, across
-// apply+log: the gate keeps checkpoints op-atomic, applyMu keeps WAL
-// order identical to engine apply order (clock ticks, per-subscriber
-// seqs) so replay re-stamps to exactly the acked values. The engine
-// calls inside can block on overlay sends; that is safe here because
-// the transport's inbound paths (LogDelivery, LogView) take neither
-// lock, so remote acks keep draining while a checkpoint writer or the
-// next client op waits.
-
-// Subscribe applies and logs a two-way subscription.
-func (s *Store) Subscribe(from *chord.Node, q *query.Query) (*query.Query, error) {
+// logged runs one mutating client op: apply executes it against the engine
+// and returns the record to log. It holds the checkpoint gate shared, then
+// applyMu, across apply+log: the gate keeps checkpoints op-atomic, applyMu
+// keeps WAL order identical to engine apply order (clock ticks,
+// per-subscriber seqs) so replay re-stamps to exactly the acked values.
+// The engine call inside apply can block on overlay sends; that is safe
+// here because the transport's inbound paths (LogDelivery, LogView) take
+// neither lock, so remote acks keep draining while a checkpoint writer or
+// the next client op waits.
+func (s *Store) logged(apply func() (rec any, err error)) error {
 	s.gate.RLock()
 	s.applyMu.Lock()
-	//lint:allow lockorder inbound transport paths never take the gate, so acks drain while a checkpoint waits
-	res, err := s.eng.Subscribe(from, q)
+	rec, err := apply()
 	if err == nil {
-		err = s.append(subscribeRec{Node: from.Key(), SQL: res.Text(), Key: res.Key()})
+		err = s.append(rec)
 	}
 	s.applyMu.Unlock()
 	s.gate.RUnlock()
 	s.maybeCheckpoint()
+	return err
+}
+
+// Subscribe applies and logs a two-way subscription.
+func (s *Store) Subscribe(from *chord.Node, q *query.Query) (*query.Query, error) {
+	var res *query.Query
+	err := s.logged(func() (rec any, err error) {
+		if res, err = s.eng.Subscribe(from, q); err == nil {
+			rec = subscribeRec{Node: from.Key(), SQL: res.Text(), Key: res.Key()}
+		}
+		return rec, err
+	})
 	return res, err
 }
 
 // SubscribeMulti applies and logs a multi-way chain subscription.
 func (s *Store) SubscribeMulti(from *chord.Node, mq *query.MultiQuery) (*query.MultiQuery, error) {
-	s.gate.RLock()
-	s.applyMu.Lock()
-	//lint:allow lockorder inbound transport paths never take the gate, so acks drain while a checkpoint waits
-	res, err := s.eng.SubscribeMulti(from, mq)
-	if err == nil {
-		err = s.append(subscribeRec{Node: from.Key(), SQL: res.Text(), Key: res.Key(), Multi: true})
-	}
-	s.applyMu.Unlock()
-	s.gate.RUnlock()
-	s.maybeCheckpoint()
+	var res *query.MultiQuery
+	err := s.logged(func() (rec any, err error) {
+		if res, err = s.eng.SubscribeMulti(from, mq); err == nil {
+			rec = subscribeRec{Node: from.Key(), SQL: res.Text(), Key: res.Key(), Multi: true}
+		}
+		return rec, err
+	})
 	return res, err
 }
 
 // Unsubscribe applies and logs a two-way retraction.
 func (s *Store) Unsubscribe(from *chord.Node, q *query.Query) error {
-	s.gate.RLock()
-	s.applyMu.Lock()
-	//lint:allow lockorder inbound transport paths never take the gate, so acks drain while a checkpoint waits
-	err := s.eng.Unsubscribe(from, q)
-	if err == nil {
-		err = s.append(unsubscribeRec{Node: from.Key(), SQL: q.Text(), Key: q.Key()})
-	}
-	s.applyMu.Unlock()
-	s.gate.RUnlock()
-	s.maybeCheckpoint()
-	return err
+	return s.logged(func() (any, error) {
+		err := s.eng.Unsubscribe(from, q)
+		return unsubscribeRec{Node: from.Key(), SQL: q.Text(), Key: q.Key()}, err
+	})
 }
 
 // UnsubscribeMulti applies and logs a multi-way retraction.
 func (s *Store) UnsubscribeMulti(from *chord.Node, mq *query.MultiQuery) error {
-	s.gate.RLock()
-	s.applyMu.Lock()
-	//lint:allow lockorder inbound transport paths never take the gate, so acks drain while a checkpoint waits
-	err := s.eng.UnsubscribeMulti(from, mq)
-	if err == nil {
-		err = s.append(unsubscribeRec{Node: from.Key(), SQL: mq.Text(), Key: mq.Key(), Multi: true})
-	}
-	s.applyMu.Unlock()
-	s.gate.RUnlock()
-	s.maybeCheckpoint()
-	return err
+	return s.logged(func() (any, error) {
+		err := s.eng.UnsubscribeMulti(from, mq)
+		return unsubscribeRec{Node: from.Key(), SQL: mq.Text(), Key: mq.Key(), Multi: true}, err
+	})
 }
 
 // Publish applies and logs one tuple publication. The unstamped input
@@ -449,39 +430,12 @@ func (s *Store) UnsubscribeMulti(from *chord.Node, mq *query.MultiQuery) error {
 // reproduces the acked PubT because applyMu pinned log order to the
 // original tick order.
 func (s *Store) Publish(from *chord.Node, t *relation.Tuple) (*relation.Tuple, error) {
-	s.gate.RLock()
-	s.applyMu.Lock()
-	//lint:allow lockorder inbound transport paths never take the gate, so acks drain while a checkpoint waits
-	res, err := s.eng.Publish(from, t)
-	if err == nil {
-		err = s.append(publishRec{Node: from.Key(), T: t})
-	}
-	s.applyMu.Unlock()
-	s.gate.RUnlock()
-	s.maybeCheckpoint()
+	var res *relation.Tuple
+	err := s.logged(func() (rec any, err error) {
+		res, err = s.eng.Publish(from, t)
+		return publishRec{Node: from.Key(), T: t}, err
+	})
 	return res, err
-}
-
-// PublishBatch applies and logs one batched publication wave. The batch
-// reserves its tick range deterministically by op index, so internal
-// worker parallelism stays replay-safe under applyMu.
-func (s *Store) PublishBatch(ops []engine.PublishOp, workers int) error {
-	s.gate.RLock()
-	s.applyMu.Lock()
-	//lint:allow lockorder inbound transport paths never take the gate, so acks drain while a checkpoint waits
-	err := s.eng.PublishBatch(ops, workers)
-	if err == nil {
-		rec := batchRec{Workers: workers}
-		for _, op := range ops {
-			rec.Nodes = append(rec.Nodes, op.From.Key())
-			rec.Tuples = append(rec.Tuples, op.T)
-		}
-		err = s.append(rec)
-	}
-	s.applyMu.Unlock()
-	s.gate.RUnlock()
-	s.maybeCheckpoint()
-	return err
 }
 
 // LogDelivery logs one inbound remote delivery (the daemon calls it

@@ -20,8 +20,8 @@ import (
 // completion on one engine (the oracle) and re-run against a store that
 // is abandoned mid-stream — the byte-for-byte state a kill -9 leaves —
 // then recovered into a freshly built engine that finishes the remaining
-// ops. The delivered notification fingerprint must be identical, at
-// parallelism 1 and 8, with fault injection off and on.
+// ops. The delivered notification fingerprint must be identical, with
+// fault injection off and on.
 
 // Op kinds of the scripted workload.
 const (
@@ -29,7 +29,6 @@ const (
 	opSubscribeMulti
 	opUnsubscribe
 	opPublish
-	opBatch
 )
 
 type scriptOp struct {
@@ -38,8 +37,6 @@ type scriptOp struct {
 	text   string // query SQL for subscribe ops
 	subRef int    // opUnsubscribe: script index of the subscribe to retract
 	tuple  *relation.Tuple
-	nodes  []string // opBatch origins
-	tuples []*relation.Tuple
 }
 
 const (
@@ -51,7 +48,7 @@ const (
 // buildScript pregenerates a deterministic workload so the oracle run and
 // the crash-recovery run execute identical operation streams: a subscribe
 // phase (two-way and multi-way chain queries), then a publish stream with
-// batches, chain tuples, and a couple of mid-stream retractions.
+// bursts, chain tuples, and a couple of mid-stream retractions.
 func buildScript(seed int64) (*workload.Generator, []scriptOp) {
 	gen := workload.New(workload.Params{Seed: seed})
 	rng := rand.New(rand.NewSource(seed + 7))
@@ -71,12 +68,9 @@ func buildScript(seed int64) (*workload.Generator, []scriptOp) {
 		case i == 95: // retract a multi-way query
 			script = append(script, scriptOp{kind: opUnsubscribe, node: script[11].node, subRef: 11})
 		case i%10 == 7:
-			op := scriptOp{kind: opBatch}
 			for j := 0; j < 10; j++ {
-				op.nodes = append(op.nodes, node())
-				op.tuples = append(op.tuples, gen.Tuple())
+				script = append(script, scriptOp{kind: opPublish, node: node(), tuple: gen.Tuple()})
 			}
-			script = append(script, op)
 		case i%10 == 3:
 			script = append(script, scriptOp{kind: opPublish, node: node(), tuple: gen.ChainTuple(2)})
 		default:
@@ -86,17 +80,16 @@ func buildScript(seed int64) (*workload.Generator, []scriptOp) {
 	return gen, script
 }
 
-// chaosConfig mirrors the keyed-draw fault mix of the parallel
-// determinism tests: faults are keyed by message content and attempt, so
-// a recovery replay re-experiences the original run's fault schedule.
+// chaosConfig is the fault mix of the crash-recovery runs. Per-delivery
+// faults are keyed by message content and attempt, so a recovery replay
+// re-experiences the original run's fault schedule.
 func chaosConfig(seed int64) chaos.Config {
 	return chaos.Config{
-		Seed:       seed,
-		DropRate:   0.03,
-		DupRate:    0.03,
-		DelayRate:  0.05,
-		MaxDelay:   4,
-		KeyedDraws: true,
+		Seed:      seed,
+		DropRate:  0.03,
+		DupRate:   0.03,
+		DelayRate: 0.05,
+		MaxDelay:  4,
 	}
 }
 
@@ -106,7 +99,7 @@ func chaosConfig(seed int64) chaos.Config {
 // It returns the sorted delivered-content fingerprint, the total WAL
 // records replayed across restarts, and the last restart's RecoveryInfo.
 func runScript(t *testing.T, catalog *relation.Catalog, script []scriptOp, dir string,
-	workers int, withChaos bool, seed int64, restartAt map[int]bool, clean bool) ([]string, int, RecoveryInfo) {
+	withChaos bool, seed int64, restartAt map[int]bool, clean bool) ([]string, int, RecoveryInfo) {
 	t.Helper()
 	build := func() (*engine.Engine, *chaos.Injector, *Store) {
 		net := chord.New(chord.Config{})
@@ -162,12 +155,6 @@ func runScript(t *testing.T, catalog *relation.Catalog, script []scriptOp, dir s
 			}
 		case opPublish:
 			_, err = st.Publish(from, op.tuple)
-		case opBatch:
-			ops := make([]engine.PublishOp, len(op.tuples))
-			for j := range ops {
-				ops[j] = engine.PublishOp{From: eng.Network().NodeByKey(op.nodes[j]), T: op.tuples[j]}
-			}
-			err = st.PublishBatch(ops, workers)
 		}
 		if err != nil {
 			t.Fatalf("op %d: %v", i, err)
@@ -213,27 +200,30 @@ func TestCrashRecoveryFingerprint(t *testing.T) {
 	const seed = 41
 	gen, script := buildScript(seed)
 	catalog := gen.Catalog()
-	crashAt := map[int]bool{86: true, 150: true} // two kill -9s mid-stream
-	for _, workers := range []int{1, 8} {
-		for _, withChaos := range []bool{false, true} {
-			t.Run(fmt.Sprintf("workers=%d/chaos=%v", workers, withChaos), func(t *testing.T) {
-				oracle, _, _ := runScript(t, catalog, script, t.TempDir(), workers, withChaos, seed, nil, false)
-				if len(oracle) == 0 {
-					t.Fatal("oracle delivered no notifications; the script exercises nothing")
+	// Two kill -9s mid-stream: right after the first retraction, and inside
+	// a later burst.
+	crashAt := map[int]bool{131: true, 255: true}
+	if script[131].kind != opUnsubscribe {
+		t.Fatalf("script op 131 is kind %d, want the first unsubscribe", script[131].kind)
+	}
+	for _, withChaos := range []bool{false, true} {
+		t.Run(fmt.Sprintf("chaos=%v", withChaos), func(t *testing.T) {
+			oracle, _, _ := runScript(t, catalog, script, t.TempDir(), withChaos, seed, nil, false)
+			if len(oracle) == 0 {
+				t.Fatal("oracle delivered no notifications; the script exercises nothing")
+			}
+			crashed, replayed, _ := runScript(t, catalog, script, t.TempDir(), withChaos, seed, crashAt, false)
+			if replayed == 0 {
+				t.Fatal("recovery replayed no WAL records; the crash points exercise nothing")
+			}
+			if !reflect.DeepEqual(oracle, crashed) {
+				t.Errorf("fingerprints diverge: oracle %d notifications, crashed-and-recovered %d",
+					len(oracle), len(crashed))
+				for _, d := range diffKeys(oracle, crashed) {
+					t.Log(d)
 				}
-				crashed, replayed, _ := runScript(t, catalog, script, t.TempDir(), workers, withChaos, seed, crashAt, false)
-				if replayed == 0 {
-					t.Fatal("recovery replayed no WAL records; the crash points exercise nothing")
-				}
-				if !reflect.DeepEqual(oracle, crashed) {
-					t.Errorf("fingerprints diverge: oracle %d notifications, crashed-and-recovered %d",
-						len(oracle), len(crashed))
-					for _, d := range diffKeys(oracle, crashed) {
-						t.Log(d)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -243,9 +233,9 @@ func TestCleanShutdownRestart(t *testing.T) {
 	const seed = 43
 	gen, script := buildScript(seed)
 	catalog := gen.Catalog()
-	oracle, _, _ := runScript(t, catalog, script, t.TempDir(), 1, false, seed, nil, false)
-	restartAt := map[int]bool{100: true}
-	restarted, replayed, info := runScript(t, catalog, script, t.TempDir(), 1, false, seed, restartAt, true)
+	oracle, _, _ := runScript(t, catalog, script, t.TempDir(), false, seed, nil, false)
+	restartAt := map[int]bool{154: true}
+	restarted, replayed, info := runScript(t, catalog, script, t.TempDir(), false, seed, restartAt, true)
 	if replayed != 0 {
 		t.Errorf("clean restart replayed %d WAL records, want 0 (Close checkpoints)", replayed)
 	}

@@ -12,7 +12,6 @@ import (
 
 	"cqjoin/internal/chord"
 	"cqjoin/internal/engine"
-	"cqjoin/internal/relation"
 	"cqjoin/internal/wire"
 	"cqjoin/internal/workload"
 )
@@ -349,7 +348,6 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 		subscribeRec{Node: "peer2", SQL: "chain", Key: "peer2#0", Multi: true},
 		unsubscribeRec{Node: "peer1", SQL: "q", Key: "peer1#4", Multi: false},
 		publishRec{Node: "peer3", T: gen.Tuple()},
-		batchRec{Nodes: []string{"peer1", "peer2"}, Tuples: []*relation.Tuple{gen.Tuple(), gen.Tuple()}, Workers: 8},
 		deliveryRec{Node: "peer5", Frame: []byte{1, 2, 3, 4}},
 		viewRec{View: &wire.MemberView{Version: 9, Procs: []string{"x:1", "y:2"}}},
 	}

@@ -137,14 +137,6 @@ type Config struct {
 	// HotKeyWindow is the logical-time length of the detector's counting
 	// window. Values <= 0 default to 64.
 	HotKeyWindow int64
-	// HotKeyExtremeThreshold, when positive, escalates an already-promoted
-	// input crossing this per-window rate to HotKeyExtremeReplicas shards —
-	// the broadcast-style fallback for extreme keys. Zero disables
-	// escalation.
-	HotKeyExtremeThreshold int
-	// HotKeyExtremeReplicas is the escalated shard count. Values <=
-	// HotKeyReplicas default to 4× HotKeyReplicas.
-	HotKeyExtremeReplicas int
 	// HotKeyDemoteBelow, when positive, demotes a promoted input whose
 	// completed-window arrival count falls below it. Zero disables
 	// demotion (promoted inputs stay sharded).
@@ -170,11 +162,6 @@ type Engine struct {
 	// sharding is suspended while set (see hotState).
 	multiOn atomic.Bool
 
-	// frozen is set while PublishBatch executes cascades: logical time then
-	// belongs to the batch's pre-stamped sequence, so the retry-backoff
-	// clock advances are suppressed (see advanceBackoff).
-	frozen atomic.Bool
-
 	mu        sync.Mutex
 	states    map[*chord.Node]*nodeState
 	byKey     map[string]*nodeState // subscriber key -> state (for delivery)
@@ -184,14 +171,6 @@ type Engine struct {
 	sink      []Notification
 	delivered map[string]bool // full match identities already delivered
 	onNotify  func(Notification)
-	hasMulti  bool // a multi-way pipeline is registered (see SubscribeMulti)
-
-	// Distinct join conditions ever indexed, in registration order. The
-	// batch pipeline derives conflict keys from them (publish.go); the set
-	// only grows, so reading a snapshot of the slice is safe.
-	condMu   sync.Mutex
-	conds    []*query.Query
-	condSeen map[string]bool
 }
 
 // New creates an engine over the given overlay and schema catalog and
@@ -212,7 +191,6 @@ func New(net *chord.Network, catalog *relation.Catalog, cfg Config) *Engine {
 		subs:      make(map[string][]string),
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		delivered: make(map[string]bool),
-		condSeen:  make(map[string]bool),
 	}
 	if cfg.HotKeyThreshold > 0 && cfg.Algorithm == SAI {
 		e.hot = newHotTracker(cfg)

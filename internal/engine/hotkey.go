@@ -28,12 +28,12 @@ import (
 //   - Tuples partition: the base relays each arriving tuple to the one
 //     shard its content hashes to, so matching and storage spread ~k ways.
 //     Matches gather back through the ordinary notification path.
-//   - Extreme keys escalate to a larger k (the broadcast-style fallback);
-//     keys that cool below the demotion rate collapse back to the single
-//     base bucket. Both are versioned epoch transitions whose state moves
-//     through hot-handoff frames merged with match-on-merge, so pairs split
-//     by an in-flight transition are still reported exactly once (the
-//     subscriber-side delivery dedup absorbs re-matches).
+//   - Keys that cool below the demotion rate collapse back to the single
+//     base bucket. Promotion and demotion are versioned epoch transitions
+//     whose state moves through hot-handoff frames merged with
+//     match-on-merge, so pairs split by an in-flight transition are still
+//     reported exactly once (the subscriber-side delivery dedup absorbs
+//     re-matches).
 //
 // The layer runs only under SAI: SAI evaluators store both rewrites and
 // tuples, which the match-on-merge recovery relies on. DAI-Q and DAI-T
@@ -44,12 +44,13 @@ import (
 //
 // Determinism: counters are exact per-input tallies (an unbounded
 // space-saving sketch — no capacity eviction, whose cross-input victim
-// choice would depend on arrival interleaving). Every counter and registry
-// access for input I happens inside the cascade of an event that carries I
-// as a batch conflict key (publish.go derives both a tuple's own
-// value-level inputs and its rewrite targets), so concurrent batched
-// publishes serialize exactly the events that could race, and a uniform
-// workload that never promotes is bit-identical with the layer on or off.
+// choice would depend on arrival interleaving), bumped by logical event
+// time, so a sequential run promotes the same inputs at the same events
+// every time and a uniform workload that never promotes is bit-identical
+// with the layer on or off. Concurrent publishers share the tracker under
+// its mutex: which arrival crosses the threshold then depends on
+// scheduling, and match-on-merge keeps the notification set complete
+// whichever does.
 
 // hotShardInput names shard i of a promoted value-level input. Shard 0 is
 // the unsuffixed base input — the cold bucket and shard 0 are the same
@@ -99,7 +100,6 @@ type hotTransitionKind int
 const (
 	hotPromote hotTransitionKind = iota + 1
 	hotDemote
-	hotEscalate
 )
 
 // hotTransition describes a transition decided by bump. The caller — never
@@ -110,17 +110,15 @@ type hotTransition struct {
 	input   string
 	version int // the new epoch
 	k       int // shard count of the new epoch (0 when demoting)
-	oldK    int // shard count being recalled (demote/escalate)
+	oldK    int // shard count being recalled (demote)
 }
 
 // hotTracker is the engine-wide heavy-hitter detector and epoch registry.
 type hotTracker struct {
-	threshold        int64
-	window           int64
-	replicas         int
-	extremeThreshold int64
-	extremeReplicas  int
-	demoteBelow      int64
+	threshold   int64
+	window      int64
+	replicas    int
+	demoteBelow int64
 
 	mu       sync.Mutex
 	counters map[string]*hotCounter
@@ -129,23 +127,18 @@ type hotTracker struct {
 
 func newHotTracker(cfg Config) *hotTracker {
 	t := &hotTracker{
-		threshold:        int64(cfg.HotKeyThreshold),
-		window:           cfg.HotKeyWindow,
-		replicas:         cfg.HotKeyReplicas,
-		extremeThreshold: int64(cfg.HotKeyExtremeThreshold),
-		extremeReplicas:  cfg.HotKeyExtremeReplicas,
-		demoteBelow:      int64(cfg.HotKeyDemoteBelow),
-		counters:         make(map[string]*hotCounter),
-		entries:          make(map[string]hotEntry),
+		threshold:   int64(cfg.HotKeyThreshold),
+		window:      cfg.HotKeyWindow,
+		replicas:    cfg.HotKeyReplicas,
+		demoteBelow: int64(cfg.HotKeyDemoteBelow),
+		counters:    make(map[string]*hotCounter),
+		entries:     make(map[string]hotEntry),
 	}
 	if t.window <= 0 {
 		t.window = 64
 	}
 	if t.replicas < 2 {
 		t.replicas = 4
-	}
-	if t.extremeReplicas <= t.replicas {
-		t.extremeReplicas = 4 * t.replicas
 	}
 	return t
 }
@@ -184,14 +177,6 @@ func (h *hotTracker) bump(input string, eventT int64) (hotTransition, bool) {
 		return hotTransition{
 			kind: hotPromote, input: input,
 			version: next.version, k: next.k,
-		}, true
-	}
-	if entry.hot() && h.extremeThreshold > 0 && entry.k < h.extremeReplicas && c.count >= h.extremeThreshold {
-		next := hotEntry{version: entry.version + 1, k: h.extremeReplicas}
-		h.entries[input] = next
-		return hotTransition{
-			kind: hotEscalate, input: input,
-			version: next.version, k: next.k, oldK: entry.k,
 		}, true
 	}
 	return hotTransition{}, false
@@ -286,8 +271,7 @@ func (hotVLIndexMsg) Kind() string { return kindHotVLIndex }
 
 // hotMigrateMsg tells the base evaluator of Input to partition its bucket
 // under epoch Version/K: the rewrite set is copied to every shard and each
-// stored tuple ships to the shard it hashes to. Sent on promotion and (with
-// the larger K) on escalation.
+// stored tuple ships to the shard it hashes to. Sent on promotion.
 type hotMigrateMsg struct {
 	Input   string
 	Version int
@@ -298,9 +282,8 @@ func (hotMigrateMsg) Kind() string { return kindHotMigrate }
 
 // hotRecallMsg tells shard Shard of Input to dissolve: it drops its rewrite
 // copies (the base holds the authoritative set) and ships its tuples back
-// to the base bucket. Version/K carry the successor epoch — K == 0 means
-// the input demoted to cold, K > 0 that it escalated and the base will
-// redistribute.
+// to the base bucket. Version/K carry the successor epoch (K == 0: the
+// input demoted to cold).
 type hotRecallMsg struct {
 	Input   string
 	Shard   int
@@ -352,18 +335,6 @@ func (st *nodeState) runHotTransition(tr hotTransition, ok bool) {
 				Msg:    hotRecallMsg{Input: tr.input, Shard: s, Version: tr.version, K: 0},
 			})
 		}
-	case hotEscalate:
-		e.obs.hotEscalations.Add(1)
-		for s := 1; s < tr.oldK; s++ {
-			batch = append(batch, chord.Deliverable{
-				Target: e.hashInput(hotShardInput(tr.input, s)),
-				Msg:    hotRecallMsg{Input: tr.input, Shard: s, Version: tr.version, K: tr.k},
-			})
-		}
-		batch = append(batch, chord.Deliverable{
-			Target: e.hashInput(tr.input),
-			Msg:    hotMigrateMsg{Input: tr.input, Version: tr.version, K: tr.k},
-		})
 	}
 	_ = e.dispatch(st.node, batch)
 }
@@ -479,9 +450,8 @@ func (st *nodeState) handleHotJoin(m hotJoinMsg) {
 
 // handleHotVLIndex evaluates a relayed tuple at its shard — the shard-side
 // mirror of handleVLIndex's SAI arm. A tuple whose shard assignment no
-// longer holds under the current epoch (demoted or escalated in flight)
-// returns to the base bucket as a hot-handoff, whose match-on-merge
-// re-evaluates it there.
+// longer holds under the current epoch (demoted in flight) returns to the
+// base bucket as a hot-handoff, whose match-on-merge re-evaluates it there.
 func (st *nodeState) handleHotVLIndex(m hotVLIndexMsg) {
 	e := st.engine
 	hot := e.hotState()
@@ -530,8 +500,8 @@ func (st *nodeState) handleHotVLIndex(m hotVLIndexMsg) {
 	st.sendNotifications(notifs)
 }
 
-// handleHotMigrate partitions the base bucket of a freshly promoted (or
-// escalated) input: the full rewrite set is copied to every shard and each
+// handleHotMigrate partitions the base bucket of a freshly promoted input:
+// the full rewrite set is copied to every shard and each
 // stored tuple whose content hashes to a foreign shard ships there. Shard-0
 // items stay — the base bucket is shard 0. Idempotent under re-delivery:
 // already-shipped tuples are gone and the rewrite copies merge keyed.
@@ -590,10 +560,11 @@ func (st *nodeState) handleHotMigrate(m hotMigrateMsg) {
 	_ = e.dispatch(st.node, batch)
 }
 
-// handleHotRecall dissolves one shard of a demoted or escalated input: the
-// rewrite copies are dropped (the base bucket holds the authoritative set)
-// and the tuple partition returns to the base as a hot-handoff, which the
-// base merges (demotion) or redistributes under the new epoch (escalation).
+// handleHotRecall dissolves one shard of a demoted input: the rewrite
+// copies are dropped (the base bucket holds the authoritative set) and the
+// tuple partition returns to the base as a hot-handoff, which the base
+// merges — or, if the input re-promoted meanwhile, redistributes under the
+// current epoch.
 func (st *nodeState) handleHotRecall(m hotRecallMsg) {
 	e := st.engine
 	hot := e.hotState()

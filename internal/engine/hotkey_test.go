@@ -180,41 +180,6 @@ func TestHotKeyDemotion(t *testing.T) {
 	}
 }
 
-func TestHotKeyEscalation(t *testing.T) {
-	run := func(on bool) *testEnv {
-		cfg := Config{Algorithm: SAI, Seed: 7}
-		if on {
-			cfg.HotKeyThreshold = 8
-			cfg.HotKeyReplicas = 4
-			cfg.HotKeyWindow = 1 << 20
-			cfg.HotKeyExtremeThreshold = 25
-			cfg.HotKeyExtremeReplicas = 6
-		}
-		env := newTestEnv(t, 64, cfg)
-		env.subscribe(t, 0, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
-		publishHotPair(t, env, 60, 15)
-		return env
-	}
-	envOff := run(false)
-	envOn := run(true)
-	hot := envOn.eng.HotKeys()
-	if len(hot) == 0 {
-		t.Fatal("no promoted inputs")
-	}
-	escalated := false
-	for _, h := range hot {
-		if h.Replicas == 6 {
-			escalated = true
-		}
-	}
-	if !escalated {
-		t.Fatalf("no input escalated to 6 replicas: %+v", hot)
-	}
-	if got, want := contentKeys(envOn.eng.Notifications()), contentKeys(envOff.eng.Notifications()); !reflect.DeepEqual(got, want) {
-		t.Fatalf("escalation lost or duplicated matches: %d vs %d", len(got), len(want))
-	}
-}
-
 func TestHotKeyUnsubscribePurgesShards(t *testing.T) {
 	env := newTestEnv(t, 64, hotConfig(true))
 	q := env.subscribe(t, 0, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
@@ -239,42 +204,5 @@ func TestHotKeyUnsubscribePurgesShards(t *testing.T) {
 	}
 	if after := len(env.eng.Notifications()); after != before {
 		t.Fatalf("%d notifications after retraction, want %d", after, before)
-	}
-}
-
-func TestHotKeyBatchParallelDeterminism(t *testing.T) {
-	build := func() (*testEnv, []PublishOp) {
-		env := newTestEnv(t, 64, hotConfig(true))
-		env.subscribe(t, 0, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
-		var ops []PublishOp
-		for i := 0; i < 60; i++ {
-			ops = append(ops, PublishOp{From: env.node(1 + i), T: sTuple(env, float64(i), 7, float64(i))})
-			if i%3 == 0 {
-				ops = append(ops, PublishOp{From: env.node(2 + i), T: rTuple(env, float64(i), 7, float64(i))})
-			}
-			ops = append(ops, PublishOp{From: env.node(3 + i), T: sTuple(env, float64(i), float64(100+i), 0)})
-		}
-		return env, ops
-	}
-	run := func(workers int) *testEnv {
-		env, ops := build()
-		if err := env.eng.PublishBatch(ops, workers); err != nil {
-			t.Fatalf("PublishBatch(workers=%d): %v", workers, err)
-		}
-		return env
-	}
-	env1 := run(1)
-	env8 := run(8)
-	if len(env1.eng.HotKeys()) == 0 {
-		t.Fatal("batched skew promoted nothing")
-	}
-	if !reflect.DeepEqual(env1.eng.HotKeys(), env8.eng.HotKeys()) {
-		t.Fatalf("hot-key registries diverge:\n w1=%v\n w8=%v", env1.eng.HotKeys(), env8.eng.HotKeys())
-	}
-	if got, want := env8.eng.DeliveredContentKeys(), env1.eng.DeliveredContentKeys(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("delivery sequences diverge across worker counts: %d vs %d", len(got), len(want))
-	}
-	if got, want := env8.eng.FilteringLoads(), env1.eng.FilteringLoads(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("filtering loads diverge across worker counts")
 	}
 }

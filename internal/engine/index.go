@@ -131,7 +131,6 @@ func (e *Engine) sendQueryIndex(from *chord.Node, q *query.Query, idx []sideAttr
 	e.mu.Lock()
 	e.subs[q.Key()] = inputs
 	e.mu.Unlock()
-	e.registerCondition(q)
 	return e.dispatch(from, batch)
 }
 

@@ -76,10 +76,6 @@ func (e *Engine) SubscribeMulti(from *chord.Node, mq *query.MultiQuery) (*query.
 	e.mu.Lock()
 	e.seq[from.Key()]++
 	seq := e.seq[from.Key()]
-	// Multi-way pipelines chain stateful partial matches across stages; the
-	// batch pipeline's two-way conflict analysis does not model them, so
-	// PublishBatch falls back to sequential publishes from here on.
-	e.hasMulti = true
 	e.mu.Unlock()
 	// Partial matches route through value-level identifiers without shard
 	// awareness, so hot-key sharding is suspended from here on (hotState).

@@ -25,10 +25,9 @@ type engObs struct {
 	lost    *obs.CounterVec
 	// Hot-key sharding (DESIGN.md §13): registry transitions and the relay
 	// frames the base evaluator emits for promoted inputs, by kind.
-	hotPromotions  *obs.Counter
-	hotDemotions   *obs.Counter
-	hotEscalations *obs.Counter
-	hotForwards    *obs.CounterVec
+	hotPromotions *obs.Counter
+	hotDemotions  *obs.Counter
+	hotForwards   *obs.CounterVec
 }
 
 // newEngObs registers the engine's metric families on reg; a nil registry
@@ -46,7 +45,6 @@ func newEngObs(reg *obs.Registry) engObs {
 		lost:            reg.CounterVec("engine.lost"),
 		hotPromotions:   reg.Counter("engine.hotkey.promotions"),
 		hotDemotions:    reg.Counter("engine.hotkey.demotions"),
-		hotEscalations:  reg.Counter("engine.hotkey.escalations"),
 		hotForwards:     reg.CounterVec("engine.hotkey.forwards"),
 	}
 }

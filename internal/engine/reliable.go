@@ -23,15 +23,9 @@ func (e *Engine) retryBackoff() int64 {
 	return 1
 }
 
-// advanceBackoff advances the logical clock by the retry backoff — unless a
-// publish batch has frozen the clock (PublishBatch): pre-stamped timestamps
-// own logical time for the duration of the batch, and concurrent cascades
-// advancing the clock would race. Delayed in-flight copies then land at the
-// batch's closing advance instead of during the backoff.
+// advanceBackoff advances the logical clock by the retry backoff, letting
+// delayed in-flight copies land before the next attempt.
 func (e *Engine) advanceBackoff() {
-	if e.frozen.Load() {
-		return
-	}
 	e.net.Clock().Advance(e.retryBackoff())
 }
 

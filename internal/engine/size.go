@@ -60,7 +60,7 @@ func (m hotJoinMsg) Size() int { return MessageSize(m) }
 // Size reports a hot-key tuple-relay message's wire size.
 func (m hotVLIndexMsg) Size() int { return MessageSize(m) }
 
-// Size reports a hot-key promotion/escalation migrate message's wire size.
+// Size reports a hot-key promotion migrate message's wire size.
 func (m hotMigrateMsg) Size() int { return MessageSize(m) }
 
 // Size reports a hot-key shard-recall message's wire size.

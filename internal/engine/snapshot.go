@@ -14,13 +14,12 @@ import (
 // form, plus one snapMetaMsg carrying the engine-global state a replayed
 // log needs to continue deterministically — the logical clock, the
 // per-subscriber query sequence counters (so replayed subscribes re-derive
-// the same Key(q)), the subscription index, the registered conflict
-// conditions, the delivered-notification sink, and the hot-key epoch
-// registry. Deliberately NOT carried, matching the hand-off exclusions:
-// the JFRT and subscriber-IP caches (best-effort, refill), probe
-// statistics, the pair-baseline store, and the engine's private rng state
-// (it only picks index attributes and replicas, which never changes match
-// content — see DESIGN.md §14.3).
+// the same Key(q)), the subscription index, the delivered-notification
+// sink, and the hot-key epoch registry. Deliberately NOT carried, matching
+// the hand-off exclusions: the JFRT and subscriber-IP caches (best-effort,
+// refill), probe statistics, the pair-baseline store, and the engine's
+// private rng state (it only picks index attributes and replicas, which
+// never changes match content — see DESIGN.md §14.3).
 
 // kindSnapMeta names the snapshot-meta message class.
 const kindSnapMeta = "snapmeta"
@@ -56,7 +55,9 @@ type hotCountEntry struct {
 
 // snapMetaMsg is the engine-global section of a snapshot. It reuses the
 // engine message codec (tag tagSnapMeta), so it is walked, pinned and fuzzed
-// like every other frame.
+// like every other frame. Conds is neither filled by ExportSnapshot nor read
+// by RestoreSnapshot: earlier builds listed every join condition ever indexed
+// there, and the field keeps its place in the walk so their files decode.
 type snapMetaMsg struct {
 	Clock     int64
 	Nodes     []string // alive node keys, ring order
@@ -102,13 +103,9 @@ func (e *Engine) ExportSnapshot(down []string) (chord.Message, []NodeSnapshot) {
 	for _, k := range sortedKeys(e.subs) {
 		meta.Subs = append(meta.Subs, subsEntry{Key: k, Inputs: append([]string(nil), e.subs[k]...)})
 	}
-	meta.Multi = e.hasMulti
 	meta.Sink = append([]Notification(nil), e.sink...)
 	e.mu.Unlock()
-
-	e.condMu.Lock()
-	meta.Conds = append([]*query.Query(nil), e.conds...)
-	e.condMu.Unlock()
+	meta.Multi = e.multiOn.Load()
 
 	if e.hot != nil {
 		e.hot.mu.Lock()
@@ -255,17 +252,12 @@ func (e *Engine) RestoreSnapshot(meta chord.Message, nodes []NodeSnapshot) error
 	for _, s := range m.Subs {
 		e.subs[s.Key] = append([]string(nil), s.Inputs...)
 	}
-	e.hasMulti = m.Multi
 	e.sink = append(e.sink, m.Sink...)
 	for _, n := range m.Sink {
 		e.delivered[deliveryKey(n)] = true
 	}
 	e.mu.Unlock()
 	e.multiOn.Store(m.Multi)
-
-	for _, q := range m.Conds {
-		e.registerCondition(q)
-	}
 
 	if e.hot != nil {
 		e.hot.mu.Lock()

@@ -57,6 +57,14 @@ func TestUnsubscribeReclaimsStorage(t *testing.T) {
 				t.Fatalf("evaluator storage after retraction = %d, want %d (10 rewrites purged)",
 					got, rewriteStorage-10)
 			}
+			// Nor does a checkpoint keep the retracted query: the engine
+			// once registered every join condition for good and wrote them
+			// all into every snapshot.
+			meta, _ := env.eng.ExportSnapshot(nil)
+			if m := meta.(snapMetaMsg); len(m.Conds) != 0 || len(m.Subs) != 0 {
+				t.Fatalf("snapshot meta after retraction lists %d conditions and %d subscriptions, want none",
+					len(m.Conds), len(m.Subs))
+			}
 		})
 	}
 }

@@ -6,16 +6,15 @@ import (
 	"sync/atomic"
 )
 
-// Deterministic parallel execution, tier 1 (DESIGN.md §8): experiment
-// cells run on a bounded worker pool. Every cell owns an isolated
+// Deterministic parallel execution (DESIGN.md §8): experiment cells run
+// on a bounded worker pool. Every cell owns an isolated
 // Network/Clock/RNG built by its own Setup call, so concurrent cells
 // cannot observe each other; tables collect per-cell rows into a slice
 // indexed by declaration order and append them after the pool drains,
 // making the output bit-identical to a sequential run by construction.
 
-// parallelism holds the configured worker budget; 0 means "default to
-// GOMAXPROCS". It is shared by ForEach (experiment cells) and by the
-// engine's batched publish pipeline via Run.PublishTuples.
+// parallelism holds ForEach's configured worker budget; 0 means "default
+// to GOMAXPROCS".
 var parallelism atomic.Int64
 
 // SetParallelism sets the worker budget. Values below 1 restore the

@@ -83,18 +83,13 @@ func (r *Run) SubscribeT2(n int) {
 	}
 }
 
-// PublishTuples inserts n workload tuples from random peers through the
-// engine's batched pipeline (tier 2, DESIGN.md §8). The workload and
-// origin-node draws happen sequentially here, so the batch's content is
-// identical at any worker count; PublishBatch then guarantees identical
-// observable results.
+// PublishTuples inserts n workload tuples from random peers, one after
+// the other.
 func (r *Run) PublishTuples(n int) {
-	ops := make([]engine.PublishOp, n)
-	for i := range ops {
-		ops[i] = engine.PublishOp{From: r.randomNode(), T: r.Gen.Tuple()}
-	}
-	if err := r.Eng.PublishBatch(ops, Parallelism()); err != nil {
-		panic(err)
+	for i := 0; i < n; i++ {
+		if _, err := r.Eng.Publish(r.randomNode(), r.Gen.Tuple()); err != nil {
+			panic(err)
+		}
 	}
 }
 

@@ -77,8 +77,8 @@ type Query struct {
 
 	// wireSize memoizes the query's wire-encoded length; 0 means not yet
 	// computed. Accessed atomically because the query value embedded in
-	// in-flight messages is sized from concurrent cascade workers. The
-	// With* copy constructors reset it, since they change encoded fields.
+	// in-flight messages is sized from concurrent publishers. The With*
+	// copy constructors reset it, since they change encoded fields.
 	wireSize int64
 }
 

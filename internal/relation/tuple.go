@@ -18,7 +18,7 @@ type Tuple struct {
 	// computed. Accessed atomically (plain int64 + atomic ops rather than
 	// atomic.Int64, which would forbid the value copies tests make): one
 	// tuple value is shared by every in-flight message that carries it, and
-	// concurrent cascade workers size those messages independently.
+	// concurrent publishers size those messages independently.
 	wireSize int64
 
 	// contentKey memoizes ContentKey. Like wireSize it is a pure function

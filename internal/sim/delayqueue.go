@@ -40,10 +40,9 @@ func (q *DelayQueue) Instrument(reg *obs.Registry) {
 }
 
 type delayItem struct {
-	due  int64
-	prio int64
-	seq  int64
-	fn   func()
+	due int64
+	seq int64
+	fn  func()
 }
 
 type delayHeap []delayItem
@@ -52,9 +51,6 @@ func (h delayHeap) Len() int { return len(h) }
 func (h delayHeap) Less(i, j int) bool {
 	if h[i].due != h[j].due {
 		return h[i].due < h[j].due
-	}
-	if h[i].prio != h[j].prio {
-		return h[i].prio < h[j].prio
 	}
 	return h[i].seq < h[j].seq
 }
@@ -70,24 +66,16 @@ func (h *delayHeap) Pop() interface{} {
 
 // PushAt schedules fn to be released once the logical clock reaches due.
 func (q *DelayQueue) PushAt(due int64, fn func()) {
-	q.PushAtPrio(due, 0, fn)
-}
-
-// PushAtPrio schedules fn with an explicit release priority: ties on the
-// due time release in (prio, push-order) order. A content-derived priority
-// makes the release order independent of push order, which is what keyed
-// fault injection needs to stay deterministic under concurrent pushes.
-func (q *DelayQueue) PushAtPrio(due, prio int64, fn func()) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.seq++
-	heap.Push(&q.items, delayItem{due: due, prio: prio, seq: q.seq, fn: fn})
+	heap.Push(&q.items, delayItem{due: due, seq: q.seq, fn: fn})
 	q.pushes.Inc()
 	q.depth.Set(int64(len(q.items)))
 }
 
 // PopDue removes and returns every action whose due time is <= now, in
-// (due, prio, push-order) order. The caller runs them outside the queue's
+// (due, push-order) order. The caller runs them outside the queue's
 // lock, so released actions may push further delayed actions.
 func (q *DelayQueue) PopDue(now int64) []func() {
 	return q.PopDueInto(now, nil)

@@ -56,11 +56,22 @@ func loopbackTransport(t testing.TB, cnet *chord.Network, catalog *relation.Cata
 	}
 }
 
+// runFingerprint captures every deterministic observable of a run. Trace
+// and timing-level observables (delivery interleavings, ip-learning
+// events) are deliberately excluded: they are scheduling-dependent by
+// nature, and no figure reads them.
+type runFingerprint struct {
+	Msgs, Hops    map[string]int64
+	Bytes         int64
+	Retries, Lost int64
+	TF, TS        []int64
+	Notes         []string
+}
+
 // transportScenario runs one seeded two-way workload and fingerprints it.
 // With overTCP the entire message flow crosses the loopback socket.
 func transportScenario(t *testing.T, alg engine.Algorithm, sc exp.Scale, overTCP bool) runFingerprint {
 	t.Helper()
-	exp.SetParallelism(1)
 	r := exp.Setup(engine.Config{Algorithm: alg, MaxRetries: 3, RetryBackoff: 1}, sc, workload.Params{})
 	var reg *obs.Registry
 	if overTCP {
@@ -104,7 +115,6 @@ func transportScenario(t *testing.T, alg engine.Algorithm, sc exp.Scale, overTCP
 // tentpole: for all four algorithms the TCP loopback run must reproduce
 // the simulated run's results exactly, chaos off.
 func TestTransportDifferential(t *testing.T) {
-	defer exp.SetParallelism(0)
 	sc := exp.Scale{Nodes: 96, Queries: 120, Tuples: 160, Seed: 23}
 	if testing.Short() {
 		sc = exp.Scale{Nodes: 64, Queries: 60, Tuples: 80, Seed: 23}
