@@ -25,23 +25,24 @@ var orderSensitiveSinks = map[string]bool{
 
 	// The leaves a walk method lists its fields through (wire.Coder): in
 	// encoding mode each is a Put.
-	"cqjoin/internal/wire.Coder.Uvarint":   true,
-	"cqjoin/internal/wire.Coder.Int":       true,
-	"cqjoin/internal/wire.Coder.Bool":      true,
-	"cqjoin/internal/wire.Coder.Tag":       true,
-	"cqjoin/internal/wire.Coder.Varint":    true,
-	"cqjoin/internal/wire.Coder.String":    true,
-	"cqjoin/internal/wire.Coder.Interned":  true,
-	"cqjoin/internal/wire.Coder.Bytes":     true,
-	"cqjoin/internal/wire.Coder.Value":     true,
-	"cqjoin/internal/wire.Coder.Tuple":     true,
-	"cqjoin/internal/wire.Coder.Query":     true,
-	"cqjoin/internal/wire.Coder.Count":     true,
-	"cqjoin/internal/wire.Coder.Strings":   true,
-	"cqjoin/internal/wire.Coder.Tuples":    true,
-	"cqjoin/internal/wire.Coder.Queries":   true,
-	"cqjoin/internal/wire.Slice":           true,
-	"cqjoin/internal/wire.MemberView.Walk": true,
+	"cqjoin/internal/wire.Coder.Uvarint":    true,
+	"cqjoin/internal/wire.Coder.Int":        true,
+	"cqjoin/internal/wire.Coder.Bool":       true,
+	"cqjoin/internal/wire.Coder.Tag":        true,
+	"cqjoin/internal/wire.Coder.Varint":     true,
+	"cqjoin/internal/wire.Coder.String":     true,
+	"cqjoin/internal/wire.Coder.Interned":   true,
+	"cqjoin/internal/wire.Coder.Bytes":      true,
+	"cqjoin/internal/wire.Coder.Value":      true,
+	"cqjoin/internal/wire.Coder.Tuple":      true,
+	"cqjoin/internal/wire.Coder.NamedTuple": true,
+	"cqjoin/internal/wire.Coder.Query":      true,
+	"cqjoin/internal/wire.Coder.Count":      true,
+	"cqjoin/internal/wire.Coder.Strings":    true,
+	"cqjoin/internal/wire.Coder.Tuples":     true,
+	"cqjoin/internal/wire.Coder.Queries":    true,
+	"cqjoin/internal/wire.Slice":            true,
+	"cqjoin/internal/wire.MemberView.Walk":  true,
 }
 
 // MapOrderAnalyzer flags `range` statements over maps whose loop body

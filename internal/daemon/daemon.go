@@ -832,6 +832,11 @@ func (s *Server) dispatch(req *request, lst *listener) interface{} {
 		tr := s.cluster.Traffic()
 		ring := chord.CheckRing(s.cluster.Overlay())
 		eval := s.cluster.EvaluatorLoad()
+		bytesByKind := make(map[string]int64)
+		kinds, _ := tr.Snapshot()
+		for kind := range kinds {
+			bytesByKind[kind] = tr.Bytes(kind)
+		}
 		resp := map[string]interface{}{
 			"ok":             true,
 			"nodes":          s.cluster.Size(),
@@ -839,6 +844,7 @@ func (s *Server) dispatch(req *request, lst *listener) interface{} {
 			"hops":           tr.TotalHops(),
 			"messages":       tr.TotalMessages(),
 			"bytes":          tr.TotalBytes(),
+			"bytes_by_kind":  bytesByKind,
 			"ring":           ring.String(),
 			"ring_ok":        ring.OK(),
 			"eval_load_max":  eval.Max,

@@ -150,6 +150,16 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if stats["hops"].(float64) <= 0 || stats["bytes"].(float64) <= 0 {
 		t.Fatalf("stats missing traffic: %v", stats)
 	}
+	// The bytes again, split by message kind: the parts sum to the whole, and
+	// the tuples' index messages are among them.
+	byKind, _ := stats["bytes_by_kind"].(map[string]interface{})
+	sum := 0.0
+	for _, b := range byKind {
+		sum += b.(float64)
+	}
+	if al, _ := byKind["al-index"].(float64); al <= 0 || sum != stats["bytes"].(float64) {
+		t.Fatalf("bytes_by_kind = %v sums to %v, bytes = %v", byKind, sum, stats["bytes"])
+	}
 	// Evaluator-load summary: one match means some evaluator filtered.
 	if stats["eval_load_max"].(float64) <= 0 {
 		t.Fatalf("stats missing evaluator load: %v", stats)

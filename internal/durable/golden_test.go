@@ -20,15 +20,17 @@ import (
 // encoder must still produce those bytes and they must decode to a record
 // that encodes back to them, so a wal.log an earlier build wrote still
 // replays.
+//
+// testdata/records-pr19.golden is the same records as the build before the
+// say-it-once layout wrote them (a published tuple's numbers in eight bytes
+// each). It is only ever read: each line must decode, and to a record that
+// encodes as today's line.
 func TestRecordGolden(t *testing.T) {
-	raw, err := os.ReadFile("testdata/records.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
 	recs := seedRecords()
-	if len(lines) != len(recs) {
-		t.Errorf("%d golden lines for %d seed records", len(lines), len(recs))
+	lines := goldenLines(t, "testdata/records.golden")
+	parent := goldenLines(t, "testdata/records-pr19.golden")
+	if len(lines) != len(recs) || len(parent) != len(recs) {
+		t.Errorf("%d golden lines and %d of the parent's for %d seed records", len(lines), len(parent), len(recs))
 	}
 	for i, rec := range recs {
 		var w wire.Buffer
@@ -40,16 +42,31 @@ func TestRecordGolden(t *testing.T) {
 			t.Errorf("line %d: the encoding is now\n%s", i+1, got)
 			continue
 		}
-		golden, err := hex.DecodeString(strings.Fields(lines[i])[1])
-		if err != nil {
-			t.Fatalf("line %d: %v", i+1, err)
+		assertReencodes(t, fmt.Sprintf("line %d", i+1), w.Bytes(), w.Bytes())
+		if i < len(parent) {
+			name, enc, _ := strings.Cut(parent[i], " ")
+			old, err := hex.DecodeString(enc)
+			if err != nil || name != fmt.Sprintf("%T", rec) {
+				t.Fatalf("parent line %d: a %s, %v; the seed record is a %T", i+1, name, err, rec)
+			}
+			assertReencodes(t, fmt.Sprintf("parent line %d", i+1), old, w.Bytes())
 		}
-		assertReencodes(t, fmt.Sprintf("line %d", i+1), golden)
 	}
 }
 
-// The committed FuzzRecordCodec seeds were written by earlier builds: each
-// must still decode, and to a record that encodes back to the same bytes.
+func goldenLines(t *testing.T, path string) []string {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.Split(strings.TrimSpace(string(raw)), "\n")
+}
+
+// The committed FuzzRecordCodec seeds (TestWriteSeedCorpus) must still
+// decode, and to a record that encodes back to the same bytes. pr19-publish,
+// beside them, is seed-3 as the build before the say-it-once layout wrote it;
+// TestRecordGolden reads that layout, and the fuzzer starts from it too.
 func TestCommittedRecordSeedsReencode(t *testing.T) {
 	paths, err := filepath.Glob("testdata/fuzz/FuzzRecordCodec/seed-*")
 	if err != nil || len(paths) == 0 {
@@ -69,11 +86,13 @@ func TestCommittedRecordSeedsReencode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		assertReencodes(t, path, []byte(data))
+		assertReencodes(t, path, []byte(data), []byte(data))
 	}
 }
 
-func assertReencodes(t *testing.T, what string, data []byte) {
+// assertReencodes checks that data decodes, whole, to a record that encodes
+// as want.
+func assertReencodes(t *testing.T, what string, data, want []byte) {
 	t.Helper()
 	var r wire.Reader
 	r.Reset(data)
@@ -83,7 +102,7 @@ func assertReencodes(t *testing.T, what string, data []byte) {
 		return
 	}
 	var w wire.Buffer
-	if err := encodeRecord(&w, rec); err != nil || !bytes.Equal(w.Bytes(), data) {
+	if err := encodeRecord(&w, rec); err != nil || !bytes.Equal(w.Bytes(), want) {
 		t.Errorf("%s: decodes to a %T that encodes as (%v)\n%x", what, rec, err, w.Bytes())
 	}
 }

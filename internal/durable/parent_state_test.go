@@ -12,13 +12,16 @@ import (
 )
 
 // A state directory an earlier build wrote must still recover. The files
-// under testdata/state-pr18 were written by parentStateScript running at
-// commit 9d67740 (PR 18), the last build whose snapshots list join
-// conditions: snapshot.bin is a graceful checkpoint taken mid-script,
-// wal.log the records appended after it up to a kill -9.
+// under each of parentStateDirs were written by parentStateScript running at
+// an earlier commit: state-pr18 at 9d67740 (PR 18), the last build whose
+// snapshots list join conditions; state-pr19 at 79a77e6 (PR 19), the last to
+// write every tuple with its attribute names, every number in eight bytes and
+// every stored rewrite in full. snapshot.bin is a graceful checkpoint taken
+// mid-script, wal.log the records appended after it up to a kill -9.
+
+var parentStateDirs = []string{"testdata/state-pr18", "testdata/state-pr19"}
 
 const (
-	parentStateDir   = "testdata/state-pr18"
 	parentStateNodes = 32
 	parentStateSeed  = 19
 	// parentStateNotifs is the notification count parentStateScript had
@@ -90,24 +93,31 @@ func parentStateScript(t *testing.T, dir string) int {
 	return eng.NotificationCount()
 }
 
-// TestWriteParentState regenerates the fixture. Like TestWriteSeedCorpus
-// it is a maintenance tool: check out the commit whose on-disk format is to
-// be pinned, run it there with WRITE_CORPUS=1, commit the two files and the
-// count it logs.
+// TestWriteParentState writes a fixture, the last of parentStateDirs. Like
+// TestWriteSeedCorpus it is a maintenance tool: check out the commit whose
+// on-disk format is to be pinned, name the new directory there, run with
+// WRITE_CORPUS=1, commit the two files and check the count it logs.
 func TestWriteParentState(t *testing.T) {
+	dir := parentStateDirs[len(parentStateDirs)-1]
 	if os.Getenv("WRITE_CORPUS") == "" {
-		t.Skip("set WRITE_CORPUS=1 to regenerate " + parentStateDir)
+		t.Skip("set WRITE_CORPUS=1 to regenerate " + dir)
 	}
-	if err := os.RemoveAll(parentStateDir); err != nil {
+	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("parentStateNotifs = %d", parentStateScript(t, parentStateDir))
+	t.Logf("parentStateNotifs = %d", parentStateScript(t, dir))
 }
 
 func TestParentWrittenStateRecovers(t *testing.T) {
+	for _, from := range parentStateDirs {
+		t.Run(filepath.Base(from), func(t *testing.T) { parentStateRecovers(t, from) })
+	}
+}
+
+func parentStateRecovers(t *testing.T, from string) {
 	dir := t.TempDir()
 	for _, name := range []string{snapName, walName} {
-		data, err := os.ReadFile(filepath.Join(parentStateDir, name))
+		data, err := os.ReadFile(filepath.Join(from, name))
 		if err != nil {
 			t.Fatal(err)
 		}

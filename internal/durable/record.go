@@ -81,7 +81,7 @@ func (m *unsubscribeRec) walk(c *wire.Coder) {
 
 func (m *publishRec) walk(c *wire.Coder) {
 	c.String(&m.Node)
-	c.Tuple(&m.T, nil)
+	c.NamedTuple(&m.T) // decodeRecord holds no catalog to look a relation up in
 }
 
 // A decoded Frame aliases the record's bytes.

@@ -103,13 +103,13 @@ func TestRetainedBytesPerPublicationCeiling(t *testing.T) {
 // Decoding what a receiver has decoded before must stay cheap: through a
 // WireCodec whose memo is warm, the four rewrites of one group cost their
 // keys, their message, their shared target and its trigger — no query, no
-// parse — and a one-notification batch its slices and values: 10 and 4
-// measured, and the ceilings are those plus 10 %, rounded down. One re-built
-// query is 2 allocations, one un-interned identity string 1: either passes
-// its ceiling.
+// parse — and a one-notification batch its slices and values (the batch's
+// subscriber is interned like its notifications'): 10 and 3 measured, and the
+// ceilings are those plus 10 %, rounded down. One re-built query is 2
+// allocations, one un-interned identity string 1: either passes its ceiling.
 const (
 	warmJoinDecodeAllocCeiling   = 11
-	warmNotifyDecodeAllocCeiling = 4
+	warmNotifyDecodeAllocCeiling = 3
 )
 
 func TestWarmDecodeAllocCeilings(t *testing.T) {

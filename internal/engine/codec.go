@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"cqjoin/internal/chord"
 	"cqjoin/internal/query"
@@ -282,7 +283,7 @@ func decodeMessage(c *wire.Coder) chord.Message {
 }
 
 func (m *queryMsg) walk(c *wire.Coder) {
-	c.Query(&m.Q)
+	c.Query(&m.Q, "")
 	c.String(&m.Attr)
 	walkSide(c, &m.Side)
 	c.Int(&m.Replica)
@@ -318,8 +319,8 @@ func (m *joinBatch) walk(c *wire.Coder) {
 }
 
 func (m *notifyMsg) walk(c *wire.Coder) {
-	c.String(&m.Subscriber)
-	walkNotifications(c, &m.Batch)
+	c.Interned(&m.Subscriber) // its notifications, stored, share it
+	walkNotifications(c, &m.Batch, m.Subscriber)
 }
 
 func (m *probeMsg) walk(c *wire.Coder) { c.String(&m.AttrInput) }
@@ -336,7 +337,7 @@ func (m *purgeMsg) walk(c *wire.Coder) {
 }
 
 func (m *baselineQueryMsg) walk(c *wire.Coder) {
-	c.Query(&m.Q)
+	c.Query(&m.Q, "")
 	walkSide(c, &m.Side)
 	c.String(&m.Input)
 }
@@ -439,7 +440,7 @@ func (m *snapMetaMsg) walk(c *wire.Coder) {
 	}
 	c.Bool(&m.Multi)
 	c.Queries(&m.Conds)
-	walkNotifications(c, &m.Sink)
+	walkNotifications(c, &m.Sink, "")
 	wire.Slice(c, &m.HotEpochs)
 	for i := range m.HotEpochs {
 		m.HotEpochs[i].walk(c)
@@ -481,57 +482,87 @@ func walkSide(c *wire.Coder, s *query.Side) {
 	}
 }
 
-// walkRewrites walks the rewritten queries of one message. Decoded, they are
-// stored together, so they share one backing array.
+// walkRewrites walks the rewritten queries of one message, each after the one
+// before. Decoded, they are stored together, so they share one backing array.
 func walkRewrites(c *wire.Coder, rws *[]*rewritten) {
 	wire.Slice(c, rws)
 	var vals []rewritten
 	if c.Decoding() {
 		vals = make([]rewritten, len(*rws))
 	}
-	var run rewriteRun
+	var prev *rewritten
 	for i := range *rws {
 		if c.Decoding() {
 			(*rws)[i] = &vals[i]
 		}
-		(*rws)[i].walk(c, &run)
+		(*rws)[i].walk(c, prev)
+		prev = (*rws)[i]
 	}
 }
 
-// rewriteRun is what the decoder keeps between consecutive rewritten
-// queries — the rewrites of a join message, the entries of a VLQT section:
-// the previous rewrite's target and the bytes it was decoded from. A
-// rewriter sends a group's rewrites with one target, so the next rewrite
-// usually repeats those bytes exactly; it then takes the same
-// *rewriteTarget instead of decoding a copy, and the receiver stores the
-// shape the sender built.
-type rewriteRun struct {
-	target *rewriteTarget
-	raw    []byte // aliases the decoder's input
-}
+// sideRepeat in IndexSide's place says the target is the predecessor's; no
+// build wrote a third side.
+const sideRepeat query.Side = 2
 
-func (rw *rewritten) walk(c *wire.Coder, run *rewriteRun) {
-	c.String(&rw.Key)
-	c.Query(&rw.Orig)
+// walk walks one rewritten query after prev, its predecessor in the message
+// or section (nil for the first). A rewriter sends a group's rewrites in a
+// row — one SQL text, one target, keys that differ only in Key(q) — and what
+// a rewrite shares with prev is not said again: an empty Key stands for
+// Orig.Key() plus prev's suffix past its own Orig.Key(), Orig repeats
+// prev.Orig's text (Coder.Query), sideRepeat stands for prev's target, which
+// the decoded rewrite shares by pointer. All three are decided on values: a
+// message rebuilt from decoded parts encodes the same. No prev, no marker.
+func (rw *rewritten) walk(c *wire.Coder, prev *rewritten) {
+	prevText, prevSuffix, chained := "", "", false
+	if prev != nil && c.Err() == nil {
+		prevText = prev.Orig.Text()
+		prevSuffix, chained = strings.CutPrefix(prev.Key, prev.Orig.Key())
+	}
+	key, side := rw.Key, sideRepeat
 	if !c.Decoding() {
-		rw.rewriteTarget.walk(c, nil)
-		return
+		if suffix, ok := strings.CutPrefix(rw.Key, rw.Orig.Key()); ok && chained && suffix == prevSuffix {
+			key = ""
+		}
+		if prev == nil || !rw.rewriteTarget.equal(prev.rewriteTarget) {
+			side = rw.IndexSide
+		}
 	}
-	if r := c.Reader(); run.target == nil || !r.SkipPrefix(run.raw) {
-		start := r.Offset()
-		run.target = new(rewriteTarget)
-		run.target.walk(c, rw.Orig)
-		run.raw = r.Since(start)
+	c.String(&key)
+	c.Query(&rw.Orig, prevText)
+	walkSide(c, &side)
+	if c.Decoding() {
+		switch {
+		case c.Err() != nil:
+			return
+		case key == "" && !chained, side == sideRepeat && prev == nil:
+			c.Fail(errors.New("engine: a rewrite repeats a predecessor it does not have"))
+			return
+		case key == "":
+			key = rw.Orig.Key() + prevSuffix
+		}
+		rw.Key = key
+		if side == sideRepeat {
+			rw.rewriteTarget = prev.rewriteTarget
+		} else {
+			rw.rewriteTarget = &rewriteTarget{IndexSide: side}
+		}
 	}
-	rw.rewriteTarget = run.target
+	if side != sideRepeat {
+		rw.rewriteTarget.walk(c, rw.Orig)
+	}
 }
 
-// walk walks the target of a rewrite of q; q is only needed to decode.
+// equal reports whether tg and o are the same target, field by field.
+func (tg *rewriteTarget) equal(o *rewriteTarget) bool {
+	return tg == o || tg.IndexSide == o.IndexSide && tg.WantValue == o.WantValue &&
+		tg.WantAttr == o.WantAttr && tg.WantRel == o.WantRel && tg.Trigger.Equal(o.Trigger)
+}
+
+// walk walks what follows IndexSide in the target of a rewrite of q.
 func (tg *rewriteTarget) walk(c *wire.Coder, q *query.Query) {
-	walkSide(c, &tg.IndexSide)
 	// The trigger is the index side's projection: its schema is the plan's.
 	var shape *relation.Schema
-	if q != nil && (tg.IndexSide == query.SideLeft || tg.IndexSide == query.SideRight) {
+	if tg.IndexSide == query.SideLeft || tg.IndexSide == query.SideRight {
 		shape = q.Projection(tg.IndexSide)
 	}
 	c.Tuple(&tg.Trigger, shape)
@@ -540,9 +571,32 @@ func (tg *rewriteTarget) walk(c *wire.Coder, q *query.Query) {
 	c.Value(&tg.WantValue)
 }
 
-func (n *Notification) walk(c *wire.Coder) {
-	c.Interned(&n.QueryKey)
-	c.Interned(&n.Subscriber)
+// walk walks one notification of a batch bound for subscriber, after one of
+// prevKey ("" for the first): either, repeated, travels as an empty string.
+func (n *Notification) walk(c *wire.Coder, subscriber, prevKey string) {
+	key, sub := n.QueryKey, n.Subscriber
+	if !c.Decoding() {
+		if key == prevKey {
+			key = ""
+		}
+		if sub == subscriber {
+			sub = ""
+		}
+	}
+	c.Interned(&key)
+	c.Interned(&sub)
+	if c.Decoding() {
+		if key == "" {
+			key = prevKey
+		}
+		if sub == "" {
+			sub = subscriber
+		}
+		if key == "" {
+			c.Fail(errors.New("engine: a notification repeats a predecessor it does not have"))
+		}
+		n.QueryKey, n.Subscriber = key, sub
+	}
 	c.Interned(&n.subscriberIP)
 	wire.Slice(c, &n.Values)
 	for i := range n.Values {
@@ -553,10 +607,12 @@ func (n *Notification) walk(c *wire.Coder) {
 	c.Varint(&n.DeliveredAt)
 }
 
-func walkNotifications(c *wire.Coder, ns *[]Notification) {
+func walkNotifications(c *wire.Coder, ns *[]Notification, subscriber string) {
 	wire.Slice(c, ns)
+	prevKey := ""
 	for i := range *ns {
-		(*ns)[i].walk(c)
+		(*ns)[i].walk(c, subscriber, prevKey)
+		prevKey = (*ns)[i].QueryKey
 	}
 }
 
@@ -657,11 +713,11 @@ func (sec *alSection) walk(c *wire.Coder) {
 	walkTargets(c, &sec.SentTargets)
 }
 
-func (e *vqEntry) walk(c *wire.Coder, run *rewriteRun) {
+func (e *vqEntry) walk(c *wire.Coder, prev *rewritten) {
 	if c.Decoding() {
 		e.Rw = new(rewritten)
 	}
-	e.Rw.walk(c, run)
+	e.Rw.walk(c, prev)
 	wire.Slice(c, &e.Times)
 	for i := range e.Times {
 		c.Varint(&e.Times[i])
@@ -670,12 +726,13 @@ func (e *vqEntry) walk(c *wire.Coder, run *rewriteRun) {
 
 func walkVQEntries(c *wire.Coder, es *[]vqEntry) {
 	wire.Slice(c, es)
-	var run rewriteRun
+	var prev *rewritten
 	for i := range *es {
 		if c.Err() != nil {
 			return // every entry is an allocation: a failed decode makes no more
 		}
-		(*es)[i].walk(c, &run)
+		(*es)[i].walk(c, prev)
+		prev = (*es)[i].Rw
 	}
 }
 
@@ -710,6 +767,6 @@ func (sec *dvSection) walk(c *wire.Coder) {
 }
 
 func (sec *notifSection) walk(c *wire.Coder) {
-	c.String(&sec.Subscriber)
-	walkNotifications(c, &sec.Batch)
+	c.Interned(&sec.Subscriber)
+	walkNotifications(c, &sec.Batch, sec.Subscriber)
 }

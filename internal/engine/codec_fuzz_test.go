@@ -15,7 +15,8 @@ import (
 // through one WireCodec that lives as long as the run: whatever its memo
 // has collected from the inputs before, it must accept exactly what a
 // memo-less decode accepts and decode it to the same message. The seed
-// corpus is one valid encoding of every engine message type.
+// corpus is one valid encoding of every engine message type, and messages
+// whose first element repeats a predecessor it does not have.
 func FuzzCodecRoundTrip(f *testing.F) {
 	catalog, msgs := codecFixtures(f)
 	for _, msg := range msgs {
@@ -24,6 +25,10 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			f.Fatalf("%T: seed encode: %v", msg, err)
 		}
 		f.Add(w.Bytes())
+	}
+	rw := msgs[3].(joinMsg).Rewrites[0]
+	for _, data := range orphanMarkers(f, rw.Orig, rw.rewriteTarget) {
+		f.Add(data)
 	}
 	f.Add([]byte{})
 	f.Add([]byte{byte(tagJoin), 0xff, 0xff, 0xff, 0xff, 0x0f}) // forged huge count

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"reflect"
 	"slices"
 	"testing"
@@ -431,11 +432,11 @@ func TestQuerySizeCacheInvalidatedOnCopy(t *testing.T) {
 		if !ok {
 			continue
 		}
-		if got := wire.SizeQuery(qm.Q); got != querySizeByEncoding(qm.Q) {
+		if got := wire.SizeQuery(qm.Q, ""); got != querySizeByEncoding(qm.Q) {
 			t.Fatalf("query: size %d != encoding %d", got, querySizeByEncoding(qm.Q))
 		}
 		cp := qm.Q.WithInsT(qm.Q.InsT() + 1<<20)
-		if got := wire.SizeQuery(cp); got != querySizeByEncoding(cp) {
+		if got := wire.SizeQuery(cp, ""); got != querySizeByEncoding(cp) {
 			t.Fatalf("copied query: size %d != encoding %d", got, querySizeByEncoding(cp))
 		}
 		return
@@ -454,7 +455,7 @@ func encodedLen(msg chord.Message) int {
 
 func querySizeByEncoding(q *query.Query) int {
 	var w wire.Buffer
-	wire.EncodeQuery(&w, q)
+	wire.EncodeQuery(&w, q, "")
 	return w.Len()
 }
 
@@ -796,5 +797,174 @@ func TestWireCodecSharesStandingQueriesAcrossMessages(t *testing.T) {
 	assertRewrittenEqual(t, first.(joinMsg).Rewrites[0], alone.(joinMsg).Rewrites[0])
 	if alone.(joinMsg).Rewrites[0].Orig == q {
 		t.Fatal("DecodeMessage returned a query of the codec's memo")
+	}
+}
+
+// orphanMarkers hand-writes messages whose first list element already uses a
+// say-it-once marker — an empty rewrite key, an empty SQL text, the side that
+// repeats a target, an empty notification key — plus one whose second rewrite
+// drops its key after a predecessor whose own key does not extend its
+// query's. "whole" is the well-formed join they are all cut from.
+func orphanMarkers(tb testing.TB, q *query.Query, tg *rewriteTarget) map[string][]byte {
+	tb.Helper()
+	rewrite := func(w *wire.Buffer, key, text string, side query.Side) {
+		w.PutString(key)
+		w.PutString(q.Key())
+		w.PutString(q.Subscriber())
+		w.PutString(q.SubscriberIP())
+		w.PutVarint(q.InsT())
+		w.PutString(text)
+		w.PutUvarint(uint64(side))
+		if side != sideRepeat {
+			c := wire.Encoder(w)
+			tg.walk(&c, q)
+			if err := c.Flush(w); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	join := func(rewrites ...func(*wire.Buffer)) []byte {
+		var w wire.Buffer
+		w.PutUvarint(uint64(tagJoin))
+		w.PutUvarint(uint64(len(rewrites)))
+		for _, put := range rewrites {
+			put(&w)
+		}
+		return w.Bytes()
+	}
+	one := func(key, text string, side query.Side) []byte {
+		return join(func(w *wire.Buffer) { rewrite(w, key, text, side) })
+	}
+	var notify wire.Buffer
+	notify.PutUvarint(uint64(tagNotify))
+	notify.PutString(q.Subscriber())
+	notify.PutUvarint(1)
+	for _, s := range []string{"", "", q.SubscriberIP()} { // key, subscriber, address
+		notify.PutString(s)
+	}
+	notify.PutUvarint(0)
+	for i := 0; i < 3; i++ {
+		notify.PutVarint(int64(i))
+	}
+	chained := q.Key() + "+7"
+	return map[string][]byte{
+		"whole":                      one(chained, q.Text(), tg.IndexSide),
+		"first rewrite, no key":      one("", q.Text(), tg.IndexSide),
+		"first rewrite, no text":     one(chained, "", tg.IndexSide),
+		"first rewrite, no target":   one(chained, q.Text(), sideRepeat),
+		"first notification, no key": notify.Bytes(),
+		"no key after an unchained one": join(
+			func(w *wire.Buffer) { rewrite(w, "elsewhere+7", q.Text(), tg.IndexSide) },
+			func(w *wire.Buffer) { rewrite(w, "", "", sideRepeat) }),
+	}
+}
+
+// A marker says "as my predecessor": where there is none — the first rewrite
+// of a message, the first notification of a batch, a key after one that was
+// not built from its query's — the message fails to decode, cleanly, and
+// through a long-lived memo too.
+func TestMarkerWithoutPredecessorFailsToDecode(t *testing.T) {
+	catalog, msgs := codecFixtures(t)
+	rw := msgs[3].(joinMsg).Rewrites[0]
+	inputs := orphanMarkers(t, rw.Orig, rw.rewriteTarget)
+	whole := joinMsg{Rewrites: []*rewritten{{Key: rw.Orig.Key() + "+7", Orig: rw.Orig, rewriteTarget: rw.rewriteTarget}}}
+	if got := inputs["whole"]; len(got) != encodedLen(whole) || len(got) != MessageSize(whole) {
+		t.Fatalf("the hand-written join is %d bytes, the codec's %d: the variants below test nothing", len(got), encodedLen(whole))
+	}
+	codec := NewWireCodec(catalog)
+	for what, data := range inputs {
+		_, err := DecodeMessage(wire.NewReader(data), catalog)
+		_, memoErr := codec.Decode(wire.NewReader(data))
+		if (err == nil) != (what == "whole") || (memoErr == nil) != (what == "whole") {
+			t.Errorf("%s: decode said %v, through a codec %v", what, err, memoErr)
+		}
+	}
+	// The same markers after a predecessor that carries what they repeat.
+	twice := joinMsg{Rewrites: []*rewritten{whole.Rewrites[0], whole.Rewrites[0]}}
+	if saved := 2*len(inputs["whole"]) - 2 - encodedLen(twice); saved < len(rw.Orig.Text())+len("+7") {
+		t.Fatalf("a repeated rewrite saved %d bytes", saved)
+	}
+}
+
+// What a message elides is decided on values: a join whose rewrites were
+// built apart — their own queries, parsed from their own copies of the text,
+// their own equal targets — encodes byte for byte like one whose group shares
+// one target by pointer, and like the message its decoder rebuilds; a sim run
+// that passes the sender's values along and a TCP run that decodes at every
+// hop then charge the same bytes. A receiver whose catalog declares another
+// arity for a relation fails a message carrying its tuple.
+func TestJoinSizeSurvivesDecode(t *testing.T) {
+	env := newTestEnv(t, 16, Config{Algorithm: SAI})
+	const sql = `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`
+	var apart, shared []*rewritten
+	var alone int
+	for i := 0; i < 4; i++ {
+		q := env.subscribe(t, i, string([]byte(sql)))
+		proj, err := rTuple(env, 1, 7, 2).WithPubT(9).Project(q.NeededAttrs("R")) // a schema of its own each time
+		if err != nil {
+			t.Fatal(err)
+		}
+		tg := &rewriteTarget{IndexSide: query.SideLeft, Trigger: proj, WantRel: "S", WantAttr: "E", WantValue: relation.N(7)}
+		apart = append(apart, &rewritten{Key: q.Key() + "+1+7", Orig: q, rewriteTarget: tg})
+		shared = append(shared, &rewritten{Key: q.Key() + "+1+7", Orig: q, rewriteTarget: apart[0].rewriteTarget})
+		alone += encodedLen(joinMsg{Rewrites: apart[i:]}) - 2 // less tag and count
+	}
+	// A second group: another trigger, so another target and key suffix, and
+	// the same text still.
+	q := apart[0].Orig
+	proj, err := rTuple(env, 2, 8, 2).WithPubT(10).ProjectOnto(q.Projection(query.SideLeft))
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := &rewritten{Key: q.Key() + "+2+8", Orig: q, rewriteTarget: &rewriteTarget{
+		IndexSide: query.SideLeft, Trigger: proj, WantRel: "S", WantAttr: "E", WantValue: relation.N(8)}}
+	apart, shared = append(apart, next), append(shared, next)
+
+	var w wire.Buffer
+	if err := EncodeMessage(&w, joinMsg{Rewrites: apart}); err != nil {
+		t.Fatal(err)
+	}
+	size := w.Len()
+	// Each rewrite after the first writes one byte for its text, one for its
+	// key (Key(q) is in the query just ahead) and one for its target.
+	target := MessageSize(joinMsg{Rewrites: apart[:1]}) - 2 - wire.SizeString(apart[0].Key) - wire.SizeQuery(apart[0].Orig, "")
+	want := 2 + alone
+	for _, rw := range apart[1:4] {
+		want -= len(sql) + len(rw.Key) + target - 1
+	}
+	if got := encodedLen(joinMsg{Rewrites: apart[:4]}); got != want {
+		t.Fatalf("the group of four is %d bytes, want %d: one by one its rewrites are %d, and three repeat a %d-byte text, a %d-byte target and a key",
+			got, want, alone, len(sql), target)
+	}
+	got, err := DecodeMessage(wire.NewReader(w.Bytes()), env.catalog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded := got.(joinMsg)
+	for what, msg := range map[string]joinMsg{"built apart": {Rewrites: apart}, "sharing a target": {Rewrites: shared}, "decoded": decoded} {
+		if MessageSize(msg) != size {
+			t.Errorf("%s: Size() = %d, the message travelled as %d bytes", what, MessageSize(msg), size)
+		}
+		var again wire.Buffer
+		if err := EncodeMessage(&again, msg); err != nil || !bytes.Equal(again.Bytes(), w.Bytes()) {
+			t.Errorf("%s: encodes as (%v)\n%x\nthe message travelled as\n%x", what, err, again.Bytes(), w.Bytes())
+		}
+	}
+	for i, g := range decoded.Rewrites {
+		assertRewrittenEqual(t, apart[i], g)
+		if (g.rewriteTarget == decoded.Rewrites[0].rewriteTarget) != (i < 4) {
+			t.Errorf("rewrite %d: shares the first group's target: %v", i, i >= 4)
+		}
+	}
+
+	// A trigger's shape comes from the query text both ends parse; a full
+	// tuple's from the catalog, and there the ends can disagree.
+	narrow := relation.MustCatalog(relation.MustSchema("R", "A", "B"), env.s)
+	var al wire.Buffer
+	if err := EncodeMessage(&al, alIndexMsg{T: rTuple(env, 1, 7, 2), Attr: "B"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeMessage(wire.NewReader(al.Bytes()), narrow); err == nil {
+		t.Error("a three-attribute R tuple decoded under a catalog whose R has two")
 	}
 }

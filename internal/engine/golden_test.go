@@ -17,13 +17,18 @@ import (
 // the bytes must still decode to a message that encodes back to them — so a
 // reordered field, a changed field type or a renumbered tag fails here. To
 // add a message kind, append its fixture and the line this test prints.
+//
+// testdata/wire-pr19.golden is the same fixtures as the build before the
+// say-it-once layout (PR 19) encoded them: attribute names in every tuple,
+// eight-byte numbers, every rewrite and notification in full. Nothing writes
+// that layout any more, and peers, WAL delivery records and snapshots still
+// hold it, so it is only ever read: each line must decode to its fixture, and
+// to a message that encodes as today's line. Its lines pair with the fixtures
+// by position; a fixture appended later has none there.
 func TestWireGolden(t *testing.T) {
 	catalog, msgs := codecFixtures(t)
-	raw, err := os.ReadFile("testdata/wire.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	lines := goldenLines(t, "testdata/wire.golden")
+	parent := goldenLines(t, "testdata/wire-pr19.golden")
 	if len(lines) != len(msgs) {
 		t.Errorf("%d golden lines for %d fixtures", len(lines), len(msgs))
 	}
@@ -37,18 +42,35 @@ func TestWireGolden(t *testing.T) {
 			t.Errorf("line %d: the encoding is now\n%s", i+1, got)
 			continue
 		}
-		golden, err := hex.DecodeString(strings.Fields(lines[i])[1])
-		if err != nil {
-			t.Fatalf("line %d: %v", i+1, err)
+		layouts := []string{lines[i]}
+		if i < len(parent) {
+			layouts = append(layouts, parent[i])
 		}
-		back, err := DecodeMessage(wire.NewReader(golden), catalog)
-		if err != nil {
-			t.Errorf("%T: the golden bytes no longer decode: %v", msg, err)
-			continue
-		}
-		var again wire.Buffer
-		if err := EncodeMessage(&again, back); err != nil || !bytes.Equal(again.Bytes(), golden) {
-			t.Errorf("%T: the golden bytes decode to a message that encodes as (%v)\n%x", msg, err, again.Bytes())
+		for _, line := range layouts {
+			name, enc, _ := strings.Cut(line, " ")
+			golden, err := hex.DecodeString(enc)
+			if err != nil || name != fmt.Sprintf("%T", msg) {
+				t.Fatalf("line %d: a %s, %v; the fixture is a %T", i+1, name, err, msg)
+			}
+			back, err := DecodeMessage(wire.NewReader(golden), catalog)
+			if err != nil {
+				t.Errorf("%T: the golden bytes no longer decode: %v\n%x", msg, err, golden)
+				continue
+			}
+			assertSemanticEqual(t, msg, back)
+			var again wire.Buffer
+			if err := EncodeMessage(&again, back); err != nil || !bytes.Equal(again.Bytes(), w.Bytes()) {
+				t.Errorf("%T: the golden bytes\n%x\ndecode to a message that encodes as (%v)\n%x", msg, golden, err, again.Bytes())
+			}
 		}
 	}
+}
+
+func goldenLines(t *testing.T, path string) []string {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.Split(strings.TrimSpace(string(raw)), "\n")
 }

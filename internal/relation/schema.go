@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Schema describes a relation: its name and the ordered attribute names.
@@ -13,6 +14,10 @@ type Schema struct {
 	name  string
 	attrs []string
 	index map[string]int
+
+	// cataloged is set once a Catalog holds the schema; atomic because a
+	// schema may join another catalog while its tuples are being sized.
+	cataloged atomic.Bool
 
 	// projections interns the sub-schemas Projection has handed out, so
 	// every query needing the same attributes of this relation shares one
@@ -64,6 +69,15 @@ func (s *Schema) Arity() int { return len(s.attrs) }
 // Attr returns the name of attribute i in declaration order. Loops over a
 // schema use it with Arity where the copy Attrs makes is not needed.
 func (s *Schema) Attr(i int) string { return s.attrs[i] }
+
+// Cataloged reports whether a Catalog holds s: peers run one catalog, so the
+// receiver of such a schema's tuple holds its attribute names (wire.held).
+func (s *Schema) Cataloged() bool { return s.cataloged.Load() }
+
+// Equal reports whether s and o declare the same name and attribute list.
+func (s *Schema) Equal(o *Schema) bool {
+	return s == o || s.name == o.name && s.HasAttrs(o.attrs)
+}
 
 // HasAttrs reports whether the schema declares exactly the given attributes
 // in the given order.
@@ -160,6 +174,7 @@ func (c *Catalog) Add(s *Schema) error {
 		return fmt.Errorf("relation: catalog already has relation %s", s.name)
 	}
 	c.schemas[s.name] = s
+	s.cataloged.Store(true)
 	return nil
 }
 

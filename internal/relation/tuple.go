@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 )
@@ -14,8 +15,8 @@ type Tuple struct {
 	values []Value
 	pubT   int64
 
-	// wireSize memoizes the tuple's wire-encoded length; 0 means not yet
-	// computed. Accessed atomically (plain int64 + atomic ops rather than
+	// wireSize memoizes the tuple's wire-encoded length, attribute names
+	// left out (wire.SizeTuple); 0 means not yet computed. Accessed atomically (plain int64 + atomic ops rather than
 	// atomic.Int64, which would forbid the value copies tests make): one
 	// tuple value is shared by every in-flight message that carries it, and
 	// concurrent publishers size those messages independently.
@@ -142,6 +143,12 @@ func (t *Tuple) SameContent(o *Tuple) bool {
 		return true
 	}
 	return float64(t.pubT) == float64(o.pubT) && t.ContentKey() == o.ContentKey()
+}
+
+// Equal reports whether t and o are the same tuple: equal schemas, values
+// and publication times.
+func (t *Tuple) Equal(o *Tuple) bool {
+	return t == o || t.pubT == o.pubT && t.schema.Equal(o.schema) && slices.Equal(t.values, o.values)
 }
 
 // WithPubT returns a copy of the tuple stamped with publication time ts.

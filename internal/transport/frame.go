@@ -47,7 +47,9 @@ import (
 // only adopts strictly newer ones — so the sender's retry loop can replay
 // them safely.
 const (
-	protoVersion = 2
+	// protoVersion is exchanged at hello; a dialer refuses any other. 3: messages
+	// say things once (DESIGN.md §8.1), which a version-2 peer cannot read.
+	protoVersion = 3
 
 	// maxFrame bounds one frame so a corrupt length prefix cannot allocate
 	// gigabytes. 16 MiB fits any realistic multisend leg (the simulator's

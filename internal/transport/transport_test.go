@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -361,5 +362,95 @@ func TestAckValidation(t *testing.T) {
 	_, _ = r.Uvarint()
 	if _, err := decodeAck(r, 7, 2); err == nil {
 		t.Fatalf("decodeAck accepted a mismatched count")
+	}
+}
+
+// A build that speaks protocol 2 cannot decode this build's messages, so the
+// two must part at the handshake, whichever dials. When the old build
+// answers, this dialer refuses its helloOK with an error naming both versions
+// and sends it no batch; when the old build dials, its hello is answered with
+// this build's version, the number its own copy of that check refuses.
+func TestProtocol2PeerRefusedAtHello(t *testing.T) {
+	const oldVersion = 2
+	if protoVersion != 3 {
+		t.Fatalf("protoVersion = %d: this test is about 3 meeting %d", protoVersion, oldVersion)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer func() { _ = ln.Close() }()
+	afterHello := make(chan error, 1)
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			afterHello <- err
+			return
+		}
+		defer func() { _ = c.Close() }()
+		br := bufio.NewReader(c)
+		if _, err := readFrame(br); err != nil {
+			afterHello <- err
+			return
+		}
+		var w wire.Buffer
+		w.PutUvarint(frameHelloOK)
+		w.PutUvarint(oldVersion)
+		if err := writeFrame(c, w.Bytes()); err != nil {
+			afterHello <- err
+			return
+		}
+		_, err = readFrame(br) // the dialer hangs up; a batch would arrive here
+		afterHello <- err
+	}()
+	var mu sync.Mutex
+	var logged []string
+	from, dst := testNodes(t)
+	tr, addr := startTransport(t, Config{
+		Local:    &testLocal{},
+		OwnerOf:  func(string) string { return ln.Addr().String() },
+		Attempts: 1,
+		Logf: func(format string, args ...interface{}) {
+			mu.Lock()
+			defer mu.Unlock()
+			logged = append(logged, fmt.Sprintf(format, args...))
+		},
+	})
+	if tr.Deliver(from, dst, &testMsg{Body: "x"}) {
+		t.Fatal("delivered to a peer that speaks protocol 2")
+	}
+	if err := <-afterHello; err == nil {
+		t.Fatal("the dialer sent a frame after a protocol-2 helloOK")
+	}
+	mu.Lock()
+	lines := strings.Join(logged, "\n")
+	mu.Unlock()
+	if !strings.Contains(lines, "peer speaks protocol 2, want 3") {
+		t.Fatalf("the refusal does not name both versions:\n%s", lines)
+	}
+
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	var hello wire.Buffer
+	hello.PutUvarint(frameHello)
+	hello.PutUvarint(oldVersion)
+	hello.PutString("127.0.0.1:1")
+	if err := writeFrame(c, hello.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	reply, err := readFrame(bufio.NewReader(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := wire.NewReader(reply)
+	if ftype, _ := r.Uvarint(); ftype != frameHelloOK {
+		t.Fatalf("a protocol-2 hello was answered with frame type %d", ftype)
+	}
+	if v, err := r.Uvarint(); err != nil || v != protoVersion {
+		t.Fatalf("a protocol-2 hello was answered with version %d (%v), want %d", v, err, protoVersion)
 	}
 }

@@ -85,10 +85,6 @@ func (c *Coder) Decoding() bool { return c.mode == decoding }
 // Size returns the length a sizing walk has added up.
 func (c *Coder) Size() int { return c.n }
 
-// Reader returns the input of a decoding walk, for a step that looks at the
-// bytes themselves (SkipPrefix, Since).
-func (c *Coder) Reader() *Reader { return &c.r }
-
 // Err returns the walk's first failure.
 func (c *Coder) Err() error { return c.err }
 
@@ -212,15 +208,20 @@ func (c *Coder) Value(v *relation.Value) {
 	}
 }
 
-// Tuple walks a tuple with its schema (EncodeTuple, SizeTuple). Decoding
-// reuses Catalog's schema or shape — the projection the tuple's query
-// expects, nil when there is none — under DecodeTuple's rules.
-func (c *Coder) Tuple(t **relation.Tuple, shape *relation.Schema) {
+// Tuple walks a tuple whose receiver expects shape of it (its query's projection;
+// nil: none): its names stay home where shape, else Catalog, holds them (held).
+func (c *Coder) Tuple(t **relation.Tuple, shape *relation.Schema) { c.tuple(t, shape, false) }
+
+// NamedTuple walks a tuple with the names of its attributes, always: for a
+// reader that holds no schema to resolve it against, a WAL record's.
+func (c *Coder) NamedTuple(t **relation.Tuple) { c.tuple(t, nil, true) }
+
+func (c *Coder) tuple(t **relation.Tuple, shape *relation.Schema, named bool) {
 	switch c.mode {
 	case sizing:
-		c.n += SizeTuple(*t)
+		c.n += SizeTuple(*t, named || !held((*t).Schema(), shape))
 	case encoding:
-		EncodeTuple(&c.w, *t)
+		EncodeTuple(&c.w, *t, named || !held((*t).Schema(), shape))
 	case decoding:
 		if c.err == nil {
 			*t, c.err = DecodeTuple(&c.r, c.Catalog, shape)
@@ -228,17 +229,19 @@ func (c *Coder) Tuple(t **relation.Tuple, shape *relation.Schema) {
 	}
 }
 
-// Query walks a query (EncodeQuery, SizeQuery); decoding resolves it through
-// Memo (DecodeQuery).
-func (c *Coder) Query(q **query.Query) {
+// Query walks a query after one of text prevText — the element before it in a
+// list, "" where there is none (EncodeQuery, SizeQuery): its own text, when
+// the same, is not sent again. Decoding resolves the query through Memo
+// (DecodeQuery).
+func (c *Coder) Query(q **query.Query, prevText string) {
 	switch c.mode {
 	case sizing:
-		c.n += SizeQuery(*q)
+		c.n += SizeQuery(*q, prevText)
 	case encoding:
-		EncodeQuery(&c.w, *q)
+		EncodeQuery(&c.w, *q, prevText)
 	case decoding:
 		if c.err == nil {
-			*q, c.err = DecodeQuery(&c.r, c.Catalog, c.Memo)
+			*q, c.err = DecodeQuery(&c.r, c.Catalog, c.Memo, prevText)
 		}
 	}
 }
@@ -288,10 +291,13 @@ func (c *Coder) Tuples(ts *[]*relation.Tuple) {
 	}
 }
 
-// Queries walks a counted list of queries.
+// Queries walks a counted list of queries, each after the one before it.
 func (c *Coder) Queries(qs *[]*query.Query) {
 	Slice(c, qs)
+	prevText := ""
 	for i := range *qs {
-		c.Query(&(*qs)[i])
+		if c.Query(&(*qs)[i], prevText); c.err == nil {
+			prevText = (*qs)[i].Text()
+		}
 	}
 }

@@ -73,17 +73,22 @@ func (m *Memo) String(r *Reader) (string, error) {
 	return s, nil
 }
 
-// query returns the query with the given wire fields. The one remembered
-// under key is returned only when every field equals it, SQL bytes included.
-// Anything else is decoded into a query of its own and remembered only if
-// the key is free: no input, forged or colliding, changes what the key of a
-// standing query decodes to.
-func (m *Memo) query(catalog *relation.Catalog, key, sub, ip []byte, insT int64, sql []byte) (*query.Query, error) {
+// query returns the query with the given wire fields; an empty sql stands for
+// prevText (none: no text, no parse). The one remembered under key is returned
+// only when every field equals it, SQL text included. Anything else is decoded
+// into a query of its own and remembered only if the key is free: no input,
+// forged or colliding, changes what the key of a standing query decodes to.
+func (m *Memo) query(catalog *relation.Catalog, key, sub, ip []byte, insT int64, sql []byte, prevText string) (*query.Query, error) {
 	m.mu.Lock()
 	q := m.queries[string(key)]
-	hit := q != nil && q.InsT() == insT && q.Subscriber() == string(sub) &&
-		q.SubscriberIP() == string(ip) && q.Text() == string(sql)
-	parsed := m.parsed[string(sql)]
+	hit := q != nil && q.InsT() == insT && q.Subscriber() == string(sub) && q.SubscriberIP() == string(ip) &&
+		(q.Text() == string(sql) || len(sql) == 0 && q.Text() == prevText)
+	var parsed *query.Query
+	if !hit && len(sql) > 0 { // a hit, the common case, pays for no second lookup
+		parsed = m.parsed[string(sql)]
+	} else if !hit {
+		parsed = m.parsed[prevText]
+	}
 	m.mu.Unlock()
 	m.count(hit)
 	if hit {
@@ -91,8 +96,12 @@ func (m *Memo) query(catalog *relation.Catalog, key, sub, ip []byte, insT int64,
 	}
 	fresh := parsed == nil
 	if fresh {
+		text := prevText
+		if len(sql) > 0 {
+			text = string(sql)
+		}
 		var err error
-		if parsed, err = query.Parse(catalog, string(sql)); err != nil {
+		if parsed, err = query.Parse(catalog, text); err != nil {
 			return nil, fmt.Errorf("wire: re-parse: %w", err)
 		}
 	}

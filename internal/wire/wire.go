@@ -7,20 +7,25 @@
 //
 // The format is length-prefixed and self-describing at the value level:
 //
-//	value   := kind:uint8 (0=string, 1=number) payload
+//	value   := kind:uint8 (0=string, 1=number, 2=integer) payload
 //	string  := len:uvarint bytes
 //	number  := 8 bytes IEEE-754 big endian
+//	integer := varint, a number that is a whole one below 2^53
 //	tuple   := relation:string arity:uvarint attr:string... value... pubT:varint
+//	         | relation:string 0 arity:uvarint value... pubT:varint
 //	query   := key:string subscriber:string ip:string insT:varint sql:string
 //	notif   := querykey:string subscriber:string n:uvarint value...
 //	          leftPubT:varint rightPubT:varint deliveredAt:varint
 //
 // Queries travel as their SQL text and are re-parsed against the catalog on
 // arrival; the parser is the single source of truth for query semantics.
+//
+// A message says nothing twice (DESIGN.md §8.1): a tuple whose receiver holds
+// its schema takes the second form, a list element writes "" for the text or
+// key its predecessor has; no earlier build wrote either, and both decode.
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -32,7 +37,15 @@ import (
 const (
 	kindString byte = 0
 	kindNumber byte = 1
+	kindInt    byte = 2
 )
+
+// wholeNumber returns f as an integer when a varint carries it exactly: a
+// whole number of magnitude below 2^53 and not -0, whose sign would be lost.
+func wholeNumber(f float64) (int64, bool) {
+	i := int64(f) // some integer whatever f is, f's own inside the range
+	return i, f > -(1<<53) && f < 1<<53 && float64(i) == f && (i != 0 || !math.Signbit(f))
+}
 
 // Buffer accumulates an encoding. The zero Buffer is ready to use.
 type Buffer struct {
@@ -97,6 +110,11 @@ func (w *Buffer) PutValue(v relation.Value) {
 		w.PutString(v.Str())
 		return
 	}
+	if i, ok := wholeNumber(v.Num()); ok {
+		w.b = append(w.b, kindInt)
+		w.PutVarint(i)
+		return
+	}
 	w.b = append(w.b, kindNumber)
 	w.b = binary.BigEndian.AppendUint64(w.b, math.Float64bits(v.Num()))
 }
@@ -119,25 +137,6 @@ func (r *Reader) Reset(b []byte) {
 
 // Remaining returns the number of unread bytes.
 func (r *Reader) Remaining() int { return len(r.b) - r.off }
-
-// Offset returns the number of bytes read so far.
-func (r *Reader) Offset() int { return r.off }
-
-// Since returns the bytes read since the reader stood at offset from. The
-// slice aliases the reader's input.
-func (r *Reader) Since(from int) []byte { return r.b[from:r.off] }
-
-// SkipPrefix consumes p when the unread input starts with it, and reports
-// whether it did. Every encoding here is self-delimiting, so input that
-// repeats the bytes a value was decoded from decodes to an equal value: a
-// decoder may skip them and reuse the value.
-func (r *Reader) SkipPrefix(p []byte) bool {
-	if !bytes.HasPrefix(r.b[r.off:], p) {
-		return false
-	}
-	r.off += len(p)
-	return true
-}
 
 // Uvarint reads an unsigned varint.
 func (r *Reader) Uvarint() (uint64, error) {
@@ -212,18 +211,37 @@ func (r *Reader) Value() (relation.Value, error) {
 		bits := binary.BigEndian.Uint64(r.b[r.off:])
 		r.off += 8
 		return relation.N(math.Float64frombits(bits)), nil
+	case kindInt:
+		i, err := r.Varint()
+		if err == nil && (i <= -(1<<53) || i >= 1<<53) {
+			err = fmt.Errorf("wire: integer %d is not one a number holds exactly", i)
+		}
+		return relation.N(float64(i)), err
 	default:
 		return relation.Value{}, fmt.Errorf("wire: unknown value kind %d", kind)
 	}
 }
 
-// EncodeTuple appends a tuple, including its (possibly projected) schema so
-// the receiver can evaluate expressions against it without catalog access.
-func EncodeTuple(w *Buffer, t *relation.Tuple) {
+// held reports whether the receiver of a tuple of schema s holds that schema,
+// so the attribute names stay home: where the tuple travels with a query, s
+// declares what shape — the projection that query's plan expects — declares;
+// anywhere else (shape nil) s is a catalog's. Decided on what the schemas
+// declare, never on which *Schema they are, so a message rebuilt from decoded
+// parts encodes as the original did. DecodeTuple resolves by the same rule.
+func held(s, shape *relation.Schema) bool {
+	return shape == nil && s.Cataloged() || shape != nil && s.Equal(shape)
+}
+
+// EncodeTuple appends a tuple with the names of its attributes (named) or,
+// for a receiver that holds its schema, arity 0 in their place.
+func EncodeTuple(w *Buffer, t *relation.Tuple, named bool) {
 	schema := t.Schema()
 	w.PutString(schema.Name())
+	if !named {
+		w.PutUvarint(0)
+	}
 	w.PutUvarint(uint64(schema.Arity()))
-	for i := 0; i < schema.Arity(); i++ {
+	for i := 0; named && i < schema.Arity(); i++ {
 		w.PutString(schema.Attr(i))
 	}
 	for i := 0; i < schema.Arity(); i++ {
@@ -232,13 +250,13 @@ func EncodeTuple(w *Buffer, t *relation.Tuple) {
 	w.PutVarint(t.PubT())
 }
 
-// DecodeTuple reads a tuple encoded by EncodeTuple. The encoding names its
-// attributes; when that list is exactly the one a schema the receiver
-// already holds declares — the catalog's schema of the relation (a full
-// tuple), or shape, the projection schema of the query the tuple travels
-// with (a trigger; nil when there is none) — the tuple takes that schema and
-// nothing is built. Any other list, however forged, gets a private schema
-// of its own: input never aliases or alters a shared one.
+// DecodeTuple reads a tuple encoded by EncodeTuple. Arity 0 leaves the names
+// to the receiver: the tuple takes shape, the projection schema of the query
+// it travels with, or with no shape the catalog's schema of the relation; a
+// receiver holding none, or one of another arity, fails the message rather
+// than mis-slice the values. A named list takes one of those two schemas when
+// it is exactly theirs, and nothing is built; any other list, however forged,
+// gets a private schema: input never aliases or alters a shared one.
 func DecodeTuple(r *Reader, catalog *relation.Catalog, shape *relation.Schema) (*relation.Tuple, error) {
 	rel, err := r.Bytes()
 	if err != nil {
@@ -248,19 +266,31 @@ func DecodeTuple(r *Reader, catalog *relation.Catalog, shape *relation.Schema) (
 	if err != nil {
 		return nil, err
 	}
-	if n == 0 || n > 1<<16 || n > uint64(r.Remaining()) {
+	var schema *relation.Schema
+	switch {
+	case n == 0:
+		if schema = shape; schema == nil {
+			schema = catalog.LookupBytes(rel)
+		}
+		if n, err = r.Uvarint(); err != nil {
+			return nil, err
+		}
+		if schema == nil || schema.Name() != string(rel) || uint64(schema.Arity()) != n {
+			return nil, fmt.Errorf("wire: no schema of %d attributes held for a tuple of %s", n, rel)
+		}
+	case n > 1<<16 || n > uint64(r.Remaining()):
 		// Every attribute occupies at least one byte; a larger arity is a
 		// forged length prefix, not a short read.
 		return nil, fmt.Errorf("wire: implausible tuple arity %d", n)
-	}
-	attrsAt := r.off
-	var schema *relation.Schema
-	for _, known := range [2]*relation.Schema{catalog.LookupBytes(rel), shape} {
-		if known != nil && r.matchesSchema(known, rel, int(n)) {
-			schema = known
-			break
+	default:
+		attrsAt := r.off
+		for _, known := range [2]*relation.Schema{catalog.LookupBytes(rel), shape} {
+			if known != nil && r.matchesSchema(known, rel, int(n)) {
+				schema = known
+				break
+			}
+			r.off = attrsAt
 		}
-		r.off = attrsAt
 	}
 	if schema == nil {
 		attrs := make([]string, n)
@@ -307,20 +337,26 @@ func (r *Reader) matchesSchema(s *relation.Schema, rel []byte, n int) bool {
 }
 
 // EncodeQuery appends a query: identity and times plus the SQL text, which
-// the receiver re-parses.
-func EncodeQuery(w *Buffer, q *query.Query) {
+// the receiver re-parses — an empty one where it is prevText, the text of the
+// query's predecessor in a list ("" for none).
+func EncodeQuery(w *Buffer, q *query.Query, prevText string) {
 	w.PutString(q.Key())
 	w.PutString(q.Subscriber())
 	w.PutString(q.SubscriberIP())
 	w.PutVarint(q.InsT())
-	w.PutString(q.Text())
+	text := q.Text()
+	if text == prevText {
+		text = ""
+	}
+	w.PutString(text)
 }
 
-// DecodeQuery reads a query encoded by EncodeQuery, restoring its identity
-// and insertion time. The SQL is re-parsed against the catalog unless memo
-// has seen it: a query memo already holds, field for field, costs nothing,
-// and the subscribers of one SQL text — a rewriter's group — cost one parse.
-func DecodeQuery(r *Reader, catalog *relation.Catalog, memo *Memo) (*query.Query, error) {
+// DecodeQuery reads a query encoded by EncodeQuery after one of prevText,
+// restoring its identity and insertion time. The SQL is re-parsed against the
+// catalog unless memo has seen it: a query memo already holds, field for
+// field, costs nothing, and the subscribers of one SQL text — a rewriter's
+// group — cost one parse.
+func DecodeQuery(r *Reader, catalog *relation.Catalog, memo *Memo, prevText string) (*query.Query, error) {
 	key, err := r.Bytes()
 	if err != nil {
 		return nil, err
@@ -341,7 +377,7 @@ func DecodeQuery(r *Reader, catalog *relation.Catalog, memo *Memo) (*query.Query
 	if err != nil {
 		return nil, err
 	}
-	return memo.query(catalog, key, sub, ip, insT, sql)
+	return memo.query(catalog, key, sub, ip, insT, sql, prevText)
 }
 
 // The Size* functions below compute encoded lengths arithmetically,
@@ -378,34 +414,45 @@ func SizeValue(v relation.Value) int {
 	if v.Kind() == relation.String {
 		return 1 + SizeString(v.Str())
 	}
+	if i, ok := wholeNumber(v.Num()); ok {
+		return 1 + SizeVarint(i)
+	}
 	return 1 + 8
 }
 
-// SizeTuple returns a tuple's encoded size without materializing it. The
-// size is memoized on the tuple: tuples are immutable once stamped, and the
-// same tuple value is re-sized once per hop of every delivery that carries
-// it, so the ledger would otherwise pay a full walk per hop.
-func SizeTuple(t *relation.Tuple) int {
-	if n := t.CachedWireSize(); n > 0 {
-		return n
-	}
+// SizeTuple returns the size EncodeTuple gives a tuple. The nameless size is
+// memoized: tuples are immutable once stamped, and one tuple is re-sized once
+// per delivery that carries it; names, the rare case, are added each time.
+func SizeTuple(t *relation.Tuple, named bool) int {
 	schema := t.Schema()
-	n := SizeString(schema.Name()) + SizeUvarint(uint64(schema.Arity()))
-	for i := 0; i < schema.Arity(); i++ {
-		n += SizeString(schema.Attr(i)) + SizeValue(t.ValueAt(i))
+	n := t.CachedWireSize()
+	if n == 0 {
+		n = SizeString(schema.Name()) + 1 + SizeUvarint(uint64(schema.Arity())) + SizeVarint(t.PubT())
+		for i := 0; i < schema.Arity(); i++ {
+			n += SizeValue(t.ValueAt(i))
+		}
+		t.SetCachedWireSize(n)
 	}
-	n += SizeVarint(t.PubT())
-	t.SetCachedWireSize(n)
+	if named {
+		n-- // no arity 0 ahead of the arity
+		for i := 0; i < schema.Arity(); i++ {
+			n += SizeString(schema.Attr(i))
+		}
+	}
 	return n
 }
 
-// SizeQuery returns a query's encoded size, memoized like SizeTuple.
-func SizeQuery(q *query.Query) int {
-	if n := q.CachedWireSize(); n > 0 {
-		return n
+// SizeQuery returns the size EncodeQuery gives a query after one of prevText.
+// The size with the text is memoized like a tuple's.
+func SizeQuery(q *query.Query, prevText string) int {
+	n := q.CachedWireSize()
+	if n == 0 {
+		n = SizeString(q.Key()) + SizeString(q.Subscriber()) + SizeString(q.SubscriberIP()) +
+			SizeVarint(q.InsT()) + SizeString(q.Text())
+		q.SetCachedWireSize(n)
 	}
-	n := SizeString(q.Key()) + SizeString(q.Subscriber()) + SizeString(q.SubscriberIP()) +
-		SizeVarint(q.InsT()) + SizeString(q.Text())
-	q.SetCachedWireSize(n)
+	if q.Text() == prevText {
+		n -= SizeString(prevText) - 1
+	}
 	return n
 }

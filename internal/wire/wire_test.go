@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -38,38 +39,42 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 	}
 }
 
-// Since hands back the bytes a value was decoded from; SkipPrefix consumes
-// a repeat of them, and nothing when the input differs or runs short.
-func TestReaderSinceAndSkipPrefix(t *testing.T) {
-	var w Buffer
-	w.PutString("head")
-	w.PutString("again")
-	w.PutString("again")
-	w.PutString("agai")
-	r := NewReader(w.Bytes())
-	if _, err := r.String(); err != nil {
-		t.Fatal(err)
+// Every number crosses the wire bit for bit, whichever of the two forms
+// carries it: whole numbers below 2^53 as a varint, everything else — the
+// integers float64 starts skipping at 2^53, fractions, -0, NaN, the
+// infinities — in its eight bytes.
+func TestNumberFormsRoundTripBitExact(t *testing.T) {
+	for _, tc := range []struct {
+		f    float64
+		size int // of the value, kind byte included
+	}{
+		{0, 2}, {1, 2}, {-1, 2}, {63, 2}, {64, 3}, {-64, 2}, {-65, 3}, {1e6, 4},
+		{1<<53 - 1, 9}, {-(1<<53 - 1), 9},
+		{1 << 53, 9}, {1<<53 + 2, 9}, {-(1 << 53), 9}, {math.MaxInt64, 9}, {math.MinInt64, 9},
+		{0.5, 9}, {math.Copysign(0, -1), 9}, {math.NaN(), 9}, {math.Inf(1), 9}, {math.Inf(-1), 9},
+		{math.MaxFloat64, 9}, {math.SmallestNonzeroFloat64, 9},
+	} {
+		var w Buffer
+		w.PutValue(relation.N(tc.f))
+		if w.Len() != tc.size || SizeValue(relation.N(tc.f)) != tc.size {
+			t.Errorf("%v: %d bytes written, SizeValue says %d, want %d", tc.f, w.Len(), SizeValue(relation.N(tc.f)), tc.size)
+		}
+		r := NewReader(w.Bytes())
+		got, err := r.Value()
+		if err != nil || r.Remaining() != 0 || got.Kind() != relation.Number ||
+			math.Float64bits(got.Num()) != math.Float64bits(tc.f) {
+			t.Errorf("%v (%#x) came back as %v (%v, %d bytes left)", tc.f, math.Float64bits(tc.f), got, err, r.Remaining())
+		}
 	}
-	start := r.Offset()
-	if s, err := r.String(); err != nil || s != "again" {
-		t.Fatalf("String = %q, %v", s, err)
-	}
-	raw := r.Since(start)
-	if len(raw) != SizeString("again") || r.Offset() != start+len(raw) {
-		t.Fatalf("Since returned %d bytes, the string took %d", len(raw), SizeString("again"))
-	}
-	if !r.SkipPrefix(raw) {
-		t.Fatal("SkipPrefix refused a repeat of the bytes just read")
-	}
-	at := r.Offset()
-	if r.SkipPrefix(raw) || r.Offset() != at {
-		t.Fatal("SkipPrefix consumed input that differs")
-	}
-	if s, err := r.String(); err != nil || s != "agai" || r.Remaining() != 0 {
-		t.Fatalf("after the skips: String = %q, %v, %d bytes left", s, err, r.Remaining())
-	}
-	if r.SkipPrefix(raw) {
-		t.Fatal("SkipPrefix matched past the end of the input")
+	// An integer outside the range the encoder uses the form for is not read
+	// as the nearest float.
+	for _, i := range []int64{1 << 53, -(1 << 53), math.MaxInt64, math.MinInt64} {
+		var w Buffer
+		w.PutRaw([]byte{kindInt})
+		w.PutVarint(i)
+		if v, err := NewReader(w.Bytes()).Value(); err == nil {
+			t.Errorf("integer %d accepted as %v", i, v)
+		}
 	}
 }
 
@@ -98,7 +103,7 @@ func TestTupleRoundTrip(t *testing.T) {
 	s := relation.MustSchema("Document", "Id", "Title", "AuthorId")
 	tu := relation.MustTuple(s, relation.N(1), relation.S("P2P Joins"), relation.N(17)).WithPubT(99)
 	var w Buffer
-	EncodeTuple(&w, tu)
+	EncodeTuple(&w, tu, true)
 	got, err := DecodeTuple(NewReader(w.Bytes()), nil, nil)
 	if err != nil {
 		t.Fatalf("DecodeTuple: %v", err)
@@ -111,8 +116,126 @@ func TestTupleRoundTrip(t *testing.T) {
 			t.Fatalf("attribute %s mismatch", a)
 		}
 	}
-	if w.Len() != SizeTuple(tu) {
-		t.Fatalf("SizeTuple = %d, want %d", SizeTuple(tu), w.Len())
+	if w.Len() != SizeTuple(tu, true) {
+		t.Fatalf("SizeTuple = %d, want %d", SizeTuple(tu, true), w.Len())
+	}
+}
+
+// A tuple whose schema its receiver holds — a catalog's, or the projection
+// the query it travels with expects — leaves the attribute names home, and
+// decodes onto the receiver's own schema; any other schema names them. The
+// choice is made on what the schemas declare: a private copy of the expected
+// projection counts as it, and whichever form a tuple took, the decoded
+// tuple takes again.
+func TestTupleLeavesHeldSchemaHome(t *testing.T) {
+	doc := relation.MustSchema("Document", "Id", "Title", "AuthorId")
+	catalog := relation.MustCatalog(doc)
+	proj, err := doc.Projection([]string{"Title", "Id"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := relation.MustTuple(doc, relation.N(1), relation.S("P2P Joins"), relation.N(17)).WithPubT(99)
+	part, err := full.ProjectOnto(proj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copied, err := full.Project([]string{"Title", "Id"}) // a schema of its own, equal to proj
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := relation.MustTuple(relation.MustSchema("Document", "Id", "Title", "AuthorId"),
+		relation.N(1), relation.S("P2P Joins"), relation.N(17))
+	names := func(s *relation.Schema) int {
+		n := 0
+		for _, a := range s.Attrs() {
+			n += SizeString(a)
+		}
+		return n
+	}
+	for _, tc := range []struct {
+		what   string
+		tu     *relation.Tuple
+		shape  *relation.Schema
+		named  bool
+		schema *relation.Schema // what it decodes onto; nil for one of its own
+	}{
+		{"catalog tuple, no shape", full, nil, false, doc},
+		{"projection under its shape", part, proj, false, proj},
+		{"private copy of the shape", copied, proj, false, proj},
+		{"full tuple where the shape is the full list", full, doc, false, doc},
+		{"projection with no shape", part, nil, true, nil},
+		{"catalog tuple under a narrower shape", full, proj, true, doc},
+		{"uncataloged schema, no shape", foreign, nil, true, doc},
+	} {
+		if named := !held(tc.tu.Schema(), tc.shape); named != tc.named {
+			t.Fatalf("%s: travels with its names: %v", tc.what, named)
+		}
+		var w, bare Buffer
+		EncodeTuple(&w, tc.tu, tc.named)
+		EncodeTuple(&bare, tc.tu, false)
+		want := bare.Len()
+		if tc.named {
+			want += names(tc.tu.Schema()) - 1 // the names, less the arity 0 that stands for them
+		}
+		if w.Len() != want || SizeTuple(tc.tu, tc.named) != want {
+			t.Fatalf("%s: %d bytes, SizeTuple %d, want %d", tc.what, w.Len(), SizeTuple(tc.tu, tc.named), want)
+		}
+		got, err := DecodeTuple(NewReader(w.Bytes()), catalog, tc.shape)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.what, err)
+		}
+		if !got.Equal(tc.tu) || tc.schema != nil && got.Schema() != tc.schema {
+			t.Fatalf("%s: decoded %v onto %v", tc.what, got, got.Schema())
+		}
+		if tc.what == "uncataloged schema, no shape" {
+			continue // the one case that converges: the receiver's catalog declares the same list
+		}
+		if named := !held(got.Schema(), tc.shape); named != tc.named {
+			t.Fatalf("%s: decoded, it travels with its names: %v", tc.what, named)
+		}
+	}
+}
+
+// A nameless tuple only decodes where a schema of its arity is held: a
+// receiver with no catalog, a catalog without the relation, a catalog (or a
+// shape) of another arity or another relation all fail the message; none
+// slices the values by a schema they were not written for.
+func TestNamelessTupleNeedsItsSchema(t *testing.T) {
+	sent := relation.MustSchema("R", "A", "B", "C")
+	relation.MustCatalog(sent)
+	var w Buffer
+	EncodeTuple(&w, relation.MustTuple(sent, relation.N(1), relation.N(2), relation.N(3)), !held(sent, nil))
+	if w.Bytes()[2] != 0 {
+		t.Fatalf("a catalog tuple was written with its names: %x", w.Bytes())
+	}
+	narrower := relation.MustSchema("R", "A", "B")
+	other := relation.MustSchema("S", "A", "B", "C")
+	for what, rx := range map[string]struct {
+		catalog *relation.Catalog
+		shape   *relation.Schema
+	}{
+		"no catalog":                 {nil, nil},
+		"catalog without R":          {relation.MustCatalog(other), nil},
+		"catalog with a narrower R":  {relation.MustCatalog(narrower), nil},
+		"shape of another arity":     {relation.MustCatalog(sent), narrower},
+		"shape of another relation":  {relation.MustCatalog(sent), other},
+		"nameless form, no arity":    {relation.MustCatalog(sent), nil},
+		"nameless form, wrong arity": {relation.MustCatalog(sent), nil},
+	} {
+		in := w.Bytes()
+		switch what {
+		case "nameless form, no arity":
+			in = in[:3]
+		case "nameless form, wrong arity":
+			in = append([]byte(nil), in...)
+			in[3] = 2
+		}
+		if tu, err := DecodeTuple(NewReader(in), rx.catalog, rx.shape); err == nil {
+			t.Errorf("%s: decoded %v onto %v", what, tu, tu.Schema())
+		}
+	}
+	if _, err := DecodeTuple(NewReader(w.Bytes()), relation.MustCatalog(relation.MustSchema("R", "X", "Y", "Z")), nil); err != nil {
+		t.Errorf("a catalog of the same arity: %v (attribute names are the catalog's to give)", err)
 	}
 }
 
@@ -125,8 +248,8 @@ func TestQueryRoundTrip(t *testing.T) {
 		WithIdentity("node9", "sim://abc", 4).WithInsT(123)
 
 	var w Buffer
-	EncodeQuery(&w, q)
-	got, err := DecodeQuery(NewReader(w.Bytes()), catalog, new(Memo))
+	EncodeQuery(&w, q, "")
+	got, err := DecodeQuery(NewReader(w.Bytes()), catalog, new(Memo), "")
 	if err != nil {
 		t.Fatalf("DecodeQuery: %v", err)
 	}
@@ -142,8 +265,38 @@ func TestQueryRoundTrip(t *testing.T) {
 	if len(got.Filters()) != 1 {
 		t.Fatalf("filters lost: %v", got.Filters())
 	}
-	if w.Len() != SizeQuery(q) {
-		t.Fatalf("SizeQuery = %d, want %d", SizeQuery(q), w.Len())
+	if w.Len() != SizeQuery(q, "") {
+		t.Fatalf("SizeQuery = %d, want %d", SizeQuery(q, ""), w.Len())
+	}
+
+	// After a query of the same text — its own copy of the bytes will do, a
+	// different text will not — the text is an empty string, and the decoder
+	// takes it from that predecessor, or fails when there is none.
+	next := query.MustParse(catalog, q.Text()).WithIdentity("node3", "sim://def", 1).WithInsT(124)
+	var short Buffer
+	EncodeQuery(&short, next, q.Text())
+	var long Buffer
+	EncodeQuery(&long, next, "")
+	if want := long.Len() - len(q.Text()); short.Len() != want || SizeQuery(next, q.Text()) != want || SizeQuery(next, "") != long.Len() {
+		t.Fatalf("after its text's twin: %d bytes (SizeQuery %d), want %d; alone %d (SizeQuery %d)",
+			short.Len(), SizeQuery(next, q.Text()), want, long.Len(), SizeQuery(next, ""))
+	}
+	other := query.MustParse(catalog, `SELECT R.A FROM R, S WHERE R.B = S.E`).WithIdentity("node1", "sim://x", 1)
+	var unrelated Buffer
+	EncodeQuery(&unrelated, next, other.Text())
+	if !bytes.Equal(unrelated.Bytes(), long.Bytes()) {
+		t.Fatal("a query after one of another text did not write its own")
+	}
+	memo := new(Memo)
+	got, err = DecodeQuery(NewReader(short.Bytes()), catalog, memo, q.Text())
+	if err != nil || got.Key() != next.Key() || got.Text() != q.Text() || got.InsT() != 124 || len(got.Filters()) != 1 {
+		t.Fatalf("decoded after its predecessor: %v, %v", got, err)
+	}
+	if again, err := DecodeQuery(NewReader(long.Bytes()), catalog, memo, ""); err != nil || again != got {
+		t.Fatalf("the memo tells a query with its text from the same query without: %v", err)
+	}
+	if _, err := DecodeQuery(NewReader(short.Bytes()), catalog, new(Memo), ""); err == nil {
+		t.Fatal("an empty text with no predecessor was accepted")
 	}
 }
 
@@ -155,7 +308,7 @@ func TestDecodeQueryBadSQL(t *testing.T) {
 	w.PutString("ip")
 	w.PutVarint(1)
 	w.PutString("not sql at all")
-	if _, err := DecodeQuery(NewReader(w.Bytes()), catalog, new(Memo)); err == nil {
+	if _, err := DecodeQuery(NewReader(w.Bytes()), catalog, new(Memo), ""); err == nil {
 		t.Fatal("bad SQL accepted")
 	}
 }
@@ -164,7 +317,7 @@ func TestTruncationErrors(t *testing.T) {
 	s := relation.MustSchema("R", "A", "B")
 	tu := relation.MustTuple(s, relation.N(1), relation.S("x"))
 	var w Buffer
-	EncodeTuple(&w, tu)
+	EncodeTuple(&w, tu, true)
 	full := w.Bytes()
 	// Every strict prefix must fail cleanly, never panic.
 	for cut := 0; cut < len(full); cut++ {
@@ -206,8 +359,11 @@ func TestSizeHelpers(t *testing.T) {
 	if SizeString("abc") != 4 { // 1-byte length + 3 bytes
 		t.Fatalf("SizeString = %d", SizeString("abc"))
 	}
-	if SizeValue(relation.N(1)) != 9 { // kind + 8 bytes
-		t.Fatalf("SizeValue(number) = %d", SizeValue(relation.N(1)))
+	if SizeValue(relation.N(1.5)) != 9 { // kind + 8 bytes
+		t.Fatalf("SizeValue(number) = %d", SizeValue(relation.N(1.5)))
+	}
+	if SizeValue(relation.N(1)) != 2 { // kind + a one-byte varint
+		t.Fatalf("SizeValue(whole number) = %d", SizeValue(relation.N(1)))
 	}
 	if SizeValue(relation.S("ab")) != 4 { // kind + len + 2
 		t.Fatalf("SizeValue(string) = %d", SizeValue(relation.S("ab")))
