@@ -252,14 +252,20 @@ func (c *Cluster) ExportHandoff(n *chord.Node) (msg chord.Message, ok bool) {
 	return c.eng.ExportHandoff(n)
 }
 
-// OnNotify installs a callback invoked for every delivered notification.
+// OnNotify installs a callback invoked for every delivered notification. The
+// notifications are the callback's: while one is installed the cluster counts
+// them and keeps none (it remembers each match's identity, so that a retried
+// or replayed delivery of it is suppressed). OnNotify(nil) removes the
+// callback.
 func (c *Cluster) OnNotify(fn func(Notification)) { c.eng.OnNotify(fn) }
 
-// Notifications returns every notification delivered so far.
+// Notifications returns the notifications delivered while no OnNotify
+// callback was installed to take them — all of them for a caller that polls
+// and never installs one.
 func (c *Cluster) Notifications() []Notification { return c.eng.Notifications() }
 
 // NotificationCount returns how many notifications have been delivered so
-// far, without copying them.
+// far, to a callback or not.
 func (c *Cluster) NotificationCount() int { return c.eng.NotificationCount() }
 
 // Traffic exposes the overlay-hop ledger for measurement.

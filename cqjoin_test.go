@@ -60,8 +60,17 @@ func TestClusterQuickstartFlow(t *testing.T) {
 	if seen[0].QueryKey != q.Key() {
 		t.Fatalf("notification for %s, want %s", seen[0].QueryKey, q.Key())
 	}
-	if got := cluster.Notifications(); len(got) != 1 || cluster.NotificationCount() != 1 {
-		t.Fatalf("Notifications() = %d entries, NotificationCount() = %d", len(got), cluster.NotificationCount())
+	// The callback took the notification: the cluster counts it and keeps
+	// none; with the callback gone, the next one is the cluster's to record.
+	if got := cluster.Notifications(); len(got) != 0 || cluster.NotificationCount() != 1 {
+		t.Fatalf("under a callback Notifications() = %d entries, NotificationCount() = %d; want 0 and 1", len(got), cluster.NotificationCount())
+	}
+	cluster.OnNotify(nil)
+	if _, err := bob.Publish("Document", 2, "Overlay Joins", "VLDB", 17); err != nil {
+		t.Fatalf("Publish: %v", err)
+	}
+	if got := cluster.Notifications(); len(seen) != 1 || len(got) != 1 || got[0].Values[0].Str() != "Overlay Joins" || cluster.NotificationCount() != 2 {
+		t.Fatalf("without a callback Notifications() = %v, NotificationCount() = %d, %d callback calls", got, cluster.NotificationCount(), len(seen))
 	}
 	if cluster.Traffic().TotalHops() == 0 {
 		t.Fatal("no overlay traffic recorded")

@@ -69,5 +69,5 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("total notifications delivered: %d\n", len(cluster.Notifications()))
+	fmt.Printf("total notifications delivered: %d\n", cluster.NotificationCount())
 }

@@ -68,6 +68,6 @@ func main() {
 		cluster.Node(50+i).Publish("Flows", i, fmt.Sprintf("10.0.%d.0/24", rng.Intn(16)), bytes, packets)
 	}
 
-	fmt.Printf("alerts delivered: %d\n", len(cluster.Notifications()))
+	fmt.Printf("alerts delivered: %d\n", cluster.NotificationCount())
 	fmt.Printf("traffic:\n%s\n", cluster.Traffic())
 }

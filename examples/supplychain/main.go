@@ -56,7 +56,7 @@ func main() {
 	carrier.Publish("Shipments", 502, 2, "MSKU-2")
 	customs.Publish("Clearances", 901, "MSKU-2", "Hamburg") // completes order 2
 
-	fmt.Printf("chains completed: %d\n", len(cluster.Notifications()))
+	fmt.Printf("chains completed: %d\n", cluster.NotificationCount())
 	fmt.Printf("traffic:\n%s\n", cluster.Traffic())
 }
 

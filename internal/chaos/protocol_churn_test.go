@@ -43,7 +43,7 @@ func protocolFaults() Config {
 // workload with no injector at all — the never-churned fingerprint oracle.
 // Queries are subscribed up front at fixed base nodes so query keys (and
 // therefore content fingerprints) are comparable across the two runs.
-func runProtocolChurn(t *testing.T, alg engine.Algorithm, seed int64, batches int, churn bool) chaosResult {
+func runProtocolChurn(t *testing.T, cfg engine.Config, seed int64, batches int, churn bool) chaosResult {
 	t.Helper()
 	r := relation.MustSchema("R", "A", "B", "C")
 	s := relation.MustSchema("S", "D", "E", "F")
@@ -51,12 +51,8 @@ func runProtocolChurn(t *testing.T, alg engine.Algorithm, seed int64, batches in
 
 	net := chord.New(chord.Config{})
 	net.AddNodes("peer", 48)
-	eng := engine.New(net, catalog, engine.Config{
-		Algorithm:    alg,
-		Seed:         seed,
-		MaxRetries:   6,
-		RetryBackoff: 1,
-	})
+	cfg.Seed, cfg.MaxRetries, cfg.RetryBackoff = seed, 6, 1
+	eng := engine.New(net, catalog, cfg)
 	var in *Injector
 	if churn {
 		faults := protocolFaults()
@@ -133,10 +129,10 @@ func traceHas(trace []string, marker string) bool {
 	return false
 }
 
-// TestProtocolChurnConvergence: for every algorithm, a protocol-churned
-// run must (a) converge to a ring satisfying all Zave invariants, (b) lose
-// and duplicate nothing, and (c) reproduce the never-churned run's content
-// fingerprint.
+// TestProtocolChurnConvergence: for every algorithm, and for SAI with join
+// fingers that churn makes stale, a protocol-churned run must (a) converge to
+// a ring satisfying all Zave invariants, (b) lose and duplicate nothing, and
+// (c) reproduce the never-churned run's content fingerprint.
 func TestProtocolChurnConvergence(t *testing.T) {
 	seed := chaosSeed(t, 23)
 	batches := 40
@@ -145,10 +141,17 @@ func TestProtocolChurnConvergence(t *testing.T) {
 		// event kind the vacuity check at the end demands; 20 never joined.
 		batches = 28
 	}
-	for _, alg := range []engine.Algorithm{engine.SAI, engine.DAIQ, engine.DAIT, engine.DAIV} {
-		t.Run(alg.String(), func(t *testing.T) {
-			calm := runProtocolChurn(t, alg, seed, batches, false)
-			res := runProtocolChurn(t, alg, seed, batches, true)
+	for _, cfg := range []engine.Config{
+		{Algorithm: engine.SAI}, {Algorithm: engine.DAIQ}, {Algorithm: engine.DAIT}, {Algorithm: engine.DAIV},
+		{Algorithm: engine.SAI, UseJFRT: true},
+	} {
+		name := cfg.Algorithm.String()
+		if cfg.UseJFRT {
+			name += "+JFRT"
+		}
+		t.Run(name, func(t *testing.T) {
+			calm := runProtocolChurn(t, cfg, seed, batches, false)
+			res := runProtocolChurn(t, cfg, seed, batches, true)
 
 			// (a) Zave invariants and exact pointer convergence.
 			if rep := chord.CheckRing(res.net); !rep.Converged() {
@@ -183,8 +186,8 @@ func TestProtocolChurnConvergence(t *testing.T) {
 // TestProtocolChurnSeedsDiffer guards the membership schedule against
 // silently ignoring its seed: distinct seeds must churn differently.
 func TestProtocolChurnSeedsDiffer(t *testing.T) {
-	a := runProtocolChurn(t, engine.SAI, 5, 25, true)
-	b := runProtocolChurn(t, engine.SAI, 6, 25, true)
+	a := runProtocolChurn(t, engine.Config{Algorithm: engine.SAI}, 5, 25, true)
+	b := runProtocolChurn(t, engine.Config{Algorithm: engine.SAI}, 6, 25, true)
 	if strings.Join(a.trace, "\n") == strings.Join(b.trace, "\n") {
 		t.Fatalf("seeds 5 and 6 produced identical %d-event churn traces", len(a.trace))
 	}

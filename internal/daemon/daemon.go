@@ -207,12 +207,15 @@ func New(cfg Config) (*Server, error) {
 		s.tr = tr
 		cluster.Overlay().SetTransport(tr)
 	}
+	// The consumer goes in before recovery, so that the engine keeps of a
+	// replayed notification what it keeps of a live one: its identity and
+	// the count. With no listener yet, broadcast is a no-op.
+	cluster.OnNotify(s.broadcast)
 	if cfg.StateDir != "" {
 		if err := s.openDurable(); err != nil {
 			return nil, err
 		}
 	}
-	cluster.OnNotify(s.broadcast)
 	return s, nil
 }
 

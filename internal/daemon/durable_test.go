@@ -3,9 +3,9 @@ package daemon
 import (
 	"fmt"
 	"net"
+	"reflect"
+	"strings"
 	"testing"
-
-	"cqjoin"
 )
 
 // ackedEvent is one notification a client actually received — the unit the
@@ -19,20 +19,34 @@ func eventOf(m map[string]interface{}) ackedEvent {
 	return ackedEvent{query: fmt.Sprint(m["query"]), values: fmt.Sprint(m["values"])}
 }
 
-// notificationSet renders a recovered cluster's delivered notifications in
-// the same shape the protocol events use.
-func notificationSet(s *Server) map[ackedEvent]bool {
+// knownDelivered lists what s's engine knows as delivered, as a checkpoint
+// taken now would write it. The daemon's listeners take the notifications, so
+// the engine keeps none: every match is a bare identity,
+// "Key(q)|value|…|leftPubT|rightPubT" — cut here to its content, in the shape
+// the protocol events use — and, nothing ever resetting it, the count is
+// theirs. (The snapshot's meta message is of an unexported type with exported
+// fields.)
+func knownDelivered(t *testing.T, s *Server) map[ackedEvent]bool {
+	t.Helper()
+	meta, _ := s.Cluster().Engine().ExportSnapshot(nil)
+	if n := reflect.ValueOf(meta).FieldByName("Sink").Len(); n != 0 {
+		t.Fatalf("the engine keeps %d notifications the daemon's listeners took", n)
+	}
+	identities := reflect.ValueOf(meta).FieldByName("Delivered").Interface().([]string)
+	if got := s.Cluster().NotificationCount(); got != len(identities) {
+		t.Fatalf("the engine counts %d notifications and knows %d as delivered", got, len(identities))
+	}
 	set := make(map[ackedEvent]bool)
-	for _, n := range s.Cluster().Notifications() {
-		vals := make([]interface{}, len(n.Values))
-		for i, v := range n.Values {
-			if v.Kind() == cqjoin.NumberKind {
-				vals[i] = v.Num()
-			} else {
-				vals[i] = v.Str()
-			}
+	for _, identity := range identities {
+		fields := strings.Split(identity, "|")
+		if len(fields) < 3 {
+			t.Fatalf("delivered identity %q", identity)
 		}
-		set[ackedEvent{query: n.QueryKey, values: fmt.Sprint(vals)}] = true
+		ev := ackedEvent{query: fields[0], values: fmt.Sprint(fields[1 : len(fields)-2])}
+		if set[ev] {
+			t.Fatalf("two delivered identities for %+v", ev)
+		}
+		set[ev] = true
 	}
 	return set
 }
@@ -70,7 +84,8 @@ func publishMatch(t *testing.T, c *client, node int, tag string) {
 // TestDaemonStateDirCrashRecovery kills a single-process daemon the way
 // kill -9 does — the WAL descriptor dropped with no checkpoint — and
 // restarts it from the state directory: every acknowledged operation must
-// be back (delivered notifications, live subscriptions), and the restored
+// be back (each notification counted and known as delivered, so that it can
+// never be delivered twice; live subscriptions), and the restored
 // subscription must keep matching new tuples.
 func TestDaemonStateDirCrashRecovery(t *testing.T) {
 	cfg := defaultConfig()
@@ -105,7 +120,7 @@ func TestDaemonStateDirCrashRecovery(t *testing.T) {
 	if info.SnapshotLSN == 0 && info.Replayed == 0 {
 		t.Fatalf("nothing recovered: %+v", info)
 	}
-	got := notificationSet(restarted)
+	got := knownDelivered(t, restarted)
 	for ev := range acked {
 		if !got[ev] {
 			t.Fatalf("acknowledged notification lost across crash: %+v (recovered %d)", ev, len(got))
@@ -144,7 +159,7 @@ func TestDaemonStateDirCrashRecovery(t *testing.T) {
 		t.Fatalf("second restart: %v", err)
 	}
 	t.Cleanup(func() { _ = again.Close() })
-	got = notificationSet(again)
+	got = knownDelivered(t, again)
 	for ev := range acked {
 		if !got[ev] {
 			t.Fatalf("notification lost across second crash: %+v", ev)
@@ -188,7 +203,7 @@ func TestDaemonShutdownZeroLoss(t *testing.T) {
 	if info.SnapshotLSN == 0 {
 		t.Fatalf("no snapshot after shutdown: %+v", info)
 	}
-	got := notificationSet(restarted)
+	got := knownDelivered(t, restarted)
 	for ev := range acked {
 		if !got[ev] {
 			t.Fatalf("acknowledged notification lost across shutdown: %+v", ev)
@@ -233,7 +248,7 @@ func TestDaemonMultiProcessCrashRestart(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		publishPair(t, procs, fmt.Sprintf("mp-%d", i))
 	}
-	before := notificationSet(b.srv)
+	before := knownDelivered(t, b.srv)
 	if len(before) == 0 {
 		t.Fatal("no notifications delivered before the crash")
 	}
@@ -257,7 +272,7 @@ func TestDaemonMultiProcessCrashRestart(t *testing.T) {
 	if info.SnapshotLSN == 0 && info.Replayed == 0 {
 		t.Fatalf("nothing recovered on restart: %+v", info)
 	}
-	after := notificationSet(b2.srv)
+	after := knownDelivered(t, b2.srv)
 	for ev := range before {
 		if !after[ev] {
 			t.Fatalf("notification lost across process crash: %+v", ev)
@@ -274,8 +289,8 @@ func TestDaemonMultiProcessCrashRestart(t *testing.T) {
 	live := []*overlayProc{a, b2}
 	publishPair(t, live, "mp-post")
 	count := 0
-	for _, n := range b2.srv.Cluster().Notifications() {
-		if n.QueryKey == key {
+	for ev := range knownDelivered(t, b2.srv) {
+		if ev.query == key {
 			count++
 		}
 	}

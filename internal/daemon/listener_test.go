@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -37,6 +38,16 @@ func daemonStat(t *testing.T, c *client, name string) float64 {
 // event exactly once, in delivery order.
 func TestSlowListenerIsDropped(t *testing.T) {
 	srv, conn := startServer(t, defaultConfig())
+	// The engine keeps no notification it hands over, so the delivery
+	// sequence is noted on its way to the daemon's broadcast.
+	var deliveredMu sync.Mutex
+	var delivered []cqjoin.Notification
+	srv.Cluster().OnNotify(func(n cqjoin.Notification) {
+		deliveredMu.Lock()
+		delivered = append(delivered, n)
+		deliveredMu.Unlock()
+		srv.broadcast(n)
+	})
 	pub := newClient(t, conn)
 	if resp := pub.call(map[string]interface{}{"op": "subscribe", "node": 0, "sql": ordersShipmentsSQL}); resp["ok"] != true {
 		t.Fatalf("subscribe: %v", resp)
@@ -106,10 +117,13 @@ func TestSlowListenerIsDropped(t *testing.T) {
 
 	// The healthy listener saw the engine's delivery sequence, whole, and
 	// nothing after it.
-	want := srv.Cluster().Notifications()
+	deliveredMu.Lock()
+	want := delivered
+	deliveredMu.Unlock()
 	got := <-received
-	if len(got) != len(want) || len(want) != orders*shipments {
-		t.Fatalf("healthy listener received %d events, the engine delivered %d, want %d", len(got), len(want), orders*shipments)
+	if len(got) != len(want) || len(want) != orders*shipments || srv.Cluster().NotificationCount() != len(want) {
+		t.Fatalf("healthy listener received %d events, the engine delivered %d and counted %d, want %d",
+			len(got), len(want), srv.Cluster().NotificationCount(), orders*shipments)
 	}
 	waitFor(t, "the healthy listener's queue to drain", func() bool {
 		return daemonStat(t, pub, "daemon.listener_queue_bytes") == 0

@@ -120,7 +120,7 @@ func TestDaemonConcurrentJoiners(t *testing.T) {
 	publishPair(t, procs, "post-race")
 	total := 0
 	for _, p := range procs {
-		total += len(p.srv.Cluster().Notifications())
+		total += p.srv.Cluster().NotificationCount()
 	}
 	if total != 1 {
 		t.Fatalf("published 1 matching pair, delivered %d notifications", total)

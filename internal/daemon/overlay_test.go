@@ -426,7 +426,7 @@ func TestDaemonJoinLeaveMidWorkload(t *testing.T) {
 	// that ever hosted the subscriber — none lost, none duplicated.
 	total := 0
 	for _, p := range procs {
-		total += len(p.srv.Cluster().Notifications())
+		total += p.srv.Cluster().NotificationCount()
 		if d := p.srv.Cluster().Traffic().Duplicates("notification"); d != 0 {
 			t.Fatalf("process %s delivered %d duplicate notifications", p.addr, d)
 		}

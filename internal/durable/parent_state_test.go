@@ -16,10 +16,12 @@ import (
 // an earlier commit: state-pr18 at 9d67740 (PR 18), the last build whose
 // snapshots list join conditions; state-pr19 at 79a77e6 (PR 19), the last to
 // write every tuple with its attribute names, every number in eight bytes and
-// every stored rewrite in full. snapshot.bin is a graceful checkpoint taken
-// mid-script, wal.log the records appended after it up to a kill -9.
+// every stored rewrite in full; state-pr20 at 4559085 (PR 20), the last whose
+// snapshot meta ends with the hot-key counters and has no count of its own.
+// snapshot.bin is a graceful checkpoint taken mid-script, wal.log the records
+// appended after it up to a kill -9.
 
-var parentStateDirs = []string{"testdata/state-pr18", "testdata/state-pr19"}
+var parentStateDirs = []string{"testdata/state-pr18", "testdata/state-pr19", "testdata/state-pr20"}
 
 const (
 	parentStateNodes = 32
@@ -108,13 +110,20 @@ func TestWriteParentState(t *testing.T) {
 	t.Logf("parentStateNotifs = %d", parentStateScript(t, dir))
 }
 
+// Each directory recovers into an engine that records its notifications and
+// into one whose consumer takes them, as a daemon's does: the count is the
+// writer's either way, and the consumer's engine keeps none of the
+// notifications a parent's snapshot lists.
 func TestParentWrittenStateRecovers(t *testing.T) {
 	for _, from := range parentStateDirs {
-		t.Run(filepath.Base(from), func(t *testing.T) { parentStateRecovers(t, from) })
+		t.Run(filepath.Base(from), func(t *testing.T) {
+			parentStateRecovers(t, from, false)
+			parentStateRecovers(t, from, true)
+		})
 	}
 }
 
-func parentStateRecovers(t *testing.T, from string) {
+func parentStateRecovers(t *testing.T, from string, consumed bool) {
 	dir := t.TempDir()
 	for _, name := range []string{snapName, walName} {
 		data, err := os.ReadFile(filepath.Join(from, name))
@@ -127,6 +136,11 @@ func parentStateRecovers(t *testing.T, from string) {
 	}
 	catalog, r, s := parentStateCatalog()
 	eng := parentStateEngine(catalog)
+	recorded := parentStateNotifs
+	if consumed {
+		eng.OnNotify(func(engine.Notification) {})
+		recorded = 0
+	}
 	st, err := Open(dir, catalog, Options{SnapshotEvery: -1})
 	if err != nil {
 		t.Fatalf("open: %v", err)
@@ -139,8 +153,9 @@ func parentStateRecovers(t *testing.T, from string) {
 	if info.SnapshotLSN == 0 || info.Replayed < 20 || info.TornBytes != 0 {
 		t.Fatalf("recovered %+v, want a snapshot and at least 20 whole wal records", info)
 	}
-	if got := eng.NotificationCount(); got != parentStateNotifs {
-		t.Fatalf("recovered %d notifications, the writer had delivered %d", got, parentStateNotifs)
+	if got := eng.NotificationCount(); got != parentStateNotifs || len(eng.Notifications()) != recorded {
+		t.Fatalf("recovered a count of %d and %d notifications, want %d and %d: the writer had delivered %d",
+			got, len(eng.Notifications()), parentStateNotifs, recorded, parentStateNotifs)
 	}
 	// One fresh pair on values the script never used joins under R.A = S.D
 	// alone: exactly one new notification.

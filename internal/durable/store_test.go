@@ -96,15 +96,18 @@ func chaosConfig(seed int64) chaos.Config {
 // runScript executes the script against a store under dir. At every index
 // in restartAt the engine is torn down — Abandon (kill -9) or Close
 // (graceful) — and rebuilt from the state dir before the stream resumes.
-// It returns the sorted delivered-content fingerprint, the total WAL
-// records replayed across restarts, and the last restart's RecoveryInfo.
+// Every engine hands its notifications to consumer (nil: it records them). It
+// returns the sorted content fingerprint of the record, the total WAL records
+// replayed across restarts, the last restart's RecoveryInfo and the final
+// NotificationCount.
 func runScript(t *testing.T, catalog *relation.Catalog, script []scriptOp, dir string,
-	withChaos bool, seed int64, restartAt map[int]bool, clean bool) ([]string, int, RecoveryInfo) {
+	withChaos bool, seed int64, restartAt map[int]bool, clean bool, consumer func(engine.Notification)) ([]string, int, RecoveryInfo, int) {
 	t.Helper()
 	build := func() (*engine.Engine, *chaos.Injector, *Store) {
 		net := chord.New(chord.Config{})
 		net.AddNodes("peer", scriptNodes)
 		eng := engine.New(net, catalog, engine.Config{MaxRetries: 3, RetryBackoff: 1, Seed: seed})
+		eng.OnNotify(consumer)
 		var in *chaos.Injector
 		if withChaos {
 			in = chaos.New(eng, chaosConfig(seed))
@@ -187,7 +190,7 @@ func runScript(t *testing.T, catalog *relation.Catalog, script []scriptOp, dir s
 	}
 	keys := eng.DeliveredContentKeys()
 	sort.Strings(keys)
-	return keys, replayed, lastInfo
+	return keys, replayed, lastInfo, eng.NotificationCount()
 }
 
 // TestCrashRecoveryFingerprint is the proof obligation of ISSUE 10: an
@@ -208,20 +211,30 @@ func TestCrashRecoveryFingerprint(t *testing.T) {
 	}
 	for _, withChaos := range []bool{false, true} {
 		t.Run(fmt.Sprintf("chaos=%v", withChaos), func(t *testing.T) {
-			oracle, _, _ := runScript(t, catalog, script, t.TempDir(), withChaos, seed, nil, false)
-			if len(oracle) == 0 {
-				t.Fatal("oracle delivered no notifications; the script exercises nothing")
+			oracle, _, _, count := runScript(t, catalog, script, t.TempDir(), withChaos, seed, nil, false, nil)
+			if len(oracle) == 0 || count != len(oracle) {
+				t.Fatalf("oracle recorded %d notifications and counted %d; the script exercises nothing", len(oracle), count)
 			}
-			crashed, replayed, _ := runScript(t, catalog, script, t.TempDir(), withChaos, seed, crashAt, false)
+			crashed, replayed, _, count := runScript(t, catalog, script, t.TempDir(), withChaos, seed, crashAt, false, nil)
 			if replayed == 0 {
 				t.Fatal("recovery replayed no WAL records; the crash points exercise nothing")
 			}
-			if !reflect.DeepEqual(oracle, crashed) {
-				t.Errorf("fingerprints diverge: oracle %d notifications, crashed-and-recovered %d",
-					len(oracle), len(crashed))
+			if !reflect.DeepEqual(oracle, crashed) || count != len(oracle) {
+				t.Errorf("fingerprints diverge: oracle %d notifications, crashed-and-recovered %d, counted %d",
+					len(oracle), len(crashed), count)
 				for _, d := range diffKeys(oracle, crashed) {
 					t.Log(d)
 				}
+			}
+
+			// Under a consumer — a daemon's engine — nothing is recorded: what
+			// survives the kills is the count, each snapshot's plus its replayed
+			// tail's, and the identities dedupe runs on (re-delivered against in
+			// engine.TestSnapshotCarriesDeliveredIdentities).
+			crashed, replayed, _, count = runScript(t, catalog, script, t.TempDir(), withChaos, seed, crashAt, false, func(engine.Notification) {})
+			if replayed == 0 || len(crashed) != 0 || count != len(oracle) {
+				t.Errorf("under a consumer the crashed run replayed %d records, recorded %d notifications and counted %d; the oracle delivered %d",
+					replayed, len(crashed), count, len(oracle))
 			}
 		})
 	}
@@ -233,9 +246,9 @@ func TestCleanShutdownRestart(t *testing.T) {
 	const seed = 43
 	gen, script := buildScript(seed)
 	catalog := gen.Catalog()
-	oracle, _, _ := runScript(t, catalog, script, t.TempDir(), false, seed, nil, false)
+	oracle, _, _, _ := runScript(t, catalog, script, t.TempDir(), false, seed, nil, false, nil)
 	restartAt := map[int]bool{154: true}
-	restarted, replayed, info := runScript(t, catalog, script, t.TempDir(), false, seed, restartAt, true)
+	restarted, replayed, info, _ := runScript(t, catalog, script, t.TempDir(), false, seed, restartAt, true, nil)
 	if replayed != 0 {
 		t.Errorf("clean restart replayed %d WAL records, want 0 (Close checkpoints)", replayed)
 	}

@@ -66,18 +66,39 @@ func TestPublicationAllocCeiling(t *testing.T) {
 // retainedBytesCeiling bounds what one publication of the same stream leaves
 // on the heap — a stored tuple in three value-level buckets or four stored
 // rewrites and their shared target, the identifier-cache entries of the
-// fresh key, and every other publication's four notifications in the sink:
-// 1679 measured with the evaluator tables sized for their buckets
-// (2439 with a map in every bucket), plus 15 %. One eager map per bucket
-// costs more than the margin.
-const retainedBytesCeiling = 1930
+// fresh key, and every other publication's four notifications, each an
+// identity in delivered and a Notification in the sink: 1658 measured (1679
+// while an identity repeated its subscriber, 2439 with a map in every
+// bucket), plus 15 %. One eager map per bucket costs more than the margin.
+//
+// retainedBytesCeilingConsumed bounds the same with an OnNotify callback
+// taking the notifications: 1301 measured, plus 15 %. Of the 1679 bytes, 21
+// were the repeated subscriber and 357 the sink's — per publication two
+// 96-byte Notifications, their two 64-byte Values arrays and the slack of the
+// slice that held them; an identity string and its slot in delivered are what
+// stays of a notification. One kept anywhere else costs more than the margin.
+const (
+	retainedBytesCeiling         = 1906
+	retainedBytesCeilingConsumed = 1496
+)
 
 func TestRetainedBytesPerPublicationCeiling(t *testing.T) {
+	retainedBytesPerPublication(t, false, retainedBytesCeiling)
+}
+
+func TestRetainedBytesPerPublicationCeilingConsumed(t *testing.T) {
+	retainedBytesPerPublication(t, true, retainedBytesCeilingConsumed)
+}
+
+func retainedBytesPerPublication(t *testing.T, consumed bool, ceiling int64) {
 	if raceEnabled {
 		t.Skip("the race detector keeps shadow memory of its own")
 	}
 	const pubs = 2000
-	_, publish := allocStream(t, pubs+100)
+	env, publish := allocStream(t, pubs+100)
+	if consumed {
+		env.eng.OnNotify(func(Notification) {})
+	}
 	for i := 0; i < 100; i++ {
 		publish()
 	}
@@ -94,9 +115,12 @@ func TestRetainedBytesPerPublicationCeiling(t *testing.T) {
 	}
 	perPub := (int64(heap()) - int64(before)) / pubs
 	runtime.KeepAlive(publish) // the engine and the stream, live across both readings
-	t.Logf("%d bytes retained per publication (ceiling %d)", perPub, retainedBytesCeiling)
-	if perPub > retainedBytesCeiling {
-		t.Fatalf("%d bytes retained per publication, ceiling %d: see retainedBytesCeiling", perPub, retainedBytesCeiling)
+	if got := len(env.eng.Notifications()); consumed && got != 0 || !consumed && got != 4*(pubs+100)/2 {
+		t.Fatalf("consumed=%v: the engine recorded %d of the stream's %d notifications", consumed, got, 4*(pubs+100)/2)
+	}
+	t.Logf("%d bytes retained per publication (ceiling %d)", perPub, ceiling)
+	if perPub > ceiling {
+		t.Fatalf("%d bytes retained per publication, ceiling %d: see retainedBytesCeiling", perPub, ceiling)
 	}
 }
 

@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"reflect"
 	"testing"
 
 	"cqjoin/internal/query"
 	"cqjoin/internal/relation"
+	"cqjoin/internal/wire"
 )
 
 func TestEngineAccessors(t *testing.T) {
@@ -18,24 +20,185 @@ func TestEngineAccessors(t *testing.T) {
 	}
 }
 
+// The notifications belong to whoever consumes them: under a callback the
+// engine counts them and keeps none; with the callback removed it records
+// again, and a reset clears record and count alike.
 func TestOnNotifyCallbackAndReset(t *testing.T) {
 	env := newTestEnv(t, 32, Config{Algorithm: SAI})
-	var calls int
-	env.eng.OnNotify(func(Notification) { calls++ })
+	var taken []Notification
+	env.eng.OnNotify(func(n Notification) { taken = append(taken, n) })
 	env.subscribe(t, 0, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
 	env.publish(t, 1, rTuple(env, 1, 7, 0))
 	env.publish(t, 2, sTuple(env, 2, 7, 0))
-	if calls != 1 {
-		t.Fatalf("callback calls = %d, want 1", calls)
+	if len(taken) != 1 || env.eng.NotificationCount() != 1 {
+		t.Fatalf("callback calls = %d, NotificationCount() = %d, want 1 and 1", len(taken), env.eng.NotificationCount())
+	}
+	if got := env.eng.Notifications(); len(got) != 0 {
+		t.Fatalf("the engine recorded %d notifications its consumer took", len(got))
+	}
+	if got := env.eng.DeliveredContentKeys(); len(got) != 0 {
+		t.Fatalf("the engine recorded %d content keys its consumer took", len(got))
 	}
 	env.eng.ResetNotifications()
-	if got := env.eng.Notifications(); len(got) != 0 {
-		t.Fatalf("ResetNotifications left %d entries", len(got))
+	if got := env.eng.NotificationCount(); got != 0 {
+		t.Fatalf("ResetNotifications left a count of %d", got)
 	}
 	// The callback keeps firing after a reset.
 	env.publish(t, 3, sTuple(env, 3, 7, 0))
-	if calls != 2 {
-		t.Fatalf("callback calls = %d, want 2", calls)
+	if len(taken) != 2 || env.eng.NotificationCount() != 1 {
+		t.Fatalf("callback calls = %d, NotificationCount() = %d after the reset, want 2 and 1", len(taken), env.eng.NotificationCount())
+	}
+
+	// Removed, the engine records what nobody takes; what the consumer took
+	// is not back.
+	env.eng.OnNotify(nil)
+	env.publish(t, 4, sTuple(env, 4, 7, 0))
+	got := env.eng.Notifications()
+	if len(taken) != 2 || len(got) != 1 || env.eng.NotificationCount() != 2 {
+		t.Fatalf("without a callback: %d calls, %d recorded, count %d; want 2, 1, 2", len(taken), len(got), env.eng.NotificationCount())
+	}
+	if got[0].Values[1].Num() != 4 {
+		t.Fatalf("recorded %s, want the match of the S tuple with D = 4", got[0])
+	}
+	env.eng.ResetNotifications()
+	if len(env.eng.Notifications()) != 0 || env.eng.NotificationCount() != 0 {
+		t.Fatalf("ResetNotifications left %d entries, count %d", len(env.eng.Notifications()), env.eng.NotificationCount())
+	}
+}
+
+// Dedupe does not depend on who keeps the notifications: delivered again —
+// a retry, a hand-off merge, a replayed log — a match is suppressed and
+// charged as a duplicate, under a consumer as in the record.
+func TestRedeliveryIsSuppressedUnderConsumer(t *testing.T) {
+	for _, consumed := range []bool{false, true} {
+		env := newTestEnv(t, 32, Config{Algorithm: SAI})
+		var taken []Notification
+		if consumed {
+			env.eng.OnNotify(func(n Notification) { taken = append(taken, n) })
+		}
+		env.subscribe(t, 0, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
+		env.publish(t, 1, rTuple(env, 1, 7, 0))
+		env.publish(t, 2, sTuple(env, 2, 7, 0))
+		first := taken
+		if !consumed {
+			first = env.eng.Notifications()
+		}
+		if len(first) != 1 {
+			t.Fatalf("consumed=%v: %d notifications, want 1", consumed, len(first))
+		}
+		env.eng.record(first[0])
+		if got := env.net.Traffic().Duplicates("notification"); got != 1 {
+			t.Fatalf("consumed=%v: %d duplicates charged for one re-delivery", consumed, got)
+		}
+		if consumed && (len(taken) != 1 || len(env.eng.Notifications()) != 0) {
+			t.Fatalf("a re-delivery reached the consumer %d times, the record %d", len(taken)-1, len(env.eng.Notifications()))
+		}
+		if got := env.eng.NotificationCount(); got != 1 {
+			t.Fatalf("consumed=%v: count %d after a suppressed re-delivery", consumed, got)
+		}
+	}
+}
+
+// deliveryKey's form is persisted by snapshots: Key(q) — which names the
+// subscriber — the projected values, the two publication times.
+func TestDeliveryKeyForm(t *testing.T) {
+	n := Notification{
+		QueryKey: "peer5#2", Subscriber: "peer5",
+		Values:   []relation.Value{relation.N(1.5), relation.S("a|b")},
+		LeftPubT: 9, RightPubT: -11, DeliveredAt: 40,
+	}
+	if got, want := deliveryKey(n), "peer5#2|1.5|a|b|9|-11"; got != want {
+		t.Fatalf("deliveryKey = %q, want %q", got, want)
+	}
+}
+
+// snapshotInto takes env's snapshot through the wire and restores it into a
+// fresh engine of the same shape, whose OnNotify is consumer.
+func snapshotInto(t *testing.T, env *testEnv, consumer func(Notification)) *testEnv {
+	t.Helper()
+	meta, nodes := env.eng.ExportSnapshot(nil)
+	var w wire.Buffer
+	if err := EncodeMessage(&w, meta); err != nil {
+		t.Fatal(err)
+	}
+	meta, err := DecodeMessage(wire.NewReader(w.Bytes()), env.catalog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := newTestEnv(t, len(env.nodes), env.eng.Config())
+	fresh.eng.OnNotify(consumer)
+	if err := fresh.eng.RestoreSnapshot(meta, nodes); err != nil {
+		t.Fatal(err)
+	}
+	return fresh
+}
+
+// A snapshot carries what dedupe and the count need whoever kept the
+// notifications: the record itself where there is one, bare identities where
+// a consumer took them.
+func TestSnapshotCarriesDeliveredIdentities(t *testing.T) {
+	stream := func(env *testEnv) {
+		env.subscribe(t, 0, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
+		for i := 0; i < 5; i++ {
+			env.publish(t, 1+i, rTuple(env, float64(i), float64(i%2), 0))
+			env.publish(t, 7+i, sTuple(env, float64(i), float64(i%2), 0))
+		}
+	}
+
+	polled := newTestEnv(t, 32, Config{Algorithm: SAI})
+	stream(polled)
+	want := polled.eng.Notifications()
+	if len(want) != 13 {
+		t.Fatalf("the stream delivered %d notifications, want 13", len(want))
+	}
+	restored := snapshotInto(t, polled, nil)
+	if got := restored.eng.Notifications(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("a polling-mode snapshot restored\n%v\nthe exporter had\n%v", got, want)
+	}
+	if got := restored.eng.NotificationCount(); got != len(want) {
+		t.Fatalf("restored count %d, want %d", got, len(want))
+	}
+
+	consumed := newTestEnv(t, 32, Config{Algorithm: SAI})
+	var taken []Notification
+	consumed.eng.OnNotify(func(n Notification) { taken = append(taken, n) })
+	stream(consumed)
+	if meta, _ := consumed.eng.ExportSnapshot(nil); len(meta.(snapMetaMsg).Sink) != 0 || len(meta.(snapMetaMsg).Delivered) != len(want) {
+		t.Fatalf("a consumer's snapshot carries %d notifications and %d identities, want 0 and %d",
+			len(meta.(snapMetaMsg).Sink), len(meta.(snapMetaMsg).Delivered), len(want))
+	}
+	// Either snapshot, restored under a consumer or not: the count is back and
+	// every pre-snapshot match is known delivered.
+	for _, from := range []*testEnv{polled, consumed} {
+		for _, consume := range []bool{false, true} {
+			again := 0
+			var consumer func(Notification)
+			if consume {
+				consumer = func(Notification) { again++ }
+			}
+			restored := snapshotInto(t, from, consumer)
+			if got := restored.eng.NotificationCount(); got != len(want) {
+				t.Fatalf("restored count %d, want %d", got, len(want))
+			}
+			if consume && len(restored.eng.Notifications()) != 0 {
+				t.Fatalf("restored under a consumer, the engine keeps %d notifications", len(restored.eng.Notifications()))
+			}
+			for _, n := range taken {
+				restored.eng.record(n)
+			}
+			if got := restored.net.Traffic().Duplicates("notification"); got != int64(len(want)) || again != 0 {
+				t.Fatalf("of %d pre-snapshot matches re-delivered, %d were suppressed and %d reached the consumer", len(want), got, again)
+			}
+			if got := restored.eng.NotificationCount(); got != len(want) {
+				t.Fatalf("count %d after the suppressed re-deliveries, want %d", got, len(want))
+			}
+			// The restored subscription fires on a fresh pair, once.
+			restored.publish(t, 3, rTuple(restored, 50, 77, 0))
+			restored.publish(t, 4, sTuple(restored, 51, 77, 0))
+			if got := restored.eng.NotificationCount(); got != len(want)+1 {
+				t.Fatalf("a fresh pair moved the count to %d, want %d", got, len(want)+1)
+			}
+		}
 	}
 }
 

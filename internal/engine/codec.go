@@ -449,6 +449,14 @@ func (m *snapMetaMsg) walk(c *wire.Coder) {
 	for i := range m.HotCounts {
 		m.HotCounts[i].walk(c)
 	}
+	// A snapshot's meta is a frame of its own (durable.walkFramed), and up to
+	// PR 20 it ended here, every notification delivered in Sink.
+	if c.AtEnd() {
+		m.Count = len(m.Sink)
+		return
+	}
+	c.Strings(&m.Delivered)
+	c.Int(&m.Count)
 }
 
 func (s *seqEntry) walk(c *wire.Coder) {

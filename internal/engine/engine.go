@@ -168,9 +168,10 @@ type Engine struct {
 	seq       map[string]int        // per-subscriber query sequence numbers
 	subs      map[string][]string   // query key -> attribute-level index inputs
 	rng       *rand.Rand
-	sink      []Notification
-	delivered map[string]bool // full match identities already delivered
 	onNotify  func(Notification)
+	delivered map[string]struct{} // deliveryKey of every match delivered: the receiver-side dedupe
+	count     int                 // notifications delivered since the last ResetNotifications
+	sink      []Notification      // those of them no onNotify callback was installed to take
 }
 
 // New creates an engine over the given overlay and schema catalog and
@@ -190,7 +191,7 @@ func New(net *chord.Network, catalog *relation.Catalog, cfg Config) *Engine {
 		seq:       make(map[string]int),
 		subs:      make(map[string][]string),
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		delivered: make(map[string]bool),
+		delivered: make(map[string]struct{}),
 	}
 	if cfg.HotKeyThreshold > 0 && cfg.Algorithm == SAI {
 		e.hot = newHotTracker(cfg)
@@ -264,15 +265,18 @@ func (e *Engine) MoveNode(n *chord.Node, to id.ID) (*chord.Node, error) {
 }
 
 // OnNotify installs a callback invoked for every notification delivered to
-// its subscriber (including replayed stored notifications).
+// its subscriber (including replayed stored notifications). The notifications
+// are the callback's from then on: while one is installed the engine keeps a
+// delivered notification's identity and counts it, nothing more. A nil fn
+// removes the callback, and the engine records again.
 func (e *Engine) OnNotify(fn func(Notification)) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.onNotify = fn
 }
 
-// Notifications returns a copy of every notification delivered so far, in
-// delivery order.
+// Notifications returns a copy of every notification delivered while no
+// OnNotify callback was installed to take it, in delivery order.
 func (e *Engine) Notifications() []Notification {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -281,32 +285,33 @@ func (e *Engine) Notifications() []Notification {
 	return out
 }
 
-// NotificationCount returns how many notifications have been delivered so
-// far — len(Notifications()) without the copy.
+// NotificationCount returns how many notifications have been delivered since
+// the last ResetNotifications, to a callback or into the record.
 func (e *Engine) NotificationCount() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.sink)
+	return e.count
 }
 
-// ResetNotifications clears the delivered-notification record (the load and
-// traffic ledgers are reset through their own types).
+// ResetNotifications clears the delivered-notification record and its count
+// (the load and traffic ledgers are reset through their own types). What has
+// been delivered stays known as delivered.
 func (e *Engine) ResetNotifications() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.sink = nil
+	e.count = 0
 }
 
-// deliveryKey is the full match identity of a notification: subscriber,
-// projected content, and the publication times of the matched pair. Two
-// distinct tuple pairs can project to equal values, so the content key
-// alone is NOT an identity; publication times are (the logical clock gives
-// every published tuple a unique timestamp).
+// deliveryKey is the full match identity of a notification: projected
+// content — which leads with Key(q), subscriber#seq, so the subscriber is
+// said — and the publication times of the matched pair. Two distinct tuple
+// pairs can project to equal values, so the content key alone is NOT an
+// identity; publication times are (the logical clock gives every published
+// tuple a unique timestamp). Snapshots persist these strings.
 func deliveryKey(n Notification) string {
 	var buf [keyScratch]byte
-	b := append(buf[:0], n.Subscriber...)
-	b = append(b, '|')
-	b = n.appendContentKey(b)
+	b := n.appendContentKey(buf[:0])
 	b = append(b, '|')
 	b = strconv.AppendInt(b, n.LeftPubT, 10)
 	b = append(b, '|')
@@ -317,7 +322,7 @@ func deliveryKey(n Notification) string {
 func (e *Engine) record(n Notification) {
 	key := deliveryKey(n)
 	e.mu.Lock()
-	if e.delivered[key] {
+	if _, dup := e.delivered[key]; dup {
 		// A duplicated or replayed delivery of a match the subscriber has
 		// already consumed: suppress it. This is the receiver-side half of
 		// at-least-once delivery.
@@ -325,18 +330,21 @@ func (e *Engine) record(n Notification) {
 		e.net.Traffic().RecordDuplicate("notification")
 		return
 	}
-	e.delivered[key] = true
-	e.sink = append(e.sink, n)
+	e.delivered[key] = struct{}{}
+	e.count++
 	fn := e.onNotify
-	e.mu.Unlock()
-	if fn != nil {
-		fn(n)
+	if fn == nil {
+		e.sink = append(e.sink, n) // nobody to hand it to
+		e.mu.Unlock()
+		return
 	}
+	e.mu.Unlock()
+	fn(n)
 }
 
-// DeliveredContentKeys returns the content key of every delivered
-// notification, in delivery order — the identity under which runs are
-// compared against the centralized oracle.
+// DeliveredContentKeys returns the content key of every notification in the
+// record (Notifications), in delivery order — the identity under which runs
+// are compared against the centralized oracle.
 func (e *Engine) DeliveredContentKeys() []string {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -20,15 +20,17 @@ import (
 //
 // testdata/wire-pr19.golden is the same fixtures as the build before the
 // say-it-once layout (PR 19) encoded them: attribute names in every tuple,
-// eight-byte numbers, every rewrite and notification in full. Nothing writes
-// that layout any more, and peers, WAL delivery records and snapshots still
-// hold it, so it is only ever read: each line must decode to its fixture, and
-// to a message that encodes as today's line. Its lines pair with the fixtures
-// by position; a fixture appended later has none there.
+// eight-byte numbers, every rewrite and notification in full;
+// testdata/wire-pr20.golden as the last build (PR 20) whose snapshot meta ends
+// with the hot-key counters did. Nothing writes those layouts any more, and
+// peers, WAL delivery records and snapshots still hold them, so they are only
+// ever read: each line must decode to its fixture, and to a message that
+// encodes as today's line. Their lines pair with the fixtures by position; a
+// fixture appended later has none there.
 func TestWireGolden(t *testing.T) {
 	catalog, msgs := codecFixtures(t)
 	lines := goldenLines(t, "testdata/wire.golden")
-	parent := goldenLines(t, "testdata/wire-pr19.golden")
+	parents := [][]string{goldenLines(t, "testdata/wire-pr19.golden"), goldenLines(t, "testdata/wire-pr20.golden")}
 	if len(lines) != len(msgs) {
 		t.Errorf("%d golden lines for %d fixtures", len(lines), len(msgs))
 	}
@@ -43,8 +45,10 @@ func TestWireGolden(t *testing.T) {
 			continue
 		}
 		layouts := []string{lines[i]}
-		if i < len(parent) {
-			layouts = append(layouts, parent[i])
+		for _, parent := range parents {
+			if i < len(parent) {
+				layouts = append(layouts, parent[i])
+			}
 		}
 		for _, line := range layouts {
 			name, enc, _ := strings.Cut(line, " ")

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"cqjoin/internal/chord"
+	"cqjoin/internal/id"
 )
 
 // jfrtCache is the Join Fingers Routing Table of Section 4.7.1. A rewriter
@@ -13,8 +14,9 @@ import (
 // for each value-level identifier the rewriter has already looked up, so a
 // repeat reindexing costs a single direct hop instead of an O(log N)
 // overlay lookup. Entries are soft state: a cached node that has left the
-// overlay is dropped and the next reindexing repopulates the entry through
-// a normal lookup.
+// overlay, or that a join or a move has since relieved of the identifier, is
+// dropped and the next reindexing repopulates the entry through a normal
+// lookup.
 type jfrtCache struct {
 	mu      sync.Mutex
 	entries map[string]*chord.Node
@@ -26,9 +28,11 @@ func newJFRTCache() *jfrtCache {
 	return &jfrtCache{entries: make(map[string]*chord.Node)}
 }
 
-// lookup returns the cached evaluator for the value-level input, when still
-// alive.
-func (c *jfrtCache) lookup(input string) (*chord.Node, bool) {
+// lookup returns the cached evaluator for the value-level input, whose
+// identifier is target, when it is still alive and still owns target: sent to
+// a node that has handed the identifier's tuples on, a rewrite would be
+// stored where no tuple arrives.
+func (c *jfrtCache) lookup(input string, target id.ID) (*chord.Node, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n, ok := c.entries[input]
@@ -36,7 +40,7 @@ func (c *jfrtCache) lookup(input string) (*chord.Node, bool) {
 		c.misses++
 		return nil, false
 	}
-	if !n.Alive() {
+	if !n.Alive() || !n.OwnsKey(target) {
 		delete(c.entries, input)
 		c.misses++
 		return nil, false

@@ -272,7 +272,7 @@ func (st *nodeState) sendJoins(outs []outbound) {
 		var hitOrder []*chord.Node
 		hits := make(map[*chord.Node][]outbound)
 		for _, o := range outs {
-			dst, ok := st.jfrt.lookup(o.input)
+			dst, ok := st.jfrt.lookup(o.input, e.hashInput(o.input))
 			if !ok {
 				misses = append(misses, o)
 				continue

@@ -14,12 +14,13 @@ import (
 // form, plus one snapMetaMsg carrying the engine-global state a replayed
 // log needs to continue deterministically — the logical clock, the
 // per-subscriber query sequence counters (so replayed subscribes re-derive
-// the same Key(q)), the subscription index, the delivered-notification
-// sink, and the hot-key epoch registry. Deliberately NOT carried, matching
-// the hand-off exclusions: the JFRT and subscriber-IP caches (best-effort,
-// refill), probe statistics, the pair-baseline store, and the engine's
-// private rng state (it only picks index attributes and replicas, which
-// never changes match content — see DESIGN.md §14.3).
+// the same Key(q)), the subscription index, what has been delivered (the
+// notifications in the record, the bare identities of those a consumer took,
+// the count), and the hot-key epoch registry. Deliberately NOT carried,
+// matching the hand-off exclusions: the JFRT and subscriber-IP caches
+// (best-effort, refill), probe statistics, the pair-baseline store, and the
+// engine's private rng state (it only picks index attributes and replicas,
+// which never changes match content — see DESIGN.md §14.3).
 
 // kindSnapMeta names the snapshot-meta message class.
 const kindSnapMeta = "snapmeta"
@@ -58,6 +59,8 @@ type hotCountEntry struct {
 // like every other frame. Conds is neither filled by ExportSnapshot nor read
 // by RestoreSnapshot: earlier builds listed every join condition ever indexed
 // there, and the field keeps its place in the walk so their files decode.
+// Delivered and Count follow everything those builds wrote: a frame that ends
+// before them is one of theirs, whose Sink is all it had delivered.
 type snapMetaMsg struct {
 	Clock     int64
 	Nodes     []string // alive node keys, ring order
@@ -69,6 +72,8 @@ type snapMetaMsg struct {
 	Sink      []Notification
 	HotEpochs []hotEpochEntry
 	HotCounts []hotCountEntry
+	Delivered []string // every deliveryKey, in no order, unless Sink implies them all
+	Count     int      // NotificationCount
 }
 
 func (snapMetaMsg) Kind() string { return kindSnapMeta }
@@ -104,6 +109,14 @@ func (e *Engine) ExportSnapshot(down []string) (chord.Message, []NodeSnapshot) {
 		meta.Subs = append(meta.Subs, subsEntry{Key: k, Inputs: append([]string(nil), e.subs[k]...)})
 	}
 	meta.Sink = append([]Notification(nil), e.sink...)
+	meta.Count = e.count
+	if len(e.delivered) > len(e.sink) { // a consumer took some, or the record was reset
+		// A set, in no order: sorting it would be most of a checkpoint.
+		meta.Delivered = make([]string, 0, len(e.delivered))
+		for k := range e.delivered {
+			meta.Delivered = append(meta.Delivered, k)
+		}
+	}
 	e.mu.Unlock()
 	meta.Multi = e.multiOn.Load()
 
@@ -252,9 +265,15 @@ func (e *Engine) RestoreSnapshot(meta chord.Message, nodes []NodeSnapshot) error
 	for _, s := range m.Subs {
 		e.subs[s.Key] = append([]string(nil), s.Inputs...)
 	}
-	e.sink = append(e.sink, m.Sink...)
 	for _, n := range m.Sink {
-		e.delivered[deliveryKey(n)] = true
+		e.delivered[deliveryKey(n)] = struct{}{}
+	}
+	for _, k := range m.Delivered {
+		e.delivered[k] = struct{}{}
+	}
+	e.count += m.Count
+	if e.onNotify == nil { // as record: a consumer's engine keeps identities only
+		e.sink = append(e.sink, m.Sink...)
 	}
 	e.mu.Unlock()
 	e.multiOn.Store(m.Multi)

@@ -134,7 +134,7 @@ func (r *Run) Measure(tuples int) Measurements {
 	m := Measurements{
 		TF:            metrics.SummarizeInt(r.Eng.FilteringLoads()),
 		TS:            metrics.SummarizeInt(r.Eng.StorageLoads()),
-		Notifications: len(r.Eng.Notifications()),
+		Notifications: r.Eng.NotificationCount(),
 	}
 	if tuples > 0 {
 		m.HopsPerTuple = float64(r.Net.Traffic().TotalHops()) / float64(tuples)

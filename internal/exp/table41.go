@@ -68,7 +68,7 @@ func Table41(sc Scale) *Table {
 
 		row := append([]string{alg.String()}, static[alg]...)
 		row = append(row, d(queryMsgs), d(joinMsgs), d(repeatJoins),
-			d(int64(len(r.Eng.Notifications()))))
+			d(int64(r.Eng.NotificationCount())))
 		rows[ai] = row
 	})
 	for _, row := range rows {

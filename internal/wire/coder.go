@@ -82,6 +82,10 @@ func (c *Coder) Sync(r *Reader) error {
 // value.
 func (c *Coder) Decoding() bool { return c.mode == decoding }
 
+// AtEnd reports whether a decoding walk has read all its input: the writer
+// was an earlier build, which stopped here. Sizing and encoding go on.
+func (c *Coder) AtEnd() bool { return c.mode == decoding && c.err == nil && c.r.Remaining() == 0 }
+
 // Size returns the length a sizing walk has added up.
 func (c *Coder) Size() int { return c.n }
 
