@@ -13,17 +13,19 @@ import (
 // The three invariants every chaos run must restore once the injector is
 // calmed and the overlay healed:
 //
-//  1. Ring integrity — successors, predecessors and fingers of every alive
-//     node again match the oracle view of the ring (RingIntact).
+//  1. Ring integrity — successors, predecessors, successor lists and fingers
+//     of every alive node again match the oracle view of the ring
+//     (RingIntact).
 //  2. No duplicate deliveries — no subscriber received the same match
 //     twice (NoDuplicateDeliveries).
 //  3. Completeness — the delivered set equals the centralized oracle's
 //     expected set exactly (Complete).
 
-// RingIntact checks every alive node's successor, predecessor and finger
-// table against the oracle view of the current ring. It returns nil when
-// the overlay has fully converged, or an error naming the first few
-// violations.
+// RingIntact checks every alive node's successor, predecessor, successor
+// list and finger table against the oracle view of the current ring — all
+// the state a routing step reads: the list must be the ring's next
+// min(r, alive-1) nodes in order, with no gap. It returns nil when the
+// overlay has fully converged, or an error naming the first few violations.
 func RingIntact(net *chord.Network) error {
 	nodes := net.Nodes() // ring order
 	if len(nodes) == 0 {
@@ -43,6 +45,17 @@ func RingIntact(net *chord.Network) error {
 		}
 		if got := n.Predecessor(); got != prev {
 			report("%s.predecessor = %v, want %v", n.Key(), got, prev)
+		}
+		if len(nodes) > 1 {
+			list := n.SuccessorList()
+			if want := min(net.SuccessorListLen(), len(nodes)-1); len(list) != want {
+				report("%s holds %d successors, want %d", n.Key(), len(list), want)
+			}
+			for j, got := range list {
+				if want := nodes[(i+1+j)%len(nodes)]; got != want {
+					report("%s.successors[%d] = %v, want %v", n.Key(), j, got, want)
+				}
+			}
 		}
 		for j := 1; j <= id.Bits; j++ {
 			start := n.ID().AddPow2(uint(j - 1))

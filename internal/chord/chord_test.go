@@ -136,9 +136,10 @@ func TestRouteHopsLogarithmic(t *testing.T) {
 		total += hops
 	}
 	avg := float64(total) / float64(samples)
-	logN := math.Log2(float64(len(nodes)))
-	if avg > logN {
-		t.Fatalf("average hops %.2f exceeds log2(N)=%.2f", avg, logN)
+	// Finger hops alone average ½·log2 N; the successor list (r = 8) finishes
+	// the last ½·log2 r of them in one, so the mean lies below that.
+	if half := math.Log2(float64(len(nodes))) / 2; avg > half {
+		t.Fatalf("average hops %.2f exceeds ½·log2(N)=%.2f", avg, half)
 	}
 	if avg < 1 {
 		t.Fatalf("average hops %.2f suspiciously low", avg)

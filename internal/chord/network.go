@@ -43,6 +43,7 @@ type netObs struct {
 	multisendSize *obs.Histogram
 	multisendHops *obs.Histogram
 	routeFailures *obs.Counter
+	handbacks     *obs.Counter    // hops back to the owner after a final hop (Network.land)
 	deliveries    *obs.CounterVec // per message kind, at the delivery choke point
 	deliveryMiss  *obs.Counter    // dropped / dead-destination deliveries
 	wireBytes     *obs.Histogram  // per-message encoded size (the codec path)
@@ -67,6 +68,7 @@ func newNetObs(reg *obs.Registry) netObs {
 		multisendSize: reg.Histogram("chord.multisend.batch", 1, 4, 16, 64, 256, 1024),
 		multisendHops: reg.Histogram("chord.multisend.hops", hopBuckets...),
 		routeFailures: reg.Counter("chord.route_failures"),
+		handbacks:     reg.Counter("chord.handbacks"),
 		deliveries:    reg.CounterVec("chord.deliveries"),
 		deliveryMiss:  reg.Counter("chord.delivery_misses"),
 		wireBytes:     reg.Histogram("chord.wire_bytes", 16, 64, 256, 1024, 4096, 16384),
@@ -155,6 +157,9 @@ func (net *Network) Obs() *obs.Registry { return net.obsReg }
 
 // Clock returns the network's logical clock.
 func (net *Network) Clock() *sim.Clock { return net.clock }
+
+// SuccessorListLen returns r, the length of each node's successor list.
+func (net *Network) SuccessorListLen() int { return net.succListLen }
 
 // Size returns the number of alive nodes.
 func (net *Network) Size() int {
@@ -577,7 +582,6 @@ func (net *Network) buildFingers(n *Node) {
 		i := net.ringIndexLocked(start) % len(net.ring)
 		n.fingers[j] = net.ring[i]
 	}
-	n.strayFingers = 0 // exact fingers are never stray
 }
 
 // MoveNode re-positions an alive node at a new ring identifier — the
@@ -624,7 +628,6 @@ func (net *Network) RepairAll() {
 			k := net.ringIndexLocked(start) % cnt
 			n.fingers[j] = net.ring[k]
 		}
-		n.strayFingers = 0 // exact fingers are never stray
 		n.mu.Unlock()
 	}
 }

@@ -60,10 +60,7 @@ type Node struct {
 	succs      []*Node // successor list; succs[0] is the immediate successor
 	fingers    [id.Bits]*Node
 	nextFinger int // round-robin cursor for amortized fix-fingers
-	// strayFingers counts the entries closer to n than their slot allows
-	// (setFingerLocked); zero on every ring the oracle built.
-	strayFingers int
-	handler      Handler
+	handler    Handler
 }
 
 // Key returns the node's unique key (Section 2.2: e.g. derived from its
@@ -170,64 +167,57 @@ func (n *Node) OwnsKey(k id.ID) bool {
 	return id.BetweenRightIncl(k, n.pred.id, n.id)
 }
 
-// setFingerLocked stores finger-table entry j (0-based) and keeps count of
-// the stray entries: an exact finger j is Successor(id(n) + 2^j) and so lies
-// at least 2^j clockwise of n, but a lookup answered from pointers that
-// predate a join can name a node closer than that. closestPrecedingAlive
-// may skip the fingers too far for its target only while there is no stray
-// one. The caller holds n.mu.
-func (n *Node) setFingerLocked(j int, f *Node) {
-	stray := func(f *Node) int {
-		if f != nil && f != n && id.Distance(n.id, f.id).BitLen() <= j {
-			return 1
-		}
-		return 0
-	}
-	n.strayFingers += stray(f) - stray(n.fingers[j])
-	n.fingers[j] = f
-}
-
-// closestPrecedingAlive returns the furthest finger of n that lies strictly
-// between n and target on the ring and is still alive — the next hop in
-// Chord routing. It returns n itself when no finger qualifies.
+// nextHop is the one routing step, shared by route and Multisend: the node a
+// message for target leaves n toward, read from everything n holds under one
+// acquisition of its lock. When target lies within the successor list's reach
+// — (n, last live entry] — the hop goes to the first live entry at or past
+// target and is final: n names the owner itself, and where the message lands
+// ownership is checked (Network.land), so a list that lags a join costs a hop
+// back, never a misdelivery. A list with no live entry reaches the whole ring
+// and names n, the ring of one successorLocked describes.
 //
-// Finger j lies at least 2^j clockwise of n, so it cannot precede a target
-// closer than that: the scan starts at the highest finger that can, and —
-// runs of table entries being one node, all the low ones the successor —
-// examines each node once.
-func (n *Node) closestPrecedingAlive(target id.ID) *Node {
+// Otherwise the hop is Chord's: the furthest live finger strictly between n
+// and target or, when no finger qualifies, the last live list entry, which
+// target lies beyond. Finger j is what a lookup of id(n) + 2^j returned, and a
+// lookup ends at the owner, at or past its target: the entry lies at least 2^j
+// clockwise of n and cannot precede a target closer than that. So the scan
+// starts at the highest finger that can, and — runs of table entries being one
+// node — examines each node once.
+func (n *Node) nextHop(target id.ID) (next *Node, final bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	top := id.Bits - 1
-	if n.strayFingers == 0 {
-		// Distance 0 is the whole ring: target == id(n) excludes only n.
-		if b := id.Distance(n.id, target).BitLen(); b > 0 {
-			top = b - 1
+	last := n
+	for j := len(n.succs) - 1; j >= 0; j-- {
+		if s := n.succs[j]; s != nil && s.Alive() {
+			last = s
+			break
 		}
 	}
-	var last *Node
+	if id.BetweenRightIncl(target, n.id, last.id) {
+		for _, s := range n.succs {
+			if s != nil && s.Alive() && id.BetweenRightIncl(target, n.id, s.id) {
+				return s, true
+			}
+		}
+		return last, true
+	}
+	// Distance 0 is the whole ring: target == id(n) excludes only n.
+	top := id.Bits - 1
+	if b := id.Distance(n.id, target).BitLen(); b > 0 {
+		top = b - 1
+	}
+	var seen *Node
 	for j := top; j >= 0; j-- {
 		f := n.fingers[j]
-		if f == last {
+		if f == seen {
 			continue
 		}
-		last = f
-		if f == nil || !f.Alive() {
-			continue
-		}
-		if id.Between(f.id, n.id, target) {
-			return f
+		seen = f
+		if f != nil && f.Alive() && id.Between(f.id, n.id, target) {
+			return f, false
 		}
 	}
-	// Fall back on the successor list, which may be closer than any finger
-	// after churn.
-	for j := len(n.succs) - 1; j >= 0; j-- {
-		s := n.succs[j]
-		if s != nil && s.Alive() && id.Between(s.id, n.id, target) {
-			return s
-		}
-	}
-	return n
+	return last, false
 }
 
 // String renders the node as key@shortid for logs.

@@ -55,12 +55,12 @@ func (n *Node) chargeBytes(msg Message, hops int) {
 	}
 }
 
-// route walks the overlay from n toward Successor(target) using finger
-// tables, exactly like Chord's lookup (Section 2.2): each step forwards the
-// message to the furthest finger preceding the target, costing one overlay
-// hop, until the target falls between the current node and its successor.
-// It returns the responsible node and the number of hops travelled; a
-// message n delivers to itself costs zero hops.
+// route walks the overlay from n to the node responsible for target, one
+// nextHop — one overlay hop — at a time: finger hops while target lies beyond
+// the current node's successor list (Chord's lookup, Section 2.2), then one
+// final hop to the owner that list names, settled where it lands (land). It
+// returns the responsible node and the number of hops travelled; a message n
+// delivers to itself costs zero hops.
 func (n *Node) route(target id.ID) (*Node, int, error) {
 	if !n.Alive() {
 		return nil, 0, fmt.Errorf("%w: origin %s is not in the overlay", ErrRoutingFailed, n)
@@ -74,21 +74,42 @@ func (n *Node) route(target id.ID) (*Node, int, error) {
 	// stale fingers after churn still converge via successor chains, but a
 	// broken ring fails instead of spinning.
 	budget := 2*n.net.Size() + 16
-	for ; hops < budget; hops++ {
-		succ := cur.Successor()
-		if id.BetweenRightIncl(target, cur.ID(), succ.ID()) {
-			return succ, hops + 1, nil
-		}
-		next := cur.closestPrecedingAlive(target)
-		if next == cur {
-			next = succ
+	for hops < budget {
+		next, final := cur.nextHop(target)
+		if final {
+			return n.net.land(next, target, hops+1, budget)
 		}
 		if next == cur {
 			break
 		}
 		cur = next
+		hops++
 	}
 	return nil, hops, fmt.Errorf("%w: no progress toward %s from %s", ErrRoutingFailed, target.Short(), n)
+}
+
+// land decides ownership where a message lands. The final hop of a walk —
+// already counted in hops — went to the node its sender's successor list named
+// for target; that list may predate a join, so while the node the message is at
+// does not own target it hands the message back to its predecessor, one charged
+// hop each, inside the walk's budget. A hand-back moves toward target and never
+// past it (a node that does not own target has its predecessor at or past it),
+// so the walk ends at the owner. On an exact ring the lander is the owner and
+// "chord.handbacks" stays 0.
+func (net *Network) land(at *Node, target id.ID, hops, budget int) (*Node, int, error) {
+	for !at.OwnsKey(target) {
+		pred := at.Predecessor()
+		if pred == nil {
+			break // it failed since OwnsKey looked: at owns target now
+		}
+		if hops >= budget {
+			return nil, hops, fmt.Errorf("%w: no owner of %s within the hop budget", ErrRoutingFailed, target.Short())
+		}
+		at = pred
+		hops++
+		net.obs.handbacks.Inc()
+	}
+	return at, hops, nil
 }
 
 // Lookup returns the node responsible for identifier target — the function
@@ -158,13 +179,17 @@ type Deliverable struct {
 // its own identifier and forwards the whole batch toward the first one;
 // every node that receives the batch delivers the messages it is
 // responsible for, prunes them from the list, and forwards the remainder to
-// the next identifier. One traffic message per deliverable is recorded and
-// the shared relay hops are charged to the batch's kinds proportionally.
+// the next identifier — each forwarding step the one route takes (nextHop),
+// a final hop settled where it lands (land).
 //
 // It returns the recipient of every deliverable (aligned with the input
-// batch) and the total overlay hops used. All deliverables must carry
-// messages of the same Kind for accounting purposes; mixing kinds is
-// allowed but hops are charged to the first kind.
+// batch) and the total overlay hops used. One traffic message per deliverable
+// is recorded under its own kind, and so are its bytes (chargeBytes); the hops
+// of the shared walk are not split: all of them are charged to the kind of
+// the clockwise-first deliverable. A batch may mix kinds — a publication's
+// al-index and vl-index messages ride one walk — but which of them the walk's
+// hops are booked under is then a coin flip per batch, and only the sum of
+// the kinds' hop counts means anything.
 func (n *Node) Multisend(batch []Deliverable) ([]*Node, int, error) {
 	if len(batch) == 0 {
 		return nil, 0, nil
@@ -195,7 +220,8 @@ func (n *Node) Multisend(batch []Deliverable) ([]*Node, int, error) {
 	cur := n
 	totalHops := 0
 	budget := 2*n.net.Size() + 16*len(sorted) + 16
-	for len(sorted) > 0 {
+	var err error
+	for err == nil {
 		// Deliver every remaining message the current node is responsible
 		// for ("x deletes all elements of L that are smaller or equal to
 		// id(x), starting from head(L), since node x is responsible for
@@ -224,36 +250,29 @@ func (n *Node) Multisend(batch []Deliverable) ([]*Node, int, error) {
 		if len(sorted) == 0 {
 			break
 		}
-		if totalHops >= budget {
-			n.net.traffic.RecordHopsOnly(kind, totalHops)
-			n.net.obs.multisendHops.Observe(int64(totalHops))
-			n.net.obs.routeFailures.Inc()
-			return recipients, totalHops, fmt.Errorf("%w: multisend exceeded hop budget", ErrRoutingFailed)
-		}
-		// One forwarding step toward head(L).
+		// One forwarding step toward head(L): the step route takes, and a
+		// final hop is settled the same way, so the batch is next delivered
+		// at the node that owns head(L).
 		head := sorted[0].d.Target
-		succ := cur.Successor()
-		var next *Node
-		if id.BetweenRightIncl(head, cur.ID(), succ.ID()) {
-			next = succ
-		} else {
-			next = cur.closestPrecedingAlive(head)
-			if next == cur {
-				next = succ
-			}
+		next, final := cur.nextHop(head)
+		switch {
+		case totalHops >= budget:
+			err = fmt.Errorf("%w: multisend exceeded hop budget", ErrRoutingFailed)
+		case next == cur:
+			err = fmt.Errorf("%w: multisend stuck at %s", ErrRoutingFailed, cur)
+		case final:
+			cur, totalHops, err = n.net.land(next, head, totalHops+1, budget)
+		default:
+			cur = next
+			totalHops++
 		}
-		if next == cur {
-			n.net.traffic.RecordHopsOnly(kind, totalHops)
-			n.net.obs.multisendHops.Observe(int64(totalHops))
-			n.net.obs.routeFailures.Inc()
-			return recipients, totalHops, fmt.Errorf("%w: multisend stuck at %s", ErrRoutingFailed, cur)
-		}
-		cur = next
-		totalHops++
 	}
 	n.net.traffic.RecordHopsOnly(kind, totalHops)
 	n.net.obs.multisendHops.Observe(int64(totalHops))
-	return recipients, totalHops, nil
+	if err != nil {
+		n.net.obs.routeFailures.Inc()
+	}
+	return recipients, totalHops, err
 }
 
 // multisendItem is one deliverable of a multisend with its position in the

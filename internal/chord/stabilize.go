@@ -130,7 +130,7 @@ func (n *Node) FixFinger(j int) {
 	}
 	n.net.traffic.Record("chord-maintain", hops)
 	n.mu.Lock()
-	n.setFingerLocked(j-1, dst)
+	n.fingers[j-1] = dst
 	n.mu.Unlock()
 }
 
