@@ -31,26 +31,34 @@ type Interceptor interface {
 }
 
 // Sizer is implemented by messages that know their wire-encoded size. The
-// routing layer then also charges bytes to the traffic ledger: a message of
-// size s delivered after h hops is retransmitted h times, moving s*h bytes
-// over the physical network.
+// routing layer then also charges bytes to the traffic ledger: every overlay
+// hop retransmits the frame of what is aboard, and a frame says a thing once.
+// Size returns the length of the message's encoding behind prev, the message
+// before it in its frame (nil: it leads the frame, or travels alone), and
+// shared, how many bytes longer it is in full: what prev says for it. A
+// message alone for h hops moves size*h bytes over the physical network.
 type Sizer interface {
-	Size() int
+	Size(prev Message) (size, shared int)
 }
 
-// chargeBytes records the wire bytes a delivery moved, when the message
-// reports its size. This is where the simulator meets the codec: Size() adds
-// up the message's encoded length field by field without writing a byte
-// (tuples and queries remember theirs), once per delivery, and the
-// per-message size is observed into the "chord.wire_bytes" histogram when
-// observability is on.
-func (n *Node) chargeBytes(msg Message, hops int) {
+// chargeBytes records the wire bytes msg moved in hops legs, when it reports
+// its size: behind prev, the message before it aboard, for as long as prev
+// rode along — prevHops legs — and in full, at the head of what was left, from
+// there on; a message alone has no prev. This is where the simulator meets
+// the codec: Size runs the message's one field walk in sizing mode, lengths
+// added and no byte written (tuples and queries remember theirs), once per
+// walk, and the size the message got off at is observed into the
+// "chord.wire_bytes" histogram when observability is on.
+func (n *Node) chargeBytes(msg, prev Message, prevHops, hops int) {
 	if hops <= 0 {
 		return
 	}
 	if s, ok := msg.(Sizer); ok {
-		size := s.Size()
-		n.net.traffic.AddBytes(msg.Kind(), size*hops)
+		size, shared := s.Size(prev)
+		n.net.traffic.AddBytes(msg.Kind(), size*hops+shared*(hops-prevHops))
+		if prevHops < hops {
+			size += shared
+		}
 		n.net.obs.wireBytes.Observe(int64(size))
 	}
 }
@@ -139,13 +147,13 @@ func (n *Node) Lookup(target id.ID) (*Node, int, error) {
 // hops are still returned alongside ErrDropped so the sender can retry.
 func (n *Node) Send(msg Message, target id.ID) (*Node, int, error) {
 	dst, hops, err := n.route(target)
+	n.chargeBytes(msg, nil, 0, hops) // a walk that gave up moved its bytes all the same
 	if err != nil {
 		n.net.traffic.RecordHopsOnly(msg.Kind(), hops)
 		n.net.obs.routeFailures.Inc()
 		return nil, hops, err
 	}
 	n.net.traffic.Record(msg.Kind(), hops)
-	n.chargeBytes(msg, hops)
 	n.net.obs.sends.Add(msg.Kind(), 1)
 	n.net.obs.sendHops.Observe(int64(hops))
 	if !n.deliverTo(dst, msg) {
@@ -162,7 +170,7 @@ func (n *Node) Send(msg Message, target id.ID) (*Node, int, error) {
 // routing or retry.
 func (n *Node) DirectSend(msg Message, dst *Node) bool {
 	n.net.traffic.Record(msg.Kind(), 1)
-	n.chargeBytes(msg, 1)
+	n.chargeBytes(msg, nil, 0, 1)
 	n.net.obs.directSends.Inc()
 	return n.deliverTo(dst, msg)
 }
@@ -184,12 +192,17 @@ type Deliverable struct {
 //
 // It returns the recipient of every deliverable (aligned with the input
 // batch) and the total overlay hops used. One traffic message per deliverable
-// is recorded under its own kind, and so are its bytes (chargeBytes); the hops
-// of the shared walk are not split: all of them are charged to the kind of
-// the clockwise-first deliverable. A batch may mix kinds — a publication's
-// al-index and vl-index messages ride one walk — but which of them the walk's
-// hops are booked under is then a coin flip per batch, and only the sum of
-// the kinds' hop counts means anything.
+// is recorded under its own kind. Bytes are charged leg by leg: each leg moves
+// the frame of what is still aboard, in clockwise order — the head in full,
+// every other message as it encodes behind the one before it (Sizer), so a
+// tuple the whole batch carries rides each leg once, booked under the kind of
+// whichever message heads the list on that leg, and everything else under its
+// own message's kind. A walk that dies charges what it stranded for the legs
+// it made. The hops of the shared walk are not split: all of them are charged
+// to the kind of the clockwise-first deliverable. A batch may mix kinds — a
+// publication's al-index and vl-index messages ride one walk — but which of
+// them the walk's hops are booked under is then a coin flip per batch, and
+// only the sum of the kinds' hop counts means anything.
 func (n *Node) Multisend(batch []Deliverable) ([]*Node, int, error) {
 	if len(batch) == 0 {
 		return nil, 0, nil
@@ -219,6 +232,11 @@ func (n *Node) Multisend(batch []Deliverable) ([]*Node, int, error) {
 	msgs := make([]Message, 0, len(batch))
 	cur := n
 	totalHops := 0
+	// The list only ever loses its head, so the message before sorted[i]
+	// aboard is sorted[i-1] until that one gets off: pricing the walk needs
+	// the last message off and the legs made by then, nothing per message.
+	var prev Message
+	prevHops := 0
 	budget := 2*n.net.Size() + 16*len(sorted) + 16
 	var err error
 	for err == nil {
@@ -235,8 +253,9 @@ func (n *Node) Multisend(batch []Deliverable) ([]*Node, int, error) {
 			msgs = msgs[:0]
 			for i := 0; i < run; i++ {
 				// Each message rode the shared walk for totalHops legs so far.
-				n.chargeBytes(sorted[i].d.Msg, totalHops)
-				msgs = append(msgs, sorted[i].d.Msg)
+				n.chargeBytes(sorted[i].d.Msg, prev, prevHops, totalHops)
+				prev, prevHops = sorted[i].d.Msg, totalHops
+				msgs = append(msgs, prev)
 			}
 			for i, ok := range n.deliverBatchTo(cur, msgs) {
 				// A failed delivery leaves recipients[idx] nil; the batch
@@ -266,6 +285,10 @@ func (n *Node) Multisend(batch []Deliverable) ([]*Node, int, error) {
 			cur = next
 			totalHops++
 		}
+	}
+	for _, it := range sorted { // what a failed walk strands rode every leg of it
+		n.chargeBytes(it.d.Msg, prev, prevHops, totalHops)
+		prev, prevHops = it.d.Msg, totalHops
 	}
 	n.net.traffic.RecordHopsOnly(kind, totalHops)
 	n.net.obs.multisendHops.Observe(int64(totalHops))

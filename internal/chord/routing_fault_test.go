@@ -84,6 +84,109 @@ func TestMultisendPartialHopAccounting(t *testing.T) {
 	if got := net.Traffic().Hops("probe") - before; got != int64(hops) {
 		t.Fatalf("ledger charged %d hops, Multisend reported %d", got, hops)
 	}
+
+	// The same dead end met mid-ring: the batch has made legs by then, and
+	// what it strands moved its bytes over every one of them — the head of the
+	// list in full, the message behind it less what the two share.
+	big := New(Config{})
+	big.AddNodes("acct-big", 64)
+	origin, mid, far, legs := strandingWalk(t, big)
+	a := sizedMsg{kind: "probe-a", size: 100, shared: 60, group: 1}
+	b := sizedMsg{kind: "probe-b", size: 90, shared: 60, group: 1}
+	recipients, hops, err = origin.Multisend([]Deliverable{{Target: far, Msg: a}, {Target: far, Msg: b}})
+	if !errors.Is(err, ErrRoutingFailed) || hops != legs || recipients[0] != nil || recipients[1] != nil {
+		t.Fatalf("multisend through %s: recipients %v after %d hops (%v), want none after %d and ErrRoutingFailed", mid, recipients, hops, err, legs)
+	}
+	if got, want := big.Traffic().Bytes("probe-a"), int64(100*legs); got != want {
+		t.Errorf("the stranded head was charged %d bytes, want %d: all of it on each of %d legs", got, want, legs)
+	}
+	if got, want := big.Traffic().Bytes("probe-b"), int64(30*legs); got != want {
+		t.Errorf("the message stranded behind it was charged %d bytes, want %d: what it does not share, on each of %d legs", got, want, legs)
+	}
+}
+
+// sizedMsg is a test message that reports a wire size: size bytes in full, of
+// which it leaves shared to the message before it aboard when that one is of
+// its group (group 0: none).
+type sizedMsg struct {
+	kind                string
+	size, shared, group int
+}
+
+func (m sizedMsg) Kind() string { return m.kind }
+
+func (m sizedMsg) Size(prev Message) (int, int) {
+	if p, ok := prev.(sizedMsg); ok && m.group != 0 && p.group == m.group {
+		return m.size - m.shared, m.shared
+	}
+	return m.size, 0
+}
+
+// strandingWalk finds a walk on net that makes at least two finger hops and
+// turns its last relay into a dead end — its whole successor list and every
+// finger dead, its predecessor alive, so it neither owns the target nor can
+// move on. It returns the walk's origin, the relay, the target and the legs a
+// message for the target makes before it is stuck there.
+func strandingWalk(t *testing.T, net *Network) (origin, mid *Node, target id.ID, legs int) {
+	t.Helper()
+	nodes := net.Nodes()
+	for i := 1; i < len(nodes); i++ {
+		origin, target = nodes[0], nodes[i].ID()
+		mid, legs = origin, 0
+		for {
+			next, final := mid.nextHop(target)
+			if final {
+				break
+			}
+			mid = next
+			legs++
+		}
+		if legs >= 2 {
+			dead := &Node{net: net, key: "dead-end", id: id.Hash("dead-end")}
+			mid.mu.Lock()
+			mid.succs = []*Node{dead}
+			for j := range mid.fingers {
+				mid.fingers[j] = dead
+			}
+			mid.mu.Unlock()
+			return origin, mid, target, legs
+		}
+	}
+	t.Fatal("no walk on this ring makes two finger hops")
+	return nil, nil, id.ID{}, 0
+}
+
+// Send's counterpart: a walk that gives up — here by running out of hop
+// budget, which no ring built through the API can make it do, so every node is
+// reduced to knowing its immediate successor and the network's count of itself
+// cut down under the walk — charged its hops all along, and must charge the
+// bytes those hops moved.
+func TestFailedSendChargesTheBytesItMoved(t *testing.T) {
+	net := New(Config{})
+	net.AddNodes("crawl", 64)
+	ring := net.Nodes()
+	for i, n := range ring {
+		succ := ring[(i+1)%len(ring)]
+		n.mu.Lock()
+		n.succs = []*Node{succ}
+		for j := range n.fingers {
+			n.fingers[j] = succ
+		}
+		n.mu.Unlock()
+	}
+	net.mu.Lock()
+	net.ring = net.ring[:4] // budget 2*4+16 = 24 hops, the walk below needs 40
+	net.mu.Unlock()
+	_, hops, err := ring[0].Send(sizedMsg{kind: "crawl", size: 70}, ring[40].ID())
+	if !errors.Is(err, ErrRoutingFailed) || hops != 24 {
+		t.Fatalf("send: %d hops, %v; want the 24 of the budget and ErrRoutingFailed", hops, err)
+	}
+	if got := net.Traffic().Hops("crawl"); got != 24 {
+		t.Fatalf("ledger charged %d hops, want 24", got)
+	}
+	if got := net.Traffic().Bytes("crawl"); got != 70*24 {
+		t.Fatalf("ledger charged %d bytes, want %d: the message crossed 24 links", got, 70*24)
+	}
 }
 
 // A failed lookup must charge the hops it consumed without counting a

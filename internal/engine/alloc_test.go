@@ -203,6 +203,11 @@ func TestSizeAndEncodeAllocateNothing(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, func() { MessageSize(msg) }); allocs != 0 {
 			t.Errorf("%T: MessageSize allocates %.0f times", msg, allocs)
 		}
+		// What Multisend calls per message: its size behind the one before it.
+		prev := msgs[1]
+		if allocs := testing.AllocsPerRun(100, func() { msg.(chord.Sizer).Size(prev) }); allocs != 0 {
+			t.Errorf("%T: Size behind a %T allocates %.0f times", msg, prev, allocs)
+		}
 		encode := func() {
 			w.Reset()
 			if err := EncodeMessage(&w, msg); err != nil {

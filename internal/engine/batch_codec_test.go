@@ -1,0 +1,352 @@
+package engine
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"cqjoin/internal/chord"
+	"cqjoin/internal/id"
+	"cqjoin/internal/query"
+	"cqjoin/internal/relation"
+	"cqjoin/internal/wire"
+)
+
+// walkRecorder is a chord.Transport that acks every message and hands none
+// over: it keeps what each walk delivered, which is the batch in the clockwise
+// order Multisend rode it in.
+type walkRecorder struct{ msgs []chord.Message }
+
+func (r *walkRecorder) Deliver(from, dst *chord.Node, msg chord.Message) bool {
+	r.msgs = append(r.msgs, msg)
+	return true
+}
+
+func (r *walkRecorder) DeliverBatch(from, dst *chord.Node, msgs []chord.Message) []bool {
+	r.msgs = append(r.msgs, msgs...)
+	acks := make([]bool, len(msgs))
+	for i := range acks {
+		acks[i] = true
+	}
+	return acks
+}
+
+// frameAboard encodes aboard the way transport.DeliverBatch fills a frame —
+// the first entry behind nothing, each next behind the one before it — and
+// returns the entries' msgBytes.
+func frameAboard(t *testing.T, codec WireCodec, aboard []chord.Message) [][]byte {
+	t.Helper()
+	entries := make([][]byte, len(aboard))
+	var prev chord.Message
+	for i, msg := range aboard {
+		var w wire.Buffer
+		if err := codec.EncodeAfter(&w, msg, prev); err != nil {
+			t.Fatalf("%T behind %T: %v", msg, prev, err)
+		}
+		if size := codec.SizeAfter(msg, prev); size != w.Len() {
+			t.Fatalf("%T behind %T: SizeAfter says %d, the encoding is %d bytes", msg, prev, size, w.Len())
+		}
+		entries[i], prev = w.Bytes(), msg
+	}
+	return entries
+}
+
+// The ledger is the encoder. For index batches as the engine builds them —
+// arity 1 to 6 under SAI, DAI-V and the pair baseline — mixed with join and
+// query messages, two publications' batches interleaved, and some tuples
+// present twice by value but not by pointer (what a socket makes of one tuple
+// that arrives in two deliveries), and for every suffix of the clockwise
+// order, which is every list a leg can find aboard: the bytes Multisend
+// charges for a leg with that list aboard are the bytes of the frame the
+// transport would write for it, entry by entry, and decoding that frame the
+// way handleBatchInto does and encoding it again yields the same bytes.
+func TestLedgerIsTheEncoder(t *testing.T) {
+	catalog, fixtures := codecFixtures(t)
+	var schemas []*relation.Schema
+	for arity := 1; arity <= 6; arity++ {
+		attrs := make([]string, arity)
+		for i := range attrs {
+			attrs[i] = fmt.Sprintf("A%d", i)
+		}
+		schemas = append(schemas, relation.MustSchema(fmt.Sprintf("R%d", arity), attrs...))
+		if err := catalog.Add(schemas[arity-1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	extras := []chord.Message{fixtures[0], fixtures[3]} // a queryMsg, a joinMsg: neither carries a tuple
+	rng := rand.New(rand.NewSource(25))
+	shared, legsChecked := 0, 0
+	for _, alg := range []Algorithm{SAI, DAIV, BaselinePair} {
+		net := chord.New(chord.Config{})
+		nodes := net.AddNodes("peer", 64)
+		eng := New(net, catalog, Config{Algorithm: alg})
+		rec := &walkRecorder{}
+		net.SetTransport(rec)
+		for _, schema := range schemas {
+			// Two publications of one relation, the second a different tuple.
+			var walks [2][]chord.Message
+			for p := range walks {
+				vals := make([]relation.Value, schema.Arity())
+				for i := range vals {
+					if vals[i] = relation.N(float64(rng.Intn(50))); rng.Intn(3) == 0 {
+						vals[i] = relation.S(fmt.Sprintf("v%d", rng.Intn(50)))
+					}
+				}
+				rec.msgs = nil
+				if _, err := eng.Publish(nodes[rng.Intn(len(nodes))], relation.MustTuple(schema, vals...)); err != nil {
+					t.Fatal(err)
+				}
+				walks[p] = rec.msgs
+			}
+			for _, aboard := range [][]chord.Message{walks[0], interleave(rng, walks[0], walks[1], extras)} {
+				// Sameness is decided on values: the copies change no byte.
+				codec := NewWireCodec(catalog)
+				plain := frameAboard(t, codec, aboard)
+				aboard = reboxSome(t, rng, aboard)
+				for i, e := range frameAboard(t, codec, aboard) {
+					if !bytes.Equal(e, plain[i]) {
+						t.Fatalf("%v: entry %d (%T) encodes as %x with the tuple it shares by pointer, %x with a copy of it", alg, i, aboard[i], plain[i], e)
+					}
+				}
+				for from := range aboard {
+					shared += checkLeg(t, catalog, aboard[from:], aboard[:from])
+					legsChecked++
+				}
+			}
+		}
+	}
+	if shared == 0 || legsChecked < 500 {
+		t.Fatalf("%d legs checked, %d bytes shared: the batches exercise nothing", legsChecked, shared)
+	}
+}
+
+// interleave merges the lists in a seeded order that keeps each list's own.
+func interleave(rng *rand.Rand, lists ...[]chord.Message) []chord.Message {
+	var out []chord.Message
+	for {
+		left := lists[:0:0]
+		for _, l := range lists {
+			if len(l) > 0 {
+				left = append(left, l)
+			}
+		}
+		if len(left) == 0 {
+			return out
+		}
+		lists = left
+		i := rng.Intn(len(lists))
+		out, lists[i] = append(out, lists[i][0]), lists[i][1:]
+	}
+}
+
+// reboxSome gives one index message in three a copy of its tuple: equal by
+// value, another pointer.
+func reboxSome(t *testing.T, rng *rand.Rand, msgs []chord.Message) []chord.Message {
+	t.Helper()
+	out := make([]chord.Message, len(msgs))
+	for i, msg := range msgs {
+		tu := carried(msg)
+		if tu != nil && rng.Intn(3) == 0 {
+			cp, err := relation.StampedTuple(tu.Schema(), tu.Values(), tu.PubT())
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch m := msg.(type) {
+			case alIndexMsg:
+				m.T = cp
+				msg = m
+			case vlIndexMsg:
+				m.T = cp
+				msg = m
+			case baselineTupleMsg:
+				m.T = cp
+				msg = m
+			}
+			if carried(msg) == tu {
+				t.Fatalf("%T kept its tuple", msg)
+			}
+		}
+		out[i] = msg
+	}
+	return out
+}
+
+// checkLeg holds one leg to the encoder: aboard is the list the leg moves,
+// gone what the walk has delivered before it. It returns the bytes the frame
+// saves over its messages standing alone.
+func checkLeg(t *testing.T, catalog *relation.Catalog, aboard, gone []chord.Message) int {
+	t.Helper()
+	// What Multisend charges for this leg (chord.chargeBytes): every message
+	// at its size behind the one before it in the clockwise order — for the
+	// head that one is off the walk, and the head pays the difference.
+	charged, alone := 0, 0
+	for i, msg := range aboard {
+		var prev chord.Message
+		if i > 0 {
+			prev = aboard[i-1]
+		} else if len(gone) > 0 {
+			prev = gone[len(gone)-1]
+		}
+		size, shared := msg.(chord.Sizer).Size(prev)
+		if charged += size; i == 0 {
+			charged += shared
+		}
+		alone += MessageSize(msg)
+	}
+	entries := frameAboard(t, NewWireCodec(catalog), aboard)
+	written := 0
+	for _, e := range entries {
+		written += len(e)
+	}
+	if charged != written {
+		t.Fatalf("a leg with %d messages aboard is charged %d bytes, its frame is %d", len(aboard), charged, written)
+	}
+	// The receiving side, a codec of its own: decode each entry behind the
+	// decoded one before it, then write the frame again.
+	receiver := NewWireCodec(catalog)
+	decoded := make([]chord.Message, len(entries))
+	var prev chord.Message
+	for i, e := range entries {
+		msg, err := receiver.DecodeAfter(wire.NewReader(e), prev)
+		if err != nil {
+			t.Fatalf("entry %d (%T) of a frame of %d: %v", i, aboard[i], len(aboard), err)
+		}
+		if want := carried(aboard[i]); want != nil && !carried(msg).Equal(want) {
+			t.Fatalf("entry %d decoded to the tuple %v, it was sent with %v", i, carried(msg), want)
+		}
+		decoded[i], prev = msg, msg
+	}
+	for i, again := range frameAboard(t, receiver, decoded) {
+		if !bytes.Equal(again, entries[i]) {
+			t.Fatalf("entry %d (%T) re-encodes as\n%x\nit arrived as\n%x", i, aboard[i], again, entries[i])
+		}
+	}
+	return alone - written
+}
+
+// soloPriced prices a message as the ledger did before a frame said its tuple
+// once: in full, on every leg it rides.
+type soloPriced struct{ chord.Message }
+
+func (m soloPriced) Size(chord.Message) (int, int) { return MessageSize(m.Message), 0 }
+
+// The gain, pinned where tier-1 sees it. On a 2048-node ring the index
+// batches of seeded 4-attribute publications — one tuple to eight identifiers
+// — cost at most 0.40 of what the rule "every message its full size on every
+// leg it rides" charges the same walks (0.32 measured), the oracle being
+// that very rule run over the same batches, with not a hop's difference. A
+// batch of eight different tuples has nothing to share and costs exactly what
+// it did.
+func TestIndexWalkCarriesItsTupleOnce(t *testing.T) {
+	pubs := 2000
+	if testing.Short() {
+		pubs = 400
+	}
+	net := chord.New(chord.Config{})
+	nodes := net.AddNodes("peer", 2048)
+	schema := relation.MustSchema("R0", "Id", "A", "B", "C") // the benchmark's shape: ~30 bytes a tuple
+	if _, err := relation.NewCatalog(schema); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(25))
+	draw := func(pubT int64) *relation.Tuple {
+		return relation.MustTuple(schema,
+			relation.N(float64(rng.Intn(100000))), relation.S(fmt.Sprintf("k%05d", rng.Intn(5000))),
+			relation.S(fmt.Sprintf("k%05d", rng.Intn(5000))), relation.S(fmt.Sprintf("c%d", rng.Intn(3000)))).WithPubT(pubT)
+	}
+	// indexTuple's batch under SAI: al-index and vl-index per attribute.
+	batchOf := func(tuples ...*relation.Tuple) (batch []chord.Deliverable) {
+		for i := 0; i < schema.Arity(); i++ {
+			tu, other := tuples[(2*i)%len(tuples)], tuples[(2*i+1)%len(tuples)]
+			a := schema.Attr(i)
+			batch = append(batch,
+				chord.Deliverable{Target: id.Hash(alInput(schema.Name(), a, 0)), Msg: alIndexMsg{T: tu, Attr: a}},
+				chord.Deliverable{Target: id.Hash(vlInput(schema.Name(), a, other.ValueAt(i))), Msg: vlIndexMsg{T: other, Attr: a}})
+		}
+		return batch
+	}
+	// charge sends batch from origin twice — as it is, and priced solo — and
+	// returns the bytes each was charged.
+	charge := func(origin *chord.Node, batch []chord.Deliverable) (shared, solo int64) {
+		t.Helper()
+		before := net.Traffic().TotalBytes()
+		_, hops, err := origin.Multisend(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared = net.Traffic().TotalBytes() - before
+		priced := make([]chord.Deliverable, len(batch))
+		for i, d := range batch {
+			priced[i] = chord.Deliverable{Target: d.Target, Msg: soloPriced{d.Msg}}
+		}
+		_, soloHops, err := origin.Multisend(priced)
+		if err != nil || soloHops != hops {
+			t.Fatalf("the same batch made %d hops, then %d (%v)", hops, soloHops, err)
+		}
+		return shared, net.Traffic().TotalBytes() - before - shared
+	}
+	var shared, solo int64
+	for p := 0; p < pubs; p++ {
+		s, o := charge(nodes[rng.Intn(len(nodes))], batchOf(draw(int64(p+1))))
+		shared, solo = shared+s, solo+o
+	}
+	if ratio := float64(shared) / float64(solo); ratio > 0.40 || ratio < 0.25 {
+		t.Errorf("the index walks of %d publications were charged %d bytes, %.3f of the %d every message alone costs; want at most 0.40 and no less than 0.25 (0.32 measured)", pubs, shared, ratio, solo)
+	}
+	for p := 0; p < 50; p++ {
+		var eight []*relation.Tuple
+		for i := 0; i < 8; i++ {
+			eight = append(eight, draw(int64(pubs+8*p+i+1)))
+		}
+		if s, o := charge(nodes[rng.Intn(len(nodes))], batchOf(eight...)); s != o {
+			t.Fatalf("a batch of eight different tuples was charged %d bytes, %d with every message alone", s, o)
+		}
+	}
+}
+
+// A message that leaves its tuple to the entry before it never resolves to
+// another tuple: with no predecessor (first in a frame, alone in a WAL record
+// or a snapshot, behind an entry that did not decode — all a nil prev), or
+// behind one that carries no tuple, it is a decode error, through DecodeMessage
+// and through a long-lived codec alike; behind a predecessor with a different
+// tuple it decodes to that one's only because that is what a sender would have
+// meant, and no honest sender writes it.
+func TestRepeatedTupleNeedsItsPredecessor(t *testing.T) {
+	catalog, msgs := codecFixtures(t)
+	codec := NewWireCodec(catalog)
+	al, join := msgs[1].(alIndexMsg), msgs[3]
+	behind := vlIndexMsg{T: al.T, Attr: "B"}
+	var w wire.Buffer
+	if err := codec.EncodeAfter(&w, behind, al); err != nil {
+		t.Fatal(err)
+	}
+	if w.Len() >= encodedLen(behind) || w.Bytes()[1] != 0 {
+		t.Fatalf("%x: the message behind one with its tuple does not leave it out", w.Bytes())
+	}
+	got, err := codec.DecodeAfter(wire.NewReader(w.Bytes()), al)
+	if err != nil || got.(vlIndexMsg).T != al.T {
+		t.Fatalf("behind its predecessor: %+v, %v; want the predecessor's own tuple", got, err)
+	}
+	if _, err := DecodeMessage(wire.NewReader(w.Bytes()), catalog); err == nil {
+		t.Error("decoded with no predecessor (DecodeMessage: a WAL record, a snapshot)")
+	}
+	for _, prev := range []chord.Message{nil, join, msgs[0], msgs[6]} {
+		if got, err := codec.DecodeAfter(wire.NewReader(w.Bytes()), prev); err == nil {
+			t.Errorf("decoded behind %T to %+v", prev, got)
+		}
+	}
+	// A rewrite's trigger travels with its query's projection for a shape: it
+	// is never left out, and an empty relation name there is an error even
+	// behind a tuple-carrying message.
+	rw := join.(joinMsg).Rewrites[0]
+	forged := orphanMarkers(t, rw.Orig, &rewriteTarget{IndexSide: query.SideLeft, Trigger: rw.Trigger, WantRel: "S", WantAttr: "E", WantValue: relation.N(7)})["whole"]
+	at := bytes.Index(forged, []byte("\x01R\x00")) // the trigger: relation "R", then arity 0
+	if at < 0 {
+		t.Fatal("the hand-written join holds no nameless R tuple")
+	}
+	forged = append(append(append([]byte(nil), forged[:at]...), 0), forged[at+2:]...)
+	if got, err := codec.DecodeAfter(wire.NewReader(forged), al); err == nil {
+		t.Errorf("a shaped tuple with an empty relation name decoded behind %T to %+v", al, got)
+	}
+}

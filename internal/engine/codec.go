@@ -54,11 +54,18 @@ const (
 	tagSnapMeta
 )
 
-// EncodeMessage appends msg's wire form to w, grown to the message's exact
-// size first so the appends never reallocate mid-message.
-func EncodeMessage(w *wire.Buffer, msg chord.Message) error {
-	w.Grow(MessageSize(msg))
+// EncodeMessage appends the wire form of msg on its own — a send, a WAL
+// record, a snapshot section — to w.
+func EncodeMessage(w *wire.Buffer, msg chord.Message) error { return encodeAfter(w, msg, nil) }
+
+// encodeAfter appends msg's wire form as it stands behind prev in a batch
+// (nil: msg leads its frame, or travels alone) to w, grown to the message's
+// exact size first so the appends never reallocate mid-message.
+func encodeAfter(w *wire.Buffer, msg, prev chord.Message) error {
+	size, _ := sizeAfter(msg, prev)
+	w.Grow(size)
 	c := wire.Encoder(w)
+	c.Prev = carried(prev)
 	walkMessage(&c, &msg)
 	if err := c.Flush(w); err != nil {
 		return fmt.Errorf("engine: encode %T: %w", msg, err)
@@ -66,16 +73,41 @@ func EncodeMessage(w *wire.Buffer, msg chord.Message) error {
 	return nil
 }
 
-// MessageSize returns msg's exact encoded length, or 0 for a message type
-// EncodeMessage has no codec for. Exactness is what lets the transport
-// encode messages in place behind a length prefix — see transport.Sizer.
+// MessageSize returns the exact length EncodeMessage gives msg, or 0 for a
+// message type it has no codec for. Exactness is what lets the transport
+// encode messages in place behind a length prefix — see transport.Codec.
 func MessageSize(msg chord.Message) int {
-	var c wire.Coder
+	size, _ := sizeAfter(msg, nil)
+	return size
+}
+
+// sizeAfter returns the exact length encodeAfter gives msg behind prev, and
+// how many bytes more msg takes in full: what prev says for it.
+func sizeAfter(msg, prev chord.Message) (size, shared int) {
+	c := wire.Coder{Prev: carried(prev)}
 	walkMessage(&c, &msg)
 	if c.Err() != nil {
-		return 0
+		return 0, 0
 	}
-	return c.Size()
+	return c.Size(), c.Shared()
+}
+
+// carried returns the tuple the message after msg in a batch need not say
+// again: the one msg's walk hands to c.Tuple(…, nil), where it has one.
+func carried(msg chord.Message) *relation.Tuple {
+	switch m := msg.(type) {
+	case alIndexMsg:
+		return m.T
+	case vlIndexMsg:
+		return m.T
+	case joinVMsg:
+		return m.Trigger
+	case baselineTupleMsg:
+		return m.T
+	case hotVLIndexMsg:
+		return m.T
+	}
+	return nil
 }
 
 // DecodeMessage reads one message encoded by EncodeMessage, resolving
@@ -83,11 +115,13 @@ func MessageSize(msg chord.Message) int {
 // call; a receiver of many messages decodes through a WireCodec, whose memo
 // is.
 func DecodeMessage(r *wire.Reader, catalog *relation.Catalog) (chord.Message, error) {
-	return decodeWith(r, catalog, new(wire.Memo))
+	return decodeAfter(r, catalog, new(wire.Memo), nil)
 }
 
-func decodeWith(r *wire.Reader, catalog *relation.Catalog, memo *wire.Memo) (chord.Message, error) {
+// decodeAfter reads one message that encodeAfter wrote behind prev.
+func decodeAfter(r *wire.Reader, catalog *relation.Catalog, memo *wire.Memo, prev chord.Message) (chord.Message, error) {
 	c := wire.Decoder(r, catalog, memo)
+	c.Prev = carried(prev)
 	var msg chord.Message
 	walkMessage(&c, &msg)
 	if err := c.Sync(r); err != nil {

@@ -54,7 +54,7 @@ func BenchmarkCodec(b *testing.B) {
 		b.Run("size/"+tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if codec.Size(tc.msg) != w.Len() {
+				if codec.SizeAfter(tc.msg, nil) != w.Len() {
 					b.Fatal("size drifted from the encoding")
 				}
 			}

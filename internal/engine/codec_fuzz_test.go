@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"cqjoin/internal/chord"
 	"cqjoin/internal/wire"
 )
 
@@ -17,6 +18,19 @@ import (
 // memo-less decode accepts and decode it to the same message. The seed
 // corpus is one valid encoding of every engine message type, and messages
 // whose first element repeats a predecessor it does not have.
+//
+// Every input is then decoded as an entry of a batch frame, behind each of
+// three predecessors: one carrying the fixtures' R tuple, one their S tuple,
+// one (a join) no tuple at all. Behind the join it must fare exactly as it does
+// alone — a message that leaves its tuple to "the entry before me" has none
+// there, as it has none first in a frame or behind an entry that did not
+// decode (both a nil predecessor: the first half). Behind any of them whatever
+// is accepted re-encodes, in exactly SizeAfter bytes, to a form that decodes
+// behind the same predecessor to the same bytes. The corpus adds each
+// tuple-carrying kind in the form it takes behind a message with its tuple,
+// and a hand-off (what a snapshot holds per node) encoded so: bytes that are
+// well-formed mid-frame and forged anywhere a message stands alone, a WAL
+// delivery record or a snapshot included.
 func FuzzCodecRoundTrip(f *testing.F) {
 	catalog, msgs := codecFixtures(f)
 	for _, msg := range msgs {
@@ -33,11 +47,26 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{byte(tagJoin), 0xff, 0xff, 0xff, 0xff, 0x0f}) // forged huge count
 	longLived := NewWireCodec(catalog)
+	predecessors := []chord.Message{msgs[1], msgs[2], msgs[3]} // alIndexMsg{tu}, vlIndexMsg{su}, joinMsg
+	for _, msg := range msgs {
+		for _, prev := range predecessors[:2] {
+			if _, shared := sizeAfter(msg, prev); shared > 0 {
+				var w wire.Buffer
+				if err := longLived.EncodeAfter(&w, msg, prev); err != nil {
+					f.Fatalf("%T behind %T: seed encode: %v", msg, prev, err)
+				}
+				f.Add(w.Bytes())
+			}
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := DecodeMessage(wire.NewReader(data), catalog)
 		memoMsg, memoErr := longLived.Decode(wire.NewReader(data))
 		if (err == nil) != (memoErr == nil) {
 			t.Fatalf("without a memo: %v; through a long-lived one: %v", err, memoErr)
+		}
+		for _, prev := range predecessors {
+			fuzzBehind(t, longLived, data, prev, err == nil)
 		}
 		if err != nil {
 			return // malformed input rejected cleanly: that is the point
@@ -65,4 +94,37 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			t.Fatalf("encoding not canonical:\nfirst:  %x\nsecond: %x", w1.Bytes(), w2.Bytes())
 		}
 	})
+}
+
+// fuzzBehind decodes data as the entry behind prev in a batch frame. alone says
+// whether data decodes with no predecessor.
+func fuzzBehind(t *testing.T, codec WireCodec, data []byte, prev chord.Message, alone bool) {
+	msg, err := codec.DecodeAfter(wire.NewReader(data), prev)
+	if alone && err != nil {
+		t.Fatalf("decodes alone, and behind %T: %v", prev, err)
+	}
+	if carried(prev) == nil && !alone && err == nil {
+		t.Fatalf("does not decode alone, and behind %T, which carries no tuple, to %+v", prev, msg)
+	}
+	if err != nil {
+		return
+	}
+	var w1 wire.Buffer
+	if err := codec.EncodeAfter(&w1, msg, prev); err != nil {
+		t.Fatalf("accepted behind %T, fails to re-encode there: %v", prev, err)
+	}
+	if size := codec.SizeAfter(msg, prev); size != w1.Len() {
+		t.Fatalf("%T behind %T: SizeAfter says %d, the encoding is %d bytes", msg, prev, size, w1.Len())
+	}
+	if size, shared := sizeAfter(msg, prev); size+shared != MessageSize(msg) {
+		t.Fatalf("%T behind %T: %d bytes and %d shared, %d alone", msg, prev, size, shared, MessageSize(msg))
+	}
+	msg2, err := codec.DecodeAfter(wire.NewReader(w1.Bytes()), prev)
+	if err != nil {
+		t.Fatalf("re-encoded bytes rejected behind %T: %v", prev, err)
+	}
+	var w2 wire.Buffer
+	if err := codec.EncodeAfter(&w2, msg2, prev); err != nil || !bytes.Equal(w1.Bytes(), w2.Bytes()) {
+		t.Fatalf("encoding behind %T not canonical (%v):\nfirst:  %x\nsecond: %x", prev, err, w1.Bytes(), w2.Bytes())
+	}
 }

@@ -405,12 +405,12 @@ func TestSizeMatchesEncoding(t *testing.T) {
 		if err := EncodeMessage(&w, msg); err != nil {
 			t.Fatalf("%T: encode: %v", msg, err)
 		}
-		if s.Size() != w.Len() {
-			t.Fatalf("%T: Size()=%d, encoding=%d", msg, s.Size(), w.Len())
+		if size, shared := s.Size(nil); size != w.Len() || shared != 0 {
+			t.Fatalf("%T: alone, Size()=%d and %d shared, encoding=%d", msg, size, shared, w.Len())
 		}
 		// Size memoizes tuple/query sub-sizes on first use; a second call
 		// must serve the same number from the cache.
-		if again := s.Size(); again != w.Len() {
+		if again, _ := s.Size(nil); again != w.Len() {
 			t.Fatalf("%T: cached Size()=%d, encoding=%d", msg, again, w.Len())
 		}
 	}
@@ -570,7 +570,7 @@ func TestCodecDecodeReusesCatalogAndPlanSchemas(t *testing.T) {
 		if err := EncodeMessage(&w, msg); err != nil {
 			t.Fatal(err)
 		}
-		if s := msg.(chord.Sizer).Size(); s != w.Len() {
+		if s, _ := msg.(chord.Sizer).Size(nil); s != w.Len() {
 			t.Fatalf("%T: Size()=%d, encoding=%d", msg, s, w.Len())
 		}
 		got, err := DecodeMessage(wire.NewReader(w.Bytes()), env.catalog)
@@ -647,7 +647,7 @@ func TestCodecDecodeSharesRewriteTargets(t *testing.T) {
 		if err := EncodeMessage(&w, msg); err != nil {
 			t.Fatal(err)
 		}
-		if s := msg.(chord.Sizer).Size(); s != w.Len() {
+		if s, _ := msg.(chord.Sizer).Size(nil); s != w.Len() {
 			t.Fatalf("%T: Size()=%d, encoding=%d", msg, s, w.Len())
 		}
 		got, err := DecodeMessage(wire.NewReader(w.Bytes()), env.catalog)

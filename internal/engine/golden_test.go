@@ -5,9 +5,12 @@ import (
 	"encoding/hex"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
+	"cqjoin/internal/chord"
+	"cqjoin/internal/relation"
 	"cqjoin/internal/wire"
 )
 
@@ -27,9 +30,22 @@ import (
 // ever read: each line must decode to its fixture, and to a message that
 // encodes as today's line. Their lines pair with the fixtures by position; a
 // fixture appended later has none there.
+//
+// After the fixtures' lines wire.golden holds the forms a message takes behind
+// another in a batch frame, "type@line after type@line hex": the fixture of
+// the first line as it encodes behind the fixture of the second, which carries
+// the same tuple — one such line for every kind that leaves its tuple to its
+// predecessor. Those bytes must be what the encoder writes behind that
+// predecessor, decode behind it to the fixture, and decode behind nothing, or
+// behind a message with no tuple, to an error.
 func TestWireGolden(t *testing.T) {
 	catalog, msgs := codecFixtures(t)
 	lines := goldenLines(t, "testdata/wire.golden")
+	var behind []string
+	if i := slices.IndexFunc(lines, func(l string) bool { return strings.Contains(l, " after ") }); i >= 0 {
+		lines, behind = lines[:i], lines[i:]
+	}
+	checkBehindLines(t, catalog, msgs, behind)
 	parents := [][]string{goldenLines(t, "testdata/wire-pr19.golden"), goldenLines(t, "testdata/wire-pr20.golden")}
 	if len(lines) != len(msgs) {
 		t.Errorf("%d golden lines for %d fixtures", len(lines), len(msgs))
@@ -65,6 +81,63 @@ func TestWireGolden(t *testing.T) {
 			var again wire.Buffer
 			if err := EncodeMessage(&again, back); err != nil || !bytes.Equal(again.Bytes(), w.Bytes()) {
 				t.Errorf("%T: the golden bytes\n%x\ndecode to a message that encodes as (%v)\n%x", msg, golden, err, again.Bytes())
+			}
+		}
+	}
+}
+
+// checkBehindLines holds wire.golden's "after" lines to the fixtures.
+func checkBehindLines(t *testing.T, catalog *relation.Catalog, msgs []chord.Message, behind []string) {
+	t.Helper()
+	codec := NewWireCodec(catalog)
+	covered := map[string]bool{}
+	for _, line := range behind {
+		var what, after string
+		var at, prevAt int
+		var golden []byte
+		if _, err := fmt.Sscanf(strings.NewReplacer("@", " ").Replace(line), "%s %d after %s %d %x", &what, &at, &after, &prevAt, &golden); err != nil ||
+			at < 1 || at > len(msgs) || prevAt < 1 || prevAt > len(msgs) {
+			t.Fatalf("malformed line %q: %v", line, err)
+		}
+		msg, prev := msgs[at-1], msgs[prevAt-1]
+		if what != fmt.Sprintf("%T", msg) || after != fmt.Sprintf("%T", prev) {
+			t.Fatalf("%q: lines %d and %d hold a %T and a %T", line, at, prevAt, msg, prev)
+		}
+		covered[what] = true
+		var w wire.Buffer
+		if err := codec.EncodeAfter(&w, msg, prev); err != nil || !bytes.Equal(w.Bytes(), golden) {
+			t.Errorf("%s@%d after %s@%d: the encoding is now (%v)\n%x", what, at, after, prevAt, err, w.Bytes())
+			continue
+		}
+		if alone := encodedLen(msg); len(golden) >= alone {
+			t.Errorf("%q: %d bytes behind its predecessor, %d alone: nothing was left to it", line, len(golden), alone)
+		}
+		back, err := codec.DecodeAfter(wire.NewReader(golden), prev)
+		if err != nil {
+			t.Errorf("%q: the golden bytes no longer decode behind their predecessor: %v", line, err)
+			continue
+		}
+		assertSemanticEqual(t, msg, back)
+		if carried(back) != carried(prev) {
+			t.Errorf("%q: the decoded message does not share its predecessor's tuple", line)
+		}
+		for _, orphanOf := range []chord.Message{nil, msgs[3]} { // no predecessor; a join, which carries no tuple
+			if got, err := codec.DecodeAfter(wire.NewReader(golden), orphanOf); err == nil {
+				t.Errorf("%q: decoded behind %T to %+v", line, orphanOf, got)
+			}
+		}
+	}
+	for i, msg := range msgs {
+		if what := fmt.Sprintf("%T", msg); carried(msg) != nil && !covered[what] {
+			covered[what] = true
+			t.Errorf("%s carries a tuple for its successor and has no \"after\" line", what)
+			for j, prev := range msgs {
+				if tu := carried(prev); j != i && tu != nil && tu.Equal(carried(msg)) {
+					var w wire.Buffer
+					_ = codec.EncodeAfter(&w, msg, prev)
+					t.Logf("append\n%s@%d after %T@%d %x", what, i+1, prev, j+1, w.Bytes())
+					break
+				}
 			}
 		}
 	}

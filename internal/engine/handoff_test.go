@@ -46,7 +46,7 @@ func TestHandoffAcrossTableThreshold(t *testing.T) {
 				if err := EncodeMessage(&w, msg); err != nil {
 					t.Fatal(err)
 				}
-				if s := msg.(chord.Sizer).Size(); s != w.Len() {
+				if s, _ := msg.(chord.Sizer).Size(nil); s != w.Len() {
 					t.Fatalf("hand-off of %s: Size()=%d, encoding=%d", node, s, w.Len())
 				}
 				decoded, err := DecodeMessage(wire.NewReader(w.Bytes()), moved.catalog)

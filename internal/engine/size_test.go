@@ -49,8 +49,8 @@ func TestAllMessagesImplementSizer(t *testing.T) {
 		if !ok {
 			t.Fatalf("%T does not implement Sizer", m)
 		}
-		if s.Size() <= 0 {
-			t.Fatalf("%T reports size %d", m, s.Size())
+		if size, _ := s.Size(nil); size <= 0 {
+			t.Fatalf("%T reports size %d", m, size)
 		}
 	}
 }
@@ -68,7 +68,7 @@ func TestByteAccounting(t *testing.T) {
 	}
 	// The query message was routed over several hops: its bytes must
 	// exceed a single copy of the message.
-	one := queryMsg{Q: env.subscribe(t, 3, `SELECT R.A, S.D FROM R, S WHERE R.C = S.F`), Attr: "C"}.Size()
+	one := MessageSize(queryMsg{Q: env.subscribe(t, 3, `SELECT R.A, S.D FROM R, S WHERE R.C = S.F`), Attr: "C"})
 	if got := tr.Bytes("query"); got <= int64(one) {
 		t.Fatalf("query bytes = %d, want > one copy (%d)", got, one)
 	}

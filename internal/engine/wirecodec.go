@@ -8,7 +8,7 @@ import (
 )
 
 // WireCodec packages the engine's message codecs (codec.go) behind the
-// two-method surface a remote transport needs, so internal/transport can
+// small surface a remote transport needs, so internal/transport can
 // move engine messages without importing the engine. The catalog is
 // captured once, and so is the decode memo every copy of the codec shares:
 // a query this receiver has decoded before — the standing queries every join
@@ -35,20 +35,32 @@ func (c WireCodec) Observe(reg *obs.Registry) {
 	c.memo.Resets = reg.Counter("codec.memo_resets")
 }
 
-// Encode appends msg's wire encoding to w.
+// Encode appends the wire encoding of msg on its own to w.
 func (c WireCodec) Encode(w *wire.Buffer, msg chord.Message) error {
 	return EncodeMessage(w, msg)
 }
 
 // Decode reads one message encoded by Encode.
 func (c WireCodec) Decode(r *wire.Reader) (chord.Message, error) {
-	return decodeWith(r, c.catalog, c.memo)
+	return decodeAfter(r, c.catalog, c.memo, nil)
 }
 
-// Size reports msg's exact encoded length (0 when unknown), satisfying
-// transport.Sizer: the transport prefixes each batch entry with this
-// size and encodes the message directly into the frame buffer, skipping
-// the per-message scratch copy.
-func (c WireCodec) Size(msg chord.Message) int {
-	return MessageSize(msg)
+// EncodeAfter appends msg's wire encoding as it stands behind prev in a frame
+// (nil: msg leads it) to w: what prev has just said — its tuple — is not said
+// again.
+func (c WireCodec) EncodeAfter(w *wire.Buffer, msg, prev chord.Message) error {
+	return encodeAfter(w, msg, prev)
+}
+
+// DecodeAfter reads one message that EncodeAfter wrote behind prev.
+func (c WireCodec) DecodeAfter(r *wire.Reader, prev chord.Message) (chord.Message, error) {
+	return decodeAfter(r, c.catalog, c.memo, prev)
+}
+
+// SizeAfter reports the exact length EncodeAfter gives msg behind prev, 0 for
+// a message it cannot encode: the transport prefixes each batch entry with it
+// and encodes the message directly into the frame buffer.
+func (c WireCodec) SizeAfter(msg, prev chord.Message) int {
+	size, _ := sizeAfter(msg, prev)
+	return size
 }

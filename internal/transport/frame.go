@@ -47,9 +47,10 @@ import (
 // only adopts strictly newer ones — so the sender's retry loop can replay
 // them safely.
 const (
-	// protoVersion is exchanged at hello; a dialer refuses any other. 3: messages
-	// say things once (DESIGN.md §8.1), which a version-2 peer cannot read.
-	protoVersion = 3
+	// protoVersion is exchanged at hello; a dialer refuses any other. 4: an entry
+	// of a batch frame does not repeat the tuple of the entry before it
+	// (DESIGN.md §8.1), which a version-3 peer cannot read.
+	protoVersion = 4
 
 	// maxFrame bounds one frame so a corrupt length prefix cannot allocate
 	// gigabytes. 16 MiB fits any realistic multisend leg (the simulator's

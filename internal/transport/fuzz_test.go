@@ -14,11 +14,13 @@ import (
 // produce ackFail statuses, never a panic.
 type rejectCodec struct{}
 
-func (rejectCodec) Encode(w *wire.Buffer, msg chord.Message) error {
+func (rejectCodec) SizeAfter(msg, prev chord.Message) int { return 0 }
+
+func (rejectCodec) EncodeAfter(w *wire.Buffer, msg, prev chord.Message) error {
 	return errors.New("rejectCodec")
 }
 
-func (rejectCodec) Decode(r *wire.Reader) (chord.Message, error) {
+func (rejectCodec) DecodeAfter(r *wire.Reader, prev chord.Message) (chord.Message, error) {
 	return nil, errors.New("rejectCodec")
 }
 

@@ -1,10 +1,15 @@
 package transport
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,40 +18,25 @@ import (
 	"cqjoin/internal/wire"
 )
 
-// sizedTestCodec is testCodec plus the Sizer extension, so batches take
-// the in-place encode path (size-prefixed entry written directly into
-// the pooled frame buffer) instead of the scratch-copy fallback.
-type sizedTestCodec struct{ testCodec }
-
-func (sizedTestCodec) Size(msg chord.Message) int {
-	tm, ok := msg.(*testMsg)
-	if !ok {
-		return 0
-	}
-	return uvarintLen(uint64(len(tm.Body))) + len(tm.Body)
-}
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-// TestSizedCodecMatchesEncode pins the Sizer contract the in-place path
-// relies on: Size must equal the encoded length exactly.
+// TestSizedCodecMatchesEncode pins the Codec contract the in-place path
+// relies on: SizeAfter must equal the encoded length exactly, whatever the
+// entry before — none, another body, the same body.
 func TestSizedCodecMatchesEncode(t *testing.T) {
-	var c sizedTestCodec
+	var c testCodec
 	for _, body := range []string{"", "x", "hello world", string(make([]byte, 200))} {
 		msg := &testMsg{Body: body}
-		var w wire.Buffer
-		if err := c.Encode(&w, msg); err != nil {
-			t.Fatalf("encode %q: %v", body, err)
-		}
-		if got, want := c.Size(msg), w.Len(); got != want {
-			t.Fatalf("Size(%q) = %d, encoded length %d", body, got, want)
+		for _, prev := range []chord.Message{nil, &testMsg{Body: "another"}, &testMsg{Body: body}} {
+			var w wire.Buffer
+			if err := c.EncodeAfter(&w, msg, prev); err != nil {
+				t.Fatalf("encode %q: %v", body, err)
+			}
+			if got, want := c.SizeAfter(msg, prev), w.Len(); got != want {
+				t.Fatalf("SizeAfter(%q, %v) = %d, encoded length %d", body, prev, got, want)
+			}
+			back, err := c.DecodeAfter(wire.NewReader(w.Bytes()), prev)
+			if err != nil || back.(*testMsg).Body != body {
+				t.Fatalf("%q behind %v decodes to %v (%v)", body, prev, back, err)
+			}
 		}
 	}
 }
@@ -60,11 +50,10 @@ func TestSizedCodecMatchesEncode(t *testing.T) {
 func TestPooledEncodeConcurrentNoAliasing(t *testing.T) {
 	from, dst := testNodes(t)
 	remote := &testLocal{}
-	_, addrB := startTransport(t, Config{Local: remote, Codec: sizedTestCodec{}})
+	_, addrB := startTransport(t, Config{Local: remote})
 
 	trA, _ := startTransport(t, Config{
 		Local:   &testLocal{},
-		Codec:   sizedTestCodec{},
 		OwnerOf: func(string) string { return addrB },
 	})
 
@@ -188,5 +177,125 @@ func TestPoolChecksIdleAgeAtGet(t *testing.T) {
 	}
 	if n := p.idleCount(); n != 0 {
 		t.Fatalf("idleCount = %d after stale checkout, want 0", n)
+	}
+}
+
+// A run that DeliverBatch cuts at maxBatchBody starts its next frame with an
+// entry in full: the entry before it went out in another frame, and the
+// receiver has no predecessor to resolve a repeat against.
+func TestRunSplitAcrossFramesStartsInFull(t *testing.T) {
+	from, dst := testNodes(t)
+	remote := &testLocal{}
+	_, addrB := startTransport(t, Config{Local: remote})
+	reg := obs.NewRegistry()
+	trA, _ := startTransport(t, Config{
+		Local:   &testLocal{},
+		OwnerOf: func(string) string { return addrB },
+		Obs:     reg,
+	})
+	a, b := strings.Repeat("a", 3<<20), strings.Repeat("b", 2<<20)
+	// Frame one is a, (a), b — past maxBatchBody at b — and frame two b, (b).
+	var msgs []chord.Message
+	for _, body := range []string{a, a, b, b, b} {
+		msgs = append(msgs, &testMsg{Body: body})
+	}
+	for i, ok := range trA.DeliverBatch(from, dst, msgs) {
+		if !ok {
+			t.Errorf("message %d of the split run was not acked", i)
+		}
+	}
+	got := remote.snapshot()
+	if len(got) != len(msgs) {
+		t.Fatalf("%d of %d messages delivered", len(got), len(msgs))
+	}
+	for i, m := range msgs {
+		if got[i] != dst.Key()+":"+m.(*testMsg).Body {
+			t.Errorf("message %d arrived with another body (%d bytes)", i, len(got[i]))
+		}
+	}
+	// hello + two batch frames, and the two repeated bodies of 7 MiB not sent.
+	if v := reg.Counter("transport.frames_out").Value(); v != 3 {
+		t.Errorf("frames_out = %d, want 3 (hello and two batch frames)", v)
+	}
+	if v := reg.Counter("transport.frame_bytes_out").Value(); v < 7<<20 || v > 7<<20+200 {
+		t.Errorf("frame_bytes_out = %d, want the 7 MiB of a + b + b and little else", v)
+	}
+}
+
+// onceFailingCodec fails the first decode of the body "flaky".
+type onceFailingCodec struct {
+	testCodec
+	failed *atomic.Bool
+}
+
+func (c onceFailingCodec) DecodeAfter(r *wire.Reader, prev chord.Message) (chord.Message, error) {
+	msg, err := c.testCodec.DecodeAfter(r, prev)
+	if err == nil && msg.(*testMsg).Body == "flaky" && c.failed.CompareAndSwap(false, true) {
+		return nil, errors.New("onceFailingCodec: flaky")
+	}
+	return msg, err
+}
+
+// An entry that fails to decode is nacked, and so is every entry behind it
+// that leaves its body to "the entry before me": they fail with it rather than
+// resolve against an earlier entry. The sender's retry — a new frame, its first
+// entry in full — delivers them.
+func TestDecodeNackTakesItsDependentsAlong(t *testing.T) {
+	from, dst := testNodes(t)
+	remote := &testLocal{}
+	_, addrB := startTransport(t, Config{
+		Local: remote,
+		Codec: onceFailingCodec{failed: new(atomic.Bool)},
+		Logf:  func(string, ...interface{}) {},
+	})
+	trA, _ := startTransport(t, Config{
+		Local:   &testLocal{},
+		OwnerOf: func(string) string { return addrB },
+	})
+	var msgs []chord.Message
+	for _, body := range []string{"before", "flaky", "flaky", "flaky", "after"} {
+		msgs = append(msgs, &testMsg{Body: body})
+	}
+	acks := trA.DeliverBatch(from, dst, msgs)
+	if want := []bool{true, false, false, false, true}; !reflect.DeepEqual(acks, want) {
+		t.Fatalf("acks = %v, want %v", acks, want)
+	}
+	if got, want := remote.snapshot(), []string{dst.Key() + ":before", dst.Key() + ":after"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("delivered %v, want %v: a repeat resolved against the wrong entry", got, want)
+	}
+	for i, ok := range trA.DeliverBatch(from, dst, msgs[1:4]) {
+		if !ok {
+			t.Errorf("retry: message %d not acked", i)
+		}
+	}
+	if got := remote.snapshot(); len(got) != 5 || got[2] != dst.Key()+":flaky" || got[4] != dst.Key()+":flaky" {
+		t.Fatalf("after the retry the receiver holds %v", got)
+	}
+}
+
+// A hand-built frame whose first entry repeats a predecessor: there is none
+// in this frame, whatever the frame before it on the connection held.
+func TestRepeatFirstInFrameIsNacked(t *testing.T) {
+	remote := &testLocal{}
+	tr, _ := startTransport(t, Config{Local: remote, Logf: func(string, ...interface{}) {}})
+	for round := 0; round < 2; round++ {
+		var w wire.Buffer
+		batchHeaderInto(&w, 9, 3)
+		appendBatchEntry(&w, "peer1", []byte{1})         // repeats nothing
+		appendBatchEntry(&w, "peer1", []byte{0, 1, 'x'}) // x in full
+		appendBatchEntry(&w, "peer1", []byte{1})         // x again
+		reply, err := tr.handleFrame(w.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := wire.NewReader(reply)
+		_, _ = r.Uvarint()
+		statuses, err := decodeAck(r, 9, 3)
+		if err != nil || !bytes.Equal(statuses, []byte{ackFail, ackOK, ackOK}) {
+			t.Fatalf("round %d: statuses %v (%v), want the first entry alone nacked", round, statuses, err)
+		}
+	}
+	if got := remote.snapshot(); len(got) != 4 {
+		t.Fatalf("delivered %v, want x twice per frame", got)
 	}
 }

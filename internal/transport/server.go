@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cqjoin/internal/chord"
 	"cqjoin/internal/wire"
 )
 
@@ -244,8 +245,10 @@ func (t *TCP) handleFrame(payload []byte) ([]byte, error) {
 
 // handleBatchInto decodes and delivers each message of a batch frame in
 // order, appending the ack to st.reply. A message that fails to decode
-// gets ackFail without killing the rest of the batch: the sender's retry
-// will re-offer it, and the engine's dedup makes the repeats harmless.
+// gets ackFail without killing the rest of the batch — nor do the entries
+// behind it that say "the tuple of the one before me", which fail with it
+// rather than take an earlier entry's: the sender's retry will re-offer
+// them, and the engine's dedup makes the repeats harmless.
 // Message bodies are decoded from zero-copy views of the read buffer, and
 // destination keys interned so steady-state traffic allocates no strings.
 func (t *TCP) handleBatchInto(st *serveState, r *wire.Reader) error {
@@ -266,6 +269,7 @@ func (t *TCP) handleBatchInto(st *serveState, r *wire.Reader) error {
 		st.statuses = make([]byte, count)
 	}
 	statuses := st.statuses[:count]
+	var prev chord.Message // the entry before this one; nil where that one did not decode
 	for i := range statuses {
 		keyBytes, err := r.Bytes()
 		if err != nil {
@@ -284,13 +288,15 @@ func (t *TCP) handleBatchInto(st *serveState, r *wire.Reader) error {
 			return err
 		}
 		st.msgRd.Reset(body)
-		msg, err := t.cfg.Codec.Decode(&st.msgRd)
+		msg, err := t.cfg.Codec.DecodeAfter(&st.msgRd, prev)
 		if err != nil {
+			prev = nil
 			t.obs.decodeErrors.Inc()
 			t.cfg.Logf("transport: decode message for %s: %v", dstKey, err)
 			statuses[i] = ackFail
 			continue
 		}
+		prev = msg
 		if t.cfg.Local.DeliverLocal(dstKey, msg) {
 			statuses[i] = ackOK
 		} else {

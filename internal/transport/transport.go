@@ -40,21 +40,19 @@ import (
 	"cqjoin/internal/wire"
 )
 
-// Codec encodes and decodes chord messages. engine.NewWireCodec is the
-// production implementation; the indirection keeps this package free of
-// an engine dependency.
+// Codec sizes, encodes and decodes chord messages as they stand in a batch
+// frame: behind prev, the entry before them in the frame (nil for the first),
+// whose content — a publication's tuple — they need not repeat. A decoder
+// handed a nil prev, because its entry leads the frame or the one before it
+// did not decode, fails a message that leans on one. SizeAfter is the exact
+// length EncodeAfter will append, so DeliverBatch encodes each message
+// straight into the frame behind its length prefix. engine.NewWireCodec is the
+// production implementation; the indirection keeps this package free of an
+// engine dependency.
 type Codec interface {
-	Encode(w *wire.Buffer, msg chord.Message) error
-	Decode(r *wire.Reader) (chord.Message, error)
-}
-
-// Sizer is an optional Codec extension reporting the exact encoded length
-// of a message (0 when unknown). A sizing codec lets DeliverBatch encode
-// each message directly into the batch frame behind a length prefix — no
-// per-message scratch buffer or copy. engine.WireCodec implements it by
-// running the encoder's own field walk in sizing mode.
-type Sizer interface {
-	Size(msg chord.Message) int
+	SizeAfter(msg, prev chord.Message) int
+	EncodeAfter(w *wire.Buffer, msg, prev chord.Message) error
+	DecodeAfter(r *wire.Reader, prev chord.Message) (chord.Message, error)
 }
 
 // LocalDeliverer hands a decoded message to a node hosted on this
@@ -302,9 +300,9 @@ func (t *TCP) Deliver(from, dst *chord.Node, msg chord.Message) bool {
 
 // DeliverBatch implements chord.Transport: one RPC moves the whole run of
 // messages bound for dst's owning process. Entries are encoded exactly
-// once, directly into a pooled buffer (zero per-message copies when the
-// codec implements Sizer); a run whose encoding approaches the frame cap
-// is split across multiple frames.
+// once, each behind the one before it, directly into a pooled buffer; a run
+// whose encoding approaches the frame cap is split across multiple frames,
+// each of which starts over with an entry in full.
 func (t *TCP) DeliverBatch(from, dst *chord.Node, msgs []chord.Message) []bool {
 	acks := make([]bool, len(msgs))
 	if len(msgs) == 0 {
@@ -324,12 +322,14 @@ func (t *TCP) DeliverBatch(from, dst *chord.Node, msgs []chord.Message) []bool {
 			return acks
 		}
 	}
-	sizer, _ := t.cfg.Codec.(Sizer)
 	entries := getBuf()
 	defer putBuf(entries)
 	start := 0
+	var prev chord.Message // the entry before m in its frame
 	for i, m := range msgs {
-		if err := t.appendMsgEntry(entries, dst.Key(), m, sizer); err != nil {
+		err := t.appendMsgEntry(entries, dst.Key(), m, prev)
+		prev = m
+		if err != nil {
 			// An unencodable message can never be delivered; report the
 			// miss without burning the RPC budget. Chunks already sent
 			// keep their acks.
@@ -340,6 +340,7 @@ func (t *TCP) DeliverBatch(from, dst *chord.Node, msgs []chord.Message) []bool {
 			t.rpcInto(addr, entries.Bytes(), acks[start:i+1])
 			start = i + 1
 			entries.Reset()
+			prev = nil
 		}
 	}
 	if start < len(msgs) {
@@ -348,31 +349,20 @@ func (t *TCP) DeliverBatch(from, dst *chord.Node, msgs []chord.Message) []bool {
 	return acks
 }
 
-// appendMsgEntry appends one {dstKey, msg} batch entry. With a sizing
-// codec the message is encoded in place behind an exact length prefix;
-// otherwise it goes through a pooled scratch buffer and one copy. Both
-// paths produce bytes identical to the historical PutString encoding.
-func (t *TCP) appendMsgEntry(entries *wire.Buffer, dstKey string, msg chord.Message, sizer Sizer) error {
+// appendMsgEntry appends one {dstKey, msg} batch entry, msg as it encodes
+// behind prev: in place, behind the exact length prefix the codec's sizing
+// gives it — the bytes PutBytes of a separately encoded message would be.
+func (t *TCP) appendMsgEntry(entries *wire.Buffer, dstKey string, msg, prev chord.Message) error {
 	entries.PutString(dstKey)
-	if sizer != nil {
-		if sz := sizer.Size(msg); sz > 0 {
-			entries.PutUvarint(uint64(sz))
-			before := entries.Len()
-			if err := t.cfg.Codec.Encode(entries, msg); err != nil {
-				return err
-			}
-			if got := entries.Len() - before; got != sz {
-				return fmt.Errorf("transport: codec sized %s at %d bytes but encoded %d", msg.Kind(), sz, got)
-			}
-			return nil
-		}
-	}
-	scratch := getBuf()
-	defer putBuf(scratch)
-	if err := t.cfg.Codec.Encode(scratch, msg); err != nil {
+	sz := t.cfg.Codec.SizeAfter(msg, prev)
+	entries.PutUvarint(uint64(sz))
+	before := entries.Len()
+	if err := t.cfg.Codec.EncodeAfter(entries, msg, prev); err != nil {
 		return err
 	}
-	entries.PutBytes(scratch.Bytes())
+	if got := entries.Len() - before; got != sz {
+		return fmt.Errorf("transport: codec sized %s at %d bytes but encoded %d", msg.Kind(), sz, got)
+	}
 	return nil
 }
 

@@ -20,18 +20,53 @@ type testMsg struct{ Body string }
 
 func (m *testMsg) Kind() string { return "test" }
 
+// testCodec writes a message as 0 and its body or, where the entry before it
+// in the frame has the same body, as a lone 1 — the engine's shared tuple in
+// miniature, so the tests here exercise the frame-scoped predecessor.
 type testCodec struct{}
 
-func (testCodec) Encode(w *wire.Buffer, msg chord.Message) error {
+func repeatsBody(tm *testMsg, prev chord.Message) bool {
+	pm, ok := prev.(*testMsg)
+	return ok && pm.Body == tm.Body
+}
+
+func (testCodec) SizeAfter(msg, prev chord.Message) int {
+	tm, ok := msg.(*testMsg)
+	if !ok {
+		return 0
+	}
+	if repeatsBody(tm, prev) {
+		return 1
+	}
+	return 1 + wire.SizeString(tm.Body)
+}
+
+func (testCodec) EncodeAfter(w *wire.Buffer, msg, prev chord.Message) error {
 	tm, ok := msg.(*testMsg)
 	if !ok {
 		return fmt.Errorf("testCodec: unexpected %T", msg)
 	}
+	if repeatsBody(tm, prev) {
+		w.PutUvarint(1)
+		return nil
+	}
+	w.PutUvarint(0)
 	w.PutString(tm.Body)
 	return nil
 }
 
-func (testCodec) Decode(r *wire.Reader) (chord.Message, error) {
+func (testCodec) DecodeAfter(r *wire.Reader, prev chord.Message) (chord.Message, error) {
+	repeat, err := r.Uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if repeat != 0 {
+		pm, ok := prev.(*testMsg)
+		if !ok {
+			return nil, fmt.Errorf("testCodec: a body repeats a predecessor it does not have")
+		}
+		return &testMsg{Body: pm.Body}, nil
+	}
 	s, err := r.String()
 	if err != nil {
 		return nil, err
@@ -365,16 +400,23 @@ func TestAckValidation(t *testing.T) {
 	}
 }
 
-// A build that speaks protocol 2 cannot decode this build's messages, so the
-// two must part at the handshake, whichever dials. When the old build
-// answers, this dialer refuses its helloOK with an error naming both versions
-// and sends it no batch; when the old build dials, its hello is answered with
-// this build's version, the number its own copy of that check refuses.
-func TestProtocol2PeerRefusedAtHello(t *testing.T) {
-	const oldVersion = 2
-	if protoVersion != 3 {
-		t.Fatalf("protoVersion = %d: this test is about 3 meeting %d", protoVersion, oldVersion)
+// A build that speaks an older protocol cannot decode this build's frames —
+// protocol 2 not its messages, protocol 3 not an entry that leaves its tuple to
+// the entry before it — so the two must part at the handshake, whichever dials.
+// When the old build answers, this dialer refuses its helloOK with an error
+// naming both versions and sends it no batch; when the old build dials, its
+// hello is answered with this build's version, the number its own copy of that
+// check refuses.
+func TestOlderProtocolPeerRefusedAtHello(t *testing.T) {
+	if protoVersion != 4 {
+		t.Fatalf("protoVersion = %d: this test is about 4 meeting 2 and 3", protoVersion)
 	}
+	for _, oldVersion := range []uint64{2, 3} {
+		olderPeerRefused(t, oldVersion)
+	}
+}
+
+func olderPeerRefused(t *testing.T, oldVersion uint64) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -417,15 +459,15 @@ func TestProtocol2PeerRefusedAtHello(t *testing.T) {
 		},
 	})
 	if tr.Deliver(from, dst, &testMsg{Body: "x"}) {
-		t.Fatal("delivered to a peer that speaks protocol 2")
+		t.Fatalf("delivered to a peer that speaks protocol %d", oldVersion)
 	}
 	if err := <-afterHello; err == nil {
-		t.Fatal("the dialer sent a frame after a protocol-2 helloOK")
+		t.Fatalf("the dialer sent a frame after a protocol-%d helloOK", oldVersion)
 	}
 	mu.Lock()
 	lines := strings.Join(logged, "\n")
 	mu.Unlock()
-	if !strings.Contains(lines, "peer speaks protocol 2, want 3") {
+	if !strings.Contains(lines, fmt.Sprintf("peer speaks protocol %d, want 4", oldVersion)) {
 		t.Fatalf("the refusal does not name both versions:\n%s", lines)
 	}
 
@@ -448,9 +490,9 @@ func TestProtocol2PeerRefusedAtHello(t *testing.T) {
 	}
 	r := wire.NewReader(reply)
 	if ftype, _ := r.Uvarint(); ftype != frameHelloOK {
-		t.Fatalf("a protocol-2 hello was answered with frame type %d", ftype)
+		t.Fatalf("a protocol-%d hello was answered with frame type %d", oldVersion, ftype)
 	}
 	if v, err := r.Uvarint(); err != nil || v != protoVersion {
-		t.Fatalf("a protocol-2 hello was answered with version %d (%v), want %d", v, err, protoVersion)
+		t.Fatalf("a protocol-%d hello was answered with version %d (%v), want %d", oldVersion, v, err, protoVersion)
 	}
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"fmt"
 
 	"cqjoin/internal/query"
@@ -40,6 +41,13 @@ type Coder struct {
 	// duration.
 	Catalog *relation.Catalog
 	Memo    *Memo
+
+	// Prev is the tuple the message before this one in its batch carries (nil:
+	// it carries none, or this message leads its frame or travels alone). A
+	// Tuple(…, nil) equal to it is not said again: an empty relation name — no
+	// schema has one — stands for it, and decodes to Prev itself.
+	Prev   *relation.Tuple
+	shared int // sizing: the bytes that were Prev's to say, left out of n
 }
 
 type coderMode uint8
@@ -88,6 +96,10 @@ func (c *Coder) AtEnd() bool { return c.mode == decoding && c.err == nil && c.r.
 
 // Size returns the length a sizing walk has added up.
 func (c *Coder) Size() int { return c.n }
+
+// Shared returns how many bytes longer than Size the structure is with no
+// Prev to lean on.
+func (c *Coder) Shared() int { return c.shared }
 
 // Err returns the walk's first failure.
 func (c *Coder) Err() error { return c.err }
@@ -213,7 +225,8 @@ func (c *Coder) Value(v *relation.Value) {
 }
 
 // Tuple walks a tuple whose receiver expects shape of it (its query's projection;
-// nil: none): its names stay home where shape, else Catalog, holds them (held).
+// nil: none): its names stay home where shape, else Catalog, holds them (held),
+// and with no shape the whole tuple does where it is Prev.
 func (c *Coder) Tuple(t **relation.Tuple, shape *relation.Schema) { c.tuple(t, shape, false) }
 
 // NamedTuple walks a tuple with the names of its attributes, always: for a
@@ -221,14 +234,37 @@ func (c *Coder) Tuple(t **relation.Tuple, shape *relation.Schema) { c.tuple(t, s
 func (c *Coder) NamedTuple(t **relation.Tuple) { c.tuple(t, nil, true) }
 
 func (c *Coder) tuple(t **relation.Tuple, shape *relation.Schema, named bool) {
+	prev := c.Prev
+	if shape != nil || named {
+		prev = nil
+	}
+	// Equal: pointers first, then values — a tuple that reached this node in two
+	// deliveries is one pointer in the simulator and two behind a socket.
+	repeats := c.mode != decoding && prev != nil && (*t).Equal(prev)
 	switch c.mode {
 	case sizing:
-		c.n += SizeTuple(*t, named || !held((*t).Schema(), shape))
+		n := SizeTuple(*t, named || !held((*t).Schema(), shape))
+		if repeats {
+			c.shared += n - 1
+			n = 1
+		}
+		c.n += n
 	case encoding:
-		EncodeTuple(&c.w, *t, named || !held((*t).Schema(), shape))
+		if repeats {
+			c.w.PutString("")
+		} else {
+			EncodeTuple(&c.w, *t, named || !held((*t).Schema(), shape))
+		}
 	case decoding:
-		if c.err == nil {
+		switch {
+		case c.err != nil:
+		case c.r.Remaining() == 0 || c.r.b[c.r.off] != 0:
 			*t, c.err = DecodeTuple(&c.r, c.Catalog, shape)
+		case prev == nil:
+			c.err = errors.New("wire: a tuple repeats a predecessor it does not have")
+		default:
+			c.r.off++
+			*t = prev
 		}
 	}
 }

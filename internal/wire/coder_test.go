@@ -114,3 +114,67 @@ func TestCoderFirstFailureSticks(t *testing.T) {
 		t.Fatalf("after the failure: v=%d names=%v err=%v, %d bytes left (failed with %d left, %v)", v, names, c.Err(), r.Remaining(), at.Remaining(), first)
 	}
 }
+
+// Prev, three modes: a Tuple(…, nil) equal to it — the same pointer, or a copy
+// — is one byte, Shared counts what that spared, and it decodes to Prev itself;
+// another tuple, a shaped one and a named one are written as if Prev were not
+// there; and the byte with no Prev to stand for, or where a shaped or named
+// tuple belongs, fails the walk.
+func TestCoderPrevTuple(t *testing.T) {
+	schema := relation.MustSchema("R", "A", "B")
+	catalog := relation.MustCatalog(schema)
+	prev := relation.MustTuple(schema, relation.N(1), relation.S("x")).WithPubT(7)
+	twin := relation.MustTuple(schema, relation.N(1), relation.S("x")).WithPubT(7)
+	other := relation.MustTuple(schema, relation.N(2), relation.S("x")).WithPubT(7)
+	full := SizeTuple(prev, false)
+	for _, tc := range []struct {
+		name   string
+		walk   func(c *Coder, t **relation.Tuple)
+		tuple  *relation.Tuple
+		shared int
+	}{
+		{"same pointer", func(c *Coder, t **relation.Tuple) { c.Tuple(t, nil) }, prev, full - 1},
+		{"equal copy", func(c *Coder, t **relation.Tuple) { c.Tuple(t, nil) }, twin, full - 1},
+		{"another tuple", func(c *Coder, t **relation.Tuple) { c.Tuple(t, nil) }, other, 0},
+		{"shaped", func(c *Coder, t **relation.Tuple) { c.Tuple(t, schema) }, prev, 0},
+		{"named", func(c *Coder, t **relation.Tuple) { c.NamedTuple(t) }, prev, 0},
+	} {
+		in := tc.tuple
+		sz := Coder{Prev: prev}
+		tc.walk(&sz, &in)
+		var w Buffer
+		enc := Encoder(&w)
+		enc.Prev = prev
+		tc.walk(&enc, &in)
+		var alone Coder
+		tc.walk(&alone, &in)
+		if err := enc.Flush(&w); err != nil || sz.Size() != w.Len() || sz.Shared() != tc.shared || sz.Size()+sz.Shared() != alone.Size() {
+			t.Fatalf("%s: size %d, %d shared, %d alone; encoding %d bytes (%v); want %d shared", tc.name, sz.Size(), sz.Shared(), alone.Size(), w.Len(), err, tc.shared)
+		}
+		if (tc.shared > 0) != (w.Len() == 1 && w.Bytes()[0] == 0) {
+			t.Fatalf("%s: encoded as %x", tc.name, w.Bytes())
+		}
+		var out *relation.Tuple
+		r := NewReader(w.Bytes())
+		dec := Decoder(r, catalog, new(Memo))
+		dec.Prev = prev
+		tc.walk(&dec, &out)
+		if err := dec.Sync(r); err != nil || !out.Equal(tc.tuple) || (tc.shared > 0) != (out == prev) || r.Remaining() != 0 {
+			t.Fatalf("%s: decoded %v (%v), %d bytes left", tc.name, out, err, r.Remaining())
+		}
+		// The lone zero byte in this tuple's place.
+		r = NewReader([]byte{0})
+		dec = Decoder(r, catalog, new(Memo))
+		dec.Prev = prev
+		tc.walk(&dec, &out)
+		if err := dec.Sync(r); (err == nil) != (tc.name != "shaped" && tc.name != "named") {
+			t.Fatalf("%s: an empty relation name behind a predecessor: %v", tc.name, err)
+		}
+		r = NewReader([]byte{0})
+		dec = Decoder(r, catalog, new(Memo))
+		tc.walk(&dec, &out)
+		if err := dec.Sync(r); err == nil {
+			t.Fatalf("%s: an empty relation name decoded with no predecessor", tc.name)
+		}
+	}
+}

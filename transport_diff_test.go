@@ -17,6 +17,7 @@ import (
 	"cqjoin/internal/chord"
 	"cqjoin/internal/engine"
 	"cqjoin/internal/exp"
+	"cqjoin/internal/metrics"
 	"cqjoin/internal/obs"
 	"cqjoin/internal/query"
 	"cqjoin/internal/relation"
@@ -62,7 +63,7 @@ func loopbackTransport(t testing.TB, cnet *chord.Network, catalog *relation.Cata
 // nature, and no figure reads them.
 type runFingerprint struct {
 	Msgs, Hops    map[string]int64
-	Bytes         int64
+	Bytes         map[string]int64 // per kind: a byte booked under another kind is a divergence too
 	Retries, Lost int64
 	TF, TS        []int64
 	Notes         []string
@@ -85,7 +86,7 @@ func transportScenario(t *testing.T, alg engine.Algorithm, sc exp.Scale, overTCP
 
 	tr := r.Net.Traffic()
 	fp := runFingerprint{
-		Bytes:   tr.TotalBytes(),
+		Bytes:   bytesByKind(tr),
 		Retries: tr.TotalRetries(),
 		Lost:    tr.TotalLost(),
 		TF:      r.Eng.FilteringLoads(),
@@ -109,6 +110,18 @@ func transportScenario(t *testing.T, alg engine.Algorithm, sc exp.Scale, overTCP
 		}
 	}
 	return fp
+}
+
+// bytesByKind reads the ledger's wire bytes, kind by kind.
+func bytesByKind(tr *metrics.Traffic) map[string]int64 {
+	out := map[string]int64{}
+	msgs, _ := tr.Snapshot()
+	for kind := range msgs {
+		if b := tr.Bytes(kind); b != 0 {
+			out[kind] = b
+		}
+	}
+	return out
 }
 
 // TestTransportDifferential is the acceptance gate for the transport
@@ -135,8 +148,8 @@ func TestTransportDifferential(t *testing.T) {
 			if !reflect.DeepEqual(sim.Hops, tcp.Hops) {
 				t.Errorf("per-kind hop counts diverge:\n sim=%v\n tcp=%v", sim.Hops, tcp.Hops)
 			}
-			if sim.Bytes != tcp.Bytes {
-				t.Errorf("wire bytes diverge: sim=%d tcp=%d", sim.Bytes, tcp.Bytes)
+			if !reflect.DeepEqual(sim.Bytes, tcp.Bytes) || len(sim.Bytes) == 0 {
+				t.Errorf("per-kind wire bytes diverge:\n sim=%v\n tcp=%v", sim.Bytes, tcp.Bytes)
 			}
 			if sim.Retries != tcp.Retries || sim.Lost != tcp.Lost {
 				t.Errorf("retry/lost counters diverge: sim=(%d,%d) tcp=(%d,%d)",
@@ -161,7 +174,7 @@ func TestTransportDifferentialMultiWay(t *testing.T) {
 		relation.MustSchema("B", "x", "y", "z"),
 		relation.MustSchema("C", "x", "y", "z"),
 	)
-	scenario := func(t *testing.T, alg engine.Algorithm, overTCP bool) []string {
+	scenario := func(t *testing.T, alg engine.Algorithm, overTCP bool) ([]string, map[string]int64) {
 		t.Helper()
 		cnet := chord.New(chord.Config{})
 		cnet.AddNodes("peer", 48)
@@ -195,17 +208,20 @@ func TestTransportDifferentialMultiWay(t *testing.T) {
 			notes = append(notes, fmt.Sprintf("%s|%d|%d", n.ContentKey(), n.LeftPubT, n.RightPubT))
 		}
 		sort.Strings(notes)
-		return notes
+		return notes, bytesByKind(cnet.Traffic())
 	}
 	for _, alg := range []engine.Algorithm{engine.SAI, engine.DAIQ} {
 		t.Run(alg.String(), func(t *testing.T) {
-			sim := scenario(t, alg, false)
-			tcp := scenario(t, alg, true)
+			sim, simBytes := scenario(t, alg, false)
+			tcp, tcpBytes := scenario(t, alg, true)
 			if len(sim) == 0 {
 				t.Fatal("multi-way scenario delivered no notifications; it exercises nothing")
 			}
 			if !reflect.DeepEqual(sim, tcp) {
 				t.Errorf("multi-way notification sets diverge: sim=%d tcp=%d", len(sim), len(tcp))
+			}
+			if !reflect.DeepEqual(simBytes, tcpBytes) || len(simBytes) == 0 {
+				t.Errorf("multi-way per-kind wire bytes diverge:\n sim=%v\n tcp=%v", simBytes, tcpBytes)
 			}
 		})
 	}
