@@ -108,7 +108,7 @@ func ExampleCluster_FilteringLoad() {
 	fmt.Printf("nodes that did filtering work: %d of %d\n", dist.NonZero, dist.N)
 	fmt.Printf("notifications delivered: %d\n", len(cluster.Notifications()))
 	// Output:
-	// nodes that did filtering work: 15 of 32
+	// nodes that did filtering work: 7 of 32
 	// notifications delivered: 34
 }
 

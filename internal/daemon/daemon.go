@@ -239,6 +239,12 @@ func (s *Server) openDurable() error {
 		st.Abandon()
 		return fmt.Errorf("daemon: recover %s: %w", s.cfg.StateDir, err)
 	}
+	if info.DerivedMarks > 0 && s.members != nil {
+		// The engine set the marks whose rewriter it holds; one a peer owns
+		// would stay unmarked and silently never forward.
+		st.Abandon()
+		return fmt.Errorf("daemon: state directory %s was written by a build without interest marks and its standing queries need %d; an overlay process cannot set those its peers own: retract the queries with that build, or subscribe again from an empty directory", s.cfg.StateDir, info.DerivedMarks)
+	}
 	if info.View != nil && s.members != nil {
 		s.members.apply(info.View)
 	}

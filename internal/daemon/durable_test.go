@@ -3,6 +3,8 @@ package daemon
 import (
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -296,5 +298,62 @@ func TestDaemonMultiProcessCrashRestart(t *testing.T) {
 	}
 	if count != len(before)+1 {
 		t.Fatalf("restored subscriber has %d notifications, want %d", count, len(before)+1)
+	}
+}
+
+// A state directory written before interest marks existed (the durable
+// package's state-pr25 corpus: three standing SAI queries, no mark) recovers
+// in a single-process daemon, whose engine holds every rewriter and re-derives
+// the marks. An overlay process cannot set the marks its peers' rewriters need
+// — and would stop matching without a word — so it refuses the directory by
+// name instead of starting.
+func TestDaemonParentWrittenStateDir(t *testing.T) {
+	parentDir := func() string {
+		dir := t.TempDir()
+		for _, name := range []string{"snapshot.bin", "wal.log"} {
+			data, err := os.ReadFile(filepath.Join("..", "durable", "testdata", "state-pr25", name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dir
+	}
+	cfg := Config{Nodes: 32, Algorithm: "sai", SchemaDSL: "R(A,B,C);S(D,E,F)", Seed: 19, SnapshotEvery: -1}
+
+	cfg.StateDir = parentDir()
+	srv, conn := startServer(t, cfg)
+	if info := srv.Recovery(); info.DerivedMarks != 3 {
+		t.Fatalf("recovered %+v, want the three marks of the snapshot's queries re-derived", info)
+	}
+	c := newClient(t, conn)
+	before := srv.Cluster().NotificationCount()
+	for _, pub := range []map[string]interface{}{
+		{"op": "publish", "node": 3, "relation": "R", "values": []interface{}{1000, 2000, 3000}},
+		{"op": "publish", "node": 3, "relation": "S", "values": []interface{}{1000, 4000, 5000}},
+	} {
+		if resp := c.call(pub); resp["ok"] != true {
+			t.Fatalf("publish: %v", resp)
+		}
+	}
+	if got := srv.Cluster().NotificationCount() - before; got != 1 {
+		t.Fatalf("a fresh pair joining under R.A = S.D delivered %d notifications after recovery, want 1", got)
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = ln.Close() }()
+	cfg.StateDir = parentDir()
+	cfg.OverlayAddr = ln.Addr().String()
+	cfg.Peers = []string{cfg.OverlayAddr}
+	if refused, err := New(cfg); err == nil {
+		_ = refused.Close()
+		t.Fatal("an overlay process started from a state directory whose queries hold no interest marks")
+	} else if !strings.Contains(err.Error(), cfg.StateDir) || !strings.Contains(err.Error(), "interest marks") {
+		t.Fatalf("the refusal does not name the directory and the reason: %v", err)
 	}
 }

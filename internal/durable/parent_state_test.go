@@ -17,11 +17,15 @@ import (
 // snapshots list join conditions; state-pr19 at 79a77e6 (PR 19), the last to
 // write every tuple with its attribute names, every number in eight bytes and
 // every stored rewrite in full; state-pr20 at 4559085 (PR 20), the last whose
-// snapshot meta ends with the hot-key counters and has no count of its own.
+// snapshot meta ends with the hot-key counters and has no count of its own;
+// state-pr25 at eda9bcf (PR 25), the last whose publishers indexed every tuple
+// at the value level themselves, so that no rewriter held an interest mark:
+// recovery re-derives the marks from the restored ALQTs (RecoveryInfo.
+// DerivedMarks), or the standing queries would starve on fresh tuples.
 // snapshot.bin is a graceful checkpoint taken mid-script, wal.log the records
 // appended after it up to a kill -9.
 
-var parentStateDirs = []string{"testdata/state-pr18", "testdata/state-pr19", "testdata/state-pr20"}
+var parentStateDirs = []string{"testdata/state-pr18", "testdata/state-pr19", "testdata/state-pr20", "testdata/state-pr25"}
 
 const (
 	parentStateNodes = 32
@@ -152,6 +156,10 @@ func parentStateRecovers(t *testing.T, from string, consumed bool) {
 	}
 	if info.SnapshotLSN == 0 || info.Replayed < 20 || info.TornBytes != 0 {
 		t.Fatalf("recovered %+v, want a snapshot and at least 20 whole wal records", info)
+	}
+	// The snapshot holds three SAI queries and no marks: one re-derived each.
+	if info.DerivedMarks != 3 {
+		t.Fatalf("recovery re-derived %d interest marks from a snapshot written without any, want 3", info.DerivedMarks)
 	}
 	if got := eng.NotificationCount(); got != parentStateNotifs || len(eng.Notifications()) != recorded {
 		t.Fatalf("recovered a count of %d and %d notifications, want %d and %d: the writer had delivered %d",

@@ -56,6 +56,9 @@ type RecoveryInfo struct {
 	Down        []string         // crashed-pending node keys at snapshot time
 	View        *wire.MemberView // latest recovered membership view
 	TornBytes   int64            // trailing bytes dropped as a torn append
+	// DerivedMarks counts the interest marks re-derived for a snapshot whose
+	// writer kept none: exact only in a single process (engine.RestoreSnapshot).
+	DerivedMarks int
 }
 
 // Store is a per-process durability log for one engine: every mutating
@@ -196,7 +199,8 @@ func (s *Store) Recover(eng *engine.Engine) (RecoveryInfo, error) {
 		info.SnapshotLSN = s.pending.covered
 		info.Down = s.pending.down
 		info.View = s.pending.view
-		if err := eng.RestoreSnapshot(s.pending.meta, s.pending.nodes); err != nil {
+		var err error
+		if info.DerivedMarks, err = eng.RestoreSnapshot(s.pending.meta, s.pending.nodes); err != nil {
 			return info, err
 		}
 	}

@@ -11,15 +11,17 @@ import (
 )
 
 // publicationAllocCeiling bounds the allocations of one SAI publication in
-// allocStream: 61 measured with the evaluator tables sized for their buckets
-// and a group's rewrites in one array (67 with a map in every bucket, 198 before the compiled plan and the
-// once-per-tuple keys), plus 15 %. A Tuple.Project per triggered query or a
+// allocStream: 44 measured with the value level indexed on demand — one
+// vl-index message and one stored copy for an S tuple, none for an R — (61
+// with every tuple sent to and stored at all three of its value-level
+// identifiers, 67 with a map in every bucket, 198 before the compiled plan and
+// the once-per-tuple keys), plus 15 %. A Tuple.Project per triggered query or a
 // content key per evaluator costs more than the margin, a
 // NeededAttrs/SideAttrs walk per call most of it; together they cannot hide.
 // Routing allocates nothing, so ring size and placement do not move the
 // figure; a Go release that moves it is a reason to re-measure, not to add
 // slack.
-const publicationAllocCeiling = 70
+const publicationAllocCeiling = 50
 
 // allocStream is the stream both ceilings are measured on: four subscribers
 // of one join, then R and S tuples alternating, joining pairwise on a fresh
@@ -64,22 +66,25 @@ func TestPublicationAllocCeiling(t *testing.T) {
 }
 
 // retainedBytesCeiling bounds what one publication of the same stream leaves
-// on the heap — a stored tuple in three value-level buckets or four stored
-// rewrites and their shared target, the identifier-cache entries of the
-// fresh key, and every other publication's four notifications, each an
-// identity in delivered and a Notification in the sink: 1658 measured (1679
-// while an identity repeated its subscriber, 2439 with a map in every
-// bucket), plus 15 %. One eager map per bucket costs more than the margin.
+// on the heap — a tuple stored in the one value-level bucket a query reads
+// (S under E; an R tuple is stored nowhere) or four stored rewrites and their
+// shared target, the identifier-cache entries of the fresh key, and every
+// other publication's four notifications, each an identity in delivered and a
+// Notification in the sink: 1136 measured (1658 with a tuple stored under all
+// three of its attributes, 1679 while an identity repeated its subscriber,
+// 2439 with a map in every bucket), plus 15 %. One eager map per bucket, or
+// one tuple copy under an attribute nobody queries, costs more than the
+// margin.
 //
 // retainedBytesCeilingConsumed bounds the same with an OnNotify callback
-// taking the notifications: 1301 measured, plus 15 %. Of the 1679 bytes, 21
-// were the repeated subscriber and 357 the sink's — per publication two
+// taking the notifications: 778 measured (1301 stored blind), plus 15 %. Of
+// the 1679 bytes, 21 were the repeated subscriber and 357 the sink's — per publication two
 // 96-byte Notifications, their two 64-byte Values arrays and the slack of the
 // slice that held them; an identity string and its slot in delivered are what
 // stays of a notification. One kept anywhere else costs more than the margin.
 const (
-	retainedBytesCeiling         = 1906
-	retainedBytesCeilingConsumed = 1496
+	retainedBytesCeiling         = 1306
+	retainedBytesCeilingConsumed = 894
 )
 
 func TestRetainedBytesPerPublicationCeiling(t *testing.T) {

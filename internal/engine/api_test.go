@@ -127,7 +127,7 @@ func snapshotInto(t *testing.T, env *testEnv, consumer func(Notification)) *test
 	}
 	fresh := newTestEnv(t, len(env.nodes), env.eng.Config())
 	fresh.eng.OnNotify(consumer)
-	if err := fresh.eng.RestoreSnapshot(meta, nodes); err != nil {
+	if _, err := fresh.eng.RestoreSnapshot(meta, nodes); err != nil {
 		t.Fatal(err)
 	}
 	return fresh

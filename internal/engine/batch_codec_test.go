@@ -255,7 +255,8 @@ func TestIndexWalkCarriesItsTupleOnce(t *testing.T) {
 			relation.N(float64(rng.Intn(100000))), relation.S(fmt.Sprintf("k%05d", rng.Intn(5000))),
 			relation.S(fmt.Sprintf("k%05d", rng.Intn(5000))), relation.S(fmt.Sprintf("c%d", rng.Intn(3000)))).WithPubT(pubT)
 	}
-	// indexTuple's batch under SAI: al-index and vl-index per attribute.
+	// indexTuple's batch as Section 4.2 has it (Config.BlindIndexing): al-index
+	// and vl-index per attribute, the walk with the most to share.
 	batchOf := func(tuples ...*relation.Tuple) (batch []chord.Deliverable) {
 		for i := 0; i < schema.Arity(); i++ {
 			tu, other := tuples[(2*i)%len(tuples)], tuples[(2*i+1)%len(tuples)]

@@ -52,6 +52,7 @@ const (
 	tagHotRecall
 	tagHotHandoff
 	tagSnapMeta
+	tagInterest
 )
 
 // EncodeMessage appends the wire form of msg on its own — a send, a WAL
@@ -203,6 +204,9 @@ func walkMessage(c *wire.Coder, msg *chord.Message) {
 	case snapMetaMsg:
 		c.Tag(tagSnapMeta)
 		m.walk(c)
+	case interestMsg:
+		c.Tag(tagInterest)
+		m.walk(c)
 	default:
 		c.Fail(errNoCodec) // not %T of m: formatting it would move every sized message to the heap
 	}
@@ -310,6 +314,10 @@ func decodeMessage(c *wire.Coder) chord.Message {
 		m.walk(c)
 		c.Memo = outer
 		return m
+	case tagInterest:
+		var m interestMsg
+		m.walk(c)
+		return m
 	default:
 		c.Fail(fmt.Errorf("engine: unknown message tag %d", tag))
 		return nil
@@ -370,6 +378,11 @@ func (m *purgeMsg) walk(c *wire.Coder) {
 	c.String(&m.Input)
 }
 
+func (m *interestMsg) walk(c *wire.Coder) {
+	c.String(&m.QueryKey)
+	c.String(&m.Input)
+}
+
 func (m *baselineQueryMsg) walk(c *wire.Coder) {
 	c.Query(&m.Q, "")
 	walkSide(c, &m.Side)
@@ -420,6 +433,15 @@ func (m *handoffMsg) walk(c *wire.Coder) {
 	for i := range m.Notifs {
 		m.Notifs[i].walk(c)
 	}
+	// A hand-off is a frame of its own and up to PR 25 ended here: the AL
+	// sections' marks and the retraction memory follow only where there are any.
+	if c.AtEnd() || !c.Decoding() && !m.marked() {
+		return
+	}
+	for i := range m.AL {
+		c.Strings(&m.AL[i].Interest)
+	}
+	c.Strings(&m.Retracted)
 }
 
 func (m *hotJoinMsg) walk(c *wire.Coder) {
@@ -491,6 +513,11 @@ func (m *snapMetaMsg) walk(c *wire.Coder) {
 	}
 	c.Strings(&m.Delivered)
 	c.Int(&m.Count)
+	// Up to PR 25 it ended here; Marks is written only when set.
+	if c.AtEnd() || !c.Decoding() && !m.Marks {
+		return
+	}
+	c.Bool(&m.Marks)
 }
 
 func (s *seqEntry) walk(c *wire.Coder) {

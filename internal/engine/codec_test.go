@@ -101,6 +101,19 @@ func codecFixtures(t testing.TB) (*relation.Catalog, []chord.Message) {
 		},
 		// A consumer's engine: identities in place of the notifications.
 		snapMetaMsg{Clock: 12, Nodes: []string{"peer0"}, Delivered: []string{deliveryKey(notif)}, Count: 3},
+		// Demand-driven indexing: the mark a subscribe leaves, a node's state
+		// with its marks and retraction memory behind the sections PR 25
+		// ended on, and the meta of a snapshot whose sections hold them.
+		interestMsg{QueryKey: q.Key(), Input: "S+E"},
+		handoffMsg{
+			AL: []alSection{
+				{Input: "R+B", Groups: []alGroupSection{{Cond: q.ConditionKey(), Side: query.SideLeft, Queries: []*query.Query{q}}},
+					SentRewrites: []string{}, SentTargets: []targetsEntry{}},
+				{Input: "S+E", SentRewrites: []string{}, SentTargets: []targetsEntry{}, Interest: []string{q.Key(), "peer3#2"}},
+			},
+			Retracted: []string{"peer3#1"},
+		},
+		snapMetaMsg{Clock: 12, Nodes: []string{"peer0"}, Marks: true},
 	}
 	return full, msgs
 }
@@ -198,6 +211,10 @@ func assertSemanticEqual(t *testing.T, want, got chord.Message) {
 		if got.(purgeMsg) != w {
 			t.Fatal("purgeMsg mismatch")
 		}
+	case interestMsg:
+		if got.(interestMsg) != w {
+			t.Fatal("interestMsg mismatch")
+		}
 	case baselineQueryMsg:
 		g := got.(baselineQueryMsg)
 		if g.Q.Key() != w.Q.Key() || g.Side != w.Side || g.Input != w.Input {
@@ -243,10 +260,13 @@ func assertSemanticEqual(t *testing.T, want, got chord.Message) {
 			len(g.VT) != len(w.VT) || len(g.DV) != len(w.DV) || len(g.Notifs) != len(w.Notifs) {
 			t.Fatalf("handoffMsg section counts mismatch: %+v", g)
 		}
+		if !slices.Equal(g.Retracted, w.Retracted) {
+			t.Fatalf("handoffMsg retraction memory mismatch: %v", g.Retracted)
+		}
 		for i := range g.AL {
 			ga, wa := g.AL[i], w.AL[i]
 			if ga.Input != wa.Input || len(ga.Groups) != len(wa.Groups) ||
-				len(ga.Multi) != len(wa.Multi) ||
+				len(ga.Multi) != len(wa.Multi) || !slices.Equal(ga.Interest, wa.Interest) ||
 				!reflect.DeepEqual(ga.SentRewrites, wa.SentRewrites) ||
 				!reflect.DeepEqual(ga.SentTargets, wa.SentTargets) {
 				t.Fatalf("alSection %d mismatch: %+v", i, ga)
@@ -363,7 +383,7 @@ func assertSemanticEqual(t *testing.T, want, got chord.Message) {
 		same := func(a, b interface{}) bool {
 			return reflect.ValueOf(a).Len() == 0 && reflect.ValueOf(b).Len() == 0 || reflect.DeepEqual(a, b)
 		}
-		if g.Clock != w.Clock || g.Multi != w.Multi || g.Count != w.Count ||
+		if g.Clock != w.Clock || g.Multi != w.Multi || g.Count != w.Count || g.Marks != w.Marks ||
 			!same(g.Nodes, w.Nodes) || !same(g.Down, w.Down) || !same(g.Seq, w.Seq) || !same(g.Subs, w.Subs) ||
 			!same(g.HotEpochs, w.HotEpochs) || !same(g.HotCounts, w.HotCounts) || !same(g.Delivered, w.Delivered) ||
 			len(g.Conds) != len(w.Conds) || len(g.Sink) != len(w.Sink) {
@@ -491,20 +511,45 @@ func TestDecodeTruncated(t *testing.T) {
 			t.Fatal(err)
 		}
 		full := w.Bytes()
-		// One prefix is a whole message: a snapshot meta cut where earlier
-		// builds ended it, which says that its Sink is all that was delivered.
-		whole := -1
-		if m, ok := msg.(snapMetaMsg); ok {
+		// Some prefixes are whole messages, cut where an earlier build ended
+		// them: a snapshot meta before Delivered and Count (PR 20), which says
+		// that its Sink is all that was delivered, and before Marks (PR 25); a
+		// hand-off before its marks and retraction memory (PR 25).
+		whole := map[int]func(chord.Message) bool{}
+		switch m := msg.(type) {
+		case snapMetaMsg:
 			var tail wire.Coder
+			if m.Marks {
+				tail.Bool(&m.Marks)
+				whole[len(full)-tail.Size()] = func(got chord.Message) bool {
+					g, ok := got.(snapMetaMsg)
+					return ok && !g.Marks && g.Count == m.Count
+				}
+			}
 			tail.Strings(&m.Delivered)
 			tail.Int(&m.Count)
-			whole = len(full) - tail.Size()
+			whole[len(full)-tail.Size()] = func(got chord.Message) bool {
+				g, ok := got.(snapMetaMsg)
+				return ok && g.Count == len(g.Sink) && g.Delivered == nil && !g.Marks
+			}
+		case handoffMsg:
+			if m.marked() {
+				var tail wire.Coder
+				for i := range m.AL {
+					tail.Strings(&m.AL[i].Interest)
+				}
+				tail.Strings(&m.Retracted)
+				whole[len(full)-tail.Size()] = func(got chord.Message) bool {
+					g, ok := got.(handoffMsg)
+					return ok && !g.marked() && len(g.AL) == len(m.AL)
+				}
+			}
 		}
 		for cut := 0; cut < len(full); cut++ {
 			got, err := DecodeMessage(wire.NewReader(full[:cut]), catalog)
-			if cut == whole {
-				if m, ok := got.(snapMetaMsg); !ok || m.Count != len(m.Sink) || m.Delivered != nil {
-					t.Fatalf("a snapshot meta that ends with the hot-key counters decoded as %+v (%v)", got, err)
+			if asParent := whole[cut]; asParent != nil {
+				if err != nil || !asParent(got) {
+					t.Fatalf("%T cut at %d of %d, where an earlier build ended it, decoded as %+v (%v)", msg, cut, len(full), got, err)
 				}
 			} else if err == nil {
 				t.Fatalf("%T: truncation at %d of %d accepted", msg, cut, len(full))
@@ -534,13 +579,13 @@ func TestEveryTagRoundTrips(t *testing.T) {
 			t.Fatalf("tag %d: a %T decoded as %T (%v)", tag, msg, got, err)
 		}
 	}
-	for tag := tagQuery; tag <= tagSnapMeta; tag++ {
+	for tag := tagQuery; tag <= tagInterest; tag++ {
 		if fixtures[tag] == nil {
 			t.Errorf("tag %d has no fixture in codecFixtures", tag)
 		}
 	}
-	if len(fixtures) != int(tagSnapMeta) {
-		t.Errorf("%d tags in use, the constants declare %d", len(fixtures), tagSnapMeta)
+	if len(fixtures) != int(tagInterest) {
+		t.Errorf("%d tags in use, the constants declare %d", len(fixtures), tagInterest)
 	}
 }
 

@@ -141,6 +141,16 @@ type Config struct {
 	// completed-window arrival count falls below it. Zero disables
 	// demotion (promoted inputs stay sharded).
 	HotKeyDemoteBelow int
+	// BlindIndexing selects the paper's tuple indexing (Section 4.2): the
+	// publisher sends every tuple to all 2h identifiers and no rewriter
+	// forwards one. False — the default — indexes on demand: the publisher
+	// reaches the h attribute-level ones, whose rewriters forward to the value
+	// level while a live query reads tuples there (handleALIndex) — fewer hops
+	// and bytes where half or more of a relation's attributes carry no query,
+	// more hops where all do (EXPERIMENTS.md X4.2). Set by
+	// internal/exp.Setup — the paper's tables measure the paper's protocol —
+	// and tests of the 2h count, nothing else; a ring runs one mode.
+	BlindIndexing bool
 	// Obs receives the engine's metrics (message dispatch, notification
 	// outcomes, retry/loss counts). Nil — the default — disables recording
 	// at zero cost; because recording never influences protocol decisions,
@@ -371,11 +381,8 @@ func (e *Engine) Subscribe(from *chord.Node, q *query.Query) (*query.Query, erro
 	seq := e.seq[from.Key()]
 	e.mu.Unlock()
 
-	qq := q.WithIdentity(from.Key(), from.IP(), seq).WithInsT(e.net.Clock().Tick())
-	if err := e.indexQuery(from, qq); err != nil {
-		return nil, err
-	}
-	return qq, nil
+	// The insertion time is drawn on the way (sendQueryIndex).
+	return e.indexQuery(from, q.WithIdentity(from.Key(), from.IP(), seq))
 }
 
 // Publish inserts a tuple into the network on behalf of node from, stamping

@@ -24,6 +24,8 @@ import (
 //     tuples arrive (Section 4.4.3).
 func (st *nodeState) handleJoin(m joinMsg) {
 	alg := st.engine.cfg.Algorithm
+	// A rewrite that arrives behind its query's purge is refused.
+	m.Rewrites = st.liveRewrites(m.Rewrites)
 	var notifs []Notification
 	work := 1
 	stored := 0

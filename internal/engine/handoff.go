@@ -54,6 +54,7 @@ type alSection struct {
 	Multi        []alMultiSection
 	SentRewrites []string
 	SentTargets  []targetsEntry
+	Interest     []string // query keys, sorted; walked behind the sections (handoffMsg.walk)
 }
 
 // vqEntry is one stored rewritten query with its trigger times.
@@ -105,12 +106,13 @@ type notifSection struct {
 // TransferKeys merge path, so repeated delivery (the transport retries on
 // a missing ack) is harmless.
 type handoffMsg struct {
-	AL     []alSection
-	VQ     []vqSection
-	MQ     []mqSection
-	VT     []vtSection
-	DV     []dvSection
-	Notifs []notifSection
+	AL        []alSection
+	VQ        []vqSection
+	MQ        []mqSection
+	VT        []vtSection
+	DV        []dvSection
+	Notifs    []notifSection
+	Retracted []string // the node's retraction memory, sorted (unsubscribe.go)
 }
 
 func (handoffMsg) Kind() string { return kindHandoff }
@@ -156,7 +158,18 @@ func restoreTargets(entries []targetsEntry) map[string]map[string]struct{} {
 // empty reports whether the message carries no section at all.
 func (m handoffMsg) empty() bool {
 	return len(m.AL) == 0 && len(m.VQ) == 0 && len(m.MQ) == 0 &&
-		len(m.VT) == 0 && len(m.DV) == 0 && len(m.Notifs) == 0
+		len(m.VT) == 0 && len(m.DV) == 0 && len(m.Notifs) == 0 && len(m.Retracted) == 0
+}
+
+// marked reports whether the message says what no build up to PR 25 could:
+// when not, its walk ends where theirs did.
+func (m handoffMsg) marked() bool {
+	for i := range m.AL {
+		if len(m.AL[i].Interest) > 0 {
+			return true
+		}
+	}
+	return len(m.Retracted) > 0
 }
 
 // ExportHandoff removes node n's movable engine state from this process
@@ -194,6 +207,7 @@ func (e *Engine) ExportHandoff(n *chord.Node) (chord.Message, bool) {
 	clear(st.vltt)
 	clear(st.vstore)
 	clear(st.storedNotifs)
+	clear(st.retracted)
 	st.mu.Unlock()
 
 	st.load.AddStorage(metrics.Rewriter, -removedRewriter)
@@ -231,6 +245,9 @@ func (st *nodeState) merge(on *chord.Node, m handoffMsg, replayNotifs bool) {
 			b.sentRewrites[k] = true
 		}
 		b.sentTargets = restoreTargets(sec.SentTargets)
+		for _, key := range sec.Interest {
+			b.mark(key)
+		}
 		addedRewriter += st.mergeAL(b)
 	}
 	for _, sec := range m.VQ {
@@ -261,6 +278,9 @@ func (st *nodeState) merge(on *chord.Node, m handoffMsg, replayNotifs bool) {
 			b.byCond[e.Cond] = entry
 		}
 		addedEvaluator += st.mergeDAIV(b)
+	}
+	for _, key := range m.Retracted {
+		st.retract(key)
 	}
 	for _, sec := range m.Notifs {
 		st.storedNotifs[sec.Subscriber] = append(st.storedNotifs[sec.Subscriber], sec.Batch...)

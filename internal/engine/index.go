@@ -3,6 +3,7 @@ package engine
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"cqjoin/internal/chord"
@@ -59,27 +60,28 @@ func (e *Engine) replicaOf(v relation.Value) int {
 	return int(binary.BigEndian.Uint64(h[:8]) % uint64(k))
 }
 
-// indexQuery routes a freshly keyed query to its rewriter node(s).
-func (e *Engine) indexQuery(from *chord.Node, q *query.Query) error {
+// indexQuery routes a freshly keyed query to its rewriter node(s) and returns
+// it with the insertion time it drew on the way.
+func (e *Engine) indexQuery(from *chord.Node, q *query.Query) (*query.Query, error) {
 	switch e.cfg.Algorithm {
 	case SAI:
 		side, err := e.chooseIndexSide(from, q)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		attr, err := q.SingleAttr(side)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		return e.sendQueryIndex(from, q, []sideAttr{{side, attr}})
 	case DAIQ, DAIT:
 		la, err := q.SingleAttr(query.SideLeft)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		ra, err := q.SingleAttr(query.SideRight)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		return e.sendQueryIndex(from, q, []sideAttr{{query.SideLeft, la}, {query.SideRight, ra}})
 	case DAIV:
@@ -89,10 +91,45 @@ func (e *Engine) indexQuery(from *chord.Node, q *query.Query) error {
 		ra := pick(e, q.SideAttrs(query.SideRight))
 		return e.sendQueryIndex(from, q, []sideAttr{{query.SideLeft, la}, {query.SideRight, ra}})
 	case BaselineRelation, BaselineAttribute, BaselinePair:
-		return e.indexQueryBaseline(from, q)
+		q = q.WithInsT(e.net.Clock().Tick())
+		return q, e.indexQueryBaseline(from, q)
 	default:
-		return fmt.Errorf("engine: unknown algorithm %v", e.cfg.Algorithm)
+		return nil, fmt.Errorf("engine: unknown algorithm %v", e.cfg.Algorithm)
 	}
+}
+
+// interestInputs lists where q, indexed under indexSide, leaves an interest
+// mark: the other side's attribute, at whose value level the rewrites this
+// rewriter sends are stored and the tuples they probe must be. Double
+// indexing indexes both sides and so marks both.
+func (e *Engine) interestInputs(q *query.Query, indexSide query.Side) []string {
+	if e.cfg.Algorithm == DAIV || e.cfg.BlindIndexing {
+		return nil
+	}
+	other := indexSide.Other()
+	attr, err := q.SingleAttr(other)
+	if err != nil {
+		return nil // not type T1: Subscribe has refused it
+	}
+	return e.replicaInputs(nil, q.Rel(other).Name(), attr)
+}
+
+// replicaInputs appends (rel, attr)'s input on every replica to inputs.
+func (e *Engine) replicaInputs(inputs []string, rel, attr string) []string {
+	for r := 0; r < e.cfg.ReplicationFactor; r++ {
+		inputs = append(inputs, alInput(rel, attr, r))
+	}
+	return inputs
+}
+
+// announceInterest leaves query key's interest mark at every input and
+// returns once each is acknowledged.
+func (e *Engine) announceInterest(from *chord.Node, key string, inputs []string) error {
+	batch := make([]chord.Deliverable, len(inputs))
+	for i, input := range inputs {
+		batch[i] = chord.Deliverable{Target: e.hashInput(input), Msg: interestMsg{QueryKey: key, Input: input}}
+	}
+	return e.dispatch(from, batch)
 }
 
 type sideAttr struct {
@@ -111,41 +148,53 @@ func pick(e *Engine, options []string) string {
 // rewriter, replicated across the attribute-level replicas. One identifier
 // per destination; a single destination uses send(), several use
 // multisend() (Section 4.4.1: indexing at both rewriters costs
-// 2·O(log N) hops).
-func (e *Engine) sendQueryIndex(from *chord.Node, q *query.Query, idx []sideAttr) error {
-	var batch []chord.Deliverable
+// 2·O(log N) hops). Its interest marks go first and its insertion time is
+// drawn once they are acked: no tuple with pubT >= insT passes them by.
+func (e *Engine) sendQueryIndex(from *chord.Node, q *query.Query, idx []sideAttr) (*query.Query, error) {
 	var inputs []string
+	for _, sa := range idx {
+		inputs = append(inputs, e.interestInputs(q, sa.side)...)
+	}
+	if err := e.announceInterest(from, q.Key(), inputs); err != nil {
+		return nil, err
+	}
+	q = q.WithInsT(e.net.Clock().Tick())
+	var batch []chord.Deliverable
 	for _, sa := range idx {
 		rel := q.Rel(sa.side).Name()
 		for r := 0; r < e.cfg.ReplicationFactor; r++ {
 			input := alInput(rel, sa.attr, r)
-			inputs = append(inputs, input)
+			if !slices.Contains(inputs, input) { // marked too: one retraction takes both
+				inputs = append(inputs, input)
+			}
 			batch = append(batch, chord.Deliverable{
 				Target: e.hashInput(input),
 				Msg:    queryMsg{Q: q, Side: sa.side, Attr: sa.attr, Replica: r},
 			})
 		}
 	}
-	// The subscriber remembers where its query lives so it can retract it
-	// later (Unsubscribe).
+	// The subscriber remembers where its query and its marks live so it can
+	// retract them later (Unsubscribe).
 	e.mu.Lock()
 	e.subs[q.Key()] = inputs
 	e.mu.Unlock()
-	return e.dispatch(from, batch)
+	return q, e.dispatch(from, batch)
 }
 
 // indexTuple implements the tuple-indexing protocol of Section 4.2: for
-// every attribute A_i with value v_i, the tuple is sent once to the
-// attribute level (AIndex_i) and once to the value level (VIndex_i),
-// 2h messages in one multisend. DAI-V indexes tuples only at the attribute
-// level (Section 4.5).
+// every attribute A_i with value v_i, the tuple is sent to the attribute
+// level (AIndex_i), where the rewriter sends it on to the value level
+// (VIndex_i) while a query reads it there (handleALIndex) — or, with
+// Config.BlindIndexing, to both by the publisher, 2h messages in one multisend.
+// DAI-V indexes tuples only at the attribute level (Section 4.5).
 func (e *Engine) indexTuple(from *chord.Node, t *relation.Tuple) error {
 	switch e.cfg.Algorithm {
 	case BaselineRelation, BaselineAttribute, BaselinePair:
 		return e.indexTupleBaseline(from, t)
 	}
 	schema := t.Schema()
-	batch := make([]chord.Deliverable, 0, 2*schema.Arity())
+	blind := e.cfg.BlindIndexing && e.cfg.Algorithm != DAIV
+	batch := make([]chord.Deliverable, 0, schema.Arity())
 	for i := 0; i < schema.Arity(); i++ {
 		a, v := schema.Attr(i), t.ValueAt(i)
 		rep := e.replicaOf(v)
@@ -153,7 +202,7 @@ func (e *Engine) indexTuple(from *chord.Node, t *relation.Tuple) error {
 			Target: e.hashInput(alInput(schema.Name(), a, rep)),
 			Msg:    alIndexMsg{T: t, Attr: a, Replica: rep},
 		})
-		if e.cfg.Algorithm != DAIV {
+		if blind {
 			batch = append(batch, chord.Deliverable{
 				Target: e.hashInput(vlInput(schema.Name(), a, v)),
 				Msg:    vlIndexMsg{T: t, Attr: a},
@@ -174,10 +223,8 @@ func (e *Engine) dispatch(from *chord.Node, batch []chord.Deliverable) error {
 	var recipients []*chord.Node
 	var err error
 	if len(batch) == 1 {
-		var dst *chord.Node
-		dst, _, err = from.Send(batch[0].Msg, batch[0].Target)
-		if err == nil {
-			recipients = []*chord.Node{dst}
+		if _, _, err = from.Send(batch[0].Msg, batch[0].Target); err == nil {
+			return nil // the common case allocates no recipient list
 		}
 	} else if e.cfg.IterativeMultisend {
 		recipients, _, err = from.MultisendIterative(batch)

@@ -94,6 +94,9 @@ func (st *nodeState) mergeAL(b *alBucket) int {
 	for k := range b.sentRewrites {
 		ex.sentRewrites[k] = true
 	}
+	for key := range b.interest {
+		ex.mark(key)
+	}
 	for qk, targets := range b.sentTargets {
 		ts := ex.sentTargets[qk]
 		if ts == nil {

@@ -14,6 +14,7 @@ const (
 	kindVLIndex  = "vl-index" // vl-index(t, A): tuple at the value level
 	kindJoin     = "join"     // join(q'): rewritten query reindexed at the value level
 	kindNotify   = "notification"
+	kindInterest = "interest"       // interest(Key(q), R+A): a query will read tuples at the value level of R.A
 	kindProbe    = "strategy-probe" // rate/domain probe of candidate rewriters (Section 4.3.6)
 	kindBaseline = "probe"          // baseline cross-site probe (Section 4.1)
 )
@@ -49,6 +50,16 @@ type vlIndexMsg struct {
 }
 
 func (vlIndexMsg) Kind() string { return kindVLIndex }
+
+// interestMsg leaves query QueryKey's interest mark at the rewriter of
+// attribute-level input Input: from its ack on that rewriter forwards tuples
+// to the value level, until the query's retraction (unsubMsg) takes it back.
+type interestMsg struct {
+	QueryKey string
+	Input    string // the rewriter's ALQT bucket key
+}
+
+func (interestMsg) Kind() string { return kindInterest }
 
 // rewritten is one rewritten query q' produced when a tuple triggers query
 // Orig at the attribute level (Section 4.3.2): the per-query part, plus the

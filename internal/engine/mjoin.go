@@ -81,8 +81,7 @@ func (e *Engine) SubscribeMulti(from *chord.Node, mq *query.MultiQuery) (*query.
 	// awareness, so hot-key sharding is suspended from here on (hotState).
 	e.multiOn.Store(true)
 
-	keyed := mq.WithIdentity(from.Key(), from.IP(), seq).WithInsT(e.net.Clock().Tick())
-	oriented, err := e.chooseOrientation(from, keyed)
+	oriented, err := e.chooseOrientation(from, mq.WithIdentity(from.Key(), from.IP(), seq))
 	if err != nil {
 		return nil, err
 	}
@@ -90,9 +89,15 @@ func (e *Engine) SubscribeMulti(from *chord.Node, mq *query.MultiQuery) (*query.
 	if err != nil {
 		return nil, err
 	}
-	rel := oriented.Rels()[0].Name()
+	// Every later stage meets its relation's tuples at the value level of its
+	// join attribute: marked, and acked before insT is drawn (Subscribe).
+	inputs := e.chainInterestInputs(oriented)
+	if err := e.announceInterest(from, oriented.Key(), inputs); err != nil {
+		return nil, err
+	}
+	oriented = oriented.WithInsT(e.net.Clock().Tick())
+	rel := oriented.Rel(0).Name()
 	var batch []chord.Deliverable
-	var inputs []string
 	for r := 0; r < e.cfg.ReplicationFactor; r++ {
 		input := alInput(rel, attr, r)
 		inputs = append(inputs, input)
@@ -101,8 +106,8 @@ func (e *Engine) SubscribeMulti(from *chord.Node, mq *query.MultiQuery) (*query.
 			Msg:    mQueryMsg{MQ: oriented, Attr: attr, Replica: r},
 		})
 	}
-	// The subscriber remembers where its chain is indexed so it can retract
-	// it later (UnsubscribeMulti).
+	// The subscriber remembers where its chain is indexed and marked so it
+	// can retract it later (UnsubscribeMulti).
 	e.mu.Lock()
 	e.subs[oriented.Key()] = inputs
 	e.mu.Unlock()
@@ -110,6 +115,21 @@ func (e *Engine) SubscribeMulti(from *chord.Node, mq *query.MultiQuery) (*query.
 		return nil, err
 	}
 	return oriented, nil
+}
+
+// chainInterestInputs lists where chain mq leaves its interest marks: every
+// stage past the first, (relation, join attribute towards the stage before).
+func (e *Engine) chainInterestInputs(mq *query.MultiQuery) []string {
+	if e.cfg.BlindIndexing {
+		return nil
+	}
+	var inputs []string
+	for i, link := range mq.Links() {
+		if attrs := query.Attrs(link.R); len(attrs) == 1 {
+			inputs = e.replicaInputs(inputs, mq.Rel(i+1).Name(), attrs[0].Name)
+		}
+	}
+	return inputs
 }
 
 // chooseOrientation picks which chain endpoint indexes the query,
@@ -166,11 +186,11 @@ func (st *nodeState) handleMQueryIndex(m mQueryMsg) {
 	input := alInput(m.MQ.Rels()[0].Name(), m.Attr, m.Replica)
 	cond := m.MQ.ConditionKey()
 	st.mu.Lock()
-	b := st.alqt[input]
-	if b == nil {
-		b = newALBucket(input)
-		st.alqt[input] = b
+	if st.isRetracted(m.MQ.Key()) {
+		st.mu.Unlock()
+		return
 	}
+	b := st.alBucketFor(input)
 	g := b.multi[cond]
 	if g == nil {
 		g = &mGroup{cond: cond}
@@ -332,6 +352,9 @@ func (st *nodeState) handleMJoin(m mJoinMsg) {
 
 	st.mu.Lock()
 	for _, rw := range m.Rewrites {
+		if st.isRetracted(rw.Orig.Key()) {
+			continue // behind its chain's purge
+		}
 		input := vlInput(rw.WantRel, rw.WantAttr, rw.WantValue)
 		mb := st.mvlqt[input]
 		if mb == nil {

@@ -28,6 +28,11 @@ type engObs struct {
 	hotPromotions *obs.Counter
 	hotDemotions  *obs.Counter
 	hotForwards   *obs.CounterVec
+	// Indexing on demand (DESIGN.md §5): tuples rewriters forwarded, al-index
+	// deliveries that triggered and forwarded nothing, retraction-memory restarts.
+	vlForwards      *obs.Counter
+	alIndexIdle     *obs.Counter
+	retractedResets *obs.Counter
 }
 
 // newEngObs registers the engine's metric families on reg; a nil registry
@@ -46,5 +51,8 @@ func newEngObs(reg *obs.Registry) engObs {
 		hotPromotions:   reg.Counter("engine.hotkey.promotions"),
 		hotDemotions:    reg.Counter("engine.hotkey.demotions"),
 		hotForwards:     reg.CounterVec("engine.hotkey.forwards"),
+		vlForwards:      reg.Counter("engine.vl_forwards"),
+		alIndexIdle:     reg.Counter("engine.al_index_idle"),
+		retractedResets: reg.Counter("engine.retracted_resets"),
 	}
 }

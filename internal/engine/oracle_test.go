@@ -36,12 +36,12 @@ func (o *oracleRun) expected(t *testing.T) map[string]bool {
 	return or.ExpectedContentKeys()
 }
 
-// replay drives one algorithm through a scripted random interleaving and
-// returns the oracle bookkeeping.
-func replay(t *testing.T, alg Algorithm, seed int64, sqls []string) (*testEnv, *oracleRun) {
+// replay drives one configuration through a scripted random interleaving,
+// seeded by cfg.Seed, and returns the oracle bookkeeping.
+func replay(t *testing.T, cfg Config, sqls []string) (*testEnv, *oracleRun) {
 	t.Helper()
-	env := newTestEnv(t, 40, Config{Algorithm: alg, Seed: seed})
-	rng := rand.New(rand.NewSource(seed))
+	env := newTestEnv(t, 40, cfg)
+	rng := rand.New(rand.NewSource(cfg.Seed))
 	o := &oracleRun{}
 	nextQuery := 0
 	for step := 0; step < 90; step++ {
@@ -108,10 +108,13 @@ func TestOracleT1AllAlgorithms(t *testing.T) {
 		`SELECT S.D FROM R, S WHERE R.B = S.E AND R.C = 2`,
 		`SELECT R.A, S.D FROM R, S WHERE R.B = S.E`, // duplicate condition: grouping path
 	}
-	for _, alg := range algorithms() {
-		for seed := int64(1); seed <= 3; seed++ {
-			env, o := replay(t, alg, seed, sqls)
-			assertSetsEqual(t, alg, o.expected(t), gotContents(env))
+	// Indexing on demand and the paper's blind 2h messages: the same answers.
+	for _, blind := range []bool{false, true} {
+		for _, alg := range algorithms() {
+			for seed := int64(1); seed <= 3; seed++ {
+				env, o := replay(t, Config{Algorithm: alg, Seed: seed, BlindIndexing: blind}, sqls)
+				assertSetsEqual(t, alg, o.expected(t), gotContents(env))
+			}
 		}
 	}
 }
@@ -123,7 +126,7 @@ func TestOracleT2DAIV(t *testing.T) {
 		`SELECT R.C, S.F FROM R, S WHERE R.A = S.D`, // T1 mixed in
 	}
 	for seed := int64(1); seed <= 3; seed++ {
-		env, o := replay(t, DAIV, seed, sqls)
+		env, o := replay(t, Config{Algorithm: DAIV, Seed: seed}, sqls)
 		assertSetsEqual(t, DAIV, o.expected(t), gotContents(env))
 	}
 }
@@ -182,8 +185,13 @@ func TestOracleUnderChurn(t *testing.T) {
 		`SELECT R.A, S.D FROM R, S WHERE R.B = S.E`,
 		`SELECT R.B, S.E FROM R, S WHERE R.A = S.D`,
 	}
-	for _, alg := range []Algorithm{SAI, DAIQ, DAIT, DAIV} {
-		env := newTestEnv(t, 40, Config{Algorithm: alg, Seed: 4})
+	for _, cfg := range []Config{
+		{Algorithm: SAI}, {Algorithm: DAIQ}, {Algorithm: DAIT}, {Algorithm: DAIV},
+		{Algorithm: SAI, BlindIndexing: true}, {Algorithm: DAIQ, BlindIndexing: true}, {Algorithm: DAIT, BlindIndexing: true},
+	} {
+		alg := cfg.Algorithm
+		cfg.Seed = 4
+		env := newTestEnv(t, 40, cfg)
 		rng := rand.New(rand.NewSource(9))
 		o := &oracleRun{}
 		for i, sql := range sqls {

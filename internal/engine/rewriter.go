@@ -20,11 +20,11 @@ func (st *nodeState) handleQueryIndex(m queryMsg) {
 	cond := m.Q.ConditionKey()
 
 	st.mu.Lock()
-	b := st.alqt[input]
-	if b == nil {
-		b = newALBucket(input)
-		st.alqt[input] = b
+	if st.isRetracted(m.Q.Key()) {
+		st.mu.Unlock()
+		return
 	}
+	b := st.alBucketFor(input)
 	g := b.byCond[cond]
 	if g == nil {
 		g = &queryGroup{cond: cond, side: m.Side}
@@ -48,6 +48,17 @@ func (st *nodeState) handleQueryIndex(m queryMsg) {
 	st.load.AddStorage(metrics.Rewriter, 1)
 }
 
+// handleInterest sets a query's interest mark on an ALQT bucket; a mark that
+// comes again, or behind its own retraction, changes nothing.
+func (st *nodeState) handleInterest(m interestMsg) {
+	st.mu.Lock()
+	if !st.isRetracted(m.QueryKey) {
+		st.alBucketFor(m.Input).mark(m.QueryKey)
+	}
+	st.mu.Unlock()
+	st.load.AddFiltering(metrics.Rewriter, 1)
+}
+
 // outbound is a rewritten-query message bound for one value-level
 // identifier.
 type outbound struct {
@@ -60,7 +71,9 @@ type outbound struct {
 // the two-level ALQT, rewrites each triggered group, and reindexes the
 // rewritten queries at the value level — one join message per group, since
 // all queries of a group share the same evaluator for a given tuple
-// (Section 4.3.5). Tuples are never stored at the attribute level.
+// (Section 4.3.5). Tuples are never stored at the attribute level; unless
+// publishers index blind, the rewriter sends the tuple on to its attribute's
+// value level while a live query reads it there: while the bucket is marked.
 func (st *nodeState) handleALIndex(m alIndexMsg) {
 	e := st.engine
 	t := m.T
@@ -70,11 +83,8 @@ func (st *nodeState) handleALIndex(m alIndexMsg) {
 	examined := 0
 
 	st.mu.Lock()
-	b := st.alqt[input]
-	if b == nil {
-		b = newALBucket(input)
-		st.alqt[input] = b
-	}
+	b := st.alBucketFor(input)
+	forward := !e.cfg.BlindIndexing && len(b.interest) > 0
 	if e.probesRewriters() {
 		// Arrival statistics for the Section 4.3.6 strategies; no other
 		// strategy ever reads them.
@@ -122,6 +132,16 @@ func (st *nodeState) handleALIndex(m alIndexMsg) {
 
 	st.load.AddFiltering(metrics.Rewriter, 1+examined)
 	st.sendJoins(outs)
+	if forward {
+		// Its own send: on the join multisend the join would ride its legs too.
+		e.obs.vlForwards.Inc()
+		_ = e.dispatch(st.node, []chord.Deliverable{{
+			Target: e.hashInput(vlInput(t.Relation(), m.Attr, t.MustValue(m.Attr))),
+			Msg:    vlIndexMsg{T: t, Attr: m.Attr},
+		}})
+	} else if len(outs) == 0 {
+		e.obs.alIndexIdle.Inc()
+	}
 }
 
 // rewriteGroup rewrites one triggered group for the T1 algorithms

@@ -39,6 +39,9 @@ func (m unsubMsg) Size(prev chord.Message) (int, int) { return sizeAfter(m, prev
 // Size reports a purge message's wire size.
 func (m purgeMsg) Size(prev chord.Message) (int, int) { return sizeAfter(m, prev) }
 
+// Size reports an interest mark's wire size.
+func (m interestMsg) Size(prev chord.Message) (int, int) { return sizeAfter(m, prev) }
+
 // Size reports a baseline query message's wire size.
 func (m baselineQueryMsg) Size(prev chord.Message) (int, int) { return sizeAfter(m, prev) }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"cqjoin/internal/chord"
 	"cqjoin/internal/query"
@@ -60,7 +61,9 @@ type hotCountEntry struct {
 // by RestoreSnapshot: earlier builds listed every join condition ever indexed
 // there, and the field keeps its place in the walk so their files decode.
 // Delivered and Count follow everything those builds wrote: a frame that ends
-// before them is one of theirs, whose Sink is all it had delivered.
+// before them is one of theirs, whose Sink is all it had delivered. Marks
+// follows in turn, written only when set, as ExportSnapshot does: without it
+// the node sections are a blind build's and hold no interest marks.
 type snapMetaMsg struct {
 	Clock     int64
 	Nodes     []string // alive node keys, ring order
@@ -74,6 +77,7 @@ type snapMetaMsg struct {
 	HotCounts []hotCountEntry
 	Delivered []string // every deliveryKey, in no order, unless Sink implies them all
 	Count     int      // NotificationCount
+	Marks     bool     // the node sections carry their buckets' interest marks
 }
 
 func (snapMetaMsg) Kind() string { return kindSnapMeta }
@@ -96,6 +100,7 @@ func (e *Engine) ExportSnapshot(down []string) (chord.Message, []NodeSnapshot) {
 	meta := snapMetaMsg{
 		Clock: e.net.Clock().Now(),
 		Down:  append([]string(nil), down...),
+		Marks: true,
 	}
 	for _, n := range nodes {
 		meta.Nodes = append(meta.Nodes, n.Key())
@@ -164,6 +169,7 @@ func (st *nodeState) sectionsLocked() handoffMsg {
 			Input:        b.input,
 			SentRewrites: sortedKeys(b.sentRewrites),
 			SentTargets:  flattenTargets(b.sentTargets),
+			Interest:     sortedKeys(b.interest),
 		}
 		for _, cond := range condsOf(b.byCond, b.condOrder) {
 			g := b.byCond[cond]
@@ -215,6 +221,7 @@ func (st *nodeState) sectionsLocked() handoffMsg {
 	for _, sub := range sortedKeys(st.storedNotifs) {
 		m.Notifs = append(m.Notifs, notifSection{Subscriber: sub, Batch: append([]Notification(nil), st.storedNotifs[sub]...)})
 	}
+	m.Retracted = sortedKeys(st.retracted)
 	return m
 }
 
@@ -224,10 +231,15 @@ func (st *nodeState) sectionsLocked() handoffMsg {
 // fail), then the clock catches up, then the global meta and every node's
 // tables merge through the idempotent hand-off merges — without replaying
 // stored offline notifications, which stay queued exactly as they were.
-func (e *Engine) RestoreSnapshot(meta chord.Message, nodes []NodeSnapshot) error {
+//
+// A snapshot written before interest marks existed (its meta says so) holds
+// none: they are re-derived from the restored ALQTs, and how many is returned.
+// That is exact where this engine holds every node; one process of several
+// cannot reach its peers' buckets and must not serve from it (daemon).
+func (e *Engine) RestoreSnapshot(meta chord.Message, nodes []NodeSnapshot) (derivedMarks int, err error) {
 	m, ok := meta.(snapMetaMsg)
 	if !ok {
-		return fmt.Errorf("engine: restore: meta is %T, want snapMetaMsg", meta)
+		return 0, fmt.Errorf("engine: restore: meta is %T, want snapMetaMsg", meta)
 	}
 
 	have := make(map[string]*chord.Node)
@@ -241,7 +253,7 @@ func (e *Engine) RestoreSnapshot(meta chord.Message, nodes []NodeSnapshot) error
 	for _, k := range m.Nodes {
 		if have[k] == nil {
 			if _, err := e.RejoinNode(k); err != nil {
-				return fmt.Errorf("engine: restore: join %s: %w", k, err)
+				return 0, fmt.Errorf("engine: restore: join %s: %w", k, err)
 			}
 		}
 	}
@@ -294,15 +306,55 @@ func (e *Engine) RestoreSnapshot(meta chord.Message, nodes []NodeSnapshot) error
 		st := e.byKey[ns.Key]
 		e.mu.Unlock()
 		if st == nil {
-			return fmt.Errorf("engine: restore: node %s not in overlay", ns.Key)
+			return 0, fmt.Errorf("engine: restore: node %s not in overlay", ns.Key)
 		}
 		hm, ok := ns.Msg.(handoffMsg)
 		if !ok {
-			return fmt.Errorf("engine: restore: node %s section is %T, want handoffMsg", ns.Key, ns.Msg)
+			return 0, fmt.Errorf("engine: restore: node %s section is %T, want handoffMsg", ns.Key, ns.Msg)
 		}
 		st.merge(st.node, hm, false)
 	}
-	return nil
+	if !m.Marks {
+		for _, ns := range nodes {
+			derivedMarks += e.deriveInterest(ns.Msg.(handoffMsg))
+		}
+	}
+	return derivedMarks, nil
+}
+
+// deriveInterest sets the marks of a restored node's queries where Subscribe
+// would have — at the input's owner, on the retraction list — and counts them.
+func (e *Engine) deriveInterest(m handoffMsg) (derived int) {
+	mark := func(key string, inputs []string) {
+		for _, input := range inputs {
+			st := e.state(e.net.OracleSuccessor(e.hashInput(input)))
+			st.mu.Lock()
+			added := st.alBucketFor(input).mark(key)
+			st.mu.Unlock()
+			if !added {
+				continue // the query is indexed on several replicas: one mark
+			}
+			derived++
+			e.mu.Lock()
+			if have, ok := e.subs[key]; ok && !slices.Contains(have, input) { // its subscriber is this engine's
+				e.subs[key] = append(have, input)
+			}
+			e.mu.Unlock()
+		}
+	}
+	for _, sec := range m.AL {
+		for _, g := range sec.Groups {
+			for _, q := range g.Queries {
+				mark(q.Key(), e.interestInputs(q, g.Side))
+			}
+		}
+		for _, g := range sec.Multi {
+			for _, mq := range g.Queries {
+				mark(mq.Key(), e.chainInterestInputs(mq))
+			}
+		}
+	}
+	return derived
 }
 
 // Catalog returns the schema catalog the engine resolves relations and

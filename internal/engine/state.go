@@ -39,6 +39,7 @@ type nodeState struct {
 	storedNotifs map[string][]Notification
 	subIPs       map[string]string // learned subscriber addresses (Section 4.6)
 	jfrt         *jfrtCache
+	retracted    map[string]struct{} // queries retracted here: refused from then on (unsubscribe.go)
 }
 
 func newNodeState(e *Engine, n *chord.Node) *nodeState {
@@ -54,6 +55,7 @@ func newNodeState(e *Engine, n *chord.Node) *nodeState {
 		storedNotifs: make(map[string][]Notification),
 		subIPs:       make(map[string]string),
 		jfrt:         newJFRTCache(),
+		retracted:    make(map[string]struct{}),
 	}
 }
 
@@ -80,6 +82,11 @@ type alBucket struct {
 	// rewriter has fanned rewrites out to — the purge list consulted when
 	// the query is retracted.
 	sentTargets map[string]map[string]struct{}
+	// interest holds the keys of the live queries whose rewrites are stored
+	// at, or probe tuples stored at, the value level of this bucket's
+	// attribute: while any is, the rewriter forwards there (handleALIndex).
+	// A set (a repeated mark counts once), nil until the first mark.
+	interest map[string]struct{}
 }
 
 func newALBucket(input string) *alBucket {
@@ -91,6 +98,28 @@ func newALBucket(input string) *alBucket {
 		sentRewrites: make(map[string]bool),
 		sentTargets:  make(map[string]map[string]struct{}),
 	}
+}
+
+// alBucketFor returns the ALQT bucket of input, creating it when absent. The
+// caller holds st.mu.
+func (st *nodeState) alBucketFor(input string) *alBucket {
+	b := st.alqt[input]
+	if b == nil {
+		b = newALBucket(input)
+		st.alqt[input] = b
+	}
+	return b
+}
+
+// mark sets query key's interest mark on the bucket and reports whether it
+// was not set before.
+func (b *alBucket) mark(key string) bool {
+	if b.interest == nil {
+		b.interest = make(map[string]struct{})
+	}
+	_, had := b.interest[key]
+	b.interest[key] = struct{}{}
+	return !had
 }
 
 // queryGroup is the second ALQT level: all queries with one equivalent join
@@ -204,6 +233,8 @@ func (st *nodeState) HandleMessage(on *chord.Node, msg chord.Message) {
 		st.handleBaselineProbe(m)
 	case unsubMsg:
 		st.handleUnsub(m)
+	case interestMsg:
+		st.handleInterest(m)
 	case purgeMsg:
 		st.handlePurge(m)
 	case mQueryMsg:
@@ -260,6 +291,10 @@ func (st *nodeState) TransferKeys(from, to *chord.Node, lo, hi id.ID) {
 			delete(st.storedNotifs, sub)
 		}
 	}
+	retracted := make([]string, 0, len(st.retracted)) // the arc's new owner refuses what this node would
+	for key := range st.retracted {
+		retracted = append(retracted, key)
+	}
 	st.mu.Unlock()
 
 	// Re-home the buckets and rebalance the storage-load metric. Buckets
@@ -292,6 +327,9 @@ func (st *nodeState) TransferKeys(from, to *chord.Node, lo, hi id.ID) {
 	for _, b := range moved.pair {
 		removedEvaluator += b.storedItems()
 		addedEvaluator += dst.mergePair(b)
+	}
+	for _, key := range retracted {
+		dst.retract(key)
 	}
 	var replay []string
 	for sub, batch := range moved.notifs {

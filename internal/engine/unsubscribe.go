@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"cqjoin/internal/chord"
@@ -15,7 +16,14 @@ import (
 // it indexed its query) retracts it from its rewriter(s); each rewriter
 // drops it from the ALQT and purges the rewritten queries it had fanned
 // out to evaluators, using the per-query target set it recorded while
-// rewriting. Tuples stored at evaluators are shared state and stay.
+// rewriting. Tuples stored at evaluators are shared state and stay. Its
+// interest marks (index.go) go by the same message, from the same list.
+//
+// A retraction can overtake what it retracts — a rewriter sends a join after
+// releasing the lock it recorded the target under, and a mark or the query
+// itself can be held up in the network — so a node that processed a
+// retraction of Key(q) remembers the key and refuses whatever arrives under it
+// afterwards (retract). Keys never recur: no live query is ever refused.
 
 // unsubMsg retracts one query at an attribute-level rewriter.
 type unsubMsg struct {
@@ -46,18 +54,24 @@ func (e *Engine) Unsubscribe(from *chord.Node, q *query.Query) error {
 	default:
 		return fmt.Errorf("engine: %s does not support unsubscribe", e.cfg.Algorithm)
 	}
+	return e.retractQuery(from, q.Key(), q.ConditionKey())
+}
+
+// retractQuery sends the retraction of query key to every input the
+// subscriber indexed or marked it at.
+func (e *Engine) retractQuery(from *chord.Node, key, cond string) error {
 	e.mu.Lock()
-	inputs, ok := e.subs[q.Key()]
-	delete(e.subs, q.Key())
+	inputs, ok := e.subs[key]
+	delete(e.subs, key)
 	e.mu.Unlock()
 	if !ok {
-		return fmt.Errorf("engine: unknown or already retracted query %s", q.Key())
+		return fmt.Errorf("engine: unknown or already retracted query %s", key)
 	}
 	batch := make([]chord.Deliverable, 0, len(inputs))
 	for _, input := range inputs {
 		batch = append(batch, chord.Deliverable{
 			Target: id.Hash(input),
-			Msg:    unsubMsg{QueryKey: q.Key(), Cond: q.ConditionKey(), Input: input},
+			Msg:    unsubMsg{QueryKey: key, Cond: cond, Input: input},
 		})
 	}
 	return e.dispatch(from, batch)
@@ -77,21 +91,7 @@ func (e *Engine) UnsubscribeMulti(from *chord.Node, mq *query.MultiQuery) error 
 	if e.cfg.Algorithm != SAI && e.cfg.Algorithm != DAIQ {
 		return fmt.Errorf("engine: multi-way joins run under SAI or DAI-Q, not %s", e.cfg.Algorithm)
 	}
-	e.mu.Lock()
-	inputs, ok := e.subs[mq.Key()]
-	delete(e.subs, mq.Key())
-	e.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("engine: unknown or already retracted query %s", mq.Key())
-	}
-	batch := make([]chord.Deliverable, 0, len(inputs))
-	for _, input := range inputs {
-		batch = append(batch, chord.Deliverable{
-			Target: id.Hash(input),
-			Msg:    unsubMsg{QueryKey: mq.Key(), Cond: mq.ConditionKey(), Input: input},
-		})
-	}
-	return e.dispatch(from, batch)
+	return e.retractQuery(from, mq.Key(), mq.ConditionKey())
 }
 
 // handleUnsub removes the query from this rewriter's ALQT — two-way groups
@@ -102,7 +102,9 @@ func (st *nodeState) handleUnsub(m unsubMsg) {
 	removed := 0
 
 	st.mu.Lock()
+	st.retract(m.QueryKey)
 	if b := st.alqt[m.Input]; b != nil {
+		delete(b.interest, m.QueryKey)
 		if g := b.byCond[m.Cond]; g != nil {
 			kept := g.queries[:0]
 			for _, q := range g.queries {
@@ -194,6 +196,7 @@ func (st *nodeState) handlePurge(m purgeMsg) {
 	var cascade []string
 
 	st.mu.Lock()
+	st.retract(m.QueryKey)
 	if qb := st.vlqt[m.Input]; qb != nil {
 		removed += qb.rewrites.removeIf(func(sr *storedRewrite) bool {
 			return sr.rw.Orig.Key() == m.QueryKey || strings.HasPrefix(sr.rw.Key, prefix)
@@ -241,4 +244,35 @@ func (st *nodeState) handlePurge(m purgeMsg) {
 	} else {
 		_, _, _ = st.node.Multisend(batch)
 	}
+}
+
+// retractedMax bounds a node's retraction memory as idCache is bounded: full,
+// it restarts (a late message outlives its retraction by a network delay).
+const retractedMax = 1 << 16
+
+// retract remembers that this node processed a retraction of query key. The
+// caller holds st.mu, as isRetracted's does.
+func (st *nodeState) retract(key string) {
+	if len(st.retracted) >= retractedMax {
+		st.engine.obs.retractedResets.Inc()
+		clear(st.retracted)
+	}
+	st.retracted[key] = struct{}{}
+}
+
+func (st *nodeState) isRetracted(key string) bool {
+	_, ok := st.retracted[key]
+	return ok
+}
+
+// liveRewrites returns rws, less those of queries retracted here: the same
+// slice unless one is.
+func (st *nodeState) liveRewrites(rws []*rewritten) []*rewritten {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	dead := func(rw *rewritten) bool { return st.isRetracted(rw.Orig.Key()) }
+	if len(st.retracted) == 0 || !slices.ContainsFunc(rws, dead) {
+		return rws
+	}
+	return slices.DeleteFunc(slices.Clone(rws), dead)
 }

@@ -43,6 +43,7 @@ func Setup(cfg engine.Config, sc Scale, wp workload.Params) *Run {
 	if cfg.Seed == 0 {
 		cfg.Seed = sc.Seed
 	}
+	cfg.BlindIndexing = true // the paper's tables measure the paper's protocol (Section 4.2)
 	gen := workload.New(wp)
 	// One registry serves both layers: the overlay records routing-level
 	// metrics ("chord.*", "sim.*", traffic families) and the engine records

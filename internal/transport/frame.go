@@ -47,10 +47,11 @@ import (
 // only adopts strictly newer ones — so the sender's retry loop can replay
 // them safely.
 const (
-	// protoVersion is exchanged at hello; a dialer refuses any other. 4: an entry
-	// of a batch frame does not repeat the tuple of the entry before it
-	// (DESIGN.md §8.1), which a version-3 peer cannot read.
-	protoVersion = 4
+	// protoVersion is exchanged at hello; a dialer refuses any other. 5: a
+	// publisher leaves the value level to the rewriters, which forward on the
+	// interest marks a subscribe sends (DESIGN.md §4.2) — a message a
+	// version-4 peer has no tag for, and a tuple it would index twice.
+	protoVersion = 5
 
 	// maxFrame bounds one frame so a corrupt length prefix cannot allocate
 	// gigabytes. 16 MiB fits any realistic multisend leg (the simulator's

@@ -402,16 +402,18 @@ func TestAckValidation(t *testing.T) {
 
 // A build that speaks an older protocol cannot decode this build's frames —
 // protocol 2 not its messages, protocol 3 not an entry that leaves its tuple to
-// the entry before it — so the two must part at the handshake, whichever dials.
+// the entry before it, protocol 4 not an interest mark, and it would index at
+// the value level itself what this build's rewriters forward there — so the
+// two must part at the handshake, whichever dials.
 // When the old build answers, this dialer refuses its helloOK with an error
 // naming both versions and sends it no batch; when the old build dials, its
 // hello is answered with this build's version, the number its own copy of that
 // check refuses.
 func TestOlderProtocolPeerRefusedAtHello(t *testing.T) {
-	if protoVersion != 4 {
-		t.Fatalf("protoVersion = %d: this test is about 4 meeting 2 and 3", protoVersion)
+	if protoVersion != 5 {
+		t.Fatalf("protoVersion = %d: this test is about 5 meeting 2, 3 and 4", protoVersion)
 	}
-	for _, oldVersion := range []uint64{2, 3} {
+	for _, oldVersion := range []uint64{2, 3, 4} {
 		olderPeerRefused(t, oldVersion)
 	}
 }
@@ -467,7 +469,7 @@ func olderPeerRefused(t *testing.T, oldVersion uint64) {
 	mu.Lock()
 	lines := strings.Join(logged, "\n")
 	mu.Unlock()
-	if !strings.Contains(lines, fmt.Sprintf("peer speaks protocol %d, want 4", oldVersion)) {
+	if !strings.Contains(lines, fmt.Sprintf("peer speaks protocol %d, want 5", oldVersion)) {
 		t.Fatalf("the refusal does not name both versions:\n%s", lines)
 	}
 
