@@ -13,6 +13,7 @@ import (
 var networkSends = map[string]bool{
 	"cqjoin/internal/chord.Node.Send":               true,
 	"cqjoin/internal/chord.Node.DirectSend":         true,
+	"cqjoin/internal/chord.Node.SendHinted":         true,
 	"cqjoin/internal/chord.Node.Multisend":          true,
 	"cqjoin/internal/chord.Node.MultisendIterative": true,
 }

@@ -14,6 +14,9 @@ type Node struct{}
 
 func (n *Node) Send(msg Message, target uint64) (*Node, int, error) { return nil, 0, nil }
 func (n *Node) DirectSend(msg Message, dst *Node) bool              { return false }
+func (n *Node) SendHinted(msg Message, target uint64, hint *Node, also ...uint64) (*Node, int, error) {
+	return nil, 0, nil
+}
 func (n *Node) Multisend(batch []Deliverable) ([]*Node, int, error) { return nil, 0, nil }
 func (n *Node) MultisendIterative(batch []Deliverable) ([]*Node, int, error) {
 	return nil, 0, nil

@@ -16,6 +16,12 @@ func rangeIntoSend(n *chord.Node, pending map[string]chord.Message) {
 	}
 }
 
+func rangeIntoHintedSend(n *chord.Node, hints map[uint64]*chord.Node, msg chord.Message) {
+	for target, hint := range hints {
+		n.SendHinted(msg, target, hint) // want "SendHinted called while ranging over a map"
+	}
+}
+
 func rangeIntoEncode(w *wire.Buffer, fields map[string]string) {
 	for k, v := range fields {
 		w.PutString(k) // want "PutString called while ranging over a map"

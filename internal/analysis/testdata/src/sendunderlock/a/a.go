@@ -44,6 +44,12 @@ func directSendWhileLocked(st *state, msg chord.Message, dst *chord.Node) {
 	st.mu.Unlock()
 }
 
+func hintedSendWhileLocked(st *state, msg chord.Message, hint *chord.Node) {
+	st.mu.Lock()
+	st.node.SendHinted(msg, 1, hint) // want "SendHinted called while a mutex locked in this function is still held"
+	st.mu.Unlock()
+}
+
 // collectThenSend is the sanctioned discipline: mutate under the lock,
 // release, then talk to the network. No diagnostics.
 func collectThenSend(st *state, pending []chord.Deliverable) {

@@ -42,8 +42,11 @@ func protocolFaults() Config {
 // stepping the injector between batches. churn=false runs the identical
 // workload with no injector at all — the never-churned fingerprint oracle.
 // Queries are subscribed up front at fixed base nodes so query keys (and
-// therefore content fingerprints) are comparable across the two runs.
-func runProtocolChurn(t *testing.T, cfg engine.Config, seed int64, batches int, churn bool) chaosResult {
+// therefore content fingerprints) are comparable across the two runs. With
+// publishers > 0 only that many nodes, the first of the ring, publish: each
+// publishes both relations over and over, so its memory of who took its
+// al-index messages is warm whenever churn moves an owner.
+func runProtocolChurn(t *testing.T, cfg engine.Config, seed int64, batches int, churn bool, publishers int) chaosResult {
 	t.Helper()
 	r := relation.MustSchema("R", "A", "B", "C")
 	s := relation.MustSchema("S", "D", "E", "F")
@@ -81,7 +84,11 @@ func runProtocolChurn(t *testing.T, cfg engine.Config, seed int64, batches int, 
 					relation.N(float64(wl.Intn(5))), relation.N(float64(wl.Intn(3))), relation.N(float64(wl.Intn(3))))
 			}
 			nodes := net.Nodes()
-			stamped, err := eng.Publish(nodes[wl.Intn(len(nodes))], tu)
+			from := wl.Intn(len(nodes))
+			if publishers > 0 {
+				from %= publishers
+			}
+			stamped, err := eng.Publish(nodes[from], tu)
 			if err != nil {
 				t.Fatalf("batch %d: %v", b, err)
 			}
@@ -129,10 +136,12 @@ func traceHas(trace []string, marker string) bool {
 	return false
 }
 
-// TestProtocolChurnConvergence: for every algorithm, and for SAI with join
-// fingers that churn makes stale, a protocol-churned run must (a) converge to
-// a ring satisfying all Zave invariants, (b) lose and duplicate nothing, and
-// (c) reproduce the never-churned run's content fingerprint.
+// TestProtocolChurnConvergence: for every algorithm, for SAI with join fingers
+// that churn makes stale, and for SAI with four publishers whose remembered
+// attribute-level owners a join's lagging predecessor pointer makes stale, a
+// protocol-churned run must (a) converge to a ring satisfying all Zave
+// invariants, (b) lose and duplicate nothing, and (c) reproduce the
+// never-churned run's content fingerprint.
 func TestProtocolChurnConvergence(t *testing.T) {
 	seed := chaosSeed(t, 23)
 	batches := 40
@@ -141,17 +150,25 @@ func TestProtocolChurnConvergence(t *testing.T) {
 		// event kind the vacuity check at the end demands; 20 never joined.
 		batches = 28
 	}
-	for _, cfg := range []engine.Config{
-		{Algorithm: engine.SAI}, {Algorithm: engine.DAIQ}, {Algorithm: engine.DAIT}, {Algorithm: engine.DAIV},
-		{Algorithm: engine.SAI, UseJFRT: true},
+	for _, c := range []struct {
+		cfg        engine.Config
+		publishers int
+	}{
+		{cfg: engine.Config{Algorithm: engine.SAI}}, {cfg: engine.Config{Algorithm: engine.DAIQ}},
+		{cfg: engine.Config{Algorithm: engine.DAIT}}, {cfg: engine.Config{Algorithm: engine.DAIV}},
+		{cfg: engine.Config{Algorithm: engine.SAI, UseJFRT: true}},
+		{cfg: engine.Config{Algorithm: engine.DAIQ}, publishers: 4},
 	} {
-		name := cfg.Algorithm.String()
-		if cfg.UseJFRT {
+		name := c.cfg.Algorithm.String()
+		if c.cfg.UseJFRT {
 			name += "+JFRT"
 		}
+		if c.publishers > 0 {
+			name += "+warm"
+		}
 		t.Run(name, func(t *testing.T) {
-			calm := runProtocolChurn(t, cfg, seed, batches, false)
-			res := runProtocolChurn(t, cfg, seed, batches, true)
+			calm := runProtocolChurn(t, c.cfg, seed, batches, false, c.publishers)
+			res := runProtocolChurn(t, c.cfg, seed, batches, true, c.publishers)
 
 			// (a) Zave invariants and exact pointer convergence.
 			if rep := chord.CheckRing(res.net); !rep.Converged() {
@@ -166,6 +183,14 @@ func TestProtocolChurnConvergence(t *testing.T) {
 			}
 			if err := Complete(res.oracle, res.notifs); err != nil {
 				t.Error(err)
+			}
+			if c.publishers > 0 {
+				// The workload's contents recur, so a tuple indexed where no
+				// query reads it shows only in the pairs matched: DAI-Q
+				// promises every one (PairComplete).
+				if err := PairComplete(res.oracle, res.notifs); err != nil {
+					t.Error(err)
+				}
 			}
 			// (c) Fingerprint equals the never-churned oracle run.
 			if got, want := contentFingerprint(res.notifs), contentFingerprint(calm.notifs); got != want {
@@ -186,8 +211,8 @@ func TestProtocolChurnConvergence(t *testing.T) {
 // TestProtocolChurnSeedsDiffer guards the membership schedule against
 // silently ignoring its seed: distinct seeds must churn differently.
 func TestProtocolChurnSeedsDiffer(t *testing.T) {
-	a := runProtocolChurn(t, engine.Config{Algorithm: engine.SAI}, 5, 25, true)
-	b := runProtocolChurn(t, engine.Config{Algorithm: engine.SAI}, 6, 25, true)
+	a := runProtocolChurn(t, engine.Config{Algorithm: engine.SAI}, 5, 25, true, 0)
+	b := runProtocolChurn(t, engine.Config{Algorithm: engine.SAI}, 6, 25, true, 0)
 	if strings.Join(a.trace, "\n") == strings.Join(b.trace, "\n") {
 		t.Fatalf("seeds 5 and 6 produced identical %d-event churn traces", len(a.trace))
 	}

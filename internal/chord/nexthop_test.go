@@ -1,6 +1,7 @@
 package chord
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -370,5 +371,72 @@ func TestMultisendWalkCost(t *testing.T) {
 				t.Logf("%d nodes, %d targets: %.3f hops a walk", size, k, mean)
 			}
 		}
+	}
+}
+
+// One deliverable is one message in the ledger whatever path it took: a hinted
+// send whose hint no longer answers charges the attempt its hop and then books
+// the routed walk's message, where a failed DirectSend followed by a walk
+// booked two.
+func TestHintedSendCountsOneMessage(t *testing.T) {
+	reg := obs.NewRegistry()
+	net := New(Config{Obs: reg})
+	nodes := net.AddNodes("hint", 64)
+	rec := newRecorder()
+	for _, n := range nodes {
+		n.SetHandler(rec)
+	}
+	src, tr := nodes[0], net.Traffic()
+	target := nodes[40].ID()
+	owner := net.OracleSuccessor(target)
+	msg := testMsg{kind: "hinted"}
+	_, routed, err := src.Send(msg, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := func(name string, hint *Node, wantTaker *Node, wantHops int, also ...id.ID) {
+		t.Helper()
+		msgs, hops := tr.Messages("hinted"), tr.Hops("hinted")
+		taker, got, err := src.SendHinted(msg, target, hint, also...)
+		if wantTaker == nil {
+			if !errors.Is(err, ErrDropped) || tr.Messages("hinted") != msgs {
+				t.Fatalf("%s: err %v and %d messages booked, want ErrDropped and none", name, err, tr.Messages("hinted")-msgs)
+			}
+		} else if err != nil || taker != wantTaker || tr.Messages("hinted") != msgs+1 {
+			t.Fatalf("%s: taken by %v (err %v), %d messages booked; want %v and one", name, taker, err, tr.Messages("hinted")-msgs, wantTaker)
+		}
+		if got != wantHops || tr.Hops("hinted") != hops+int64(wantHops) {
+			t.Fatalf("%s: %d hops returned, %d charged, want %d", name, got, tr.Hops("hinted")-hops, wantHops)
+		}
+	}
+	sent("owner hinted", owner, owner, 1)
+	if got := reg.Counter("chord.handbacks").Value(); got != 0 {
+		t.Fatalf("chord.handbacks = %d after a hint that held, want 0", got)
+	}
+	// Two nodes past the owner: a live non-owner hands back along predecessors.
+	sent("two past the owner", owner.Successor().Successor(), owner, 3)
+	if got := reg.Counter("chord.handbacks").Value(); got != 2 {
+		t.Fatalf("chord.handbacks = %d, want 2", got)
+	}
+	// Further back than a successor list reaches the chain gives up and routes.
+	far := owner
+	for i := 0; i <= net.SuccessorListLen(); i++ {
+		far = far.Successor()
+	}
+	sent("out of reach", far, owner, 1+net.SuccessorListLen()+routed)
+	// A group is taken only by a node that owns everything it names.
+	sent("group, all owned", owner, owner, 1, owner.Predecessor().ID().AddPow2(0))
+	sent("group, one not owned", owner, nil, 1, owner.Predecessor().ID())
+	// The hint does not answer: its hop, then the routed walk and its one message.
+	net.Fail(owner)
+	heir := net.OracleSuccessor(target)
+	_, routed, err = src.Send(msg, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent("dead hint", owner, heir, 1+routed)
+	sent("dead hint, group", owner, nil, 1, target)
+	if got := rec.count(); got != 7 {
+		t.Fatalf("%d deliveries, want 7: one per message booked", got)
 	}
 }

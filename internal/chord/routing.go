@@ -153,6 +153,11 @@ func (n *Node) Send(msg Message, target id.ID) (*Node, int, error) {
 		n.net.obs.routeFailures.Inc()
 		return nil, hops, err
 	}
+	return n.arrive(msg, dst, hops)
+}
+
+// arrive books a deliverable that reached dst over hops hops and hands it over.
+func (n *Node) arrive(msg Message, dst *Node, hops int) (*Node, int, error) {
 	n.net.traffic.Record(msg.Kind(), hops)
 	n.net.obs.sends.Add(msg.Kind(), 1)
 	n.net.obs.sendHops.Observe(int64(hops))
@@ -173,6 +178,46 @@ func (n *Node) DirectSend(msg Message, dst *Node) bool {
 	n.chargeBytes(msg, nil, 0, 1)
 	n.net.obs.directSends.Inc()
 	return n.deliverTo(dst, msg)
+}
+
+// SendHinted sends msg, bound for the owner of target, straight to hint, a node
+// the sender remembers taking delivery for target: one hop, and whether the
+// memory holds is decided where the message lands, as a routed walk's final hop
+// is (land). A live non-owner hands it back along predecessors — it owned
+// target once and still sits at or past it, so the chain ends at the owner —
+// for a successor list's reach: past that a lookup is cheaper. A hint that does
+// not answer, or whose chain runs out, has cost its hops and bytes and no more:
+// the message then takes the routed path (Send), one deliverable booked once.
+// It returns what Send returns, the attempt's hops included; the recipient is
+// what the sender should remember next.
+//
+// A message grouping several identifiers names the others in also, and only a
+// lander that owns them all takes it: there is no one node to hand it back or
+// route it to, so refused or unanswered it is the sender's again (ErrDropped).
+func (n *Node) SendHinted(msg Message, target id.ID, hint *Node, also ...id.ID) (*Node, int, error) {
+	dst, hops, ok := hint, 1, hint.Alive()
+	switch {
+	case !ok:
+	case len(also) == 0:
+		var err error
+		dst, hops, err = n.net.land(hint, target, 1, 1+n.net.succListLen)
+		ok = err == nil
+	default:
+		ok = hint.OwnsKey(target)
+		for i := 0; ok && i < len(also); i++ {
+			ok = hint.OwnsKey(also[i])
+		}
+	}
+	n.chargeBytes(msg, nil, 0, hops)
+	if !ok {
+		n.net.traffic.RecordHopsOnly(msg.Kind(), hops)
+		if len(also) > 0 {
+			return nil, hops, ErrDropped
+		}
+		dst, routed, err := n.Send(msg, target)
+		return dst, hops + routed, err
+	}
+	return n.arrive(msg, dst, hops)
 }
 
 // Deliverable pairs one message with the ring identifier it must reach, for

@@ -209,7 +209,76 @@ func (e *Engine) indexTuple(from *chord.Node, t *relation.Tuple) error {
 			})
 		}
 	}
-	return e.dispatch(from, batch)
+	if e.cfg.BlindIndexing {
+		return e.dispatch(from, batch)
+	}
+	return e.dispatchHinted(from, schema, batch)
+}
+
+// dispatchHinted sends a publication's al-index messages, batch[i] attribute
+// i's, to the nodes that took the publisher's last of the relation: one hinted
+// send each, arity hops where the walk costs O(arity · log N). While it has no
+// owner for one of them — all, the first time — the batch walks. Who took
+// delivery, hinted or walked, is what the publisher remembers next (alHints), so
+// a memory a join or a move made stale repairs itself from the send that found
+// out.
+func (e *Engine) dispatchHinted(from *chord.Node, schema *relation.Schema, batch []chord.Deliverable) error {
+	st := e.state(from)
+	slot := func(i int) int { return i*e.cfg.ReplicationFactor + batch[i].Msg.(alIndexMsg).Replica }
+	var hintBuf, gotBuf [8]*chord.Node
+	st.mu.Lock()
+	hints := append(hintBuf[:0], st.alOwners.owners(schema)...)
+	st.mu.Unlock()
+	known := len(hints) > 0
+	for i := 0; known && i < len(batch); i++ {
+		known = hints[slot(i)] != nil
+	}
+
+	var got []*chord.Node // who took batch[i]
+	var err error
+	outcome := "al.miss"
+	if !known {
+		got, err = e.walk(from, batch)
+	} else {
+		got, outcome = gotBuf[:0], "al.hit"
+		for i, d := range batch {
+			dst, _, sendErr := from.SendHinted(d.Msg, d.Target, hints[slot(i)])
+			if sendErr != nil {
+				dst, err = nil, sendErr
+			}
+			if got = append(got, dst); dst != hints[slot(i)] {
+				outcome = "al.stale"
+			}
+		}
+	}
+	got = e.retryFailed(from, batch, got)
+	e.obs.hints.Add(outcome, 1)
+	if outcome != "al.hit" {
+		st.mu.Lock()
+		owners, evicted := st.alOwners.claim(schema, schema.Arity()*e.cfg.ReplicationFactor)
+		for i, dst := range got {
+			owners[slot(i)] = dst
+		}
+		st.mu.Unlock()
+		if evicted {
+			e.obs.hints.Add("al.reset", 1)
+		}
+	}
+	if e.cfg.MaxRetries > 0 {
+		return nil
+	}
+	return err
+}
+
+// walk sends batch through the configured multisend flavor and returns who took
+// each deliverable, nil where the ack is missing.
+func (e *Engine) walk(from *chord.Node, batch []chord.Deliverable) ([]*chord.Node, error) {
+	if e.cfg.IterativeMultisend {
+		recipients, _, err := from.MultisendIterative(batch)
+		return recipients, err
+	}
+	recipients, _, err := from.Multisend(batch)
+	return recipients, err
 }
 
 // dispatch sends a batch through the configured multisend flavor. With
@@ -226,10 +295,8 @@ func (e *Engine) dispatch(from *chord.Node, batch []chord.Deliverable) error {
 		if _, _, err = from.Send(batch[0].Msg, batch[0].Target); err == nil {
 			return nil // the common case allocates no recipient list
 		}
-	} else if e.cfg.IterativeMultisend {
-		recipients, _, err = from.MultisendIterative(batch)
 	} else {
-		recipients, _, err = from.Multisend(batch)
+		recipients, err = e.walk(from, batch)
 	}
 	if e.cfg.MaxRetries > 0 {
 		e.retryFailed(from, batch, recipients)

@@ -6,10 +6,12 @@ import (
 	"os"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"cqjoin/internal/chord"
 	"cqjoin/internal/id"
+	"cqjoin/internal/metrics"
 	"cqjoin/internal/obs"
 	"cqjoin/internal/query"
 	"cqjoin/internal/relation"
@@ -374,8 +376,10 @@ type indexingOutcome struct {
 // relation pairs of attrs attributes, four subscribers on each of two of
 // them (A and B) with the index side drawn, then pubs seeded publications
 // whose keys come from the benchmark's sliding window (a new id with every
-// publication of a pair, each drawing from the newest 32).
-func indexingStream(t *testing.T, nodeCount, attrs, pubs int, blind bool) indexingOutcome {
+// publication of a pair, each drawing from the newest 32). Publishers are drawn
+// per publication; homed, every relation is published from one node of its
+// own, so all but its first publication repeat a (node, relation).
+func indexingStream(t *testing.T, nodeCount, attrs, pubs int, blind, homed bool) indexingOutcome {
 	t.Helper()
 	const pairs, subsPerCond = 8, 4
 	names := []string{"A", "B"}
@@ -433,7 +437,11 @@ func indexingStream(t *testing.T, nodeCount, attrs, pubs int, blind bool) indexi
 			values = append(values, relation.S(fmt.Sprintf("c%d", rng.Intn(16))))
 		}
 		pubsOfPair[p]++
-		if _, err := eng.Publish(nodes[rng.Intn(len(nodes))], relation.MustTuple(schemas[2*p+rng.Intn(2)], values...)); err != nil {
+		from, rel := rng.Intn(len(nodes)), 2*p+rng.Intn(2)
+		if homed {
+			from = rel * len(nodes) / len(schemas)
+		}
+		if _, err := eng.Publish(nodes[from], relation.MustTuple(schemas[rel], values...)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -464,7 +472,7 @@ func TestDemandDrivenIndexingGain(t *testing.T) {
 	if testing.Short() {
 		pubs = 500
 	}
-	blind, demand := indexingStream(t, 2048, 4, pubs, true), indexingStream(t, 2048, 4, pubs, false)
+	blind, demand := indexingStream(t, 2048, 4, pubs, true, false), indexingStream(t, 2048, 4, pubs, false, false)
 	if len(blind.keys) == 0 || !slices.Equal(demand.keys, blind.keys) {
 		t.Fatalf("%d notifications on demand, %d blind: %v", len(demand.keys), len(blind.keys), diffStrings(blind.keys, demand.keys))
 	}
@@ -492,13 +500,195 @@ func TestDemandDrivenIndexingGain(t *testing.T) {
 	}
 }
 
+// The publisher's memory, pinned where tier-1 sees it: a node's first
+// publication of a relation costs the four-target walk (TestMultisendWalkCost's
+// figure for the ring), its second one hinted hop an attribute with nothing
+// handed back — a publisher that owns one of the identifiers is charged that hop
+// too, as DirectSend charges a node sending to itself. A join that takes an
+// identifier costs the next publication one hand-back, and the one after
+// nothing: the publisher remembered who took delivery.
+func TestRepeatPublicationGoesHinted(t *testing.T) {
+	for size, walk := range map[int]float64{256: 10.37, 2048: 16.25} {
+		var schemas []*relation.Schema
+		for i := 0; i < alHintSlots; i++ {
+			schemas = append(schemas, relation.MustSchema(fmt.Sprintf("P%d", i), "Id", "A", "B", "C"))
+		}
+		reg := obs.NewRegistry()
+		net := chord.New(chord.Config{Obs: reg})
+		nodes := net.AddNodes("peer", size)
+		eng := New(net, relation.MustCatalog(schemas...), Config{Algorithm: SAI, Seed: 1, Obs: reg})
+		tr, handbacks, hints := net.Traffic(), reg.Counter("chord.handbacks"), reg.CounterVec("engine.hints")
+		round := func(n int) float64 {
+			tr.Reset()
+			for i, node := range nodes {
+				for _, schema := range schemas {
+					if _, err := eng.Publish(node, relation.MustTuple(schema, relation.N(float64(n)), relation.N(float64(i)), relation.N(1), relation.N(2))); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if got, want := tr.Messages(kindALIndex), int64(4*size*len(schemas)); got != want || tr.TotalMessages() != want {
+				t.Fatalf("%d nodes, round %d: %d al-index messages of %d in all, want %d and nothing else", size, n, got, tr.TotalMessages(), want)
+			}
+			return float64(tr.TotalHops()) / float64(size*len(schemas))
+		}
+		walked := 0
+		for _, node := range nodes {
+			for _, schema := range schemas {
+				var batch []chord.Deliverable
+				for i := 0; i < schema.Arity(); i++ {
+					batch = append(batch, chord.Deliverable{Target: eng.hashInput(alInput(schema.Name(), schema.Attr(i), 0)), Msg: probeMsg{}})
+				}
+				_, hops, err := node.Multisend(batch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				walked += hops
+			}
+		}
+		if first := round(1); first != float64(walked)/float64(size*len(schemas)) || first < 0.9*walk || first > 1.1*walk {
+			t.Errorf("%d nodes: a first publication costs %.2f hops, want the walk to its four identifiers: %.2f here, %.2f over random ones",
+				size, first, float64(walked)/float64(size*len(schemas)), walk)
+		}
+		t.Logf("%d nodes: %.2f hops a first publication", size, float64(walked)/float64(size*len(schemas)))
+		if second := round(2); second != 4 || handbacks.Value() != 0 {
+			t.Errorf("%d nodes: a second publication costs %.2f hops with %d hand-backs, want 4 and none", size, second, handbacks.Value())
+		}
+		pubs := int64(size * len(schemas))
+		if hints.Value("al.miss") != pubs || hints.Value("al.hit") != pubs || hints.Total() != 2*pubs {
+			t.Errorf("%d nodes: engine.hints = %v, want %d al.miss, as many al.hit and nothing else", size, hints.Snapshot(), pubs)
+		}
+
+		// A joiner placed on P0.A's identifier takes it from its owner.
+		target := eng.hashInput(alInput("P0", "A", 0))
+		joiner, err := net.JoinAt("joiner", target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Attach(joiner)
+		for n, want := range []int64{5, 4} {
+			tr.Reset()
+			if _, err := eng.Publish(nodes[7], relation.MustTuple(schemas[0], relation.N(float64(3+n)), relation.N(7), relation.N(1), relation.N(2))); err != nil {
+				t.Fatal(err)
+			}
+			if tr.TotalHops() != want || handbacks.Value() != 1 || eng.state(joiner).load.Filtering(metrics.Rewriter) != int64(1+n) {
+				t.Errorf("%d nodes, publication %d after the join: %d hops, %d hand-backs in all, %d deliveries at the joiner; want %d, 1, %d",
+					size, 1+n, tr.TotalHops(), handbacks.Value(), eng.state(joiner).load.Filtering(metrics.Rewriter), want, 1+n)
+			}
+		}
+		if hints.Value("al.stale") != 1 || hints.Value("al.reset") != 0 {
+			t.Errorf("%d nodes: engine.hints = %v, want one al.stale and no al.reset", size, hints.Snapshot())
+		}
+	}
+}
+
+// The publisher's memory is bounded: a relation past its slots claims the
+// oldest, counted, and the relation that lost it walks again.
+func TestPublisherMemoryIsBounded(t *testing.T) {
+	var schemas []*relation.Schema
+	for i := 0; i <= alHintSlots; i++ {
+		schemas = append(schemas, relation.MustSchema(fmt.Sprintf("P%d", i), "Id", "A"))
+	}
+	reg := obs.NewRegistry()
+	net := chord.New(chord.Config{})
+	nodes := net.AddNodes("peer", 64)
+	eng := New(net, relation.MustCatalog(schemas...), Config{Algorithm: DAIV, ReplicationFactor: 3, Seed: 1, Obs: reg})
+	hints := reg.CounterVec("engine.hints")
+	publish := func(schema *relation.Schema, a float64) int64 {
+		before := net.Traffic().TotalHops()
+		if _, err := eng.Publish(nodes[3], relation.MustTuple(schema, relation.N(1), relation.N(a))); err != nil {
+			t.Fatal(err)
+		}
+		return net.Traffic().TotalHops() - before
+	}
+	for _, schema := range schemas[:alHintSlots] {
+		publish(schema, 1)
+		if hops := publish(schema, 1); hops != 2 {
+			t.Fatalf("%s: its second publication cost %d hops, want 2", schema.Name(), hops)
+		}
+	}
+	if hints.Value("al.reset") != 0 {
+		t.Fatalf("engine.hints = %v: a reset with no more relations than slots", hints.Snapshot())
+	}
+	// Another value may fall to another replica, whose owner is not yet known:
+	// the batch walks once for each of the other two.
+	for a := 2.0; a < 12; a++ {
+		publish(schemas[1], a)
+	}
+	if got := hints.Value("al.miss"); got != alHintSlots+2 || publish(schemas[1], 11) != 2 {
+		t.Fatalf("engine.hints = %v: want the replicas of one attribute remembered apart, each learned by one walk", hints.Snapshot())
+	}
+	publish(schemas[alHintSlots], 1)
+	if hints.Value("al.reset") != 1 {
+		t.Fatalf("engine.hints = %v, want one al.reset", hints.Snapshot())
+	}
+	misses := hints.Value("al.miss")
+	if hops := publish(schemas[0], 1); hops <= 2 || hints.Value("al.miss") != misses+1 {
+		t.Fatalf("the evicted relation's next publication cost %d hops and engine.hints = %v, want a walk and a miss", hops, hints.Snapshot())
+	}
+}
+
+// Two clients may publish from one node at once (the daemon serves each
+// connection on its own goroutine): the publisher's memory is read and learned
+// under the node's lock, never across a send. Run with -race; more relations
+// than slots keep claims and evictions in the mix.
+func TestConcurrentPublishersShareOneMemory(t *testing.T) {
+	var schemas []*relation.Schema
+	for i := 0; i < alHintSlots+4; i++ {
+		schemas = append(schemas, relation.MustSchema(fmt.Sprintf("P%d", i), "Id", "A"))
+	}
+	catalog := relation.MustCatalog(schemas...)
+	net := chord.New(chord.Config{})
+	nodes := net.AddNodes("peer", 32)
+	eng := New(net, catalog, Config{Algorithm: SAI, Seed: 1})
+	if _, err := eng.Subscribe(nodes[1], query.MustParse(catalog, `SELECT P0.Id, P1.Id FROM P0, P1 WHERE P0.A = P1.A`)); err != nil {
+		t.Fatal(err)
+	}
+	const clients, each = 4, 150
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				schema := schemas[(c+i)%len(schemas)]
+				if _, err := eng.Publish(nodes[5], relation.MustTuple(schema, relation.N(float64(c*each+i)), relation.N(float64(i%3)))); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	perValue := func(name string) (n [3]int) {
+		for c := 0; c < clients; c++ {
+			for i := 0; i < each; i++ {
+				if schemas[(c+i)%len(schemas)].Name() == name {
+					n[i%3]++
+				}
+			}
+		}
+		return n
+	}
+	want, p0, p1 := 0, perValue("P0"), perValue("P1")
+	for v := range p0 {
+		want += p0[v] * p1[v]
+	}
+	if got := eng.NotificationCount(); got != want || want == 0 {
+		t.Fatalf("%d notifications, want %d: every P0 tuple with every P1 tuple of its value", got, want)
+	}
+}
+
 // EXPERIMENTS.md X4.2: what indexing costs by relation width when two
 // attributes carry queries. Blind, a tuple's index traffic grows with all 2h
 // identifiers; on demand the value-level half stays what the queries read, so
 // the saving grows with h — from a loss at h = 2, where every attribute is
 // queried and two lone forwards cost more hops than the two targets they
-// take off a four-target walk (TestMultisendWalkCost). CI scale here; X42_SCALE=paper (set by whoever
-// regenerates the EXPERIMENTS.md row) runs the thesis's 10^4 nodes.
+// take off a four-target walk (TestMultisendWalkCost). The third run is the
+// second publication from the same node: every relation published from a node
+// of its own, so all but 16 tuples go hinted, h hops for the walk whatever the
+// ring's size. CI scale here; X42_SCALE=paper (set by whoever regenerates the
+// EXPERIMENTS.md row) runs the thesis's 10^4 nodes.
 func TestX42IndexTrafficByArity(t *testing.T) {
 	nodes, pubs := 256, 400
 	if os.Getenv("X42_SCALE") == "paper" {
@@ -506,7 +696,7 @@ func TestX42IndexTrafficByArity(t *testing.T) {
 	}
 	lastSaving := -1.0
 	for _, h := range []int{2, 4, 8} {
-		blind, demand := indexingStream(t, nodes, h, pubs, true), indexingStream(t, nodes, h, pubs, false)
+		blind, demand := indexingStream(t, nodes, h, pubs, true, false), indexingStream(t, nodes, h, pubs, false, false)
 		if !slices.Equal(demand.keys, blind.keys) {
 			t.Fatalf("h=%d: %d notifications on demand, %d blind", h, len(demand.keys), len(blind.keys))
 		}
@@ -525,6 +715,15 @@ func TestX42IndexTrafficByArity(t *testing.T) {
 			t.Errorf("h=%d: on demand saves %.3f of blind's hops, no more than the narrower relation's %.3f", h, saving, lastSaving)
 		}
 		lastSaving = saving
+		homed := indexingStream(t, nodes, h, pubs, false, true)
+		if !slices.Equal(homed.keys, blind.keys) {
+			t.Fatalf("h=%d: %d notifications from repeat publishers, %d blind", h, len(homed.keys), len(blind.keys))
+		}
+		t.Logf("h=%d, %d nodes, repeat publishers: index hops/tuple %.1f, hops/tuple %.1f (%+.1f%% of blind), bytes/tuple %.0f (%+.1f%%)",
+			h, nodes, per(homed.indexHops), per(homed.hops), 100*(float64(homed.hops)/float64(blind.hops)-1), per(homed.bytes), 100*(float64(homed.bytes)/float64(blind.bytes)-1))
+		if homed.hops >= demand.hops || homed.hops >= blind.hops {
+			t.Errorf("h=%d: %d hops from repeat publishers, %d from drawn ones, %d blind: want fewer than either", h, homed.hops, demand.hops, blind.hops)
+		}
 	}
 }
 

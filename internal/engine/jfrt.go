@@ -4,19 +4,19 @@ import (
 	"sync"
 
 	"cqjoin/internal/chord"
-	"cqjoin/internal/id"
+	"cqjoin/internal/obs"
 )
 
 // jfrtCache is the Join Fingers Routing Table of Section 4.7.1. A rewriter
 // repeatedly reindexes rewritten queries to the same evaluators: the same
 // (relation, attribute, value) identifier recurs whenever tuples carry
-// recurring join values. The JFRT caches the evaluator node responsible
-// for each value-level identifier the rewriter has already looked up, so a
-// repeat reindexing costs a single direct hop instead of an O(log N)
-// overlay lookup. Entries are soft state: a cached node that has left the
-// overlay, or that a join or a move has since relieved of the identifier, is
-// dropped and the next reindexing repopulates the entry through a normal
-// lookup.
+// recurring join values. The JFRT remembers the node that took delivery for
+// each value-level identifier the rewriter has sent to, so a repeat reindexing
+// costs a single hinted hop instead of an O(log N) overlay lookup
+// (chord.Node.SendHinted). Entries are soft state, and whether one still holds
+// is not the rewriter's to know: the node the message lands on decides, and
+// the rewriter remembers whoever took delivery in the end. Bounded like
+// idCache: full, it is dropped and restarted.
 type jfrtCache struct {
 	mu      sync.Mutex
 	entries map[string]*chord.Node
@@ -24,44 +24,36 @@ type jfrtCache struct {
 	misses  int64
 }
 
+// jfrtMax bounds one rewriter's table.
+const jfrtMax = 1 << 16
+
 func newJFRTCache() *jfrtCache {
 	return &jfrtCache{entries: make(map[string]*chord.Node)}
 }
 
-// lookup returns the cached evaluator for the value-level input, whose
-// identifier is target, when it is still alive and still owns target: sent to
-// a node that has handed the identifier's tuples on, a rewrite would be
-// stored where no tuple arrives.
-func (c *jfrtCache) lookup(input string, target id.ID) (*chord.Node, bool) {
+// lookup returns the evaluator remembered for the value-level input.
+func (c *jfrtCache) lookup(input string) (*chord.Node, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n, ok := c.entries[input]
-	if !ok {
+	if ok {
+		c.hits++
+	} else {
 		c.misses++
-		return nil, false
 	}
-	if !n.Alive() || !n.OwnsKey(target) {
-		delete(c.entries, input)
-		c.misses++
-		return nil, false
-	}
-	c.hits++
-	return n, true
+	return n, ok
 }
 
-// store records the evaluator learned from a routed lookup.
-func (c *jfrtCache) store(input string, n *chord.Node) {
+// store records the node that took delivery for input; a full table is
+// restarted for it, counted in resets.
+func (c *jfrtCache) store(input string, n *chord.Node, resets *obs.CounterVec) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if _, ok := c.entries[input]; !ok && len(c.entries) >= jfrtMax {
+		c.entries = make(map[string]*chord.Node)
+		resets.Add("jfrt.reset", 1)
+	}
 	c.entries[input] = n
-}
-
-// invalidate drops a cached evaluator that failed to answer a direct send,
-// forcing the next reindexing of the input through a DHT lookup.
-func (c *jfrtCache) invalidate(input string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.entries, input)
 }
 
 // stats reports hit/miss counts, used by the JFRT effectiveness bench.

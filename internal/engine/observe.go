@@ -33,6 +33,12 @@ type engObs struct {
 	vlForwards      *obs.Counter
 	alIndexIdle     *obs.Counter
 	retractedResets *obs.Counter
+	// hints counts lookups in the tables behind chord.Node.SendHinted, labelled
+	// client.outcome. The publisher's ("al") looks up once a publication: hit,
+	// every message went to a remembered node that kept it; stale, one did not;
+	// miss, the batch walked; reset, a claim evicted another relation. The JFRT
+	// ("jfrt") looks up once a rewritten-query message; reset is a full restart.
+	hints *obs.CounterVec
 }
 
 // newEngObs registers the engine's metric families on reg; a nil registry
@@ -54,5 +60,6 @@ func newEngObs(reg *obs.Registry) engObs {
 		vlForwards:      reg.Counter("engine.vl_forwards"),
 		alIndexIdle:     reg.Counter("engine.al_index_idle"),
 		retractedResets: reg.Counter("engine.retracted_resets"),
+		hints:           reg.CounterVec("engine.hints"),
 	}
 }

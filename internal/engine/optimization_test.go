@@ -3,10 +3,12 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"cqjoin/internal/id"
 	"cqjoin/internal/metrics"
+	"cqjoin/internal/obs"
 	"cqjoin/internal/relation"
 )
 
@@ -50,6 +52,17 @@ func TestJFRTStats(t *testing.T) {
 	}
 	if entries != 1 {
 		t.Fatalf("entries=%d, want 1", entries)
+	}
+}
+
+// A rewriter's table is bounded like idCache: full, it restarts, counted.
+func TestJFRTIsBounded(t *testing.T) {
+	c, resets := newJFRTCache(), obs.NewRegistry().CounterVec("engine.hints")
+	for i := 0; i <= jfrtMax; i++ {
+		c.store(strconv.Itoa(i), nil, resets)
+	}
+	if _, _, entries := c.stats(); entries != 1 || resets.Value("jfrt.reset") != 1 {
+		t.Fatalf("%d entries and %d resets after jfrtMax+1 stores, want 1 and 1", entries, resets.Value("jfrt.reset"))
 	}
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"cqjoin/internal/chord"
+	"cqjoin/internal/id"
 	"cqjoin/internal/metrics"
 	"cqjoin/internal/query"
 	"cqjoin/internal/relation"
@@ -275,9 +276,9 @@ func rewriteGroupV(g *queryGroup, triggered []*query.Query, t *relation.Tuple, k
 }
 
 // sendJoins routes rewritten-query messages to their evaluators. With the
-// JFRT enabled (Section 4.7.1) a cached evaluator is reached in one direct
-// hop; misses pay the O(log N) lookup and populate the cache. Without the
-// JFRT the whole batch goes through one multisend.
+// JFRT enabled (Section 4.7.1) a remembered evaluator is reached in one hinted
+// hop; misses pay the O(log N) lookup and the table learns who took them.
+// Without the JFRT the whole batch goes through one multisend.
 func (st *nodeState) sendJoins(outs []outbound) {
 	if len(outs) == 0 {
 		return
@@ -292,8 +293,9 @@ func (st *nodeState) sendJoins(outs []outbound) {
 		var hitOrder []*chord.Node
 		hits := make(map[*chord.Node][]outbound)
 		for _, o := range outs {
-			dst, ok := st.jfrt.lookup(o.input, e.hashInput(o.input))
+			dst, ok := st.jfrt.lookup(o.input)
 			if !ok {
+				e.obs.hints.Add("jfrt.miss", 1)
 				misses = append(misses, o)
 				continue
 			}
@@ -304,48 +306,44 @@ func (st *nodeState) sendJoins(outs []outbound) {
 		}
 		for _, dst := range hitOrder {
 			group := hits[dst]
-			var msg chord.Message
-			if len(group) == 1 {
-				msg = group[0].msg
-			} else {
+			msg := group[0].msg
+			var also []id.ID // a group names every identifier it carries
+			if len(group) > 1 {
 				msgs := make([]chord.Message, len(group))
 				for i, o := range group {
 					msgs[i] = o.msg
 				}
 				msg = joinBatch{Msgs: msgs}
-			}
-			if !st.node.DirectSend(msg, dst) {
-				// The cached "join finger" no longer answers — dead node,
-				// dropped packet or moved identifier. Invalidate the
-				// entries and fall back to DHT routing for the whole
-				// group, which re-learns the evaluators on the way.
-				for _, o := range group {
-					st.jfrt.invalidate(o.input)
+				for _, o := range group[1:] {
+					also = append(also, e.hashInput(o.input))
 				}
+			}
+			taker, _, err := st.node.SendHinted(msg, e.hashInput(group[0].input), dst, also...)
+			switch {
+			case err != nil:
+				// Nobody took it — the lander does not own all the group
+				// carries, or the delivery was lost. Fall back to DHT routing
+				// for the whole group, which re-learns the evaluators.
+				e.obs.hints.Add("jfrt.stale", int64(len(group)))
 				misses = append(misses, group...)
+			case taker != dst:
+				e.obs.hints.Add("jfrt.stale", 1)
+				st.jfrt.store(group[0].input, taker, e.obs.hints)
+			default:
+				e.obs.hints.Add("jfrt.hit", int64(len(group)))
 			}
 		}
-		// Misses travel in the normal recursive multisend; each previously
-		// unseen evaluator acknowledges with one direct hop carrying its
-		// address, which populates the cache (the "join fingers").
+		// Misses travel in the normal recursive multisend, and who took each
+		// is the join finger remembered for it.
 		if len(misses) > 0 {
 			batch := make([]chord.Deliverable, len(misses))
 			for i, o := range misses {
 				batch[i] = chord.Deliverable{Target: e.hashInput(o.input), Msg: o.msg}
 			}
-			recipients, _, err := st.node.Multisend(batch)
-			recipients = e.retryFailed(st.node, batch, recipients)
-			if err == nil || e.cfg.MaxRetries > 0 {
-				acked := make(map[*chord.Node]bool)
-				for i, dst := range recipients {
-					if dst == nil {
-						continue
-					}
-					st.jfrt.store(misses[i].input, dst)
-					if !acked[dst] {
-						acked[dst] = true
-						e.net.Traffic().Record("join-ack", 1)
-					}
+			recipients, _, _ := st.node.Multisend(batch)
+			for i, dst := range e.retryFailed(st.node, batch, recipients) {
+				if dst != nil {
+					st.jfrt.store(misses[i].input, dst, e.obs.hints)
 				}
 			}
 		}
@@ -357,11 +355,6 @@ func (st *nodeState) sendJoins(outs []outbound) {
 	}
 	// Best-effort (Section 3.2): an unroutable overlay drops the batch.
 	// With retries configured, unacked deliverables are re-sent.
-	var recipients []*chord.Node
-	if e.cfg.IterativeMultisend {
-		recipients, _, _ = st.node.MultisendIterative(batch)
-	} else {
-		recipients, _, _ = st.node.Multisend(batch)
-	}
+	recipients, _ := e.walk(st.node, batch)
 	e.retryFailed(st.node, batch, recipients)
 }

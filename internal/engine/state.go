@@ -39,7 +39,56 @@ type nodeState struct {
 	storedNotifs map[string][]Notification
 	subIPs       map[string]string // learned subscriber addresses (Section 4.6)
 	jfrt         *jfrtCache
+	alOwners     alHints             // who took this node's publications at the attribute level (index.go)
 	retracted    map[string]struct{} // queries retracted here: refused from then on (unsubscribe.go)
+}
+
+// alHintSlots bounds a publisher's memory to the relations it published last:
+// a ring whose every node publishes every relation must not keep nodes ×
+// relations entries (sim-*'s 131k pairs were +6 % live heap unbounded).
+const alHintSlots = 8
+
+// alHints is what a publishing node remembers of its walks: per relation, the
+// node that took delivery at each attribute-level identifier, by attribute
+// position × replica (nil: not learned), where the relation's next publication
+// goes hinted (Engine.dispatchHinted). Soft state like the JFRT: it goes with
+// the nodeState, and no snapshot, hand-off or WAL record carries it. Fixed
+// slots, the oldest claim overwritten and its slice reused, so the steady state
+// allocates nothing; guarded by nodeState.mu.
+type alHints struct {
+	slots [alHintSlots]struct {
+		schema *relation.Schema
+		owners []*chord.Node
+	}
+	next int // the slot the next unseen relation claims
+}
+
+// owners returns the slots' slice for schema, nil when it has none.
+func (h *alHints) owners(schema *relation.Schema) []*chord.Node {
+	for i := range h.slots {
+		if h.slots[i].schema == schema {
+			return h.slots[i].owners
+		}
+	}
+	return nil
+}
+
+// claim returns schema's slice of n owners, taking the oldest slot — cleared —
+// when schema has none, and reports whether another relation lost it.
+func (h *alHints) claim(schema *relation.Schema, n int) (owners []*chord.Node, evicted bool) {
+	if owners = h.owners(schema); owners != nil {
+		return owners, false
+	}
+	slot := &h.slots[h.next]
+	h.next = (h.next + 1) % alHintSlots
+	evicted = slot.schema != nil
+	slot.schema = schema
+	if cap(slot.owners) < n {
+		slot.owners = make([]*chord.Node, n)
+	}
+	slot.owners = slot.owners[:n]
+	clear(slot.owners)
+	return slot.owners, evicted
 }
 
 func newNodeState(e *Engine, n *chord.Node) *nodeState {
