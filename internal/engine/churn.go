@@ -18,18 +18,7 @@ import (
 // state of its arc re-homes to the new arc owner, as replication would
 // ensure. Stored notifications whose subscriber is the heir itself are
 // replayed. No-op for a node that is already down.
-func (e *Engine) FailNode(n *chord.Node) {
-	if !n.Alive() {
-		return
-	}
-	st := e.state(n)
-	e.net.Fail(n)
-	// The alive owner of n's former arc, post-crash.
-	if heir := e.net.OracleSuccessor(n.ID()); heir != nil && heir != n {
-		st.TransferKeys(n, heir, n.ID(), n.ID())
-	}
-	e.Detach(n)
-}
+func (e *Engine) FailNode(n *chord.Node) { e.failNode(n, e.net.Fail) }
 
 // FailNodeProtocol crashes n like FailNode but uses chord's protocol-only
 // removal: no oracle pointer repairs run, so the overlay heals purely
@@ -37,12 +26,16 @@ func (e *Engine) FailNode(n *chord.Node) {
 // The state plane still re-homes the dead node's arc to its oracle heir —
 // that models "successor-list replicas take over", which is orthogonal to
 // how fast the pointer plane converges.
-func (e *Engine) FailNodeProtocol(n *chord.Node) {
+func (e *Engine) FailNodeProtocol(n *chord.Node) { e.failNode(n, e.net.FailProtocol) }
+
+// failNode takes n out of the overlay with fail and re-homes its state.
+func (e *Engine) failNode(n *chord.Node, fail func(*chord.Node)) {
 	if !n.Alive() {
 		return
 	}
 	st := e.state(n)
-	e.net.FailProtocol(n)
+	fail(n)
+	// The alive owner of n's former arc, post-crash.
 	if heir := e.net.OracleSuccessor(n.ID()); heir != nil && heir != n {
 		st.TransferKeys(n, heir, n.ID(), n.ID())
 	}
@@ -80,12 +73,7 @@ func (e *Engine) LeaveNodeProtocol(n *chord.Node) {
 // stored-notification replay) arrives only after the successor's next
 // notify-adoption, not synchronously with the join.
 func (e *Engine) RejoinNodeProtocol(key string) (*chord.Node, error) {
-	n, err := e.net.JoinProtocol(key)
-	if err != nil {
-		return nil, err
-	}
-	e.Attach(n)
-	return n, nil
+	return e.JoinNodeProtocol(key)
 }
 
 // RejoinNode brings a previously crashed subscriber back under the same

@@ -28,7 +28,8 @@ import (
 // codecFixtures with its line in testdata/wire.golden, which pins every byte
 // below (tag numbers included) across commits.
 
-// Message type tags.
+// Message type tags. Tag 20 was hot-recall's (hot-key demotion); it stays
+// reserved, so a frame holding one decodes as an unknown tag.
 const (
 	tagQuery byte = iota + 1
 	tagALIndex
@@ -49,7 +50,7 @@ const (
 	tagHotJoin
 	tagHotVLIndex
 	tagHotMigrate
-	tagHotRecall
+	_
 	tagHotHandoff
 	tagSnapMeta
 	tagInterest
@@ -195,9 +196,6 @@ func walkMessage(c *wire.Coder, msg *chord.Message) {
 	case hotMigrateMsg:
 		c.Tag(tagHotMigrate)
 		m.walk(c)
-	case hotRecallMsg:
-		c.Tag(tagHotRecall)
-		m.walk(c)
 	case hotHandoffMsg:
 		c.Tag(tagHotHandoff)
 		m.walk(c)
@@ -297,10 +295,6 @@ func decodeMessage(c *wire.Coder) chord.Message {
 		return m
 	case tagHotMigrate:
 		var m hotMigrateMsg
-		m.walk(c)
-		return m
-	case tagHotRecall:
-		var m hotRecallMsg
 		m.walk(c)
 		return m
 	case tagHotHandoff:
@@ -462,13 +456,6 @@ func (m *hotVLIndexMsg) walk(c *wire.Coder) {
 
 func (m *hotMigrateMsg) walk(c *wire.Coder) {
 	c.String(&m.Input)
-	c.Int(&m.Version)
-	c.Int(&m.K)
-}
-
-func (m *hotRecallMsg) walk(c *wire.Coder) {
-	c.String(&m.Input)
-	c.Int(&m.Shard)
 	c.Int(&m.Version)
 	c.Int(&m.K)
 }

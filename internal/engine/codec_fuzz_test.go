@@ -46,6 +46,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{byte(tagJoin), 0xff, 0xff, 0xff, 0xff, 0x0f}) // forged huge count
+	f.Add([]byte{retiredTag})                                  // the reserved tag, once hot-recall's
 	longLived := NewWireCodec(catalog)
 	predecessors := []chord.Message{msgs[1], msgs[2], msgs[3]} // alIndexMsg{tu}, vlIndexMsg{su}, joinMsg
 	for _, msg := range msgs {

@@ -86,7 +86,6 @@ func codecFixtures(t testing.TB) (*relation.Catalog, []chord.Message) {
 		hotJoinMsg{Input: "S+E+7", Shard: 2, Version: 3, K: 4, Rewrites: []*rewritten{rw, rw}},
 		hotVLIndexMsg{Input: "S+E+7", Shard: 1, Version: 3, K: 4, T: su},
 		hotMigrateMsg{Input: "S+E+7", Version: 3, K: 4},
-		hotRecallMsg{Input: "S+E+7", Shard: 3, Version: 4, K: 0},
 		hotHandoffMsg{Input: "S+E+7", Shard: 2, Version: 3, K: 4,
 			Entries: []vqEntry{{Rw: rw, Times: []int64{9, 11}}},
 			Tuples:  []*relation.Tuple{su}},
@@ -356,10 +355,6 @@ func assertSemanticEqual(t *testing.T, want, got chord.Message) {
 		if got.(hotMigrateMsg) != w {
 			t.Fatal("hotMigrateMsg mismatch")
 		}
-	case hotRecallMsg:
-		if got.(hotRecallMsg) != w {
-			t.Fatal("hotRecallMsg mismatch")
-		}
 	case hotHandoffMsg:
 		g := got.(hotHandoffMsg)
 		if g.Input != w.Input || g.Shard != w.Shard || g.Version != w.Version ||
@@ -560,7 +555,9 @@ func TestDecodeTruncated(t *testing.T) {
 
 // Every tag has a fixture, whose encoding leads with that tag and decodes to
 // the fixture's own type, the one type the tag leads: the two switches of
-// codec.go pair each message kind with one tag, both ways.
+// codec.go pair each message kind with one tag, both ways. Tag 20, hot-recall's
+// until demotion went, is the one blank: reserved, led by nothing
+// (TestWireGolden holds the decoder to refusing it).
 func TestEveryTagRoundTrips(t *testing.T) {
 	catalog, msgs := codecFixtures(t)
 	fixtures := map[byte]chord.Message{}
@@ -580,12 +577,12 @@ func TestEveryTagRoundTrips(t *testing.T) {
 		}
 	}
 	for tag := tagQuery; tag <= tagInterest; tag++ {
-		if fixtures[tag] == nil {
-			t.Errorf("tag %d has no fixture in codecFixtures", tag)
+		if (fixtures[tag] == nil) != (tag == retiredTag) {
+			t.Errorf("tag %d: fixture %T in codecFixtures", tag, fixtures[tag])
 		}
 	}
-	if len(fixtures) != int(tagInterest) {
-		t.Errorf("%d tags in use, the constants declare %d", len(fixtures), tagInterest)
+	if len(fixtures) != int(tagInterest)-1 {
+		t.Errorf("%d tags in use, the constants declare %d and one blank", len(fixtures), tagInterest)
 	}
 }
 

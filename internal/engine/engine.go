@@ -92,7 +92,8 @@ type Config struct {
 	// hop instead of O(log N).
 	UseJFRT bool
 	// IterativeMultisend replaces the recursive multisend of Section 2.3
-	// with k independent lookups, the comparison baseline of Figure 4.8.
+	// with k independent lookups, the comparison baseline of Figure 4.8. Set
+	// by tests of that comparison, nothing else (Engine.walk is the one fork).
 	IterativeMultisend bool
 	// ReplicationFactor k replicates the rewriter role of every attribute
 	// over k nodes (Section 4.7.2). Queries are indexed at all replicas;
@@ -116,7 +117,9 @@ type Config struct {
 	// destination). Zero disables retries — the paper's best-effort
 	// semantics (Section 3.2), and the right setting for fault-free runs.
 	// Chaos runs set it high enough that loss of all attempts is
-	// statistically negligible (p_drop^(1+MaxRetries)).
+	// statistically negligible (p_drop^(1+MaxRetries)). Set, with
+	// RetryBackoff, by the chaos, restart and sim-vs-TCP suites, nothing
+	// else: no daemon flag or cqjoin.Config field reaches either.
 	MaxRetries int
 	// RetryBackoff is the logical-time advance between retry attempts.
 	// Advancing the clock lets delayed in-flight copies land (the chaos
@@ -126,21 +129,18 @@ type Config struct {
 	// HotKeyThreshold enables adaptive hot-key sharding (DESIGN.md §13)
 	// when positive: a value-level input receiving at least this many
 	// arrivals within one HotKeyWindow promotes, sharding its evaluator
-	// across HotKeyReplicas deterministic replica identifiers. Zero — the
-	// default — disables the layer entirely. Only SAI shards (its
-	// evaluators store both rewrites and tuples, which transition-time
-	// state recovery relies on); other algorithms ignore these knobs.
+	// across HotKeyReplicas deterministic replica identifiers, for good. Zero
+	// — the default — disables the layer entirely. Only SAI shards (its
+	// evaluators store both rewrites and tuples, which the migration's
+	// match-on-merge relies on); other algorithms ignore these knobs.
 	HotKeyThreshold int
 	// HotKeyReplicas is the shard count k of a promoted input. Values < 2
 	// default to 4.
 	HotKeyReplicas int
 	// HotKeyWindow is the logical-time length of the detector's counting
-	// window. Values <= 0 default to 64.
+	// window. Values <= 0 default to 64 — what every daemon, example and
+	// benchmark workload runs with: tests alone set another.
 	HotKeyWindow int64
-	// HotKeyDemoteBelow, when positive, demotes a promoted input whose
-	// completed-window arrival count falls below it. Zero disables
-	// demotion (promoted inputs stay sharded).
-	HotKeyDemoteBelow int
 	// BlindIndexing selects the paper's tuple indexing (Section 4.2): the
 	// publisher sends every tuple to all 2h identifiers and no rewriter
 	// forwards one. False — the default — indexes on demand: the publisher

@@ -95,12 +95,10 @@ func (st *nodeState) handleVLIndex(m vlIndexMsg) {
 	// is promoted and the tuple's content hashes to a foreign shard, relay
 	// it there instead of evaluating here. Shard 0 is this bucket.
 	if hot := st.engine.hotState(); hot != nil {
-		st.runHotTransition(hot.bump(input, t.PubT()))
-		if entry, promoted := hot.lookup(input); promoted {
-			if s := shardOf(t, entry.k); s != 0 {
-				st.forwardHotTuple(input, s, entry, t)
-				return
-			}
+		entry := st.countHotArrival(hot, input, t.PubT())
+		if s := shardOf(t, entry.k); s != 0 {
+			st.forwardHotTuple(input, s, entry, t)
+			return
 		}
 	}
 

@@ -14,6 +14,10 @@ import (
 	"cqjoin/internal/wire"
 )
 
+// retiredTag was hot-recall's, on line 20 of every golden: the blank in
+// codec.go's tag block.
+const retiredTag = 20
+
 // TestWireGolden pins the wire format across commits: testdata/wire.golden
 // holds the encoding of every codecFixtures message, one "type hex" line
 // each, in fixture order. The encoder must still produce those bytes, and
@@ -38,8 +42,14 @@ import (
 // predecessor. Those bytes must be what the encoder writes behind that
 // predecessor, decode behind it to the fixture, and decode behind nothing, or
 // behind a message with no tuple, to an error.
+//
+// Line 20 of every golden is a hot-recall, tag 20: the kind went with hot-key
+// demotion and its tag stays reserved. The line is kept to the byte, has no
+// fixture, and must fail to decode as an unknown tag — a build that gave tag 20
+// to another kind would read an old peer's recall as that.
 func TestWireGolden(t *testing.T) {
 	catalog, msgs := codecFixtures(t)
+	msgs = slices.Insert(msgs, retiredTag-1, chord.Message(nil)) // fixtures by line
 	lines := goldenLines(t, "testdata/wire.golden")
 	var behind []string
 	if i := slices.IndexFunc(lines, func(l string) bool { return strings.Contains(l, " after ") }); i >= 0 {
@@ -51,6 +61,19 @@ func TestWireGolden(t *testing.T) {
 		t.Errorf("%d golden lines for %d fixtures", len(lines), len(msgs))
 	}
 	for i, msg := range msgs {
+		if msg == nil {
+			for _, golden := range append(parents, lines) {
+				_, enc, _ := strings.Cut(golden[i], " ")
+				raw, err := hex.DecodeString(enc)
+				if err != nil || len(raw) == 0 || raw[0] != retiredTag {
+					t.Fatalf("line %d: %q (%v) is not the retired kind's, tag %d", i+1, golden[i], err, retiredTag)
+				}
+				if back, err := DecodeMessage(wire.NewReader(raw), catalog); err == nil || !strings.Contains(err.Error(), "unknown message tag 20") {
+					t.Errorf("line %d: the retired kind's bytes decode to %+v (%v), want an unknown tag", i+1, back, err)
+				}
+			}
+			continue
+		}
 		var w wire.Buffer
 		if err := EncodeMessage(&w, msg); err != nil {
 			t.Fatalf("%T: encode: %v", msg, err)

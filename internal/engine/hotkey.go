@@ -28,12 +28,10 @@ import (
 //   - Tuples partition: the base relays each arriving tuple to the one
 //     shard its content hashes to, so matching and storage spread ~k ways.
 //     Matches gather back through the ordinary notification path.
-//   - Keys that cool below the demotion rate collapse back to the single
-//     base bucket. Promotion and demotion are versioned epoch transitions
-//     whose state moves through hot-handoff frames merged with
-//     match-on-merge, so pairs split by an in-flight transition are still
-//     reported exactly once (the subscriber-side delivery dedup absorbs
-//     re-matches).
+//   - A promoted input stays promoted. Promotion moves the base bucket's
+//     state to the shards in hot-handoff frames merged with match-on-merge,
+//     so pairs split by the in-flight migration are still reported exactly
+//     once (the subscriber-side delivery dedup absorbs re-matches).
 //
 // The layer runs only under SAI: SAI evaluators store both rewrites and
 // tuples, which the match-on-merge recovery relies on. DAI-Q and DAI-T
@@ -79,7 +77,7 @@ func shardOf(t *relation.Tuple, k int) int {
 }
 
 // hotEntry is the registry state of one value-level input: the epoch
-// version (incremented by every transition) and the shard count k. k == 0
+// version (incremented by its promotion) and the shard count k. k == 0
 // means cold.
 type hotEntry struct {
 	version int
@@ -94,31 +92,11 @@ type hotCounter struct {
 	windowStart int64
 }
 
-// hotTransitionKind labels a registry state transition.
-type hotTransitionKind int
-
-const (
-	hotPromote hotTransitionKind = iota + 1
-	hotDemote
-)
-
-// hotTransition describes a transition decided by bump. The caller — never
-// the tracker, which must not send under its own lock — executes it by
-// sending the migrate/recall frames (runHotTransition).
-type hotTransition struct {
-	kind    hotTransitionKind
-	input   string
-	version int // the new epoch
-	k       int // shard count of the new epoch (0 when demoting)
-	oldK    int // shard count being recalled (demote)
-}
-
 // hotTracker is the engine-wide heavy-hitter detector and epoch registry.
 type hotTracker struct {
-	threshold   int64
-	window      int64
-	replicas    int
-	demoteBelow int64
+	threshold int64
+	window    int64
+	replicas  int
 
 	mu       sync.Mutex
 	counters map[string]*hotCounter
@@ -127,12 +105,11 @@ type hotTracker struct {
 
 func newHotTracker(cfg Config) *hotTracker {
 	t := &hotTracker{
-		threshold:   int64(cfg.HotKeyThreshold),
-		window:      cfg.HotKeyWindow,
-		replicas:    cfg.HotKeyReplicas,
-		demoteBelow: int64(cfg.HotKeyDemoteBelow),
-		counters:    make(map[string]*hotCounter),
-		entries:     make(map[string]hotEntry),
+		threshold: int64(cfg.HotKeyThreshold),
+		window:    cfg.HotKeyWindow,
+		replicas:  cfg.HotKeyReplicas,
+		counters:  make(map[string]*hotCounter),
+		entries:   make(map[string]hotEntry),
 	}
 	if t.window <= 0 {
 		t.window = 64
@@ -143,11 +120,10 @@ func newHotTracker(cfg Config) *hotTracker {
 	return t
 }
 
-// bump records one arrival for input at logical time eventT and returns the
-// transition it triggers, if any. Window accounting is touch-driven: a
-// window closes when the first event past its end arrives, which is also
-// when a cooled-down input is demoted.
-func (h *hotTracker) bump(input string, eventT int64) (hotTransition, bool) {
+// bump records one arrival for input at logical time eventT and returns
+// input's entry and whether this arrival promoted it. Window accounting is
+// touch-driven: a window closes when the first event past its end arrives.
+func (h *hotTracker) bump(input string, eventT int64) (hotEntry, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	c := h.counters[input]
@@ -155,51 +131,40 @@ func (h *hotTracker) bump(input string, eventT int64) (hotTransition, bool) {
 		c = &hotCounter{windowStart: eventT}
 		h.counters[input] = c
 	}
-	entry := h.entries[input]
 	if eventT-c.windowStart >= h.window {
-		completed := c.count
 		c.count = 0
 		c.windowStart = eventT
-		if entry.hot() && h.demoteBelow > 0 && completed < h.demoteBelow {
-			next := hotEntry{version: entry.version + 1}
-			h.entries[input] = next
-			c.count++
-			return hotTransition{
-				kind: hotDemote, input: input,
-				version: next.version, oldK: entry.k,
-			}, true
-		}
 	}
 	c.count++
-	if !entry.hot() && c.count >= h.threshold {
-		next := hotEntry{version: entry.version + 1, k: h.replicas}
-		h.entries[input] = next
-		return hotTransition{
-			kind: hotPromote, input: input,
-			version: next.version, k: next.k,
-		}, true
+	entry := h.entries[input]
+	if entry.hot() || c.count < h.threshold {
+		return entry, false
 	}
-	return hotTransition{}, false
+	entry = hotEntry{version: entry.version + 1, k: h.replicas}
+	h.entries[input] = entry
+	return entry, true
 }
 
 // observe installs the epoch a received hot frame was sent under, if newer
-// than the registry's. Within one process the registry is shared and
-// transitions apply synchronously, so observe is a no-op there; it keeps
-// the frames self-describing for stale senders.
-func (h *hotTracker) observe(input string, version, k int) {
+// than the registry's, and returns the registry's entry. Within one process
+// the registry is shared, so observe changes nothing there; it is how a
+// process that did not decide a promotion learns of it.
+func (h *hotTracker) observe(input string, version, k int) hotEntry {
 	h.mu.Lock()
-	if e := h.entries[input]; version > e.version {
-		h.entries[input] = hotEntry{version: version, k: k}
+	defer h.mu.Unlock()
+	e := h.entries[input]
+	if version > e.version {
+		e = hotEntry{version: version, k: k}
+		h.entries[input] = e
 	}
-	h.mu.Unlock()
+	return e
 }
 
-// lookup returns input's entry and whether it is currently promoted.
-func (h *hotTracker) lookup(input string) (hotEntry, bool) {
+// lookup returns input's entry.
+func (h *hotTracker) lookup(input string) hotEntry {
 	h.mu.Lock()
-	e := h.entries[input]
-	h.mu.Unlock()
-	return e, e.hot()
+	defer h.mu.Unlock()
+	return h.entries[input]
 }
 
 // hotState returns the tracker when the layer is active: configured for
@@ -241,7 +206,6 @@ const (
 	kindHotJoin    = "hot-join"
 	kindHotVLIndex = "hot-vl-index"
 	kindHotMigrate = "hot-migrate"
-	kindHotRecall  = "hot-recall"
 	kindHotHandoff = "hot-handoff"
 )
 
@@ -280,25 +244,11 @@ type hotMigrateMsg struct {
 
 func (hotMigrateMsg) Kind() string { return kindHotMigrate }
 
-// hotRecallMsg tells shard Shard of Input to dissolve: it drops its rewrite
-// copies (the base holds the authoritative set) and ships its tuples back
-// to the base bucket. Version/K carry the successor epoch (K == 0: the
-// input demoted to cold).
-type hotRecallMsg struct {
-	Input   string
-	Shard   int
-	Version int
-	K       int
-}
-
-func (hotRecallMsg) Kind() string { return kindHotRecall }
-
-// hotHandoffMsg moves evaluator state between the base bucket and a shard:
-// migration (base to shard, rewrites plus that shard's tuple partition),
-// recall (shard to base, Shard == 0, tuples only), and stale-frame bounces.
-// Merging matches newly added items against the counterpart table, so pairs
-// split by an in-flight transition still meet; re-matches are absorbed by
-// the subscriber-side delivery dedup.
+// hotHandoffMsg moves evaluator state from the base bucket to shard Shard
+// on promotion: the rewrite set plus that shard's tuple partition. Merging
+// matches newly added items against the counterpart table, so pairs split by
+// the in-flight migration still meet; re-matches are absorbed by the
+// subscriber-side delivery dedup.
 type hotHandoffMsg struct {
 	Input   string
 	Shard   int
@@ -310,33 +260,21 @@ type hotHandoffMsg struct {
 
 func (hotHandoffMsg) Kind() string { return kindHotHandoff }
 
-// runHotTransition executes a transition bump returned: it sends the
-// migrate/recall frames from this node. Callers must not hold st.mu or the
-// tracker lock — the cascade delivers synchronously in the simulator and
-// re-enters node state.
-func (st *nodeState) runHotTransition(tr hotTransition, ok bool) {
-	if !ok {
-		return
-	}
-	e := st.engine
-	var batch []chord.Deliverable
-	switch tr.kind {
-	case hotPromote:
+// countHotArrival runs the detector over one arrival for input at this
+// (base) evaluator and returns input's entry. The arrival that promotes the
+// input sends its migrate frame from here. Callers must not hold st.mu — the
+// cascade delivers synchronously in the simulator and re-enters node state.
+func (st *nodeState) countHotArrival(hot *hotTracker, input string, eventT int64) hotEntry {
+	entry, promoted := hot.bump(input, eventT)
+	if promoted {
+		e := st.engine
 		e.obs.hotPromotions.Add(1)
-		batch = append(batch, chord.Deliverable{
-			Target: e.hashInput(tr.input),
-			Msg:    hotMigrateMsg{Input: tr.input, Version: tr.version, K: tr.k},
-		})
-	case hotDemote:
-		e.obs.hotDemotions.Add(1)
-		for s := 1; s < tr.oldK; s++ {
-			batch = append(batch, chord.Deliverable{
-				Target: e.hashInput(hotShardInput(tr.input, s)),
-				Msg:    hotRecallMsg{Input: tr.input, Shard: s, Version: tr.version, K: 0},
-			})
-		}
+		_ = e.dispatch(st.node, []chord.Deliverable{{
+			Target: e.hashInput(input),
+			Msg:    hotMigrateMsg{Input: input, Version: entry.version, K: entry.k},
+		}})
 	}
-	_ = e.dispatch(st.node, batch)
+	return entry
 }
 
 // hotScatterJoins runs the detector over a join batch arriving at this
@@ -352,7 +290,7 @@ func (st *nodeState) hotScatterJoins(hot *hotTracker, rws []*rewritten) []chord.
 		if i == 0 || !rw.sameTarget(rws[i-1]) {
 			input = vlInput(rw.WantRel, rw.WantAttr, rw.WantValue)
 		}
-		st.runHotTransition(hot.bump(input, rw.Trigger.PubT()))
+		st.countHotArrival(hot, input, rw.Trigger.PubT())
 		if _, seen := byInput[input]; !seen {
 			order = append(order, input)
 		}
@@ -361,18 +299,14 @@ func (st *nodeState) hotScatterJoins(hot *hotTracker, rws []*rewritten) []chord.
 	e := st.engine
 	var batch []chord.Deliverable
 	for _, input := range order {
-		entry, promoted := hot.lookup(input)
-		if !promoted {
-			continue
-		}
-		group := byInput[input]
+		entry := hot.lookup(input)
 		for s := 1; s < entry.k; s++ {
 			batch = append(batch, chord.Deliverable{
 				Target: e.hashInput(hotShardInput(input, s)),
 				Msg: hotJoinMsg{
 					Input: input, Shard: s,
 					Version: entry.version, K: entry.k,
-					Rewrites: group,
+					Rewrites: byInput[input],
 				},
 			})
 		}
@@ -397,128 +331,20 @@ func (st *nodeState) forwardHotTuple(input string, shard int, entry hotEntry, t 
 	}})
 }
 
-// handleHotJoin stores a scattered rewrite group in this shard's bucket and
-// matches it against the shard's tuple partition — the shard-side mirror of
-// handleJoin's SAI arm. Rewrites are valid at every shard of every epoch
-// (they scatter everywhere), so only a demotion re-routes them: back to the
-// base bucket, whose keyed merge absorbs the duplicate.
-func (st *nodeState) handleHotJoin(m hotJoinMsg) {
-	e := st.engine
-	hot := e.hotState()
-	if hot == nil {
-		return
-	}
-	hot.observe(m.Input, m.Version, m.K)
-	if _, promoted := hot.lookup(m.Input); !promoted {
-		e.obs.hotForwards.Add(kindJoin, 1)
-		_ = e.dispatch(st.node, []chord.Deliverable{{
-			Target: e.hashInput(m.Input),
-			Msg:    joinMsg{Rewrites: m.Rewrites},
-		}})
-		return
-	}
-	key := hotShardInput(m.Input, m.Shard)
-	var notifs []Notification
-	work := 1
-	stored := 0
-
-	st.mu.Lock()
-	qb := st.vlqtFor(key)
-	for _, rw := range m.Rewrites {
-		if !qb.rewrites.record(rw, rw.Trigger.PubT()) {
-			work++
-			continue
-		}
-		stored++
-		if tb := st.vltt[key]; tb != nil {
-			for _, tt := range tb.tuples.all() {
-				work++
-				if n, ok := matchRewrite(rw, tt); ok {
-					notifs = append(notifs, n)
-				}
-			}
-		}
-	}
-	st.mu.Unlock()
-
-	st.load.AddFiltering(metrics.Evaluator, work)
-	if stored > 0 {
-		st.load.AddStorage(metrics.Evaluator, stored)
-	}
-	st.sendNotifications(notifs)
-}
-
-// handleHotVLIndex evaluates a relayed tuple at its shard — the shard-side
-// mirror of handleVLIndex's SAI arm. A tuple whose shard assignment no
-// longer holds under the current epoch (demoted in flight) returns to the
-// base bucket as a hot-handoff, whose match-on-merge re-evaluates it there.
-func (st *nodeState) handleHotVLIndex(m hotVLIndexMsg) {
-	e := st.engine
-	hot := e.hotState()
-	if hot == nil {
-		return
-	}
-	hot.observe(m.Input, m.Version, m.K)
-	entry, promoted := hot.lookup(m.Input)
-	if !promoted || shardOf(m.T, entry.k) != m.Shard {
-		e.obs.hotForwards.Add(kindHotHandoff, 1)
-		_ = e.dispatch(st.node, []chord.Deliverable{{
-			Target: e.hashInput(m.Input),
-			Msg: hotHandoffMsg{
-				Input: m.Input, Shard: 0,
-				Version: entry.version, K: entry.k,
-				Tuples: []*relation.Tuple{m.T},
-			},
-		}})
-		return
-	}
-	key := hotShardInput(m.Input, m.Shard)
-	var notifs []Notification
-	work := 1
-	stored := 0
-
-	st.mu.Lock()
-	if qb := st.vlqt[key]; qb != nil {
-		for _, sr := range qb.rewrites.all() {
-			work++
-			if n, ok := matchRewrite(sr.rw, m.T); ok {
-				notifs = append(notifs, n)
-			}
-		}
-	}
-	if st.vlttFor(key).tuples.add(m.T) {
-		stored++
-	} else {
-		e.net.Traffic().RecordDuplicate(m.Kind())
-	}
-	st.mu.Unlock()
-
-	st.load.AddFiltering(metrics.Evaluator, work)
-	if stored > 0 {
-		st.load.AddStorage(metrics.Evaluator, stored)
-	}
-	st.sendNotifications(notifs)
-}
-
 // handleHotMigrate partitions the base bucket of a freshly promoted input:
-// the full rewrite set is copied to every shard and each
-// stored tuple whose content hashes to a foreign shard ships there. Shard-0
-// items stay — the base bucket is shard 0. Idempotent under re-delivery:
-// already-shipped tuples are gone and the rewrite copies merge keyed.
+// the full rewrite set is copied to every shard and each stored tuple whose
+// content hashes to a foreign shard ships there. Shard-0 items stay — the
+// base bucket is shard 0. Idempotent under re-delivery: already-shipped
+// tuples are gone and the rewrite copies merge keyed.
 func (st *nodeState) handleHotMigrate(m hotMigrateMsg) {
 	e := st.engine
 	hot := e.hotState()
 	if hot == nil {
 		return
 	}
-	hot.observe(m.Input, m.Version, m.K)
-	entry, promoted := hot.lookup(m.Input)
-	if !promoted {
-		// Demoted before the migrate landed; the recalls already ran.
-		return
-	}
+	entry := hot.observe(m.Input, m.Version, m.K)
 	var entries []vqEntry
-	groups := make([][]*relation.Tuple, entry.k)
+	groups := make(map[int][]*relation.Tuple) // by shard: no size taken from a frame
 	shipped := 0
 
 	st.mu.Lock()
@@ -560,189 +386,86 @@ func (st *nodeState) handleHotMigrate(m hotMigrateMsg) {
 	_ = e.dispatch(st.node, batch)
 }
 
-// handleHotRecall dissolves one shard of a demoted input: the rewrite
-// copies are dropped (the base bucket holds the authoritative set) and the
-// tuple partition returns to the base as a hot-handoff, which the base
-// merges — or, if the input re-promoted meanwhile, redistributes under the
-// current epoch.
-func (st *nodeState) handleHotRecall(m hotRecallMsg) {
+// mergeAtShard is how every frame addressed to a shard lands — a scattered
+// rewrite group (hot-join), a relayed tuple (hot-vl-index), the migrated
+// state of a promotion (hot-handoff): it learns the frame's epoch, merges what
+// the frame carries into the shard's bucket, and sends what the merge matched.
+// The shard-side mirror of handleJoin's and handleVLIndex's SAI arms.
+func (st *nodeState) mergeAtShard(kind, input string, shard, version, k int, rws []*rewritten, entries []vqEntry, tuples []*relation.Tuple) {
 	e := st.engine
 	hot := e.hotState()
 	if hot == nil {
 		return
 	}
-	hot.observe(m.Input, m.Version, m.K)
-	key := hotShardInput(m.Input, m.Shard)
-	var tuples []*relation.Tuple
-	removed := 0
+	hot.observe(input, version, k)
 
 	st.mu.Lock()
-	if qb := st.vlqt[key]; qb != nil {
-		removed += qb.rewrites.len()
-		delete(st.vlqt, key)
-	}
-	if tb := st.vltt[key]; tb != nil {
-		tuples = tb.tuples.all()
-		removed += len(tuples)
-		delete(st.vltt, key)
-	}
-	st.mu.Unlock()
-
-	st.load.AddFiltering(metrics.Evaluator, 1)
-	if removed > 0 {
-		st.load.AddStorage(metrics.Evaluator, -removed)
-	}
-	if len(tuples) == 0 {
-		return
-	}
-	_ = e.dispatch(st.node, []chord.Deliverable{{
-		Target: e.hashInput(m.Input),
-		Msg: hotHandoffMsg{
-			Input: m.Input, Shard: 0,
-			Version: m.Version, K: m.K,
-			Tuples: tuples,
-		},
-	}})
-}
-
-// handleHotHandoff merges migrated or recalled evaluator state into the
-// bucket it is addressed to, re-routing content the current epoch places
-// elsewhere. The merge matches newly added rewrites against pre-existing
-// tuples and newly added tuples against the full rewrite set, so every
-// pair split by an in-flight transition meets exactly once here; pairs that
-// already met elsewhere re-match, and the subscriber-side delivery dedup
-// suppresses the repeats.
-func (st *nodeState) handleHotHandoff(m hotHandoffMsg) {
-	e := st.engine
-	hot := e.hotState()
-	if hot == nil {
-		return
-	}
-	hot.observe(m.Input, m.Version, m.K)
-	entry, promoted := hot.lookup(m.Input)
-
-	var local []*relation.Tuple
-	var batch []chord.Deliverable
-	if m.Shard == 0 {
-		if promoted {
-			// Returned tuples redistribute under the current epoch; the
-			// shard-0 partition merges into the base bucket below.
-			groups := make([][]*relation.Tuple, entry.k)
-			for _, t := range m.Tuples {
-				if s := shardOf(t, entry.k); s != 0 {
-					groups[s] = append(groups[s], t)
-				} else {
-					local = append(local, t)
-				}
-			}
-			for s := 1; s < entry.k; s++ {
-				if len(groups[s]) == 0 {
-					continue
-				}
-				batch = append(batch, chord.Deliverable{
-					Target: e.hashInput(hotShardInput(m.Input, s)),
-					Msg: hotHandoffMsg{
-						Input: m.Input, Shard: s,
-						Version: entry.version, K: entry.k,
-						Tuples: groups[s],
-					},
-				})
-			}
-		} else {
-			local = m.Tuples
-		}
-	} else {
-		if !promoted {
-			// Demoted in flight: everything returns to the base bucket.
-			e.obs.hotForwards.Add(kindHotHandoff, 1)
-			_ = e.dispatch(st.node, []chord.Deliverable{{
-				Target: e.hashInput(m.Input),
-				Msg: hotHandoffMsg{
-					Input: m.Input, Shard: 0,
-					Version: entry.version, K: 0,
-					Entries: m.Entries, Tuples: m.Tuples,
-				},
-			}})
-			return
-		}
-		// Rewrites are valid at every shard; tuples must hash to this shard
-		// under the current epoch or go home for redistribution.
-		var bounce []*relation.Tuple
-		for _, t := range m.Tuples {
-			if shardOf(t, entry.k) == m.Shard {
-				local = append(local, t)
-			} else {
-				bounce = append(bounce, t)
-			}
-		}
-		if len(bounce) > 0 {
-			batch = append(batch, chord.Deliverable{
-				Target: e.hashInput(m.Input),
-				Msg: hotHandoffMsg{
-					Input: m.Input, Shard: 0,
-					Version: entry.version, K: entry.k,
-					Tuples: bounce,
-				},
-			})
-		}
-	}
-
-	key := hotShardInput(m.Input, m.Shard)
-	st.mu.Lock()
-	added, work, notifs := st.mergeHotBucket(key, m.Entries, local)
+	added, dups, work, notifs := st.mergeHotBucket(hotShardInput(input, shard), rws, entries, tuples)
 	st.mu.Unlock()
 
 	st.load.AddFiltering(metrics.Evaluator, 1+work)
 	if added > 0 {
 		st.load.AddStorage(metrics.Evaluator, added)
 	}
-	_ = e.dispatch(st.node, batch)
+	for ; dups > 0; dups-- {
+		e.net.Traffic().RecordDuplicate(kind)
+	}
 	st.sendNotifications(notifs)
 }
 
-// mergeHotBucket merges rewrites and tuples into the bucket named key with
-// match-on-merge. Matching order keeps every cross pair to one meeting:
-// added rewrites match only the tuples already present, then added tuples
-// match the full (merged) rewrite set. The caller holds st.mu.
-func (st *nodeState) mergeHotBucket(key string, entries []vqEntry, tuples []*relation.Tuple) (added, work int, notifs []Notification) {
-	qb := st.vlqt[key]
-	var addedRws []*rewritten
-	if len(entries) > 0 {
+// mergeHotBucket merges rewrites — arriving (rws, each with its trigger's
+// time) or migrated with the times they had collected (entries) — and tuples
+// into the bucket named key with match-on-merge. Matching order keeps every
+// cross pair to one meeting: added rewrites match only the tuples already
+// present, then added tuples match the full (merged) rewrite set. A rewrite
+// or tuple already there costs the lookup that found it; dups counts such
+// tuples. The caller holds st.mu.
+func (st *nodeState) mergeHotBucket(key string, rws []*rewritten, entries []vqEntry, tuples []*relation.Tuple) (added, dups, work int, notifs []Notification) {
+	qb, tb := st.vlqt[key], st.vltt[key]
+	if len(rws)+len(entries) > 0 {
 		qb = st.vlqtFor(key)
-		for _, e := range entries {
-			if qb.rewrites.record(e.Rw, e.Times...) {
-				added++
-				addedRws = append(addedRws, e.Rw)
+	}
+	storeRewrite := func(rw *rewritten, times ...int64) {
+		if !qb.rewrites.record(rw, times...) {
+			work++
+			return
+		}
+		added++
+		if tb == nil {
+			return
+		}
+		for _, tt := range tb.tuples.all() {
+			work++
+			if n, ok := matchRewrite(rw, tt); ok {
+				notifs = append(notifs, n)
 			}
 		}
 	}
-	tb := st.vltt[key]
-	if tb != nil {
-		for _, rw := range addedRws {
-			for _, tt := range tb.tuples.all() {
-				work++
-				if n, ok := matchRewrite(rw, tt); ok {
-					notifs = append(notifs, n)
-				}
-			}
-		}
+	for _, rw := range rws {
+		storeRewrite(rw, rw.Trigger.PubT())
+	}
+	for _, e := range entries {
+		storeRewrite(e.Rw, e.Times...)
 	}
 	if len(tuples) > 0 {
 		tb = st.vlttFor(key)
-		for _, t := range tuples {
-			if !tb.tuples.add(t) {
-				continue
-			}
-			added++
-			if qb != nil {
-				for _, sr := range qb.rewrites.all() {
-					work++
-					if n, ok := matchRewrite(sr.rw, t); ok {
-						notifs = append(notifs, n)
-					}
-				}
+	}
+	for _, t := range tuples {
+		if !tb.tuples.add(t) {
+			work++
+			dups++
+			continue
+		}
+		added++
+		if qb == nil {
+			continue
+		}
+		for _, sr := range qb.rewrites.all() {
+			work++
+			if n, ok := matchRewrite(sr.rw, t); ok {
+				notifs = append(notifs, n)
 			}
 		}
 	}
-	return added, work, notifs
+	return added, dups, work, notifs
 }

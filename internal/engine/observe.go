@@ -23,10 +23,9 @@ type engObs struct {
 	// exhausted-budget losses, by message kind.
 	retries *obs.CounterVec
 	lost    *obs.CounterVec
-	// Hot-key sharding (DESIGN.md §13): registry transitions and the relay
-	// frames the base evaluator emits for promoted inputs, by kind.
+	// Hot-key sharding (DESIGN.md §13): promotions and the relay frames the
+	// base evaluator emits for promoted inputs, by kind.
 	hotPromotions *obs.Counter
-	hotDemotions  *obs.Counter
 	hotForwards   *obs.CounterVec
 	// Indexing on demand (DESIGN.md §5): tuples rewriters forwarded, al-index
 	// deliveries that triggered and forwarded nothing, retraction-memory restarts.
@@ -55,7 +54,6 @@ func newEngObs(reg *obs.Registry) engObs {
 		retries:         reg.CounterVec("engine.retries"),
 		lost:            reg.CounterVec("engine.lost"),
 		hotPromotions:   reg.Counter("engine.hotkey.promotions"),
-		hotDemotions:    reg.Counter("engine.hotkey.demotions"),
 		hotForwards:     reg.CounterVec("engine.hotkey.forwards"),
 		vlForwards:      reg.Counter("engine.vl_forwards"),
 		alIndexIdle:     reg.Counter("engine.al_index_idle"),

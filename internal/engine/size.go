@@ -69,9 +69,6 @@ func (m hotVLIndexMsg) Size(prev chord.Message) (int, int) { return sizeAfter(m,
 // Size reports a hot-key promotion migrate message's wire size.
 func (m hotMigrateMsg) Size(prev chord.Message) (int, int) { return sizeAfter(m, prev) }
 
-// Size reports a hot-key shard-recall message's wire size.
-func (m hotRecallMsg) Size(prev chord.Message) (int, int) { return sizeAfter(m, prev) }
-
 // Size reports a hot-key state hand-off message's wire size.
 func (m hotHandoffMsg) Size(prev chord.Message) (int, int) { return sizeAfter(m, prev) }
 

@@ -40,7 +40,6 @@ func TestAllMessagesImplementSizer(t *testing.T) {
 		hotJoinMsg{Input: "S+E+7", Shard: 1, Version: 1, K: 4, Rewrites: []*rewritten{rw}},
 		hotVLIndexMsg{Input: "S+E+7", Shard: 1, Version: 1, K: 4, T: tu},
 		hotMigrateMsg{Input: "S+E+7", Version: 1, K: 4},
-		hotRecallMsg{Input: "S+E+7", Shard: 1, Version: 2, K: 0},
 		hotHandoffMsg{Input: "S+E+7", Shard: 1, Version: 1, K: 4,
 			Entries: []vqEntry{{Rw: rw, Times: []int64{5}}}, Tuples: nil},
 	}

@@ -39,8 +39,8 @@ type subsEntry struct {
 	Inputs []string
 }
 
-// hotEpochEntry is one hot-key registry entry: the promoted (or demoted,
-// K==0) epoch of a value-level input.
+// hotEpochEntry is one hot-key registry entry: the promoted epoch of a
+// value-level input (K==0: demoted, in a snapshot a build that demoted wrote).
 type hotEpochEntry struct {
 	Input   string
 	Version int

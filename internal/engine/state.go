@@ -293,15 +293,13 @@ func (st *nodeState) HandleMessage(on *chord.Node, msg chord.Message) {
 	case handoffMsg:
 		st.handleHandoff(on, m)
 	case hotJoinMsg:
-		st.handleHotJoin(m)
+		st.mergeAtShard(m.Kind(), m.Input, m.Shard, m.Version, m.K, m.Rewrites, nil, nil)
 	case hotVLIndexMsg:
-		st.handleHotVLIndex(m)
+		st.mergeAtShard(m.Kind(), m.Input, m.Shard, m.Version, m.K, nil, nil, []*relation.Tuple{m.T})
 	case hotMigrateMsg:
 		st.handleHotMigrate(m)
-	case hotRecallMsg:
-		st.handleHotRecall(m)
 	case hotHandoffMsg:
-		st.handleHotHandoff(m)
+		st.mergeAtShard(m.Kind(), m.Input, m.Shard, m.Version, m.K, nil, m.Entries, m.Tuples)
 	}
 }
 

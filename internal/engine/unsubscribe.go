@@ -155,11 +155,12 @@ func (st *nodeState) handleUnsub(m unsubMsg) {
 	if len(targets) == 0 {
 		return
 	}
-	hot := st.engine.hotState()
+	e := st.engine
+	hot := e.hotState()
 	batch := make([]chord.Deliverable, 0, len(targets))
 	for _, input := range targets {
 		batch = append(batch, chord.Deliverable{
-			Target: id.Hash(input),
+			Target: e.hashInput(input),
 			Msg:    purgeMsg{QueryKey: m.QueryKey, Input: input},
 		})
 		if hot == nil {
@@ -167,21 +168,15 @@ func (st *nodeState) handleUnsub(m unsubMsg) {
 		}
 		// A promoted target holds rewrite copies at every shard bucket; the
 		// purge fans out to them too (DESIGN.md §13).
-		if entry, promoted := hot.lookup(input); promoted {
-			for s := 1; s < entry.k; s++ {
-				shard := hotShardInput(input, s)
-				batch = append(batch, chord.Deliverable{
-					Target: id.Hash(shard),
-					Msg:    purgeMsg{QueryKey: m.QueryKey, Input: shard},
-				})
-			}
+		for s, k := 1, hot.lookup(input).k; s < k; s++ {
+			shard := hotShardInput(input, s)
+			batch = append(batch, chord.Deliverable{
+				Target: e.hashInput(shard),
+				Msg:    purgeMsg{QueryKey: m.QueryKey, Input: shard},
+			})
 		}
 	}
-	if st.engine.cfg.IterativeMultisend {
-		_, _, _ = st.node.MultisendIterative(batch)
-	} else {
-		_, _, _ = st.node.Multisend(batch)
-	}
+	_ = e.dispatch(st.node, batch)
 }
 
 // handlePurge drops the retracted query's stored rewrites from this
@@ -232,18 +227,15 @@ func (st *nodeState) handlePurge(m purgeMsg) {
 	if len(cascade) == 0 {
 		return
 	}
+	e := st.engine
 	batch := make([]chord.Deliverable, 0, len(cascade))
 	for _, input := range cascade {
 		batch = append(batch, chord.Deliverable{
-			Target: id.Hash(input),
+			Target: e.hashInput(input),
 			Msg:    purgeMsg{QueryKey: m.QueryKey, Input: input},
 		})
 	}
-	if st.engine.cfg.IterativeMultisend {
-		_, _, _ = st.node.MultisendIterative(batch)
-	} else {
-		_, _, _ = st.node.Multisend(batch)
-	}
+	_ = e.dispatch(st.node, batch)
 }
 
 // retractedMax bounds a node's retraction memory as idCache is bounded: full,

@@ -3,6 +3,7 @@ package engine
 import (
 	"testing"
 
+	"cqjoin/internal/chord"
 	"cqjoin/internal/metrics"
 )
 
@@ -216,5 +217,39 @@ func TestResubscribeAfterUnsubscribe(t *testing.T) {
 	env.publish(t, 3, sTuple(env, 9, 7, 0))
 	if got := len(env.eng.Notifications()); got != 1 {
 		t.Fatalf("re-subscription delivered %d notifications, want 1", got)
+	}
+}
+
+// A purge is sent like any other message: a lost one is retried within
+// Config.MaxRetries, and booked lost past it. The rewriter's purge fan-out
+// once called Multisend itself and dropped the result, so a dropped purge left
+// its rewrite stored for good behind an Unsubscribe that had returned nil, with
+// nothing in the ledger.
+func TestLostPurgeIsRetried(t *testing.T) {
+	env := newTestEnv(t, 64, Config{Algorithm: SAI, Strategy: StrategyLeft, Seed: 4, MaxRetries: 4})
+	q := env.subscribe(t, 0, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
+	for i := 0; i < 6; i++ {
+		env.publish(t, 1+i, rTuple(env, 0, float64(i), 0))
+	}
+	if _, _, rewrites := ringHolds(env); rewrites != 6 {
+		t.Fatalf("set-up stored %d rewrites, want 6", rewrites)
+	}
+	drop := &parkKind{kind: purgeMsg{}.Kind(), armed: 1, only: func(m chord.Message) bool {
+		_, purge := m.(purgeMsg)
+		return purge
+	}}
+	env.net.SetInterceptor(drop)
+	if err := env.eng.Unsubscribe(env.node(0), q); err != nil {
+		t.Fatalf("Unsubscribe: %v", err)
+	}
+	if len(drop.parked) != 1 {
+		t.Fatalf("%d purges dropped, want 1", len(drop.parked))
+	}
+	traffic := env.net.Traffic()
+	if _, _, rewrites := ringHolds(env); rewrites != 0 || traffic.TotalLost() != 0 {
+		t.Fatalf("%d rewrites still stored behind a dropped purge, %d messages booked lost", rewrites, traffic.TotalLost())
+	}
+	if traffic.Retries(purgeMsg{}.Kind()) == 0 {
+		t.Fatal("the dropped purge was never re-sent")
 	}
 }

@@ -107,14 +107,8 @@ func (t *Traffic) RecordRetry(kind string) { t.init(); t.retries.Add(kind, 1) }
 // sender's retry budget was exhausted.
 func (t *Traffic) RecordLost(kind string) { t.init(); t.lost.Add(kind, 1) }
 
-// Drops returns the in-transit losses recorded for kind.
-func (t *Traffic) Drops(kind string) int64 { t.init(); return t.drops.Value(kind) }
-
 // Duplicates returns the duplicated deliveries recorded for kind.
 func (t *Traffic) Duplicates(kind string) int64 { t.init(); return t.dups.Value(kind) }
-
-// Delayed returns the held-back deliveries recorded for kind.
-func (t *Traffic) Delayed(kind string) int64 { t.init(); return t.delays.Value(kind) }
 
 // Retries returns the sender-side re-sends recorded for kind.
 func (t *Traffic) Retries(kind string) int64 { t.init(); return t.retries.Value(kind) }

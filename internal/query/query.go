@@ -260,13 +260,9 @@ func (q *Query) NeededAttrs(rel string) []string {
 // carries. Queries needing the same attributes share one schema.
 func (q *Query) Projection(s Side) *relation.Schema { return q.plan.side[s].proj }
 
-// SelectValuesFrom extracts the values of the SELECT attributes that belong
+// appendSelectValues appends the values of the SELECT attributes that belong
 // to the tuple's relation — the v1, ..., vl that name a rewritten query's
 // key in Section 4.3.3.
-func (q *Query) SelectValuesFrom(t *relation.Tuple) ([]relation.Value, error) {
-	return q.appendSelectValues(nil, t)
-}
-
 func (q *Query) appendSelectValues(dst []relation.Value, t *relation.Tuple) ([]relation.Value, error) {
 	s, err := q.SideFor(t.Relation())
 	if err != nil {

@@ -262,15 +262,3 @@ func (z *zipf) sample(rng *rand.Rand) int {
 	u := rng.Float64()
 	return 1 + sort.SearchFloat64s(z.cdf, u)
 }
-
-// Skew is a standalone Zipf sampler over ranks 1..n for callers that draw
-// skewed values outside the generator — the TCP load target's product
-// domain, for instance. Theta <= 0 draws uniformly.
-type Skew struct{ z *zipf }
-
-// NewSkew precomputes the cumulative distribution for n ranks at the given
-// exponent.
-func NewSkew(n int, theta float64) *Skew { return &Skew{z: newZipf(n, theta)} }
-
-// Sample draws a rank in 1..n; rank 1 is the most popular.
-func (s *Skew) Sample(rng *rand.Rand) int { return s.z.sample(rng) }
