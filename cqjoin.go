@@ -201,10 +201,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 func (c *Cluster) Size() int { return c.net.Size() }
 
 // Node returns peer i (in ring order, modulo the overlay size).
-func (c *Cluster) Node(i int) *Node {
-	nodes := c.net.Nodes()
-	return &Node{c: c, n: nodes[((i%len(nodes))+len(nodes))%len(nodes)]}
-}
+func (c *Cluster) Node(i int) *Node { return &Node{c: c, n: c.net.NodeAt(i)} }
 
 // NodeByKey returns the alive peer with the given key, or nil.
 func (c *Cluster) NodeByKey(key string) *Node {

@@ -209,6 +209,22 @@ func TestNodeIndexWrapsAround(t *testing.T) {
 	}
 }
 
+// nodeSink keeps the handle Cluster.Node returns on the heap, as a caller does.
+var nodeSink *cqjoin.Node
+
+// TestClusterNodeAllocatesOnlyItsHandle pins the daemon's per-request lookup
+// (Server.localNode): indexing the ring must not copy it, whatever its size.
+func TestClusterNodeAllocatesOnlyItsHandle(t *testing.T) {
+	cluster, err := cqjoin.NewCluster(cqjoin.Config{Nodes: 2048, Catalog: demoCatalog()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(100, func() { i++; nodeSink = cluster.Node(i) }); allocs != 1 {
+		t.Fatalf("Cluster.Node allocates %.0f times at 2048 nodes, want 1 (the handle)", allocs)
+	}
+}
+
 // TestConcurrentPublishersAndSubscribers drives the engine the way the
 // daemon and cqbench do — plain Publish calls from several goroutines —
 // and holds the outcome to the centralized oracle.

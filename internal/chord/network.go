@@ -177,6 +177,18 @@ func (net *Network) Nodes() []*Node {
 	return out
 }
 
+// NodeAt returns the alive node at ring position i modulo the ring's size —
+// Nodes()[i mod Size()] without copying the ring — or nil on an empty ring.
+func (net *Network) NodeAt(i int) *Node {
+	net.mu.RLock()
+	defer net.mu.RUnlock()
+	n := len(net.ring)
+	if n == 0 {
+		return nil
+	}
+	return net.ring[((i%n)+n)%n]
+}
+
 // NodeByKey returns the alive node with the given key, or nil.
 func (net *Network) NodeByKey(key string) *Node {
 	net.mu.RLock()

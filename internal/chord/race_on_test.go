@@ -1,0 +1,5 @@
+//go:build race
+
+package chord
+
+const raceEnabled = true

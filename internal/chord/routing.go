@@ -3,6 +3,7 @@ package chord
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"cqjoin/internal/id"
 )
@@ -258,9 +259,10 @@ func (n *Node) Multisend(batch []Deliverable) ([]*Node, int, error) {
 	// Sort clockwise from the sender: ascending distance(id(n), target),
 	// computed once per deliverable.
 	origin := n.ID()
-	sorted := make([]multisendItem, len(batch))
+	var sortBuf [multisendStack]multisendItem // a publication's batch sorts on the stack
+	sorted := sortBuf[:0]
 	for i, d := range batch {
-		sorted[i] = multisendItem{d: d, idx: i, dist: id.Distance(origin, d.Target)}
+		sorted = append(sorted, multisendItem{d: d, idx: i, dist: id.Distance(origin, d.Target)})
 	}
 	slices.SortStableFunc(sorted, func(a, b multisendItem) int { return a.dist.Cmp(b.dist) })
 
@@ -272,9 +274,10 @@ func (n *Node) Multisend(batch []Deliverable) ([]*Node, int, error) {
 	n.net.obs.multisendSize.Observe(int64(len(sorted)))
 
 	recipients := make([]*Node, len(batch))
-	// One scratch slice carries every run of the call: a transport is done
-	// with a run when DeliverBatch returns.
-	msgs := make([]Message, 0, len(batch))
+	// One scratch slice carries every run of the call, and the next call's: a
+	// transport is done with a run when DeliverBatch returns.
+	scratch := getRunScratch()
+	msgs := *scratch
 	cur := n
 	totalHops := 0
 	// The list only ever loses its head, so the message before sorted[i]
@@ -335,6 +338,8 @@ func (n *Node) Multisend(batch []Deliverable) ([]*Node, int, error) {
 		n.chargeBytes(it.d.Msg, prev, prevHops, totalHops)
 		prev, prevHops = it.d.Msg, totalHops
 	}
+	*scratch = msgs
+	putRunScratch(scratch)
 	n.net.traffic.RecordHopsOnly(kind, totalHops)
 	n.net.obs.multisendHops.Observe(int64(totalHops))
 	if err != nil {
@@ -349,6 +354,25 @@ type multisendItem struct {
 	d    Deliverable
 	idx  int
 	dist id.ID
+}
+
+// multisendStack is the largest batch Multisend sorts in a stack array: a
+// publication's h al-index messages and a rewriter's join groups fit.
+const multisendStack = 8
+
+// runScratch recycles the slice Multisend hands each run to the transport in,
+// between walks: nested walks — a handler sending from inside a delivery —
+// and concurrent ones take slices of their own.
+var runScratch = sync.Pool{New: func() any { return new([]Message) }}
+
+func getRunScratch() *[]Message { return runScratch.Get().(*[]Message) }
+
+// putRunScratch returns a run slice to the pool emptied, so the pool keeps no
+// message alive.
+func putRunScratch(s *[]Message) {
+	clear((*s)[:cap(*s)])
+	*s = (*s)[:0]
+	runScratch.Put(s)
 }
 
 // MultisendIterative is the baseline the paper implemented "for comparison

@@ -745,7 +745,7 @@ func (s *Server) OwnsNode(i int) bool {
 	if s.members == nil {
 		return true
 	}
-	return s.members.ownerOf(s.cluster.Node(i).Key()) == s.cfg.OverlayAddr
+	return s.members.ownerOf(s.cluster.Overlay().NodeAt(i).Key()) == s.cfg.OverlayAddr
 }
 
 // The acknowledgements of the per-operation requests. Each declares its

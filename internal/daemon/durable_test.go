@@ -8,6 +8,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"cqjoin/internal/transport"
 )
 
 // ackedEvent is one notification a client actually received — the unit the
@@ -259,17 +262,20 @@ func TestDaemonMultiProcessCrashRestart(t *testing.T) {
 	b.srv.store.Abandon()
 	_ = b.srv.Close()
 
-	// Restart it from its state directory under the same overlay address.
-	lnB, err := net.Listen("tcp", b.addr)
-	if err != nil {
-		t.Fatalf("rebind overlay addr %s: %v", b.addr, err)
-	}
+	// Restart it from its state directory under the same overlay address,
+	// bound once New has returned: New replays B's log, whose re-sends make
+	// A call back to B, and a listener bound before would accept those calls
+	// with nobody serving them until each timed out.
 	cfgB := base
 	cfgB.OverlayAddr = b.addr
 	cfgB.Peers = peers
 	cfgB.StateDir = dirs[1]
 	cfgB.SnapshotEvery = 8
-	b2 := startOverlayProc(t, cfgB, lnB)
+	start := time.Now()
+	b2 := startOverlayProc(t, cfgB, nil)
+	if took := time.Since(start); took > transport.DefaultIOTimeout {
+		t.Fatalf("restarting B took %v, more than one transport IOTimeout (%v): a replay waited out a callback nobody served", took, transport.DefaultIOTimeout)
+	}
 	info := b2.srv.Recovery()
 	if info.SnapshotLSN == 0 && info.Replayed == 0 {
 		t.Fatalf("nothing recovered on restart: %+v", info)

@@ -140,15 +140,21 @@ func (p *overlayProc) nodeOwnedBy(t *testing.T, exclude ...int) int {
 }
 
 // startOverlayProc builds one daemon process around an already-bound
-// overlay listener and connects a protocol client to it.
+// overlay listener — or, given none, binds cfg.OverlayAddr once New has
+// returned, as cqjoind does — and connects a protocol client to it.
 func startOverlayProc(t *testing.T, cfg Config, ln net.Listener) *overlayProc {
 	t.Helper()
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New server %s: %v", cfg.OverlayAddr, err)
 	}
-	if err := srv.StartOverlay(ln); err != nil {
-		t.Fatalf("StartOverlay %s: %v", cfg.OverlayAddr, err)
+	if ln == nil {
+		err = srv.ListenAndServeOverlay()
+	} else {
+		err = srv.StartOverlay(ln)
+	}
+	if err != nil {
+		t.Fatalf("start overlay %s: %v", cfg.OverlayAddr, err)
 	}
 	cln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -153,9 +153,10 @@ func reboxSome(t *testing.T, rng *rand.Rand, msgs []chord.Message) []chord.Messa
 				t.Fatal(err)
 			}
 			switch m := msg.(type) {
-			case alIndexMsg:
-				m.T = cp
-				msg = m
+			case *alIndexMsg:
+				c := *m
+				c.T = cp
+				msg = &c
 			case vlIndexMsg:
 				m.T = cp
 				msg = m
@@ -262,7 +263,7 @@ func TestIndexWalkCarriesItsTupleOnce(t *testing.T) {
 			tu, other := tuples[(2*i)%len(tuples)], tuples[(2*i+1)%len(tuples)]
 			a := schema.Attr(i)
 			batch = append(batch,
-				chord.Deliverable{Target: id.Hash(alInput(schema.Name(), a, 0)), Msg: alIndexMsg{T: tu, Attr: a}},
+				chord.Deliverable{Target: id.Hash(alInput(schema.Name(), a, 0)), Msg: &alIndexMsg{T: tu, Attr: a}},
 				chord.Deliverable{Target: id.Hash(vlInput(schema.Name(), a, other.ValueAt(i))), Msg: vlIndexMsg{T: other, Attr: a}})
 		}
 		return batch
@@ -316,7 +317,7 @@ func TestIndexWalkCarriesItsTupleOnce(t *testing.T) {
 func TestRepeatedTupleNeedsItsPredecessor(t *testing.T) {
 	catalog, msgs := codecFixtures(t)
 	codec := NewWireCodec(catalog)
-	al, join := msgs[1].(alIndexMsg), msgs[3]
+	al, join := msgs[1].(*alIndexMsg), msgs[3]
 	behind := vlIndexMsg{T: al.T, Attr: "B"}
 	var w wire.Buffer
 	if err := codec.EncodeAfter(&w, behind, al); err != nil {

@@ -98,7 +98,7 @@ func sizeAfter(msg, prev chord.Message) (size, shared int) {
 // again: the one msg's walk hands to c.Tuple(…, nil), where it has one.
 func carried(msg chord.Message) *relation.Tuple {
 	switch m := msg.(type) {
-	case alIndexMsg:
+	case *alIndexMsg:
 		return m.T
 	case vlIndexMsg:
 		return m.T
@@ -142,7 +142,7 @@ func walkMessage(c *wire.Coder, msg *chord.Message) {
 	case queryMsg:
 		c.Tag(tagQuery)
 		m.walk(c)
-	case alIndexMsg:
+	case *alIndexMsg:
 		c.Tag(tagALIndex)
 		m.walk(c)
 	case vlIndexMsg:
@@ -221,7 +221,7 @@ func decodeMessage(c *wire.Coder) chord.Message {
 		m.walk(c)
 		return m
 	case tagALIndex:
-		var m alIndexMsg
+		m := new(alIndexMsg)
 		m.walk(c)
 		return m
 	case tagVLIndex:

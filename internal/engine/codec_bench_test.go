@@ -41,7 +41,7 @@ func BenchmarkCodec(b *testing.B) {
 		name string
 		msg  chord.Message
 	}{
-		{"al-index", alIndexMsg{T: tu, Attr: "B", Replica: 1}},
+		{"al-index", &alIndexMsg{T: tu, Attr: "B", Replica: 1}},
 		{"vl-index", vlIndexMsg{T: su, Attr: "E"}},
 		{"join", joinMsg{Rewrites: rws}},
 		{"notification", notifyMsg{Subscriber: notifs[0].Subscriber, Batch: notifs}},

@@ -54,7 +54,7 @@ func codecFixtures(t testing.TB) (*relation.Catalog, []chord.Message) {
 
 	msgs := []chord.Message{
 		queryMsg{Q: q, Side: query.SideRight, Attr: "E", Replica: 2},
-		alIndexMsg{T: tu, Attr: "B", Replica: 1},
+		&alIndexMsg{T: tu, Attr: "B", Replica: 1},
 		vlIndexMsg{T: su, Attr: "E"},
 		joinMsg{Rewrites: []*rewritten{rw, rw}},
 		joinVMsg{Input: "7", Cond: q.ConditionKey(), Side: query.SideLeft, Value: relation.N(7), Trigger: tu, Queries: []*query.Query{q}},
@@ -152,8 +152,8 @@ func assertSemanticEqual(t *testing.T, want, got chord.Message) {
 		if len(g.Q.Filters()) != len(w.Q.Filters()) {
 			t.Fatal("queryMsg lost filters")
 		}
-	case alIndexMsg:
-		g := got.(alIndexMsg)
+	case *alIndexMsg:
+		g := got.(*alIndexMsg)
 		if g.T.String() != w.T.String() || g.T.PubT() != w.T.PubT() || g.Attr != w.Attr || g.Replica != w.Replica {
 			t.Fatalf("alIndexMsg mismatch: %+v", g)
 		}
@@ -437,7 +437,7 @@ func TestSizeMatchesEncoding(t *testing.T) {
 func TestSizeCacheInvalidatedOnCopy(t *testing.T) {
 	_, msgs := codecFixtures(t)
 	for _, msg := range msgs {
-		al, ok := msg.(alIndexMsg)
+		al, ok := msg.(*alIndexMsg)
 		if !ok {
 			continue
 		}
@@ -445,7 +445,7 @@ func TestSizeCacheInvalidatedOnCopy(t *testing.T) {
 			t.Fatalf("alIndexMsg: size %d != encoding %d", MessageSize(al), encodedLen(al))
 		}
 		// A pubT two varint-lengths away changes the tuple's encoded size.
-		cp := alIndexMsg{T: al.T.WithPubT(1 << 20), Attr: al.Attr, Replica: al.Replica}
+		cp := &alIndexMsg{T: al.T.WithPubT(1 << 20), Attr: al.Attr, Replica: al.Replica}
 		if MessageSize(cp) != encodedLen(cp) {
 			t.Fatalf("copied tuple: size %d != encoding %d", MessageSize(cp), encodedLen(cp))
 		}
@@ -622,7 +622,7 @@ func TestCodecDecodeReusesCatalogAndPlanSchemas(t *testing.T) {
 		return got
 	}
 
-	al := roundTrip(alIndexMsg{T: tu, Attr: "B"}).(alIndexMsg)
+	al := roundTrip(&alIndexMsg{T: tu, Attr: "B"}).(*alIndexMsg)
 	if al.T.Schema() != env.r {
 		t.Fatal("a full tuple did not decode onto the catalog's schema")
 	}
@@ -1031,7 +1031,7 @@ func TestJoinSizeSurvivesDecode(t *testing.T) {
 	// tuple's from the catalog, and there the ends can disagree.
 	narrow := relation.MustCatalog(relation.MustSchema("R", "A", "B"), env.s)
 	var al wire.Buffer
-	if err := EncodeMessage(&al, alIndexMsg{T: rTuple(env, 1, 7, 2), Attr: "B"}); err != nil {
+	if err := EncodeMessage(&al, &alIndexMsg{T: rTuple(env, 1, 7, 2), Attr: "B"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := DecodeMessage(wire.NewReader(al.Bytes()), narrow); err == nil {

@@ -165,7 +165,8 @@ type Engine struct {
 	catalog *relation.Catalog
 	obs     engObs
 	ids     idCache
-	hot     *hotTracker // non-nil iff hot-key sharding is configured
+	alIDs   map[relAttr][]alIdent // read-only after New (alKey)
+	hot     *hotTracker           // non-nil iff hot-key sharding is configured
 
 	// multiOn flags a registered multi-way pipeline: partial matches route
 	// through value-level identifiers without shard awareness, so hot-key
@@ -196,6 +197,7 @@ func New(net *chord.Network, catalog *relation.Catalog, cfg Config) *Engine {
 		net:       net,
 		catalog:   catalog,
 		obs:       newEngObs(cfg.Obs),
+		alIDs:     alIdents(catalog, cfg.ReplicationFactor),
 		states:    make(map[*chord.Node]*nodeState),
 		byKey:     make(map[string]*nodeState),
 		seq:       make(map[string]int),

@@ -38,17 +38,27 @@ func (st *nodeState) handleJoin(m joinMsg) {
 		scatter = st.hotScatterJoins(hot, m.Rewrites)
 	}
 
+	stores := alg == SAI || alg == DAIT
+	var buf [keyScratch]byte
+	var qb *vlqtBucket
+	var tb *vlttBucket
+	var slab rewriteSlab // the message's new rewrites share one array
+
 	st.mu.Lock()
-	var input string
 	for i, rw := range m.Rewrites {
-		// A rewriter's group shares one identifier (Section 4.3.5): derive
-		// it once, again only where a message mixes targets.
+		// A rewriter's group shares one identifier (Section 4.3.5): look its
+		// buckets up once, again only where a message mixes targets.
 		if i == 0 || !rw.sameTarget(m.Rewrites[i-1]) {
-			input = vlInput(rw.WantRel, rw.WantAttr, rw.WantValue)
+			key := appendVLInput(buf[:0], rw.WantRel, rw.WantAttr, rw.WantValue)
+			qb, tb = st.vlqt[string(key)], st.vltt[string(key)]
+			if qb == nil && stores {
+				qb = st.newVLQT(string(key), sameTargetRun(m.Rewrites[i:]))
+			}
 		}
 
-		if alg == SAI || alg == DAIT {
-			if !st.vlqtFor(input).rewrites.record(rw, rw.Trigger.PubT()) {
+		if stores {
+			slab.want = len(m.Rewrites) - i
+			if !qb.rewrites.record(rw, &slab, rw.Trigger.PubT()) {
 				work++
 				continue
 			}
@@ -58,7 +68,7 @@ func (st *nodeState) handleJoin(m joinMsg) {
 		if alg == SAI || alg == DAIQ {
 			// Match the rewritten query against stored tuples that were
 			// inserted after the query was posed.
-			if tb := st.vltt[input]; tb != nil {
+			if tb != nil {
 				for _, tt := range tb.tuples.all() {
 					work++
 					if n, ok := matchRewrite(rw, tt); ok {
@@ -89,12 +99,14 @@ func (st *nodeState) handleJoin(m joinMsg) {
 func (st *nodeState) handleVLIndex(m vlIndexMsg) {
 	alg := st.engine.cfg.Algorithm
 	t := m.T
-	input := vlInput(t.Relation(), m.Attr, t.MustValue(m.Attr))
+	var buf [keyScratch]byte
+	key := appendVLInput(buf[:0], t.Relation(), m.Attr, t.MustValue(m.Attr))
 
 	// Hot-key sharding (DESIGN.md §13): count the arrival; when the input
 	// is promoted and the tuple's content hashes to a foreign shard, relay
 	// it there instead of evaluating here. Shard 0 is this bucket.
 	if hot := st.engine.hotState(); hot != nil {
+		input := string(key)
 		entry := st.countHotArrival(hot, input, t.PubT())
 		if s := shardOf(t, entry.k); s != 0 {
 			st.forwardHotTuple(input, s, entry, t)
@@ -109,7 +121,7 @@ func (st *nodeState) handleVLIndex(m vlIndexMsg) {
 
 	st.mu.Lock()
 	if alg == SAI || alg == DAIT {
-		if qb := st.vlqt[input]; qb != nil {
+		if qb := st.vlqt[string(key)]; qb != nil {
 			for _, sr := range qb.rewrites.all() {
 				work++
 				if n, ok := matchRewrite(sr.rw, t); ok {
@@ -119,14 +131,18 @@ func (st *nodeState) handleVLIndex(m vlIndexMsg) {
 		}
 	}
 	// Stored multi-way partial matches awaiting this identifier.
-	mNotifs, mOuts, mWork := st.matchMultiStored(input, t)
+	mNotifs, mOuts, mWork := st.matchMultiStored(key, t)
 	notifs = append(notifs, mNotifs...)
 	outs = append(outs, mOuts...)
 	work += mWork
 	if alg == SAI || alg == DAIQ {
 		// Absorb duplicated deliveries: storing the tuple twice would
 		// double every future rewritten-query match.
-		if st.vlttFor(input).tuples.add(t) {
+		tb := st.vltt[string(key)] // probed without a string; vlttFor makes the one it keeps
+		if tb == nil {
+			tb = st.vlttFor(string(key))
+		}
+		if tb.tuples.add(t) {
 			stored++
 		} else {
 			st.engine.net.Traffic().RecordDuplicate(m.Kind())

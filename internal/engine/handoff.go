@@ -253,7 +253,7 @@ func (st *nodeState) merge(on *chord.Node, m handoffMsg, replayNotifs bool) {
 	for _, sec := range m.VQ {
 		qb := st.vlqtFor(sec.Input)
 		for _, e := range sec.Entries {
-			if qb.rewrites.record(e.Rw, e.Times...) {
+			if qb.rewrites.record(e.Rw, nil, e.Times...) {
 				addedEvaluator++
 			}
 		}

@@ -426,7 +426,7 @@ func (st *nodeState) mergeHotBucket(key string, rws []*rewritten, entries []vqEn
 		qb = st.vlqtFor(key)
 	}
 	storeRewrite := func(rw *rewritten, times ...int64) {
-		if !qb.rewrites.record(rw, times...) {
+		if !qb.rewrites.record(rw, nil, times...) {
 			work++
 			return
 		}

@@ -36,11 +36,18 @@ func alInput(rel, attr string, replica int) string {
 // vlInput is the value-level hash input: Hash(R + A + v).
 func vlInput(rel, attr string, v relation.Value) string {
 	var buf [keyScratch]byte
-	b := append(buf[:0], rel...)
+	return string(appendVLInput(buf[:0], rel, attr, v))
+}
+
+// appendVLInput appends vlInput(rel, attr, v) to b: a lookup builds the key
+// in a stack buffer and probes a table with string(b), which allocates
+// nothing; only a table or cache that keeps the key makes it a string.
+func appendVLInput(b []byte, rel, attr string, v relation.Value) []byte {
+	b = append(b, rel...)
 	b = append(b, '+')
 	b = append(b, attr...)
 	b = append(b, '+')
-	return string(v.AppendCanon(b))
+	return v.AppendCanon(b)
 }
 
 // daivInput is DAI-V's value-level hash input: just the value the join
@@ -56,7 +63,8 @@ func (e *Engine) replicaOf(v relation.Value) int {
 	if k <= 1 {
 		return 0
 	}
-	h := e.hashInput("replica+" + v.Canon())
+	var buf [keyScratch]byte
+	h := e.ids.hashBytes(v.AppendCanon(append(buf[:0], "replica+"...)))
 	return int(binary.BigEndian.Uint64(h[:8]) % uint64(k))
 }
 
@@ -163,12 +171,12 @@ func (e *Engine) sendQueryIndex(from *chord.Node, q *query.Query, idx []sideAttr
 	for _, sa := range idx {
 		rel := q.Rel(sa.side).Name()
 		for r := 0; r < e.cfg.ReplicationFactor; r++ {
-			input := alInput(rel, sa.attr, r)
+			input, target := e.alKey(rel, sa.attr, r)
 			if !slices.Contains(inputs, input) { // marked too: one retraction takes both
 				inputs = append(inputs, input)
 			}
 			batch = append(batch, chord.Deliverable{
-				Target: e.hashInput(input),
+				Target: target,
 				Msg:    queryMsg{Q: q, Side: sa.side, Attr: sa.attr, Replica: r},
 			})
 		}
@@ -194,17 +202,18 @@ func (e *Engine) indexTuple(from *chord.Node, t *relation.Tuple) error {
 	}
 	schema := t.Schema()
 	blind := e.cfg.BlindIndexing && e.cfg.Algorithm != DAIV
-	batch := make([]chord.Deliverable, 0, schema.Arity())
-	for i := 0; i < schema.Arity(); i++ {
+	var batchBuf [8]chord.Deliverable
+	batch := batchBuf[:0]
+	msgs := make([]alIndexMsg, schema.Arity()) // the publication's h messages, one allocation
+	var buf [keyScratch]byte
+	for i := range msgs {
 		a, v := schema.Attr(i), t.ValueAt(i)
-		rep := e.replicaOf(v)
-		batch = append(batch, chord.Deliverable{
-			Target: e.hashInput(alInput(schema.Name(), a, rep)),
-			Msg:    alIndexMsg{T: t, Attr: a, Replica: rep},
-		})
+		msgs[i] = alIndexMsg{T: t, Attr: a, Replica: e.replicaOf(v)}
+		_, target := e.alKey(schema.Name(), a, msgs[i].Replica)
+		batch = append(batch, chord.Deliverable{Target: target, Msg: &msgs[i]})
 		if blind {
 			batch = append(batch, chord.Deliverable{
-				Target: e.hashInput(vlInput(schema.Name(), a, v)),
+				Target: e.ids.hashBytes(appendVLInput(buf[:0], schema.Name(), a, v)),
 				Msg:    vlIndexMsg{T: t, Attr: a},
 			})
 		}
@@ -224,7 +233,7 @@ func (e *Engine) indexTuple(from *chord.Node, t *relation.Tuple) error {
 // out.
 func (e *Engine) dispatchHinted(from *chord.Node, schema *relation.Schema, batch []chord.Deliverable) error {
 	st := e.state(from)
-	slot := func(i int) int { return i*e.cfg.ReplicationFactor + batch[i].Msg.(alIndexMsg).Replica }
+	slot := func(i int) int { return i*e.cfg.ReplicationFactor + batch[i].Msg.(*alIndexMsg).Replica }
 	var hintBuf, gotBuf [8]*chord.Node
 	st.mu.Lock()
 	hints := append(hintBuf[:0], st.alOwners.owners(schema)...)

@@ -118,7 +118,7 @@ func (st *nodeState) mergeVLQT(b *vlqtBucket) int {
 	}
 	added := 0
 	for _, sr := range b.rewrites.all() {
-		if ex.rewrites.record(sr.rw, sr.times...) {
+		if ex.rewrites.record(sr.rw, nil, sr.times...) {
 			added++
 		}
 	}

@@ -33,14 +33,15 @@ type queryMsg struct {
 func (queryMsg) Kind() string { return kindQuery }
 
 // alIndexMsg carries tuple T indexed at the attribute level under Attr —
-// al-index(t, A) of Section 4.2. Replica identifies the rewriter replica.
+// al-index(t, A) of Section 4.2. Replica identifies the rewriter replica. It
+// travels as a pointer: a publication's h of them are one array (indexTuple).
 type alIndexMsg struct {
 	T       *relation.Tuple
 	Attr    string
 	Replica int
 }
 
-func (alIndexMsg) Kind() string { return kindALIndex }
+func (*alIndexMsg) Kind() string { return kindALIndex }
 
 // vlIndexMsg carries tuple T indexed at the value level under Attr —
 // vl-index(t, A) of Section 4.2.
@@ -91,6 +92,16 @@ type rewriteTarget struct {
 func (rw *rewritten) sameTarget(o *rewritten) bool {
 	return rw.rewriteTarget == o.rewriteTarget ||
 		rw.WantValue == o.WantValue && rw.WantAttr == o.WantAttr && rw.WantRel == o.WantRel
+}
+
+// sameTargetRun counts the rewrites at the head of rws that wait where the
+// first does.
+func sameTargetRun(rws []*rewritten) int {
+	n := 1
+	for n < len(rws) && rws[n].sameTarget(rws[n-1]) {
+		n++
+	}
+	return n
 }
 
 // joinMsg reindexes one or more rewritten queries that share the same

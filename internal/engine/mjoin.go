@@ -415,8 +415,8 @@ func (mb *mvlqtBucket) recordTarget(queryKey, input string) {
 // matchMultiStored runs an incoming value-level tuple against the stored
 // partial matches of its identifier. The caller holds st.mu; the returned
 // work is charged by the caller.
-func (st *nodeState) matchMultiStored(input string, t *relation.Tuple) (notifs []Notification, outs []outbound, work int) {
-	mb := st.mvlqt[input]
+func (st *nodeState) matchMultiStored(key []byte, t *relation.Tuple) (notifs []Notification, outs []outbound, work int) {
+	mb := st.mvlqt[string(key)]
 	if mb == nil {
 		return nil, nil, 0
 	}

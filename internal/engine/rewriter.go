@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"slices"
+
 	"cqjoin/internal/chord"
 	"cqjoin/internal/id"
 	"cqjoin/internal/metrics"
@@ -75,12 +77,14 @@ type outbound struct {
 // (Section 4.3.5). Tuples are never stored at the attribute level; unless
 // publishers index blind, the rewriter sends the tuple on to its attribute's
 // value level while a live query reads it there: while the bucket is marked.
-func (st *nodeState) handleALIndex(m alIndexMsg) {
+func (st *nodeState) handleALIndex(m *alIndexMsg) {
 	e := st.engine
 	t := m.T
-	input := alInput(t.Relation(), m.Attr, m.Replica)
+	input, _ := e.alKey(t.Relation(), m.Attr, m.Replica)
 
-	var outs []outbound
+	var outBuf [4]outbound
+	var trigBuf [16]*query.Query // one group's triggered queries at a time
+	outs := outBuf[:0]
 	examined := 0
 
 	st.mu.Lock()
@@ -102,7 +106,7 @@ func (st *nodeState) handleALIndex(m alIndexMsg) {
 			// Retraction removed the group; its order slot stays behind.
 			continue
 		}
-		triggered := make([]*query.Query, 0, len(g.queries))
+		triggered := trigBuf[:0]
 		for _, q := range g.queries {
 			examined++
 			if t.PubT() < q.InsT() {
@@ -136,8 +140,9 @@ func (st *nodeState) handleALIndex(m alIndexMsg) {
 	if forward {
 		// Its own send: on the join multisend the join would ride its legs too.
 		e.obs.vlForwards.Inc()
+		var buf [keyScratch]byte
 		_ = e.dispatch(st.node, []chord.Deliverable{{
-			Target: e.hashInput(vlInput(t.Relation(), m.Attr, t.MustValue(m.Attr))),
+			Target: e.ids.hashBytes(appendVLInput(buf[:0], t.Relation(), m.Attr, t.MustValue(m.Attr))),
 			Msg:    vlIndexMsg{T: t, Attr: m.Attr},
 		}})
 	} else if len(outs) == 0 {
@@ -253,7 +258,7 @@ func rewriteGroupV(g *queryGroup, triggered []*query.Query, t *relation.Tuple, k
 				Side:    g.side,
 				Value:   vJC,
 				Trigger: t,
-				Queries: triggered,
+				Queries: slices.Clone(triggered), // the caller reuses triggered
 			},
 		}}
 	}
@@ -349,9 +354,10 @@ func (st *nodeState) sendJoins(outs []outbound) {
 		}
 		return
 	}
-	batch := make([]chord.Deliverable, len(outs))
-	for i, o := range outs {
-		batch[i] = chord.Deliverable{Target: e.hashInput(o.input), Msg: o.msg}
+	var batchBuf [4]chord.Deliverable
+	batch := batchBuf[:0]
+	for _, o := range outs {
+		batch = append(batch, chord.Deliverable{Target: e.hashInput(o.input), Msg: o.msg})
 	}
 	// Best-effort (Section 3.2): an unroutable overlay drops the batch.
 	// With retries configured, unacked deliverables are re-sent.

@@ -13,7 +13,7 @@ import "cqjoin/internal/chord"
 func (m queryMsg) Size(prev chord.Message) (int, int) { return sizeAfter(m, prev) }
 
 // Size reports the al-index(t, A) message's wire size.
-func (m alIndexMsg) Size(prev chord.Message) (int, int) { return sizeAfter(m, prev) }
+func (m *alIndexMsg) Size(prev chord.Message) (int, int) { return sizeAfter(m, prev) }
 
 // Size reports the vl-index(t, A) message's wire size.
 func (m vlIndexMsg) Size(prev chord.Message) (int, int) { return sizeAfter(m, prev) }

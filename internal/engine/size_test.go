@@ -25,7 +25,7 @@ func TestAllMessagesImplementSizer(t *testing.T) {
 
 	msgs := []chord.Message{
 		queryMsg{Q: q, Attr: "B"},
-		alIndexMsg{T: tu, Attr: "B"},
+		&alIndexMsg{T: tu, Attr: "B"},
 		vlIndexMsg{T: tu, Attr: "B"},
 		joinMsg{Rewrites: []*rewritten{rw}},
 		joinVMsg{Input: "7", Cond: q.ConditionKey(), Value: tu.MustValue("B"), Trigger: tu, Queries: []*query.Query{q}},

@@ -191,11 +191,17 @@ type vlqtBucket struct {
 // vlqtFor returns the VLQT bucket of input, creating it when absent. The
 // caller holds st.mu.
 func (st *nodeState) vlqtFor(input string) *vlqtBucket {
-	qb := st.vlqt[input]
-	if qb == nil {
-		qb = &vlqtBucket{input: input}
-		st.vlqt[input] = qb
+	if qb := st.vlqt[input]; qb != nil {
+		return qb
 	}
+	return st.newVLQT(input, 0)
+}
+
+// newVLQT creates input's VLQT bucket with room for the n rewrites of the
+// group that creates it. The caller holds st.mu.
+func (st *nodeState) newVLQT(input string, n int) *vlqtBucket {
+	qb := &vlqtBucket{input: input, rewrites: rewriteTable{items: make([]*storedRewrite, 0, n)}}
+	st.vlqt[input] = qb
 	return qb
 }
 
@@ -257,7 +263,7 @@ func (st *nodeState) HandleMessage(on *chord.Node, msg chord.Message) {
 	switch m := msg.(type) {
 	case queryMsg:
 		st.handleQueryIndex(m)
-	case alIndexMsg:
+	case *alIndexMsg:
 		st.handleALIndex(m)
 	case vlIndexMsg:
 		st.handleVLIndex(m)

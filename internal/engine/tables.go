@@ -91,10 +91,34 @@ func (s *tupleSet) removeIf(drop func(*relation.Tuple) bool) int {
 }
 
 // storedRewrite is one rewritten query waiting at an evaluator, with the
-// publication times of the tuples that produced it.
+// publication times of the tuples that produced it. Most are produced once:
+// times starts out over first, the entry's own one-element array, and moves
+// to an array of its own only when a second time comes.
 type storedRewrite struct {
 	rw    *rewritten
 	times []int64
+	first [1]int64
+}
+
+// rewriteSlab hands out the entries one join message stores (handleJoin): on
+// first use it allocates one array for the want rewrites the message has
+// left, so the new rewrites of a message share one backing array. A nil slab
+// allocates each entry alone.
+type rewriteSlab struct {
+	want int
+	free []storedRewrite
+}
+
+func (s *rewriteSlab) entry() *storedRewrite {
+	if s == nil {
+		return new(storedRewrite)
+	}
+	if len(s.free) == 0 {
+		s.free = make([]storedRewrite, max(s.want, 1))
+	}
+	sr := &s.free[0]
+	s.free = s.free[1:]
+	return sr
 }
 
 // rewriteTable is an insertion-ordered table of stored rewritten queries,
@@ -122,16 +146,21 @@ func (t *rewriteTable) get(key string) *storedRewrite {
 	return nil
 }
 
-// record stores rw with its trigger times, or — when its key is already
-// present: the same query rewritten by a tuple with the same index-attribute
-// value — only adds the times to the stored entry (Section 4.3.3). It
-// reports whether rw was stored.
-func (t *rewriteTable) record(rw *rewritten, times ...int64) bool {
+// record stores rw with its trigger times in an entry of slab, or — when its
+// key is already present: the same query rewritten by a tuple with the same
+// index-attribute value — only adds the times to the stored entry
+// (Section 4.3.3). It reports whether rw was stored.
+func (t *rewriteTable) record(rw *rewritten, slab *rewriteSlab, times ...int64) bool {
 	if sr := t.get(rw.Key); sr != nil {
 		sr.times = append(sr.times, times...)
 		return false
 	}
-	sr := &storedRewrite{rw: rw, times: append([]int64(nil), times...)}
+	sr := slab.entry()
+	sr.rw = rw
+	if len(times) > 0 {
+		sr.first[0] = times[0]
+		sr.times = append(sr.first[:1:1], times[1:]...)
+	}
 	t.items = append(t.items, sr)
 	if t.index != nil {
 		t.index[rw.Key] = sr

@@ -147,6 +147,7 @@ func TestRewriteTableMatchesMapAndSlice(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		limit := 1 + rng.Intn(64)
 		var tab rewriteTable
+		var slab rewriteSlab // shared by a run of records, as by one join's
 		ref := &refRewrites{byKey: make(map[string]*storedRewrite)}
 		check := func(step string) {
 			t.Helper()
@@ -182,7 +183,12 @@ func TestRewriteTableMatchesMapAndSlice(t *testing.T) {
 				if rng.Intn(4) == 0 { // a merged entry carries several
 					times = append(times, int64(op)+1000)
 				}
-				if got, want := tab.record(rw, times...), ref.record(rw, times...); got != want {
+				from := &slab
+				if rng.Intn(3) == 0 {
+					from = nil
+				}
+				slab.want = 1 + rng.Intn(3)
+				if got, want := tab.record(rw, from, times...), ref.record(rw, times...); got != want {
 					t.Fatalf("%s: record(%s) = %v, reference %v", step, rw.Key, got, want)
 				}
 			} else { // a query is retracted

@@ -153,10 +153,12 @@ func (t *Tuple) Equal(o *Tuple) bool {
 
 // WithPubT returns a copy of the tuple stamped with publication time ts.
 // The engine stamps tuples at insertion; the original is not modified. The
-// copy is built field by field — a struct copy would read wireSize without
-// synchronization, and the new pubT invalidates the memoized size anyway.
+// copy shares the original's values — no tuple ever writes its values after
+// construction, and Values hands out copies — and is built field by field: a
+// struct copy would read wireSize without synchronization, and the new pubT
+// invalidates the memoized size anyway.
 func (t *Tuple) WithPubT(ts int64) *Tuple {
-	return &Tuple{schema: t.schema, values: append([]Value(nil), t.values...), pubT: ts}
+	return &Tuple{schema: t.schema, values: t.values, pubT: ts}
 }
 
 // Project returns a new tuple restricted to the named attributes in the

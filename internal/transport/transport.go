@@ -73,6 +73,9 @@ type MembershipHandler interface {
 	HandleView(v *wire.MemberView) uint64
 }
 
+// DefaultIOTimeout is Config.IOTimeout when none is set: the daemon sets none.
+const DefaultIOTimeout = 5 * time.Second
+
 // Config parameterizes a TCP transport.
 type Config struct {
 	// Self is this process's advertised overlay address; deliveries whose
@@ -90,7 +93,7 @@ type Config struct {
 	Membership MembershipHandler
 
 	// DialTimeout bounds connection establishment (default 2s); IOTimeout
-	// bounds one RPC's write and ack read (default 5s).
+	// bounds one RPC's write and ack read (default DefaultIOTimeout).
 	DialTimeout time.Duration
 	IOTimeout   time.Duration
 	// IdleTimeout is how long a pooled connection may sit unused before
@@ -198,7 +201,7 @@ func New(cfg Config) (*TCP, error) {
 		cfg.DialTimeout = 2 * time.Second
 	}
 	if cfg.IOTimeout <= 0 {
-		cfg.IOTimeout = 5 * time.Second
+		cfg.IOTimeout = DefaultIOTimeout
 	}
 	if cfg.IdleTimeout <= 0 {
 		cfg.IdleTimeout = 60 * time.Second
