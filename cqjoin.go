@@ -117,38 +117,44 @@ var (
 	MustTuple = relation.MustTuple
 )
 
-// Config parameterizes a Cluster.
+// Config parameterizes a Cluster. daemon.New, the examples and the
+// benchmark are its callers in this repository.
 type Config struct {
-	// Nodes is the initial overlay size. Must be at least 1.
+	// Nodes is the initial overlay size. Must be at least 1. Set by every
+	// caller.
 	Nodes int
-	// Catalog declares the relations tuples and queries may reference.
+	// Catalog declares the relations tuples and queries may reference. Set
+	// by every caller.
 	Catalog *Catalog
-	// Algorithm selects the protocol; the zero value is SAI.
+	// Algorithm selects the protocol; the zero value is SAI. Set by
+	// daemon.New (-algorithm), the examples and tests.
 	Algorithm Algorithm
-	// Strategy selects SAI's index-attribute choice; zero is random.
+	// Strategy selects SAI's index-attribute choice; zero is random. Set by
+	// the examples.
 	Strategy Strategy
-	// UseJFRT enables the Join Fingers Routing Table (Section 4.7.1).
+	// UseJFRT enables the Join Fingers Routing Table (Section 4.7.1). Set by
+	// daemon.New (-jfrt), the examples and tests.
 	UseJFRT bool
 	// ReplicationFactor spreads each rewriter over k replica nodes
-	// (Section 4.7.2); values < 2 disable replication.
+	// (Section 4.7.2); values < 2 disable replication. No caller in this
+	// repository sets it: the library's switch for the paper's replication,
+	// which internal/exp measures through engine.Config.
 	ReplicationFactor int
 	// Window is the sliding window in logical time units; 0 keeps stored
-	// tuples forever.
+	// tuples forever. Set by the marketfeed example.
 	Window int64
-	// Seed makes runs reproducible.
+	// Seed makes runs reproducible. Set by daemon.New (-seed), the benchmark
+	// and tests.
 	Seed int64
 
 	// HotKeyThreshold arms adaptive hot-key sharding (SAI only): a
 	// value-level input whose event count crosses the threshold within one
-	// detection window is promoted to a replica group. 0 disables the
-	// layer.
+	// detection window of 64 logical time units is promoted to a replica
+	// group. 0 disables the layer. Set by daemon.New (-hot-threshold).
 	HotKeyThreshold int
 	// HotKeyReplicas is the promoted replica-group size; values < 2
-	// default to 4.
+	// default to 4. Set by daemon.New (-hot-replicas).
 	HotKeyReplicas int
-	// HotKeyWindow is the detection window in logical time units; 0
-	// defaults to 64.
-	HotKeyWindow int64
 }
 
 // Durability receives every mutating operation a Cluster routes through
@@ -192,7 +198,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		Seed:              cfg.Seed,
 		HotKeyThreshold:   cfg.HotKeyThreshold,
 		HotKeyReplicas:    cfg.HotKeyReplicas,
-		HotKeyWindow:      cfg.HotKeyWindow,
 	})
 	return &Cluster{net: net, eng: eng, catalog: cfg.Catalog}, nil
 }

@@ -5,24 +5,20 @@ import (
 	"go/types"
 )
 
-// orderSensitiveSinks are the built-in order-sensitive consumers: anything
-// whose observable output (wire bytes, hop ledger, notification order)
-// depends on the order its inputs arrive in.
+// orderSensitiveSinks are the built-in order-sensitive consumers besides
+// the overlay sends in networkSends: anything whose observable output (wire
+// bytes, hop ledger, notification order) depends on the order its inputs
+// arrive in.
 // Package-internal sinks are marked at their declaration with
 // //cqlint:sink instead of being listed here.
 var orderSensitiveSinks = map[string]bool{
-	"cqjoin/internal/chord.Node.Send":               true,
-	"cqjoin/internal/chord.Node.DirectSend":         true,
-	"cqjoin/internal/chord.Node.SendHinted":         true,
-	"cqjoin/internal/chord.Node.Multisend":          true,
-	"cqjoin/internal/chord.Node.MultisendIterative": true,
-	"cqjoin/internal/engine.EncodeMessage":          true,
-	"cqjoin/internal/wire.EncodeTuple":              true,
-	"cqjoin/internal/wire.EncodeQuery":              true,
-	"cqjoin/internal/wire.Buffer.PutUvarint":        true,
-	"cqjoin/internal/wire.Buffer.PutVarint":         true,
-	"cqjoin/internal/wire.Buffer.PutString":         true,
-	"cqjoin/internal/wire.Buffer.PutValue":          true,
+	"cqjoin/internal/engine.EncodeMessage":   true,
+	"cqjoin/internal/wire.EncodeTuple":       true,
+	"cqjoin/internal/wire.EncodeQuery":       true,
+	"cqjoin/internal/wire.Buffer.PutUvarint": true,
+	"cqjoin/internal/wire.Buffer.PutVarint":  true,
+	"cqjoin/internal/wire.Buffer.PutString":  true,
+	"cqjoin/internal/wire.Buffer.PutValue":   true,
 
 	// The leaves a walk method lists its fields through (wire.Coder): in
 	// encoding mode each is a Put.
@@ -83,7 +79,7 @@ func runMapOrder(pass *Pass) error {
 				if fn == nil {
 					return true
 				}
-				if orderSensitiveSinks[funcKey(fn)] || pass.Prog.IsMarkedSink(fn) {
+				if k := funcKey(fn); networkSends[k] || orderSensitiveSinks[k] || pass.Prog.IsMarkedSink(fn) {
 					pass.Reportf(call.Pos(), "%s called while ranging over a map: iteration order is random; collect keys, sort, then send", fn.Name())
 				}
 				return true

@@ -9,7 +9,7 @@ import (
 // O(log N) simulated hops, run delivery handlers on other nodes, and (in a
 // socket deployment) block on the network. Holding a local mutex across
 // one is a latency and deadlock hazard — delivery handlers may call back
-// into the sending node.
+// into the sending node. maporder and lockorder read the same list.
 var networkSends = map[string]bool{
 	"cqjoin/internal/chord.Node.Send":               true,
 	"cqjoin/internal/chord.Node.DirectSend":         true,

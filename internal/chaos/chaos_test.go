@@ -64,10 +64,9 @@ func runChaos(t *testing.T, alg engine.Algorithm, seed int64, faults Config, eve
 	net := chord.New(chord.Config{})
 	net.AddNodes("peer", 48)
 	eng := engine.New(net, catalog, engine.Config{
-		Algorithm:    alg,
-		Seed:         seed,
-		MaxRetries:   6,
-		RetryBackoff: 1,
+		Algorithm:  alg,
+		Seed:       seed,
+		MaxRetries: 6,
 	})
 	faults.Seed = seed
 	in := New(eng, faults)

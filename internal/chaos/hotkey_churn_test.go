@@ -37,7 +37,6 @@ func runHotKeyChurn(t *testing.T, seed int64, batches int, churn bool) (chaosRes
 		Algorithm:       engine.SAI,
 		Seed:            seed,
 		MaxRetries:      6,
-		RetryBackoff:    1,
 		HotKeyThreshold: 8,
 		HotKeyReplicas:  4,
 		HotKeyWindow:    1 << 20,

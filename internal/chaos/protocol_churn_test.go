@@ -54,7 +54,7 @@ func runProtocolChurn(t *testing.T, cfg engine.Config, seed int64, batches int, 
 
 	net := chord.New(chord.Config{})
 	net.AddNodes("peer", 48)
-	cfg.Seed, cfg.MaxRetries, cfg.RetryBackoff = seed, 6, 1
+	cfg.Seed, cfg.MaxRetries = seed, 6
 	eng := engine.New(net, catalog, cfg)
 	var in *Injector
 	if churn {

@@ -11,22 +11,21 @@ import (
 	"cqjoin/internal/sim"
 )
 
-// Config parameterizes a simulated overlay.
+// Config parameterizes a simulated overlay. Every network builds its own
+// traffic ledger and logical clock.
 type Config struct {
 	// SuccessorListLen is the length r of each node's successor list
 	// (Section 2.2: "in practice even small values of r are enough").
-	// Zero means the default of 8.
+	// Zero means the default of 8. Set by tests; everything else runs the
+	// default.
 	SuccessorListLen int
-	// Traffic receives hop/message accounting. Nil allocates a fresh ledger.
-	Traffic *metrics.Traffic
-	// Clock is the logical clock shared by the network. Nil allocates one.
-	Clock *sim.Clock
 	// Obs is the observability registry. When set, the traffic ledger's
 	// families are registered on it, the routing layer records per-kind
 	// send counters and hop histograms ("chord.*"), and the clock reports
 	// its tick metrics ("sim.clock.*"). Nil (the default) disables the
 	// layer at zero cost — same-seed runs are bit-identical either way,
-	// because recording never feeds back into routing decisions.
+	// because recording never feeds back into routing decisions. Set by
+	// tests, directly or through internal/exp.Setup.
 	Obs *obs.Registry
 }
 
@@ -127,22 +126,17 @@ func New(cfg Config) *Network {
 	if cfg.SuccessorListLen <= 0 {
 		cfg.SuccessorListLen = defaultSuccessorListLen
 	}
-	if cfg.Traffic == nil {
-		// Hang the ledger's families on the shared registry so one
-		// snapshot covers the paper's metrics and the substrate's.
-		cfg.Traffic = metrics.NewTraffic(cfg.Obs)
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = &sim.Clock{}
-	}
-	cfg.Clock.Instrument(cfg.Obs)
+	clock := &sim.Clock{}
+	clock.Instrument(cfg.Obs)
 	net := &Network{
 		byKey:       make(map[string]*Node),
 		succListLen: cfg.SuccessorListLen,
-		traffic:     cfg.Traffic,
-		clock:       cfg.Clock,
-		obsReg:      cfg.Obs,
-		obs:         newNetObs(cfg.Obs),
+		// The ledger's families hang on the shared registry, so one snapshot
+		// covers the paper's metrics and the substrate's.
+		traffic: metrics.NewTraffic(cfg.Obs),
+		clock:   clock,
+		obsReg:  cfg.Obs,
+		obs:     newNetObs(cfg.Obs),
 	}
 	net.simT = &simTransport{net: net}
 	return net

@@ -32,7 +32,7 @@ func TestExportHandoffCrashRecovery(t *testing.T) {
 	build := func() *engine.Engine {
 		net := chord.New(chord.Config{})
 		net.AddNodes("peer", 16)
-		return engine.New(net, catalog, engine.Config{Seed: 5, MaxRetries: 3, RetryBackoff: 1})
+		return engine.New(net, catalog, engine.Config{Seed: 5, MaxRetries: 3})
 	}
 
 	eng := build()
@@ -148,7 +148,7 @@ func TestChurnRestartHandoff(t *testing.T) {
 	build := func() *engine.Engine {
 		net := chord.New(chord.Config{})
 		net.AddNodes("peer", 48)
-		return engine.New(net, catalog, engine.Config{Seed: seed, MaxRetries: 6, RetryBackoff: 1})
+		return engine.New(net, catalog, engine.Config{Seed: seed, MaxRetries: 6})
 	}
 	eng := build()
 	in := chaos.New(eng, chaos.Config{

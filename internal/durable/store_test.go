@@ -106,7 +106,7 @@ func runScript(t *testing.T, catalog *relation.Catalog, script []scriptOp, dir s
 	build := func() (*engine.Engine, *chaos.Injector, *Store) {
 		net := chord.New(chord.Config{})
 		net.AddNodes("peer", scriptNodes)
-		eng := engine.New(net, catalog, engine.Config{MaxRetries: 3, RetryBackoff: 1, Seed: seed})
+		eng := engine.New(net, catalog, engine.Config{MaxRetries: 3, Seed: seed})
 		eng.OnNotify(consumer)
 		var in *chaos.Injector
 		if withChaos {

@@ -80,62 +80,64 @@ func (a Algorithm) String() string {
 	}
 }
 
-// Config parameterizes an Engine.
+// Config parameterizes an Engine. cqjoin.NewCluster builds the one every
+// daemon, example and benchmark runs; internal/exp.Setup builds the paper's.
 type Config struct {
-	// Algorithm selects the protocol. The zero value is SAI.
+	// Algorithm selects the protocol. The zero value is SAI. Set by
+	// cqjoin.NewCluster, internal/exp and tests.
 	Algorithm Algorithm
 	// Strategy picks the index attribute for SAI queries (Section 4.3.6).
-	// The zero value is StrategyRandom.
+	// The zero value is StrategyRandom. Set by cqjoin.NewCluster,
+	// internal/exp and tests.
 	Strategy Strategy
 	// UseJFRT enables the Join Fingers Routing Table (Section 4.7.1):
 	// rewriters cache evaluator addresses so repeat reindexing costs one
-	// hop instead of O(log N).
+	// hop instead of O(log N). Set by cqjoin.NewCluster, internal/exp
+	// (F5.2) and tests.
 	UseJFRT bool
-	// IterativeMultisend replaces the recursive multisend of Section 2.3
-	// with k independent lookups, the comparison baseline of Figure 4.8. Set
-	// by tests of that comparison, nothing else (Engine.walk is the one fork).
-	IterativeMultisend bool
 	// ReplicationFactor k replicates the rewriter role of every attribute
 	// over k nodes (Section 4.7.2). Queries are indexed at all replicas;
 	// each incoming tuple is routed to one replica chosen by its attribute
 	// value, splitting the filtering load. Values < 2 disable replication.
+	// Set by cqjoin.NewCluster, internal/exp (F5.6, F5.7) and tests.
 	ReplicationFactor int
 	// DAIVKeyed enables the Section 4.5 extension of DAI-V that computes
 	// evaluator identifiers as Key(q) + valJC: every query gets private
 	// evaluators (best load spread, supports an even more expressive query
 	// class) but rewritten queries can no longer be grouped, multiplying
-	// traffic by roughly the number of co-triggered queries.
+	// traffic by roughly the number of co-triggered queries. Set by
+	// internal/exp (the DAI-V ablation) and tests.
 	DAIVKeyed bool
 	// Window is the sliding-window length in logical time units: evaluator
-	// tuples older than Window are evicted. Zero keeps tuples forever.
+	// tuples older than Window are evicted. Zero keeps tuples forever. Set by
+	// cqjoin.NewCluster, internal/exp and tests.
 	Window int64
 	// Seed drives the engine's private randomness (random index-attribute
-	// choices). The same seed reproduces the same run.
+	// choices). The same seed reproduces the same run. Set by
+	// cqjoin.NewCluster, internal/exp.Setup and tests.
 	Seed int64
 	// MaxRetries bounds how many times a sender re-sends a message whose
 	// synchronous delivery ack is missing (dropped, delayed, or dead
-	// destination). Zero disables retries — the paper's best-effort
+	// destination), advancing the logical clock by 1 before each attempt so
+	// delayed in-flight copies land (the chaos layer drains its delay queue
+	// on clock listeners). Zero disables retries — the paper's best-effort
 	// semantics (Section 3.2), and the right setting for fault-free runs.
 	// Chaos runs set it high enough that loss of all attempts is
-	// statistically negligible (p_drop^(1+MaxRetries)). Set, with
-	// RetryBackoff, by the chaos, restart and sim-vs-TCP suites, nothing
-	// else: no daemon flag or cqjoin.Config field reaches either.
+	// statistically negligible (p_drop^(1+MaxRetries)). Set by the chaos,
+	// restart and sim-vs-TCP suites, nothing else: no daemon flag or
+	// cqjoin.Config field reaches it.
 	MaxRetries int
-	// RetryBackoff is the logical-time advance between retry attempts.
-	// Advancing the clock lets delayed in-flight copies land (the chaos
-	// layer drains its delay queue on clock listeners), so a retry races
-	// its own delayed original only briefly. Zero means 1.
-	RetryBackoff int64
 	// HotKeyThreshold enables adaptive hot-key sharding (DESIGN.md §13)
 	// when positive: a value-level input receiving at least this many
 	// arrivals within one HotKeyWindow promotes, sharding its evaluator
 	// across HotKeyReplicas deterministic replica identifiers, for good. Zero
 	// — the default — disables the layer entirely. Only SAI shards (its
 	// evaluators store both rewrites and tuples, which the migration's
-	// match-on-merge relies on); other algorithms ignore these knobs.
+	// match-on-merge relies on); other algorithms ignore these knobs. Set by
+	// cqjoin.NewCluster and tests.
 	HotKeyThreshold int
 	// HotKeyReplicas is the shard count k of a promoted input. Values < 2
-	// default to 4.
+	// default to 4. Set by cqjoin.NewCluster and tests.
 	HotKeyReplicas int
 	// HotKeyWindow is the logical-time length of the detector's counting
 	// window. Values <= 0 default to 64 — what every daemon, example and
@@ -151,10 +153,11 @@ type Config struct {
 	// internal/exp.Setup — the paper's tables measure the paper's protocol —
 	// and tests of the 2h count, nothing else; a ring runs one mode.
 	BlindIndexing bool
-	// Obs receives the engine's metrics (message dispatch, notification
-	// outcomes, retry/loss counts). Nil — the default — disables recording
-	// at zero cost; because recording never influences protocol decisions,
-	// a run is bit-identical with or without a registry.
+	// Obs receives the engine's metrics ("engine.*": notification outcomes,
+	// hot-key sharding, indexing on demand, hint tables). Nil — the default —
+	// disables recording at zero cost; because recording never influences
+	// protocol decisions, a run is bit-identical with or without a registry.
+	// Set by tests; internal/exp.Setup hands it to the overlay too.
 	Obs *obs.Registry
 }
 

@@ -247,7 +247,7 @@ func (e *Engine) dispatchHinted(from *chord.Node, schema *relation.Schema, batch
 	var err error
 	outcome := "al.miss"
 	if !known {
-		got, err = e.walk(from, batch)
+		got, _, err = from.Multisend(batch)
 	} else {
 		got, outcome = gotBuf[:0], "al.hit"
 		for i, d := range batch {
@@ -279,19 +279,8 @@ func (e *Engine) dispatchHinted(from *chord.Node, schema *relation.Schema, batch
 	return err
 }
 
-// walk sends batch through the configured multisend flavor and returns who took
-// each deliverable, nil where the ack is missing.
-func (e *Engine) walk(from *chord.Node, batch []chord.Deliverable) ([]*chord.Node, error) {
-	if e.cfg.IterativeMultisend {
-		recipients, _, err := from.MultisendIterative(batch)
-		return recipients, err
-	}
-	recipients, _, err := from.Multisend(batch)
-	return recipients, err
-}
-
-// dispatch sends a batch through the configured multisend flavor. With
-// retries enabled, unacked deliverables are re-sent up to the budget and
+// dispatch sends a batch in one multisend, a lone deliverable in one send.
+// With retries enabled, unacked deliverables are re-sent up to the budget and
 // dispatch reports success — residual losses are charged to the ledger
 // instead of failing the whole operation.
 func (e *Engine) dispatch(from *chord.Node, batch []chord.Deliverable) error {
@@ -305,7 +294,7 @@ func (e *Engine) dispatch(from *chord.Node, batch []chord.Deliverable) error {
 			return nil // the common case allocates no recipient list
 		}
 	} else {
-		recipients, err = e.walk(from, batch)
+		recipients, _, err = from.Multisend(batch)
 	}
 	if e.cfg.MaxRetries > 0 {
 		e.retryFailed(from, batch, recipients)

@@ -170,11 +170,9 @@ func (st *nodeState) deliverNotify(sub string, batch []Notification) {
 		if attempt > 0 {
 			if attempt > e.cfg.MaxRetries || !st.node.Alive() {
 				e.net.Traffic().RecordLost(kindNotify)
-				e.obs.lost.Add(kindNotify, 1)
 				return
 			}
 			e.net.Traffic().RecordRetry(kindNotify)
-			e.obs.retries.Add(kindNotify, 1)
 			e.advanceBackoff()
 		}
 		msg := notifyMsg{Subscriber: sub, Batch: batch}
@@ -272,7 +270,6 @@ func (st *nodeState) replayStoredNotifications(sub string, dst *chord.Node) {
 				break
 			}
 			e.net.Traffic().RecordRetry(kindNotify)
-			e.obs.retries.Add(kindNotify, 1)
 			e.advanceBackoff()
 		}
 		if st.node.DirectSend(msg, dst) {

@@ -3,15 +3,14 @@ package engine
 import "cqjoin/internal/obs"
 
 // engObs bundles the engine's pre-created metric handles. The handles are
-// interned once at engine construction so the hot paths (message dispatch,
-// notification delivery, retries) record with a single atomic add and no
-// map lookups. With no registry configured every handle is nil and each
+// interned once at engine construction so the hot paths (notification
+// delivery, hot-key relays, hint lookups) record with a single atomic add and
+// no map lookups. With no registry configured every handle is nil and each
 // record call is one predicate on a nil receiver — recording never feeds
 // back into protocol decisions, so runs are bit-identical either way.
+// Dispatches, retries and losses are not here: the overlay's "chord.deliveries"
+// and the ledger's "traffic.retries" / "traffic.lost" count them.
 type engObs struct {
-	// handled counts messages dispatched by nodeState.HandleMessage, by
-	// wire kind — the engine-side mirror of the overlay's delivery counts.
-	handled *obs.CounterVec
 	// notifyDelivered counts notifications consumed by their subscriber;
 	// notifyStored counts notifications parked at Successor(Id(n)) for an
 	// offline subscriber; notifyReplayed counts stored notifications handed
@@ -19,10 +18,6 @@ type engObs struct {
 	notifyDelivered *obs.Counter
 	notifyStored    *obs.Counter
 	notifyReplayed  *obs.Counter
-	// retries and lost count the reliability layer's re-sends and
-	// exhausted-budget losses, by message kind.
-	retries *obs.CounterVec
-	lost    *obs.CounterVec
 	// Hot-key sharding (DESIGN.md §13): promotions and the relay frames the
 	// base evaluator emits for promoted inputs, by kind.
 	hotPromotions *obs.Counter
@@ -47,12 +42,9 @@ func newEngObs(reg *obs.Registry) engObs {
 		return engObs{}
 	}
 	return engObs{
-		handled:         reg.CounterVec("engine.handled"),
 		notifyDelivered: reg.Counter("engine.notify.delivered"),
 		notifyStored:    reg.Counter("engine.notify.stored"),
 		notifyReplayed:  reg.Counter("engine.notify.replayed"),
-		retries:         reg.CounterVec("engine.retries"),
-		lost:            reg.CounterVec("engine.lost"),
 		hotPromotions:   reg.Counter("engine.hotkey.promotions"),
 		hotForwards:     reg.CounterVec("engine.hotkey.forwards"),
 		vlForwards:      reg.Counter("engine.vl_forwards"),

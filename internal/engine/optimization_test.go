@@ -94,24 +94,6 @@ func TestJFRTInvalidatesDeadEvaluator(t *testing.T) {
 	}
 }
 
-// --- Recursive vs iterative multisend (Figure 4.8) -------------------------
-
-func TestIterativeMultisendCostsMore(t *testing.T) {
-	run := func(iterative bool) int64 {
-		env := newTestEnv(t, 256, Config{Algorithm: DAIQ, IterativeMultisend: iterative})
-		env.subscribe(t, 0, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
-		for i := 0; i < 20; i++ {
-			env.publish(t, i, rTuple(env, float64(i), float64(i%5), 0))
-		}
-		return env.net.Traffic().TotalHops()
-	}
-	recursive := run(false)
-	iterative := run(true)
-	if recursive >= iterative {
-		t.Fatalf("recursive %d hops >= iterative %d hops", recursive, iterative)
-	}
-}
-
 // --- DAI-T's reindex-once optimization (Section 4.4.3) ---------------------
 
 func TestDAITReindexesOnce(t *testing.T) {

@@ -15,18 +15,10 @@ import (
 // effectively-once processing: completeness from retries, no duplicate
 // answers from dedup.
 
-// retryBackoff returns the logical-time advance between retry attempts.
-func (e *Engine) retryBackoff() int64 {
-	if e.cfg.RetryBackoff > 0 {
-		return e.cfg.RetryBackoff
-	}
-	return 1
-}
-
-// advanceBackoff advances the logical clock by the retry backoff, letting
-// delayed in-flight copies land before the next attempt.
+// advanceBackoff advances the logical clock by one unit between retry
+// attempts, letting delayed in-flight copies land before the next one.
 func (e *Engine) advanceBackoff() {
-	e.net.Clock().Advance(e.retryBackoff())
+	e.net.Clock().Advance(1)
 }
 
 // retryFailed re-sends every deliverable of batch whose recipient slot is
@@ -56,7 +48,6 @@ func (e *Engine) retryFailed(from *chord.Node, batch []chord.Deliverable, recipi
 		still := pending[:0]
 		for _, i := range pending {
 			e.net.Traffic().RecordRetry(batch[i].Msg.Kind())
-			e.obs.retries.Add(batch[i].Msg.Kind(), 1)
 			dst, _, err := from.Send(batch[i].Msg, batch[i].Target)
 			if err != nil {
 				still = append(still, i)
@@ -68,7 +59,6 @@ func (e *Engine) retryFailed(from *chord.Node, batch []chord.Deliverable, recipi
 	}
 	for _, i := range pending {
 		e.net.Traffic().RecordLost(batch[i].Msg.Kind())
-		e.obs.lost.Add(batch[i].Msg.Kind(), 1)
 	}
 	return recipients
 }

@@ -361,6 +361,6 @@ func (st *nodeState) sendJoins(outs []outbound) {
 	}
 	// Best-effort (Section 3.2): an unroutable overlay drops the batch.
 	// With retries configured, unacked deliverables are re-sent.
-	recipients, _ := e.walk(st.node, batch)
+	recipients, _, _ := st.node.Multisend(batch)
 	e.retryFailed(st.node, batch, recipients)
 }

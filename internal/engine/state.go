@@ -259,7 +259,6 @@ func newPairBucket(input string) *pairBucket {
 
 // HandleMessage dispatches overlay messages to the role handlers.
 func (st *nodeState) HandleMessage(on *chord.Node, msg chord.Message) {
-	st.engine.obs.handled.Add(msg.Kind(), 1)
 	switch m := msg.(type) {
 	case queryMsg:
 		st.handleQueryIndex(m)

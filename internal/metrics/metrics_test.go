@@ -9,7 +9,7 @@ import (
 )
 
 func TestTrafficRecord(t *testing.T) {
-	var tr Traffic
+	tr := NewTraffic(nil)
 	tr.Record("al-index", 5)
 	tr.Record("al-index", 3)
 	tr.Record("join", 0)
@@ -28,7 +28,7 @@ func TestTrafficRecord(t *testing.T) {
 }
 
 func TestTrafficRecordHopsOnly(t *testing.T) {
-	var tr Traffic
+	tr := NewTraffic(nil)
 	tr.Record("multisend", 2)
 	tr.RecordHopsOnly("multisend", 4)
 	if got := tr.Messages("multisend"); got != 1 {
@@ -40,7 +40,7 @@ func TestTrafficRecordHopsOnly(t *testing.T) {
 }
 
 func TestTrafficBytes(t *testing.T) {
-	var tr Traffic
+	tr := NewTraffic(nil)
 	tr.Record("join", 3)
 	tr.AddBytes("join", 120)
 	tr.AddBytes("join", 30)
@@ -61,7 +61,7 @@ func TestTrafficBytes(t *testing.T) {
 }
 
 func TestTrafficResetAndSnapshot(t *testing.T) {
-	var tr Traffic
+	tr := NewTraffic(nil)
 	tr.Record("x", 1)
 	msgs, hops := tr.Snapshot()
 	if msgs["x"] != 1 || hops["x"] != 1 {
@@ -79,7 +79,7 @@ func TestTrafficResetAndSnapshot(t *testing.T) {
 }
 
 func TestTrafficString(t *testing.T) {
-	var tr Traffic
+	tr := NewTraffic(nil)
 	tr.Record("b-kind", 2)
 	tr.Record("a-kind", 1)
 	s := tr.String()
@@ -92,7 +92,7 @@ func TestTrafficString(t *testing.T) {
 }
 
 func TestTrafficConcurrent(t *testing.T) {
-	var tr Traffic
+	tr := NewTraffic(nil)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)

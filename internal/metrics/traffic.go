@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"cqjoin/internal/obs"
 )
@@ -27,13 +26,8 @@ import (
 // (e.g. "al-index", "vl-index", "join", "notification"). The paper's traffic
 // figures report exactly these counts: total overlay hops per inserted tuple.
 //
-// The zero Traffic is ready to use (it lazily allocates a private
-// obs.Registry); NewTraffic hangs the families on a shared registry
-// instead. All methods are safe for concurrent use.
+// NewTraffic builds one; all methods are safe for concurrent use.
 type Traffic struct {
-	initOnce sync.Once
-	reg      *obs.Registry
-
 	messages *obs.CounterVec
 	hops     *obs.CounterVec
 	bytes    *obs.CounterVec
@@ -51,117 +45,97 @@ type Traffic struct {
 // NewTraffic builds a ledger whose counter families live in reg under the
 // "traffic.*" namespace, so one registry snapshot covers both the paper's
 // ledger and the rest of the instrumentation. A nil reg allocates a
-// private registry (equivalent to the zero Traffic).
+// private registry.
 func NewTraffic(reg *obs.Registry) *Traffic {
-	t := &Traffic{reg: reg}
-	t.init()
-	return t
-}
-
-// init hangs the counter families on the registry, exactly once.
-func (t *Traffic) init() {
-	t.initOnce.Do(func() {
-		if t.reg == nil {
-			t.reg = obs.NewRegistry()
-		}
-		t.messages = t.reg.CounterVec("traffic.msgs")
-		t.hops = t.reg.CounterVec("traffic.hops")
-		t.bytes = t.reg.CounterVec("traffic.bytes")
-		t.drops = t.reg.CounterVec("traffic.drops")
-		t.dups = t.reg.CounterVec("traffic.dups")
-		t.delays = t.reg.CounterVec("traffic.delays")
-		t.retries = t.reg.CounterVec("traffic.retries")
-		t.lost = t.reg.CounterVec("traffic.lost")
-	})
-}
-
-// Registry returns the obs registry the ledger's families live in.
-func (t *Traffic) Registry() *obs.Registry {
-	t.init()
-	return t.reg
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	return &Traffic{
+		messages: reg.CounterVec("traffic.msgs"),
+		hops:     reg.CounterVec("traffic.hops"),
+		bytes:    reg.CounterVec("traffic.bytes"),
+		drops:    reg.CounterVec("traffic.drops"),
+		dups:     reg.CounterVec("traffic.dups"),
+		delays:   reg.CounterVec("traffic.delays"),
+		retries:  reg.CounterVec("traffic.retries"),
+		lost:     reg.CounterVec("traffic.lost"),
+	}
 }
 
 // Record charges one message of the given kind that travelled the given
 // number of overlay hops. A message delivered to the local node costs zero
 // hops but is still counted as a message.
 func (t *Traffic) Record(kind string, hops int) {
-	t.init()
 	t.messages.Add(kind, 1)
 	t.hops.Add(kind, int64(hops))
 }
 
 // RecordDrop charges one delivery of the given kind lost in transit.
-func (t *Traffic) RecordDrop(kind string) { t.init(); t.drops.Add(kind, 1) }
+func (t *Traffic) RecordDrop(kind string) { t.drops.Add(kind, 1) }
 
 // RecordDuplicate charges one duplicated delivery of the given kind.
-func (t *Traffic) RecordDuplicate(kind string) { t.init(); t.dups.Add(kind, 1) }
+func (t *Traffic) RecordDuplicate(kind string) { t.dups.Add(kind, 1) }
 
 // RecordDelayed charges one delivery of the given kind held back in
 // transit.
-func (t *Traffic) RecordDelayed(kind string) { t.init(); t.delays.Add(kind, 1) }
+func (t *Traffic) RecordDelayed(kind string) { t.delays.Add(kind, 1) }
 
 // RecordRetry charges one sender-side re-send of the given kind.
-func (t *Traffic) RecordRetry(kind string) { t.init(); t.retries.Add(kind, 1) }
+func (t *Traffic) RecordRetry(kind string) { t.retries.Add(kind, 1) }
 
 // RecordLost charges one message of the given kind abandoned after the
 // sender's retry budget was exhausted.
-func (t *Traffic) RecordLost(kind string) { t.init(); t.lost.Add(kind, 1) }
+func (t *Traffic) RecordLost(kind string) { t.lost.Add(kind, 1) }
 
 // Duplicates returns the duplicated deliveries recorded for kind.
-func (t *Traffic) Duplicates(kind string) int64 { t.init(); return t.dups.Value(kind) }
+func (t *Traffic) Duplicates(kind string) int64 { return t.dups.Value(kind) }
 
 // Retries returns the sender-side re-sends recorded for kind.
-func (t *Traffic) Retries(kind string) int64 { t.init(); return t.retries.Value(kind) }
-
-// Lost returns the messages of the given kind abandoned after retries.
-func (t *Traffic) Lost(kind string) int64 { t.init(); return t.lost.Value(kind) }
+func (t *Traffic) Retries(kind string) int64 { return t.retries.Value(kind) }
 
 // TotalLost returns the abandoned messages across all kinds.
-func (t *Traffic) TotalLost() int64 { t.init(); return t.lost.Total() }
+func (t *Traffic) TotalLost() int64 { return t.lost.Total() }
 
 // TotalRetries returns the sender-side re-sends across all kinds.
-func (t *Traffic) TotalRetries() int64 { t.init(); return t.retries.Total() }
+func (t *Traffic) TotalRetries() int64 { return t.retries.Total() }
 
 // AddBytes charges n wire bytes to the kind. The convention is bytes
 // transferred over the physical network: a message of size s travelling h
 // overlay hops is retransmitted h times and charges s*h bytes.
 func (t *Traffic) AddBytes(kind string, n int) {
-	t.init()
 	t.bytes.Add(kind, int64(n))
 }
 
 // Bytes returns the wire bytes recorded for kind.
-func (t *Traffic) Bytes(kind string) int64 { t.init(); return t.bytes.Value(kind) }
+func (t *Traffic) Bytes(kind string) int64 { return t.bytes.Value(kind) }
 
 // TotalBytes returns the wire bytes recorded across all kinds.
-func (t *Traffic) TotalBytes() int64 { t.init(); return t.bytes.Total() }
+func (t *Traffic) TotalBytes() int64 { return t.bytes.Total() }
 
 // RecordHopsOnly charges extra hops to an existing kind without counting a
 // new message, used when a single logical message is forwarded further
 // (multisend relaying).
 func (t *Traffic) RecordHopsOnly(kind string, hops int) {
-	t.init()
 	t.hops.Add(kind, int64(hops))
 }
 
 // Messages returns the number of messages recorded for kind.
-func (t *Traffic) Messages(kind string) int64 { t.init(); return t.messages.Value(kind) }
+func (t *Traffic) Messages(kind string) int64 { return t.messages.Value(kind) }
 
 // Hops returns the number of hops recorded for kind.
-func (t *Traffic) Hops(kind string) int64 { t.init(); return t.hops.Value(kind) }
+func (t *Traffic) Hops(kind string) int64 { return t.hops.Value(kind) }
 
 // TotalMessages returns the number of messages recorded across all kinds.
-func (t *Traffic) TotalMessages() int64 { t.init(); return t.messages.Total() }
+func (t *Traffic) TotalMessages() int64 { return t.messages.Total() }
 
 // TotalHops returns the number of overlay hops recorded across all kinds.
-func (t *Traffic) TotalHops() int64 { t.init(); return t.hops.Total() }
+func (t *Traffic) TotalHops() int64 { return t.hops.Total() }
 
 // Reset clears all of the ledger's counters (and only the ledger's — other
 // metrics on a shared registry are untouched). Experiments reset the
 // ledger after the warm-up phase so figures report steady-state traffic
 // only.
 func (t *Traffic) Reset() {
-	t.init()
 	t.messages.Reset()
 	t.hops.Reset()
 	t.bytes.Reset()
@@ -174,7 +148,6 @@ func (t *Traffic) Reset() {
 
 // Snapshot returns a copy of the per-kind counters, for reporting.
 func (t *Traffic) Snapshot() (messages, hops map[string]int64) {
-	t.init()
 	messages = t.messages.Snapshot()
 	if messages == nil {
 		messages = map[string]int64{}
@@ -188,7 +161,6 @@ func (t *Traffic) Snapshot() (messages, hops map[string]int64) {
 
 // String renders a stable, human-readable summary ordered by kind.
 func (t *Traffic) String() string {
-	t.init()
 	messages, hops := t.Snapshot()
 	bytes := t.bytes.Snapshot()
 	kinds := make([]string, 0, len(messages))

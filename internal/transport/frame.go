@@ -199,27 +199,12 @@ func batchHeaderInto(w *wire.Buffer, seq uint64, count int) {
 	w.PutUvarint(uint64(count))
 }
 
-// appendBatchEntry appends one {dstKey, msg} entry to a batch body being
-// accumulated in w, where msg is already in codec form.
-func appendBatchEntry(w *wire.Buffer, dstKey string, msg []byte) {
-	w.PutString(dstKey)
-	w.PutBytes(msg)
-}
-
 // ackInto appends the ack payload for a batch: the echoed seq plus one
 // status byte per message, in batch order.
 func ackInto(w *wire.Buffer, seq uint64, statuses []byte) {
 	w.PutUvarint(frameAck)
 	w.PutUvarint(seq)
 	w.PutBytes(statuses)
-}
-
-// encodeAck builds a standalone ack payload (tests and docs; the server
-// reply path uses ackInto on a reused buffer).
-func encodeAck(seq uint64, statuses []byte) []byte {
-	var w wire.Buffer
-	ackInto(&w, seq, statuses)
-	return w.Bytes()
 }
 
 // joinInto appends a join request carrying the joiner's advertised
@@ -230,13 +215,6 @@ func joinInto(w *wire.Buffer, seq uint64, addr string) {
 	w.PutString(addr)
 }
 
-// encodeJoin builds a standalone join request (tests).
-func encodeJoin(seq uint64, addr string) []byte {
-	var w wire.Buffer
-	joinInto(&w, seq, addr)
-	return w.Bytes()
-}
-
 // viewInto appends a membership gossip payload. As a request seq is the
 // sender's; as the reply to a join it echoes the join's seq.
 func viewInto(w *wire.Buffer, seq uint64, v *wire.MemberView) {
@@ -245,26 +223,12 @@ func viewInto(w *wire.Buffer, seq uint64, v *wire.MemberView) {
 	wire.EncodeMemberView(w, v)
 }
 
-// encodeView builds a standalone membership gossip payload (tests).
-func encodeView(seq uint64, v *wire.MemberView) []byte {
-	var w wire.Buffer
-	viewInto(&w, seq, v)
-	return w.Bytes()
-}
-
 // viewAckInto appends the reply to a view frame: the echoed seq plus the
 // receiver's view version after applying (or ignoring) the gossip.
 func viewAckInto(w *wire.Buffer, seq, version uint64) {
 	w.PutUvarint(frameViewAck)
 	w.PutUvarint(seq)
 	w.PutUvarint(version)
-}
-
-// encodeViewAck builds a standalone view ack (tests).
-func encodeViewAck(seq, version uint64) []byte {
-	var w wire.Buffer
-	viewAckInto(&w, seq, version)
-	return w.Bytes()
 }
 
 // replySeq extracts the demux seq from a reply frame without consuming
@@ -284,17 +248,30 @@ func replySeq(payload []byte) (uint64, error) {
 	}
 }
 
-// decodeAck parses an ack frame (sans the already-consumed ftype) and
-// validates it against the batch it answers. The returned statuses alias
-// the reader's backing bytes.
-func decodeAck(r *wire.Reader, wantSeq uint64, wantCount int) ([]byte, error) {
-	seq, err := r.Uvarint()
+// readReplyHeader consumes a reply's frame type and echoed seq, failing a
+// reply of another type than want or to another request than seq.
+func readReplyHeader(r *wire.Reader, want, seq uint64) error {
+	ftype, err := r.Uvarint()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if seq != wantSeq {
-		return nil, fmt.Errorf("transport: ack for seq %d, want %d", seq, wantSeq)
+	if ftype != want {
+		return fmt.Errorf("transport: unexpected reply frame type %d, want %d", ftype, want)
 	}
+	got, err := r.Uvarint()
+	if err != nil {
+		return err
+	}
+	if got != seq {
+		return fmt.Errorf("transport: reply for seq %d, want %d", got, seq)
+	}
+	return nil
+}
+
+// decodeAck parses the statuses of an ack frame past its header and
+// validates their count against the batch it answers. The returned statuses
+// alias the reader's backing bytes.
+func decodeAck(r *wire.Reader, wantCount int) ([]byte, error) {
 	statuses, err := r.Bytes()
 	if err != nil {
 		return nil, err

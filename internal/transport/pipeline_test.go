@@ -151,7 +151,7 @@ func TestPipelinedSharedConn(t *testing.T) {
 // window before the next reaper pass. get must validate age itself.
 func TestPoolChecksIdleAgeAtGet(t *testing.T) {
 	const idleTimeout = 50 * time.Millisecond
-	p := newPool(4, 4, idleTimeout)
+	p := newPool(4, idleTimeout)
 
 	c, peer := net.Pipe()
 	t.Cleanup(func() { _ = peer.Close() })
@@ -289,8 +289,10 @@ func TestRepeatFirstInFrameIsNacked(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := wire.NewReader(reply)
-		_, _ = r.Uvarint()
-		statuses, err := decodeAck(r, 9, 3)
+		if err := readReplyHeader(r, frameAck, 9); err != nil {
+			t.Fatal(err)
+		}
+		statuses, err := decodeAck(r, 3)
 		if err != nil || !bytes.Equal(statuses, []byte{ackFail, ackOK, ackOK}) {
 			t.Fatalf("round %d: statuses %v (%v), want the first entry alone nacked", round, statuses, err)
 		}

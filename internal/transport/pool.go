@@ -179,7 +179,6 @@ func (pc *pooledConn) failAll() {
 type pool struct {
 	mu          sync.Mutex
 	conns       map[string][]*pooledConn
-	maxIdle     int
 	maxInflight int
 	idleTimeout time.Duration
 	// wg tracks read-loop goroutines. Add happens in register under mu,
@@ -191,10 +190,9 @@ type pool struct {
 	closed        bool
 }
 
-func newPool(maxIdle, maxInflight int, idleTimeout time.Duration) *pool {
+func newPool(maxInflight int, idleTimeout time.Duration) *pool {
 	return &pool{
 		conns:         make(map[string][]*pooledConn),
-		maxIdle:       maxIdle,
 		maxInflight:   maxInflight,
 		idleTimeout:   idleTimeout,
 		everConnected: make(map[string]bool),
@@ -284,7 +282,7 @@ func (p *pool) release(pc *pooledConn, now time.Time) {
 			}
 		}
 	}
-	if idle > p.maxIdle && lru != nil {
+	if idle > maxIdlePerPeer && lru != nil {
 		lru.poison(errConnIdleReaped)
 		p.remove(lru)
 	}

@@ -158,7 +158,7 @@ func (cs *connServer) serveFrame(st *serveState, payload []byte) {
 		return
 	}
 	cs.wmu.Lock()
-	_ = cs.c.SetWriteDeadline(time.Now().Add(t.cfg.IOTimeout))
+	_ = cs.c.SetWriteDeadline(time.Now().Add(DefaultIOTimeout))
 	_, werr := cs.c.Write(frame)
 	_ = cs.c.SetWriteDeadline(time.Time{})
 	cs.wmu.Unlock()
@@ -227,20 +227,6 @@ func (t *TCP) handleFrameInto(st *serveState, payload []byte) (bool, error) {
 	default:
 		return false, errors.New("transport: unknown frame type")
 	}
-}
-
-// handleFrame processes one standalone frame and returns the reply
-// payload (or nil for none). Production connections run handleFrameInto
-// over per-connection scratch; this wrapper serves tests and the fuzz
-// harness.
-func (t *TCP) handleFrame(payload []byte) ([]byte, error) {
-	st := &serveState{}
-	beginFrame(&st.reply)
-	hasReply, err := t.handleFrameInto(st, payload)
-	if err != nil || !hasReply {
-		return nil, err
-	}
-	return append([]byte(nil), st.reply.Bytes()[frameHeaderLen:]...), nil
 }
 
 // handleBatchInto decodes and delivers each message of a batch frame in

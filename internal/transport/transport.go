@@ -73,46 +73,56 @@ type MembershipHandler interface {
 	HandleView(v *wire.MemberView) uint64
 }
 
-// DefaultIOTimeout is Config.IOTimeout when none is set: the daemon sets none.
+// DefaultIOTimeout bounds one RPC's write and reply read, and the hello
+// exchange on a fresh connection.
 const DefaultIOTimeout = 5 * time.Second
 
-// Config parameterizes a TCP transport.
+// maxIdlePerPeer bounds the idle connections kept per peer; active ones are
+// unbounded and track RPC concurrency.
+const maxIdlePerPeer = 4
+
+// Config parameterizes a TCP transport. daemon.New builds the production one.
 type Config struct {
 	// Self is this process's advertised overlay address; deliveries whose
-	// owner resolves to Self stay in-process (unless ForceLoopback).
+	// owner resolves to Self stay in-process (unless ForceLoopback). Set by
+	// daemon.New (the -overlay address) and tests.
 	Self string
 	// OwnerOf maps a node key to the advertised address of the process
-	// hosting it. An empty result means locally hosted.
+	// hosting it. An empty result means locally hosted. Set by daemon.New
+	// (its membership view) and tests.
 	OwnerOf func(dstKey string) string
-	// Codec encodes outgoing and decodes incoming messages.
+	// Codec encodes outgoing and decodes incoming messages. Set by daemon.New
+	// (engine.NewWireCodec) and tests.
 	Codec Codec
-	// Local receives messages addressed to nodes this process hosts.
+	// Local receives messages addressed to nodes this process hosts. Set by
+	// daemon.New and tests.
 	Local LocalDeliverer
 	// Membership serves join/view control frames. Nil (the default)
-	// rejects them: the overlay then runs with a fixed peer list.
+	// rejects them: the overlay then runs with a fixed peer list. Set by
+	// daemon.New and tests.
 	Membership MembershipHandler
 
-	// DialTimeout bounds connection establishment (default 2s); IOTimeout
-	// bounds one RPC's write and ack read (default DefaultIOTimeout).
+	// DialTimeout bounds connection establishment (default 2s). Set by
+	// tests; the daemon runs the default.
 	DialTimeout time.Duration
-	IOTimeout   time.Duration
 	// IdleTimeout is how long a pooled connection may sit unused before
-	// the reaper closes it (default 60s). MaxIdlePerPeer bounds the idle
-	// pool per peer (default 4); active connections are unbounded and
-	// track RPC concurrency.
-	IdleTimeout    time.Duration
-	MaxIdlePerPeer int
+	// the reaper closes it (default 60s). Set by tests; the daemon runs the
+	// default.
+	IdleTimeout time.Duration
 
 	// MaxInflight is how many RPCs may share one connection concurrently
 	// (pipelined frames; default 4). The server answers frames in
 	// completion order and replies demultiplex by the echoed seq. 1
-	// restores exclusive checkout per RPC.
+	// restores exclusive checkout per RPC. Set by tests; the daemon runs the
+	// default.
 	MaxInflight int
 
 	// Attempts is the RPC attempt budget including the first try (default
 	// 4). BackoffBase doubles per retry up to BackoffMax (defaults 25ms
 	// and 1s), with jitter drawn from a rand seeded by Seed so failure
-	// schedules are reproducible in tests.
+	// schedules are reproducible in tests. Attempts, BackoffBase and
+	// BackoffMax are set by tests, the daemon runs the defaults; Seed is set
+	// by daemon.New (its -seed) and tests.
 	Attempts    int
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
@@ -120,12 +130,15 @@ type Config struct {
 
 	// ForceLoopback sends locally-owned deliveries over the socket too.
 	// The differential harness uses it to push every delivery of a
-	// workload through dial/frame/decode/ack on one process.
+	// workload through dial/frame/decode/ack on one process. Set by tests;
+	// the daemon runs the default.
 	ForceLoopback bool
 
 	// Obs receives transport metrics ("transport.*"). Nil disables them.
+	// Set by daemon.New (its registry) and tests.
 	Obs *obs.Registry
-	// Logf reports delivery-affecting errors (default log.Printf).
+	// Logf reports delivery-affecting errors (default log.Printf). Set by
+	// tests; the daemon runs the default.
 	Logf func(format string, args ...interface{})
 }
 
@@ -200,14 +213,8 @@ func New(cfg Config) (*TCP, error) {
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 2 * time.Second
 	}
-	if cfg.IOTimeout <= 0 {
-		cfg.IOTimeout = DefaultIOTimeout
-	}
 	if cfg.IdleTimeout <= 0 {
 		cfg.IdleTimeout = 60 * time.Second
-	}
-	if cfg.MaxIdlePerPeer <= 0 {
-		cfg.MaxIdlePerPeer = 4
 	}
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = 4
@@ -226,7 +233,7 @@ func New(cfg Config) (*TCP, error) {
 	}
 	t := &TCP{
 		cfg:         cfg,
-		pool:        newPool(cfg.MaxIdlePerPeer, cfg.MaxInflight, cfg.IdleTimeout),
+		pool:        newPool(cfg.MaxInflight, cfg.IdleTimeout),
 		obs:         newTObs(cfg.Obs),
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		serverConns: make(map[net.Conn]struct{}),
@@ -370,12 +377,39 @@ func (t *TCP) appendMsgEntry(entries *wire.Buffer, dstKey string, msg, prev chor
 }
 
 // rpcInto sends one batch body to addr and maps its per-message statuses
-// onto acks, retrying with backoff on connection-level failures. Acks
-// left all-false after the attempt budget are the remote analogue of a
-// dropped packet: the caller's reliability layer may retry the whole
-// delivery.
+// onto acks. Acks left all-false after the attempt budget are the remote
+// analogue of a dropped packet: the caller's reliability layer may retry the
+// whole delivery.
 func (t *TCP) rpcInto(addr string, entries []byte, acks []bool) {
-	var lastErr error
+	err := t.rpc(addr, frameAck, func(w *wire.Buffer, seq uint64) {
+		batchHeaderInto(w, seq, len(acks))
+		w.PutRaw(entries)
+	}, func(body []byte) error {
+		statuses, err := decodeAck(wire.NewReader(body), len(acks))
+		if err != nil {
+			return err
+		}
+		for i := range statuses {
+			acks[i] = statuses[i] == ackOK
+		}
+		return nil
+	})
+	if err != nil && !errors.Is(err, errClosed) {
+		t.cfg.Logf("%v", err)
+	}
+}
+
+// errClosed is what an RPC the transport closed under before its first
+// attempt fails with.
+var errClosed = errors.New("transport: closed")
+
+// rpc runs one request/reply exchange with addr — a batch or a membership
+// frame — retrying with backoff on connection-level failures. build appends
+// the request for the seq its connection draws; read takes the body of the
+// reply, of frame type want, past its echoed seq, before the reply's pooled
+// buffer goes back.
+func (t *TCP) rpc(addr string, want uint64, build func(w *wire.Buffer, seq uint64), read func(body []byte) error) error {
+	lastErr := errClosed
 	for attempt := 0; attempt < t.cfg.Attempts; attempt++ {
 		if attempt > 0 {
 			t.obs.retries.Inc()
@@ -389,19 +423,16 @@ func (t *TCP) rpcInto(addr string, entries []byte, acks []bool) {
 			lastErr = err
 			continue
 		}
-		err = t.roundTrip(pc, entries, acks)
+		err = t.roundTrip(pc, want, build, read)
 		t.pool.release(pc, time.Now())
 		t.obs.idleConns.Set(int64(t.pool.idleCount()))
-		if err != nil {
-			lastErr = err
-			continue
+		if err == nil {
+			return nil
 		}
-		return
+		lastErr = err
 	}
 	t.obs.rpcFailures.Inc()
-	if lastErr != nil {
-		t.cfg.Logf("transport: rpc to %s failed after %d attempts: %v", addr, t.cfg.Attempts, lastErr)
-	}
+	return fmt.Errorf("transport: rpc to %s failed after %d attempts: %w", addr, t.cfg.Attempts, lastErr)
 }
 
 // listenAddr returns the started listener's address, cached by Start so
@@ -481,7 +512,7 @@ func (t *TCP) readLoop(pc *pooledConn) {
 
 // hello performs the version handshake on a fresh connection.
 func (t *TCP) hello(pc *pooledConn) error {
-	deadline := time.Now().Add(t.cfg.IOTimeout)
+	deadline := time.Now().Add(DefaultIOTimeout)
 	_ = pc.c.SetDeadline(deadline)
 	defer func() { _ = pc.c.SetDeadline(time.Time{}) }()
 	if err := t.writeFrameCounted(pc.c, encodeHello(t.cfg.Self)); err != nil {
@@ -511,20 +542,21 @@ func (t *TCP) hello(pc *pooledConn) error {
 	return nil
 }
 
-// roundTrip runs one batch RPC on a (possibly shared) pipelined
-// connection: build the frame from a pooled buffer around the
-// pre-encoded entries, write it and enqueue the call under the write
-// lock, block for the ack matching its seq, then map its statuses onto
-// acks before the pooled reply buffer goes back.
-func (t *TCP) roundTrip(pc *pooledConn, entries []byte, acks []bool) error {
+// roundTrip runs one RPC on a (possibly shared) pipelined connection: draw
+// the seq and build the frame in a pooled buffer, write it and enqueue the
+// call under the write lock, block for the reply echoing that seq, then hand
+// the reply's body to read before its pooled buffer goes back (a slice, not a
+// reader: a pointer handed to a func value escapes). Batches and membership
+// frames interleave freely on one connection: every reply demultiplexes by its
+// seq.
+func (t *TCP) roundTrip(pc *pooledConn, want uint64, build func(w *wire.Buffer, seq uint64), read func(body []byte) error) error {
 	w := getFrameBuf()
 	defer putFrameBuf(w)
 	cl := getCall()
 	pc.wmu.Lock()
 	pc.seq++
 	seq := pc.seq
-	batchHeaderInto(w, seq, len(acks))
-	w.PutRaw(entries)
+	build(w, seq)
 	frame, err := finishFrame(w)
 	if err != nil {
 		pc.wmu.Unlock()
@@ -537,24 +569,13 @@ func (t *TCP) roundTrip(pc *pooledConn, entries []byte, acks []bool) error {
 	}
 	defer putReplyBuf(buf)
 	r := wire.NewReader(payload)
-	ftype, err := r.Uvarint()
-	if err != nil {
+	if err := readReplyHeader(r, want, seq); err != nil {
 		return err
 	}
-	if ftype != frameAck {
-		return fmt.Errorf("transport: unexpected frame type %d, want ack", ftype)
-	}
-	statuses, err := decodeAck(r, seq, len(acks))
-	if err != nil {
-		return err
-	}
-	for i := range statuses {
-		acks[i] = statuses[i] == ackOK
-	}
-	return nil
+	return read(payload[len(payload)-r.Remaining():])
 }
 
-// errAckTimeout poisons a connection whose reply outlived IOTimeout.
+// errAckTimeout poisons a connection whose reply outlived DefaultIOTimeout.
 var errAckTimeout = errors.New("transport: timed out waiting for reply")
 
 // writeAndAwait enqueues cl under its seq, writes the finished frame —
@@ -569,7 +590,7 @@ func (t *TCP) writeAndAwait(pc *pooledConn, cl *call, seq uint64, frame []byte) 
 		putCall(cl) // never enqueued; nothing will complete it
 		return nil, nil, err
 	}
-	_ = pc.c.SetWriteDeadline(time.Now().Add(t.cfg.IOTimeout))
+	_ = pc.c.SetWriteDeadline(time.Now().Add(DefaultIOTimeout))
 	_, werr := pc.c.Write(frame)
 	_ = pc.c.SetWriteDeadline(time.Time{})
 	if werr != nil {
@@ -584,7 +605,7 @@ func (t *TCP) writeAndAwait(pc *pooledConn, cl *call, seq uint64, frame []byte) 
 	t.obs.frameBytesOut.Add(int64(len(frame) - frameHeaderLen))
 	pc.wmu.Unlock()
 
-	timer := getTimer(t.cfg.IOTimeout)
+	timer := getTimer(DefaultIOTimeout)
 	select {
 	case <-cl.done:
 	case <-timer.C:
@@ -630,102 +651,27 @@ func putTimer(tm *time.Timer) {
 // delivery RPC; the join is idempotent on the receiver (re-admitting an
 // already-listed address just returns the current view).
 func (t *TCP) SendJoin(addr string) (*wire.MemberView, error) {
-	payload, err := t.controlRPC(addr, frameView, func(w *wire.Buffer, seq uint64) {
+	var v *wire.MemberView
+	err := t.rpc(addr, frameView, func(w *wire.Buffer, seq uint64) {
 		joinInto(w, seq, t.cfg.Self)
+	}, func(body []byte) (err error) {
+		v, err = wire.DecodeMemberView(wire.NewReader(body)) // copies every string out of the reply
+		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return wire.DecodeMemberView(wire.NewReader(payload))
+	return v, err
 }
 
 // SendView gossips a membership view to the process at addr and returns
 // the receiver's view version after it applied (or ignored) the gossip.
 func (t *TCP) SendView(addr string, v *wire.MemberView) (uint64, error) {
-	payload, err := t.controlRPC(addr, frameViewAck, func(w *wire.Buffer, seq uint64) {
+	var version uint64
+	err := t.rpc(addr, frameViewAck, func(w *wire.Buffer, seq uint64) {
 		viewInto(w, seq, v)
+	}, func(body []byte) (err error) {
+		version, err = wire.NewReader(body).Uvarint()
+		return err
 	})
-	if err != nil {
-		return 0, err
-	}
-	return wire.NewReader(payload).Uvarint()
-}
-
-// controlRPC runs one membership request/reply exchange on a pooled
-// connection, retrying with the same backoff schedule as deliveries.
-// build appends the request payload — it receives the connection-scoped
-// seq because the frame must carry it for reply demux. The returned
-// reply payload has the frame type (verified against wantReply) and the
-// echoed seq already consumed.
-func (t *TCP) controlRPC(addr string, wantReply uint64, build func(w *wire.Buffer, seq uint64)) ([]byte, error) {
-	var lastErr error
-	for attempt := 0; attempt < t.cfg.Attempts; attempt++ {
-		if attempt > 0 {
-			t.obs.retries.Inc()
-			t.backoff(attempt)
-		}
-		if t.isClosed() {
-			break
-		}
-		pc, err := t.checkout(addr)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		payload, err := t.controlRoundTrip(pc, wantReply, build)
-		t.pool.release(pc, time.Now())
-		t.obs.idleConns.Set(int64(t.pool.idleCount()))
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		return payload, nil
-	}
-	t.obs.rpcFailures.Inc()
-	if lastErr == nil {
-		lastErr = fmt.Errorf("transport: closed")
-	}
-	return nil, fmt.Errorf("transport: control rpc to %s failed after %d attempts: %w", addr, t.cfg.Attempts, lastErr)
-}
-
-// controlRoundTrip shares the delivery path's pipelined channel: control
-// frames and batches interleave freely on one connection because every
-// reply demultiplexes by its echoed seq.
-func (t *TCP) controlRoundTrip(pc *pooledConn, wantReply uint64, build func(w *wire.Buffer, seq uint64)) ([]byte, error) {
-	w := getFrameBuf()
-	defer putFrameBuf(w)
-	cl := getCall()
-	pc.wmu.Lock()
-	pc.seq++
-	seq := pc.seq
-	build(w, seq)
-	frame, err := finishFrame(w)
-	if err != nil {
-		pc.wmu.Unlock()
-		putCall(cl)
-		return nil, err
-	}
-	payload, buf, err := t.writeAndAwait(pc, cl, seq, frame)
-	if err != nil {
-		return nil, err
-	}
-	defer putReplyBuf(buf)
-	r := wire.NewReader(payload)
-	ftype, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if ftype != wantReply {
-		return nil, fmt.Errorf("transport: unexpected control reply frame type %d, want %d", ftype, wantReply)
-	}
-	if got, err := r.Uvarint(); err != nil {
-		return nil, err
-	} else if got != seq {
-		return nil, fmt.Errorf("transport: control reply for seq %d, want %d", got, seq)
-	}
-	// Control RPCs are rare (membership churn only); copy the body so the
-	// pooled reply buffer can go back immediately.
-	return append([]byte(nil), payload[len(payload)-r.Remaining():]...), nil
+	return version, err
 }
 
 func (t *TCP) writeFrameCounted(c net.Conn, payload []byte) error {

@@ -97,6 +97,51 @@ func (l *testLocal) snapshot() []string {
 	return append([]string(nil), l.got...)
 }
 
+// handleFrame processes one standalone frame and returns the reply payload
+// (or nil for none): what a connection's serveFrame does over pooled scratch.
+func (t *TCP) handleFrame(payload []byte) ([]byte, error) {
+	st := &serveState{}
+	beginFrame(&st.reply)
+	hasReply, err := t.handleFrameInto(st, payload)
+	if err != nil || !hasReply {
+		return nil, err
+	}
+	return append([]byte(nil), st.reply.Bytes()[frameHeaderLen:]...), nil
+}
+
+// Standalone frame payloads, built with the encoders the transport uses.
+
+func encodeAck(seq uint64, statuses []byte) []byte {
+	var w wire.Buffer
+	ackInto(&w, seq, statuses)
+	return w.Bytes()
+}
+
+func encodeJoin(seq uint64, addr string) []byte {
+	var w wire.Buffer
+	joinInto(&w, seq, addr)
+	return w.Bytes()
+}
+
+func encodeView(seq uint64, v *wire.MemberView) []byte {
+	var w wire.Buffer
+	viewInto(&w, seq, v)
+	return w.Bytes()
+}
+
+func encodeViewAck(seq, version uint64) []byte {
+	var w wire.Buffer
+	viewAckInto(&w, seq, version)
+	return w.Bytes()
+}
+
+// appendBatchEntry appends one {dstKey, msg} entry to a batch body, msg
+// already in codec form.
+func appendBatchEntry(w *wire.Buffer, dstKey string, msg []byte) {
+	w.PutString(dstKey)
+	w.PutBytes(msg)
+}
+
 // testNodes builds a two-node overlay purely to have *chord.Node values
 // carrying keys peer0 and peer1.
 func testNodes(t *testing.T) (*chord.Node, *chord.Node) {
@@ -312,6 +357,101 @@ func TestRPCFailureReturnsNack(t *testing.T) {
 	}
 }
 
+// blockingLocal holds every delivery until release is closed, closing entered
+// when the first one arrives.
+type blockingLocal struct {
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (l *blockingLocal) DeliverLocal(string, chord.Message) bool {
+	l.once.Do(func() { close(l.entered) })
+	<-l.release
+	return true
+}
+
+// Membership RPCs ride the batch path: the same pooled, pipelined connection
+// (a join and a view answered while a batch waits on that connection, one dial
+// in all) and the same retry budget and counters when nothing answers.
+func TestMembershipAndBatchShareOneConnection(t *testing.T) {
+	from, dst := testNodes(t)
+	held := &blockingLocal{entered: make(chan struct{}), release: make(chan struct{})}
+	_, addrB := startTransport(t, Config{Local: held, Membership: &fuzzMembership{}})
+	reg := obs.NewRegistry()
+	trA, _ := startTransport(t, Config{
+		Local:   &testLocal{},
+		OwnerOf: func(string) string { return addrB },
+		Obs:     reg,
+	})
+	release := sync.OnceFunc(func() { close(held.release) })
+	t.Cleanup(release) // before the transports close: B's handler must return
+
+	delivered := make(chan bool, 1)
+	go func() { delivered <- trA.Deliver(from, dst, &testMsg{Body: "held"}) }()
+	<-held.entered
+	view, err := trA.SendJoin(addrB)
+	if err != nil || view.Version != 1 || len(view.Procs) != 1 {
+		t.Fatalf("SendJoin beside a batch in flight = %+v, %v", view, err)
+	}
+	version, err := trA.SendView(addrB, &wire.MemberView{Version: 5, Procs: []string{"a", "b"}})
+	if err != nil || version != 5 {
+		t.Fatalf("SendView beside a batch in flight = %d, %v; want 5", version, err)
+	}
+	release()
+	if !<-delivered {
+		t.Fatalf("the batch behind the membership RPCs was not acked")
+	}
+	if v := reg.Counter("transport.dials").Value(); v != 1 {
+		t.Fatalf("dials = %d, want 1: membership and batch share the pooled connection", v)
+	}
+
+	// A listener that hangs up before any reply: every attempt dials and fails.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			_ = c.Close()
+		}
+	}()
+	silent := ln.Addr().String()
+	const attempts = 3
+	spend := func(rpc func(tr *TCP) bool) (dials, retries, failures int64) {
+		reg := obs.NewRegistry()
+		tr, _ := startTransport(t, Config{
+			Local:       &testLocal{},
+			OwnerOf:     func(string) string { return silent },
+			Obs:         reg,
+			Attempts:    attempts,
+			BackoffBase: time.Millisecond,
+			BackoffMax:  2 * time.Millisecond,
+			Logf:        func(string, ...interface{}) {},
+		})
+		if rpc(tr) {
+			t.Fatalf("an RPC to a listener that never answers succeeded")
+		}
+		return reg.Counter("transport.dials").Value(), reg.Counter("transport.retries").Value(),
+			reg.Counter("transport.rpc_failures").Value()
+	}
+	vd, vr, vf := spend(func(tr *TCP) bool {
+		_, err := tr.SendView(silent, &wire.MemberView{Version: 1})
+		return err == nil
+	})
+	bd, br, bf := spend(func(tr *TCP) bool { return tr.Deliver(from, dst, &testMsg{Body: "x"}) })
+	if vd != attempts || vr != attempts-1 || vf != 1 {
+		t.Fatalf("SendView: dials %d, retries %d, rpc_failures %d; want %d, %d, 1", vd, vr, vf, attempts, attempts-1)
+	}
+	if bd != vd || br != vr || bf != vf {
+		t.Fatalf("a batch spent dials %d, retries %d, rpc_failures %d; SendView %d, %d, %d", bd, br, bf, vd, vr, vf)
+	}
+}
+
 func TestDeadDestinationNacks(t *testing.T) {
 	from, dst := testNodes(t)
 	remote := &testLocal{fail: true}
@@ -374,10 +514,10 @@ func TestAckValidation(t *testing.T) {
 	statuses := []byte{ackOK, ackFail, ackOK}
 	frame := encodeAck(7, statuses)
 	r := wire.NewReader(frame)
-	if ftype, _ := r.Uvarint(); ftype != frameAck {
-		t.Fatalf("frame type = %d", ftype)
+	if err := readReplyHeader(r, frameAck, 7); err != nil {
+		t.Fatalf("readReplyHeader: %v", err)
 	}
-	got, err := decodeAck(r, 7, 3)
+	got, err := decodeAck(r, 3)
 	if err != nil {
 		t.Fatalf("decodeAck: %v", err)
 	}
@@ -387,15 +527,16 @@ func TestAckValidation(t *testing.T) {
 		}
 	}
 
-	// Wrong seq and wrong count must both fail.
-	r = wire.NewReader(frame)
-	_, _ = r.Uvarint()
-	if _, err := decodeAck(r, 8, 3); err == nil {
-		t.Fatalf("decodeAck accepted a mismatched seq")
+	// Wrong type, wrong seq and wrong count must each fail.
+	if err := readReplyHeader(wire.NewReader(frame), frameViewAck, 7); err == nil {
+		t.Fatalf("readReplyHeader accepted an ack for a view ack")
+	}
+	if err := readReplyHeader(wire.NewReader(frame), frameAck, 8); err == nil {
+		t.Fatalf("readReplyHeader accepted a mismatched seq")
 	}
 	r = wire.NewReader(frame)
-	_, _ = r.Uvarint()
-	if _, err := decodeAck(r, 7, 2); err == nil {
+	_ = readReplyHeader(r, frameAck, 7)
+	if _, err := decodeAck(r, 2); err == nil {
 		t.Fatalf("decodeAck accepted a mismatched count")
 	}
 }

@@ -73,7 +73,7 @@ type runFingerprint struct {
 // With overTCP the entire message flow crosses the loopback socket.
 func transportScenario(t *testing.T, alg engine.Algorithm, sc exp.Scale, overTCP bool) runFingerprint {
 	t.Helper()
-	r := exp.Setup(engine.Config{Algorithm: alg, MaxRetries: 3, RetryBackoff: 1}, sc, workload.Params{})
+	r := exp.Setup(engine.Config{Algorithm: alg, MaxRetries: 3}, sc, workload.Params{})
 	var reg *obs.Registry
 	if overTCP {
 		var cleanup func()
