@@ -407,7 +407,7 @@ func (in *Injector) rejoin(key string) {
 	var n *chord.Node
 	var err error
 	if in.cfg.ProtocolChurn {
-		n, err = in.eng.RejoinNodeProtocol(key)
+		n, err = in.eng.JoinNodeProtocol(key)
 	} else {
 		n, err = in.eng.RejoinNode(key)
 	}

@@ -68,14 +68,6 @@ func (e *Engine) LeaveNodeProtocol(n *chord.Node) {
 	e.Detach(n)
 }
 
-// RejoinNodeProtocol brings a crashed subscriber back under the same key
-// through the join protocol. Unlike RejoinNode, the arc's state (and the
-// stored-notification replay) arrives only after the successor's next
-// notify-adoption, not synchronously with the join.
-func (e *Engine) RejoinNodeProtocol(key string) (*chord.Node, error) {
-	return e.JoinNodeProtocol(key)
-}
-
 // RejoinNode brings a previously crashed subscriber back under the same
 // key, hence the same ring position Hash(key). The join's key hand-off
 // returns the arc's state to it, and TransferKeys replays the

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"maps"
 	"sort"
 
 	"cqjoin/internal/chord"
@@ -9,20 +10,24 @@ import (
 	"cqjoin/internal/relation"
 )
 
-// Process-level state hand-off for the multi-process overlay. Within one
-// process, ring responsibility moves through TransferKeys: buckets are Go
-// values and simply re-home. Across processes, the same movement needs a
-// wire form — when a cqjoind process joins or leaves a running overlay,
-// every node whose ownership moves must ship its accumulated engine state
-// (ALQT groups, value-level rewrites and tuples, DAI-V stores, stored
-// offline notifications) to the node's new owning process, where it merges
-// through the exact same idempotent merge helpers TransferKeys uses.
+// A node's movable state leaves it one way and arrives one way: cut reads the
+// tables of an arc out into a handoffMsg, removing them when it takes, and
+// merge installs such a message through the keyed bucket merges of merge.go,
+// so a message merged twice adds nothing twice. Every move is those two:
+//   - a join, leave or crash inside the process (TransferKeys) cuts the arc
+//     and merges it into the arc's new owner in memory;
+//   - a process hand-off (ExportHandoff) cuts the whole node and sends it to
+//     the node's new owning process, whose handler merges it;
+//   - a checkpoint (ExportSnapshot) cuts every node without taking, and
+//     recovery merges the copies (RestoreSnapshot).
 //
-// The sections below mirror the movable tables of nodeState. Deliberately
-// NOT carried: the probe statistics (arrivals/distinct — advisory, cheap
-// to re-learn), the JFRT and learned-subscriber-IP caches (best-effort
-// caches that refill), and the pair-baseline store (the naive baselines
-// never run multi-process).
+// The sections below mirror the movable tables of nodeState. A taking cut also
+// hands over two things in fields the walk does not list, so only a move
+// inside the process carries them: the probe statistics (arrivals/distinct —
+// advisory, cheap to re-learn) and the pair-baseline store (daemon.
+// parseAlgorithm runs no baseline, so no process holds one). No move carries
+// the JFRT, the learned subscriber IPs or the publisher's owner hints: caches
+// that refill.
 
 // kindHandoff names the hand-off message class for traffic accounting.
 const kindHandoff = "handoff"
@@ -55,6 +60,9 @@ type alSection struct {
 	SentRewrites []string
 	SentTargets  []targetsEntry
 	Interest     []string // query keys, sorted; walked behind the sections (handoffMsg.walk)
+
+	arrivals []int64 // probe statistics, taken by an in-process move only: not walked
+	distinct map[string]struct{}
 }
 
 // vqEntry is one stored rewritten query with its trigger times.
@@ -101,10 +109,10 @@ type notifSection struct {
 	Batch      []Notification
 }
 
-// handoffMsg carries one node's movable engine state to the same node on
-// its new owning process. Handling it merges every section through the
-// TransferKeys merge path, so repeated delivery (the transport retries on
-// a missing ack) is harmless.
+// handoffMsg is the movable state of one node's arc, as cut renders it. Over
+// the wire it carries a node to its new owning process, where handling it
+// merges it, so repeated delivery (the transport retries on a missing ack) is
+// harmless.
 type handoffMsg struct {
 	AL        []alSection
 	VQ        []vqSection
@@ -113,6 +121,8 @@ type handoffMsg struct {
 	DV        []dvSection
 	Notifs    []notifSection
 	Retracted []string // the node's retraction memory, sorted (unsubscribe.go)
+
+	pair []*pairBucket // the pair-baseline store, taken by an in-process move only: not walked
 }
 
 func (handoffMsg) Kind() string { return kindHandoff }
@@ -178,55 +188,126 @@ func (m handoffMsg) marked() bool {
 // delivers the message through the transport; a lost delivery loses the
 // state, so callers should use the acked delivery path.
 func (e *Engine) ExportHandoff(n *chord.Node) (chord.Message, bool) {
-	st := e.state(n)
-	var removedRewriter, removedEvaluator int
-
-	st.mu.Lock()
-	m := st.sectionsLocked()
-	for _, b := range st.alqt {
-		removedRewriter += b.storedItems()
-	}
-	for _, b := range st.vlqt {
-		removedEvaluator += b.rewrites.len()
-	}
-	for _, b := range st.mvlqt {
-		removedEvaluator += len(b.rewrites)
-	}
-	for _, b := range st.vltt {
-		removedEvaluator += b.tuples.len()
-	}
-	for _, b := range st.vstore {
-		removedEvaluator += b.storedItems()
-	}
-	for _, batch := range st.storedNotifs {
-		removedEvaluator += len(batch)
-	}
-	clear(st.alqt)
-	clear(st.vlqt)
-	clear(st.mvlqt)
-	clear(st.vltt)
-	clear(st.vstore)
-	clear(st.storedNotifs)
-	clear(st.retracted)
-	st.mu.Unlock()
-
-	st.load.AddStorage(metrics.Rewriter, -removedRewriter)
-	st.load.AddStorage(metrics.Evaluator, -removedEvaluator)
+	m := e.state(n).cut(nil, true)
 	return m, !m.empty()
 }
 
-// handleHandoff merges an incoming hand-off into this node's state through
-// the same keyed merges TransferKeys uses, so a retried or duplicated
-// hand-off delivery adds nothing twice. Stored notifications whose
-// subscriber is this node are replayed immediately.
-func (st *nodeState) handleHandoff(on *chord.Node, m handoffMsg) {
-	st.merge(on, m, true)
+// cut is the one place a node's movable tables are read out: it renders the
+// buckets whose input inArc selects (nil: every one) as hand-off sections, in
+// sorted input order. Mutable slices are copied so later engine activity
+// cannot reach into the message; the immutable leaves (tuples, queries,
+// rewrites) are shared. With take set it removes what it renders, books the
+// removal on the storage gauges, and adds what only an in-process move
+// carries (the unwalked fields). The retraction memory is keyed by query, not
+// input: every cut copies all of it, and only a taking cut of the whole node
+// empties it.
+func (st *nodeState) cut(inArc func(string) bool, take bool) handoffMsg {
+	var m handoffMsg
+	var rewriter, evaluator int
+	st.mu.Lock()
+	cutEach(st.alqt, inArc, take, func(_ string, b *alBucket) {
+		sec := alSection{
+			Input:        b.input,
+			SentRewrites: sortedKeys(b.sentRewrites),
+			SentTargets:  flattenTargets(b.sentTargets),
+			Interest:     sortedKeys(b.interest),
+		}
+		for _, cond := range condsOf(b.byCond, b.condOrder) {
+			g := b.byCond[cond]
+			sec.Groups = append(sec.Groups, alGroupSection{
+				Cond: g.cond, Side: g.side, Queries: append([]*query.Query(nil), g.queries...),
+			})
+		}
+		for _, cond := range sortedKeys(b.multi) {
+			g := b.multi[cond]
+			sec.Multi = append(sec.Multi, alMultiSection{
+				Cond: g.cond, Queries: append([]*query.MultiQuery(nil), g.queries...),
+			})
+		}
+		if take {
+			sec.arrivals, sec.distinct = b.arrivals, b.distinct
+		}
+		rewriter += b.storedItems()
+		m.AL = append(m.AL, sec)
+	})
+	cutEach(st.vlqt, inArc, take, func(_ string, b *vlqtBucket) {
+		sec := vqSection{Input: b.input}
+		for _, sr := range b.rewrites.all() {
+			sec.Entries = append(sec.Entries, vqEntry{Rw: sr.rw, Times: append([]int64(nil), sr.times...)})
+		}
+		evaluator += b.rewrites.len()
+		m.VQ = append(m.VQ, sec)
+	})
+	cutEach(st.mvlqt, inArc, take, func(_ string, b *mvlqtBucket) {
+		evaluator += len(b.rewrites)
+		m.MQ = append(m.MQ, mqSection{
+			Input:       b.input,
+			Rewrites:    append([]*mRewritten(nil), b.rewrites...),
+			SentTargets: flattenTargets(b.sentTargets),
+		})
+	})
+	cutEach(st.vltt, inArc, take, func(_ string, b *vlttBucket) {
+		evaluator += b.tuples.len()
+		m.VT = append(m.VT, vtSection{Input: b.input, Tuples: append([]*relation.Tuple(nil), b.tuples.all()...)})
+	})
+	cutEach(st.vstore, inArc, take, func(_ string, b *daivBucket) {
+		sec := dvSection{Input: b.input}
+		for _, cond := range sortedKeys(b.byCond) {
+			entry := b.byCond[cond]
+			sec.Entries = append(sec.Entries, dvEntry{
+				Cond:  entry.cond,
+				Left:  append([]*relation.Tuple(nil), entry.tuples[query.SideLeft].all()...),
+				Right: append([]*relation.Tuple(nil), entry.tuples[query.SideRight].all()...),
+			})
+		}
+		evaluator += b.storedItems()
+		m.DV = append(m.DV, sec)
+	})
+	cutEach(st.storedNotifs, inArc, take, func(sub string, batch []Notification) {
+		evaluator += len(batch)
+		m.Notifs = append(m.Notifs, notifSection{Subscriber: sub, Batch: append([]Notification(nil), batch...)})
+	})
+	if take {
+		cutEach(st.pairStore, inArc, take, func(_ string, b *pairBucket) {
+			evaluator += b.storedItems()
+			m.pair = append(m.pair, b)
+		})
+	}
+	m.Retracted = sortedKeys(st.retracted)
+	if take && inArc == nil {
+		clear(st.retracted)
+	}
+	st.mu.Unlock()
+
+	if take {
+		st.load.AddStorage(metrics.Rewriter, -rewriter)
+		st.load.AddStorage(metrics.Evaluator, -evaluator)
+	}
+	return m
 }
 
-// merge installs a handoffMsg into this node's tables. With replayNotifs
-// set (the live hand-off path) stored notifications addressed to this node
-// are replayed immediately; snapshot restore passes false so recovered
-// offline queues stay queued exactly as exported.
+// cutEach calls f on the entries of m whose key inArc selects (nil: every
+// one), in key order, and deletes each after f when take is set.
+func cutEach[V any](m map[string]V, inArc func(string) bool, take bool, f func(key string, v V)) {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		if inArc == nil || inArc(k) {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		f(k, m[k])
+		if take {
+			delete(m, k)
+		}
+	}
+}
+
+// merge is the one place a handoffMsg is installed into this node's tables.
+// With replayNotifs set (a move onto a live node) stored notifications
+// addressed to this node are replayed immediately; snapshot restore passes
+// false so recovered offline queues stay queued exactly as exported.
 func (st *nodeState) merge(on *chord.Node, m handoffMsg, replayNotifs bool) {
 	var addedRewriter, addedEvaluator int
 	var replay []string
@@ -234,6 +315,8 @@ func (st *nodeState) merge(on *chord.Node, m handoffMsg, replayNotifs bool) {
 	st.mu.Lock()
 	for _, sec := range m.AL {
 		b := newALBucket(sec.Input)
+		b.arrivals = sec.arrivals
+		maps.Copy(b.distinct, sec.distinct)
 		for _, g := range sec.Groups {
 			b.byCond[g.Cond] = &queryGroup{cond: g.Cond, side: g.Side, queries: g.Queries}
 			b.condOrder = append(b.condOrder, g.Cond)
@@ -278,6 +361,9 @@ func (st *nodeState) merge(on *chord.Node, m handoffMsg, replayNotifs bool) {
 			b.byCond[e.Cond] = entry
 		}
 		addedEvaluator += st.mergeDAIV(b)
+	}
+	for _, b := range m.pair {
+		addedEvaluator += st.mergePair(b)
 	}
 	for _, key := range m.Retracted {
 		st.retract(key)

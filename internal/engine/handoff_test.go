@@ -3,9 +3,15 @@ package engine
 import (
 	"fmt"
 	"reflect"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"cqjoin/internal/chord"
+	"cqjoin/internal/id"
+	"cqjoin/internal/query"
+	"cqjoin/internal/relation"
 	"cqjoin/internal/wire"
 )
 
@@ -77,5 +83,312 @@ func TestHandoffAcrossTableThreshold(t *testing.T) {
 				t.Fatalf("%d notifications after the hand-off, %d on the engine that never moved", len(got), len(want))
 			}
 		})
+	}
+}
+
+// Every move of a node's state — a join, a leave, a crash, a join by protocol
+// and a process hand-off — must keep every table it moves: after each, the
+// ring stores what it stored before, wherever it now stores it, and weighs the
+// same. The hand-off crosses the wire, which carries neither the pair-baseline
+// store nor the probe statistics; the moves inside the process carry both.
+func TestEveryMoveKeepsEveryTable(t *testing.T) {
+	const pair = `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`
+	publishPairs := func(t *testing.T, env *testEnv) {
+		for i := 0; i < 6; i++ {
+			env.publish(t, 10+i, rTuple(env, float64(i), float64(i%3), 1))
+			env.publish(t, 20+i, sTuple(env, float64(i), float64(i%3), 9))
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		fill   func(t *testing.T, env *testEnv)
+		tables []string // what the fill must leave on the ring
+	}{{
+		name: "SAI",
+		cfg:  Config{Algorithm: SAI, Strategy: StrategyMinRate, Seed: 5},
+		fill: func(t *testing.T, env *testEnv) {
+			env.subscribe(t, 0, pair)
+			env.subscribe(t, 1, pair+` AND R.C = 1`)
+			if err := env.eng.Unsubscribe(env.node(2), env.subscribe(t, 2, pair+` AND S.F = 9`)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := env.eng.SubscribeMulti(env.node(3), query.MustParseMulti(env.catalog,
+				`SELECT R.A, Authors.Name FROM R, S, Authors WHERE R.B = S.E AND S.F = Authors.Id`)); err != nil {
+				t.Fatal(err)
+			}
+			offline := env.node(4)
+			env.subscribe(t, 4, pair)
+			env.publish(t, 5, rTuple(env, 40, 4, 0))
+			env.net.Leave(offline)
+			env.eng.Detach(offline)
+			env.publish(t, 6, sTuple(env, 41, 4, 0))
+			publishPairs(t, env)
+			env.publish(t, 7, relation.MustTuple(env.authors, relation.N(9), relation.N(1), relation.N(2)))
+		},
+		tables: []string{"al", "al-mark", "al-multi", "al-targets", "mq", "notif", "probe", "retracted", "vq", "vt"},
+	}, {
+		name: "DAI-T",
+		cfg:  Config{Algorithm: DAIT},
+		fill: func(t *testing.T, env *testEnv) {
+			env.subscribe(t, 0, pair)
+			publishPairs(t, env)
+		},
+		tables: []string{"al", "al-sent"},
+	}, {
+		name: "DAI-V",
+		cfg:  Config{Algorithm: DAIV},
+		fill: func(t *testing.T, env *testEnv) {
+			env.subscribe(t, 0, pair)
+			publishPairs(t, env)
+		},
+		tables: []string{"al", "dv"},
+	}, {
+		name: "pair",
+		cfg:  Config{Algorithm: BaselinePair},
+		fill: func(t *testing.T, env *testEnv) {
+			env.subscribe(t, 0, pair)
+			publishPairs(t, env)
+		},
+		tables: []string{"pair", "pair-tuple"},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := newTestEnv(t, 32, tc.cfg)
+			tc.fill(t, env)
+			want, wantStorage := stateDump(env), sum(env.eng.StorageLoads())
+			held := map[string]bool{}
+			var inputs []string // the keys that place what the ring holds
+			for _, line := range want {
+				f := strings.Fields(line)
+				held[f[0]] = true
+				if f[0] != "retracted" {
+					inputs = append(inputs, f[1])
+				}
+			}
+			for _, table := range tc.tables {
+				if !held[table] {
+					t.Fatalf("the fill left no %s entry on the ring", table)
+				}
+			}
+			sort.Strings(inputs)
+			inputs = slices.Compact(inputs)
+
+			for i, move := range []string{"join", "leave", "crash", "join by protocol"} {
+				input := inputs[i*len(inputs)/4]
+				owner := env.net.OracleSuccessor(id.Hash(input))
+				switch move {
+				case "join":
+					n, err := env.net.Join(keyTaking(t, env.net, input))
+					if err != nil {
+						t.Fatal(err)
+					}
+					env.eng.Attach(n)
+				case "leave":
+					env.net.Leave(owner)
+					env.eng.Detach(owner)
+				case "crash":
+					env.eng.FailNode(owner)
+				case "join by protocol":
+					if _, err := env.eng.JoinNodeProtocol(keyTaking(t, env.net, input)); err != nil {
+						t.Fatal(err)
+					}
+					env.net.StabilizeAll(3)
+				}
+				if got := env.net.OracleSuccessor(id.Hash(input)); got == owner {
+					t.Fatalf("%s: %s stayed on %s", move, input, owner)
+				}
+				if got := stateDump(env); !slices.Equal(got, want) {
+					t.Fatalf("after the %s the ring stores\n%s\nwant\n%s", move, strings.Join(got, "\n"), strings.Join(want, "\n"))
+				}
+				if got := sum(env.eng.StorageLoads()); got != wantStorage {
+					t.Fatalf("after the %s the storage loads sum to %d, want %d", move, got, wantStorage)
+				}
+			}
+
+			type parcel struct {
+				node *chord.Node
+				msg  chord.Message
+			}
+			var parcels []parcel
+			for _, n := range env.net.Nodes() {
+				msg, ok := env.eng.ExportHandoff(n)
+				if !ok {
+					continue
+				}
+				var w wire.Buffer
+				if err := EncodeMessage(&w, msg); err != nil {
+					t.Fatal(err)
+				}
+				decoded, err := DecodeMessage(wire.NewReader(w.Bytes()), env.catalog)
+				if err != nil {
+					t.Fatal(err)
+				}
+				parcels = append(parcels, parcel{n, decoded})
+			}
+			if left := wireOnly(stateDump(env)); len(left) != 0 {
+				t.Fatalf("the hand-off left behind\n%s", strings.Join(left, "\n"))
+			}
+			for _, p := range parcels {
+				env.eng.state(p.node).HandleMessage(p.node, p.msg)
+			}
+			if got, want := wireOnly(stateDump(env)), wireOnly(want); !slices.Equal(got, want) {
+				t.Fatalf("after the hand-off the ring stores\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+			}
+			// The pair store does not cross processes: no daemon runs a baseline.
+			if got := sum(env.eng.StorageLoads()); tc.cfg.Algorithm != BaselinePair && got != wantStorage {
+				t.Fatalf("after the hand-off the storage loads sum to %d, want %d", got, wantStorage)
+			}
+		})
+	}
+}
+
+// stateDump renders what the ring stores as a sorted set of lines that name
+// no node: every node's cut, copied, then the pair-baseline store and the
+// probe statistics that only a move inside the process carries.
+func stateDump(env *testEnv) []string {
+	var lines []string
+	add := func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) }
+	for _, n := range env.net.Nodes() {
+		st := env.eng.state(n)
+		m := st.cut(nil, false)
+		for _, sec := range m.AL {
+			for _, g := range sec.Groups {
+				for _, q := range g.Queries {
+					add("al %s %s %d %s", sec.Input, g.Cond, g.Side, q.Key())
+				}
+			}
+			for _, g := range sec.Multi {
+				for _, mq := range g.Queries {
+					add("al-multi %s %s %s", sec.Input, g.Cond, mq.Key())
+				}
+			}
+			for _, k := range sec.SentRewrites {
+				add("al-sent %s %s", sec.Input, k)
+			}
+			for _, e := range sec.SentTargets {
+				add("al-targets %s %s %v", sec.Input, e.Key, e.Targets)
+			}
+			for _, k := range sec.Interest {
+				add("al-mark %s %s", sec.Input, k)
+			}
+		}
+		for _, sec := range m.VQ {
+			for _, e := range sec.Entries {
+				add("vq %s %s %v", sec.Input, e.Rw.Key, e.Times)
+			}
+		}
+		for _, sec := range m.MQ {
+			for _, rw := range sec.Rewrites {
+				add("mq %s %s", sec.Input, rw.Key)
+			}
+			for _, e := range sec.SentTargets {
+				add("mq-targets %s %s %v", sec.Input, e.Key, e.Targets)
+			}
+		}
+		for _, sec := range m.VT {
+			for _, tu := range sec.Tuples {
+				add("vt %s %s", sec.Input, tu.ContentKey())
+			}
+		}
+		for _, sec := range m.DV {
+			for _, e := range sec.Entries {
+				for _, tu := range e.Left {
+					add("dv %s %s left %s", sec.Input, e.Cond, tu.ContentKey())
+				}
+				for _, tu := range e.Right {
+					add("dv %s %s right %s", sec.Input, e.Cond, tu.ContentKey())
+				}
+			}
+		}
+		for _, sec := range m.Notifs {
+			for _, n := range sec.Batch {
+				add("notif %s %s", sec.Subscriber, n.ContentKey())
+			}
+		}
+		for _, k := range m.Retracted {
+			add("retracted %s", k)
+		}
+		st.mu.Lock()
+		for input, b := range st.alqt {
+			if len(b.arrivals) > 0 || len(b.distinct) > 0 {
+				arrivals := slices.Clone(b.arrivals)
+				slices.Sort(arrivals)
+				add("probe %s %v %v", input, arrivals, sortedKeys(b.distinct))
+			}
+		}
+		for input, b := range st.pairStore {
+			for cond, g := range b.byCond {
+				for _, q := range g.queries {
+					add("pair %s %s %d %s", input, cond, g.side, q.Key())
+				}
+			}
+			for side := range b.tuples {
+				for _, tu := range b.tuples[side].all() {
+					add("pair-tuple %s %d %s", input, side, tu.ContentKey())
+				}
+			}
+		}
+		st.mu.Unlock()
+	}
+	sort.Strings(lines)
+	return slices.Compact(lines) // a partial move copies the retraction memory
+}
+
+// wireOnly drops from a dump the lines no wire form carries.
+func wireOnly(dump []string) []string {
+	return slices.DeleteFunc(slices.Clone(dump), func(line string) bool {
+		return strings.HasPrefix(line, "probe ") || strings.HasPrefix(line, "pair")
+	})
+}
+
+// keyTaking returns a node key whose joiner takes input over: its identifier
+// lies in [Hash(input), owner), the part of the owner's arc a joiner splits off.
+func keyTaking(t *testing.T, net *chord.Network, input string) string {
+	t.Helper()
+	at, owner := id.Hash(input), net.OracleSuccessor(id.Hash(input)).ID()
+	for i := 0; i < 1<<20; i++ {
+		key := fmt.Sprintf("joiner-%d", i)
+		if id.BetweenLeftIncl(id.Hash(key), at, owner) {
+			return key
+		}
+	}
+	t.Fatalf("no joiner key takes %s over", input)
+	return ""
+}
+
+// A move replays the source's retraction memory into the heir's, and an heir
+// that fills up restarts its memory part-way: which keys it keeps depends on
+// the order they arrive in, so two runs from one seed must send one order.
+func TestRetractionMemoryMovesInOneOrder(t *testing.T) {
+	kept := func() []string {
+		env := newTestEnv(t, 8, Config{Algorithm: SAI})
+		src, heir := env.nodes[0], env.nodes[1]
+		for _, fill := range []struct {
+			n      *chord.Node
+			prefix string
+			count  int
+		}{{heir, "old", retractedMax - 10}, {src, "new", 100}} {
+			st := env.eng.state(fill.n)
+			st.mu.Lock()
+			for i := 0; i < fill.count; i++ {
+				st.retract(fmt.Sprintf("%s-%d", fill.prefix, i))
+			}
+			st.mu.Unlock()
+		}
+		env.eng.FailNode(src)
+		if got := env.net.OracleSuccessor(src.ID()); got != heir {
+			t.Fatalf("%s's arc went to %s, want %s", src, got, heir)
+		}
+		st := env.eng.state(heir)
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		return sortedKeys(st.retracted)
+	}
+	first, second := kept(), kept()
+	if len(first) != 90 {
+		t.Fatalf("the heir kept %d retractions, want the 90 that followed its restart", len(first))
+	}
+	if !slices.Equal(first, second) {
+		t.Fatalf("two identical moves left different retraction memories:\n%v\n%v", first, second)
 	}
 }

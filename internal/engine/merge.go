@@ -6,16 +6,16 @@ import (
 	"cqjoin/internal/query"
 )
 
-// Bucket merge helpers for key hand-off (TransferKeys). During churn a
-// node can receive deliveries for an input it is not the converged owner
-// of — stale routing creates a bucket for that input at the wrong node.
-// When ownership is later handed over, the incoming bucket must merge with
-// whatever the destination already accumulated; overwriting would lose
-// state and duplicating would double future matches. Every helper is
-// idempotent under re-merge (items are keyed), returns the number of items
-// actually added for storage-load accounting, and iterates in
-// deterministic order so hand-offs don't perturb a seeded chaos trace.
-// Callers hold dst.mu.
+// Bucket merge helpers for nodeState.merge (handoff.go), the one path every
+// move of state installs through. During churn a node can receive
+// deliveries for an input it is not the converged owner of — stale routing
+// creates a bucket for that input at the wrong node. When ownership is
+// later handed over, the incoming bucket must merge with whatever the
+// destination already accumulated; overwriting would lose state and
+// duplicating would double future matches. Every helper is idempotent under
+// re-merge (items are keyed), returns the number of items actually added
+// for storage-load accounting, and iterates in deterministic order so
+// hand-offs don't perturb a seeded chaos trace. Callers hold dst.mu.
 
 // condsOf lists a bucket's condition keys in registration order, followed
 // by any stragglers (buckets built by paths that don't track order) sorted.
@@ -105,21 +105,6 @@ func (st *nodeState) mergeAL(b *alBucket) int {
 		}
 		for t := range targets {
 			ts[t] = struct{}{}
-		}
-	}
-	return added
-}
-
-func (st *nodeState) mergeVLQT(b *vlqtBucket) int {
-	ex := st.vlqt[b.input]
-	if ex == nil {
-		st.vlqt[b.input] = b
-		return b.rewrites.len()
-	}
-	added := 0
-	for _, sr := range b.rewrites.all() {
-		if ex.rewrites.record(sr.rw, nil, sr.times...) {
-			added++
 		}
 	}
 	return added

@@ -10,18 +10,18 @@ import (
 )
 
 // Engine-wide snapshot for the durability layer (internal/durable,
-// DESIGN.md §14). A snapshot is the non-destructive counterpart of the
-// per-node hand-off export: every node's movable tables in handoffMsg wire
-// form, plus one snapMetaMsg carrying the engine-global state a replayed
-// log needs to continue deterministically — the logical clock, the
+// DESIGN.md §14). A snapshot is the hand-off's cut without taking
+// (handoff.go): every node's movable tables in handoffMsg wire form, merged
+// back on recovery, plus one snapMetaMsg carrying the engine-global state a
+// replayed log needs to continue deterministically — the logical clock, the
 // per-subscriber query sequence counters (so replayed subscribes re-derive
 // the same Key(q)), the subscription index, what has been delivered (the
 // notifications in the record, the bare identities of those a consumer took,
-// the count), and the hot-key epoch registry. Deliberately NOT carried,
-// matching the hand-off exclusions: the JFRT and subscriber-IP caches
-// (best-effort, refill), probe statistics, the pair-baseline store, and the
-// engine's private rng state (it only picks index attributes and replicas,
-// which never changes match content — see DESIGN.md §14.3).
+// the count), and the hot-key epoch registry. Deliberately NOT carried: what
+// only a taking cut hands over (probe statistics, the pair-baseline store),
+// the caches no move carries, and the engine's private rng state (it only
+// picks index attributes and replicas, which never changes match content —
+// see DESIGN.md §14.3).
 
 // kindSnapMeta names the snapshot-meta message class.
 const kindSnapMeta = "snapmeta"
@@ -140,89 +140,11 @@ func (e *Engine) ExportSnapshot(down []string) (chord.Message, []NodeSnapshot) {
 
 	var out []NodeSnapshot
 	for _, n := range nodes {
-		st := e.state(n)
-		if m, ok := st.snapshotSections(); ok {
+		if m := e.state(n).cut(nil, false); !m.empty() {
 			out = append(out, NodeSnapshot{Key: n.Key(), Msg: m})
 		}
 	}
 	return meta, out
-}
-
-// snapshotSections builds a handoffMsg copy of this node's movable state
-// without draining it.
-func (st *nodeState) snapshotSections() (handoffMsg, bool) {
-	st.mu.Lock()
-	m := st.sectionsLocked()
-	st.mu.Unlock()
-	return m, !m.empty()
-}
-
-// sectionsLocked renders this node's movable tables as hand-off sections, in
-// deterministic order. Mutable slices are copied so later engine activity
-// cannot reach into the message; the immutable leaves (tuples, queries,
-// rewrites) are shared. The caller holds st.mu.
-func (st *nodeState) sectionsLocked() handoffMsg {
-	var m handoffMsg
-	for _, input := range sortedKeys(st.alqt) {
-		b := st.alqt[input]
-		sec := alSection{
-			Input:        b.input,
-			SentRewrites: sortedKeys(b.sentRewrites),
-			SentTargets:  flattenTargets(b.sentTargets),
-			Interest:     sortedKeys(b.interest),
-		}
-		for _, cond := range condsOf(b.byCond, b.condOrder) {
-			g := b.byCond[cond]
-			sec.Groups = append(sec.Groups, alGroupSection{
-				Cond: g.cond, Side: g.side, Queries: append([]*query.Query(nil), g.queries...),
-			})
-		}
-		for _, cond := range sortedKeys(b.multi) {
-			g := b.multi[cond]
-			sec.Multi = append(sec.Multi, alMultiSection{
-				Cond: g.cond, Queries: append([]*query.MultiQuery(nil), g.queries...),
-			})
-		}
-		m.AL = append(m.AL, sec)
-	}
-	for _, input := range sortedKeys(st.vlqt) {
-		b := st.vlqt[input]
-		sec := vqSection{Input: b.input}
-		for _, sr := range b.rewrites.all() {
-			sec.Entries = append(sec.Entries, vqEntry{Rw: sr.rw, Times: append([]int64(nil), sr.times...)})
-		}
-		m.VQ = append(m.VQ, sec)
-	}
-	for _, input := range sortedKeys(st.mvlqt) {
-		b := st.mvlqt[input]
-		m.MQ = append(m.MQ, mqSection{
-			Input:       b.input,
-			Rewrites:    append([]*mRewritten(nil), b.rewrites...),
-			SentTargets: flattenTargets(b.sentTargets),
-		})
-	}
-	for _, input := range sortedKeys(st.vltt) {
-		b := st.vltt[input]
-		m.VT = append(m.VT, vtSection{Input: b.input, Tuples: append([]*relation.Tuple(nil), b.tuples.all()...)})
-	}
-	for _, input := range sortedKeys(st.vstore) {
-		b := st.vstore[input]
-		sec := dvSection{Input: b.input}
-		for _, cond := range sortedKeys(b.byCond) {
-			entry := b.byCond[cond]
-			sec.Entries = append(sec.Entries, dvEntry{
-				Cond:  entry.cond,
-				Left:  append([]*relation.Tuple(nil), entry.tuples[query.SideLeft].all()...),
-				Right: append([]*relation.Tuple(nil), entry.tuples[query.SideRight].all()...),
-			})
-		}
-		m.DV = append(m.DV, sec)
-	}
-	for _, sub := range sortedKeys(st.storedNotifs) {
-		m.Notifs = append(m.Notifs, notifSection{Subscriber: sub, Batch: append([]Notification(nil), st.storedNotifs[sub]...)})
-	}
-	m.Retracted = sortedKeys(st.retracted)
-	return m
 }
 
 // RestoreSnapshot installs an exported snapshot into a freshly built

@@ -296,7 +296,7 @@ func (st *nodeState) HandleMessage(on *chord.Node, msg chord.Message) {
 	case mJoinMsg:
 		st.handleMJoin(m)
 	case handoffMsg:
-		st.handleHandoff(on, m)
+		st.merge(on, m, true)
 	case hotJoinMsg:
 		st.mergeAtShard(m.Kind(), m.Input, m.Shard, m.Version, m.K, m.Rewrites, nil, nil)
 	case hotVLIndexMsg:
@@ -312,109 +312,12 @@ func (st *nodeState) HandleMessage(on *chord.Node, msg chord.Message) {
 // ring identifier falls in (lo, hi] moves from this node to node `to`.
 // Chord invokes it when `to` joins as this node's predecessor, or when this
 // node leaves and hands everything to its successor (lo == hi covers the
-// whole ring). Stored notifications addressed to the joining subscriber
+// whole ring). The move is a process hand-off's cut and merge done in memory
+// (handoff.go); stored notifications addressed to the joining subscriber
 // itself are replayed immediately (Section 4.6).
 func (st *nodeState) TransferKeys(from, to *chord.Node, lo, hi id.ID) {
-	dst := st.engine.state(to)
-	inRange := func(input string) bool {
-		return id.BetweenRightIncl(id.Hash(input), lo, hi)
-	}
-
-	st.mu.Lock()
-	var moved struct {
-		al     []*alBucket
-		vq     []*vlqtBucket
-		mq     []*mvlqtBucket
-		vt     []*vlttBucket
-		dv     []*daivBucket
-		pair   []*pairBucket
-		notifs map[string][]Notification
-	}
-	moved.notifs = make(map[string][]Notification)
-	moved.al = takeInRange(st.alqt, inRange)
-	moved.vq = takeInRange(st.vlqt, inRange)
-	moved.mq = takeInRange(st.mvlqt, inRange)
-	moved.vt = takeInRange(st.vltt, inRange)
-	moved.dv = takeInRange(st.vstore, inRange)
-	moved.pair = takeInRange(st.pairStore, inRange)
-	for sub, batch := range st.storedNotifs {
-		if inRange(sub) {
-			moved.notifs[sub] = batch
-			delete(st.storedNotifs, sub)
-		}
-	}
-	retracted := make([]string, 0, len(st.retracted)) // the arc's new owner refuses what this node would
-	for key := range st.retracted {
-		retracted = append(retracted, key)
-	}
-	st.mu.Unlock()
-
-	// Re-home the buckets and rebalance the storage-load metric. Buckets
-	// are MERGED into the destination, never overwritten: stale deliveries
-	// during churn can have created a bucket for the same input at the
-	// destination already, and replacing it would silently discard state.
-	var removedRewriter, removedEvaluator int
-	var addedRewriter, addedEvaluator int
-	dst.mu.Lock()
-	for _, b := range moved.al {
-		removedRewriter += b.storedItems()
-		addedRewriter += dst.mergeAL(b)
-	}
-	for _, b := range moved.vq {
-		removedEvaluator += b.rewrites.len()
-		addedEvaluator += dst.mergeVLQT(b)
-	}
-	for _, b := range moved.mq {
-		removedEvaluator += len(b.rewrites)
-		addedEvaluator += dst.mergeMVLQT(b)
-	}
-	for _, b := range moved.vt {
-		removedEvaluator += b.tuples.len()
-		addedEvaluator += dst.vlttFor(b.input).tuples.addAll(b.tuples.all())
-	}
-	for _, b := range moved.dv {
-		removedEvaluator += b.storedItems()
-		addedEvaluator += dst.mergeDAIV(b)
-	}
-	for _, b := range moved.pair {
-		removedEvaluator += b.storedItems()
-		addedEvaluator += dst.mergePair(b)
-	}
-	for _, key := range retracted {
-		dst.retract(key)
-	}
-	var replay []string
-	for sub, batch := range moved.notifs {
-		dst.storedNotifs[sub] = append(dst.storedNotifs[sub], batch...)
-		removedEvaluator += len(batch)
-		addedEvaluator += len(batch)
-		if sub == to.Key() {
-			replay = append(replay, sub)
-		}
-	}
-	dst.mu.Unlock()
-
-	st.load.AddStorage(metrics.Rewriter, -removedRewriter)
-	st.load.AddStorage(metrics.Evaluator, -removedEvaluator)
-	dst.load.AddStorage(metrics.Rewriter, addedRewriter)
-	dst.load.AddStorage(metrics.Evaluator, addedEvaluator)
-
-	for _, sub := range replay {
-		dst.replayStoredNotifications(sub, to)
-	}
-}
-
-// takeInRange removes the buckets of m whose key is in range and returns
-// them.
-func takeInRange[B any](m map[string]B, inRange func(string) bool) []B {
-	var out []B
-	for k, b := range m {
-		if inRange(k) {
-			out = append(out, b)
-			delete(m, k)
-		}
-	}
-	return out
+	inArc := func(input string) bool { return id.BetweenRightIncl(id.Hash(input), lo, hi) }
+	st.engine.state(to).merge(to, st.cut(inArc, true), true)
 }
 
 // storedItems counts the queries a rewriter bucket stores.
