@@ -27,7 +27,7 @@ var networkSends = map[string]bool{
 // of the function are not traced.
 var SendUnderLockAnalyzer = &Analyzer{
 	Name: "sendunderlock",
-	Doc:  "report chord.Send/Multisend/MultisendIterative while a mutex acquired in the same function is held",
+	Doc:  "report chord.Send/DirectSend/SendHinted/Multisend/MultisendIterative while a mutex acquired in the same function is held",
 	Run:  runSendUnderLock,
 }
 

@@ -143,31 +143,14 @@ func (e *Engine) indexTupleBaseline(from *chord.Node, t *relation.Tuple) error {
 func (st *nodeState) handleBaselineQuery(m baselineQueryMsg) {
 	cond := m.Q.ConditionKey()
 	st.mu.Lock()
+	var groups *condTable[*queryGroup]
 	if st.engine.cfg.Algorithm == BaselinePair {
-		b := st.pairStore[m.Input]
-		if b == nil {
-			b = newPairBucket(m.Input)
-			st.pairStore[m.Input] = b
-		}
-		g := b.byCond[cond]
-		if g == nil {
-			g = &queryGroup{cond: cond, side: m.Side}
-			b.byCond[cond] = g
-		}
-		g.queries = append(g.queries, m.Q)
+		groups = &st.pairBucketFor(m.Input).byCond
 	} else {
-		b := st.alqt[m.Input]
-		if b == nil {
-			b = newALBucket(m.Input)
-			st.alqt[m.Input] = b
-		}
-		g := b.byCond[cond]
-		if g == nil {
-			g = &queryGroup{cond: cond, side: m.Side}
-			b.byCond[cond] = g
-		}
-		g.queries = append(g.queries, m.Q)
+		groups = &st.alBucketFor(m.Input).byCond
 	}
+	g := groups.getOrAdd(cond, func() *queryGroup { return &queryGroup{cond: cond, side: m.Side} })
+	g.queries = append(g.queries, m.Q)
 	st.mu.Unlock()
 	st.load.AddFiltering(metrics.Rewriter, 1)
 	st.load.AddStorage(metrics.Rewriter, 1)
@@ -191,7 +174,7 @@ func (st *nodeState) handleBaselineTuple(m baselineTupleMsg) {
 	st.vlttFor(m.Input).tuples.add(t)
 
 	if b := st.alqt[m.Input]; b != nil {
-		for _, g := range b.byCond {
+		for _, g := range b.byCond.all() {
 			var triggered []*query.Query
 			for _, q := range g.queries {
 				examined++
@@ -294,12 +277,8 @@ func (st *nodeState) handlePairTuple(m baselineTupleMsg) {
 	stored := 0
 
 	st.mu.Lock()
-	b := st.pairStore[m.Input]
-	if b == nil {
-		b = newPairBucket(m.Input)
-		st.pairStore[m.Input] = b
-	}
-	for _, g := range b.byCond {
+	b := st.pairBucketFor(m.Input)
+	for _, g := range b.byCond.all() {
 		for _, q := range g.queries {
 			side, err := q.SideFor(t.Relation())
 			if err != nil {

@@ -190,16 +190,7 @@ func (st *nodeState) handleJoinV(m joinVMsg) {
 	stored := 0
 
 	st.mu.Lock()
-	b := st.vstore[input]
-	if b == nil {
-		b = newDAIVBucket(input)
-		st.vstore[input] = b
-	}
-	entry := b.byCond[m.Cond]
-	if entry == nil {
-		entry = &daivEntry{cond: m.Cond}
-		b.byCond[m.Cond] = entry
-	}
+	entry := st.daivBucketFor(input).byCond.getOrAdd(m.Cond, func() *daivEntry { return &daivEntry{cond: m.Cond} })
 	for _, tt := range entry.tuples[m.Side.Other()].all() {
 		for _, q := range m.Queries {
 			work++

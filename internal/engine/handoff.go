@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"maps"
 	"sort"
 
 	"cqjoin/internal/chord"
@@ -212,14 +211,12 @@ func (st *nodeState) cut(inArc func(string) bool, take bool) handoffMsg {
 			SentTargets:  flattenTargets(b.sentTargets),
 			Interest:     sortedKeys(b.interest),
 		}
-		for _, cond := range condsOf(b.byCond, b.condOrder) {
-			g := b.byCond[cond]
+		for _, g := range b.byCond.all() {
 			sec.Groups = append(sec.Groups, alGroupSection{
 				Cond: g.cond, Side: g.side, Queries: append([]*query.Query(nil), g.queries...),
 			})
 		}
-		for _, cond := range sortedKeys(b.multi) {
-			g := b.multi[cond]
+		for _, g := range b.multi.all() {
 			sec.Multi = append(sec.Multi, alMultiSection{
 				Cond: g.cond, Queries: append([]*query.MultiQuery(nil), g.queries...),
 			})
@@ -252,8 +249,7 @@ func (st *nodeState) cut(inArc func(string) bool, take bool) handoffMsg {
 	})
 	cutEach(st.vstore, inArc, take, func(_ string, b *daivBucket) {
 		sec := dvSection{Input: b.input}
-		for _, cond := range sortedKeys(b.byCond) {
-			entry := b.byCond[cond]
+		for _, entry := range b.byCond.all() {
 			sec.Entries = append(sec.Entries, dvEntry{
 				Cond:  entry.cond,
 				Left:  append([]*relation.Tuple(nil), entry.tuples[query.SideLeft].all()...),
@@ -314,24 +310,7 @@ func (st *nodeState) merge(on *chord.Node, m handoffMsg, replayNotifs bool) {
 
 	st.mu.Lock()
 	for _, sec := range m.AL {
-		b := newALBucket(sec.Input)
-		b.arrivals = sec.arrivals
-		maps.Copy(b.distinct, sec.distinct)
-		for _, g := range sec.Groups {
-			b.byCond[g.Cond] = &queryGroup{cond: g.Cond, side: g.Side, queries: g.Queries}
-			b.condOrder = append(b.condOrder, g.Cond)
-		}
-		for _, g := range sec.Multi {
-			b.multi[g.Cond] = &mGroup{cond: g.Cond, queries: g.Queries}
-		}
-		for _, k := range sec.SentRewrites {
-			b.sentRewrites[k] = true
-		}
-		b.sentTargets = restoreTargets(sec.SentTargets)
-		for _, key := range sec.Interest {
-			b.mark(key)
-		}
-		addedRewriter += st.mergeAL(b)
+		addedRewriter += st.mergeAL(sec)
 	}
 	for _, sec := range m.VQ {
 		qb := st.vlqtFor(sec.Input)
@@ -353,14 +332,7 @@ func (st *nodeState) merge(on *chord.Node, m handoffMsg, replayNotifs bool) {
 		addedEvaluator += st.vlttFor(sec.Input).tuples.addAll(sec.Tuples)
 	}
 	for _, sec := range m.DV {
-		b := newDAIVBucket(sec.Input)
-		for _, e := range sec.Entries {
-			entry := &daivEntry{cond: e.Cond}
-			entry.tuples[query.SideLeft].addAll(e.Left)
-			entry.tuples[query.SideRight].addAll(e.Right)
-			b.byCond[e.Cond] = entry
-		}
-		addedEvaluator += st.mergeDAIV(b)
+		addedEvaluator += st.mergeDAIV(sec)
 	}
 	for _, b := range m.pair {
 		addedEvaluator += st.mergePair(b)

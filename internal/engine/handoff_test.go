@@ -317,9 +317,9 @@ func stateDump(env *testEnv) []string {
 			}
 		}
 		for input, b := range st.pairStore {
-			for cond, g := range b.byCond {
+			for _, g := range b.byCond.all() {
 				for _, q := range g.queries {
-					add("pair %s %s %d %s", input, cond, g.side, q.Key())
+					add("pair %s %s %d %s", input, g.cond, g.side, q.Key())
 				}
 			}
 			for side := range b.tuples {

@@ -416,7 +416,7 @@ func indexingStream(t *testing.T, nodeCount, attrs, pubs int, blind, homed bool)
 			if len(b.interest) > 0 {
 				out.marked++
 			}
-			if len(b.interest) > 0 || len(b.byCond) > 0 {
+			if len(b.interest) > 0 || len(b.byCond.all()) > 0 {
 				out.queried++
 			}
 		}

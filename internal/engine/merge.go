@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"sort"
+	"maps"
 
 	"cqjoin/internal/query"
 )
@@ -16,27 +16,6 @@ import (
 // re-merge (items are keyed), returns the number of items actually added
 // for storage-load accounting, and iterates in deterministic order so
 // hand-offs don't perturb a seeded chaos trace. Callers hold dst.mu.
-
-// condsOf lists a bucket's condition keys in registration order, followed
-// by any stragglers (buckets built by paths that don't track order) sorted.
-func condsOf(byCond map[string]*queryGroup, order []string) []string {
-	seen := make(map[string]bool, len(order))
-	out := make([]string, 0, len(byCond))
-	for _, c := range order {
-		if byCond[c] != nil && !seen[c] {
-			seen[c] = true
-			out = append(out, c)
-		}
-	}
-	var rest []string
-	for c := range byCond {
-		if !seen[c] {
-			rest = append(rest, c)
-		}
-	}
-	sort.Strings(rest)
-	return append(out, rest...)
-}
 
 // appendNew appends to *dst the items of src whose key no item of *dst has
 // yet, and returns how many it added.
@@ -56,54 +35,34 @@ func appendNew[T any](dst *[]T, src []T, key func(T) string) int {
 	return added
 }
 
-func (st *nodeState) mergeAL(b *alBucket) int {
-	ex := st.alqt[b.input]
-	if ex == nil {
-		st.alqt[b.input] = b
-		return b.storedItems()
-	}
+// mergeAL installs one ALQT section, its groups after the bucket's own in
+// section order, and returns the queries it added.
+func (st *nodeState) mergeAL(sec alSection) int {
+	b := st.alBucketFor(sec.Input)
 	added := 0
-	for _, cond := range condsOf(b.byCond, b.condOrder) {
-		g := b.byCond[cond]
-		eg := ex.byCond[cond]
-		if eg == nil {
-			eg = &queryGroup{cond: cond, side: g.side}
-			ex.byCond[cond] = eg
-			ex.condOrder = append(ex.condOrder, cond)
-		}
-		added += appendNew(&eg.queries, g.queries, (*query.Query).Key)
+	for _, g := range sec.Groups {
+		eg := b.byCond.getOrAdd(g.Cond, func() *queryGroup { return &queryGroup{cond: g.Cond, side: g.Side} })
+		added += appendNew(&eg.queries, g.Queries, (*query.Query).Key)
 	}
-	mconds := make([]string, 0, len(b.multi))
-	for c := range b.multi {
-		mconds = append(mconds, c)
+	for _, g := range sec.Multi {
+		eg := b.multi.getOrAdd(g.Cond, func() *mGroup { return &mGroup{cond: g.Cond} })
+		added += appendNew(&eg.queries, g.Queries, (*query.MultiQuery).Key)
 	}
-	sort.Strings(mconds)
-	for _, cond := range mconds {
-		g := b.multi[cond]
-		eg := ex.multi[cond]
-		if eg == nil {
-			eg = &mGroup{cond: cond}
-			ex.multi[cond] = eg
-		}
-		added += appendNew(&eg.queries, g.queries, (*query.MultiQuery).Key)
+	b.arrivals = append(b.arrivals, sec.arrivals...)
+	maps.Copy(b.distinct, sec.distinct)
+	for _, k := range sec.SentRewrites {
+		b.sentRewrites[k] = true
 	}
-	ex.arrivals = append(ex.arrivals, b.arrivals...)
-	for v := range b.distinct {
-		ex.distinct[v] = struct{}{}
+	for _, key := range sec.Interest {
+		b.mark(key)
 	}
-	for k := range b.sentRewrites {
-		ex.sentRewrites[k] = true
-	}
-	for key := range b.interest {
-		ex.mark(key)
-	}
-	for qk, targets := range b.sentTargets {
-		ts := ex.sentTargets[qk]
+	for _, te := range sec.SentTargets {
+		ts := b.sentTargets[te.Key]
 		if ts == nil {
-			ts = make(map[string]struct{}, len(targets))
-			ex.sentTargets[qk] = ts
+			ts = make(map[string]struct{}, len(te.Targets))
+			b.sentTargets[te.Key] = ts
 		}
-		for t := range targets {
+		for _, t := range te.Targets {
 			ts[t] = struct{}{}
 		}
 	}
@@ -133,29 +92,13 @@ func (st *nodeState) mergeMVLQT(b *mvlqtBucket) int {
 	return added
 }
 
-func (st *nodeState) mergeDAIV(b *daivBucket) int {
-	ex := st.vstore[b.input]
-	if ex == nil {
-		st.vstore[b.input] = b
-		return b.storedItems()
-	}
-	conds := make([]string, 0, len(b.byCond))
-	for c := range b.byCond {
-		conds = append(conds, c)
-	}
-	sort.Strings(conds)
+// mergeDAIV installs one DAI-V section and returns the tuples it added.
+func (st *nodeState) mergeDAIV(sec dvSection) int {
+	b := st.daivBucketFor(sec.Input)
 	added := 0
-	for _, cond := range conds {
-		entry := b.byCond[cond]
-		eentry := ex.byCond[cond]
-		if eentry == nil {
-			ex.byCond[cond] = entry
-			added += entry.tuples[0].len() + entry.tuples[1].len()
-			continue
-		}
-		for side := range entry.tuples {
-			added += eentry.tuples[side].addAll(entry.tuples[side].all())
-		}
+	for _, e := range sec.Entries {
+		entry := b.byCond.getOrAdd(e.Cond, func() *daivEntry { return &daivEntry{cond: e.Cond} })
+		added += entry.tuples[query.SideLeft].addAll(e.Left) + entry.tuples[query.SideRight].addAll(e.Right)
 	}
 	return added
 }
@@ -167,13 +110,8 @@ func (st *nodeState) mergePair(b *pairBucket) int {
 		return b.storedItems()
 	}
 	added := 0
-	for _, cond := range condsOf(b.byCond, nil) {
-		g := b.byCond[cond]
-		eg := ex.byCond[cond]
-		if eg == nil {
-			eg = &queryGroup{cond: cond, side: g.side}
-			ex.byCond[cond] = eg
-		}
+	for _, g := range b.byCond.all() {
+		eg := ex.byCond.getOrAdd(g.cond, func() *queryGroup { return &queryGroup{cond: g.cond, side: g.side} })
 		added += appendNew(&eg.queries, g.queries, (*query.Query).Key)
 	}
 	for side := range b.tuples {

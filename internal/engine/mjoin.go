@@ -190,12 +190,7 @@ func (st *nodeState) handleMQueryIndex(m mQueryMsg) {
 		st.mu.Unlock()
 		return
 	}
-	b := st.alBucketFor(input)
-	g := b.multi[cond]
-	if g == nil {
-		g = &mGroup{cond: cond}
-		b.multi[cond] = g
-	}
+	g := st.alBucketFor(input).multi.getOrAdd(cond, func() *mGroup { return &mGroup{cond: cond} })
 	g.queries = append(g.queries, m.MQ)
 	st.mu.Unlock()
 	st.load.AddFiltering(metrics.Rewriter, 1)
@@ -213,7 +208,7 @@ type mGroup struct {
 // evaluators. The caller holds st.mu and charges the returned filtering
 // work.
 func (st *nodeState) triggerMulti(b *alBucket, t *relation.Tuple) (outs []outbound, examined int) {
-	for _, g := range b.multi {
+	for _, g := range b.multi.all() {
 		var rws []*mRewritten
 		var target string
 		for _, mq := range g.queries {

@@ -312,7 +312,7 @@ func TestWindowEvictionDropsEmptiedBuckets(t *testing.T) {
 					for _, st := range env.eng.states {
 						buckets += len(st.vltt)
 						for _, b := range st.vstore {
-							buckets += len(b.byCond)
+							buckets += len(b.byCond.all())
 						}
 					}
 					maxBuckets = max(maxBuckets, buckets)

@@ -27,13 +27,7 @@ func (st *nodeState) handleQueryIndex(m queryMsg) {
 		st.mu.Unlock()
 		return
 	}
-	b := st.alBucketFor(input)
-	g := b.byCond[cond]
-	if g == nil {
-		g = &queryGroup{cond: cond, side: m.Side}
-		b.byCond[cond] = g
-		b.condOrder = append(b.condOrder, cond)
-	}
+	g := st.alBucketFor(input).byCond.getOrAdd(cond, func() *queryGroup { return &queryGroup{cond: cond, side: m.Side} })
 	// A duplicated query() delivery must not register the query twice —
 	// it would inflate the group and double every future rewrite.
 	for _, q := range g.queries {
@@ -97,15 +91,7 @@ func (st *nodeState) handleALIndex(m *alIndexMsg) {
 		b.distinct[t.MustValue(m.Attr).Canon()] = struct{}{}
 	}
 
-	// Iterate groups in registration order, not map order: the sequence of
-	// outgoing join messages must be deterministic for a chaos run to be
-	// reproducible from its seed.
-	for _, cond := range b.condOrder {
-		g := b.byCond[cond]
-		if g == nil {
-			// Retraction removed the group; its order slot stays behind.
-			continue
-		}
+	for _, g := range b.byCond.all() {
 		triggered := trigBuf[:0]
 		for _, q := range g.queries {
 			examined++

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"sync"
 
 	"cqjoin/internal/chord"
@@ -116,12 +117,11 @@ func newNodeState(e *Engine, n *chord.Node) *nodeState {
 // statistics of Section 4.3.6: arrival timestamps (rate) and distinct values
 // seen (domain size); under any other strategy both stay empty.
 type alBucket struct {
-	input     string // the hashed string, e.g. "R+B" or "R+B#r2"
-	byCond    map[string]*queryGroup
-	condOrder []string           // byCond keys in registration order (deterministic iteration)
-	multi     map[string]*mGroup // multi-way chain queries, by chain condition
-	arrivals  []int64
-	distinct  map[string]struct{}
+	input    string // the hashed string, e.g. "R+B" or "R+B#r2"
+	byCond   condTable[*queryGroup]
+	multi    condTable[*mGroup] // multi-way chain queries, by chain condition
+	arrivals []int64
+	distinct map[string]struct{}
 	// sentRewrites records the rewritten-query keys this rewriter has
 	// already reindexed; DAI-T consults it so a rewritten query is never
 	// reindexed twice (Section 4.4.3). Keeping it in the bucket makes it
@@ -141,8 +141,6 @@ type alBucket struct {
 func newALBucket(input string) *alBucket {
 	return &alBucket{
 		input:        input,
-		byCond:       make(map[string]*queryGroup),
-		multi:        make(map[string]*mGroup),
 		distinct:     make(map[string]struct{}),
 		sentRewrites: make(map[string]bool),
 		sentTargets:  make(map[string]map[string]struct{}),
@@ -159,6 +157,46 @@ func (st *nodeState) alBucketFor(input string) *alBucket {
 	}
 	return b
 }
+
+// condTable holds a bucket's entries by condition key (Section 4.3.5's
+// second level) and is the only holder of them: every walk that builds
+// messages iterates all(), in registration order, so a seeded run sends the
+// same messages in the same order, and drop removes an entry from the lookup
+// and the order at once. The zero value is an empty table.
+type condTable[G comparable] struct {
+	byKey map[string]G
+	order []G
+}
+
+// get returns the entry of cond, the zero G when there is none.
+func (t *condTable[G]) get(cond string) G { return t.byKey[cond] }
+
+// getOrAdd returns the entry of cond, registering mk() last when there is none.
+func (t *condTable[G]) getOrAdd(cond string, mk func() G) G {
+	if g, ok := t.byKey[cond]; ok {
+		return g
+	}
+	if t.byKey == nil {
+		t.byKey = make(map[string]G)
+	}
+	g := mk()
+	t.byKey[cond] = g
+	t.order = append(t.order, g)
+	return g
+}
+
+// drop removes the entry of cond, keeping the others' order.
+func (t *condTable[G]) drop(cond string) {
+	if g, ok := t.byKey[cond]; ok {
+		delete(t.byKey, cond)
+		i := slices.Index(t.order, g)
+		t.order = slices.Delete(t.order, i, i+1)
+	}
+}
+
+// all returns the entries in registration order. The caller must not keep
+// the slice past a getOrAdd or drop.
+func (t *condTable[G]) all() []G { return t.order }
 
 // mark sets query key's interest mark on the bucket and reports whether it
 // was not set before.
@@ -232,7 +270,7 @@ func (st *nodeState) vlttFor(input string) *vlttBucket {
 // different rewriters of equivalent query groups.
 type daivBucket struct {
 	input  string // the value canon that was hashed
-	byCond map[string]*daivEntry
+	byCond condTable[*daivEntry]
 }
 
 type daivEntry struct {
@@ -240,8 +278,15 @@ type daivEntry struct {
 	tuples [2]tupleSet // per query.Side; the sides hold different relations
 }
 
-func newDAIVBucket(input string) *daivBucket {
-	return &daivBucket{input: input, byCond: make(map[string]*daivEntry)}
+// daivBucketFor returns the DAI-V bucket of input, creating it when absent.
+// The caller holds st.mu.
+func (st *nodeState) daivBucketFor(input string) *daivBucket {
+	b := st.vstore[input]
+	if b == nil {
+		b = &daivBucket{input: input}
+		st.vstore[input] = b
+	}
+	return b
 }
 
 // pairBucket serves the naive pair-indexing baseline of Section 4.1: one
@@ -249,12 +294,19 @@ func newDAIVBucket(input string) *daivBucket {
 // pair, and evaluates joins entirely locally.
 type pairBucket struct {
 	input  string
-	byCond map[string]*queryGroup
+	byCond condTable[*queryGroup]
 	tuples [2]tupleSet // per query.Side of the pair key
 }
 
-func newPairBucket(input string) *pairBucket {
-	return &pairBucket{input: input, byCond: make(map[string]*queryGroup)}
+// pairBucketFor returns the pair-baseline bucket of input, creating it when
+// absent. The caller holds st.mu.
+func (st *nodeState) pairBucketFor(input string) *pairBucket {
+	b := st.pairStore[input]
+	if b == nil {
+		b = &pairBucket{input: input}
+		st.pairStore[input] = b
+	}
+	return b
 }
 
 // HandleMessage dispatches overlay messages to the role handlers.
@@ -323,10 +375,10 @@ func (st *nodeState) TransferKeys(from, to *chord.Node, lo, hi id.ID) {
 // storedItems counts the queries a rewriter bucket stores.
 func (b *alBucket) storedItems() int {
 	n := 0
-	for _, g := range b.byCond {
+	for _, g := range b.byCond.all() {
 		n += len(g.queries)
 	}
-	for _, g := range b.multi {
+	for _, g := range b.multi.all() {
 		n += len(g.queries)
 	}
 	return n
@@ -335,7 +387,7 @@ func (b *alBucket) storedItems() int {
 // storedItems counts the tuples a DAI-V bucket stores.
 func (b *daivBucket) storedItems() int {
 	n := 0
-	for _, e := range b.byCond {
+	for _, e := range b.byCond.all() {
 		n += e.tuples[0].len() + e.tuples[1].len()
 	}
 	return n
@@ -344,7 +396,7 @@ func (b *daivBucket) storedItems() int {
 // storedItems counts the tuples and queries a pair bucket stores.
 func (b *pairBucket) storedItems() int {
 	n := b.tuples[0].len() + b.tuples[1].len()
-	for _, g := range b.byCond {
+	for _, g := range b.byCond.all() {
 		n += len(g.queries)
 	}
 	return n
@@ -367,13 +419,15 @@ func (st *nodeState) evictBefore(cutoff int64) {
 		}
 	}
 	for input, b := range st.vstore {
-		for cond, e := range b.byCond {
+		entries := b.byCond.all()
+		for i := len(entries) - 1; i >= 0; i-- { // a drop shifts only the entries after it
+			e := entries[i]
 			evicted += e.tuples[0].removeIf(expired) + e.tuples[1].removeIf(expired)
 			if e.tuples[0].len()+e.tuples[1].len() == 0 {
-				delete(b.byCond, cond)
+				b.byCond.drop(e.cond)
 			}
 		}
-		if len(b.byCond) == 0 {
+		if len(b.byCond.all()) == 0 {
 			delete(st.vstore, input)
 		}
 	}

@@ -105,32 +105,16 @@ func (st *nodeState) handleUnsub(m unsubMsg) {
 	st.retract(m.QueryKey)
 	if b := st.alqt[m.Input]; b != nil {
 		delete(b.interest, m.QueryKey)
-		if g := b.byCond[m.Cond]; g != nil {
-			kept := g.queries[:0]
-			for _, q := range g.queries {
-				if q.Key() == m.QueryKey {
-					removed++
-					continue
-				}
-				kept = append(kept, q)
-			}
-			g.queries = kept
+		if g := b.byCond.get(m.Cond); g != nil {
+			removed += removeKey(&g.queries, m.QueryKey)
 			if len(g.queries) == 0 {
-				delete(b.byCond, m.Cond)
+				b.byCond.drop(m.Cond)
 			}
 		}
-		if g := b.multi[m.Cond]; g != nil {
-			kept := g.queries[:0]
-			for _, mq := range g.queries {
-				if mq.Key() == m.QueryKey {
-					removed++
-					continue
-				}
-				kept = append(kept, mq)
-			}
-			g.queries = kept
+		if g := b.multi.get(m.Cond); g != nil {
+			removed += removeKey(&g.queries, m.QueryKey)
 			if len(g.queries) == 0 {
-				delete(b.multi, m.Cond)
+				b.multi.drop(m.Cond)
 			}
 		}
 		for input := range b.sentTargets[m.QueryKey] {
@@ -177,6 +161,14 @@ func (st *nodeState) handleUnsub(m unsubMsg) {
 		}
 	}
 	_ = e.dispatch(st.node, batch)
+}
+
+// removeKey removes the items of *items whose Key() is key, and returns how
+// many it removed.
+func removeKey[T interface{ Key() string }](items *[]T, key string) int {
+	n := len(*items)
+	*items = slices.DeleteFunc(*items, func(it T) bool { return it.Key() == key })
+	return n - len(*items)
 }
 
 // handlePurge drops the retracted query's stored rewrites from this
