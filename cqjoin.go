@@ -36,6 +36,7 @@ import (
 	"cqjoin/internal/chord"
 	"cqjoin/internal/engine"
 	"cqjoin/internal/metrics"
+	"cqjoin/internal/obs"
 	"cqjoin/internal/query"
 	"cqjoin/internal/relation"
 )
@@ -155,6 +156,11 @@ type Config struct {
 	// HotKeyReplicas is the promoted replica-group size; values < 2
 	// default to 4. Set by daemon.New (-hot-replicas).
 	HotKeyReplicas int
+
+	// Obs receives the engine's metrics ("engine.*"); nil records nothing.
+	// The overlay's per-hop metrics stay off either way. Set by daemon.New
+	// (its registry, which the stats op reports).
+	Obs *obs.Registry
 }
 
 // Durability receives every mutating operation a Cluster routes through
@@ -198,6 +204,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		Seed:              cfg.Seed,
 		HotKeyThreshold:   cfg.HotKeyThreshold,
 		HotKeyReplicas:    cfg.HotKeyReplicas,
+		Obs:               cfg.Obs,
 	})
 	return &Cluster{net: net, eng: eng, catalog: cfg.Catalog}, nil
 }

@@ -25,6 +25,17 @@ type Transport interface {
 	DeliverBatch(from, dst *Node, msgs []Message) []bool
 }
 
+// Replier is a message whose handler answers its sender in the delivery's
+// ack: one byte below 128, zero for no answer. The in-process transport
+// leaves the answer in the message the sender holds; a remote one carries it
+// back in the ack's status byte and sets it there. An unacked delivery
+// answers nothing the sender may read.
+type Replier interface {
+	Message
+	Reply() byte
+	SetReply(byte)
+}
+
 // simTransport is the in-process default: hand the message pointer to the
 // destination's handler, optionally through the fault-injection
 // interceptor. It is exactly the delivery path the simulator always had —

@@ -83,7 +83,7 @@ type Server struct {
 	cfg      Config
 	cluster  *cqjoin.Cluster
 	catalog  *cqjoin.Catalog
-	reg      *obs.Registry    // daemon.*, codec.* and (multi-process) transport.* metrics
+	reg      *obs.Registry    // daemon.*, codec.*, engine.* and (multi-process) transport.* metrics
 	met      serverMetrics    // handles into reg
 	tr       *transport.TCP   // nil in single-process mode
 	members  *membership      // nil in single-process mode
@@ -136,6 +136,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	cfg.Algorithm = algorithmName(alg)
+	reg := obs.NewRegistry()
 	cluster, err := cqjoin.NewCluster(cqjoin.Config{
 		Nodes:           cfg.Nodes,
 		Catalog:         catalog,
@@ -144,11 +145,11 @@ func New(cfg Config) (*Server, error) {
 		Seed:            cfg.Seed,
 		HotKeyThreshold: cfg.HotKeyThreshold,
 		HotKeyReplicas:  cfg.HotKeyReplicas,
+		Obs:             reg,
 	})
 	if err != nil {
 		return nil, err
 	}
-	reg := obs.NewRegistry()
 	s := &Server{
 		cfg:     cfg,
 		cluster: cluster,
@@ -860,7 +861,8 @@ func (s *Server) dispatch(req *request, lst *listener) interface{} {
 			"eval_load_gini": eval.Gini,
 			"hot_keys":       len(s.cluster.HotKeys()),
 		}
-		// A section per layer with metrics: "daemon", "codec", "transport".
+		// A section per layer with metrics: "daemon", "codec", "engine",
+		// "transport".
 		for name, v := range s.reg.Snapshot() {
 			layer, _, _ := strings.Cut(name, ".")
 			section, _ := resp[layer].(map[string]float64)

@@ -189,6 +189,42 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 }
 
+// The engine's counters reach the stats op: a node's third publication of a
+// relation skips the two attributes no query reads, and a subscribe that
+// gives one of them a reader takes that back.
+func TestDaemonStatsReportEngineSilence(t *testing.T) {
+	_, conn := startServer(t, defaultConfig())
+	c := newClient(t, conn)
+	call := func(req map[string]interface{}) {
+		t.Helper()
+		if resp := c.call(req); resp["ok"] != true {
+			t.Fatalf("%v: %v", req, resp)
+		}
+	}
+	publish := func(id int) {
+		call(map[string]interface{}{"op": "publish", "node": 1, "relation": "Orders", "values": []interface{}{id, "acme", "widget"}})
+	}
+	engine := func() map[string]interface{} {
+		t.Helper()
+		section, _ := c.call(map[string]interface{}{"op": "stats"})["engine"].(map[string]interface{})
+		return section
+	}
+	call(map[string]interface{}{"op": "subscribe", "node": 0,
+		"sql": `SELECT O.Customer, S.Depot FROM Orders AS O, Shipments AS S WHERE O.Product = S.Product`})
+	for id := 1; id <= 3; id++ { // a walk, a hinted send that asks, a send that skips
+		publish(id)
+	}
+	if got := engine(); got["engine.al_index_idle"] != 4.0 || got["engine.hints{al.silent}"] != 2.0 {
+		t.Fatalf("engine stats after three publications: %v; want 4 idle al-index deliveries and 2 skipped", got)
+	}
+	call(map[string]interface{}{"op": "subscribe", "node": 0,
+		"sql": `SELECT O.Id FROM Orders AS O, Shipments AS S WHERE O.Customer = S.Depot`})
+	publish(4)
+	if got := engine(); got["engine.revokes"] != 1.0 || got["engine.hints{al.silent}"] != 3.0 {
+		t.Fatalf("engine stats after a subscribe on Orders.Customer: %v; want 1 revocation and only Id skipped since", got)
+	}
+}
+
 func TestDaemonErrors(t *testing.T) {
 	_, conn := startServer(t, defaultConfig())
 	c := newClient(t, conn)

@@ -3,6 +3,7 @@ package durable
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"cqjoin/internal/chord"
@@ -21,11 +22,17 @@ import (
 // state-pr25 at eda9bcf (PR 25), the last whose publishers indexed every tuple
 // at the value level themselves, so that no rewriter held an interest mark:
 // recovery re-derives the marks from the restored ALQTs (RecoveryInfo.
-// DerivedMarks), or the standing queries would starve on fresh tuples.
-// snapshot.bin is a graceful checkpoint taken mid-script, wal.log the records
-// appended after it up to a kill -9.
+// DerivedMarks), or the standing queries would starve on fresh tuples;
+// state-pr32 at b13ae9e (PR 32), the last whose hand-off sections end with the
+// marks and the retraction memory, no rewriter having told a publisher that
+// nothing reads an attribute. snapshot.bin is a graceful checkpoint taken
+// mid-script, wal.log the records appended after it up to a kill -9.
 
-var parentStateDirs = []string{"testdata/state-pr18", "testdata/state-pr19", "testdata/state-pr20", "testdata/state-pr25"}
+var parentStateDirs = []string{"testdata/state-pr18", "testdata/state-pr19", "testdata/state-pr20", "testdata/state-pr25", "testdata/state-pr32"}
+
+// parentStateUnmarked is the last of parentStateDirs whose writer kept no
+// interest marks: recovery derives none for the ones after it.
+const parentStateUnmarked = "testdata/state-pr25"
 
 const (
 	parentStateNodes = 32
@@ -157,9 +164,14 @@ func parentStateRecovers(t *testing.T, from string, consumed bool) {
 	if info.SnapshotLSN == 0 || info.Replayed < 20 || info.TornBytes != 0 {
 		t.Fatalf("recovered %+v, want a snapshot and at least 20 whole wal records", info)
 	}
-	// The snapshot holds three SAI queries and no marks: one re-derived each.
-	if info.DerivedMarks != 3 {
-		t.Fatalf("recovery re-derived %d interest marks from a snapshot written without any, want 3", info.DerivedMarks)
+	// Up to PR 25 the snapshot holds three SAI queries and no marks: one
+	// re-derived each. From PR 26 on it holds the marks.
+	wantMarks := 0
+	if slices.Index(parentStateDirs, from) <= slices.Index(parentStateDirs, parentStateUnmarked) {
+		wantMarks = 3
+	}
+	if info.DerivedMarks != wantMarks {
+		t.Fatalf("recovery re-derived %d interest marks, want %d", info.DerivedMarks, wantMarks)
 	}
 	if got := eng.NotificationCount(); got != parentStateNotifs || len(eng.Notifications()) != recorded {
 		t.Fatalf("recovered a count of %d and %d notifications, want %d and %d: the writer had delivered %d",

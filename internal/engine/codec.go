@@ -54,6 +54,8 @@ const (
 	tagHotHandoff
 	tagSnapMeta
 	tagInterest
+	tagALAsk
+	tagRevoke
 )
 
 // EncodeMessage appends the wire form of msg on its own — a send, a WAL
@@ -99,6 +101,8 @@ func sizeAfter(msg, prev chord.Message) (size, shared int) {
 func carried(msg chord.Message) *relation.Tuple {
 	switch m := msg.(type) {
 	case *alIndexMsg:
+		return m.T
+	case *alAskMsg:
 		return m.T
 	case vlIndexMsg:
 		return m.T
@@ -204,6 +208,12 @@ func walkMessage(c *wire.Coder, msg *chord.Message) {
 		m.walk(c)
 	case interestMsg:
 		c.Tag(tagInterest)
+		m.walk(c)
+	case *alAskMsg:
+		c.Tag(tagALAsk)
+		m.walk(c)
+	case revokeMsg:
+		c.Tag(tagRevoke)
 		m.walk(c)
 	default:
 		c.Fail(errNoCodec) // not %T of m: formatting it would move every sized message to the heap
@@ -312,6 +322,14 @@ func decodeMessage(c *wire.Coder) chord.Message {
 		var m interestMsg
 		m.walk(c)
 		return m
+	case tagALAsk:
+		m := &alAskMsg{alIndexMsg: new(alIndexMsg)}
+		m.walk(c)
+		return m
+	case tagRevoke:
+		var m revokeMsg
+		m.walk(c)
+		return m
 	default:
 		c.Fail(fmt.Errorf("engine: unknown message tag %d", tag))
 		return nil
@@ -329,6 +347,11 @@ func (m *alIndexMsg) walk(c *wire.Coder) {
 	c.Tuple(&m.T, nil)
 	c.String(&m.Attr)
 	c.Int(&m.Replica)
+}
+
+func (m *alAskMsg) walk(c *wire.Coder) {
+	m.alIndexMsg.walk(c)
+	c.Interned(&m.asker)
 }
 
 func (m *vlIndexMsg) walk(c *wire.Coder) {
@@ -376,6 +399,8 @@ func (m *interestMsg) walk(c *wire.Coder) {
 	c.String(&m.QueryKey)
 	c.String(&m.Input)
 }
+
+func (m *revokeMsg) walk(c *wire.Coder) { c.String(&m.Input) }
 
 func (m *baselineQueryMsg) walk(c *wire.Coder) {
 	c.Query(&m.Q, "")
@@ -436,6 +461,14 @@ func (m *handoffMsg) walk(c *wire.Coder) {
 		c.Strings(&m.AL[i].Interest)
 	}
 	c.Strings(&m.Retracted)
+	// Up to PR 32 it ended here: the AL sections' grants follow only where
+	// there are any.
+	if c.AtEnd() || !c.Decoding() && !m.granted() {
+		return
+	}
+	for i := range m.AL {
+		c.Strings(&m.AL[i].Grants)
+	}
 }
 
 func (m *hotJoinMsg) walk(c *wire.Coder) {

@@ -113,6 +113,13 @@ func codecFixtures(t testing.TB) (*relation.Catalog, []chord.Message) {
 			Retracted: []string{"peer3#1"},
 		},
 		snapMetaMsg{Clock: 12, Nodes: []string{"peer0"}, Marks: true},
+		// A publisher told no query reads an attribute: the ask, a node's state
+		// with the grants behind all PR 32 wrote, and the revocation.
+		&alAskMsg{alIndexMsg: &alIndexMsg{T: tu, Attr: "C", Replica: 1}, asker: "peer5"},
+		handoffMsg{
+			AL: []alSection{{Input: "R+C", SentRewrites: []string{}, SentTargets: []targetsEntry{}, Grants: []string{"peer5", "peer7"}}},
+		},
+		revokeMsg{Input: "R+C"},
 	}
 	return full, msgs
 }
@@ -156,6 +163,12 @@ func assertSemanticEqual(t *testing.T, want, got chord.Message) {
 		g := got.(*alIndexMsg)
 		if g.T.String() != w.T.String() || g.T.PubT() != w.T.PubT() || g.Attr != w.Attr || g.Replica != w.Replica {
 			t.Fatalf("alIndexMsg mismatch: %+v", g)
+		}
+	case *alAskMsg:
+		g := got.(*alAskMsg)
+		assertSemanticEqual(t, w.alIndexMsg, g.alIndexMsg)
+		if g.asker != w.asker {
+			t.Fatalf("alAskMsg asked by %q, want %q", g.asker, w.asker)
 		}
 	case vlIndexMsg:
 		g := got.(vlIndexMsg)
@@ -214,6 +227,10 @@ func assertSemanticEqual(t *testing.T, want, got chord.Message) {
 		if got.(interestMsg) != w {
 			t.Fatal("interestMsg mismatch")
 		}
+	case revokeMsg:
+		if got.(revokeMsg) != w {
+			t.Fatal("revokeMsg mismatch")
+		}
 	case baselineQueryMsg:
 		g := got.(baselineQueryMsg)
 		if g.Q.Key() != w.Q.Key() || g.Side != w.Side || g.Input != w.Input {
@@ -265,7 +282,7 @@ func assertSemanticEqual(t *testing.T, want, got chord.Message) {
 		for i := range g.AL {
 			ga, wa := g.AL[i], w.AL[i]
 			if ga.Input != wa.Input || len(ga.Groups) != len(wa.Groups) ||
-				len(ga.Multi) != len(wa.Multi) || !slices.Equal(ga.Interest, wa.Interest) ||
+				len(ga.Multi) != len(wa.Multi) || !slices.Equal(ga.Interest, wa.Interest) || !slices.Equal(ga.Grants, wa.Grants) ||
 				!reflect.DeepEqual(ga.SentRewrites, wa.SentRewrites) ||
 				!reflect.DeepEqual(ga.SentTargets, wa.SentTargets) {
 				t.Fatalf("alSection %d mismatch: %+v", i, ga)
@@ -509,7 +526,8 @@ func TestDecodeTruncated(t *testing.T) {
 		// Some prefixes are whole messages, cut where an earlier build ended
 		// them: a snapshot meta before Delivered and Count (PR 20), which says
 		// that its Sink is all that was delivered, and before Marks (PR 25); a
-		// hand-off before its marks and retraction memory (PR 25).
+		// hand-off before its marks and retraction memory (PR 25) and before its
+		// grants (PR 32).
 		whole := map[int]func(chord.Message) bool{}
 		switch m := msg.(type) {
 		case snapMetaMsg:
@@ -530,6 +548,15 @@ func TestDecodeTruncated(t *testing.T) {
 		case handoffMsg:
 			if m.marked() {
 				var tail wire.Coder
+				if m.granted() {
+					for i := range m.AL {
+						tail.Strings(&m.AL[i].Grants)
+					}
+					whole[len(full)-tail.Size()] = func(got chord.Message) bool {
+						g, ok := got.(handoffMsg)
+						return ok && !g.granted() && len(g.AL) == len(m.AL)
+					}
+				}
 				for i := range m.AL {
 					tail.Strings(&m.AL[i].Interest)
 				}
@@ -576,13 +603,13 @@ func TestEveryTagRoundTrips(t *testing.T) {
 			t.Fatalf("tag %d: a %T decoded as %T (%v)", tag, msg, got, err)
 		}
 	}
-	for tag := tagQuery; tag <= tagInterest; tag++ {
+	for tag := tagQuery; tag <= tagRevoke; tag++ {
 		if (fixtures[tag] == nil) != (tag == retiredTag) {
 			t.Errorf("tag %d: fixture %T in codecFixtures", tag, fixtures[tag])
 		}
 	}
-	if len(fixtures) != int(tagInterest)-1 {
-		t.Errorf("%d tags in use, the constants declare %d and one blank", len(fixtures), tagInterest)
+	if len(fixtures) != int(tagRevoke)-1 {
+		t.Errorf("%d tags in use, the constants declare %d and one blank", len(fixtures), tagRevoke)
 	}
 }
 

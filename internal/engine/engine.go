@@ -147,9 +147,11 @@ type Config struct {
 	// publisher sends every tuple to all 2h identifiers and no rewriter
 	// forwards one. False — the default — indexes on demand: the publisher
 	// reaches the h attribute-level ones, whose rewriters forward to the value
-	// level while a live query reads tuples there (handleALIndex) — fewer hops
-	// and bytes where half or more of a relation's attributes carry no query,
-	// more hops where all do (EXPERIMENTS.md X4.2). Set by
+	// level while a live query reads tuples there (handleALIndex) and tell a
+	// publisher that asks when none reads them at all, which it then skips
+	// until told otherwise (dispatchHinted) — fewer hops and bytes where half
+	// or more of a relation's attributes carry no query, more hops where all do
+	// (EXPERIMENTS.md X4.2). Set by
 	// internal/exp.Setup — the paper's tables measure the paper's protocol —
 	// and tests of the 2h count, nothing else; a ring runs one mode.
 	BlindIndexing bool
@@ -157,7 +159,8 @@ type Config struct {
 	// hot-key sharding, indexing on demand, hint tables). Nil — the default —
 	// disables recording at zero cost; because recording never influences
 	// protocol decisions, a run is bit-identical with or without a registry.
-	// Set by tests; internal/exp.Setup hands it to the overlay too.
+	// Set by cqjoin.NewCluster (cqjoin.Config.Obs, the daemon's registry) and
+	// tests; internal/exp.Setup hands it to the overlay too.
 	Obs *obs.Registry
 }
 
@@ -169,6 +172,7 @@ type Engine struct {
 	obs     engObs
 	ids     idCache
 	alIDs   map[relAttr][]alIdent // read-only after New (alKey)
+	alOrds  map[string]int        // attribute-level input -> alIdent.ord; read-only after New
 	hot     *hotTracker           // non-nil iff hot-key sharding is configured
 
 	// multiOn flags a registered multi-way pipeline: partial matches route
@@ -200,7 +204,6 @@ func New(net *chord.Network, catalog *relation.Catalog, cfg Config) *Engine {
 		net:       net,
 		catalog:   catalog,
 		obs:       newEngObs(cfg.Obs),
-		alIDs:     alIdents(catalog, cfg.ReplicationFactor),
 		states:    make(map[*chord.Node]*nodeState),
 		byKey:     make(map[string]*nodeState),
 		seq:       make(map[string]int),
@@ -208,6 +211,7 @@ func New(net *chord.Network, catalog *relation.Catalog, cfg Config) *Engine {
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		delivered: make(map[string]struct{}),
 	}
+	e.alIDs, e.alOrds = alIdents(catalog, cfg.ReplicationFactor)
 	if cfg.HotKeyThreshold > 0 && cfg.Algorithm == SAI {
 		e.hot = newHotTracker(cfg)
 	}

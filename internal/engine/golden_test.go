@@ -29,7 +29,10 @@ const retiredTag = 20
 // say-it-once layout (PR 19) encoded them: attribute names in every tuple,
 // eight-byte numbers, every rewrite and notification in full;
 // testdata/wire-pr20.golden as the last build (PR 20) whose snapshot meta ends
-// with the hot-key counters did. Nothing writes those layouts any more, and
+// with the hot-key counters did; testdata/wire-pr32.golden as the last build
+// (PR 32) whose publishers never asked a rewriter whether a query reads an
+// attribute, and whose hand-offs carry no grants. Nothing writes those layouts
+// any more, and
 // peers, WAL delivery records and snapshots still hold them, so they are only
 // ever read: each line must decode to its fixture, and to a message that
 // encodes as today's line. Their lines pair with the fixtures by position; a
@@ -56,7 +59,7 @@ func TestWireGolden(t *testing.T) {
 		lines, behind = lines[:i], lines[i:]
 	}
 	checkBehindLines(t, catalog, msgs, behind)
-	parents := [][]string{goldenLines(t, "testdata/wire-pr19.golden"), goldenLines(t, "testdata/wire-pr20.golden")}
+	parents := [][]string{goldenLines(t, "testdata/wire-pr19.golden"), goldenLines(t, "testdata/wire-pr20.golden"), goldenLines(t, "testdata/wire-pr32.golden")}
 	if len(lines) != len(msgs) {
 		t.Errorf("%d golden lines for %d fixtures", len(lines), len(msgs))
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"sort"
 
 	"cqjoin/internal/chord"
@@ -25,8 +26,9 @@ import (
 // inside the process carries them: the probe statistics (arrivals/distinct —
 // advisory, cheap to re-learn) and the pair-baseline store (daemon.
 // parseAlgorithm runs no baseline, so no process holds one). No move carries
-// the JFRT, the learned subscriber IPs or the publisher's owner hints: caches
-// that refill.
+// the JFRT, the learned subscriber IPs or the publisher's owner hints and
+// verdicts: caches that refill. The grants behind those verdicts move with the
+// rewriter's buckets, so a reader the new owner gets takes them back.
 
 // kindHandoff names the hand-off message class for traffic accounting.
 const kindHandoff = "handoff"
@@ -59,6 +61,7 @@ type alSection struct {
 	SentRewrites []string
 	SentTargets  []targetsEntry
 	Interest     []string // query keys, sorted; walked behind the sections (handoffMsg.walk)
+	Grants       []string // keys of the publishers told no query reads the input, sorted; walked behind those
 
 	arrivals []int64 // probe statistics, taken by an in-process move only: not walked
 	distinct map[string]struct{}
@@ -178,7 +181,17 @@ func (m handoffMsg) marked() bool {
 			return true
 		}
 	}
-	return len(m.Retracted) > 0
+	return len(m.Retracted) > 0 || m.granted()
+}
+
+// granted reports whether the message says what no build up to PR 32 could.
+func (m handoffMsg) granted() bool {
+	for i := range m.AL {
+		if len(m.AL[i].Grants) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // ExportHandoff removes node n's movable engine state from this process
@@ -210,6 +223,7 @@ func (st *nodeState) cut(inArc func(string) bool, take bool) handoffMsg {
 			SentRewrites: sortedKeys(b.sentRewrites),
 			SentTargets:  flattenTargets(b.sentTargets),
 			Interest:     sortedKeys(b.interest),
+			Grants:       slices.Clone(b.grants),
 		}
 		for _, g := range b.byCond.all() {
 			sec.Groups = append(sec.Groups, alGroupSection{
@@ -307,10 +321,15 @@ func cutEach[V any](m map[string]V, inArc func(string) bool, take bool, f func(k
 func (st *nodeState) merge(on *chord.Node, m handoffMsg, replayNotifs bool) {
 	var addedRewriter, addedEvaluator int
 	var replay []string
+	var revoke []revocation
 
 	st.mu.Lock()
 	for _, sec := range m.AL {
-		addedRewriter += st.mergeAL(sec)
+		added, revoked := st.mergeAL(sec)
+		addedRewriter += added
+		if len(revoked) > 0 {
+			revoke = append(revoke, revocation{sec.Input, revoked})
+		}
 	}
 	for _, sec := range m.VQ {
 		qb := st.vlqtFor(sec.Input)
@@ -351,6 +370,9 @@ func (st *nodeState) merge(on *chord.Node, m handoffMsg, replayNotifs bool) {
 
 	st.load.AddStorage(metrics.Rewriter, addedRewriter)
 	st.load.AddStorage(metrics.Evaluator, addedEvaluator)
+	for _, r := range revoke {
+		st.revoke(r.input, r.grantees)
+	}
 	for _, sub := range replay {
 		st.replayStoredNotifications(sub, on)
 	}

@@ -133,8 +133,9 @@ func TestEveryMoveKeepsEveryTable(t *testing.T) {
 		fill: func(t *testing.T, env *testEnv) {
 			env.subscribe(t, 0, pair)
 			publishPairs(t, env)
+			env.publish(t, 10, rTuple(env, 6, 0, 1)) // asks: no query reads R.A or R.C
 		},
-		tables: []string{"al", "al-sent"},
+		tables: []string{"al", "al-grant", "al-sent"},
 	}, {
 		name: "DAI-V",
 		cfg:  Config{Algorithm: DAIV},
@@ -270,6 +271,9 @@ func stateDump(env *testEnv) []string {
 			}
 			for _, k := range sec.Interest {
 				add("al-mark %s %s", sec.Input, k)
+			}
+			for _, k := range sec.Grants {
+				add("al-grant %s %s", sec.Input, k)
 			}
 		}
 		for _, sec := range m.VQ {

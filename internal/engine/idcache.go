@@ -69,38 +69,42 @@ func (e *Engine) hashInput(input string) id.ID { return e.ids.hash(input) }
 // relAttr names one attribute of one relation.
 type relAttr struct{ rel, attr string }
 
-// alIdent is an attribute-level input and its identifier.
+// alIdent is an attribute-level input, its identifier and its ordinal: where
+// a publisher keeps the input's rewriter's verdict (nodeState.verdicts), -1
+// for an input the catalog did not hold at New.
 type alIdent struct {
 	input string
 	id    id.ID
+	ord   int
 }
 
 // alIdents computes every catalog attribute's attribute-level inputs and
 // identifiers, one per replica, once (Engine.New): a relation's are the same
 // for every tuple it publishes, so their number is bounded by the catalog,
-// not by what is published.
-func alIdents(catalog *relation.Catalog, replicas int) map[relAttr][]alIdent {
-	out := make(map[relAttr][]alIdent)
+// not by what is published. It also returns each input's ordinal, by input.
+func alIdents(catalog *relation.Catalog, replicas int) (map[relAttr][]alIdent, map[string]int) {
+	out, ords := make(map[relAttr][]alIdent), make(map[string]int)
 	for _, schema := range catalog.Schemas() {
 		for i := 0; i < schema.Arity(); i++ {
 			ids := make([]alIdent, replicas)
 			for r := range ids {
 				input := alInput(schema.Name(), schema.Attr(i), r)
-				ids[r] = alIdent{input: input, id: id.Hash(input)}
+				ids[r] = alIdent{input: input, id: id.Hash(input), ord: len(ords)}
+				ords[input] = len(ords)
 			}
 			out[relAttr{schema.Name(), schema.Attr(i)}] = ids
 		}
 	}
-	return out
+	return out, ords
 }
 
-// alKey returns the attribute-level input and identifier of (rel, attr) on
-// replica: the catalog's, or — for a relation the catalog took in after New,
-// or a replica past the configured factor — built and hashed here.
-func (e *Engine) alKey(rel, attr string, replica int) (string, id.ID) {
+// alKey returns the attribute-level identity of (rel, attr) on replica: the
+// catalog's, or — for a relation the catalog took in after New, or a replica
+// past the configured factor — built and hashed here, with no ordinal.
+func (e *Engine) alKey(rel, attr string, replica int) alIdent {
 	if ids := e.alIDs[relAttr{rel, attr}]; replica >= 0 && replica < len(ids) {
-		return ids[replica].input, ids[replica].id
+		return ids[replica]
 	}
 	input := alInput(rel, attr, replica)
-	return input, e.hashInput(input)
+	return alIdent{input: input, id: e.hashInput(input), ord: -1}
 }

@@ -171,12 +171,12 @@ func (e *Engine) sendQueryIndex(from *chord.Node, q *query.Query, idx []sideAttr
 	for _, sa := range idx {
 		rel := q.Rel(sa.side).Name()
 		for r := 0; r < e.cfg.ReplicationFactor; r++ {
-			input, target := e.alKey(rel, sa.attr, r)
-			if !slices.Contains(inputs, input) { // marked too: one retraction takes both
-				inputs = append(inputs, input)
+			al := e.alKey(rel, sa.attr, r)
+			if !slices.Contains(inputs, al.input) { // marked too: one retraction takes both
+				inputs = append(inputs, al.input)
 			}
 			batch = append(batch, chord.Deliverable{
-				Target: target,
+				Target: al.id,
 				Msg:    queryMsg{Q: q, Side: sa.side, Attr: sa.attr, Replica: r},
 			})
 		}
@@ -203,14 +203,16 @@ func (e *Engine) indexTuple(from *chord.Node, t *relation.Tuple) error {
 	schema := t.Schema()
 	blind := e.cfg.BlindIndexing && e.cfg.Algorithm != DAIV
 	var batchBuf [8]chord.Deliverable
-	batch := batchBuf[:0]
+	var ordBuf [8]int
+	batch, ords := batchBuf[:0], ordBuf[:0]
 	msgs := make([]alIndexMsg, schema.Arity()) // the publication's h messages, one allocation
 	var buf [keyScratch]byte
 	for i := range msgs {
 		a, v := schema.Attr(i), t.ValueAt(i)
 		msgs[i] = alIndexMsg{T: t, Attr: a, Replica: e.replicaOf(v)}
-		_, target := e.alKey(schema.Name(), a, msgs[i].Replica)
-		batch = append(batch, chord.Deliverable{Target: target, Msg: &msgs[i]})
+		al := e.alKey(schema.Name(), a, msgs[i].Replica)
+		batch = append(batch, chord.Deliverable{Target: al.id, Msg: &msgs[i]})
+		ords = append(ords, al.ord)
 		if blind {
 			batch = append(batch, chord.Deliverable{
 				Target: e.ids.hashBytes(appendVLInput(buf[:0], schema.Name(), a, v)),
@@ -221,52 +223,100 @@ func (e *Engine) indexTuple(from *chord.Node, t *relation.Tuple) error {
 	if e.cfg.BlindIndexing {
 		return e.dispatch(from, batch)
 	}
-	return e.dispatchHinted(from, schema, batch)
+	return e.dispatchHinted(from, schema, batch, ords)
 }
 
 // dispatchHinted sends a publication's al-index messages, batch[i] attribute
-// i's, to the nodes that took the publisher's last of the relation: one hinted
-// send each, arity hops where the walk costs O(arity · log N). While it has no
-// owner for one of them — all, the first time — the batch walks. Who took
-// delivery, hinted or walked, is what the publisher remembers next (alHints), so
-// a memory a join or a move made stale repairs itself from the send that found
-// out.
-func (e *Engine) dispatchHinted(from *chord.Node, schema *relation.Schema, batch []chord.Deliverable) error {
+// i's with attribute-level ordinal ords[i], to the nodes that took the
+// publisher's last of the relation: one hinted send each, arity hops where the
+// walk costs O(arity · log N). While it has no owner for one of them — all, the
+// first time — the batch walks. Who took delivery, hinted or walked, is what
+// the publisher remembers next (alHints), so a memory a join or a move made
+// stale repairs itself from the send that found out.
+//
+// A message whose rewriter said nothing reads its attribute is not sent, nor
+// looked for among the owners, until the rewriter revokes that. Where the
+// publisher holds no verdict a hinted send asks for one — a walk never does:
+// the ask would ride its every leg — and the ack brings it back
+// (handleALIndex). An answer read after a revocation arrived since the ask may
+// predate it, and is discarded.
+func (e *Engine) dispatchHinted(from *chord.Node, schema *relation.Schema, batch []chord.Deliverable, ords []int) error {
 	st := e.state(from)
-	slot := func(i int) int { return i*e.cfg.ReplicationFactor + batch[i].Msg.(*alIndexMsg).Replica }
 	var hintBuf, gotBuf [8]*chord.Node
+	var slotBuf [8]int
+	var verdictBuf [8]byte
 	st.mu.Lock()
 	hints := append(hintBuf[:0], st.alOwners.owners(schema)...)
+	revokes := st.revokes
+	// What is sent, compacted in place: each message with its ordinal, its owner
+	// slot (attribute position × replica) and the verdict the publisher holds.
+	sent, sentOrds, slots, verdicts := batch[:0], ords[:0], slotBuf[:0], verdictBuf[:0]
+	for i, d := range batch {
+		v := st.verdict(ords[i])
+		if v == verdictSilent {
+			continue
+		}
+		sent, sentOrds = append(sent, d), append(sentOrds, ords[i])
+		slots = append(slots, i*e.cfg.ReplicationFactor+d.Msg.(*alIndexMsg).Replica)
+		verdicts = append(verdicts, v)
+	}
 	st.mu.Unlock()
+	if skipped := len(batch) - len(sent); skipped > 0 {
+		e.obs.hints.Add("al.silent", int64(skipped))
+	}
+	if len(sent) == 0 {
+		return nil
+	}
+	batch, ords = sent, sentOrds
 	known := len(hints) > 0
 	for i := 0; known && i < len(batch); i++ {
-		known = hints[slot(i)] != nil
+		known = hints[slots[i]] != nil
 	}
 
 	var got []*chord.Node // who took batch[i]
 	var err error
+	var asks []alAskMsg // made on the publication's first ask
 	outcome := "al.miss"
 	if !known {
 		got, _, err = from.Multisend(batch)
 	} else {
 		got, outcome = gotBuf[:0], "al.hit"
 		for i, d := range batch {
-			dst, _, sendErr := from.SendHinted(d.Msg, d.Target, hints[slot(i)])
+			if verdicts[i] == verdictUnknown && ords[i] >= 0 {
+				if asks == nil {
+					asks = make([]alAskMsg, len(batch))
+				}
+				asks[i].alIndexMsg, asks[i].asker = d.Msg.(*alIndexMsg), from.Key()
+				d.Msg, batch[i].Msg = &asks[i], &asks[i]
+			}
+			dst, _, sendErr := from.SendHinted(d.Msg, d.Target, hints[slots[i]])
 			if sendErr != nil {
 				dst, err = nil, sendErr
 			}
-			if got = append(got, dst); dst != hints[slot(i)] {
+			if got = append(got, dst); dst != hints[slots[i]] {
 				outcome = "al.stale"
 			}
 		}
 	}
 	got = e.retryFailed(from, batch, got)
 	e.obs.hints.Add(outcome, 1)
-	if outcome != "al.hit" {
+	if outcome != "al.hit" || asks != nil {
+		evicted := false
 		st.mu.Lock()
-		owners, evicted := st.alOwners.claim(schema, schema.Arity()*e.cfg.ReplicationFactor)
-		for i, dst := range got {
-			owners[slot(i)] = dst
+		if outcome != "al.hit" {
+			var owners []*chord.Node
+			owners, evicted = st.alOwners.claim(schema, schema.Arity()*e.cfg.ReplicationFactor)
+			for i, dst := range got {
+				owners[slots[i]] = dst
+			}
+		}
+		if asks != nil && st.revokes == revokes {
+			for i := range asks {
+				v := asks[i].Reply()
+				if asks[i].alIndexMsg != nil && got[i] != nil && (v == verdictActive || v == verdictSilent) {
+					st.setVerdict(ords[i], v)
+				}
+			}
 		}
 		st.mu.Unlock()
 		if evicted {
@@ -277,6 +327,39 @@ func (e *Engine) dispatchHinted(from *chord.Node, schema *relation.Schema, batch
 		return nil
 	}
 	return err
+}
+
+// verdict returns what this node holds of the rewriter of the attribute-level
+// input with ordinal ord. The caller holds st.mu.
+func (st *nodeState) verdict(ord int) byte {
+	if ord < 0 || ord/4 >= len(st.verdicts) {
+		return verdictUnknown
+	}
+	return st.verdicts[ord/4] >> (ord % 4 * 2) & 3
+}
+
+// setVerdict keeps verdict v on the input with ordinal ord, four two-bit
+// verdicts a byte, made on the node's first: a sim-* node that publishes
+// holds one for every attribute of 65 relations. The caller holds st.mu.
+func (st *nodeState) setVerdict(ord int, v byte) {
+	if st.verdicts == nil {
+		st.verdicts = make([]byte, (len(st.engine.alOrds)+3)/4)
+	}
+	shift := ord % 4 * 2
+	st.verdicts[ord/4] = st.verdicts[ord/4]&^(3<<shift) | v<<shift
+}
+
+// handleRevoke takes back the verdict Input's rewriter gave this node: its
+// next hinted send of the attribute asks again. The count moves whatever the
+// verdict, so an answer still on its way when the revocation came is discarded.
+func (st *nodeState) handleRevoke(m revokeMsg) {
+	ord, ok := st.engine.alOrds[m.Input]
+	st.mu.Lock()
+	if ok && st.verdicts != nil {
+		st.setVerdict(ord, verdictUnknown)
+	}
+	st.revokes++
+	st.mu.Unlock()
 }
 
 // dispatch sends a batch in one multisend, a lone deliverable in one send.

@@ -36,10 +36,11 @@ func appendNew[T any](dst *[]T, src []T, key func(T) string) int {
 }
 
 // mergeAL installs one ALQT section, its groups after the bucket's own in
-// section order, and returns the queries it added.
-func (st *nodeState) mergeAL(sec alSection) int {
+// section order, and returns the queries it added and the grants the merged
+// bucket takes back: one with a reader keeps no silence granted. Grants merge
+// past alGrantsMax, which bounds granting, not keeping.
+func (st *nodeState) mergeAL(sec alSection) (added int, revoked []string) {
 	b := st.alBucketFor(sec.Input)
-	added := 0
 	for _, g := range sec.Groups {
 		eg := b.byCond.getOrAdd(g.Cond, func() *queryGroup { return &queryGroup{cond: g.Cond, side: g.Side} })
 		added += appendNew(&eg.queries, g.Queries, (*query.Query).Key)
@@ -66,7 +67,13 @@ func (st *nodeState) mergeAL(sec alSection) int {
 			ts[t] = struct{}{}
 		}
 	}
-	return added
+	for _, key := range sec.Grants {
+		b.grant(key)
+	}
+	if !b.idle() {
+		revoked = b.takeGrants()
+	}
+	return added, revoked
 }
 
 func (st *nodeState) mergeMVLQT(b *mvlqtBucket) int {

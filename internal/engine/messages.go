@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"sync/atomic"
+
 	"cqjoin/internal/chord"
 	"cqjoin/internal/query"
 	"cqjoin/internal/relation"
@@ -15,6 +17,7 @@ const (
 	kindJoin     = "join"     // join(q'): rewritten query reindexed at the value level
 	kindNotify   = "notification"
 	kindInterest = "interest"       // interest(Key(q), R+A): a query will read tuples at the value level of R.A
+	kindRevoke   = "revoke"         // revoke(R+A): a publisher told no query reads R.A must send it again
 	kindProbe    = "strategy-probe" // rate/domain probe of candidate rewriters (Section 4.3.6)
 	kindBaseline = "probe"          // baseline cross-site probe (Section 4.1)
 )
@@ -42,6 +45,32 @@ type alIndexMsg struct {
 }
 
 func (*alIndexMsg) Kind() string { return kindALIndex }
+
+// alAskMsg is an al-index message that also asks the rewriter whether any
+// query reads the attribute: it names the asking publisher, whom the rewriter
+// remembers when it answers silent, and the answer comes back in it
+// (chord.Replier) — written by a handler that a chaos delay may run after the
+// sender has read it, hence atomic. A message of its own, so that the
+// al-index messages that ask nothing stay as small as they were.
+type alAskMsg struct {
+	*alIndexMsg
+	asker string
+	reply atomic.Uint32
+}
+
+// Reply returns the rewriter's verdict, 0 before one.
+func (m *alAskMsg) Reply() byte { return byte(m.reply.Load()) }
+
+// SetReply records the rewriter's verdict.
+func (m *alAskMsg) SetReply(v byte) { m.reply.Store(uint32(v)) }
+
+// revokeMsg takes back the silence the rewriter of attribute-level input
+// Input granted the node it is sent to: a query reads the input now.
+type revokeMsg struct {
+	Input string
+}
+
+func (revokeMsg) Kind() string { return kindRevoke }
 
 // vlIndexMsg carries tuple T indexed at the value level under Attr —
 // vl-index(t, A) of Section 4.2.

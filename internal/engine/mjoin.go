@@ -181,7 +181,7 @@ func (e *Engine) probeMultiEndpoint(from *chord.Node, mq *query.MultiQuery) (rew
 }
 
 // handleMQueryIndex stores a multi-way query at its rewriter, grouped by
-// chain condition.
+// chain condition, and revokes the silence the bucket granted.
 func (st *nodeState) handleMQueryIndex(m mQueryMsg) {
 	input := alInput(m.MQ.Rels()[0].Name(), m.Attr, m.Replica)
 	cond := m.MQ.ConditionKey()
@@ -190,9 +190,12 @@ func (st *nodeState) handleMQueryIndex(m mQueryMsg) {
 		st.mu.Unlock()
 		return
 	}
-	g := st.alBucketFor(input).multi.getOrAdd(cond, func() *mGroup { return &mGroup{cond: cond} })
+	b := st.alBucketFor(input)
+	g := b.multi.getOrAdd(cond, func() *mGroup { return &mGroup{cond: cond} })
 	g.queries = append(g.queries, m.MQ)
+	granted := b.takeGrants()
 	st.mu.Unlock()
+	st.revoke(input, granted)
 	st.load.AddFiltering(metrics.Rewriter, 1)
 	st.load.AddStorage(metrics.Rewriter, 1)
 }

@@ -23,15 +23,19 @@ type engObs struct {
 	hotPromotions *obs.Counter
 	hotForwards   *obs.CounterVec
 	// Indexing on demand (DESIGN.md §5): tuples rewriters forwarded, al-index
-	// deliveries that triggered and forwarded nothing, retraction-memory restarts.
+	// deliveries that triggered and forwarded nothing, retraction-memory
+	// restarts, and the silences rewriters took back (one per publisher told).
 	vlForwards      *obs.Counter
 	alIndexIdle     *obs.Counter
 	retractedResets *obs.Counter
+	revokes         *obs.Counter
 	// hints counts lookups in the tables behind chord.Node.SendHinted, labelled
 	// client.outcome. The publisher's ("al") looks up once a publication: hit,
 	// every message went to a remembered node that kept it; stale, one did not;
-	// miss, the batch walked; reset, a claim evicted another relation. The JFRT
-	// ("jfrt") looks up once a rewritten-query message; reset is a full restart.
+	// miss, the batch walked; reset, a claim evicted another relation; and
+	// silent once per al-index message the publication skipped, its rewriter
+	// having said nothing reads it. The JFRT ("jfrt") looks up once a
+	// rewritten-query message; reset is a full restart.
 	hints *obs.CounterVec
 }
 
@@ -50,6 +54,7 @@ func newEngObs(reg *obs.Registry) engObs {
 		vlForwards:      reg.Counter("engine.vl_forwards"),
 		alIndexIdle:     reg.Counter("engine.al_index_idle"),
 		retractedResets: reg.Counter("engine.retracted_resets"),
+		revokes:         reg.Counter("engine.revokes"),
 		hints:           reg.CounterVec("engine.hints"),
 	}
 }

@@ -17,7 +17,8 @@ import (
 // them at the value level where evaluators compute the join.
 
 // handleQueryIndex stores an arriving query in the local ALQT, grouped by
-// equivalent join condition (Section 4.3.5).
+// equivalent join condition (Section 4.3.5), and revokes the silence the
+// bucket granted.
 func (st *nodeState) handleQueryIndex(m queryMsg) {
 	input := alInput(m.Q.Rel(m.Side).Name(), m.Attr, m.Replica)
 	cond := m.Q.ConditionKey()
@@ -27,7 +28,8 @@ func (st *nodeState) handleQueryIndex(m queryMsg) {
 		st.mu.Unlock()
 		return
 	}
-	g := st.alBucketFor(input).byCond.getOrAdd(cond, func() *queryGroup { return &queryGroup{cond: cond, side: m.Side} })
+	b := st.alBucketFor(input)
+	g := b.byCond.getOrAdd(cond, func() *queryGroup { return &queryGroup{cond: cond, side: m.Side} })
 	// A duplicated query() delivery must not register the query twice —
 	// it would inflate the group and double every future rewrite.
 	for _, q := range g.queries {
@@ -39,21 +41,79 @@ func (st *nodeState) handleQueryIndex(m queryMsg) {
 		}
 	}
 	g.queries = append(g.queries, m.Q)
+	granted := b.takeGrants()
 	st.mu.Unlock()
 
+	st.revoke(input, granted)
 	st.load.AddFiltering(metrics.Rewriter, 1)
 	st.load.AddStorage(metrics.Rewriter, 1)
 }
 
-// handleInterest sets a query's interest mark on an ALQT bucket; a mark that
-// comes again, or behind its own retraction, changes nothing.
+// handleInterest sets a query's interest mark on an ALQT bucket and revokes
+// the silence the bucket granted; a mark that comes again, or behind its own
+// retraction, changes nothing.
 func (st *nodeState) handleInterest(m interestMsg) {
+	var granted []string
 	st.mu.Lock()
 	if !st.isRetracted(m.QueryKey) {
-		st.alBucketFor(m.Input).mark(m.QueryKey)
+		b := st.alBucketFor(m.Input)
+		b.mark(m.QueryKey)
+		granted = b.takeGrants()
 	}
 	st.mu.Unlock()
+	st.revoke(m.Input, granted)
 	st.load.AddFiltering(metrics.Rewriter, 1)
+}
+
+// revocation is the grants a handler that gave a bucket a reader took back
+// under the lock, to revoke after it.
+type revocation struct {
+	input    string
+	grantees []string
+}
+
+// revoke tells each grantee that input's rewriter has a reader now — one
+// direct hop each, retried like a notification — and returns once each has
+// taken it: the handler that gave the reader revokes before its ack, so before
+// the Subscribe that sent it draws insT, or returns. A grantee that is not
+// online is passed over: its verdicts went with its state.
+func (st *nodeState) revoke(input string, grantees []string) {
+	e := st.engine
+	for _, key := range grantees {
+		for attempt := 0; ; attempt++ {
+			if attempt > 0 {
+				if attempt > e.cfg.MaxRetries || !st.node.Alive() {
+					e.net.Traffic().RecordLost(kindRevoke)
+					break
+				}
+				e.net.Traffic().RecordRetry(kindRevoke)
+				e.advanceBackoff()
+			}
+			dst := e.net.NodeByKey(key)
+			if dst == nil {
+				break
+			}
+			if st.node.DirectSend(revokeMsg{Input: input}, dst) {
+				e.obs.revokes.Inc()
+				break
+			}
+		}
+	}
+}
+
+// answer is a rewriter's verdict on an ask from publisher asker: silent,
+// granted, while nothing reads the bucket and it has room for the grant;
+// active otherwise, and wherever the Section 4.3.6 probes read every tuple.
+// The caller holds st.mu.
+func (st *nodeState) answer(b *alBucket, asker string) byte {
+	if st.engine.probesRewriters() || !b.idle() {
+		return verdictActive
+	}
+	if len(b.grants) >= alGrantsMax && !b.granted(asker) {
+		return verdictActive
+	}
+	b.grant(asker)
+	return verdictSilent
 }
 
 // outbound is a rewritten-query message bound for one value-level
@@ -71,10 +131,11 @@ type outbound struct {
 // (Section 4.3.5). Tuples are never stored at the attribute level; unless
 // publishers index blind, the rewriter sends the tuple on to its attribute's
 // value level while a live query reads it there: while the bucket is marked.
-func (st *nodeState) handleALIndex(m *alIndexMsg) {
+// A publisher that asks is answered whether anything reads the bucket at all.
+func (st *nodeState) handleALIndex(m *alIndexMsg, ask *alAskMsg) {
 	e := st.engine
 	t := m.T
-	input, _ := e.alKey(t.Relation(), m.Attr, m.Replica)
+	input := e.alKey(t.Relation(), m.Attr, m.Replica).input
 
 	var outBuf [4]outbound
 	var trigBuf [16]*query.Query // one group's triggered queries at a time
@@ -119,6 +180,9 @@ func (st *nodeState) handleALIndex(m *alIndexMsg) {
 	mOuts, mExamined := st.triggerMulti(b, t)
 	outs = append(outs, mOuts...)
 	examined += mExamined
+	if ask != nil {
+		ask.SetReply(st.answer(b, ask.asker))
+	}
 	st.mu.Unlock()
 
 	st.load.AddFiltering(metrics.Rewriter, 1+examined)

@@ -15,6 +15,9 @@ func (m queryMsg) Size(prev chord.Message) (int, int) { return sizeAfter(m, prev
 // Size reports the al-index(t, A) message's wire size.
 func (m *alIndexMsg) Size(prev chord.Message) (int, int) { return sizeAfter(m, prev) }
 
+// Size reports an asking al-index message's wire size.
+func (m *alAskMsg) Size(prev chord.Message) (int, int) { return sizeAfter(m, prev) }
+
 // Size reports the vl-index(t, A) message's wire size.
 func (m vlIndexMsg) Size(prev chord.Message) (int, int) { return sizeAfter(m, prev) }
 
@@ -41,6 +44,9 @@ func (m purgeMsg) Size(prev chord.Message) (int, int) { return sizeAfter(m, prev
 
 // Size reports an interest mark's wire size.
 func (m interestMsg) Size(prev chord.Message) (int, int) { return sizeAfter(m, prev) }
+
+// Size reports a revocation's wire size.
+func (m revokeMsg) Size(prev chord.Message) (int, int) { return sizeAfter(m, prev) }
 
 // Size reports a baseline query message's wire size.
 func (m baselineQueryMsg) Size(prev chord.Message) (int, int) { return sizeAfter(m, prev) }

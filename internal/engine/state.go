@@ -41,8 +41,25 @@ type nodeState struct {
 	subIPs       map[string]string // learned subscriber addresses (Section 4.6)
 	jfrt         *jfrtCache
 	alOwners     alHints             // who took this node's publications at the attribute level (index.go)
+	verdicts     []byte              // the rewriters' answers to this node's asks, by alIdent.ord (index.go: verdict); nil before its first
+	revokes      uint64              // revocations received: an answer read back after this moved since its ask is discarded
 	retracted    map[string]struct{} // queries retracted here: refused from then on (unsubscribe.go)
 }
+
+// A rewriter's verdict on an attribute-level input, as it answers a publisher
+// that asks (alAskMsg's reply) and as the publisher keeps it
+// (nodeState.verdicts). Soft state like alHints: no snapshot, hand-off or WAL
+// record carries it, so a publisher that lost it asks again.
+const (
+	verdictUnknown byte = iota // never asked, or revoked: the next hinted send asks
+	verdictActive              // a query reads the input, or the rewriter would not say: send
+	verdictSilent              // none does: skip it until the rewriter revokes
+)
+
+// alGrantsMax bounds the publishers one rewriter bucket grants silence to;
+// past it the bucket answers active. Its grantees are the nodes that publish
+// its relation, and tcp-* publish every relation from all 256 nodes.
+const alGrantsMax = 256
 
 // alHintSlots bounds a publisher's memory to the relations it published last:
 // a ring whose every node publishes every relation must not keep nodes ×
@@ -136,6 +153,12 @@ type alBucket struct {
 	// attribute: while any is, the rewriter forwards there (handleALIndex).
 	// A set (a repeated mark counts once), nil until the first mark.
 	interest map[string]struct{}
+	// grants holds the keys of the publishers told that nothing reads the
+	// bucket (answer), which skip it from then on: the handler that gives it a
+	// reader takes them back (takeGrants) and revokes each before its ack.
+	// Sorted, each key once, at most alGrantsMax long but for what merges
+	// bring: a slice weighs less than a set, and is what a hand-off writes.
+	grants []string
 }
 
 func newALBucket(input string) *alBucket {
@@ -207,6 +230,32 @@ func (b *alBucket) mark(key string) bool {
 	_, had := b.interest[key]
 	b.interest[key] = struct{}{}
 	return !had
+}
+
+// idle reports whether nothing reads the tuples that reach the bucket: no
+// condition group, no chain group and no interest mark.
+func (b *alBucket) idle() bool {
+	return len(b.byCond.all()) == 0 && len(b.multi.all()) == 0 && len(b.interest) == 0
+}
+
+// grant records that publisher key was told nothing reads the bucket.
+func (b *alBucket) grant(key string) {
+	if i, found := slices.BinarySearch(b.grants, key); !found {
+		b.grants = slices.Insert(b.grants, i, key)
+	}
+}
+
+// granted reports whether publisher key was told nothing reads the bucket.
+func (b *alBucket) granted(key string) bool {
+	_, found := slices.BinarySearch(b.grants, key)
+	return found
+}
+
+// takeGrants empties the bucket's grants and returns their keys.
+func (b *alBucket) takeGrants() []string {
+	keys := b.grants
+	b.grants = nil
+	return keys
 }
 
 // queryGroup is the second ALQT level: all queries with one equivalent join
@@ -315,7 +364,9 @@ func (st *nodeState) HandleMessage(on *chord.Node, msg chord.Message) {
 	case queryMsg:
 		st.handleQueryIndex(m)
 	case *alIndexMsg:
-		st.handleALIndex(m)
+		st.handleALIndex(m, nil)
+	case *alAskMsg:
+		st.handleALIndex(m.alIndexMsg, m)
 	case vlIndexMsg:
 		st.handleVLIndex(m)
 	case joinMsg:
@@ -341,6 +392,8 @@ func (st *nodeState) HandleMessage(on *chord.Node, msg chord.Message) {
 		st.handleUnsub(m)
 	case interestMsg:
 		st.handleInterest(m)
+	case revokeMsg:
+		st.handleRevoke(m)
 	case purgeMsg:
 		st.handlePurge(m)
 	case mQueryMsg:

@@ -22,6 +22,7 @@ import (
 //	batch   := BATCH seq:uvarint count:uvarint
 //	           { dstKey:string msg:string } * count (msg = engine codec bytes)
 //	ack     := ACK seq:uvarint status:string       (one status byte per msg)
+//	status  := reply:bits 7..1 ok:bit 0            (reply: a chord.Replier's answer, 0 unless ok)
 //	join    := JOIN seq:uvarint addr:string        (request to enter the overlay)
 //	view    := VIEW seq:uvarint memberView         (membership gossip; see wire.MemberView)
 //	viewAck := VIEW_ACK seq:uvarint version:uvarint (receiver's view version after apply)
@@ -37,9 +38,10 @@ import (
 // frames from being read, and equally if its unfinished reply held
 // finished ones hostage in an in-order writer (the nested call's ack
 // would queue behind the very reply awaiting it). Acks carry one byte
-// per message; ackOK means the destination's handler ran before the ack
-// was sent — the same synchronous-ack contract the simulated transport
-// provides.
+// per message; its ackOK bit means the destination's handler ran before
+// the ack was sent — the same synchronous-ack contract the simulated
+// transport provides — and the bits above it carry what the handler left
+// in a chord.Replier, as the simulated transport leaves it in the message.
 //
 // Membership frames follow the same request/reply discipline: JOIN is
 // answered with a VIEW (the authoritative post-join membership), VIEW with
@@ -47,11 +49,11 @@ import (
 // only adopts strictly newer ones — so the sender's retry loop can replay
 // them safely.
 const (
-	// protoVersion is exchanged at hello; a dialer refuses any other. 5: a
-	// publisher leaves the value level to the rewriters, which forward on the
-	// interest marks a subscribe sends (DESIGN.md §4.2) — a message a
-	// version-4 peer has no tag for, and a tuple it would index twice.
-	protoVersion = 5
+	// protoVersion is exchanged at hello; a dialer refuses any other. 6: a
+	// rewriter answers an asking publisher in the ack's reply bits and revokes
+	// the silence it granted (DESIGN.md §5) — a message and a status a
+	// version-5 peer would misread.
+	protoVersion = 6
 
 	// maxFrame bounds one frame so a corrupt length prefix cannot allocate
 	// gigabytes. 16 MiB fits any realistic multisend leg (the simulator's

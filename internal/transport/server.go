@@ -285,6 +285,9 @@ func (t *TCP) handleBatchInto(st *serveState, r *wire.Reader) error {
 		prev = msg
 		if t.cfg.Local.DeliverLocal(dstKey, msg) {
 			statuses[i] = ackOK
+			if r, ok := msg.(chord.Replier); ok {
+				statuses[i] |= r.Reply() << 1
+			}
 		} else {
 			statuses[i] = ackFail
 		}

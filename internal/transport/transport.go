@@ -347,14 +347,14 @@ func (t *TCP) DeliverBatch(from, dst *chord.Node, msgs []chord.Message) []bool {
 			return acks
 		}
 		if entries.Len() >= maxBatchBody {
-			t.rpcInto(addr, entries.Bytes(), acks[start:i+1])
+			t.rpcInto(addr, entries.Bytes(), msgs[start:i+1], acks[start:i+1])
 			start = i + 1
 			entries.Reset()
 			prev = nil
 		}
 	}
 	if start < len(msgs) {
-		t.rpcInto(addr, entries.Bytes(), acks[start:])
+		t.rpcInto(addr, entries.Bytes(), msgs[start:], acks[start:])
 	}
 	return acks
 }
@@ -376,11 +376,12 @@ func (t *TCP) appendMsgEntry(entries *wire.Buffer, dstKey string, msg, prev chor
 	return nil
 }
 
-// rpcInto sends one batch body to addr and maps its per-message statuses
-// onto acks. Acks left all-false after the attempt budget are the remote
-// analogue of a dropped packet: the caller's reliability layer may retry the
-// whole delivery.
-func (t *TCP) rpcInto(addr string, entries []byte, acks []bool) {
+// rpcInto sends one batch body, the entries of msgs, to addr and maps its
+// per-message statuses onto acks, handing an acked chord.Replier its
+// handler's answer. Acks left all-false after the attempt budget are the
+// remote analogue of a dropped packet: the caller's reliability layer may
+// retry the whole delivery.
+func (t *TCP) rpcInto(addr string, entries []byte, msgs []chord.Message, acks []bool) {
 	err := t.rpc(addr, frameAck, func(w *wire.Buffer, seq uint64) {
 		batchHeaderInto(w, seq, len(acks))
 		w.PutRaw(entries)
@@ -389,8 +390,12 @@ func (t *TCP) rpcInto(addr string, entries []byte, acks []bool) {
 		if err != nil {
 			return err
 		}
-		for i := range statuses {
-			acks[i] = statuses[i] == ackOK
+		for i, status := range statuses {
+			if acks[i] = status&ackOK != 0; acks[i] {
+				if r, ok := msgs[i].(chord.Replier); ok {
+					r.SetReply(status >> 1)
+				}
+			}
 		}
 		return nil
 	})

@@ -15,10 +15,15 @@ import (
 )
 
 // testMsg is a minimal chord message for exercising the transport without
-// the engine's codecs.
-type testMsg struct{ Body string }
+// the engine's codecs. It is a chord.Replier; the codec does not carry reply.
+type testMsg struct {
+	Body  string
+	reply byte
+}
 
-func (m *testMsg) Kind() string { return "test" }
+func (m *testMsg) Kind() string        { return "test" }
+func (m *testMsg) Reply() byte         { return m.reply }
+func (m *testMsg) SetReply(reply byte) { m.reply = reply }
 
 // testCodec writes a message as 0 and its body or, where the entry before it
 // in the frame has the same body, as a lone 1 — the engine's shared tuple in
@@ -74,16 +79,19 @@ func (testCodec) DecodeAfter(r *wire.Reader, prev chord.Message) (chord.Message,
 	return &testMsg{Body: s}, nil
 }
 
-// testLocal records deliveries as "dstKey:body" strings.
+// testLocal records deliveries as "dstKey:body" strings, answering each with
+// answer — a refusing one too, before it refuses.
 type testLocal struct {
-	mu   sync.Mutex
-	got  []string
-	fail bool
+	mu     sync.Mutex
+	got    []string
+	fail   bool
+	answer byte
 }
 
 func (l *testLocal) DeliverLocal(dstKey string, msg chord.Message) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	msg.(*testMsg).reply = l.answer
 	if l.fail {
 		return false
 	}
@@ -452,6 +460,41 @@ func TestMembershipAndBatchShareOneConnection(t *testing.T) {
 	}
 }
 
+// A handler's answer rides the ack: across a remote frame in the status byte
+// above its ok bit, written back into each sender's message; on the local path
+// left in the message itself. A delivery that fails answers nothing, whatever
+// its handler left behind.
+func TestReplyRidesTheAck(t *testing.T) {
+	from, dst := testNodes(t)
+	_, addrB := startTransport(t, Config{Local: &testLocal{answer: 127}})
+	_, addrC := startTransport(t, Config{Local: &testLocal{answer: 5, fail: true}})
+	owner := addrB
+	trA, _ := startTransport(t, Config{
+		Local: &testLocal{answer: 3},
+		OwnerOf: func(key string) string {
+			if key == dst.Key() {
+				return owner
+			}
+			return ""
+		},
+	})
+	msgs := []chord.Message{&testMsg{Body: "a"}, &testMsg{Body: "a"}, &testMsg{Body: "b"}}
+	for i, ok := range trA.DeliverBatch(from, dst, msgs) {
+		if got := msgs[i].(*testMsg).reply; !ok || got != 127 {
+			t.Fatalf("remote entry %d: acked %v with reply %d, want true and 127", i, ok, got)
+		}
+	}
+	local := &testMsg{Body: "l"}
+	if !trA.Deliver(dst, from, local) || local.reply != 3 {
+		t.Fatalf("local delivery: reply %d, want 3", local.reply)
+	}
+	owner = addrC
+	refused := &testMsg{Body: "x"}
+	if trA.Deliver(from, dst, refused) || refused.reply != 0 {
+		t.Fatalf("a refused delivery acked or answered %d", refused.reply)
+	}
+}
+
 func TestDeadDestinationNacks(t *testing.T) {
 	from, dst := testNodes(t)
 	remote := &testLocal{fail: true}
@@ -544,17 +587,18 @@ func TestAckValidation(t *testing.T) {
 // A build that speaks an older protocol cannot decode this build's frames —
 // protocol 2 not its messages, protocol 3 not an entry that leaves its tuple to
 // the entry before it, protocol 4 not an interest mark, and it would index at
-// the value level itself what this build's rewriters forward there — so the
-// two must part at the handshake, whichever dials.
+// the value level itself what this build's rewriters forward there; protocol 5
+// not a revocation, and it would read an answer in an ack's status as a miss —
+// so the two must part at the handshake, whichever dials.
 // When the old build answers, this dialer refuses its helloOK with an error
 // naming both versions and sends it no batch; when the old build dials, its
 // hello is answered with this build's version, the number its own copy of that
 // check refuses.
 func TestOlderProtocolPeerRefusedAtHello(t *testing.T) {
-	if protoVersion != 5 {
-		t.Fatalf("protoVersion = %d: this test is about 5 meeting 2, 3 and 4", protoVersion)
+	if protoVersion != 6 {
+		t.Fatalf("protoVersion = %d: this test is about 6 meeting 2, 3, 4 and 5", protoVersion)
 	}
-	for _, oldVersion := range []uint64{2, 3, 4} {
+	for _, oldVersion := range []uint64{2, 3, 4, 5} {
 		olderPeerRefused(t, oldVersion)
 	}
 }
@@ -610,7 +654,7 @@ func olderPeerRefused(t *testing.T, oldVersion uint64) {
 	mu.Lock()
 	lines := strings.Join(logged, "\n")
 	mu.Unlock()
-	if !strings.Contains(lines, fmt.Sprintf("peer speaks protocol %d, want 5", oldVersion)) {
+	if !strings.Contains(lines, fmt.Sprintf("peer speaks protocol %d, want %d", oldVersion, protoVersion)) {
 		t.Fatalf("the refusal does not name both versions:\n%s", lines)
 	}
 
