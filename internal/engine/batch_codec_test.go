@@ -56,11 +56,12 @@ func frameAboard(t *testing.T, codec WireCodec, aboard []chord.Message) [][]byte
 // arity 1 to 6 under SAI, DAI-V and the pair baseline — mixed with join and
 // query messages, two publications' batches interleaved, and some tuples
 // present twice by value but not by pointer (what a socket makes of one tuple
-// that arrives in two deliveries), and for every suffix of the clockwise
-// order, which is every list a leg can find aboard: the bytes Multisend
-// charges for a leg with that list aboard are the bytes of the frame the
-// transport would write for it, entry by entry, and decoding that frame the
-// way handleBatchInto does and encoding it again yields the same bytes.
+// that arrives in two deliveries), for a rewriter's purge walk, and for every
+// suffix of the clockwise order, which is every list a leg can find aboard:
+// the bytes Multisend charges for a leg with that list aboard are the bytes of
+// the frame the transport would write for it, entry by entry, and decoding
+// that frame the way handleBatchInto does and encoding it again yields the
+// same bytes.
 func TestLedgerIsTheEncoder(t *testing.T) {
 	catalog, fixtures := codecFixtures(t)
 	var schemas []*relation.Schema
@@ -119,6 +120,16 @@ func TestLedgerIsTheEncoder(t *testing.T) {
 	if shared == 0 || legsChecked < 500 {
 		t.Fatalf("%d legs checked, %d bytes shared: the batches exercise nothing", legsChecked, shared)
 	}
+	// A retraction: every leg of a rewriter's purge walk, each purge behind one
+	// of the same query.
+	env, _, purges := retractionWalk(t)
+	shared = 0
+	for from := range purges {
+		shared += checkLeg(t, env.catalog, purges[from:], purges[:from])
+	}
+	if shared == 0 {
+		t.Fatal("the purge walk shares nothing")
+	}
 }
 
 // interleave merges the lists in a seeded order that keeps each list's own.
@@ -146,7 +157,7 @@ func reboxSome(t *testing.T, rng *rand.Rand, msgs []chord.Message) []chord.Messa
 	t.Helper()
 	out := make([]chord.Message, len(msgs))
 	for i, msg := range msgs {
-		tu := carried(msg)
+		tu := carried(msg).Tuple
 		if tu != nil && rng.Intn(3) == 0 {
 			cp, err := relation.StampedTuple(tu.Schema(), tu.Values(), tu.PubT())
 			if err != nil {
@@ -164,7 +175,7 @@ func reboxSome(t *testing.T, rng *rand.Rand, msgs []chord.Message) []chord.Messa
 				m.T = cp
 				msg = m
 			}
-			if carried(msg) == tu {
+			if carried(msg).Tuple == tu {
 				t.Fatalf("%T kept its tuple", msg)
 			}
 		}
@@ -213,8 +224,8 @@ func checkLeg(t *testing.T, catalog *relation.Catalog, aboard, gone []chord.Mess
 		if err != nil {
 			t.Fatalf("entry %d (%T) of a frame of %d: %v", i, aboard[i], len(aboard), err)
 		}
-		if want := carried(aboard[i]); want != nil && !carried(msg).Equal(want) {
-			t.Fatalf("entry %d decoded to the tuple %v, it was sent with %v", i, carried(msg), want)
+		if got, want := carried(msg), carried(aboard[i]); got.Key != want.Key || got.Input != want.Input || want.Tuple != nil && !got.Tuple.Equal(want.Tuple) {
+			t.Fatalf("entry %d decoded to carry %+v, it was sent with %+v", i, got, want)
 		}
 		decoded[i], prev = msg, msg
 	}
@@ -350,5 +361,103 @@ func TestRepeatedTupleNeedsItsPredecessor(t *testing.T) {
 	forged = append(append(append([]byte(nil), forged[:at]...), 0), forged[at+2:]...)
 	if got, err := codec.DecodeAfter(wire.NewReader(forged), al); err == nil {
 		t.Errorf("a shaped tuple with an empty relation name decoded behind %T to %+v", al, got)
+	}
+}
+
+// A purge, retraction or interest mark that leaves its query key to the entry
+// before it has none to lean on first in a frame, alone, or behind a join or a
+// tuple's message: each is a decode error. So is an input said to share more
+// bytes with the predecessor's than that input has; all of it is the most.
+func TestRepeatedKeyNeedsItsPredecessor(t *testing.T) {
+	catalog, msgs := codecFixtures(t)
+	codec := NewWireCodec(catalog)
+	purge := msgs[9].(purgeMsg)
+	behind := purgeMsg{QueryKey: purge.QueryKey, Input: "S+E+9"}
+	var w wire.Buffer
+	if err := codec.EncodeAfter(&w, behind, purge); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := codec.DecodeAfter(wire.NewReader(w.Bytes()), purge); err != nil || got != behind || w.Bytes()[1] != 0 {
+		t.Fatalf("%x behind its predecessor: %+v, %v", w.Bytes(), got, err)
+	}
+	if _, err := DecodeMessage(wire.NewReader(w.Bytes()), catalog); err == nil {
+		t.Error("decoded with no predecessor (DecodeMessage: a WAL record, a snapshot)")
+	}
+	for _, prev := range []chord.Message{nil, msgs[3], msgs[1]} {
+		if got, err := codec.DecodeAfter(wire.NewReader(w.Bytes()), prev); err == nil {
+			t.Errorf("decoded behind %T to %+v", prev, got)
+		}
+	}
+	whole := []byte{tagPurge, 0, byte(len(purge.Input)), 0}
+	if got, err := codec.DecodeAfter(wire.NewReader(whole), purge); err != nil || got != purge {
+		t.Fatalf("the predecessor's whole input: %+v, %v", got, err)
+	}
+	past := []byte{tagPurge, 0, byte(len(purge.Input) + 1), 0}
+	if got, err := codec.DecodeAfter(wire.NewReader(past), purge); err == nil {
+		t.Errorf("a prefix past the predecessor's input decoded to %+v", got)
+	}
+}
+
+// retractionWalk subscribes a query on a ring of 2048 nodes, publishes 48
+// tuples with distinct join values — strings of the benchmark's shape — so
+// that its rewrites sit at 48 evaluators, and unsubscribes it. It returns the
+// rewriter's purge walk, clockwise as Multisend rode it, and the rewriter.
+func retractionWalk(t *testing.T) (*testEnv, *chord.Node, []chord.Message) {
+	t.Helper()
+	const keys = 48
+	env := newTestEnv(t, 2048, Config{Algorithm: SAI, Strategy: StrategyLeft, Seed: 34})
+	q := env.subscribe(t, 570, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
+	for i := 0; i < keys; i++ {
+		env.publish(t, 1+i, relation.MustTuple(env.r, relation.N(float64(i)), relation.S(fmt.Sprintf("k%d", 100+37*i)), relation.N(0)))
+	}
+	var rewriter *chord.Node
+	var purges []chord.Message
+	env.net.SetInterceptor(interceptFunc(func(from, dst *chord.Node, msg chord.Message, forward func() bool) int {
+		if _, ok := msg.(purgeMsg); ok {
+			rewriter, purges = from, append(purges, msg)
+		}
+		if forward() {
+			return 1
+		}
+		return 0
+	}))
+	if err := env.eng.Unsubscribe(env.node(570), q); err != nil {
+		t.Fatal(err)
+	}
+	env.net.SetInterceptor(nil)
+	if len(purges) != keys {
+		t.Fatalf("the retraction sent %d purges, want one to each of %d evaluators", len(purges), keys)
+	}
+	return env, rewriter, purges
+}
+
+// The gain, pinned where tier-1 sees it. A query retracted after its rewrites
+// reached 48 evaluators — about what one retraction purges on `sim-subchurn` —
+// sends a purge walk that names it to each, charged at most 0.40 of what the
+// same walk costs with every purge priced alone, in full on every leg it rides
+// (0.378 measured; a purge behind another is 7 bytes of 20), with not a hop's
+// difference.
+func TestPurgeWalkSaysItsQueryOnce(t *testing.T) {
+	env, rewriter, purges := retractionWalk(t)
+	env.net.SetTransport(&walkRecorder{}) // the walks again, no handler running
+	var batch, solo []chord.Deliverable
+	for _, m := range purges {
+		target := env.eng.hashInput(m.(purgeMsg).Input)
+		batch = append(batch, chord.Deliverable{Target: target, Msg: m})
+		solo = append(solo, chord.Deliverable{Target: target, Msg: soloPriced{m}})
+	}
+	charge := func(b []chord.Deliverable) (int64, int) {
+		t.Helper()
+		before := env.net.Traffic().Bytes(kindUnsub)
+		_, hops, err := rewriter.Multisend(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return env.net.Traffic().Bytes(kindUnsub) - before, hops
+	}
+	shared, hops := charge(batch)
+	alone, soloHops := charge(solo)
+	if ratio := float64(shared) / float64(alone); ratio > 0.40 || hops != soloHops {
+		t.Errorf("the purge walk was charged %d bytes over %d hops, %.3f of the %d bytes over %d hops every purge alone costs; want at most 0.40", shared, hops, ratio, alone, soloHops)
 	}
 }

@@ -96,24 +96,31 @@ func sizeAfter(msg, prev chord.Message) (size, shared int) {
 	return c.Size(), c.Shared()
 }
 
-// carried returns the tuple the message after msg in a batch need not say
-// again: the one msg's walk hands to c.Tuple(…, nil), where it has one.
-func carried(msg chord.Message) *relation.Tuple {
+// carried returns what the message after msg in a batch need not say again:
+// the tuple msg's walk hands to c.Tuple(…, nil), or the query key and input
+// it hands to c.Key and c.Input, where it has them.
+func carried(msg chord.Message) wire.Carried {
 	switch m := msg.(type) {
 	case *alIndexMsg:
-		return m.T
+		return wire.Carried{Tuple: m.T}
 	case *alAskMsg:
-		return m.T
+		return wire.Carried{Tuple: m.T}
 	case vlIndexMsg:
-		return m.T
+		return wire.Carried{Tuple: m.T}
 	case joinVMsg:
-		return m.Trigger
+		return wire.Carried{Tuple: m.Trigger}
 	case baselineTupleMsg:
-		return m.T
+		return wire.Carried{Tuple: m.T}
 	case hotVLIndexMsg:
-		return m.T
+		return wire.Carried{Tuple: m.T}
+	case unsubMsg:
+		return wire.Carried{Key: m.QueryKey, Input: m.Input}
+	case purgeMsg:
+		return wire.Carried{Key: m.QueryKey, Input: m.Input}
+	case interestMsg:
+		return wire.Carried{Key: m.QueryKey, Input: m.Input}
 	}
-	return nil
+	return wire.Carried{}
 }
 
 // DecodeMessage reads one message encoded by EncodeMessage, resolving
@@ -384,21 +391,19 @@ func (m *notifyMsg) walk(c *wire.Coder) {
 
 func (m *probeMsg) walk(c *wire.Coder) { c.String(&m.AttrInput) }
 
+// A retraction, a purge and an interest mark behind a message of the same
+// query say its key as "" and their input as what differs from that
+// message's (wire.Carried): a rewriter's purge walk names one query to every
+// evaluator it fanned out to.
 func (m *unsubMsg) walk(c *wire.Coder) {
-	c.String(&m.QueryKey)
+	keyed := c.Key(&m.QueryKey)
 	c.String(&m.Cond)
-	c.String(&m.Input)
+	c.Input(&m.Input, keyed)
 }
 
-func (m *purgeMsg) walk(c *wire.Coder) {
-	c.String(&m.QueryKey)
-	c.String(&m.Input)
-}
+func (m *purgeMsg) walk(c *wire.Coder) { c.Input(&m.Input, c.Key(&m.QueryKey)) }
 
-func (m *interestMsg) walk(c *wire.Coder) {
-	c.String(&m.QueryKey)
-	c.String(&m.Input)
-}
+func (m *interestMsg) walk(c *wire.Coder) { c.Input(&m.Input, c.Key(&m.QueryKey)) }
 
 func (m *revokeMsg) walk(c *wire.Coder) { c.String(&m.Input) }
 

@@ -20,14 +20,15 @@ import (
 // whose first element repeats a predecessor it does not have.
 //
 // Every input is then decoded as an entry of a batch frame, behind each of
-// three predecessors: one carrying the fixtures' R tuple, one their S tuple,
-// one (a join) no tuple at all. Behind the join it must fare exactly as it does
-// alone — a message that leaves its tuple to "the entry before me" has none
-// there, as it has none first in a frame or behind an entry that did not
-// decode (both a nil predecessor: the first half). Behind any of them whatever
-// is accepted re-encodes, in exactly SizeAfter bytes, to a form that decodes
-// behind the same predecessor to the same bytes. The corpus adds each
-// tuple-carrying kind in the form it takes behind a message with its tuple,
+// four predecessors: one carrying the fixtures' R tuple, one their S tuple,
+// one (a purge) their query's key and an input, one (a join) nothing at all.
+// Behind the join it must fare exactly as it does alone — a message that
+// leaves its tuple or key to "the entry before me" has none there, as it has
+// none first in a frame or behind an entry that did not decode (both a nil
+// predecessor: the first half). Behind any of them whatever is accepted
+// re-encodes, in exactly SizeAfter bytes, to a form that decodes behind the
+// same predecessor to the same bytes. The corpus adds each kind that leans on
+// its predecessor in the form it takes behind a message with its tuple or key,
 // and a hand-off (what a snapshot holds per node) encoded so: bytes that are
 // well-formed mid-frame and forged anywhere a message stands alone, a WAL
 // delivery record or a snapshot included.
@@ -48,9 +49,9 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{byte(tagJoin), 0xff, 0xff, 0xff, 0xff, 0x0f}) // forged huge count
 	f.Add([]byte{retiredTag})                                  // the reserved tag, once hot-recall's
 	longLived := NewWireCodec(catalog)
-	predecessors := []chord.Message{msgs[1], msgs[2], msgs[3]} // alIndexMsg{tu}, vlIndexMsg{su}, joinMsg
+	predecessors := []chord.Message{msgs[1], msgs[2], msgs[9], msgs[3]} // alIndexMsg{tu}, vlIndexMsg{su}, purgeMsg{q}, joinMsg
 	for _, msg := range msgs {
-		for _, prev := range predecessors[:2] {
+		for _, prev := range predecessors[:3] {
 			if _, shared := sizeAfter(msg, prev); shared > 0 {
 				var w wire.Buffer
 				if err := longLived.EncodeAfter(&w, msg, prev); err != nil {
@@ -104,8 +105,8 @@ func fuzzBehind(t *testing.T, codec WireCodec, data []byte, prev chord.Message, 
 	if alone && err != nil {
 		t.Fatalf("decodes alone, and behind %T: %v", prev, err)
 	}
-	if carried(prev) == nil && !alone && err == nil {
-		t.Fatalf("does not decode alone, and behind %T, which carries no tuple, to %+v", prev, msg)
+	if carried(prev) == (wire.Carried{}) && !alone && err == nil {
+		t.Fatalf("does not decode alone, and behind %T, which carries nothing, to %+v", prev, msg)
 	}
 	if err != nil {
 		return

@@ -120,6 +120,11 @@ func codecFixtures(t testing.TB) (*relation.Catalog, []chord.Message) {
 			AL: []alSection{{Input: "R+C", SentRewrites: []string{}, SentTargets: []targetsEntry{}, Grants: []string{"peer5", "peer7"}}},
 		},
 		revokeMsg{Input: "R+C"},
+		// A retraction walk names one query again and again: a second
+		// retraction, purge and interest mark of it, at other inputs.
+		unsubMsg{QueryKey: q.Key(), Cond: q.ConditionKey(), Input: "R+C"},
+		purgeMsg{QueryKey: q.Key(), Input: "S+E+9"},
+		interestMsg{QueryKey: q.Key(), Input: "S+F"},
 	}
 	return full, msgs
 }

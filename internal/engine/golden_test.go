@@ -41,10 +41,11 @@ const retiredTag = 20
 // After the fixtures' lines wire.golden holds the forms a message takes behind
 // another in a batch frame, "type@line after type@line hex": the fixture of
 // the first line as it encodes behind the fixture of the second, which carries
-// the same tuple — one such line for every kind that leaves its tuple to its
-// predecessor. Those bytes must be what the encoder writes behind that
-// predecessor, decode behind it to the fixture, and decode behind nothing, or
-// behind a message with no tuple, to an error.
+// what the first leaves out — the same tuple, or the same query key — one such
+// line for every kind that leans on its predecessor so. Those bytes must be
+// what the encoder writes behind that predecessor, decode behind it to the
+// fixture, and decode behind nothing, or behind a message that carries
+// nothing, to an error.
 //
 // Line 20 of every golden is a hot-recall, tag 20: the kind went with hot-key
 // demotion and its tag stays reserved. The line is kept to the byte, has no
@@ -144,21 +145,21 @@ func checkBehindLines(t *testing.T, catalog *relation.Catalog, msgs []chord.Mess
 			continue
 		}
 		assertSemanticEqual(t, msg, back)
-		if carried(back) != carried(prev) {
-			t.Errorf("%q: the decoded message does not share its predecessor's tuple", line)
+		if got, lent := carried(back), carried(prev); got.Tuple != lent.Tuple || got.Key != lent.Key {
+			t.Errorf("%q: the decoded message does not share what its predecessor carries", line)
 		}
-		for _, orphanOf := range []chord.Message{nil, msgs[3]} { // no predecessor; a join, which carries no tuple
+		for _, orphanOf := range []chord.Message{nil, msgs[3]} { // no predecessor; a join, which carries nothing
 			if got, err := codec.DecodeAfter(wire.NewReader(golden), orphanOf); err == nil {
 				t.Errorf("%q: decoded behind %T to %+v", line, orphanOf, got)
 			}
 		}
 	}
 	for i, msg := range msgs {
-		if what := typeLabel(msg); carried(msg) != nil && !covered[what] {
+		if what := typeLabel(msg); carried(msg) != (wire.Carried{}) && !covered[what] {
 			covered[what] = true
-			t.Errorf("%s carries a tuple for its successor and has no \"after\" line", what)
+			t.Errorf("%s leans on its predecessor and has no \"after\" line", what)
 			for j, prev := range msgs {
-				if tu := carried(prev); j != i && tu != nil && tu.Equal(carried(msg)) {
+				if _, shared := sizeAfter(msg, prev); j != i && shared > 0 {
 					var w wire.Buffer
 					_ = codec.EncodeAfter(&w, msg, prev)
 					t.Logf("append\n%s@%d after %s@%d %x", what, i+1, typeLabel(prev), j+1, w.Bytes())

@@ -27,10 +27,6 @@ type jfrtCache struct {
 // jfrtMax bounds one rewriter's table.
 const jfrtMax = 1 << 16
 
-func newJFRTCache() *jfrtCache {
-	return &jfrtCache{entries: make(map[string]*chord.Node)}
-}
-
 // lookup returns the evaluator remembered for the value-level input.
 func (c *jfrtCache) lookup(input string) (*chord.Node, bool) {
 	c.mu.Lock()
@@ -45,13 +41,17 @@ func (c *jfrtCache) lookup(input string) (*chord.Node, bool) {
 }
 
 // store records the node that took delivery for input; a full table is
-// restarted for it, counted in resets.
+// restarted for it, counted in resets. The table is made on the first store:
+// with the JFRT off, a node's stays nil, which reads as empty.
 func (c *jfrtCache) store(input string, n *chord.Node, resets *obs.CounterVec) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.entries[input]; !ok && len(c.entries) >= jfrtMax {
-		c.entries = make(map[string]*chord.Node)
+		c.entries = nil
 		resets.Add("jfrt.reset", 1)
+	}
+	if c.entries == nil {
+		c.entries = make(map[string]*chord.Node)
 	}
 	c.entries[input] = n
 }

@@ -15,9 +15,11 @@ const (
 	kindALIndex  = "al-index" // al-index(t, A): tuple at the attribute level
 	kindVLIndex  = "vl-index" // vl-index(t, A): tuple at the value level
 	kindJoin     = "join"     // join(q'): rewritten query reindexed at the value level
+	kindMJoin    = "mjoin"    // a multi-way partial match reindexed at the next stage's value level
 	kindNotify   = "notification"
 	kindInterest = "interest"       // interest(Key(q), R+A): a query will read tuples at the value level of R.A
 	kindRevoke   = "revoke"         // revoke(R+A): a publisher told no query reads R.A must send it again
+	kindUnsub    = "unsubscribe"    // a query's retraction at its rewriter, and the purges of its rewrites
 	kindProbe    = "strategy-probe" // rate/domain probe of candidate rewriters (Section 4.3.6)
 	kindBaseline = "probe"          // baseline cross-site probe (Section 4.1)
 )

@@ -56,7 +56,7 @@ type mJoinMsg struct {
 	Rewrites []*mRewritten
 }
 
-func (mJoinMsg) Kind() string { return "mjoin" }
+func (mJoinMsg) Kind() string { return kindMJoin }
 
 // SubscribeMulti indexes a continuous multi-way chain join on behalf of
 // node from. The engine must run an algorithm that stores tuples at the

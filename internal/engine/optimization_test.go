@@ -57,7 +57,7 @@ func TestJFRTStats(t *testing.T) {
 
 // A rewriter's table is bounded like idCache: full, it restarts, counted.
 func TestJFRTIsBounded(t *testing.T) {
-	c, resets := newJFRTCache(), obs.NewRegistry().CounterVec("engine.hints")
+	c, resets := new(jfrtCache), obs.NewRegistry().CounterVec("engine.hints")
 	for i := 0; i <= jfrtMax; i++ {
 		c.store(strconv.Itoa(i), nil, resets)
 	}

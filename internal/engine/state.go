@@ -121,7 +121,7 @@ func newNodeState(e *Engine, n *chord.Node) *nodeState {
 		pairStore:    make(map[string]*pairBucket),
 		storedNotifs: make(map[string][]Notification),
 		subIPs:       make(map[string]string),
-		jfrt:         newJFRTCache(),
+		jfrt:         new(jfrtCache),
 		retracted:    make(map[string]struct{}),
 	}
 }

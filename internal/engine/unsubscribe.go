@@ -32,7 +32,7 @@ type unsubMsg struct {
 	Input    string // the rewriter's ALQT bucket key
 }
 
-func (unsubMsg) Kind() string { return "unsubscribe" }
+func (unsubMsg) Kind() string { return kindUnsub }
 
 // purgeMsg removes one query's stored rewrites at a value-level evaluator.
 type purgeMsg struct {
@@ -40,7 +40,7 @@ type purgeMsg struct {
 	Input    string // the evaluator's VLQT bucket key
 }
 
-func (purgeMsg) Kind() string { return "unsubscribe" }
+func (purgeMsg) Kind() string { return kindUnsub }
 
 // Unsubscribe retracts a continuous query previously returned by
 // Subscribe. After it returns, future tuple insertions can no longer

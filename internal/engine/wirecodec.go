@@ -46,8 +46,8 @@ func (c WireCodec) Decode(r *wire.Reader) (chord.Message, error) {
 }
 
 // EncodeAfter appends msg's wire encoding as it stands behind prev in a frame
-// (nil: msg leads it) to w: what prev has just said — its tuple — is not said
-// again.
+// (nil: msg leads it) to w: what prev has just said — its tuple, or its query
+// key and input — is not said again.
 func (c WireCodec) EncodeAfter(w *wire.Buffer, msg, prev chord.Message) error {
 	return encodeAfter(w, msg, prev)
 }

@@ -49,11 +49,10 @@ import (
 // only adopts strictly newer ones — so the sender's retry loop can replay
 // them safely.
 const (
-	// protoVersion is exchanged at hello; a dialer refuses any other. 6: a
-	// rewriter answers an asking publisher in the ack's reply bits and revokes
-	// the silence it granted (DESIGN.md §5) — a message and a status a
-	// version-5 peer would misread.
-	protoVersion = 6
+	// protoVersion is exchanged at hello; a dialer refuses any other. 7: a
+	// purge, retraction or interest mark behind one of the same query says its
+	// key as "" (DESIGN.md §8.1) — which a version-6 peer would read as a key.
+	protoVersion = 7
 
 	// maxFrame bounds one frame so a corrupt length prefix cannot allocate
 	// gigabytes. 16 MiB fits any realistic multisend leg (the simulator's

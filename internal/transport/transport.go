@@ -42,13 +42,13 @@ import (
 
 // Codec sizes, encodes and decodes chord messages as they stand in a batch
 // frame: behind prev, the entry before them in the frame (nil for the first),
-// whose content — a publication's tuple — they need not repeat. A decoder
-// handed a nil prev, because its entry leads the frame or the one before it
-// did not decode, fails a message that leans on one. SizeAfter is the exact
-// length EncodeAfter will append, so DeliverBatch encodes each message
-// straight into the frame behind its length prefix. engine.NewWireCodec is the
-// production implementation; the indirection keeps this package free of an
-// engine dependency.
+// whose content — a publication's tuple, a retracted query's key — they need
+// not repeat. A decoder handed a nil prev, because its entry leads the frame
+// or the one before it did not decode, fails a message that leans on one.
+// SizeAfter is the exact length EncodeAfter will append, so DeliverBatch
+// encodes each message straight into the frame behind its length prefix.
+// engine.NewWireCodec is the production implementation; the indirection keeps
+// this package free of an engine dependency.
 type Codec interface {
 	SizeAfter(msg, prev chord.Message) int
 	EncodeAfter(w *wire.Buffer, msg, prev chord.Message) error

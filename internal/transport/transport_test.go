@@ -588,17 +588,18 @@ func TestAckValidation(t *testing.T) {
 // protocol 2 not its messages, protocol 3 not an entry that leaves its tuple to
 // the entry before it, protocol 4 not an interest mark, and it would index at
 // the value level itself what this build's rewriters forward there; protocol 5
-// not a revocation, and it would read an answer in an ack's status as a miss —
-// so the two must part at the handshake, whichever dials.
+// not a revocation, and it would read an answer in an ack's status as a miss;
+// protocol 6 would take a purge's empty key, said behind a purge of the same
+// query, for a key — so the two must part at the handshake, whichever dials.
 // When the old build answers, this dialer refuses its helloOK with an error
 // naming both versions and sends it no batch; when the old build dials, its
 // hello is answered with this build's version, the number its own copy of that
 // check refuses.
 func TestOlderProtocolPeerRefusedAtHello(t *testing.T) {
-	if protoVersion != 6 {
-		t.Fatalf("protoVersion = %d: this test is about 6 meeting 2, 3, 4 and 5", protoVersion)
+	if protoVersion != 7 {
+		t.Fatalf("protoVersion = %d: this test is about 7 meeting 2, 3, 4, 5 and 6", protoVersion)
 	}
-	for _, oldVersion := range []uint64{2, 3, 4, 5} {
+	for _, oldVersion := range []uint64{2, 3, 4, 5, 6} {
 		olderPeerRefused(t, oldVersion)
 	}
 }

@@ -42,12 +42,23 @@ type Coder struct {
 	Catalog *relation.Catalog
 	Memo    *Memo
 
-	// Prev is the tuple the message before this one in its batch carries (nil:
-	// it carries none, or this message leads its frame or travels alone). A
-	// Tuple(…, nil) equal to it is not said again: an empty relation name — no
-	// schema has one — stands for it, and decodes to Prev itself.
-	Prev   *relation.Tuple
+	// Prev is what the message before this one in its batch carries (zero: it
+	// carries nothing, or this message leads its frame or travels alone), and
+	// what this one says again only where it differs: Tuple, Key and Input.
+	Prev   Carried
 	shared int // sizing: the bytes that were Prev's to say, left out of n
+}
+
+// Carried is what a message says that the message behind it in its batch need
+// not say again: its tuple, or its query key and the input it is addressed
+// to. A Tuple(…, nil) equal to Tuple is an empty relation name — no schema has
+// one — and decodes to Tuple itself; a Key equal to Key is an empty key —
+// Key(q) is node#n, never empty — and the Input after it is the length of the
+// prefix it shares with Input, then the rest.
+type Carried struct {
+	Tuple *relation.Tuple
+	Key   string
+	Input string
 }
 
 type coderMode uint8
@@ -234,7 +245,7 @@ func (c *Coder) Tuple(t **relation.Tuple, shape *relation.Schema) { c.tuple(t, s
 func (c *Coder) NamedTuple(t **relation.Tuple) { c.tuple(t, nil, true) }
 
 func (c *Coder) tuple(t **relation.Tuple, shape *relation.Schema, named bool) {
-	prev := c.Prev
+	prev := c.Prev.Tuple
 	if shape != nil || named {
 		prev = nil
 	}
@@ -266,6 +277,62 @@ func (c *Coder) tuple(t **relation.Tuple, shape *relation.Schema, named bool) {
 			c.r.off++
 			*t = prev
 		}
+	}
+}
+
+// Key walks a query key and reports whether it is Prev.Key, said as "": the
+// message then walks its input with Input(…, true). An empty key with no
+// Prev.Key to stand for fails the walk.
+func (c *Coder) Key(k *string) bool {
+	if c.mode == decoding {
+		c.String(k)
+		switch {
+		case c.err != nil || *k != "":
+			return false
+		case c.Prev.Key == "":
+			c.err = errors.New("wire: a key repeats a predecessor it does not have")
+			return false
+		}
+		*k = c.Prev.Key
+		return true
+	}
+	keyed, said := *k != "" && *k == c.Prev.Key, *k
+	if keyed {
+		said = ""
+		if c.mode == sizing {
+			c.shared += SizeString(*k) - 1
+		}
+	}
+	c.String(&said)
+	return keyed
+}
+
+// Input walks the input a message is addressed to: behind its own key (keyed,
+// Key's answer) as the length of the prefix it shares with Prev.Input, then
+// the rest, else as a String. A prefix longer than Prev.Input fails the walk.
+func (c *Coder) Input(s *string, keyed bool) {
+	if !keyed {
+		c.String(s)
+		return
+	}
+	var n uint64
+	var rest string
+	if c.mode != decoding {
+		for int(n) < len(*s) && int(n) < len(c.Prev.Input) && (*s)[n] == c.Prev.Input[n] {
+			n++
+		}
+		rest = (*s)[n:]
+	}
+	c.Uvarint(&n)
+	if c.mode == decoding && c.err == nil && n > uint64(len(c.Prev.Input)) {
+		c.err = fmt.Errorf("wire: an input shares %d bytes with a predecessor's of %d", n, len(c.Prev.Input))
+	}
+	c.String(&rest)
+	switch {
+	case c.mode == sizing:
+		c.shared += SizeString(*s) - SizeUvarint(n) - SizeString(rest)
+	case c.mode == decoding && c.err == nil:
+		*s = c.Prev.Input[:n] + rest
 	}
 }
 

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -140,11 +141,11 @@ func TestCoderPrevTuple(t *testing.T) {
 		{"named", func(c *Coder, t **relation.Tuple) { c.NamedTuple(t) }, prev, 0},
 	} {
 		in := tc.tuple
-		sz := Coder{Prev: prev}
+		sz := Coder{Prev: Carried{Tuple: prev}}
 		tc.walk(&sz, &in)
 		var w Buffer
 		enc := Encoder(&w)
-		enc.Prev = prev
+		enc.Prev = Carried{Tuple: prev}
 		tc.walk(&enc, &in)
 		var alone Coder
 		tc.walk(&alone, &in)
@@ -157,7 +158,7 @@ func TestCoderPrevTuple(t *testing.T) {
 		var out *relation.Tuple
 		r := NewReader(w.Bytes())
 		dec := Decoder(r, catalog, new(Memo))
-		dec.Prev = prev
+		dec.Prev = Carried{Tuple: prev}
 		tc.walk(&dec, &out)
 		if err := dec.Sync(r); err != nil || !out.Equal(tc.tuple) || (tc.shared > 0) != (out == prev) || r.Remaining() != 0 {
 			t.Fatalf("%s: decoded %v (%v), %d bytes left", tc.name, out, err, r.Remaining())
@@ -165,7 +166,7 @@ func TestCoderPrevTuple(t *testing.T) {
 		// The lone zero byte in this tuple's place.
 		r = NewReader([]byte{0})
 		dec = Decoder(r, catalog, new(Memo))
-		dec.Prev = prev
+		dec.Prev = Carried{Tuple: prev}
 		tc.walk(&dec, &out)
 		if err := dec.Sync(r); (err == nil) != (tc.name != "shaped" && tc.name != "named") {
 			t.Fatalf("%s: an empty relation name behind a predecessor: %v", tc.name, err)
@@ -175,6 +176,68 @@ func TestCoderPrevTuple(t *testing.T) {
 		tc.walk(&dec, &out)
 		if err := dec.Sync(r); err == nil {
 			t.Fatalf("%s: an empty relation name decoded with no predecessor", tc.name)
+		}
+	}
+}
+
+// Prev's key, three modes: a Key equal to it is one byte and the Input after
+// it the length of what it shares with Prev.Input, then the rest; Shared
+// counts what that spared, and the pair decodes to Prev's key and the input
+// in full. Another key, or none before it, is written as if Prev were not
+// there; an empty key with no Prev.Key, and a prefix past Prev.Input, fail.
+func TestCoderPrevKey(t *testing.T) {
+	prev := Carried{Key: "peer5#1", Input: "S+E+7"}
+	walk := func(c *Coder, key, input *string) { c.Input(input, c.Key(key)) }
+	for _, tc := range []struct {
+		name, key, input string
+		prev             Carried
+		want             string // the encoding, hex
+	}{
+		{"same key, input's prefix", "peer5#1", "S+E+9", prev, "00040139"},
+		{"same key, same input", "peer5#1", "S+E+7", prev, "000500"},
+		{"same key, nothing shared", "peer5#1", "R+B", prev, "000003522b42"},
+		{"another key", "peer5#2", "S+E+7", prev, "077065657235233205532b452b37"},
+		{"no predecessor", "peer5#1", "S+E+7", Carried{}, "077065657235233105532b452b37"},
+	} {
+		key, input := tc.key, tc.input
+		sz := Coder{Prev: tc.prev}
+		walk(&sz, &key, &input)
+		var w Buffer
+		enc := Encoder(&w)
+		enc.Prev = tc.prev
+		walk(&enc, &key, &input)
+		var alone Coder
+		walk(&alone, &key, &input)
+		if err := enc.Flush(&w); err != nil || sz.Size() != w.Len() || sz.Size()+sz.Shared() != alone.Size() {
+			t.Fatalf("%s: size %d, %d shared, %d alone; encoding %d bytes (%v)", tc.name, sz.Size(), sz.Shared(), alone.Size(), w.Len(), err)
+		}
+		if got := fmt.Sprintf("%x", w.Bytes()); got != tc.want {
+			t.Fatalf("%s: encoded as %s, want %s", tc.name, got, tc.want)
+		}
+		var outKey, outInput string
+		r := NewReader(w.Bytes())
+		dec := Decoder(r, nil, nil)
+		dec.Prev = tc.prev
+		walk(&dec, &outKey, &outInput)
+		if err := dec.Sync(r); err != nil || outKey != tc.key || outInput != tc.input || r.Remaining() != 0 {
+			t.Fatalf("%s: decoded %q %q (%v), %d bytes left", tc.name, outKey, outInput, err, r.Remaining())
+		}
+	}
+	for name, forged := range map[string]struct {
+		raw  []byte
+		prev Carried
+	}{
+		"an empty key with no predecessor": {[]byte{0, 0, 0}, Carried{}},
+		"an empty key behind a tuple":      {[]byte{0, 0, 0}, Carried{Tuple: relation.MustTuple(relation.MustSchema("R", "A"), relation.N(1))}},
+		"a prefix past the predecessor's":  {[]byte{0, 6, 0}, prev},
+	} {
+		var key, input string
+		r := NewReader(forged.raw)
+		dec := Decoder(r, nil, nil)
+		dec.Prev = forged.prev
+		walk(&dec, &key, &input)
+		if err := dec.Sync(r); err == nil {
+			t.Errorf("%s: decoded to %q %q", name, key, input)
 		}
 	}
 }

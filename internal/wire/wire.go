@@ -23,8 +23,8 @@
 // A message says nothing twice (DESIGN.md §8.1): a tuple whose receiver holds
 // its schema takes the second form, a list element writes "" for the text or
 // key its predecessor has, a message the relation "" for the tuple the message
-// before it in its frame carries (Coder.Prev); no build wrote any of them
-// before it read them.
+// before it in its frame carries and the key "" for its query key (Coder.Prev);
+// no build wrote any of them before it read them.
 package wire
 
 import (

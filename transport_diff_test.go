@@ -226,3 +226,72 @@ func TestTransportDifferentialMultiWay(t *testing.T) {
 		})
 	}
 }
+
+// TestTransportDifferentialRetraction repeats the check for a retraction whose
+// rewriter fanned out to many evaluators. Its purge walk lands 32 purges of one
+// query on a ring of 16 nodes, so some node takes several in one frame, each
+// behind one of the same query: the bytes the simulator books for them must be
+// what the socket carries, and the retracted query must stay silent both ways.
+func TestTransportDifferentialRetraction(t *testing.T) {
+	catalog := relation.MustCatalog(
+		relation.MustSchema("R", "A", "B"),
+		relation.MustSchema("S", "B", "C"),
+	)
+	scenario := func(t *testing.T, overTCP bool) runFingerprint {
+		t.Helper()
+		cnet := chord.New(chord.Config{})
+		cnet.AddNodes("peer", 16)
+		eng := engine.New(cnet, catalog, engine.Config{Algorithm: engine.SAI, Strategy: engine.StrategyLeft, Seed: 9})
+		if overTCP {
+			reg, cleanup := loopbackTransport(t, cnet, catalog)
+			defer func() {
+				if snap := reg.Snapshot(); snap["transport.frames_in"] == 0 || snap["transport.decode_errors"] != 0 {
+					t.Errorf("the loopback run moved no frames, or failed to decode one: %v", snap)
+				}
+				cleanup()
+			}()
+		}
+		nodes := cnet.Nodes()
+		var qs []*query.Query
+		for i := 0; i < 2; i++ {
+			q, err := eng.Subscribe(nodes[i], query.MustParse(catalog, `SELECT R.A, S.C FROM R, S WHERE R.B = S.B`))
+			if err != nil {
+				t.Fatalf("Subscribe: %v", err)
+			}
+			qs = append(qs, q)
+		}
+		publish := func(i int, rel string, vals ...relation.Value) {
+			t.Helper()
+			if _, err := eng.Publish(nodes[i%len(nodes)], relation.MustTuple(catalog.Lookup(rel), vals...)); err != nil {
+				t.Fatalf("Publish: %v", err)
+			}
+		}
+		for i := 0; i < 32; i++ {
+			publish(i, "R", relation.N(float64(i)), relation.S(fmt.Sprintf("k%d", 100+i)))
+		}
+		if err := eng.Unsubscribe(nodes[0], qs[0]); err != nil {
+			t.Fatalf("Unsubscribe: %v", err)
+		}
+		for i := 0; i < 32; i += 4 {
+			publish(i, "S", relation.S(fmt.Sprintf("k%d", 100+i)), relation.N(float64(i)))
+		}
+		tr := cnet.Traffic()
+		fp := runFingerprint{Bytes: bytesByKind(tr), TS: eng.StorageLoads()} // a purge that missed its rewrite leaves it stored
+		fp.Msgs, fp.Hops = tr.Snapshot()
+		for _, n := range eng.Notifications() {
+			if n.Subscriber != nodes[1].Key() {
+				t.Errorf("the retracted query notified %s", n.ContentKey())
+			}
+			fp.Notes = append(fp.Notes, fmt.Sprintf("%s|%d|%d", n.ContentKey(), n.LeftPubT, n.RightPubT))
+		}
+		sort.Strings(fp.Notes)
+		return fp
+	}
+	sim, tcp := scenario(t, false), scenario(t, true)
+	if len(sim.Notes) != 8 || sim.Msgs["unsubscribe"] < 32 {
+		t.Fatalf("%d notifications, %d retraction messages: the scenario exercises nothing", len(sim.Notes), sim.Msgs["unsubscribe"])
+	}
+	if !reflect.DeepEqual(sim, tcp) {
+		t.Errorf("the runs diverge:\n sim=%+v\n tcp=%+v", sim, tcp)
+	}
+}
