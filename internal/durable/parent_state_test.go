@@ -25,7 +25,9 @@ import (
 // DerivedMarks), or the standing queries would starve on fresh tuples;
 // state-pr32 at b13ae9e (PR 32), the last whose hand-off sections end with the
 // marks and the retraction memory, no rewriter having told a publisher that
-// nothing reads an attribute. snapshot.bin is a graceful checkpoint taken
+// nothing reads an attribute — and, byte for byte, what PR 34 wrote: the last
+// whose queries say a subscriber their key names, and whose stored rewrites
+// say what their evaluator derives. snapshot.bin is a graceful checkpoint taken
 // mid-script, wal.log the records appended after it up to a kill -9.
 
 var parentStateDirs = []string{"testdata/state-pr18", "testdata/state-pr19", "testdata/state-pr20", "testdata/state-pr25", "testdata/state-pr32"}

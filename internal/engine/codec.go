@@ -346,7 +346,7 @@ func decodeMessage(c *wire.Coder) chord.Message {
 func (m *queryMsg) walk(c *wire.Coder) {
 	c.Query(&m.Q, "")
 	c.String(&m.Attr)
-	walkSide(c, &m.Side)
+	walkSide(c, &m.Side, query.SideRight)
 	c.Int(&m.Replica)
 }
 
@@ -371,7 +371,7 @@ func (m *joinMsg) walk(c *wire.Coder) { walkRewrites(c, &m.Rewrites) }
 func (m *joinVMsg) walk(c *wire.Coder) {
 	c.String(&m.Input)
 	c.String(&m.Cond)
-	walkSide(c, &m.Side)
+	walkSide(c, &m.Side, query.SideRight)
 	c.Value(&m.Value)
 	c.Tuple(&m.Trigger, nil)
 	c.Queries(&m.Queries)
@@ -409,14 +409,14 @@ func (m *revokeMsg) walk(c *wire.Coder) { c.String(&m.Input) }
 
 func (m *baselineQueryMsg) walk(c *wire.Coder) {
 	c.Query(&m.Q, "")
-	walkSide(c, &m.Side)
+	walkSide(c, &m.Side, query.SideRight)
 	c.String(&m.Input)
 }
 
 func (m *baselineTupleMsg) walk(c *wire.Coder) {
 	c.Tuple(&m.T, nil)
 	c.String(&m.Input)
-	walkSide(c, &m.Side)
+	walkSide(c, &m.Side, query.SideRight)
 }
 
 func (m *baselineProbeMsg) walk(c *wire.Coder) {
@@ -567,13 +567,20 @@ func (e *hotCountEntry) walk(c *wire.Coder) {
 	c.Varint(&e.WindowStart)
 }
 
-// walkSide walks a join side as an unsigned varint.
-func walkSide(c *wire.Coder, s *query.Side) {
+// walkSide walks a join side as an unsigned varint; decoding fails a value
+// above max, the largest the field holds: SideRight for a side, sideDerived
+// + SideRight for a rewrite's.
+func walkSide(c *wire.Coder, s *query.Side, max query.Side) {
 	v := uint64(*s)
 	c.Uvarint(&v)
-	if c.Decoding() {
-		*s = query.Side(v)
+	if !c.Decoding() {
+		return
 	}
+	if v > uint64(max) {
+		c.Fail(fmt.Errorf("engine: side %d, at most %d here", v, max))
+		return
+	}
+	*s = query.Side(v)
 }
 
 // walkRewrites walks the rewritten queries of one message, each after the one
@@ -594,9 +601,13 @@ func walkRewrites(c *wire.Coder, rws *[]*rewritten) {
 	}
 }
 
-// sideRepeat in IndexSide's place says the target is the predecessor's; no
-// build wrote a third side.
-const sideRepeat query.Side = 2
+// sideRepeat in IndexSide's place says the target is the predecessor's;
+// sideDerived added to IndexSide says the target is its trigger and what
+// wants derives from it. No build wrote a side above 1 before it read them.
+const (
+	sideRepeat  query.Side = 2
+	sideDerived query.Side = 3
+)
 
 // walk walks one rewritten query after prev, its predecessor in the message
 // or section (nil for the first). A rewriter sends a group's rewrites in a
@@ -604,8 +615,12 @@ const sideRepeat query.Side = 2
 // a rewrite shares with prev is not said again: an empty Key stands for
 // Orig.Key() plus prev's suffix past its own Orig.Key(), Orig repeats
 // prev.Orig's text (Coder.Query), sideRepeat stands for prev's target, which
-// the decoded rewrite shares by pointer. All three are decided on values: a
-// message rebuilt from decoded parts encodes the same. No prev, no marker.
+// the decoded rewrite shares by pointer. Nor is what the receiver derives
+// from Orig and the trigger (Section 4.3.2-4.3.3): behind a derived side the
+// target is the trigger alone, and an empty Key stands for Orig.RewriteKey —
+// read before the side, resolved after the trigger. All are decided on
+// values: a message rebuilt from decoded parts encodes the same. No prev, no
+// marker for prev's.
 func (rw *rewritten) walk(c *wire.Coder, prev *rewritten) {
 	prevText, prevSuffix, chained := "", "", false
 	if prev != nil && c.Err() == nil {
@@ -614,36 +629,73 @@ func (rw *rewritten) walk(c *wire.Coder, prev *rewritten) {
 	}
 	key, side := rw.Key, sideRepeat
 	if !c.Decoding() {
-		if suffix, ok := strings.CutPrefix(rw.Key, rw.Orig.Key()); ok && chained && suffix == prevSuffix {
-			key = ""
-		}
 		if prev == nil || !rw.rewriteTarget.equal(prev.rewriteTarget) {
 			side = rw.IndexSide
+			if rw.rewriteTarget.derived(rw.Orig) {
+				side += sideDerived
+			}
+		}
+		if side >= sideDerived {
+			if rw.keyDerived() {
+				key = ""
+			}
+		} else if suffix, ok := strings.CutPrefix(rw.Key, rw.Orig.Key()); ok && chained && suffix == prevSuffix {
+			key = ""
 		}
 	}
 	c.String(&key)
 	c.Query(&rw.Orig, prevText)
-	walkSide(c, &side)
+	walkSide(c, &side, sideDerived+query.SideRight)
+	derived := side >= sideDerived
 	if c.Decoding() {
 		switch {
 		case c.Err() != nil:
 			return
-		case key == "" && !chained, side == sideRepeat && prev == nil:
+		case key == "" && !derived && !chained, side == sideRepeat && prev == nil:
 			c.Fail(errors.New("engine: a rewrite repeats a predecessor it does not have"))
 			return
-		case key == "":
+		case key == "" && !derived:
 			key = rw.Orig.Key() + prevSuffix
 		}
 		rw.Key = key
-		if side == sideRepeat {
+		switch {
+		case side == sideRepeat:
 			rw.rewriteTarget = prev.rewriteTarget
-		} else {
+		case derived:
+			rw.rewriteTarget = &rewriteTarget{IndexSide: side - sideDerived}
+		default:
 			rw.rewriteTarget = &rewriteTarget{IndexSide: side}
 		}
 	}
 	if side != sideRepeat {
-		rw.rewriteTarget.walk(c, rw.Orig)
+		rw.rewriteTarget.walk(c, rw.Orig, derived)
 	}
+	if c.Decoding() && derived && key == "" && c.Err() == nil {
+		var err error
+		if rw.Key, err = rw.Orig.RewriteKey(rw.Trigger, rw.WantValue); err != nil {
+			c.Fail(fmt.Errorf("engine: a rewrite's derived key: %w", err))
+		}
+	}
+}
+
+// keyDerived reports whether rw's key is the one its receiver derives,
+// Orig.RewriteKey of its trigger and WantValue. Sizing calls it: the key is
+// built in a stack buffer.
+func (rw *rewritten) keyDerived() bool {
+	var buf [keyScratch]byte
+	b, err := rw.Orig.AppendRewriteKey(buf[:0], rw.Trigger, rw.WantValue)
+	return err == nil && string(b) == rw.Key
+}
+
+// derived reports whether tg's wants are what its receiver derives from q and
+// the trigger (rewriteTarget.wants), value for value; a baseline probe's,
+// with no WantAttr, never are.
+func (tg *rewriteTarget) derived(q *query.Query) bool {
+	if attrs := q.SideAttrs(tg.IndexSide.Other()); len(attrs) != 1 || attrs[0] != tg.WantAttr {
+		return false // a failed wants would allocate its error
+	}
+	rel, attr, val, err := tg.wants(q)
+	return err == nil && rel == tg.WantRel && attr == tg.WantAttr && val == tg.WantValue
 }
 
 // equal reports whether tg and o are the same target, field by field.
@@ -652,17 +704,23 @@ func (tg *rewriteTarget) equal(o *rewriteTarget) bool {
 		tg.WantAttr == o.WantAttr && tg.WantRel == o.WantRel && tg.Trigger.Equal(o.Trigger)
 }
 
-// walk walks what follows IndexSide in the target of a rewrite of q.
-func (tg *rewriteTarget) walk(c *wire.Coder, q *query.Query) {
+// walk walks what follows IndexSide in the target of a rewrite of q: the
+// trigger, then the wants unless they are derived from it.
+func (tg *rewriteTarget) walk(c *wire.Coder, q *query.Query, derived bool) {
 	// The trigger is the index side's projection: its schema is the plan's.
-	var shape *relation.Schema
-	if tg.IndexSide == query.SideLeft || tg.IndexSide == query.SideRight {
-		shape = q.Projection(tg.IndexSide)
+	c.Tuple(&tg.Trigger, q.Projection(tg.IndexSide))
+	if !derived {
+		c.String(&tg.WantRel)
+		c.String(&tg.WantAttr)
+		c.Value(&tg.WantValue)
+		return
 	}
-	c.Tuple(&tg.Trigger, shape)
-	c.String(&tg.WantRel)
-	c.String(&tg.WantAttr)
-	c.Value(&tg.WantValue)
+	if c.Decoding() && c.Err() == nil {
+		var err error
+		if tg.WantRel, tg.WantAttr, tg.WantValue, err = tg.wants(q); err != nil {
+			c.Fail(fmt.Errorf("engine: a rewrite's derived target: %w", err))
+		}
+	}
 }
 
 // walk walks one notification of a batch bound for subscriber, after one of
@@ -781,7 +839,7 @@ func walkTargets(c *wire.Coder, es *[]targetsEntry) {
 
 func (g *alGroupSection) walk(c *wire.Coder) {
 	c.String(&g.Cond)
-	walkSide(c, &g.Side)
+	walkSide(c, &g.Side, query.SideRight)
 	c.Queries(&g.Queries)
 }
 

@@ -16,8 +16,9 @@ import (
 // through one WireCodec that lives as long as the run: whatever its memo
 // has collected from the inputs before, it must accept exactly what a
 // memo-less decode accepts and decode it to the same message. The seed
-// corpus is one valid encoding of every engine message type, and messages
-// whose first element repeats a predecessor it does not have.
+// corpus is one valid encoding of every engine message type, messages
+// whose first element repeats a predecessor it does not have, and messages
+// whose side is one no side field holds.
 //
 // Every input is then decoded as an entry of a batch frame, behind each of
 // four predecessors: one carrying the fixtures' R tuple, one their S tuple,
@@ -43,6 +44,9 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	}
 	rw := msgs[3].(joinMsg).Rewrites[0]
 	for _, data := range orphanMarkers(f, rw.Orig, rw.rewriteTarget) {
+		f.Add(data)
+	}
+	for _, data := range hostileSides(f, msgs) {
 		f.Add(data)
 	}
 	f.Add([]byte{})

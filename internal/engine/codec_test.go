@@ -903,23 +903,25 @@ func TestWireCodecSharesStandingQueriesAcrossMessages(t *testing.T) {
 }
 
 // orphanMarkers hand-writes messages whose first list element already uses a
-// say-it-once marker — an empty rewrite key, an empty SQL text, the side that
-// repeats a target, an empty notification key — plus one whose second rewrite
-// drops its key after a predecessor whose own key does not extend its
-// query's. "whole" is the well-formed join they are all cut from.
+// say-it-once marker — an empty rewrite key behind a side that derives
+// nothing, an empty SQL text, the side that repeats a target, an empty
+// notification key — plus one whose second rewrite drops its key after a
+// predecessor whose own key does not extend its query's. "whole" is the
+// well-formed join they are all cut from, its target derived from the trigger
+// (tg's wants must be what rewriteTarget.wants derives).
 func orphanMarkers(tb testing.TB, q *query.Query, tg *rewriteTarget) map[string][]byte {
 	tb.Helper()
 	rewrite := func(w *wire.Buffer, key, text string, side query.Side) {
 		w.PutString(key)
 		w.PutString(q.Key())
-		w.PutString(q.Subscriber())
+		w.PutString("") // the subscriber, which the key names
 		w.PutString(q.SubscriberIP())
 		w.PutVarint(q.InsT())
 		w.PutString(text)
 		w.PutUvarint(uint64(side))
 		if side != sideRepeat {
 			c := wire.Encoder(w)
-			tg.walk(&c, q)
+			tg.walk(&c, q, side >= sideDerived)
 			if err := c.Flush(w); err != nil {
 				tb.Fatal(err)
 			}
@@ -948,15 +950,15 @@ func orphanMarkers(tb testing.TB, q *query.Query, tg *rewriteTarget) map[string]
 	for i := 0; i < 3; i++ {
 		notify.PutVarint(int64(i))
 	}
-	chained := q.Key() + "+7"
+	chained, derived := q.Key()+"+7", tg.IndexSide+sideDerived
 	return map[string][]byte{
-		"whole":                      one(chained, q.Text(), tg.IndexSide),
+		"whole":                      one(chained, q.Text(), derived),
 		"first rewrite, no key":      one("", q.Text(), tg.IndexSide),
-		"first rewrite, no text":     one(chained, "", tg.IndexSide),
+		"first rewrite, no text":     one(chained, "", derived),
 		"first rewrite, no target":   one(chained, q.Text(), sideRepeat),
 		"first notification, no key": notify.Bytes(),
 		"no key after an unchained one": join(
-			func(w *wire.Buffer) { rewrite(w, "elsewhere+7", q.Text(), tg.IndexSide) },
+			func(w *wire.Buffer) { rewrite(w, "elsewhere+7", q.Text(), derived) },
 			func(w *wire.Buffer) { rewrite(w, "", "", sideRepeat) }),
 	}
 }
@@ -1027,15 +1029,18 @@ func TestJoinSizeSurvivesDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	size := w.Len()
+	// Alone, a rewrite is an empty key (its receiver derives Key(q')), its
+	// query and its target: a derived side, then the trigger.
+	target := 1 + wire.SizeTuple(apart[0].Trigger, false)
+	if got, want := encodedLen(joinMsg{Rewrites: apart[:1]}), 2+1+wire.SizeQuery(apart[0].Orig, "")+target; got != want {
+		t.Fatalf("a rewrite alone is %d bytes, want %d: an empty key, a %d-byte query and a %d-byte target",
+			got, want, wire.SizeQuery(apart[0].Orig, ""), target)
+	}
 	// Each rewrite after the first writes one byte for its text, one for its
 	// key (Key(q) is in the query just ahead) and one for its target.
-	target := MessageSize(joinMsg{Rewrites: apart[:1]}) - 2 - wire.SizeString(apart[0].Key) - wire.SizeQuery(apart[0].Orig, "")
-	want := 2 + alone
-	for _, rw := range apart[1:4] {
-		want -= len(sql) + len(rw.Key) + target - 1
-	}
+	want := 2 + alone - 3*(len(sql)+target-1)
 	if got := encodedLen(joinMsg{Rewrites: apart[:4]}); got != want {
-		t.Fatalf("the group of four is %d bytes, want %d: one by one its rewrites are %d, and three repeat a %d-byte text, a %d-byte target and a key",
+		t.Fatalf("the group of four is %d bytes, want %d: one by one its rewrites are %d, and three repeat a %d-byte text and a %d-byte target",
 			got, want, alone, len(sql), target)
 	}
 	got, err := DecodeMessage(wire.NewReader(w.Bytes()), env.catalog)

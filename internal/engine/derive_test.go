@@ -1,0 +1,289 @@
+package engine
+
+import (
+	"fmt"
+	"testing"
+
+	"cqjoin/internal/chord"
+	"cqjoin/internal/query"
+	"cqjoin/internal/relation"
+	"cqjoin/internal/wire"
+)
+
+// joinTap is a chord.Transport that hands every message over as the simulator
+// does and keeps the rewrite-carrying ones: what the rewriters built.
+type joinTap struct{ msgs []chord.Message }
+
+func (tp *joinTap) Deliver(from, dst *chord.Node, msg chord.Message) bool {
+	switch msg.(type) {
+	case joinMsg, baselineProbeMsg:
+		tp.msgs = append(tp.msgs, msg)
+	}
+	if !dst.Alive() {
+		return false
+	}
+	dst.Handler().HandleMessage(dst, msg)
+	return true
+}
+
+func (tp *joinTap) DeliverBatch(from, dst *chord.Node, msgs []chord.Message) []bool {
+	acks := make([]bool, len(msgs))
+	for i, msg := range msgs {
+		acks[i] = tp.Deliver(from, dst, msg)
+	}
+	return acks
+}
+
+// rewritesOf returns the rewrites a tapped message carries, and where its
+// first rewrite starts in the message's encoding.
+func rewritesOf(t *testing.T, msg chord.Message) ([]*rewritten, int) {
+	t.Helper()
+	switch m := msg.(type) {
+	case joinMsg:
+		return m.Rewrites, 1 + wire.SizeUvarint(uint64(len(m.Rewrites)))
+	case baselineProbeMsg:
+		return m.Rewrites, 1 + wire.SizeString(m.Input) + wire.SizeUvarint(uint64(len(m.Rewrites)))
+	}
+	t.Fatalf("a %T carries no rewrites", msg)
+	return nil, 0
+}
+
+// firstSide reads the key and the side of the rewrite that leads msg's
+// encoding.
+func firstSide(t *testing.T, msg chord.Message) (key string, side query.Side) {
+	t.Helper()
+	rws, at := rewritesOf(t, msg)
+	var w wire.Buffer
+	if err := EncodeMessage(&w, msg); err != nil {
+		t.Fatal(err)
+	}
+	key, err := wire.NewReader(w.Bytes()[at:]).String()
+	if err != nil {
+		t.Fatal(err)
+	}
+	at += wire.SizeString(key) + wire.SizeQuery(rws[0].Orig, "")
+	return key, query.Side(w.Bytes()[at])
+}
+
+// roundTrips decodes msg's encoding and holds every rewrite to the one sent,
+// and the decoded message to the sent one's bytes.
+func roundTrips(t *testing.T, catalog *relation.Catalog, msg chord.Message) {
+	t.Helper()
+	var w wire.Buffer
+	if err := EncodeMessage(&w, msg); err != nil {
+		t.Fatal(err)
+	}
+	back, err := DecodeMessage(wire.NewReader(w.Bytes()), catalog)
+	if err != nil {
+		t.Fatalf("%T: %v\n%x", msg, err, w.Bytes())
+	}
+	sent, _ := rewritesOf(t, msg)
+	got, _ := rewritesOf(t, back)
+	for i := range sent {
+		assertRewrittenEqual(t, sent[i], got[i])
+	}
+	if again := encodedLen(back); again != w.Len() || MessageSize(msg) != w.Len() {
+		t.Fatalf("%T: %d bytes sized, %d sent, %d decoded and sent again", msg, MessageSize(msg), w.Len(), again)
+	}
+}
+
+// Every target a rewriter builds is one its evaluator derives (Sections
+// 4.3.2-4.3.3): whatever the join condition's arithmetic, the values' type,
+// the SELECT list, the selections and the index side, the rewrite that leads
+// each target travels with a derived side and an empty key, under SAI and
+// DAI-T alike, and decodes to the rewrite sent.
+func TestRewritersBuildDerivableTargets(t *testing.T) {
+	type pair struct{ left, right []relation.Value }
+	n, s := relation.N, relation.S
+	plain := pair{[]relation.Value{n(1), n(7), n(2)}, []relation.Value{n(3), n(7), n(1)}}
+	for _, tc := range []struct {
+		name, sql string
+		pair      pair
+	}{
+		{"R.B = S.E", `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`, plain},
+		{"R.B = S.E * 2 + 1", `SELECT R.A, S.D FROM R, S WHERE R.B = S.E * 2 + 1`,
+			pair{[]relation.Value{n(1), n(7), n(2)}, []relation.Value{n(3), n(3), n(1)}}},
+		{"strings", `SELECT Document.Title, Authors.Surname FROM Document, Authors WHERE Document.AuthorId = Authors.Id`,
+			pair{[]relation.Value{s("d1"), s("Joins"), s("VLDB"), s("a7")}, []relation.Value{s("a7"), s("Ada"), s("Lovelace")}}},
+		{"both sides selected", `SELECT R.A, R.C, S.D, S.F FROM R, S WHERE R.B = S.E`, plain},
+		{"selections", `SELECT R.A, S.D FROM R, S WHERE R.B = S.E AND R.C >= 1 AND S.F < 5`, plain},
+	} {
+		for _, alg := range []Algorithm{SAI, DAIT} {
+			t.Run(fmt.Sprintf("%s/%v", tc.name, alg), func(t *testing.T) {
+				env := newTestEnv(t, 32, Config{Algorithm: alg, Strategy: StrategyRandom, Seed: 3})
+				var qs []*query.Query
+				for i := 0; i < 8; i++ { // StrategyRandom: queries on both index sides
+					qs = append(qs, env.subscribe(t, i, tc.sql))
+				}
+				tap := &joinTap{}
+				env.net.SetTransport(tap)
+				left, right := qs[0].Rel(query.SideLeft), qs[0].Rel(query.SideRight)
+				env.publish(t, 9, relation.MustTuple(left, tc.pair.left...))
+				env.publish(t, 10, relation.MustTuple(right, tc.pair.right...))
+				if env.eng.NotificationCount() != len(qs) {
+					t.Fatalf("%d notifications for %d queries of one matching pair", env.eng.NotificationCount(), len(qs))
+				}
+				sides := map[query.Side]int{}
+				for _, msg := range tap.msgs {
+					rws, _ := rewritesOf(t, msg)
+					for i, rw := range rws {
+						if i > 0 && rw.rewriteTarget.equal(rws[i-1].rewriteTarget) {
+							continue
+						}
+						sides[rw.IndexSide]++
+						if key, side := firstSide(t, joinMsg{Rewrites: rws[i : i+1]}); key != "" || side != rw.IndexSide+sideDerived {
+							t.Errorf("the rewrite leading target %v travels with key %q and side %d, want \"\" and %d",
+								rw.rewriteTarget, key, side, rw.IndexSide+sideDerived)
+						}
+					}
+					roundTrips(t, env.catalog, msg)
+				}
+				if sides[query.SideLeft] == 0 || sides[query.SideRight] == 0 {
+					t.Fatalf("targets by index side: %v; the case exercises one side only", sides)
+				}
+			})
+		}
+	}
+}
+
+// A baseline probe's rewrites (Section 4.1) carry the whole trigger and ask
+// for a value, not for an attribute: nothing in them is derived, and they
+// travel in full and decode to what was sent.
+func TestBaselineRewritesTravelInFull(t *testing.T) {
+	env := newTestEnv(t, 32, Config{Algorithm: BaselineAttribute})
+	for i := 0; i < 3; i++ {
+		env.subscribe(t, i, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
+	}
+	tap := &joinTap{}
+	env.net.SetTransport(tap)
+	env.publish(t, 9, rTuple(env, 1, 7, 2))
+	env.publish(t, 10, sTuple(env, 3, 7, 1))
+	if len(tap.msgs) == 0 {
+		t.Fatal("no probe was sent")
+	}
+	for _, msg := range tap.msgs {
+		rws, _ := rewritesOf(t, msg)
+		if key, side := firstSide(t, msg); key != rws[0].Key || side != rws[0].IndexSide {
+			t.Errorf("a baseline rewrite travels with key %q and side %d, want %q and %d", key, side, rws[0].Key, rws[0].IndexSide)
+		}
+		roundTrips(t, env.catalog, msg)
+	}
+}
+
+// The saving, pinned: three subscribers' rewrites of one trigger, shaped as
+// the benchmark's are — a 2048-node ring's subscriber names, Id values in the
+// hundred thousands — say their query keys and the trigger, and neither the
+// wants, Key(q') nor the subscribers: 156 bytes, 208 while they said all of it.
+func TestBenchShapedJoinSize(t *testing.T) {
+	r := relation.MustSchema("R3", "Id", "A", "B", "C")
+	s := relation.MustSchema("S3", "Id", "A", "B", "C")
+	catalog := relation.MustCatalog(r, s)
+	net := chord.New(chord.Config{})
+	nodes := net.AddNodes("peer", 2048)
+	eng := New(net, catalog, Config{Algorithm: SAI, Strategy: StrategyLeft, Seed: 1})
+	for _, i := range []int{411, 1093, 1775} {
+		if _, err := eng.Subscribe(nodes[i], query.MustParse(catalog, `SELECT R3.Id, S3.Id FROM R3, S3 WHERE R3.A = S3.A`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tap := &joinTap{}
+	net.SetTransport(tap)
+	if _, err := eng.Publish(nodes[7], relation.MustTuple(r, relation.N(183402), relation.N(4417), relation.N(4412), relation.N(90211))); err != nil {
+		t.Fatal(err)
+	}
+	if len(tap.msgs) != 1 {
+		t.Fatalf("%d join messages, want the group's one", len(tap.msgs))
+	}
+	join := tap.msgs[0].(joinMsg)
+	if len(join.Rewrites) != 3 {
+		t.Fatalf("%d rewrites, want 3", len(join.Rewrites))
+	}
+	const ceiling = 160
+	size := MessageSize(join)
+	t.Logf("the benchmark's join of three rewrites is %d bytes (ceiling %d)", size, ceiling)
+	if size > ceiling {
+		t.Fatalf("the benchmark's join of three rewrites is %d bytes, ceiling %d", size, ceiling)
+	}
+	roundTrips(t, catalog, join)
+}
+
+// hostileSides returns the fixtures of every message that walks a side with
+// that side forged to 5, a value no side field holds: a query, a DAI-V join,
+// a hand-off's ALQT group, a rewrite and the two baseline messages.
+func hostileSides(tb testing.TB, msgs []chord.Message) map[string][]byte {
+	tb.Helper()
+	forge := func(msg chord.Message, at int, side query.Side) []byte {
+		var w wire.Buffer
+		if err := EncodeMessage(&w, msg); err != nil {
+			tb.Fatal(err)
+		}
+		if b := w.Bytes(); b[at] != byte(side) {
+			tb.Fatalf("%T: byte %d is %d, not its side %d", msg, at, b[at], side)
+		}
+		w.Bytes()[at] = 5
+		return w.Bytes()
+	}
+	qm, jv, ho := msgs[0].(queryMsg), msgs[4].(joinVMsg), msgs[15].(handoffMsg)
+	rw, bq, bt := msgs[3].(joinMsg).Rewrites[0], msgs[10].(baselineQueryMsg), msgs[11].(baselineTupleMsg)
+	group := ho.AL[0].Groups[0]
+	return map[string][]byte{
+		"query":          forge(qm, MessageSize(qm)-wire.SizeUvarint(uint64(qm.Replica))-1, qm.Side),
+		"DAI-V join":     forge(jv, 1+wire.SizeString(jv.Input)+wire.SizeString(jv.Cond), jv.Side),
+		"ALQT group":     forge(ho, 2+wire.SizeString(ho.AL[0].Input)+1+wire.SizeString(group.Cond), group.Side),
+		"rewrite":        forge(msgs[3], 2+wire.SizeString(rw.Key)+wire.SizeQuery(rw.Orig, ""), rw.IndexSide+sideDerived),
+		"baseline query": forge(bq, 1+wire.SizeQuery(bq.Q, ""), bq.Side),
+		"baseline tuple": forge(bt, MessageSize(bt)-1, bt.Side),
+	}
+}
+
+// A side walk fails on a value its field cannot hold. Stored, a query's side 5
+// crashed the next tuple its rewriter's bucket saw.
+func TestHostileSideFailsToDecode(t *testing.T) {
+	catalog, msgs := codecFixtures(t)
+	for what, data := range hostileSides(t, msgs) {
+		if got, err := DecodeMessage(wire.NewReader(data), catalog); err == nil {
+			t.Errorf("a %s with side 5 decoded to %+v", what, got)
+		}
+	}
+}
+
+// A derived side says the receiver derives the wants from the query and the
+// trigger. Where it cannot — a side of two attributes, a string where the
+// other side computes — the rewrite fails to decode rather than ask for
+// nothing; the same bytes with a trigger it can solve decode to the wants.
+func TestUnderivableTargetFailsToDecode(t *testing.T) {
+	env := newTestEnv(t, 16, Config{Algorithm: SAI})
+	join := func(sql string, trigger *relation.Tuple) []byte {
+		t.Helper()
+		q := query.MustParse(env.catalog, sql).WithIdentity("peer5", "sim://x", 1)
+		proj, err := trigger.ProjectOnto(q.Projection(query.SideLeft))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var w wire.Buffer
+		w.PutUvarint(uint64(tagJoin))
+		w.PutUvarint(1)
+		w.PutString(q.Key() + "+9") // a key of its own: only the target is left to derive
+		wire.EncodeQuery(&w, q, "")
+		w.PutUvarint(uint64(query.SideLeft + sideDerived))
+		wire.EncodeTuple(&w, proj, false)
+		return w.Bytes()
+	}
+	const arith = `SELECT R.A, S.D FROM R, S WHERE R.B = S.E * 2 + 1`
+	got, err := DecodeMessage(wire.NewReader(join(arith, rTuple(env, 1, 7, 2))), env.catalog)
+	if err != nil {
+		t.Fatalf("a derivable target: %v", err)
+	}
+	if rw := got.(joinMsg).Rewrites[0]; rw.WantRel != "S" || rw.WantAttr != "E" || !rw.WantValue.Equal(relation.N(3)) || rw.Key != "peer5#1+9" {
+		t.Fatalf("derived %s.%s = %v under key %q, want S.E = 3 under peer5#1+9", rw.WantRel, rw.WantAttr, rw.WantValue, rw.Key)
+	}
+	for what, data := range map[string][]byte{
+		"two attributes": join(`SELECT R.A, S.D FROM R, S WHERE R.B = S.E + S.F`, rTuple(env, 1, 7, 2)),
+		"a string into arithmetic": join(arith,
+			relation.MustTuple(env.r, relation.N(1), relation.S("x"), relation.N(2))),
+	} {
+		if got, err := DecodeMessage(wire.NewReader(data), env.catalog); err == nil {
+			t.Errorf("%s: a derived side decoded to %+v", what, got.(joinMsg).Rewrites[0].rewriteTarget)
+		}
+	}
+}

@@ -31,8 +31,10 @@ const retiredTag = 20
 // testdata/wire-pr20.golden as the last build (PR 20) whose snapshot meta ends
 // with the hot-key counters did; testdata/wire-pr32.golden as the last build
 // (PR 32) whose publishers never asked a rewriter whether a query reads an
-// attribute, and whose hand-offs carry no grants. Nothing writes those layouts
-// any more, and
+// attribute, and whose hand-offs carry no grants; testdata/wire-pr34.golden as
+// the last build (PR 34) whose queries said their subscriber and whose
+// rewrites said their wants and Key(q') where the receiver derives them.
+// Nothing writes those layouts any more, and
 // peers, WAL delivery records and snapshots still hold them, so they are only
 // ever read: each line must decode to its fixture, and to a message that
 // encodes as today's line. Their lines pair with the fixtures by position; a
@@ -60,7 +62,7 @@ func TestWireGolden(t *testing.T) {
 		lines, behind = lines[:i], lines[i:]
 	}
 	checkBehindLines(t, catalog, msgs, behind)
-	parents := [][]string{goldenLines(t, "testdata/wire-pr19.golden"), goldenLines(t, "testdata/wire-pr20.golden"), goldenLines(t, "testdata/wire-pr32.golden")}
+	parents := [][]string{goldenLines(t, "testdata/wire-pr19.golden"), goldenLines(t, "testdata/wire-pr20.golden"), goldenLines(t, "testdata/wire-pr32.golden"), goldenLines(t, "testdata/wire-pr34.golden")}
 	if len(lines) != len(msgs) {
 		t.Errorf("%d golden lines for %d fixtures", len(lines), len(msgs))
 	}

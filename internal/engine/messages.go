@@ -118,6 +118,26 @@ type rewriteTarget struct {
 	WantValue relation.Value  // valDA(q, t)
 }
 
+// wants computes what a rewrite of q triggered by tg.Trigger asks for
+// (Section 4.3.2): the index side's expression is evaluated over the trigger,
+// and the other side, a single attribute of its relation, is solved for the
+// value it must take. It fails where the side has several attributes or the
+// equality no solution (e.g. c/x = 0).
+func (tg *rewriteTarget) wants(q *query.Query) (rel, attr string, val relation.Value, err error) {
+	v, err := q.EvalSide(tg.IndexSide, tg.Trigger)
+	if err != nil {
+		return "", "", relation.Value{}, err
+	}
+	other := tg.IndexSide.Other()
+	if val, err = q.InvertSide(other, v); err != nil {
+		return "", "", relation.Value{}, err
+	}
+	if attr, err = q.SingleAttr(other); err != nil {
+		return "", "", relation.Value{}, err
+	}
+	return q.Rel(other).Name(), attr, val, nil
+}
+
 // sameTarget reports whether rw and o wait at the same value-level
 // identifier.
 func (rw *rewritten) sameTarget(o *rewritten) bool {

@@ -207,19 +207,11 @@ func (st *nodeState) handleALIndex(m *alIndexMsg, ask *alAskMsg) {
 // addressed to the evaluator Successor(Hash(DisR + DisA + valDA)). The
 // caller holds st.mu.
 func (st *nodeState) rewriteGroup(b *alBucket, g *queryGroup, triggered []*query.Query, t *relation.Tuple) (outbound, bool) {
-	rep := triggered[0] // the group shares one join condition
-	vSide, err := rep.EvalSide(g.side, t)
-	if err != nil {
-		return outbound{}, false
-	}
-	valDA, err := rep.InvertSide(g.side.Other(), vSide)
-	if err != nil {
-		// The equality has no solution for this tuple (e.g. c/x = 0):
-		// nothing can ever match it.
-		return outbound{}, false
-	}
-	wantRel := rep.Rel(g.side.Other()).Name()
-	wantAttr, err := rep.SingleAttr(g.side.Other())
+	// The group shares one join condition, so one target: what the first of
+	// its queries wants. Where the equality has no solution for this tuple,
+	// nothing can ever match it.
+	whole := rewriteTarget{IndexSide: g.side, Trigger: t}
+	wantRel, wantAttr, valDA, err := whole.wants(triggered[0])
 	if err != nil {
 		return outbound{}, false
 	}
@@ -229,13 +221,31 @@ func (st *nodeState) rewriteGroup(b *alBucket, g *queryGroup, triggered []*query
 
 	// The trigger is projected once per projection shape: queries needing
 	// the same attributes share one schema (query.Projection), so all of a
-	// group's rewrites with that shape carry the same immutable target.
+	// group's rewrites with that shape carry the same immutable target. The
+	// projection holds the join attribute and the SELECT values, so what a
+	// receiver derives from it — the wants and Key(q') — is what is built here.
 	var shapeBuf [4]*rewriteTarget
 	shapes := shapeBuf[:0]
 	rws := make([]*rewritten, 0, len(triggered))
 	rwBuf := make([]rewritten, 0, len(triggered)) // one allocation for the group, which is stored together
 	for _, q := range triggered {
-		key, err := q.RewriteKey(t, valDA)
+		shape := q.Projection(g.side)
+		var tgt *rewriteTarget
+		for _, p := range shapes {
+			if p.Trigger.Schema() == shape {
+				tgt = p
+				break
+			}
+		}
+		if tgt == nil {
+			proj, err := t.ProjectOnto(shape)
+			if err != nil {
+				continue
+			}
+			tgt = &rewriteTarget{IndexSide: g.side, Trigger: proj, WantRel: wantRel, WantAttr: wantAttr, WantValue: valDA}
+			shapes = append(shapes, tgt)
+		}
+		key, err := q.RewriteKey(tgt.Trigger, valDA)
 		if err != nil {
 			continue
 		}
@@ -256,22 +266,6 @@ func (st *nodeState) rewriteGroup(b *alBucket, g *queryGroup, triggered []*query
 				continue
 			}
 			b.sentRewrites[key] = true
-		}
-		shape := q.Projection(g.side)
-		var tgt *rewriteTarget
-		for _, p := range shapes {
-			if p.Trigger.Schema() == shape {
-				tgt = p
-				break
-			}
-		}
-		if tgt == nil {
-			proj, err := t.ProjectOnto(shape)
-			if err != nil {
-				continue
-			}
-			tgt = &rewriteTarget{IndexSide: g.side, Trigger: proj, WantRel: wantRel, WantAttr: wantAttr, WantValue: valDA}
-			shapes = append(shapes, tgt)
 		}
 		rwBuf = append(rwBuf, rewritten{Key: key, Orig: q, rewriteTarget: tgt})
 		rws = append(rws, &rwBuf[len(rwBuf)-1])

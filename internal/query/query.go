@@ -290,20 +290,29 @@ func (q *Query) appendSelectValues(dst []relation.Value, t *relation.Tuple) ([]r
 // Two rewritten queries share a key exactly when they were created from the
 // same query by tuples with the same value of the index attribute.
 func (q *Query) RewriteKey(t *relation.Tuple, valDA relation.Value) (string, error) {
-	var scratch [8]relation.Value // SELECT lists are short: the values stay on the stack
-	vals, err := q.appendSelectValues(scratch[:0], t)
+	var buf [keyScratch]byte
+	b, err := q.AppendRewriteKey(buf[:0], t, valDA)
 	if err != nil {
 		return "", err
 	}
-	var buf [keyScratch]byte
-	b := append(buf[:0], q.key...)
-	for _, v := range vals {
-		b = append(b, '+')
-		b = v.AppendCanon(b)
-	}
-	b = append(b, '+')
-	b = valDA.AppendCanon(b)
 	return string(b), nil
+}
+
+// AppendRewriteKey appends RewriteKey's key to dst, so a caller that only
+// compares it allocates nothing.
+func (q *Query) AppendRewriteKey(dst []byte, t *relation.Tuple, valDA relation.Value) ([]byte, error) {
+	var scratch [8]relation.Value // SELECT lists are short: the values stay on the stack
+	vals, err := q.appendSelectValues(scratch[:0], t)
+	if err != nil {
+		return dst, err
+	}
+	dst = append(dst, q.key...)
+	for _, v := range vals {
+		dst = append(dst, '+')
+		dst = v.AppendCanon(dst)
+	}
+	dst = append(dst, '+')
+	return valDA.AppendCanon(dst), nil
 }
 
 // ProjectNotification computes the SELECT projection over a matched pair of

@@ -49,10 +49,11 @@ import (
 // only adopts strictly newer ones — so the sender's retry loop can replay
 // them safely.
 const (
-	// protoVersion is exchanged at hello; a dialer refuses any other. 7: a
-	// purge, retraction or interest mark behind one of the same query says its
-	// key as "" (DESIGN.md §8.1) — which a version-6 peer would read as a key.
-	protoVersion = 7
+	// protoVersion is exchanged at hello; a dialer refuses any other. 8: a
+	// query whose key names its subscriber says the subscriber as "", and a
+	// rewrite leaves to its receiver what it derives from the trigger
+	// (DESIGN.md §8.1) — a version-7 peer would read "" as a real subscriber.
+	protoVersion = 8
 
 	// maxFrame bounds one frame so a corrupt length prefix cannot allocate
 	// gigabytes. 16 MiB fits any realistic multisend leg (the simulator's

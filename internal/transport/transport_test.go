@@ -590,16 +590,17 @@ func TestAckValidation(t *testing.T) {
 // the value level itself what this build's rewriters forward there; protocol 5
 // not a revocation, and it would read an answer in an ack's status as a miss;
 // protocol 6 would take a purge's empty key, said behind a purge of the same
-// query, for a key — so the two must part at the handshake, whichever dials.
+// query, for a key, and protocol 7 a query's empty subscriber for a
+// subscriber — so the two must part at the handshake, whichever dials.
 // When the old build answers, this dialer refuses its helloOK with an error
 // naming both versions and sends it no batch; when the old build dials, its
 // hello is answered with this build's version, the number its own copy of that
 // check refuses.
 func TestOlderProtocolPeerRefusedAtHello(t *testing.T) {
-	if protoVersion != 7 {
-		t.Fatalf("protoVersion = %d: this test is about 7 meeting 2, 3, 4, 5 and 6", protoVersion)
+	if protoVersion != 8 {
+		t.Fatalf("protoVersion = %d: this test is about 8 meeting 2 to 7", protoVersion)
 	}
-	for _, oldVersion := range []uint64{2, 3, 4, 5, 6} {
+	for _, oldVersion := range []uint64{2, 3, 4, 5, 6, 7} {
 		olderPeerRefused(t, oldVersion)
 	}
 }

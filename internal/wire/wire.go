@@ -14,11 +14,15 @@
 //	tuple   := relation:string arity:uvarint attr:string... value... pubT:varint
 //	         | relation:string 0 arity:uvarint value... pubT:varint
 //	query   := key:string subscriber:string ip:string insT:varint sql:string
+//	           (subscriber "" where the key names it: key = subscriber "#" n)
 //	notif   := querykey:string subscriber:string n:uvarint value...
 //	          leftPubT:varint rightPubT:varint deliveredAt:varint
 //
 // Queries travel as their SQL text and are re-parsed against the catalog on
-// arrival; the parser is the single source of truth for query semantics.
+// arrival; the parser is the single source of truth for query semantics. A
+// query's key names its subscriber (Section 3.2: Key(q) is the subscriber's
+// key, "#" and an integer), so a subscriber said as "" is what precedes the
+// key's last "#".
 //
 // A message says nothing twice (DESIGN.md §8.1): a tuple whose receiver holds
 // its schema takes the second form, a list element writes "" for the text or
@@ -28,9 +32,11 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 
 	"cqjoin/internal/query"
 	"cqjoin/internal/relation"
@@ -338,12 +344,22 @@ func (r *Reader) matchesSchema(s *relation.Schema, rel []byte, n int) bool {
 	return true
 }
 
+// subscriberSaid returns the subscriber q's wire form says: "" where Key(q)
+// names it, Subscriber + "#" + n (Section 3.2), else the subscriber itself.
+func subscriberSaid(q *query.Query) string {
+	sub, key := q.Subscriber(), q.Key()
+	if i := strings.LastIndexByte(key, '#'); i >= 0 && key[:i] == sub {
+		return ""
+	}
+	return sub
+}
+
 // EncodeQuery appends a query: identity and times plus the SQL text, which
 // the receiver re-parses — an empty one where it is prevText, the text of the
 // query's predecessor in a list ("" for none).
 func EncodeQuery(w *Buffer, q *query.Query, prevText string) {
 	w.PutString(q.Key())
-	w.PutString(q.Subscriber())
+	w.PutString(subscriberSaid(q))
 	w.PutString(q.SubscriberIP())
 	w.PutVarint(q.InsT())
 	text := q.Text()
@@ -366,6 +382,9 @@ func DecodeQuery(r *Reader, catalog *relation.Catalog, memo *Memo, prevText stri
 	sub, err := r.Bytes()
 	if err != nil {
 		return nil, err
+	}
+	if i := bytes.LastIndexByte(key, '#'); len(sub) == 0 && i >= 0 {
+		sub = key[:i]
 	}
 	ip, err := r.Bytes()
 	if err != nil {
@@ -449,7 +468,7 @@ func SizeTuple(t *relation.Tuple, named bool) int {
 func SizeQuery(q *query.Query, prevText string) int {
 	n := q.CachedWireSize()
 	if n == 0 {
-		n = SizeString(q.Key()) + SizeString(q.Subscriber()) + SizeString(q.SubscriberIP()) +
+		n = SizeString(q.Key()) + SizeString(subscriberSaid(q)) + SizeString(q.SubscriberIP()) +
 			SizeVarint(q.InsT()) + SizeString(q.Text())
 		q.SetCachedWireSize(n)
 	}

@@ -300,6 +300,52 @@ func TestQueryRoundTrip(t *testing.T) {
 	}
 }
 
+// A query's key names its subscriber, Key(q) = subscriber + "#" + n, and the
+// subscriber then travels as "": the decoder takes what precedes the key's
+// last "#". A subscriber the key does not name travels in full, and bytes an
+// earlier build wrote, the subscriber said, decode to the same query.
+func TestSubscriberTheKeyNamesIsNotSaid(t *testing.T) {
+	catalog := relation.MustCatalog(relation.MustSchema("R", "A", "B"), relation.MustSchema("S", "D", "E"))
+	parsed := query.MustParse(catalog, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
+	named := parsed.WithIdentity("peer#7", "sim://abc", 4) // a "#" in the subscriber too
+	for _, tc := range []struct {
+		q   *query.Query
+		sub string // what the wire says
+	}{
+		{named, ""},
+		{parsed.WithRestoredIdentity("peer#7#4", "peer#8", "sim://abc"), "peer#8"},
+		{parsed.WithRestoredIdentity("k", "peer7", "sim://abc"), "peer7"},
+		{parsed.WithRestoredIdentity("", "", ""), ""},
+	} {
+		var w Buffer
+		EncodeQuery(&w, tc.q, "")
+		r := NewReader(w.Bytes())
+		if _, err := r.String(); err != nil {
+			t.Fatal(err)
+		}
+		if said, err := r.String(); err != nil || said != tc.sub {
+			t.Errorf("key %q, subscriber %q: the wire says %q (%v), want %q", tc.q.Key(), tc.q.Subscriber(), said, err, tc.sub)
+		}
+		if SizeQuery(tc.q, "") != w.Len() {
+			t.Errorf("key %q: SizeQuery %d, the encoding %d bytes", tc.q.Key(), SizeQuery(tc.q, ""), w.Len())
+		}
+		got, err := DecodeQuery(NewReader(w.Bytes()), catalog, new(Memo), "")
+		if err != nil || got.Key() != tc.q.Key() || got.Subscriber() != tc.q.Subscriber() {
+			t.Errorf("key %q, subscriber %q: decoded to %v (%v)", tc.q.Key(), tc.q.Subscriber(), got, err)
+		}
+	}
+	var said Buffer
+	said.PutString(named.Key())
+	said.PutString(named.Subscriber())
+	said.PutString(named.SubscriberIP())
+	said.PutVarint(named.InsT())
+	said.PutString(named.Text())
+	got, err := DecodeQuery(NewReader(said.Bytes()), catalog, new(Memo), "")
+	if err != nil || got.Subscriber() != named.Subscriber() || SizeQuery(got, "") != said.Len()-len(named.Subscriber()) {
+		t.Fatalf("the subscriber said in full decoded to %v (%v)", got, err)
+	}
+}
+
 func TestDecodeQueryBadSQL(t *testing.T) {
 	catalog := relation.MustCatalog(relation.MustSchema("R", "A"))
 	var w Buffer

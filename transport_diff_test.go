@@ -69,9 +69,10 @@ type runFingerprint struct {
 	Notes         []string
 }
 
-// transportScenario runs one seeded two-way workload and fingerprints it.
-// With overTCP the entire message flow crosses the loopback socket.
-func transportScenario(t *testing.T, alg engine.Algorithm, sc exp.Scale, overTCP bool) runFingerprint {
+// transportScenario runs one seeded two-way workload, its queries
+// subscribed by subscribe, and fingerprints it. With overTCP the entire
+// message flow crosses the loopback socket.
+func transportScenario(t *testing.T, alg engine.Algorithm, sc exp.Scale, overTCP bool, subscribe func(*exp.Run, int)) runFingerprint {
 	t.Helper()
 	r := exp.Setup(engine.Config{Algorithm: alg, MaxRetries: 3}, sc, workload.Params{})
 	var reg *obs.Registry
@@ -80,7 +81,7 @@ func transportScenario(t *testing.T, alg engine.Algorithm, sc exp.Scale, overTCP
 		reg, cleanup = loopbackTransport(t, r.Net, r.Gen.Catalog())
 		defer cleanup()
 	}
-	r.SubscribeT1(sc.Queries)
+	subscribe(r, sc.Queries)
 	r.ResetMeters()
 	r.PublishTuples(sc.Tuples)
 
@@ -124,18 +125,46 @@ func bytesByKind(tr *metrics.Traffic) map[string]int64 {
 	return out
 }
 
+// invertedQueries subscribes n queries whose join condition a rewriter must
+// solve for the other side, R.x = S.y * 2 + 1, with a selection: the
+// generator's T1 queries (R.x = S.y) never invert, so without these no
+// derived rewrite target would cross the socket.
+func invertedQueries(r *exp.Run, n int) {
+	for i := 0; i < n; i++ {
+		p := i % r.Gen.Params().Pairs
+		sql := fmt.Sprintf("SELECT R%[1]d.a0, S%[1]d.a0 FROM R%[1]d, S%[1]d WHERE R%[1]d.a%[2]d = S%[1]d.a%[3]d * 2 + 1 AND R%[1]d.a3 >= 2",
+			p, i%3, (i/3)%3)
+		if _, err := r.Eng.Subscribe(r.Nodes[(i*37)%len(r.Nodes)], query.MustParse(r.Gen.Catalog(), sql)); err != nil {
+			panic(err)
+		}
+	}
+}
+
 // TestTransportDifferential is the acceptance gate for the transport
 // tentpole: for all four algorithms the TCP loopback run must reproduce
-// the simulated run's results exactly, chaos off.
+// the simulated run's results exactly, chaos off — and so must SAI and
+// DAI-T with queries whose rewrites invert their join condition.
 func TestTransportDifferential(t *testing.T) {
 	sc := exp.Scale{Nodes: 96, Queries: 120, Tuples: 160, Seed: 23}
 	if testing.Short() {
 		sc = exp.Scale{Nodes: 64, Queries: 60, Tuples: 80, Seed: 23}
 	}
+	type cell struct {
+		name      string
+		alg       engine.Algorithm
+		subscribe func(*exp.Run, int)
+	}
+	var cells []cell
 	for _, alg := range []engine.Algorithm{engine.SAI, engine.DAIQ, engine.DAIT, engine.DAIV} {
-		t.Run(alg.String(), func(t *testing.T) {
-			sim := transportScenario(t, alg, sc, false)
-			tcp := transportScenario(t, alg, sc, true)
+		cells = append(cells, cell{alg.String(), alg, (*exp.Run).SubscribeT1})
+	}
+	for _, alg := range []engine.Algorithm{engine.SAI, engine.DAIT} {
+		cells = append(cells, cell{alg.String() + "-inverted", alg, invertedQueries})
+	}
+	for _, c := range cells {
+		t.Run(c.name, func(t *testing.T) {
+			sim := transportScenario(t, c.alg, sc, false, c.subscribe)
+			tcp := transportScenario(t, c.alg, sc, true, c.subscribe)
 			if len(sim.Notes) == 0 {
 				t.Fatal("scenario delivered no notifications; it exercises nothing")
 			}
