@@ -862,8 +862,13 @@ func (s *Server) dispatch(req *request, lst *listener) interface{} {
 			"hot_keys":       len(s.cluster.HotKeys()),
 		}
 		// A section per layer with metrics: "daemon", "codec", "engine",
-		// "transport".
-		for name, v := range s.reg.Snapshot() {
+		// "transport". The engine's also holds its census.
+		metrics := s.reg.Snapshot()
+		for name, c := range s.cluster.Engine().Census() {
+			metrics["engine.census."+name+".sum"] = float64(c.Sum)
+			metrics["engine.census."+name+".max"] = float64(c.Max)
+		}
+		for name, v := range metrics {
 			layer, _, _ := strings.Cut(name, ".")
 			section, _ := resp[layer].(map[string]float64)
 			if section == nil {

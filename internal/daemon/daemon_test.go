@@ -225,6 +225,36 @@ func TestDaemonStatsReportEngineSilence(t *testing.T) {
 	}
 }
 
+// The engine's census reaches the stats op: what one subscription and one
+// matching pair leave stored, summed over the nodes and at the fullest one.
+func TestDaemonStatsReportEngineCensus(t *testing.T) {
+	_, conn := startServer(t, defaultConfig())
+	c := newClient(t, conn)
+	for _, req := range []map[string]interface{}{
+		{"op": "subscribe", "node": 0, "sql": `SELECT O.Customer, S.Depot FROM Orders AS O, Shipments AS S WHERE O.Product = S.Product`},
+		{"op": "publish", "node": 1, "relation": "Orders", "values": []interface{}{1, "acme", "widget"}},
+		{"op": "publish", "node": 2, "relation": "Shipments", "values": []interface{}{9, "widget", "rotterdam"}},
+	} {
+		if resp := c.call(req); resp["ok"] != true {
+			t.Fatalf("%v: %v", req, resp)
+		}
+	}
+	engine, _ := c.call(map[string]interface{}{"op": "stats"})["engine"].(map[string]interface{})
+	for name, want := range map[string]float64{
+		"engine.census.alqt_queries.sum":      1,
+		"engine.census.vlqt_rewrites.sum":     1,
+		"engine.census.vlqt_rewrites.max":     1,
+		"engine.census.vlqt_spelled_keys.sum": 0,
+		"engine.census.vltt_tuples.sum":       1,
+		"engine.census.delivered.sum":         1,
+		"engine.census.delivered.max":         1,
+	} {
+		if got := engine[name]; got != want {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
+	}
+}
+
 func TestDaemonErrors(t *testing.T) {
 	_, conn := startServer(t, defaultConfig())
 	c := newClient(t, conn)

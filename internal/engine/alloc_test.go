@@ -11,18 +11,20 @@ import (
 )
 
 // publicationAllocCeiling bounds the allocations of one SAI publication in
-// allocStream: 20 measured with the value level indexed on demand — one
+// allocStream: 18 measured with the value level indexed on demand — one
 // vl-index message and one stored copy for an S tuple, none for an R — and
-// allocating per publication, group and stored item only (38 while every
-// lookup built its key as a string, every al-index message and stored rewrite
-// was an allocation of its own and every multisend three slices; 61 with every
-// tuple sent to and stored at all three of its value-level identifiers, 67
-// with a map in every bucket, 198 before the compiled plan and the
-// once-per-tuple keys), plus 15 %. A Tuple.Project per triggered query, or a
-// stored rewrite allocated alone (24), costs more than the margin. Routing
-// allocates nothing, so ring size and placement do not move the figure; a Go
-// release that moves it is a reason to re-measure, not to add slack.
-const publicationAllocCeiling = 23
+// allocating per publication, group and stored item only, a stored rewrite
+// being the one its join carried, its Key(q') derived (20 while each had a
+// wrapper and a key string; 38 while every lookup built its key as a string,
+// every al-index message and stored rewrite was an allocation of its own and
+// every multisend three slices; 61 with every tuple sent to and stored at all
+// three of its value-level identifiers, 67 with a map in every bucket, 198
+// before the compiled plan and the once-per-tuple keys), plus 15 %, rounded
+// down. A Tuple.Project per triggered query costs more than the margin.
+// Routing allocates nothing, so ring size and placement do not move the
+// figure; a Go release that moves it is a reason to re-measure, not to add
+// slack.
+const publicationAllocCeiling = 20
 
 // allocStream is the stream both ceilings are measured on: four subscribers
 // of one join, then R and S tuples alternating, joining pairwise on a fresh
@@ -71,23 +73,24 @@ func TestPublicationAllocCeiling(t *testing.T) {
 // (S under E; an R tuple is stored nowhere) or four stored rewrites and their
 // shared target, the identifier-cache entries of the fresh key, and every
 // other publication's four notifications, each an identity in delivered and a
-// Notification in the sink: 1080 measured (1136 while a stamped tuple copied
-// its values and each stored rewrite and its times were allocations of their
-// own, 1658 with a tuple stored under all three of its attributes, 1679 while
-// an identity repeated its subscriber, 2439 with a map in every bucket), plus
-// 15 %. One eager map per bucket, or one tuple copy under an attribute nobody
-// queries, costs more than the margin.
+// Notification in the sink: 964 measured (1080 while each stored rewrite had
+// a wrapper and a string of its Key(q'), 1136 while a stamped tuple copied its
+// values and each stored rewrite and its times were allocations of their own,
+// 1658 with a tuple stored under all three of its attributes, 1679 while an
+// identity repeated its subscriber, 2439 with a map in every bucket), plus
+// 15 %, rounded down. One eager map per bucket, or one tuple copy under an
+// attribute nobody queries, costs more than the margin.
 //
 // retainedBytesCeilingConsumed bounds the same with an OnNotify callback
-// taking the notifications: 723 measured (778 before the same change, 1301
-// stored blind), plus 15 %. Of
+// taking the notifications: 607 measured (723 before the same change, 778
+// before the one before, 1301 stored blind), plus 15 %. Of
 // the 1679 bytes, 21 were the repeated subscriber and 357 the sink's — per publication two
 // 96-byte Notifications, their two 64-byte Values arrays and the slack of the
 // slice that held them; an identity string and its slot in delivered are what
 // stays of a notification. One kept anywhere else costs more than the margin.
 const (
-	retainedBytesCeiling         = 1242
-	retainedBytesCeilingConsumed = 831
+	retainedBytesCeiling         = 1108
+	retainedBytesCeilingConsumed = 698
 )
 
 func TestRetainedBytesPerPublicationCeiling(t *testing.T) {
@@ -133,14 +136,16 @@ func retainedBytesPerPublication(t *testing.T, consumed bool, ceiling int64) {
 }
 
 // Decoding what a receiver has decoded before must stay cheap: through a
-// WireCodec whose memo is warm, the four rewrites of one group cost their
-// keys, their message, their shared target and its trigger — no query, no
-// parse — and a one-notification batch its slices and values (the batch's
-// subscriber is interned like its notifications'): 10 and 3 measured, and the
-// ceilings are those plus 10 %, rounded down. One re-built query is 2
-// allocations, one un-interned identity string 1: either passes its ceiling.
+// WireCodec whose memo is warm, the four rewrites of one group, keyed as a
+// rewriter keys them, cost their message, their shared target and its
+// trigger — no key, which stays derived, no query, no parse — and a
+// one-notification batch its slices and values (the batch's subscriber is
+// interned like its notifications'): 6 and 3 measured (10 and 3 while each
+// decoded key was a string), and the ceilings are those plus 10 %, rounded
+// down. One re-built query is 2 allocations, one key or un-interned identity
+// string 1: any passes its ceiling.
 const (
-	warmJoinDecodeAllocCeiling   = 11
+	warmJoinDecodeAllocCeiling   = 6
 	warmNotifyDecodeAllocCeiling = 3
 )
 
@@ -163,7 +168,11 @@ func TestWarmDecodeAllocCeilings(t *testing.T) {
 			}
 			target = &rewriteTarget{IndexSide: query.SideLeft, Trigger: proj, WantRel: "S", WantAttr: "E", WantValue: relation.N(7)}
 		}
-		rws = append(rws, &rewritten{Key: q.Key() + "+9", Orig: q, rewriteTarget: target})
+		key, err := q.RewriteKey(target.Trigger, target.WantValue) // the key a rewriter derives
+		if err != nil {
+			t.Fatal(err)
+		}
+		rws = append(rws, &rewritten{Key: key, Orig: q, rewriteTarget: target})
 		n, err := buildNotification(q, query.SideLeft, target.Trigger, su)
 		if err != nil {
 			t.Fatal(err)

@@ -1,9 +1,9 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"strings"
 
 	"cqjoin/internal/chord"
 	"cqjoin/internal/query"
@@ -612,22 +612,25 @@ const (
 // walk walks one rewritten query after prev, its predecessor in the message
 // or section (nil for the first). A rewriter sends a group's rewrites in a
 // row — one SQL text, one target, keys that differ only in Key(q) — and what
-// a rewrite shares with prev is not said again: an empty Key stands for
-// Orig.Key() plus prev's suffix past its own Orig.Key(), Orig repeats
+// a rewrite shares with prev is not said again: an empty key stands for
+// Orig.Key() plus prev's Key(q') past its own Orig.Key(), Orig repeats
 // prev.Orig's text (Coder.Query), sideRepeat stands for prev's target, which
 // the decoded rewrite shares by pointer. Nor is what the receiver derives
 // from Orig and the trigger (Section 4.3.2-4.3.3): behind a derived side the
-// target is the trigger alone, and an empty Key stands for Orig.RewriteKey —
+// target is the trigger alone, and an empty key stands for Orig.RewriteKey —
 // read before the side, resolved after the trigger. All are decided on
-// values: a message rebuilt from decoded parts encodes the same. No prev, no
-// marker for prev's.
+// values, keys as appendKey renders them: a message rebuilt from decoded
+// parts encodes the same, and a key held derived ("") or spelled says the
+// same. Decoded, a key its target derives is held as "". No prev, no marker
+// for prev's.
 func (rw *rewritten) walk(c *wire.Coder, prev *rewritten) {
-	prevText, prevSuffix, chained := "", "", false
+	prevText := ""
 	if prev != nil && c.Err() == nil {
 		prevText = prev.Orig.Text()
-		prevSuffix, chained = strings.CutPrefix(prev.Key, prev.Orig.Key())
 	}
-	key, side := rw.Key, sideRepeat
+	var own, prevs [keyScratch]byte // renderings of Key(q'), built only where a rule reads them
+	var said []byte                 // the key as it travels; decoding, it aliases the input
+	side := sideRepeat
 	if !c.Decoding() {
 		if prev == nil || !rw.rewriteTarget.equal(prev.rewriteTarget) {
 			side = rw.IndexSide
@@ -635,47 +638,91 @@ func (rw *rewritten) walk(c *wire.Coder, prev *rewritten) {
 				side += sideDerived
 			}
 		}
-		if side >= sideDerived {
-			if rw.keyDerived() {
-				key = ""
-			}
-		} else if suffix, ok := strings.CutPrefix(rw.Key, rw.Orig.Key()); ok && chained && suffix == prevSuffix {
-			key = ""
-		}
+		said = rw.keySaid(c, side, prev, own[:0], prevs[:0])
 	}
-	c.String(&key)
+	c.Bytes(&said)
 	c.Query(&rw.Orig, prevText)
 	walkSide(c, &side, sideDerived+query.SideRight)
 	derived := side >= sideDerived
-	if c.Decoding() {
-		switch {
-		case c.Err() != nil:
-			return
-		case key == "" && !derived && !chained, side == sideRepeat && prev == nil:
-			c.Fail(errors.New("engine: a rewrite repeats a predecessor it does not have"))
-			return
-		case key == "" && !derived:
-			key = rw.Orig.Key() + prevSuffix
+	if !c.Decoding() {
+		if side != sideRepeat {
+			rw.rewriteTarget.walk(c, rw.Orig, derived)
 		}
-		rw.Key = key
-		switch {
-		case side == sideRepeat:
-			rw.rewriteTarget = prev.rewriteTarget
-		case derived:
-			rw.rewriteTarget = &rewriteTarget{IndexSide: side - sideDerived}
-		default:
-			rw.rewriteTarget = &rewriteTarget{IndexSide: side}
+		return
+	}
+	if c.Err() != nil {
+		return
+	}
+	// The key, in full: an empty one behind a side that derives nothing
+	// chains — the query's key, then what prev's key adds to prev's query's.
+	full := said
+	if len(said) == 0 && !derived && prev != nil {
+		if suffix, ok := cutKey(prev.appendKey(prevs[:0]), prev.Orig.Key()); ok {
+			full = append(append(own[:0], rw.Orig.Key()...), suffix...)
 		}
+	}
+	if len(full) == 0 && !derived || side == sideRepeat && prev == nil {
+		c.Fail(errors.New("engine: a rewrite repeats a predecessor it does not have"))
+		return
+	}
+	switch {
+	case side == sideRepeat:
+		rw.rewriteTarget = prev.rewriteTarget
+	case derived:
+		rw.rewriteTarget = &rewriteTarget{IndexSide: side - sideDerived}
+	default:
+		rw.rewriteTarget = &rewriteTarget{IndexSide: side}
 	}
 	if side != sideRepeat {
 		rw.rewriteTarget.walk(c, rw.Orig, derived)
 	}
-	if c.Decoding() && derived && key == "" && c.Err() == nil {
-		var err error
-		if rw.Key, err = rw.Orig.RewriteKey(rw.Trigger, rw.WantValue); err != nil {
-			c.Fail(fmt.Errorf("engine: a rewrite's derived key: %w", err))
+	if c.Err() != nil {
+		return
+	}
+	var buf [keyScratch]byte
+	k, err := rw.Orig.AppendRewriteKey(buf[:0], rw.Trigger, rw.WantValue)
+	switch {
+	case len(full) == 0 && err != nil: // derived side, derived key
+		c.Fail(fmt.Errorf("engine: a rewrite's derived key: %w", err))
+	case len(full) == 0, err == nil && bytes.Equal(full, k) && (derived || rw.rewriteTarget.derived(rw.Orig)):
+		rw.Key = ""
+	default:
+		rw.Key = string(full)
+	}
+}
+
+// keySaid returns the bytes that say rw's Key(q') behind side, after prev:
+// empty where the receiver derives it (a derived side) or chains it from
+// prev's, else the key, in own where it is held derived. It renders prev's
+// key into prevs only for the chain rule. A key held derived behind a side
+// that is neither derived nor a repeat breaks rewritten.Key's rule, and fails
+// the walk.
+func (rw *rewritten) keySaid(c *wire.Coder, side query.Side, prev *rewritten, own, prevs []byte) []byte {
+	switch {
+	case side >= sideDerived:
+		if rw.Key == "" || rw.keyDerived() {
+			return nil
+		}
+		return append(own, rw.Key...)
+	case rw.Key == "" && side != sideRepeat:
+		c.Fail(errors.New("engine: a derived key behind a target that is not"))
+		return nil
+	}
+	key := rw.appendKey(own)
+	if suffix, ok := cutKey(key, rw.Orig.Key()); ok && prev != nil {
+		if prevSuffix, chained := cutKey(prev.appendKey(prevs), prev.Orig.Key()); chained && bytes.Equal(suffix, prevSuffix) {
+			return nil
 		}
 	}
+	return key
+}
+
+// cutKey returns key past query key qk, and whether key starts with it.
+func cutKey(key []byte, qk string) ([]byte, bool) {
+	if len(key) < len(qk) || string(key[:len(qk)]) != qk {
+		return nil, false
+	}
+	return key[len(qk):], true
 }
 
 // keyDerived reports whether rw's key is the one its receiver derives,

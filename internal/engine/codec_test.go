@@ -423,7 +423,7 @@ func assertSemanticEqual(t *testing.T, want, got chord.Message) {
 
 func assertRewrittenEqual(t *testing.T, w, g *rewritten) {
 	t.Helper()
-	if g.Key != w.Key || g.Orig.Key() != w.Orig.Key() || g.IndexSide != w.IndexSide ||
+	if g.key() != w.key() || g.Orig.Key() != w.Orig.Key() || g.IndexSide != w.IndexSide ||
 		g.Trigger.String() != w.Trigger.String() || g.WantRel != w.WantRel ||
 		g.WantAttr != w.WantAttr || !g.WantValue.Equal(w.WantValue) {
 		t.Fatalf("rewritten mismatch: %+v vs %+v", g, w)

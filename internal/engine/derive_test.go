@@ -65,8 +65,9 @@ func firstSide(t *testing.T, msg chord.Message) (key string, side query.Side) {
 	return key, query.Side(w.Bytes()[at])
 }
 
-// roundTrips decodes msg's encoding and holds every rewrite to the one sent,
-// and the decoded message to the sent one's bytes.
+// roundTrips decodes msg's encoding and holds every rewrite to the one sent —
+// a Key(q') sent held derived is decoded held derived — and the decoded
+// message to the sent one's bytes.
 func roundTrips(t *testing.T, catalog *relation.Catalog, msg chord.Message) {
 	t.Helper()
 	var w wire.Buffer
@@ -81,6 +82,9 @@ func roundTrips(t *testing.T, catalog *relation.Catalog, msg chord.Message) {
 	got, _ := rewritesOf(t, back)
 	for i := range sent {
 		assertRewrittenEqual(t, sent[i], got[i])
+		if sent[i].Key == "" && got[i].Key != "" {
+			t.Fatalf("%T: a derived key decoded spelled, %q", msg, got[i].Key)
+		}
 	}
 	if again := encodedLen(back); again != w.Len() || MessageSize(msg) != w.Len() {
 		t.Fatalf("%T: %d bytes sized, %d sent, %d decoded and sent again", msg, MessageSize(msg), w.Len(), again)
@@ -91,7 +95,8 @@ func roundTrips(t *testing.T, catalog *relation.Catalog, msg chord.Message) {
 // 4.3.2-4.3.3): whatever the join condition's arithmetic, the values' type,
 // the SELECT list, the selections and the index side, the rewrite that leads
 // each target travels with a derived side and an empty key, under SAI and
-// DAI-T alike, and decodes to the rewrite sent.
+// DAI-T alike, and decodes to the rewrite sent. Every stored Key(q') is held
+// derived, so the census counts no spelled key.
 func TestRewritersBuildDerivableTargets(t *testing.T) {
 	type pair struct{ left, right []relation.Value }
 	n, s := relation.N, relation.S
@@ -141,6 +146,9 @@ func TestRewritersBuildDerivableTargets(t *testing.T) {
 				if sides[query.SideLeft] == 0 || sides[query.SideRight] == 0 {
 					t.Fatalf("targets by index side: %v; the case exercises one side only", sides)
 				}
+				if c := env.eng.Census(); c["vlqt_rewrites"].Sum == 0 || c["vlqt_spelled_keys"].Sum != 0 {
+					t.Fatalf("%d stored rewrites, %d of them with a spelled key, want none", c["vlqt_rewrites"].Sum, c["vlqt_spelled_keys"].Sum)
+				}
 			})
 		}
 	}
@@ -163,8 +171,8 @@ func TestBaselineRewritesTravelInFull(t *testing.T) {
 	}
 	for _, msg := range tap.msgs {
 		rws, _ := rewritesOf(t, msg)
-		if key, side := firstSide(t, msg); key != rws[0].Key || side != rws[0].IndexSide {
-			t.Errorf("a baseline rewrite travels with key %q and side %d, want %q and %d", key, side, rws[0].Key, rws[0].IndexSide)
+		if key, side := firstSide(t, msg); key != rws[0].key() || side != rws[0].IndexSide {
+			t.Errorf("a baseline rewrite travels with key %q and side %d, want %q and %d", key, side, rws[0].key(), rws[0].IndexSide)
 		}
 		roundTrips(t, env.catalog, msg)
 	}
@@ -274,8 +282,8 @@ func TestUnderivableTargetFailsToDecode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("a derivable target: %v", err)
 	}
-	if rw := got.(joinMsg).Rewrites[0]; rw.WantRel != "S" || rw.WantAttr != "E" || !rw.WantValue.Equal(relation.N(3)) || rw.Key != "peer5#1+9" {
-		t.Fatalf("derived %s.%s = %v under key %q, want S.E = 3 under peer5#1+9", rw.WantRel, rw.WantAttr, rw.WantValue, rw.Key)
+	if rw := got.(joinMsg).Rewrites[0]; rw.WantRel != "S" || rw.WantAttr != "E" || !rw.WantValue.Equal(relation.N(3)) || rw.key() != "peer5#1+9" {
+		t.Fatalf("derived %s.%s = %v under key %q, want S.E = 3 under peer5#1+9", rw.WantRel, rw.WantAttr, rw.WantValue, rw.key())
 	}
 	for what, data := range map[string][]byte{
 		"two attributes": join(`SELECT R.A, S.D FROM R, S WHERE R.B = S.E + S.F`, rTuple(env, 1, 7, 2)),

@@ -42,7 +42,6 @@ func (st *nodeState) handleJoin(m joinMsg) {
 	var buf [keyScratch]byte
 	var qb *vlqtBucket
 	var tb *vlttBucket
-	var slab rewriteSlab // the message's new rewrites share one array
 
 	st.mu.Lock()
 	for i, rw := range m.Rewrites {
@@ -57,8 +56,7 @@ func (st *nodeState) handleJoin(m joinMsg) {
 		}
 
 		if stores {
-			slab.want = len(m.Rewrites) - i
-			if !qb.rewrites.record(rw, &slab, rw.Trigger.PubT()) {
+			if !qb.rewrites.record(rw, rw.Trigger.PubT()) {
 				work++
 				continue
 			}
@@ -122,9 +120,9 @@ func (st *nodeState) handleVLIndex(m vlIndexMsg) {
 	st.mu.Lock()
 	if alg == SAI || alg == DAIT {
 		if qb := st.vlqt[string(key)]; qb != nil {
-			for _, sr := range qb.rewrites.all() {
+			for _, rw := range qb.rewrites.all() {
 				work++
-				if n, ok := matchRewrite(sr.rw, t); ok {
+				if n, ok := matchRewrite(rw, t); ok {
 					notifs = append(notifs, n)
 				}
 			}

@@ -243,8 +243,8 @@ func (st *nodeState) cut(inArc func(string) bool, take bool) handoffMsg {
 	})
 	cutEach(st.vlqt, inArc, take, func(_ string, b *vlqtBucket) {
 		sec := vqSection{Input: b.input}
-		for _, sr := range b.rewrites.all() {
-			sec.Entries = append(sec.Entries, vqEntry{Rw: sr.rw, Times: append([]int64(nil), sr.times...)})
+		for _, rw := range b.rewrites.all() {
+			sec.Entries = append(sec.Entries, vqEntry{Rw: rw, Times: b.rewrites.times(rw)})
 		}
 		evaluator += b.rewrites.len()
 		m.VQ = append(m.VQ, sec)
@@ -334,7 +334,7 @@ func (st *nodeState) merge(on *chord.Node, m handoffMsg, replayNotifs bool) {
 	for _, sec := range m.VQ {
 		qb := st.vlqtFor(sec.Input)
 		for _, e := range sec.Entries {
-			if qb.rewrites.record(e.Rw, nil, e.Times...) {
+			if qb.rewrites.record(e.Rw, e.Times...) {
 				addedEvaluator++
 			}
 		}

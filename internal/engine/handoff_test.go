@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
 	"slices"
 	"sort"
@@ -88,8 +89,8 @@ func TestHandoffAcrossTableThreshold(t *testing.T) {
 
 // Every move of a node's state — a join, a leave, a crash, a join by protocol
 // and a process hand-off — must keep every table it moves: after each, the
-// ring stores what it stored before, wherever it now stores it, and weighs the
-// same. The hand-off crosses the wire, which carries neither the pair-baseline
+// ring stores what it stored before, wherever it now stores it, and weighs and
+// counts (Engine.Census) the same. The hand-off crosses the wire, which carries neither the pair-baseline
 // store nor the probe statistics; the moves inside the process carry both.
 func TestEveryMoveKeepsEveryTable(t *testing.T) {
 	const pair = `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`
@@ -156,7 +157,7 @@ func TestEveryMoveKeepsEveryTable(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			env := newTestEnv(t, 32, tc.cfg)
 			tc.fill(t, env)
-			want, wantStorage := stateDump(env), sum(env.eng.StorageLoads())
+			want, wantStorage, wantCensus := stateDump(env), sum(env.eng.StorageLoads()), censusSums(env.eng)
 			held := map[string]bool{}
 			var inputs []string // the keys that place what the ring holds
 			for _, line := range want {
@@ -204,6 +205,9 @@ func TestEveryMoveKeepsEveryTable(t *testing.T) {
 				if got := sum(env.eng.StorageLoads()); got != wantStorage {
 					t.Fatalf("after the %s the storage loads sum to %d, want %d", move, got, wantStorage)
 				}
+				if got := censusSums(env.eng); !maps.Equal(got, wantCensus) {
+					t.Fatalf("after the %s the census sums are\n%v\nwant\n%v", move, got, wantCensus)
+				}
 			}
 
 			type parcel struct {
@@ -243,6 +247,15 @@ func TestEveryMoveKeepsEveryTable(t *testing.T) {
 	}
 }
 
+// censusSums returns the sums of eng's census, by structure.
+func censusSums(eng *Engine) map[string]int {
+	sums := make(map[string]int)
+	for name, c := range eng.Census() {
+		sums[name] = c.Sum
+	}
+	return sums
+}
+
 // stateDump renders what the ring stores as a sorted set of lines that name
 // no node: every node's cut, copied, then the pair-baseline store and the
 // probe statistics that only a move inside the process carries.
@@ -278,7 +291,7 @@ func stateDump(env *testEnv) []string {
 		}
 		for _, sec := range m.VQ {
 			for _, e := range sec.Entries {
-				add("vq %s %s %v", sec.Input, e.Rw.Key, e.Times)
+				add("vq %s %s %v", sec.Input, e.Rw.key(), e.Times)
 			}
 		}
 		for _, sec := range m.MQ {

@@ -350,8 +350,8 @@ func (st *nodeState) handleHotMigrate(m hotMigrateMsg) {
 	st.mu.Lock()
 	if qb := st.vlqt[m.Input]; qb != nil {
 		entries = make([]vqEntry, 0, qb.rewrites.len())
-		for _, sr := range qb.rewrites.all() {
-			entries = append(entries, vqEntry{Rw: sr.rw, Times: sr.times})
+		for _, rw := range qb.rewrites.all() {
+			entries = append(entries, vqEntry{Rw: rw, Times: qb.rewrites.times(rw)})
 		}
 	}
 	if tb := st.vltt[m.Input]; tb != nil {
@@ -426,7 +426,7 @@ func (st *nodeState) mergeHotBucket(key string, rws []*rewritten, entries []vqEn
 		qb = st.vlqtFor(key)
 	}
 	storeRewrite := func(rw *rewritten, times ...int64) {
-		if !qb.rewrites.record(rw, nil, times...) {
+		if !qb.rewrites.record(rw, times...) {
 			work++
 			return
 		}
@@ -460,9 +460,9 @@ func (st *nodeState) mergeHotBucket(key string, rws []*rewritten, entries []vqEn
 		if qb == nil {
 			continue
 		}
-		for _, sr := range qb.rewrites.all() {
+		for _, rw := range qb.rewrites.all() {
 			work++
-			if n, ok := matchRewrite(sr.rw, t); ok {
+			if n, ok := matchRewrite(rw, t); ok {
 				notifs = append(notifs, n)
 			}
 		}

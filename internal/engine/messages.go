@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"sync/atomic"
 
 	"cqjoin/internal/chord"
@@ -100,9 +101,55 @@ func (interestMsg) Kind() string { return kindInterest }
 // built, so a stored rewrite, the message that carried it and its siblings
 // can all hold it.
 type rewritten struct {
-	Key  string // Key(q') per Section 4.3.3
+	// Key is Key(q') per Section 4.3.3, or "" where it is the key derived
+	// from Orig and the target — Orig.RewriteKey of Trigger and WantValue — as
+	// it is on the wire: held only where the target is derived
+	// (rewriteTarget.derived). Read it through key or appendKey.
+	Key  string
 	Orig *query.Query
 	*rewriteTarget
+}
+
+// appendKey appends Key(q') to dst: Key, or the key it stands for.
+func (rw *rewritten) appendKey(dst []byte) []byte {
+	if rw.Key != "" {
+		return append(dst, rw.Key...)
+	}
+	dst, _ = rw.Orig.AppendRewriteKey(dst, rw.Trigger, rw.WantValue) // a derived key renders: the decoder checked
+	return dst
+}
+
+// key returns Key(q'), built where it is derived.
+func (rw *rewritten) key() string {
+	if rw.Key != "" {
+		return rw.Key
+	}
+	var buf [keyScratch]byte
+	return string(rw.appendKey(buf[:0]))
+}
+
+// sameKey reports whether rw and o have one Key(q'). Where what the two are
+// known to start with — a spelled key, a derived one's query key — already
+// differs, neither is built.
+func (rw *rewritten) sameKey(o *rewritten) bool {
+	a, b := rw.keyStart(), o.keyStart()
+	if rw.Key != "" && o.Key != "" {
+		return a == b
+	}
+	if n := min(len(a), len(b)); a[:n] != b[:n] {
+		return false
+	}
+	var ka, kb [keyScratch]byte
+	return bytes.Equal(rw.appendKey(ka[:0]), o.appendKey(kb[:0]))
+}
+
+// keyStart returns what Key(q') starts with unbuilt: Key, or where it is
+// derived, the query's key.
+func (rw *rewritten) keyStart() string {
+	if rw.Key != "" {
+		return rw.Key
+	}
+	return rw.Orig.Key()
 }
 
 // rewriteTarget is what a tuple's rewrites have in common. The

@@ -223,7 +223,8 @@ func (st *nodeState) rewriteGroup(b *alBucket, g *queryGroup, triggered []*query
 	// the same attributes share one schema (query.Projection), so all of a
 	// group's rewrites with that shape carry the same immutable target. The
 	// projection holds the join attribute and the SELECT values, so what a
-	// receiver derives from it — the wants and Key(q') — is what is built here.
+	// receiver derives from it — the wants and Key(q') — is what is built
+	// here, and Key(q') stays derived: "" (rewritten.Key).
 	var shapeBuf [4]*rewriteTarget
 	shapes := shapeBuf[:0]
 	rws := make([]*rewritten, 0, len(triggered))
@@ -245,10 +246,6 @@ func (st *nodeState) rewriteGroup(b *alBucket, g *queryGroup, triggered []*query
 			tgt = &rewriteTarget{IndexSide: g.side, Trigger: proj, WantRel: wantRel, WantAttr: wantAttr, WantValue: valDA}
 			shapes = append(shapes, tgt)
 		}
-		key, err := q.RewriteKey(tgt.Trigger, valDA)
-		if err != nil {
-			continue
-		}
 		if storesRewrites {
 			// Remember where this query's rewrites live so a retraction
 			// can purge them (unsubscribe.go).
@@ -262,12 +259,13 @@ func (st *nodeState) rewriteGroup(b *alBucket, g *queryGroup, triggered []*query
 		if st.engine.cfg.Algorithm == DAIT {
 			// Section 4.4.3: a rewriter never reindexes the same rewritten
 			// query twice — evaluators store them.
-			if b.sentRewrites[key] {
+			key, err := q.RewriteKey(tgt.Trigger, valDA)
+			if err != nil || b.sentRewrites[key] {
 				continue
 			}
 			b.sentRewrites[key] = true
 		}
-		rwBuf = append(rwBuf, rewritten{Key: key, Orig: q, rewriteTarget: tgt})
+		rwBuf = append(rwBuf, rewritten{Orig: q, rewriteTarget: tgt})
 		rws = append(rws, &rwBuf[len(rwBuf)-1])
 	}
 	if len(rws) == 0 {

@@ -36,8 +36,8 @@ func TestSharedTriggerGroup(t *testing.T) {
 		st := env.eng.state(n)
 		st.mu.Lock()
 		if qb := st.vlqt["S+E+7"]; qb != nil {
-			for _, sr := range qb.rewrites.all() {
-				triggers[sr.rw.Trigger] = append(triggers[sr.rw.Trigger], sr.rw.Orig.Key())
+			for _, rw := range qb.rewrites.all() {
+				triggers[rw.Trigger] = append(triggers[rw.Trigger], rw.Orig.Key())
 			}
 		}
 		st.mu.Unlock()

@@ -287,7 +287,7 @@ func (st *nodeState) vlqtFor(input string) *vlqtBucket {
 // newVLQT creates input's VLQT bucket with room for the n rewrites of the
 // group that creates it. The caller holds st.mu.
 func (st *nodeState) newVLQT(input string, n int) *vlqtBucket {
-	qb := &vlqtBucket{input: input, rewrites: rewriteTable{items: make([]*storedRewrite, 0, n)}}
+	qb := &vlqtBucket{input: input, rewrites: rewriteTable{items: make([]*rewritten, 0, n)}}
 	st.vlqt[input] = qb
 	return qb
 }

@@ -1,6 +1,10 @@
 package engine
 
-import "cqjoin/internal/relation"
+import (
+	"slices"
+
+	"cqjoin/internal/relation"
+)
 
 // The second hash level of Section 4.3.5, sized for what a bucket actually
 // holds (DESIGN.md §8.2): nearly every value-level bucket stores a handful
@@ -90,98 +94,94 @@ func (s *tupleSet) removeIf(drop func(*relation.Tuple) bool) int {
 	return removed
 }
 
-// storedRewrite is one rewritten query waiting at an evaluator, with the
-// publication times of the tuples that produced it. Most are produced once:
-// times starts out over first, the entry's own one-element array, and moves
-// to an array of its own only when a second time comes.
-type storedRewrite struct {
-	rw    *rewritten
-	times []int64
-	first [1]int64
-}
-
-// rewriteSlab hands out the entries one join message stores (handleJoin): on
-// first use it allocates one array for the want rewrites the message has
-// left, so the new rewrites of a message share one backing array. A nil slab
-// allocates each entry alone.
-type rewriteSlab struct {
-	want int
-	free []storedRewrite
-}
-
-func (s *rewriteSlab) entry() *storedRewrite {
-	if s == nil {
-		return new(storedRewrite)
-	}
-	if len(s.free) == 0 {
-		s.free = make([]storedRewrite, max(s.want, 1))
-	}
-	sr := &s.free[0]
-	s.free = s.free[1:]
-	return sr
-}
-
 // rewriteTable is an insertion-ordered table of stored rewritten queries,
-// unique by rewritten key (Section 4.3.3).
+// unique by Key(q') (Section 4.3.3). An entry is the *rewritten its join
+// carried, and its trigger times are its trigger's pubT — what an arrival
+// records — unless later holds others: a repeat of its key added its own, or
+// a move merged it with times that differ. A table that carries an index keys
+// it by key(), so only those build the strings of derived keys.
 type rewriteTable struct {
-	items []*storedRewrite
-	index map[string]*storedRewrite
+	items []*rewritten
+	index map[string]*rewritten
+	later map[*rewritten][]int64 // nil until an entry's times are not its trigger's alone
 }
 
 func (t *rewriteTable) len() int { return len(t.items) }
 
 // all returns the stored rewrites in insertion order, the order matching
 // follows; callers must not modify the slice.
-func (t *rewriteTable) all() []*storedRewrite { return t.items }
+func (t *rewriteTable) all() []*rewritten { return t.items }
 
-func (t *rewriteTable) get(key string) *storedRewrite {
+// get returns the stored rewrite whose Key(q') is rw's, nil when none is.
+func (t *rewriteTable) get(rw *rewritten) *rewritten {
 	if t.index != nil {
-		return t.index[key]
+		var buf [keyScratch]byte
+		return t.index[string(rw.appendKey(buf[:0]))]
 	}
-	for _, sr := range t.items {
-		if sr.rw.Key == key {
-			return sr
+	for _, o := range t.items {
+		if o == rw || o.sameKey(rw) {
+			return o
 		}
 	}
 	return nil
 }
 
-// record stores rw with its trigger times in an entry of slab, or — when its
-// key is already present: the same query rewritten by a tuple with the same
-// index-attribute value — only adds the times to the stored entry
-// (Section 4.3.3). It reports whether rw was stored.
-func (t *rewriteTable) record(rw *rewritten, slab *rewriteSlab, times ...int64) bool {
-	if sr := t.get(rw.Key); sr != nil {
-		sr.times = append(sr.times, times...)
+// times returns the trigger times of stored rewrite rw, in a slice of the
+// caller's.
+func (t *rewriteTable) times(rw *rewritten) []int64 {
+	if ts, ok := t.later[rw]; ok {
+		return slices.Clone(ts)
+	}
+	return []int64{rw.Trigger.PubT()}
+}
+
+// record stores rw with its trigger times, or — when its key is already
+// present: the same query rewritten by a tuple with the same index-attribute
+// value — only adds the times to the stored entry (Section 4.3.3). It reports
+// whether rw was stored.
+func (t *rewriteTable) record(rw *rewritten, times ...int64) bool {
+	if o := t.get(rw); o != nil {
+		ts, ok := t.later[o]
+		if !ok {
+			ts = []int64{o.Trigger.PubT()}
+		}
+		t.setLater(o, append(ts, times...))
 		return false
 	}
-	sr := slab.entry()
-	sr.rw = rw
-	if len(times) > 0 {
-		sr.first[0] = times[0]
-		sr.times = append(sr.first[:1:1], times[1:]...)
+	t.items = append(t.items, rw)
+	if len(times) != 1 || times[0] != rw.Trigger.PubT() {
+		t.setLater(rw, slices.Clone(times))
 	}
-	t.items = append(t.items, sr)
 	if t.index != nil {
-		t.index[rw.Key] = sr
+		t.index[rw.key()] = rw
 	} else if len(t.items) > smallTableMax {
-		t.index = make(map[string]*storedRewrite, 2*len(t.items))
+		t.index = make(map[string]*rewritten, 2*len(t.items))
 		for _, o := range t.items {
-			t.index[o.rw.Key] = o
+			t.index[o.key()] = o
 		}
 	}
 	return true
 }
 
+func (t *rewriteTable) setLater(rw *rewritten, times []int64) {
+	if t.later == nil {
+		t.later = make(map[*rewritten][]int64)
+	}
+	t.later[rw] = times
+}
+
 // removeIf drops the rewrites drop selects, keeping the order of the rest,
 // and returns how many went.
-func (t *rewriteTable) removeIf(drop func(*storedRewrite) bool) int {
+func (t *rewriteTable) removeIf(drop func(*rewritten) bool) int {
 	kept := t.items[:0]
-	for _, sr := range t.items {
-		if !drop(sr) {
-			kept = append(kept, sr)
-		} else if t.index != nil {
-			delete(t.index, sr.rw.Key)
+	for _, rw := range t.items {
+		if !drop(rw) {
+			kept = append(kept, rw)
+			continue
+		}
+		delete(t.later, rw)
+		if t.index != nil {
+			delete(t.index, rw.key())
 		}
 	}
 	removed := len(t.items) - len(kept)

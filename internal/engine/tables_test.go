@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"strings"
 	"testing"
 
+	"cqjoin/internal/query"
 	"cqjoin/internal/relation"
 )
 
@@ -125,43 +125,95 @@ func TestTupleSetMatchesMapAndSlice(t *testing.T) {
 	}
 }
 
-// refRewrites is the reference rewrite table: byKey beside sorted.
+// refRewrites is the reference rewrite table: entries by spelled key beside
+// their order, each with its times in full.
 type refRewrites struct {
-	byKey  map[string]*storedRewrite
-	sorted []*storedRewrite
+	byKey  map[string]*refRewrite
+	sorted []*refRewrite
+}
+
+type refRewrite struct {
+	rw    *rewritten
+	times []int64
 }
 
 func (r *refRewrites) record(rw *rewritten, times ...int64) bool {
-	if sr, dup := r.byKey[rw.Key]; dup {
-		sr.times = append(sr.times, times...)
+	if e, dup := r.byKey[rw.key()]; dup {
+		e.times = append(e.times, times...)
 		return false
 	}
-	sr := &storedRewrite{rw: rw, times: append([]int64(nil), times...)}
-	r.byKey[rw.Key] = sr
-	r.sorted = append(r.sorted, sr)
+	e := &refRewrite{rw: rw, times: slices.Clone(times)}
+	r.byKey[rw.key()] = e
+	r.sorted = append(r.sorted, e)
 	return true
 }
 
+// The rewrite table holds the *rewritten its join carried, its Key(q') held
+// derived ("") or spelled, and its trigger times in later only where they are
+// not the trigger's pubT alone: arrivals in both key forms, repeats of a key,
+// merged entries whose times lead with another, and retractions.
 func TestRewriteTableMatchesMapAndSlice(t *testing.T) {
+	r := relation.MustSchema("R", "A", "B", "C")
+	catalog := relation.MustCatalog(r, relation.MustSchema("S", "D", "E", "F"))
+	var qs []*query.Query
+	for i := 0; i < 4; i++ {
+		qs = append(qs, query.MustParse(catalog, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`).WithIdentity("peer", "sim://peer", i+1))
+	}
+	// arrival is query i's rewrite by a tuple of pubT whose index value is v,
+	// built as off the wire: fresh, with a target of its own, its key derived
+	// or spelled in full.
+	arrival := func(i, v int, pubT int64, spelled bool) *rewritten {
+		t.Helper()
+		q := qs[i]
+		proj, err := relation.MustTuple(r, relation.N(float64(v%3)), relation.N(float64(v)), relation.N(0)).WithPubT(pubT).ProjectOnto(q.Projection(query.SideLeft))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rw := &rewritten{Orig: q, rewriteTarget: &rewriteTarget{IndexSide: query.SideLeft, Trigger: proj, WantRel: "S", WantAttr: "E", WantValue: relation.N(float64(v))}}
+		if spelled {
+			rw.Key = rw.key()
+		}
+		return rw
+	}
+
+	// One Key(q'), said both ways, is one entry.
+	var tab rewriteTable
+	derived, spelled := arrival(0, 7, 1, false), arrival(0, 7, 2, true)
+	if spelled.Key != qs[0].Key()+"+1+7" || derived.key() != spelled.Key {
+		t.Fatalf("keys %q and %q, want both %s+1+7", derived.key(), spelled.Key, qs[0].Key())
+	}
+	if !tab.record(derived, 1) || tab.record(spelled, 2) || tab.len() != 1 || tab.get(spelled) != derived {
+		t.Fatalf("a derived key and its spelling stored as %d entries", tab.len())
+	}
+	if got := tab.times(derived); !slices.Equal(got, []int64{1, 2}) {
+		t.Fatalf("the entry's times are %v, want [1 2]", got)
+	}
+
+	absent := arrival(3, 1000, 0, false)
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		limit := 1 + rng.Intn(64)
 		var tab rewriteTable
-		var slab rewriteSlab // shared by a run of records, as by one join's
-		ref := &refRewrites{byKey: make(map[string]*storedRewrite)}
+		ref := &refRewrites{byKey: make(map[string]*refRewrite)}
 		check := func(step string) {
 			t.Helper()
 			if tab.len() != len(ref.sorted) {
 				t.Fatalf("%s: table holds %d rewrites, reference %d", step, tab.len(), len(ref.sorted))
 			}
-			for i, sr := range tab.all() {
+			for i, rw := range tab.all() {
 				want := ref.sorted[i]
-				if sr.rw != want.rw || !slices.Equal(sr.times, want.times) {
-					t.Fatalf("%s: entry %d is %s %v, reference %s %v", step, i, sr.rw.Key, sr.times, want.rw.Key, want.times)
+				if got := tab.times(rw); rw != want.rw || !slices.Equal(got, want.times) {
+					t.Fatalf("%s: entry %d is %s %v, reference %s %v", step, i, rw.key(), got, want.rw.key(), want.times)
 				}
-				if tab.get(sr.rw.Key) != sr {
-					t.Fatalf("%s: get(%s) does not return the stored entry", step, sr.rw.Key)
+				if _, in := tab.later[rw]; in == (len(want.times) == 1 && want.times[0] == rw.Trigger.PubT()) {
+					t.Fatalf("%s: entry %s with times %v is in later: %v", step, rw.key(), want.times, in)
 				}
+				if tab.get(rw) != rw {
+					t.Fatalf("%s: get(%s) does not return the stored entry", step, rw.key())
+				}
+			}
+			if len(tab.later) > tab.len() {
+				t.Fatalf("%s: later holds %d entries over %d rewrites", step, len(tab.later), tab.len())
 			}
 			if tab.index == nil && tab.len() > smallTableMax {
 				t.Fatalf("%s: %d rewrites and no index", step, tab.len())
@@ -169,43 +221,40 @@ func TestRewriteTableMatchesMapAndSlice(t *testing.T) {
 			if tab.index != nil && len(tab.index) != tab.len() {
 				t.Fatalf("%s: index of %d keys over %d rewrites", step, len(tab.index), tab.len())
 			}
-			if tab.get("absent") != nil {
+			if tab.get(absent) != nil {
 				t.Fatalf("%s: get of an absent key returned an entry", step)
 			}
 		}
 		for op := 0; op < 300; op++ {
 			step := fmt.Sprintf("seed %d op %d", seed, op)
 			if rng.Intn(10) < 8 {
-				// A fresh *rewritten per arrival, as off the wire: only the
-				// first of a key is stored.
-				rw := &rewritten{Key: fmt.Sprintf("q%d+%d", rng.Intn(4), rng.Intn(limit))}
-				times := []int64{int64(op)}
-				if rng.Intn(4) == 0 { // a merged entry carries several
+				// Only the first of a key is stored; a repeat adds its times.
+				rw := arrival(rng.Intn(len(qs)), rng.Intn(limit), int64(op), rng.Intn(2) == 0)
+				times := []int64{rw.Trigger.PubT()}
+				switch rng.Intn(6) {
+				case 0: // merged by a move, after a repeat elsewhere
 					times = append(times, int64(op)+1000)
+				case 1: // merged by a move, its first time not its trigger's
+					times = []int64{int64(op) + 2000}
 				}
-				from := &slab
-				if rng.Intn(3) == 0 {
-					from = nil
-				}
-				slab.want = 1 + rng.Intn(3)
-				if got, want := tab.record(rw, from, times...), ref.record(rw, times...); got != want {
-					t.Fatalf("%s: record(%s) = %v, reference %v", step, rw.Key, got, want)
+				if got, want := tab.record(rw, times...), ref.record(rw, times...); got != want {
+					t.Fatalf("%s: record(%s) = %v, reference %v", step, rw.key(), got, want)
 				}
 			} else { // a query is retracted
-				prefix := fmt.Sprintf("q%d+", rng.Intn(4))
+				qk := qs[rng.Intn(len(qs))].Key()
 				gone := make(map[*rewritten]bool)
 				kept := ref.sorted[:0:0]
-				for _, sr := range ref.sorted {
-					if strings.HasPrefix(sr.rw.Key, prefix) && rng.Intn(3) > 0 {
-						gone[sr.rw] = true
-						delete(ref.byKey, sr.rw.Key)
+				for _, e := range ref.sorted {
+					if e.rw.Orig.Key() == qk && rng.Intn(3) > 0 {
+						gone[e.rw] = true
+						delete(ref.byKey, e.rw.key())
 					} else {
-						kept = append(kept, sr)
+						kept = append(kept, e)
 					}
 				}
 				want := len(ref.sorted) - len(kept)
 				ref.sorted = kept
-				if got := tab.removeIf(func(sr *storedRewrite) bool { return gone[sr.rw] }); got != want {
+				if got := tab.removeIf(func(rw *rewritten) bool { return gone[rw] }); got != want {
 					t.Fatalf("%s: removeIf removed %d, reference %d", step, got, want)
 				}
 			}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"strings"
@@ -179,14 +180,15 @@ func removeKey[T interface{ Key() string }](items *[]T, key string) int {
 // consumes its target record — a revisited bucket fans out nothing.
 func (st *nodeState) handlePurge(m purgeMsg) {
 	removed := 0
-	prefix := m.QueryKey + "+"
+	prefix := []byte(m.QueryKey + "+")
 	var cascade []string
 
 	st.mu.Lock()
 	st.retract(m.QueryKey)
 	if qb := st.vlqt[m.Input]; qb != nil {
-		removed += qb.rewrites.removeIf(func(sr *storedRewrite) bool {
-			return sr.rw.Orig.Key() == m.QueryKey || strings.HasPrefix(sr.rw.Key, prefix)
+		removed += qb.rewrites.removeIf(func(rw *rewritten) bool {
+			var buf [keyScratch]byte
+			return rw.Orig.Key() == m.QueryKey || bytes.HasPrefix(rw.appendKey(buf[:0]), prefix)
 		})
 		if qb.rewrites.len() == 0 {
 			delete(st.vlqt, m.Input)
