@@ -162,7 +162,7 @@ func New(cfg Config) (*Server, error) {
 			dropped:    reg.Counter("daemon.listener_dropped"),
 			writes:     reg.Counter("daemon.listener_writes"),
 		},
-		codec:   engine.NewWireCodec(catalog),
+		codec:   cluster.Engine().WireCodec(),
 		logf:    log.Printf,
 		queries: make(map[string]queryRef),
 		conns:   make(map[net.Conn]struct{}),

@@ -226,7 +226,8 @@ func TestDaemonStatsReportEngineSilence(t *testing.T) {
 }
 
 // The engine's census reaches the stats op: what one subscription and one
-// matching pair leave stored, summed over the nodes and at the fullest one.
+// matching pair leave stored, summed over the nodes and at the fullest one,
+// and the receiving codec's memo, empty in a process no socket feeds.
 func TestDaemonStatsReportEngineCensus(t *testing.T) {
 	_, conn := startServer(t, defaultConfig())
 	c := newClient(t, conn)
@@ -248,6 +249,9 @@ func TestDaemonStatsReportEngineCensus(t *testing.T) {
 		"engine.census.vltt_tuples.sum":       1,
 		"engine.census.delivered.sum":         1,
 		"engine.census.delivered.max":         1,
+		"engine.census.wire_memo_queries.sum": 0,
+		"engine.census.wire_memo_parsed.sum":  0,
+		"engine.census.wire_memo_strings.sum": 0,
 	} {
 		if got := engine[name]; got != want {
 			t.Errorf("%s = %v, want %v", name, got, want)

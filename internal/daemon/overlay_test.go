@@ -312,6 +312,24 @@ func TestDaemonTwoProcessOverlay(t *testing.T) {
 	if cm, _ := stats["codec"].(map[string]interface{}); cm["codec.memo_hits"] == nil || cm["codec.memo_misses"] == nil {
 		t.Fatalf("stats carry no codec memo counters: %v", stats)
 	}
+	// The engine's census counts what that memo holds: something in each
+	// process that missed in it, nothing in one that never did.
+	for _, c := range []*client{cA, cB} {
+		st := c.call(map[string]interface{}{"op": "stats"})
+		cm, _ := st["codec"].(map[string]interface{})
+		em, _ := st["engine"].(map[string]interface{})
+		held := 0.0
+		for _, name := range []string{"queries", "parsed", "strings"} {
+			v, ok := em["engine.census.wire_memo_"+name+".sum"].(float64)
+			if !ok {
+				t.Fatalf("stats carry no engine.census.wire_memo_%s: %v", name, em)
+			}
+			held += v
+		}
+		if missed := cm["codec.memo_misses"].(float64); (missed > 0) != (held > 0) {
+			t.Fatalf("the memo missed %v times and holds %v entries", missed, held)
+		}
+	}
 	mem, ok := stats["membership"].(map[string]interface{})
 	if !ok {
 		t.Fatalf("stats carry no membership: %v", stats)

@@ -1,9 +1,11 @@
 package durable
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"cqjoin/internal/chord"
@@ -27,10 +29,12 @@ import (
 // marks and the retraction memory, no rewriter having told a publisher that
 // nothing reads an attribute — and, byte for byte, what PR 34 wrote: the last
 // whose queries say a subscriber their key names, and whose stored rewrites
-// say what their evaluator derives. snapshot.bin is a graceful checkpoint taken
-// mid-script, wal.log the records appended after it up to a kill -9.
+// say what their evaluator derives; state-pr36 at 802dac1, the last whose
+// snapshots say every query's SQL text, not its token form, and whose
+// directory records no catalog digest. snapshot.bin is a graceful checkpoint
+// taken mid-script, wal.log the records appended after it up to a kill -9.
 
-var parentStateDirs = []string{"testdata/state-pr18", "testdata/state-pr19", "testdata/state-pr20", "testdata/state-pr25", "testdata/state-pr32"}
+var parentStateDirs = []string{"testdata/state-pr18", "testdata/state-pr19", "testdata/state-pr20", "testdata/state-pr25", "testdata/state-pr32", "testdata/state-pr36"}
 
 // parentStateUnmarked is the last of parentStateDirs whose writer kept no
 // interest marks: recovery derives none for the ones after it.
@@ -159,6 +163,9 @@ func parentStateRecovers(t *testing.T, from string, consumed bool) {
 		t.Fatalf("open: %v", err)
 	}
 	t.Cleanup(st.Abandon)
+	if digest, err := os.ReadFile(filepath.Join(dir, catalogName)); err != nil || string(digest) != fmt.Sprintf("%016x\n", catalog.Digest()) {
+		t.Fatalf("a directory with no digest did not take the catalog's: %q (%v)", digest, err)
+	}
 	info, err := st.Recover(eng)
 	if err != nil {
 		t.Fatalf("recover: %v", err)
@@ -192,5 +199,30 @@ func parentStateRecovers(t *testing.T, from string, consumed bool) {
 	}
 	if got := eng.NotificationCount(); got != parentStateNotifs+1 {
 		t.Fatalf("a fresh matching pair delivered %d notifications, want 1", got-parentStateNotifs)
+	}
+}
+
+// A state directory says its queries as ordinals of the catalog it was written
+// under (query.Query.Tokens): opened under another catalog it fails before any
+// of it is decoded, naming both digests; under its own it recovers.
+func TestStateDirectoryKeepsItsCatalog(t *testing.T) {
+	dir := t.TempDir()
+	delivered := parentStateScript(t, dir)
+	other := relation.MustCatalog(relation.MustSchema("R", "A", "B", "C"), relation.MustSchema("S", "D", "E", "F", "G"))
+	if st, err := Open(dir, other, Options{SnapshotEvery: -1}); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%016x", other.Digest())) {
+		if err == nil {
+			st.Abandon()
+		}
+		t.Fatalf("opened under another catalog: %v", err)
+	}
+	catalog, _, _ := parentStateCatalog()
+	eng := parentStateEngine(catalog)
+	st, err := Open(dir, catalog, Options{SnapshotEvery: -1})
+	if err != nil {
+		t.Fatalf("open under its own catalog: %v", err)
+	}
+	defer st.Abandon()
+	if _, err := st.Recover(eng); err != nil || eng.NotificationCount() != delivered {
+		t.Fatalf("recovered %d notifications (%v), the writer delivered %d", eng.NotificationCount(), err, delivered)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 
 	"cqjoin/internal/chord"
@@ -15,9 +16,10 @@ import (
 )
 
 const (
-	walName  = "wal.log"
-	snapName = "snapshot.bin"
-	snapTemp = "snapshot.tmp"
+	walName     = "wal.log"
+	snapName    = "snapshot.bin"
+	snapTemp    = "snapshot.tmp"
+	catalogName = "catalog" // the digest of the catalog the directory was written under
 
 	// defaultSnapshotEvery is the auto-checkpoint cadence in logged
 	// operations when Options.SnapshotEvery is zero.
@@ -120,6 +122,9 @@ func Open(dir string, catalog *relation.Catalog, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
+	if err := checkCatalog(dir, catalog); err != nil {
+		return nil, err
+	}
 	s := &Store{dir: dir, catalog: catalog, opts: opts}
 	s.syncDone = sync.NewCond(&s.mu)
 
@@ -185,6 +190,47 @@ func Open(dir string, catalog *relation.Catalog, opts Options) (*Store, error) {
 	s.walBytes = clean
 	s.synced = s.lsn
 	return s, nil
+}
+
+// checkCatalog holds dir to the catalog it was written under. Its snapshot
+// and the frames its WAL logs say queries as token forms, catalog ordinals
+// (query.Query.Tokens), which another catalog would spell into other texts:
+// a digest of another catalog fails Open. A directory with no digest — fresh,
+// or written by a build whose queries said their text — takes catalog's.
+func checkCatalog(dir string, catalog *relation.Catalog) error {
+	path := filepath.Join(dir, catalogName)
+	want := fmt.Sprintf("%016x\n", catalog.Digest())
+	data, err := os.ReadFile(path)
+	switch {
+	case err == nil && string(data) == want:
+		return nil
+	case err == nil:
+		return fmt.Errorf("durable: state directory %s was written under catalog digest %s, this catalog's is %016x",
+			dir, strings.TrimSpace(string(data)), catalog.Digest())
+	case !os.IsNotExist(err):
+		return err
+	}
+	if err := writeSynced(path+".tmp", []byte(want)); err != nil {
+		return err
+	}
+	return os.Rename(path+".tmp", path) // made durable by Open's syncDir
+}
+
+// writeSynced writes data to a fresh file at path and fsyncs it.
+func writeSynced(path string, data []byte) error {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // Recover binds the store to eng, restores the snapshot, and replays the
@@ -518,19 +564,7 @@ func (s *Store) checkpointLocked() error {
 		return err
 	}
 	tmp := filepath.Join(s.dir, snapTemp)
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeSynced(tmp, data); err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, filepath.Join(s.dir, snapName)); err != nil {

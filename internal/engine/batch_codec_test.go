@@ -63,7 +63,6 @@ func frameAboard(t *testing.T, codec WireCodec, aboard []chord.Message) [][]byte
 // that frame the way handleBatchInto does and encoding it again yields the
 // same bytes.
 func TestLedgerIsTheEncoder(t *testing.T) {
-	catalog, fixtures := codecFixtures(t)
 	var schemas []*relation.Schema
 	for arity := 1; arity <= 6; arity++ {
 		attrs := make([]string, arity)
@@ -71,10 +70,8 @@ func TestLedgerIsTheEncoder(t *testing.T) {
 			attrs[i] = fmt.Sprintf("A%d", i)
 		}
 		schemas = append(schemas, relation.MustSchema(fmt.Sprintf("R%d", arity), attrs...))
-		if err := catalog.Add(schemas[arity-1]); err != nil {
-			t.Fatal(err)
-		}
 	}
+	catalog, fixtures := codecFixtures(t, schemas...)
 	extras := []chord.Message{fixtures[0], fixtures[3]} // a queryMsg, a joinMsg: neither carries a tuple
 	rng := rand.New(rand.NewSource(25))
 	shared, legsChecked := 0, 0

@@ -13,7 +13,12 @@ type CensusEntry struct{ Sum, Max int }
 //   - alqt_queries, alqt_purge_entries (the targets a retraction purges),
 //     alqt_marks and alqt_grants;
 //   - retracted, sub_ips and stored_notifs;
-//   - engine-wide, delivered and id_cache.
+//   - jfrt_entries, and publisher_verdicts (the attribute-level inputs whose
+//     rewriter told a publisher whether a query reads them);
+//   - engine-wide, delivered and id_cache; hot_counters and hot_entries, the
+//     hot-key registry's inputs tallied and promoted or observed; and
+//     wire_memo_queries, wire_memo_parsed and wire_memo_strings, what the
+//     memo of the engine's WireCodec holds.
 //
 // It takes each live node's lock in turn, and costs nothing until called.
 func (e *Engine) Census() map[string]CensusEntry {
@@ -27,6 +32,18 @@ func (e *Engine) Census() map[string]CensusEntry {
 	e.ids.mu.Lock()
 	c.engineWide("id_cache", len(e.ids.m))
 	e.ids.mu.Unlock()
+	var counters, entries int
+	if h := e.hot; h != nil {
+		h.mu.Lock()
+		counters, entries = len(h.counters), len(h.entries)
+		h.mu.Unlock()
+	}
+	c.engineWide("hot_counters", counters)
+	c.engineWide("hot_entries", entries)
+	queries, parsed, strs := e.memo.Sizes()
+	c.engineWide("wire_memo_queries", queries)
+	c.engineWide("wire_memo_parsed", parsed)
+	c.engineWide("wire_memo_strings", strs)
 	return c
 }
 
@@ -44,9 +61,11 @@ func (c census) engineWide(name string, n int) { c[name] = CensusEntry{n, n} }
 
 // census adds this node's counts to c.
 func (st *nodeState) census(c census) {
+	_, _, jfrt := st.jfrt.stats()
+	c.add("jfrt_entries", jfrt)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	var rewrites, spelled, later, tuples, queries, targets, marks, grants, notifs int
+	var rewrites, spelled, later, tuples, queries, targets, marks, grants, notifs, verdicts int
 	for _, b := range st.vlqt {
 		rewrites += b.rewrites.len()
 		later += len(b.rewrites.later)
@@ -70,6 +89,11 @@ func (st *nodeState) census(c census) {
 	for _, batch := range st.storedNotifs {
 		notifs += len(batch)
 	}
+	for ord := range 4 * len(st.verdicts) {
+		if st.verdict(ord) != verdictUnknown {
+			verdicts++
+		}
+	}
 	c.add("vlqt_buckets", len(st.vlqt))
 	c.add("vlqt_rewrites", rewrites)
 	c.add("vlqt_spelled_keys", spelled)
@@ -83,4 +107,5 @@ func (st *nodeState) census(c census) {
 	c.add("retracted", len(st.retracted))
 	c.add("sub_ips", len(st.subIPs))
 	c.add("stored_notifs", notifs)
+	c.add("publisher_verdicts", verdicts)
 }

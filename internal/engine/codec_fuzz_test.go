@@ -17,8 +17,9 @@ import (
 // has collected from the inputs before, it must accept exactly what a
 // memo-less decode accepts and decode it to the same message. The seed
 // corpus is one valid encoding of every engine message type, messages
-// whose first element repeats a predecessor it does not have, and messages
-// whose side is one no side field holds.
+// whose first element repeats a predecessor it does not have, messages
+// whose side is one no side field holds, and queries whose token form names
+// what the catalog has not or spells no query.
 //
 // Every input is then decoded as an entry of a batch frame, behind each of
 // four predecessors: one carrying the fixtures' R tuple, one their S tuple,
@@ -47,6 +48,9 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		f.Add(data)
 	}
 	for _, data := range hostileSides(f, msgs) {
+		f.Add(data)
+	}
+	for _, data := range hostileTokens(f, msgs[0].(queryMsg)) {
 		f.Add(data)
 	}
 	f.Add([]byte{})

@@ -2,8 +2,10 @@ package engine
 
 import (
 	"bytes"
+	"encoding/hex"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"cqjoin/internal/chord"
@@ -14,10 +16,20 @@ import (
 )
 
 // codecFixtures builds one instance of every engine message.
-func codecFixtures(t testing.TB) (*relation.Catalog, []chord.Message) {
+func codecFixtures(t testing.TB, extra ...*relation.Schema) (*relation.Catalog, []chord.Message) {
 	t.Helper()
 	env := newTestEnv(t, 16, Config{Algorithm: SAI})
+	mcat := relation.MustCatalog(
+		relation.MustSchema("A", "x", "y"),
+		relation.MustSchema("B", "x", "y"),
+		relation.MustSchema("C", "x", "y"),
+	)
+	// Merge both catalogs, and extra, so one decoder handles everything. The
+	// query is parsed against the merged one: its token form names ordinals
+	// of the catalog it decodes with.
+	full := relation.MustCatalog(append(append(env.catalog.Schemas(), mcat.Schemas()...), extra...)...)
 	q := env.subscribe(t, 0, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E AND S.F >= 1`)
+	q = query.MustParse(full, q.Text()).WithInsT(q.InsT()).WithRestoredIdentity(q.Key(), q.Subscriber(), q.SubscriberIP())
 	tu := rTuple(env, 1, 7, 2).WithPubT(9)
 	su := sTuple(env, 3, 7, 1).WithPubT(11)
 	proj, err := tu.Project(q.NeededAttrs("R"))
@@ -33,16 +45,6 @@ func codecFixtures(t testing.TB) (*relation.Catalog, []chord.Message) {
 		t.Fatal(err)
 	}
 
-	mcat := relation.MustCatalog(
-		relation.MustSchema("A", "x", "y"),
-		relation.MustSchema("B", "x", "y"),
-		relation.MustSchema("C", "x", "y"),
-	)
-	// Merge both catalogs so one decoder handles everything.
-	full := relation.MustCatalog(
-		env.r, env.s, env.doc, env.authors,
-		mcat.Lookup("A"), mcat.Lookup("B"), mcat.Lookup("C"),
-	)
 	mq := query.MustParseMulti(full, `SELECT A.y, C.y FROM A, B, C WHERE A.x = B.y AND B.x = C.y`).
 		WithIdentity("peer3", "sim://x", 2).WithInsT(5)
 	mqRev := mq.Reverse()
@@ -911,13 +913,13 @@ func TestWireCodecSharesStandingQueriesAcrossMessages(t *testing.T) {
 // (tg's wants must be what rewriteTarget.wants derives).
 func orphanMarkers(tb testing.TB, q *query.Query, tg *rewriteTarget) map[string][]byte {
 	tb.Helper()
-	rewrite := func(w *wire.Buffer, key, text string, side query.Side) {
+	rewrite := func(w *wire.Buffer, key string, text bool, side query.Side) {
 		w.PutString(key)
-		w.PutString(q.Key())
-		w.PutString("") // the subscriber, which the key names
-		w.PutString(q.SubscriberIP())
-		w.PutVarint(q.InsT())
-		w.PutString(text)
+		if text {
+			wire.EncodeQuery(w, q, "")
+		} else {
+			wire.EncodeQuery(w, q, q.Text()) // the text as its predecessor's: empty
+		}
 		w.PutUvarint(uint64(side))
 		if side != sideRepeat {
 			c := wire.Encoder(w)
@@ -936,7 +938,7 @@ func orphanMarkers(tb testing.TB, q *query.Query, tg *rewriteTarget) map[string]
 		}
 		return w.Bytes()
 	}
-	one := func(key, text string, side query.Side) []byte {
+	one := func(key string, text bool, side query.Side) []byte {
 		return join(func(w *wire.Buffer) { rewrite(w, key, text, side) })
 	}
 	var notify wire.Buffer
@@ -952,14 +954,14 @@ func orphanMarkers(tb testing.TB, q *query.Query, tg *rewriteTarget) map[string]
 	}
 	chained, derived := q.Key()+"+7", tg.IndexSide+sideDerived
 	return map[string][]byte{
-		"whole":                      one(chained, q.Text(), derived),
-		"first rewrite, no key":      one("", q.Text(), tg.IndexSide),
-		"first rewrite, no text":     one(chained, "", derived),
-		"first rewrite, no target":   one(chained, q.Text(), sideRepeat),
+		"whole":                      one(chained, true, derived),
+		"first rewrite, no key":      one("", true, tg.IndexSide),
+		"first rewrite, no text":     one(chained, false, derived),
+		"first rewrite, no target":   one(chained, true, sideRepeat),
 		"first notification, no key": notify.Bytes(),
 		"no key after an unchained one": join(
-			func(w *wire.Buffer) { rewrite(w, "elsewhere+7", q.Text(), derived) },
-			func(w *wire.Buffer) { rewrite(w, "", "", sideRepeat) }),
+			func(w *wire.Buffer) { rewrite(w, "elsewhere+7", true, derived) },
+			func(w *wire.Buffer) { rewrite(w, "", false, sideRepeat) }),
 	}
 }
 
@@ -985,7 +987,7 @@ func TestMarkerWithoutPredecessorFailsToDecode(t *testing.T) {
 	}
 	// The same markers after a predecessor that carries what they repeat.
 	twice := joinMsg{Rewrites: []*rewritten{whole.Rewrites[0], whole.Rewrites[0]}}
-	if saved := 2*len(inputs["whole"]) - 2 - encodedLen(twice); saved < len(rw.Orig.Text())+len("+7") {
+	if saved := 2*len(inputs["whole"]) - 2 - encodedLen(twice); saved < wire.SizeQuery(rw.Orig, "")-wire.SizeQuery(rw.Orig, rw.Orig.Text())+len("+7") {
 		t.Fatalf("a repeated rewrite saved %d bytes", saved)
 	}
 }
@@ -1038,10 +1040,11 @@ func TestJoinSizeSurvivesDecode(t *testing.T) {
 	}
 	// Each rewrite after the first writes one byte for its text, one for its
 	// key (Key(q) is in the query just ahead) and one for its target.
-	want := 2 + alone - 3*(len(sql)+target-1)
+	text := wire.SizeQuery(q, "") - wire.SizeQuery(q, sql) + 1 // the text field, said in full
+	want := 2 + alone - 3*(text+target-2)
 	if got := encodedLen(joinMsg{Rewrites: apart[:4]}); got != want {
 		t.Fatalf("the group of four is %d bytes, want %d: one by one its rewrites are %d, and three repeat a %d-byte text and a %d-byte target",
-			got, want, alone, len(sql), target)
+			got, want, alone, text, target)
 	}
 	got, err := DecodeMessage(wire.NewReader(w.Bytes()), env.catalog)
 	if err != nil {
@@ -1073,5 +1076,157 @@ func TestJoinSizeSurvivesDecode(t *testing.T) {
 	}
 	if _, err := DecodeMessage(wire.NewReader(al.Bytes()), narrow); err == nil {
 		t.Error("a three-attribute R tuple decoded under a catalog whose R has two")
+	}
+}
+
+// hostileTokens returns query message qm with its token form forged to what no
+// catalog-bound stream holds — an ordinal past the fixtures' catalog of seven
+// relations, an attribute ordinal past R's arity, a code no word has, the
+// form cut short — or to a stream that spells a text Parse refuses.
+func hostileTokens(tb testing.TB, qm queryMsg) map[string][]byte {
+	tb.Helper()
+	var w wire.Buffer
+	if err := EncodeMessage(&w, qm); err != nil {
+		tb.Fatal(err)
+	}
+	tokens := qm.Q.Tokens()
+	at := bytes.Index(w.Bytes(), append([]byte{0}, tokens...))
+	if at < 1 || len(tokens) >= 127 || w.Bytes()[at-1] != byte(1+len(tokens)) {
+		tb.Fatalf("no one-byte-sized token form in %x", w.Bytes())
+	}
+	forge := func(forged ...byte) []byte {
+		var f wire.Buffer
+		f.PutRaw(w.Bytes()[:at-1])
+		f.PutBytes(append([]byte{0}, forged...))
+		f.PutRaw(w.Bytes()[at+1+len(tokens):])
+		return f.Bytes()
+	}
+	const selectCode, fromCode, codeRel, formCol = 1, 2, 26, 1 // query/tokens.go
+	return map[string][]byte{
+		"relation past the catalog": forge(selectCode, codeRel+2*7),
+		"attribute past the arity":  forge(selectCode, codeRel+2*5+formCol, 3),
+		"unknown code":              forge(selectCode, 0),
+		"truncated":                 forge(tokens[:len(tokens)-1]...),
+		"a text Parse refuses":      forge(selectCode, fromCode),
+	}
+}
+
+// A token form the receiver's catalog cannot spell, or that spells no query,
+// fails the message, alone and through a long-lived codec; the same message
+// with its own token form decodes.
+func TestHostileTokenFormFailsToDecode(t *testing.T) {
+	catalog, msgs := codecFixtures(t)
+	if catalog.At(7) != nil || catalog.Lookup("R") != catalog.At(5) || catalog.At(5).Arity() != 3 {
+		t.Fatalf("the forged ordinals assume a catalog of seven relations, R fifth of three attributes: %v", catalog.Schemas())
+	}
+	codec := NewWireCodec(catalog)
+	for what, data := range hostileTokens(t, msgs[0].(queryMsg)) {
+		if got, err := DecodeMessage(wire.NewReader(data), catalog); err == nil {
+			t.Errorf("%s: decoded to %+v", what, got)
+		}
+		if got, err := codec.Decode(wire.NewReader(data)); err == nil {
+			t.Errorf("%s: decoded through a codec to %+v", what, got)
+		}
+	}
+}
+
+// queriesOf returns the two-way queries msg carries.
+func queriesOf(msg chord.Message) []*query.Query {
+	var qs []*query.Query
+	rewrites := func(rws []*rewritten) {
+		for _, rw := range rws {
+			qs = append(qs, rw.Orig)
+		}
+	}
+	switch m := msg.(type) {
+	case queryMsg:
+		qs = append(qs, m.Q)
+	case baselineQueryMsg:
+		qs = append(qs, m.Q)
+	case joinVMsg:
+		qs = append(qs, m.Queries...)
+	case snapMetaMsg:
+		qs = append(qs, m.Conds...)
+	case joinMsg:
+		rewrites(m.Rewrites)
+	case baselineProbeMsg:
+		rewrites(m.Rewrites)
+	case hotJoinMsg:
+		rewrites(m.Rewrites)
+	case hotHandoffMsg:
+		for _, e := range m.Entries {
+			qs = append(qs, e.Rw.Orig)
+		}
+	case handoffMsg:
+		for _, sec := range m.AL {
+			for _, g := range sec.Groups {
+				qs = append(qs, g.Queries...)
+			}
+		}
+		for _, sec := range m.VQ {
+			for _, e := range sec.Entries {
+				qs = append(qs, e.Rw.Orig)
+			}
+		}
+	}
+	return qs
+}
+
+// Every query wire.golden carries, decoded from its line, and a query with
+// string and number literals, an alias and selections, travel as their token
+// form: a query message says it in place of the text, and decodes — alone and
+// through a long-lived codec — to the query sent, which encodes to the same
+// bytes again.
+func TestQueryShapesTravelAsTokens(t *testing.T) {
+	catalog, _ := codecFixtures(t)
+	var shapes []*query.Query
+	for _, line := range goldenLines(t, "testdata/wire.golden") {
+		name, enc, _ := strings.Cut(line, " ")
+		raw, err := hex.DecodeString(enc)
+		if err != nil || strings.Contains(line, " after ") || raw[0] == retiredTag {
+			continue
+		}
+		msg, err := DecodeMessage(wire.NewReader(raw), catalog)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		shapes = append(shapes, queriesOf(msg)...)
+	}
+	if len(shapes) < 10 {
+		t.Fatalf("the golden lines carry %d queries", len(shapes))
+	}
+	for _, sql := range []string{
+		`SELECT D.Title, A.Surname FROM Document AS D, Authors AS A WHERE D.AuthorId = A.Id AND A.Name = 'Ada' AND D.Conference != "VLDB"`,
+		`SELECT R.A, S.D FROM R, S WHERE R.B * 1.5 = S.E - 2 AND R.C >= 0.25`,
+	} {
+		shapes = append(shapes, query.MustParse(catalog, sql).WithIdentity("peer4", "sim://4", 2).WithInsT(31))
+	}
+	codec := NewWireCodec(catalog)
+	for _, q := range shapes {
+		msg := queryMsg{Q: q, Side: query.SideLeft, Attr: q.SideAttrs(query.SideLeft)[0]}
+		var w wire.Buffer
+		if err := EncodeMessage(&w, msg); err != nil {
+			t.Fatal(err)
+		}
+		if q.Tokens() == nil || !bytes.Contains(w.Bytes(), append([]byte{0}, q.Tokens()...)) || bytes.Contains(w.Bytes(), []byte(q.Text())) {
+			t.Errorf("%s: travels as %x, not its token form", q.Text(), w.Bytes())
+			continue
+		}
+		for _, decode := range []func(*wire.Reader) (chord.Message, error){
+			func(r *wire.Reader) (chord.Message, error) { return DecodeMessage(r, catalog) }, codec.Decode,
+		} {
+			got, err := decode(wire.NewReader(w.Bytes()))
+			if err != nil {
+				t.Fatalf("%s: %v", q.Text(), err)
+			}
+			g := got.(queryMsg).Q
+			if g.Text() != q.Text() || g.Key() != q.Key() || g.InsT() != q.InsT() || g.ConditionKey() != q.ConditionKey() || len(g.Filters()) != len(q.Filters()) {
+				t.Errorf("%s: decoded to %s (%s, %d filters)", q.Text(), g.Text(), g.ConditionKey(), len(g.Filters()))
+			}
+			var again wire.Buffer
+			if err := EncodeMessage(&again, got); err != nil || !bytes.Equal(again.Bytes(), w.Bytes()) {
+				t.Errorf("%s: decoded and sent again as (%v)\n%x, not\n%x", q.Text(), err, again.Bytes(), w.Bytes())
+			}
+		}
 	}
 }

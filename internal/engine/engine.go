@@ -27,6 +27,7 @@ import (
 	"cqjoin/internal/obs"
 	"cqjoin/internal/query"
 	"cqjoin/internal/relation"
+	"cqjoin/internal/wire"
 )
 
 // Algorithm selects the query-processing protocol.
@@ -174,6 +175,7 @@ type Engine struct {
 	alIDs   map[relAttr][]alIdent // read-only after New (alKey)
 	alOrds  map[string]int        // attribute-level input -> alIdent.ord; read-only after New
 	hot     *hotTracker           // non-nil iff hot-key sharding is configured
+	memo    *wire.Memo            // WireCodec's: what a receiving process has decoded
 
 	// multiOn flags a registered multi-way pipeline: partial matches route
 	// through value-level identifiers without shard awareness, so hot-key
@@ -210,6 +212,7 @@ func New(net *chord.Network, catalog *relation.Catalog, cfg Config) *Engine {
 		subs:      make(map[string][]string),
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		delivered: make(map[string]struct{}),
+		memo:      new(wire.Memo),
 	}
 	e.alIDs, e.alOrds = alIdents(catalog, cfg.ReplicationFactor)
 	if cfg.HotKeyThreshold > 0 && cfg.Algorithm == SAI {

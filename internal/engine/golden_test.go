@@ -33,7 +33,9 @@ const retiredTag = 20
 // (PR 32) whose publishers never asked a rewriter whether a query reads an
 // attribute, and whose hand-offs carry no grants; testdata/wire-pr34.golden as
 // the last build (PR 34) whose queries said their subscriber and whose
-// rewrites said their wants and Key(q') where the receiver derives them.
+// rewrites said their wants and Key(q') where the receiver derives them;
+// testdata/wire-pr36.golden as the last build whose queries said their SQL
+// text, not its token form.
 // Nothing writes those layouts any more, and
 // peers, WAL delivery records and snapshots still hold them, so they are only
 // ever read: each line must decode to its fixture, and to a message that
@@ -62,7 +64,7 @@ func TestWireGolden(t *testing.T) {
 		lines, behind = lines[:i], lines[i:]
 	}
 	checkBehindLines(t, catalog, msgs, behind)
-	parents := [][]string{goldenLines(t, "testdata/wire-pr19.golden"), goldenLines(t, "testdata/wire-pr20.golden"), goldenLines(t, "testdata/wire-pr32.golden"), goldenLines(t, "testdata/wire-pr34.golden")}
+	parents := [][]string{goldenLines(t, "testdata/wire-pr19.golden"), goldenLines(t, "testdata/wire-pr20.golden"), goldenLines(t, "testdata/wire-pr32.golden"), goldenLines(t, "testdata/wire-pr34.golden"), goldenLines(t, "testdata/wire-pr36.golden")}
 	if len(lines) != len(msgs) {
 		t.Errorf("%d golden lines for %d fixtures", len(lines), len(msgs))
 	}

@@ -211,50 +211,7 @@ func TestMultiOracle(t *testing.T) {
 
 		want := make(map[string]int)
 		for _, mq := range mqs {
-			links := mq.Links()
-			rels := mq.Rels()
-			pools := map[string][]*relation.Tuple{"A": as, "B": bs, "C": cs}
-			for _, t0 := range pools[rels[0].Name()] {
-				for _, t1 := range pools[rels[1].Name()] {
-					for _, t2 := range pools[rels[2].Name()] {
-						combo := []*relation.Tuple{t0, t1, t2}
-						valid := true
-						for _, tt := range combo {
-							if tt.PubT() < mq.InsT() {
-								valid = false
-								break
-							}
-							if ok, err := mq.FiltersPass(tt); err != nil || !ok {
-								valid = false
-								break
-							}
-						}
-						if !valid {
-							continue
-						}
-						for li, l := range links {
-							lv, err1 := l.L.Eval(combo[li])
-							rv, err2 := l.R.Eval(combo[li+1])
-							if err1 != nil || err2 != nil || !lv.Equal(rv) {
-								valid = false
-								break
-							}
-						}
-						if !valid {
-							continue
-						}
-						vals, err := mq.ProjectNotification(combo)
-						if err != nil {
-							t.Fatalf("oracle projection: %v", err)
-						}
-						key := mq.Key()
-						for _, v := range vals {
-							key += "|" + v.Canon()
-						}
-						want[key]++
-					}
-				}
-			}
+			chainMatches(t, want, mq, map[string][]*relation.Tuple{"A": as, "B": bs, "C": cs})
 		}
 		got := make(map[string]int)
 		for _, n := range env.eng.Notifications() {
@@ -271,6 +228,55 @@ func TestMultiOracle(t *testing.T) {
 		for k := range got {
 			if want[k] == 0 {
 				t.Fatalf("seed %d: extra %s", seed, k)
+			}
+		}
+	}
+}
+
+// chainMatches adds to want, by content key, every combination of the tuples
+// in pools (by relation) that satisfies 3-way chain mq.
+func chainMatches(t testing.TB, want map[string]int, mq *query.MultiQuery, pools map[string][]*relation.Tuple) {
+	t.Helper()
+	links := mq.Links()
+	rels := mq.Rels()
+	for _, t0 := range pools[rels[0].Name()] {
+		for _, t1 := range pools[rels[1].Name()] {
+			for _, t2 := range pools[rels[2].Name()] {
+				combo := []*relation.Tuple{t0, t1, t2}
+				valid := true
+				for _, tt := range combo {
+					if tt.PubT() < mq.InsT() {
+						valid = false
+						break
+					}
+					if ok, err := mq.FiltersPass(tt); err != nil || !ok {
+						valid = false
+						break
+					}
+				}
+				if !valid {
+					continue
+				}
+				for li, l := range links {
+					lv, err1 := l.L.Eval(combo[li])
+					rv, err2 := l.R.Eval(combo[li+1])
+					if err1 != nil || err2 != nil || !lv.Equal(rv) {
+						valid = false
+						break
+					}
+				}
+				if !valid {
+					continue
+				}
+				vals, err := mq.ProjectNotification(combo)
+				if err != nil {
+					t.Fatalf("oracle projection: %v", err)
+				}
+				key := mq.Key()
+				for _, v := range vals {
+					key += "|" + v.Canon()
+				}
+				want[key]++
 			}
 		}
 	}

@@ -27,6 +27,10 @@ func NewWireCodec(catalog *relation.Catalog) WireCodec {
 	return WireCodec{catalog: catalog, memo: new(wire.Memo)}
 }
 
+// WireCodec returns a codec bound to the engine's catalog whose memo is the
+// engine's: its Census counts what the process receiving through it keeps.
+func (e *Engine) WireCodec() WireCodec { return WireCodec{catalog: e.catalog, memo: e.memo} }
+
 // Observe counts the decode memo's lookups in reg. Call it before the codec
 // decodes anything.
 func (c WireCodec) Observe(reg *obs.Registry) {
@@ -56,6 +60,10 @@ func (c WireCodec) EncodeAfter(w *wire.Buffer, msg, prev chord.Message) error {
 func (c WireCodec) DecodeAfter(r *wire.Reader, prev chord.Message) (chord.Message, error) {
 	return decodeAfter(r, c.catalog, c.memo, prev)
 }
+
+// CatalogDigest names the catalog the codec decodes against: peers refuse a
+// codec of another at hello.
+func (c WireCodec) CatalogDigest() uint64 { return c.catalog.Digest() }
 
 // SizeAfter reports the exact length EncodeAfter gives msg behind prev, 0 for
 // a message it cannot encode: the transport prefixes each batch entry with it

@@ -22,13 +22,16 @@ var fuzzSeeds = []string{
 	"SELECT R.A FROM R, S WHERE R.B = S.E\x00",
 	`SELECT R.A FROM R, S WHERE R.B/0 = S.E",`,
 	`𝕊ELECT ℝ.A FROM R, S WHERE R.B = S.E`,
+	`SELECT D.Title, A.Name FROM Document AS D, Authors A WHERE D.AuthorId = A.Id AND A.Surname = 'Smith' AND D.Title != "x"`,
+	`SELECT R.A FROM R, S WHERE (R.B + 1.5) * 2 = -S.E AND R.C <= 0.25`,
 }
 
 // FuzzParser feeds arbitrary byte strings to both parsers. The contract:
 // never panic, never hang, and for every accepted query the canonical text
 // must re-parse to an equivalent query (stable condition key and
 // equivalent-condition grouping would otherwise silently break — queries
-// travel over the wire as SQL text and are re-parsed on arrival).
+// travel over the wire as SQL text, or its token form, and are re-parsed on
+// arrival), and a token form must spell the text back exactly.
 func FuzzParser(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
@@ -44,6 +47,11 @@ func FuzzParser(f *testing.F) {
 			}
 			if q.ConditionKey() != q2.ConditionKey() {
 				t.Fatalf("condition key unstable: %q -> %q vs %q", sql, q.ConditionKey(), q2.ConditionKey())
+			}
+			if tokens := q.Tokens(); tokens != nil {
+				if text, err := AppendText(nil, catalog, tokens); err != nil || string(text) != sql {
+					t.Fatalf("the token form of %q spells %q (%v)", sql, text, err)
+				}
 			}
 		}
 		mq, err := ParseMulti(catalog, sql)

@@ -5,6 +5,9 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
+
+	"cqjoin/internal/relation"
 )
 
 // tokenKind classifies lexer tokens for the SQL subset.
@@ -38,15 +41,17 @@ func (t token) String() string {
 
 // lex splits a query string into tokens. Identifiers are case-preserving;
 // keyword matching happens case-insensitively in the parser. String
-// literals accept single or double quotes.
+// literals accept single or double quotes. The input is read as UTF-8, an
+// identifier by relation.IdentStart and IdentPart: a schema name NewSchema
+// accepts is one this lexer reads whole.
 func lex(input string) ([]token, error) {
 	var toks []token
 	i := 0
 	for i < len(input) {
-		c := rune(input[i])
+		c, size := utf8.DecodeRuneInString(input[i:])
 		switch {
 		case unicode.IsSpace(c):
-			i++
+			i += size
 		case c == '\'' || c == '"':
 			quote := input[i]
 			j := i + 1
@@ -58,9 +63,9 @@ func lex(input string) ([]token, error) {
 			}
 			toks = append(toks, token{kind: tokString, text: input[i+1 : j], pos: i})
 			i = j + 1
-		case unicode.IsDigit(c):
+		case c >= '0' && c <= '9':
 			j := i
-			for j < len(input) && (unicode.IsDigit(rune(input[j])) || input[j] == '.') {
+			for j < len(input) && (input[j] >= '0' && input[j] <= '9' || input[j] == '.') {
 				j++
 			}
 			text := input[i:j]
@@ -70,10 +75,14 @@ func lex(input string) ([]token, error) {
 			}
 			toks = append(toks, token{kind: tokNumber, text: text, num: n, pos: i})
 			i = j
-		case unicode.IsLetter(c) || c == '_':
-			j := i
-			for j < len(input) && (unicode.IsLetter(rune(input[j])) || unicode.IsDigit(rune(input[j])) || input[j] == '_') {
-				j++
+		case relation.IdentStart(c):
+			j := i + size
+			for j < len(input) {
+				r, n := utf8.DecodeRuneInString(input[j:])
+				if !relation.IdentPart(r) {
+					break
+				}
+				j += n
 			}
 			toks = append(toks, token{kind: tokIdent, text: input[i:j], pos: i})
 			i = j

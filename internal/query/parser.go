@@ -141,6 +141,7 @@ func (p *parser) parseQuery() (*Query, error) {
 		return nil, fmt.Errorf("query: trailing input at %s", p.peek())
 	}
 	q.text = p.text
+	q.plan.tokens = p.tokenForm()
 	return q, nil
 }
 

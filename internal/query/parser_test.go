@@ -16,6 +16,22 @@ func testCatalog() *relation.Catalog {
 	)
 }
 
+// A relation a catalog accepts is one a query can name: the lexer reads
+// UTF-8, so a name outside ASCII is one identifier, not a byte it refuses.
+func TestNonASCIINamesParse(t *testing.T) {
+	catalog := relation.MustCatalog(relation.MustSchema("Ré", "Prix", "Clé"), relation.MustSchema("S", "D", "E", "F"))
+	q, err := Parse(catalog, `SELECT Ré.Prix, S.D FROM Ré, S WHERE Ré.Clé = S.E`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Rel(SideLeft).Name() != "Ré" || q.SideAttrs(SideLeft)[0] != "Clé" {
+		t.Fatalf("parsed %s ⋈ %s on %v", q.Rel(SideLeft).Name(), q.Rel(SideRight).Name(), q.SideAttrs(SideLeft))
+	}
+	if text, err := AppendText(nil, catalog, q.Tokens()); err != nil || string(text) != q.Text() {
+		t.Fatalf("the token form spells %q (%v)", text, err)
+	}
+}
+
 func TestParseThesisExample(t *testing.T) {
 	// The e-learning query of Section 3.2.
 	q, err := Parse(testCatalog(), `

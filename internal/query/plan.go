@@ -15,6 +15,7 @@ type plan struct {
 	typ     Type
 	side    [2]sidePlan
 	sel     []selRef
+	tokens  []byte // Query.Tokens, against the catalog Parse was given
 }
 
 // sidePlan is the plan's per-relation part.

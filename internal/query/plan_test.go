@@ -139,16 +139,10 @@ func planCorpus(t *testing.T) []string {
 }
 
 func planCatalog() *relation.Catalog {
-	c := testCatalog()
-	for _, s := range []*relation.Schema{
+	return relation.MustCatalog(append(testCatalog().Schemas(),
 		relation.MustSchema("Orders", "Id", "Customer", "Product"),
 		relation.MustSchema("Shipments", "Id", "Product", "Depot"),
-	} {
-		if err := c.Add(s); err != nil {
-			panic(err)
-		}
-	}
-	return c
+	)...)
 }
 
 // TestPlanEquivalence checks every plan field against the derivation it

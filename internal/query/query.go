@@ -130,6 +130,11 @@ func (q *Query) InsT() int64 { return q.insT }
 // Text returns the original SQL text.
 func (q *Query) Text() string { return q.text }
 
+// Tokens returns the token form of the query's text (tokens.go): what the
+// wire says in the text's place, nil for a text that does not rebuild from
+// it. The slice belongs to the query's plan: read it, do not modify it.
+func (q *Query) Tokens() []byte { return q.plan.tokens }
+
 // CachedWireSize returns the memoized wire-encoding length, or 0 when it
 // has not been computed. The encoded fields are immutable outside the
 // With* copy constructors, which reset the memo on their copies.

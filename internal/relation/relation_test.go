@@ -118,15 +118,54 @@ func TestCatalog(t *testing.T) {
 	if c.Lookup("Missing") != nil {
 		t.Fatal("Lookup invented a schema")
 	}
-	if err := c.Add(MustSchema("Document", "X")); err == nil {
+	if _, err := NewCatalog(d, a, MustSchema("Document", "X")); err == nil {
 		t.Fatal("duplicate relation accepted")
 	}
 	var zero Catalog
-	if zero.Lookup("x") != nil {
+	if zero.Lookup("x") != nil || zero.At(0) != nil || zero.Ordinal("x") != -1 {
 		t.Fatal("zero catalog lookup wrong")
 	}
-	if err := zero.Add(d); err != nil {
-		t.Fatalf("zero catalog Add: %v", err)
+}
+
+// A relation's ordinal is its place in name order, whatever order the catalog
+// was declared in, and the digest names the schemas: declared in another order
+// it is the same, with one attribute more or renamed it is not.
+func TestCatalogOrdinalsAndDigest(t *testing.T) {
+	d := MustSchema("Document", "Id", "Title")
+	a := MustSchema("Authors", "Id", "Name")
+	c, reversed := MustCatalog(d, a), MustCatalog(a, d)
+	if c.Ordinal("Authors") != 0 || c.Ordinal("Document") != 1 || c.Ordinal("Missing") != -1 {
+		t.Fatalf("ordinals %d, %d, %d; want 0, 1, -1", c.Ordinal("Authors"), c.Ordinal("Document"), c.Ordinal("Missing"))
+	}
+	if c.At(0) != a || c.At(1) != d || c.At(2) != nil || c.At(-1) != nil {
+		t.Fatal("At does not invert Ordinal")
+	}
+	if c.Digest() != reversed.Digest() {
+		t.Fatalf("one catalog declared in two orders has digests %016x and %016x", c.Digest(), reversed.Digest())
+	}
+	for _, other := range []*Catalog{
+		MustCatalog(d, MustSchema("Authors", "Id", "Name", "Born")),
+		MustCatalog(d, MustSchema("Authors", "Id", "Surname")),
+		MustCatalog(d),
+	} {
+		if other.Digest() == c.Digest() {
+			t.Errorf("%v has the digest of %v", other.Schemas(), c.Schemas())
+		}
+	}
+}
+
+// A schema name is an identifier by the lexer's rule, Unicode letters
+// included: anything else is a name no query could spell.
+func TestSchemaNamesAreIdentifiers(t *testing.T) {
+	for _, ok := range [][]string{{"Ré", "Prix"}, {"_r1", "a_2", "ß"}} {
+		if _, err := NewSchema(ok[0], ok[1:]...); err != nil {
+			t.Errorf("%q refused: %v", ok, err)
+		}
+	}
+	for _, bad := range [][]string{{"R-1", "A"}, {"R", "A-1"}, {"1R", "A"}, {"R", "2"}, {"R", "A B"}, {"R", "x\xff"}, {"R.S", "A"}} {
+		if _, err := NewSchema(bad[0], bad[1:]...); err == nil {
+			t.Errorf("%q accepted", bad)
+		}
 	}
 }
 

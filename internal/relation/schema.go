@@ -2,10 +2,12 @@ package relation
 
 import (
 	"fmt"
-	"sort"
+	"hash/fnv"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unicode"
 )
 
 // Schema describes a relation: its name and the ordered attribute names.
@@ -26,18 +28,20 @@ type Schema struct {
 	projections []*Schema
 }
 
-// NewSchema builds a schema. Attribute names must be unique and non-empty.
+// NewSchema builds a schema. The relation and attribute names must be
+// identifiers (isIdent), the only names a query can spell, and the attribute
+// names unique.
 func NewSchema(name string, attrs ...string) (*Schema, error) {
-	if name == "" {
-		return nil, fmt.Errorf("relation: schema with empty name")
+	if !isIdent(name) {
+		return nil, fmt.Errorf("relation: schema name %q is not an identifier", name)
 	}
 	if len(attrs) == 0 {
 		return nil, fmt.Errorf("relation: schema %s has no attributes", name)
 	}
 	s := &Schema{name: name, attrs: append([]string(nil), attrs...), index: make(map[string]int, len(attrs))}
 	for i, a := range attrs {
-		if a == "" {
-			return nil, fmt.Errorf("relation: schema %s has an empty attribute name", name)
+		if !isIdent(a) {
+			return nil, fmt.Errorf("relation: schema %s: attribute name %q is not an identifier", name, a)
 		}
 		if _, dup := s.index[a]; dup {
 			return nil, fmt.Errorf("relation: schema %s repeats attribute %s", name, a)
@@ -45,6 +49,23 @@ func NewSchema(name string, attrs ...string) (*Schema, error) {
 		s.index[a] = i
 	}
 	return s, nil
+}
+
+// IdentStart and IdentPart are the identifier rule of the query lexer: a
+// letter or '_', then letters, digits and '_'.
+func IdentStart(r rune) bool { return unicode.IsLetter(r) || r == '_' }
+
+// IdentPart reports whether r may continue an identifier.
+func IdentPart(r rune) bool { return IdentStart(r) || unicode.IsDigit(r) }
+
+// isIdent reports whether s is one identifier: a name a query can spell.
+func isIdent(s string) bool {
+	for i, r := range s {
+		if i == 0 && !IdentStart(r) || !IdentPart(r) {
+			return false
+		}
+	}
+	return s != ""
 }
 
 // MustSchema is NewSchema that panics on error, for literals in tests and
@@ -139,20 +160,34 @@ func (s *Schema) String() string {
 }
 
 // Catalog is a set of schemas addressable by relation name, the co-existing
-// schemas of Section 3.2. The zero Catalog is empty and ready to use via
-// Add.
+// schemas of Section 3.2. NewCatalog builds it whole and nothing changes it
+// after: a relation's ordinal, its position in name order, and the catalog's
+// digest are fixed from construction, so the ordinals a parsed query's token
+// form names (query.Query.Tokens) go on naming the schemas they did. The zero
+// Catalog is empty.
 type Catalog struct {
-	schemas map[string]*Schema
+	schemas []*Schema // in relation-name order: a schema's index is its ordinal
+	byName  map[string]int
+	digest  uint64
 }
 
-// NewCatalog builds a catalog over the given schemas.
+// NewCatalog builds a catalog over the given schemas; relation names must be
+// unique.
 func NewCatalog(schemas ...*Schema) (*Catalog, error) {
-	c := &Catalog{schemas: make(map[string]*Schema, len(schemas))}
-	for _, s := range schemas {
-		if err := c.Add(s); err != nil {
-			return nil, err
+	c := &Catalog{schemas: slices.Clone(schemas), byName: make(map[string]int, len(schemas))}
+	slices.SortFunc(c.schemas, func(a, b *Schema) int { return strings.Compare(a.name, b.name) })
+	h := fnv.New64a()
+	for i, s := range c.schemas {
+		if _, dup := c.byName[s.name]; dup {
+			return nil, fmt.Errorf("relation: catalog already has relation %s", s.name)
 		}
+		c.byName[s.name] = i
+		h.Write([]byte(s.String())) // identifiers hold no '(', ',' or ')': the rendering is unambiguous
 	}
+	for _, s := range c.schemas {
+		s.cataloged.Store(true)
+	}
+	c.digest = h.Sum64()
 	return c, nil
 }
 
@@ -165,46 +200,56 @@ func MustCatalog(schemas ...*Schema) *Catalog {
 	return c
 }
 
-// Add registers a schema; relation names must be unique.
-func (c *Catalog) Add(s *Schema) error {
-	if c.schemas == nil {
-		c.schemas = make(map[string]*Schema)
-	}
-	if _, dup := c.schemas[s.name]; dup {
-		return fmt.Errorf("relation: catalog already has relation %s", s.name)
-	}
-	c.schemas[s.name] = s
-	s.cataloged.Store(true)
-	return nil
-}
-
 // Lookup returns the schema for a relation name, or nil.
-func (c *Catalog) Lookup(name string) *Schema {
-	if c.schemas == nil {
-		return nil
-	}
-	return c.schemas[name]
-}
+func (c *Catalog) Lookup(name string) *Schema { return c.At(c.Ordinal(name)) }
 
 // LookupBytes is Lookup for a name still in a decoder's buffer; it does not
 // allocate.
 func (c *Catalog) LookupBytes(name []byte) *Schema {
-	if c == nil || c.schemas == nil {
+	if c == nil {
 		return nil
 	}
-	return c.schemas[string(name)]
+	if i, ok := c.byName[string(name)]; ok {
+		return c.schemas[i]
+	}
+	return nil
+}
+
+// Ordinal returns the named relation's position in name order, or -1.
+func (c *Catalog) Ordinal(name string) int {
+	if c == nil {
+		return -1
+	}
+	if i, ok := c.byName[name]; ok {
+		return i
+	}
+	return -1
+}
+
+// At returns the schema of ordinal i, or nil past the catalog.
+func (c *Catalog) At(i int) *Schema {
+	if c == nil || i < 0 || i >= len(c.schemas) {
+		return nil
+	}
+	return c.schemas[i]
+}
+
+// Digest names the catalog: an FNV-1a hash of every schema, names and
+// attribute lists, in ordinal order. Two catalogs with one digest give every
+// relation and attribute the same ordinal, so peers that exchange queries as
+// ordinals compare digests first (transport's hello, durable's state
+// directory).
+func (c *Catalog) Digest() uint64 {
+	if c == nil {
+		return 0
+	}
+	return c.digest
 }
 
 // Schemas returns every registered schema in relation-name order.
 func (c *Catalog) Schemas() []*Schema {
-	names := make([]string, 0, len(c.schemas))
-	for n := range c.schemas {
-		names = append(names, n)
+	if c == nil {
+		return nil
 	}
-	sort.Strings(names)
-	out := make([]*Schema, len(names))
-	for i, n := range names {
-		out[i] = c.schemas[n]
-	}
-	return out
+	return slices.Clone(c.schemas)
 }

@@ -17,8 +17,8 @@ import (
 //
 //	frame   := len:uint32be payload                (len counts payload only)
 //	payload := ftype:uvarint rest
-//	hello   := HELLO version:uvarint self:string   (first frame each way)
-//	helloOK := HELLO_OK version:uvarint
+//	hello   := HELLO version:uvarint self:string digest:uint64be  (first frame each way)
+//	helloOK := HELLO_OK version:uvarint digest:uint64be          (digest: Codec.CatalogDigest)
 //	batch   := BATCH seq:uvarint count:uvarint
 //	           { dstKey:string msg:string } * count (msg = engine codec bytes)
 //	ack     := ACK seq:uvarint status:string       (one status byte per msg)
@@ -49,11 +49,11 @@ import (
 // only adopts strictly newer ones — so the sender's retry loop can replay
 // them safely.
 const (
-	// protoVersion is exchanged at hello; a dialer refuses any other. 8: a
-	// query whose key names its subscriber says the subscriber as "", and a
-	// rewrite leaves to its receiver what it derives from the trigger
-	// (DESIGN.md §8.1) — a version-7 peer would read "" as a real subscriber.
-	protoVersion = 8
+	// protoVersion is exchanged at hello; a dialer refuses any other, and then
+	// any catalog digest but its own. 9: a query says its text as the token
+	// form its receiver spells back against a catalog of the same digest
+	// (DESIGN.md §8.1) — a version-8 peer would parse the marker as SQL.
+	protoVersion = 9
 
 	// maxFrame bounds one frame so a corrupt length prefix cannot allocate
 	// gigabytes. 16 MiB fits any realistic multisend leg (the simulator's
@@ -179,18 +179,20 @@ func readFrameReuse(br *bufio.Reader, buf *[]byte) ([]byte, error) {
 }
 
 // encodeHello builds the client's opening frame payload.
-func encodeHello(self string) []byte {
+func encodeHello(self string, digest uint64) []byte {
 	var w wire.Buffer
 	w.PutUvarint(frameHello)
 	w.PutUvarint(protoVersion)
 	w.PutString(self)
+	w.PutUint64(digest)
 	return w.Bytes()
 }
 
 // helloOKInto appends the server's hello acknowledgement payload.
-func helloOKInto(w *wire.Buffer) {
+func helloOKInto(w *wire.Buffer, digest uint64) {
 	w.PutUvarint(frameHelloOK)
 	w.PutUvarint(protoVersion)
+	w.PutUint64(digest)
 }
 
 // batchHeaderInto appends the batch payload prefix (ftype, seq, count);

@@ -16,6 +16,8 @@ type rejectCodec struct{}
 
 func (rejectCodec) SizeAfter(msg, prev chord.Message) int { return 0 }
 
+func (rejectCodec) CatalogDigest() uint64 { return 0 }
+
 func (rejectCodec) EncodeAfter(w *wire.Buffer, msg, prev chord.Message) error {
 	return errors.New("rejectCodec")
 }
@@ -59,7 +61,7 @@ func FuzzMembershipFrames(f *testing.F) {
 	f.Add(encodeView(2, &wire.MemberView{Version: 3, Procs: []string{"127.0.0.1:9001", "127.0.0.1:9002"}}))
 	f.Add(encodeView(3, &wire.MemberView{Version: 0, Procs: nil}))
 	f.Add(encodeViewAck(4, 7))
-	f.Add(encodeHello("127.0.0.1:9001"))
+	f.Add(encodeHello("127.0.0.1:9001", 0x0123456789abcdef))
 	f.Add([]byte{})
 	{ // view frame with a forged member count
 		var w wire.Buffer

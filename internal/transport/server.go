@@ -188,7 +188,7 @@ func (t *TCP) handleFrameInto(st *serveState, payload []byte) (bool, error) {
 		if _, err := r.Uvarint(); err != nil { // version; any is answered with ours
 			return false, err
 		}
-		helloOKInto(&st.reply)
+		helloOKInto(&st.reply, t.cfg.Codec.CatalogDigest())
 		return true, nil
 	case frameBatch:
 		return true, t.handleBatchInto(st, r)

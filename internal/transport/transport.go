@@ -49,10 +49,16 @@ import (
 // encodes each message straight into the frame behind its length prefix.
 // engine.NewWireCodec is the production implementation; the indirection keeps
 // this package free of an engine dependency.
+//
+// CatalogDigest names what the codec decodes against (relation.Catalog.
+// Digest): a peer whose codec says another is refused at hello, as one of
+// another protocol is, for it would decode this one's queries against other
+// ordinals.
 type Codec interface {
 	SizeAfter(msg, prev chord.Message) int
 	EncodeAfter(w *wire.Buffer, msg, prev chord.Message) error
 	DecodeAfter(r *wire.Reader, prev chord.Message) (chord.Message, error)
+	CatalogDigest() uint64
 }
 
 // LocalDeliverer hands a decoded message to a node hosted on this
@@ -515,12 +521,13 @@ func (t *TCP) readLoop(pc *pooledConn) {
 	}
 }
 
-// hello performs the version handshake on a fresh connection.
+// hello performs the version and catalog handshake on a fresh connection.
 func (t *TCP) hello(pc *pooledConn) error {
 	deadline := time.Now().Add(DefaultIOTimeout)
 	_ = pc.c.SetDeadline(deadline)
 	defer func() { _ = pc.c.SetDeadline(time.Time{}) }()
-	if err := t.writeFrameCounted(pc.c, encodeHello(t.cfg.Self)); err != nil {
+	digest := t.cfg.Codec.CatalogDigest()
+	if err := t.writeFrameCounted(pc.c, encodeHello(t.cfg.Self, digest)); err != nil {
 		return fmt.Errorf("transport: hello write: %w", err)
 	}
 	payload, err := readFrame(pc.br)
@@ -543,6 +550,13 @@ func (t *TCP) hello(pc *pooledConn) error {
 	}
 	if version != protoVersion {
 		return fmt.Errorf("transport: peer speaks protocol %d, want %d", version, protoVersion)
+	}
+	theirs, err := r.Uint64()
+	if err != nil {
+		return err
+	}
+	if theirs != digest {
+		return fmt.Errorf("transport: peer's catalog digest is %016x, ours %016x", theirs, digest)
 	}
 	return nil
 }

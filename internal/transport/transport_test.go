@@ -27,8 +27,11 @@ func (m *testMsg) SetReply(reply byte) { m.reply = reply }
 
 // testCodec writes a message as 0 and its body or, where the entry before it
 // in the frame has the same body, as a lone 1 — the engine's shared tuple in
-// miniature, so the tests here exercise the frame-scoped predecessor.
-type testCodec struct{}
+// miniature, so the tests here exercise the frame-scoped predecessor. Its
+// catalog digest is digest.
+type testCodec struct{ digest uint64 }
+
+func (c testCodec) CatalogDigest() uint64 { return c.digest }
 
 func repeatsBody(tm *testMsg, prev chord.Message) bool {
 	pm, ok := prev.(*testMsg)
@@ -590,17 +593,18 @@ func TestAckValidation(t *testing.T) {
 // the value level itself what this build's rewriters forward there; protocol 5
 // not a revocation, and it would read an answer in an ack's status as a miss;
 // protocol 6 would take a purge's empty key, said behind a purge of the same
-// query, for a key, and protocol 7 a query's empty subscriber for a
-// subscriber — so the two must part at the handshake, whichever dials.
+// query, for a key, protocol 7 a query's empty subscriber for a subscriber,
+// and protocol 8 a query's token form for its SQL text — so the two must part
+// at the handshake, whichever dials.
 // When the old build answers, this dialer refuses its helloOK with an error
 // naming both versions and sends it no batch; when the old build dials, its
 // hello is answered with this build's version, the number its own copy of that
 // check refuses.
 func TestOlderProtocolPeerRefusedAtHello(t *testing.T) {
-	if protoVersion != 8 {
-		t.Fatalf("protoVersion = %d: this test is about 8 meeting 2 to 7", protoVersion)
+	if protoVersion != 9 {
+		t.Fatalf("protoVersion = %d: this test is about 9 meeting 2 to 8", protoVersion)
 	}
-	for _, oldVersion := range []uint64{2, 3, 4, 5, 6, 7} {
+	for _, oldVersion := range []uint64{2, 3, 4, 5, 6, 7, 8} {
 		olderPeerRefused(t, oldVersion)
 	}
 }
@@ -684,4 +688,48 @@ func olderPeerRefused(t *testing.T, oldVersion uint64) {
 	if v, err := r.Uvarint(); err != nil || v != protoVersion {
 		t.Fatalf("a protocol-%d hello was answered with version %d (%v), want %d", oldVersion, v, err, protoVersion)
 	}
+}
+
+// Two peers whose catalogs differ give a relation or an attribute different
+// ordinals, and a query's token form names ordinals: they part at the
+// handshake, before any batch, and the dialer's refusal names both digests.
+// Peers of one digest talk.
+func TestCatalogMismatchRefusedAtHello(t *testing.T) {
+	from, dst := testNodes(t)
+	for _, tc := range []struct {
+		ours, theirs uint64
+		delivered    bool
+	}{{0x1111, 0x2222, false}, {0x1111, 0x1111, true}} {
+		remote := &testLocal{}
+		_, addr := startTransport(t, Config{Local: remote, Codec: testCodec{digest: tc.theirs}})
+		var mu sync.Mutex
+		var logged []string
+		tr, _ := startTransport(t, Config{
+			Local:    &testLocal{},
+			Codec:    testCodec{digest: tc.ours},
+			OwnerOf:  func(string) string { return addr },
+			Attempts: 1,
+			Logf: func(format string, args ...interface{}) {
+				mu.Lock()
+				defer mu.Unlock()
+				logged = append(logged, fmt.Sprintf(format, args...))
+			},
+		})
+		if got := tr.Deliver(from, dst, &testMsg{Body: "x"}); got != tc.delivered || len(remote.snapshot()) != btoi(tc.delivered) {
+			t.Fatalf("digests %016x and %016x: delivered %v, %d messages arrived", tc.ours, tc.theirs, got, len(remote.snapshot()))
+		}
+		mu.Lock()
+		lines := strings.Join(logged, "\n")
+		mu.Unlock()
+		if want := fmt.Sprintf("peer's catalog digest is %016x, ours %016x", tc.theirs, tc.ours); !tc.delivered && !strings.Contains(lines, want) {
+			t.Fatalf("the refusal does not name both digests:\n%s", lines)
+		}
+	}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

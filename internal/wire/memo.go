@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 
@@ -21,7 +22,7 @@ import (
 type Memo struct {
 	mu      sync.Mutex
 	queries map[string]*query.Query // by Key(q); returned only on an exact match
-	parsed  map[string]*query.Query // by SQL text, without identity
+	parsed  map[string]*query.Query // by SQL text, without identity: a token form is looked up by the text it spells
 	strs    map[string]string
 
 	// Lookups answered from the memo, lookups that built their value, and
@@ -74,34 +75,39 @@ func (m *Memo) String(r *Reader) (string, error) {
 }
 
 // query returns the query with the given wire fields; an empty sql stands for
-// prevText (none: no text, no parse). The one remembered under key is returned
-// only when every field equals it, SQL text included. Anything else is decoded
-// into a query of its own and remembered only if the key is free: no input,
-// forged or colliding, changes what the key of a standing query decodes to.
+// prevText (none: no text, no parse), one led by tokenMarker for the text its
+// token form spells against catalog. The one remembered under key is returned
+// only when every field equals it, SQL text or token form included. Anything
+// else is decoded into a query of its own and remembered only if the key is
+// free: no input, forged or colliding, changes what the key of a standing
+// query decodes to.
 func (m *Memo) query(catalog *relation.Catalog, key, sub, ip []byte, insT int64, sql []byte, prevText string) (*query.Query, error) {
 	m.mu.Lock()
 	q := m.queries[string(key)]
-	hit := q != nil && q.InsT() == insT && q.Subscriber() == string(sub) && q.SubscriberIP() == string(ip) &&
-		(q.Text() == string(sql) || len(sql) == 0 && q.Text() == prevText)
-	var parsed *query.Query
-	if !hit && len(sql) > 0 { // a hit, the common case, pays for no second lookup
-		parsed = m.parsed[string(sql)]
-	} else if !hit {
-		parsed = m.parsed[prevText]
-	}
+	hit := q != nil && q.InsT() == insT && q.Subscriber() == string(sub) && q.SubscriberIP() == string(ip) && says(q, sql, prevText)
 	m.mu.Unlock()
 	m.count(hit)
 	if hit {
 		return q, nil
 	}
+	var buf [256]byte // the text, where sql does not hold it
+	text := sql
+	switch {
+	case len(sql) == 0:
+		text = append(buf[:0], prevText...)
+	case sql[0] == tokenMarker:
+		var err error
+		if text, err = query.AppendText(buf[:0], catalog, sql[1:]); err != nil {
+			return nil, fmt.Errorf("wire: %w", err)
+		}
+	}
+	m.mu.Lock()
+	parsed := m.parsed[string(text)]
+	m.mu.Unlock()
 	fresh := parsed == nil
 	if fresh {
-		text := prevText
-		if len(sql) > 0 {
-			text = string(sql)
-		}
 		var err error
-		if parsed, err = query.Parse(catalog, text); err != nil {
+		if parsed, err = query.Parse(catalog, string(text)); err != nil {
 			return nil, fmt.Errorf("wire: re-parse: %w", err)
 		}
 	}
@@ -116,4 +122,25 @@ func (m *Memo) query(catalog *relation.Catalog, key, sub, ip []byte, insT int64,
 	}
 	m.mu.Unlock()
 	return q, nil
+}
+
+// says reports whether sql, the text field of a query after one of prevText,
+// says q's text: empty for prevText, a token form byte for byte q's own,
+// else the text itself. It allocates nothing.
+func says(q *query.Query, sql []byte, prevText string) bool {
+	switch {
+	case len(sql) == 0:
+		return q.Text() == prevText
+	case sql[0] == tokenMarker:
+		return q.Tokens() != nil && bytes.Equal(sql[1:], q.Tokens())
+	}
+	return q.Text() == string(sql)
+}
+
+// Sizes reports how many entries each of the memo's tables holds: queries by
+// key, parsed texts, interned strings.
+func (m *Memo) Sizes() (queries, parsed, strs int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.queries), len(m.parsed), len(m.strs)
 }

@@ -14,15 +14,19 @@
 //	tuple   := relation:string arity:uvarint attr:string... value... pubT:varint
 //	         | relation:string 0 arity:uvarint value... pubT:varint
 //	query   := key:string subscriber:string ip:string insT:varint sql:string
-//	           (subscriber "" where the key names it: key = subscriber "#" n)
+//	           (subscriber "" where the key names it: key = subscriber "#" n;
+//	           sql 0x00 then the token form where the query has one)
 //	notif   := querykey:string subscriber:string n:uvarint value...
 //	          leftPubT:varint rightPubT:varint deliveredAt:varint
 //
 // Queries travel as their SQL text and are re-parsed against the catalog on
-// arrival; the parser is the single source of truth for query semantics. A
-// query's key names its subscriber (Section 3.2: Key(q) is the subscriber's
-// key, "#" and an integer), so a subscriber said as "" is what precedes the
-// key's last "#".
+// arrival; the parser is the single source of truth for query semantics. The
+// text is said as its token form (query.Query.Tokens) behind the byte 0x00,
+// which no text starts with: the catalog's names as ordinals, a keyword or
+// symbol as one byte, rebuilt by the receiver to the same text against a
+// catalog of the same digest. A query's key names its subscriber (Section
+// 3.2: Key(q) is the subscriber's key, "#" and an integer), so a subscriber
+// said as "" is what precedes the key's last "#".
 //
 // A message says nothing twice (DESIGN.md §8.1): a tuple whose receiver holds
 // its schema takes the second form, a list element writes "" for the text or
@@ -77,6 +81,11 @@ func (w *Buffer) PutUvarint(v uint64) {
 // PutVarint appends a signed varint.
 func (w *Buffer) PutVarint(v int64) {
 	w.b = binary.AppendVarint(w.b, v)
+}
+
+// PutUint64 appends v in eight bytes, big endian.
+func (w *Buffer) PutUint64(v uint64) {
+	w.b = binary.BigEndian.AppendUint64(w.b, v)
 }
 
 // PutString appends a length-prefixed string.
@@ -163,6 +172,16 @@ func (r *Reader) Varint() (int64, error) {
 		return 0, fmt.Errorf("wire: truncated varint at offset %d", r.off)
 	}
 	r.off += n
+	return v, nil
+}
+
+// Uint64 reads eight bytes written by PutUint64.
+func (r *Reader) Uint64() (uint64, error) {
+	if r.Remaining() < 8 {
+		return 0, fmt.Errorf("wire: truncated uint64 at offset %d", r.off)
+	}
+	v := binary.BigEndian.Uint64(r.b[r.off:])
+	r.off += 8
 	return v, nil
 }
 
@@ -354,19 +373,28 @@ func subscriberSaid(q *query.Query) string {
 	return sub
 }
 
+// tokenMarker leads a query's text field where the token form stands for the
+// text: a byte no SQL text starts with, so no parent wrote it there.
+const tokenMarker = 0x00
+
 // EncodeQuery appends a query: identity and times plus the SQL text, which
 // the receiver re-parses — an empty one where it is prevText, the text of the
-// query's predecessor in a list ("" for none).
+// query's predecessor in a list ("" for none), and its token form behind
+// tokenMarker where it has one.
 func EncodeQuery(w *Buffer, q *query.Query, prevText string) {
 	w.PutString(q.Key())
 	w.PutString(subscriberSaid(q))
 	w.PutString(q.SubscriberIP())
 	w.PutVarint(q.InsT())
-	text := q.Text()
-	if text == prevText {
-		text = ""
+	switch tokens := q.Tokens(); {
+	case q.Text() == prevText:
+		w.PutString("")
+	case tokens != nil:
+		w.PutUvarint(uint64(1 + len(tokens)))
+		w.b = append(append(w.b, tokenMarker), tokens...)
+	default:
+		w.PutString(q.Text())
 	}
-	w.PutString(text)
 }
 
 // DecodeQuery reads a query encoded by EncodeQuery after one of prevText,
@@ -469,11 +497,19 @@ func SizeQuery(q *query.Query, prevText string) int {
 	n := q.CachedWireSize()
 	if n == 0 {
 		n = SizeString(q.Key()) + SizeString(subscriberSaid(q)) + SizeString(q.SubscriberIP()) +
-			SizeVarint(q.InsT()) + SizeString(q.Text())
+			SizeVarint(q.InsT()) + sizeSQL(q)
 		q.SetCachedWireSize(n)
 	}
 	if q.Text() == prevText {
-		n -= SizeString(prevText) - 1
+		n -= sizeSQL(q) - 1
 	}
 	return n
+}
+
+// sizeSQL returns the size of a query's text field said in full.
+func sizeSQL(q *query.Query) int {
+	if tokens := q.Tokens(); tokens != nil {
+		return SizeUvarint(uint64(1+len(tokens))) + 1 + len(tokens)
+	}
+	return SizeString(q.Text())
 }

@@ -277,7 +277,7 @@ func TestQueryRoundTrip(t *testing.T) {
 	EncodeQuery(&short, next, q.Text())
 	var long Buffer
 	EncodeQuery(&long, next, "")
-	if want := long.Len() - len(q.Text()); short.Len() != want || SizeQuery(next, q.Text()) != want || SizeQuery(next, "") != long.Len() {
+	if want := long.Len() - 1 - len(q.Tokens()); short.Len() != want || SizeQuery(next, q.Text()) != want || SizeQuery(next, "") != long.Len() {
 		t.Fatalf("after its text's twin: %d bytes (SizeQuery %d), want %d; alone %d (SizeQuery %d)",
 			short.Len(), SizeQuery(next, q.Text()), want, long.Len(), SizeQuery(next, ""))
 	}
@@ -341,8 +341,89 @@ func TestSubscriberTheKeyNamesIsNotSaid(t *testing.T) {
 	said.PutVarint(named.InsT())
 	said.PutString(named.Text())
 	got, err := DecodeQuery(NewReader(said.Bytes()), catalog, new(Memo), "")
-	if err != nil || got.Subscriber() != named.Subscriber() || SizeQuery(got, "") != said.Len()-len(named.Subscriber()) {
+	if err != nil || got.Subscriber() != named.Subscriber() || SizeQuery(got, "") != SizeQuery(named, "") {
 		t.Fatalf("the subscriber said in full decoded to %v (%v)", got, err)
+	}
+}
+
+// A query travels as its token form behind tokenMarker: the text's bytes,
+// said as catalog ordinals and one byte a word, 18 bytes where the text took
+// 42. A text the form does not spell back exactly — spaced otherwise —
+// travels as written. Either decodes to the query sent, and so do the bytes of
+// a build that said every text.
+func TestQueryTravelsAsItsTokenForm(t *testing.T) {
+	catalog := relation.MustCatalog(relation.MustSchema("R", "A", "B"), relation.MustSchema("S", "D", "E"))
+	for _, tc := range []struct {
+		sql    string
+		tokens bool
+	}{
+		{`SELECT R.A, S.D FROM R, S WHERE R.B = S.E`, true},
+		{`SELECT R.A, S.D FROM R, S WHERE R.B=S.E`, false},
+	} {
+		q := query.MustParse(catalog, tc.sql).WithIdentity("peer3", "sim://3", 1).WithInsT(7)
+		var w, text Buffer
+		EncodeQuery(&w, q, "")
+		text.PutString(q.Key())
+		text.PutString("")
+		text.PutString(q.SubscriberIP())
+		text.PutVarint(q.InsT())
+		field := len(text.Bytes())
+		text.PutString(q.Text())
+		if sent := w.Bytes()[field:]; (q.Tokens() != nil) != tc.tokens || tc.tokens && (sent[1] != tokenMarker || len(sent) != 18) {
+			t.Errorf("%s: the text field is %x", tc.sql, sent)
+		}
+		if !tc.tokens && !bytes.Equal(w.Bytes(), text.Bytes()) {
+			t.Errorf("%s: said %x, want the text %x", tc.sql, w.Bytes(), text.Bytes())
+		}
+		if SizeQuery(q, "") != w.Len() {
+			t.Errorf("%s: SizeQuery %d, the encoding %d bytes", tc.sql, SizeQuery(q, ""), w.Len())
+		}
+		memo := new(Memo)
+		for _, enc := range [][]byte{w.Bytes(), text.Bytes(), w.Bytes()} {
+			got, err := DecodeQuery(NewReader(enc), catalog, memo, "")
+			if err != nil || got.Text() != q.Text() || got.Key() != q.Key() || got.Subscriber() != q.Subscriber() || got.InsT() != q.InsT() {
+				t.Errorf("%s: %x decoded to %v (%v)", tc.sql, enc, got, err)
+			}
+		}
+	}
+}
+
+// A token form the receiver's catalog cannot spell, or spells to a text Parse
+// refuses, fails the query; one that spells another query's text is that
+// query, not the one its key names in the memo.
+func TestForgedTokenFormFailsToDecode(t *testing.T) {
+	catalog := relation.MustCatalog(relation.MustSchema("R", "A", "B"), relation.MustSchema("S", "D", "E"))
+	q := query.MustParse(catalog, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`).WithIdentity("peer3", "sim://3", 1)
+	forge := func(tokens ...byte) []byte {
+		var w Buffer
+		w.PutString(q.Key())
+		w.PutString("")
+		w.PutString(q.SubscriberIP())
+		w.PutVarint(q.InsT())
+		w.PutBytes(append([]byte{tokenMarker}, tokens...))
+		return w.Bytes()
+	}
+	memo := new(Memo)
+	if _, err := DecodeQuery(NewReader(forge(q.Tokens()...)), catalog, memo, ""); err != nil {
+		t.Fatalf("the query's own token form: %v", err)
+	}
+	// Codes (query/tokens.go): 1 SELECT, 2 FROM, 3 WHERE; 26 + 2·ordinal + form
+	// a relation of the catalog (R, S), form 1 with an attribute ordinal after.
+	for what, data := range map[string][]byte{
+		"a relation past the catalog":  forge(1, 26+2*2),
+		"an attribute past the arity":  forge(1, 26+2*1+1, 2),
+		"an unknown code":              forge(1, 0),
+		"a truncated stream":           forge(1, 26+2*1+1),
+		"a text Parse refuses":         forge(1, 2, 3),
+		"the marker and nothing after": forge(),
+	} {
+		if got, err := DecodeQuery(NewReader(data), catalog, memo, ""); err == nil {
+			t.Errorf("%s: decoded to %v", what, got)
+		}
+	}
+	other := query.MustParse(catalog, `SELECT S.D FROM R, S WHERE R.A = S.E`)
+	if got, err := DecodeQuery(NewReader(forge(other.Tokens()...)), catalog, memo, ""); err != nil || got.Text() != other.Text() {
+		t.Fatalf("another token form under the key decoded to %v (%v), want %q", got, err, other.Text())
 	}
 }
 
