@@ -16,7 +16,12 @@
 //	<- {"event":"notification","query":"peer40#1","subscriber":"peer40","values":["acme","rotterdam"]}
 //	-> {"op":"unsubscribe","key":"peer40#1"}
 //	-> {"op":"stats"}
-//	<- {"ok":true,"nodes":256,"notifications":1,"hops":62,"messages":19,"bytes":38197}
+//	<- {"ok":true,"nodes":256,"notifications":1,"hops":62,"messages":19,"bytes":38197,
+//	    "chord":{"chord.msgs.al-index":6,"chord.hops.al-index":24,"chord.bytes.al-index":1428,...,
+//	    "chord.handbacks":0},"engine":{...},...}
+//
+// The stats reply has one section per layer; "chord" splits the messages,
+// hops and bytes above by message kind, and each family sums to its total.
 //
 // By default the overlay runs in-process (the library's simulator). With
 // -overlay and -peers, N cqjoind processes form one overlay: every

@@ -55,7 +55,7 @@ var hopBuckets = []int64{0, 1, 2, 4, 8, 16, 32, 64, 128}
 
 func newNetObs(reg *obs.Registry) netObs {
 	if reg == nil {
-		return netObs{}
+		return netObs{handbacks: new(obs.Counter)} // Network.Handbacks reads it
 	}
 	return netObs{
 		lookups:       reg.Counter("chord.lookups"),
@@ -148,6 +148,11 @@ func (net *Network) Traffic() *metrics.Traffic { return net.traffic }
 // Obs returns the observability registry the overlay records into, or nil
 // when the layer is disabled.
 func (net *Network) Obs() *obs.Registry { return net.obsReg }
+
+// Handbacks returns how many hops a message was handed back toward its owner
+// after a final hop (land): "chord.handbacks", counted with or without a
+// registry — hand-backs are rare, and a daemon reports them.
+func (net *Network) Handbacks() int64 { return net.obs.handbacks.Value() }
 
 // Clock returns the network's logical clock.
 func (net *Network) Clock() *sim.Clock { return net.clock }

@@ -842,11 +842,6 @@ func (s *Server) dispatch(req *request, lst *listener) interface{} {
 		tr := s.cluster.Traffic()
 		ring := chord.CheckRing(s.cluster.Overlay())
 		eval := s.cluster.EvaluatorLoad()
-		bytesByKind := make(map[string]int64)
-		kinds, _ := tr.Snapshot()
-		for kind := range kinds {
-			bytesByKind[kind] = tr.Bytes(kind)
-		}
 		resp := map[string]interface{}{
 			"ok":             true,
 			"nodes":          s.cluster.Size(),
@@ -854,7 +849,6 @@ func (s *Server) dispatch(req *request, lst *listener) interface{} {
 			"hops":           tr.TotalHops(),
 			"messages":       tr.TotalMessages(),
 			"bytes":          tr.TotalBytes(),
-			"bytes_by_kind":  bytesByKind,
 			"ring":           ring.String(),
 			"ring_ok":        ring.OK(),
 			"eval_load_max":  eval.Max,
@@ -862,12 +856,20 @@ func (s *Server) dispatch(req *request, lst *listener) interface{} {
 			"hot_keys":       len(s.cluster.HotKeys()),
 		}
 		// A section per layer with metrics: "daemon", "codec", "engine",
-		// "transport". The engine's also holds its census.
+		// "transport", and "chord", the traffic ledger by message kind: its
+		// messages, hops and bytes sum to the totals above.
 		metrics := s.reg.Snapshot()
 		for name, c := range s.cluster.Engine().Census() {
 			metrics["engine.census."+name+".sum"] = float64(c.Sum)
 			metrics["engine.census."+name+".max"] = float64(c.Max)
 		}
+		msgs, hops := tr.Snapshot()
+		for kind := range hops {
+			metrics["chord.msgs."+kind] = float64(msgs[kind])
+			metrics["chord.hops."+kind] = float64(hops[kind])
+			metrics["chord.bytes."+kind] = float64(tr.Bytes(kind))
+		}
+		metrics["chord.handbacks"] = float64(s.cluster.Overlay().Handbacks())
 		for name, v := range metrics {
 			layer, _, _ := strings.Cut(name, ".")
 			section, _ := resp[layer].(map[string]float64)

@@ -150,15 +150,26 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if stats["hops"].(float64) <= 0 || stats["bytes"].(float64) <= 0 {
 		t.Fatalf("stats missing traffic: %v", stats)
 	}
-	// The bytes again, split by message kind: the parts sum to the whole, and
-	// the tuples' index messages are among them.
-	byKind, _ := stats["bytes_by_kind"].(map[string]interface{})
-	sum := 0.0
-	for _, b := range byKind {
-		sum += b.(float64)
+	// The traffic again, split by message kind in the chord section: each
+	// family's parts sum to its whole, and the tuples' index messages are
+	// among them; no hinted send met a non-owner on a ring nothing changed.
+	section, _ := stats["chord"].(map[string]interface{})
+	sums := map[string]float64{}
+	for name, v := range section {
+		if family, kind, ok := strings.Cut(strings.TrimPrefix(name, "chord."), "."); ok {
+			sums[family] += v.(float64)
+			if kind == "al-index" && v.(float64) <= 0 {
+				t.Fatalf("%s = %v", name, v)
+			}
+		}
 	}
-	if al, _ := byKind["al-index"].(float64); al <= 0 || sum != stats["bytes"].(float64) {
-		t.Fatalf("bytes_by_kind = %v sums to %v, bytes = %v", byKind, sum, stats["bytes"])
+	for family, total := range map[string]string{"msgs": "messages", "hops": "hops", "bytes": "bytes"} {
+		if section["chord."+family+".al-index"] == nil || sums[family] != stats[total].(float64) {
+			t.Fatalf("chord.%s.<kind> sum to %v, %s = %v: %v", family, sums[family], total, stats[total], section)
+		}
+	}
+	if section["chord.handbacks"] != 0.0 {
+		t.Fatalf("chord.handbacks = %v on a ring nothing changed", section["chord.handbacks"])
 	}
 	// Evaluator-load summary: one match means some evaluator filtered.
 	if stats["eval_load_max"].(float64) <= 0 {

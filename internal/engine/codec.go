@@ -632,7 +632,7 @@ func (rw *rewritten) walk(c *wire.Coder, prev *rewritten) {
 	var said []byte                 // the key as it travels; decoding, it aliases the input
 	side := sideRepeat
 	if !c.Decoding() {
-		if prev == nil || !rw.rewriteTarget.equal(prev.rewriteTarget) {
+		if prev == nil || !rw.repeats(prev) {
 			side = rw.IndexSide
 			if rw.rewriteTarget.derived(rw.Orig) {
 				side += sideDerived
@@ -745,16 +745,23 @@ func (tg *rewriteTarget) derived(q *query.Query) bool {
 	return err == nil && rel == tg.WantRel && attr == tg.WantAttr && val == tg.WantValue
 }
 
-// equal reports whether tg and o are the same target, field by field.
-func (tg *rewriteTarget) equal(o *rewriteTarget) bool {
-	return tg == o || tg.IndexSide == o.IndexSide && tg.WantValue == o.WantValue &&
-		tg.WantAttr == o.WantAttr && tg.WantRel == o.WantRel && tg.Trigger.Equal(o.Trigger)
+// repeats reports whether rw may say its target as prev's, sideRepeat, whose
+// decoder hands rw prev's decoded target: the two are one target field by
+// field, and the trigger goes the same under both queries' shapes — so the
+// shapes are one too, which the rewrites of a rewriter's group, sharing one
+// target and its whole trigger, need not be.
+func (rw *rewritten) repeats(prev *rewritten) bool {
+	tg, o := rw.rewriteTarget, prev.rewriteTarget
+	shape := rw.Orig.Projection(tg.IndexSide)
+	return tg.IndexSide == o.IndexSide && shape.Equal(prev.Orig.Projection(o.IndexSide)) &&
+		tg.WantValue == o.WantValue && tg.WantAttr == o.WantAttr && tg.WantRel == o.WantRel &&
+		wire.SameProjection(tg.Trigger, o.Trigger, shape)
 }
 
 // walk walks what follows IndexSide in the target of a rewrite of q: the
 // trigger, then the wants unless they are derived from it.
 func (tg *rewriteTarget) walk(c *wire.Coder, q *query.Query, derived bool) {
-	// The trigger is the index side's projection: its schema is the plan's.
+	// The trigger goes as the index side's projection: its schema is the plan's.
 	c.Tuple(&tg.Trigger, q.Projection(tg.IndexSide))
 	if !derived {
 		c.String(&tg.WantRel)

@@ -423,13 +423,25 @@ func assertSemanticEqual(t *testing.T, want, got chord.Message) {
 	}
 }
 
+// assertRewrittenEqual compares two rewrites field by field, each trigger
+// through its projection onto its query's shape: what the wire says of it,
+// and all a decoded rewrite holds of a rewriter's whole tuple.
 func assertRewrittenEqual(t *testing.T, w, g *rewritten) {
 	t.Helper()
 	if g.key() != w.key() || g.Orig.Key() != w.Orig.Key() || g.IndexSide != w.IndexSide ||
-		g.Trigger.String() != w.Trigger.String() || g.WantRel != w.WantRel ||
+		projectedTrigger(g) != projectedTrigger(w) || g.WantRel != w.WantRel ||
 		g.WantAttr != w.WantAttr || !g.WantValue.Equal(w.WantValue) {
 		t.Fatalf("rewritten mismatch: %+v vs %+v", g, w)
 	}
+}
+
+// projectedTrigger renders rw's trigger projected onto its query's shape, the
+// whole trigger where it lacks an attribute of the shape.
+func projectedTrigger(rw *rewritten) string {
+	if proj, err := rw.Trigger.ProjectOnto(rw.Orig.Projection(rw.IndexSide)); err == nil {
+		return proj.ContentKey()
+	}
+	return rw.Trigger.ContentKey()
 }
 
 // Size() must be the exact encoded length for every message type.
@@ -688,8 +700,8 @@ func TestCodecDecodeReusesCatalogAndPlanSchemas(t *testing.T) {
 	}
 }
 
-// A rewriter builds one rewriteTarget per group and projection shape; the
-// decoder gives the receiver the same shape back: a rewrite whose target
+// A decoder builds one rewriteTarget per group and projection shape, as
+// targets holding projected triggers are sent: a rewrite whose target
 // bytes repeat its predecessor's takes the predecessor's *rewriteTarget, in
 // a join message, a scattered hot-join and the VLQT entries of a hand-off
 // alike, and a message mixing targets yields one per run.

@@ -132,7 +132,7 @@ func TestRewritersBuildDerivableTargets(t *testing.T) {
 				for _, msg := range tap.msgs {
 					rws, _ := rewritesOf(t, msg)
 					for i, rw := range rws {
-						if i > 0 && rw.rewriteTarget.equal(rws[i-1].rewriteTarget) {
+						if i > 0 && rw.repeats(rws[i-1]) {
 							continue
 						}
 						sides[rw.IndexSide]++
@@ -154,9 +154,10 @@ func TestRewritersBuildDerivableTargets(t *testing.T) {
 	}
 }
 
-// A baseline probe's rewrites (Section 4.1) carry the whole trigger and ask
-// for a value, not for an attribute: nothing in them is derived, and they
-// travel in full and decode to what was sent.
+// A baseline probe's rewrites (Section 4.1) ask for a value, not for an
+// attribute: nothing in them is derived, so they say their key and wants in
+// full — the trigger, as every rewrite's, as its projection — and decode to
+// what was sent.
 func TestBaselineRewritesTravelInFull(t *testing.T) {
 	env := newTestEnv(t, 32, Config{Algorithm: BaselineAttribute})
 	for i := 0; i < 3; i++ {

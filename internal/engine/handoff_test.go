@@ -291,7 +291,7 @@ func stateDump(env *testEnv) []string {
 		}
 		for _, sec := range m.VQ {
 			for _, e := range sec.Entries {
-				add("vq %s %s %v", sec.Input, e.Rw.key(), e.Times)
+				add("vq %s %s %v %s", sec.Input, e.Rw.key(), e.Times, projectedTrigger(e.Rw))
 			}
 		}
 		for _, sec := range m.MQ {

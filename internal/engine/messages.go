@@ -96,10 +96,10 @@ func (interestMsg) Kind() string { return kindInterest }
 
 // rewritten is one rewritten query q' produced when a tuple triggers query
 // Orig at the attribute level (Section 4.3.2): the per-query part, plus the
-// target every rewrite of the same triggered group and projection shape
-// shares by pointer. Nothing writes through that pointer after the group is
-// built, so a stored rewrite, the message that carried it and its siblings
-// can all hold it.
+// target every rewrite of the same triggered group shares by pointer — and a
+// decoded one, every rewrite of the group and projection shape. Nothing
+// writes through that pointer after the group is built, so a stored rewrite,
+// the message that carried it and its siblings can all hold it.
 type rewritten struct {
 	// Key is Key(q') per Section 4.3.3, or "" where it is the key derived
 	// from Orig and the target — Orig.RewriteKey of Trigger and WantValue — as
@@ -153,13 +153,15 @@ func (rw *rewritten) keyStart() string {
 }
 
 // rewriteTarget is what a tuple's rewrites have in common. The
-// index-relation attributes of the query have been consumed: Trigger carries
-// the triggering tuple projected on the attributes still needed (SELECT
-// values and join attribute), and the q' asks for tuples of WantRel whose
-// WantAttr equals WantValue.
+// index-relation attributes of the query have been consumed: of Trigger a
+// rewrite needs only the attributes of its query's projection (SELECT values
+// and join attribute), and the q' asks for tuples of WantRel whose WantAttr
+// equals WantValue. A rewriter's Trigger is the tuple it received, for every
+// shape of its group; the wire says its projection onto each rewrite's
+// shape, and a decoded Trigger is that projection.
 type rewriteTarget struct {
 	IndexSide query.Side      // the side consumed by the trigger
-	Trigger   *relation.Tuple // projection of the triggering tuple
+	Trigger   *relation.Tuple // the triggering tuple, or its projection
 	WantRel   string          // DisR(q)
 	WantAttr  string          // DisA(q)
 	WantValue relation.Value  // valDA(q, t)

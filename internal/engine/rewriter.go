@@ -8,6 +8,7 @@ import (
 	"cqjoin/internal/metrics"
 	"cqjoin/internal/query"
 	"cqjoin/internal/relation"
+	"cqjoin/internal/wire"
 )
 
 // This file implements the attribute level of the two-level indexing
@@ -208,43 +209,31 @@ func (st *nodeState) handleALIndex(m *alIndexMsg, ask *alAskMsg) {
 // caller holds st.mu.
 func (st *nodeState) rewriteGroup(b *alBucket, g *queryGroup, triggered []*query.Query, t *relation.Tuple) (outbound, bool) {
 	// The group shares one join condition, so one target: what the first of
-	// its queries wants. Where the equality has no solution for this tuple,
-	// nothing can ever match it.
-	whole := rewriteTarget{IndexSide: g.side, Trigger: t}
-	wantRel, wantAttr, valDA, err := whole.wants(triggered[0])
-	if err != nil {
+	// its queries wants, and the tuple that triggered it — immutable, and
+	// already live as the publication itself. Where the equality has no
+	// solution for this tuple, nothing can ever match it. What travels of the
+	// trigger is its projection onto each query's shape (wire.Coder.Tuple),
+	// which holds the join attribute and the SELECT values, so what a
+	// receiver derives from it — the wants and Key(q') — is what is built
+	// here, and Key(q') stays derived: "" (rewritten.Key).
+	tgt := &rewriteTarget{IndexSide: g.side, Trigger: t}
+	var err error
+	if tgt.WantRel, tgt.WantAttr, tgt.WantValue, err = tgt.wants(triggered[0]); err != nil {
 		return outbound{}, false
 	}
 
-	target := vlInput(wantRel, wantAttr, valDA)
+	target := vlInput(tgt.WantRel, tgt.WantAttr, tgt.WantValue)
 	storesRewrites := st.engine.cfg.Algorithm == SAI || st.engine.cfg.Algorithm == DAIT
 
-	// The trigger is projected once per projection shape: queries needing
-	// the same attributes share one schema (query.Projection), so all of a
-	// group's rewrites with that shape carry the same immutable target. The
-	// projection holds the join attribute and the SELECT values, so what a
-	// receiver derives from it — the wants and Key(q') — is what is built
-	// here, and Key(q') stays derived: "" (rewritten.Key).
-	var shapeBuf [4]*rewriteTarget
-	shapes := shapeBuf[:0]
+	var projects *relation.Schema // the last shape the trigger was found to have
 	rws := make([]*rewritten, 0, len(triggered))
 	rwBuf := make([]rewritten, 0, len(triggered)) // one allocation for the group, which is stored together
 	for _, q := range triggered {
-		shape := q.Projection(g.side)
-		var tgt *rewriteTarget
-		for _, p := range shapes {
-			if p.Trigger.Schema() == shape {
-				tgt = p
-				break
+		if shape := q.Projection(g.side); shape != projects {
+			if !wire.Projects(t, shape) {
+				continue // a trigger that cannot say what the query reads
 			}
-		}
-		if tgt == nil {
-			proj, err := t.ProjectOnto(shape)
-			if err != nil {
-				continue
-			}
-			tgt = &rewriteTarget{IndexSide: g.side, Trigger: proj, WantRel: wantRel, WantAttr: wantAttr, WantValue: valDA}
-			shapes = append(shapes, tgt)
+			projects = shape
 		}
 		if storesRewrites {
 			// Remember where this query's rewrites live so a retraction
@@ -259,7 +248,7 @@ func (st *nodeState) rewriteGroup(b *alBucket, g *queryGroup, triggered []*query
 		if st.engine.cfg.Algorithm == DAIT {
 			// Section 4.4.3: a rewriter never reindexes the same rewritten
 			// query twice — evaluators store them.
-			key, err := q.RewriteKey(tgt.Trigger, valDA)
+			key, err := q.RewriteKey(t, tgt.WantValue)
 			if err != nil || b.sentRewrites[key] {
 				continue
 			}

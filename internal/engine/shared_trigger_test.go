@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"sort"
@@ -8,13 +9,17 @@ import (
 
 	"cqjoin/internal/query"
 	"cqjoin/internal/relation"
+	"cqjoin/internal/wire"
 )
 
-// A rewriter projects the trigger once per group and projection shape, so
-// the rewrites a group stores at its evaluator share one immutable tuple.
-// The sharing must be invisible: the group yields exactly the notifications
-// per-query projections did, and retracting one member — which purges its
-// stored rewrite — leaves the others firing off the tuple they still share.
+// A rewriter builds one target per triggered group, and its trigger is the
+// tuple it received: the rewrites a group stores at its evaluator share the
+// publication itself, whatever their projection shapes, and what travels is
+// each one's projection, so a decoded group holds one target per shape whose
+// trigger has its query's projection schema. The sharing must be invisible:
+// the group yields exactly the notifications per-query projections did, and
+// retracting one member — which purges its stored rewrite — leaves the
+// others firing off the tuple they still share.
 func TestSharedTriggerGroup(t *testing.T) {
 	env := newTestEnv(t, 48, Config{Algorithm: SAI, Strategy: StrategyLeft, Seed: 5})
 	const sql = `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`
@@ -27,23 +32,54 @@ func TestSharedTriggerGroup(t *testing.T) {
 	// Same join condition, so the same group; another projection shape.
 	other := env.subscribe(t, 4, `SELECT R.C, S.D FROM R, S WHERE R.B = S.E`)
 
-	r1 := env.publish(t, 10, rTuple(env, 1, 7, 30)).PubT()
+	tap := &joinTap{}
+	env.net.SetTransport(tap)
+	published := env.publish(t, 10, rTuple(env, 1, 7, 30))
+	r1 := published.PubT()
 
-	// The evaluator of S+E+7 now stores the five rewrites: one trigger
-	// tuple for the four of one shape, another for the fifth.
-	triggers := make(map[*relation.Tuple][]string)
+	// The evaluator of S+E+7 now stores the five rewrites, of one target
+	// whose trigger is the published tuple.
+	var stored []*rewritten
 	for _, n := range env.nodes {
 		st := env.eng.state(n)
 		st.mu.Lock()
 		if qb := st.vlqt["S+E+7"]; qb != nil {
-			for _, rw := range qb.rewrites.all() {
-				triggers[rw.Trigger] = append(triggers[rw.Trigger], rw.Orig.Key())
-			}
+			stored = append(stored, qb.rewrites.all()...)
 		}
 		st.mu.Unlock()
 	}
+	if len(stored) != 5 {
+		t.Fatalf("%d rewrites stored at S+E+7, want the group's 5", len(stored))
+	}
+	for _, rw := range stored {
+		if rw.rewriteTarget != stored[0].rewriteTarget || rw.Trigger != published {
+			t.Fatalf("%s's rewrite holds target %p and trigger %v, want the group's %p and the publication %v",
+				rw.Orig.Key(), rw.rewriteTarget, rw.Trigger, stored[0].rewriteTarget, published)
+		}
+	}
+
+	// Decoded, the same rewrites hold one target per shape.
+	if len(tap.msgs) != 1 {
+		t.Fatalf("%d join messages, want the group's one", len(tap.msgs))
+	}
+	codec := NewWireCodec(env.catalog)
+	var w wire.Buffer
+	if err := codec.Encode(&w, tap.msgs[0]); err != nil {
+		t.Fatal(err)
+	}
+	back, err := codec.Decode(wire.NewReader(w.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	byTarget := make(map[*rewriteTarget][]string)
+	for _, rw := range back.(joinMsg).Rewrites {
+		if rw.Trigger.Schema() != rw.Orig.Projection(query.SideLeft) {
+			t.Fatalf("%s's decoded trigger has schema %s, want its projection %s", rw.Orig.Key(), rw.Trigger.Schema(), rw.Orig.Projection(query.SideLeft))
+		}
+		byTarget[rw.rewriteTarget] = append(byTarget[rw.rewriteTarget], rw.Orig.Key())
+	}
 	var shapes [][]string
-	for _, group := range triggers {
+	for _, group := range byTarget {
 		sort.Strings(group)
 		shapes = append(shapes, group)
 	}
@@ -51,7 +87,7 @@ func TestSharedTriggerGroup(t *testing.T) {
 	wantShapes := [][]string{append([]string(nil), keys...), {other.Key()}}
 	sort.Strings(wantShapes[0])
 	if !reflect.DeepEqual(shapes, wantShapes) {
-		t.Fatalf("stored rewrites by trigger tuple = %v, want %v", shapes, wantShapes)
+		t.Fatalf("decoded rewrites by target = %v, want %v", shapes, wantShapes)
 	}
 
 	var want []string
@@ -96,6 +132,97 @@ func TestSharedTriggerGroup(t *testing.T) {
 	expect(other.Key(), 31, 2, r2, s1)
 	expect(other.Key(), 31, 3, r2, s2)
 	check("after retracting one member")
+}
+
+// A group of two shapes shares one target at its rewriter, yet a rewrite
+// repeats its predecessor's target on the wire (sideRepeat) only where both
+// project the trigger onto one shape: a narrow, a wide and a narrow query
+// decode to three targets, each trigger of its own query's projection, and
+// the decoded join encodes to the bytes sent.
+func TestTwoShapeJoinRoundTrips(t *testing.T) {
+	env := newTestEnv(t, 32, Config{Algorithm: SAI, Strategy: StrategyLeft, Seed: 5})
+	const narrow, wide = `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`, `SELECT R.A, R.C, S.D FROM R, S WHERE R.B = S.E`
+	for i, sql := range []string{narrow, wide, narrow} {
+		env.subscribe(t, i, sql)
+	}
+	tap := &joinTap{}
+	env.net.SetTransport(tap)
+	env.publish(t, 9, rTuple(env, 1, 7, 2))
+	if len(tap.msgs) != 1 {
+		t.Fatalf("%d join messages, want the group's one", len(tap.msgs))
+	}
+	sent := tap.msgs[0].(joinMsg)
+	for _, rw := range sent.Rewrites {
+		if rw.rewriteTarget != sent.Rewrites[0].rewriteTarget {
+			t.Fatal("a group's rewrites do not share one target")
+		}
+	}
+	var w wire.Buffer
+	if err := EncodeMessage(&w, sent); err != nil {
+		t.Fatal(err)
+	}
+	back, err := DecodeMessage(wire.NewReader(w.Bytes()), env.catalog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := map[*rewriteTarget]bool{}
+	for i, rw := range back.(joinMsg).Rewrites {
+		assertRewrittenEqual(t, sent.Rewrites[i], rw)
+		if rw.Trigger.Schema() != rw.Orig.Projection(query.SideLeft) {
+			t.Fatalf("rewrite %d's trigger decoded as %s, want its query's %s", i, rw.Trigger.Schema(), rw.Orig.Projection(query.SideLeft))
+		}
+		targets[rw.rewriteTarget] = true
+	}
+	if len(targets) != 3 {
+		t.Fatalf("%d targets decoded, want one per run of a shape: 3", len(targets))
+	}
+	var again wire.Buffer
+	if err := EncodeMessage(&again, back); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), w.Bytes()) || MessageSize(sent) != w.Len() {
+		t.Fatalf("sent %d bytes (sized %d)\n%x\ndecoded and sent again\n%x", w.Len(), MessageSize(sent), w.Bytes(), again.Bytes())
+	}
+}
+
+// Under SAI the evaluator copies nothing of a trigger: every stored rewrite's
+// trigger is a tuple some value-level tuple table holds, by pointer — the
+// publication the rewriter received and forwarded. Queries on both index
+// sides of one condition make each side's tuples both triggers and stored.
+func TestStoredTriggersAreStoredTuples(t *testing.T) {
+	env := newTestEnv(t, 48, Config{Algorithm: SAI, Strategy: StrategyRandom, Seed: 3})
+	for i := 0; i < 8; i++ {
+		env.subscribe(t, i, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
+	}
+	for i := 0; i < 12; i++ {
+		env.publish(t, i, rTuple(env, float64(i), float64(i%4), 0))
+		env.publish(t, 20+i, sTuple(env, float64(i), float64(i%3), 0))
+	}
+	held := map[*relation.Tuple]bool{}
+	var rewrites []*rewritten
+	for _, n := range env.nodes {
+		st := env.eng.state(n)
+		st.mu.Lock()
+		for _, b := range st.vltt {
+			for _, tu := range b.tuples.all() {
+				held[tu] = true
+			}
+		}
+		for _, b := range st.vlqt {
+			rewrites = append(rewrites, b.rewrites.all()...)
+		}
+		st.mu.Unlock()
+	}
+	sides := map[query.Side]int{}
+	for _, rw := range rewrites {
+		if !held[rw.Trigger] {
+			t.Fatalf("%s's stored trigger %v is no tuple a value-level table holds", rw.Orig.Key(), rw.Trigger)
+		}
+		sides[rw.IndexSide]++
+	}
+	if sides[query.SideLeft] == 0 || sides[query.SideRight] == 0 {
+		t.Fatalf("stored rewrites by index side: %v; the case exercises one side only", sides)
+	}
 }
 
 // Under a strategy that never probes, rewriters record no arrival

@@ -161,6 +161,36 @@ func (st *nodeState) handleUnsub(m unsubMsg) {
 			})
 		}
 	}
+	st.sendPurges(batch)
+}
+
+// sendPurges sends a retraction's purges. With the JFRT on (Section 4.7.1) a
+// purge whose evaluator the table remembers taking its input's joins goes
+// there in one hinted hop, retried like any other where it fails, and only
+// the rest walk; with it off the table is not read.
+func (st *nodeState) sendPurges(batch []chord.Deliverable) {
+	e := st.engine
+	if e.cfg.UseJFRT {
+		walk := batch[:0]
+		var failed []chord.Deliverable
+		for _, d := range batch {
+			input := d.Msg.(purgeMsg).Input
+			dst, ok := st.jfrt.lookup(input)
+			if !ok {
+				walk = append(walk, d)
+				continue
+			}
+			if taker, _, err := st.node.SendHinted(d.Msg, d.Target, dst); err != nil {
+				failed = append(failed, d)
+			} else if taker != dst {
+				st.jfrt.store(input, taker, e.obs.hints)
+			}
+		}
+		if len(failed) > 0 {
+			e.retryFailed(st.node, failed, nil)
+		}
+		batch = walk
+	}
 	_ = e.dispatch(st.node, batch)
 }
 

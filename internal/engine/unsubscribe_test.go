@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
 	"cqjoin/internal/chord"
@@ -224,32 +225,98 @@ func TestResubscribeAfterUnsubscribe(t *testing.T) {
 // Config.MaxRetries, and booked lost past it. The rewriter's purge fan-out
 // once called Multisend itself and dropped the result, so a dropped purge left
 // its rewrite stored for good behind an Unsubscribe that had returned nil, with
-// nothing in the ledger.
+// nothing in the ledger. A purge hinted through the JFRT is retried alike.
 func TestLostPurgeIsRetried(t *testing.T) {
-	env := newTestEnv(t, 64, Config{Algorithm: SAI, Strategy: StrategyLeft, Seed: 4, MaxRetries: 4})
-	q := env.subscribe(t, 0, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
-	for i := 0; i < 6; i++ {
-		env.publish(t, 1+i, rTuple(env, 0, float64(i), 0))
+	for _, jfrt := range []bool{false, true} {
+		env := newTestEnv(t, 64, Config{Algorithm: SAI, Strategy: StrategyLeft, Seed: 4, MaxRetries: 4, UseJFRT: jfrt})
+		q := env.subscribe(t, 0, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
+		for i := 0; i < 6; i++ {
+			env.publish(t, 1+i, rTuple(env, 0, float64(i), 0))
+		}
+		if _, _, rewrites := ringHolds(env); rewrites != 6 {
+			t.Fatalf("JFRT %v: set-up stored %d rewrites, want 6", jfrt, rewrites)
+		}
+		drop := &parkKind{kind: purgeMsg{}.Kind(), armed: 1, only: func(m chord.Message) bool {
+			_, purge := m.(purgeMsg)
+			return purge
+		}}
+		env.net.SetInterceptor(drop)
+		if err := env.eng.Unsubscribe(env.node(0), q); err != nil {
+			t.Fatalf("JFRT %v: Unsubscribe: %v", jfrt, err)
+		}
+		if len(drop.parked) != 1 {
+			t.Fatalf("JFRT %v: %d purges dropped, want 1", jfrt, len(drop.parked))
+		}
+		traffic := env.net.Traffic()
+		if _, _, rewrites := ringHolds(env); rewrites != 0 || traffic.TotalLost() != 0 {
+			t.Fatalf("JFRT %v: %d rewrites still stored behind a dropped purge, %d messages booked lost", jfrt, rewrites, traffic.TotalLost())
+		}
+		if traffic.Retries(purgeMsg{}.Kind()) == 0 {
+			t.Fatalf("JFRT %v: the dropped purge was never re-sent", jfrt)
+		}
 	}
-	if _, _, rewrites := ringHolds(env); rewrites != 6 {
-		t.Fatalf("set-up stored %d rewrites, want 6", rewrites)
+}
+
+// With the JFRT on, a retraction's rewriter sends each purge straight to the
+// evaluator its table remembers taking the query's joins: one hop a target,
+// and one more a hand-back where a node joined since and took the input
+// over. Both rings purge every rewrite and deliver the same notifications.
+func TestJFRTPurgesGoStraightToTheirEvaluators(t *testing.T) {
+	const sql = `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`
+	delivered := map[bool][]string{}
+	for _, jfrt := range []bool{false, true} {
+		env := newTestEnv(t, 64, Config{Algorithm: SAI, Strategy: StrategyLeft, UseJFRT: jfrt, Seed: 2})
+		q := env.subscribe(t, 0, sql)
+		for i := 0; i < 8; i++ {
+			env.publish(t, 1+i, rTuple(env, float64(i), float64(i), 0))
+			env.publish(t, 20+i, sTuple(env, float64(i), float64(i), 0))
+		}
+		// A joiner takes one evaluator's input over, its stored rewrite with it.
+		joiner, err := env.net.Join(keyTaking(t, env.net, "S+E+0"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		env.eng.Attach(joiner)
+		targets := 0
+		for _, n := range env.net.Nodes() {
+			st := env.eng.state(n)
+			st.mu.Lock()
+			for _, b := range st.alqt {
+				targets += len(b.sentTargets[q.Key()])
+			}
+			st.mu.Unlock()
+		}
+		// The retraction waits at its rewriter, so what its purges cost is
+		// counted alone.
+		park := &parkKind{kind: kindUnsub, armed: 1 << 10, only: func(m chord.Message) bool {
+			_, retraction := m.(unsubMsg)
+			return retraction
+		}}
+		env.net.SetInterceptor(park)
+		_ = env.eng.Unsubscribe(env.node(0), q) // parked: not acked
+		env.net.SetInterceptor(nil)
+		tr := env.net.Traffic()
+		hops, handbacks := tr.Hops(kindUnsub), env.net.Handbacks()
+		park.release()
+		purgeHops, back := tr.Hops(kindUnsub)-hops, env.net.Handbacks()-handbacks
+		t.Logf("JFRT %v: %d targets purged over %d hops, %d of them hand-backs", jfrt, targets, purgeHops, back)
+		if _, _, rewrites := ringHolds(env); targets != 8 || rewrites != 0 {
+			t.Fatalf("JFRT %v: %d rewrites left behind a retraction of %d targets, want none of 8", jfrt, rewrites, targets)
+		}
+		if jfrt && (purgeHops > int64(targets)+back || back == 0) {
+			t.Fatalf("the purges of %d remembered targets cost %d hops with %d hand-backs, want at most one a target and one a hand-back, and the joiner's hand-back",
+				targets, purgeHops, back)
+		}
+		for i := 0; i < 8; i++ {
+			env.publish(t, 40+i, rTuple(env, float64(i), float64(i), 0))
+			env.publish(t, 50+i, sTuple(env, float64(i), float64(i), 0))
+		}
+		for _, n := range env.eng.Notifications() {
+			delivered[jfrt] = append(delivered[jfrt], n.ContentKey())
+		}
+		slices.Sort(delivered[jfrt])
 	}
-	drop := &parkKind{kind: purgeMsg{}.Kind(), armed: 1, only: func(m chord.Message) bool {
-		_, purge := m.(purgeMsg)
-		return purge
-	}}
-	env.net.SetInterceptor(drop)
-	if err := env.eng.Unsubscribe(env.node(0), q); err != nil {
-		t.Fatalf("Unsubscribe: %v", err)
-	}
-	if len(drop.parked) != 1 {
-		t.Fatalf("%d purges dropped, want 1", len(drop.parked))
-	}
-	traffic := env.net.Traffic()
-	if _, _, rewrites := ringHolds(env); rewrites != 0 || traffic.TotalLost() != 0 {
-		t.Fatalf("%d rewrites still stored behind a dropped purge, %d messages booked lost", rewrites, traffic.TotalLost())
-	}
-	if traffic.Retries(purgeMsg{}.Kind()) == 0 {
-		t.Fatal("the dropped purge was never re-sent")
+	if len(delivered[true]) != 8 || !slices.Equal(delivered[true], delivered[false]) {
+		t.Fatalf("JFRT on delivers\n%v\nJFRT off\n%v\nwant the same 8", delivered[true], delivered[false])
 	}
 }

@@ -237,8 +237,19 @@ func (c *Coder) Value(v *relation.Value) {
 
 // Tuple walks a tuple whose receiver expects shape of it (its query's projection;
 // nil: none): its names stay home where shape, else Catalog, holds them (held),
-// and with no shape the whole tuple does where it is Prev.
-func (c *Coder) Tuple(t **relation.Tuple, shape *relation.Schema) { c.tuple(t, shape, false) }
+// and with no shape the whole tuple does where it is Prev. A tuple with more
+// attributes than shape goes as its projection onto shape, which is what its
+// receiver reads: a sender holds the tuple, never a projected copy of it, and
+// the receiver decodes the projection.
+func (c *Coder) Tuple(t **relation.Tuple, shape *relation.Schema) {
+	if c.mode == decoding || shape == nil || held((*t).Schema(), shape) || !Projects(*t, shape) {
+		c.tuple(t, shape, false)
+	} else if c.mode == sizing {
+		c.n += sizeProjection(*t, shape)
+	} else {
+		encodeProjection(&c.w, *t, shape)
+	}
+}
 
 // NamedTuple walks a tuple with the names of its attributes, always: for a
 // reader that holds no schema to resolve it against, a WAL record's.

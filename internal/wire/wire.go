@@ -277,6 +277,61 @@ func EncodeTuple(w *Buffer, t *relation.Tuple, named bool) {
 	w.PutVarint(t.PubT())
 }
 
+// Projects reports whether t can be said as its projection onto shape: a
+// schema of t's relation whose every attribute t has.
+func Projects(t *relation.Tuple, shape *relation.Schema) bool {
+	s := t.Schema()
+	if s.Name() != shape.Name() {
+		return false
+	}
+	for i := 0; i < shape.Arity(); i++ {
+		if !s.HasAttr(shape.Attr(i)) {
+			return false
+		}
+	}
+	return true
+}
+
+// SameProjection reports whether a and b say the same under shape, as
+// Coder.Tuple says a rewrite's trigger: one tuple, or one publication time and
+// the same values on shape's attributes where both project onto it.
+func SameProjection(a, b *relation.Tuple, shape *relation.Schema) bool {
+	if a == b {
+		return true
+	}
+	pa, pb := Projects(a, shape), Projects(b, shape)
+	if !pa || !pb {
+		return !pa && !pb && a.Equal(b)
+	}
+	if a.PubT() != b.PubT() {
+		return false
+	}
+	for i := 0; i < shape.Arity(); i++ {
+		if a.ValueAt(projectedAt(a, shape, i)) != b.ValueAt(projectedAt(b, shape, i)) {
+			return false
+		}
+	}
+	return true
+}
+
+// projectedAt returns the position in t of shape's attribute i.
+func projectedAt(t *relation.Tuple, shape *relation.Schema, i int) int {
+	return t.Schema().AttrIndex(shape.Attr(i))
+}
+
+// encodeProjection appends t projected onto shape, a schema Projects allows,
+// as EncodeTuple appends that projection for a receiver holding shape: built
+// in place, so the sender keeps no copy.
+func encodeProjection(w *Buffer, t *relation.Tuple, shape *relation.Schema) {
+	w.PutString(shape.Name())
+	w.PutUvarint(0)
+	w.PutUvarint(uint64(shape.Arity()))
+	for i := 0; i < shape.Arity(); i++ {
+		w.PutValue(t.ValueAt(projectedAt(t, shape, i)))
+	}
+	w.PutVarint(t.PubT())
+}
+
 // DecodeTuple reads a tuple encoded by EncodeTuple. Arity 0 leaves the names
 // to the receiver: the tuple takes shape, the projection schema of the query
 // it travels with, or with no shape the catalog's schema of the relation; a
@@ -487,6 +542,16 @@ func SizeTuple(t *relation.Tuple, named bool) int {
 		for i := 0; i < schema.Arity(); i++ {
 			n += SizeString(schema.Attr(i))
 		}
+	}
+	return n
+}
+
+// sizeProjection returns the size encodeProjection gives t projected onto
+// shape.
+func sizeProjection(t *relation.Tuple, shape *relation.Schema) int {
+	n := SizeString(shape.Name()) + 1 + SizeUvarint(uint64(shape.Arity())) + SizeVarint(t.PubT())
+	for i := 0; i < shape.Arity(); i++ {
+		n += SizeValue(t.ValueAt(projectedAt(t, shape, i)))
 	}
 	return n
 }
