@@ -238,7 +238,8 @@ func TestDaemonStatsReportEngineSilence(t *testing.T) {
 
 // The engine's census reaches the stats op: what one subscription and one
 // matching pair leave stored, summed over the nodes and at the fullest one,
-// and the receiving codec's memo, empty in a process no socket feeds.
+// and the receiving codec's memo, empty in a process no socket feeds; so do
+// the restarts of the evaluators' learned addresses, none.
 func TestDaemonStatsReportEngineCensus(t *testing.T) {
 	_, conn := startServer(t, defaultConfig())
 	c := newClient(t, conn)
@@ -263,6 +264,7 @@ func TestDaemonStatsReportEngineCensus(t *testing.T) {
 		"engine.census.wire_memo_queries.sum": 0,
 		"engine.census.wire_memo_parsed.sum":  0,
 		"engine.census.wire_memo_strings.sum": 0,
+		"engine.sub_ip_resets":                0,
 	} {
 		if got := engine[name]; got != want {
 			t.Errorf("%s = %v, want %v", name, got, want)

@@ -31,10 +31,13 @@ import (
 // whose queries say a subscriber their key names, and whose stored rewrites
 // say what their evaluator derives; state-pr36 at 802dac1, the last whose
 // snapshots say every query's SQL text, not its token form, and whose
-// directory records no catalog digest. snapshot.bin is a graceful checkpoint
-// taken mid-script, wal.log the records appended after it up to a kill -9.
+// directory records no catalog digest; state-pr38 at d97b968, the first whose
+// queries say their token form and the last whose stored notifications say
+// their key in full, their address and their delivery time. snapshot.bin is a
+// graceful checkpoint taken mid-script, wal.log the records appended after it
+// up to a kill -9.
 
-var parentStateDirs = []string{"testdata/state-pr18", "testdata/state-pr19", "testdata/state-pr20", "testdata/state-pr25", "testdata/state-pr32", "testdata/state-pr36"}
+var parentStateDirs = []string{"testdata/state-pr18", "testdata/state-pr19", "testdata/state-pr20", "testdata/state-pr25", "testdata/state-pr32", "testdata/state-pr36", "testdata/state-pr38"}
 
 // parentStateUnmarked is the last of parentStateDirs whose writer kept no
 // interest marks: recovery derives none for the ones after it.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 
 	"cqjoin/internal/chord"
 	"cqjoin/internal/query"
@@ -777,49 +778,116 @@ func (tg *rewriteTarget) walk(c *wire.Coder, q *query.Query, derived bool) {
 	}
 }
 
-// walk walks one notification of a batch bound for subscriber, after one of
-// prevKey ("" for the first): either, repeated, travels as an empty string.
-func (n *Notification) walk(c *wire.Coder, subscriber, prevKey string) {
-	key, sub := n.QueryKey, n.Subscriber
-	if !c.Decoding() {
-		if key == prevKey {
+// walk walks one notification of a batch bound for subscriber ("" for none: a
+// snapshot's Sink), after one of prevKey ("" for the first); a key equal to
+// prevKey travels as "". In a lean batch the notification says only what its
+// subscriber reads (Section 4.6): its key as the "#n" past subscriber, its
+// values and its times. Otherwise it says its key in full, its subscriber (""
+// for the batch's), its address and its delivery time, as every build before
+// the lean layout did. Decoding, the batch's first key decides which: no
+// parent wrote a key that starts with '#'.
+func (n *Notification) walk(c *wire.Coder, subscriber, prevKey string, lean *bool) {
+	if c.Decoding() {
+		n.QueryKey = decodeNotificationKey(c, subscriber, prevKey, lean)
+	} else {
+		key := n.QueryKey
+		switch {
+		case key == prevKey:
 			key = ""
+		case *lean:
+			key = key[len(subscriber):]
+		case strings.HasPrefix(key, "#"):
+			c.Fail(errLeanKey)
 		}
-		if sub == subscriber {
+		c.String(&key)
+	}
+	if *lean {
+		if c.Decoding() {
+			n.Subscriber = subscriber
+		}
+	} else {
+		sub := n.Subscriber
+		if !c.Decoding() && sub == subscriber {
 			sub = ""
 		}
+		c.Interned(&sub)
+		if c.Decoding() {
+			if sub == "" {
+				sub = subscriber
+			}
+			n.Subscriber = sub
+		}
+		c.Interned(&n.subscriberIP)
 	}
-	c.Interned(&key)
-	c.Interned(&sub)
-	if c.Decoding() {
-		if key == "" {
-			key = prevKey
-		}
-		if sub == "" {
-			sub = subscriber
-		}
-		if key == "" {
-			c.Fail(errors.New("engine: a notification repeats a predecessor it does not have"))
-		}
-		n.QueryKey, n.Subscriber = key, sub
-	}
-	c.Interned(&n.subscriberIP)
 	wire.Slice(c, &n.Values)
 	for i := range n.Values {
 		c.Value(&n.Values[i])
 	}
 	c.Varint(&n.LeftPubT)
 	c.Varint(&n.RightPubT)
-	c.Varint(&n.DeliveredAt)
+	if !*lean {
+		c.Varint(&n.DeliveredAt)
+	}
 }
 
+var errLeanKey = errors.New("engine: a notification key past a subscriber, outside its subscriber's lean batch")
+
+// decodeNotificationKey reads the key of a notification walk, interned
+// through the codec's memo: "" for prevKey, a '#'-led one past subscriber —
+// the first sets lean, and every other in a lean batch must be one — else the
+// key in full.
+func decodeNotificationKey(c *wire.Coder, subscriber, prevKey string, lean *bool) string {
+	var said []byte
+	c.Bytes(&said)
+	switch {
+	case c.Err() != nil:
+		return ""
+	case len(said) == 0:
+		if prevKey == "" {
+			c.Fail(errors.New("engine: a notification repeats a predecessor it does not have"))
+		}
+		return prevKey
+	case said[0] == '#':
+		if subscriber == "" || prevKey != "" && !*lean {
+			c.Fail(errLeanKey)
+			return ""
+		}
+		*lean = true
+		return c.Memo.Joined(subscriber, said)
+	case *lean:
+		c.Fail(errors.New("engine: a lean batch's notification says its key in full"))
+		return ""
+	}
+	return c.Memo.Joined("", said)
+}
+
+// walkNotifications walks a batch bound for subscriber ("" for none).
 func walkNotifications(c *wire.Coder, ns *[]Notification, subscriber string) {
 	wire.Slice(c, ns)
+	lean := !c.Decoding() && leanBatch(*ns, subscriber)
 	prevKey := ""
 	for i := range *ns {
-		(*ns)[i].walk(c, subscriber, prevKey)
+		(*ns)[i].walk(c, subscriber, prevKey, &lean)
 		prevKey = (*ns)[i].QueryKey
 	}
+}
+
+// leanBatch reports whether a batch bound for subscriber goes in the lean
+// layout (Notification.walk): iff every notification is subscriber's, has a
+// key past subscriber + "#" and was not yet delivered. It is decided on
+// values, so a decoded batch encodes as it travelled.
+func leanBatch(ns []Notification, subscriber string) bool {
+	if subscriber == "" {
+		return false
+	}
+	for i := range ns {
+		n := &ns[i]
+		k := n.QueryKey
+		if n.Subscriber != subscriber || n.DeliveredAt != 0 || len(k) <= len(subscriber) || k[len(subscriber)] != '#' || k[:len(subscriber)] != subscriber {
+			return false
+		}
+	}
+	return true
 }
 
 // walkMultiQuery walks a multi-way query: its identity and insertion time,

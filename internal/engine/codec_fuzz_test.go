@@ -18,8 +18,9 @@ import (
 // memo-less decode accepts and decode it to the same message. The seed
 // corpus is one valid encoding of every engine message type, messages
 // whose first element repeats a predecessor it does not have, messages
-// whose side is one no side field holds, and queries whose token form names
-// what the catalog has not or spells no query.
+// whose side is one no side field holds, queries whose token form names
+// what the catalog has not or spells no query, and notification batches whose
+// key past their subscriber stands where none may.
 //
 // Every input is then decoded as an entry of a batch frame, behind each of
 // four predecessors: one carrying the fixtures' R tuple, one their S tuple,
@@ -51,6 +52,9 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		f.Add(data)
 	}
 	for _, data := range hostileTokens(f, msgs[0].(queryMsg)) {
+		f.Add(data)
+	}
+	for _, data := range hostileNotifications("peer5") {
 		f.Add(data)
 	}
 	f.Add([]byte{})

@@ -214,7 +214,7 @@ func assertSemanticEqual(t *testing.T, want, got chord.Message) {
 			if g.Batch[i].ContentKey() != w.Batch[i].ContentKey() ||
 				g.Batch[i].LeftPubT != w.Batch[i].LeftPubT ||
 				g.Batch[i].RightPubT != w.Batch[i].RightPubT ||
-				g.Batch[i].subscriberIP != w.Batch[i].subscriberIP {
+				g.Batch[i].Subscriber != w.Batch[i].Subscriber {
 				t.Fatalf("notification %d mismatch", i)
 			}
 		}
@@ -356,7 +356,7 @@ func assertSemanticEqual(t *testing.T, want, got chord.Message) {
 			gn, wn := g.Notifs[i], w.Notifs[i]
 			if gn.Subscriber != wn.Subscriber || len(gn.Batch) != len(wn.Batch) ||
 				gn.Batch[0].ContentKey() != wn.Batch[0].ContentKey() ||
-				gn.Batch[0].subscriberIP != wn.Batch[0].subscriberIP {
+				gn.Batch[0].Subscriber != wn.Batch[0].Subscriber {
 				t.Fatalf("notifSection %d mismatch: %+v", i, gn)
 			}
 		}

@@ -35,7 +35,8 @@ const retiredTag = 20
 // the last build (PR 34) whose queries said their subscriber and whose
 // rewrites said their wants and Key(q') where the receiver derives them;
 // testdata/wire-pr36.golden as the last build whose queries said their SQL
-// text, not its token form.
+// text, not its token form; testdata/wire-pr38.golden as the last build whose
+// notifications said their key in full, their address and their delivery time.
 // Nothing writes those layouts any more, and
 // peers, WAL delivery records and snapshots still hold them, so they are only
 // ever read: each line must decode to its fixture, and to a message that
@@ -64,7 +65,7 @@ func TestWireGolden(t *testing.T) {
 		lines, behind = lines[:i], lines[i:]
 	}
 	checkBehindLines(t, catalog, msgs, behind)
-	parents := [][]string{goldenLines(t, "testdata/wire-pr19.golden"), goldenLines(t, "testdata/wire-pr20.golden"), goldenLines(t, "testdata/wire-pr32.golden"), goldenLines(t, "testdata/wire-pr34.golden"), goldenLines(t, "testdata/wire-pr36.golden")}
+	parents := [][]string{goldenLines(t, "testdata/wire-pr19.golden"), goldenLines(t, "testdata/wire-pr20.golden"), goldenLines(t, "testdata/wire-pr32.golden"), goldenLines(t, "testdata/wire-pr34.golden"), goldenLines(t, "testdata/wire-pr36.golden"), goldenLines(t, "testdata/wire-pr38.golden")}
 	if len(lines) != len(msgs) {
 		t.Errorf("%d golden lines for %d fixtures", len(lines), len(msgs))
 	}

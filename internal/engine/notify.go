@@ -15,7 +15,10 @@ import (
 // Notification is the answer to a triggered continuous query: the SELECT
 // projection over a matched pair of tuples plus the time information of
 // Section 4.6 ("the appropriate tuples along with time information about
-// when those tuples were inserted").
+// when those tuples were inserted"). In flight, and stored for an offline
+// subscriber, a notification says only what its subscriber reads: its key
+// past the subscriber its batch names, its values and LeftPubT/RightPubT
+// (codec.go, Notification.walk).
 type Notification struct {
 	// QueryKey is Key(q) of the triggered query.
 	QueryKey string
@@ -29,13 +32,15 @@ type Notification struct {
 	// the others together in LeftPubT (chainPrefixID).
 	LeftPubT, RightPubT int64
 	// DeliveredAt is the logical time the notification reached its
-	// subscriber (possibly after an offline period).
+	// subscriber (possibly after an offline period), set on delivery: 0
+	// while it travels.
 	DeliveredAt int64
 
 	// subscriberIP is the address the subscriber had when it posed the
-	// query (IP(n) in the query() message of Section 4.3.1); evaluators use
-	// it for the one-hop delivery path and fall back to DHT routing when it
-	// is stale.
+	// query (IP(n) in the query() message of Section 4.3.1). Only the
+	// evaluator that built the notification reads it (knownIP), to take the
+	// one-hop delivery path, falling back to DHT routing when it is stale.
+	// A lean batch does not say it: a notification decoded from one has none.
 	subscriberIP string
 }
 
@@ -203,11 +208,25 @@ func (st *nodeState) deliverNotify(sub string, batch []Notification) {
 		if _, _, err := st.node.Send(msg, id.Hash(sub)); err == nil {
 			e.net.Traffic().Record("ip-update", 1)
 			st.mu.Lock()
-			st.subIPs[sub] = dst.IP()
+			st.learnIP(sub, dst.IP())
 			st.mu.Unlock()
 			return
 		}
 	}
+}
+
+// subIPsMax bounds the subscriber addresses one evaluator learns, as idCache
+// is bounded: full, they restart, and a subscriber whose entry went is reached
+// through the DHT once more and relearned.
+const subIPsMax = 1 << 14
+
+// learnIP records the address sub answered from. The caller holds st.mu.
+func (st *nodeState) learnIP(sub, ip string) {
+	if _, ok := st.subIPs[sub]; !ok && len(st.subIPs) >= subIPsMax {
+		st.engine.obs.subIPResets.Inc()
+		clear(st.subIPs)
+	}
+	st.subIPs[sub] = ip
 }
 
 // knownIP returns the freshest address the evaluator has for a subscriber:
@@ -229,16 +248,21 @@ func (st *nodeState) knownIP(sub string, batch []Notification) string {
 }
 
 // handleNotify processes a notification message arriving at node st: the
-// subscriber itself consumes it; any other node is Successor(Id(n)) of an
-// offline subscriber and stores it for replay (Section 4.6).
+// subscriber itself consumes it; any other node is Successor(Id(n)) of a
+// subscriber that is offline, or whose identifier moved (Section 4.7.2) and
+// that is online elsewhere. It forwards the latter's batch in one direct hop,
+// and stores what it cannot forward for replay on reconnect (Section 4.6).
 func (st *nodeState) handleNotify(msg notifyMsg) {
-	now := st.engine.net.Clock().Now()
 	if st.node.Key() == msg.Subscriber {
+		now := st.engine.net.Clock().Now()
 		for _, n := range msg.Batch {
 			n.DeliveredAt = now
 			st.engine.record(n)
 		}
 		st.engine.obs.notifyDelivered.Add(int64(len(msg.Batch)))
+		return
+	}
+	if dst := st.engine.net.NodeByKey(msg.Subscriber); dst != nil && st.node.DirectSend(msg, dst) {
 		return
 	}
 	st.mu.Lock()

@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
+	"cqjoin/internal/id"
+	"cqjoin/internal/obs"
 	"cqjoin/internal/relation"
 )
 
@@ -131,5 +134,80 @@ func TestSendNotificationsKeepsOrderHoweverGrouped(t *testing.T) {
 		if got := byMap.eng.DeliveredContentKeys(); !slices.Equal(got, want) {
 			t.Fatalf("%d subscribers, map path: delivered %v, want %v", subscribers, got, want)
 		}
+	}
+}
+
+// Section 4.7.2 moves a node's identifier (Engine.MoveNode) and keeps its key,
+// so its queries keep their subscriber. An evaluator's first delivery to it
+// after the move walks the DHT to Successor(Hash(key)), no longer the
+// subscriber: that node forwards the batch to the subscriber, online
+// elsewhere, instead of storing it as mail no reconnect would replay.
+func TestMovedSubscriberGetsItsMail(t *testing.T) {
+	env := newTestEnv(t, 64, Config{Algorithm: SAI})
+	sub := env.node(0)
+	env.subscribe(t, 0, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
+	moved, err := env.eng.MoveNode(sub, env.node(32).ID().AddPow2(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if home := env.net.OracleSuccessor(id.Hash(moved.Key())); home == moved {
+		t.Fatalf("%s still owns its key's identifier after the move", moved)
+	}
+	for i := 0; i < 2; i++ {
+		env.publish(t, 1+i, rTuple(env, float64(i), float64(7+i), 0))
+		env.publish(t, 10+i, sTuple(env, float64(i), float64(7+i), 0))
+	}
+	if got := len(env.eng.Notifications()); got != 2 {
+		t.Fatalf("the moved subscriber got %d of its 2 notifications", got)
+	}
+	if stored := env.eng.Census()["stored_notifs"].Sum; stored != 0 {
+		t.Fatalf("%d notifications stored for a subscriber that is online", stored)
+	}
+}
+
+// An evaluator's learned subscriber addresses are bounded as idCache is: past
+// subIPsMax entries they restart, counted, and a subscriber whose address went
+// with them is reached through the DHT once more and its address relearned.
+func TestLearnedAddressesRestartWhenFull(t *testing.T) {
+	reg := obs.NewRegistry()
+	env := newTestEnv(t, 64, Config{Algorithm: SAI, Strategy: StrategyLeft, Obs: reg})
+	sub := env.node(0)
+	env.subscribe(t, 0, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
+	sub.SetIP("sim://elsewhere")
+	env.publish(t, 1, rTuple(env, 1, 7, 0))
+	match := func(i int) { env.publish(t, 2, sTuple(env, float64(i), 7, 0)) }
+	match(1) // the evaluator learns the new address
+	var eval *nodeState
+	for _, n := range env.nodes {
+		if st := env.eng.state(n); st.subIPs[sub.Key()] == sub.IP() {
+			eval = st
+		}
+	}
+	if eval == nil {
+		t.Fatal("no evaluator learned the subscriber's address")
+	}
+	eval.mu.Lock()
+	for i := 0; eval.subIPs[sub.Key()] != ""; i++ {
+		eval.learnIP(fmt.Sprintf("stranger-%d", i), "sim://stranger")
+	}
+	eval.mu.Unlock()
+	if got := reg.Counter("engine.sub_ip_resets").Value(); got != 1 {
+		t.Fatalf("%d restarts of the learned addresses, want 1", got)
+	}
+	env.net.Traffic().Reset()
+	match(2) // the address went: through the DHT, and learned again
+	if got, hops := env.net.Traffic().Messages("ip-update"), env.net.Traffic().Hops(kindNotify); got != 1 || hops <= 1 {
+		t.Fatalf("after the restart: %d ip-updates and %d notification hops, want 1 and a DHT route", got, hops)
+	}
+	env.net.Traffic().Reset()
+	match(3)
+	if hops := env.net.Traffic().Hops(kindNotify); hops != 1 {
+		t.Fatalf("relearned, the delivery took %d hops, want 1", hops)
+	}
+	if got := len(env.eng.Notifications()); got != 3 {
+		t.Fatalf("the subscriber got %d of its 3 notifications", got)
+	}
+	if got := env.eng.Census()["sub_ips"].Max; got > subIPsMax {
+		t.Fatalf("an evaluator holds %d learned addresses, bound %d", got, subIPsMax)
 	}
 }

@@ -18,6 +18,9 @@ type engObs struct {
 	notifyDelivered *obs.Counter
 	notifyStored    *obs.Counter
 	notifyReplayed  *obs.Counter
+	// subIPResets counts restarts of an evaluator's learned subscriber
+	// addresses (learnIP).
+	subIPResets *obs.Counter
 	// Hot-key sharding (DESIGN.md §13): promotions and the relay frames the
 	// base evaluator emits for promoted inputs, by kind.
 	hotPromotions *obs.Counter
@@ -49,6 +52,7 @@ func newEngObs(reg *obs.Registry) engObs {
 		notifyDelivered: reg.Counter("engine.notify.delivered"),
 		notifyStored:    reg.Counter("engine.notify.stored"),
 		notifyReplayed:  reg.Counter("engine.notify.replayed"),
+		subIPResets:     reg.Counter("engine.sub_ip_resets"),
 		hotPromotions:   reg.Counter("engine.hotkey.promotions"),
 		hotForwards:     reg.CounterVec("engine.hotkey.forwards"),
 		vlForwards:      reg.Counter("engine.vl_forwards"),

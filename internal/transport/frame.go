@@ -52,8 +52,10 @@ const (
 	// protoVersion is exchanged at hello; a dialer refuses any other, and then
 	// any catalog digest but its own. 9: a query says its text as the token
 	// form its receiver spells back against a catalog of the same digest
-	// (DESIGN.md §8.1) — a version-8 peer would parse the marker as SQL.
-	protoVersion = 9
+	// (DESIGN.md §8.1) — a version-8 peer would parse the marker as SQL. 10: a
+	// notification batch says its keys past its subscriber, which a version-9
+	// peer would read as a key in full.
+	protoVersion = 10
 
 	// maxFrame bounds one frame so a corrupt length prefix cannot allocate
 	// gigabytes. 16 MiB fits any realistic multisend leg (the simulator's

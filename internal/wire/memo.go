@@ -59,8 +59,24 @@ func (m *Memo) count(hit bool) {
 // memo's copy of a string it has read before instead of allocating another.
 func (m *Memo) String(r *Reader) (string, error) {
 	b, err := r.Bytes()
-	if err != nil || len(b) == 0 {
+	if err != nil {
 		return "", err
+	}
+	return m.intern(b), nil
+}
+
+// Joined returns the memo's copy of prefix followed by suffix — a key said
+// past a part its message names once — building it in a stack buffer, so a
+// key read before allocates nothing.
+func (m *Memo) Joined(prefix string, suffix []byte) string {
+	var buf [128]byte
+	return m.intern(append(append(buf[:0], prefix...), suffix...))
+}
+
+// intern returns the memo's copy of b, "" for none.
+func (m *Memo) intern(b []byte) string {
+	if len(b) == 0 {
+		return ""
 	}
 	m.mu.Lock()
 	s, hit := m.strs[string(b)]
@@ -71,7 +87,7 @@ func (m *Memo) String(r *Reader) (string, error) {
 	}
 	m.mu.Unlock()
 	m.count(hit)
-	return s, nil
+	return s
 }
 
 // query returns the query with the given wire fields; an empty sql stands for
