@@ -14,7 +14,7 @@ import (
 func frameBytes(aboard []Deliverable, byKind map[string]int64) {
 	var prev Message
 	for _, d := range aboard {
-		size, _ := d.Msg.(Sizer).Size(prev)
+		size, _ := sizeSized(d.Msg, prev)
 		byKind[d.Msg.Kind()] += int64(size)
 		prev = d.Msg
 	}
@@ -27,6 +27,7 @@ func frameBytes(aboard []Deliverable, byKind map[string]int64) {
 // messages, and compares the ledgers per kind.
 func TestMultisendChargesEachLegItsFrame(t *testing.T) {
 	net := New(Config{})
+	net.SetSizer(sizeSized)
 	nodes := net.AddNodes("leg", 256)
 	rng := rand.New(rand.NewSource(5))
 	kinds := []string{"k0", "k1", "k2"}

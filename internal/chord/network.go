@@ -96,6 +96,8 @@ type Network struct {
 	icMu        sync.RWMutex
 	interceptor Interceptor
 
+	sizer func(msg, prev Message) (size, shared int) // SetSizer's; nil: no bytes charged
+
 	// trMu guards the pluggable delivery transport (transport.go). simT is
 	// the pre-built in-process default, created once so the hot path never
 	// boxes a fresh interface value.
@@ -113,6 +115,16 @@ func (net *Network) SetInterceptor(ic Interceptor) {
 	defer net.icMu.Unlock()
 	net.interceptor = ic
 }
+
+// SetSizer installs the function that prices a message for the byte ledger:
+// the length of msg's encoding behind prev, the message before it in its frame
+// (nil: it leads the frame, or travels alone), and shared, how many bytes
+// longer it is in full — what prev says for it; size 0 for a message with no
+// wire form. Every overlay hop then retransmits the frame of what is aboard, in
+// which a thing is said once: a message alone for h hops moves size*h bytes.
+// Install it before the network carries the messages it prices; until then,
+// and for a message it gives size 0, no bytes are charged.
+func (net *Network) SetSizer(size func(msg, prev Message) (size, shared int)) { net.sizer = size }
 
 // Interceptor returns the installed delivery interceptor, or nil.
 func (net *Network) Interceptor() Interceptor {

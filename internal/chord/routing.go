@@ -31,31 +31,19 @@ type Interceptor interface {
 	Deliver(from, dst *Node, msg Message, forward func() bool) int
 }
 
-// Sizer is implemented by messages that know their wire-encoded size. The
-// routing layer then also charges bytes to the traffic ledger: every overlay
-// hop retransmits the frame of what is aboard, and a frame says a thing once.
-// Size returns the length of the message's encoding behind prev, the message
-// before it in its frame (nil: it leads the frame, or travels alone), and
-// shared, how many bytes longer it is in full: what prev says for it. A
-// message alone for h hops moves size*h bytes over the physical network.
-type Sizer interface {
-	Size(prev Message) (size, shared int)
-}
-
-// chargeBytes records the wire bytes msg moved in hops legs, when it reports
-// its size: behind prev, the message before it aboard, for as long as prev
-// rode along — prevHops legs — and in full, at the head of what was left, from
-// there on; a message alone has no prev. This is where the simulator meets
-// the codec: Size runs the message's one field walk in sizing mode, lengths
-// added and no byte written (tuples and queries remember theirs), once per
-// walk, and the size the message got off at is observed into the
-// "chord.wire_bytes" histogram when observability is on.
+// chargeBytes records the wire bytes msg moved in hops legs, when the network
+// prices messages (SetSizer): behind prev, the message before it aboard, for
+// as long as prev rode along — prevHops legs — and in full, at the head of what
+// was left, from there on; a message alone has no prev. This is where the
+// simulator meets the codec: the sizing function runs the message's one field
+// walk in sizing mode, lengths added and no byte written (tuples and queries
+// remember theirs), once per walk, and the size the message got off at is
+// observed into the "chord.wire_bytes" histogram when observability is on.
 func (n *Node) chargeBytes(msg, prev Message, prevHops, hops int) {
-	if hops <= 0 {
+	if hops <= 0 || n.net.sizer == nil {
 		return
 	}
-	if s, ok := msg.(Sizer); ok {
-		size, shared := s.Size(prev)
+	if size, shared := n.net.sizer(msg, prev); size > 0 {
 		n.net.traffic.AddBytes(msg.Kind(), size*hops+shared*(hops-prevHops))
 		if prevHops < hops {
 			size += shared
@@ -240,7 +228,7 @@ type Deliverable struct {
 // batch) and the total overlay hops used. One traffic message per deliverable
 // is recorded under its own kind. Bytes are charged leg by leg: each leg moves
 // the frame of what is still aboard, in clockwise order — the head in full,
-// every other message as it encodes behind the one before it (Sizer), so a
+// every other message as it encodes behind the one before it (SetSizer), so a
 // tuple the whole batch carries rides each leg once, booked under the kind of
 // whichever message heads the list on that leg, and everything else under its
 // own message's kind. A walk that dies charges what it stranded for the legs

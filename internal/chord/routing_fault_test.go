@@ -89,6 +89,7 @@ func TestMultisendPartialHopAccounting(t *testing.T) {
 	// what it strands moved its bytes over every one of them — the head of the
 	// list in full, the message behind it less what the two share.
 	big := New(Config{})
+	big.SetSizer(sizeSized)
 	big.AddNodes("acct-big", 64)
 	origin, mid, far, legs := strandingWalk(t, big)
 	a := sizedMsg{kind: "probe-a", size: 100, shared: 60, group: 1}
@@ -105,9 +106,9 @@ func TestMultisendPartialHopAccounting(t *testing.T) {
 	}
 }
 
-// sizedMsg is a test message that reports a wire size: size bytes in full, of
-// which it leaves shared to the message before it aboard when that one is of
-// its group (group 0: none).
+// sizedMsg is a test message with a wire size: size bytes in full, of which it
+// leaves shared to the message before it aboard when that one is of its group
+// (group 0: none). A network prices it once sizeSized is installed.
 type sizedMsg struct {
 	kind                string
 	size, shared, group int
@@ -115,7 +116,11 @@ type sizedMsg struct {
 
 func (m sizedMsg) Kind() string { return m.kind }
 
-func (m sizedMsg) Size(prev Message) (int, int) {
+func sizeSized(msg, prev Message) (int, int) {
+	m, ok := msg.(sizedMsg)
+	if !ok {
+		return 0, 0
+	}
 	if p, ok := prev.(sizedMsg); ok && m.group != 0 && p.group == m.group {
 		return m.size - m.shared, m.shared
 	}
@@ -163,6 +168,7 @@ func strandingWalk(t *testing.T, net *Network) (origin, mid *Node, target id.ID,
 // bytes those hops moved.
 func TestFailedSendChargesTheBytesItMoved(t *testing.T) {
 	net := New(Config{})
+	net.SetSizer(sizeSized)
 	net.AddNodes("crawl", 64)
 	ring := net.Nodes()
 	for i, n := range ring {

@@ -26,6 +26,25 @@ func seedRecords() []any {
 	}
 }
 
+// hostileRecords returns the multi-way subscription records with their flag
+// forged to 2, a value no bool holds.
+func hostileRecords(tb testing.TB) [][]byte {
+	tb.Helper()
+	var out [][]byte
+	for _, rec := range []any{
+		subscribeRec{Node: "peer2", SQL: "SELECT R0.a0 FROM R0, S0 WHERE R0.a0 = S0.a1", Key: "peer2#0", Multi: true},
+		unsubscribeRec{Node: "peer2", SQL: "SELECT R0.a0 FROM R0, S0 WHERE R0.a0 = S0.a1", Key: "peer2#0", Multi: true},
+	} {
+		var w wire.Buffer
+		if err := encodeRecord(&w, rec); err != nil {
+			tb.Fatalf("%T: %v", rec, err)
+		}
+		w.Bytes()[w.Len()-1] = 2 // the flag, walked last
+		out = append(out, w.Bytes())
+	}
+	return out
+}
+
 // FuzzRecordCodec throws arbitrary bytes at the WAL record decoder. The
 // decoder must never panic; any record it accepts must re-encode (with a
 // length recordSize predicts exactly) into bytes the decoder accepts
@@ -37,6 +56,9 @@ func FuzzRecordCodec(f *testing.F) {
 			f.Fatalf("encode seed %T: %v", rec, err)
 		}
 		f.Add(append([]byte(nil), w.Bytes()...))
+	}
+	for _, data := range hostileRecords(f) {
+		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var r wire.Reader

@@ -131,6 +131,13 @@ func TestEveryRecordTagRoundTripsAndNoPrefixDecodes(t *testing.T) {
 			}
 		}
 	}
+	for _, data := range hostileRecords(t) {
+		var r wire.Reader
+		r.Reset(data)
+		if rec, err := decodeRecord(&r); err == nil {
+			t.Errorf("a flag of 2 decoded to %+v", rec)
+		}
+	}
 	// Tag 4 logged a batched publish (no daemon ever wrote one) and is
 	// reserved: such a record is refused, and a log holding one fails Open.
 	const tagReserved byte = 4

@@ -197,7 +197,7 @@ func checkLeg(t *testing.T, catalog *relation.Catalog, aboard, gone []chord.Mess
 		} else if len(gone) > 0 {
 			prev = gone[len(gone)-1]
 		}
-		size, shared := msg.(chord.Sizer).Size(prev)
+		size, shared := sizeAfter(msg, prev)
 		if charged += size; i == 0 {
 			charged += shared
 		}
@@ -234,11 +234,18 @@ func checkLeg(t *testing.T, catalog *relation.Catalog, aboard, gone []chord.Mess
 	return alone - written
 }
 
-// soloPriced prices a message as the ledger did before a frame said its tuple
-// once: in full, on every leg it rides.
+// soloPriced is a message the ledger prices as it did before a frame said its
+// tuple once: in full, on every leg it rides (sizeSolo).
 type soloPriced struct{ chord.Message }
 
-func (m soloPriced) Size(chord.Message) (int, int) { return MessageSize(m.Message), 0 }
+// sizeSolo is the overlay's sizing function for a ring that also carries
+// soloPriced messages.
+func sizeSolo(msg, prev chord.Message) (int, int) {
+	if m, ok := msg.(soloPriced); ok {
+		return MessageSize(m.Message), 0
+	}
+	return sizeAfter(msg, prev)
+}
 
 // The gain, pinned where tier-1 sees it. On a 2048-node ring the index
 // batches of seeded 4-attribute publications — one tuple to eight identifiers
@@ -253,6 +260,7 @@ func TestIndexWalkCarriesItsTupleOnce(t *testing.T) {
 		pubs = 400
 	}
 	net := chord.New(chord.Config{})
+	net.SetSizer(sizeSolo)
 	nodes := net.AddNodes("peer", 2048)
 	schema := relation.MustSchema("R0", "Id", "A", "B", "C") // the benchmark's shape: ~30 bytes a tuple
 	if _, err := relation.NewCatalog(schema); err != nil {
@@ -437,6 +445,7 @@ func retractionWalk(t *testing.T) (*testEnv, *chord.Node, []chord.Message) {
 func TestPurgeWalkSaysItsQueryOnce(t *testing.T) {
 	env, rewriter, purges := retractionWalk(t)
 	env.net.SetTransport(&walkRecorder{}) // the walks again, no handler running
+	env.net.SetSizer(sizeSolo)
 	var batch, solo []chord.Deliverable
 	for _, m := range purges {
 		target := env.eng.hashInput(m.(purgeMsg).Input)

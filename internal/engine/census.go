@@ -61,8 +61,7 @@ func (c census) engineWide(name string, n int) { c[name] = CensusEntry{n, n} }
 
 // census adds this node's counts to c.
 func (st *nodeState) census(c census) {
-	_, _, jfrt := st.jfrt.stats()
-	c.add("jfrt_entries", jfrt)
+	c.add("jfrt_entries", st.jfrt.len())
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	var rewrites, spelled, later, tuples, queries, targets, marks, grants, notifs, verdicts int

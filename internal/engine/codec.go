@@ -14,9 +14,10 @@ import (
 
 // The wire form of every engine message. The in-process simulator passes Go
 // values between nodes for speed, but the encodings here are the
-// authoritative on-the-wire form: every message's Size() is the exact length
-// of its encoding, so the byte ledger reports what a socket deployment
-// transmits, and the TCP transport moves these bytes unchanged.
+// authoritative on-the-wire form: the overlay prices every message by the
+// exact length of its encoding (sizeAfter, installed by New), so the byte
+// ledger reports what a socket deployment transmits, and the TCP transport
+// moves these bytes unchanged.
 //
 // Each message, section and entry has one walk method listing its fields
 // once, in wire order, against a wire.Coder; MessageSize, EncodeMessage and
@@ -87,7 +88,10 @@ func MessageSize(msg chord.Message) int {
 }
 
 // sizeAfter returns the exact length encodeAfter gives msg behind prev, and
-// how many bytes more msg takes in full: what prev says for it.
+// how many bytes more msg takes in full: what prev says for it; 0 for a
+// message with no codec. It is the overlay's sizing function (SetSizer): the
+// message's walk run in sizing mode, which adds lengths up and writes no byte,
+// so the ledger pays no encode per hop.
 func sizeAfter(msg, prev chord.Message) (size, shared int) {
 	c := wire.Coder{Prev: carried(prev)}
 	walkMessage(&c, &msg)

@@ -19,8 +19,9 @@ import (
 // corpus is one valid encoding of every engine message type, messages
 // whose first element repeats a predecessor it does not have, messages
 // whose side is one no side field holds, queries whose token form names
-// what the catalog has not or spells no query, and notification batches whose
-// key past their subscriber stands where none may.
+// what the catalog has not or spells no query, notification batches whose
+// key past their subscriber stands where none may, and ints and bools their
+// fields cannot hold.
 //
 // Every input is then decoded as an entry of a batch frame, behind each of
 // four predecessors: one carrying the fixtures' R tuple, one their S tuple,
@@ -49,6 +50,9 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		f.Add(data)
 	}
 	for _, data := range hostileSides(f, msgs) {
+		f.Add(data)
+	}
+	for _, data := range hostileScalars(f) {
 		f.Add(data)
 	}
 	for _, data := range hostileTokens(f, msgs[0].(queryMsg)) {

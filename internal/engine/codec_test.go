@@ -444,26 +444,88 @@ func projectedTrigger(rw *rewritten) string {
 	return rw.Trigger.ContentKey()
 }
 
-// Size() must be the exact encoded length for every message type.
+// Every engine message type must report a positive wire size through the
+// overlay's sizing function (sizeAfter) so the byte ledger stays meaningful.
+func TestAllMessagesImplementSizer(t *testing.T) {
+	env := newTestEnv(t, 32, Config{Algorithm: SAI})
+	q := env.subscribe(t, 0, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
+	tu := rTuple(env, 1, 7, 0).WithPubT(5)
+	proj, err := tu.Project(q.NeededAttrs("R"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rw := &rewritten{Key: "k", Orig: q, rewriteTarget: &rewriteTarget{Trigger: proj, WantRel: "S", WantAttr: "E", WantValue: tu.MustValue("B")}}
+	notif, err := buildNotification(q, query.SideLeft, proj, sTuple(env, 2, 7, 0).WithPubT(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	msgs := []chord.Message{
+		queryMsg{Q: q, Attr: "B"},
+		&alIndexMsg{T: tu, Attr: "B"},
+		vlIndexMsg{T: tu, Attr: "B"},
+		joinMsg{Rewrites: []*rewritten{rw}},
+		joinVMsg{Input: "7", Cond: q.ConditionKey(), Value: tu.MustValue("B"), Trigger: tu, Queries: []*query.Query{q}},
+		joinBatch{Msgs: []chord.Message{joinMsg{Rewrites: []*rewritten{rw}}}},
+		notifyMsg{Subscriber: q.Subscriber(), Batch: []Notification{notif}},
+		probeMsg{AttrInput: "R+B"},
+		unsubMsg{QueryKey: q.Key(), Cond: q.ConditionKey(), Input: "R+B"},
+		purgeMsg{QueryKey: q.Key(), Input: "S+E+7"},
+		baselineQueryMsg{Q: q, Input: "R"},
+		baselineTupleMsg{T: tu, Input: "R"},
+		baselineProbeMsg{Rewrites: []*rewritten{rw}, Input: "S"},
+		hotJoinMsg{Input: "S+E+7", Shard: 1, Version: 1, K: 4, Rewrites: []*rewritten{rw}},
+		hotVLIndexMsg{Input: "S+E+7", Shard: 1, Version: 1, K: 4, T: tu},
+		hotMigrateMsg{Input: "S+E+7", Version: 1, K: 4},
+		hotHandoffMsg{Input: "S+E+7", Shard: 1, Version: 1, K: 4,
+			Entries: []vqEntry{{Rw: rw, Times: []int64{5}}}, Tuples: nil},
+	}
+	for _, m := range msgs {
+		if size, _ := sizeAfter(m, nil); size <= 0 {
+			t.Fatalf("%T reports size %d", m, size)
+		}
+	}
+}
+
+// The size the overlay charges (sizeAfter) is the exact encoded length of
+// every message type, none of them 0, so the byte ledger misses none.
 func TestSizeMatchesEncoding(t *testing.T) {
 	_, msgs := codecFixtures(t)
 	for _, msg := range msgs {
-		s, ok := msg.(chord.Sizer)
-		if !ok {
-			t.Fatalf("%T does not implement Sizer", msg)
-		}
 		var w wire.Buffer
 		if err := EncodeMessage(&w, msg); err != nil {
 			t.Fatalf("%T: encode: %v", msg, err)
 		}
-		if size, shared := s.Size(nil); size != w.Len() || shared != 0 {
-			t.Fatalf("%T: alone, Size()=%d and %d shared, encoding=%d", msg, size, shared, w.Len())
+		if size, shared := sizeAfter(msg, nil); size != w.Len() || size == 0 || shared != 0 {
+			t.Fatalf("%T: alone, size %d and %d shared, encoding %d", msg, size, shared, w.Len())
 		}
-		// Size memoizes tuple/query sub-sizes on first use; a second call
+		// Sizing memoizes tuple/query sub-sizes on first use; a second call
 		// must serve the same number from the cache.
-		if again, _ := s.Size(nil); again != w.Len() {
-			t.Fatalf("%T: cached Size()=%d, encoding=%d", msg, again, w.Len())
+		if again, _ := sizeAfter(msg, nil); again != w.Len() {
+			t.Fatalf("%T: cached size %d, encoding %d", msg, again, w.Len())
 		}
+	}
+}
+
+// The byte ledger must fill up during normal operation, and a routed
+// message must charge more bytes than its size (retransmission per hop).
+func TestByteAccounting(t *testing.T) {
+	env := newTestEnv(t, 128, Config{Algorithm: SAI, Strategy: StrategyLeft})
+	env.subscribe(t, 0, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
+	env.publish(t, 1, rTuple(env, 1, 7, 0))
+	env.publish(t, 2, sTuple(env, 2, 7, 0))
+	tr := env.net.Traffic()
+	if tr.TotalBytes() == 0 {
+		t.Fatal("no bytes recorded")
+	}
+	// The query message was routed over several hops: its bytes must
+	// exceed a single copy of the message.
+	one := MessageSize(queryMsg{Q: env.subscribe(t, 3, `SELECT R.A, S.D FROM R, S WHERE R.C = S.F`), Attr: "C"})
+	if got := tr.Bytes("query"); got <= int64(one) {
+		t.Fatalf("query bytes = %d, want > one copy (%d)", got, one)
+	}
+	if tr.Bytes(kindNotify) <= 0 {
+		t.Fatal("notification bytes missing")
 	}
 }
 
@@ -497,11 +559,11 @@ func TestQuerySizeCacheInvalidatedOnCopy(t *testing.T) {
 		if !ok {
 			continue
 		}
-		if got := wire.SizeQuery(qm.Q, ""); got != querySizeByEncoding(qm.Q) {
+		if got := querySize(qm.Q, ""); got != querySizeByEncoding(qm.Q) {
 			t.Fatalf("query: size %d != encoding %d", got, querySizeByEncoding(qm.Q))
 		}
 		cp := qm.Q.WithInsT(qm.Q.InsT() + 1<<20)
-		if got := wire.SizeQuery(cp, ""); got != querySizeByEncoding(cp) {
+		if got := querySize(cp, ""); got != querySizeByEncoding(cp) {
 			t.Fatalf("copied query: size %d != encoding %d", got, querySizeByEncoding(cp))
 		}
 		return
@@ -520,8 +582,44 @@ func encodedLen(msg chord.Message) int {
 
 func querySizeByEncoding(q *query.Query) int {
 	var w wire.Buffer
-	wire.EncodeQuery(&w, q, "")
+	putQuery(&w, q, "")
 	return w.Len()
+}
+
+// putQuery appends q as a list element after one of text prevText ("" for
+// none): its walk in encoding mode.
+func putQuery(w *wire.Buffer, q *query.Query, prevText string) {
+	c := wire.Encoder(w)
+	c.Query(&q, prevText)
+	_ = c.Flush(w) // only decoding fails a query's walk
+}
+
+// querySize returns the length putQuery appends: the walk in sizing mode.
+func querySize(q *query.Query, prevText string) int {
+	var c wire.Coder
+	c.Query(&q, prevText)
+	return c.Size()
+}
+
+// putValue appends one attribute value.
+func putValue(w *wire.Buffer, v relation.Value) {
+	c := wire.Encoder(w)
+	c.Value(&v)
+	_ = c.Flush(w) // only decoding fails a value's walk
+}
+
+// putTuple appends t as it travels where its receiver expects shape of it.
+func putTuple(w *wire.Buffer, t *relation.Tuple, shape *relation.Schema) {
+	c := wire.Encoder(w)
+	c.Tuple(&t, shape)
+	_ = c.Flush(w) // only decoding fails a tuple's walk
+}
+
+// tupleSize returns the length putTuple appends.
+func tupleSize(t *relation.Tuple, shape *relation.Schema) int {
+	var c wire.Coder
+	c.Tuple(&t, shape)
+	return c.Size()
 }
 
 func TestDecodeUnknownTag(t *testing.T) {
@@ -658,8 +756,8 @@ func TestCodecDecodeReusesCatalogAndPlanSchemas(t *testing.T) {
 		if err := EncodeMessage(&w, msg); err != nil {
 			t.Fatal(err)
 		}
-		if s, _ := msg.(chord.Sizer).Size(nil); s != w.Len() {
-			t.Fatalf("%T: Size()=%d, encoding=%d", msg, s, w.Len())
+		if s := MessageSize(msg); s != w.Len() {
+			t.Fatalf("%T: size %d, encoding %d", msg, s, w.Len())
 		}
 		got, err := DecodeMessage(wire.NewReader(w.Bytes()), env.catalog)
 		if err != nil {
@@ -735,8 +833,8 @@ func TestCodecDecodeSharesRewriteTargets(t *testing.T) {
 		if err := EncodeMessage(&w, msg); err != nil {
 			t.Fatal(err)
 		}
-		if s, _ := msg.(chord.Sizer).Size(nil); s != w.Len() {
-			t.Fatalf("%T: Size()=%d, encoding=%d", msg, s, w.Len())
+		if s := MessageSize(msg); s != w.Len() {
+			t.Fatalf("%T: size %d, encoding %d", msg, s, w.Len())
 		}
 		got, err := DecodeMessage(wire.NewReader(w.Bytes()), env.catalog)
 		if err != nil {
@@ -812,11 +910,14 @@ func TestCodecForgedTupleGetsPrivateSchema(t *testing.T) {
 			w.PutString(a)
 		}
 		for i := range attrs {
-			w.PutValue(relation.N(float64(i)))
+			putValue(&w, relation.N(float64(i)))
 		}
 		w.PutVarint(5)
-		tu, err := wire.DecodeTuple(wire.NewReader(w.Bytes()), env.catalog, shape)
-		if err != nil {
+		r := wire.NewReader(w.Bytes())
+		c := wire.Decoder(r, env.catalog, nil)
+		var tu *relation.Tuple
+		c.Tuple(&tu, shape)
+		if err := c.Sync(r); err != nil {
 			t.Fatalf("forged %v: %v", attrs, err)
 		}
 		return tu
@@ -928,9 +1029,9 @@ func orphanMarkers(tb testing.TB, q *query.Query, tg *rewriteTarget) map[string]
 	rewrite := func(w *wire.Buffer, key string, text bool, side query.Side) {
 		w.PutString(key)
 		if text {
-			wire.EncodeQuery(w, q, "")
+			putQuery(w, q, "")
 		} else {
-			wire.EncodeQuery(w, q, q.Text()) // the text as its predecessor's: empty
+			putQuery(w, q, q.Text()) // the text as its predecessor's: empty
 		}
 		w.PutUvarint(uint64(side))
 		if side != sideRepeat {
@@ -999,7 +1100,7 @@ func TestMarkerWithoutPredecessorFailsToDecode(t *testing.T) {
 	}
 	// The same markers after a predecessor that carries what they repeat.
 	twice := joinMsg{Rewrites: []*rewritten{whole.Rewrites[0], whole.Rewrites[0]}}
-	if saved := 2*len(inputs["whole"]) - 2 - encodedLen(twice); saved < wire.SizeQuery(rw.Orig, "")-wire.SizeQuery(rw.Orig, rw.Orig.Text())+len("+7") {
+	if saved := 2*len(inputs["whole"]) - 2 - encodedLen(twice); saved < querySize(rw.Orig, "")-querySize(rw.Orig, rw.Orig.Text())+len("+7") {
 		t.Fatalf("a repeated rewrite saved %d bytes", saved)
 	}
 }
@@ -1045,14 +1146,14 @@ func TestJoinSizeSurvivesDecode(t *testing.T) {
 	size := w.Len()
 	// Alone, a rewrite is an empty key (its receiver derives Key(q')), its
 	// query and its target: a derived side, then the trigger.
-	target := 1 + wire.SizeTuple(apart[0].Trigger, false)
-	if got, want := encodedLen(joinMsg{Rewrites: apart[:1]}), 2+1+wire.SizeQuery(apart[0].Orig, "")+target; got != want {
+	target := 1 + tupleSize(apart[0].Trigger, q.Projection(query.SideLeft))
+	if got, want := encodedLen(joinMsg{Rewrites: apart[:1]}), 2+1+querySize(apart[0].Orig, "")+target; got != want {
 		t.Fatalf("a rewrite alone is %d bytes, want %d: an empty key, a %d-byte query and a %d-byte target",
-			got, want, wire.SizeQuery(apart[0].Orig, ""), target)
+			got, want, querySize(apart[0].Orig, ""), target)
 	}
 	// Each rewrite after the first writes one byte for its text, one for its
 	// key (Key(q) is in the query just ahead) and one for its target.
-	text := wire.SizeQuery(q, "") - wire.SizeQuery(q, sql) + 1 // the text field, said in full
+	text := querySize(q, "") - querySize(q, sql) + 1 // the text field, said in full
 	want := 2 + alone - 3*(text+target-2)
 	if got := encodedLen(joinMsg{Rewrites: apart[:4]}); got != want {
 		t.Fatalf("the group of four is %d bytes, want %d: one by one its rewrites are %d, and three repeat a %d-byte text and a %d-byte target",

@@ -61,7 +61,7 @@ func firstSide(t *testing.T, msg chord.Message) (key string, side query.Side) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	at += wire.SizeString(key) + wire.SizeQuery(rws[0].Orig, "")
+	at += wire.SizeString(key) + querySize(rws[0].Orig, "")
 	return key, query.Side(w.Bytes()[at])
 }
 
@@ -240,8 +240,8 @@ func hostileSides(tb testing.TB, msgs []chord.Message) map[string][]byte {
 		"query":          forge(qm, MessageSize(qm)-wire.SizeUvarint(uint64(qm.Replica))-1, qm.Side),
 		"DAI-V join":     forge(jv, 1+wire.SizeString(jv.Input)+wire.SizeString(jv.Cond), jv.Side),
 		"ALQT group":     forge(ho, 2+wire.SizeString(ho.AL[0].Input)+1+wire.SizeString(group.Cond), group.Side),
-		"rewrite":        forge(msgs[3], 2+wire.SizeString(rw.Key)+wire.SizeQuery(rw.Orig, ""), rw.IndexSide+sideDerived),
-		"baseline query": forge(bq, 1+wire.SizeQuery(bq.Q, ""), bq.Side),
+		"rewrite":        forge(msgs[3], 2+wire.SizeString(rw.Key)+querySize(rw.Orig, ""), rw.IndexSide+sideDerived),
+		"baseline query": forge(bq, 1+querySize(bq.Q, ""), bq.Side),
 		"baseline tuple": forge(bt, MessageSize(bt)-1, bt.Side),
 	}
 }
@@ -253,6 +253,48 @@ func TestHostileSideFailsToDecode(t *testing.T) {
 	for what, data := range hostileSides(t, msgs) {
 		if got, err := DecodeMessage(wire.NewReader(data), catalog); err == nil {
 			t.Errorf("a %s with side 5 decoded to %+v", what, got)
+		}
+	}
+}
+
+// hostileScalars returns messages whose int or bool field says what the field
+// cannot hold: a shard count of 2^63, which read as an int is negative, and a
+// snapshot's Multi and Marks flags of 2.
+func hostileScalars(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	var migrate wire.Buffer
+	migrate.PutUvarint(uint64(tagHotMigrate))
+	migrate.PutString("S+E+7")
+	migrate.PutUvarint(1)       // Version
+	migrate.PutUvarint(1 << 63) // K
+	flag := func(m snapMetaMsg, at int) []byte {
+		var w wire.Buffer
+		if err := EncodeMessage(&w, m); err != nil {
+			tb.Fatal(err)
+		}
+		if at < 0 {
+			at += w.Len()
+		}
+		if b := w.Bytes(); b[at] > 1 {
+			tb.Fatalf("byte %d of %x is no flag", at, b)
+		}
+		w.Bytes()[at] = 2
+		return w.Bytes()
+	}
+	return map[string][]byte{
+		"shard count of 2^63": migrate.Bytes(),
+		"Multi of 2":          flag(snapMetaMsg{Clock: 1}, 6), // tag, clock, four empty lists, Multi
+		"Marks of 2":          flag(snapMetaMsg{Clock: 1, Count: 1, Marks: true}, -1),
+	}
+}
+
+// An int or bool walk fails on a value its field cannot hold, as a side walk
+// does.
+func TestHostileScalarFailsToDecode(t *testing.T) {
+	catalog, _ := codecFixtures(t)
+	for what, data := range hostileScalars(t) {
+		if got, err := DecodeMessage(wire.NewReader(data), catalog); err == nil {
+			t.Errorf("a %s decoded to %+v", what, got)
 		}
 	}
 }
@@ -274,9 +316,9 @@ func TestUnderivableTargetFailsToDecode(t *testing.T) {
 		w.PutUvarint(uint64(tagJoin))
 		w.PutUvarint(1)
 		w.PutString(q.Key() + "+9") // a key of its own: only the target is left to derive
-		wire.EncodeQuery(&w, q, "")
+		putQuery(&w, q, "")
 		w.PutUvarint(uint64(query.SideLeft + sideDerived))
-		wire.EncodeTuple(&w, proj, false)
+		putTuple(&w, proj, q.Projection(query.SideLeft))
 		return w.Bytes()
 	}
 	const arith = `SELECT R.A, S.D FROM R, S WHERE R.B = S.E * 2 + 1`

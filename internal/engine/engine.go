@@ -194,9 +194,10 @@ type Engine struct {
 	sink      []Notification      // those of them no onNotify callback was installed to take
 }
 
-// New creates an engine over the given overlay and schema catalog and
-// attaches it to every node currently in the overlay. Nodes joining later
-// must be attached with Attach.
+// New creates an engine over the given overlay and schema catalog, has the
+// overlay price its messages by their encodings (sizeAfter), and attaches it
+// to every node currently in the overlay. Nodes joining later must be
+// attached with Attach.
 func New(net *chord.Network, catalog *relation.Catalog, cfg Config) *Engine {
 	if cfg.ReplicationFactor < 2 {
 		cfg.ReplicationFactor = 1
@@ -218,6 +219,7 @@ func New(net *chord.Network, catalog *relation.Catalog, cfg Config) *Engine {
 	if cfg.HotKeyThreshold > 0 && cfg.Algorithm == SAI {
 		e.hot = newHotTracker(cfg)
 	}
+	net.SetSizer(sizeAfter)
 	for _, n := range net.Nodes() {
 		e.Attach(n)
 	}

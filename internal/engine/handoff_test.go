@@ -53,7 +53,7 @@ func TestHandoffAcrossTableThreshold(t *testing.T) {
 				if err := EncodeMessage(&w, msg); err != nil {
 					t.Fatal(err)
 				}
-				if s, _ := msg.(chord.Sizer).Size(nil); s != w.Len() {
+				if s := MessageSize(msg); s != w.Len() {
 					t.Fatalf("hand-off of %s: Size()=%d, encoding=%d", node, s, w.Len())
 				}
 				decoded, err := DecodeMessage(wire.NewReader(w.Bytes()), moved.catalog)

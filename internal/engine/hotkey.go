@@ -148,12 +148,14 @@ func (h *hotTracker) bump(input string, eventT int64) (hotEntry, bool) {
 // observe installs the epoch a received hot frame was sent under, if newer
 // than the registry's, and returns the registry's entry. Within one process
 // the registry is shared, so observe changes nothing there; it is how a
-// process that did not decide a promotion learns of it.
+// process that did not decide a promotion learns of it. Every engine of a
+// ring shards an input the same k ways (Config.HotKeyReplicas): a frame of
+// another k is forged, and sizes no shard loop here.
 func (h *hotTracker) observe(input string, version, k int) hotEntry {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	e := h.entries[input]
-	if version > e.version {
+	if version > e.version && k == h.replicas {
 		e = hotEntry{version: version, k: k}
 		h.entries[input] = e
 	}

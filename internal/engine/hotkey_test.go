@@ -4,7 +4,9 @@ import (
 	"reflect"
 	"testing"
 
+	"cqjoin/internal/chord"
 	"cqjoin/internal/metrics"
+	"cqjoin/internal/relation"
 )
 
 // Tests for adaptive hot-key sharding (DESIGN.md §13). Every scenario runs
@@ -192,5 +194,39 @@ func TestHotKeyUnsubscribePurgesShards(t *testing.T) {
 	}
 	if after := len(env.eng.Notifications()); after != before {
 		t.Fatalf("%d notifications after retraction, want %d", after, before)
+	}
+}
+
+// Every engine of a ring shards a hot input the same K ways, so a hot frame
+// naming another K is forged: here 2^40, which the next scatter, purge fan-out
+// or migrate would loop over. Neither a frame nor a snapshot that says it
+// installs an epoch; a frame of the ring's own K does.
+func TestForgedShardCountIsRefused(t *testing.T) {
+	env := newTestEnv(t, 16, hotConfig(true))
+	node := env.nodes[3]
+	const forged = 1 << 40
+	tu := sTuple(env, 1, 7, 1)
+	for _, msg := range []chord.Message{
+		hotVLIndexMsg{Input: "S+E+7", Shard: 1, Version: 1, K: forged, T: tu},
+		hotJoinMsg{Input: "S+E+7", Shard: 2, Version: 2, K: forged},
+		hotHandoffMsg{Input: "S+E+7", Shard: 3, Version: 3, K: forged, Tuples: []*relation.Tuple{tu}},
+	} {
+		env.eng.state(node).HandleMessage(node, msg)
+	}
+	if hot := env.eng.HotKeys(); len(hot) != 0 {
+		t.Fatalf("forged frames installed %+v", hot)
+	}
+	env.eng.state(node).HandleMessage(node, hotMigrateMsg{Input: "S+E+7", Version: 4, K: forged})
+	env.eng.state(node).HandleMessage(node, hotVLIndexMsg{Input: "S+E+7", Shard: 1, Version: 5, K: 4, T: tu})
+	if hot := env.eng.HotKeys(); len(hot) != 1 || hot[0].Replicas != 4 || hot[0].Version != 5 {
+		t.Fatalf("after a frame of the ring's own K: %+v", hot)
+	}
+
+	meta, nodes := env.eng.ExportSnapshot(nil)
+	m := meta.(snapMetaMsg)
+	m.HotEpochs = append(m.HotEpochs, hotEpochEntry{Input: "S+E+9", Version: 1, K: forged})
+	fresh := newTestEnv(t, 16, hotConfig(true))
+	if _, err := fresh.eng.RestoreSnapshot(m, nodes); err == nil {
+		t.Fatalf("a snapshot of a %d-way epoch restored to %+v", forged, fresh.eng.HotKeys())
 	}
 }

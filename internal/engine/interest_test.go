@@ -762,7 +762,7 @@ func TestMarksAndRetractionMemoryMoveWithTheNode(t *testing.T) {
 				if !ok {
 					continue
 				}
-				size, _ := msg.(chord.Sizer).Size(nil)
+				size := MessageSize(msg)
 				var w wire.Buffer
 				if err := EncodeMessage(&w, msg); err != nil || w.Len() != size {
 					t.Fatalf("hand-off of %s: %d bytes encoded, Size() = %d (%v)", node, w.Len(), size, err)

@@ -20,8 +20,6 @@ import (
 type jfrtCache struct {
 	mu      sync.Mutex
 	entries map[string]*chord.Node
-	hits    int64
-	misses  int64
 }
 
 // jfrtMax bounds one rewriter's table.
@@ -32,11 +30,6 @@ func (c *jfrtCache) lookup(input string) (*chord.Node, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n, ok := c.entries[input]
-	if ok {
-		c.hits++
-	} else {
-		c.misses++
-	}
 	return n, ok
 }
 
@@ -56,27 +49,9 @@ func (c *jfrtCache) store(input string, n *chord.Node, resets *obs.CounterVec) {
 	c.entries[input] = n
 }
 
-// stats reports hit/miss counts, used by the JFRT effectiveness bench.
-func (c *jfrtCache) stats() (hits, misses int64, size int) {
+// len returns how many evaluators the table remembers.
+func (c *jfrtCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses, len(c.entries)
-}
-
-// JFRTStats aggregates Join Fingers Routing Table statistics across all
-// nodes: total cache hits, misses and resident entries.
-func (e *Engine) JFRTStats() (hits, misses int64, entries int) {
-	e.mu.Lock()
-	states := make([]*nodeState, 0, len(e.states))
-	for _, st := range e.states {
-		states = append(states, st)
-	}
-	e.mu.Unlock()
-	for _, st := range states {
-		h, m, s := st.jfrt.stats()
-		hits += h
-		misses += m
-		entries += s
-	}
-	return hits, misses, entries
+	return len(c.entries)
 }

@@ -247,11 +247,19 @@ func (st *nodeState) knownIP(sub string, batch []Notification) string {
 	return ""
 }
 
+// storedMailMax bounds the notifications a node stores for one subscriber:
+// a subscriber that never comes back costs its holder this much, not what an
+// endless stream would send it.
+const storedMailMax = 1 << 12
+
 // handleNotify processes a notification message arriving at node st: the
 // subscriber itself consumes it; any other node is Successor(Id(n)) of a
 // subscriber that is offline, or whose identifier moved (Section 4.7.2) and
 // that is online elsewhere. It forwards the latter's batch in one direct hop,
-// and stores what it cannot forward for replay on reconnect (Section 4.6).
+// and stores what it cannot forward for replay on reconnect (Section 4.6), up
+// to storedMailMax for the subscriber; each notification past that is lost,
+// booked under traffic.lost. A replay that fails, and a hand-off, carry on
+// only what was stored.
 func (st *nodeState) handleNotify(msg notifyMsg) {
 	if st.node.Key() == msg.Subscriber {
 		now := st.engine.net.Clock().Now()
@@ -266,10 +274,15 @@ func (st *nodeState) handleNotify(msg notifyMsg) {
 		return
 	}
 	st.mu.Lock()
-	st.storedNotifs[msg.Subscriber] = append(st.storedNotifs[msg.Subscriber], msg.Batch...)
+	stored := st.storedNotifs[msg.Subscriber]
+	kept := msg.Batch[:min(len(msg.Batch), max(0, storedMailMax-len(stored)))]
+	st.storedNotifs[msg.Subscriber] = append(stored, kept...)
 	st.mu.Unlock()
-	st.load.AddStorage(metrics.Evaluator, len(msg.Batch))
-	st.engine.obs.notifyStored.Add(int64(len(msg.Batch)))
+	for range msg.Batch[len(kept):] {
+		st.engine.net.Traffic().RecordLost(kindNotify)
+	}
+	st.load.AddStorage(metrics.Evaluator, len(kept))
+	st.engine.obs.notifyStored.Add(int64(len(kept)))
 }
 
 // replayStoredNotifications hands stored notifications for subscriber key

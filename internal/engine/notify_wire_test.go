@@ -154,7 +154,7 @@ func hostileNotifications(sub string) map[string][]byte {
 		for i, k := range keys {
 			w.PutString(k)
 			w.PutUvarint(1) // one value
-			w.PutValue(relation.N(float64(i)))
+			putValue(&w, relation.N(float64(i)))
 			w.PutVarint(int64(i)) // LeftPubT
 			w.PutVarint(9)        // RightPubT
 		}
@@ -260,5 +260,40 @@ func TestStoredMailCrossesAHandoff(t *testing.T) {
 		if n.DeliveredAt == 0 || n.Subscriber != sub.Key() {
 			t.Fatalf("replayed as %+v", n)
 		}
+	}
+}
+
+// A holder stores at most storedMailMax notifications for a subscriber: the
+// ones past them are booked lost, and the subscriber, back, reads the ones
+// stored.
+func TestStoredMailIsCapped(t *testing.T) {
+	env := newTestEnv(t, 32, Config{Algorithm: SAI})
+	sub := env.node(0)
+	q := env.subscribe(t, 0, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
+	env.net.Leave(sub)
+	env.eng.Detach(sub)
+	holder := env.net.OracleSuccessor(id.Hash(sub.Key()))
+	const over = 3
+	batch := make([]Notification, storedMailMax+over)
+	for i := range batch {
+		n, err := buildNotification(q, query.SideLeft, rTuple(env, float64(i), 7, 0), sTuple(env, float64(i), 7, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch[i] = n
+	}
+	lost := env.net.Traffic().TotalLost()
+	// Two messages, the second admitted in part.
+	for _, part := range [][]Notification{batch[:storedMailMax-1], batch[storedMailMax-1:]} {
+		env.eng.state(holder).HandleMessage(holder, notifyMsg{Subscriber: sub.Key(), Batch: part})
+	}
+	if stored, lost := len(env.eng.state(holder).storedNotifs[sub.Key()]), env.net.Traffic().TotalLost()-lost; stored != storedMailMax || lost != over {
+		t.Fatalf("%d notifications sent to an offline subscriber: %d stored and %d lost, want %d and %d", len(batch), stored, lost, storedMailMax, over)
+	}
+	if _, err := env.eng.RejoinNode(sub.Key()); err != nil {
+		t.Fatal(err)
+	}
+	if got := env.eng.NotificationCount(); got != storedMailMax {
+		t.Fatalf("the subscriber, back, read %d notifications, want the %d stored", got, storedMailMax)
 	}
 }

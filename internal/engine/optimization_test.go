@@ -37,13 +37,17 @@ func TestJFRTReducesJoinTraffic(t *testing.T) {
 	}
 }
 
+// The JFRT's effect reads off engine.hints' jfrt.* counters and the census's
+// jfrt_entries.
 func TestJFRTStats(t *testing.T) {
-	env := newTestEnv(t, 64, Config{Algorithm: SAI, UseJFRT: true, Strategy: StrategyLeft})
+	reg := obs.NewRegistry()
+	env := newTestEnv(t, 64, Config{Algorithm: SAI, UseJFRT: true, Strategy: StrategyLeft, Obs: reg})
 	env.subscribe(t, 0, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
 	for i := 0; i < 10; i++ {
 		env.publish(t, i, rTuple(env, float64(i), 7, 0))
 	}
-	hits, misses, entries := env.eng.JFRTStats()
+	hints := reg.CounterVec("engine.hints")
+	hits, misses, entries := hints.Value("jfrt.hit"), hints.Value("jfrt.miss"), env.eng.Census()["jfrt_entries"].Sum
 	if misses == 0 || hits == 0 {
 		t.Fatalf("hits=%d misses=%d, both must be positive", hits, misses)
 	}
@@ -61,7 +65,7 @@ func TestJFRTIsBounded(t *testing.T) {
 	for i := 0; i <= jfrtMax; i++ {
 		c.store(strconv.Itoa(i), nil, resets)
 	}
-	if _, _, entries := c.stats(); entries != 1 || resets.Value("jfrt.reset") != 1 {
+	if entries := c.len(); entries != 1 || resets.Value("jfrt.reset") != 1 {
 		t.Fatalf("%d entries and %d resets after jfrtMax+1 stores, want 1 and 1", entries, resets.Value("jfrt.reset"))
 	}
 }

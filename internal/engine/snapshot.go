@@ -163,6 +163,11 @@ func (e *Engine) RestoreSnapshot(meta chord.Message, nodes []NodeSnapshot) (deri
 	if !ok {
 		return 0, fmt.Errorf("engine: restore: meta is %T, want snapMetaMsg", meta)
 	}
+	for _, en := range m.HotEpochs {
+		if e.hot != nil && en.K != e.hot.replicas {
+			return 0, fmt.Errorf("engine: restore: %s is sharded %d ways, this engine shards %d", en.Input, en.K, e.hot.replicas)
+		}
+	}
 
 	have := make(map[string]*chord.Node)
 	for _, n := range e.net.Nodes() {

@@ -148,7 +148,7 @@ func planCatalog() *relation.Catalog {
 // TestPlanEquivalence checks every plan field against the derivation it
 // replaced, on the query as parsed, on each copy constructor's result, and
 // on what a wire round-trip yields (a re-parse of Text() restored with
-// WithInsT and WithRestoredIdentity — wire.DecodeQuery's steps; the codec
+// WithInsT and WithRestoredIdentity — wire.Coder.Query's steps; the codec
 // tests repeat the check through the real codec).
 func TestPlanEquivalence(t *testing.T) {
 	catalog := planCatalog()

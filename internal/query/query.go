@@ -75,8 +75,8 @@ type Query struct {
 	text     string
 	plan     *plan // compiled by Parse, shared by every copy
 
-	// wireSize memoizes the query's wire-encoded length; 0 means not yet
-	// computed. Accessed atomically because the query value embedded in
+	// wireSize memoizes the wire-encoded length of the query's fields ahead
+	// of its text (wire.Coder.Query); 0 means not yet computed. Accessed atomically because the query value embedded in
 	// in-flight messages is sized from concurrent publishers. The With*
 	// copy constructors reset it, since they change encoded fields.
 	wireSize int64

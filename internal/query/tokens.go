@@ -9,7 +9,7 @@ import (
 )
 
 // The token form of a query's text: what travels in its place (wire.
-// EncodeQuery), a stream of codes its receiver turns back into exactly that
+// Coder.Query), a stream of codes its receiver turns back into exactly that
 // text against its own catalog (AppendText) and parses. Parse stays the one
 // definition of what a query means, and a query costs its receiver what its
 // text would: one parse, none on a memo hit. What the form saves is spelling —

@@ -16,7 +16,7 @@ type Tuple struct {
 	pubT   int64
 
 	// wireSize memoizes the tuple's wire-encoded length, attribute names
-	// left out (wire.SizeTuple); 0 means not yet computed. Accessed atomically (plain int64 + atomic ops rather than
+	// left out (wire.Coder.Tuple); 0 means not yet computed. Accessed atomically (plain int64 + atomic ops rather than
 	// atomic.Int64, which would forbid the value copies tests make): one
 	// tuple value is shared by every in-flight message that carries it, and
 	// concurrent publishers size those messages independently.

@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math"
 
 	"cqjoin/internal/query"
 	"cqjoin/internal/relation"
@@ -136,17 +138,20 @@ func (c *Coder) Uvarint(v *uint64) {
 	}
 }
 
-// Int walks a non-negative int as an unsigned varint.
+// Int walks a non-negative int as an unsigned varint; decoding refuses one an
+// int cannot hold.
 func (c *Coder) Int(v *int) {
 	u := uint64(*v)
 	c.Uvarint(&u)
 	if c.mode == decoding {
+		if u > math.MaxInt {
+			c.Fail(fmt.Errorf("wire: %d is more than an int holds", u))
+		}
 		*v = int(u)
 	}
 }
 
-// Bool walks a bool as the unsigned varint 0 or 1; any other value reads as
-// true.
+// Bool walks a bool as the unsigned varint 0 or 1; decoding refuses any other.
 func (c *Coder) Bool(v *bool) {
 	var u uint64
 	if *v {
@@ -154,16 +159,23 @@ func (c *Coder) Bool(v *bool) {
 	}
 	c.Uvarint(&u)
 	if c.mode == decoding {
+		if u > 1 {
+			c.Fail(fmt.Errorf("wire: %d is no bool", u))
+		}
 		*v = u != 0
 	}
 }
 
 // Tag walks the one-byte type tag that leads a message or record. Sizing and
 // encoding take t; decoding returns the input's tag, 0 — no tag — after a
-// failure.
+// failure, and refuses one past a byte.
 func (c *Coder) Tag(t byte) byte {
 	u := uint64(t)
 	c.Uvarint(&u)
+	if u > math.MaxUint8 {
+		c.Fail(fmt.Errorf("wire: tag %d is more than a byte", u))
+		return 0
+	}
 	return byte(u)
 }
 
@@ -221,17 +233,68 @@ func (c *Coder) Bytes(b *[]byte) {
 	}
 }
 
-// Value walks one attribute value.
-func (c *Coder) Value(v *relation.Value) {
+// field walks a length-prefixed field saying s then b: sizing and encoding
+// take them, decoding returns what the input says, aliased like Bytes.
+func (c *Coder) field(s string, b []byte) []byte {
+	n := len(s) + len(b)
 	switch c.mode {
 	case sizing:
-		c.n += SizeValue(*v)
+		c.n += SizeUvarint(uint64(n)) + n
 	case encoding:
-		c.w.PutValue(*v)
+		c.w.PutUvarint(uint64(n))
+		c.w.b = append(append(c.w.b, s...), b...)
 	case decoding:
+		var got []byte
 		if c.err == nil {
-			*v, c.err = c.r.Value()
+			got, c.err = c.r.Bytes()
 		}
+		return got
+	}
+	return nil
+}
+
+// Value walks one attribute value: its kind, then a string, a whole number
+// below 2^53 as a varint (wholeNumber), or any other number's eight bytes.
+func (c *Coder) Value(v *relation.Value) {
+	kind, s, i, bits := uint64(kindNumber), "", int64(0), uint64(0)
+	if c.mode != decoding {
+		if v.Kind() == relation.String {
+			kind, s = kindString, v.Str()
+		} else if whole, ok := wholeNumber(v.Num()); ok {
+			kind, i = kindInt, whole
+		} else {
+			bits = math.Float64bits(v.Num())
+		}
+	}
+	c.Uvarint(&kind)
+	switch kind {
+	case kindString:
+		c.String(&s)
+		if c.mode == decoding {
+			*v = relation.S(s)
+		}
+	case kindInt:
+		c.Varint(&i)
+		if c.mode == decoding {
+			if i <= -(1<<53) || i >= 1<<53 {
+				c.Fail(fmt.Errorf("wire: integer %d is not one a number holds exactly", i))
+			}
+			*v = relation.N(float64(i))
+		}
+	case kindNumber:
+		switch c.mode {
+		case sizing:
+			c.n += 8
+		case encoding:
+			c.w.PutUint64(bits)
+		case decoding:
+			if c.err == nil {
+				bits, c.err = c.r.Uint64()
+			}
+			*v = relation.N(math.Float64frombits(bits))
+		}
+	default:
+		c.Fail(fmt.Errorf("wire: unknown value kind %d", kind))
 	}
 }
 
@@ -241,54 +304,186 @@ func (c *Coder) Value(v *relation.Value) {
 // attributes than shape goes as its projection onto shape, which is what its
 // receiver reads: a sender holds the tuple, never a projected copy of it, and
 // the receiver decodes the projection.
-func (c *Coder) Tuple(t **relation.Tuple, shape *relation.Schema) {
-	if c.mode == decoding || shape == nil || held((*t).Schema(), shape) || !Projects(*t, shape) {
-		c.tuple(t, shape, false)
-	} else if c.mode == sizing {
-		c.n += sizeProjection(*t, shape)
-	} else {
-		encodeProjection(&c.w, *t, shape)
-	}
-}
+func (c *Coder) Tuple(t **relation.Tuple, shape *relation.Schema) { c.tuple(t, shape, false) }
 
 // NamedTuple walks a tuple with the names of its attributes, always: for a
 // reader that holds no schema to resolve it against, a WAL record's.
 func (c *Coder) NamedTuple(t **relation.Tuple) { c.tuple(t, nil, true) }
 
+// tuple walks a tuple as the empty relation name where it is Prev's — an
+// unshaped, unnamed one — else in full (tupleFields).
 func (c *Coder) tuple(t **relation.Tuple, shape *relation.Schema, named bool) {
 	prev := c.Prev.Tuple
 	if shape != nil || named {
 		prev = nil
 	}
+	switch {
+	case c.mode == decoding && c.err == nil && c.r.Remaining() > 0 && c.r.b[c.r.off] == 0:
+		if prev == nil {
+			c.err = errors.New("wire: a tuple repeats a predecessor it does not have")
+			return
+		}
+		c.r.off++
+		*t = prev
 	// Equal: pointers first, then values — a tuple that reached this node in two
 	// deliveries is one pointer in the simulator and two behind a socket.
-	repeats := c.mode != decoding && prev != nil && (*t).Equal(prev)
-	switch c.mode {
-	case sizing:
-		n := SizeTuple(*t, named || !held((*t).Schema(), shape))
-		if repeats {
-			c.shared += n - 1
-			n = 1
+	case c.mode != decoding && prev != nil && (*t).Equal(prev):
+		if c.mode == sizing {
+			at := c.n
+			c.tupleFields(t, shape, named)
+			c.shared += c.n - at - 1
+			c.n = at
 		}
-		c.n += n
-	case encoding:
-		if repeats {
-			c.w.PutString("")
-		} else {
-			EncodeTuple(&c.w, *t, named || !held((*t).Schema(), shape))
-		}
-	case decoding:
+		empty := ""
+		c.String(&empty)
+	default:
+		c.tupleFields(t, shape, named)
+	}
+}
+
+// tupleFields walks a tuple in full: its relation; arity 0 then the arity
+// where its receiver holds the schema, else the arity then the names; its
+// values; its publication time. Decoding takes the schema shape, or with no
+// shape the catalog's, where the names stay home, and fails where that is
+// none or another arity; a named list takes one of the two where it is exactly
+// theirs, any other a private schema (namedSchema). Sizing serves a tuple
+// said whole and nameless from its memo: tuples are immutable once stamped,
+// and one tuple is re-sized once per delivery that carries it.
+func (c *Coder) tupleFields(t **relation.Tuple, shape *relation.Schema, named bool) {
+	var s *relation.Schema // what the values are said under; decoding, read onto
+	name, project, memo := "", false, false
+	if c.mode != decoding {
+		s = (*t).Schema()
 		switch {
-		case c.err != nil:
-		case c.r.Remaining() == 0 || c.r.b[c.r.off] != 0:
-			*t, c.err = DecodeTuple(&c.r, c.Catalog, shape)
-		case prev == nil:
-			c.err = errors.New("wire: a tuple repeats a predecessor it does not have")
+		case named:
+		case held(s, shape):
+			memo = c.mode == sizing
+		case shape != nil && Projects(*t, shape):
+			s, project = shape, true
 		default:
-			c.r.off++
-			*t = prev
+			named = true
+		}
+		if memo && (*t).CachedWireSize() != 0 {
+			c.n += (*t).CachedWireSize()
+			return
+		}
+		name = s.Name()
+	}
+	at := c.n
+	rel := c.field(name, nil)
+	var arity uint64
+	if s != nil {
+		arity = uint64(s.Arity())
+	}
+	lead := arity // 0 where the names stay home, else the arity ahead of them
+	if !named {
+		lead = 0
+	}
+	c.Uvarint(&lead)
+	if lead == 0 {
+		c.Uvarint(&arity)
+		if c.mode == decoding && c.err == nil {
+			if s = shape; s == nil {
+				s = c.Catalog.LookupBytes(rel)
+			}
+			if s == nil || s.Name() != string(rel) || uint64(s.Arity()) != arity {
+				c.err = fmt.Errorf("wire: no schema of %d attributes held for a tuple of %s", arity, rel)
+			}
+		}
+	} else if c.mode == decoding {
+		arity, s = lead, c.namedSchema(rel, lead, shape)
+	} else {
+		for i := 0; i < s.Arity(); i++ {
+			attr := s.Attr(i)
+			c.String(&attr)
 		}
 	}
+	var vals []relation.Value
+	if c.mode == decoding && c.err == nil {
+		vals = make([]relation.Value, arity)
+	}
+	count := len(vals)
+	if c.mode != decoding {
+		count = s.Arity()
+	}
+	for i := 0; i < count; i++ {
+		switch {
+		case c.mode == decoding:
+			c.Value(&vals[i])
+		case project:
+			v := (*t).ValueAt(projectedAt(*t, s, i))
+			c.Value(&v)
+		default:
+			v := (*t).ValueAt(i)
+			c.Value(&v)
+		}
+	}
+	var pubT int64
+	if c.mode != decoding {
+		pubT = (*t).PubT()
+	}
+	c.Varint(&pubT)
+	switch {
+	case memo:
+		(*t).SetCachedWireSize(c.n - at)
+	case c.mode == decoding && c.err == nil:
+		tu, err := relation.StampedTuple(s, vals, pubT)
+		if err != nil {
+			c.err = fmt.Errorf("wire: %w", err)
+			return
+		}
+		*t = tu
+	}
+}
+
+// namedSchema reads the n attribute names of a tuple of relation rel: the
+// catalog's schema of rel, or shape, where the list is exactly theirs, and
+// nothing is built; any other list, however forged, a private schema, so that
+// input never aliases or alters a shared one. Every name occupies at least
+// one byte: a larger n is a forged length prefix, not a short read.
+func (c *Coder) namedSchema(rel []byte, n uint64, shape *relation.Schema) *relation.Schema {
+	if c.err != nil {
+		return nil
+	}
+	if n > 1<<16 || n > uint64(c.r.Remaining()) {
+		c.err = fmt.Errorf("wire: implausible tuple arity %d", n)
+		return nil
+	}
+	at := c.r.off
+	for _, known := range [2]*relation.Schema{c.Catalog.LookupBytes(rel), shape} {
+		if known != nil && c.r.matchesSchema(known, rel, int(n)) {
+			return known
+		}
+		c.r.off = at
+	}
+	attrs := make([]string, n)
+	for i := range attrs {
+		c.String(&attrs[i])
+	}
+	if c.err != nil {
+		return nil
+	}
+	s, err := relation.NewSchema(string(rel), attrs...)
+	if err != nil {
+		c.err = fmt.Errorf("wire: %w", err)
+	}
+	return s
+}
+
+// matchesSchema reads n attribute names and reports whether they, with the
+// relation name rel, are exactly what s declares. On false the reader is
+// left mid-list for the caller to rewind.
+func (r *Reader) matchesSchema(s *relation.Schema, rel []byte, n int) bool {
+	if s.Arity() != n || s.Name() != string(rel) {
+		return false
+	}
+	for i := 0; i < n; i++ {
+		a, err := r.Bytes()
+		if err != nil || s.Attr(i) != string(a) {
+			return false
+		}
+	}
+	return true
 }
 
 // Key walks a query key and reports whether it is Prev.Key, said as "": the
@@ -348,19 +543,42 @@ func (c *Coder) Input(s *string, keyed bool) {
 }
 
 // Query walks a query after one of text prevText — the element before it in a
-// list, "" where there is none (EncodeQuery, SizeQuery): its own text, when
-// the same, is not sent again. Decoding resolves the query through Memo
-// (DecodeQuery).
+// list, "" where there is none: its key; its subscriber, "" where the key names
+// it (subscriberSaid); its subscriber's address; its insertion time; its text
+// field, "" where the text is prevText, tokenMarker then the token form where
+// it has one, else the text. Decoding resolves the query through Memo, which
+// re-parses only a text it has not seen. Sizing serves the fields ahead of the
+// text from the query's memo, like a tuple's.
 func (c *Coder) Query(q **query.Query, prevText string) {
-	switch c.mode {
-	case sizing:
-		c.n += SizeQuery(*q, prevText)
-	case encoding:
-		EncodeQuery(&c.w, *q, prevText)
-	case decoding:
-		if c.err == nil {
-			*q, c.err = DecodeQuery(&c.r, c.Catalog, c.Memo, prevText)
+	var key, sub, ip []byte // decoding: what the input says
+	var insT int64
+	if c.mode == sizing && (*q).CachedWireSize() != 0 {
+		c.n += (*q).CachedWireSize()
+	} else {
+		var k, s, addr string
+		if c.mode != decoding {
+			k, s, addr, insT = (*q).Key(), subscriberSaid(*q), (*q).SubscriberIP(), (*q).InsT()
 		}
+		at := c.n
+		key, sub, ip = c.field(k, nil), c.field(s, nil), c.field(addr, nil)
+		c.Varint(&insT)
+		if c.mode == sizing {
+			(*q).SetCachedWireSize(c.n - at)
+		}
+	}
+	var text string
+	var tokens []byte
+	if c.mode != decoding && (*q).Text() != prevText {
+		if text, tokens = (*q).Text(), (*q).Tokens(); tokens != nil {
+			text = string(rune(tokenMarker))
+		}
+	}
+	sql := c.field(text, tokens)
+	if c.mode == decoding && c.err == nil {
+		if i := bytes.LastIndexByte(key, '#'); len(sub) == 0 && i >= 0 {
+			sub = key[:i]
+		}
+		*q, c.err = c.Memo.query(c.Catalog, key, sub, ip, insT, sql, prevText)
 	}
 }
 

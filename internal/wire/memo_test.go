@@ -41,10 +41,9 @@ func TestMemoReturnsAQueryOnlyOnAnExactMatch(t *testing.T) {
 	honest := encodedQuery("n1#1", "n1", "sim://n1", 7, memoSQL)
 	decode := func(b []byte) *query.Query {
 		t.Helper()
-		r := NewReader(b)
-		q, err := DecodeQuery(r, catalog, memo, "")
-		if err != nil || r.Remaining() != 0 {
-			t.Fatalf("DecodeQuery: %v, %d bytes left", err, r.Remaining())
+		q, err := decodeQuery(b, catalog, memo, "")
+		if err != nil {
+			t.Fatalf("decode: %v", err)
 		}
 		return q
 	}
@@ -100,7 +99,7 @@ func TestMemoIsBounded(t *testing.T) {
 	memo := &Memo{Resets: reg.Counter("resets")}
 	for i := 0; i < memoMax+memoMax/2; i++ {
 		key, sub := fmt.Sprintf("n%d#1", i), fmt.Sprintf("n%d", i)
-		q, err := DecodeQuery(NewReader(encodedQuery(key, sub, "ip", int64(i), memoSQL)), catalog, memo, "")
+		q, err := decodeQuery(encodedQuery(key, sub, "ip", int64(i), memoSQL), catalog, memo, "")
 		if err != nil || !sameFields(q, key, sub, "ip", int64(i), memoSQL) {
 			t.Fatalf("query %d: %v, %v", i, q, err)
 		}
@@ -132,7 +131,7 @@ func TestMemoConcurrentDecoders(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				k := i % keys
 				key, sub := fmt.Sprintf("n%d#1", k), fmt.Sprintf("n%d", k)
-				q, err := DecodeQuery(NewReader(encodedQuery(key, sub, "ip", int64(k), memoSQL)), catalog, &memo, "")
+				q, err := decodeQuery(encodedQuery(key, sub, "ip", int64(k), memoSQL), catalog, &memo, "")
 				if err != nil || !sameFields(q, key, sub, "ip", int64(k), memoSQL) {
 					t.Errorf("query %s: %v, %v", key, q, err)
 					return
@@ -149,8 +148,8 @@ func TestMemoConcurrentDecoders(t *testing.T) {
 	wg.Wait()
 	for k := 0; k < keys; k++ {
 		b := encodedQuery(fmt.Sprintf("n%d#1", k), fmt.Sprintf("n%d", k), "ip", int64(k), memoSQL)
-		q1, _ := DecodeQuery(NewReader(b), catalog, &memo, "")
-		q2, _ := DecodeQuery(NewReader(b), catalog, &memo, "")
+		q1, _ := decodeQuery(b, catalog, &memo, "")
+		q2, _ := decodeQuery(b, catalog, &memo, "")
 		if q1 == nil || q1 != q2 {
 			t.Fatalf("standing query %d decodes to %p then %p", k, q1, q2)
 		}

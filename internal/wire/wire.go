@@ -36,7 +36,6 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -47,9 +46,9 @@ import (
 )
 
 const (
-	kindString byte = 0
-	kindNumber byte = 1
-	kindInt    byte = 2
+	kindString = 0
+	kindNumber = 1
+	kindInt    = 2
 )
 
 // wholeNumber returns f as an integer when a varint carries it exactly: a
@@ -109,8 +108,8 @@ func (w *Buffer) PutRaw(b []byte) {
 }
 
 // Grow ensures the buffer has capacity for at least n more bytes, so a
-// caller that knows an encoding's size up front (the Size* functions
-// below) can avoid growth copies on the hot path.
+// caller that knows an encoding's size up front (a sizing Coder's) can
+// avoid growth copies on the hot path.
 func (w *Buffer) Grow(n int) {
 	if cap(w.b)-len(w.b) >= n {
 		return
@@ -118,22 +117,6 @@ func (w *Buffer) Grow(n int) {
 	nb := make([]byte, len(w.b), len(w.b)+n)
 	copy(nb, w.b)
 	w.b = nb
-}
-
-// PutValue appends one attribute value.
-func (w *Buffer) PutValue(v relation.Value) {
-	if v.Kind() == relation.String {
-		w.b = append(w.b, kindString)
-		w.PutString(v.Str())
-		return
-	}
-	if i, ok := wholeNumber(v.Num()); ok {
-		w.b = append(w.b, kindInt)
-		w.PutVarint(i)
-		return
-	}
-	w.b = append(w.b, kindNumber)
-	w.b = binary.BigEndian.AppendUint64(w.b, math.Float64bits(v.Num()))
 }
 
 // Reader decodes an encoding produced by Buffer.
@@ -217,64 +200,14 @@ func (r *Reader) Bytes() ([]byte, error) {
 	return b, nil
 }
 
-// Value reads one attribute value.
-func (r *Reader) Value() (relation.Value, error) {
-	if r.Remaining() < 1 {
-		return relation.Value{}, fmt.Errorf("wire: truncated value kind")
-	}
-	kind := r.b[r.off]
-	r.off++
-	switch kind {
-	case kindString:
-		s, err := r.String()
-		if err != nil {
-			return relation.Value{}, err
-		}
-		return relation.S(s), nil
-	case kindNumber:
-		if r.Remaining() < 8 {
-			return relation.Value{}, fmt.Errorf("wire: truncated number")
-		}
-		bits := binary.BigEndian.Uint64(r.b[r.off:])
-		r.off += 8
-		return relation.N(math.Float64frombits(bits)), nil
-	case kindInt:
-		i, err := r.Varint()
-		if err == nil && (i <= -(1<<53) || i >= 1<<53) {
-			err = fmt.Errorf("wire: integer %d is not one a number holds exactly", i)
-		}
-		return relation.N(float64(i)), err
-	default:
-		return relation.Value{}, fmt.Errorf("wire: unknown value kind %d", kind)
-	}
-}
-
 // held reports whether the receiver of a tuple of schema s holds that schema,
 // so the attribute names stay home: where the tuple travels with a query, s
 // declares what shape — the projection that query's plan expects — declares;
 // anywhere else (shape nil) s is a catalog's. Decided on what the schemas
 // declare, never on which *Schema they are, so a message rebuilt from decoded
-// parts encodes as the original did. DecodeTuple resolves by the same rule.
+// parts encodes as the original did. Decoding resolves by the same rule.
 func held(s, shape *relation.Schema) bool {
 	return shape == nil && s.Cataloged() || shape != nil && s.Equal(shape)
-}
-
-// EncodeTuple appends a tuple with the names of its attributes (named) or,
-// for a receiver that holds its schema, arity 0 in their place.
-func EncodeTuple(w *Buffer, t *relation.Tuple, named bool) {
-	schema := t.Schema()
-	w.PutString(schema.Name())
-	if !named {
-		w.PutUvarint(0)
-	}
-	w.PutUvarint(uint64(schema.Arity()))
-	for i := 0; named && i < schema.Arity(); i++ {
-		w.PutString(schema.Attr(i))
-	}
-	for i := 0; i < schema.Arity(); i++ {
-		w.PutValue(t.ValueAt(i))
-	}
-	w.PutVarint(t.PubT())
 }
 
 // Projects reports whether t can be said as its projection onto shape: a
@@ -319,105 +252,6 @@ func projectedAt(t *relation.Tuple, shape *relation.Schema, i int) int {
 	return t.Schema().AttrIndex(shape.Attr(i))
 }
 
-// encodeProjection appends t projected onto shape, a schema Projects allows,
-// as EncodeTuple appends that projection for a receiver holding shape: built
-// in place, so the sender keeps no copy.
-func encodeProjection(w *Buffer, t *relation.Tuple, shape *relation.Schema) {
-	w.PutString(shape.Name())
-	w.PutUvarint(0)
-	w.PutUvarint(uint64(shape.Arity()))
-	for i := 0; i < shape.Arity(); i++ {
-		w.PutValue(t.ValueAt(projectedAt(t, shape, i)))
-	}
-	w.PutVarint(t.PubT())
-}
-
-// DecodeTuple reads a tuple encoded by EncodeTuple. Arity 0 leaves the names
-// to the receiver: the tuple takes shape, the projection schema of the query
-// it travels with, or with no shape the catalog's schema of the relation; a
-// receiver holding none, or one of another arity, fails the message rather
-// than mis-slice the values. A named list takes one of those two schemas when
-// it is exactly theirs, and nothing is built; any other list, however forged,
-// gets a private schema: input never aliases or alters a shared one.
-func DecodeTuple(r *Reader, catalog *relation.Catalog, shape *relation.Schema) (*relation.Tuple, error) {
-	rel, err := r.Bytes()
-	if err != nil {
-		return nil, err
-	}
-	n, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	var schema *relation.Schema
-	switch {
-	case n == 0:
-		if schema = shape; schema == nil {
-			schema = catalog.LookupBytes(rel)
-		}
-		if n, err = r.Uvarint(); err != nil {
-			return nil, err
-		}
-		if schema == nil || schema.Name() != string(rel) || uint64(schema.Arity()) != n {
-			return nil, fmt.Errorf("wire: no schema of %d attributes held for a tuple of %s", n, rel)
-		}
-	case n > 1<<16 || n > uint64(r.Remaining()):
-		// Every attribute occupies at least one byte; a larger arity is a
-		// forged length prefix, not a short read.
-		return nil, fmt.Errorf("wire: implausible tuple arity %d", n)
-	default:
-		attrsAt := r.off
-		for _, known := range [2]*relation.Schema{catalog.LookupBytes(rel), shape} {
-			if known != nil && r.matchesSchema(known, rel, int(n)) {
-				schema = known
-				break
-			}
-			r.off = attrsAt
-		}
-	}
-	if schema == nil {
-		attrs := make([]string, n)
-		for i := range attrs {
-			if attrs[i], err = r.String(); err != nil {
-				return nil, err
-			}
-		}
-		if schema, err = relation.NewSchema(string(rel), attrs...); err != nil {
-			return nil, fmt.Errorf("wire: %w", err)
-		}
-	}
-	vals := make([]relation.Value, n)
-	for i := range vals {
-		if vals[i], err = r.Value(); err != nil {
-			return nil, err
-		}
-	}
-	pubT, err := r.Varint()
-	if err != nil {
-		return nil, err
-	}
-	t, err := relation.StampedTuple(schema, vals, pubT)
-	if err != nil {
-		return nil, fmt.Errorf("wire: %w", err)
-	}
-	return t, nil
-}
-
-// matchesSchema reads n attribute names and reports whether they, with the
-// relation name rel, are exactly what s declares. On false the reader is
-// left mid-list for the caller to rewind.
-func (r *Reader) matchesSchema(s *relation.Schema, rel []byte, n int) bool {
-	if s.Arity() != n || s.Name() != string(rel) {
-		return false
-	}
-	for i := 0; i < n; i++ {
-		a, err := r.Bytes()
-		if err != nil || s.Attr(i) != string(a) {
-			return false
-		}
-	}
-	return true
-}
-
 // subscriberSaid returns the subscriber q's wire form says: "" where Key(q)
 // names it, Subscriber + "#" + n (Section 3.2), else the subscriber itself.
 func subscriberSaid(q *query.Query) string {
@@ -432,62 +266,8 @@ func subscriberSaid(q *query.Query) string {
 // text: a byte no SQL text starts with, so no parent wrote it there.
 const tokenMarker = 0x00
 
-// EncodeQuery appends a query: identity and times plus the SQL text, which
-// the receiver re-parses — an empty one where it is prevText, the text of the
-// query's predecessor in a list ("" for none), and its token form behind
-// tokenMarker where it has one.
-func EncodeQuery(w *Buffer, q *query.Query, prevText string) {
-	w.PutString(q.Key())
-	w.PutString(subscriberSaid(q))
-	w.PutString(q.SubscriberIP())
-	w.PutVarint(q.InsT())
-	switch tokens := q.Tokens(); {
-	case q.Text() == prevText:
-		w.PutString("")
-	case tokens != nil:
-		w.PutUvarint(uint64(1 + len(tokens)))
-		w.b = append(append(w.b, tokenMarker), tokens...)
-	default:
-		w.PutString(q.Text())
-	}
-}
-
-// DecodeQuery reads a query encoded by EncodeQuery after one of prevText,
-// restoring its identity and insertion time. The SQL is re-parsed against the
-// catalog unless memo has seen it: a query memo already holds, field for
-// field, costs nothing, and the subscribers of one SQL text — a rewriter's
-// group — cost one parse.
-func DecodeQuery(r *Reader, catalog *relation.Catalog, memo *Memo, prevText string) (*query.Query, error) {
-	key, err := r.Bytes()
-	if err != nil {
-		return nil, err
-	}
-	sub, err := r.Bytes()
-	if err != nil {
-		return nil, err
-	}
-	if i := bytes.LastIndexByte(key, '#'); len(sub) == 0 && i >= 0 {
-		sub = key[:i]
-	}
-	ip, err := r.Bytes()
-	if err != nil {
-		return nil, err
-	}
-	insT, err := r.Varint()
-	if err != nil {
-		return nil, err
-	}
-	sql, err := r.Bytes()
-	if err != nil {
-		return nil, err
-	}
-	return memo.query(catalog, key, sub, ip, insT, sql, prevText)
-}
-
-// The Size* functions below compute encoded lengths arithmetically,
-// without materializing any bytes. They must stay field-for-field in sync
-// with the Encode*/Put* counterparts above; engine/codec_test.go asserts
-// Size == len(Encode) for every message type.
+// The Size* functions give the encoded lengths of the Put* calls above
+// arithmetically, without materializing any bytes: a sizing Coder adds them up.
 
 // SizeUvarint returns the encoded length of an unsigned varint.
 func SizeUvarint(v uint64) int {
@@ -511,70 +291,4 @@ func SizeVarint(v int64) int {
 // SizeString returns a length-prefixed string's encoded size.
 func SizeString(s string) int {
 	return SizeUvarint(uint64(len(s))) + len(s)
-}
-
-// SizeValue returns a value's encoded size.
-func SizeValue(v relation.Value) int {
-	if v.Kind() == relation.String {
-		return 1 + SizeString(v.Str())
-	}
-	if i, ok := wholeNumber(v.Num()); ok {
-		return 1 + SizeVarint(i)
-	}
-	return 1 + 8
-}
-
-// SizeTuple returns the size EncodeTuple gives a tuple. The nameless size is
-// memoized: tuples are immutable once stamped, and one tuple is re-sized once
-// per delivery that carries it; names, the rare case, are added each time.
-func SizeTuple(t *relation.Tuple, named bool) int {
-	schema := t.Schema()
-	n := t.CachedWireSize()
-	if n == 0 {
-		n = SizeString(schema.Name()) + 1 + SizeUvarint(uint64(schema.Arity())) + SizeVarint(t.PubT())
-		for i := 0; i < schema.Arity(); i++ {
-			n += SizeValue(t.ValueAt(i))
-		}
-		t.SetCachedWireSize(n)
-	}
-	if named {
-		n-- // no arity 0 ahead of the arity
-		for i := 0; i < schema.Arity(); i++ {
-			n += SizeString(schema.Attr(i))
-		}
-	}
-	return n
-}
-
-// sizeProjection returns the size encodeProjection gives t projected onto
-// shape.
-func sizeProjection(t *relation.Tuple, shape *relation.Schema) int {
-	n := SizeString(shape.Name()) + 1 + SizeUvarint(uint64(shape.Arity())) + SizeVarint(t.PubT())
-	for i := 0; i < shape.Arity(); i++ {
-		n += SizeValue(t.ValueAt(projectedAt(t, shape, i)))
-	}
-	return n
-}
-
-// SizeQuery returns the size EncodeQuery gives a query after one of prevText.
-// The size with the text is memoized like a tuple's.
-func SizeQuery(q *query.Query, prevText string) int {
-	n := q.CachedWireSize()
-	if n == 0 {
-		n = SizeString(q.Key()) + SizeString(subscriberSaid(q)) + SizeString(q.SubscriberIP()) +
-			SizeVarint(q.InsT()) + sizeSQL(q)
-		q.SetCachedWireSize(n)
-	}
-	if q.Text() == prevText {
-		n -= sizeSQL(q) - 1
-	}
-	return n
-}
-
-// sizeSQL returns the size of a query's text field said in full.
-func sizeSQL(q *query.Query) int {
-	if tokens := q.Tokens(); tokens != nil {
-		return SizeUvarint(uint64(1+len(tokens))) + 1 + len(tokens)
-	}
-	return SizeString(q.Text())
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -15,8 +16,6 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 	w.PutUvarint(300)
 	w.PutVarint(-42)
 	w.PutString("hello world")
-	w.PutValue(relation.S("s"))
-	w.PutValue(relation.N(3.25))
 
 	r := NewReader(w.Bytes())
 	if v, err := r.Uvarint(); err != nil || v != 300 {
@@ -27,12 +26,6 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 	}
 	if s, err := r.String(); err != nil || s != "hello world" {
 		t.Fatalf("string = %q, %v", s, err)
-	}
-	if v, err := r.Value(); err != nil || !v.Equal(relation.S("s")) {
-		t.Fatalf("value = %v, %v", v, err)
-	}
-	if v, err := r.Value(); err != nil || !v.Equal(relation.N(3.25)) {
-		t.Fatalf("value = %v, %v", v, err)
 	}
 	if r.Remaining() != 0 {
 		t.Fatalf("remaining = %d", r.Remaining())
@@ -54,16 +47,13 @@ func TestNumberFormsRoundTripBitExact(t *testing.T) {
 		{0.5, 9}, {math.Copysign(0, -1), 9}, {math.NaN(), 9}, {math.Inf(1), 9}, {math.Inf(-1), 9},
 		{math.MaxFloat64, 9}, {math.SmallestNonzeroFloat64, 9},
 	} {
-		var w Buffer
-		w.PutValue(relation.N(tc.f))
-		if w.Len() != tc.size || SizeValue(relation.N(tc.f)) != tc.size {
-			t.Errorf("%v: %d bytes written, SizeValue says %d, want %d", tc.f, w.Len(), SizeValue(relation.N(tc.f)), tc.size)
+		enc := encodeValue(t, relation.N(tc.f))
+		if len(enc) != tc.size {
+			t.Errorf("%v: %d bytes written, want %d", tc.f, len(enc), tc.size)
 		}
-		r := NewReader(w.Bytes())
-		got, err := r.Value()
-		if err != nil || r.Remaining() != 0 || got.Kind() != relation.Number ||
-			math.Float64bits(got.Num()) != math.Float64bits(tc.f) {
-			t.Errorf("%v (%#x) came back as %v (%v, %d bytes left)", tc.f, math.Float64bits(tc.f), got, err, r.Remaining())
+		got, err := decodeValue(enc)
+		if err != nil || got.Kind() != relation.Number || math.Float64bits(got.Num()) != math.Float64bits(tc.f) {
+			t.Errorf("%v (%#x) came back as %v (%v)", tc.f, math.Float64bits(tc.f), got, err)
 		}
 	}
 	// An integer outside the range the encoder uses the form for is not read
@@ -72,7 +62,7 @@ func TestNumberFormsRoundTripBitExact(t *testing.T) {
 		var w Buffer
 		w.PutRaw([]byte{kindInt})
 		w.PutVarint(i)
-		if v, err := NewReader(w.Bytes()).Value(); err == nil {
+		if v, err := decodeValue(w.Bytes()); err == nil {
 			t.Errorf("integer %d accepted as %v", i, v)
 		}
 	}
@@ -89,9 +79,7 @@ func TestValueRoundTripProperty(t *testing.T) {
 			}
 			v = relation.N(n)
 		}
-		var w Buffer
-		w.PutValue(v)
-		got, err := NewReader(w.Bytes()).Value()
+		got, err := decodeValue(encodeValue(t, v))
 		return err == nil && got.Equal(v)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -102,11 +90,9 @@ func TestValueRoundTripProperty(t *testing.T) {
 func TestTupleRoundTrip(t *testing.T) {
 	s := relation.MustSchema("Document", "Id", "Title", "AuthorId")
 	tu := relation.MustTuple(s, relation.N(1), relation.S("P2P Joins"), relation.N(17)).WithPubT(99)
-	var w Buffer
-	EncodeTuple(&w, tu, true)
-	got, err := DecodeTuple(NewReader(w.Bytes()), nil, nil)
+	got, err := decodeTuple(encodeTuple(t, tu, nil, true), nil, nil)
 	if err != nil {
-		t.Fatalf("DecodeTuple: %v", err)
+		t.Fatalf("decode: %v", err)
 	}
 	if got.Relation() != "Document" || got.PubT() != 99 {
 		t.Fatalf("tuple identity wrong: %s @%d", got, got.PubT())
@@ -115,9 +101,6 @@ func TestTupleRoundTrip(t *testing.T) {
 		if !got.MustValue(a).Equal(tu.MustValue(a)) {
 			t.Fatalf("attribute %s mismatch", a)
 		}
-	}
-	if w.Len() != SizeTuple(tu, true) {
-		t.Fatalf("SizeTuple = %d, want %d", SizeTuple(tu, true), w.Len())
 	}
 }
 
@@ -145,13 +128,6 @@ func TestTupleLeavesHeldSchemaHome(t *testing.T) {
 	}
 	foreign := relation.MustTuple(relation.MustSchema("Document", "Id", "Title", "AuthorId"),
 		relation.N(1), relation.S("P2P Joins"), relation.N(17))
-	names := func(s *relation.Schema) int {
-		n := 0
-		for _, a := range s.Attrs() {
-			n += SizeString(a)
-		}
-		return n
-	}
 	for _, tc := range []struct {
 		what   string
 		tu     *relation.Tuple
@@ -170,17 +146,14 @@ func TestTupleLeavesHeldSchemaHome(t *testing.T) {
 		if named := !held(tc.tu.Schema(), tc.shape); named != tc.named {
 			t.Fatalf("%s: travels with its names: %v", tc.what, named)
 		}
-		var w, bare Buffer
-		EncodeTuple(&w, tc.tu, tc.named)
-		EncodeTuple(&bare, tc.tu, false)
-		want := bare.Len()
-		if tc.named {
-			want += names(tc.tu.Schema()) - 1 // the names, less the arity 0 that stands for them
+		// Named, the encoding takes the names in place of the nameless form's
+		// arity 0; said under its shape, the tuple is named exactly when that
+		// shape does not hold its schema.
+		enc := encodeTuple(t, tc.tu, tc.shape, tc.named)
+		if lead := enc[SizeString(tc.tu.Relation())]; (lead == 0) == tc.named {
+			t.Fatalf("%s: %x leads its values with %d", tc.what, enc, lead)
 		}
-		if w.Len() != want || SizeTuple(tc.tu, tc.named) != want {
-			t.Fatalf("%s: %d bytes, SizeTuple %d, want %d", tc.what, w.Len(), SizeTuple(tc.tu, tc.named), want)
-		}
-		got, err := DecodeTuple(NewReader(w.Bytes()), catalog, tc.shape)
+		got, err := decodeTuple(enc, catalog, tc.shape)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.what, err)
 		}
@@ -203,10 +176,9 @@ func TestTupleLeavesHeldSchemaHome(t *testing.T) {
 func TestNamelessTupleNeedsItsSchema(t *testing.T) {
 	sent := relation.MustSchema("R", "A", "B", "C")
 	relation.MustCatalog(sent)
-	var w Buffer
-	EncodeTuple(&w, relation.MustTuple(sent, relation.N(1), relation.N(2), relation.N(3)), !held(sent, nil))
-	if w.Bytes()[2] != 0 {
-		t.Fatalf("a catalog tuple was written with its names: %x", w.Bytes())
+	enc := encodeTuple(t, relation.MustTuple(sent, relation.N(1), relation.N(2), relation.N(3)), nil, false)
+	if enc[2] != 0 {
+		t.Fatalf("a catalog tuple was written with its names: %x", enc)
 	}
 	narrower := relation.MustSchema("R", "A", "B")
 	other := relation.MustSchema("S", "A", "B", "C")
@@ -222,7 +194,7 @@ func TestNamelessTupleNeedsItsSchema(t *testing.T) {
 		"nameless form, no arity":    {relation.MustCatalog(sent), nil},
 		"nameless form, wrong arity": {relation.MustCatalog(sent), nil},
 	} {
-		in := w.Bytes()
+		in := enc
 		switch what {
 		case "nameless form, no arity":
 			in = in[:3]
@@ -230,11 +202,11 @@ func TestNamelessTupleNeedsItsSchema(t *testing.T) {
 			in = append([]byte(nil), in...)
 			in[3] = 2
 		}
-		if tu, err := DecodeTuple(NewReader(in), rx.catalog, rx.shape); err == nil {
+		if tu, err := decodeTuple(in, rx.catalog, rx.shape); err == nil {
 			t.Errorf("%s: decoded %v onto %v", what, tu, tu.Schema())
 		}
 	}
-	if _, err := DecodeTuple(NewReader(w.Bytes()), relation.MustCatalog(relation.MustSchema("R", "X", "Y", "Z")), nil); err != nil {
+	if _, err := decodeTuple(enc, relation.MustCatalog(relation.MustSchema("R", "X", "Y", "Z")), nil); err != nil {
 		t.Errorf("a catalog of the same arity: %v (attribute names are the catalog's to give)", err)
 	}
 }
@@ -247,11 +219,9 @@ func TestQueryRoundTrip(t *testing.T) {
 	q := query.MustParse(catalog, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E AND S.D >= 2`).
 		WithIdentity("node9", "sim://abc", 4).WithInsT(123)
 
-	var w Buffer
-	EncodeQuery(&w, q, "")
-	got, err := DecodeQuery(NewReader(w.Bytes()), catalog, new(Memo), "")
+	got, err := decodeQuery(encodeQuery(t, q, ""), catalog, new(Memo), "")
 	if err != nil {
-		t.Fatalf("DecodeQuery: %v", err)
+		t.Fatalf("decode: %v", err)
 	}
 	if got.Key() != q.Key() || got.Subscriber() != q.Subscriber() || got.SubscriberIP() != q.SubscriberIP() {
 		t.Fatalf("identity mismatch: %q %q %q", got.Key(), got.Subscriber(), got.SubscriberIP())
@@ -265,37 +235,28 @@ func TestQueryRoundTrip(t *testing.T) {
 	if len(got.Filters()) != 1 {
 		t.Fatalf("filters lost: %v", got.Filters())
 	}
-	if w.Len() != SizeQuery(q, "") {
-		t.Fatalf("SizeQuery = %d, want %d", SizeQuery(q, ""), w.Len())
-	}
 
 	// After a query of the same text — its own copy of the bytes will do, a
 	// different text will not — the text is an empty string, and the decoder
 	// takes it from that predecessor, or fails when there is none.
 	next := query.MustParse(catalog, q.Text()).WithIdentity("node3", "sim://def", 1).WithInsT(124)
-	var short Buffer
-	EncodeQuery(&short, next, q.Text())
-	var long Buffer
-	EncodeQuery(&long, next, "")
-	if want := long.Len() - 1 - len(q.Tokens()); short.Len() != want || SizeQuery(next, q.Text()) != want || SizeQuery(next, "") != long.Len() {
-		t.Fatalf("after its text's twin: %d bytes (SizeQuery %d), want %d; alone %d (SizeQuery %d)",
-			short.Len(), SizeQuery(next, q.Text()), want, long.Len(), SizeQuery(next, ""))
+	short, long := encodeQuery(t, next, q.Text()), encodeQuery(t, next, "")
+	if want := len(long) - 1 - len(q.Tokens()); len(short) != want {
+		t.Fatalf("after its text's twin: %d bytes, want %d; alone %d", len(short), want, len(long))
 	}
 	other := query.MustParse(catalog, `SELECT R.A FROM R, S WHERE R.B = S.E`).WithIdentity("node1", "sim://x", 1)
-	var unrelated Buffer
-	EncodeQuery(&unrelated, next, other.Text())
-	if !bytes.Equal(unrelated.Bytes(), long.Bytes()) {
+	if !bytes.Equal(encodeQuery(t, next, other.Text()), long) {
 		t.Fatal("a query after one of another text did not write its own")
 	}
 	memo := new(Memo)
-	got, err = DecodeQuery(NewReader(short.Bytes()), catalog, memo, q.Text())
+	got, err = decodeQuery(short, catalog, memo, q.Text())
 	if err != nil || got.Key() != next.Key() || got.Text() != q.Text() || got.InsT() != 124 || len(got.Filters()) != 1 {
 		t.Fatalf("decoded after its predecessor: %v, %v", got, err)
 	}
-	if again, err := DecodeQuery(NewReader(long.Bytes()), catalog, memo, ""); err != nil || again != got {
+	if again, err := decodeQuery(long, catalog, memo, ""); err != nil || again != got {
 		t.Fatalf("the memo tells a query with its text from the same query without: %v", err)
 	}
-	if _, err := DecodeQuery(NewReader(short.Bytes()), catalog, new(Memo), ""); err == nil {
+	if _, err := decodeQuery(short, catalog, new(Memo), ""); err == nil {
 		t.Fatal("an empty text with no predecessor was accepted")
 	}
 }
@@ -317,19 +278,15 @@ func TestSubscriberTheKeyNamesIsNotSaid(t *testing.T) {
 		{parsed.WithRestoredIdentity("k", "peer7", "sim://abc"), "peer7"},
 		{parsed.WithRestoredIdentity("", "", ""), ""},
 	} {
-		var w Buffer
-		EncodeQuery(&w, tc.q, "")
-		r := NewReader(w.Bytes())
+		enc := encodeQuery(t, tc.q, "")
+		r := NewReader(enc)
 		if _, err := r.String(); err != nil {
 			t.Fatal(err)
 		}
 		if said, err := r.String(); err != nil || said != tc.sub {
 			t.Errorf("key %q, subscriber %q: the wire says %q (%v), want %q", tc.q.Key(), tc.q.Subscriber(), said, err, tc.sub)
 		}
-		if SizeQuery(tc.q, "") != w.Len() {
-			t.Errorf("key %q: SizeQuery %d, the encoding %d bytes", tc.q.Key(), SizeQuery(tc.q, ""), w.Len())
-		}
-		got, err := DecodeQuery(NewReader(w.Bytes()), catalog, new(Memo), "")
+		got, err := decodeQuery(enc, catalog, new(Memo), "")
 		if err != nil || got.Key() != tc.q.Key() || got.Subscriber() != tc.q.Subscriber() {
 			t.Errorf("key %q, subscriber %q: decoded to %v (%v)", tc.q.Key(), tc.q.Subscriber(), got, err)
 		}
@@ -340,8 +297,8 @@ func TestSubscriberTheKeyNamesIsNotSaid(t *testing.T) {
 	said.PutString(named.SubscriberIP())
 	said.PutVarint(named.InsT())
 	said.PutString(named.Text())
-	got, err := DecodeQuery(NewReader(said.Bytes()), catalog, new(Memo), "")
-	if err != nil || got.Subscriber() != named.Subscriber() || SizeQuery(got, "") != SizeQuery(named, "") {
+	got, err := decodeQuery(said.Bytes(), catalog, new(Memo), "")
+	if err != nil || got.Subscriber() != named.Subscriber() || !bytes.Equal(encodeQuery(t, got, ""), encodeQuery(t, named, "")) {
 		t.Fatalf("the subscriber said in full decoded to %v (%v)", got, err)
 	}
 }
@@ -361,26 +318,23 @@ func TestQueryTravelsAsItsTokenForm(t *testing.T) {
 		{`SELECT R.A, S.D FROM R, S WHERE R.B=S.E`, false},
 	} {
 		q := query.MustParse(catalog, tc.sql).WithIdentity("peer3", "sim://3", 1).WithInsT(7)
-		var w, text Buffer
-		EncodeQuery(&w, q, "")
+		var text Buffer
+		enc := encodeQuery(t, q, "")
 		text.PutString(q.Key())
 		text.PutString("")
 		text.PutString(q.SubscriberIP())
 		text.PutVarint(q.InsT())
 		field := len(text.Bytes())
 		text.PutString(q.Text())
-		if sent := w.Bytes()[field:]; (q.Tokens() != nil) != tc.tokens || tc.tokens && (sent[1] != tokenMarker || len(sent) != 18) {
+		if sent := enc[field:]; (q.Tokens() != nil) != tc.tokens || tc.tokens && (sent[1] != tokenMarker || len(sent) != 18) {
 			t.Errorf("%s: the text field is %x", tc.sql, sent)
 		}
-		if !tc.tokens && !bytes.Equal(w.Bytes(), text.Bytes()) {
-			t.Errorf("%s: said %x, want the text %x", tc.sql, w.Bytes(), text.Bytes())
-		}
-		if SizeQuery(q, "") != w.Len() {
-			t.Errorf("%s: SizeQuery %d, the encoding %d bytes", tc.sql, SizeQuery(q, ""), w.Len())
+		if !tc.tokens && !bytes.Equal(enc, text.Bytes()) {
+			t.Errorf("%s: said %x, want the text %x", tc.sql, enc, text.Bytes())
 		}
 		memo := new(Memo)
-		for _, enc := range [][]byte{w.Bytes(), text.Bytes(), w.Bytes()} {
-			got, err := DecodeQuery(NewReader(enc), catalog, memo, "")
+		for _, enc := range [][]byte{enc, text.Bytes(), enc} {
+			got, err := decodeQuery(enc, catalog, memo, "")
 			if err != nil || got.Text() != q.Text() || got.Key() != q.Key() || got.Subscriber() != q.Subscriber() || got.InsT() != q.InsT() {
 				t.Errorf("%s: %x decoded to %v (%v)", tc.sql, enc, got, err)
 			}
@@ -404,7 +358,7 @@ func TestForgedTokenFormFailsToDecode(t *testing.T) {
 		return w.Bytes()
 	}
 	memo := new(Memo)
-	if _, err := DecodeQuery(NewReader(forge(q.Tokens()...)), catalog, memo, ""); err != nil {
+	if _, err := decodeQuery(forge(q.Tokens()...), catalog, memo, ""); err != nil {
 		t.Fatalf("the query's own token form: %v", err)
 	}
 	// Codes (query/tokens.go): 1 SELECT, 2 FROM, 3 WHERE; 26 + 2·ordinal + form
@@ -417,12 +371,12 @@ func TestForgedTokenFormFailsToDecode(t *testing.T) {
 		"a text Parse refuses":         forge(1, 2, 3),
 		"the marker and nothing after": forge(),
 	} {
-		if got, err := DecodeQuery(NewReader(data), catalog, memo, ""); err == nil {
+		if got, err := decodeQuery(data, catalog, memo, ""); err == nil {
 			t.Errorf("%s: decoded to %v", what, got)
 		}
 	}
 	other := query.MustParse(catalog, `SELECT S.D FROM R, S WHERE R.A = S.E`)
-	if got, err := DecodeQuery(NewReader(forge(other.Tokens()...)), catalog, memo, ""); err != nil || got.Text() != other.Text() {
+	if got, err := decodeQuery(forge(other.Tokens()...), catalog, memo, ""); err != nil || got.Text() != other.Text() {
 		t.Fatalf("another token form under the key decoded to %v (%v), want %q", got, err, other.Text())
 	}
 }
@@ -435,7 +389,7 @@ func TestDecodeQueryBadSQL(t *testing.T) {
 	w.PutString("ip")
 	w.PutVarint(1)
 	w.PutString("not sql at all")
-	if _, err := DecodeQuery(NewReader(w.Bytes()), catalog, new(Memo), ""); err == nil {
+	if _, err := decodeQuery(w.Bytes(), catalog, new(Memo), ""); err == nil {
 		t.Fatal("bad SQL accepted")
 	}
 }
@@ -443,12 +397,10 @@ func TestDecodeQueryBadSQL(t *testing.T) {
 func TestTruncationErrors(t *testing.T) {
 	s := relation.MustSchema("R", "A", "B")
 	tu := relation.MustTuple(s, relation.N(1), relation.S("x"))
-	var w Buffer
-	EncodeTuple(&w, tu, true)
-	full := w.Bytes()
+	full := encodeTuple(t, tu, nil, true)
 	// Every strict prefix must fail cleanly, never panic.
 	for cut := 0; cut < len(full); cut++ {
-		if _, err := DecodeTuple(NewReader(full[:cut]), nil, nil); err == nil {
+		if _, err := decodeTuple(full[:cut], nil, nil); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
@@ -456,10 +408,9 @@ func TestTruncationErrors(t *testing.T) {
 
 func TestDecodeGarbageNeverPanics(t *testing.T) {
 	f := func(b []byte) bool {
-		_, _ = DecodeTuple(NewReader(b), nil, nil)
-		r := NewReader(b)
-		_, _ = r.Value()
-		_, _ = r.String()
+		_, _ = decodeTuple(b, nil, nil)
+		_, _ = decodeValue(b)
+		_, _ = NewReader(b).String()
 		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -471,13 +422,13 @@ func TestDecodeTupleImplausibleArity(t *testing.T) {
 	var w Buffer
 	w.PutString("R")
 	w.PutUvarint(1 << 40)
-	if _, err := DecodeTuple(NewReader(w.Bytes()), nil, nil); err == nil {
+	if _, err := decodeTuple(w.Bytes(), nil, nil); err == nil {
 		t.Fatal("absurd arity accepted")
 	}
 	var w2 Buffer
 	w2.PutString("R")
 	w2.PutUvarint(0)
-	if _, err := DecodeTuple(NewReader(w2.Bytes()), nil, nil); err == nil {
+	if _, err := decodeTuple(w2.Bytes(), nil, nil); err == nil {
 		t.Fatal("zero arity accepted")
 	}
 }
@@ -486,13 +437,77 @@ func TestSizeHelpers(t *testing.T) {
 	if SizeString("abc") != 4 { // 1-byte length + 3 bytes
 		t.Fatalf("SizeString = %d", SizeString("abc"))
 	}
-	if SizeValue(relation.N(1.5)) != 9 { // kind + 8 bytes
-		t.Fatalf("SizeValue(number) = %d", SizeValue(relation.N(1.5)))
+	for _, tc := range []struct {
+		v    relation.Value
+		size int
+	}{
+		{relation.N(1.5), 9},  // kind + 8 bytes
+		{relation.N(1), 2},    // kind + a one-byte varint
+		{relation.S("ab"), 4}, // kind + len + 2
+	} {
+		if got := len(encodeValue(t, tc.v)); got != tc.size {
+			t.Fatalf("%v: %d bytes, want %d", tc.v, got, tc.size)
+		}
 	}
-	if SizeValue(relation.N(1)) != 2 { // kind + a one-byte varint
-		t.Fatalf("SizeValue(whole number) = %d", SizeValue(relation.N(1)))
+}
+
+// walked returns what walk encodes, after checking that a sizing walk adds up
+// to its length.
+func walked(t testing.TB, walk func(*Coder)) []byte {
+	t.Helper()
+	var w Buffer
+	enc := Encoder(&w)
+	walk(&enc)
+	var sz Coder
+	walk(&sz)
+	if err := enc.Flush(&w); err != nil || sz.Err() != nil || sz.Size() != w.Len() {
+		t.Fatalf("sized %d (%v), encoded %d bytes (%v)", sz.Size(), sz.Err(), w.Len(), err)
 	}
-	if SizeValue(relation.S("ab")) != 4 { // kind + len + 2
-		t.Fatalf("SizeValue(string) = %d", SizeValue(relation.S("ab")))
+	return w.Bytes()
+}
+
+// decoded runs walk decoding b against catalog and memo, and fails where it
+// leaves bytes unread.
+func decoded(b []byte, catalog *relation.Catalog, memo *Memo, walk func(*Coder)) error {
+	r := NewReader(b)
+	c := Decoder(r, catalog, memo)
+	walk(&c)
+	if err := c.Sync(r); err != nil {
+		return err
 	}
+	if r.Remaining() != 0 {
+		return fmt.Errorf("%d bytes left", r.Remaining())
+	}
+	return nil
+}
+
+func encodeValue(t testing.TB, v relation.Value) []byte {
+	return walked(t, func(c *Coder) { c.Value(&v) })
+}
+
+func decodeValue(b []byte) (v relation.Value, err error) {
+	err = decoded(b, nil, nil, func(c *Coder) { c.Value(&v) })
+	return v, err
+}
+
+// encodeTuple encodes tu as Tuple(…, shape) does, or named, as NamedTuple.
+func encodeTuple(t testing.TB, tu *relation.Tuple, shape *relation.Schema, named bool) []byte {
+	if named {
+		return walked(t, func(c *Coder) { c.NamedTuple(&tu) })
+	}
+	return walked(t, func(c *Coder) { c.Tuple(&tu, shape) })
+}
+
+func decodeTuple(b []byte, catalog *relation.Catalog, shape *relation.Schema) (tu *relation.Tuple, err error) {
+	err = decoded(b, catalog, nil, func(c *Coder) { c.Tuple(&tu, shape) })
+	return tu, err
+}
+
+func encodeQuery(t testing.TB, q *query.Query, prevText string) []byte {
+	return walked(t, func(c *Coder) { c.Query(&q, prevText) })
+}
+
+func decodeQuery(b []byte, catalog *relation.Catalog, memo *Memo, prevText string) (q *query.Query, err error) {
+	err = decoded(b, catalog, memo, func(c *Coder) { c.Query(&q, prevText) })
+	return q, err
 }
