@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -11,21 +12,24 @@ import (
 )
 
 // publicationAllocCeiling bounds the allocations of one SAI publication in
-// allocStream: 17 measured with the value level indexed on demand — one
+// allocStream: 12 measured with the value level indexed on demand — one
 // vl-index message and one stored copy for an S tuple, none for an R — and
 // allocating per publication, group and stored item only, a stored rewrite
 // being the one its join carried, its Key(q') derived and its trigger the
-// publication (18 while a rewriter projected each trigger; 20 while each had a
-// wrapper and a key string; 38 while every lookup built its key as a string,
-// every al-index message and stored rewrite was an allocation of its own and
-// every multisend three slices; 61 with every tuple sent to and stored at all
+// publication, and a batch of notifications one slice and one values array
+// whatever its size, each delivered identity cut from a shared chunk (17
+// while every notification had a values array and an identity string of its
+// own and a batch's slices grew by doubling; 18 while a rewriter projected
+// each trigger; 20 while each had a wrapper and a key string; 38 while every
+// lookup built its key as a string, every al-index message and stored rewrite
+// was an allocation of its own and every multisend three slices; 61 with every tuple sent to and stored at all
 // three of its value-level identifiers, 67 with a map in every bucket, 198
 // before the compiled plan and the once-per-tuple keys), plus 15 %, rounded
 // down. A Tuple.Project per triggered query costs more than the margin.
 // Routing allocates nothing, so ring size and placement do not move the
 // figure; a Go release that moves it is a reason to re-measure, not to add
 // slack.
-const publicationAllocCeiling = 19
+const publicationAllocCeiling = 13
 
 // allocStream is the stream both ceilings are measured on: four subscribers
 // of one join, then R and S tuples alternating, joining pairwise on a fresh
@@ -75,9 +79,10 @@ func TestPublicationAllocCeiling(t *testing.T) {
 // shared target, whose trigger is the publication, the identifier-cache
 // entries of the fresh key, and every other publication's four
 // notifications, each an identity in delivered and a Notification in the
-// sink: 932 measured (964 while the target held a projected copy of the
-// trigger, 1080 while each stored rewrite had
-// a wrapper and a string of its Key(q'), 1136 while a stamped tuple copied its
+// sink: 925 measured (932 while each identity was a string of its own and
+// each notification's values an array of their own, 964 while the target
+// held a projected copy of the trigger, 1080 while each stored rewrite had a
+// wrapper and a string of its Key(q'), 1136 while a stamped tuple copied its
 // values and each stored rewrite and its times were allocations of their own,
 // 1658 with a tuple stored under all three of its attributes, 1679 while an
 // identity repeated its subscriber, 2439 with a map in every bucket), plus
@@ -85,15 +90,17 @@ func TestPublicationAllocCeiling(t *testing.T) {
 // attribute nobody queries, costs more than the margin.
 //
 // retainedBytesCeilingConsumed bounds the same with an OnNotify callback
-// taking the notifications: 575 measured (607 before the same change, 723
-// before the one before, 778 before that, 1301 stored blind), plus 15 %. Of
-// the 1679 bytes, 21 were the repeated subscriber and 357 the sink's — per publication two
-// 96-byte Notifications, their two 64-byte Values arrays and the slack of the
-// slice that held them; an identity string and its slot in delivered are what
-// stays of a notification. One kept anywhere else costs more than the margin.
+// taking the notifications: 567 measured (575 while each identity was a
+// string of its own, 607 while the target held a projected trigger, 723 and
+// 778 before the two changes before that, 1301 stored blind), plus 15 %. Of
+// the 1679 bytes, 21 were the repeated subscriber and 357 the sink's — per
+// publication two 96-byte Notifications, their two 64-byte Values arrays and
+// the slack of the slice that held them; an identity's bytes in a shared
+// chunk and its slot in delivered are what stays of a notification. One kept
+// anywhere else costs more than the margin.
 const (
-	retainedBytesCeiling         = 1071
-	retainedBytesCeilingConsumed = 661
+	retainedBytesCeiling         = 1063
+	retainedBytesCeilingConsumed = 652
 )
 
 func TestRetainedBytesPerPublicationCeiling(t *testing.T) {
@@ -141,12 +148,14 @@ func retainedBytesPerPublication(t *testing.T, consumed bool, ceiling int64) {
 // Decoding what a receiver has decoded before must stay cheap: through a
 // WireCodec whose memo is warm, the four rewrites of one group, keyed as a
 // rewriter keys them, cost their message, their shared target and its
-// trigger — no key, which stays derived, no query, no parse — and a
-// one-notification batch its slices and values (the batch's subscriber is
+// trigger — no key, which stays derived, no query, no parse — and a lean
+// batch of 1, 4 or 16 notifications for one subscriber its message, its slice
+// and one array of every notification's values (the batch's subscriber is
 // interned like its notifications'): 6 and 3 measured (10 and 3 while each
-// decoded key was a string), and the ceilings are those plus 10 %, rounded
-// down. One re-built query is 2 allocations, one key or un-interned identity
-// string 1: any passes its ceiling.
+// decoded key was a string; 3, 6 and 18 while each notification's values were
+// an array of their own), and the ceilings are those plus 10 %, rounded down.
+// One re-built query is 2 allocations, one key or un-interned identity string
+// 1, a values array per notification 1 each: any passes its ceiling.
 const (
 	warmJoinDecodeAllocCeiling   = 6
 	warmNotifyDecodeAllocCeiling = 3
@@ -182,6 +191,19 @@ func TestWarmDecodeAllocCeilings(t *testing.T) {
 		}
 		notifs = append(notifs, n)
 	}
+	// A batch of n matches of the first subscriber's query, each with an S
+	// tuple of its own.
+	oneSubscriber := func(n int) []Notification {
+		batch := make([]Notification, n)
+		for i := range batch {
+			var err error
+			batch[i], err = buildNotification(rws[0].Orig, query.SideLeft, target.Trigger, sTuple(env, float64(i), 7, 1).WithPubT(int64(11+i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return batch
+	}
 	codec := NewWireCodec(env.catalog)
 	for _, tc := range []struct {
 		msg     chord.Message
@@ -189,6 +211,8 @@ func TestWarmDecodeAllocCeilings(t *testing.T) {
 	}{
 		{joinMsg{Rewrites: rws}, warmJoinDecodeAllocCeiling},
 		{notifyMsg{Subscriber: notifs[0].Subscriber, Batch: notifs[:1]}, warmNotifyDecodeAllocCeiling},
+		{notifyMsg{Subscriber: notifs[0].Subscriber, Batch: oneSubscriber(4)}, warmNotifyDecodeAllocCeiling},
+		{notifyMsg{Subscriber: notifs[0].Subscriber, Batch: oneSubscriber(16)}, warmNotifyDecodeAllocCeiling},
 	} {
 		var w wire.Buffer
 		if err := codec.Encode(&w, tc.msg); err != nil {
@@ -203,9 +227,13 @@ func TestWarmDecodeAllocCeilings(t *testing.T) {
 		}
 		decode() // warm the memo
 		allocs := testing.AllocsPerRun(200, decode)
-		t.Logf("%T: %.0f allocations per warm decode (ceiling %.0f)", tc.msg, allocs, tc.ceiling)
+		what := fmt.Sprintf("%T", tc.msg)
+		if m, ok := tc.msg.(notifyMsg); ok {
+			what = fmt.Sprintf("a batch of %d notifications", len(m.Batch))
+		}
+		t.Logf("%s: %.0f allocations per warm decode (ceiling %.0f)", what, allocs, tc.ceiling)
 		if allocs > tc.ceiling {
-			t.Fatalf("%T: %.0f allocations per warm decode, ceiling %.0f", tc.msg, allocs, tc.ceiling)
+			t.Fatalf("%s: %.0f allocations per warm decode, ceiling %.0f", what, allocs, tc.ceiling)
 		}
 	}
 }

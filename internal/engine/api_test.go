@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cqjoin/internal/query"
@@ -199,6 +201,66 @@ func TestSnapshotCarriesDeliveredIdentities(t *testing.T) {
 				t.Fatalf("a fresh pair moved the count to %d, want %d", got, len(want)+1)
 			}
 		}
+	}
+}
+
+// Delivered identities are cut from shared chunks: across several chunks,
+// and for a key longer than a chunk, each stays the deliveryKey of its
+// notification, suppresses a replay of it, and survives a snapshot.
+func TestDeliveredIdentitiesAcrossChunks(t *testing.T) {
+	env := newTestEnv(t, 32, Config{Algorithm: SAI})
+	var taken []Notification
+	env.eng.OnNotify(func(n Notification) { taken = append(taken, n) })
+	env.subscribe(t, 0, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
+	pad := strings.Repeat("x", keyChunkSize/10)
+	for i := 0; i < 40; i++ {
+		env.publish(t, 1+i, relation.MustTuple(env.r, relation.S(fmt.Sprint(i, pad)), relation.N(float64(i)), relation.N(0)))
+		env.publish(t, 2+i, sTuple(env, float64(i), float64(i), 0))
+	}
+	env.publish(t, 3, relation.MustTuple(env.r, relation.S(strings.Repeat("y", keyChunkSize+1)), relation.N(99), relation.N(0)))
+	env.publish(t, 4, sTuple(env, 99, 99, 0))
+	if len(taken) != 41 {
+		t.Fatalf("the stream delivered %d notifications, want 41", len(taken))
+	}
+	want := make(map[string]bool)
+	bytes := 0
+	for _, n := range taken {
+		want[deliveryKey(n)] = true
+		bytes += len(deliveryKey(n))
+	}
+	if bytes < 4*keyChunkSize {
+		t.Fatalf("the identities hold %d bytes, want several chunks' worth", bytes)
+	}
+	knows := func(what string, e *Engine) {
+		t.Helper()
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		if len(e.delivered) != len(want) {
+			t.Fatalf("%s: %d identities delivered, want %d", what, len(e.delivered), len(want))
+		}
+		for k := range e.delivered {
+			if !want[k] {
+				t.Fatalf("%s: delivered holds %.40q..., no notification's deliveryKey", what, k)
+			}
+		}
+	}
+	knows("recorded", env.eng)
+	for _, n := range taken {
+		env.eng.record(n)
+	}
+	if got := env.net.Traffic().Duplicates("notification"); got != int64(len(taken)) || env.eng.NotificationCount() != len(taken) {
+		t.Fatalf("of %d replays, %d were suppressed; count %d", len(taken), got, env.eng.NotificationCount())
+	}
+	knows("after the replays", env.eng)
+
+	again := 0
+	restored := snapshotInto(t, env, func(Notification) { again++ })
+	knows("restored", restored.eng)
+	for _, n := range taken {
+		restored.eng.record(n)
+	}
+	if got := restored.net.Traffic().Duplicates("notification"); got != int64(len(taken)) || again != 0 {
+		t.Fatalf("restored: of %d replays, %d were suppressed and %d reached the consumer", len(taken), got, again)
 	}
 }
 

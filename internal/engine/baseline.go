@@ -231,7 +231,8 @@ func (st *nodeState) handleBaselineTuple(m baselineTupleMsg) {
 // expression took; any stored tuple whose own side evaluates to the same
 // value joins with it.
 func (st *nodeState) handleBaselineProbe(m baselineProbeMsg) {
-	var notifs []Notification
+	var mbuf [matchScratch]match
+	ms := mbuf[:0]
 	work := 1
 
 	st.mu.Lock()
@@ -254,16 +255,14 @@ func (st *nodeState) handleBaselineProbe(m baselineProbeMsg) {
 				if ok, err := rw.Orig.FiltersPass(tt); err != nil || !ok {
 					continue
 				}
-				if n, err := buildNotification(rw.Orig, rw.IndexSide, rw.Trigger, tt); err == nil {
-					notifs = append(notifs, n)
-				}
+				ms = append(ms, rw.match(tt))
 			}
 		}
 	}
 	st.mu.Unlock()
 
 	st.load.AddFiltering(metrics.Evaluator, work)
-	st.sendNotifications(notifs)
+	st.sendNotifications(notifications(ms))
 }
 
 // handlePairTuple evaluates and stores a tuple at a BaselinePair site: the
@@ -272,7 +271,8 @@ func (st *nodeState) handleBaselineProbe(m baselineProbeMsg) {
 // we have the two relations in one node").
 func (st *nodeState) handlePairTuple(m baselineTupleMsg) {
 	t := m.T
-	var notifs []Notification
+	var mbuf [matchScratch]match
+	ms := mbuf[:0]
 	work := 1
 	stored := 0
 
@@ -307,9 +307,7 @@ func (st *nodeState) handlePairTuple(m baselineTupleMsg) {
 				if ok, err := q.FiltersPass(tt); err != nil || !ok {
 					continue
 				}
-				if n, err := buildNotification(q, side, t, tt); err == nil {
-					notifs = append(notifs, n)
-				}
+				ms = append(ms, match{q: q, side: side, trig: t, other: tt})
 			}
 		}
 	}
@@ -322,5 +320,5 @@ func (st *nodeState) handlePairTuple(m baselineTupleMsg) {
 	if stored > 0 {
 		st.load.AddStorage(metrics.Evaluator, stored)
 	}
-	st.sendNotifications(notifs)
+	st.sendNotifications(notifications(ms))
 }

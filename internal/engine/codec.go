@@ -790,7 +790,10 @@ func (tg *rewriteTarget) walk(c *wire.Coder, q *query.Query, derived bool) {
 // for the batch's), its address and its delivery time, as every build before
 // the lean layout did. Decoding, the batch's first key decides which: no
 // parent wrote a key that starts with '#'.
-func (n *Notification) walk(c *wire.Coder, subscriber, prevKey string, lean *bool) {
+//
+// Decoding, its values are cut from *slab, for one of the left notifications
+// of its batch still to decode (carveValues).
+func (n *Notification) walk(c *wire.Coder, subscriber, prevKey string, lean *bool, slab *[]relation.Value, left int) {
 	if c.Decoding() {
 		n.QueryKey = decodeNotificationKey(c, subscriber, prevKey, lean)
 	} else {
@@ -823,7 +826,9 @@ func (n *Notification) walk(c *wire.Coder, subscriber, prevKey string, lean *boo
 		}
 		c.Interned(&n.subscriberIP)
 	}
-	wire.Slice(c, &n.Values)
+	if k := c.Count(len(n.Values)); c.Decoding() {
+		n.Values = carveValues(c, slab, k, left)
+	}
 	for i := range n.Values {
 		c.Value(&n.Values[i])
 	}
@@ -870,10 +875,26 @@ func walkNotifications(c *wire.Coder, ns *[]Notification, subscriber string) {
 	wire.Slice(c, ns)
 	lean := !c.Decoding() && leanBatch(*ns, subscriber)
 	prevKey := ""
+	var slab []relation.Value
 	for i := range *ns {
-		(*ns)[i].walk(c, subscriber, prevKey, &lean)
+		(*ns)[i].walk(c, subscriber, prevKey, &lean, &slab, len(*ns)-i)
 		prevKey = (*ns)[i].QueryKey
 	}
+}
+
+// carveValues cuts k values off *slab for one of the left notifications of a
+// batch still to decode, capped at their own length so an append through one
+// never writes into the next. A slab short of k makes way for one sized for
+// left notifications like this one, but for no more values than the bytes
+// still unread hold (each takes one at least): a batch of equal counts
+// decodes into one array, and a forged count sizes nothing.
+func carveValues(c *wire.Coder, slab *[]relation.Value, k, left int) []relation.Value {
+	s := *slab
+	if cap(s)-len(s) < k {
+		s = make([]relation.Value, 0, k*min(left, c.Remaining()/k))
+	}
+	*slab = s[:len(s)+k]
+	return s[len(s) : len(s)+k : len(s)+k]
 }
 
 // leanBatch reports whether a batch bound for subscriber goes in the lean

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -190,6 +191,7 @@ type Engine struct {
 	rng       *rand.Rand
 	onNotify  func(Notification)
 	delivered map[string]struct{} // deliveryKey of every match delivered: the receiver-side dedupe
+	keys      keyChunks           // the bytes of delivered's keys
 	count     int                 // notifications delivered since the last ResetNotifications
 	sink      []Notification      // those of them no onNotify callback was installed to take
 }
@@ -335,18 +337,22 @@ func (e *Engine) ResetNotifications() {
 // tuple a unique timestamp). Snapshots persist these strings.
 func deliveryKey(n Notification) string {
 	var buf [keyScratch]byte
-	b := n.appendContentKey(buf[:0])
+	return string(n.appendDeliveryKey(buf[:0]))
+}
+
+func (n Notification) appendDeliveryKey(b []byte) []byte {
+	b = n.appendContentKey(b)
 	b = append(b, '|')
 	b = strconv.AppendInt(b, n.LeftPubT, 10)
 	b = append(b, '|')
-	b = strconv.AppendInt(b, n.RightPubT, 10)
-	return string(b)
+	return strconv.AppendInt(b, n.RightPubT, 10)
 }
 
 func (e *Engine) record(n Notification) {
-	key := deliveryKey(n)
+	var buf [keyScratch]byte
+	key := n.appendDeliveryKey(buf[:0])
 	e.mu.Lock()
-	if _, dup := e.delivered[key]; dup {
+	if _, dup := e.delivered[string(key)]; dup {
 		// A duplicated or replayed delivery of a match the subscriber has
 		// already consumed: suppress it. This is the receiver-side half of
 		// at-least-once delivery.
@@ -354,7 +360,7 @@ func (e *Engine) record(n Notification) {
 		e.net.Traffic().RecordDuplicate("notification")
 		return
 	}
-	e.delivered[key] = struct{}{}
+	e.delivered[e.keys.keep(key)] = struct{}{}
 	e.count++
 	fn := e.onNotify
 	if fn == nil {
@@ -364,6 +370,28 @@ func (e *Engine) record(n Notification) {
 	}
 	e.mu.Unlock()
 	fn(n)
+}
+
+// keyChunkSize is the size of the chunks keyChunks cuts its strings from.
+const keyChunkSize = 16 << 10
+
+// keyChunks keeps the identities delivered holds: each a string cut from an
+// append-only chunk grown once to keyChunkSize and never outgrown, so no
+// string handed out moves and a kept key costs its bytes, not an allocation
+// of its own. A key longer than a chunk is a string of its own.
+type keyChunks struct{ b strings.Builder }
+
+func (c *keyChunks) keep(key []byte) string {
+	if len(key) > keyChunkSize {
+		return string(key)
+	}
+	if c.b.Cap()-c.b.Len() < len(key) {
+		c.b = strings.Builder{}
+		c.b.Grow(keyChunkSize)
+	}
+	start := c.b.Len()
+	_, _ = c.b.Write(key)
+	return c.b.String()[start:]
 }
 
 // DeliveredContentKeys returns the content key of every notification in the

@@ -26,7 +26,8 @@ func (st *nodeState) handleJoin(m joinMsg) {
 	alg := st.engine.cfg.Algorithm
 	// A rewrite that arrives behind its query's purge is refused.
 	m.Rewrites = st.liveRewrites(m.Rewrites)
-	var notifs []Notification
+	var mbuf [matchScratch]match
+	ms := mbuf[:0]
 	work := 1
 	stored := 0
 
@@ -69,8 +70,8 @@ func (st *nodeState) handleJoin(m joinMsg) {
 			if tb != nil {
 				for _, tt := range tb.tuples.all() {
 					work++
-					if n, ok := matchRewrite(rw, tt); ok {
-						notifs = append(notifs, n)
+					if matchRewrite(rw, tt) {
+						ms = append(ms, rw.match(tt))
 					}
 				}
 			}
@@ -83,7 +84,7 @@ func (st *nodeState) handleJoin(m joinMsg) {
 		st.load.AddStorage(metrics.Evaluator, stored)
 	}
 	_ = st.engine.dispatch(st.node, scatter)
-	st.sendNotifications(notifs)
+	st.sendNotifications(notifications(ms))
 }
 
 // handleVLIndex processes a tuple arriving at the value level
@@ -112,7 +113,8 @@ func (st *nodeState) handleVLIndex(m vlIndexMsg) {
 		}
 	}
 
-	var notifs []Notification
+	var mbuf [matchScratch]match
+	ms := mbuf[:0]
 	var outs []outbound
 	work := 1
 	stored := 0
@@ -122,15 +124,14 @@ func (st *nodeState) handleVLIndex(m vlIndexMsg) {
 		if qb := st.vlqt[string(key)]; qb != nil {
 			for _, rw := range qb.rewrites.all() {
 				work++
-				if n, ok := matchRewrite(rw, t); ok {
-					notifs = append(notifs, n)
+				if matchRewrite(rw, t) {
+					ms = append(ms, rw.match(t))
 				}
 			}
 		}
 	}
 	// Stored multi-way partial matches awaiting this identifier.
 	mNotifs, mOuts, mWork := st.matchMultiStored(key, t)
-	notifs = append(notifs, mNotifs...)
 	outs = append(outs, mOuts...)
 	work += mWork
 	if alg == SAI || alg == DAIQ {
@@ -153,27 +154,31 @@ func (st *nodeState) handleVLIndex(m vlIndexMsg) {
 		st.load.AddStorage(metrics.Evaluator, stored)
 	}
 	st.sendJoins(outs)
-	st.sendNotifications(notifs)
+	st.sendNotifications(append(notifications(ms), mNotifs...))
 }
 
 // matchRewrite checks a rewritten query against a tuple of the
 // load-distributing relation. The value condition holds by construction —
 // both reached this identifier through DisR + DisA + valDA — so only the
 // time semantics (pubT >= insT, Section 3.2) and the selection predicates
-// on the stored side remain.
-func matchRewrite(rw *rewritten, t *relation.Tuple) (Notification, bool) {
+// on the stored side remain. The loop that asks collects rw.match(t), and
+// notifications projects the batch once the loop is done.
+func matchRewrite(rw *rewritten, t *relation.Tuple) bool {
 	if t.PubT() < rw.Orig.InsT() {
-		return Notification{}, false
+		return false
 	}
-	if ok, err := rw.Orig.FiltersPass(t); err != nil || !ok {
-		return Notification{}, false
-	}
-	n, err := buildNotification(rw.Orig, rw.IndexSide, rw.Trigger, t)
-	if err != nil {
-		return Notification{}, false
-	}
-	return n, true
+	ok, err := rw.Orig.FiltersPass(t)
+	return err == nil && ok
 }
+
+// match is the match of rw with the value-level tuple t.
+func (rw *rewritten) match(t *relation.Tuple) match {
+	return match{q: rw.Orig, side: rw.IndexSide, trig: rw.Trigger, other: t}
+}
+
+// matchScratch sizes the stack arrays an evaluator's loop collects its
+// matches in: a batch that fits allocates only what notifications builds.
+const matchScratch = 16
 
 // handleJoinV processes DAI-V's join(q', t') messages (Section 4.5). The
 // evaluator owns one join-condition value: it matches the incoming tuple
@@ -183,7 +188,8 @@ func matchRewrite(rw *rewritten, t *relation.Tuple) (Notification, bool) {
 // future tuples will carry their own query group here.
 func (st *nodeState) handleJoinV(m joinVMsg) {
 	input := m.Input
-	var notifs []Notification
+	var mbuf [matchScratch]match
+	ms := mbuf[:0]
 	work := 1
 	stored := 0
 
@@ -198,9 +204,7 @@ func (st *nodeState) handleJoinV(m joinVMsg) {
 			if ok, err := q.FiltersPass(tt); err != nil || !ok {
 				continue
 			}
-			if n, err := buildNotification(q, m.Side, m.Trigger, tt); err == nil {
-				notifs = append(notifs, n)
-			}
+			ms = append(ms, match{q: q, side: m.Side, trig: m.Trigger, other: tt})
 		}
 	}
 	// Store the triggering tuple once, even when equivalent query groups
@@ -214,5 +218,5 @@ func (st *nodeState) handleJoinV(m joinVMsg) {
 	if stored > 0 {
 		st.load.AddStorage(metrics.Evaluator, stored)
 	}
-	st.sendNotifications(notifs)
+	st.sendNotifications(notifications(ms))
 }

@@ -401,8 +401,9 @@ func (st *nodeState) mergeAtShard(kind, input string, shard, version, k int, rws
 	}
 	hot.observe(input, version, k)
 
+	var mbuf [matchScratch]match
 	st.mu.Lock()
-	added, dups, work, notifs := st.mergeHotBucket(hotShardInput(input, shard), rws, entries, tuples)
+	added, dups, work, ms := st.mergeHotBucket(hotShardInput(input, shard), rws, entries, tuples, mbuf[:0])
 	st.mu.Unlock()
 
 	st.load.AddFiltering(metrics.Evaluator, 1+work)
@@ -412,7 +413,7 @@ func (st *nodeState) mergeAtShard(kind, input string, shard, version, k int, rws
 	for ; dups > 0; dups-- {
 		e.net.Traffic().RecordDuplicate(kind)
 	}
-	st.sendNotifications(notifs)
+	st.sendNotifications(notifications(ms))
 }
 
 // mergeHotBucket merges rewrites — arriving (rws, each with its trigger's
@@ -421,8 +422,8 @@ func (st *nodeState) mergeAtShard(kind, input string, shard, version, k int, rws
 // cross pair to one meeting: added rewrites match only the tuples already
 // present, then added tuples match the full (merged) rewrite set. A rewrite
 // or tuple already there costs the lookup that found it; dups counts such
-// tuples. The caller holds st.mu.
-func (st *nodeState) mergeHotBucket(key string, rws []*rewritten, entries []vqEntry, tuples []*relation.Tuple) (added, dups, work int, notifs []Notification) {
+// tuples. It appends the matches to ms. The caller holds st.mu.
+func (st *nodeState) mergeHotBucket(key string, rws []*rewritten, entries []vqEntry, tuples []*relation.Tuple, ms []match) (added, dups, work int, _ []match) {
 	qb, tb := st.vlqt[key], st.vltt[key]
 	if len(rws)+len(entries) > 0 {
 		qb = st.vlqtFor(key)
@@ -438,8 +439,8 @@ func (st *nodeState) mergeHotBucket(key string, rws []*rewritten, entries []vqEn
 		}
 		for _, tt := range tb.tuples.all() {
 			work++
-			if n, ok := matchRewrite(rw, tt); ok {
-				notifs = append(notifs, n)
+			if matchRewrite(rw, tt) {
+				ms = append(ms, rw.match(tt))
 			}
 		}
 	}
@@ -464,10 +465,10 @@ func (st *nodeState) mergeHotBucket(key string, rws []*rewritten, entries []vqEn
 		}
 		for _, rw := range qb.rewrites.all() {
 			work++
-			if n, ok := matchRewrite(rw, t); ok {
-				notifs = append(notifs, n)
+			if matchRewrite(rw, t) {
+				ms = append(ms, rw.match(t))
 			}
 		}
 	}
-	return added, dups, work, notifs
+	return added, dups, work, ms
 }

@@ -75,26 +75,71 @@ func (n Notification) String() string {
 	return fmt.Sprintf("%s -> (%s)", n.QueryKey, strings.Join(parts, ", "))
 }
 
-// buildNotification projects the matched pair of tuples through the query.
-// trig is the tuple that was consumed at the attribute level (the rewritten
-// query's side), other is the tuple matched at the value level.
-func buildNotification(q *query.Query, indexSide query.Side, trig, other *relation.Tuple) (Notification, error) {
-	left, right := trig, other
-	if indexSide == query.SideRight {
-		left, right = other, trig
+// match is a pair an evaluator's loop found to answer q: trig is the tuple
+// consumed at the attribute level (the rewritten query's side), other the
+// tuple matched at the value level.
+type match struct {
+	q           *query.Query
+	side        query.Side
+	trig, other *relation.Tuple
+}
+
+// pair returns the matched tuples as the query's left and right relations.
+func (m *match) pair() (left, right *relation.Tuple) {
+	if m.side == query.SideRight {
+		return m.other, m.trig
 	}
+	return m.trig, m.other
+}
+
+// notification is the match's notification, carrying vals.
+func (m *match) notification(left, right *relation.Tuple, vals []relation.Value) Notification {
+	return Notification{
+		QueryKey:     m.q.Key(),
+		Subscriber:   m.q.Subscriber(),
+		Values:       vals,
+		LeftPubT:     left.PubT(),
+		RightPubT:    right.PubT(),
+		subscriberIP: m.q.SubscriberIP(),
+	}
+}
+
+// buildNotification projects the matched pair of tuples through the query,
+// as one match of notifications would.
+func buildNotification(q *query.Query, indexSide query.Side, trig, other *relation.Tuple) (Notification, error) {
+	m := match{q: q, side: indexSide, trig: trig, other: other}
+	left, right := m.pair()
 	vals, err := q.ProjectNotification(left, right)
 	if err != nil {
 		return Notification{}, err
 	}
-	return Notification{
-		QueryKey:     q.Key(),
-		Subscriber:   q.Subscriber(),
-		Values:       vals,
-		LeftPubT:     left.PubT(),
-		RightPubT:    right.PubT(),
-		subscriberIP: q.SubscriberIP(),
-	}, nil
+	return m.notification(left, right, vals), nil
+}
+
+// notifications turns an evaluator's matches into their batch, in match
+// order. The batch and every notification's values are two arrays sized
+// exactly; each Values is a segment capped at its own length, so an append
+// through one never writes into the next. A match whose projection fails has
+// no notification.
+func notifications(ms []match) []Notification {
+	if len(ms) == 0 {
+		return nil
+	}
+	vals := 0
+	for i := range ms {
+		vals += ms[i].q.SelectLen()
+	}
+	out := make([]Notification, 0, len(ms))
+	slab := make([]relation.Value, 0, vals)
+	for i := range ms {
+		left, right := ms[i].pair()
+		start := len(slab)
+		var err error
+		if slab, err = ms[i].q.AppendNotification(slab, left, right); err == nil {
+			out = append(out, ms[i].notification(left, right, slab[start:len(slab):len(slab)]))
+		}
+	}
+	return out
 }
 
 // sendNotifications delivers a batch of notifications from evaluator node
@@ -111,8 +156,9 @@ func buildNotification(q *query.Query, indexSide query.Side, trig, other *relati
 //
 // Subscribers are served in first-seen order and each receives its
 // notifications in batch order, whichever way the batch is grouped: up to
-// smallTableMax subscribers by scanning, into one array; more through a map.
-// The batch becomes the engine's: callers build it and end with this call.
+// smallTableMax subscribers by a stable sort in place, so each subscriber's
+// run is a slice of the batch; more through a map. The batch becomes the
+// engine's: callers build it and end with this call.
 //
 //cqlint:sink
 func (st *nodeState) sendNotifications(batch []Notification) {
@@ -129,19 +175,17 @@ func (st *nodeState) sendNotifications(batch []Notification) {
 		subs[k] = batch[i].Subscriber
 		k++
 	}
-	if k == 1 {
-		st.deliverNotify(subs[0], batch)
-		return
+	if k > 1 {
+		rank := func(n *Notification) int { return slices.Index(subs[:k], n.Subscriber) }
+		slices.SortStableFunc(batch, func(a, b Notification) int { return rank(&a) - rank(&b) })
 	}
-	grouped := make([]Notification, 0, len(batch))
-	for _, sub := range subs[:k] {
-		start := len(grouped)
-		for i := range batch {
-			if batch[i].Subscriber == sub {
-				grouped = append(grouped, batch[i])
-			}
+	for start := 0; start < len(batch); {
+		end := start + 1
+		for end < len(batch) && batch[end].Subscriber == batch[start].Subscriber {
+			end++
 		}
-		st.deliverNotify(sub, grouped[start:len(grouped):len(grouped)])
+		st.deliverNotify(batch[start].Subscriber, batch[start:end:end])
+		start = end
 	}
 }
 

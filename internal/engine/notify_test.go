@@ -2,12 +2,15 @@ package engine
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
 	"cqjoin/internal/id"
 	"cqjoin/internal/obs"
+	"cqjoin/internal/query"
 	"cqjoin/internal/relation"
+	"cqjoin/internal/wire"
 )
 
 // Section 4.6: a subscriber that reconnects under a new IP address is first
@@ -98,7 +101,7 @@ func TestNotificationStringAndContentKey(t *testing.T) {
 	}
 }
 
-// However a batch is grouped — by scanning, for up to smallTableMax
+// However a batch is grouped — sorted in place, for up to smallTableMax
 // subscribers, or through a map above that — subscribers are served in the
 // order the batch first names them and each receives its notifications in
 // batch order: the delivery sequence, which seeded runs replay, is the same.
@@ -209,5 +212,124 @@ func TestLearnedAddressesRestartWhenFull(t *testing.T) {
 	}
 	if got := env.eng.Census()["sub_ips"].Max; got > subIPsMax {
 		t.Fatalf("an evaluator holds %d learned addresses, bound %d", got, subIPsMax)
+	}
+}
+
+// notifications builds, match by match, what buildNotification builds, in
+// two arrays sized exactly: a match whose projection fails has none, and no
+// notification's Values reaches past its own length.
+func TestNotificationsIsBuildNotificationPerMatch(t *testing.T) {
+	env := newTestEnv(t, 64, Config{Algorithm: SAI})
+	var ms []match
+	for s := 0; s < 3; s++ {
+		q := env.subscribe(t, 60+s, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
+		for i := 0; i < 3; i++ {
+			ms = append(ms, match{
+				q: q, side: query.SideLeft,
+				trig:  rTuple(env, float64(i), 7, 0).WithPubT(int64(100 + i)),
+				other: sTuple(env, float64(s), 7, 0).WithPubT(int64(200 + s)),
+			})
+		}
+		// S as the left tuple: the projection fails, and no notification is made.
+		ms = append(ms, match{q: q, side: query.SideLeft, trig: sTuple(env, 0, 7, 0), other: sTuple(env, 1, 7, 0)})
+	}
+	var want []Notification
+	for _, m := range ms {
+		if n, err := buildNotification(m.q, m.side, m.trig, m.other); err == nil {
+			want = append(want, n)
+		}
+	}
+	got := notifications(ms)
+	if len(want) != 9 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("notifications built\n%v\nbuildNotification\n%v", got, want)
+	}
+	for i, n := range got {
+		if cap(n.Values) != len(n.Values) {
+			t.Fatalf("notification %d: Values has capacity %d past its %d values", i, cap(n.Values), len(n.Values))
+		}
+	}
+}
+
+// A batch's values are one array and each notification's Values a segment
+// capped at its own length: an append through one, or a write into it, leaves
+// every other notification of its batch as it was — in the record
+// (Notifications), in an OnNotify callback, and as a receiver decodes them.
+func TestBatchValuesDoNotAlias(t *testing.T) {
+	stream := func(env *testEnv) {
+		env.subscribe(t, 0, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
+		for i := 0; i < 4; i++ {
+			env.publish(t, 1+i, rTuple(env, float64(i), 7, 0))
+		}
+		env.publish(t, 9, sTuple(env, 50, 7, 0)) // one evaluator batch of four
+	}
+	keys := func(ns []Notification) []string {
+		out := make([]string, len(ns))
+		for i, n := range ns {
+			out[i] = n.ContentKey()
+		}
+		return out
+	}
+	// mutate appends to ns[i].Values and then overwrites what it holds; it
+	// fails unless every other notification of ns still says want's key.
+	mutate := func(what string, ns []Notification, want []string, i int) {
+		t.Helper()
+		ns[i].Values = append(ns[i].Values, relation.S("appended"))
+		for j, n := range ns {
+			if j != i && n.ContentKey() != want[j] {
+				t.Fatalf("%s: an append to notification %d changed notification %d to %s", what, i, j, n.ContentKey())
+			}
+		}
+		for k := range ns[i].Values {
+			ns[i].Values[k] = relation.S("overwritten")
+		}
+		for j, n := range ns {
+			if j != i && n.ContentKey() != want[j] {
+				t.Fatalf("%s: a write into notification %d changed notification %d to %s", what, i, j, n.ContentKey())
+			}
+		}
+	}
+
+	polled := newTestEnv(t, 32, Config{Algorithm: SAI})
+	stream(polled)
+	want := keys(polled.eng.Notifications())
+	if len(want) != 4 {
+		t.Fatalf("the stream delivered %d notifications, want 4", len(want))
+	}
+	for i := range want {
+		ns := polled.eng.Notifications()
+		ns[i].Values = append(ns[i].Values, relation.S("appended"))
+		if got := keys(polled.eng.Notifications()); !slices.Equal(got, want) {
+			t.Fatalf("an append to notification %d of Notifications() changed the record to %v, want %v", i, got, want)
+		}
+	}
+	mutate("Notifications()", polled.eng.Notifications(), want, 0)
+
+	consumed := newTestEnv(t, 32, Config{Algorithm: SAI})
+	var got []string
+	consumed.eng.OnNotify(func(n Notification) {
+		got = append(got, n.ContentKey())
+		n.Values = append(n.Values, relation.S("appended"))
+		for k := range n.Values {
+			n.Values[k] = relation.S("overwritten")
+		}
+	})
+	stream(consumed)
+	if !slices.Equal(got, want) {
+		t.Fatalf("callbacks that append to and write into what they receive saw %v, want %v", got, want)
+	}
+
+	fresh := newTestEnv(t, 32, Config{Algorithm: SAI})
+	stream(fresh)
+	batch := fresh.eng.Notifications()
+	var w wire.Buffer
+	if err := EncodeMessage(&w, notifyMsg{Subscriber: batch[0].Subscriber, Batch: batch}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		m, err := DecodeMessage(wire.NewReader(w.Bytes()), fresh.catalog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mutate("a decoded batch", m.(notifyMsg).Batch, want, i)
 	}
 }

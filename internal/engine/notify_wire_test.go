@@ -142,23 +142,36 @@ func TestBenchShapedNotificationSize(t *testing.T) {
 // hostileNotifications hand-writes notification batches no encoder writes: a
 // '#'-led key in a snapshot's Sink, which names no subscriber to lead it; a
 // lean batch whose first key is "", with no predecessor to stand for; a lean
-// key whose length runs past the frame; a key in full behind a lean one.
-// "whole" is a well-formed lean batch of sub, and "sink" a Sink with a key in
-// full, the bytes the forged ones differ from.
+// key whose length runs past the frame; a key in full behind a lean one; a
+// value count past the bytes left. "whole" is a well-formed lean batch of sub,
+// "mixed" one whose notifications say 1, 3, 0 and 2 values (a decoder cuts
+// them all from one array), and "sink" a Sink with a key in full, the bytes
+// the forged ones differ from.
 func hostileNotifications(sub string) map[string][]byte {
-	lean := func(keys ...string) []byte {
+	// batch writes a lean batch whose i-th notification says counts[i]
+	// values and carries at most four: a count above that is forged.
+	batch := func(counts []int, keys ...string) []byte {
 		var w wire.Buffer
 		w.PutUvarint(uint64(tagNotify))
 		w.PutString(sub)
 		w.PutUvarint(uint64(len(keys)))
 		for i, k := range keys {
 			w.PutString(k)
-			w.PutUvarint(1) // one value
-			putValue(&w, relation.N(float64(i)))
+			w.PutUvarint(uint64(counts[i]))
+			for j := 0; j < min(counts[i], 4); j++ {
+				putValue(&w, relation.N(float64(i+j)))
+			}
 			w.PutVarint(int64(i)) // LeftPubT
 			w.PutVarint(9)        // RightPubT
 		}
 		return w.Bytes()
+	}
+	lean := func(keys ...string) []byte { // one value each
+		counts := make([]int, len(keys))
+		for i := range counts {
+			counts[i] = 1
+		}
+		return batch(counts, keys...)
 	}
 	sink := func(key string) []byte {
 		var w wire.Buffer
@@ -182,12 +195,14 @@ func hostileNotifications(sub string) map[string][]byte {
 	cut := lean("#1")
 	cut[1+1+len(sub)+1] = 0x7f // the key's length, past the bytes left
 	return map[string][]byte{
-		"whole":                        lean("#1", "", "#2"),
-		"sink":                         sink(sub + "#1"),
-		"a '#'-led key in a Sink":      sink("#1"),
-		"a lean batch led by \"\"":     lean("", "#1"),
-		"a lean key past the frame":    cut,
-		"a full key behind a lean one": lean("#1", sub+"#2"),
+		"whole":                             lean("#1", "", "#2"),
+		"sink":                              sink(sub + "#1"),
+		"a '#'-led key in a Sink":           sink("#1"),
+		"a lean batch led by \"\"":          lean("", "#1"),
+		"a lean key past the frame":         cut,
+		"a full key behind a lean one":      lean("#1", sub+"#2"),
+		"mixed":                             batch([]int{1, 3, 0, 2}, "#1", "", "#2", "#3"),
+		"a value count past the bytes left": batch([]int{2, 100}, "#1", "#2"),
 	}
 }
 
@@ -198,11 +213,20 @@ func TestHostileNotificationFailsToDecode(t *testing.T) {
 	catalog, _ := codecFixtures(t)
 	codec := NewWireCodec(catalog)
 	for what, data := range hostileNotifications("peer5") {
-		_, err := DecodeMessage(wire.NewReader(data), catalog)
+		m, err := DecodeMessage(wire.NewReader(data), catalog)
 		_, memoErr := codec.Decode(wire.NewReader(data))
-		ok := what == "whole" || what == "sink"
+		ok := what == "whole" || what == "mixed" || what == "sink"
 		if (err == nil) != ok || (memoErr == nil) != ok {
 			t.Errorf("%s: decode said %v, through a codec %v", what, err, memoErr)
+		}
+		if what == "mixed" && err == nil {
+			var counts []int
+			for _, n := range m.(notifyMsg).Batch {
+				counts = append(counts, len(n.Values))
+			}
+			if !slices.Equal(counts, []int{1, 3, 0, 2}) {
+				t.Errorf("mixed: decoded value counts %v, want [1 3 0 2]", counts)
+			}
 		}
 	}
 }

@@ -323,23 +323,33 @@ func (q *Query) AppendRewriteKey(dst []byte, t *relation.Tuple, valDA relation.V
 // ProjectNotification computes the SELECT projection over a matched pair of
 // tuples, one from each relation — the answer carried by a notification.
 func (q *Query) ProjectNotification(left, right *relation.Tuple) ([]relation.Value, error) {
+	return q.AppendNotification(make([]relation.Value, 0, q.SelectLen()), left, right)
+}
+
+// SelectLen returns how many values a notification of q carries.
+func (q *Query) SelectLen() int { return len(q.plan.sel) }
+
+// AppendNotification appends ProjectNotification's values to dst, so a
+// caller projecting a batch fills one array it sized from SelectLen. On an
+// error dst comes back as it was given.
+func (q *Query) AppendNotification(dst []relation.Value, left, right *relation.Tuple) ([]relation.Value, error) {
 	if left.Relation() != q.leftRel.Name() || right.Relation() != q.rightRel.Name() {
-		return nil, fmt.Errorf("query: ProjectNotification tuple relations %s, %s do not match %s ⋈ %s",
+		return dst, fmt.Errorf("query: ProjectNotification tuple relations %s, %s do not match %s ⋈ %s",
 			left.Relation(), right.Relation(), q.leftRel.Name(), q.rightRel.Name())
 	}
-	out := make([]relation.Value, len(q.plan.sel))
-	for i, r := range q.plan.sel {
+	n := len(dst)
+	for _, r := range q.plan.sel {
 		src := left
 		if r.side == SideRight {
 			src = right
 		}
 		v, err := q.selValue(r, src)
 		if err != nil {
-			return nil, err
+			return dst[:n], err
 		}
-		out[i] = v
+		dst = append(dst, v)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // String renders the query's SQL text, or the normalized condition when the

@@ -107,6 +107,9 @@ func (c *Coder) Decoding() bool { return c.mode == decoding }
 // was an earlier build, which stopped here. Sizing and encoding go on.
 func (c *Coder) AtEnd() bool { return c.mode == decoding && c.err == nil && c.r.Remaining() == 0 }
 
+// Remaining returns how many bytes a decoding walk has still to read.
+func (c *Coder) Remaining() int { return c.r.Remaining() }
+
 // Size returns the length a sizing walk has added up.
 func (c *Coder) Size() int { return c.n }
 
