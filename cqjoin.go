@@ -401,7 +401,7 @@ func (p *Node) Publish(rel string, values ...interface{}) (*Tuple, error) {
 			return nil, fmt.Errorf("cqjoin: unsupported value type %T for %s", v, rel)
 		}
 	}
-	t, err := relation.NewTuple(schema, vals...)
+	t, err := relation.StampedTuple(schema, vals, 0) // vals is the tuple's own: no copy
 	if err != nil {
 		return nil, err
 	}

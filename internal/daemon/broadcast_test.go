@@ -118,26 +118,29 @@ func FuzzEventEncoding(f *testing.F) {
 	})
 }
 
-// The typed acknowledgements replaced maps; their bytes are the maps'.
+// The hand-appended acknowledgements replaced maps json.Encoder wrote; their
+// bytes are the maps', HTML-escaped key and extreme publication times
+// included.
 func TestAckBytesMatchMapEncoding(t *testing.T) {
 	for _, tc := range []struct {
-		ack interface{}
+		ack []byte
 		was map[string]interface{}
 	}{
-		{okAck{OK: true}, map[string]interface{}{"ok": true}},
-		{keyAck{Key: `peer<3>#1`, OK: true}, map[string]interface{}{"ok": true, "key": `peer<3>#1`}},
-		{pubAck{OK: true, PubT: 1 << 53}, map[string]interface{}{"ok": true, "pubt": int64(1 << 53)}},
-		{pubAck{OK: true, PubT: 7}, map[string]interface{}{"ok": true, "pubt": int64(7)}},
+		{appendOKAck(nil), map[string]interface{}{"ok": true}},
+		{appendKeyAck(nil, `peer<3>#1`), map[string]interface{}{"ok": true, "key": `peer<3>#1`}},
+		{appendKeyAck([]byte("x")[:0], "s\u2028\x00\"\xff"), map[string]interface{}{"ok": true, "key": "s\u2028\x00\"\xff"}},
+		{appendPubAck(nil, 1<<53), map[string]interface{}{"ok": true, "pubt": int64(1 << 53)}},
+		{appendPubAck(nil, 7), map[string]interface{}{"ok": true, "pubt": int64(7)}},
+		{appendPubAck(nil, 0), map[string]interface{}{"ok": true, "pubt": int64(0)}},
+		{appendPubAck(nil, math.MinInt64), map[string]interface{}{"ok": true, "pubt": int64(math.MinInt64)}},
+		{appendPubAck(nil, math.MaxInt64), map[string]interface{}{"ok": true, "pubt": int64(math.MaxInt64)}},
 	} {
-		var got, want bytes.Buffer
-		if err := json.NewEncoder(&got).Encode(tc.ack); err != nil {
-			t.Fatal(err)
-		}
+		var want bytes.Buffer
 		if err := json.NewEncoder(&want).Encode(tc.was); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("%T encodes as %q, the map it replaces as %q", tc.ack, got.Bytes(), want.Bytes())
+		if !bytes.Equal(tc.ack, want.Bytes()) {
+			t.Fatalf("ack %q, the map it replaces %q", tc.ack, want.Bytes())
 		}
 	}
 

@@ -14,6 +14,7 @@ import (
 	"log"
 	"net"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -23,6 +24,7 @@ import (
 	"cqjoin/internal/durable"
 	"cqjoin/internal/engine"
 	"cqjoin/internal/obs"
+	"cqjoin/internal/relation"
 	"cqjoin/internal/transport"
 	"cqjoin/internal/wire"
 )
@@ -624,16 +626,6 @@ func (s *Server) Addr() net.Addr {
 	return s.listening.Addr()
 }
 
-// request is one protocol line from a client.
-type request struct {
-	Op       string        `json:"op"`
-	Node     int           `json:"node"`
-	SQL      string        `json:"sql,omitempty"`
-	Relation string        `json:"relation,omitempty"`
-	Values   []interface{} `json:"values,omitempty"`
-	Key      string        `json:"key,omitempty"`
-}
-
 // maxLineBytes bounds one protocol line. Oversized lines get a structured
 // error and the connection keeps serving; a Scanner would have bailed out
 // silently (its token-too-long error was never checked).
@@ -661,13 +653,14 @@ func (s *Server) handleConn(conn net.Conn) {
 	}()
 
 	br := bufio.NewReaderSize(conn, 64*1024)
+	var dec requestDecoder
 	for {
 		line, err := readLine(br, maxLineBytes)
 		if err == errLineTooLong {
-			s.send(lst, map[string]interface{}{
+			s.send(lst, lst.encode(map[string]interface{}{
 				"ok":    false,
 				"error": fmt.Sprintf("line too long: limit is %d bytes", maxLineBytes),
-			})
+			}))
 			continue
 		}
 		if err != nil {
@@ -677,19 +670,19 @@ func (s *Server) handleConn(conn net.Conn) {
 			// net.ErrClosed: enqueue dropped this listener, and logged it.
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) && !closing {
 				s.logf("daemon: connection %s: read: %v", conn.RemoteAddr(), err)
-				s.send(lst, map[string]interface{}{"ok": false, "error": "read: " + err.Error()})
+				s.send(lst, lst.encode(map[string]interface{}{"ok": false, "error": "read: " + err.Error()}))
 			}
 			return
 		}
 		if line = bytes.TrimSpace(line); len(line) == 0 {
 			continue
 		}
-		var req request
-		if err := json.Unmarshal(line, &req); err != nil {
-			s.send(lst, map[string]interface{}{"ok": false, "error": "bad json: " + err.Error()})
+		req, err := dec.decode(line)
+		if err != nil {
+			s.send(lst, lst.encode(map[string]interface{}{"ok": false, "error": "bad json: " + err.Error()}))
 			continue
 		}
-		s.send(lst, s.dispatch(&req, lst))
+		s.send(lst, s.dispatch(req, lst))
 	}
 }
 
@@ -749,24 +742,39 @@ func (s *Server) OwnsNode(i int) bool {
 	return s.members.ownerOf(s.cluster.Overlay().NodeAt(i).Key()) == s.cfg.OverlayAddr
 }
 
-// The acknowledgements of the per-operation requests. Each declares its
-// fields in sorted key order — the order encoding/json gave the map it
-// replaces — so the bytes on the client socket did not change.
-type okAck struct {
-	OK bool `json:"ok"`
-}
-type keyAck struct {
-	Key string `json:"key"`
-	OK  bool   `json:"ok"`
-}
-type pubAck struct {
-	OK   bool  `json:"ok"`
-	PubT int64 `json:"pubt"`
+// The acknowledgements of the per-operation requests, appended as
+// encoding/json wrote the maps they replace: keys in sorted order.
+func appendOKAck(dst []byte) []byte { return append(dst, "{\"ok\":true}\n"...) }
+
+func appendKeyAck(dst []byte, key string) []byte {
+	dst = appendJSONString(append(dst, `{"key":`...), key)
+	return append(dst, ",\"ok\":true}\n"...)
 }
 
-func (s *Server) dispatch(req *request, lst *listener) interface{} {
-	fail := func(err error) interface{} {
-		return map[string]interface{}{"ok": false, "error": err.Error()}
+func appendPubAck(dst []byte, pubT int64) []byte {
+	dst = strconv.AppendInt(append(dst, `{"ok":true,"pubt":`...), pubT, 10)
+	return append(dst, "}\n"...)
+}
+
+// publication builds the tuple a publish request asks for, taking its values
+// over, refused as Node.Publish refuses it and in the same order: an unknown
+// relation, then a value neither a string nor a number, then the arity.
+func (s *Server) publication(req *request) (*cqjoin.Tuple, error) {
+	schema := s.catalog.Lookup(req.Relation)
+	if schema == nil {
+		return nil, fmt.Errorf("cqjoin: unknown relation %s", req.Relation)
+	}
+	if len(req.odd) > 0 {
+		return nil, fmt.Errorf("cqjoin: unsupported value type %s for %s", req.odd[0].typ, req.Relation)
+	}
+	return relation.StampedTuple(schema, req.Values, 0)
+}
+
+// dispatch runs one request and returns its reply line, appended to lst's
+// reply buffer.
+func (s *Server) dispatch(req *request, lst *listener) []byte {
+	fail := func(err error) []byte {
+		return lst.encode(map[string]interface{}{"ok": false, "error": err.Error()})
 	}
 	switch req.Op {
 	case "subscribe":
@@ -781,7 +789,7 @@ func (s *Server) dispatch(req *request, lst *listener) interface{} {
 		s.mu.Lock()
 		s.queries[q.Key()] = queryRef{nodeKey: node.Key(), q: q}
 		s.mu.Unlock()
-		return keyAck{Key: q.Key(), OK: true}
+		return appendKeyAck(lst.out[:0], q.Key())
 	case "subscribe-multi":
 		node, err := s.localNode(req.Node)
 		if err != nil {
@@ -794,7 +802,7 @@ func (s *Server) dispatch(req *request, lst *listener) interface{} {
 		s.mu.Lock()
 		s.queries[mq.Key()] = queryRef{nodeKey: node.Key(), mq: mq}
 		s.mu.Unlock()
-		return keyAck{Key: mq.Key(), OK: true}
+		return appendKeyAck(lst.out[:0], mq.Key())
 	case "unsubscribe":
 		s.mu.Lock()
 		ref, ok := s.queries[req.Key]
@@ -816,17 +824,20 @@ func (s *Server) dispatch(req *request, lst *listener) interface{} {
 		if err != nil {
 			return fail(err)
 		}
-		return okAck{OK: true}
+		return appendOKAck(lst.out[:0])
 	case "publish":
 		node, err := s.localNode(req.Node)
 		if err != nil {
 			return fail(err)
 		}
-		t, err := node.Publish(req.Relation, req.Values...)
+		t, err := s.publication(req)
+		if err == nil {
+			t, err = node.PublishTuple(t)
+		}
 		if err != nil {
 			return fail(err)
 		}
-		return pubAck{OK: true, PubT: t.PubT()}
+		return appendPubAck(lst.out[:0], t.PubT())
 	case "listen":
 		if !lst.queued {
 			lst.queued = true // this reply already travels through the queue
@@ -837,7 +848,7 @@ func (s *Server) dispatch(req *request, lst *listener) interface{} {
 			s.connWG.Add(1) // under the handler's own count, so never from zero
 			go lst.writeLoop(s)
 		}
-		return okAck{OK: true}
+		return appendOKAck(lst.out[:0])
 	case "stats":
 		tr := s.cluster.Traffic()
 		ring := chord.CheckRing(s.cluster.Overlay())
@@ -886,12 +897,12 @@ func (s *Server) dispatch(req *request, lst *listener) interface{} {
 				"procs":   v.Procs,
 			}
 		}
-		return resp
+		return lst.encode(resp)
 	case "leave":
 		if err := s.LeaveOverlay(); err != nil {
 			return fail(err)
 		}
-		return okAck{OK: true}
+		return appendOKAck(lst.out[:0])
 	case "overlay-config":
 		// Enough for `cqjoind -join` to build an identical overlay. Peers
 		// reflects the live membership, not the boot-time list, so a
@@ -900,7 +911,7 @@ func (s *Server) dispatch(req *request, lst *listener) interface{} {
 		if s.members != nil {
 			peers = s.members.view().Procs
 		}
-		return map[string]interface{}{
+		return lst.encode(map[string]interface{}{
 			"ok":            true,
 			"nodes":         s.cfg.Nodes,
 			"algorithm":     s.cfg.Algorithm,
@@ -910,7 +921,7 @@ func (s *Server) dispatch(req *request, lst *listener) interface{} {
 			"hot_threshold": s.cfg.HotKeyThreshold,
 			"hot_replicas":  s.cfg.HotKeyReplicas,
 			"peers":         peers,
-		}
+		})
 	default:
 		return fail(fmt.Errorf("unknown op %q", req.Op))
 	}

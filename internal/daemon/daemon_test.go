@@ -438,3 +438,95 @@ func TestCloseDrainsClientConns(t *testing.T) {
 		t.Fatal("client connection still open after Close")
 	}
 }
+
+// The replies a client reads, byte for byte, as the daemon sent them while
+// encoding/json decoded its requests: a table of lines over one connection
+// that listens, so the strings a publication carried come back in its
+// notification, which precedes the publication's ack. A line encoding/json
+// refuses is held only to the prefix of its reply (want ends in "*"): the
+// reason is worded by whichever decoder refused it.
+func TestRequestRepliesAreUnchanged(t *testing.T) {
+	srv, conn := startServer(t, defaultConfig())
+	r := bufio.NewReader(conn)
+	const (
+		sql     = `SELECT O.Customer, S.Depot FROM Orders AS O, Shipments AS S WHERE O.Product = S.Product`
+		badJSON = `{"error":"bad json: *`
+	)
+	sub, folded := srv.Cluster().Node(0).Key(), srv.Cluster().Node(3).Key()+"#1"
+	for _, step := range []struct{ req, want string }{
+		{`{"op":"listen"}`, `{"ok":true}`},
+		{`{"op":"subscribe","node":0,"sql":"` + sql + `"}`, `{"key":"` + sub + `#1","ok":true}`},
+		// Keys match case-folded: "ſ" folds to "S", the Kelvin sign to "K".
+		{`{"OP":"subscribe","NoDe":3,"ſql":"SELECT O.Id, S.Id FROM Orders AS O, Shipments AS S WHERE O.Customer = S.Depot"}`, `{"key":"` + folded + `","ok":true}`},
+		{`{"op":"publish","node":1,"relation":"Orders","values":[1,"acme","widget"]}`, `{"ok":true,"pubt":4}`},
+		{"\t{ \"values\" : [ 9 ,\r\"widget\" , \"rotterdam\" ] , \"relation\":\"Shipments\", \"node\" : 2 ,\"op\":\"publish\" } ",
+			`{"event":"notification","query":"` + sub + `#1","subscriber":"` + sub + `","values":["acme","rotterdam"]}` + "\n" + `{"ok":true,"pubt":5}`},
+		// The last of duplicate keys wins; an unknown key's value is skipped,
+		// a number out of float64's range included; null leaves a field as it
+		// was, and a top-level null is the zero request.
+		{`{"op":"nope","op":"publish","node":7,"node":1,"relation":"Shipments","relation":"Orders","values":[1],"values":[2,"dup","gears"]}`, `{"ok":true,"pubt":6}`},
+		{`{"op":"publish","meta":{"a":[1,{"b":null}],"c":1e400,"d":"\ud800","e":true},"node":1,"relation":"Orders","values":[3,"nested","bolts"]}`, `{"ok":true,"pubt":7}`},
+		{`{"op":"publish","node":null,"relation":"Orders","values":[4,"null-node","nuts"]}`, `{"ok":true,"pubt":8}`},
+		{`{"op":"publish","relation":"Orders","values":[5,"no-node","nuts"]}`, `{"ok":true,"pubt":9}`},
+		{`{"op":"publish","op":null,"node":-0,"relation":"Orders","relation":null,"values":[-0,"kept","nuts"]}`, `{"ok":true,"pubt":10}`},
+		{`null`, `{"error":"unknown op \"\"","ok":false}`},
+		{`{"op":"li\u0000sten"}`, `{"error":"unknown op \"li\\x00sten\"","ok":false}`},
+		// Refusals, in Node.Publish's order: unknown relation, then an
+		// unsupported value, then arity.
+		{`{"op":"publish","node":48,"relation":"Orders","values":[6,"x","y"]}`, `{"error":"node 48 out of range [0,48)","ok":false}`},
+		{`{"op":"subscribe","node":-1,"sql":"` + sql + `"}`, `{"error":"node -1 out of range [0,48)","ok":false}`},
+		{`{"op":"publish","node":1,"relation":"Nope","values":[1,true]}`, `{"error":"cqjoin: unknown relation Nope","ok":false}`},
+		{`{"op":"publish","node":1,"relation":"Orders","values":[1,2]}`, `{"error":"relation: tuple of Orders needs 3 values, got 2","ok":false}`},
+		{`{"op":"publish","node":1,"relation":"Orders","values":[1,true]}`, `{"error":"cqjoin: unsupported value type bool for Orders","ok":false}`},
+		{`{"op":"publish","node":1,"relation":"Orders","values":[null,"a","b"]}`, `{"error":"cqjoin: unsupported value type \u003cnil\u003e for Orders","ok":false}`},
+		{`{"op":"publish","node":1,"relation":"Orders","values":[1,"a",[1]]}`, `{"error":"cqjoin: unsupported value type []interface {} for Orders","ok":false}`},
+		{`{"op":"publish","node":1,"relation":"Orders","values":[{},"a",true]}`, `{"error":"cqjoin: unsupported value type map[string]interface {} for Orders","ok":false}`},
+		{`{"op":"publish","node":1,"relation":"Orders","values":null}`, `{"error":"relation: tuple of Orders needs 3 values, got 0","ok":false}`},
+		// Escapes, surrogate pairs (one broken, one lone), invalid UTF-8.
+		{`{"op":"publish","node":1,"relation":"Orders","values":[1.5e3,"q\"uote é \u00e9 😀 \ud83d\ude00 \ud83d\u0041 \ud800A \udc00 <&> ` + "\xff\xc3(" + `","esc"]}`, `{"ok":true,"pubt":11}`},
+		{`{"op":"publish","node":2,"relation":"Shipments","values":[1E-7,"esc","\\\/\b\f\n\r\t\u0000` + "\u2028" + ` é"]}`,
+			`{"event":"notification","query":"` + sub + `#1","subscriber":"` + sub + `","values":["q\"uote é é 😀 😀 ` + "\ufffdA \ufffdA \ufffd" + ` \u003c\u0026\u003e ` + "\ufffd\ufffd(" + `","\\/\b\f\n\r\t\u0000\u2028 é"]}` + "\n" + `{"ok":true,"pubt":12}`},
+		{`{"op":"unsubscribe","\u212aey":"` + folded + `"}`, `{"ok":true}`},
+		{`{"op":"unsubscribe","key":"` + folded + `"}`, `{"error":"unknown query \"` + folded + `\"","ok":false}`},
+		{`{{{`, badJSON},
+		{`{"op":"publish","node":1,"relation":"Orders","values":[1e400,"a","b"]}`, badJSON},
+		{`{"op":"publish","node":1,"relation":"Orders","values":[1,"a",[1e400]]}`, badJSON},
+		{`{"op":"publish","node":1.5,"relation":"Orders","values":[1,"a","b"]}`, badJSON},
+		{`{"op":"publish","node":"3","relation":"Orders","values":[1,"a","b"]}`, badJSON},
+		{`{"op":"publish","node":1e2,"relation":"Orders","values":[1,"a","b"]}`, badJSON},
+		{`{"op":"publish","node":9223372036854775808,"relation":"Orders","values":[1,"a","b"]}`, badJSON},
+		{`{"op":"publish","node":1,"relation":"Orders","values":"1,a,b"}`, badJSON},
+		{`{"op":5}`, badJSON},
+		{`{"op":"listen"} x`, badJSON},
+		{`{"op":"listen",}`, badJSON},
+		{`{"op":"listen"`, badJSON},
+		{`[{"op":"listen"}]`, badJSON},
+		{"{\"op\":\"li\x01sten\"}", badJSON},
+		{`{"op":"li\'sten"}`, badJSON},
+		{`{"op":"listen"}`, `{"ok":true}`},
+	} {
+		if _, err := conn.Write([]byte(step.req + "\n")); err != nil {
+			t.Fatal(err)
+		}
+		var got []string // the events, then the reply
+		for {
+			_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			line, err := r.ReadString('\n')
+			if err != nil {
+				t.Fatalf("%q: %v", step.req, err)
+			}
+			got = append(got, strings.TrimSuffix(line, "\n"))
+			if !strings.HasPrefix(line, `{"event":`) {
+				break
+			}
+		}
+		reply := strings.Join(got, "\n")
+		if prefix, ok := strings.CutSuffix(step.want, "*"); ok {
+			if !strings.HasPrefix(reply, prefix) || len(got) != 1 {
+				t.Errorf("%q:\n got %q\nwant %q...", step.req, reply, prefix)
+			}
+		} else if reply != step.want {
+			t.Errorf("%q:\n got %q\nwant %q", step.req, reply, step.want)
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package daemon
 
 import (
-	"bytes"
 	"encoding/json"
 	"math"
 	"net"
@@ -33,8 +32,8 @@ const (
 // reaches the client before it.
 type listener struct {
 	conn   net.Conn
-	out    bytes.Buffer  // the reply being encoded; handler goroutine only
-	enc    *json.Encoder // writes to out
+	out    replyBuf      // the reply being built; handler goroutine only
+	enc    *json.Encoder // appends to out
 	queued bool          // "listen" was issued; handler goroutine only
 	done   chan struct{} // closed when writeLoop returns
 
@@ -44,16 +43,35 @@ type listener struct {
 	closed bool // nothing more is queued; writeLoop flushes and returns
 }
 
-// send encodes one reply line and writes or queues it.
-func (s *Server) send(l *listener, v interface{}) {
-	l.out.Reset()
+// replyBuf is a reply line being built: appended to by hand, or written by
+// a json.Encoder.
+type replyBuf []byte
+
+func (b *replyBuf) Write(p []byte) (int, error) {
+	*b = append(*b, p...)
+	return len(p), nil
+}
+
+// encode returns the reply line json.Encoder writes for v, in l's reply
+// buffer, or nil when v has no JSON form.
+func (l *listener) encode(v interface{}) []byte {
+	l.out = l.out[:0]
 	if err := l.enc.Encode(v); err != nil {
-		return
+		return nil
 	}
-	if l.queued {
-		s.enqueue(l, l.out.Bytes())
-	} else {
-		_, _ = l.conn.Write(l.out.Bytes()) // a dead connection is reaped by its reader
+	return l.out
+}
+
+// send writes or queues one reply line, appended to l.out[:0] (so l keeps
+// the buffer however far it grew). An empty line sends nothing.
+func (s *Server) send(l *listener, line []byte) {
+	l.out = line[:0]
+	switch {
+	case len(line) == 0:
+	case l.queued:
+		s.enqueue(l, line)
+	default:
+		_, _ = l.conn.Write(line) // a dead connection is reaped by its reader
 	}
 }
 

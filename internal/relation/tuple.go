@@ -41,9 +41,10 @@ func NewTuple(schema *Schema, values ...Value) (*Tuple, error) {
 	return &Tuple{schema: schema, values: append([]Value(nil), values...)}, nil
 }
 
-// StampedTuple builds a tuple already carrying publication time pubT. It
-// takes ownership of values — the caller must not touch the slice again —
-// which saves a decoder the two copies NewTuple and WithPubT would make.
+// StampedTuple builds a tuple already carrying publication time pubT (0: not
+// yet published). It takes ownership of values — the caller must not touch
+// the slice again — which saves a caller that built the slice for it (a
+// decoder, Node.Publish, the daemon's publish op) the copy NewTuple makes.
 func StampedTuple(schema *Schema, values []Value, pubT int64) (*Tuple, error) {
 	if schema == nil {
 		return nil, fmt.Errorf("relation: tuple with nil schema")

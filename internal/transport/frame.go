@@ -158,15 +158,22 @@ func readFrame(br *bufio.Reader) ([]byte, error) {
 	return readFrameReuse(br, &buf)
 }
 
-// readFrameReuse reads one frame into *buf, growing it only when a payload
-// exceeds every previous one on this connection. The returned slice
-// aliases *buf and is valid until the next call.
+// readFrameReuse reads one frame into *buf, growing it only when the payload
+// exceeds its capacity. Callers take *buf from a pool that every connection
+// shares (serveStatePool, replyBufPool), so that capacity is what some
+// earlier read on any connection left. The returned slice aliases *buf and
+// is valid until the next call. The header is read in place in br's buffer:
+// a connection cut inside it is io.ErrUnexpectedEOF, as io.ReadFull says.
 func readFrameReuse(br *bufio.Reader, buf *[]byte) ([]byte, error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	hdr, err := br.Peek(frameHeaderLen)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
+	_, _ = br.Discard(frameHeaderLen)
 	if n > maxFrame {
 		return nil, fmt.Errorf("transport: incoming frame of %d bytes exceeds limit %d", n, maxFrame)
 	}
