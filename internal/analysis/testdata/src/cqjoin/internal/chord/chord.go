@@ -17,7 +17,9 @@ func (n *Node) DirectSend(msg Message, dst *Node) bool              { return fal
 func (n *Node) SendHinted(msg Message, target uint64, hint *Node, also ...uint64) (*Node, int, error) {
 	return nil, 0, nil
 }
-func (n *Node) Multisend(batch []Deliverable) ([]*Node, int, error) { return nil, 0, nil }
+func (n *Node) Multisend(batch []Deliverable, recipients []*Node) ([]*Node, int, error) {
+	return nil, 0, nil
+}
 func (n *Node) MultisendIterative(batch []Deliverable) ([]*Node, int, error) {
 	return nil, 0, nil
 }

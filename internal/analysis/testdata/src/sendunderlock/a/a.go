@@ -29,7 +29,7 @@ func sendAfterUnlock(st *state, msg chord.Message) {
 func sendUnderDeferredUnlock(st *state, batch []chord.Deliverable) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.node.Multisend(batch) // want "Multisend called while a mutex locked in this function is still held"
+	st.node.Multisend(batch, nil) // want "Multisend called while a mutex locked in this function is still held"
 }
 
 func sendUnderReadLock(st *state, batch []chord.Deliverable) {
@@ -57,7 +57,7 @@ func collectThenSend(st *state, pending []chord.Deliverable) {
 	batch := make([]chord.Deliverable, len(pending))
 	copy(batch, pending)
 	st.mu.Unlock()
-	st.node.Multisend(batch)
+	st.node.Multisend(batch, nil)
 }
 
 // closureIsSeparate: a FuncLit body runs under its own discipline — the

@@ -221,7 +221,7 @@ func TestMultisendDeliversAll(t *testing.T) {
 		batch[i] = Deliverable{Target: target, Msg: testMsg{kind: "ms", payload: i}}
 		wantOwners[net.OracleSuccessor(target).Key()]++
 	}
-	recipients, hops, err := src.Multisend(batch)
+	recipients, hops, err := src.Multisend(batch, nil)
 	if err != nil {
 		t.Fatalf("Multisend: %v", err)
 	}
@@ -262,7 +262,7 @@ func TestMultisendBeatsIterative(t *testing.T) {
 			rng.Read(target[:])
 			batch[i] = Deliverable{Target: target, Msg: testMsg{kind: "a"}}
 		}
-		_, recHops, err := src.Multisend(batch)
+		_, recHops, err := src.Multisend(batch, nil)
 		if err != nil {
 			t.Fatalf("Multisend: %v", err)
 		}
@@ -278,7 +278,7 @@ func TestMultisendBeatsIterative(t *testing.T) {
 
 func TestMultisendEmptyBatch(t *testing.T) {
 	net := buildNet(t, 8)
-	recips, hops, err := net.Nodes()[0].Multisend(nil)
+	recips, hops, err := net.Nodes()[0].Multisend(nil, nil)
 	if err != nil || hops != 0 || len(recips) != 0 {
 		t.Fatalf("empty multisend: recips=%v hops=%d err=%v", recips, hops, err)
 	}

@@ -332,7 +332,7 @@ func TestMultisendHandsBackFromLaggingList(t *testing.T) {
 	recipients, hops, err := src.Multisend([]Deliverable{
 		{Target: joiner.ID(), Msg: testMsg{kind: "ms"}},
 		{Target: succ.ID(), Msg: testMsg{kind: "ms"}},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatalf("Multisend: %v", err)
 	}

@@ -61,7 +61,7 @@ func TestMultisendChargesEachLegItsFrame(t *testing.T) {
 			frameBytes(aboard, want)
 			cur, _ = cur.nextHop(aboard[0].Target) // a static ring: a final hop lands on the owner
 		}
-		if _, hops, err := origin.Multisend(batch); err != nil || hops != legs {
+		if _, hops, err := origin.Multisend(batch, nil); err != nil || hops != legs {
 			t.Fatalf("round %d: multisend made %d hops (%v), the replay %d", round, hops, err, legs)
 		}
 	}

@@ -288,7 +288,7 @@ func TestRouteAndMultisendHopCeilings(t *testing.T) {
 	}
 	total = 0
 	for i, batch := range sends {
-		_, hops, err := nodes[(i*13)%len(nodes)].Multisend(batch)
+		_, hops, err := nodes[(i*13)%len(nodes)].Multisend(batch, nil)
 		if err != nil {
 			t.Fatalf("Multisend: %v", err)
 		}
@@ -321,7 +321,7 @@ func BenchmarkMultisend(b *testing.B) {
 	hops := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, h, err := nodes[(i*13)%len(nodes)].Multisend(sends[i%len(sends)])
+		_, h, err := nodes[(i*13)%len(nodes)].Multisend(sends[i%len(sends)], nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -358,7 +358,7 @@ func TestMultisendWalkCost(t *testing.T) {
 					rng.Read(batch[j].Target[:])
 					batch[j].Msg = testMsg{kind: "hop"}
 				}
-				_, hops, err := nodes[(i*13)%len(nodes)].Multisend(batch)
+				_, hops, err := nodes[(i*13)%len(nodes)].Multisend(batch, nil)
 				if err != nil {
 					t.Fatalf("Multisend: %v", err)
 				}

@@ -225,21 +225,25 @@ type Deliverable struct {
 // a final hop settled where it lands (land).
 //
 // It returns the recipient of every deliverable (aligned with the input
-// batch) and the total overlay hops used. One traffic message per deliverable
-// is recorded under its own kind. Bytes are charged leg by leg: each leg moves
-// the frame of what is still aboard, in clockwise order — the head in full,
-// every other message as it encodes behind the one before it (SetSizer), so a
-// tuple the whole batch carries rides each leg once, booked under the kind of
-// whichever message heads the list on that leg, and everything else under its
-// own message's kind. A walk that dies charges what it stranded for the legs
-// it made. The hops of the shared walk are not split: all of them are charged
-// to the kind of the clockwise-first deliverable. A batch may mix kinds — a
-// publication's al-index and vl-index messages ride one walk — but which of
-// them the walk's hops are booked under is then a coin flip per batch, and
-// only the sum of the kinds' hop counts means anything.
-func (n *Node) Multisend(batch []Deliverable) ([]*Node, int, error) {
+// batch) and the total overlay hops used. The recipients are written into
+// recipients[:len(batch)], cleared first, where its capacity suffices: a
+// caller that passes a stack array gets them there, and only a caller whose
+// slice is too short — nil, say — has a list allocated. One traffic message
+// per deliverable is recorded under its own kind. Bytes are charged leg by
+// leg: each leg moves the frame of what is still aboard, in clockwise order —
+// the head in full, every other message as it encodes behind the one before
+// it (SetSizer), so a tuple the whole batch carries rides each leg once,
+// booked under the kind of whichever message heads the list on that leg, and
+// everything else under its own message's kind. A walk that dies charges what
+// it stranded for the legs it made. The hops of the shared walk are not split:
+// all of them are charged to the kind of the clockwise-first deliverable. A
+// batch may mix kinds — a publication's al-index and vl-index messages ride
+// one walk — but which of them the walk's hops are booked under is then a
+// coin flip per batch, and only the sum of the kinds' hop counts means
+// anything.
+func (n *Node) Multisend(batch []Deliverable, recipients []*Node) ([]*Node, int, error) {
 	if len(batch) == 0 {
-		return nil, 0, nil
+		return recipients[:0], 0, nil
 	}
 	if !n.Alive() {
 		return nil, 0, fmt.Errorf("%w: origin %s is not in the overlay", ErrRoutingFailed, n)
@@ -261,7 +265,11 @@ func (n *Node) Multisend(batch []Deliverable) ([]*Node, int, error) {
 	n.net.obs.multisends.Inc()
 	n.net.obs.multisendSize.Observe(int64(len(sorted)))
 
-	recipients := make([]*Node, len(batch))
+	if cap(recipients) < len(batch) {
+		recipients = make([]*Node, len(batch))
+	}
+	recipients = recipients[:len(batch)]
+	clear(recipients)
 	// One scratch slice carries every run of the call, and the next call's: a
 	// transport is done with a run when DeliverBatch returns.
 	scratch := getRunScratch()
@@ -293,11 +301,18 @@ func (n *Node) Multisend(batch []Deliverable) ([]*Node, int, error) {
 				prev, prevHops = sorted[i].d.Msg, totalHops
 				msgs = append(msgs, prev)
 			}
-			for i, ok := range n.deliverBatchTo(cur, msgs) {
-				// A failed delivery leaves recipients[idx] nil; the batch
-				// keeps moving so one lost packet doesn't strand the rest.
-				if ok {
-					recipients[sorted[i].idx] = cur
+			// A failed delivery leaves recipients[idx] nil; the batch keeps
+			// moving so one lost packet doesn't strand the rest. A run of one
+			// is one delivery, and has no acks to make.
+			if run == 1 {
+				if n.deliverTo(cur, msgs[0]) {
+					recipients[sorted[0].idx] = cur
+				}
+			} else {
+				for i, ok := range n.deliverBatchTo(cur, msgs) {
+					if ok {
+						recipients[sorted[i].idx] = cur
+					}
 				}
 			}
 			sorted = sorted[run:]

@@ -71,7 +71,7 @@ func TestMultisendPartialHopAccounting(t *testing.T) {
 	recipients, hops, err := poisoned.Multisend([]Deliverable{
 		{Target: poisoned.ID(), Msg: testMsg{kind: "probe"}}, // deliverable locally
 		{Target: target, Msg: testMsg{kind: "probe"}},        // cannot make progress
-	})
+	}, nil)
 	if !errors.Is(err, ErrRoutingFailed) {
 		t.Fatalf("err = %v, want ErrRoutingFailed", err)
 	}
@@ -94,7 +94,7 @@ func TestMultisendPartialHopAccounting(t *testing.T) {
 	origin, mid, far, legs := strandingWalk(t, big)
 	a := sizedMsg{kind: "probe-a", size: 100, shared: 60, group: 1}
 	b := sizedMsg{kind: "probe-b", size: 90, shared: 60, group: 1}
-	recipients, hops, err = origin.Multisend([]Deliverable{{Target: far, Msg: a}, {Target: far, Msg: b}})
+	recipients, hops, err = origin.Multisend([]Deliverable{{Target: far, Msg: a}, {Target: far, Msg: b}}, nil)
 	if !errors.Is(err, ErrRoutingFailed) || hops != legs || recipients[0] != nil || recipients[1] != nil {
 		t.Fatalf("multisend through %s: recipients %v after %d hops (%v), want none after %d and ErrRoutingFailed", mid, recipients, hops, err, legs)
 	}
@@ -304,7 +304,7 @@ func TestInterceptorCoversAllPaths(t *testing.T) {
 	recipients, _, err := src.Multisend([]Deliverable{
 		{Target: nodes[2].ID(), Msg: testMsg{kind: "probe"}},
 		{Target: nodes[7].ID(), Msg: testMsg{kind: "probe"}},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatalf("multisend: %v", err)
 	}

@@ -165,7 +165,7 @@ func reboxSome(t *testing.T, rng *rand.Rand, msgs []chord.Message) []chord.Messa
 				c := *m
 				c.T = cp
 				msg = &c
-			case vlIndexMsg:
+			case *vlIndexMsg:
 				m.T = cp
 				msg = m
 			case baselineTupleMsg:
@@ -279,8 +279,8 @@ func TestIndexWalkCarriesItsTupleOnce(t *testing.T) {
 			tu, other := tuples[(2*i)%len(tuples)], tuples[(2*i+1)%len(tuples)]
 			a := schema.Attr(i)
 			batch = append(batch,
-				chord.Deliverable{Target: id.Hash(alInput(schema.Name(), a, 0)), Msg: &alIndexMsg{T: tu, Attr: a}},
-				chord.Deliverable{Target: id.Hash(vlInput(schema.Name(), a, other.ValueAt(i))), Msg: vlIndexMsg{T: other, Attr: a}})
+				chord.Deliverable{Target: id.Hash(alInput(schema.Name(), a, 0)), Msg: &alIndexMsg{vlIndexMsg: vlIndexMsg{T: tu, Attr: a}}},
+				chord.Deliverable{Target: id.Hash(vlInput(schema.Name(), a, other.ValueAt(i))), Msg: &vlIndexMsg{T: other, Attr: a}})
 		}
 		return batch
 	}
@@ -289,7 +289,7 @@ func TestIndexWalkCarriesItsTupleOnce(t *testing.T) {
 	charge := func(origin *chord.Node, batch []chord.Deliverable) (shared, solo int64) {
 		t.Helper()
 		before := net.Traffic().TotalBytes()
-		_, hops, err := origin.Multisend(batch)
+		_, hops, err := origin.Multisend(batch, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,7 +298,7 @@ func TestIndexWalkCarriesItsTupleOnce(t *testing.T) {
 		for i, d := range batch {
 			priced[i] = chord.Deliverable{Target: d.Target, Msg: soloPriced{d.Msg}}
 		}
-		_, soloHops, err := origin.Multisend(priced)
+		_, soloHops, err := origin.Multisend(priced, nil)
 		if err != nil || soloHops != hops {
 			t.Fatalf("the same batch made %d hops, then %d (%v)", hops, soloHops, err)
 		}
@@ -334,7 +334,7 @@ func TestRepeatedTupleNeedsItsPredecessor(t *testing.T) {
 	catalog, msgs := codecFixtures(t)
 	codec := NewWireCodec(catalog)
 	al, join := msgs[1].(*alIndexMsg), msgs[3]
-	behind := vlIndexMsg{T: al.T, Attr: "B"}
+	behind := &vlIndexMsg{T: al.T, Attr: "B"}
 	var w wire.Buffer
 	if err := codec.EncodeAfter(&w, behind, al); err != nil {
 		t.Fatal(err)
@@ -343,7 +343,7 @@ func TestRepeatedTupleNeedsItsPredecessor(t *testing.T) {
 		t.Fatalf("%x: the message behind one with its tuple does not leave it out", w.Bytes())
 	}
 	got, err := codec.DecodeAfter(wire.NewReader(w.Bytes()), al)
-	if err != nil || got.(vlIndexMsg).T != al.T {
+	if err != nil || got.(*vlIndexMsg).T != al.T {
 		t.Fatalf("behind its predecessor: %+v, %v; want the predecessor's own tuple", got, err)
 	}
 	if _, err := DecodeMessage(wire.NewReader(w.Bytes()), catalog); err == nil {
@@ -455,7 +455,7 @@ func TestPurgeWalkSaysItsQueryOnce(t *testing.T) {
 	charge := func(b []chord.Deliverable) (int64, int) {
 		t.Helper()
 		before := env.net.Traffic().Bytes(kindUnsub)
-		_, hops, err := rewriter.Multisend(b)
+		_, hops, err := rewriter.Multisend(b, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

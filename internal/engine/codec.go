@@ -110,7 +110,7 @@ func carried(msg chord.Message) wire.Carried {
 		return wire.Carried{Tuple: m.T}
 	case *alAskMsg:
 		return wire.Carried{Tuple: m.T}
-	case vlIndexMsg:
+	case *vlIndexMsg:
 		return wire.Carried{Tuple: m.T}
 	case joinVMsg:
 		return wire.Carried{Tuple: m.Trigger}
@@ -161,7 +161,7 @@ func walkMessage(c *wire.Coder, msg *chord.Message) {
 	case *alIndexMsg:
 		c.Tag(tagALIndex)
 		m.walk(c)
-	case vlIndexMsg:
+	case *vlIndexMsg:
 		c.Tag(tagVLIndex)
 		m.walk(c)
 	case joinMsg:
@@ -173,7 +173,7 @@ func walkMessage(c *wire.Coder, msg *chord.Message) {
 	case joinBatch:
 		c.Tag(tagJoinBatch)
 		m.walk(c)
-	case notifyMsg:
+	case *notifyMsg:
 		c.Tag(tagNotify)
 		m.walk(c)
 	case probeMsg:
@@ -247,7 +247,7 @@ func decodeMessage(c *wire.Coder) chord.Message {
 		m.walk(c)
 		return m
 	case tagVLIndex:
-		var m vlIndexMsg
+		m := new(vlIndexMsg)
 		m.walk(c)
 		return m
 	case tagJoin:
@@ -263,7 +263,7 @@ func decodeMessage(c *wire.Coder) chord.Message {
 		m.walk(c)
 		return m
 	case tagNotify:
-		var m notifyMsg
+		m := new(notifyMsg)
 		m.walk(c)
 		return m
 	case tagProbe:
@@ -356,8 +356,7 @@ func (m *queryMsg) walk(c *wire.Coder) {
 }
 
 func (m *alIndexMsg) walk(c *wire.Coder) {
-	c.Tuple(&m.T, nil)
-	c.String(&m.Attr)
+	m.vlIndexMsg.walk(c)
 	c.Int(&m.Replica)
 }
 

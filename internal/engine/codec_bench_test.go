@@ -41,10 +41,10 @@ func BenchmarkCodec(b *testing.B) {
 		name string
 		msg  chord.Message
 	}{
-		{"al-index", &alIndexMsg{T: tu, Attr: "B", Replica: 1}},
-		{"vl-index", vlIndexMsg{T: su, Attr: "E"}},
+		{"al-index", &alIndexMsg{vlIndexMsg: vlIndexMsg{T: tu, Attr: "B"}, Replica: 1}},
+		{"vl-index", &vlIndexMsg{T: su, Attr: "E"}},
 		{"join", joinMsg{Rewrites: rws}},
-		{"notification", notifyMsg{Subscriber: notifs[0].Subscriber, Batch: notifs}},
+		{"notification", &notifyMsg{Subscriber: notifs[0].Subscriber, Batch: notifs}},
 		{"hot-join", hotJoinMsg{Input: "S+E+7", Shard: 2, Version: 3, K: 4, Rewrites: rws}},
 	} {
 		var w wire.Buffer

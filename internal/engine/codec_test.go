@@ -56,12 +56,12 @@ func codecFixtures(t testing.TB, extra ...*relation.Schema) (*relation.Catalog, 
 
 	msgs := []chord.Message{
 		queryMsg{Q: q, Side: query.SideRight, Attr: "E", Replica: 2},
-		&alIndexMsg{T: tu, Attr: "B", Replica: 1},
-		vlIndexMsg{T: su, Attr: "E"},
+		&alIndexMsg{vlIndexMsg: vlIndexMsg{T: tu, Attr: "B"}, Replica: 1},
+		&vlIndexMsg{T: su, Attr: "E"},
 		joinMsg{Rewrites: []*rewritten{rw, rw}},
 		joinVMsg{Input: "7", Cond: q.ConditionKey(), Side: query.SideLeft, Value: relation.N(7), Trigger: tu, Queries: []*query.Query{q}},
-		joinBatch{Msgs: []chord.Message{vlIndexMsg{T: su, Attr: "E"}, joinMsg{Rewrites: []*rewritten{rw}}}},
-		notifyMsg{Subscriber: q.Subscriber(), Batch: []Notification{notif, notif}},
+		joinBatch{Msgs: []chord.Message{&vlIndexMsg{T: su, Attr: "E"}, joinMsg{Rewrites: []*rewritten{rw}}}},
+		&notifyMsg{Subscriber: q.Subscriber(), Batch: []Notification{notif, notif}},
 		probeMsg{AttrInput: "R+B"},
 		unsubMsg{QueryKey: q.Key(), Cond: q.ConditionKey(), Input: "R+B"},
 		purgeMsg{QueryKey: q.Key(), Input: "S+E+7"},
@@ -117,7 +117,7 @@ func codecFixtures(t testing.TB, extra ...*relation.Schema) (*relation.Catalog, 
 		snapMetaMsg{Clock: 12, Nodes: []string{"peer0"}, Marks: true},
 		// A publisher told no query reads an attribute: the ask, a node's state
 		// with the grants behind all PR 32 wrote, and the revocation.
-		&alAskMsg{alIndexMsg: &alIndexMsg{T: tu, Attr: "C", Replica: 1}, asker: "peer5"},
+		&alAskMsg{alIndexMsg: &alIndexMsg{vlIndexMsg: vlIndexMsg{T: tu, Attr: "C"}, Replica: 1}, asker: "peer5"},
 		handoffMsg{
 			AL: []alSection{{Input: "R+C", SentRewrites: []string{}, SentTargets: []targetsEntry{}, Grants: []string{"peer5", "peer7"}}},
 		},
@@ -177,8 +177,8 @@ func assertSemanticEqual(t *testing.T, want, got chord.Message) {
 		if g.asker != w.asker {
 			t.Fatalf("alAskMsg asked by %q, want %q", g.asker, w.asker)
 		}
-	case vlIndexMsg:
-		g := got.(vlIndexMsg)
+	case *vlIndexMsg:
+		g := got.(*vlIndexMsg)
 		if g.T.String() != w.T.String() || g.Attr != w.Attr {
 			t.Fatalf("vlIndexMsg mismatch: %+v", g)
 		}
@@ -205,8 +205,8 @@ func assertSemanticEqual(t *testing.T, want, got chord.Message) {
 		for i := range g.Msgs {
 			assertSemanticEqual(t, w.Msgs[i], g.Msgs[i])
 		}
-	case notifyMsg:
-		g := got.(notifyMsg)
+	case *notifyMsg:
+		g := got.(*notifyMsg)
 		if g.Subscriber != w.Subscriber || len(g.Batch) != len(w.Batch) {
 			t.Fatalf("notifyMsg mismatch: %+v", g)
 		}
@@ -462,12 +462,12 @@ func TestAllMessagesImplementSizer(t *testing.T) {
 
 	msgs := []chord.Message{
 		queryMsg{Q: q, Attr: "B"},
-		&alIndexMsg{T: tu, Attr: "B"},
-		vlIndexMsg{T: tu, Attr: "B"},
+		&alIndexMsg{vlIndexMsg: vlIndexMsg{T: tu, Attr: "B"}},
+		&vlIndexMsg{T: tu, Attr: "B"},
 		joinMsg{Rewrites: []*rewritten{rw}},
 		joinVMsg{Input: "7", Cond: q.ConditionKey(), Value: tu.MustValue("B"), Trigger: tu, Queries: []*query.Query{q}},
 		joinBatch{Msgs: []chord.Message{joinMsg{Rewrites: []*rewritten{rw}}}},
-		notifyMsg{Subscriber: q.Subscriber(), Batch: []Notification{notif}},
+		&notifyMsg{Subscriber: q.Subscriber(), Batch: []Notification{notif}},
 		probeMsg{AttrInput: "R+B"},
 		unsubMsg{QueryKey: q.Key(), Cond: q.ConditionKey(), Input: "R+B"},
 		purgeMsg{QueryKey: q.Key(), Input: "S+E+7"},
@@ -543,7 +543,7 @@ func TestSizeCacheInvalidatedOnCopy(t *testing.T) {
 			t.Fatalf("alIndexMsg: size %d != encoding %d", MessageSize(al), encodedLen(al))
 		}
 		// A pubT two varint-lengths away changes the tuple's encoded size.
-		cp := &alIndexMsg{T: al.T.WithPubT(1 << 20), Attr: al.Attr, Replica: al.Replica}
+		cp := &alIndexMsg{vlIndexMsg: vlIndexMsg{T: al.T.WithPubT(1 << 20), Attr: al.Attr}, Replica: al.Replica}
 		if MessageSize(cp) != encodedLen(cp) {
 			t.Fatalf("copied tuple: size %d != encoding %d", MessageSize(cp), encodedLen(cp))
 		}
@@ -766,7 +766,7 @@ func TestCodecDecodeReusesCatalogAndPlanSchemas(t *testing.T) {
 		return got
 	}
 
-	al := roundTrip(&alIndexMsg{T: tu, Attr: "B"}).(*alIndexMsg)
+	al := roundTrip(&alIndexMsg{vlIndexMsg: vlIndexMsg{T: tu, Attr: "B"}}).(*alIndexMsg)
 	if al.T.Schema() != env.r {
 		t.Fatal("a full tuple did not decode onto the catalog's schema")
 	}
@@ -1184,7 +1184,7 @@ func TestJoinSizeSurvivesDecode(t *testing.T) {
 	// tuple's from the catalog, and there the ends can disagree.
 	narrow := relation.MustCatalog(relation.MustSchema("R", "A", "B"), env.s)
 	var al wire.Buffer
-	if err := EncodeMessage(&al, &alIndexMsg{T: rTuple(env, 1, 7, 2), Attr: "B"}); err != nil {
+	if err := EncodeMessage(&al, &alIndexMsg{vlIndexMsg: vlIndexMsg{T: rTuple(env, 1, 7, 2), Attr: "B"}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := DecodeMessage(wire.NewReader(al.Bytes()), narrow); err == nil {

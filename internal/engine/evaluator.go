@@ -95,7 +95,7 @@ func (st *nodeState) handleJoin(m joinMsg) {
 //     later must find it).
 //   - DAI-Q only stores the tuple; stored rewritten queries do not exist.
 //   - DAI-T only matches; tuples are never stored at the value level.
-func (st *nodeState) handleVLIndex(m vlIndexMsg) {
+func (st *nodeState) handleVLIndex(m *vlIndexMsg) {
 	alg := st.engine.cfg.Algorithm
 	t := m.T
 	var buf [keyScratch]byte

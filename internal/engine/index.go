@@ -209,14 +209,14 @@ func (e *Engine) indexTuple(from *chord.Node, t *relation.Tuple) error {
 	var buf [keyScratch]byte
 	for i := range msgs {
 		a, v := schema.Attr(i), t.ValueAt(i)
-		msgs[i] = alIndexMsg{T: t, Attr: a, Replica: e.replicaOf(v)}
+		msgs[i] = alIndexMsg{vlIndexMsg: vlIndexMsg{T: t, Attr: a}, Replica: e.replicaOf(v)}
 		al := e.alKey(schema.Name(), a, msgs[i].Replica)
 		batch = append(batch, chord.Deliverable{Target: al.id, Msg: &msgs[i]})
 		ords = append(ords, al.ord)
-		if blind {
+		if blind { // the vl-index message the al-index one holds
 			batch = append(batch, chord.Deliverable{
 				Target: e.ids.hashBytes(appendVLInput(buf[:0], schema.Name(), a, v)),
-				Msg:    vlIndexMsg{T: t, Attr: a},
+				Msg:    &msgs[i].vlIndexMsg,
 			})
 		}
 	}
@@ -278,7 +278,7 @@ func (e *Engine) dispatchHinted(from *chord.Node, schema *relation.Schema, batch
 	var asks []alAskMsg // made on the publication's first ask
 	outcome := "al.miss"
 	if !known {
-		got, _, err = from.Multisend(batch)
+		got, _, err = from.Multisend(batch, gotBuf[:0])
 	} else {
 		got, outcome = gotBuf[:0], "al.hit"
 		for i, d := range batch {
@@ -371,13 +371,14 @@ func (e *Engine) dispatch(from *chord.Node, batch []chord.Deliverable) error {
 		return nil
 	}
 	var recipients []*chord.Node
+	var recBuf [8]*chord.Node // a publication's batch, and most others, fit
 	var err error
 	if len(batch) == 1 {
 		if _, _, err = from.Send(batch[0].Msg, batch[0].Target); err == nil {
-			return nil // the common case allocates no recipient list
+			return nil // the common case needs no recipient list
 		}
 	} else {
-		recipients, _, err = from.Multisend(batch)
+		recipients, _, err = from.Multisend(batch, recBuf[:0])
 	}
 	if e.cfg.MaxRetries > 0 {
 		e.retryFailed(from, batch, recipients)

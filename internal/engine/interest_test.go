@@ -543,7 +543,7 @@ func TestRepeatPublicationGoesHinted(t *testing.T) {
 				for i := 0; i < schema.Arity(); i++ {
 					batch = append(batch, chord.Deliverable{Target: eng.hashInput(alInput(schema.Name(), schema.Attr(i), 0)), Msg: probeMsg{}})
 				}
-				_, hops, err := node.Multisend(batch)
+				_, hops, err := node.Multisend(batch, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

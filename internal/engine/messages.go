@@ -39,11 +39,11 @@ type queryMsg struct {
 func (queryMsg) Kind() string { return kindQuery }
 
 // alIndexMsg carries tuple T indexed at the attribute level under Attr —
-// al-index(t, A) of Section 4.2. Replica identifies the rewriter replica. It
-// travels as a pointer: a publication's h of them are one array (indexTuple).
+// al-index(t, A) of Section 4.2: the vl-index message the rewriter sends on
+// (handleALIndex), and Replica, the rewriter replica. It travels as a
+// pointer: a publication's h of them are one array (indexTuple).
 type alIndexMsg struct {
-	T       *relation.Tuple
-	Attr    string
+	vlIndexMsg
 	Replica int
 }
 
@@ -76,13 +76,15 @@ type revokeMsg struct {
 func (revokeMsg) Kind() string { return kindRevoke }
 
 // vlIndexMsg carries tuple T indexed at the value level under Attr —
-// vl-index(t, A) of Section 4.2.
+// vl-index(t, A) of Section 4.2. It travels as a pointer: a rewriter sends on
+// the one its al-index message embeds, and a blind publisher those of its
+// publication's array (indexTuple).
 type vlIndexMsg struct {
 	T    *relation.Tuple
 	Attr string
 }
 
-func (vlIndexMsg) Kind() string { return kindVLIndex }
+func (*vlIndexMsg) Kind() string { return kindVLIndex }
 
 // interestMsg leaves query QueryKey's interest mark at the rewriter of
 // attribute-level input Input: from its ack on that rewriter forwards tuples
@@ -242,13 +244,14 @@ func (joinBatch) Kind() string { return kindJoin }
 
 // notifyMsg delivers a batch of notifications for one subscriber; multiple
 // notifications for the same receiver are grouped in one message
-// (Section 4.6).
+// (Section 4.6). It travels as a pointer: an evaluation's messages, one per
+// subscriber, are one array (sendNotifications).
 type notifyMsg struct {
 	Subscriber string
 	Batch      []Notification
 }
 
-func (notifyMsg) Kind() string { return kindNotify }
+func (*notifyMsg) Kind() string { return kindNotify }
 
 // probeMsg asks a candidate rewriter for its observed tuple-arrival rate
 // and value-domain size under one attribute key (Section 4.3.6). The

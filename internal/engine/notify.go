@@ -157,11 +157,15 @@ func notifications(ms []match) []Notification {
 // Subscribers are served in first-seen order and each receives its
 // notifications in batch order, whichever way the batch is grouped: up to
 // smallTableMax subscribers by a stable sort in place, so each subscriber's
-// run is a slice of the batch; more through a map. The batch becomes the
-// engine's: callers build it and end with this call.
+// run is a slice of the batch; more through a map. Either way the messages,
+// one per subscriber, are one array. The batch becomes the engine's: callers
+// build it and end with this call.
 //
 //cqlint:sink
 func (st *nodeState) sendNotifications(batch []Notification) {
+	if len(batch) == 0 {
+		return
+	}
 	var subs [smallTableMax]string
 	k := 0
 	for i := range batch {
@@ -179,12 +183,14 @@ func (st *nodeState) sendNotifications(batch []Notification) {
 		rank := func(n *Notification) int { return slices.Index(subs[:k], n.Subscriber) }
 		slices.SortStableFunc(batch, func(a, b Notification) int { return rank(&a) - rank(&b) })
 	}
+	msgs := make([]notifyMsg, 0, k)
 	for start := 0; start < len(batch); {
 		end := start + 1
 		for end < len(batch) && batch[end].Subscriber == batch[start].Subscriber {
 			end++
 		}
-		st.deliverNotify(batch[start].Subscriber, batch[start:end:end])
+		msgs = append(msgs, notifyMsg{Subscriber: batch[start].Subscriber, Batch: batch[start:end:end]})
+		st.deliverNotify(&msgs[len(msgs)-1])
 		start = end
 	}
 }
@@ -199,12 +205,14 @@ func (st *nodeState) sendNotificationsByMap(batch []Notification) {
 		}
 		bySub[n.Subscriber] = append(bySub[n.Subscriber], n)
 	}
-	for _, sub := range order {
-		st.deliverNotify(sub, bySub[sub])
+	msgs := make([]notifyMsg, len(order))
+	for i, sub := range order {
+		msgs[i] = notifyMsg{Subscriber: sub, Batch: bySub[sub]}
+		st.deliverNotify(&msgs[i])
 	}
 }
 
-// deliverNotify runs the delivery ladder for one subscriber's batch. Each
+// deliverNotify runs the delivery ladder for one subscriber's message. Each
 // attempt re-resolves the subscriber — it may have crashed, rejoined or
 // changed address between attempts — and picks the appropriate path:
 // offline storage through the DHT, one-hop direct delivery at a known
@@ -213,8 +221,9 @@ func (st *nodeState) sendNotificationsByMap(batch []Notification) {
 // still unacked after the budget is charged as lost.
 //
 //cqlint:sink
-func (st *nodeState) deliverNotify(sub string, batch []Notification) {
+func (st *nodeState) deliverNotify(msg *notifyMsg) {
 	e := st.engine
+	sub := msg.Subscriber
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			if attempt > e.cfg.MaxRetries || !st.node.Alive() {
@@ -224,7 +233,6 @@ func (st *nodeState) deliverNotify(sub string, batch []Notification) {
 			e.net.Traffic().RecordRetry(kindNotify)
 			e.advanceBackoff()
 		}
-		msg := notifyMsg{Subscriber: sub, Batch: batch}
 		dst := e.net.NodeByKey(sub)
 		if dst == nil {
 			// Subscriber offline: route to Successor(Id(n)) for storage
@@ -234,7 +242,7 @@ func (st *nodeState) deliverNotify(sub string, batch []Notification) {
 			}
 			continue
 		}
-		if st.knownIP(sub, batch) == dst.IP() {
+		if st.knownIP(sub, msg.Batch) == dst.IP() {
 			// Online at the known address: one hop.
 			if st.node.DirectSend(msg, dst) {
 				return
@@ -304,7 +312,7 @@ const storedMailMax = 1 << 12
 // to storedMailMax for the subscriber; each notification past that is lost,
 // booked under traffic.lost. A replay that fails, and a hand-off, carry on
 // only what was stored.
-func (st *nodeState) handleNotify(msg notifyMsg) {
+func (st *nodeState) handleNotify(msg *notifyMsg) {
 	if st.node.Key() == msg.Subscriber {
 		now := st.engine.net.Clock().Now()
 		for _, n := range msg.Batch {
@@ -344,7 +352,7 @@ func (st *nodeState) replayStoredNotifications(sub string, dst *chord.Node) {
 	}
 	e := st.engine
 	st.load.AddStorage(metrics.Evaluator, -len(batch))
-	msg := notifyMsg{Subscriber: sub, Batch: batch}
+	msg := &notifyMsg{Subscriber: sub, Batch: batch}
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			if attempt > e.cfg.MaxRetries {

@@ -322,7 +322,7 @@ func TestBatchValuesDoNotAlias(t *testing.T) {
 	stream(fresh)
 	batch := fresh.eng.Notifications()
 	var w wire.Buffer
-	if err := EncodeMessage(&w, notifyMsg{Subscriber: batch[0].Subscriber, Batch: batch}); err != nil {
+	if err := EncodeMessage(&w, &notifyMsg{Subscriber: batch[0].Subscriber, Batch: batch}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {
@@ -330,6 +330,6 @@ func TestBatchValuesDoNotAlias(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mutate("a decoded batch", m.(notifyMsg).Batch, want, i)
+		mutate("a decoded batch", m.(*notifyMsg).Batch, want, i)
 	}
 }

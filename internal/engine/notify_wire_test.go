@@ -35,7 +35,7 @@ func TestNotificationSaysWhatItsSubscriberReads(t *testing.T) {
 		batch = append(batch, n)
 	}
 	sub := env.node(0)
-	msg := notifyMsg{Subscriber: sub.Key(), Batch: batch}
+	msg := &notifyMsg{Subscriber: sub.Key(), Batch: batch}
 	var w wire.Buffer
 	if err := EncodeMessage(&w, msg); err != nil {
 		t.Fatal(err)
@@ -52,7 +52,7 @@ func TestNotificationSaysWhatItsSubscriberReads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := got.(notifyMsg)
+		g := got.(*notifyMsg)
 		if g.Subscriber != msg.Subscriber || len(g.Batch) != len(batch) {
 			t.Fatalf("decoded %+v", g)
 		}
@@ -80,7 +80,7 @@ func TestNotificationSaysWhatItsSubscriberReads(t *testing.T) {
 		"delivered":            func(n *Notification) { n.DeliveredAt = 40 },
 		"keyed elsewhere":      func(n *Notification) { n.QueryKey = "peer9#1" },
 	} {
-		full := notifyMsg{Subscriber: sub.Key(), Batch: slices.Clone(batch)}
+		full := &notifyMsg{Subscriber: sub.Key(), Batch: slices.Clone(batch)}
 		odd(&full.Batch[2])
 		var fw wire.Buffer
 		if err := EncodeMessage(&fw, full); err != nil {
@@ -93,7 +93,7 @@ func TestNotificationSaysWhatItsSubscriberReads(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
-		for i, n := range got.(notifyMsg).Batch {
+		for i, n := range got.(*notifyMsg).Batch {
 			if w := full.Batch[i]; n.ContentKey() != w.ContentKey() || n.Subscriber != w.Subscriber || n.DeliveredAt != w.DeliveredAt || n.subscriberIP != w.subscriberIP {
 				t.Fatalf("%s: notification %d decoded as %+v, want %+v", what, i, n, w)
 			}
@@ -126,7 +126,7 @@ func TestBenchShapedNotificationSize(t *testing.T) {
 		}
 		batch = append(batch, n)
 	}
-	msg := notifyMsg{Subscriber: q.Subscriber(), Batch: batch}
+	msg := &notifyMsg{Subscriber: q.Subscriber(), Batch: batch}
 	const ceiling = 130 // 124, and 5 %
 	size := MessageSize(msg)
 	t.Logf("the benchmark's batch of eight notifications is %d bytes (ceiling %d)", size, ceiling)
@@ -221,7 +221,7 @@ func TestHostileNotificationFailsToDecode(t *testing.T) {
 		}
 		if what == "mixed" && err == nil {
 			var counts []int
-			for _, n := range m.(notifyMsg).Batch {
+			for _, n := range m.(*notifyMsg).Batch {
 				counts = append(counts, len(n.Values))
 			}
 			if !slices.Equal(counts, []int{1, 3, 0, 2}) {
@@ -309,7 +309,7 @@ func TestStoredMailIsCapped(t *testing.T) {
 	lost := env.net.Traffic().TotalLost()
 	// Two messages, the second admitted in part.
 	for _, part := range [][]Notification{batch[:storedMailMax-1], batch[storedMailMax-1:]} {
-		env.eng.state(holder).HandleMessage(holder, notifyMsg{Subscriber: sub.Key(), Batch: part})
+		env.eng.state(holder).HandleMessage(holder, &notifyMsg{Subscriber: sub.Key(), Batch: part})
 	}
 	if stored, lost := len(env.eng.state(holder).storedNotifs[sub.Key()]), env.net.Traffic().TotalLost()-lost; stored != storedMailMax || lost != over {
 		t.Fatalf("%d notifications sent to an offline subscriber: %d stored and %d lost, want %d and %d", len(batch), stored, lost, storedMailMax, over)

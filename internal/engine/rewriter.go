@@ -194,7 +194,7 @@ func (st *nodeState) handleALIndex(m *alIndexMsg, ask *alAskMsg) {
 		var buf [keyScratch]byte
 		_ = e.dispatch(st.node, []chord.Deliverable{{
 			Target: e.ids.hashBytes(appendVLInput(buf[:0], t.Relation(), m.Attr, t.MustValue(m.Attr))),
-			Msg:    vlIndexMsg{T: t, Attr: m.Attr},
+			Msg:    &m.vlIndexMsg, // the tuple it received (Section 4.3.2)
 		}})
 	} else if len(outs) == 0 {
 		e.obs.alIndexIdle.Inc()
@@ -376,7 +376,7 @@ func (st *nodeState) sendJoins(outs []outbound) {
 			for i, o := range misses {
 				batch[i] = chord.Deliverable{Target: e.hashInput(o.input), Msg: o.msg}
 			}
-			recipients, _, _ := st.node.Multisend(batch)
+			recipients, _, _ := st.node.Multisend(batch, nil)
 			for i, dst := range e.retryFailed(st.node, batch, recipients) {
 				if dst != nil {
 					st.jfrt.store(misses[i].input, dst, e.obs.hints)
@@ -386,12 +386,13 @@ func (st *nodeState) sendJoins(outs []outbound) {
 		return
 	}
 	var batchBuf [4]chord.Deliverable
+	var recBuf [4]*chord.Node
 	batch := batchBuf[:0]
 	for _, o := range outs {
 		batch = append(batch, chord.Deliverable{Target: e.hashInput(o.input), Msg: o.msg})
 	}
 	// Best-effort (Section 3.2): an unroutable overlay drops the batch.
 	// With retries configured, unacked deliverables are re-sent.
-	recipients, _, _ := st.node.Multisend(batch)
+	recipients, _, _ := st.node.Multisend(batch, recBuf[:0])
 	e.retryFailed(st.node, batch, recipients)
 }

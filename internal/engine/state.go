@@ -367,7 +367,7 @@ func (st *nodeState) HandleMessage(on *chord.Node, msg chord.Message) {
 		st.handleALIndex(m, nil)
 	case *alAskMsg:
 		st.handleALIndex(m.alIndexMsg, m)
-	case vlIndexMsg:
+	case *vlIndexMsg:
 		st.handleVLIndex(m)
 	case joinMsg:
 		st.handleJoin(m)
@@ -377,7 +377,7 @@ func (st *nodeState) HandleMessage(on *chord.Node, msg chord.Message) {
 		for _, inner := range m.Msgs {
 			st.HandleMessage(on, inner)
 		}
-	case notifyMsg:
+	case *notifyMsg:
 		st.handleNotify(m)
 	case probeMsg:
 		// The probe answer is read synchronously by the prober; receiving

@@ -44,7 +44,7 @@ func Fig48(sc Scale) *Table {
 				panic(err)
 			}
 			iterTotal += h
-			_, h, err = src.Multisend(batch)
+			_, h, err = src.Multisend(batch, nil)
 			if err != nil {
 				panic(err)
 			}

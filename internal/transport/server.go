@@ -69,22 +69,28 @@ const serveQueueDepth = 64
 // and handed to the local deliverer before the ack goes out, preserving
 // the synchronous-ack contract end to end.
 //
-// Pipelined frames are processed concurrently (one goroutine per frame,
-// at most serveQueueDepth in flight) and each handler writes its own
-// reply the moment it finishes, in completion order, not arrival order.
-// Both halves matter: a handler blocking on a nested RPC — proc A's
-// batch handler delivering into an engine that synchronously calls back
-// to proc B, whose handler does the same toward A — must neither stop
-// later frames on this connection from being read nor hold their
-// finished replies hostage. In-order replies deadlock such mutual
-// traffic: the nested call's ack would queue behind the very reply that
-// is waiting on it. Senders demultiplex replies by the echoed seq, so no
-// ordering is owed.
+// Pipelined frames are processed concurrently (at most serveQueueDepth in
+// flight) and each handler writes its own reply the moment it finishes, in
+// completion order, not arrival order. Both halves matter: a handler
+// blocking on a nested RPC — proc A's batch handler delivering into an
+// engine that synchronously calls back to proc B, whose handler does the
+// same toward A — must neither stop later frames on this connection from
+// being read nor hold their finished replies hostage. In-order replies
+// deadlock such mutual traffic: the nested call's ack would queue behind the
+// very reply that is waiting on it. Senders demultiplex replies by the
+// echoed seq, so no ordering is owed.
+//
+// Each frame goes to a worker of the connection that is idle, waiting on an
+// unbuffered channel; only when none is does the loop start another, so a
+// frame costs a goroutine — and the closure its go statement allocates —
+// only where every worker it has is busy, a blocked one included. A worker
+// serves frames until the read loop ends and closes the channel.
 func (t *TCP) handleConn(c net.Conn) {
 	defer t.wg.Done()
-	cs := &connServer{t: t, c: c, sem: make(chan struct{}, serveQueueDepth)}
+	cs := &connServer{t: t, c: c, sem: make(chan struct{}, serveQueueDepth), frames: make(chan inboundFrame)}
 	defer func() {
-		cs.handlers.Wait()
+		close(cs.frames)
+		cs.workers.Wait()
 		t.mu.Lock()
 		delete(t.serverConns, c)
 		t.mu.Unlock()
@@ -105,25 +111,45 @@ func (t *TCP) handleConn(c net.Conn) {
 		t.obs.framesIn.Inc()
 		t.obs.frameBytesIn.Add(int64(len(payload)))
 		cs.sem <- struct{}{}
-		cs.handlers.Add(1)
-		// Go wraps a go statement's call and its arguments (cs, st,
-		// payload) in a closure on the heap: one allocation per inbound
-		// frame. Spelling it as a method call does not avoid it.
-		go cs.serveFrame(st, payload)
+		f := inboundFrame{st: st, payload: payload}
+		select {
+		case cs.frames <- f:
+		default:
+			cs.workers.Add(1)
+			go cs.work(f)
+		}
 	}
+}
+
+// inboundFrame is one frame read off a connection, with the scratch that
+// holds it.
+type inboundFrame struct {
+	st      *serveState
+	payload []byte
 }
 
 // connServer is the shared state of one server-side connection's
 // concurrent frame handlers: the write lock replies serialize on, the
 // dead flag the first fatal error sets (so later handlers fail quietly),
-// and the semaphore/WaitGroup bounding and draining the handlers.
+// the semaphore bounding the frames in flight, and the channel idle
+// workers take frames from, with the WaitGroup draining them.
 type connServer struct {
-	t        *TCP
-	c        net.Conn
-	wmu      sync.Mutex
-	dead     atomic.Bool
-	sem      chan struct{}
-	handlers sync.WaitGroup
+	t       *TCP
+	c       net.Conn
+	wmu     sync.Mutex
+	dead    atomic.Bool
+	sem     chan struct{}
+	frames  chan inboundFrame
+	workers sync.WaitGroup
+}
+
+// work serves f, then every frame handed to it while it waits idle, until
+// the connection's read loop closes the channel.
+func (cs *connServer) work(f inboundFrame) {
+	defer cs.workers.Done()
+	for ok := true; ok; f, ok = <-cs.frames {
+		cs.serveFrame(f.st, f.payload)
+	}
 }
 
 // serveFrame handles one inbound frame and writes its reply (if any)
@@ -134,7 +160,6 @@ func (cs *connServer) serveFrame(st *serveState, payload []byte) {
 	defer func() {
 		putServeState(st)
 		<-cs.sem
-		cs.handlers.Done()
 	}()
 	t := cs.t
 	beginFrame(&st.reply)
