@@ -253,6 +253,9 @@ func (n *Node) Multisend(batch []Deliverable, recipients []*Node) ([]*Node, int,
 	origin := n.ID()
 	var sortBuf [multisendStack]multisendItem // a publication's batch sorts on the stack
 	sorted := sortBuf[:0]
+	if len(batch) > multisendStack {
+		sorted = make([]multisendItem, 0, len(batch)) // a larger one, at its size once
+	}
 	for i, d := range batch {
 		sorted = append(sorted, multisendItem{d: d, idx: i, dist: id.Distance(origin, d.Target)})
 	}

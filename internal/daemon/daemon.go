@@ -714,15 +714,16 @@ func readLine(br *bufio.Reader, max int) ([]byte, error) {
 
 // localNode validates req.Node: in range, and — in multi-process mode —
 // hosted by this process (subscribing or publishing through a node owned
-// elsewhere would split that node's authoritative state).
-func (s *Server) localNode(i int) (*cqjoin.Node, error) {
+// elsewhere would split that node's authoritative state). It returns the
+// handle by value, which stays on its caller's stack.
+func (s *Server) localNode(i int) (cqjoin.Node, error) {
 	if i < 0 || i >= s.cluster.Size() {
-		return nil, fmt.Errorf("node %d out of range [0,%d)", i, s.cluster.Size())
+		return cqjoin.Node{}, fmt.Errorf("node %d out of range [0,%d)", i, s.cluster.Size())
 	}
-	n := s.cluster.Node(i)
+	n := *s.cluster.Node(i)
 	if s.members != nil {
 		if o := s.members.ownerOf(n.Key()); o != s.cfg.OverlayAddr {
-			return nil, fmt.Errorf("node %d (%s) is hosted by peer %s", i, n.Key(), o)
+			return cqjoin.Node{}, fmt.Errorf("node %d (%s) is hosted by peer %s", i, n.Key(), o)
 		}
 	}
 	return n, nil

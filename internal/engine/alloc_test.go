@@ -12,13 +12,15 @@ import (
 )
 
 // publicationAllocCeiling bounds the allocations of one SAI publication in
-// allocStream: 9 measured with the value level indexed on demand — one stored
+// allocStream: 8 measured with the value level indexed on demand — one stored
 // copy for an S tuple, none for an R, and the vl-index message the one its
 // al-index message embeds — and allocating per publication, group and stored
 // item only, a stored rewrite being the one its join carried, its Key(q')
-// derived and its trigger the publication, and a batch of notifications one
-// slice, one values array and one array of notify messages whatever its size,
-// each delivered identity cut from a shared chunk (12 while a walk allocated
+// derived and its trigger the publication, a join's group one array, a
+// value-level bucket's first entries inside it, and a batch of notifications
+// one slice, one values array and one array of notify messages whatever its
+// size, each delivered identity cut from a shared chunk (9 while a join held
+// a list of pointers and a bucket its entries apart; 12 while a walk allocated
 // its recipient list and a vl-index or notify message was boxed per send; 17
 // while every notification had a values array and an identity string of its
 // own and a batch's slices grew by doubling; 18 while a rewriter projected
@@ -31,7 +33,7 @@ import (
 // Routing allocates nothing — a walk writes its recipients into its caller's
 // stack array — so ring size and placement do not move the figure; a Go
 // release that moves it is a reason to re-measure, not to add slack.
-const publicationAllocCeiling = 10
+const publicationAllocCeiling = 9
 
 // allocStream is the stream both ceilings are measured on: four subscribers
 // of one join, then R and S tuples alternating, joining pairwise on a fresh
@@ -181,17 +183,19 @@ func retainedBytesPerPublication(t *testing.T, consumed bool, ceiling int64) {
 
 // Decoding what a receiver has decoded before must stay cheap: through a
 // WireCodec whose memo is warm, the four rewrites of one group, keyed as a
-// rewriter keys them, cost their message, their shared target and its
-// trigger — no key, which stays derived, no query, no parse — and a lean
-// batch of 1, 4 or 16 notifications for one subscriber its message, its slice
-// and one array of every notification's values (the batch's subscriber is
-// interned like its notifications'): 6 and 3 measured (10 and 3 while each
-// decoded key was a string; 3, 6 and 18 while each notification's values were
-// an array of their own), and the ceilings are those plus 10 %, rounded down.
+// rewriter keys them, cost their message, their one array, their shared
+// target and its trigger — no key, which stays derived, no query, no parse —
+// and a lean batch of 1, 4 or 16 notifications for one subscriber its
+// message, its slice and one array of every notification's values (the
+// batch's subscriber is interned like its notifications'): 5 and 3 measured
+// (6 while the rewrites were an array and a list of pointers to it; 10 and 3
+// while each decoded key was a string; 3, 6 and 18 while each notification's
+// values were an array of their own), and the ceilings are those plus 10 %,
+// rounded down.
 // One re-built query is 2 allocations, one key or un-interned identity string
 // 1, a values array per notification 1 each: any passes its ceiling.
 const (
-	warmJoinDecodeAllocCeiling   = 6
+	warmJoinDecodeAllocCeiling   = 5
 	warmNotifyDecodeAllocCeiling = 3
 )
 
@@ -202,7 +206,7 @@ func TestWarmDecodeAllocCeilings(t *testing.T) {
 	env := newTestEnv(t, 16, Config{Algorithm: SAI})
 	tu := rTuple(env, 1, 7, 2).WithPubT(9)
 	su := sTuple(env, 3, 7, 1).WithPubT(11)
-	var rws []*rewritten
+	var rws []rewritten
 	var notifs []Notification
 	var target *rewriteTarget
 	for i := 0; i < 4; i++ {
@@ -218,7 +222,7 @@ func TestWarmDecodeAllocCeilings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rws = append(rws, &rewritten{Key: key, Orig: q, rewriteTarget: target})
+		rws = append(rws, rewritten{Key: key, Orig: q, rewriteTarget: target})
 		n, err := buildNotification(q, query.SideLeft, target.Trigger, su)
 		if err != nil {
 			t.Fatal(err)
@@ -243,7 +247,7 @@ func TestWarmDecodeAllocCeilings(t *testing.T) {
 		msg     chord.Message
 		ceiling float64
 	}{
-		{joinMsg{Rewrites: rws}, warmJoinDecodeAllocCeiling},
+		{&joinMsg{Rewrites: rws}, warmJoinDecodeAllocCeiling},
 		{&notifyMsg{Subscriber: notifs[0].Subscriber, Batch: notifs[:1]}, warmNotifyDecodeAllocCeiling},
 		{&notifyMsg{Subscriber: notifs[0].Subscriber, Batch: oneSubscriber(4)}, warmNotifyDecodeAllocCeiling},
 		{&notifyMsg{Subscriber: notifs[0].Subscriber, Batch: oneSubscriber(16)}, warmNotifyDecodeAllocCeiling},
@@ -346,5 +350,74 @@ func TestCodecLeavesCallersReaderAndBufferOnTheStack(t *testing.T) {
 		}
 	}); allocs != 1 {
 		t.Errorf("encoding into a Buffer of its own allocates %.0f times, want 1", allocs)
+	}
+}
+
+// ackOnly acks every delivery to a live node without running its handler:
+// what a sender allocates is then all an allocation count sees.
+type ackOnly struct{}
+
+func (ackOnly) Deliver(from, dst *chord.Node, msg chord.Message) bool { return dst.Alive() }
+
+func (ackOnly) DeliverBatch(from, dst *chord.Node, msgs []chord.Message) []bool {
+	acks := make([]bool, len(msgs))
+	for i := range acks {
+		acks[i] = dst.Alive()
+	}
+	return acks
+}
+
+// retractionAllocCeiling bounds what a rewriter allocates to retract a query:
+// its purges are one array of messages in one batch, whatever their number, so
+// a query whose rewrites went to 1, 8 or 40 evaluators costs the same — 6
+// measured (the purge array, its batch, the retraction memory's entry and the
+// reindex-once prefix, and the traffic ledger's first counters of the kind on
+// a fresh ring; 7, 17 and 52 while each purge was boxed and the target list
+// grew by doubling), and the ceiling is that plus 10 %, rounded down.
+const retractionAllocCeiling = 6
+
+// With the JFRT on, every evaluator the rewriter reached is remembered, so
+// each purge goes in one hinted hop and no walk's own buffers enter the count.
+func TestRetractionAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	retract := func(evaluators int) uint64 {
+		env := newTestEnv(t, 256, Config{Algorithm: SAI, Strategy: StrategyLeft, UseJFRT: true, Seed: 1})
+		q := env.subscribe(t, 0, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
+		for i := 0; i < evaluators; i++ {
+			env.publish(t, 1+i, rTuple(env, float64(i), float64(100+i), 1))
+		}
+		var st *nodeState
+		for _, n := range env.nodes {
+			if s := env.eng.state(n); s.alqt["R+B"] != nil {
+				st = s
+			}
+		}
+		if got := env.eng.Census()["alqt_purge_entries"].Sum; got != evaluators {
+			t.Fatalf("the rewriter recorded %d targets, want %d", got, evaluators)
+		}
+		env.net.SetTransport(ackOnly{})
+		m := &unsubMsg{QueryKey: q.Key(), Cond: q.ConditionKey(), Input: "R+B"}
+		sent := env.net.Traffic().Messages(kindUnsub)
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		st.handleUnsub(m)
+		runtime.ReadMemStats(&after)
+		if got := env.net.Traffic().Messages(kindUnsub) - sent; got != int64(evaluators) {
+			t.Fatalf("the retraction sent %d purges, want %d", got, evaluators)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	one := retract(1)
+	t.Logf("retracting a query stored at 1 evaluator allocates %d times (ceiling %d)", one, retractionAllocCeiling)
+	if one > retractionAllocCeiling {
+		t.Fatalf("retracting a query stored at 1 evaluator allocates %d times, ceiling %d", one, retractionAllocCeiling)
+	}
+	for _, n := range []int{8, 40} {
+		if got := retract(n); got != one {
+			t.Errorf("retracting a query stored at %d evaluators allocates %d times, at 1 evaluator %d", n, got, one)
+		}
 	}
 }

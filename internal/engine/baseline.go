@@ -45,7 +45,7 @@ func (baselineTupleMsg) Kind() string { return kindALIndex }
 // baselineProbeMsg carries rewritten probes from the triggered site to the
 // opposite relation's site, where stored tuples complete the join.
 type baselineProbeMsg struct {
-	Rewrites []*rewritten
+	Rewrites []rewritten
 	Input    string // destination site key
 }
 
@@ -205,9 +205,9 @@ func (st *nodeState) handleBaselineTuple(m baselineTupleMsg) {
 				dstInput = triggered[0].Rel(other).Name() + "+" + oa
 			}
 			tgt := &rewriteTarget{IndexSide: g.side, Trigger: t, WantRel: triggered[0].Rel(other).Name(), WantValue: vSide}
-			var rws []*rewritten
+			rws := make([]rewritten, 0, len(triggered))
 			for _, q := range triggered {
-				rws = append(rws, &rewritten{
+				rws = append(rws, rewritten{
 					Key:           q.Key() + "@" + relation.N(float64(t.PubT())).Canon(),
 					Orig:          q,
 					rewriteTarget: tgt,
@@ -238,7 +238,8 @@ func (st *nodeState) handleBaselineProbe(m baselineProbeMsg) {
 	st.mu.Lock()
 	tb := st.vltt[m.Input]
 	if tb != nil {
-		for _, rw := range m.Rewrites {
+		for i := range m.Rewrites {
+			rw := &m.Rewrites[i]
 			other := rw.IndexSide.Other()
 			for _, tt := range tb.tuples.all() {
 				work++

@@ -357,7 +357,7 @@ func TestRepeatedTupleNeedsItsPredecessor(t *testing.T) {
 	// A rewrite's trigger travels with its query's projection for a shape: it
 	// is never left out, and an empty relation name there is an error even
 	// behind a tuple-carrying message.
-	rw := join.(joinMsg).Rewrites[0]
+	rw := join.(*joinMsg).Rewrites[0]
 	forged := orphanMarkers(t, rw.Orig, &rewriteTarget{IndexSide: query.SideLeft, Trigger: rw.Trigger, WantRel: "S", WantAttr: "E", WantValue: relation.N(7)})["whole"]
 	at := bytes.Index(forged, []byte("\x01R\x00")) // the trigger: relation "R", then arity 0
 	if at < 0 {
@@ -376,13 +376,13 @@ func TestRepeatedTupleNeedsItsPredecessor(t *testing.T) {
 func TestRepeatedKeyNeedsItsPredecessor(t *testing.T) {
 	catalog, msgs := codecFixtures(t)
 	codec := NewWireCodec(catalog)
-	purge := msgs[9].(purgeMsg)
-	behind := purgeMsg{QueryKey: purge.QueryKey, Input: "S+E+9"}
+	purge := msgs[9].(*purgeMsg)
+	behind := &purgeMsg{QueryKey: purge.QueryKey, Input: "S+E+9"}
 	var w wire.Buffer
 	if err := codec.EncodeAfter(&w, behind, purge); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := codec.DecodeAfter(wire.NewReader(w.Bytes()), purge); err != nil || got != behind || w.Bytes()[1] != 0 {
+	if got, err := codec.DecodeAfter(wire.NewReader(w.Bytes()), purge); err != nil || *got.(*purgeMsg) != *behind || w.Bytes()[1] != 0 {
 		t.Fatalf("%x behind its predecessor: %+v, %v", w.Bytes(), got, err)
 	}
 	if _, err := DecodeMessage(wire.NewReader(w.Bytes()), catalog); err == nil {
@@ -394,7 +394,7 @@ func TestRepeatedKeyNeedsItsPredecessor(t *testing.T) {
 		}
 	}
 	whole := []byte{tagPurge, 0, byte(len(purge.Input)), 0}
-	if got, err := codec.DecodeAfter(wire.NewReader(whole), purge); err != nil || got != purge {
+	if got, err := codec.DecodeAfter(wire.NewReader(whole), purge); err != nil || *got.(*purgeMsg) != *purge {
 		t.Fatalf("the predecessor's whole input: %+v, %v", got, err)
 	}
 	past := []byte{tagPurge, 0, byte(len(purge.Input) + 1), 0}
@@ -418,7 +418,7 @@ func retractionWalk(t *testing.T) (*testEnv, *chord.Node, []chord.Message) {
 	var rewriter *chord.Node
 	var purges []chord.Message
 	env.net.SetInterceptor(interceptFunc(func(from, dst *chord.Node, msg chord.Message, forward func() bool) int {
-		if _, ok := msg.(purgeMsg); ok {
+		if _, ok := msg.(*purgeMsg); ok {
 			rewriter, purges = from, append(purges, msg)
 		}
 		if forward() {
@@ -448,7 +448,7 @@ func TestPurgeWalkSaysItsQueryOnce(t *testing.T) {
 	env.net.SetSizer(sizeSolo)
 	var batch, solo []chord.Deliverable
 	for _, m := range purges {
-		target := env.eng.hashInput(m.(purgeMsg).Input)
+		target := env.eng.hashInput(m.(*purgeMsg).Input)
 		batch = append(batch, chord.Deliverable{Target: target, Msg: m})
 		solo = append(solo, chord.Deliverable{Target: target, Msg: soloPriced{m}})
 	}

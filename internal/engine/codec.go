@@ -118,9 +118,9 @@ func carried(msg chord.Message) wire.Carried {
 		return wire.Carried{Tuple: m.T}
 	case hotVLIndexMsg:
 		return wire.Carried{Tuple: m.T}
-	case unsubMsg:
+	case *unsubMsg:
 		return wire.Carried{Key: m.QueryKey, Input: m.Input}
-	case purgeMsg:
+	case *purgeMsg:
 		return wire.Carried{Key: m.QueryKey, Input: m.Input}
 	case interestMsg:
 		return wire.Carried{Key: m.QueryKey, Input: m.Input}
@@ -164,7 +164,7 @@ func walkMessage(c *wire.Coder, msg *chord.Message) {
 	case *vlIndexMsg:
 		c.Tag(tagVLIndex)
 		m.walk(c)
-	case joinMsg:
+	case *joinMsg:
 		c.Tag(tagJoin)
 		m.walk(c)
 	case joinVMsg:
@@ -179,10 +179,10 @@ func walkMessage(c *wire.Coder, msg *chord.Message) {
 	case probeMsg:
 		c.Tag(tagProbe)
 		m.walk(c)
-	case unsubMsg:
+	case *unsubMsg:
 		c.Tag(tagUnsub)
 		m.walk(c)
-	case purgeMsg:
+	case *purgeMsg:
 		c.Tag(tagPurge)
 		m.walk(c)
 	case baselineQueryMsg:
@@ -251,7 +251,7 @@ func decodeMessage(c *wire.Coder) chord.Message {
 		m.walk(c)
 		return m
 	case tagJoin:
-		var m joinMsg
+		m := new(joinMsg)
 		m.walk(c)
 		return m
 	case tagJoinV:
@@ -271,11 +271,11 @@ func decodeMessage(c *wire.Coder) chord.Message {
 		m.walk(c)
 		return m
 	case tagUnsub:
-		var m unsubMsg
+		m := new(unsubMsg)
 		m.walk(c)
 		return m
 	case tagPurge:
-		var m purgeMsg
+		m := new(purgeMsg)
 		m.walk(c)
 		return m
 	case tagBaselineQuery:
@@ -588,20 +588,13 @@ func walkSide(c *wire.Coder, s *query.Side, max query.Side) {
 }
 
 // walkRewrites walks the rewritten queries of one message, each after the one
-// before. Decoded, they are stored together, so they share one backing array.
-func walkRewrites(c *wire.Coder, rws *[]*rewritten) {
+// before. Decoded, they are one array, stored together.
+func walkRewrites(c *wire.Coder, rws *[]rewritten) {
 	wire.Slice(c, rws)
-	var vals []rewritten
-	if c.Decoding() {
-		vals = make([]rewritten, len(*rws))
-	}
 	var prev *rewritten
 	for i := range *rws {
-		if c.Decoding() {
-			(*rws)[i] = &vals[i]
-		}
 		(*rws)[i].walk(c, prev)
-		prev = (*rws)[i]
+		prev = &(*rws)[i]
 	}
 }
 

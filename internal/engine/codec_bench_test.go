@@ -17,7 +17,7 @@ func BenchmarkCodec(b *testing.B) {
 	env := newTestEnv(b, 16, Config{Algorithm: SAI})
 	tu := rTuple(env, 1, 7, 2).WithPubT(9)
 	su := sTuple(env, 3, 7, 1).WithPubT(11)
-	var rws []*rewritten
+	var rws []rewritten
 	var notifs []Notification
 	var target *rewriteTarget
 	for i := 0; i < 4; i++ {
@@ -29,7 +29,7 @@ func BenchmarkCodec(b *testing.B) {
 			}
 			target = &rewriteTarget{IndexSide: query.SideLeft, Trigger: proj, WantRel: "S", WantAttr: "E", WantValue: relation.N(7)}
 		}
-		rws = append(rws, &rewritten{Key: q.Key() + "+9", Orig: q, rewriteTarget: target})
+		rws = append(rws, rewritten{Key: q.Key() + "+9", Orig: q, rewriteTarget: target})
 		n, err := buildNotification(q, query.SideLeft, target.Trigger, su)
 		if err != nil {
 			b.Fatal(err)
@@ -43,7 +43,7 @@ func BenchmarkCodec(b *testing.B) {
 	}{
 		{"al-index", &alIndexMsg{vlIndexMsg: vlIndexMsg{T: tu, Attr: "B"}, Replica: 1}},
 		{"vl-index", &vlIndexMsg{T: su, Attr: "E"}},
-		{"join", joinMsg{Rewrites: rws}},
+		{"join", &joinMsg{Rewrites: rws}},
 		{"notification", &notifyMsg{Subscriber: notifs[0].Subscriber, Batch: notifs}},
 		{"hot-join", hotJoinMsg{Input: "S+E+7", Shard: 2, Version: 3, K: 4, Rewrites: rws}},
 	} {

@@ -45,7 +45,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		}
 		f.Add(w.Bytes())
 	}
-	rw := msgs[3].(joinMsg).Rewrites[0]
+	rw := msgs[3].(*joinMsg).Rewrites[0]
 	for _, data := range orphanMarkers(f, rw.Orig, rw.rewriteTarget) {
 		f.Add(data)
 	}

@@ -58,16 +58,16 @@ func codecFixtures(t testing.TB, extra ...*relation.Schema) (*relation.Catalog, 
 		queryMsg{Q: q, Side: query.SideRight, Attr: "E", Replica: 2},
 		&alIndexMsg{vlIndexMsg: vlIndexMsg{T: tu, Attr: "B"}, Replica: 1},
 		&vlIndexMsg{T: su, Attr: "E"},
-		joinMsg{Rewrites: []*rewritten{rw, rw}},
+		&joinMsg{Rewrites: []rewritten{*rw, *rw}},
 		joinVMsg{Input: "7", Cond: q.ConditionKey(), Side: query.SideLeft, Value: relation.N(7), Trigger: tu, Queries: []*query.Query{q}},
-		joinBatch{Msgs: []chord.Message{&vlIndexMsg{T: su, Attr: "E"}, joinMsg{Rewrites: []*rewritten{rw}}}},
+		joinBatch{Msgs: []chord.Message{&vlIndexMsg{T: su, Attr: "E"}, &joinMsg{Rewrites: []rewritten{*rw}}}},
 		&notifyMsg{Subscriber: q.Subscriber(), Batch: []Notification{notif, notif}},
 		probeMsg{AttrInput: "R+B"},
-		unsubMsg{QueryKey: q.Key(), Cond: q.ConditionKey(), Input: "R+B"},
-		purgeMsg{QueryKey: q.Key(), Input: "S+E+7"},
+		&unsubMsg{QueryKey: q.Key(), Cond: q.ConditionKey(), Input: "R+B"},
+		&purgeMsg{QueryKey: q.Key(), Input: "S+E+7"},
 		baselineQueryMsg{Q: q, Side: query.SideLeft, Input: "R"},
 		baselineTupleMsg{T: tu, Input: "R.B+S.E", Side: query.SideLeft},
-		baselineProbeMsg{Input: "S", Rewrites: []*rewritten{rw}},
+		baselineProbeMsg{Input: "S", Rewrites: []rewritten{*rw}},
 		mQueryMsg{MQ: mqRev, Attr: "x", Replica: 0},
 		mJoinMsg{Rewrites: []*mRewritten{mrw}},
 		handoffMsg{
@@ -85,7 +85,7 @@ func codecFixtures(t testing.TB, extra ...*relation.Schema) (*relation.Catalog, 
 			DV:     []dvSection{{Input: "7", Entries: []dvEntry{{Cond: q.ConditionKey(), Left: []*relation.Tuple{tu}, Right: []*relation.Tuple{su}}}}},
 			Notifs: []notifSection{{Subscriber: q.Subscriber(), Batch: []Notification{notif}}},
 		},
-		hotJoinMsg{Input: "S+E+7", Shard: 2, Version: 3, K: 4, Rewrites: []*rewritten{rw, rw}},
+		hotJoinMsg{Input: "S+E+7", Shard: 2, Version: 3, K: 4, Rewrites: []rewritten{*rw, *rw}},
 		hotVLIndexMsg{Input: "S+E+7", Shard: 1, Version: 3, K: 4, T: su},
 		hotMigrateMsg{Input: "S+E+7", Version: 3, K: 4},
 		hotHandoffMsg{Input: "S+E+7", Shard: 2, Version: 3, K: 4,
@@ -124,8 +124,8 @@ func codecFixtures(t testing.TB, extra ...*relation.Schema) (*relation.Catalog, 
 		revokeMsg{Input: "R+C"},
 		// A retraction walk names one query again and again: a second
 		// retraction, purge and interest mark of it, at other inputs.
-		unsubMsg{QueryKey: q.Key(), Cond: q.ConditionKey(), Input: "R+C"},
-		purgeMsg{QueryKey: q.Key(), Input: "S+E+9"},
+		&unsubMsg{QueryKey: q.Key(), Cond: q.ConditionKey(), Input: "R+C"},
+		&purgeMsg{QueryKey: q.Key(), Input: "S+E+9"},
 		interestMsg{QueryKey: q.Key(), Input: "S+F"},
 	}
 	return full, msgs
@@ -182,13 +182,13 @@ func assertSemanticEqual(t *testing.T, want, got chord.Message) {
 		if g.T.String() != w.T.String() || g.Attr != w.Attr {
 			t.Fatalf("vlIndexMsg mismatch: %+v", g)
 		}
-	case joinMsg:
-		g := got.(joinMsg)
+	case *joinMsg:
+		g := got.(*joinMsg)
 		if len(g.Rewrites) != len(w.Rewrites) {
 			t.Fatal("joinMsg lost rewrites")
 		}
 		for i := range g.Rewrites {
-			assertRewrittenEqual(t, w.Rewrites[i], g.Rewrites[i])
+			assertRewrittenEqual(t, &w.Rewrites[i], &g.Rewrites[i])
 		}
 	case joinVMsg:
 		g := got.(joinVMsg)
@@ -222,12 +222,12 @@ func assertSemanticEqual(t *testing.T, want, got chord.Message) {
 		if got.(probeMsg) != w {
 			t.Fatal("probeMsg mismatch")
 		}
-	case unsubMsg:
-		if got.(unsubMsg) != w {
+	case *unsubMsg:
+		if *got.(*unsubMsg) != *w {
 			t.Fatal("unsubMsg mismatch")
 		}
-	case purgeMsg:
-		if got.(purgeMsg) != w {
+	case *purgeMsg:
+		if *got.(*purgeMsg) != *w {
 			t.Fatal("purgeMsg mismatch")
 		}
 	case interestMsg:
@@ -367,7 +367,7 @@ func assertSemanticEqual(t *testing.T, want, got chord.Message) {
 			t.Fatalf("hotJoinMsg mismatch: %+v", g)
 		}
 		for i := range g.Rewrites {
-			assertRewrittenEqual(t, w.Rewrites[i], g.Rewrites[i])
+			assertRewrittenEqual(t, &w.Rewrites[i], &g.Rewrites[i])
 		}
 	case hotVLIndexMsg:
 		g := got.(hotVLIndexMsg)
@@ -464,17 +464,17 @@ func TestAllMessagesImplementSizer(t *testing.T) {
 		queryMsg{Q: q, Attr: "B"},
 		&alIndexMsg{vlIndexMsg: vlIndexMsg{T: tu, Attr: "B"}},
 		&vlIndexMsg{T: tu, Attr: "B"},
-		joinMsg{Rewrites: []*rewritten{rw}},
+		&joinMsg{Rewrites: []rewritten{*rw}},
 		joinVMsg{Input: "7", Cond: q.ConditionKey(), Value: tu.MustValue("B"), Trigger: tu, Queries: []*query.Query{q}},
-		joinBatch{Msgs: []chord.Message{joinMsg{Rewrites: []*rewritten{rw}}}},
+		joinBatch{Msgs: []chord.Message{&joinMsg{Rewrites: []rewritten{*rw}}}},
 		&notifyMsg{Subscriber: q.Subscriber(), Batch: []Notification{notif}},
 		probeMsg{AttrInput: "R+B"},
-		unsubMsg{QueryKey: q.Key(), Cond: q.ConditionKey(), Input: "R+B"},
-		purgeMsg{QueryKey: q.Key(), Input: "S+E+7"},
+		&unsubMsg{QueryKey: q.Key(), Cond: q.ConditionKey(), Input: "R+B"},
+		&purgeMsg{QueryKey: q.Key(), Input: "S+E+7"},
 		baselineQueryMsg{Q: q, Input: "R"},
 		baselineTupleMsg{T: tu, Input: "R"},
-		baselineProbeMsg{Rewrites: []*rewritten{rw}, Input: "S"},
-		hotJoinMsg{Input: "S+E+7", Shard: 1, Version: 1, K: 4, Rewrites: []*rewritten{rw}},
+		baselineProbeMsg{Rewrites: []rewritten{*rw}, Input: "S"},
+		hotJoinMsg{Input: "S+E+7", Shard: 1, Version: 1, K: 4, Rewrites: []rewritten{*rw}},
 		hotVLIndexMsg{Input: "S+E+7", Shard: 1, Version: 1, K: 4, T: tu},
 		hotMigrateMsg{Input: "S+E+7", Version: 1, K: 4},
 		hotHandoffMsg{Input: "S+E+7", Shard: 1, Version: 1, K: 4,
@@ -738,14 +738,14 @@ func TestCodecDecodeReusesCatalogAndPlanSchemas(t *testing.T) {
 	env := newTestEnv(t, 16, Config{Algorithm: SAI})
 	const sql = `SELECT R.A, S.D FROM R, S WHERE R.B = S.E AND S.F >= 1`
 	tu := rTuple(env, 1, 7, 2).WithPubT(9)
-	var rws []*rewritten
+	var rws []rewritten
 	for i := 0; i < 3; i++ {
 		q := env.subscribe(t, i, sql)
 		proj, err := tu.ProjectOnto(q.Projection(query.SideLeft))
 		if err != nil {
 			t.Fatal(err)
 		}
-		rws = append(rws, &rewritten{Key: q.Key() + "+1+7", Orig: q, rewriteTarget: &rewriteTarget{
+		rws = append(rws, rewritten{Key: q.Key() + "+1+7", Orig: q, rewriteTarget: &rewriteTarget{
 			IndexSide: query.SideLeft, Trigger: proj,
 			WantRel: "S", WantAttr: "E", WantValue: relation.N(7),
 		}})
@@ -774,9 +774,9 @@ func TestCodecDecodeReusesCatalogAndPlanSchemas(t *testing.T) {
 		t.Fatalf("content key changed over the wire: %q vs %q", al.T.ContentKey(), tu.ContentKey())
 	}
 
-	join := roundTrip(joinMsg{Rewrites: rws}).(joinMsg)
-	for i, g := range join.Rewrites {
-		w := rws[i]
+	join := roundTrip(&joinMsg{Rewrites: rws}).(*joinMsg)
+	for i := range join.Rewrites {
+		g, w := &join.Rewrites[i], &rws[i]
 		assertRewrittenEqual(t, w, g)
 		if g.Trigger.Schema() != g.Orig.Projection(query.SideLeft) || g.Trigger.Schema() != w.Trigger.Schema() {
 			t.Fatalf("rewrite %d: trigger did not decode onto the plan's projection schema", i)
@@ -820,10 +820,10 @@ func TestCodecDecodeSharesRewriteTargets(t *testing.T) {
 		}
 		return &rewriteTarget{IndexSide: query.SideLeft, Trigger: proj, WantRel: "S", WantAttr: "E", WantValue: relation.N(key)}
 	}
-	group := func(tg *rewriteTarget, qs ...*query.Query) []*rewritten {
-		var rws []*rewritten
+	group := func(tg *rewriteTarget, qs ...*query.Query) []rewritten {
+		var rws []rewritten
 		for _, q := range qs {
-			rws = append(rws, &rewritten{Key: q.Key() + "+" + tg.WantValue.Canon(), Orig: q, rewriteTarget: tg})
+			rws = append(rws, rewritten{Key: q.Key() + "+" + tg.WantValue.Canon(), Orig: q, rewriteTarget: tg})
 		}
 		return rws
 	}
@@ -844,14 +844,15 @@ func TestCodecDecodeSharesRewriteTargets(t *testing.T) {
 	}
 	// assertRuns checks the decoded rewrites equal the sent ones and share a
 	// target exactly where the sent neighbours do.
-	assertRuns := func(what string, sent, got []*rewritten, wantTargets int) {
+	assertRuns := func(what string, sent, got []rewritten, wantTargets int) {
 		t.Helper()
 		if len(got) != len(sent) {
 			t.Fatalf("%s: %d rewrites decoded, sent %d", what, len(got), len(sent))
 		}
 		targets := map[*rewriteTarget]bool{}
-		for i, g := range got {
-			assertRewrittenEqual(t, sent[i], g)
+		for i := range got {
+			g := &got[i]
+			assertRewrittenEqual(t, &sent[i], g)
 			targets[g.rewriteTarget] = true
 			if i > 0 && (g.rewriteTarget == got[i-1].rewriteTarget) != (sent[i].rewriteTarget == sent[i-1].rewriteTarget) {
 				t.Fatalf("%s: rewrites %d and %d share a target: %v, the sender's: %v", what, i-1, i,
@@ -864,27 +865,27 @@ func TestCodecDecodeSharesRewriteTargets(t *testing.T) {
 	}
 
 	one := group(target(qs[0], 7, 9), qs...)
-	assertRuns("one group", one, roundTrip(joinMsg{Rewrites: one}).(joinMsg).Rewrites, 1)
+	assertRuns("one group", one, roundTrip(&joinMsg{Rewrites: one}).(*joinMsg).Rewrites, 1)
 
 	// Two triggers' groups, then the wide query's own shape of the second.
 	second := target(qs[0], 8, 11)
 	mixed := slices.Concat(one[:2], group(second, qs[2], qs[3]), group(target(wide, 8, 11), wide))
-	assertRuns("two groups and a shape", mixed, roundTrip(joinMsg{Rewrites: mixed}).(joinMsg).Rewrites, 3)
+	assertRuns("two groups and a shape", mixed, roundTrip(&joinMsg{Rewrites: mixed}).(*joinMsg).Rewrites, 3)
 
 	hot := roundTrip(hotJoinMsg{Input: "S+E+7", Shard: 1, Version: 2, K: 4, Rewrites: one}).(hotJoinMsg)
 	assertRuns("hot-join", one, hot.Rewrites, 1)
 
-	entries := func(rws []*rewritten) []vqEntry {
+	entries := func(rws []rewritten) []vqEntry {
 		var es []vqEntry
-		for i, rw := range rws {
-			es = append(es, vqEntry{Rw: rw, Times: []int64{int64(i), int64(i) + 5}})
+		for i := range rws {
+			es = append(es, vqEntry{Rw: &rws[i], Times: []int64{int64(i), int64(i) + 5}})
 		}
 		return es
 	}
-	unwrap := func(es []vqEntry) []*rewritten {
-		var rws []*rewritten
+	unwrap := func(es []vqEntry) []rewritten {
+		var rws []rewritten
 		for _, e := range es {
-			rws = append(rws, e.Rw)
+			rws = append(rws, *e.Rw)
 		}
 		return rws
 	}
@@ -968,7 +969,7 @@ func TestWireCodecSharesStandingQueriesAcrossMessages(t *testing.T) {
 	var join, hot, handoff []byte
 	for _, msg := range msgs {
 		switch msg.(type) {
-		case joinMsg:
+		case *joinMsg:
 			join = encode(msg)
 		case hotJoinMsg:
 			hot = encode(msg)
@@ -1000,8 +1001,8 @@ func TestWireCodecSharesStandingQueriesAcrossMessages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := first.(joinMsg).Rewrites[0].Orig
-	if again.(joinMsg).Rewrites[0].Orig != q || scattered.(hotJoinMsg).Rewrites[0].Orig != q {
+	q := first.(*joinMsg).Rewrites[0].Orig
+	if again.(*joinMsg).Rewrites[0].Orig != q || scattered.(hotJoinMsg).Rewrites[0].Orig != q {
 		t.Fatal("a codec decoded one standing query into several values")
 	}
 	if hits, misses := reg.Counter("codec.memo_hits").Value(), reg.Counter("codec.memo_misses").Value(); misses != 1 || hits != 5 {
@@ -1011,8 +1012,8 @@ func TestWireCodecSharesStandingQueriesAcrossMessages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertRewrittenEqual(t, first.(joinMsg).Rewrites[0], alone.(joinMsg).Rewrites[0])
-	if alone.(joinMsg).Rewrites[0].Orig == q {
+	assertRewrittenEqual(t, &first.(*joinMsg).Rewrites[0], &alone.(*joinMsg).Rewrites[0])
+	if alone.(*joinMsg).Rewrites[0].Orig == q {
 		t.Fatal("DecodeMessage returned a query of the codec's memo")
 	}
 }
@@ -1084,9 +1085,9 @@ func orphanMarkers(tb testing.TB, q *query.Query, tg *rewriteTarget) map[string]
 // through a long-lived memo too.
 func TestMarkerWithoutPredecessorFailsToDecode(t *testing.T) {
 	catalog, msgs := codecFixtures(t)
-	rw := msgs[3].(joinMsg).Rewrites[0]
+	rw := msgs[3].(*joinMsg).Rewrites[0]
 	inputs := orphanMarkers(t, rw.Orig, rw.rewriteTarget)
-	whole := joinMsg{Rewrites: []*rewritten{{Key: rw.Orig.Key() + "+7", Orig: rw.Orig, rewriteTarget: rw.rewriteTarget}}}
+	whole := &joinMsg{Rewrites: []rewritten{{Key: rw.Orig.Key() + "+7", Orig: rw.Orig, rewriteTarget: rw.rewriteTarget}}}
 	if got := inputs["whole"]; len(got) != encodedLen(whole) || len(got) != MessageSize(whole) {
 		t.Fatalf("the hand-written join is %d bytes, the codec's %d: the variants below test nothing", len(got), encodedLen(whole))
 	}
@@ -1099,7 +1100,7 @@ func TestMarkerWithoutPredecessorFailsToDecode(t *testing.T) {
 		}
 	}
 	// The same markers after a predecessor that carries what they repeat.
-	twice := joinMsg{Rewrites: []*rewritten{whole.Rewrites[0], whole.Rewrites[0]}}
+	twice := &joinMsg{Rewrites: []rewritten{whole.Rewrites[0], whole.Rewrites[0]}}
 	if saved := 2*len(inputs["whole"]) - 2 - encodedLen(twice); saved < querySize(rw.Orig, "")-querySize(rw.Orig, rw.Orig.Text())+len("+7") {
 		t.Fatalf("a repeated rewrite saved %d bytes", saved)
 	}
@@ -1115,7 +1116,7 @@ func TestMarkerWithoutPredecessorFailsToDecode(t *testing.T) {
 func TestJoinSizeSurvivesDecode(t *testing.T) {
 	env := newTestEnv(t, 16, Config{Algorithm: SAI})
 	const sql = `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`
-	var apart, shared []*rewritten
+	var apart, shared []rewritten
 	var alone int
 	for i := 0; i < 4; i++ {
 		q := env.subscribe(t, i, string([]byte(sql)))
@@ -1124,9 +1125,9 @@ func TestJoinSizeSurvivesDecode(t *testing.T) {
 			t.Fatal(err)
 		}
 		tg := &rewriteTarget{IndexSide: query.SideLeft, Trigger: proj, WantRel: "S", WantAttr: "E", WantValue: relation.N(7)}
-		apart = append(apart, &rewritten{Key: q.Key() + "+1+7", Orig: q, rewriteTarget: tg})
-		shared = append(shared, &rewritten{Key: q.Key() + "+1+7", Orig: q, rewriteTarget: apart[0].rewriteTarget})
-		alone += encodedLen(joinMsg{Rewrites: apart[i:]}) - 2 // less tag and count
+		apart = append(apart, rewritten{Key: q.Key() + "+1+7", Orig: q, rewriteTarget: tg})
+		shared = append(shared, rewritten{Key: q.Key() + "+1+7", Orig: q, rewriteTarget: apart[0].rewriteTarget})
+		alone += encodedLen(&joinMsg{Rewrites: apart[i:]}) - 2 // less tag and count
 	}
 	// A second group: another trigger, so another target and key suffix, and
 	// the same text still.
@@ -1135,19 +1136,19 @@ func TestJoinSizeSurvivesDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := &rewritten{Key: q.Key() + "+2+8", Orig: q, rewriteTarget: &rewriteTarget{
+	next := rewritten{Key: q.Key() + "+2+8", Orig: q, rewriteTarget: &rewriteTarget{
 		IndexSide: query.SideLeft, Trigger: proj, WantRel: "S", WantAttr: "E", WantValue: relation.N(8)}}
 	apart, shared = append(apart, next), append(shared, next)
 
 	var w wire.Buffer
-	if err := EncodeMessage(&w, joinMsg{Rewrites: apart}); err != nil {
+	if err := EncodeMessage(&w, &joinMsg{Rewrites: apart}); err != nil {
 		t.Fatal(err)
 	}
 	size := w.Len()
 	// Alone, a rewrite is an empty key (its receiver derives Key(q')), its
 	// query and its target: a derived side, then the trigger.
 	target := 1 + tupleSize(apart[0].Trigger, q.Projection(query.SideLeft))
-	if got, want := encodedLen(joinMsg{Rewrites: apart[:1]}), 2+1+querySize(apart[0].Orig, "")+target; got != want {
+	if got, want := encodedLen(&joinMsg{Rewrites: apart[:1]}), 2+1+querySize(apart[0].Orig, "")+target; got != want {
 		t.Fatalf("a rewrite alone is %d bytes, want %d: an empty key, a %d-byte query and a %d-byte target",
 			got, want, querySize(apart[0].Orig, ""), target)
 	}
@@ -1155,7 +1156,7 @@ func TestJoinSizeSurvivesDecode(t *testing.T) {
 	// key (Key(q) is in the query just ahead) and one for its target.
 	text := querySize(q, "") - querySize(q, sql) + 1 // the text field, said in full
 	want := 2 + alone - 3*(text+target-2)
-	if got := encodedLen(joinMsg{Rewrites: apart[:4]}); got != want {
+	if got := encodedLen(&joinMsg{Rewrites: apart[:4]}); got != want {
 		t.Fatalf("the group of four is %d bytes, want %d: one by one its rewrites are %d, and three repeat a %d-byte text and a %d-byte target",
 			got, want, alone, text, target)
 	}
@@ -1163,8 +1164,8 @@ func TestJoinSizeSurvivesDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded := got.(joinMsg)
-	for what, msg := range map[string]joinMsg{"built apart": {Rewrites: apart}, "sharing a target": {Rewrites: shared}, "decoded": decoded} {
+	decoded := got.(*joinMsg)
+	for what, msg := range map[string]*joinMsg{"built apart": {Rewrites: apart}, "sharing a target": {Rewrites: shared}, "decoded": decoded} {
 		if MessageSize(msg) != size {
 			t.Errorf("%s: Size() = %d, the message travelled as %d bytes", what, MessageSize(msg), size)
 		}
@@ -1173,8 +1174,9 @@ func TestJoinSizeSurvivesDecode(t *testing.T) {
 			t.Errorf("%s: encodes as (%v)\n%x\nthe message travelled as\n%x", what, err, again.Bytes(), w.Bytes())
 		}
 	}
-	for i, g := range decoded.Rewrites {
-		assertRewrittenEqual(t, apart[i], g)
+	for i := range decoded.Rewrites {
+		g := &decoded.Rewrites[i]
+		assertRewrittenEqual(t, &apart[i], g)
 		if (g.rewriteTarget == decoded.Rewrites[0].rewriteTarget) != (i < 4) {
 			t.Errorf("rewrite %d: shares the first group's target: %v", i, i >= 4)
 		}
@@ -1246,7 +1248,7 @@ func TestHostileTokenFormFailsToDecode(t *testing.T) {
 // queriesOf returns the two-way queries msg carries.
 func queriesOf(msg chord.Message) []*query.Query {
 	var qs []*query.Query
-	rewrites := func(rws []*rewritten) {
+	rewrites := func(rws []rewritten) {
 		for _, rw := range rws {
 			qs = append(qs, rw.Orig)
 		}
@@ -1260,7 +1262,7 @@ func queriesOf(msg chord.Message) []*query.Query {
 		qs = append(qs, m.Queries...)
 	case snapMetaMsg:
 		qs = append(qs, m.Conds...)
-	case joinMsg:
+	case *joinMsg:
 		rewrites(m.Rewrites)
 	case baselineProbeMsg:
 		rewrites(m.Rewrites)

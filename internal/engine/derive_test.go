@@ -16,7 +16,7 @@ type joinTap struct{ msgs []chord.Message }
 
 func (tp *joinTap) Deliver(from, dst *chord.Node, msg chord.Message) bool {
 	switch msg.(type) {
-	case joinMsg, baselineProbeMsg:
+	case *joinMsg, baselineProbeMsg:
 		tp.msgs = append(tp.msgs, msg)
 	}
 	if !dst.Alive() {
@@ -36,10 +36,10 @@ func (tp *joinTap) DeliverBatch(from, dst *chord.Node, msgs []chord.Message) []b
 
 // rewritesOf returns the rewrites a tapped message carries, and where its
 // first rewrite starts in the message's encoding.
-func rewritesOf(t *testing.T, msg chord.Message) ([]*rewritten, int) {
+func rewritesOf(t *testing.T, msg chord.Message) ([]rewritten, int) {
 	t.Helper()
 	switch m := msg.(type) {
-	case joinMsg:
+	case *joinMsg:
 		return m.Rewrites, 1 + wire.SizeUvarint(uint64(len(m.Rewrites)))
 	case baselineProbeMsg:
 		return m.Rewrites, 1 + wire.SizeString(m.Input) + wire.SizeUvarint(uint64(len(m.Rewrites)))
@@ -81,7 +81,7 @@ func roundTrips(t *testing.T, catalog *relation.Catalog, msg chord.Message) {
 	sent, _ := rewritesOf(t, msg)
 	got, _ := rewritesOf(t, back)
 	for i := range sent {
-		assertRewrittenEqual(t, sent[i], got[i])
+		assertRewrittenEqual(t, &sent[i], &got[i])
 		if sent[i].Key == "" && got[i].Key != "" {
 			t.Fatalf("%T: a derived key decoded spelled, %q", msg, got[i].Key)
 		}
@@ -131,12 +131,13 @@ func TestRewritersBuildDerivableTargets(t *testing.T) {
 				sides := map[query.Side]int{}
 				for _, msg := range tap.msgs {
 					rws, _ := rewritesOf(t, msg)
-					for i, rw := range rws {
-						if i > 0 && rw.repeats(rws[i-1]) {
+					for i := range rws {
+						rw := &rws[i]
+						if i > 0 && rw.repeats(&rws[i-1]) {
 							continue
 						}
 						sides[rw.IndexSide]++
-						if key, side := firstSide(t, joinMsg{Rewrites: rws[i : i+1]}); key != "" || side != rw.IndexSide+sideDerived {
+						if key, side := firstSide(t, &joinMsg{Rewrites: rws[i : i+1]}); key != "" || side != rw.IndexSide+sideDerived {
 							t.Errorf("the rewrite leading target %v travels with key %q and side %d, want \"\" and %d",
 								rw.rewriteTarget, key, side, rw.IndexSide+sideDerived)
 						}
@@ -204,7 +205,7 @@ func TestBenchShapedJoinSize(t *testing.T) {
 	if len(tap.msgs) != 1 {
 		t.Fatalf("%d join messages, want the group's one", len(tap.msgs))
 	}
-	join := tap.msgs[0].(joinMsg)
+	join := tap.msgs[0].(*joinMsg)
 	if len(join.Rewrites) != 3 {
 		t.Fatalf("%d rewrites, want 3", len(join.Rewrites))
 	}
@@ -234,7 +235,7 @@ func hostileSides(tb testing.TB, msgs []chord.Message) map[string][]byte {
 		return w.Bytes()
 	}
 	qm, jv, ho := msgs[0].(queryMsg), msgs[4].(joinVMsg), msgs[15].(handoffMsg)
-	rw, bq, bt := msgs[3].(joinMsg).Rewrites[0], msgs[10].(baselineQueryMsg), msgs[11].(baselineTupleMsg)
+	rw, bq, bt := msgs[3].(*joinMsg).Rewrites[0], msgs[10].(baselineQueryMsg), msgs[11].(baselineTupleMsg)
 	group := ho.AL[0].Groups[0]
 	return map[string][]byte{
 		"query":          forge(qm, MessageSize(qm)-wire.SizeUvarint(uint64(qm.Replica))-1, qm.Side),
@@ -326,7 +327,7 @@ func TestUnderivableTargetFailsToDecode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("a derivable target: %v", err)
 	}
-	if rw := got.(joinMsg).Rewrites[0]; rw.WantRel != "S" || rw.WantAttr != "E" || !rw.WantValue.Equal(relation.N(3)) || rw.key() != "peer5#1+9" {
+	if rw := got.(*joinMsg).Rewrites[0]; rw.WantRel != "S" || rw.WantAttr != "E" || !rw.WantValue.Equal(relation.N(3)) || rw.key() != "peer5#1+9" {
 		t.Fatalf("derived %s.%s = %v under key %q, want S.E = 3 under peer5#1+9", rw.WantRel, rw.WantAttr, rw.WantValue, rw.key())
 	}
 	for what, data := range map[string][]byte{
@@ -335,7 +336,7 @@ func TestUnderivableTargetFailsToDecode(t *testing.T) {
 			relation.MustTuple(env.r, relation.N(1), relation.S("x"), relation.N(2))),
 	} {
 		if got, err := DecodeMessage(wire.NewReader(data), env.catalog); err == nil {
-			t.Errorf("%s: a derived side decoded to %+v", what, got.(joinMsg).Rewrites[0].rewriteTarget)
+			t.Errorf("%s: a derived side decoded to %+v", what, got.(*joinMsg).Rewrites[0].rewriteTarget)
 		}
 	}
 }

@@ -22,10 +22,11 @@ import (
 //     stored, so future tuples cannot double-report (Section 4.4.2).
 //   - DAI-T only stores the rewritten query; notifications are created when
 //     tuples arrive (Section 4.4.3).
-func (st *nodeState) handleJoin(m joinMsg) {
+func (st *nodeState) handleJoin(m *joinMsg) {
 	alg := st.engine.cfg.Algorithm
-	// A rewrite that arrives behind its query's purge is refused.
-	m.Rewrites = st.liveRewrites(m.Rewrites)
+	// A rewrite that arrives behind its query's purge is refused. The
+	// message is not written: a duplicated delivery hands it over again.
+	rws := st.liveRewrites(m.Rewrites)
 	var mbuf [matchScratch]match
 	ms := mbuf[:0]
 	work := 1
@@ -36,7 +37,7 @@ func (st *nodeState) handleJoin(m joinMsg) {
 	// shard 0 — has stored them below.
 	var scatter []chord.Deliverable
 	if hot := st.engine.hotState(); hot != nil {
-		scatter = st.hotScatterJoins(hot, m.Rewrites)
+		scatter = st.hotScatterJoins(hot, rws)
 	}
 
 	stores := alg == SAI || alg == DAIT
@@ -45,14 +46,15 @@ func (st *nodeState) handleJoin(m joinMsg) {
 	var tb *vlttBucket
 
 	st.mu.Lock()
-	for i, rw := range m.Rewrites {
+	for i := range rws {
+		rw := &rws[i]
 		// A rewriter's group shares one identifier (Section 4.3.5): look its
 		// buckets up once, again only where a message mixes targets.
-		if i == 0 || !rw.sameTarget(m.Rewrites[i-1]) {
+		if i == 0 || !rw.sameTarget(&rws[i-1]) {
 			key := appendVLInput(buf[:0], rw.WantRel, rw.WantAttr, rw.WantValue)
 			qb, tb = st.vlqt[string(key)], st.vltt[string(key)]
 			if qb == nil && stores {
-				qb = st.newVLQT(string(key), sameTargetRun(m.Rewrites[i:]))
+				qb = st.newVLQT(string(key), sameTargetRun(rws[i:]))
 			}
 		}
 

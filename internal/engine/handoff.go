@@ -241,8 +241,8 @@ func (st *nodeState) cut(inArc func(string) bool, take bool) handoffMsg {
 		rewriter += b.storedItems()
 		m.AL = append(m.AL, sec)
 	})
-	cutEach(st.vlqt, inArc, take, func(_ string, b *vlqtBucket) {
-		sec := vqSection{Input: b.input}
+	cutEach(st.vlqt, inArc, take, func(input string, b *vlqtBucket) {
+		sec := vqSection{Input: input}
 		for _, rw := range b.rewrites.all() {
 			sec.Entries = append(sec.Entries, vqEntry{Rw: rw, Times: b.rewrites.times(rw)})
 		}
@@ -257,9 +257,9 @@ func (st *nodeState) cut(inArc func(string) bool, take bool) handoffMsg {
 			SentTargets: flattenTargets(b.sentTargets),
 		})
 	})
-	cutEach(st.vltt, inArc, take, func(_ string, b *vlttBucket) {
+	cutEach(st.vltt, inArc, take, func(input string, b *vlttBucket) {
 		evaluator += b.tuples.len()
-		m.VT = append(m.VT, vtSection{Input: b.input, Tuples: append([]*relation.Tuple(nil), b.tuples.all()...)})
+		m.VT = append(m.VT, vtSection{Input: input, Tuples: append([]*relation.Tuple(nil), b.tuples.all()...)})
 	})
 	cutEach(st.vstore, inArc, take, func(_ string, b *daivBucket) {
 		sec := dvSection{Input: b.input}
@@ -332,7 +332,7 @@ func (st *nodeState) merge(on *chord.Node, m handoffMsg, replayNotifs bool) {
 		}
 	}
 	for _, sec := range m.VQ {
-		qb := st.vlqtFor(sec.Input)
+		qb := st.vlqtFor(sec.Input, len(sec.Entries))
 		for _, e := range sec.Entries {
 			if qb.rewrites.record(e.Rw, e.Times...) {
 				addedEvaluator++

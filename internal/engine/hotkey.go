@@ -212,13 +212,14 @@ const (
 )
 
 // hotJoinMsg scatters a group of rewritten queries from the base bucket to
-// shard Shard (1..K-1) of promoted input Input, under epoch Version/K.
+// shard Shard (1..K-1) of promoted input Input, under epoch Version/K. Its
+// rewrites are a run of the join's own array.
 type hotJoinMsg struct {
 	Input    string
 	Shard    int
 	Version  int
 	K        int
-	Rewrites []*rewritten
+	Rewrites []rewritten
 }
 
 func (hotJoinMsg) Kind() string { return kindHotJoin }
@@ -280,27 +281,20 @@ func (st *nodeState) countHotArrival(hot *hotTracker, input string, eventT int64
 }
 
 // hotScatterJoins runs the detector over a join batch arriving at this
-// (base) evaluator and builds the scatter frames for promoted inputs: one
-// hotJoinMsg per shard carrying the rewrites bound for that input. The
-// caller stores the rewrites locally (shard 0) and dispatches the scatter
+// (base) evaluator and builds the scatter frames for promoted inputs: per run
+// of rewrites bound for one input, one hotJoinMsg per shard carrying the run.
+// The caller stores the rewrites locally (shard 0) and dispatches the scatter
 // after releasing st.mu.
-func (st *nodeState) hotScatterJoins(hot *hotTracker, rws []*rewritten) []chord.Deliverable {
-	var order []string
-	byInput := make(map[string][]*rewritten)
-	var input string
-	for i, rw := range rws {
-		if i == 0 || !rw.sameTarget(rws[i-1]) {
-			input = vlInput(rw.WantRel, rw.WantAttr, rw.WantValue)
-		}
-		st.countHotArrival(hot, input, rw.Trigger.PubT())
-		if _, seen := byInput[input]; !seen {
-			order = append(order, input)
-		}
-		byInput[input] = append(byInput[input], rw)
-	}
+func (st *nodeState) hotScatterJoins(hot *hotTracker, rws []rewritten) []chord.Deliverable {
 	e := st.engine
 	var batch []chord.Deliverable
-	for _, input := range order {
+	for i := 0; i < len(rws); {
+		run := rws[i : i+sameTargetRun(rws[i:])]
+		i += len(run)
+		input := vlInput(run[0].WantRel, run[0].WantAttr, run[0].WantValue)
+		for j := range run {
+			st.countHotArrival(hot, input, run[j].Trigger.PubT())
+		}
 		entry := hot.lookup(input)
 		for s := 1; s < entry.k; s++ {
 			batch = append(batch, chord.Deliverable{
@@ -308,7 +302,7 @@ func (st *nodeState) hotScatterJoins(hot *hotTracker, rws []*rewritten) []chord.
 				Msg: hotJoinMsg{
 					Input: input, Shard: s,
 					Version: entry.version, K: entry.k,
-					Rewrites: byInput[input],
+					Rewrites: run,
 				},
 			})
 		}
@@ -393,7 +387,7 @@ func (st *nodeState) handleHotMigrate(m hotMigrateMsg) {
 // state of a promotion (hot-handoff): it learns the frame's epoch, merges what
 // the frame carries into the shard's bucket, and sends what the merge matched.
 // The shard-side mirror of handleJoin's and handleVLIndex's SAI arms.
-func (st *nodeState) mergeAtShard(kind, input string, shard, version, k int, rws []*rewritten, entries []vqEntry, tuples []*relation.Tuple) {
+func (st *nodeState) mergeAtShard(kind, input string, shard, version, k int, rws []rewritten, entries []vqEntry, tuples []*relation.Tuple) {
 	e := st.engine
 	hot := e.hotState()
 	if hot == nil {
@@ -423,10 +417,10 @@ func (st *nodeState) mergeAtShard(kind, input string, shard, version, k int, rws
 // present, then added tuples match the full (merged) rewrite set. A rewrite
 // or tuple already there costs the lookup that found it; dups counts such
 // tuples. It appends the matches to ms. The caller holds st.mu.
-func (st *nodeState) mergeHotBucket(key string, rws []*rewritten, entries []vqEntry, tuples []*relation.Tuple, ms []match) (added, dups, work int, _ []match) {
+func (st *nodeState) mergeHotBucket(key string, rws []rewritten, entries []vqEntry, tuples []*relation.Tuple, ms []match) (added, dups, work int, _ []match) {
 	qb, tb := st.vlqt[key], st.vltt[key]
 	if len(rws)+len(entries) > 0 {
-		qb = st.vlqtFor(key)
+		qb = st.vlqtFor(key, len(rws)+len(entries))
 	}
 	storeRewrite := func(rw *rewritten, times ...int64) {
 		if !qb.rewrites.record(rw, times...) {
@@ -444,8 +438,8 @@ func (st *nodeState) mergeHotBucket(key string, rws []*rewritten, entries []vqEn
 			}
 		}
 	}
-	for _, rw := range rws {
-		storeRewrite(rw, rw.Trigger.PubT())
+	for i := range rws {
+		storeRewrite(&rws[i], rws[i].Trigger.PubT())
 	}
 	for _, e := range entries {
 		storeRewrite(e.Rw, e.Times...)

@@ -198,9 +198,9 @@ func (rw *rewritten) sameTarget(o *rewritten) bool {
 
 // sameTargetRun counts the rewrites at the head of rws that wait where the
 // first does.
-func sameTargetRun(rws []*rewritten) int {
+func sameTargetRun(rws []rewritten) int {
 	n := 1
-	for n < len(rws) && rws[n].sameTarget(rws[n-1]) {
+	for n < len(rws) && rws[n].sameTarget(&rws[n-1]) {
 		n++
 	}
 	return n
@@ -208,12 +208,14 @@ func sameTargetRun(rws []*rewritten) int {
 
 // joinMsg reindexes one or more rewritten queries that share the same
 // evaluator — the join(q') message of Section 4.3.2, grouped per
-// Section 4.3.5 so similar queries travel in one message.
+// Section 4.3.5 so similar queries travel in one message. It travels as a
+// pointer, and its rewrites are one array: a rewriter's group, or a decoded
+// join, beside the target they share. An evaluator stores &Rewrites[i].
 type joinMsg struct {
-	Rewrites []*rewritten
+	Rewrites []rewritten
 }
 
-func (joinMsg) Kind() string { return kindJoin }
+func (*joinMsg) Kind() string { return kindJoin }
 
 // joinVMsg is DAI-V's join(q', t') message (Section 4.5): the projection
 // Trigger of the triggering tuple plus the group of queries (equal join

@@ -226,8 +226,8 @@ func (st *nodeState) rewriteGroup(b *alBucket, g *queryGroup, triggered []*query
 	storesRewrites := st.engine.cfg.Algorithm == SAI || st.engine.cfg.Algorithm == DAIT
 
 	var projects *relation.Schema // the last shape the trigger was found to have
-	rws := make([]*rewritten, 0, len(triggered))
-	rwBuf := make([]rewritten, 0, len(triggered)) // one allocation for the group, which is stored together
+	// One array for the group, which is stored together.
+	m := &joinMsg{Rewrites: make([]rewritten, 0, len(triggered))}
 	for _, q := range triggered {
 		if shape := q.Projection(g.side); shape != projects {
 			if !wire.Projects(t, shape) {
@@ -254,13 +254,12 @@ func (st *nodeState) rewriteGroup(b *alBucket, g *queryGroup, triggered []*query
 			}
 			b.sentRewrites[key] = true
 		}
-		rwBuf = append(rwBuf, rewritten{Orig: q, rewriteTarget: tgt})
-		rws = append(rws, &rwBuf[len(rwBuf)-1])
+		m.Rewrites = append(m.Rewrites, rewritten{Orig: q, rewriteTarget: tgt})
 	}
-	if len(rws) == 0 {
+	if len(m.Rewrites) == 0 {
 		return outbound{}, false
 	}
-	return outbound{input: target, msg: joinMsg{Rewrites: rws}}, true
+	return outbound{input: target, msg: m}, true
 }
 
 // rewriteGroupV rewrites one triggered group for DAI-V (Section 4.5): the

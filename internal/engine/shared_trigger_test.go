@@ -72,7 +72,7 @@ func TestSharedTriggerGroup(t *testing.T) {
 		t.Fatal(err)
 	}
 	byTarget := make(map[*rewriteTarget][]string)
-	for _, rw := range back.(joinMsg).Rewrites {
+	for _, rw := range back.(*joinMsg).Rewrites {
 		if rw.Trigger.Schema() != rw.Orig.Projection(query.SideLeft) {
 			t.Fatalf("%s's decoded trigger has schema %s, want its projection %s", rw.Orig.Key(), rw.Trigger.Schema(), rw.Orig.Projection(query.SideLeft))
 		}
@@ -151,7 +151,7 @@ func TestTwoShapeJoinRoundTrips(t *testing.T) {
 	if len(tap.msgs) != 1 {
 		t.Fatalf("%d join messages, want the group's one", len(tap.msgs))
 	}
-	sent := tap.msgs[0].(joinMsg)
+	sent := tap.msgs[0].(*joinMsg)
 	for _, rw := range sent.Rewrites {
 		if rw.rewriteTarget != sent.Rewrites[0].rewriteTarget {
 			t.Fatal("a group's rewrites do not share one target")
@@ -166,8 +166,9 @@ func TestTwoShapeJoinRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	targets := map[*rewriteTarget]bool{}
-	for i, rw := range back.(joinMsg).Rewrites {
-		assertRewrittenEqual(t, sent.Rewrites[i], rw)
+	for i := range back.(*joinMsg).Rewrites {
+		rw := &back.(*joinMsg).Rewrites[i]
+		assertRewrittenEqual(t, &sent.Rewrites[i], rw)
 		if rw.Trigger.Schema() != rw.Orig.Projection(query.SideLeft) {
 			t.Fatalf("rewrite %d's trigger decoded as %s, want its query's %s", i, rw.Trigger.Schema(), rw.Orig.Projection(query.SideLeft))
 		}

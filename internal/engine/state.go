@@ -269,25 +269,40 @@ type queryGroup struct {
 // vlqtBucket is the slice of the value-level query table reached through
 // one value-level identifier Hash(R+A+v): the rewritten queries waiting for
 // tuples whose attribute A equals v. The second level is keyed by rewritten
-// key so duplicates only add trigger times (Section 4.3.3).
+// key so duplicates only add trigger times (Section 4.3.3). Its input is the
+// key the table holds it under. A bucket is one allocation while its table
+// fits inline, where its items start: a copy would share the original's
+// entries, so noCopy has go vet's copylocks check refuse one.
 type vlqtBucket struct {
-	input    string
+	noCopy   noCopy
 	rewrites rewriteTable
+	inline   [vlqtInline]*rewritten
 }
 
-// vlqtFor returns the VLQT bucket of input, creating it when absent. The
-// caller holds st.mu.
-func (st *nodeState) vlqtFor(input string) *vlqtBucket {
+// vlqtInline is how many rewrites a VLQT bucket holds inside itself: at the
+// end of a run, 78.6 % of sim-steady's buckets and 82.0 % of sim-subchurn's
+// hold at most 3, as do 20.6 % of tcp-steady's and none of tcp-hot's. A
+// bucket of 3 fills the 64-byte size class; one of 4 would take 80 bytes.
+const vlqtInline = 3
+
+// vlqtFor returns the VLQT bucket of input, creating it with room for the n
+// rewrites about to be merged into it when absent. The caller holds st.mu.
+func (st *nodeState) vlqtFor(input string, n int) *vlqtBucket {
 	if qb := st.vlqt[input]; qb != nil {
 		return qb
 	}
-	return st.newVLQT(input, 0)
+	return st.newVLQT(input, n)
 }
 
 // newVLQT creates input's VLQT bucket with room for the n rewrites of the
-// group that creates it. The caller holds st.mu.
+// group that creates it: inside itself up to vlqtInline, else in an array of
+// n. The caller holds st.mu.
 func (st *nodeState) newVLQT(input string, n int) *vlqtBucket {
-	qb := &vlqtBucket{input: input, rewrites: rewriteTable{items: make([]*rewritten, 0, n)}}
+	qb := new(vlqtBucket)
+	qb.rewrites.items = qb.inline[:0]
+	if n > vlqtInline {
+		qb.rewrites.items = make([]*rewritten, 0, n)
+	}
 	st.vlqt[input] = qb
 	return qb
 }
@@ -296,22 +311,38 @@ func (st *nodeState) newVLQT(input string, n int) *vlqtBucket {
 // one value-level identifier: the tuples stored under attribute A = v,
 // awaiting future rewritten queries (Section 4.3.4). The set is unique by
 // content so a duplicated vl-index delivery is absorbed instead of stored
-// twice.
+// twice. Like a vlqtBucket, it is keyed by its input, holds its first
+// tuples inline and must not be copied (noCopy).
 type vlttBucket struct {
-	input  string
+	noCopy noCopy
 	tuples tupleSet
+	inline [vlttInline]*relation.Tuple
 }
+
+// vlttInline is how many tuples a VLTT bucket holds inside itself: at the
+// end of a run, 96.5 % of sim-steady's and sim-subchurn's buckets hold at
+// most 2, as do 62.0 % of tcp-steady's and 68.3 % of tcp-hot's. A bucket of
+// 2 fills the 48-byte size class.
+const vlttInline = 2
 
 // vlttFor returns the VLTT bucket of input, creating it when absent. The
 // caller holds st.mu.
 func (st *nodeState) vlttFor(input string) *vlttBucket {
 	tb := st.vltt[input]
 	if tb == nil {
-		tb = &vlttBucket{input: input}
+		tb = new(vlttBucket)
+		tb.tuples.items = tb.inline[:0]
 		st.vltt[input] = tb
 	}
 	return tb
 }
+
+// noCopy is a zero-size marker for a struct that points into itself: go
+// vet's copylocks check reports a copy of any value holding one.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
 
 // daivBucket is DAI-V's value store reached through Hash(valJC): projected
 // tuples of both relations grouped by join condition, each side unique by
@@ -369,7 +400,7 @@ func (st *nodeState) HandleMessage(on *chord.Node, msg chord.Message) {
 		st.handleALIndex(m.alIndexMsg, m)
 	case *vlIndexMsg:
 		st.handleVLIndex(m)
-	case joinMsg:
+	case *joinMsg:
 		st.handleJoin(m)
 	case joinVMsg:
 		st.handleJoinV(m)
@@ -388,13 +419,13 @@ func (st *nodeState) HandleMessage(on *chord.Node, msg chord.Message) {
 		st.handleBaselineTuple(m)
 	case baselineProbeMsg:
 		st.handleBaselineProbe(m)
-	case unsubMsg:
+	case *unsubMsg:
 		st.handleUnsub(m)
 	case interestMsg:
 		st.handleInterest(m)
 	case revokeMsg:
 		st.handleRevoke(m)
-	case purgeMsg:
+	case *purgeMsg:
 		st.handlePurge(m)
 	case mQueryMsg:
 		st.handleMQueryIndex(m)

@@ -286,3 +286,58 @@ func TestTableIndexHysteresis(t *testing.T) {
 		t.Fatalf("index kept at %d tuples", s.len())
 	}
 }
+
+// A value-level bucket that outgrows the entries it holds inside itself, and
+// is then purged and evicted back below them, matches and counts as a bucket
+// that kept its entries apart from the start: the notifications of every step
+// and the census after it are the figures the layout before inline entries
+// gave.
+func TestBucketOutgrowsItsInlineEntries(t *testing.T) {
+	if vlqtInline >= 8 || vlttInline >= 4 {
+		t.Fatal("the case no longer outgrows the buckets' inline entries")
+	}
+	const window = 1000
+	env := newTestEnv(t, 32, Config{Algorithm: SAI, Strategy: StrategyLeft, Seed: 1, Window: window})
+	const sql = `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`
+	var qs []*query.Query
+	subscribe := func(n int) {
+		for i := 0; i < n; i++ {
+			qs = append(qs, env.subscribe(t, len(qs), sql))
+		}
+	}
+	step := func(what string, notifs, rewrites, tuples int) {
+		t.Helper()
+		c := env.eng.Census()
+		if got := env.eng.NotificationCount(); got != notifs ||
+			c["vlqt_rewrites"].Sum != rewrites || c["vltt_tuples"].Sum != tuples ||
+			c["vlqt_buckets"].Sum != 1 || c["vltt_buckets"].Sum != 1 {
+			t.Fatalf("%s: %d notifications, census %v; want %d notifications, %d rewrites and %d tuples in one bucket each",
+				what, got, c, notifs, rewrites, tuples)
+		}
+	}
+	subscribe(2)
+	env.publish(t, 1, rTuple(env, 1, 7, 0))
+	env.publish(t, 2, sTuple(env, 10, 7, 0))
+	env.publish(t, 3, sTuple(env, 11, 7, 0))
+	step("inline", 4, 2, 2)
+
+	subscribe(4)
+	env.publish(t, 4, rTuple(env, 2, 7, 0))
+	env.publish(t, 5, sTuple(env, 12, 7, 0))
+	s13 := env.publish(t, 6, sTuple(env, 13, 7, 0))
+	step("outgrown", 24, 8, 4)
+
+	for _, q := range qs[1:] {
+		if err := env.eng.Unsubscribe(env.node(0), q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clock := env.net.Clock()
+	clock.Advance(s13.PubT() + window - clock.Now()) // the window keeps s13 alone
+	env.eng.EvictExpired()
+	step("purged and evicted", 24, 2, 1)
+
+	env.publish(t, 7, sTuple(env, 14, 7, 0))
+	env.publish(t, 8, rTuple(env, 3, 7, 0))
+	step("below again", 28, 3, 2)
+}

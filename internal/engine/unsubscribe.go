@@ -26,22 +26,25 @@ import (
 // retraction of Key(q) remembers the key and refuses whatever arrives under it
 // afterwards (retract). Keys never recur: no live query is ever refused.
 
-// unsubMsg retracts one query at an attribute-level rewriter.
+// unsubMsg retracts one query at an attribute-level rewriter. It travels as
+// a pointer: a retraction's messages are one array (retractQuery).
 type unsubMsg struct {
 	QueryKey string
 	Cond     string
 	Input    string // the rewriter's ALQT bucket key
 }
 
-func (unsubMsg) Kind() string { return kindUnsub }
+func (*unsubMsg) Kind() string { return kindUnsub }
 
 // purgeMsg removes one query's stored rewrites at a value-level evaluator.
+// It travels as a pointer: a rewriter's purges, and an evaluator's cascade,
+// are one array (purges).
 type purgeMsg struct {
 	QueryKey string
 	Input    string // the evaluator's VLQT bucket key
 }
 
-func (purgeMsg) Kind() string { return kindUnsub }
+func (*purgeMsg) Kind() string { return kindUnsub }
 
 // Unsubscribe retracts a continuous query previously returned by
 // Subscribe. After it returns, future tuple insertions can no longer
@@ -68,12 +71,11 @@ func (e *Engine) retractQuery(from *chord.Node, key, cond string) error {
 	if !ok {
 		return fmt.Errorf("engine: unknown or already retracted query %s", key)
 	}
-	batch := make([]chord.Deliverable, 0, len(inputs))
-	for _, input := range inputs {
-		batch = append(batch, chord.Deliverable{
-			Target: id.Hash(input),
-			Msg:    unsubMsg{QueryKey: key, Cond: cond, Input: input},
-		})
+	msgs := make([]unsubMsg, len(inputs))
+	batch := make([]chord.Deliverable, len(inputs))
+	for i, input := range inputs {
+		msgs[i] = unsubMsg{QueryKey: key, Cond: cond, Input: input}
+		batch[i] = chord.Deliverable{Target: id.Hash(input), Msg: &msgs[i]}
 	}
 	return e.dispatch(from, batch)
 }
@@ -98,8 +100,8 @@ func (e *Engine) UnsubscribeMulti(from *chord.Node, mq *query.MultiQuery) error 
 // handleUnsub removes the query from this rewriter's ALQT — two-way groups
 // and multi-way chain groups alike — and purges its stored rewrites from
 // every evaluator this rewriter fanned out to.
-func (st *nodeState) handleUnsub(m unsubMsg) {
-	var targets []string
+func (st *nodeState) handleUnsub(m *unsubMsg) {
+	var purges []purgeMsg
 	removed := 0
 
 	st.mu.Lock()
@@ -118,8 +120,11 @@ func (st *nodeState) handleUnsub(m unsubMsg) {
 				b.multi.drop(m.Cond)
 			}
 		}
-		for input := range b.sentTargets[m.QueryKey] {
-			targets = append(targets, input)
+		if targets := b.sentTargets[m.QueryKey]; len(targets) > 0 {
+			purges = make([]purgeMsg, 0, len(targets))
+			for input := range targets {
+				purges = append(purges, purgeMsg{QueryKey: m.QueryKey, Input: input})
+			}
 		}
 		delete(b.sentTargets, m.QueryKey)
 		// Forget the reindex-once markers so a re-subscription of the same
@@ -137,31 +142,32 @@ func (st *nodeState) handleUnsub(m unsubMsg) {
 	if removed > 0 {
 		st.load.AddStorage(metrics.Rewriter, -removed)
 	}
-	if len(targets) == 0 {
+	if len(purges) == 0 {
 		return
 	}
-	e := st.engine
-	hot := e.hotState()
-	batch := make([]chord.Deliverable, 0, len(targets))
-	for _, input := range targets {
-		batch = append(batch, chord.Deliverable{
-			Target: e.hashInput(input),
-			Msg:    purgeMsg{QueryKey: m.QueryKey, Input: input},
-		})
-		if hot == nil {
-			continue
-		}
+	if hot := st.engine.hotState(); hot != nil {
 		// A promoted target holds rewrite copies at every shard bucket; the
 		// purge fans out to them too (DESIGN.md §13).
-		for s, k := 1, hot.lookup(input).k; s < k; s++ {
-			shard := hotShardInput(input, s)
-			batch = append(batch, chord.Deliverable{
-				Target: e.hashInput(shard),
-				Msg:    purgeMsg{QueryKey: m.QueryKey, Input: shard},
-			})
+		var all []purgeMsg
+		for _, p := range purges {
+			all = append(all, p)
+			for s, k := 1, hot.lookup(p.Input).k; s < k; s++ {
+				all = append(all, purgeMsg{QueryKey: m.QueryKey, Input: hotShardInput(p.Input, s)})
+			}
 		}
+		purges = all
 	}
-	st.sendPurges(batch)
+	st.sendPurges(st.engine.purges(purges))
+}
+
+// purges addresses a retraction's purges, one array of messages, in one
+// batch.
+func (e *Engine) purges(msgs []purgeMsg) []chord.Deliverable {
+	batch := make([]chord.Deliverable, len(msgs))
+	for i := range msgs {
+		batch[i] = chord.Deliverable{Target: e.hashInput(msgs[i].Input), Msg: &msgs[i]}
+	}
+	return batch
 }
 
 // sendPurges sends a retraction's purges. With the JFRT on (Section 4.7.1) a
@@ -174,7 +180,7 @@ func (st *nodeState) sendPurges(batch []chord.Deliverable) {
 		walk := batch[:0]
 		var failed []chord.Deliverable
 		for _, d := range batch {
-			input := d.Msg.(purgeMsg).Input
+			input := d.Msg.(*purgeMsg).Input
 			dst, ok := st.jfrt.lookup(input)
 			if !ok {
 				walk = append(walk, d)
@@ -208,10 +214,10 @@ func removeKey[T interface{ Key() string }](items *[]T, key string) int {
 // already forwarded live at later pipeline stages, so the purge follows
 // the recorded fan-out targets. The cascade terminates because each visit
 // consumes its target record — a revisited bucket fans out nothing.
-func (st *nodeState) handlePurge(m purgeMsg) {
+func (st *nodeState) handlePurge(m *purgeMsg) {
 	removed := 0
 	prefix := []byte(m.QueryKey + "+")
-	var cascade []string
+	var cascade []purgeMsg
 
 	st.mu.Lock()
 	st.retract(m.QueryKey)
@@ -234,8 +240,11 @@ func (st *nodeState) handlePurge(m purgeMsg) {
 			kept = append(kept, rw)
 		}
 		mb.rewrites = kept
-		for input := range mb.sentTargets[m.QueryKey] {
-			cascade = append(cascade, input)
+		if targets := mb.sentTargets[m.QueryKey]; len(targets) > 0 {
+			cascade = make([]purgeMsg, 0, len(targets))
+			for input := range targets {
+				cascade = append(cascade, purgeMsg{QueryKey: m.QueryKey, Input: input})
+			}
 		}
 		delete(mb.sentTargets, m.QueryKey)
 		if len(mb.rewrites) == 0 && len(mb.sentTargets) == 0 {
@@ -248,18 +257,9 @@ func (st *nodeState) handlePurge(m purgeMsg) {
 	if removed > 0 {
 		st.load.AddStorage(metrics.Evaluator, -removed)
 	}
-	if len(cascade) == 0 {
-		return
+	if len(cascade) > 0 {
+		_ = st.engine.dispatch(st.node, st.engine.purges(cascade))
 	}
-	e := st.engine
-	batch := make([]chord.Deliverable, 0, len(cascade))
-	for _, input := range cascade {
-		batch = append(batch, chord.Deliverable{
-			Target: e.hashInput(input),
-			Msg:    purgeMsg{QueryKey: m.QueryKey, Input: input},
-		})
-	}
-	_ = e.dispatch(st.node, batch)
 }
 
 // retractedMax bounds a node's retraction memory as idCache is bounded: full,
@@ -281,12 +281,12 @@ func (st *nodeState) isRetracted(key string) bool {
 	return ok
 }
 
-// liveRewrites returns rws, less those of queries retracted here: the same
-// slice unless one is.
-func (st *nodeState) liveRewrites(rws []*rewritten) []*rewritten {
+// liveRewrites returns rws, less those of queries retracted here: rws itself
+// when none is, else a copy.
+func (st *nodeState) liveRewrites(rws []rewritten) []rewritten {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	dead := func(rw *rewritten) bool { return st.isRetracted(rw.Orig.Key()) }
+	dead := func(rw rewritten) bool { return st.isRetracted(rw.Orig.Key()) }
 	if len(st.retracted) == 0 || !slices.ContainsFunc(rws, dead) {
 		return rws
 	}

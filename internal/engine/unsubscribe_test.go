@@ -236,8 +236,8 @@ func TestLostPurgeIsRetried(t *testing.T) {
 		if _, _, rewrites := ringHolds(env); rewrites != 6 {
 			t.Fatalf("JFRT %v: set-up stored %d rewrites, want 6", jfrt, rewrites)
 		}
-		drop := &parkKind{kind: purgeMsg{}.Kind(), armed: 1, only: func(m chord.Message) bool {
-			_, purge := m.(purgeMsg)
+		drop := &parkKind{kind: (*purgeMsg)(nil).Kind(), armed: 1, only: func(m chord.Message) bool {
+			_, purge := m.(*purgeMsg)
 			return purge
 		}}
 		env.net.SetInterceptor(drop)
@@ -251,7 +251,7 @@ func TestLostPurgeIsRetried(t *testing.T) {
 		if _, _, rewrites := ringHolds(env); rewrites != 0 || traffic.TotalLost() != 0 {
 			t.Fatalf("JFRT %v: %d rewrites still stored behind a dropped purge, %d messages booked lost", jfrt, rewrites, traffic.TotalLost())
 		}
-		if traffic.Retries(purgeMsg{}.Kind()) == 0 {
+		if traffic.Retries((*purgeMsg)(nil).Kind()) == 0 {
 			t.Fatalf("JFRT %v: the dropped purge was never re-sent", jfrt)
 		}
 	}
@@ -289,7 +289,7 @@ func TestJFRTPurgesGoStraightToTheirEvaluators(t *testing.T) {
 		// The retraction waits at its rewriter, so what its purges cost is
 		// counted alone.
 		park := &parkKind{kind: kindUnsub, armed: 1 << 10, only: func(m chord.Message) bool {
-			_, retraction := m.(unsubMsg)
+			_, retraction := m.(*unsubMsg)
 			return retraction
 		}}
 		env.net.SetInterceptor(park)
