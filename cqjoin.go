@@ -54,11 +54,9 @@ type (
 	Value = relation.Value
 	// ValueKind is the runtime type of a Value.
 	ValueKind = relation.Kind
-	// Query is a parsed continuous two-way equi-join query.
+	// Query is a parsed continuous equi-join query: two relations, or a
+	// chain of more (the Chapter 7 extension).
 	Query = query.Query
-	// MultiQuery is a parsed continuous multi-way chain equi-join query
-	// (the Chapter 7 extension).
-	MultiQuery = query.MultiQuery
 	// Notification is a query answer delivered to a subscriber.
 	Notification = engine.Notification
 	// Algorithm selects the query-processing protocol.
@@ -169,9 +167,7 @@ type Config struct {
 // the interface keeps this package free of a durable dependency.
 type Durability interface {
 	Subscribe(from *chord.Node, q *query.Query) (*query.Query, error)
-	SubscribeMulti(from *chord.Node, mq *query.MultiQuery) (*query.MultiQuery, error)
 	Unsubscribe(from *chord.Node, q *query.Query) error
-	UnsubscribeMulti(from *chord.Node, mq *query.MultiQuery) error
 	Publish(from *chord.Node, t *relation.Tuple) (*relation.Tuple, error)
 }
 
@@ -326,7 +322,9 @@ func (p *Node) Fail() { p.c.net.Fail(p.n) }
 
 // Subscribe parses and indexes a continuous query posed by this peer. The
 // returned query carries its unique key; notifications for it reference
-// that key.
+// that key. A chain of more than two relations (joined along a chain of
+// equalities) needs an algorithm that stores tuples at the value level
+// (SAI or DAIQ).
 func (p *Node) Subscribe(sql string) (*Query, error) {
 	q, err := query.Parse(p.c.catalog, sql)
 	if err != nil {
@@ -338,39 +336,15 @@ func (p *Node) Subscribe(sql string) (*Query, error) {
 	return p.c.eng.Subscribe(p.n, q)
 }
 
-// SubscribeMulti parses and indexes a continuous multi-way chain join
-// (k >= 2 relations joined along a chain of equalities). The cluster must
-// run an algorithm that stores tuples at the value level (SAI or DAIQ).
-func (p *Node) SubscribeMulti(sql string) (*MultiQuery, error) {
-	mq, err := query.ParseMulti(p.c.catalog, sql)
-	if err != nil {
-		return nil, err
-	}
-	if d := p.c.durable; d != nil {
-		return d.SubscribeMulti(p.n, mq)
-	}
-	return p.c.eng.SubscribeMulti(p.n, mq)
-}
-
 // Unsubscribe retracts a continuous query previously returned by this
 // peer's Subscribe: the query is removed from its rewriters and its stored
-// rewrites are purged from the evaluators, so future tuples no longer
-// trigger it.
+// rewrites, or a chain's partial matches at every pipeline stage, are purged
+// from the evaluators, so future tuples no longer trigger it.
 func (p *Node) Unsubscribe(q *Query) error {
 	if d := p.c.durable; d != nil {
 		return d.Unsubscribe(p.n, q)
 	}
 	return p.c.eng.Unsubscribe(p.n, q)
-}
-
-// UnsubscribeMulti retracts a continuous multi-way chain join previously
-// returned by this peer's SubscribeMulti: the chain is removed from its
-// rewriters and its partial matches are purged from every pipeline stage.
-func (p *Node) UnsubscribeMulti(mq *MultiQuery) error {
-	if d := p.c.durable; d != nil {
-		return d.UnsubscribeMulti(p.n, mq)
-	}
-	return p.c.eng.UnsubscribeMulti(p.n, mq)
 }
 
 // Publish inserts a tuple given as Go values (string or numeric); see

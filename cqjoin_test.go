@@ -161,10 +161,10 @@ func TestSubscribeMultiThroughPublicAPI(t *testing.T) {
 		cqjoin.MustSchema("C", "x", "y"),
 	)
 	cluster, _ := cqjoin.NewCluster(cqjoin.Config{Nodes: 64, Catalog: catalog})
-	mq, err := cluster.Node(0).SubscribeMulti(`
+	mq, err := cluster.Node(0).Subscribe(`
 		SELECT A.y, C.y FROM A, B, C WHERE A.x = B.y AND B.x = C.y`)
 	if err != nil {
-		t.Fatalf("SubscribeMulti: %v", err)
+		t.Fatalf("Subscribe: %v", err)
 	}
 	if mq.Arity() != 3 {
 		t.Fatalf("arity = %d", mq.Arity())
@@ -177,7 +177,7 @@ func TestSubscribeMultiThroughPublicAPI(t *testing.T) {
 	}
 	// Multi-way needs tuple storage: DAIT cluster must reject it.
 	daitCluster, _ := cqjoin.NewCluster(cqjoin.Config{Nodes: 16, Catalog: catalog, Algorithm: cqjoin.DAIT})
-	if _, err := daitCluster.Node(0).SubscribeMulti(`SELECT A.y FROM A, B WHERE A.x = B.y`); err == nil {
+	if _, err := daitCluster.Node(0).Subscribe(`SELECT A.y FROM A, B, C WHERE A.x = B.y AND B.x = C.y`); err == nil {
 		t.Fatal("DAIT accepted a multi-way query")
 	}
 }

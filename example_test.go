@@ -67,16 +67,16 @@ func ExampleNode_Subscribe() {
 	// P2P Joins @ ICDE
 }
 
-// A multi-way chain join correlates three asynchronous streams; tuples may
-// arrive in any order.
-func ExampleNode_SubscribeMulti() {
+// Subscribe takes a multi-way chain join too: here three asynchronous
+// streams, correlated whatever order their tuples arrive in.
+func ExampleNode_Subscribe_chain() {
 	catalog := cqjoin.MustCatalog(
 		cqjoin.MustSchema("Orders", "OrderId", "Customer"),
 		cqjoin.MustSchema("Shipments", "OrderId", "Container"),
 		cqjoin.MustSchema("Clearances", "Container", "Port"),
 	)
 	cluster, _ := cqjoin.NewCluster(cqjoin.Config{Nodes: 64, Catalog: catalog, Seed: 1})
-	cluster.Node(0).SubscribeMulti(`
+	cluster.Node(0).Subscribe(`
 		SELECT O.Customer, C.Port
 		FROM Orders AS O, Shipments AS S, Clearances AS C
 		WHERE O.OrderId = S.OrderId AND S.Container = C.Container`)

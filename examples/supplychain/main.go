@@ -1,8 +1,9 @@
 // Supply-chain scenario exercising the multi-way extension: a continuous
 // three-way chain join correlating orders, shipments and customs
-// clearances, which arrive asynchronously from different parties. The
-// pipeline generalization of SAI indexes the chain at one endpoint and
-// forwards partial matches along the value level. Run with:
+// clearances, which arrive asynchronously from different parties. It is
+// subscribed like any two-way query; the pipeline generalization of SAI
+// indexes the chain at one endpoint and forwards partial matches along the
+// value level. Run with:
 //
 //	go run ./examples/supplychain
 package main
@@ -34,7 +35,7 @@ func main() {
 	})
 
 	tracker := cluster.Node(0)
-	mq, err := tracker.SubscribeMulti(`
+	mq, err := tracker.Subscribe(`
 		SELECT O.Customer, S.Container, C.Port
 		FROM Orders AS O, Shipments AS S, Clearances AS C
 		WHERE O.OrderId = S.OrderId AND S.Container = C.Container`)
@@ -60,7 +61,7 @@ func main() {
 	fmt.Printf("traffic:\n%s\n", cluster.Traffic())
 }
 
-func pipeline(mq *cqjoin.MultiQuery) string {
+func pipeline(mq *cqjoin.Query) string {
 	out := ""
 	for i, r := range mq.Rels() {
 		if i > 0 {

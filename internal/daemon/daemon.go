@@ -106,13 +106,11 @@ type Server struct {
 	closed bool
 }
 
-// queryRef remembers who subscribed and which kind of query it was, so
-// "unsubscribe" can route to Unsubscribe or UnsubscribeMulti. Exactly one
-// of q and mq is non-nil.
+// queryRef remembers who subscribed which query, so "unsubscribe" can
+// retract it.
 type queryRef struct {
 	nodeKey string
 	q       *cqjoin.Query
-	mq      *cqjoin.MultiQuery
 }
 
 // serverMetrics is the client-socket side of the daemon as stats reports it.
@@ -778,7 +776,7 @@ func (s *Server) dispatch(req *request, lst *listener) []byte {
 		return lst.encode(map[string]interface{}{"ok": false, "error": err.Error()})
 	}
 	switch req.Op {
-	case "subscribe":
+	case "subscribe", "subscribe-multi": // older clients send the second for a chain
 		node, err := s.localNode(req.Node)
 		if err != nil {
 			return fail(err)
@@ -791,19 +789,6 @@ func (s *Server) dispatch(req *request, lst *listener) []byte {
 		s.queries[q.Key()] = queryRef{nodeKey: node.Key(), q: q}
 		s.mu.Unlock()
 		return appendKeyAck(lst.out[:0], q.Key())
-	case "subscribe-multi":
-		node, err := s.localNode(req.Node)
-		if err != nil {
-			return fail(err)
-		}
-		mq, err := node.SubscribeMulti(req.SQL)
-		if err != nil {
-			return fail(err)
-		}
-		s.mu.Lock()
-		s.queries[mq.Key()] = queryRef{nodeKey: node.Key(), mq: mq}
-		s.mu.Unlock()
-		return appendKeyAck(lst.out[:0], mq.Key())
 	case "unsubscribe":
 		s.mu.Lock()
 		ref, ok := s.queries[req.Key]
@@ -816,13 +801,7 @@ func (s *Server) dispatch(req *request, lst *listener) []byte {
 		if node == nil {
 			return fail(fmt.Errorf("subscriber %s is offline", ref.nodeKey))
 		}
-		var err error
-		if ref.mq != nil {
-			err = node.UnsubscribeMulti(ref.mq)
-		} else {
-			err = node.Unsubscribe(ref.q)
-		}
-		if err != nil {
+		if err := node.Unsubscribe(ref.q); err != nil {
 			return fail(err)
 		}
 		return appendOKAck(lst.out[:0])

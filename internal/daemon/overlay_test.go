@@ -46,6 +46,40 @@ func TestDaemonMultiUnsubscribe(t *testing.T) {
 	}
 }
 
+// TestDaemonSubscribeTakesAChain: "subscribe" takes a chain of any arity,
+// the same as "subscribe-multi", and "unsubscribe" retracts it.
+func TestDaemonSubscribeTakesAChain(t *testing.T) {
+	cfg := defaultConfig()
+	cfg.SchemaDSL = "A(x,y);B(x,y);C(x,y)"
+	_, conn := startServer(t, cfg)
+	c := newClient(t, conn)
+
+	resp := c.call(map[string]interface{}{
+		"op": "subscribe", "node": 0,
+		"sql": `SELECT A.y, C.y FROM A, B, C WHERE A.x = B.y AND B.x = C.y`,
+	})
+	key, _ := resp["key"].(string)
+	if resp["ok"] != true || key == "" {
+		t.Fatalf("subscribe of a chain: %v", resp)
+	}
+	publishChain := func(y float64) {
+		c.call(map[string]interface{}{"op": "publish", "node": 1, "relation": "A", "values": []interface{}{1, y}})
+		c.call(map[string]interface{}{"op": "publish", "node": 2, "relation": "B", "values": []interface{}{2, 1}})
+		c.call(map[string]interface{}{"op": "publish", "node": 3, "relation": "C", "values": []interface{}{0, 2}})
+	}
+	publishChain(10)
+	if stats := c.call(map[string]interface{}{"op": "stats"}); stats["notifications"].(float64) != 1 {
+		t.Fatalf("the chain did not complete: %v", stats)
+	}
+	if resp := c.call(map[string]interface{}{"op": "unsubscribe", "key": key}); resp["ok"] != true {
+		t.Fatalf("unsubscribe of a chain: %v", resp)
+	}
+	publishChain(11)
+	if stats := c.call(map[string]interface{}{"op": "stats"}); stats["notifications"].(float64) != 1 {
+		t.Fatalf("the retracted chain still notified: %v", stats)
+	}
+}
+
 // TestDaemonNodeOutOfRange is the regression test for req.Node reaching
 // the cluster unvalidated: out-of-range ids used to wrap modulo the
 // overlay size and silently act on some other node.

@@ -26,10 +26,11 @@ const (
 	tagView
 )
 
-// subscribeRec logs one completed Subscribe/SubscribeMulti: the client
-// node, the (oriented, for multi-way) query text, and the key the engine
-// assigned — replay re-derives the key from the restored sequence
-// counters and asserts it matches.
+// subscribeRec logs one completed Subscribe: the client node, the query
+// text, and the key the engine assigned — replay re-derives the key from the
+// restored sequence counters and asserts it matches. Multi says the query
+// joins more than two relations; replay reads the arity off the text.
+// Earlier builds set it for a chain of two as well.
 type subscribeRec struct {
 	Node  string
 	SQL   string
@@ -37,7 +38,7 @@ type subscribeRec struct {
 	Multi bool
 }
 
-// unsubscribeRec logs one completed Unsubscribe/UnsubscribeMulti.
+// unsubscribeRec logs one completed Unsubscribe; Multi as subscribeRec's.
 type unsubscribeRec struct {
 	Node  string
 	SQL   string

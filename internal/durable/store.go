@@ -280,52 +280,28 @@ func (s *Store) applyRecord(rec any, info *RecoveryInfo) error {
 		if err != nil {
 			return err
 		}
-		var key string
-		if m.Multi {
-			mq, err := query.ParseMulti(s.catalog, m.SQL)
-			if err != nil {
-				return fmt.Errorf("durable: replay subscribe %q: %w", m.SQL, err)
-			}
-			res, err := s.eng.SubscribeMulti(from, mq)
-			if err != nil {
-				return fmt.Errorf("durable: replay subscribe %q: %w", m.SQL, err)
-			}
-			key = res.Key()
-		} else {
-			q, err := query.Parse(s.catalog, m.SQL)
-			if err != nil {
-				return fmt.Errorf("durable: replay subscribe %q: %w", m.SQL, err)
-			}
-			res, err := s.eng.Subscribe(from, q)
-			if err != nil {
-				return fmt.Errorf("durable: replay subscribe %q: %w", m.SQL, err)
-			}
-			key = res.Key()
+		q, err := query.Parse(s.catalog, m.SQL)
+		if err != nil {
+			return fmt.Errorf("durable: replay subscribe %q: %w", m.SQL, err)
 		}
-		if key != m.Key {
-			return fmt.Errorf("durable: replay diverged: subscribe %q got key %s, log recorded %s", m.SQL, key, m.Key)
+		res, err := s.eng.Subscribe(from, q)
+		if err != nil {
+			return fmt.Errorf("durable: replay subscribe %q: %w", m.SQL, err)
+		}
+		if res.Key() != m.Key {
+			return fmt.Errorf("durable: replay diverged: subscribe %q got key %s, log recorded %s", m.SQL, res.Key(), m.Key)
 		}
 	case unsubscribeRec:
 		from, err := node(m.Node)
 		if err != nil {
 			return err
 		}
-		if m.Multi {
-			mq, err := query.ParseMulti(s.catalog, m.SQL)
-			if err != nil {
-				return fmt.Errorf("durable: replay unsubscribe %q: %w", m.SQL, err)
-			}
-			if err := s.eng.UnsubscribeMulti(from, mq.WithRestoredIdentity(m.Key, m.Node, "")); err != nil {
-				return fmt.Errorf("durable: replay unsubscribe %s: %w", m.Key, err)
-			}
-		} else {
-			q, err := query.Parse(s.catalog, m.SQL)
-			if err != nil {
-				return fmt.Errorf("durable: replay unsubscribe %q: %w", m.SQL, err)
-			}
-			if err := s.eng.Unsubscribe(from, q.WithRestoredIdentity(m.Key, m.Node, "")); err != nil {
-				return fmt.Errorf("durable: replay unsubscribe %s: %w", m.Key, err)
-			}
+		q, err := query.Parse(s.catalog, m.SQL)
+		if err != nil {
+			return fmt.Errorf("durable: replay unsubscribe %q: %w", m.SQL, err)
+		}
+		if err := s.eng.Unsubscribe(from, q.WithRestoredIdentity(m.Key, m.Node, "")); err != nil {
+			return fmt.Errorf("durable: replay unsubscribe %s: %w", m.Key, err)
 		}
 	case publishRec:
 		from, err := node(m.Node)
@@ -435,43 +411,23 @@ func (s *Store) logged(apply func() (rec any, err error)) error {
 	return err
 }
 
-// Subscribe applies and logs a two-way subscription.
+// Subscribe applies and logs a subscription.
 func (s *Store) Subscribe(from *chord.Node, q *query.Query) (*query.Query, error) {
 	var res *query.Query
 	err := s.logged(func() (rec any, err error) {
 		if res, err = s.eng.Subscribe(from, q); err == nil {
-			rec = subscribeRec{Node: from.Key(), SQL: res.Text(), Key: res.Key()}
+			rec = subscribeRec{Node: from.Key(), SQL: res.Text(), Key: res.Key(), Multi: res.Arity() > 2}
 		}
 		return rec, err
 	})
 	return res, err
 }
 
-// SubscribeMulti applies and logs a multi-way chain subscription.
-func (s *Store) SubscribeMulti(from *chord.Node, mq *query.MultiQuery) (*query.MultiQuery, error) {
-	var res *query.MultiQuery
-	err := s.logged(func() (rec any, err error) {
-		if res, err = s.eng.SubscribeMulti(from, mq); err == nil {
-			rec = subscribeRec{Node: from.Key(), SQL: res.Text(), Key: res.Key(), Multi: true}
-		}
-		return rec, err
-	})
-	return res, err
-}
-
-// Unsubscribe applies and logs a two-way retraction.
+// Unsubscribe applies and logs a retraction.
 func (s *Store) Unsubscribe(from *chord.Node, q *query.Query) error {
 	return s.logged(func() (any, error) {
 		err := s.eng.Unsubscribe(from, q)
-		return unsubscribeRec{Node: from.Key(), SQL: q.Text(), Key: q.Key()}, err
-	})
-}
-
-// UnsubscribeMulti applies and logs a multi-way retraction.
-func (s *Store) UnsubscribeMulti(from *chord.Node, mq *query.MultiQuery) error {
-	return s.logged(func() (any, error) {
-		err := s.eng.UnsubscribeMulti(from, mq)
-		return unsubscribeRec{Node: from.Key(), SQL: mq.Text(), Key: mq.Key(), Multi: true}, err
+		return unsubscribeRec{Node: from.Key(), SQL: q.Text(), Key: q.Key(), Multi: q.Arity() > 2}, err
 	})
 }
 

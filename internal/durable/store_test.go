@@ -26,7 +26,6 @@ import (
 // Op kinds of the scripted workload.
 const (
 	opSubscribe = iota
-	opSubscribeMulti
 	opUnsubscribe
 	opPublish
 )
@@ -47,7 +46,7 @@ const (
 
 // buildScript pregenerates a deterministic workload so the oracle run and
 // the crash-recovery run execute identical operation streams: a subscribe
-// phase (two-way and multi-way chain queries), then a publish stream with
+// phase (two-way queries and 3-way chains), then a publish stream with
 // bursts, chain tuples, and a couple of mid-stream retractions.
 func buildScript(seed int64) (*workload.Generator, []scriptOp) {
 	gen := workload.New(workload.Params{Seed: seed})
@@ -56,7 +55,7 @@ func buildScript(seed int64) (*workload.Generator, []scriptOp) {
 	var script []scriptOp
 	for i := 0; i < scriptSubscribes; i++ {
 		if i%6 == 5 {
-			script = append(script, scriptOp{kind: opSubscribeMulti, node: node(), text: gen.QueryChain(2).Text()})
+			script = append(script, scriptOp{kind: opSubscribe, node: node(), text: gen.QueryChain(3).Text()})
 		} else {
 			script = append(script, scriptOp{kind: opSubscribe, node: node(), text: gen.Query().Text()})
 		}
@@ -65,14 +64,14 @@ func buildScript(seed int64) (*workload.Generator, []scriptOp) {
 		switch {
 		case i == 50: // retract a two-way query (replayed from the WAL after crash 1)
 			script = append(script, scriptOp{kind: opUnsubscribe, node: script[4].node, subRef: 4})
-		case i == 95: // retract a multi-way query
+		case i == 95: // retract a chain
 			script = append(script, scriptOp{kind: opUnsubscribe, node: script[11].node, subRef: 11})
 		case i%10 == 7:
 			for j := 0; j < 10; j++ {
 				script = append(script, scriptOp{kind: opPublish, node: node(), tuple: gen.Tuple()})
 			}
 		case i%10 == 3:
-			script = append(script, scriptOp{kind: opPublish, node: node(), tuple: gen.ChainTuple(2)})
+			script = append(script, scriptOp{kind: opPublish, node: node(), tuple: gen.ChainTuple(3)})
 		default:
 			script = append(script, scriptOp{kind: opPublish, node: node(), tuple: gen.Tuple()})
 		}
@@ -124,7 +123,7 @@ func runScript(t *testing.T, catalog *relation.Catalog, script []scriptOp, dir s
 		t.Fatalf("initial recover: %v", err)
 	}
 	replayed := 0
-	subs := make(map[int]any) // script index -> identified *query.Query / *query.MultiQuery
+	subs := make(map[int]*query.Query) // script index -> identified query
 	for i, op := range script {
 		from := eng.Network().NodeByKey(op.node)
 		var err error
@@ -138,24 +137,12 @@ func runScript(t *testing.T, catalog *relation.Catalog, script []scriptOp, dir s
 			if res, err = st.Subscribe(from, q); err == nil {
 				subs[i] = res
 			}
-		case opSubscribeMulti:
-			mq, perr := query.ParseMulti(catalog, op.text)
-			if perr != nil {
-				t.Fatalf("op %d: parse multi %q: %v", i, op.text, perr)
-			}
-			var res *query.MultiQuery
-			if res, err = st.SubscribeMulti(from, mq); err == nil {
-				subs[i] = res
-			}
 		case opUnsubscribe:
-			switch q := subs[op.subRef].(type) {
-			case *query.Query:
-				err = st.Unsubscribe(from, q)
-			case *query.MultiQuery:
-				err = st.UnsubscribeMulti(from, q)
-			default:
+			q := subs[op.subRef]
+			if q == nil {
 				t.Fatalf("op %d: no subscription recorded at script index %d", i, op.subRef)
 			}
+			err = st.Unsubscribe(from, q)
 		case opPublish:
 			_, err = st.Publish(from, op.tuple)
 		}

@@ -907,15 +907,15 @@ func leanBatch(ns []Notification, subscriber string) bool {
 	return true
 }
 
-// walkMultiQuery walks a multi-way query: its identity and insertion time,
-// the SQL text the receiver re-parses, and the name of the pipeline's first
+// walkMultiQuery walks a chain: its identity and insertion time, the SQL
+// text the receiver re-parses, and the name of the pipeline's first
 // relation, which tells the receiver whether the sender had reversed the
 // chain the text declares.
-func walkMultiQuery(c *wire.Coder, mq **query.MultiQuery) {
+func walkMultiQuery(c *wire.Coder, mq **query.Query) {
 	var key, sub, ip, text, first string
 	var insT int64
 	if q := *mq; !c.Decoding() {
-		key, sub, ip, insT, text, first = q.Key(), q.Subscriber(), q.SubscriberIP(), q.InsT(), q.Text(), q.Rel(0).Name()
+		key, sub, ip, insT, text, first = q.Key(), q.Subscriber(), q.SubscriberIP(), q.InsT(), q.Text(), q.Rel(query.SideLeft).Name()
 	}
 	c.String(&key)
 	c.String(&sub)
@@ -926,14 +926,18 @@ func walkMultiQuery(c *wire.Coder, mq **query.MultiQuery) {
 	if !c.Decoding() || c.Err() != nil {
 		return
 	}
-	q, err := query.ParseMulti(c.Catalog, text)
+	q, err := query.Parse(c.Catalog, text)
 	if err != nil {
 		c.Fail(fmt.Errorf("engine: re-parse multi query: %w", err))
 		return
 	}
-	if q.Rel(0).Name() != first {
+	if q.Type() != query.T1 {
+		c.Fail(fmt.Errorf("engine: chain %q is not type T1", text))
+		return
+	}
+	if q.Rel(query.SideLeft).Name() != first {
 		q = q.Reverse()
-		if q.Rel(0).Name() != first {
+		if q.Rel(query.SideLeft).Name() != first {
 			c.Fail(fmt.Errorf("engine: orientation marker %q matches neither chain endpoint", first))
 			return
 		}

@@ -45,7 +45,7 @@ func codecFixtures(t testing.TB, extra ...*relation.Schema) (*relation.Catalog, 
 		t.Fatal(err)
 	}
 
-	mq := query.MustParseMulti(full, `SELECT A.y, C.y FROM A, B, C WHERE A.x = B.y AND B.x = C.y`).
+	mq := query.MustParse(full, `SELECT A.y, C.y FROM A, B, C WHERE A.x = B.y AND B.x = C.y`).
 		WithIdentity("peer3", "sim://x", 2).WithInsT(5)
 	mqRev := mq.Reverse()
 	ta := relation.MustTuple(full.Lookup("A"), relation.N(1), relation.N(10)).WithPubT(6)
@@ -74,7 +74,7 @@ func codecFixtures(t testing.TB, extra ...*relation.Schema) (*relation.Catalog, 
 			AL: []alSection{{
 				Input:        "R+B",
 				Groups:       []alGroupSection{{Cond: q.ConditionKey(), Side: query.SideLeft, Queries: []*query.Query{q}}},
-				Multi:        []alMultiSection{{Cond: "A.x=B.y", Queries: []*query.MultiQuery{mqRev}}},
+				Multi:        []alMultiSection{{Cond: "A.x=B.y", Queries: []*query.Query{mqRev}}},
 				SentRewrites: []string{rw.Key},
 				SentTargets:  []targetsEntry{{Key: rw.Key, Targets: []string{"S+E+7", "S+E+9"}}},
 			}},

@@ -410,10 +410,15 @@ func (e *Engine) DeliveredContentKeys() []string {
 // Subscribe indexes a continuous query on behalf of node from, assigning it
 // a fresh key Key(q) and insertion time, and returns the identified query.
 // The query must be type T1 unless the engine runs DAI-V (Section 4.5),
-// the only algorithm evaluating type-T2 queries.
+// the only algorithm evaluating type-T2 queries. A chain of k > 2 relations
+// needs SAI or DAI-Q, which store tuples at the value level, and comes back
+// oriented to start at the endpoint it is indexed at.
 func (e *Engine) Subscribe(from *chord.Node, q *query.Query) (*query.Query, error) {
 	if !from.Alive() {
 		return nil, fmt.Errorf("engine: subscribe from departed node %s", from)
+	}
+	if q.Arity() > 2 && e.cfg.Algorithm != SAI && e.cfg.Algorithm != DAIQ {
+		return nil, fmt.Errorf("engine: multi-way joins need value-level tuple storage; run SAI or DAI-Q, not %s", e.cfg.Algorithm)
 	}
 	if q.Type() == query.T2 && e.cfg.Algorithm != DAIV && e.cfg.Algorithm != BaselineRelation {
 		return nil, fmt.Errorf("engine: %s cannot evaluate type-T2 query %q; use DAI-V", e.cfg.Algorithm, q)
@@ -422,6 +427,11 @@ func (e *Engine) Subscribe(from *chord.Node, q *query.Query) (*query.Query, erro
 	e.seq[from.Key()]++
 	seq := e.seq[from.Key()]
 	e.mu.Unlock()
+	if q.Arity() > 2 {
+		// Partial matches route through value-level identifiers without shard
+		// awareness, so hot-key sharding is suspended from here on (hotState).
+		e.multiOn.Store(true)
+	}
 
 	// The insertion time is drawn on the way (sendQueryIndex).
 	return e.indexQuery(from, q.WithIdentity(from.Key(), from.IP(), seq))

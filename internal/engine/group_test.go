@@ -106,7 +106,7 @@ func TestGroupWalksAreOrdered(t *testing.T) {
 				"A.x = B.x AND B.y = C.z",
 				"A.x = B.z AND B.y = C.x",
 			} {
-				env.subscribeMulti(t, i, `SELECT A.z, C.z FROM A, B, C WHERE `+chain)
+				env.subscribeChain(t, i, `SELECT A.z, C.z FROM A, B, C WHERE `+chain)
 			}
 			for i, tu := range [][3]float64{{1, 1, 1}, {2, 1, 1}, {1, 2, 1}, {1, 1, 2}} {
 				env.publish(t, 7+i, env.tuple(env.b, tu[0], tu[1], tu[2]))

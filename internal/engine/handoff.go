@@ -50,7 +50,7 @@ type alGroupSection struct {
 // alMultiSection is one multi-way chain group of an ALQT bucket.
 type alMultiSection struct {
 	Cond    string
-	Queries []*query.MultiQuery
+	Queries []*query.Query
 }
 
 // alSection is the wire form of one alBucket.
@@ -232,7 +232,7 @@ func (st *nodeState) cut(inArc func(string) bool, take bool) handoffMsg {
 		}
 		for _, g := range b.multi.all() {
 			sec.Multi = append(sec.Multi, alMultiSection{
-				Cond: g.cond, Queries: append([]*query.MultiQuery(nil), g.queries...),
+				Cond: g.cond, Queries: append([]*query.Query(nil), g.queries...),
 			})
 		}
 		if take {

@@ -114,7 +114,7 @@ func TestEveryMoveKeepsEveryTable(t *testing.T) {
 			if err := env.eng.Unsubscribe(env.node(2), env.subscribe(t, 2, pair+` AND S.F = 9`)); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := env.eng.SubscribeMulti(env.node(3), query.MustParseMulti(env.catalog,
+			if _, err := env.eng.Subscribe(env.node(3), query.MustParse(env.catalog,
 				`SELECT R.A, Authors.Name FROM R, S, Authors WHERE R.B = S.E AND S.F = Authors.Id`)); err != nil {
 				t.Fatal(err)
 			}

@@ -69,9 +69,14 @@ func (e *Engine) replicaOf(v relation.Value) int {
 }
 
 // indexQuery routes a freshly keyed query to its rewriter node(s) and returns
-// it with the insertion time it drew on the way.
+// it with the insertion time it drew on the way. A chain (k > 2) is indexed
+// at one endpoint as under SAI, oriented to start there.
 func (e *Engine) indexQuery(from *chord.Node, q *query.Query) (*query.Query, error) {
-	switch e.cfg.Algorithm {
+	alg := e.cfg.Algorithm
+	if q.Arity() > 2 {
+		alg = SAI // Subscribe refused a chain outside SAI and DAI-Q
+	}
+	switch alg {
 	case SAI:
 		side, err := e.chooseIndexSide(from, q)
 		if err != nil {
@@ -80,6 +85,9 @@ func (e *Engine) indexQuery(from *chord.Node, q *query.Query) (*query.Query, err
 		attr, err := q.SingleAttr(side)
 		if err != nil {
 			return nil, err
+		}
+		if q.Arity() > 2 && side == query.SideRight {
+			q, side = q.Reverse(), query.SideLeft
 		}
 		return e.sendQueryIndex(from, q, []sideAttr{{side, attr}})
 	case DAIQ, DAIT:
@@ -109,10 +117,22 @@ func (e *Engine) indexQuery(from *chord.Node, q *query.Query) (*query.Query, err
 // interestInputs lists where q, indexed under indexSide, leaves an interest
 // mark: the other side's attribute, at whose value level the rewrites this
 // rewriter sends are stored and the tuples they probe must be. Double
-// indexing indexes both sides and so marks both.
+// indexing indexes both sides and so marks both. A chain, indexed at its
+// first relation, marks every later one at the attribute it meets the one
+// before on, where its partial matches wait.
 func (e *Engine) interestInputs(q *query.Query, indexSide query.Side) []string {
 	if e.cfg.Algorithm == DAIV || e.cfg.BlindIndexing {
 		return nil
+	}
+	if q.Arity() > 2 {
+		var inputs []string
+		rels := q.Rels()
+		for i, link := range q.Links() {
+			if attrs := query.Attrs(link.R); len(attrs) == 1 {
+				inputs = e.replicaInputs(inputs, rels[i+1].Name(), attrs[0].Name)
+			}
+		}
+		return inputs
 	}
 	other := indexSide.Other()
 	attr, err := q.SingleAttr(other)
@@ -153,11 +173,11 @@ func pick(e *Engine, options []string) string {
 }
 
 // sendQueryIndex ships the query(q) message to every (side, attribute)
-// rewriter, replicated across the attribute-level replicas. One identifier
-// per destination; a single destination uses send(), several use
-// multisend() (Section 4.4.1: indexing at both rewriters costs
-// 2·O(log N) hops). Its interest marks go first and its insertion time is
-// drawn once they are acked: no tuple with pubT >= insT passes them by.
+// rewriter, replicated across the attribute-level replicas — a chain's is an
+// mQueryMsg. One identifier per destination; a single destination uses
+// send(), several use multisend() (Section 4.4.1: indexing at both rewriters
+// costs 2·O(log N) hops). Its interest marks go first and its insertion time
+// is drawn once they are acked: no tuple with pubT >= insT passes them by.
 func (e *Engine) sendQueryIndex(from *chord.Node, q *query.Query, idx []sideAttr) (*query.Query, error) {
 	var inputs []string
 	for _, sa := range idx {
@@ -175,10 +195,11 @@ func (e *Engine) sendQueryIndex(from *chord.Node, q *query.Query, idx []sideAttr
 			if !slices.Contains(inputs, al.input) { // marked too: one retraction takes both
 				inputs = append(inputs, al.input)
 			}
-			batch = append(batch, chord.Deliverable{
-				Target: al.id,
-				Msg:    queryMsg{Q: q, Side: sa.side, Attr: sa.attr, Replica: r},
-			})
+			var msg chord.Message = queryMsg{Q: q, Side: sa.side, Attr: sa.attr, Replica: r}
+			if q.Arity() > 2 {
+				msg = mQueryMsg{MQ: q, Attr: sa.attr, Replica: r}
+			}
+			batch = append(batch, chord.Deliverable{Target: al.id, Msg: msg})
 		}
 	}
 	// The subscriber remembers where its query and its marks live so it can

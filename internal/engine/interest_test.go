@@ -335,8 +335,8 @@ func TestChainMarksEveryLaterStage(t *testing.T) {
 	for _, alg := range []Algorithm{SAI, DAIQ} {
 		run := func(blind bool) ([]string, int64) {
 			env := newMultiEnv(t, 48, Config{Algorithm: alg, Seed: 3, BlindIndexing: blind})
-			env.subscribeMulti(t, 0, `SELECT A.z, B.z, C.z FROM A, B, C WHERE A.x = B.y AND B.x = C.y`)
-			env.subscribeMulti(t, 1, `SELECT A.z, C.z FROM A, B, C WHERE A.y = B.y AND B.x = C.x`)
+			env.subscribeChain(t, 0, `SELECT A.z, B.z, C.z FROM A, B, C WHERE A.x = B.y AND B.x = C.y`)
+			env.subscribeChain(t, 1, `SELECT A.z, C.z FROM A, B, C WHERE A.y = B.y AND B.x = C.x`)
 			rng := rand.New(rand.NewSource(17))
 			schemas := []*relation.Schema{env.a, env.b, env.c, env.d}
 			for i := 0; i < 120; i++ {

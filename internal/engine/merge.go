@@ -47,7 +47,7 @@ func (st *nodeState) mergeAL(sec alSection) (added int, revoked []string) {
 	}
 	for _, g := range sec.Multi {
 		eg := b.multi.getOrAdd(g.Cond, func() *mGroup { return &mGroup{cond: g.Cond} })
-		added += appendNew(&eg.queries, g.Queries, (*query.MultiQuery).Key)
+		added += appendNew(&eg.queries, g.Queries, (*query.Query).Key)
 	}
 	b.arrivals = append(b.arrivals, sec.arrivals...)
 	maps.Copy(b.distinct, sec.distinct)

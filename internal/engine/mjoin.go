@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"cqjoin/internal/chord"
 	"cqjoin/internal/id"
 	"cqjoin/internal/metrics"
 	"cqjoin/internal/query"
@@ -28,9 +27,11 @@ import (
 // Multi-way evaluation requires the engine to store tuples at the value
 // level, i.e. the SAI or DAI-Q storage regime.
 
-// mQueryMsg indexes a multi-way query at its rewriter.
+// mQueryMsg indexes a chain at its rewriter, oriented so that Rels()[0] is
+// the relation it is indexed under (Subscribe sends one for k > 2). A chain
+// of two that an earlier build sent stays in this pipeline.
 type mQueryMsg struct {
-	MQ      *query.MultiQuery
+	MQ      *query.Query
 	Attr    string
 	Replica int
 }
@@ -43,7 +44,7 @@ func (mQueryMsg) Kind() string { return kindQuery }
 // identifier components where the next relation's tuples will meet it.
 type mRewritten struct {
 	Key       string
-	Orig      *query.MultiQuery
+	Orig      *query.Query
 	Stage     int // number of relations matched; waiting for Rels()[Stage]
 	Acc       []*relation.Tuple
 	WantRel   string
@@ -58,132 +59,10 @@ type mJoinMsg struct {
 
 func (mJoinMsg) Kind() string { return kindMJoin }
 
-// SubscribeMulti indexes a continuous multi-way chain join on behalf of
-// node from. The engine must run an algorithm that stores tuples at the
-// value level (SAI or DAI-Q).
-func (e *Engine) SubscribeMulti(from *chord.Node, mq *query.MultiQuery) (*query.MultiQuery, error) {
-	if !from.Alive() {
-		return nil, fmt.Errorf("engine: subscribe from departed node %s", from)
-	}
-	if e.cfg.Algorithm != SAI && e.cfg.Algorithm != DAIQ {
-		return nil, fmt.Errorf("engine: multi-way joins need value-level tuple storage; run SAI or DAI-Q, not %s", e.cfg.Algorithm)
-	}
-	for _, s := range mq.Rels() {
-		if e.catalog.Lookup(s.Name()) == nil {
-			return nil, fmt.Errorf("engine: relation %s not in catalog", s.Name())
-		}
-	}
-	e.mu.Lock()
-	e.seq[from.Key()]++
-	seq := e.seq[from.Key()]
-	e.mu.Unlock()
-	// Partial matches route through value-level identifiers without shard
-	// awareness, so hot-key sharding is suspended from here on (hotState).
-	e.multiOn.Store(true)
-
-	oriented, err := e.chooseOrientation(from, mq.WithIdentity(from.Key(), from.IP(), seq))
-	if err != nil {
-		return nil, err
-	}
-	attr, err := oriented.IndexAttr()
-	if err != nil {
-		return nil, err
-	}
-	// Every later stage meets its relation's tuples at the value level of its
-	// join attribute: marked, and acked before insT is drawn (Subscribe).
-	inputs := e.chainInterestInputs(oriented)
-	if err := e.announceInterest(from, oriented.Key(), inputs); err != nil {
-		return nil, err
-	}
-	oriented = oriented.WithInsT(e.net.Clock().Tick())
-	rel := oriented.Rel(0).Name()
-	var batch []chord.Deliverable
-	for r := 0; r < e.cfg.ReplicationFactor; r++ {
-		input := alInput(rel, attr, r)
-		inputs = append(inputs, input)
-		batch = append(batch, chord.Deliverable{
-			Target: id.Hash(input),
-			Msg:    mQueryMsg{MQ: oriented, Attr: attr, Replica: r},
-		})
-	}
-	// The subscriber remembers where its chain is indexed and marked so it
-	// can retract it later (UnsubscribeMulti).
-	e.mu.Lock()
-	e.subs[oriented.Key()] = inputs
-	e.mu.Unlock()
-	if err := e.dispatch(from, batch); err != nil {
-		return nil, err
-	}
-	return oriented, nil
-}
-
-// chainInterestInputs lists where chain mq leaves its interest marks: every
-// stage past the first, (relation, join attribute towards the stage before).
-func (e *Engine) chainInterestInputs(mq *query.MultiQuery) []string {
-	if e.cfg.BlindIndexing {
-		return nil
-	}
-	var inputs []string
-	for i, link := range mq.Links() {
-		if attrs := query.Attrs(link.R); len(attrs) == 1 {
-			inputs = e.replicaInputs(inputs, mq.Rel(i+1).Name(), attrs[0].Name)
-		}
-	}
-	return inputs
-}
-
-// chooseOrientation picks which chain endpoint indexes the query,
-// following the SAI strategy (Section 4.3.6 generalized): min-rate probes
-// both endpoint rewriters and indexes at the quieter one.
-func (e *Engine) chooseOrientation(from *chord.Node, mq *query.MultiQuery) (*query.MultiQuery, error) {
-	rev := mq.Reverse()
-	switch e.cfg.Strategy {
-	case StrategyLeft:
-		return mq, nil
-	case StrategyMinRate, StrategyMinDomain:
-		fwd, err := e.probeMultiEndpoint(from, mq)
-		if err != nil {
-			return nil, err
-		}
-		bwd, err := e.probeMultiEndpoint(from, rev)
-		if err != nil {
-			return nil, err
-		}
-		if e.cfg.Strategy == StrategyMinRate {
-			if fwd.rate <= bwd.rate {
-				return mq, nil
-			}
-			return rev, nil
-		}
-		if fwd.domain <= bwd.domain {
-			return mq, nil
-		}
-		return rev, nil
-	default: // StrategyRandom
-		if e.randIntn(2) == 0 {
-			return mq, nil
-		}
-		return rev, nil
-	}
-}
-
-func (e *Engine) probeMultiEndpoint(from *chord.Node, mq *query.MultiQuery) (rewriterStats, error) {
-	attr, err := mq.IndexAttr()
-	if err != nil {
-		return rewriterStats{}, err
-	}
-	input := alInput(mq.Rels()[0].Name(), attr, 0)
-	dst, _, err := from.Send(probeMsg{AttrInput: input}, id.Hash(input))
-	if err != nil {
-		return rewriterStats{}, err
-	}
-	return e.state(dst).readStats(input), nil
-}
-
 // handleMQueryIndex stores a multi-way query at its rewriter, grouped by
 // chain condition, and revokes the silence the bucket granted.
 func (st *nodeState) handleMQueryIndex(m mQueryMsg) {
-	input := alInput(m.MQ.Rels()[0].Name(), m.Attr, m.Replica)
+	input := alInput(m.MQ.Rel(query.SideLeft).Name(), m.Attr, m.Replica)
 	cond := m.MQ.ConditionKey()
 	st.mu.Lock()
 	if st.isRetracted(m.MQ.Key()) {
@@ -203,7 +82,7 @@ func (st *nodeState) handleMQueryIndex(m mQueryMsg) {
 // mGroup is an ALQT group of multi-way queries with one chain condition.
 type mGroup struct {
 	cond    string
-	queries []*query.MultiQuery
+	queries []*query.Query
 }
 
 // triggerMulti runs the multi-way groups of an ALQT bucket against an
@@ -248,7 +127,7 @@ func (st *nodeState) triggerMulti(b *alBucket, t *relation.Tuple) (outs []outbou
 // with tuple t and returns the next-stage partial match, or nil when the
 // chain is complete (the caller builds the notification instead through
 // completeMulti).
-func advanceMulti(mq *query.MultiQuery, prev *mRewritten, t *relation.Tuple) (*mRewritten, error) {
+func advanceMulti(mq *query.Query, prev *mRewritten, t *relation.Tuple) (*mRewritten, error) {
 	stage := 1
 	var acc []*relation.Tuple
 	key := mq.Key()
@@ -299,7 +178,7 @@ func matchMulti(rw *mRewritten, t *relation.Tuple) (n Notification, out *outboun
 			return Notification{}, nil, false
 		}
 		combo := append(append([]*relation.Tuple(nil), rw.Acc...), proj)
-		vals, err := mq.ProjectNotification(combo)
+		vals, err := mq.ProjectNotification(combo...)
 		if err != nil {
 			return Notification{}, nil, false
 		}

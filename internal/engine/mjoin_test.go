@@ -47,11 +47,11 @@ func (e *multiEnv) publish(t testing.TB, i int, tu *relation.Tuple) *relation.Tu
 	return out
 }
 
-func (e *multiEnv) subscribeMulti(t testing.TB, i int, sql string) *query.MultiQuery {
+func (e *multiEnv) subscribeChain(t testing.TB, i int, sql string) *query.Query {
 	t.Helper()
-	mq, err := e.eng.SubscribeMulti(e.nodes[i%len(e.nodes)], query.MustParseMulti(e.catalog, sql))
+	mq, err := e.eng.Subscribe(e.nodes[i%len(e.nodes)], query.MustParse(e.catalog, sql))
 	if err != nil {
-		t.Fatalf("SubscribeMulti(%q): %v", sql, err)
+		t.Fatalf("Subscribe(%q): %v", sql, err)
 	}
 	return mq
 }
@@ -60,7 +60,7 @@ func TestThreeWayJoinBasic(t *testing.T) {
 	for _, alg := range []Algorithm{SAI, DAIQ} {
 		t.Run(alg.String(), func(t *testing.T) {
 			env := newMultiEnv(t, 48, Config{Algorithm: alg, Strategy: StrategyLeft})
-			env.subscribeMulti(t, 0, `SELECT A.z, B.z, C.z FROM A, B, C WHERE A.x = B.y AND B.x = C.y`)
+			env.subscribeChain(t, 0, `SELECT A.z, B.z, C.z FROM A, B, C WHERE A.x = B.y AND B.x = C.y`)
 			// A(x=1) joins B(y=1, x=2) joins C(y=2).
 			env.publish(t, 1, env.tuple(env.a, 1, 0, 10))
 			env.publish(t, 2, env.tuple(env.b, 2, 1, 20))
@@ -92,7 +92,7 @@ func TestThreeWayAllArrivalOrders(t *testing.T) {
 	perms := [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
 	for _, perm := range perms {
 		env := newMultiEnv(t, 48, Config{Algorithm: SAI, Strategy: StrategyLeft})
-		env.subscribeMulti(t, 0, `SELECT A.z, B.z, C.z FROM A, B, C WHERE A.x = B.y AND B.x = C.y`)
+		env.subscribeChain(t, 0, `SELECT A.z, B.z, C.z FROM A, B, C WHERE A.x = B.y AND B.x = C.y`)
 		for _, idx := range perm {
 			tu := tuples[idx]
 			switch tu.rel {
@@ -116,7 +116,7 @@ func TestMultiTimeSemantics(t *testing.T) {
 	// One chain tuple inserted before the query: the combination must not
 	// fire even though the other two arrive after.
 	env.publish(t, 1, env.tuple(env.b, 2, 1, 20))
-	env.subscribeMulti(t, 0, `SELECT A.z, C.z FROM A, B, C WHERE A.x = B.y AND B.x = C.y`)
+	env.subscribeChain(t, 0, `SELECT A.z, C.z FROM A, B, C WHERE A.x = B.y AND B.x = C.y`)
 	env.publish(t, 2, env.tuple(env.a, 1, 0, 10))
 	env.publish(t, 3, env.tuple(env.c, 0, 2, 30))
 	if got := env.eng.Notifications(); len(got) != 0 {
@@ -131,7 +131,7 @@ func TestMultiTimeSemantics(t *testing.T) {
 
 func TestMultiSelectionPredicates(t *testing.T) {
 	env := newMultiEnv(t, 48, Config{Algorithm: SAI, Strategy: StrategyLeft})
-	env.subscribeMulti(t, 0, `
+	env.subscribeChain(t, 0, `
 		SELECT A.z, C.z FROM A, B, C
 		WHERE A.x = B.y AND B.x = C.y AND B.z >= 5 AND C.z = 30`)
 	env.publish(t, 1, env.tuple(env.a, 1, 0, 10))
@@ -148,7 +148,7 @@ func TestMultiSelectionPredicates(t *testing.T) {
 
 func TestFourWayChain(t *testing.T) {
 	env := newMultiEnv(t, 64, Config{Algorithm: SAI, Strategy: StrategyLeft})
-	env.subscribeMulti(t, 0, `
+	env.subscribeChain(t, 0, `
 		SELECT A.z, D.z FROM A, B, C, D
 		WHERE A.x = B.y AND B.x = C.y AND C.x = D.y`)
 	env.publish(t, 1, env.tuple(env.d, 0, 3, 40))
@@ -164,12 +164,17 @@ func TestFourWayChain(t *testing.T) {
 	}
 }
 
+// A chain of more than two relations needs value-level tuple storage; two
+// relations are a two-way query, which every algorithm evaluates.
 func TestMultiRequiresTupleStorageRegime(t *testing.T) {
 	for _, alg := range []Algorithm{DAIT, DAIV, BaselineRelation} {
 		env := newMultiEnv(t, 16, Config{Algorithm: alg})
-		mq := query.MustParseMulti(env.catalog, `SELECT A.z FROM A, B WHERE A.x = B.y`)
-		if _, err := env.eng.SubscribeMulti(env.nodes[0], mq); err == nil {
+		mq := query.MustParse(env.catalog, `SELECT A.z FROM A, B, C WHERE A.x = B.y AND B.x = C.y`)
+		if _, err := env.eng.Subscribe(env.nodes[0], mq); err == nil {
 			t.Fatalf("%s accepted a multi-way query", alg)
+		}
+		if _, err := env.eng.Subscribe(env.nodes[0], query.MustParse(env.catalog, `SELECT A.z FROM A, B WHERE A.x = B.y`)); err != nil {
+			t.Fatalf("%s refused a two-way query: %v", alg, err)
 		}
 	}
 }
@@ -181,7 +186,7 @@ func TestMultiMinRateOrientation(t *testing.T) {
 		env.publish(t, i, env.tuple(env.a, float64(i), 0, 0))
 	}
 	env.publish(t, 30, env.tuple(env.c, 1, 1, 0))
-	mq := env.subscribeMulti(t, 0, `SELECT A.z FROM A, B, C WHERE A.x = B.y AND B.x = C.y`)
+	mq := env.subscribeChain(t, 0, `SELECT A.z FROM A, B, C WHERE A.x = B.y AND B.x = C.y`)
 	// The quiet endpoint (C) must head the pipeline.
 	if mq.Rels()[0].Name() != "C" {
 		t.Fatalf("pipeline starts at %s, want C", mq.Rels()[0].Name())
@@ -195,9 +200,9 @@ func TestMultiOracle(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		env := newMultiEnv(t, 48, Config{Algorithm: SAI, Seed: seed})
 		rng := rand.New(rand.NewSource(seed * 11))
-		mqs := []*query.MultiQuery{
-			env.subscribeMulti(t, 0, `SELECT A.z, B.z, C.z FROM A, B, C WHERE A.x = B.y AND B.x = C.y`),
-			env.subscribeMulti(t, 1, `SELECT A.z, C.z FROM A, B, C WHERE A.y = B.y AND B.x = C.x AND C.z >= 1`),
+		mqs := []*query.Query{
+			env.subscribeChain(t, 0, `SELECT A.z, B.z, C.z FROM A, B, C WHERE A.x = B.y AND B.x = C.y`),
+			env.subscribeChain(t, 1, `SELECT A.z, C.z FROM A, B, C WHERE A.y = B.y AND B.x = C.x AND C.z >= 1`),
 		}
 		var as, bs, cs []*relation.Tuple
 		schemas := []*relation.Schema{env.a, env.b, env.c}
@@ -235,7 +240,7 @@ func TestMultiOracle(t *testing.T) {
 
 // chainMatches adds to want, by content key, every combination of the tuples
 // in pools (by relation) that satisfies 3-way chain mq.
-func chainMatches(t testing.TB, want map[string]int, mq *query.MultiQuery, pools map[string][]*relation.Tuple) {
+func chainMatches(t testing.TB, want map[string]int, mq *query.Query, pools map[string][]*relation.Tuple) {
 	t.Helper()
 	links := mq.Links()
 	rels := mq.Rels()
@@ -268,7 +273,7 @@ func chainMatches(t testing.TB, want map[string]int, mq *query.MultiQuery, pools
 				if !valid {
 					continue
 				}
-				vals, err := mq.ProjectNotification(combo)
+				vals, err := mq.ProjectNotification(combo...)
 				if err != nil {
 					t.Fatalf("oracle projection: %v", err)
 				}
@@ -284,7 +289,7 @@ func chainMatches(t testing.TB, want map[string]int, mq *query.MultiQuery, pools
 
 func TestMultiWindowEviction(t *testing.T) {
 	env := newMultiEnv(t, 48, Config{Algorithm: SAI, Strategy: StrategyLeft, Window: 5})
-	env.subscribeMulti(t, 0, `SELECT A.z FROM A, B, C WHERE A.x = B.y AND B.x = C.y`)
+	env.subscribeChain(t, 0, `SELECT A.z FROM A, B, C WHERE A.x = B.y AND B.x = C.y`)
 	env.publish(t, 1, env.tuple(env.a, 1, 0, 10))
 	env.publish(t, 2, env.tuple(env.b, 2, 1, 20)) // partial match A⋈B now stored
 	before := sum(env.eng.StorageLoads())
@@ -304,7 +309,7 @@ func TestMultiWindowEviction(t *testing.T) {
 func TestMultiGroupingSharesMessages(t *testing.T) {
 	env := newMultiEnv(t, 48, Config{Algorithm: SAI, Strategy: StrategyLeft})
 	for i := 0; i < 4; i++ {
-		env.subscribeMulti(t, i, `SELECT A.z, C.z FROM A, B, C WHERE A.x = B.y AND B.x = C.y`)
+		env.subscribeChain(t, i, `SELECT A.z, C.z FROM A, B, C WHERE A.x = B.y AND B.x = C.y`)
 	}
 	env.net.Traffic().Reset()
 	env.publish(t, 9, env.tuple(env.a, 1, 0, 10))
@@ -317,7 +322,7 @@ func TestMultiGroupingSharesMessages(t *testing.T) {
 
 func TestMultiSurvivesChurn(t *testing.T) {
 	env := newMultiEnv(t, 48, Config{Algorithm: SAI, Strategy: StrategyLeft})
-	env.subscribeMulti(t, 0, `SELECT A.z, C.z FROM A, B, C WHERE A.x = B.y AND B.x = C.y`)
+	env.subscribeChain(t, 0, `SELECT A.z, C.z FROM A, B, C WHERE A.x = B.y AND B.x = C.y`)
 	env.publish(t, 1, env.tuple(env.a, 1, 0, 10))
 	env.publish(t, 2, env.tuple(env.b, 2, 1, 20))
 	// Voluntary churn between stages: state hands over cleanly.
@@ -339,7 +344,7 @@ func TestMultiSurvivesChurn(t *testing.T) {
 
 func TestMultiLoadAccounting(t *testing.T) {
 	env := newMultiEnv(t, 48, Config{Algorithm: SAI, Strategy: StrategyLeft})
-	env.subscribeMulti(t, 0, `SELECT A.z FROM A, B, C WHERE A.x = B.y AND B.x = C.y`)
+	env.subscribeChain(t, 0, `SELECT A.z FROM A, B, C WHERE A.x = B.y AND B.x = C.y`)
 	env.publish(t, 1, env.tuple(env.a, 1, 0, 10))
 	if got := sum(env.eng.RoleLoads(metrics.Rewriter, true)); got != 1 {
 		t.Fatalf("rewriter storage = %d, want 1 (the chain query)", got)

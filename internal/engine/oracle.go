@@ -12,8 +12,8 @@ import (
 // notifications the oracle derives; the invariant harness and the
 // differential tests compare against it.
 //
-// The oracle covers binary equi-joins (the Chapter 4 algorithms); multi-way
-// chain queries have their own expected-set computation in the mjoin tests.
+// The oracle covers two-way queries (the Chapter 4 algorithms); chains of
+// more relations have their own expected-set computation in the mjoin tests.
 type Oracle struct {
 	queries []*query.Query
 	tuples  map[string][]*relation.Tuple // by relation name, insertion order

@@ -73,7 +73,7 @@ func TestRevokedSilenceSendsAgain(t *testing.T) {
 			}
 			chainKey := ""
 			if c.chain {
-				mq, err := env.eng.SubscribeMulti(env.node(1), query.MustParseMulti(env.catalog, c.sql))
+				mq, err := env.eng.Subscribe(env.node(1), query.MustParse(env.catalog, c.sql))
 				if err != nil {
 					t.Fatal(err)
 				}

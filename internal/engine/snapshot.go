@@ -277,7 +277,7 @@ func (e *Engine) deriveInterest(m handoffMsg) (derived int) {
 		}
 		for _, g := range sec.Multi {
 			for _, mq := range g.Queries {
-				mark(mq.Key(), e.chainInterestInputs(mq))
+				mark(mq.Key(), e.interestInputs(mq, query.SideLeft))
 			}
 		}
 	}

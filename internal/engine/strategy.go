@@ -50,7 +50,8 @@ func (s Strategy) String() string {
 // node from. The rate and domain strategies probe the two candidate
 // rewriters first ("any node can simply ask the two possible rewriter
 // nodes before indexing a query", Section 4.3.6); each probe costs one
-// routed message charged to the strategy-probe kind.
+// routed message charged to the strategy-probe kind. A chain's sides are its
+// two endpoints.
 func (e *Engine) chooseIndexSide(from *chord.Node, q *query.Query) (query.Side, error) {
 	switch e.cfg.Strategy {
 	case StrategyLeft:

@@ -200,11 +200,11 @@ func chainRace(t *testing.T) *raceRun {
 		pub(6, env.b, 100, 100, 0)
 		pub(7, env.c, 100, 100, 0)
 	}
-	var mq *query.MultiQuery
+	var mq *query.Query
 	return &raceRun{
 		net: env.net,
 		subscribe: func() {
-			mq = env.subscribeMulti(t, 0, `SELECT A.z, B.z, C.z FROM A, B, C WHERE A.x = B.y AND B.x = C.y`)
+			mq = env.subscribeChain(t, 0, `SELECT A.z, B.z, C.z FROM A, B, C WHERE A.x = B.y AND B.x = C.y`)
 		},
 		meanwhile: func() { pub(5, env.a, 1, 0, 10); pub(6, env.b, 2, 1, 20); pub(7, env.c, 0, 2, 30) },
 		after:     func() { pub(5, env.a, 11, 0, 11); pub(6, env.b, 12, 11, 21); pub(7, env.c, 0, 12, 31) },

@@ -48,7 +48,10 @@ func (*purgeMsg) Kind() string { return kindUnsub }
 
 // Unsubscribe retracts a continuous query previously returned by
 // Subscribe. After it returns, future tuple insertions can no longer
-// trigger the query. Baseline algorithms do not support retraction.
+// trigger the query. Baseline algorithms do not support retraction. A
+// chain's rewriter drops it and purges its stage-1 partial matches; each
+// evaluator cascades the purge down the pipeline along the targets it
+// recorded while forwarding (mvlqtBucket.sentTargets).
 func (e *Engine) Unsubscribe(from *chord.Node, q *query.Query) error {
 	if !from.Alive() {
 		return fmt.Errorf("engine: unsubscribe from departed node %s", from)
@@ -80,26 +83,11 @@ func (e *Engine) retractQuery(from *chord.Node, key, cond string) error {
 	return e.dispatch(from, batch)
 }
 
-// UnsubscribeMulti retracts a continuous multi-way chain join previously
-// returned by SubscribeMulti. The rewriter drops the chain from its ALQT
-// and purges its stage-1 partial matches from the evaluators; each
-// evaluator then cascades the purge down the pipeline along the per-query
-// fan-out targets it recorded while forwarding (mvlqtBucket.sentTargets).
-// Pass the *oriented* query SubscribeMulti returned — its key and chain
-// condition are what the rewriters indexed.
-func (e *Engine) UnsubscribeMulti(from *chord.Node, mq *query.MultiQuery) error {
-	if !from.Alive() {
-		return fmt.Errorf("engine: unsubscribe from departed node %s", from)
-	}
-	if e.cfg.Algorithm != SAI && e.cfg.Algorithm != DAIQ {
-		return fmt.Errorf("engine: multi-way joins run under SAI or DAI-Q, not %s", e.cfg.Algorithm)
-	}
-	return e.retractQuery(from, mq.Key(), mq.ConditionKey())
-}
-
 // handleUnsub removes the query from this rewriter's ALQT — two-way groups
 // and multi-way chain groups alike — and purges its stored rewrites from
-// every evaluator this rewriter fanned out to.
+// every evaluator this rewriter fanned out to. A chain group is keyed by the
+// orientation it was indexed in, which the retraction's condition, read off
+// a text, need not share: the chain is found by its key.
 func (st *nodeState) handleUnsub(m *unsubMsg) {
 	var purges []purgeMsg
 	removed := 0
@@ -114,10 +102,13 @@ func (st *nodeState) handleUnsub(m *unsubMsg) {
 				b.byCond.drop(m.Cond)
 			}
 		}
-		if g := b.multi.get(m.Cond); g != nil {
-			removed += removeKey(&g.queries, m.QueryKey)
-			if len(g.queries) == 0 {
-				b.multi.drop(m.Cond)
+		for _, g := range b.multi.all() {
+			if n := removeKey(&g.queries, m.QueryKey); n > 0 {
+				removed += n
+				if len(g.queries) == 0 {
+					b.multi.drop(g.cond)
+				}
+				break
 			}
 		}
 		if targets := b.sentTargets[m.QueryKey]; len(targets) > 0 {

@@ -1,11 +1,15 @@
 package engine
 
 import (
+	"encoding/hex"
 	"slices"
 	"testing"
 
 	"cqjoin/internal/chord"
+	"cqjoin/internal/id"
 	"cqjoin/internal/metrics"
+	"cqjoin/internal/query"
+	"cqjoin/internal/wire"
 )
 
 func TestUnsubscribeStopsNotifications(t *testing.T) {
@@ -129,12 +133,12 @@ func TestUnsubscribeMultiStopsNotifications(t *testing.T) {
 	for _, alg := range []Algorithm{SAI, DAIQ} {
 		t.Run(alg.String(), func(t *testing.T) {
 			env := newMultiEnv(t, 48, Config{Algorithm: alg, Strategy: StrategyLeft, Seed: 6})
-			mq := env.subscribeMulti(t, 0, `SELECT A.z, C.z FROM A, B, C WHERE A.x = B.y AND B.x = C.y`)
+			mq := env.subscribeChain(t, 0, `SELECT A.z, C.z FROM A, B, C WHERE A.x = B.y AND B.x = C.y`)
 			// Stage one fires: a partial match A⋈B is stored mid-pipeline.
 			env.publish(t, 1, env.tuple(env.a, 1, 0, 10))
 			env.publish(t, 2, env.tuple(env.b, 2, 1, 20))
-			if err := env.eng.UnsubscribeMulti(env.nodes[0], mq); err != nil {
-				t.Fatalf("UnsubscribeMulti: %v", err)
+			if err := env.eng.Unsubscribe(env.nodes[0], mq); err != nil {
+				t.Fatalf("Unsubscribe: %v", err)
 			}
 			// Neither the completing tuple for the stored partial match nor
 			// an entirely fresh chain may notify now.
@@ -145,7 +149,7 @@ func TestUnsubscribeMultiStopsNotifications(t *testing.T) {
 			if got := env.eng.Notifications(); len(got) != 0 {
 				t.Fatalf("retracted chain notified: %v", got)
 			}
-			if err := env.eng.UnsubscribeMulti(env.nodes[0], mq); err == nil {
+			if err := env.eng.Unsubscribe(env.nodes[0], mq); err == nil {
 				t.Fatal("double multi retraction accepted")
 			}
 		})
@@ -154,7 +158,7 @@ func TestUnsubscribeMultiStopsNotifications(t *testing.T) {
 
 func TestUnsubscribeMultiPurgesPipeline(t *testing.T) {
 	env := newMultiEnv(t, 48, Config{Algorithm: SAI, Strategy: StrategyLeft, Seed: 7})
-	mq := env.subscribeMulti(t, 0, `SELECT A.z, D.z FROM A, B, C, D WHERE A.x = B.y AND B.x = C.y AND C.x = D.y`)
+	mq := env.subscribeChain(t, 0, `SELECT A.z, D.z FROM A, B, C, D WHERE A.x = B.y AND B.x = C.y AND C.x = D.y`)
 	// Drive the chain two stages deep so partial matches sit at several
 	// evaluators; the purge must cascade along the recorded fan-out.
 	env.publish(t, 1, env.tuple(env.a, 1, 0, 10))
@@ -167,8 +171,8 @@ func TestUnsubscribeMultiPurgesPipeline(t *testing.T) {
 	if evalBefore == 0 {
 		t.Fatal("set-up stored no partial matches")
 	}
-	if err := env.eng.UnsubscribeMulti(env.nodes[0], mq); err != nil {
-		t.Fatalf("UnsubscribeMulti: %v", err)
+	if err := env.eng.Unsubscribe(env.nodes[0], mq); err != nil {
+		t.Fatalf("Unsubscribe: %v", err)
 	}
 	if got := sum(env.eng.RoleLoads(metrics.Rewriter, true)); got != 0 {
 		t.Fatalf("rewriter storage after retraction = %d, want 0", got)
@@ -187,11 +191,11 @@ func TestUnsubscribeMultiPurgesPipeline(t *testing.T) {
 
 func TestUnsubscribeMultiLeavesOtherChainsIntact(t *testing.T) {
 	env := newMultiEnv(t, 48, Config{Algorithm: SAI, Strategy: StrategyLeft, Seed: 8})
-	mq1 := env.subscribeMulti(t, 0, `SELECT A.z, C.z FROM A, B, C WHERE A.x = B.y AND B.x = C.y`)
-	env.subscribeMulti(t, 1, `SELECT A.z, C.z FROM A, B, C WHERE A.x = B.y AND B.x = C.y`)
+	mq1 := env.subscribeChain(t, 0, `SELECT A.z, C.z FROM A, B, C WHERE A.x = B.y AND B.x = C.y`)
+	env.subscribeChain(t, 1, `SELECT A.z, C.z FROM A, B, C WHERE A.x = B.y AND B.x = C.y`)
 	env.publish(t, 2, env.tuple(env.a, 1, 0, 10))
-	if err := env.eng.UnsubscribeMulti(env.nodes[0], mq1); err != nil {
-		t.Fatalf("UnsubscribeMulti: %v", err)
+	if err := env.eng.Unsubscribe(env.nodes[0], mq1); err != nil {
+		t.Fatalf("Unsubscribe: %v", err)
 	}
 	env.publish(t, 3, env.tuple(env.b, 2, 1, 20))
 	env.publish(t, 4, env.tuple(env.c, 0, 2, 30))
@@ -201,6 +205,87 @@ func TestUnsubscribeMultiLeavesOtherChainsIntact(t *testing.T) {
 	}
 	if got[0].Subscriber != env.nodes[1].Key() {
 		t.Fatalf("notified %s, want the surviving subscriber", got[0].Subscriber)
+	}
+}
+
+// TestUnsubscribeRetractsAParentsChain decodes chains of two and three
+// relations that an earlier build indexed — an mQueryMsg, and an
+// alMultiSection handed over, in the bytes that build wrote — at a node. Their
+// groups are keyed by the orientation that build chose, here reversed from
+// the text's. The one Unsubscribe, given each query as its text parses (as a
+// durable replay retracts it), must take the group away: the census shows it
+// gone, and a later matching chain of tuples triggers nothing.
+func TestUnsubscribeRetractsAParentsChain(t *testing.T) {
+	for _, c := range []struct{ name, sql, input, frame string }{
+		{"k=2/query", `SELECT A.z, B.z FROM A, B WHERE A.x = B.y`, "B+y",
+			"0e07706565723023310570656572300b73696d3a2f2f7065657230002953454c45435420412e7a2c20422e7a2046524f4d20412c204220574845524520412e78203d20422e790142017900"},
+		{"k=2/handoff", `SELECT A.z, B.z FROM A, B WHERE A.x = B.y`, "B+y",
+			"100103422b79000109422e79203d20412e780107706565723023310570656572300b73696d3a2f2f7065657230002953454c45435420412e7a2c20422e7a2046524f4d20412c204220574845524520412e78203d20422e79014200000000000000"},
+		{"k=3/query", `SELECT A.z, C.z FROM A, B, C WHERE A.x = B.y AND B.x = C.y`, "C+y",
+			"0e07706565723023310570656572300b73696d3a2f2f7065657230003a53454c45435420412e7a2c20432e7a2046524f4d20412c20422c204320574845524520412e78203d20422e7920414e4420422e78203d20432e790143017900"},
+		{"k=3/handoff", `SELECT A.z, C.z FROM A, B, C WHERE A.x = B.y AND B.x = C.y`, "C+y",
+			"100103432b79000117432e79203d20422e7820414e4420422e79203d20412e780107706565723023310570656572300b73696d3a2f2f7065657230003a53454c45435420412e7a2c20432e7a2046524f4d20412c20422c204320574845524520412e78203d20422e7920414e4420422e78203d20432e79014300000000000000"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			env := newMultiEnv(t, 48, Config{Algorithm: SAI, Strategy: StrategyLeft})
+			raw, err := hex.DecodeString(c.frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg, err := DecodeMessage(wire.NewReader(raw), env.catalog)
+			if err != nil {
+				t.Fatalf("the frame no longer decodes: %v", err)
+			}
+			var chain *query.Query
+			switch m := msg.(type) {
+			case mQueryMsg:
+				chain = m.MQ
+			case handoffMsg:
+				chain = m.AL[0].Multi[0].Queries[0]
+			}
+			if text := query.MustParse(env.catalog, c.sql); chain.ConditionKey() == text.ConditionKey() {
+				t.Fatalf("the fixture's chain is oriented as its text, %q: it tests nothing", chain.ConditionKey())
+			}
+			// The subscriber marked the chain's later stages and remembers
+			// where it indexed it, as the earlier build's Subscribe did.
+			sub := env.nodes[0]
+			marks := env.eng.interestInputs(chain, query.SideLeft)
+			if err := env.eng.announceInterest(sub, chain.Key(), marks); err != nil {
+				t.Fatal(err)
+			}
+			env.eng.mu.Lock()
+			env.eng.subs[chain.Key()] = append(marks, c.input)
+			env.eng.mu.Unlock()
+			if _, _, err := env.nodes[5].Send(msg, id.Hash(c.input)); err != nil {
+				t.Fatal(err)
+			}
+
+			publishChain := func(z float64) {
+				env.publish(t, 1, env.tuple(env.a, 1, 0, z))
+				env.publish(t, 2, env.tuple(env.b, 2, 1, z))
+				env.publish(t, 3, env.tuple(env.c, 0, 2, z))
+			}
+			publishChain(10)
+			if got := env.eng.Notifications(); len(got) != 1 || got[0].QueryKey != chain.Key() {
+				t.Fatalf("the decoded chain delivered %v, want one match", got)
+			}
+			if got := env.eng.Census()["alqt_queries"].Sum; got != 1 {
+				t.Fatalf("the census counts %d stored queries, want the chain", got)
+			}
+
+			if err := env.eng.Unsubscribe(sub, query.MustParse(env.catalog, c.sql).WithRestoredIdentity(chain.Key(), sub.Key(), "")); err != nil {
+				t.Fatalf("Unsubscribe: %v", err)
+			}
+			census := env.eng.Census()
+			if census["alqt_queries"].Sum != 0 || census["alqt_marks"].Sum != 0 {
+				t.Fatalf("after the retraction the census counts %d stored queries and %d marks",
+					census["alqt_queries"].Sum, census["alqt_marks"].Sum)
+			}
+			publishChain(11)
+			if got := env.eng.Notifications(); len(got) != 1 {
+				t.Fatalf("the retracted chain delivered %v", got[1:])
+			}
+		})
 	}
 }
 

@@ -40,14 +40,14 @@ func X71(sc Scale) *Table {
 // sc.Tuples chain tuples, meters reset in between. It returns the queries
 // as indexed and the tuples as stamped, so a test can join the same stream
 // by brute force.
-func chainRun(sc Scale, k int) (*Run, []*query.MultiQuery, []*relation.Tuple) {
+func chainRun(sc Scale, k int) (*Run, []*query.Query, []*relation.Tuple) {
 	// A moderately sparse value domain keeps the number of completed
 	// combinations from exploding combinatorially with k while still
 	// exercising every pipeline stage.
 	r := Setup(engine.Config{Algorithm: engine.SAI}, sc, workload.Params{Pairs: 2, Attrs: 2, Domain: 200, Theta: 0.5})
-	queries := make([]*query.MultiQuery, max(sc.Queries/8, 1))
+	queries := make([]*query.Query, max(sc.Queries/8, 1))
 	for i := range queries {
-		mq, err := r.Eng.SubscribeMulti(r.randomNode(), r.Gen.QueryChain(k))
+		mq, err := r.Eng.Subscribe(r.randomNode(), r.Gen.QueryChain(k))
 		if err != nil {
 			panic(err)
 		}

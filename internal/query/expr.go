@@ -7,7 +7,8 @@
 // attributes of S. Queries are classified as type T1 — each side involves a
 // single attribute and the equality has a unique solution — or type T2
 // (anything else), which only the DAI-V algorithm of Section 4.5 can
-// evaluate.
+// evaluate. The same form over more relations, their conditions linking
+// them into a chain, is the multi-way join of the Chapter 7 extension.
 package query
 
 import (

@@ -17,11 +17,11 @@ func multiCatalog() *relation.Catalog {
 }
 
 func TestParseMultiThreeWayChain(t *testing.T) {
-	mq, err := ParseMulti(multiCatalog(), `
+	mq, err := Parse(multiCatalog(), `
 		SELECT A.z, B.z, C.z FROM A, B, C
 		WHERE A.x = B.y AND B.x = C.y AND C.z >= 1`)
 	if err != nil {
-		t.Fatalf("ParseMulti: %v", err)
+		t.Fatalf("Parse: %v", err)
 	}
 	if mq.Arity() != 3 {
 		t.Fatalf("arity = %d", mq.Arity())
@@ -42,10 +42,10 @@ func TestParseMultiThreeWayChain(t *testing.T) {
 
 func TestParseMultiUnorderedConditions(t *testing.T) {
 	// Conditions given out of chain order must still resolve.
-	mq, err := ParseMulti(multiCatalog(), `
+	mq, err := Parse(multiCatalog(), `
 		SELECT A.z FROM C, A, B WHERE B.x = C.y AND A.x = B.y`)
 	if err != nil {
-		t.Fatalf("ParseMulti: %v", err)
+		t.Fatalf("Parse: %v", err)
 	}
 	rels := mq.Rels()
 	if rels[0].Name() != "A" || rels[2].Name() != "C" {
@@ -53,13 +53,26 @@ func TestParseMultiUnorderedConditions(t *testing.T) {
 	}
 }
 
+// A chain of two relations is the paper's two-way query: its one link is
+// the join condition α = β as written, whichever relation sorts first.
 func TestParseMultiTwoWayCompatible(t *testing.T) {
-	mq, err := ParseMulti(multiCatalog(), `SELECT A.z, B.z FROM A, B WHERE A.x = B.y`)
-	if err != nil {
-		t.Fatalf("ParseMulti: %v", err)
-	}
-	if mq.Arity() != 2 || len(mq.Links()) != 1 {
-		t.Fatalf("two-way multi wrong: %d rels %d links", mq.Arity(), len(mq.Links()))
+	for _, c := range []struct{ sql, cond, left string }{
+		{`SELECT A.z, B.z FROM A, B WHERE A.x = B.y`, "A.x = B.y", "A"},
+		{`SELECT A.z, B.z FROM A, B WHERE B.y = A.x`, "B.y = A.x", "B"},
+	} {
+		q, err := Parse(multiCatalog(), c.sql)
+		if err != nil {
+			t.Fatalf("Parse: %v", err)
+		}
+		if q.Arity() != 2 || len(q.Links()) != 1 {
+			t.Fatalf("%s: %d rels %d links", c.sql, q.Arity(), len(q.Links()))
+		}
+		if q.ConditionKey() != c.cond || q.Rel(SideLeft).Name() != c.left || q.Type() != T1 || q.Tokens() == nil {
+			t.Fatalf("%s: condition %q, left %s, %s, tokens %v", c.sql, q.ConditionKey(), q.Rel(SideLeft).Name(), q.Type(), q.Tokens())
+		}
+		if l := q.Links()[0]; l.L.String() != q.Expr(SideLeft).String() || l.R.String() != q.Expr(SideRight).String() {
+			t.Fatalf("%s: link %s = %s is not the join condition", c.sql, l.L, l.R)
+		}
 	}
 }
 
@@ -78,7 +91,7 @@ func TestParseMultiErrors(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := ParseMulti(cat, c.sql)
+			_, err := Parse(cat, c.sql)
 			if err == nil {
 				t.Fatalf("accepted %q", c.sql)
 			}
@@ -90,7 +103,7 @@ func TestParseMultiErrors(t *testing.T) {
 }
 
 func TestMultiIdentityAndTimes(t *testing.T) {
-	mq := MustParseMulti(multiCatalog(), `SELECT A.z FROM A, B WHERE A.x = B.y`)
+	mq := MustParse(multiCatalog(), `SELECT A.z FROM A, B WHERE A.x = B.y`)
 	mq2 := mq.WithIdentity("n1", "ip1", 7).WithInsT(42)
 	if mq2.Key() != "n1#7" || mq2.Subscriber() != "n1" || mq2.SubscriberIP() != "ip1" || mq2.InsT() != 42 {
 		t.Fatalf("identity: %q %q %q %d", mq2.Key(), mq2.Subscriber(), mq2.SubscriberIP(), mq2.InsT())
@@ -101,7 +114,7 @@ func TestMultiIdentityAndTimes(t *testing.T) {
 }
 
 func TestMultiReverse(t *testing.T) {
-	mq := MustParseMulti(multiCatalog(), `SELECT A.z FROM A, B, C WHERE A.x = B.y AND B.x = C.y`)
+	mq := MustParse(multiCatalog(), `SELECT A.z FROM A, B, C WHERE A.x = B.y AND B.x = C.y`)
 	rev := mq.Reverse()
 	if rev.Rels()[0].Name() != "C" || rev.Rels()[2].Name() != "A" {
 		t.Fatalf("reverse order wrong: %v", rev.Rels())
@@ -118,7 +131,7 @@ func TestMultiReverse(t *testing.T) {
 }
 
 func TestMultiStageWant(t *testing.T) {
-	mq := MustParseMulti(multiCatalog(), `SELECT A.z FROM A, B, C WHERE 2 * A.x = B.y AND B.x = C.y + 1`)
+	mq := MustParse(multiCatalog(), `SELECT A.z FROM A, B, C WHERE 2 * A.x = B.y AND B.x = C.y + 1`)
 	a := relation.MustSchema("A", "x", "y", "z")
 	ta := relation.MustTuple(a, relation.N(3), relation.N(0), relation.N(0))
 	rel, attr, val, err := mq.StageWant(1, ta)
@@ -145,15 +158,15 @@ func TestMultiStageWant(t *testing.T) {
 }
 
 func TestMultiIndexAttr(t *testing.T) {
-	mq := MustParseMulti(multiCatalog(), `SELECT A.z FROM A, B WHERE 2 * A.x = B.y`)
-	attr, err := mq.IndexAttr()
+	mq := MustParse(multiCatalog(), `SELECT A.z FROM A, B WHERE 2 * A.x = B.y`)
+	attr, err := mq.SingleAttr(SideLeft)
 	if err != nil || attr != "x" {
-		t.Fatalf("IndexAttr = %q, %v", attr, err)
+		t.Fatalf("SingleAttr(SideLeft) = %q, %v", attr, err)
 	}
 }
 
 func TestMultiNeededAttrsAndProjection(t *testing.T) {
-	mq := MustParseMulti(multiCatalog(), `
+	mq := MustParse(multiCatalog(), `
 		SELECT A.z, C.z FROM A, B, C
 		WHERE A.x = B.y AND B.x = C.y AND B.z >= 1`)
 	if got := mq.NeededAttrs("B"); len(got) != 3 { // y, x, z
@@ -170,20 +183,20 @@ func TestMultiNeededAttrsAndProjection(t *testing.T) {
 		relation.MustTuple(b, relation.N(2), relation.N(1), relation.N(20)),
 		relation.MustTuple(c, relation.N(3), relation.N(2), relation.N(30)),
 	}
-	vals, err := mq.ProjectNotification(combo)
+	vals, err := mq.ProjectNotification(combo...)
 	if err != nil {
 		t.Fatalf("ProjectNotification: %v", err)
 	}
 	if len(vals) != 2 || !vals[0].Equal(relation.N(10)) || !vals[1].Equal(relation.N(30)) {
 		t.Fatalf("projection = %v", vals)
 	}
-	if _, err := mq.ProjectNotification(combo[:2]); err == nil {
+	if _, err := mq.ProjectNotification(combo[:2]...); err == nil {
 		t.Fatal("short combination accepted")
 	}
 }
 
 func TestMultiFiltersPass(t *testing.T) {
-	mq := MustParseMulti(multiCatalog(), `SELECT A.z FROM A, B WHERE A.x = B.y AND B.z >= 5`)
+	mq := MustParse(multiCatalog(), `SELECT A.z FROM A, B WHERE A.x = B.y AND B.z >= 5`)
 	b := relation.MustSchema("B", "x", "y", "z")
 	pass := relation.MustTuple(b, relation.N(0), relation.N(0), relation.N(9))
 	fail := relation.MustTuple(b, relation.N(0), relation.N(0), relation.N(1))
@@ -197,7 +210,7 @@ func TestMultiFiltersPass(t *testing.T) {
 
 func TestMultiConditionKeyAndString(t *testing.T) {
 	sql := `SELECT A.z FROM A, B, C WHERE A.x = B.y AND B.x = C.y`
-	mq := MustParseMulti(multiCatalog(), sql)
+	mq := MustParse(multiCatalog(), sql)
 	if !strings.Contains(mq.ConditionKey(), "A.x = B.y") {
 		t.Fatalf("condition key = %q", mq.ConditionKey())
 	}

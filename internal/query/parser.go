@@ -2,23 +2,28 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"cqjoin/internal/relation"
 )
 
-// Parse compiles a continuous two-way equi-join query in the SQL subset of
-// Section 3.2 against the given catalog:
+// Parse compiles a continuous equi-join query in the SQL subset of Section
+// 3.2 against the given catalog:
 //
 //	SELECT D.Title, D.Conference
 //	FROM Document AS D, Authors AS A
 //	WHERE D.AuthorId = A.Id AND A.Surname = 'Smith'
 //
-// Exactly one comparison in the WHERE clause must be an equality relating
-// expressions over the two different FROM relations — the join condition.
-// Every other conjunct must reference a single relation and becomes a
-// selection predicate. Attribute references must be qualified
-// (alias.attribute); string literals use single or double quotes.
+// The comparisons in the WHERE clause that are equalities relating
+// expressions over two different FROM relations are the join conditions:
+// k FROM relations need k - 1 of them, connecting the relations into one
+// chain (every relation in at most two conditions, no cycles). Two relations
+// are the paper's two-way query, whose one condition may be of type T2;
+// longer chains (the Chapter 7 extension) need T1 conditions. Every other
+// conjunct must reference a single relation and becomes a selection
+// predicate. Attribute references must be qualified (alias.attribute);
+// string literals use single or double quotes.
 func Parse(catalog *relation.Catalog, sql string) (*Query, error) {
 	toks, err := lex(sql)
 	if err != nil {
@@ -165,9 +170,10 @@ func (p *parser) parseSelectList(end int) ([]Attr, error) {
 	}
 }
 
+// parseFrom reads two or more comma-separated relation references.
 func (p *parser) parseFrom() error {
 	p.aliases = make(map[string]*relation.Schema, 2)
-	for i := 0; i < 2; i++ {
+	for {
 		t := p.next()
 		if t.kind != tokIdent {
 			return fmt.Errorf("query: expected relation name, found %s", t)
@@ -190,15 +196,16 @@ func (p *parser) parseFrom() error {
 			return fmt.Errorf("query: duplicate alias %s", alias)
 		}
 		p.aliases[alias] = schema
-		if i == 0 {
-			if err := p.expectSymbol(","); err != nil {
-				return fmt.Errorf("query: a two-way join needs two FROM relations: %w", err)
-			}
+		if !p.symbol(",") {
+			break
 		}
 	}
+	if len(p.aliases) < 2 {
+		return fmt.Errorf("query: a join needs at least two FROM relations")
+	}
 	// Self-joins would need tuple provenance we don't model; the paper's
-	// queries always join two distinct relations.
-	seen := make(map[string]bool, 2)
+	// queries always join distinct relations.
+	seen := make(map[string]bool, len(p.aliases))
 	for _, s := range p.aliases {
 		if seen[s.Name()] {
 			return fmt.Errorf("query: self-join of %s is not supported", s.Name())
@@ -230,12 +237,16 @@ func (p *parser) parseQualifiedAttr() (Attr, error) {
 	return Attr{Rel: schema.Name(), Name: at.text}, nil
 }
 
+// parseWhere splits the conjuncts into join conditions and selection
+// predicates, then orders the relations along the chain the conditions form.
 func (p *parser) parseWhere(sel []Attr) (*Query, error) {
-	type cmp struct {
-		op   CmpOp
-		l, r Expr
+	type edge struct {
+		relL, relR string
+		l, r       Expr
 	}
-	var cmps []cmp
+	var edgeBuf [4]edge // a short chain's conditions stay on the stack
+	edges := edgeBuf[:0]
+	q := &Query{sel: sel}
 	for {
 		l, err := p.parseExpr()
 		if err != nil {
@@ -255,56 +266,88 @@ func (p *parser) parseWhere(sel []Attr) (*Query, error) {
 		if err != nil {
 			return nil, err
 		}
-		cmps = append(cmps, cmp{op: op, l: l, r: r})
+		lRels, rRels := Relations(l), Relations(r)
+		switch {
+		case len(lRels) == 1 && len(rRels) == 1 && lRels[0] != rRels[0]:
+			if op != OpEq {
+				return nil, fmt.Errorf("query: cross-relation comparison %s %s %s must be an equality", l, op, r)
+			}
+			edges = append(edges, edge{relL: lRels[0], relR: rRels[0], l: l, r: r})
+		case len(lRels)+len(rRels) == 0:
+			return nil, fmt.Errorf("query: constant predicate %s %s %s", l, op, r)
+		default:
+			rels := append(lRels, rRels...)
+			rel := rels[0]
+			for _, rr := range rels {
+				if rr != rel {
+					return nil, fmt.Errorf("query: predicate %s %s %s mixes relations %s and %s", l, op, r, rel, rr)
+				}
+			}
+			q.filters = append(q.filters, Predicate{Rel: rel, Op: op, L: l, R: r})
+		}
 		if !p.keyword("AND") {
 			break
 		}
 	}
 
-	var q Query
-	q.sel = sel
-	joinFound := false
-	for _, c := range cmps {
-		lRels, rRels := Relations(c.l), Relations(c.r)
-		switch {
-		case len(lRels) == 1 && len(rRels) == 1 && lRels[0] != rRels[0]:
-			if c.op != OpEq {
-				return nil, fmt.Errorf("query: cross-relation comparison %s %s %s must be an equality", c.l, c.op, c.r)
-			}
-			if joinFound {
-				return nil, fmt.Errorf("query: more than one join condition")
-			}
-			joinFound = true
-			q.left, q.right = c.l, c.r
-			q.leftRel = p.schemaOf(lRels[0])
-			q.rightRel = p.schemaOf(rRels[0])
-		case len(lRels)+len(rRels) == 0:
-			return nil, fmt.Errorf("query: constant predicate %s %s %s", c.l, c.op, c.r)
-		default:
-			rels := append(lRels, rRels...)
-			rel := rels[0]
-			for _, r := range rels {
-				if r != rel {
-					return nil, fmt.Errorf("query: predicate %s %s %s mixes relations %s and %s", c.l, c.op, c.r, rel, r)
-				}
-			}
-			q.filters = append(q.filters, Predicate{Rel: rel, Op: c.op, L: c.l, R: c.r})
-		}
-	}
-	if !joinFound {
+	// The join conditions must connect all FROM relations into one chain:
+	// no relation in more than two, and a walk from an endpoint along them
+	// reaches every relation.
+	k := len(p.aliases)
+	if len(edges) == 0 {
 		return nil, fmt.Errorf("query: WHERE clause has no join condition")
 	}
-	// Validate SELECT references against the join relations.
-	for _, a := range q.sel {
-		if a.Rel != q.leftRel.Name() && a.Rel != q.rightRel.Name() {
-			return nil, fmt.Errorf("query: SELECT references %s, not a FROM relation", a)
+	if len(edges) != k-1 {
+		return nil, fmt.Errorf("query: %d relations need exactly %d join conditions, got %d", k, k-1, len(edges))
+	}
+	// Two relations keep the orientation their condition is written in, α = β
+	// (Section 3.2); a longer chain starts at its lexicographically smaller
+	// endpoint, a canonical orientation the engine may reverse when indexing.
+	start := edges[0].relL
+	if k > 2 {
+		start = ""
+	}
+	for _, e := range edges {
+		for _, rel := range [2]string{e.relL, e.relR} {
+			n := 0
+			for _, f := range edges {
+				if f.relL == rel || f.relR == rel {
+					n++
+				}
+			}
+			if n > 2 {
+				return nil, fmt.Errorf("query: relation %s appears in %d join conditions; only chains are supported", rel, n)
+			}
+			if k > 2 && n == 1 && (start == "" || rel < start) {
+				start = rel
+			}
 		}
 	}
+	rels := make([]relPlan, 0, k)
+	cur := start
+	for len(rels) < k-1 {
+		i := slices.IndexFunc(edges, func(e edge) bool { return e.relL == cur || e.relR == cur })
+		if i < 0 {
+			return nil, fmt.Errorf("query: join conditions do not form a single chain over the FROM relations")
+		}
+		e := edges[i]
+		edges = slices.Delete(edges, i, i+1)
+		link, next := Link{L: e.l, R: e.r}, e.relR
+		if cur == e.relR {
+			link, next = Link{L: e.r, R: e.l}, e.relL
+		}
+		if k > 2 && (!Invertible(link.L) || !Invertible(link.R)) {
+			return nil, fmt.Errorf("query: chain condition %s = %s is not invertible (type T2); multi-way evaluation needs T1 sides", e.l, e.r)
+		}
+		rels = append(rels, relPlan{schema: p.schemaOf(cur), link: link})
+		cur = next
+	}
+	rels = append(rels, relPlan{schema: p.schemaOf(cur)})
 	var err error
-	if q.plan, err = compile(&q); err != nil {
+	if q.plan, err = compile(q, rels); err != nil {
 		return nil, err
 	}
-	return &q, nil
+	return q, nil
 }
 
 func (p *parser) schemaOf(rel string) *relation.Schema {

@@ -136,7 +136,7 @@ func TestParseErrors(t *testing.T) {
 		{"unknown alias", `SELECT Z.A FROM R, S WHERE R.A = S.D`, "unknown alias"},
 		{"unknown attribute", `SELECT R.Z FROM R, S WHERE R.A = S.D`, "no attribute"},
 		{"no join condition", `SELECT R.A FROM R, S WHERE R.A = 5`, "no join condition"},
-		{"two join conditions", `SELECT R.A FROM R, S WHERE R.A = S.D AND R.B = S.E`, "more than one join"},
+		{"two join conditions", `SELECT R.A FROM R, S WHERE R.A = S.D AND R.B = S.E`, "exactly 1 join conditions"},
 		{"non-equality join", `SELECT R.A FROM R, S WHERE R.A < S.D`, "must be an equality"},
 		{"constant predicate", `SELECT R.A FROM R, S WHERE R.A = S.D AND 1 = 1`, "constant predicate"},
 		{"unqualified attr", `SELECT A FROM R, S WHERE R.A = S.D`, "qualified"},
@@ -334,13 +334,13 @@ func TestAccessorsAndRestoredIdentity(t *testing.T) {
 		t.Fatal("WithRestoredIdentity mutated the original")
 	}
 
-	mq := MustParseMulti(testCatalog(), `SELECT R.A FROM R, S WHERE R.B = S.E`)
+	mq := MustParse(testCatalog(), `SELECT R.A FROM R, S, Authors WHERE R.B = S.E AND S.F = Authors.Id`)
 	if mq.Text() == "" || len(mq.Select()) != 1 {
-		t.Fatalf("multi accessors wrong: %q %v", mq.Text(), mq.Select())
+		t.Fatalf("chain accessors wrong: %q %v", mq.Text(), mq.Select())
 	}
 	mr := mq.WithRestoredIdentity("k#1", "s", "ip")
 	if mr.Key() != "k#1" || mr.Subscriber() != "s" || mr.SubscriberIP() != "ip" {
-		t.Fatal("multi restored identity wrong")
+		t.Fatal("chain restored identity wrong")
 	}
 }
 

@@ -7,74 +7,104 @@ import (
 )
 
 // plan is everything about a query that is a pure function of its parsed
-// form, compiled once by Parse. It is immutable from then on, so the With*
-// copy constructors share it by pointer and the per-tuple paths of the
-// engine read it without re-walking the expression trees.
+// form, compiled once by Parse: its chain of relations and links too. It is
+// immutable from then on, so the With* copy constructors share it by pointer
+// and the per-tuple paths of the engine read it without re-walking the
+// expression trees.
 type plan struct {
 	condKey string
 	typ     Type
-	side    [2]sidePlan
-	sel     []selRef
-	tokens  []byte // Query.Tokens, against the catalog Parse was given
+	// attrs are, per side, the distinct attributes the side's join
+	// expression references.
+	attrs  [2][]string
+	rels   []relPlan // one per relation, in chain order
+	sel    []selRef
+	tokens []byte // Query.Tokens, against the catalog Parse was given
 }
 
-// sidePlan is the plan's per-relation part.
-type sidePlan struct {
-	// attrs are the distinct attributes the side's join expression
-	// references.
-	attrs []string
-	// needed lists the attributes required to finish evaluating the query
-	// once the other side is fixed — SELECT list, join expression, selection
-	// predicates, in that order — and proj is the relation's interned schema
-	// over exactly that list, the shape of every trigger this side ships.
+// relPlan is one relation of the chain: its schema and the join condition
+// with the next relation (none on the last), which Parse fills in, and what
+// compile derives — needed, the attributes required to finish evaluating the
+// query once the relation's tuple is fixed (SELECT list, join conditions,
+// selection predicates, in that order), and proj, the relation's interned
+// schema over exactly that list, the shape of every trigger it ships.
+type relPlan struct {
+	schema *relation.Schema
+	link   Link
 	needed []string
 	proj   *relation.Schema
 }
 
-// selRef locates one SELECT attribute: its side, and its position in the
-// relation's catalog schema and in the side's projection schema.
+// selRef locates one SELECT attribute: its relation's chain position, and
+// its position in the relation's catalog schema and in its projection
+// schema.
 type selRef struct {
-	side       Side
+	rel        int
 	name       string
 	full, proj int
 }
 
-// compile builds q's plan; q's parsed fields are final.
-func compile(q *Query) (*plan, error) {
-	p := &plan{condKey: q.left.String() + " = " + q.right.String(), typ: T2}
-	if Invertible(q.left) && Invertible(q.right) {
-		p.typ = T1
+// compile builds q's plan over rels, the chain Parse read or its reverse;
+// q's other parsed fields are final.
+func compile(q *Query, rels []relPlan) (*plan, error) {
+	p := &plan{typ: T1, rels: rels}
+	links := rels[:len(rels)-1]
+	for i, r := range links {
+		cond := r.link.L.String() + " = " + r.link.R.String()
+		if i > 0 {
+			cond = p.condKey + " AND " + cond
+		}
+		p.condKey = cond
+		if !Invertible(r.link.L) || !Invertible(r.link.R) {
+			p.typ = T2
+		}
 	}
-	for _, s := range []Side{SideLeft, SideRight} {
-		sp := &p.side[s]
-		rel := q.Rel(s)
-		sp.attrs = distinctNames(nil, Attrs(q.Expr(s)), rel.Name())
-		sp.needed = distinctNames(nil, q.sel, rel.Name())
-		sp.needed = distinctNames(sp.needed, Attrs(q.Expr(s)), rel.Name())
+	p.attrs[SideLeft] = distinctNames(nil, Attrs(rels[0].link.L), rels[0].schema.Name())
+	p.attrs[SideRight] = distinctNames(nil, Attrs(links[len(links)-1].link.R), rels[len(rels)-1].schema.Name())
+	for i := range rels {
+		r := &rels[i]
+		name := r.schema.Name()
+		needed := distinctNames(nil, q.sel, name)
+		if i > 0 {
+			needed = distinctNames(needed, Attrs(rels[i-1].link.R), name)
+		}
+		if i < len(links) {
+			needed = distinctNames(needed, Attrs(r.link.L), name)
+		}
 		for _, f := range q.filters {
-			if f.Rel == rel.Name() {
-				sp.needed = distinctNames(sp.needed, Attrs(f.L), rel.Name())
-				sp.needed = distinctNames(sp.needed, Attrs(f.R), rel.Name())
+			if f.Rel == name {
+				needed = distinctNames(needed, Attrs(f.L), name)
+				needed = distinctNames(needed, Attrs(f.R), name)
 			}
 		}
-		proj, err := rel.Projection(sp.needed)
+		proj, err := r.schema.Projection(needed)
 		if err != nil {
 			return nil, fmt.Errorf("query: %w", err)
 		}
-		sp.proj = proj
-		// Nothing may append into a list every copy of the query shares.
-		sp.attrs = sp.attrs[:len(sp.attrs):len(sp.attrs)]
-		sp.needed = sp.needed[:len(sp.needed):len(sp.needed)]
+		r.needed, r.proj = needed[:len(needed):len(needed)], proj // nothing may append into a list every copy shares
+	}
+	for s, attrs := range p.attrs {
+		p.attrs[s] = attrs[:len(attrs):len(attrs)]
 	}
 	p.sel = make([]selRef, len(q.sel))
 	for i, a := range q.sel {
-		s := SideLeft
-		if a.Rel == q.rightRel.Name() {
-			s = SideRight
+		r := relIndex(rels, a.Rel)
+		if r < 0 {
+			return nil, fmt.Errorf("query: SELECT references %s, not a FROM relation", a)
 		}
-		p.sel[i] = selRef{side: s, name: a.Name, full: q.Rel(s).AttrIndex(a.Name), proj: p.side[s].proj.AttrIndex(a.Name)}
+		p.sel[i] = selRef{rel: r, name: a.Name, full: rels[r].schema.AttrIndex(a.Name), proj: rels[r].proj.AttrIndex(a.Name)}
 	}
 	return p, nil
+}
+
+// relIndex returns the position of the named relation in rels, or -1.
+func relIndex(rels []relPlan, rel string) int {
+	for i := range rels {
+		if rels[i].schema.Name() == rel {
+			return i
+		}
+	}
+	return -1
 }
 
 // distinctNames appends to out the names of the attributes of relation rel
@@ -95,14 +125,14 @@ next:
 	return out
 }
 
-// selValue reads SELECT attribute r from a tuple of its side: by position
+// selValue reads SELECT attribute r from a tuple of its relation: by position
 // when the tuple has the relation's catalog schema or the plan's projection
 // schema, by name for any other schema of the relation.
 func (q *Query) selValue(r selRef, t *relation.Tuple) (relation.Value, error) {
 	switch t.Schema() {
-	case q.Rel(r.side):
+	case q.plan.rels[r.rel].schema:
 		return t.ValueAt(r.full), nil
-	case q.plan.side[r.side].proj:
+	case q.plan.rels[r.rel].proj:
 		return t.ValueAt(r.proj), nil
 	}
 	return t.Value(r.name)

@@ -14,10 +14,12 @@ import (
 // The reference derivations below are the per-call tree walks the compiled
 // plan replaced, kept as the oracle every plan field is compared against.
 
-func refConditionKey(q *Query) string { return q.left.String() + " = " + q.right.String() }
+func refConditionKey(q *Query) string {
+	return q.Expr(SideLeft).String() + " = " + q.Expr(SideRight).String()
+}
 
 func refType(q *Query) Type {
-	if Invertible(q.left) && Invertible(q.right) {
+	if Invertible(q.Expr(SideLeft)) && Invertible(q.Expr(SideRight)) {
 		return T1
 	}
 	return T2
@@ -70,7 +72,7 @@ func refProjectNotification(q *Query, left, right *relation.Tuple) []relation.Va
 	out := make([]relation.Value, len(q.sel))
 	for i, a := range q.sel {
 		src := left
-		if a.Rel == q.rightRel.Name() {
+		if a.Rel == q.Rel(SideRight).Name() {
 			src = right
 		}
 		out[i] = src.MustValue(a.Name)
@@ -155,7 +157,7 @@ func TestPlanEquivalence(t *testing.T) {
 	accepted := 0
 	for _, sql := range planCorpus(t) {
 		q, err := Parse(catalog, sql)
-		if err != nil {
+		if err != nil || q.Arity() > 2 { // a chain's plan is held to the chain tests
 			continue
 		}
 		accepted++

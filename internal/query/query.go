@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"strings"
 	"sync/atomic"
 
 	"cqjoin/internal/relation"
@@ -58,7 +59,17 @@ func (t Type) String() string {
 // that fits costs exactly one allocation, its final string.
 const keyScratch = 128
 
-// Query is a continuous two-way equi-join query. Build one with Parse, then
+// Link is one join condition of a query: an equality between an expression
+// over one relation (L) and one over the next relation of the chain (R).
+type Link struct {
+	L, R Expr
+}
+
+// Query is a continuous equi-join query over k >= 2 relations joined along a
+// chain: Rels()[i] and Rels()[i+1] by Links()[i]. With k = 2 it is the
+// paper's two-way query (Section 3.2), whose join condition α = β is
+// Links()[0]; with k > 2 it is the chain join of the Chapter 7 extension. The
+// two sides of a query are its chain's endpoints. Build one with Parse, then
 // attach subscriber identity with WithIdentity before indexing it.
 type Query struct {
 	key          string
@@ -66,14 +77,10 @@ type Query struct {
 	subscriberIP string
 	insT         int64
 
-	sel      []Attr
-	left     Expr
-	right    Expr
-	leftRel  *relation.Schema
-	rightRel *relation.Schema
-	filters  []Predicate
-	text     string
-	plan     *plan // compiled by Parse, shared by every copy
+	sel     []Attr
+	filters []Predicate
+	text    string
+	plan    *plan // the chain, compiled by Parse, shared by every copy of one orientation
 
 	// wireSize memoizes the wire-encoded length of the query's fields ahead
 	// of its text (wire.Coder.Query); 0 means not yet computed. Accessed atomically because the query value embedded in
@@ -146,20 +153,73 @@ func (q *Query) SetCachedWireSize(n int) { atomic.StoreInt64(&q.wireSize, int64(
 // Select returns the projection list.
 func (q *Query) Select() []Attr { return append([]Attr(nil), q.sel...) }
 
-// Expr returns the join-condition expression of the given side.
+// Expr returns the join-condition expression of the given side: the
+// endpoint's side of the chain's first or last link.
 func (q *Query) Expr(s Side) Expr {
 	if s == SideLeft {
-		return q.left
+		return q.plan.rels[0].link.L
 	}
-	return q.right
+	return q.plan.rels[len(q.plan.rels)-2].link.R
 }
 
-// Rel returns the relation schema of the given side.
-func (q *Query) Rel(s Side) *relation.Schema {
+// Rel returns the relation schema of the given side, a chain endpoint.
+func (q *Query) Rel(s Side) *relation.Schema { return q.plan.rels[q.relOf(s)].schema }
+
+// relOf returns the chain position of the given side's relation.
+func (q *Query) relOf(s Side) int {
 	if s == SideLeft {
-		return q.leftRel
+		return 0
 	}
-	return q.rightRel
+	return len(q.plan.rels) - 1
+}
+
+// relIndex returns the chain position of the named relation, or -1.
+func (q *Query) relIndex(rel string) int { return relIndex(q.plan.rels, rel) }
+
+// Arity returns the number of joined relations k.
+func (q *Query) Arity() int { return len(q.plan.rels) }
+
+// Rels returns the relations in chain order.
+func (q *Query) Rels() []*relation.Schema {
+	out := make([]*relation.Schema, len(q.plan.rels))
+	for i, r := range q.plan.rels {
+		out[i] = r.schema
+	}
+	return out
+}
+
+// Links returns the join conditions; Links()[i] relates Rels()[i] to
+// Rels()[i+1].
+func (q *Query) Links() []Link {
+	out := make([]Link, len(q.plan.rels)-1)
+	for i := range out {
+		out[i] = q.plan.rels[i].link
+	}
+	return out
+}
+
+// Reverse returns the query with its chain's orientation flipped: the other
+// endpoint first, each link's sides swapped, and the plan compiled for that
+// orientation, ConditionKey included.
+func (q *Query) Reverse() *Query {
+	k := len(q.plan.rels)
+	rels := make([]relPlan, k)
+	for i, r := range q.plan.rels {
+		rels[k-1-i].schema = r.schema
+		if i > 0 {
+			prev := q.plan.rels[i-1].link
+			rels[k-1-i].link = Link{L: prev.R, R: prev.L}
+		}
+	}
+	cp := *q
+	cp.wireSize = 0
+	p, err := compile(&cp, rels)
+	if err != nil { // the same relations and attributes compiled once already
+		panic(err)
+	}
+	p.tokens = q.plan.tokens
+	cp.plan = p
+	return &cp
 }
 
 // Filters returns the selection predicates conjoined with the join.
@@ -197,13 +257,22 @@ func (q *Query) FiltersPass(t *relation.Tuple) (bool, error) {
 // SideFor returns the side whose relation is rel.
 func (q *Query) SideFor(rel string) (Side, error) {
 	switch rel {
-	case q.leftRel.Name():
+	case q.Rel(SideLeft).Name():
 		return SideLeft, nil
-	case q.rightRel.Name():
+	case q.Rel(SideRight).Name():
 		return SideRight, nil
 	default:
-		return 0, fmt.Errorf("query: relation %s is not part of %s ⋈ %s", rel, q.leftRel.Name(), q.rightRel.Name())
+		return 0, fmt.Errorf("query: relation %s is not an endpoint of %s", rel, q.chain())
 	}
+}
+
+// chain renders the relations in chain order, R ⋈ S ⋈ ...
+func (q *Query) chain() string {
+	names := make([]string, len(q.plan.rels))
+	for i, r := range q.plan.rels {
+		names[i] = r.schema.Name()
+	}
+	return strings.Join(names, " ⋈ ")
 }
 
 // Type classifies the query as T1 or T2 per Section 3.2.
@@ -212,12 +281,12 @@ func (q *Query) Type() Type { return q.plan.typ }
 // SideAttrs returns the distinct attribute names the given side's
 // expression references, candidates for the role of index attribute. The
 // slice belongs to the query's plan: read it, do not modify it.
-func (q *Query) SideAttrs(s Side) []string { return q.plan.side[s].attrs }
+func (q *Query) SideAttrs(s Side) []string { return q.plan.attrs[s] }
 
 // SingleAttr returns the side's unique join attribute for a T1-style side,
 // or an error when the side references several attributes.
 func (q *Query) SingleAttr(s Side) (string, error) {
-	attrs := q.plan.side[s].attrs
+	attrs := q.plan.attrs[s]
 	if len(attrs) != 1 {
 		return "", fmt.Errorf("query: %s side of %q references %d attributes", s, q.ConditionKey(), len(attrs))
 	}
@@ -235,7 +304,7 @@ func (q *Query) EvalSide(s Side, t *relation.Tuple) (relation.Value, error) {
 // Section 4.3.2: the value attribute DisA(q) must take so the join
 // condition holds.
 func (q *Query) InvertSide(s Side, target relation.Value) (relation.Value, error) {
-	if len(q.plan.side[s].attrs) != 1 {
+	if len(q.plan.attrs[s]) != 1 {
 		return relation.Value{}, fmt.Errorf("query: invert of multi-attribute expression %s", q.Expr(s))
 	}
 	return invert(q.Expr(s), target)
@@ -247,34 +316,58 @@ func (q *Query) InvertSide(s Side, target relation.Value) (relation.Value, error
 func (q *Query) ConditionKey() string { return q.plan.condKey }
 
 // NeededAttrs returns the attributes of the named relation required to
-// finish evaluating the query after the other relation's side is fixed:
-// the attributes in the SELECT list, the join expression and the selection
-// predicates — nil for a relation the query does not join. The slice
-// belongs to the query's plan: read it, do not modify it.
+// finish evaluating the query once its tuple is fixed: the attributes in the
+// SELECT list, the join conditions and the selection predicates — nil for a
+// relation the query does not join. The slice belongs to the query's plan:
+// read it, do not modify it.
 func (q *Query) NeededAttrs(rel string) []string {
-	s, err := q.SideFor(rel)
-	if err != nil {
+	i := q.relIndex(rel)
+	if i < 0 {
 		return nil
 	}
-	return q.plan.side[s].needed
+	return q.plan.rels[i].needed
 }
 
 // Projection returns the schema of the given side's relation restricted to
 // NeededAttrs — the shape of "the projection of t on the attributes needed
 // for the evaluation of the join" (Section 4.5) that a rewritten query
 // carries. Queries needing the same attributes share one schema.
-func (q *Query) Projection(s Side) *relation.Schema { return q.plan.side[s].proj }
+func (q *Query) Projection(s Side) *relation.Schema { return q.plan.rels[q.relOf(s)].proj }
+
+// StageWant computes where a chain continues after relation stage-1 matched
+// tuple t: the relation, the single join attribute, and the value that
+// attribute must take. stage counts matched relations so far
+// (1 <= stage < Arity; t belongs to Rels()[stage-1]).
+func (q *Query) StageWant(stage int, t *relation.Tuple) (rel, attr string, val relation.Value, err error) {
+	if stage < 1 || stage >= len(q.plan.rels) {
+		return "", "", relation.Value{}, fmt.Errorf("query: stage %d out of range [1,%d)", stage, len(q.plan.rels))
+	}
+	link := q.plan.rels[stage-1].link
+	v, err := link.L.Eval(t)
+	if err != nil {
+		return "", "", relation.Value{}, err
+	}
+	want, err := Invert(link.R, v)
+	if err != nil {
+		return "", "", relation.Value{}, err
+	}
+	attrs := Attrs(link.R)
+	if len(attrs) != 1 {
+		return "", "", relation.Value{}, fmt.Errorf("query: non-T1 link at stage %d", stage)
+	}
+	return q.plan.rels[stage].schema.Name(), attrs[0].Name, want, nil
+}
 
 // appendSelectValues appends the values of the SELECT attributes that belong
 // to the tuple's relation — the v1, ..., vl that name a rewritten query's
 // key in Section 4.3.3.
 func (q *Query) appendSelectValues(dst []relation.Value, t *relation.Tuple) ([]relation.Value, error) {
-	s, err := q.SideFor(t.Relation())
-	if err != nil {
+	i := q.relIndex(t.Relation())
+	if i < 0 {
 		return dst, nil // not a relation of the query: no SELECT attribute is t's
 	}
 	for _, r := range q.plan.sel {
-		if r.side != s {
+		if r.rel != i {
 			continue
 		}
 		v, err := q.selValue(r, t)
@@ -320,10 +413,11 @@ func (q *Query) AppendRewriteKey(dst []byte, t *relation.Tuple, valDA relation.V
 	return valDA.AppendCanon(dst), nil
 }
 
-// ProjectNotification computes the SELECT projection over a matched pair of
-// tuples, one from each relation — the answer carried by a notification.
-func (q *Query) ProjectNotification(left, right *relation.Tuple) ([]relation.Value, error) {
-	return q.AppendNotification(make([]relation.Value, 0, q.SelectLen()), left, right)
+// ProjectNotification computes the SELECT projection over a matched
+// combination of tuples, one per relation in chain order (a two-way query's
+// left and right) — the answer carried by a notification.
+func (q *Query) ProjectNotification(tuples ...*relation.Tuple) ([]relation.Value, error) {
+	return q.AppendNotification(make([]relation.Value, 0, q.SelectLen()), tuples...)
 }
 
 // SelectLen returns how many values a notification of q carries.
@@ -332,18 +426,18 @@ func (q *Query) SelectLen() int { return len(q.plan.sel) }
 // AppendNotification appends ProjectNotification's values to dst, so a
 // caller projecting a batch fills one array it sized from SelectLen. On an
 // error dst comes back as it was given.
-func (q *Query) AppendNotification(dst []relation.Value, left, right *relation.Tuple) ([]relation.Value, error) {
-	if left.Relation() != q.leftRel.Name() || right.Relation() != q.rightRel.Name() {
-		return dst, fmt.Errorf("query: ProjectNotification tuple relations %s, %s do not match %s ⋈ %s",
-			left.Relation(), right.Relation(), q.leftRel.Name(), q.rightRel.Name())
+func (q *Query) AppendNotification(dst []relation.Value, tuples ...*relation.Tuple) ([]relation.Value, error) {
+	if len(tuples) != len(q.plan.rels) {
+		return dst, fmt.Errorf("query: combination of %d tuples for %s", len(tuples), q.chain())
+	}
+	for i, t := range tuples {
+		if want := q.plan.rels[i].schema.Name(); t.Relation() != want {
+			return dst, fmt.Errorf("query: tuple %d is of %s, not of %s in %s", i, t.Relation(), want, q.chain())
+		}
 	}
 	n := len(dst)
 	for _, r := range q.plan.sel {
-		src := left
-		if r.side == SideRight {
-			src = right
-		}
-		v, err := q.selValue(r, src)
+		v, err := q.selValue(r, tuples[r.rel])
 		if err != nil {
 			return dst[:n], err
 		}

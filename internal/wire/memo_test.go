@@ -91,6 +91,21 @@ func TestMemoReturnsAQueryOnlyOnAnExactMatch(t *testing.T) {
 	}
 }
 
+// A query of more than two relations is a chain, which travels in a form of
+// its own: where a two-way query belongs, its text does not decode.
+func TestMemoRefusesAChain(t *testing.T) {
+	catalog := relation.MustCatalog(relation.MustSchema("R", "A", "B"), relation.MustSchema("S", "D", "E"), relation.MustSchema("T", "G", "H"))
+	reg := obs.NewRegistry()
+	memo := &Memo{Hits: reg.Counter("hits"), Misses: reg.Counter("misses"), Resets: reg.Counter("resets")}
+	chain := `SELECT R.A, T.H FROM R, S, T WHERE R.B = S.E AND S.D = T.G`
+	if q, err := decodeQuery(encodedQuery("n1#1", "n1", "sim://n1", 7, chain), catalog, memo, ""); err == nil {
+		t.Fatalf("a chain decoded as a two-way query: %v", q)
+	}
+	if _, err := decodeQuery(encodedQuery("n1#2", "n1", "sim://n1", 7, memoSQL), catalog, memo, ""); err != nil {
+		t.Fatalf("a two-way query after it: %v", err)
+	}
+}
+
 // The memo never holds more than memoMax entries, whatever it is fed, and
 // keeps answering correctly across its restarts.
 func TestMemoIsBounded(t *testing.T) {

@@ -150,7 +150,7 @@ func (g *Generator) QueryT2() *query.Query {
 // QueryChain generates a k-way chain query alternating over the left and
 // right relations of consecutive pairs (R0, S0, R1, S1, ...), so the chain
 // uses k distinct relations. k must be in [2, 2*Pairs].
-func (g *Generator) QueryChain(k int) *query.MultiQuery {
+func (g *Generator) QueryChain(k int) *query.Query {
 	if k < 2 || k > 2*g.p.Pairs {
 		panic(fmt.Sprintf("workload: chain arity %d out of range [2, %d]", k, 2*g.p.Pairs))
 	}
@@ -178,7 +178,7 @@ func (g *Generator) QueryChain(k int) *query.MultiQuery {
 		ra := fmt.Sprintf("a%d", g.rng.Intn(g.p.Attrs))
 		sql += fmt.Sprintf(" %s.%s = %s.%s", rels[i].Name(), la, rels[i+1].Name(), ra)
 	}
-	return query.MustParseMulti(g.catalog, sql)
+	return query.MustParse(g.catalog, sql)
 }
 
 // ChainTuple generates a tuple of one of the k chain relations, uniformly.

@@ -218,8 +218,8 @@ func TestTransportDifferentialMultiWay(t *testing.T) {
 			`SELECT A.z FROM A, B, C WHERE A.y = B.y AND B.x = C.x`,
 		}
 		for i, sql := range mqs {
-			if _, err := eng.SubscribeMulti(nodes[i], query.MustParseMulti(catalog, sql)); err != nil {
-				t.Fatalf("SubscribeMulti: %v", err)
+			if _, err := eng.Subscribe(nodes[i], query.MustParse(catalog, sql)); err != nil {
+				t.Fatalf("Subscribe: %v", err)
 			}
 		}
 		schemas := []*relation.Schema{catalog.Lookup("A"), catalog.Lookup("B"), catalog.Lookup("C")}
