@@ -9,9 +9,11 @@
 //	joinsim -exp F5.10 -nodes 4096 -queries 20000 -tuples 5000
 //	joinsim -exp all -parallel 1      # force sequential execution
 //
-// CI scale (the default) finishes in seconds per experiment; paper scale
-// reproduces the thesis set-up (10^4 nodes, 10^5 queries) and takes
-// minutes per experiment.
+// CI scale (the default) finishes in seconds per experiment; paper scale is
+// the thesis set-up (10^4 nodes, 10^5 queries), which does not yet run in
+// bounded memory: on an 8 GB host `-exp F5.2 -scale paper` was OOM-killed
+// after 55 s at the default -parallel and after 93 s at -parallel 1
+// (ROADMAP AG).
 //
 // Experiments run their independent cells on -parallel workers (default:
 // all CPUs); each cell publishes sequentially on its own overlay, so

@@ -67,7 +67,9 @@ func (st *nodeState) census(c census) {
 	var rewrites, spelled, later, tuples, queries, targets, marks, grants, notifs, verdicts int
 	for _, b := range st.vlqt {
 		rewrites += b.rewrites.len()
-		later += len(b.rewrites.later)
+		if b.rewrites.rare != nil {
+			later += len(b.rewrites.rare.later)
+		}
 		for _, rw := range b.rewrites.all() {
 			if rw.Key != "" {
 				spelled++

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"cqjoin/internal/chord"
@@ -30,8 +31,10 @@ import (
 // codecFixtures with its line in testdata/wire.golden, which pins every byte
 // below (tag numbers included) across commits.
 
-// Message type tags. Tag 20 was hot-recall's (hot-key demotion); it stays
-// reserved, so a frame holding one decodes as an unknown tag.
+// Message type tags. Tags 14 and 15 were a chain's query and join, before a
+// chain was indexed by a query message and its stages were joins; tag 20 was
+// hot-recall's (hot-key demotion). They stay reserved, so a frame holding one
+// decodes as an unknown tag.
 const (
 	tagQuery byte = iota + 1
 	tagALIndex
@@ -46,8 +49,8 @@ const (
 	tagBaselineQuery
 	tagBaselineTuple
 	tagBaselineProbe
-	tagMQuery
-	tagMJoin
+	_
+	_
 	tagHandoff
 	tagHotJoin
 	tagHotVLIndex
@@ -194,12 +197,6 @@ func walkMessage(c *wire.Coder, msg *chord.Message) {
 	case baselineProbeMsg:
 		c.Tag(tagBaselineProbe)
 		m.walk(c)
-	case mQueryMsg:
-		c.Tag(tagMQuery)
-		m.walk(c)
-	case mJoinMsg:
-		c.Tag(tagMJoin)
-		m.walk(c)
 	case handoffMsg:
 		c.Tag(tagHandoff)
 		m.walk(c)
@@ -288,14 +285,6 @@ func decodeMessage(c *wire.Coder) chord.Message {
 		return m
 	case tagBaselineProbe:
 		var m baselineProbeMsg
-		m.walk(c)
-		return m
-	case tagMQuery:
-		var m mQueryMsg
-		m.walk(c)
-		return m
-	case tagMJoin:
-		var m mJoinMsg
 		m.walk(c)
 		return m
 	case tagHandoff:
@@ -428,14 +417,6 @@ func (m *baselineProbeMsg) walk(c *wire.Coder) {
 	walkRewrites(c, &m.Rewrites)
 }
 
-func (m *mQueryMsg) walk(c *wire.Coder) {
-	walkMultiQuery(c, &m.MQ)
-	c.String(&m.Attr)
-	c.Int(&m.Replica)
-}
-
-func (m *mJoinMsg) walk(c *wire.Coder) { walkMRewrites(c, &m.Rewrites) }
-
 func (m *handoffMsg) walk(c *wire.Coder) {
 	wire.Slice(c, &m.AL)
 	for i := range m.AL {
@@ -445,10 +426,7 @@ func (m *handoffMsg) walk(c *wire.Coder) {
 	for i := range m.VQ {
 		m.VQ[i].walk(c)
 	}
-	wire.Slice(c, &m.MQ)
-	for i := range m.MQ {
-		m.MQ[i].walk(c)
-	}
+	walkParentPartialMatches(c, &m.VQ)
 	wire.Slice(c, &m.VT)
 	for i := range m.VT {
 		m.VT[i].walk(c)
@@ -477,6 +455,14 @@ func (m *handoffMsg) walk(c *wire.Coder) {
 	}
 	for i := range m.AL {
 		c.Strings(&m.AL[i].Grants)
+	}
+	// A build whose chains had sections of their own ended it here: the VQ
+	// sections' chain targets follow only where there are any.
+	if c.AtEnd() || !c.Decoding() && !m.forwarded() {
+		return
+	}
+	for i := range m.VQ {
+		walkTargets(c, &m.VQ[i].SentTargets)
 	}
 }
 
@@ -600,10 +586,13 @@ func walkRewrites(c *wire.Coder, rws *[]rewritten) {
 
 // sideRepeat in IndexSide's place says the target is the predecessor's;
 // sideDerived added to IndexSide says the target is its trigger and what
-// wants derives from it. No build wrote a side above 1 before it read them.
+// wants derives from it; sideChain added to it says so of a chain's rewrite,
+// whose prefix goes before the trigger. No build wrote a side above 1 before
+// it read the first two, nor one above 4 before it read the third.
 const (
 	sideRepeat  query.Side = 2
 	sideDerived query.Side = 3
+	sideChain   query.Side = 5
 )
 
 // walk walks one rewritten query after prev, its predecessor in the message
@@ -619,7 +608,8 @@ const (
 // values, keys as appendKey renders them: a message rebuilt from decoded
 // parts encodes the same, and a key held derived ("") or spelled says the
 // same. Decoded, a key its target derives is held as "". No prev, no marker
-// for prev's.
+// for prev's. A chain's rewrite is always derived, behind sideChain: it says
+// its prefix, then its trigger (rewriteTarget.walk).
 func (rw *rewritten) walk(c *wire.Coder, prev *rewritten) {
 	prevText := ""
 	if prev != nil && c.Err() == nil {
@@ -631,7 +621,10 @@ func (rw *rewritten) walk(c *wire.Coder, prev *rewritten) {
 	if !c.Decoding() {
 		if prev == nil || !rw.repeats(prev) {
 			side = rw.IndexSide
-			if rw.rewriteTarget.derived(rw.Orig) {
+			switch {
+			case rw.Orig.Arity() > 2:
+				side += sideChain
+			case rw.rewriteTarget.derived(rw.Orig):
 				side += sideDerived
 			}
 		}
@@ -639,15 +632,19 @@ func (rw *rewritten) walk(c *wire.Coder, prev *rewritten) {
 	}
 	c.Bytes(&said)
 	c.Query(&rw.Orig, prevText)
-	walkSide(c, &side, sideDerived+query.SideRight)
-	derived := side >= sideDerived
+	walkSide(c, &side, sideChain+query.SideRight)
+	derived, chain := side >= sideDerived, side >= sideChain
 	if !c.Decoding() {
 		if side != sideRepeat {
-			rw.rewriteTarget.walk(c, rw.Orig, derived)
+			rw.rewriteTarget.walk(c, rw.Orig, derived, chain)
 		}
 		return
 	}
 	if c.Err() != nil {
+		return
+	}
+	if side != sideRepeat && chain != (rw.Orig.Arity() > 2) {
+		c.Fail(fmt.Errorf("engine: a rewrite of a query of %d relations behind side %d", rw.Orig.Arity(), side))
 		return
 	}
 	// The key, in full: an empty one behind a side that derives nothing
@@ -665,19 +662,21 @@ func (rw *rewritten) walk(c *wire.Coder, prev *rewritten) {
 	switch {
 	case side == sideRepeat:
 		rw.rewriteTarget = prev.rewriteTarget
+	case chain:
+		rw.rewriteTarget = &rewriteTarget{IndexSide: side - sideChain}
 	case derived:
 		rw.rewriteTarget = &rewriteTarget{IndexSide: side - sideDerived}
 	default:
 		rw.rewriteTarget = &rewriteTarget{IndexSide: side}
 	}
 	if side != sideRepeat {
-		rw.rewriteTarget.walk(c, rw.Orig, derived)
+		rw.rewriteTarget.walk(c, rw.Orig, derived, chain)
 	}
 	if c.Err() != nil {
 		return
 	}
 	var buf [keyScratch]byte
-	k, err := rw.Orig.AppendRewriteKey(buf[:0], rw.Trigger, rw.WantValue)
+	k, err := rw.appendDerivedKey(buf[:0])
 	switch {
 	case len(full) == 0 && err != nil: // derived side, derived key
 		c.Fail(fmt.Errorf("engine: a rewrite's derived key: %w", err))
@@ -727,7 +726,7 @@ func cutKey(key []byte, qk string) ([]byte, bool) {
 // built in a stack buffer.
 func (rw *rewritten) keyDerived() bool {
 	var buf [keyScratch]byte
-	b, err := rw.Orig.AppendRewriteKey(buf[:0], rw.Trigger, rw.WantValue)
+	b, err := rw.appendDerivedKey(buf[:0])
 	return err == nil && string(b) == rw.Key
 }
 
@@ -735,7 +734,7 @@ func (rw *rewritten) keyDerived() bool {
 // the trigger (rewriteTarget.wants), value for value; a baseline probe's,
 // with no WantAttr, never are.
 func (tg *rewriteTarget) derived(q *query.Query) bool {
-	if attrs := q.SideAttrs(tg.IndexSide.Other()); len(attrs) != 1 || attrs[0] != tg.WantAttr {
+	if _, attr, ok := q.StageAttr(tg.IndexSide, tg.stage()); !ok || attr != tg.WantAttr {
 		return false // a failed wants would allocate its error
 	}
 	rel, attr, val, err := tg.wants(q)
@@ -749,17 +748,30 @@ func (tg *rewriteTarget) derived(q *query.Query) bool {
 // target and its whole trigger, need not be.
 func (rw *rewritten) repeats(prev *rewritten) bool {
 	tg, o := rw.rewriteTarget, prev.rewriteTarget
-	shape := rw.Orig.Projection(tg.IndexSide)
-	return tg.IndexSide == o.IndexSide && shape.Equal(prev.Orig.Projection(o.IndexSide)) &&
+	shape := tg.shape(rw.Orig)
+	return tg.IndexSide == o.IndexSide && tg.Prefix == o.Prefix && shape.Equal(o.shape(prev.Orig)) &&
 		tg.WantValue == o.WantValue && tg.WantAttr == o.WantAttr && tg.WantRel == o.WantRel &&
 		wire.SameProjection(tg.Trigger, o.Trigger, shape)
 }
 
-// walk walks what follows IndexSide in the target of a rewrite of q: the
-// trigger, then the wants unless they are derived from it.
-func (tg *rewriteTarget) walk(c *wire.Coder, q *query.Query, derived bool) {
-	// The trigger goes as the index side's projection: its schema is the plan's.
-	c.Tuple(&tg.Trigger, q.Projection(tg.IndexSide))
+// shape returns the schema the trigger of a rewrite of q travels as: the
+// plan's projection of the relation it matched.
+func (tg *rewriteTarget) shape(q *query.Query) *relation.Schema {
+	return q.StageProjection(tg.IndexSide, tg.stage())
+}
+
+// walk walks what follows IndexSide in the target of a rewrite of q: a
+// chain's prefix, the trigger, then the wants unless they are derived from
+// it — as a chain's always are.
+func (tg *rewriteTarget) walk(c *wire.Coder, q *query.Query, derived, chain bool) {
+	if chain {
+		tg.walkPrefix(c, q)
+		if !c.Decoding() && !tg.derived(q) {
+			c.Fail(errors.New("engine: a chain's rewrite whose wants its trigger does not give"))
+		}
+	}
+	// The trigger goes as its relation's projection: its schema is the plan's.
+	c.Tuple(&tg.Trigger, tg.shape(q))
 	if !derived {
 		c.String(&tg.WantRel)
 		c.String(&tg.WantAttr)
@@ -771,6 +783,30 @@ func (tg *rewriteTarget) walk(c *wire.Coder, q *query.Query, derived bool) {
 		if tg.WantRel, tg.WantAttr, tg.WantValue, err = tg.wants(q); err != nil {
 			c.Fail(fmt.Errorf("engine: a rewrite's derived target: %w", err))
 		}
+	}
+}
+
+// walkPrefix walks a chain's prefix: its count, then each tuple as the
+// projection of the relation it matched. Decoding, a prefix as long as the
+// chain, or longer, fails: nothing would be left to wait for.
+func (tg *rewriteTarget) walkPrefix(c *wire.Coder, q *query.Query) {
+	var prefix []*relation.Tuple
+	if tg.Prefix != nil {
+		prefix = *tg.Prefix
+	}
+	n := c.Count(len(prefix))
+	if c.Decoding() {
+		if n+1 >= q.Arity() {
+			c.Fail(fmt.Errorf("engine: a prefix of %d tuples for a chain of %d relations", n, q.Arity()))
+			return
+		}
+		if n > 0 {
+			decoded := make([]*relation.Tuple, n)
+			tg.Prefix, prefix = &decoded, decoded
+		}
+	}
+	for i := range prefix {
+		c.Tuple(&prefix[i], q.StageProjection(tg.IndexSide, i+1))
 	}
 }
 
@@ -907,67 +943,6 @@ func leanBatch(ns []Notification, subscriber string) bool {
 	return true
 }
 
-// walkMultiQuery walks a chain: its identity and insertion time, the SQL
-// text the receiver re-parses, and the name of the pipeline's first
-// relation, which tells the receiver whether the sender had reversed the
-// chain the text declares.
-func walkMultiQuery(c *wire.Coder, mq **query.Query) {
-	var key, sub, ip, text, first string
-	var insT int64
-	if q := *mq; !c.Decoding() {
-		key, sub, ip, insT, text, first = q.Key(), q.Subscriber(), q.SubscriberIP(), q.InsT(), q.Text(), q.Rel(query.SideLeft).Name()
-	}
-	c.String(&key)
-	c.String(&sub)
-	c.String(&ip)
-	c.Varint(&insT)
-	c.String(&text)
-	c.String(&first)
-	if !c.Decoding() || c.Err() != nil {
-		return
-	}
-	q, err := query.Parse(c.Catalog, text)
-	if err != nil {
-		c.Fail(fmt.Errorf("engine: re-parse multi query: %w", err))
-		return
-	}
-	if q.Type() != query.T1 {
-		c.Fail(fmt.Errorf("engine: chain %q is not type T1", text))
-		return
-	}
-	if q.Rel(query.SideLeft).Name() != first {
-		q = q.Reverse()
-		if q.Rel(query.SideLeft).Name() != first {
-			c.Fail(fmt.Errorf("engine: orientation marker %q matches neither chain endpoint", first))
-			return
-		}
-	}
-	*mq = q.WithInsT(insT).WithRestoredIdentity(key, sub, ip)
-}
-
-func (rw *mRewritten) walk(c *wire.Coder) {
-	c.String(&rw.Key)
-	walkMultiQuery(c, &rw.Orig)
-	c.Int(&rw.Stage)
-	c.Tuples(&rw.Acc)
-	c.String(&rw.WantRel)
-	c.String(&rw.WantAttr)
-	c.Value(&rw.WantValue)
-}
-
-func walkMRewrites(c *wire.Coder, rws *[]*mRewritten) {
-	wire.Slice(c, rws)
-	for i := range *rws {
-		if c.Decoding() {
-			if c.Err() != nil {
-				return // every element is an allocation: a failed decode makes no more
-			}
-			(*rws)[i] = new(mRewritten)
-		}
-		(*rws)[i].walk(c)
-	}
-}
-
 func (e *targetsEntry) walk(c *wire.Coder) {
 	c.String(&e.Key)
 	c.Strings(&e.Targets)
@@ -986,24 +961,13 @@ func (g *alGroupSection) walk(c *wire.Coder) {
 	c.Queries(&g.Queries)
 }
 
-func (g *alMultiSection) walk(c *wire.Coder) {
-	c.String(&g.Cond)
-	wire.Slice(c, &g.Queries)
-	for i := range g.Queries {
-		walkMultiQuery(c, &g.Queries[i])
-	}
-}
-
 func (sec *alSection) walk(c *wire.Coder) {
 	c.String(&sec.Input)
 	wire.Slice(c, &sec.Groups)
 	for i := range sec.Groups {
 		sec.Groups[i].walk(c)
 	}
-	wire.Slice(c, &sec.Multi)
-	for i := range sec.Multi {
-		sec.Multi[i].walk(c)
-	}
+	walkParentChainGroups(c, &sec.Groups)
 	c.Strings(&sec.SentRewrites)
 	walkTargets(c, &sec.SentTargets)
 }
@@ -1036,12 +1000,6 @@ func (sec *vqSection) walk(c *wire.Coder) {
 	walkVQEntries(c, &sec.Entries)
 }
 
-func (sec *mqSection) walk(c *wire.Coder) {
-	c.String(&sec.Input)
-	walkMRewrites(c, &sec.Rewrites)
-	walkTargets(c, &sec.SentTargets)
-}
-
 func (sec *vtSection) walk(c *wire.Coder) {
 	c.String(&sec.Input)
 	c.Tuples(&sec.Tuples)
@@ -1064,4 +1022,129 @@ func (sec *dvSection) walk(c *wire.Coder) {
 func (sec *notifSection) walk(c *wire.Coder) {
 	c.Interned(&sec.Subscriber)
 	walkNotifications(c, &sec.Batch, sec.Subscriber)
+}
+
+// Before its stages were joins, a chain had hand-off sections of its own: a
+// list of chain groups in each AL section, and a list of partial-match
+// sections after the VQ ones. Both lists are said empty; a parent's are read
+// into Groups and VQ.
+
+// walkParentChainGroups reads an AL section's chain groups into groups, each
+// chain by its own condition and the end its pipeline started at.
+func walkParentChainGroups(c *wire.Coder, groups *[]alGroupSection) {
+	for range c.Count(0) {
+		var cond string
+		c.String(&cond) // the pipeline's oriented condition: a chain's own is its text's
+		for range c.Count(0) {
+			q, side := walkParentChainQuery(c)
+			if c.Err() != nil {
+				return
+			}
+			i := slices.IndexFunc(*groups, func(g alGroupSection) bool { return g.Cond == q.ConditionKey() })
+			if i < 0 {
+				i = len(*groups)
+				*groups = append(*groups, alGroupSection{Cond: q.ConditionKey(), Side: side})
+			}
+			(*groups)[i].Queries = append((*groups)[i].Queries, q)
+		}
+	}
+}
+
+// walkParentChainQuery reads a chain as its own pipeline said it: its
+// identity and insertion time, the SQL text, and the relation the pipeline
+// started at — the end it is walked from, which it returns.
+func walkParentChainQuery(c *wire.Coder) (*query.Query, query.Side) {
+	var key, sub, ip, text, first string
+	var insT int64
+	c.String(&key)
+	c.String(&sub)
+	c.String(&ip)
+	c.Varint(&insT)
+	c.String(&text)
+	c.String(&first)
+	if c.Err() != nil {
+		return nil, 0
+	}
+	q, err := query.Parse(c.Catalog, text)
+	if err == nil && q.Type() != query.T1 {
+		err = fmt.Errorf("chain %q is not type T1", text)
+	}
+	var side query.Side
+	if err == nil {
+		side, err = q.SideFor(first)
+	}
+	if err != nil {
+		c.Fail(fmt.Errorf("engine: a parent's chain: %w", err))
+		return nil, 0
+	}
+	return q.WithInsT(insT).WithRestoredIdentity(key, sub, ip), side
+}
+
+// walkParentPartialMatches reads the partial-match sections into vq, each
+// partial match a rewrite of its chain stored at its input, with the
+// targets its section went on to.
+func walkParentPartialMatches(c *wire.Coder, vq *[]vqSection) {
+	for range c.Count(0) {
+		var input string
+		c.String(&input)
+		var entries []vqEntry
+		for range c.Count(0) {
+			rw := walkParentPartialMatch(c)
+			if c.Err() != nil {
+				return // every partial match is an allocation: a failed decode makes no more
+			}
+			entries = append(entries, vqEntry{Rw: rw, Times: []int64{rw.Trigger.PubT()}})
+		}
+		var targets []targetsEntry
+		walkTargets(c, &targets)
+		i, found := slices.BinarySearchFunc(*vq, input, func(s vqSection, in string) int { return strings.Compare(s.Input, in) })
+		if !found {
+			*vq = slices.Insert(*vq, i, vqSection{Input: input})
+		}
+		(*vq)[i].Entries = append((*vq)[i].Entries, entries...)
+		(*vq)[i].SentTargets = append((*vq)[i].SentTargets, targets...)
+	}
+}
+
+// walkParentPartialMatch reads one partial match — its key, chain, stage, the
+// tuples matched, in the order matched, and its wants — as the rewrite its
+// tuples give: walked from the end of the first, the last its trigger.
+func walkParentPartialMatch(c *wire.Coder) *rewritten {
+	var key, wantRel, wantAttr string
+	var stage int
+	var acc []*relation.Tuple
+	var want relation.Value
+	c.String(&key)
+	q, _ := walkParentChainQuery(c)
+	c.Int(&stage)
+	c.Tuples(&acc)
+	c.String(&wantRel)
+	c.String(&wantAttr)
+	c.Value(&want)
+	if c.Err() != nil {
+		return nil
+	}
+	if stage < 1 || stage != len(acc) || stage >= q.Arity() {
+		c.Fail(fmt.Errorf("engine: a parent's partial match of %d tuples at stage %d of %d", len(acc), stage, q.Arity()))
+		return nil
+	}
+	side, err := q.SideFor(acc[0].Relation())
+	if err != nil {
+		c.Fail(fmt.Errorf("engine: a parent's partial match: %w", err))
+		return nil
+	}
+	tg := &rewriteTarget{IndexSide: side, Trigger: acc[stage-1], WantRel: wantRel, WantAttr: wantAttr, WantValue: want}
+	if stage > 1 {
+		prefix := acc[: stage-1 : stage-1]
+		tg.Prefix = &prefix
+	}
+	if q.Arity() > 2 && !tg.derived(q) {
+		c.Fail(errors.New("engine: a parent's partial match whose wants its tuples do not give"))
+		return nil
+	}
+	rw := &rewritten{Key: key, Orig: q, rewriteTarget: tg}
+	if rw.keyDerived() {
+		rw.Key = ""
+	}
+	return rw
 }

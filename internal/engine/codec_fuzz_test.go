@@ -63,7 +63,9 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{byte(tagJoin), 0xff, 0xff, 0xff, 0xff, 0x0f}) // forged huge count
-	f.Add([]byte{retiredTag})                                  // the reserved tag, once hot-recall's
+	for _, tag := range retiredTags {
+		f.Add([]byte{byte(tag)}) // the reserved tags, once a chain's and hot-recall's
+	}
 	longLived := NewWireCodec(catalog)
 	predecessors := []chord.Message{msgs[1], msgs[2], msgs[9], msgs[3]} // alIndexMsg{tu}, vlIndexMsg{su}, purgeMsg{q}, joinMsg
 	for _, msg := range msgs {

@@ -45,14 +45,20 @@ func codecFixtures(t testing.TB, extra ...*relation.Schema) (*relation.Catalog, 
 		t.Fatal(err)
 	}
 
+	// A chain of three, walked from A: a partial match of A's tuple waits at
+	// B.y = 1, and one of A's and B's at C.y = 3.
 	mq := query.MustParse(full, `SELECT A.y, C.y FROM A, B, C WHERE A.x = B.y AND B.x = C.y`).
 		WithIdentity("peer3", "sim://x", 2).WithInsT(5)
-	mqRev := mq.Reverse()
 	ta := relation.MustTuple(full.Lookup("A"), relation.N(1), relation.N(10)).WithPubT(6)
-	mrw := &mRewritten{
-		Key: "peer3#2+6", Orig: mqRev, Stage: 1, Acc: []*relation.Tuple{ta},
+	tb := relation.MustTuple(full.Lookup("B"), relation.N(3), relation.N(1)).WithPubT(7)
+	mrw := &rewritten{Orig: mq, rewriteTarget: &rewriteTarget{
+		IndexSide: query.SideLeft, Trigger: ta,
 		WantRel: "B", WantAttr: "y", WantValue: relation.N(1),
-	}
+	}}
+	mrw2 := &rewritten{Orig: mq, rewriteTarget: &rewriteTarget{
+		IndexSide: query.SideLeft, Trigger: tb, Prefix: &[]*relation.Tuple{ta},
+		WantRel: "C", WantAttr: "y", WantValue: relation.N(3),
+	}}
 
 	msgs := []chord.Message{
 		queryMsg{Q: q, Side: query.SideRight, Attr: "E", Replica: 2},
@@ -68,19 +74,24 @@ func codecFixtures(t testing.TB, extra ...*relation.Schema) (*relation.Catalog, 
 		baselineQueryMsg{Q: q, Side: query.SideLeft, Input: "R"},
 		baselineTupleMsg{T: tu, Input: "R.B+S.E", Side: query.SideLeft},
 		baselineProbeMsg{Input: "S", Rewrites: []rewritten{*rw}},
-		mQueryMsg{MQ: mqRev, Attr: "x", Replica: 0},
-		mJoinMsg{Rewrites: []*mRewritten{mrw}},
+		// Lines 14 and 15 held a chain's query and join, retired tags.
+		// A node's state: a chain's group, once a section of its own, and
+		// its partial match at B.y = 1, which went on to C.y = 3.
 		handoffMsg{
 			AL: []alSection{{
-				Input:        "R+B",
-				Groups:       []alGroupSection{{Cond: q.ConditionKey(), Side: query.SideLeft, Queries: []*query.Query{q}}},
-				Multi:        []alMultiSection{{Cond: "A.x=B.y", Queries: []*query.Query{mqRev}}},
+				Input: "R+B",
+				Groups: []alGroupSection{
+					{Cond: q.ConditionKey(), Side: query.SideLeft, Queries: []*query.Query{q}},
+					{Cond: mq.ConditionKey(), Side: query.SideRight, Queries: []*query.Query{mq}},
+				},
 				SentRewrites: []string{rw.Key},
 				SentTargets:  []targetsEntry{{Key: rw.Key, Targets: []string{"S+E+7", "S+E+9"}}},
 			}},
-			VQ: []vqSection{{Input: "S+E+7", Entries: []vqEntry{{Rw: rw, Times: []int64{9, 11}}}}},
-			MQ: []mqSection{{Input: "B+y+1", Rewrites: []*mRewritten{mrw},
-				SentTargets: []targetsEntry{{Key: mrw.Key, Targets: []string{"C+y+3"}}}}},
+			VQ: []vqSection{
+				{Input: "B+y+1", Entries: []vqEntry{{Rw: mrw, Times: []int64{6}}},
+					SentTargets: []targetsEntry{{Key: "peer3#2+6", Targets: []string{"C+y+3"}}}},
+				{Input: "S+E+7", Entries: []vqEntry{{Rw: rw, Times: []int64{9, 11}}}},
+			},
 			VT:     []vtSection{{Input: "S+E+7", Tuples: []*relation.Tuple{su}}},
 			DV:     []dvSection{{Input: "7", Entries: []dvEntry{{Cond: q.ConditionKey(), Left: []*relation.Tuple{tu}, Right: []*relation.Tuple{su}}}}},
 			Notifs: []notifSection{{Subscriber: q.Subscriber(), Batch: []Notification{notif}}},
@@ -127,6 +138,10 @@ func codecFixtures(t testing.TB, extra ...*relation.Schema) (*relation.Catalog, 
 		&unsubMsg{QueryKey: q.Key(), Cond: q.ConditionKey(), Input: "R+C"},
 		&purgeMsg{QueryKey: q.Key(), Input: "S+E+9"},
 		interestMsg{QueryKey: q.Key(), Input: "S+F"},
+		// A chain indexed at its C end, and its partial match of A's and B's
+		// tuples on its way to C.y = 3.
+		queryMsg{Q: mq, Side: query.SideRight, Attr: "y", Replica: 0},
+		&joinMsg{Rewrites: []rewritten{*mrw2}},
 	}
 	return full, msgs
 }
@@ -253,33 +268,9 @@ func assertSemanticEqual(t *testing.T, want, got chord.Message) {
 		if g.Input != w.Input || len(g.Rewrites) != len(w.Rewrites) {
 			t.Fatalf("baselineProbeMsg mismatch: %+v", g)
 		}
-	case mQueryMsg:
-		g := got.(mQueryMsg)
-		if g.MQ.Key() != w.MQ.Key() || g.MQ.InsT() != w.MQ.InsT() ||
-			g.Attr != w.Attr || g.Replica != w.Replica {
-			t.Fatalf("mQueryMsg mismatch: %+v", g)
-		}
-		// Orientation must survive: the pipeline's first relation.
-		if g.MQ.Rels()[0].Name() != w.MQ.Rels()[0].Name() {
-			t.Fatalf("mQueryMsg orientation lost: %s vs %s",
-				g.MQ.Rels()[0].Name(), w.MQ.Rels()[0].Name())
-		}
-	case mJoinMsg:
-		g := got.(mJoinMsg)
-		if len(g.Rewrites) != len(w.Rewrites) {
-			t.Fatal("mJoinMsg lost rewrites")
-		}
-		for i := range g.Rewrites {
-			gr, wr := g.Rewrites[i], w.Rewrites[i]
-			if gr.Key != wr.Key || gr.Stage != wr.Stage || len(gr.Acc) != len(wr.Acc) ||
-				gr.WantRel != wr.WantRel || gr.WantAttr != wr.WantAttr || !gr.WantValue.Equal(wr.WantValue) ||
-				gr.Orig.Rels()[0].Name() != wr.Orig.Rels()[0].Name() {
-				t.Fatalf("mRewritten %d mismatch", i)
-			}
-		}
 	case handoffMsg:
 		g := got.(handoffMsg)
-		if len(g.AL) != len(w.AL) || len(g.VQ) != len(w.VQ) || len(g.MQ) != len(w.MQ) ||
+		if len(g.AL) != len(w.AL) || len(g.VQ) != len(w.VQ) ||
 			len(g.VT) != len(w.VT) || len(g.DV) != len(w.DV) || len(g.Notifs) != len(w.Notifs) {
 			t.Fatalf("handoffMsg section counts mismatch: %+v", g)
 		}
@@ -289,7 +280,7 @@ func assertSemanticEqual(t *testing.T, want, got chord.Message) {
 		for i := range g.AL {
 			ga, wa := g.AL[i], w.AL[i]
 			if ga.Input != wa.Input || len(ga.Groups) != len(wa.Groups) ||
-				len(ga.Multi) != len(wa.Multi) || !slices.Equal(ga.Interest, wa.Interest) || !slices.Equal(ga.Grants, wa.Grants) ||
+				!slices.Equal(ga.Interest, wa.Interest) || !slices.Equal(ga.Grants, wa.Grants) ||
 				!reflect.DeepEqual(ga.SentRewrites, wa.SentRewrites) ||
 				!reflect.DeepEqual(ga.SentTargets, wa.SentTargets) {
 				t.Fatalf("alSection %d mismatch: %+v", i, ga)
@@ -301,18 +292,11 @@ func assertSemanticEqual(t *testing.T, want, got chord.Message) {
 					t.Fatalf("alGroupSection %d/%d mismatch", i, j)
 				}
 			}
-			for j := range ga.Multi {
-				gm, wm := ga.Multi[j], wa.Multi[j]
-				if gm.Cond != wm.Cond || len(gm.Queries) != len(wm.Queries) ||
-					gm.Queries[0].Key() != wm.Queries[0].Key() ||
-					gm.Queries[0].Rels()[0].Name() != wm.Queries[0].Rels()[0].Name() {
-					t.Fatalf("alMultiSection %d/%d mismatch", i, j)
-				}
-			}
 		}
 		for i := range g.VQ {
 			gv, wv := g.VQ[i], w.VQ[i]
-			if gv.Input != wv.Input || len(gv.Entries) != len(wv.Entries) {
+			if gv.Input != wv.Input || len(gv.Entries) != len(wv.Entries) ||
+				len(gv.SentTargets)+len(wv.SentTargets) > 0 && !reflect.DeepEqual(gv.SentTargets, wv.SentTargets) {
 				t.Fatalf("vqSection %d mismatch: %+v", i, gv)
 			}
 			for j := range gv.Entries {
@@ -320,14 +304,6 @@ func assertSemanticEqual(t *testing.T, want, got chord.Message) {
 				if !reflect.DeepEqual(gv.Entries[j].Times, wv.Entries[j].Times) {
 					t.Fatalf("vqEntry %d/%d times mismatch", i, j)
 				}
-			}
-		}
-		for i := range g.MQ {
-			gm, wm := g.MQ[i], w.MQ[i]
-			if gm.Input != wm.Input || len(gm.Rewrites) != len(wm.Rewrites) ||
-				gm.Rewrites[0].Key != wm.Rewrites[0].Key ||
-				!reflect.DeepEqual(gm.SentTargets, wm.SentTargets) {
-				t.Fatalf("mqSection %d mismatch: %+v", i, gm)
 			}
 		}
 		for i := range g.VT {
@@ -429,19 +405,23 @@ func assertSemanticEqual(t *testing.T, want, got chord.Message) {
 func assertRewrittenEqual(t *testing.T, w, g *rewritten) {
 	t.Helper()
 	if g.key() != w.key() || g.Orig.Key() != w.Orig.Key() || g.IndexSide != w.IndexSide ||
-		projectedTrigger(g) != projectedTrigger(w) || g.WantRel != w.WantRel ||
+		g.stage() != w.stage() || !slices.Equal(projectedMatch(g), projectedMatch(w)) || g.WantRel != w.WantRel ||
 		g.WantAttr != w.WantAttr || !g.WantValue.Equal(w.WantValue) {
 		t.Fatalf("rewritten mismatch: %+v vs %+v", g, w)
 	}
 }
 
-// projectedTrigger renders rw's trigger projected onto its query's shape, the
-// whole trigger where it lacks an attribute of the shape.
-func projectedTrigger(rw *rewritten) string {
-	if proj, err := rw.Trigger.ProjectOnto(rw.Orig.Projection(rw.IndexSide)); err == nil {
-		return proj.ContentKey()
+// projectedMatch renders the tuples rw has matched, each projected onto the
+// shape its stage travels as, whole where it lacks an attribute of the shape.
+func projectedMatch(rw *rewritten) []string {
+	var out []string
+	for i, t := range rw.matched(nil) {
+		if proj, err := t.ProjectOnto(rw.Orig.StageProjection(rw.IndexSide, i+1)); err == nil {
+			t = proj
+		}
+		out = append(out, t.ContentKey())
 	}
-	return rw.Trigger.ContentKey()
+	return out
 }
 
 // Every engine message type must report a positive wire size through the
@@ -665,6 +645,15 @@ func TestDecodeTruncated(t *testing.T) {
 		case handoffMsg:
 			if m.marked() {
 				var tail wire.Coder
+				if m.forwarded() {
+					for i := range m.VQ {
+						walkTargets(&tail, &m.VQ[i].SentTargets)
+					}
+					whole[len(full)-tail.Size()] = func(got chord.Message) bool {
+						g, ok := got.(handoffMsg)
+						return ok && !g.forwarded() && len(g.VQ) == len(m.VQ)
+					}
+				}
 				if m.granted() {
 					for i := range m.AL {
 						tail.Strings(&m.AL[i].Grants)
@@ -721,12 +710,12 @@ func TestEveryTagRoundTrips(t *testing.T) {
 		}
 	}
 	for tag := tagQuery; tag <= tagRevoke; tag++ {
-		if (fixtures[tag] == nil) != (tag == retiredTag) {
+		if (fixtures[tag] == nil) != slices.Contains(retiredTags, int(tag)) {
 			t.Errorf("tag %d: fixture %T in codecFixtures", tag, fixtures[tag])
 		}
 	}
-	if len(fixtures) != int(tagRevoke)-1 {
-		t.Errorf("%d tags in use, the constants declare %d and one blank", len(fixtures), tagRevoke)
+	if len(fixtures) != int(tagRevoke)-len(retiredTags) {
+		t.Errorf("%d tags in use, the constants declare %d and %d blanks", len(fixtures), tagRevoke, len(retiredTags))
 	}
 }
 
@@ -970,7 +959,9 @@ func TestWireCodecSharesStandingQueriesAcrossMessages(t *testing.T) {
 	for _, msg := range msgs {
 		switch msg.(type) {
 		case *joinMsg:
-			join = encode(msg)
+			if join == nil { // the two-way one: the chain's is another query
+				join = encode(msg)
+			}
 		case hotJoinMsg:
 			hot = encode(msg)
 		case handoffMsg:
@@ -1037,7 +1028,7 @@ func orphanMarkers(tb testing.TB, q *query.Query, tg *rewriteTarget) map[string]
 		w.PutUvarint(uint64(side))
 		if side != sideRepeat {
 			c := wire.Encoder(w)
-			tg.walk(&c, q, side >= sideDerived)
+			tg.walk(&c, q, side >= sideDerived, side >= sideChain)
 			if err := c.Flush(w); err != nil {
 				tb.Fatal(err)
 			}
@@ -1298,7 +1289,7 @@ func TestQueryShapesTravelAsTokens(t *testing.T) {
 	for _, line := range goldenLines(t, "testdata/wire.golden") {
 		name, enc, _ := strings.Cut(line, " ")
 		raw, err := hex.DecodeString(enc)
-		if err != nil || strings.Contains(line, " after ") || raw[0] == retiredTag {
+		if err != nil || strings.Contains(line, " after ") || slices.Contains(retiredTags, int(raw[0])) {
 			continue
 		}
 		msg, err := DecodeMessage(wire.NewReader(raw), catalog)

@@ -219,7 +219,7 @@ func TestBenchShapedJoinSize(t *testing.T) {
 }
 
 // hostileSides returns the fixtures of every message that walks a side with
-// that side forged to 5, a value no side field holds: a query, a DAI-V join,
+// that side forged to 7, a value no side field holds: a query, a DAI-V join,
 // a hand-off's ALQT group, a rewrite and the two baseline messages.
 func hostileSides(tb testing.TB, msgs []chord.Message) map[string][]byte {
 	tb.Helper()
@@ -231,10 +231,10 @@ func hostileSides(tb testing.TB, msgs []chord.Message) map[string][]byte {
 		if b := w.Bytes(); b[at] != byte(side) {
 			tb.Fatalf("%T: byte %d is %d, not its side %d", msg, at, b[at], side)
 		}
-		w.Bytes()[at] = 5
+		w.Bytes()[at] = 7
 		return w.Bytes()
 	}
-	qm, jv, ho := msgs[0].(queryMsg), msgs[4].(joinVMsg), msgs[15].(handoffMsg)
+	qm, jv, ho := msgs[0].(queryMsg), msgs[4].(joinVMsg), msgs[13].(handoffMsg)
 	rw, bq, bt := msgs[3].(*joinMsg).Rewrites[0], msgs[10].(baselineQueryMsg), msgs[11].(baselineTupleMsg)
 	group := ho.AL[0].Groups[0]
 	return map[string][]byte{
@@ -253,7 +253,7 @@ func TestHostileSideFailsToDecode(t *testing.T) {
 	catalog, msgs := codecFixtures(t)
 	for what, data := range hostileSides(t, msgs) {
 		if got, err := DecodeMessage(wire.NewReader(data), catalog); err == nil {
-			t.Errorf("a %s with side 5 decoded to %+v", what, got)
+			t.Errorf("a %s with side 7 decoded to %+v", what, got)
 		}
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"cqjoin/internal/chord"
 	"cqjoin/internal/id"
@@ -177,11 +176,6 @@ type Engine struct {
 	alOrds  map[string]int        // attribute-level input -> alIdent.ord; read-only after New
 	hot     *hotTracker           // non-nil iff hot-key sharding is configured
 	memo    *wire.Memo            // WireCodec's: what a receiving process has decoded
-
-	// multiOn flags a registered multi-way pipeline: partial matches route
-	// through value-level identifiers without shard awareness, so hot-key
-	// sharding is suspended while set (see hotState).
-	multiOn atomic.Bool
 
 	mu        sync.Mutex
 	states    map[*chord.Node]*nodeState
@@ -411,8 +405,7 @@ func (e *Engine) DeliveredContentKeys() []string {
 // a fresh key Key(q) and insertion time, and returns the identified query.
 // The query must be type T1 unless the engine runs DAI-V (Section 4.5),
 // the only algorithm evaluating type-T2 queries. A chain of k > 2 relations
-// needs SAI or DAI-Q, which store tuples at the value level, and comes back
-// oriented to start at the endpoint it is indexed at.
+// needs SAI or DAI-Q, which store tuples at the value level.
 func (e *Engine) Subscribe(from *chord.Node, q *query.Query) (*query.Query, error) {
 	if !from.Alive() {
 		return nil, fmt.Errorf("engine: subscribe from departed node %s", from)
@@ -427,12 +420,6 @@ func (e *Engine) Subscribe(from *chord.Node, q *query.Query) (*query.Query, erro
 	e.seq[from.Key()]++
 	seq := e.seq[from.Key()]
 	e.mu.Unlock()
-	if q.Arity() > 2 {
-		// Partial matches route through value-level identifiers without shard
-		// awareness, so hot-key sharding is suspended from here on (hotState).
-		e.multiOn.Store(true)
-	}
-
 	// The insertion time is drawn on the way (sendQueryIndex).
 	return e.indexQuery(from, q.WithIdentity(from.Key(), from.IP(), seq))
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"cqjoin/internal/chord"
 	"cqjoin/internal/metrics"
+	"cqjoin/internal/query"
 	"cqjoin/internal/relation"
 )
 
@@ -19,16 +20,22 @@ import (
 //     only add time information, Section 4.3.3) AND matches it against the
 //     stored tuples of the load-distributing relation.
 //   - DAI-Q only matches against stored tuples; rewritten queries are never
-//     stored, so future tuples cannot double-report (Section 4.4.2).
+//     stored, so future tuples cannot double-report (Section 4.4.2). A
+//     chain's are (storesRewrite): its stages meet through them alone.
 //   - DAI-T only stores the rewritten query; notifications are created when
 //     tuples arrive (Section 4.4.3).
+//
+// A match of a chain's rewrite with relations left sends it a stage on
+// (meet) instead of building a notification.
 func (st *nodeState) handleJoin(m *joinMsg) {
-	alg := st.engine.cfg.Algorithm
+	e := st.engine
+	alg := e.cfg.Algorithm
 	// A rewrite that arrives behind its query's purge is refused. The
 	// message is not written: a duplicated delivery hands it over again.
 	rws := st.liveRewrites(m.Rewrites)
 	var mbuf [matchScratch]match
 	ms := mbuf[:0]
+	var outs []outbound
 	work := 1
 	stored := 0
 
@@ -36,12 +43,12 @@ func (st *nodeState) handleJoin(m *joinMsg) {
 	// groups bound for promoted inputs to their shards after this bucket —
 	// shard 0 — has stored them below.
 	var scatter []chord.Deliverable
-	if hot := st.engine.hotState(); hot != nil {
+	if hot := e.hot; hot != nil {
 		scatter = st.hotScatterJoins(hot, rws)
 	}
 
-	stores := alg == SAI || alg == DAIT
 	var buf [keyScratch]byte
+	var key []byte
 	var qb *vlqtBucket
 	var tb *vlttBucket
 
@@ -51,14 +58,14 @@ func (st *nodeState) handleJoin(m *joinMsg) {
 		// A rewriter's group shares one identifier (Section 4.3.5): look its
 		// buckets up once, again only where a message mixes targets.
 		if i == 0 || !rw.sameTarget(&rws[i-1]) {
-			key := appendVLInput(buf[:0], rw.WantRel, rw.WantAttr, rw.WantValue)
+			key = appendVLInput(buf[:0], rw.WantRel, rw.WantAttr, rw.WantValue)
 			qb, tb = st.vlqt[string(key)], st.vltt[string(key)]
-			if qb == nil && stores {
-				qb = st.newVLQT(string(key), sameTargetRun(rws[i:]))
-			}
 		}
 
-		if stores {
+		if e.storesRewrite(rw.Orig) {
+			if qb == nil {
+				qb = st.newVLQT(string(key), sameTargetRun(rws[i:]))
+			}
 			if !qb.rewrites.record(rw, rw.Trigger.PubT()) {
 				work++
 				continue
@@ -66,15 +73,13 @@ func (st *nodeState) handleJoin(m *joinMsg) {
 			stored++
 		}
 
-		if alg == SAI || alg == DAIQ {
+		if (alg == SAI || alg == DAIQ) && tb != nil {
 			// Match the rewritten query against stored tuples that were
 			// inserted after the query was posed.
-			if tb != nil {
-				for _, tt := range tb.tuples.all() {
-					work++
-					if matchRewrite(rw, tt) {
-						ms = append(ms, rw.match(tt))
-					}
+			for _, tt := range tb.tuples.all() {
+				work++
+				if matchRewrite(rw, tt) {
+					ms, outs = meet(qb, rw, tt, ms, outs)
 				}
 			}
 		}
@@ -85,7 +90,8 @@ func (st *nodeState) handleJoin(m *joinMsg) {
 	if stored > 0 {
 		st.load.AddStorage(metrics.Evaluator, stored)
 	}
-	_ = st.engine.dispatch(st.node, scatter)
+	_ = e.dispatch(st.node, scatter)
+	st.sendJoins(outs)
 	st.sendNotifications(notifications(ms))
 }
 
@@ -95,7 +101,7 @@ func (st *nodeState) handleJoin(m *joinMsg) {
 //   - SAI matches the tuple against stored rewritten queries AND stores it
 //     in the VLTT (necessary for completeness: a rewritten query arriving
 //     later must find it).
-//   - DAI-Q only stores the tuple; stored rewritten queries do not exist.
+//   - DAI-Q only stores the tuple; stored rewritten queries are a chain's.
 //   - DAI-T only matches; tuples are never stored at the value level.
 func (st *nodeState) handleVLIndex(m *vlIndexMsg) {
 	alg := st.engine.cfg.Algorithm
@@ -106,7 +112,7 @@ func (st *nodeState) handleVLIndex(m *vlIndexMsg) {
 	// Hot-key sharding (DESIGN.md §13): count the arrival; when the input
 	// is promoted and the tuple's content hashes to a foreign shard, relay
 	// it there instead of evaluating here. Shard 0 is this bucket.
-	if hot := st.engine.hotState(); hot != nil {
+	if hot := st.engine.hot; hot != nil {
 		input := string(key)
 		entry := st.countHotArrival(hot, input, t.PubT())
 		if s := shardOf(t, entry.k); s != 0 {
@@ -122,20 +128,14 @@ func (st *nodeState) handleVLIndex(m *vlIndexMsg) {
 	stored := 0
 
 	st.mu.Lock()
-	if alg == SAI || alg == DAIT {
-		if qb := st.vlqt[string(key)]; qb != nil {
-			for _, rw := range qb.rewrites.all() {
-				work++
-				if matchRewrite(rw, t) {
-					ms = append(ms, rw.match(t))
-				}
+	if qb := st.vlqt[string(key)]; qb != nil {
+		for _, rw := range qb.rewrites.all() {
+			work++
+			if matchRewrite(rw, t) {
+				ms, outs = meet(qb, rw, t, ms, outs)
 			}
 		}
 	}
-	// Stored multi-way partial matches awaiting this identifier.
-	mNotifs, mOuts, mWork := st.matchMultiStored(key, t)
-	outs = append(outs, mOuts...)
-	work += mWork
 	if alg == SAI || alg == DAIQ {
 		// Absorb duplicated deliveries: storing the tuple twice would
 		// double every future rewritten-query match.
@@ -156,7 +156,29 @@ func (st *nodeState) handleVLIndex(m *vlIndexMsg) {
 		st.load.AddStorage(metrics.Evaluator, stored)
 	}
 	st.sendJoins(outs)
-	st.sendNotifications(append(notifications(ms), mNotifs...))
+	st.sendNotifications(notifications(ms))
+}
+
+// meet adds to ms or outs what rw yields where it matched t: the match that
+// answers its query or, where its chain has relations left, rw a stage on —
+// its target recorded on qb, the bucket storing rw, for a retraction's purge
+// to follow (handlePurge). The caller holds st.mu.
+func meet(qb *vlqtBucket, rw *rewritten, t *relation.Tuple, ms []match, outs []outbound) ([]match, []outbound) {
+	if rw.last() {
+		return append(ms, rw.match(t)), outs
+	}
+	if out, ok := rw.next(t); ok {
+		qb.rewrites.recordTarget(rw.Orig.Key(), out.input)
+		outs = append(outs, out)
+	}
+	return ms, outs
+}
+
+// storesRewrite reports whether evaluators store q's rewrites: under SAI and
+// DAI-T (Table 4.1), and a chain's under DAI-Q too — its stages meet only
+// through them.
+func (e *Engine) storesRewrite(q *query.Query) bool {
+	return e.cfg.Algorithm == SAI || e.cfg.Algorithm == DAIT || q.Arity() > 2
 }
 
 // matchRewrite checks a rewritten query against a tuple of the
@@ -175,7 +197,7 @@ func matchRewrite(rw *rewritten, t *relation.Tuple) bool {
 
 // match is the match of rw with the value-level tuple t.
 func (rw *rewritten) match(t *relation.Tuple) match {
-	return match{q: rw.Orig, side: rw.IndexSide, trig: rw.Trigger, other: t}
+	return match{q: rw.Orig, side: rw.IndexSide, trig: rw.Trigger, other: t, prefix: rw.Prefix}
 }
 
 // matchScratch sizes the stack arrays an evaluator's loop collects its

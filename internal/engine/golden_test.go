@@ -14,9 +14,9 @@ import (
 	"cqjoin/internal/wire"
 )
 
-// retiredTag was hot-recall's, on line 20 of every golden: the blank in
-// codec.go's tag block.
-const retiredTag = 20
+// retiredTags are the blanks in codec.go's tag block, on the same lines of
+// every golden: a chain's query and join, and hot-recall.
+var retiredTags = []int{14, 15, 20}
 
 // TestWireGolden pins the wire format across commits: testdata/wire.golden
 // holds the encoding of every codecFixtures message, one "type hex" line
@@ -36,7 +36,9 @@ const retiredTag = 20
 // rewrites said their wants and Key(q') where the receiver derives them;
 // testdata/wire-pr36.golden as the last build whose queries said their SQL
 // text, not its token form; testdata/wire-pr38.golden as the last build whose
-// notifications said their key in full, their address and their delivery time.
+// notifications said their key in full, their address and their delivery time;
+// testdata/wire-pr45.golden as the last build whose chains had messages and
+// hand-off sections of their own, read into the one query table and VQ.
 // Nothing writes those layouts any more, and
 // peers, WAL delivery records and snapshots still hold them, so they are only
 // ever read: each line must decode to its fixture, and to a message that
@@ -52,20 +54,24 @@ const retiredTag = 20
 // fixture, and decode behind nothing, or behind a message that carries
 // nothing, to an error.
 //
-// Line 20 of every golden is a hot-recall, tag 20: the kind went with hot-key
-// demotion and its tag stays reserved. The line is kept to the byte, has no
-// fixture, and must fail to decode as an unknown tag — a build that gave tag 20
-// to another kind would read an old peer's recall as that.
+// Lines 14, 15 and 20 of every golden are a chain's query and join — retired
+// when a chain became a query and its stages joins — and a hot-recall, which
+// went with hot-key demotion: their tags stay reserved. Each line is kept to
+// the byte, has no fixture, and must fail to decode as an unknown tag — a
+// build that gave the tag to another kind would read an old peer's message
+// as that.
 func TestWireGolden(t *testing.T) {
 	catalog, msgs := codecFixtures(t)
-	msgs = slices.Insert(msgs, retiredTag-1, chord.Message(nil)) // fixtures by line
-	lines := goldenLines(t, "testdata/wire.golden")
-	var behind []string
-	if i := slices.IndexFunc(lines, func(l string) bool { return strings.Contains(l, " after ") }); i >= 0 {
-		lines, behind = lines[:i], lines[i:]
+	for _, tag := range retiredTags {
+		msgs = slices.Insert(msgs, tag-1, chord.Message(nil)) // fixtures by line
 	}
+	lines, behind := splitGolden(goldenLines(t, "testdata/wire.golden"))
 	checkBehindLines(t, catalog, msgs, behind)
-	parents := [][]string{goldenLines(t, "testdata/wire-pr19.golden"), goldenLines(t, "testdata/wire-pr20.golden"), goldenLines(t, "testdata/wire-pr32.golden"), goldenLines(t, "testdata/wire-pr34.golden"), goldenLines(t, "testdata/wire-pr36.golden"), goldenLines(t, "testdata/wire-pr38.golden")}
+	var parents [][]string
+	for _, pr := range []int{19, 20, 32, 34, 36, 38, 45} {
+		fixtures, _ := splitGolden(goldenLines(t, fmt.Sprintf("testdata/wire-pr%d.golden", pr)))
+		parents = append(parents, fixtures)
+	}
 	if len(lines) != len(msgs) {
 		t.Errorf("%d golden lines for %d fixtures", len(lines), len(msgs))
 	}
@@ -74,10 +80,10 @@ func TestWireGolden(t *testing.T) {
 			for _, golden := range append(parents, lines) {
 				_, enc, _ := strings.Cut(golden[i], " ")
 				raw, err := hex.DecodeString(enc)
-				if err != nil || len(raw) == 0 || raw[0] != retiredTag {
-					t.Fatalf("line %d: %q (%v) is not the retired kind's, tag %d", i+1, golden[i], err, retiredTag)
+				if err != nil || len(raw) == 0 || int(raw[0]) != i+1 {
+					t.Fatalf("line %d: %q (%v) is not the retired kind's, tag %d", i+1, golden[i], err, i+1)
 				}
-				if back, err := DecodeMessage(wire.NewReader(raw), catalog); err == nil || !strings.Contains(err.Error(), "unknown message tag 20") {
+				if back, err := DecodeMessage(wire.NewReader(raw), catalog); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown message tag %d", i+1)) {
 					t.Errorf("line %d: the retired kind's bytes decode to %+v (%v), want an unknown tag", i+1, back, err)
 				}
 			}
@@ -173,6 +179,14 @@ func checkBehindLines(t *testing.T, catalog *relation.Catalog, msgs []chord.Mess
 			}
 		}
 	}
+}
+
+// splitGolden cuts a golden's lines into its fixtures' and its "after" lines.
+func splitGolden(lines []string) (fixtures, behind []string) {
+	if i := slices.IndexFunc(lines, func(l string) bool { return strings.Contains(l, " after ") }); i >= 0 {
+		return lines[:i], lines[i:]
+	}
+	return lines, nil
 }
 
 // typeLabel names a fixture's type in a golden line: without the star of a

@@ -47,17 +47,10 @@ type alGroupSection struct {
 	Queries []*query.Query
 }
 
-// alMultiSection is one multi-way chain group of an ALQT bucket.
-type alMultiSection struct {
-	Cond    string
-	Queries []*query.Query
-}
-
 // alSection is the wire form of one alBucket.
 type alSection struct {
 	Input        string
 	Groups       []alGroupSection
-	Multi        []alMultiSection
 	SentRewrites []string
 	SentTargets  []targetsEntry
 	Interest     []string // query keys, sorted; walked behind the sections (handoffMsg.walk)
@@ -75,15 +68,9 @@ type vqEntry struct {
 
 // vqSection is the wire form of one vlqtBucket.
 type vqSection struct {
-	Input   string
-	Entries []vqEntry
-}
-
-// mqSection is the wire form of one mvlqtBucket.
-type mqSection struct {
 	Input       string
-	Rewrites    []*mRewritten
-	SentTargets []targetsEntry
+	Entries     []vqEntry
+	SentTargets []targetsEntry // walked behind the sections (handoffMsg.walk)
 }
 
 // vtSection is the wire form of one vlttBucket.
@@ -118,7 +105,6 @@ type notifSection struct {
 type handoffMsg struct {
 	AL        []alSection
 	VQ        []vqSection
-	MQ        []mqSection
 	VT        []vtSection
 	DV        []dvSection
 	Notifs    []notifSection
@@ -154,22 +140,9 @@ func flattenTargets(m map[string]map[string]struct{}) []targetsEntry {
 	return out
 }
 
-// restoreTargets rebuilds a sentTargets map from its wire form.
-func restoreTargets(entries []targetsEntry) map[string]map[string]struct{} {
-	m := make(map[string]map[string]struct{}, len(entries))
-	for _, e := range entries {
-		ts := make(map[string]struct{}, len(e.Targets))
-		for _, t := range e.Targets {
-			ts[t] = struct{}{}
-		}
-		m[e.Key] = ts
-	}
-	return m
-}
-
 // empty reports whether the message carries no section at all.
 func (m handoffMsg) empty() bool {
-	return len(m.AL) == 0 && len(m.VQ) == 0 && len(m.MQ) == 0 &&
+	return len(m.AL) == 0 && len(m.VQ) == 0 &&
 		len(m.VT) == 0 && len(m.DV) == 0 && len(m.Notifs) == 0 && len(m.Retracted) == 0
 }
 
@@ -188,6 +161,18 @@ func (m handoffMsg) marked() bool {
 func (m handoffMsg) granted() bool {
 	for i := range m.AL {
 		if len(m.AL[i].Grants) > 0 {
+			return true
+		}
+	}
+	return m.forwarded()
+}
+
+// forwarded reports whether the message says what no build whose chains had
+// sections of their own could: where a chain's rewrites went on from its VQ
+// sections.
+func (m handoffMsg) forwarded() bool {
+	for i := range m.VQ {
+		if len(m.VQ[i].SentTargets) > 0 {
 			return true
 		}
 	}
@@ -230,11 +215,6 @@ func (st *nodeState) cut(inArc func(string) bool, take bool) handoffMsg {
 				Cond: g.cond, Side: g.side, Queries: append([]*query.Query(nil), g.queries...),
 			})
 		}
-		for _, g := range b.multi.all() {
-			sec.Multi = append(sec.Multi, alMultiSection{
-				Cond: g.cond, Queries: append([]*query.Query(nil), g.queries...),
-			})
-		}
 		if take {
 			sec.arrivals, sec.distinct = b.arrivals, b.distinct
 		}
@@ -246,16 +226,11 @@ func (st *nodeState) cut(inArc func(string) bool, take bool) handoffMsg {
 		for _, rw := range b.rewrites.all() {
 			sec.Entries = append(sec.Entries, vqEntry{Rw: rw, Times: b.rewrites.times(rw)})
 		}
+		if r := b.rewrites.rare; r != nil && len(r.sent) > 0 {
+			sec.SentTargets = flattenTargets(r.sent)
+		}
 		evaluator += b.rewrites.len()
 		m.VQ = append(m.VQ, sec)
-	})
-	cutEach(st.mvlqt, inArc, take, func(_ string, b *mvlqtBucket) {
-		evaluator += len(b.rewrites)
-		m.MQ = append(m.MQ, mqSection{
-			Input:       b.input,
-			Rewrites:    append([]*mRewritten(nil), b.rewrites...),
-			SentTargets: flattenTargets(b.sentTargets),
-		})
 	})
 	cutEach(st.vltt, inArc, take, func(input string, b *vlttBucket) {
 		evaluator += b.tuples.len()
@@ -338,14 +313,11 @@ func (st *nodeState) merge(on *chord.Node, m handoffMsg, replayNotifs bool) {
 				addedEvaluator++
 			}
 		}
-	}
-	for _, sec := range m.MQ {
-		b := &mvlqtBucket{
-			input:       sec.Input,
-			rewrites:    sec.Rewrites,
-			sentTargets: restoreTargets(sec.SentTargets),
+		for _, te := range sec.SentTargets {
+			for _, t := range te.Targets {
+				qb.rewrites.recordTarget(te.Key, t)
+			}
 		}
-		addedEvaluator += st.mergeMVLQT(b)
 	}
 	for _, sec := range m.VT {
 		addedEvaluator += st.vlttFor(sec.Input).tuples.addAll(sec.Tuples)

@@ -127,7 +127,7 @@ func TestEveryMoveKeepsEveryTable(t *testing.T) {
 			publishPairs(t, env)
 			env.publish(t, 7, relation.MustTuple(env.authors, relation.N(9), relation.N(1), relation.N(2)))
 		},
-		tables: []string{"al", "al-mark", "al-multi", "al-targets", "mq", "notif", "probe", "retracted", "vq", "vt"},
+		tables: []string{"al", "al-mark", "al-targets", "notif", "probe", "retracted", "vq", "vq-targets", "vt"},
 	}, {
 		name: "DAI-T",
 		cfg:  Config{Algorithm: DAIT},
@@ -271,11 +271,6 @@ func stateDump(env *testEnv) []string {
 					add("al %s %s %d %s", sec.Input, g.Cond, g.Side, q.Key())
 				}
 			}
-			for _, g := range sec.Multi {
-				for _, mq := range g.Queries {
-					add("al-multi %s %s %s", sec.Input, g.Cond, mq.Key())
-				}
-			}
 			for _, k := range sec.SentRewrites {
 				add("al-sent %s %s", sec.Input, k)
 			}
@@ -291,15 +286,10 @@ func stateDump(env *testEnv) []string {
 		}
 		for _, sec := range m.VQ {
 			for _, e := range sec.Entries {
-				add("vq %s %s %v %s", sec.Input, e.Rw.key(), e.Times, projectedTrigger(e.Rw))
-			}
-		}
-		for _, sec := range m.MQ {
-			for _, rw := range sec.Rewrites {
-				add("mq %s %s", sec.Input, rw.Key)
+				add("vq %s %s %v %v", sec.Input, e.Rw.key(), e.Times, projectedMatch(e.Rw))
 			}
 			for _, e := range sec.SentTargets {
-				add("mq-targets %s %s %v", sec.Input, e.Key, e.Targets)
+				add("vq-targets %s %s %v", sec.Input, e.Key, e.Targets)
 			}
 		}
 		for _, sec := range m.VT {

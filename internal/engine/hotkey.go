@@ -36,9 +36,10 @@ import (
 // The layer runs only under SAI: SAI evaluators store both rewrites and
 // tuples, which the match-on-merge recovery relies on. DAI-Q and DAI-T
 // store only one side, so a pair split by an in-flight migration could
-// never meet again; they keep the paper's unsharded path. Multi-way
-// pipelines route partial matches through the same value-level identifiers
-// without shard awareness, so registering one suspends the layer.
+// never meet again; they keep the paper's unsharded path. A chain's rewrites
+// shard like any others: the shard a match lands on sends the rewrite a
+// stage on and records where on its own bucket, and a retraction's purge
+// reaches every shard (sendPurges), so its cascade leaves from each.
 //
 // Determinism: counters are exact per-input tallies (an unbounded
 // space-saving sketch — no capacity eviction, whose cross-input victim
@@ -167,15 +168,6 @@ func (h *hotTracker) lookup(input string) hotEntry {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.entries[input]
-}
-
-// hotState returns the tracker when the layer is active: configured for
-// this engine and not suspended by a multi-way pipeline.
-func (e *Engine) hotState() *hotTracker {
-	if e.hot == nil || e.multiOn.Load() {
-		return nil
-	}
-	return e.hot
 }
 
 // HotKeyState describes one currently promoted value-level input.
@@ -334,7 +326,7 @@ func (st *nodeState) forwardHotTuple(input string, shard int, entry hotEntry, t 
 // tuples are gone and the rewrite copies merge keyed.
 func (st *nodeState) handleHotMigrate(m hotMigrateMsg) {
 	e := st.engine
-	hot := e.hotState()
+	hot := e.hot
 	if hot == nil {
 		return
 	}
@@ -389,15 +381,16 @@ func (st *nodeState) handleHotMigrate(m hotMigrateMsg) {
 // The shard-side mirror of handleJoin's and handleVLIndex's SAI arms.
 func (st *nodeState) mergeAtShard(kind, input string, shard, version, k int, rws []rewritten, entries []vqEntry, tuples []*relation.Tuple) {
 	e := st.engine
-	hot := e.hotState()
+	hot := e.hot
 	if hot == nil {
 		return
 	}
 	hot.observe(input, version, k)
 
 	var mbuf [matchScratch]match
+	var outs []outbound
 	st.mu.Lock()
-	added, dups, work, ms := st.mergeHotBucket(hotShardInput(input, shard), rws, entries, tuples, mbuf[:0])
+	added, dups, work, ms := st.mergeHotBucket(hotShardInput(input, shard), rws, entries, tuples, mbuf[:0], &outs)
 	st.mu.Unlock()
 
 	st.load.AddFiltering(metrics.Evaluator, 1+work)
@@ -407,6 +400,7 @@ func (st *nodeState) mergeAtShard(kind, input string, shard, version, k int, rws
 	for ; dups > 0; dups-- {
 		e.net.Traffic().RecordDuplicate(kind)
 	}
+	st.sendJoins(outs)
 	st.sendNotifications(notifications(ms))
 }
 
@@ -416,8 +410,9 @@ func (st *nodeState) mergeAtShard(kind, input string, shard, version, k int, rws
 // cross pair to one meeting: added rewrites match only the tuples already
 // present, then added tuples match the full (merged) rewrite set. A rewrite
 // or tuple already there costs the lookup that found it; dups counts such
-// tuples. It appends the matches to ms. The caller holds st.mu.
-func (st *nodeState) mergeHotBucket(key string, rws []rewritten, entries []vqEntry, tuples []*relation.Tuple, ms []match) (added, dups, work int, _ []match) {
+// tuples. It appends the matches to ms, and a chain's rewrites a stage on to
+// *outs (meet). The caller holds st.mu.
+func (st *nodeState) mergeHotBucket(key string, rws []rewritten, entries []vqEntry, tuples []*relation.Tuple, ms []match, outs *[]outbound) (added, dups, work int, _ []match) {
 	qb, tb := st.vlqt[key], st.vltt[key]
 	if len(rws)+len(entries) > 0 {
 		qb = st.vlqtFor(key, len(rws)+len(entries))
@@ -434,7 +429,7 @@ func (st *nodeState) mergeHotBucket(key string, rws []rewritten, entries []vqEnt
 		for _, tt := range tb.tuples.all() {
 			work++
 			if matchRewrite(rw, tt) {
-				ms = append(ms, rw.match(tt))
+				ms, *outs = meet(qb, rw, tt, ms, *outs)
 			}
 		}
 	}
@@ -460,7 +455,7 @@ func (st *nodeState) mergeHotBucket(key string, rws []rewritten, entries []vqEnt
 		for _, rw := range qb.rewrites.all() {
 			work++
 			if matchRewrite(rw, t) {
-				ms = append(ms, rw.match(t))
+				ms, *outs = meet(qb, rw, t, ms, *outs)
 			}
 		}
 	}

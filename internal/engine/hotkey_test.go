@@ -1,11 +1,16 @@
 package engine
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"cqjoin/internal/chord"
 	"cqjoin/internal/metrics"
+	"cqjoin/internal/query"
 	"cqjoin/internal/relation"
 )
 
@@ -228,5 +233,86 @@ func TestForgedShardCountIsRefused(t *testing.T) {
 	fresh := newTestEnv(t, 16, hotConfig(true))
 	if _, err := fresh.eng.RestoreSnapshot(m, nodes); err == nil {
 		t.Fatalf("a snapshot of a %d-way epoch restored to %+v", forged, fresh.eng.HotKeys())
+	}
+}
+
+// A chain shards like a two-way query (snippet 2's user → order → product,
+// beside its user → order): one user's orders, on five products, promote
+// the orders' inputs mid-stream, and the stream delivers the match set of an
+// unsharded run. A retraction after the promotion stops every notification, so its
+// purge reaches the shards and follows the rewrites that went on from them.
+func TestHotKeyShardsChains(t *testing.T) {
+	users := relation.MustSchema("Users", "UserId", "Name")
+	orders := relation.MustSchema("Orders", "OrderId", "UserId", "ProductId")
+	products := relation.MustSchema("Products", "ProductId", "ProductName", "Price")
+	catalog := relation.MustCatalog(users, orders, products)
+	s, n := relation.S, relation.N
+	for _, tc := range []struct{ name, sql string }{
+		{"k=2", `SELECT Users.Name, Orders.OrderId FROM Users, Orders WHERE Users.UserId = Orders.UserId`},
+		{"k=3", `SELECT Users.Name, Products.ProductName, Products.Price FROM Users, Orders, Products
+			WHERE Users.UserId = Orders.UserId AND Orders.ProductId = Products.ProductId`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(threshold int) (keys []string, hot []HotKeyState, after func() int) {
+				net := chord.New(chord.Config{})
+				net.AddNodes("peer", 64)
+				// Publishers index blind, so a retraction's marks do not keep
+				// the later tuples from the value level: only its purges can.
+				eng := New(net, catalog, Config{Algorithm: SAI, Strategy: StrategyLeft, Seed: 7, BlindIndexing: true,
+					HotKeyThreshold: threshold, HotKeyReplicas: 4, HotKeyWindow: 1 << 20})
+				nodes := net.Nodes()
+				pub := func(i int, tu *relation.Tuple) {
+					if _, err := eng.Publish(nodes[i%len(nodes)], tu); err != nil {
+						t.Fatal(err)
+					}
+				}
+				q, err := eng.Subscribe(nodes[0], query.MustParse(catalog, tc.sql))
+				if err != nil {
+					t.Fatal(err)
+				}
+				stream := func(from int) {
+					for u := 0; u < 3; u++ {
+						pub(from+u, relation.MustTuple(users, s(fmt.Sprintf("u%d", u)), s(fmt.Sprintf("user %d", u))))
+					}
+					for i := 0; i < 40; i++ {
+						user := "u0" // the hot one
+						if i%4 == 3 {
+							user = fmt.Sprintf("u%d", 1+i%2)
+						}
+						pub(from+i, relation.MustTuple(orders, s(fmt.Sprintf("o%d-%d", from, i)), s(user), s(fmt.Sprintf("p%d", i%5))))
+						if i%8 == 0 {
+							pub(from+i+1, relation.MustTuple(products, s(fmt.Sprintf("p%d", i/8)), s(fmt.Sprintf("product %d", i/8)), n(float64(from+i))))
+						}
+					}
+				}
+				stream(0)
+				for _, no := range eng.Notifications() {
+					keys = append(keys, deliveryKey(no))
+				}
+				sort.Strings(keys)
+				return keys, eng.HotKeys(), func() int {
+					before := len(eng.Notifications())
+					if err := eng.Unsubscribe(nodes[0], q); err != nil {
+						t.Fatal(err)
+					}
+					stream(1000)
+					return len(eng.Notifications()) - before
+				}
+			}
+			want, cold, _ := run(0)
+			got, hot, retract := run(8)
+			if len(want) == 0 || cold != nil {
+				t.Fatalf("the unsharded run delivered %d matches, promoted %v", len(want), cold)
+			}
+			if !slices.ContainsFunc(hot, func(h HotKeyState) bool { return strings.HasPrefix(h.Input, "Orders+") }) {
+				t.Fatalf("no input of the orders was promoted: %v", hot)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("sharded: %d matches, unsharded %d: %v", len(got), len(want), diffStrings(want, got))
+			}
+			if extra := retract(); extra != 0 {
+				t.Fatalf("%d notifications after the retraction", extra)
+			}
+		})
 	}
 }

@@ -70,7 +70,7 @@ func (e *Engine) replicaOf(v relation.Value) int {
 
 // indexQuery routes a freshly keyed query to its rewriter node(s) and returns
 // it with the insertion time it drew on the way. A chain (k > 2) is indexed
-// at one endpoint as under SAI, oriented to start there.
+// at one endpoint as under SAI, and walked from there.
 func (e *Engine) indexQuery(from *chord.Node, q *query.Query) (*query.Query, error) {
 	alg := e.cfg.Algorithm
 	if q.Arity() > 2 {
@@ -85,9 +85,6 @@ func (e *Engine) indexQuery(from *chord.Node, q *query.Query) (*query.Query, err
 		attr, err := q.SingleAttr(side)
 		if err != nil {
 			return nil, err
-		}
-		if q.Arity() > 2 && side == query.SideRight {
-			q, side = q.Reverse(), query.SideLeft
 		}
 		return e.sendQueryIndex(from, q, []sideAttr{{side, attr}})
 	case DAIQ, DAIT:
@@ -115,31 +112,21 @@ func (e *Engine) indexQuery(from *chord.Node, q *query.Query) (*query.Query, err
 }
 
 // interestInputs lists where q, indexed under indexSide, leaves an interest
-// mark: the other side's attribute, at whose value level the rewrites this
-// rewriter sends are stored and the tuples they probe must be. Double
-// indexing indexes both sides and so marks both. A chain, indexed at its
-// first relation, marks every later one at the attribute it meets the one
-// before on, where its partial matches wait.
+// mark: at each relation its rewrites go on to, the attribute they wait on
+// there, at whose value level they are stored and the tuples they probe must
+// be — a two-way query's other side, a chain's every later relation. Double
+// indexing indexes both sides and so marks both.
 func (e *Engine) interestInputs(q *query.Query, indexSide query.Side) []string {
 	if e.cfg.Algorithm == DAIV || e.cfg.BlindIndexing {
 		return nil
 	}
-	if q.Arity() > 2 {
-		var inputs []string
-		rels := q.Rels()
-		for i, link := range q.Links() {
-			if attrs := query.Attrs(link.R); len(attrs) == 1 {
-				inputs = e.replicaInputs(inputs, rels[i+1].Name(), attrs[0].Name)
-			}
+	var inputs []string
+	for stage := 1; stage < q.Arity(); stage++ {
+		if rel, attr, ok := q.StageAttr(indexSide, stage); ok { // not type T1: Subscribe has refused it
+			inputs = e.replicaInputs(inputs, rel, attr)
 		}
-		return inputs
 	}
-	other := indexSide.Other()
-	attr, err := q.SingleAttr(other)
-	if err != nil {
-		return nil // not type T1: Subscribe has refused it
-	}
-	return e.replicaInputs(nil, q.Rel(other).Name(), attr)
+	return inputs
 }
 
 // replicaInputs appends (rel, attr)'s input on every replica to inputs.
@@ -173,10 +160,10 @@ func pick(e *Engine, options []string) string {
 }
 
 // sendQueryIndex ships the query(q) message to every (side, attribute)
-// rewriter, replicated across the attribute-level replicas — a chain's is an
-// mQueryMsg. One identifier per destination; a single destination uses
-// send(), several use multisend() (Section 4.4.1: indexing at both rewriters
-// costs 2·O(log N) hops). Its interest marks go first and its insertion time
+// rewriter, replicated across the attribute-level replicas. One identifier
+// per destination; a single destination uses send(), several use
+// multisend() (Section 4.4.1: indexing at both rewriters costs 2·O(log N)
+// hops). Its interest marks go first and its insertion time
 // is drawn once they are acked: no tuple with pubT >= insT passes them by.
 func (e *Engine) sendQueryIndex(from *chord.Node, q *query.Query, idx []sideAttr) (*query.Query, error) {
 	var inputs []string
@@ -195,11 +182,7 @@ func (e *Engine) sendQueryIndex(from *chord.Node, q *query.Query, idx []sideAttr
 			if !slices.Contains(inputs, al.input) { // marked too: one retraction takes both
 				inputs = append(inputs, al.input)
 			}
-			var msg chord.Message = queryMsg{Q: q, Side: sa.side, Attr: sa.attr, Replica: r}
-			if q.Arity() > 2 {
-				msg = mQueryMsg{MQ: q, Attr: sa.attr, Replica: r}
-			}
-			batch = append(batch, chord.Deliverable{Target: al.id, Msg: msg})
+			batch = append(batch, chord.Deliverable{Target: al.id, Msg: queryMsg{Q: q, Side: sa.side, Attr: sa.attr, Replica: r}})
 		}
 	}
 	// The subscriber remembers where its query and its marks live so it can

@@ -45,10 +45,6 @@ func (st *nodeState) mergeAL(sec alSection) (added int, revoked []string) {
 		eg := b.byCond.getOrAdd(g.Cond, func() *queryGroup { return &queryGroup{cond: g.Cond, side: g.Side} })
 		added += appendNew(&eg.queries, g.Queries, (*query.Query).Key)
 	}
-	for _, g := range sec.Multi {
-		eg := b.multi.getOrAdd(g.Cond, func() *mGroup { return &mGroup{cond: g.Cond} })
-		added += appendNew(&eg.queries, g.Queries, (*query.Query).Key)
-	}
 	b.arrivals = append(b.arrivals, sec.arrivals...)
 	maps.Copy(b.distinct, sec.distinct)
 	for _, k := range sec.SentRewrites {
@@ -58,13 +54,8 @@ func (st *nodeState) mergeAL(sec alSection) (added int, revoked []string) {
 		b.mark(key)
 	}
 	for _, te := range sec.SentTargets {
-		ts := b.sentTargets[te.Key]
-		if ts == nil {
-			ts = make(map[string]struct{}, len(te.Targets))
-			b.sentTargets[te.Key] = ts
-		}
 		for _, t := range te.Targets {
-			ts[t] = struct{}{}
+			addTarget(b.sentTargets, te.Key, t)
 		}
 	}
 	for _, key := range sec.Grants {
@@ -74,29 +65,6 @@ func (st *nodeState) mergeAL(sec alSection) (added int, revoked []string) {
 		revoked = b.takeGrants()
 	}
 	return added, revoked
-}
-
-func (st *nodeState) mergeMVLQT(b *mvlqtBucket) int {
-	ex := st.mvlqt[b.input]
-	if ex == nil {
-		st.mvlqt[b.input] = b
-		return len(b.rewrites)
-	}
-	added := appendNew(&ex.rewrites, b.rewrites, func(rw *mRewritten) string { return rw.Key })
-	for key, targets := range b.sentTargets {
-		ts := ex.sentTargets[key]
-		if ts == nil {
-			if ex.sentTargets == nil {
-				ex.sentTargets = make(map[string]map[string]struct{})
-			}
-			ex.sentTargets[key] = targets
-			continue
-		}
-		for t := range targets {
-			ts[t] = struct{}{}
-		}
-	}
-	return added
 }
 
 // mergeDAIV installs one DAI-V section and returns the tuples it added.

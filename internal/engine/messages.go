@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"strconv"
 	"sync/atomic"
 
 	"cqjoin/internal/chord"
@@ -16,7 +17,7 @@ const (
 	kindALIndex  = "al-index" // al-index(t, A): tuple at the attribute level
 	kindVLIndex  = "vl-index" // vl-index(t, A): tuple at the value level
 	kindJoin     = "join"     // join(q'): rewritten query reindexed at the value level
-	kindMJoin    = "mjoin"    // a multi-way partial match reindexed at the next stage's value level
+	kindMJoin    = "mjoin"    // join(q') of a chain's rewrites, booked apart (joinMsg.Kind)
 	kindNotify   = "notification"
 	kindInterest = "interest"       // interest(Key(q), R+A): a query will read tuples at the value level of R.A
 	kindRevoke   = "revoke"         // revoke(R+A): a publisher told no query reads R.A must send it again
@@ -102,11 +103,17 @@ func (interestMsg) Kind() string { return kindInterest }
 // decoded one, every rewrite of the group and projection shape. Nothing
 // writes through that pointer after the group is built, so a stored rewrite,
 // the message that carried it and its siblings can all hold it.
+//
+// A chain's rewrite (Chapter 7's pipeline generalization of SAI) is one
+// whose target waits for a relation past the first its trigger matched: each
+// tuple that matches it sends the rest of the query on to the next relation's
+// value level, as a rewrite one stage on (next), until the last relation
+// builds the notification.
 type rewritten struct {
 	// Key is Key(q') per Section 4.3.3, or "" where it is the key derived
-	// from Orig and the target — Orig.RewriteKey of Trigger and WantValue — as
-	// it is on the wire: held only where the target is derived
-	// (rewriteTarget.derived). Read it through key or appendKey.
+	// from Orig and the target (appendDerivedKey) — as it is on the wire:
+	// held only where the target is derived (rewriteTarget.derived). Read it
+	// through key or appendKey.
 	Key  string
 	Orig *query.Query
 	*rewriteTarget
@@ -117,8 +124,31 @@ func (rw *rewritten) appendKey(dst []byte) []byte {
 	if rw.Key != "" {
 		return append(dst, rw.Key...)
 	}
-	dst, _ = rw.Orig.AppendRewriteKey(dst, rw.Trigger, rw.WantValue) // a derived key renders: the decoder checked
+	dst, _ = rw.appendDerivedKey(dst) // a derived key renders: the decoder checked
 	return dst
+}
+
+// appendDerivedKey appends the key rw's receiver derives to dst: a two-way
+// rewrite's Orig.RewriteKey, a chain's appendChainKey.
+func (rw *rewritten) appendDerivedKey(dst []byte) ([]byte, error) {
+	if rw.Orig.Arity() == 2 {
+		return rw.Orig.AppendRewriteKey(dst, rw.Trigger, rw.WantValue)
+	}
+	return appendChainKey(dst, rw.Orig.Key(), rw.Prefix, rw.Trigger), nil
+}
+
+// appendChainKey appends the key of a chain's rewrite to dst: Key(q), then
+// the publication time of every tuple it has matched, prefix and trigger in
+// the order matched — each partial match a rewrite of its own, which a
+// repeated delivery adds nothing to.
+func appendChainKey(dst []byte, queryKey string, prefix *[]*relation.Tuple, trigger *relation.Tuple) []byte {
+	dst = append(dst, queryKey...)
+	if prefix != nil {
+		for _, t := range *prefix {
+			dst = strconv.AppendInt(append(dst, '+'), t.PubT(), 10)
+		}
+	}
+	return strconv.AppendInt(append(dst, '+'), trigger.PubT(), 10)
 }
 
 // key returns Key(q'), built where it is derived.
@@ -160,33 +190,64 @@ func (rw *rewritten) keyStart() string {
 // and join attribute), and the q' asks for tuples of WantRel whose WantAttr
 // equals WantValue. A rewriter's Trigger is the tuple it received, for every
 // shape of its group; the wire says its projection onto each rewrite's
-// shape, and a decoded Trigger is that projection.
+// shape, and a decoded Trigger is that projection. A chain's rewrite past
+// its first stage also carries Prefix, the tuples matched before Trigger in
+// the order matched, said on the wire as Trigger is. It is a pointer, nil
+// elsewhere: it moves every target from the 80-byte size class to the 96,
+// where a slice would take it to the 112.
 type rewriteTarget struct {
-	IndexSide query.Side      // the side consumed by the trigger
+	IndexSide query.Side      // the side consumed by the first trigger: the end of the chain it walks from
 	Trigger   *relation.Tuple // the triggering tuple, or its projection
 	WantRel   string          // DisR(q)
 	WantAttr  string          // DisA(q)
 	WantValue relation.Value  // valDA(q, t)
+	Prefix    *[]*relation.Tuple
+}
+
+// stage returns how many of its query's relations the target's rewrites
+// have matched: Trigger's, and Prefix's.
+func (tg *rewriteTarget) stage() int {
+	if tg.Prefix == nil {
+		return 1
+	}
+	return 1 + len(*tg.Prefix)
+}
+
+// matched appends the tuples the target's rewrites have matched to dst, in
+// the order matched: Prefix, then Trigger.
+func (tg *rewriteTarget) matched(dst []*relation.Tuple) []*relation.Tuple {
+	if tg.Prefix != nil {
+		dst = append(dst, *tg.Prefix...)
+	}
+	return append(dst, tg.Trigger)
 }
 
 // wants computes what a rewrite of q triggered by tg.Trigger asks for
-// (Section 4.3.2): the index side's expression is evaluated over the trigger,
-// and the other side, a single attribute of its relation, is solved for the
-// value it must take. It fails where the side has several attributes or the
-// equality no solution (e.g. c/x = 0).
+// (Section 4.3.2): the trigger's side of the link its stage crosses is
+// evaluated over it, and the other side, a single attribute of the next
+// relation, is solved for the value it must take. It fails where the side
+// has several attributes or the equality no solution (e.g. c/x = 0).
 func (tg *rewriteTarget) wants(q *query.Query) (rel, attr string, val relation.Value, err error) {
-	v, err := q.EvalSide(tg.IndexSide, tg.Trigger)
-	if err != nil {
-		return "", "", relation.Value{}, err
+	return q.StageWant(tg.IndexSide, tg.stage(), tg.Trigger)
+}
+
+// last reports whether a match of rw completes its query: its target waits
+// for the query's last relation.
+func (rw *rewritten) last() bool { return rw.stage()+1 == rw.Orig.Arity() }
+
+// next returns, where tuple t matched rw, rw one stage on: bound for the
+// next relation's value level in a join of its own, triggered by t, with
+// rw's prefix and trigger its prefix. It is false where t's link has no
+// solution.
+func (rw *rewritten) next(t *relation.Tuple) (outbound, bool) {
+	prefix := rw.matched(make([]*relation.Tuple, 0, rw.stage()))
+	tg := &rewriteTarget{IndexSide: rw.IndexSide, Trigger: t, Prefix: &prefix}
+	var err error
+	if tg.WantRel, tg.WantAttr, tg.WantValue, err = tg.wants(rw.Orig); err != nil {
+		return outbound{}, false
 	}
-	other := tg.IndexSide.Other()
-	if val, err = q.InvertSide(other, v); err != nil {
-		return "", "", relation.Value{}, err
-	}
-	if attr, err = q.SingleAttr(other); err != nil {
-		return "", "", relation.Value{}, err
-	}
-	return q.Rel(other).Name(), attr, val, nil
+	m := &joinMsg{Rewrites: []rewritten{{Orig: rw.Orig, rewriteTarget: tg}}}
+	return outbound{input: vlInput(tg.WantRel, tg.WantAttr, tg.WantValue), msg: m}, true
 }
 
 // sameTarget reports whether rw and o wait at the same value-level
@@ -215,7 +276,14 @@ type joinMsg struct {
 	Rewrites []rewritten
 }
 
-func (*joinMsg) Kind() string { return kindJoin }
+// Kind books a join of a chain's rewrites apart from a two-way one, so the
+// ledger shows what the pipeline's stages cost (X7.1).
+func (m *joinMsg) Kind() string {
+	if len(m.Rewrites) > 0 && m.Rewrites[0].Orig.Arity() > 2 {
+		return kindMJoin
+	}
+	return kindJoin
+}
 
 // joinVMsg is DAI-V's join(q', t') message (Section 4.5): the projection
 // Trigger of the triggering tuple plus the group of queries (equal join

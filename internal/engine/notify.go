@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"strings"
@@ -29,7 +30,7 @@ type Notification struct {
 	// LeftPubT and RightPubT are the publication times of the matched
 	// tuples of the left and right join relations. A chain match of more
 	// than two relations has RightPubT for its last tuple and identifies
-	// the others together in LeftPubT (chainPrefixID).
+	// the others together in LeftPubT (match.chainID).
 	LeftPubT, RightPubT int64
 	// DeliveredAt is the logical time the notification reached its
 	// subscriber (possibly after an offline period), set on delivery: 0
@@ -77,11 +78,34 @@ func (n Notification) String() string {
 
 // match is a pair an evaluator's loop found to answer q: trig is the tuple
 // consumed at the attribute level (the rewritten query's side), other the
-// tuple matched at the value level.
+// tuple matched at the value level. A chain's match is its last stage's: trig
+// the tuple matched before other, and prefix those matched before trig.
 type match struct {
 	q           *query.Query
 	side        query.Side
 	trig, other *relation.Tuple
+	prefix      *[]*relation.Tuple
+}
+
+// combo returns the chain match's tuples in chain order, in a slice of buf.
+func (m *match) combo(buf []*relation.Tuple) []*relation.Tuple {
+	combo := append(append(append(buf[:0], *m.prefix...), m.trig), m.other)
+	if m.side == query.SideRight {
+		slices.Reverse(combo)
+	}
+	return combo
+}
+
+// chainID is the LeftPubT of a chain match: what identifies every matched
+// tuple but the last, the top 63 bits of Hash of the key of the rewrite that
+// met it (appendChainKey), which lists their publication times. The SELECT
+// list may name the end relations only, and then combinations that differ
+// in an interior tuple share their content and both end times; delivery
+// deduplication (deliveryKey) would drop all but one of them as repeats.
+func (m *match) chainID() int64 {
+	var buf [keyScratch]byte
+	h := id.Hash(string(appendChainKey(buf[:0], m.q.Key(), m.prefix, m.trig)))
+	return int64(binary.BigEndian.Uint64(h[:8]) >> 1)
 }
 
 // pair returns the matched tuples as the query's left and right relations.
@@ -132,11 +156,21 @@ func notifications(ms []match) []Notification {
 	out := make([]Notification, 0, len(ms))
 	slab := make([]relation.Value, 0, vals)
 	for i := range ms {
-		left, right := ms[i].pair()
+		m := &ms[i]
 		start := len(slab)
 		var err error
-		if slab, err = ms[i].q.AppendNotification(slab, left, right); err == nil {
-			out = append(out, ms[i].notification(left, right, slab[start:len(slab):len(slab)]))
+		if m.prefix != nil {
+			var buf [8]*relation.Tuple
+			if slab, err = m.q.AppendNotification(slab, m.combo(buf[:0])...); err == nil {
+				n := m.notification(m.trig, m.other, slab[start:len(slab):len(slab)])
+				n.LeftPubT = m.chainID()
+				out = append(out, n)
+			}
+			continue
+		}
+		left, right := m.pair()
+		if slab, err = m.q.AppendNotification(slab, left, right); err == nil {
+			out = append(out, m.notification(left, right, slab[start:len(slab):len(slab)]))
 		}
 	}
 	return out

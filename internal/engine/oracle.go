@@ -13,7 +13,7 @@ import (
 // differential tests compare against it.
 //
 // The oracle covers two-way queries (the Chapter 4 algorithms); chains of
-// more relations have their own expected-set computation in the mjoin tests.
+// more relations have their own expected-set computation in the chain tests.
 type Oracle struct {
 	queries []*query.Query
 	tuples  map[string][]*relation.Tuple // by relation name, insertion order

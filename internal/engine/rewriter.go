@@ -177,10 +177,6 @@ func (st *nodeState) handleALIndex(m *alIndexMsg, ask *alAskMsg) {
 			outs = append(outs, rewriteGroupV(g, triggered, t, e.cfg.DAIVKeyed)...)
 		}
 	}
-	// Multi-way chain queries indexed at this bucket (Chapter 7 extension).
-	mOuts, mExamined := st.triggerMulti(b, t)
-	outs = append(outs, mOuts...)
-	examined += mExamined
 	if ask != nil {
 		ask.SetReply(st.answer(b, ask.asker))
 	}
@@ -223,7 +219,6 @@ func (st *nodeState) rewriteGroup(b *alBucket, g *queryGroup, triggered []*query
 	}
 
 	target := vlInput(tgt.WantRel, tgt.WantAttr, tgt.WantValue)
-	storesRewrites := st.engine.cfg.Algorithm == SAI || st.engine.cfg.Algorithm == DAIT
 
 	var projects *relation.Schema // the last shape the trigger was found to have
 	// One array for the group, which is stored together.
@@ -235,15 +230,10 @@ func (st *nodeState) rewriteGroup(b *alBucket, g *queryGroup, triggered []*query
 			}
 			projects = shape
 		}
-		if storesRewrites {
+		if st.engine.storesRewrite(q) {
 			// Remember where this query's rewrites live so a retraction
 			// can purge them (unsubscribe.go).
-			ts := b.sentTargets[q.Key()]
-			if ts == nil {
-				ts = make(map[string]struct{})
-				b.sentTargets[q.Key()] = ts
-			}
-			ts[target] = struct{}{}
+			addTarget(b.sentTargets, q.Key(), target)
 		}
 		if st.engine.cfg.Algorithm == DAIT {
 			// Section 4.4.3: a rewriter never reindexes the same rewritten

@@ -123,7 +123,6 @@ func (e *Engine) ExportSnapshot(down []string) (chord.Message, []NodeSnapshot) {
 		}
 	}
 	e.mu.Unlock()
-	meta.Multi = e.multiOn.Load()
 
 	if e.hot != nil {
 		e.hot.mu.Lock()
@@ -215,7 +214,6 @@ func (e *Engine) RestoreSnapshot(meta chord.Message, nodes []NodeSnapshot) (deri
 		e.sink = append(e.sink, m.Sink...)
 	}
 	e.mu.Unlock()
-	e.multiOn.Store(m.Multi)
 
 	if e.hot != nil {
 		e.hot.mu.Lock()
@@ -273,11 +271,6 @@ func (e *Engine) deriveInterest(m handoffMsg) (derived int) {
 		for _, g := range sec.Groups {
 			for _, q := range g.Queries {
 				mark(q.Key(), e.interestInputs(q, g.Side))
-			}
-		}
-		for _, g := range sec.Multi {
-			for _, mq := range g.Queries {
-				mark(mq.Key(), e.interestInputs(mq, query.SideLeft))
 			}
 		}
 	}

@@ -33,7 +33,6 @@ type nodeState struct {
 	mu           sync.Mutex
 	alqt         map[string]*alBucket
 	vlqt         map[string]*vlqtBucket
-	mvlqt        map[string]*mvlqtBucket
 	vltt         map[string]*vlttBucket
 	vstore       map[string]*daivBucket
 	pairStore    map[string]*pairBucket
@@ -115,7 +114,6 @@ func newNodeState(e *Engine, n *chord.Node) *nodeState {
 		node:         n,
 		alqt:         make(map[string]*alBucket),
 		vlqt:         make(map[string]*vlqtBucket),
-		mvlqt:        make(map[string]*mvlqtBucket),
 		vltt:         make(map[string]*vlttBucket),
 		vstore:       make(map[string]*daivBucket),
 		pairStore:    make(map[string]*pairBucket),
@@ -129,14 +127,14 @@ func newNodeState(e *Engine, n *chord.Node) *nodeState {
 // alBucket is the slice of the attribute-level query table (ALQT) reached
 // through one attribute-level identifier. Queries are grouped by equivalent
 // join condition (Section 4.3.5) so one incoming tuple handles a whole
-// group at once. When the configured strategy probes rewriters
-// (Engine.probesRewriters) the bucket also tracks the tuple-arrival
-// statistics of Section 4.3.6: arrival timestamps (rate) and distinct values
-// seen (domain size); under any other strategy both stay empty.
+// group at once — a chain's by its whole chain of conditions. When the
+// configured strategy probes rewriters (Engine.probesRewriters) the bucket
+// also tracks the tuple-arrival statistics of Section 4.3.6: arrival
+// timestamps (rate) and distinct values seen (domain size); under any other
+// strategy both stay empty.
 type alBucket struct {
 	input    string // the hashed string, e.g. "R+B" or "R+B#r2"
 	byCond   condTable[*queryGroup]
-	multi    condTable[*mGroup] // multi-way chain queries, by chain condition
 	arrivals []int64
 	distinct map[string]struct{}
 	// sentRewrites records the rewritten-query keys this rewriter has
@@ -233,9 +231,9 @@ func (b *alBucket) mark(key string) bool {
 }
 
 // idle reports whether nothing reads the tuples that reach the bucket: no
-// condition group, no chain group and no interest mark.
+// condition group and no interest mark.
 func (b *alBucket) idle() bool {
-	return len(b.byCond.all()) == 0 && len(b.multi.all()) == 0 && len(b.interest) == 0
+	return len(b.byCond.all()) == 0 && len(b.interest) == 0
 }
 
 // grant records that publisher key was told nothing reads the bucket.
@@ -262,7 +260,7 @@ func (b *alBucket) takeGrants() []string {
 // condition, indexed at this bucket under the same index attribute.
 type queryGroup struct {
 	cond    string
-	side    query.Side // side of the condition this bucket's attribute is on
+	side    query.Side // side of the condition this bucket's attribute is on: the end a chain is walked from
 	queries []*query.Query
 }
 
@@ -277,6 +275,12 @@ type vlqtBucket struct {
 	noCopy   noCopy
 	rewrites rewriteTable
 	inline   [vlqtInline]*rewritten
+}
+
+// empty reports whether the bucket holds nothing: no rewrite, and no target
+// a chain's purge would follow from it.
+func (qb *vlqtBucket) empty() bool {
+	return qb.rewrites.len() == 0 && (qb.rewrites.rare == nil || len(qb.rewrites.rare.sent) == 0)
 }
 
 // vlqtInline is how many rewrites a VLQT bucket holds inside itself: at the
@@ -427,10 +431,6 @@ func (st *nodeState) HandleMessage(on *chord.Node, msg chord.Message) {
 		st.handleRevoke(m)
 	case *purgeMsg:
 		st.handlePurge(m)
-	case mQueryMsg:
-		st.handleMQueryIndex(m)
-	case mJoinMsg:
-		st.handleMJoin(m)
 	case handoffMsg:
 		st.merge(on, m, true)
 	case hotJoinMsg:
@@ -462,9 +462,6 @@ func (b *alBucket) storedItems() int {
 	for _, g := range b.byCond.all() {
 		n += len(g.queries)
 	}
-	for _, g := range b.multi.all() {
-		n += len(g.queries)
-	}
 	return n
 }
 
@@ -489,7 +486,8 @@ func (b *pairBucket) storedItems() int {
 // evictBefore drops stored tuples older than the cutoff — the sliding
 // window of the evaluation chapter — and the buckets that emptied, so a
 // stream of mostly-unique values does not leave a bucket behind per value.
-// Rewritten queries and the queries themselves are continuous and never
+// It drops a chain's rewrites, partial matches, whose newest tuple is older
+// too. Two-way rewrites and the queries themselves are continuous and never
 // expire.
 func (st *nodeState) evictBefore(cutoff int64) {
 	expired := func(t *relation.Tuple) bool { return t.PubT() < cutoff }
@@ -518,7 +516,15 @@ func (st *nodeState) evictBefore(cutoff int64) {
 	for _, b := range st.pairStore {
 		evicted += b.tuples[0].removeIf(expired) + b.tuples[1].removeIf(expired)
 	}
-	evicted += st.evictMultiBefore(cutoff)
+	chainExpired := func(rw *rewritten) bool {
+		return rw.Orig.Arity() > 2 && !slices.ContainsFunc(rw.matched(nil), func(t *relation.Tuple) bool { return !expired(t) })
+	}
+	for input, qb := range st.vlqt {
+		evicted += qb.rewrites.removeIf(chainExpired)
+		if qb.empty() {
+			delete(st.vlqt, input)
+		}
+	}
 	if evicted > 0 {
 		st.load.AddStorage(metrics.Evaluator, -evicted)
 	}

@@ -12,7 +12,7 @@ import (
 // growsToday is what an endless stream still grows (ROADMAP V(ii)), each entry
 // with the item that is to bound it.
 var growsToday = map[string]string{
-	"delivered":     "J(iii): one identity per match, never aged out",
+	"delivered":     "AG: one identity per match, never aged out",
 	"vlqt_rewrites": "J(ii): stored rewrites outlive their trigger's window",
 	"retracted":     "J(i): the retraction memory, aged by nothing but its restart",
 }

@@ -59,7 +59,7 @@ func subscribeMessage(msg chord.Message) string {
 		return "mark"
 	case revokeMsg:
 		return "revoke"
-	case queryMsg, mQueryMsg:
+	case queryMsg:
 		return "query"
 	}
 	return ""

@@ -97,13 +97,22 @@ func (s *tupleSet) removeIf(drop func(*relation.Tuple) bool) int {
 // rewriteTable is an insertion-ordered table of stored rewritten queries,
 // unique by Key(q') (Section 4.3.3). An entry is the *rewritten its join
 // carried, and its trigger times are its trigger's pubT — what an arrival
-// records — unless later holds others: a repeat of its key added its own, or
-// a move merged it with times that differ. A table that carries an index keys
-// it by key(), so only those build the strings of derived keys.
+// records — unless rare.later holds others: a repeat of its key added its
+// own, or a move merged it with times that differ. A table that carries an
+// index keys it by key(), so only those build the strings of derived keys.
 type rewriteTable struct {
 	items []*rewritten
 	index map[string]*rewritten
-	later map[*rewritten][]int64 // nil until an entry's times are not its trigger's alone
+	rare  *rewriteRare // nil until a table needs it: a value-level bucket stays in its 64-byte size class
+}
+
+// rewriteRare is what few tables hold: later, the trigger times of entries
+// whose times are not their trigger's alone; and sent, by query key, the
+// inputs the table's chain rewrites went on to a stage (meet) — where a
+// retraction's purge follows them (handlePurge).
+type rewriteRare struct {
+	later map[*rewritten][]int64
+	sent  map[string]map[string]struct{}
 }
 
 func (t *rewriteTable) len() int { return len(t.items) }
@@ -126,10 +135,19 @@ func (t *rewriteTable) get(rw *rewritten) *rewritten {
 	return nil
 }
 
+// later returns the times rare.later holds for rw, and whether it does.
+func (t *rewriteTable) later(rw *rewritten) ([]int64, bool) {
+	if t.rare == nil {
+		return nil, false
+	}
+	ts, ok := t.rare.later[rw]
+	return ts, ok
+}
+
 // times returns the trigger times of stored rewrite rw, in a slice of the
 // caller's.
 func (t *rewriteTable) times(rw *rewritten) []int64 {
-	if ts, ok := t.later[rw]; ok {
+	if ts, ok := t.later(rw); ok {
 		return slices.Clone(ts)
 	}
 	return []int64{rw.Trigger.PubT()}
@@ -141,7 +159,7 @@ func (t *rewriteTable) times(rw *rewritten) []int64 {
 // whether rw was stored.
 func (t *rewriteTable) record(rw *rewritten, times ...int64) bool {
 	if o := t.get(rw); o != nil {
-		ts, ok := t.later[o]
+		ts, ok := t.later(o)
 		if !ok {
 			ts = []int64{o.Trigger.PubT()}
 		}
@@ -163,11 +181,41 @@ func (t *rewriteTable) record(rw *rewritten, times ...int64) bool {
 	return true
 }
 
-func (t *rewriteTable) setLater(rw *rewritten, times []int64) {
-	if t.later == nil {
-		t.later = make(map[*rewritten][]int64)
+// makeRare returns the table's rare state, making it where there is none.
+func (t *rewriteTable) makeRare() *rewriteRare {
+	if t.rare == nil {
+		t.rare = new(rewriteRare)
 	}
-	t.later[rw] = times
+	return t.rare
+}
+
+func (t *rewriteTable) setLater(rw *rewritten, times []int64) {
+	r := t.makeRare()
+	if r.later == nil {
+		r.later = make(map[*rewritten][]int64)
+	}
+	r.later[rw] = times
+}
+
+// recordTarget remembers that a chain rewrite of query key stored here went
+// on to input.
+func (t *rewriteTable) recordTarget(key, input string) {
+	r := t.makeRare()
+	if r.sent == nil {
+		r.sent = make(map[string]map[string]struct{})
+	}
+	addTarget(r.sent, key, input)
+}
+
+// takeTargets forgets and returns the inputs query key's chain rewrites went
+// on to from here.
+func (t *rewriteTable) takeTargets(key string) map[string]struct{} {
+	if t.rare == nil {
+		return nil
+	}
+	ts := t.rare.sent[key]
+	delete(t.rare.sent, key)
+	return ts
 }
 
 // removeIf drops the rewrites drop selects, keeping the order of the rest,
@@ -179,9 +227,12 @@ func (t *rewriteTable) removeIf(drop func(*rewritten) bool) int {
 			kept = append(kept, rw)
 			continue
 		}
-		delete(t.later, rw)
+		if t.rare != nil {
+			delete(t.rare.later, rw)
+		}
 		if t.index != nil {
-			delete(t.index, rw.key())
+			var buf [keyScratch]byte
+			delete(t.index, string(rw.appendKey(buf[:0]))) // a derived key is not built as a string
 		}
 	}
 	removed := len(t.items) - len(kept)
@@ -191,4 +242,14 @@ func (t *rewriteTable) removeIf(drop func(*rewritten) bool) int {
 		t.index = nil
 	}
 	return removed
+}
+
+// addTarget adds input to key's set in a sentTargets map.
+func addTarget(m map[string]map[string]struct{}, key, input string) {
+	ts := m[key]
+	if ts == nil {
+		ts = make(map[string]struct{})
+		m[key] = ts
+	}
+	ts[input] = struct{}{}
 }

@@ -205,15 +205,15 @@ func TestRewriteTableMatchesMapAndSlice(t *testing.T) {
 				if got := tab.times(rw); rw != want.rw || !slices.Equal(got, want.times) {
 					t.Fatalf("%s: entry %d is %s %v, reference %s %v", step, i, rw.key(), got, want.rw.key(), want.times)
 				}
-				if _, in := tab.later[rw]; in == (len(want.times) == 1 && want.times[0] == rw.Trigger.PubT()) {
+				if _, in := tab.later(rw); in == (len(want.times) == 1 && want.times[0] == rw.Trigger.PubT()) {
 					t.Fatalf("%s: entry %s with times %v is in later: %v", step, rw.key(), want.times, in)
 				}
 				if tab.get(rw) != rw {
 					t.Fatalf("%s: get(%s) does not return the stored entry", step, rw.key())
 				}
 			}
-			if len(tab.later) > tab.len() {
-				t.Fatalf("%s: later holds %d entries over %d rewrites", step, len(tab.later), tab.len())
+			if tab.rare != nil && len(tab.rare.later) > tab.len() {
+				t.Fatalf("%s: later holds %d entries over %d rewrites", step, len(tab.rare.later), tab.len())
 			}
 			if tab.index == nil && tab.len() > smallTableMax {
 				t.Fatalf("%s: %d rewrites and no index", step, tab.len())

@@ -49,9 +49,9 @@ func (*purgeMsg) Kind() string { return kindUnsub }
 // Unsubscribe retracts a continuous query previously returned by
 // Subscribe. After it returns, future tuple insertions can no longer
 // trigger the query. Baseline algorithms do not support retraction. A
-// chain's rewriter drops it and purges its stage-1 partial matches; each
-// evaluator cascades the purge down the pipeline along the targets it
-// recorded while forwarding (mvlqtBucket.sentTargets).
+// chain's rewriter purges its first-stage rewrites like any others; each
+// evaluator cascades the purge down the chain along the targets its rewrites
+// went on to (rewriteTable.recordTarget).
 func (e *Engine) Unsubscribe(from *chord.Node, q *query.Query) error {
 	if !from.Alive() {
 		return fmt.Errorf("engine: unsubscribe from departed node %s", from)
@@ -83,13 +83,10 @@ func (e *Engine) retractQuery(from *chord.Node, key, cond string) error {
 	return e.dispatch(from, batch)
 }
 
-// handleUnsub removes the query from this rewriter's ALQT — two-way groups
-// and multi-way chain groups alike — and purges its stored rewrites from
-// every evaluator this rewriter fanned out to. A chain group is keyed by the
-// orientation it was indexed in, which the retraction's condition, read off
-// a text, need not share: the chain is found by its key.
+// handleUnsub removes the query from this rewriter's ALQT and purges its
+// stored rewrites from every evaluator this rewriter fanned out to.
 func (st *nodeState) handleUnsub(m *unsubMsg) {
-	var purges []purgeMsg
+	var targets map[string]struct{}
 	removed := 0
 
 	st.mu.Lock()
@@ -102,21 +99,7 @@ func (st *nodeState) handleUnsub(m *unsubMsg) {
 				b.byCond.drop(m.Cond)
 			}
 		}
-		for _, g := range b.multi.all() {
-			if n := removeKey(&g.queries, m.QueryKey); n > 0 {
-				removed += n
-				if len(g.queries) == 0 {
-					b.multi.drop(g.cond)
-				}
-				break
-			}
-		}
-		if targets := b.sentTargets[m.QueryKey]; len(targets) > 0 {
-			purges = make([]purgeMsg, 0, len(targets))
-			for input := range targets {
-				purges = append(purges, purgeMsg{QueryKey: m.QueryKey, Input: input})
-			}
-		}
+		targets = b.sentTargets[m.QueryKey]
 		delete(b.sentTargets, m.QueryKey)
 		// Forget the reindex-once markers so a re-subscription of the same
 		// subscriber sequence starts clean.
@@ -133,40 +116,35 @@ func (st *nodeState) handleUnsub(m *unsubMsg) {
 	if removed > 0 {
 		st.load.AddStorage(metrics.Rewriter, -removed)
 	}
-	if len(purges) == 0 {
-		return
-	}
-	if hot := st.engine.hotState(); hot != nil {
-		// A promoted target holds rewrite copies at every shard bucket; the
-		// purge fans out to them too (DESIGN.md §13).
-		var all []purgeMsg
-		for _, p := range purges {
-			all = append(all, p)
-			for s, k := 1, hot.lookup(p.Input).k; s < k; s++ {
-				all = append(all, purgeMsg{QueryKey: m.QueryKey, Input: hotShardInput(p.Input, s)})
-			}
-		}
-		purges = all
-	}
-	st.sendPurges(st.engine.purges(purges))
+	st.sendPurges(m.QueryKey, targets)
 }
 
-// purges addresses a retraction's purges, one array of messages, in one
-// batch.
-func (e *Engine) purges(msgs []purgeMsg) []chord.Deliverable {
+// sendPurges purges query key's stored rewrites at targets, one array of
+// messages in one batch, and at every shard of a target the hot-key layer
+// promoted, which holds copies of them (DESIGN.md §13). With the JFRT on
+// (Section 4.7.1) a purge whose evaluator the table remembers taking its
+// input's joins goes there in one hinted hop, retried like any other where it
+// fails, and only the rest walk; with it off the table is not read.
+func (st *nodeState) sendPurges(key string, targets map[string]struct{}) {
+	if len(targets) == 0 {
+		return
+	}
+	e := st.engine
+	hot := e.hot
+	msgs := make([]purgeMsg, 0, len(targets))
+	for input := range targets {
+		msgs = append(msgs, purgeMsg{QueryKey: key, Input: input})
+		if hot != nil {
+			for s, k := 1, hot.lookup(input).k; s < k; s++ {
+				msgs = append(msgs, purgeMsg{QueryKey: key, Input: hotShardInput(input, s)})
+			}
+		}
+	}
 	batch := make([]chord.Deliverable, len(msgs))
 	for i := range msgs {
 		batch[i] = chord.Deliverable{Target: e.hashInput(msgs[i].Input), Msg: &msgs[i]}
 	}
-	return batch
-}
 
-// sendPurges sends a retraction's purges. With the JFRT on (Section 4.7.1) a
-// purge whose evaluator the table remembers taking its input's joins goes
-// there in one hinted hop, retried like any other where it fails, and only
-// the rest walk; with it off the table is not read.
-func (st *nodeState) sendPurges(batch []chord.Deliverable) {
-	e := st.engine
 	if e.cfg.UseJFRT {
 		walk := batch[:0]
 		var failed []chord.Deliverable
@@ -200,15 +178,14 @@ func removeKey[T interface{ Key() string }](items *[]T, key string) int {
 }
 
 // handlePurge drops the retracted query's stored rewrites from this
-// evaluator's VLQT and its partial matches from the multi-way MVLQT. For
-// multi-way chains the purge cascades: partial matches this evaluator
-// already forwarded live at later pipeline stages, so the purge follows
-// the recorded fan-out targets. The cascade terminates because each visit
-// consumes its target record — a revisited bucket fans out nothing.
+// evaluator's VLQT. A chain's purge cascades: rewrites that went on from
+// here live at later stages, so it follows the targets they went on to. The
+// cascade ends because each visit consumes its targets: a bucket visited
+// again sends nothing on.
 func (st *nodeState) handlePurge(m *purgeMsg) {
 	removed := 0
 	prefix := []byte(m.QueryKey + "+")
-	var cascade []purgeMsg
+	var cascade map[string]struct{}
 
 	st.mu.Lock()
 	st.retract(m.QueryKey)
@@ -217,29 +194,9 @@ func (st *nodeState) handlePurge(m *purgeMsg) {
 			var buf [keyScratch]byte
 			return rw.Orig.Key() == m.QueryKey || bytes.HasPrefix(rw.appendKey(buf[:0]), prefix)
 		})
-		if qb.rewrites.len() == 0 {
+		cascade = qb.rewrites.takeTargets(m.QueryKey)
+		if qb.empty() {
 			delete(st.vlqt, m.Input)
-		}
-	}
-	if mb := st.mvlqt[m.Input]; mb != nil {
-		kept := mb.rewrites[:0]
-		for _, rw := range mb.rewrites {
-			if rw.Orig.Key() == m.QueryKey {
-				removed++
-				continue
-			}
-			kept = append(kept, rw)
-		}
-		mb.rewrites = kept
-		if targets := mb.sentTargets[m.QueryKey]; len(targets) > 0 {
-			cascade = make([]purgeMsg, 0, len(targets))
-			for input := range targets {
-				cascade = append(cascade, purgeMsg{QueryKey: m.QueryKey, Input: input})
-			}
-		}
-		delete(mb.sentTargets, m.QueryKey)
-		if len(mb.rewrites) == 0 && len(mb.sentTargets) == 0 {
-			delete(st.mvlqt, m.Input)
 		}
 	}
 	st.mu.Unlock()
@@ -248,9 +205,7 @@ func (st *nodeState) handlePurge(m *purgeMsg) {
 	if removed > 0 {
 		st.load.AddStorage(metrics.Evaluator, -removed)
 	}
-	if len(cascade) > 0 {
-		_ = st.engine.dispatch(st.node, st.engine.purges(cascade))
-	}
+	st.sendPurges(m.QueryKey, cascade)
 }
 
 // retractedMax bounds a node's retraction memory as idCache is bounded: full,

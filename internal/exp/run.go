@@ -22,7 +22,8 @@ type Scale struct {
 // CI returns a laptop-second scale preserving every experiment's shape.
 func CI() Scale { return Scale{Nodes: 256, Queries: 400, Tuples: 400, Seed: 1} }
 
-// Paper returns the thesis scale. Expect minutes per experiment.
+// Paper returns the thesis scale. It does not yet run in bounded memory: on an
+// 8 GB host F5.2 was OOM-killed within 93 s (ROADMAP AG).
 func Paper() Scale { return Scale{Nodes: 10000, Queries: 100000, Tuples: 20000, Seed: 1} }
 
 // Run is a live experiment: an overlay, an engine and a workload stream.

@@ -113,20 +113,26 @@ func TestMultiIdentityAndTimes(t *testing.T) {
 	}
 }
 
+// A rewrite indexed under the chain's last relation walks it backwards:
+// each link is solved for the relation before it.
 func TestMultiReverse(t *testing.T) {
-	mq := MustParse(multiCatalog(), `SELECT A.z FROM A, B, C WHERE A.x = B.y AND B.x = C.y`)
-	rev := mq.Reverse()
-	if rev.Rels()[0].Name() != "C" || rev.Rels()[2].Name() != "A" {
-		t.Fatalf("reverse order wrong: %v", rev.Rels())
+	mq := MustParse(multiCatalog(), `SELECT A.z FROM A, B, C WHERE A.x = B.y AND B.x = 2 * C.y`)
+	c := relation.MustSchema("C", "x", "y", "z")
+	tc := relation.MustTuple(c, relation.N(0), relation.N(3), relation.N(0))
+	rel, attr, val, err := mq.StageWant(SideRight, 1, tc)
+	if err != nil || rel != "B" || attr != "x" || !val.Equal(relation.N(6)) {
+		t.Fatalf("stage 1 from C wants %s.%s = %v (%v), want B.x = 6", rel, attr, val, err)
 	}
-	// Reversed links swap sides: first reversed link is C/B.
-	l := rev.Links()[0]
-	if Relations(l.L)[0] != "C" || Relations(l.R)[0] != "B" {
-		t.Fatalf("reversed link sides wrong: %s = %s", l.L, l.R)
+	b := relation.MustSchema("B", "x", "y", "z")
+	tb := relation.MustTuple(b, relation.N(6), relation.N(4), relation.N(0))
+	if rel, attr, val, err = mq.StageWant(SideRight, 2, tb); err != nil || rel != "A" || attr != "x" || !val.Equal(relation.N(4)) {
+		t.Fatalf("stage 2 from C wants %s.%s = %v (%v), want A.x = 4", rel, attr, val, err)
 	}
-	// Double reverse is the identity.
-	if rev.Reverse().ConditionKey() != mq.ConditionKey() {
-		t.Fatal("double reverse changed the chain")
+	if got := mq.StageProjection(SideRight, 3); got.Name() != "A" {
+		t.Fatalf("stage 3 from C matches %s, want A", got.Name())
+	}
+	if _, _, ok := mq.StageAttr(SideRight, 3); ok {
+		t.Fatal("a chain of three went on past its third stage")
 	}
 }
 
@@ -134,7 +140,7 @@ func TestMultiStageWant(t *testing.T) {
 	mq := MustParse(multiCatalog(), `SELECT A.z FROM A, B, C WHERE 2 * A.x = B.y AND B.x = C.y + 1`)
 	a := relation.MustSchema("A", "x", "y", "z")
 	ta := relation.MustTuple(a, relation.N(3), relation.N(0), relation.N(0))
-	rel, attr, val, err := mq.StageWant(1, ta)
+	rel, attr, val, err := mq.StageWant(SideLeft, 1, ta)
 	if err != nil {
 		t.Fatalf("StageWant: %v", err)
 	}
@@ -144,7 +150,7 @@ func TestMultiStageWant(t *testing.T) {
 	}
 	b := relation.MustSchema("B", "x", "y", "z")
 	tb := relation.MustTuple(b, relation.N(5), relation.N(6), relation.N(0))
-	rel, attr, val, err = mq.StageWant(2, tb)
+	rel, attr, val, err = mq.StageWant(SideLeft, 2, tb)
 	if err != nil {
 		t.Fatalf("StageWant: %v", err)
 	}
@@ -152,7 +158,7 @@ func TestMultiStageWant(t *testing.T) {
 	if rel != "C" || attr != "y" || !val.Equal(relation.N(4)) {
 		t.Fatalf("stage 2 want: %s.%s = %v", rel, attr, val)
 	}
-	if _, _, _, err := mq.StageWant(3, tb); err == nil {
+	if _, _, _, err := mq.StageWant(SideLeft, 3, tb); err == nil {
 		t.Fatal("stage out of range accepted")
 	}
 }

@@ -229,9 +229,9 @@ func TestEvalAndInvertSide(t *testing.T) {
 		t.Fatalf("EvalSide = %v, %v", v, err)
 	}
 	// Right side must equal 10 → S.E = 9.
-	want, err := q.InvertSide(SideRight, v)
-	if err != nil || !want.Equal(relation.N(9)) {
-		t.Fatalf("InvertSide = %v, %v", want, err)
+	rel, attr, want, err := q.StageWant(SideLeft, 1, tp)
+	if err != nil || rel != "S" || attr != "E" || !want.Equal(relation.N(9)) {
+		t.Fatalf("StageWant = %s.%s = %v, %v", rel, attr, want, err)
 	}
 }
 

@@ -14,25 +14,25 @@ import (
 type plan struct {
 	condKey string
 	typ     Type
-	// attrs are, per side, the distinct attributes the side's join
-	// expression references.
-	attrs  [2][]string
-	rels   []relPlan // one per relation, in chain order
-	sel    []selRef
-	tokens []byte // Query.Tokens, against the catalog Parse was given
+	rels    []relPlan // one per relation, in chain order
+	sel     []selRef
+	tokens  []byte // Query.Tokens, against the catalog Parse was given
 }
 
 // relPlan is one relation of the chain: its schema and the join condition
 // with the next relation (none on the last), which Parse fills in, and what
 // compile derives — needed, the attributes required to finish evaluating the
 // query once the relation's tuple is fixed (SELECT list, join conditions,
-// selection predicates, in that order), and proj, the relation's interned
-// schema over exactly that list, the shape of every trigger it ships.
+// selection predicates, in that order); proj, the relation's interned schema
+// over exactly that list, the shape of every trigger it ships; and attrs, by
+// side of the link, the distinct attributes link.L names on this relation
+// and link.R on the next.
 type relPlan struct {
 	schema *relation.Schema
 	link   Link
 	needed []string
 	proj   *relation.Schema
+	attrs  [2][]string
 }
 
 // selRef locates one SELECT attribute: its relation's chain position, and
@@ -59,8 +59,11 @@ func compile(q *Query, rels []relPlan) (*plan, error) {
 			p.typ = T2
 		}
 	}
-	p.attrs[SideLeft] = distinctNames(nil, Attrs(rels[0].link.L), rels[0].schema.Name())
-	p.attrs[SideRight] = distinctNames(nil, Attrs(links[len(links)-1].link.R), rels[len(rels)-1].schema.Name())
+	for i := range links {
+		l := distinctNames(nil, Attrs(rels[i].link.L), rels[i].schema.Name())
+		r := distinctNames(nil, Attrs(rels[i].link.R), rels[i+1].schema.Name())
+		rels[i].attrs = [2][]string{l[:len(l):len(l)], r[:len(r):len(r)]} // nothing may append into a list every copy shares
+	}
 	for i := range rels {
 		r := &rels[i]
 		name := r.schema.Name()
@@ -82,9 +85,6 @@ func compile(q *Query, rels []relPlan) (*plan, error) {
 			return nil, fmt.Errorf("query: %w", err)
 		}
 		r.needed, r.proj = needed[:len(needed):len(needed)], proj // nothing may append into a list every copy shares
-	}
-	for s, attrs := range p.attrs {
-		p.attrs[s] = attrs[:len(attrs):len(attrs)]
 	}
 	p.sel = make([]selRef, len(q.sel))
 	for i, a := range q.sel {

@@ -198,30 +198,6 @@ func (q *Query) Links() []Link {
 	return out
 }
 
-// Reverse returns the query with its chain's orientation flipped: the other
-// endpoint first, each link's sides swapped, and the plan compiled for that
-// orientation, ConditionKey included.
-func (q *Query) Reverse() *Query {
-	k := len(q.plan.rels)
-	rels := make([]relPlan, k)
-	for i, r := range q.plan.rels {
-		rels[k-1-i].schema = r.schema
-		if i > 0 {
-			prev := q.plan.rels[i-1].link
-			rels[k-1-i].link = Link{L: prev.R, R: prev.L}
-		}
-	}
-	cp := *q
-	cp.wireSize = 0
-	p, err := compile(&cp, rels)
-	if err != nil { // the same relations and attributes compiled once already
-		panic(err)
-	}
-	p.tokens = q.plan.tokens
-	cp.plan = p
-	return &cp
-}
-
 // Filters returns the selection predicates conjoined with the join.
 func (q *Query) Filters() []Predicate { return append([]Predicate(nil), q.filters...) }
 
@@ -281,12 +257,17 @@ func (q *Query) Type() Type { return q.plan.typ }
 // SideAttrs returns the distinct attribute names the given side's
 // expression references, candidates for the role of index attribute. The
 // slice belongs to the query's plan: read it, do not modify it.
-func (q *Query) SideAttrs(s Side) []string { return q.plan.attrs[s] }
+func (q *Query) SideAttrs(s Side) []string {
+	if s == SideLeft {
+		return q.plan.rels[0].attrs[SideLeft]
+	}
+	return q.plan.rels[len(q.plan.rels)-2].attrs[SideRight]
+}
 
 // SingleAttr returns the side's unique join attribute for a T1-style side,
 // or an error when the side references several attributes.
 func (q *Query) SingleAttr(s Side) (string, error) {
-	attrs := q.plan.attrs[s]
+	attrs := q.SideAttrs(s)
 	if len(attrs) != 1 {
 		return "", fmt.Errorf("query: %s side of %q references %d attributes", s, q.ConditionKey(), len(attrs))
 	}
@@ -297,17 +278,6 @@ func (q *Query) SingleAttr(s Side) (string, error) {
 // relation — the valJC(q, t) of Section 4.5.
 func (q *Query) EvalSide(s Side, t *relation.Tuple) (relation.Value, error) {
 	return q.Expr(s).Eval(t)
-}
-
-// InvertSide solves the side's expression for its single attribute given
-// the value the expression must produce — the valDA(q, t) computation of
-// Section 4.3.2: the value attribute DisA(q) must take so the join
-// condition holds.
-func (q *Query) InvertSide(s Side, target relation.Value) (relation.Value, error) {
-	if len(q.plan.attrs[s]) != 1 {
-		return relation.Value{}, fmt.Errorf("query: invert of multi-attribute expression %s", q.Expr(s))
-	}
-	return invert(q.Expr(s), target)
 }
 
 // ConditionKey renders the join condition canonically. Queries with equal
@@ -334,28 +304,77 @@ func (q *Query) NeededAttrs(rel string) []string {
 // carries. Queries needing the same attributes share one schema.
 func (q *Query) Projection(s Side) *relation.Schema { return q.plan.rels[q.relOf(s)].proj }
 
-// StageWant computes where a chain continues after relation stage-1 matched
-// tuple t: the relation, the single join attribute, and the value that
-// attribute must take. stage counts matched relations so far
-// (1 <= stage < Arity; t belongs to Rels()[stage-1]).
-func (q *Query) StageWant(stage int, t *relation.Tuple) (rel, attr string, val relation.Value, err error) {
-	if stage < 1 || stage >= len(q.plan.rels) {
-		return "", "", relation.Value{}, fmt.Errorf("query: stage %d out of range [1,%d)", stage, len(q.plan.rels))
+// A rewrite of a query indexed under side s walks the chain from that side's
+// relation: stage i counts the relations it has matched, the last of them the
+// tuple that triggered it.
+
+// stagePos returns the chain position of the relation a rewrite indexed
+// under side s matches at stage (1 <= stage <= Arity).
+func (q *Query) stagePos(s Side, stage int) int {
+	if s == SideLeft {
+		return stage - 1
 	}
-	link := q.plan.rels[stage-1].link
-	v, err := link.L.Eval(t)
+	return len(q.plan.rels) - stage
+}
+
+// step returns the link a rewrite indexed under side s crosses once it has
+// matched stage relations; the last of them is on the link's side s.
+func (q *Query) step(s Side, stage int) (*relPlan, bool) {
+	k := len(q.plan.rels)
+	if stage < 1 || stage >= k {
+		return nil, false
+	}
+	if s == SideLeft {
+		return &q.plan.rels[stage-1], true
+	}
+	return &q.plan.rels[k-1-stage], true
+}
+
+// expr returns the link's expression on side s.
+func (l Link) expr(s Side) Expr {
+	if s == SideLeft {
+		return l.L
+	}
+	return l.R
+}
+
+// StageAttr returns the relation a rewrite indexed under side s waits for
+// once it has matched stage relations (1 <= stage < Arity), and the single
+// attribute the link names on it; ok is false outside that range or where
+// the link names several.
+func (q *Query) StageAttr(s Side, stage int) (rel, attr string, ok bool) {
+	r, ok := q.step(s, stage)
+	if !ok || len(r.attrs[s.Other()]) != 1 {
+		return "", "", false
+	}
+	return q.plan.rels[q.stagePos(s, stage+1)].schema.Name(), r.attrs[s.Other()][0], true
+}
+
+// StageWant computes what a rewrite indexed under side s asks for once its
+// stage-th relation matched tuple t: StageAttr's relation and attribute, and
+// the value the link says that attribute must take. With two relations it is
+// Section 4.3.2's DisR(q), DisA(q) and valDA(q, t). It fails where the
+// equality has no solution for t (e.g. c/x = 0).
+func (q *Query) StageWant(s Side, stage int, t *relation.Tuple) (rel, attr string, val relation.Value, err error) {
+	rel, attr, ok := q.StageAttr(s, stage)
+	if !ok {
+		return "", "", relation.Value{}, fmt.Errorf("query: no single-attribute link past stage %d of %s from its %s end", stage, q.chain(), s)
+	}
+	r, _ := q.step(s, stage)
+	v, err := r.link.expr(s).Eval(t)
 	if err != nil {
 		return "", "", relation.Value{}, err
 	}
-	want, err := Invert(link.R, v)
-	if err != nil {
+	if val, err = invert(r.link.expr(s.Other()), v); err != nil {
 		return "", "", relation.Value{}, err
 	}
-	attrs := Attrs(link.R)
-	if len(attrs) != 1 {
-		return "", "", relation.Value{}, fmt.Errorf("query: non-T1 link at stage %d", stage)
-	}
-	return q.plan.rels[stage].schema.Name(), attrs[0].Name, want, nil
+	return rel, attr, val, nil
+}
+
+// StageProjection returns the Projection shape of the relation a rewrite
+// indexed under side s matches at stage (1 <= stage <= Arity).
+func (q *Query) StageProjection(s Side, stage int) *relation.Schema {
+	return q.plan.rels[q.stagePos(s, stage)].proj
 }
 
 // appendSelectValues appends the values of the SELECT attributes that belong

@@ -54,8 +54,9 @@ const (
 	// form its receiver spells back against a catalog of the same digest
 	// (DESIGN.md §8.1) — a version-8 peer would parse the marker as SQL. 10: a
 	// notification batch says its keys past its subscriber, which a version-9
-	// peer would read as a key in full.
-	protoVersion = 10
+	// peer would read as a key in full. 11: a chain travels as a query and its
+	// stages as joins, where a version-10 peer sends and expects tags 14 and 15.
+	protoVersion = 11
 
 	// maxFrame bounds one frame so a corrupt length prefix cannot allocate
 	// gigabytes. 16 MiB fits any realistic multisend leg (the simulator's

@@ -594,18 +594,19 @@ func TestAckValidation(t *testing.T) {
 // not a revocation, and it would read an answer in an ack's status as a miss;
 // protocol 6 would take a purge's empty key, said behind a purge of the same
 // query, for a key, protocol 7 a query's empty subscriber for a subscriber,
-// protocol 8 a query's token form for its SQL text, and protocol 9 a
-// notification's key past its batch's subscriber for a key — so the two must part
-// at the handshake, whichever dials.
+// protocol 8 a query's token form for its SQL text, protocol 9 a
+// notification's key past its batch's subscriber for a key, and protocol 10 a
+// chain's query or join for a two-way one's — so the two must part at the
+// handshake, whichever dials.
 // When the old build answers, this dialer refuses its helloOK with an error
 // naming both versions and sends it no batch; when the old build dials, its
 // hello is answered with this build's version, the number its own copy of that
 // check refuses.
 func TestOlderProtocolPeerRefusedAtHello(t *testing.T) {
-	if protoVersion != 10 {
-		t.Fatalf("protoVersion = %d: this test is about 10 meeting 2 to 9", protoVersion)
+	if protoVersion != 11 {
+		t.Fatalf("protoVersion = %d: this test is about 11 meeting 2 to 10", protoVersion)
 	}
-	for _, oldVersion := range []uint64{2, 3, 4, 5, 6, 7, 8, 9} {
+	for _, oldVersion := range []uint64{2, 3, 4, 5, 6, 7, 8, 9, 10} {
 		olderPeerRefused(t, oldVersion)
 	}
 }

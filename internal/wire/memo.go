@@ -126,9 +126,6 @@ func (m *Memo) query(catalog *relation.Catalog, key, sub, ip []byte, insT int64,
 		if parsed, err = query.Parse(catalog, string(text)); err != nil {
 			return nil, fmt.Errorf("wire: re-parse: %w", err)
 		}
-		if parsed.Arity() != 2 { // a chain travels as its text and first relation (engine)
-			return nil, fmt.Errorf("wire: a query of %d relations where a two-way query belongs", parsed.Arity())
-		}
 	}
 	q = parsed.WithInsT(insT).WithRestoredIdentity(string(key), string(sub), string(ip))
 	m.mu.Lock()

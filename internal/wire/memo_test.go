@@ -91,18 +91,27 @@ func TestMemoReturnsAQueryOnlyOnAnExactMatch(t *testing.T) {
 	}
 }
 
-// A query of more than two relations is a chain, which travels in a form of
-// its own: where a two-way query belongs, its text does not decode.
-func TestMemoRefusesAChain(t *testing.T) {
+// A query of more than two relations is a chain, and travels as any query
+// does: its token form decodes to the chain, and again from the memo.
+func TestMemoDecodesAChain(t *testing.T) {
 	catalog := relation.MustCatalog(relation.MustSchema("R", "A", "B"), relation.MustSchema("S", "D", "E"), relation.MustSchema("T", "G", "H"))
-	reg := obs.NewRegistry()
-	memo := &Memo{Hits: reg.Counter("hits"), Misses: reg.Counter("misses"), Resets: reg.Counter("resets")}
-	chain := `SELECT R.A, T.H FROM R, S, T WHERE R.B = S.E AND S.D = T.G`
-	if q, err := decodeQuery(encodedQuery("n1#1", "n1", "sim://n1", 7, chain), catalog, memo, ""); err == nil {
-		t.Fatalf("a chain decoded as a two-way query: %v", q)
+	chain := query.MustParse(catalog, `SELECT R.A, T.H FROM R, S, T WHERE R.B = S.E AND S.D = T.G`).WithIdentity("n1", "sim://n1", 1).WithInsT(7)
+	if chain.Tokens() == nil {
+		t.Fatal("the chain has no token form: the test reads its text")
 	}
-	if _, err := decodeQuery(encodedQuery("n1#2", "n1", "sim://n1", 7, memoSQL), catalog, memo, ""); err != nil {
-		t.Fatalf("a two-way query after it: %v", err)
+	var w Buffer
+	c := Encoder(&w)
+	c.Query(&chain, "")
+	if err := c.Flush(&w); err != nil {
+		t.Fatal(err)
+	}
+	memo := new(Memo)
+	first, err := decodeQuery(w.Bytes(), catalog, memo, "")
+	if err != nil || first.Arity() != 3 || first.ConditionKey() != chain.ConditionKey() || !sameFields(first, "n1#1", "n1", "sim://n1", 7, chain.Text()) {
+		t.Fatalf("the chain decoded to %v (%v)", first, err)
+	}
+	if again, err := decodeQuery(w.Bytes(), catalog, memo, ""); err != nil || again != first {
+		t.Fatalf("a second decode of the chain: %v (%v), want the memo's", again, err)
 	}
 }
 
