@@ -204,7 +204,7 @@ func (st *nodeState) handleBaselineTuple(m baselineTupleMsg) {
 				}
 				dstInput = triggered[0].Rel(other).Name() + "+" + oa
 			}
-			tgt := &rewriteTarget{IndexSide: g.side, Trigger: t, WantRel: triggered[0].Rel(other).Name(), WantValue: vSide}
+			tgt := &rewriteTarget{IndexSide: g.side, Trigger: t, Want: &relation.AttrRef{Rel: triggered[0].Rel(other).Name()}, WantValue: vSide}
 			rws := make([]rewritten, 0, len(triggered))
 			for _, q := range triggered {
 				rws = append(rws, rewritten{
@@ -243,7 +243,7 @@ func (st *nodeState) handleBaselineProbe(m baselineProbeMsg) {
 			other := rw.IndexSide.Other()
 			for _, tt := range tb.tuples.all() {
 				work++
-				if tt.Relation() != rw.WantRel {
+				if tt.Relation() != rw.Want.Rel {
 					continue
 				}
 				if tt.PubT() < rw.Orig.InsT() {

@@ -358,7 +358,7 @@ func TestRepeatedTupleNeedsItsPredecessor(t *testing.T) {
 	// is never left out, and an empty relation name there is an error even
 	// behind a tuple-carrying message.
 	rw := join.(*joinMsg).Rewrites[0]
-	forged := orphanMarkers(t, rw.Orig, &rewriteTarget{IndexSide: query.SideLeft, Trigger: rw.Trigger, WantRel: "S", WantAttr: "E", WantValue: relation.N(7)})["whole"]
+	forged := orphanMarkers(t, rw.Orig, &rewriteTarget{IndexSide: query.SideLeft, Trigger: rw.Trigger, Want: &relation.AttrRef{Rel: "S", Attr: "E"}, WantValue: relation.N(7)})["whole"]
 	at := bytes.Index(forged, []byte("\x01R\x00")) // the trigger: relation "R", then arity 0
 	if at < 0 {
 		t.Fatal("the hand-written join holds no nameless R tuple")

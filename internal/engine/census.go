@@ -10,7 +10,8 @@ type CensusEntry struct{ Sum, Max int }
 //     Key(q') is a string, not derived) and vlqt_later (stored rewrites with
 //     times other than their trigger's);
 //   - vltt_buckets and vltt_tuples;
-//   - alqt_queries, alqt_purge_entries (the targets a retraction purges),
+//   - alqt_queries, alqt_purge_entries (the inputs on the condition groups'
+//     purge lists, each once a group however many of its queries it serves),
 //     alqt_marks and alqt_grants;
 //   - retracted, sub_ips and stored_notifs;
 //   - jfrt_entries, and publisher_verdicts (the attribute-level inputs whose
@@ -81,8 +82,8 @@ func (st *nodeState) census(c census) {
 	}
 	for _, b := range st.alqt {
 		queries += b.storedItems()
-		for _, ts := range b.sentTargets {
-			targets += len(ts)
+		for _, g := range b.byCond.all() {
+			targets += len(g.sent)
 		}
 		marks += len(b.interest)
 		grants += len(b.grants)

@@ -732,13 +732,13 @@ func (rw *rewritten) keyDerived() bool {
 
 // derived reports whether tg's wants are what its receiver derives from q and
 // the trigger (rewriteTarget.wants), value for value; a baseline probe's,
-// with no WantAttr, never are.
+// with no Want.Attr, never are.
 func (tg *rewriteTarget) derived(q *query.Query) bool {
-	if _, attr, ok := q.StageAttr(tg.IndexSide, tg.stage()); !ok || attr != tg.WantAttr {
+	if want, ok := q.StageAttr(tg.IndexSide, tg.stage()); !ok || !sameWant(want, tg.Want) {
 		return false // a failed wants would allocate its error
 	}
-	rel, attr, val, err := tg.wants(q)
-	return err == nil && rel == tg.WantRel && attr == tg.WantAttr && val == tg.WantValue
+	_, val, err := tg.wants(q)
+	return err == nil && val == tg.WantValue
 }
 
 // repeats reports whether rw may say its target as prev's, sideRepeat, whose
@@ -750,7 +750,7 @@ func (rw *rewritten) repeats(prev *rewritten) bool {
 	tg, o := rw.rewriteTarget, prev.rewriteTarget
 	shape := tg.shape(rw.Orig)
 	return tg.IndexSide == o.IndexSide && tg.Prefix == o.Prefix && shape.Equal(o.shape(prev.Orig)) &&
-		tg.WantValue == o.WantValue && tg.WantAttr == o.WantAttr && tg.WantRel == o.WantRel &&
+		tg.WantValue == o.WantValue && sameWant(tg.Want, o.Want) &&
 		wire.SameProjection(tg.Trigger, o.Trigger, shape)
 }
 
@@ -773,14 +773,17 @@ func (tg *rewriteTarget) walk(c *wire.Coder, q *query.Query, derived, chain bool
 	// The trigger goes as its relation's projection: its schema is the plan's.
 	c.Tuple(&tg.Trigger, tg.shape(q))
 	if !derived {
-		c.String(&tg.WantRel)
-		c.String(&tg.WantAttr)
+		if c.Decoding() {
+			tg.Want = new(relation.AttrRef) // not the schema's: nothing says it is
+		}
+		c.String(&tg.Want.Rel)
+		c.String(&tg.Want.Attr)
 		c.Value(&tg.WantValue)
 		return
 	}
 	if c.Decoding() && c.Err() == nil {
 		var err error
-		if tg.WantRel, tg.WantAttr, tg.WantValue, err = tg.wants(q); err != nil {
+		if tg.Want, tg.WantValue, err = tg.wants(q); err != nil {
 			c.Fail(fmt.Errorf("engine: a rewrite's derived target: %w", err))
 		}
 	}
@@ -1133,7 +1136,7 @@ func walkParentPartialMatch(c *wire.Coder) *rewritten {
 		c.Fail(fmt.Errorf("engine: a parent's partial match: %w", err))
 		return nil
 	}
-	tg := &rewriteTarget{IndexSide: side, Trigger: acc[stage-1], WantRel: wantRel, WantAttr: wantAttr, WantValue: want}
+	tg := &rewriteTarget{IndexSide: side, Trigger: acc[stage-1], Want: &relation.AttrRef{Rel: wantRel, Attr: wantAttr}, WantValue: want}
 	if stage > 1 {
 		prefix := acc[: stage-1 : stage-1]
 		tg.Prefix = &prefix

@@ -27,7 +27,7 @@ func BenchmarkCodec(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			target = &rewriteTarget{IndexSide: query.SideLeft, Trigger: proj, WantRel: "S", WantAttr: "E", WantValue: relation.N(7)}
+			target = &rewriteTarget{IndexSide: query.SideLeft, Trigger: proj, Want: &relation.AttrRef{Rel: "S", Attr: "E"}, WantValue: relation.N(7)}
 		}
 		rws = append(rws, rewritten{Key: q.Key() + "+9", Orig: q, rewriteTarget: target})
 		n, err := buildNotification(q, query.SideLeft, target.Trigger, su)

@@ -38,7 +38,7 @@ func codecFixtures(t testing.TB, extra ...*relation.Schema) (*relation.Catalog, 
 	}
 	rw := &rewritten{Key: "n#1+1+7", Orig: q, rewriteTarget: &rewriteTarget{
 		IndexSide: query.SideLeft, Trigger: proj,
-		WantRel: "S", WantAttr: "E", WantValue: relation.N(7),
+		Want: &relation.AttrRef{Rel: "S", Attr: "E"}, WantValue: relation.N(7),
 	}}
 	notif, err := buildNotification(q, query.SideLeft, proj, su)
 	if err != nil {
@@ -53,11 +53,11 @@ func codecFixtures(t testing.TB, extra ...*relation.Schema) (*relation.Catalog, 
 	tb := relation.MustTuple(full.Lookup("B"), relation.N(3), relation.N(1)).WithPubT(7)
 	mrw := &rewritten{Orig: mq, rewriteTarget: &rewriteTarget{
 		IndexSide: query.SideLeft, Trigger: ta,
-		WantRel: "B", WantAttr: "y", WantValue: relation.N(1),
+		Want: &relation.AttrRef{Rel: "B", Attr: "y"}, WantValue: relation.N(1),
 	}}
 	mrw2 := &rewritten{Orig: mq, rewriteTarget: &rewriteTarget{
 		IndexSide: query.SideLeft, Trigger: tb, Prefix: &[]*relation.Tuple{ta},
-		WantRel: "C", WantAttr: "y", WantValue: relation.N(3),
+		Want: &relation.AttrRef{Rel: "C", Attr: "y"}, WantValue: relation.N(3),
 	}}
 
 	msgs := []chord.Message{
@@ -405,8 +405,8 @@ func assertSemanticEqual(t *testing.T, want, got chord.Message) {
 func assertRewrittenEqual(t *testing.T, w, g *rewritten) {
 	t.Helper()
 	if g.key() != w.key() || g.Orig.Key() != w.Orig.Key() || g.IndexSide != w.IndexSide ||
-		g.stage() != w.stage() || !slices.Equal(projectedMatch(g), projectedMatch(w)) || g.WantRel != w.WantRel ||
-		g.WantAttr != w.WantAttr || !g.WantValue.Equal(w.WantValue) {
+		g.stage() != w.stage() || !slices.Equal(projectedMatch(g), projectedMatch(w)) || *g.Want != *w.Want ||
+		!g.WantValue.Equal(w.WantValue) {
 		t.Fatalf("rewritten mismatch: %+v vs %+v", g, w)
 	}
 }
@@ -434,7 +434,7 @@ func TestAllMessagesImplementSizer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rw := &rewritten{Key: "k", Orig: q, rewriteTarget: &rewriteTarget{Trigger: proj, WantRel: "S", WantAttr: "E", WantValue: tu.MustValue("B")}}
+	rw := &rewritten{Key: "k", Orig: q, rewriteTarget: &rewriteTarget{Trigger: proj, Want: &relation.AttrRef{Rel: "S", Attr: "E"}, WantValue: tu.MustValue("B")}}
 	notif, err := buildNotification(q, query.SideLeft, proj, sTuple(env, 2, 7, 0).WithPubT(6))
 	if err != nil {
 		t.Fatal(err)
@@ -736,7 +736,7 @@ func TestCodecDecodeReusesCatalogAndPlanSchemas(t *testing.T) {
 		}
 		rws = append(rws, rewritten{Key: q.Key() + "+1+7", Orig: q, rewriteTarget: &rewriteTarget{
 			IndexSide: query.SideLeft, Trigger: proj,
-			WantRel: "S", WantAttr: "E", WantValue: relation.N(7),
+			Want: &relation.AttrRef{Rel: "S", Attr: "E"}, WantValue: relation.N(7),
 		}})
 	}
 	roundTrip := func(msg chord.Message) chord.Message {
@@ -807,7 +807,7 @@ func TestCodecDecodeSharesRewriteTargets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return &rewriteTarget{IndexSide: query.SideLeft, Trigger: proj, WantRel: "S", WantAttr: "E", WantValue: relation.N(key)}
+		return &rewriteTarget{IndexSide: query.SideLeft, Trigger: proj, Want: &relation.AttrRef{Rel: "S", Attr: "E"}, WantValue: relation.N(key)}
 	}
 	group := func(tg *rewriteTarget, qs ...*query.Query) []rewritten {
 		var rws []rewritten
@@ -1115,7 +1115,7 @@ func TestJoinSizeSurvivesDecode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tg := &rewriteTarget{IndexSide: query.SideLeft, Trigger: proj, WantRel: "S", WantAttr: "E", WantValue: relation.N(7)}
+		tg := &rewriteTarget{IndexSide: query.SideLeft, Trigger: proj, Want: &relation.AttrRef{Rel: "S", Attr: "E"}, WantValue: relation.N(7)}
 		apart = append(apart, rewritten{Key: q.Key() + "+1+7", Orig: q, rewriteTarget: tg})
 		shared = append(shared, rewritten{Key: q.Key() + "+1+7", Orig: q, rewriteTarget: apart[0].rewriteTarget})
 		alone += encodedLen(&joinMsg{Rewrites: apart[i:]}) - 2 // less tag and count
@@ -1128,7 +1128,7 @@ func TestJoinSizeSurvivesDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	next := rewritten{Key: q.Key() + "+2+8", Orig: q, rewriteTarget: &rewriteTarget{
-		IndexSide: query.SideLeft, Trigger: proj, WantRel: "S", WantAttr: "E", WantValue: relation.N(8)}}
+		IndexSide: query.SideLeft, Trigger: proj, Want: &relation.AttrRef{Rel: "S", Attr: "E"}, WantValue: relation.N(8)}}
 	apart, shared = append(apart, next), append(shared, next)
 
 	var w wire.Buffer

@@ -327,8 +327,8 @@ func TestUnderivableTargetFailsToDecode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("a derivable target: %v", err)
 	}
-	if rw := got.(*joinMsg).Rewrites[0]; rw.WantRel != "S" || rw.WantAttr != "E" || !rw.WantValue.Equal(relation.N(3)) || rw.key() != "peer5#1+9" {
-		t.Fatalf("derived %s.%s = %v under key %q, want S.E = 3 under peer5#1+9", rw.WantRel, rw.WantAttr, rw.WantValue, rw.key())
+	if rw := got.(*joinMsg).Rewrites[0]; *rw.Want != (relation.AttrRef{Rel: "S", Attr: "E"}) || !rw.WantValue.Equal(relation.N(3)) || rw.key() != "peer5#1+9" {
+		t.Fatalf("derived %v = %v under key %q, want S.E = 3 under peer5#1+9", rw.Want, rw.WantValue, rw.key())
 	}
 	for what, data := range map[string][]byte{
 		"two attributes": join(`SELECT R.A, S.D FROM R, S WHERE R.B = S.E + S.F`, rTuple(env, 1, 7, 2)),

@@ -58,7 +58,7 @@ func (st *nodeState) handleJoin(m *joinMsg) {
 		// A rewriter's group shares one identifier (Section 4.3.5): look its
 		// buckets up once, again only where a message mixes targets.
 		if i == 0 || !rw.sameTarget(&rws[i-1]) {
-			key = appendVLInput(buf[:0], rw.WantRel, rw.WantAttr, rw.WantValue)
+			key = appendVLInput(buf[:0], rw.Want.Rel, rw.Want.Attr, rw.WantValue)
 			qb, tb = st.vlqt[string(key)], st.vltt[string(key)]
 		}
 

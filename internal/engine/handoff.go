@@ -3,6 +3,7 @@ package engine
 import (
 	"slices"
 	"sort"
+	"strings"
 
 	"cqjoin/internal/chord"
 	"cqjoin/internal/metrics"
@@ -33,8 +34,9 @@ import (
 // kindHandoff names the hand-off message class for traffic accounting.
 const kindHandoff = "handoff"
 
-// targetsEntry is the wire form of one sentTargets map entry, with the
-// target set flattened to a sorted slice.
+// targetsEntry is the wire form of one query's purge targets, sorted: at a
+// rewriter, the inputs its group's purge list gives it (queryGroup.targets);
+// at an evaluator, where its chain rewrites went on to (rewriteRare.sent).
 type targetsEntry struct {
 	Key     string
 	Targets []string
@@ -126,7 +128,8 @@ func sortedKeys[V any](m map[string]V) []string {
 	return out
 }
 
-// flattenTargets converts a sentTargets map to its deterministic wire form.
+// flattenTargets converts an evaluator's rewriteRare.sent to its
+// deterministic wire form.
 func flattenTargets(m map[string]map[string]struct{}) []targetsEntry {
 	out := make([]targetsEntry, 0, len(m))
 	for _, k := range sortedKeys(m) {
@@ -206,7 +209,7 @@ func (st *nodeState) cut(inArc func(string) bool, take bool) handoffMsg {
 		sec := alSection{
 			Input:        b.input,
 			SentRewrites: sortedKeys(b.sentRewrites),
-			SentTargets:  flattenTargets(b.sentTargets),
+			SentTargets:  []targetsEntry{},
 			Interest:     sortedKeys(b.interest),
 			Grants:       slices.Clone(b.grants),
 		}
@@ -214,7 +217,13 @@ func (st *nodeState) cut(inArc func(string) bool, take bool) handoffMsg {
 			sec.Groups = append(sec.Groups, alGroupSection{
 				Cond: g.cond, Side: g.side, Queries: append([]*query.Query(nil), g.queries...),
 			})
+			for _, q := range g.queries {
+				if ts := g.targets(q); len(ts) > 0 {
+					sec.SentTargets = append(sec.SentTargets, targetsEntry{Key: q.Key(), Targets: ts})
+				}
+			}
 		}
+		slices.SortFunc(sec.SentTargets, func(a, b targetsEntry) int { return strings.Compare(a.Key, b.Key) })
 		if take {
 			sec.arrivals, sec.distinct = b.arrivals, b.distinct
 		}

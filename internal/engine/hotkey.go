@@ -283,7 +283,7 @@ func (st *nodeState) hotScatterJoins(hot *hotTracker, rws []rewritten) []chord.D
 	for i := 0; i < len(rws); {
 		run := rws[i : i+sameTargetRun(rws[i:])]
 		i += len(run)
-		input := vlInput(run[0].WantRel, run[0].WantAttr, run[0].WantValue)
+		input := run[0].input()
 		for j := range run {
 			st.countHotArrival(hot, input, run[j].Trigger.PubT())
 		}

@@ -122,8 +122,8 @@ func (e *Engine) interestInputs(q *query.Query, indexSide query.Side) []string {
 	}
 	var inputs []string
 	for stage := 1; stage < q.Arity(); stage++ {
-		if rel, attr, ok := q.StageAttr(indexSide, stage); ok { // not type T1: Subscribe has refused it
-			inputs = e.replicaInputs(inputs, rel, attr)
+		if want, ok := q.StageAttr(indexSide, stage); ok { // not type T1: Subscribe has refused it
+			inputs = e.replicaInputs(inputs, want.Rel, want.Attr)
 		}
 	}
 	return inputs

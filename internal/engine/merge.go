@@ -53,11 +53,7 @@ func (st *nodeState) mergeAL(sec alSection) (added int, revoked []string) {
 	for _, key := range sec.Interest {
 		b.mark(key)
 	}
-	for _, te := range sec.SentTargets {
-		for _, t := range te.Targets {
-			addTarget(b.sentTargets, te.Key, t)
-		}
-	}
+	b.mergeTargets(sec.SentTargets)
 	for _, key := range sec.Grants {
 		b.grant(key)
 	}
@@ -65,6 +61,35 @@ func (st *nodeState) mergeAL(sec alSection) (added int, revoked []string) {
 		revoked = b.takeGrants()
 	}
 	return added, revoked
+}
+
+// mergeTargets folds each query's purge targets into its group's purge list
+// at newest = its insT, or its newest there when later: what a cut exported
+// for a query is the inputs whose newest was at least its insT, so each
+// query purges what it did before the move, and a cut of the merged list
+// writes the entries again. An entry whose query the bucket does not hold
+// has no retraction left to serve.
+func (b *alBucket) mergeTargets(entries []targetsEntry) {
+	if len(entries) == 0 {
+		return
+	}
+	type held struct {
+		g *queryGroup
+		q *query.Query
+	}
+	byKey := make(map[string]held)
+	for _, g := range b.byCond.all() {
+		for _, q := range g.queries {
+			byKey[q.Key()] = held{g, q}
+		}
+	}
+	for _, te := range entries {
+		if h, ok := byKey[te.Key]; ok {
+			for _, input := range te.Targets {
+				h.g.record(input, h.q.InsT())
+			}
+		}
+	}
 }
 
 // mergeDAIV installs one DAI-V section and returns the tuples it added.

@@ -187,20 +187,22 @@ func (rw *rewritten) keyStart() string {
 // rewriteTarget is what a tuple's rewrites have in common. The
 // index-relation attributes of the query have been consumed: of Trigger a
 // rewrite needs only the attributes of its query's projection (SELECT values
-// and join attribute), and the q' asks for tuples of WantRel whose WantAttr
-// equals WantValue. A rewriter's Trigger is the tuple it received, for every
+// and join attribute), and the q' asks for tuples of Want.Rel whose Want.Attr
+// equals WantValue. Want is the catalog schema's one AttrRef for the
+// attribute (query.Query.StageAttr), which every target derived from a query
+// shares; a decoded target that is not derived (a parent's, a baseline
+// probe's) holds one of its own. A rewriter's Trigger is the tuple it received, for every
 // shape of its group; the wire says its projection onto each rewrite's
 // shape, and a decoded Trigger is that projection. A chain's rewrite past
 // its first stage also carries Prefix, the tuples matched before Trigger in
 // the order matched, said on the wire as Trigger is. It is a pointer, nil
-// elsewhere: it moves every target from the 80-byte size class to the 96,
-// where a slice would take it to the 112.
+// elsewhere. Pointers all, bar the value, the target fills the 64-byte size
+// class; two want strings took it to the 96.
 type rewriteTarget struct {
-	IndexSide query.Side      // the side consumed by the first trigger: the end of the chain it walks from
-	Trigger   *relation.Tuple // the triggering tuple, or its projection
-	WantRel   string          // DisR(q)
-	WantAttr  string          // DisA(q)
-	WantValue relation.Value  // valDA(q, t)
+	IndexSide query.Side        // the side consumed by the first trigger: the end of the chain it walks from
+	Trigger   *relation.Tuple   // the triggering tuple, or its projection
+	Want      *relation.AttrRef // DisR(q) and DisA(q)
+	WantValue relation.Value    // valDA(q, t)
 	Prefix    *[]*relation.Tuple
 }
 
@@ -227,9 +229,12 @@ func (tg *rewriteTarget) matched(dst []*relation.Tuple) []*relation.Tuple {
 // evaluated over it, and the other side, a single attribute of the next
 // relation, is solved for the value it must take. It fails where the side
 // has several attributes or the equality no solution (e.g. c/x = 0).
-func (tg *rewriteTarget) wants(q *query.Query) (rel, attr string, val relation.Value, err error) {
+func (tg *rewriteTarget) wants(q *query.Query) (want *relation.AttrRef, val relation.Value, err error) {
 	return q.StageWant(tg.IndexSide, tg.stage(), tg.Trigger)
 }
+
+// input returns the value-level identifier the target's rewrites wait at.
+func (tg *rewriteTarget) input() string { return vlInput(tg.Want.Rel, tg.Want.Attr, tg.WantValue) }
 
 // last reports whether a match of rw completes its query: its target waits
 // for the query's last relation.
@@ -243,19 +248,21 @@ func (rw *rewritten) next(t *relation.Tuple) (outbound, bool) {
 	prefix := rw.matched(make([]*relation.Tuple, 0, rw.stage()))
 	tg := &rewriteTarget{IndexSide: rw.IndexSide, Trigger: t, Prefix: &prefix}
 	var err error
-	if tg.WantRel, tg.WantAttr, tg.WantValue, err = tg.wants(rw.Orig); err != nil {
+	if tg.Want, tg.WantValue, err = tg.wants(rw.Orig); err != nil {
 		return outbound{}, false
 	}
 	m := &joinMsg{Rewrites: []rewritten{{Orig: rw.Orig, rewriteTarget: tg}}}
-	return outbound{input: vlInput(tg.WantRel, tg.WantAttr, tg.WantValue), msg: m}, true
+	return outbound{input: tg.input(), msg: m}, true
 }
 
 // sameTarget reports whether rw and o wait at the same value-level
 // identifier.
 func (rw *rewritten) sameTarget(o *rewritten) bool {
-	return rw.rewriteTarget == o.rewriteTarget ||
-		rw.WantValue == o.WantValue && rw.WantAttr == o.WantAttr && rw.WantRel == o.WantRel
+	return rw.rewriteTarget == o.rewriteTarget || rw.WantValue == o.WantValue && sameWant(rw.Want, o.Want)
 }
+
+// sameWant reports whether a and b name one relation and attribute.
+func sameWant(a, b *relation.AttrRef) bool { return a == b || *a == *b }
 
 // sameTargetRun counts the rewrites at the head of rws that wait where the
 // first does.

@@ -214,11 +214,16 @@ func (st *nodeState) rewriteGroup(b *alBucket, g *queryGroup, triggered []*query
 	// here, and Key(q') stays derived: "" (rewritten.Key).
 	tgt := &rewriteTarget{IndexSide: g.side, Trigger: t}
 	var err error
-	if tgt.WantRel, tgt.WantAttr, tgt.WantValue, err = tgt.wants(triggered[0]); err != nil {
+	if tgt.Want, tgt.WantValue, err = tgt.wants(triggered[0]); err != nil {
 		return outbound{}, false
 	}
 
-	target := vlInput(tgt.WantRel, tgt.WantAttr, tgt.WantValue)
+	target := tgt.input()
+	if st.engine.storesRewrite(triggered[0]) {
+		// Remember where the group's rewrites live, and how recently, so a
+		// retraction can purge them (queryGroup.sent).
+		g.record(target, t.PubT())
+	}
 
 	var projects *relation.Schema // the last shape the trigger was found to have
 	// One array for the group, which is stored together.
@@ -229,11 +234,6 @@ func (st *nodeState) rewriteGroup(b *alBucket, g *queryGroup, triggered []*query
 				continue // a trigger that cannot say what the query reads
 			}
 			projects = shape
-		}
-		if st.engine.storesRewrite(q) {
-			// Remember where this query's rewrites live so a retraction
-			// can purge them (unsubscribe.go).
-			addTarget(b.sentTargets, q.Key(), target)
 		}
 		if st.engine.cfg.Algorithm == DAIT {
 			// Section 4.4.3: a rewriter never reindexes the same rewritten

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"maps"
 	"slices"
 	"sync"
 
@@ -142,10 +143,6 @@ type alBucket struct {
 	// reindexed twice (Section 4.4.3). Keeping it in the bucket makes it
 	// travel with the rewriter role on key hand-off.
 	sentRewrites map[string]bool
-	// sentTargets records, per query key, the value-level identifiers this
-	// rewriter has fanned rewrites out to — the purge list consulted when
-	// the query is retracted.
-	sentTargets map[string]map[string]struct{}
 	// interest holds the keys of the live queries whose rewrites are stored
 	// at, or probe tuples stored at, the value level of this bucket's
 	// attribute: while any is, the rewriter forwards there (handleALIndex).
@@ -164,7 +161,6 @@ func newALBucket(input string) *alBucket {
 		input:        input,
 		distinct:     make(map[string]struct{}),
 		sentRewrites: make(map[string]bool),
-		sentTargets:  make(map[string]map[string]struct{}),
 	}
 }
 
@@ -262,6 +258,86 @@ type queryGroup struct {
 	cond    string
 	side    query.Side // side of the condition this bucket's attribute is on: the end a chain is walked from
 	queries []*query.Query
+	// sent is the group's purge list: each value-level input its stored
+	// rewrites went to, with the newest pubT that triggered the group there
+	// (nil until the first). A tuple rewrites a query only at or after its
+	// insT, so the inputs a retraction of q purges are those whose newest is
+	// at least q.InsT(): exactly where q's rewrites are, but for a query with
+	// a selection predicate, where a trigger q's predicate refused adds a
+	// purge that finds nothing. An input older than every live query's insT
+	// is no query's, and goes (prune).
+	sent map[string]int64
+}
+
+// record notes that a tuple published at pubT sent the group's rewrites to
+// input.
+func (g *queryGroup) record(input string, pubT int64) {
+	if g.sent == nil {
+		g.sent = make(map[string]int64)
+	}
+	if newest, ok := g.sent[input]; !ok || pubT > newest {
+		g.sent[input] = pubT
+	}
+}
+
+// retire removes query key from the group and returns, in one array, the
+// purges of its stored rewrites; it then prunes the purge list. It is false
+// where the group does not hold the query.
+func (g *queryGroup) retire(key string) ([]purgeMsg, bool) {
+	i := slices.IndexFunc(g.queries, func(q *query.Query) bool { return q.Key() == key })
+	if i < 0 {
+		return nil, false
+	}
+	insT := g.queries[i].InsT()
+	g.queries = slices.Delete(g.queries, i, i+1)
+	n := 0
+	for _, newest := range g.sent {
+		if newest >= insT {
+			n++
+		}
+	}
+	var msgs []purgeMsg
+	if n > 0 {
+		msgs = make([]purgeMsg, 0, n)
+		for input, newest := range g.sent {
+			if newest >= insT {
+				msgs = append(msgs, purgeMsg{QueryKey: key, Input: input})
+			}
+		}
+	}
+	g.prune()
+	return msgs, true
+}
+
+// prune drops the inputs whose newest trigger is older than every live
+// query's insT: no retraction purges them. A map keeps the room it grew to,
+// so an emptied list goes.
+func (g *queryGroup) prune() {
+	if len(g.queries) == 0 {
+		g.sent = nil
+		return
+	}
+	oldest := g.queries[0].InsT()
+	for _, q := range g.queries[1:] {
+		oldest = min(oldest, q.InsT())
+	}
+	maps.DeleteFunc(g.sent, func(_ string, newest int64) bool { return newest < oldest })
+	if len(g.sent) == 0 {
+		g.sent = nil
+	}
+}
+
+// targets returns the inputs a retraction of q would purge, sorted: the wire
+// form of its purge list (targetsEntry).
+func (g *queryGroup) targets(q *query.Query) []string {
+	var ts []string
+	for input, newest := range g.sent {
+		if newest >= q.InsT() {
+			ts = append(ts, input)
+		}
+	}
+	slices.Sort(ts)
+	return ts
 }
 
 // vlqtBucket is the slice of the value-level query table reached through
@@ -287,6 +363,8 @@ func (qb *vlqtBucket) empty() bool {
 // end of a run, 78.6 % of sim-steady's buckets and 82.0 % of sim-subchurn's
 // hold at most 3, as do 20.6 % of tcp-steady's and none of tcp-hot's. A
 // bucket of 3 fills the 64-byte size class; one of 4 would take 80 bytes.
+// TestStoredLayoutsKeepTheirSizeClasses pins it, and the 64 bytes of the
+// target its rewrites share.
 const vlqtInline = 3
 
 // vlqtFor returns the VLQT bucket of input, creating it with room for the n
@@ -326,7 +404,7 @@ type vlttBucket struct {
 // vlttInline is how many tuples a VLTT bucket holds inside itself: at the
 // end of a run, 96.5 % of sim-steady's and sim-subchurn's buckets hold at
 // most 2, as do 62.0 % of tcp-steady's and 68.3 % of tcp-hot's. A bucket of
-// 2 fills the 48-byte size class.
+// 2 fills the 48-byte size class (TestStoredLayoutsKeepTheirSizeClasses).
 const vlttInline = 2
 
 // vlttFor returns the VLTT bucket of input, creating it when absent. The

@@ -204,7 +204,12 @@ func (t *rewriteTable) recordTarget(key, input string) {
 	if r.sent == nil {
 		r.sent = make(map[string]map[string]struct{})
 	}
-	addTarget(r.sent, key, input)
+	ts := r.sent[key]
+	if ts == nil {
+		ts = make(map[string]struct{})
+		r.sent[key] = ts
+	}
+	ts[input] = struct{}{}
 }
 
 // takeTargets forgets and returns the inputs query key's chain rewrites went
@@ -242,14 +247,4 @@ func (t *rewriteTable) removeIf(drop func(*rewritten) bool) int {
 		t.index = nil
 	}
 	return removed
-}
-
-// addTarget adds input to key's set in a sentTargets map.
-func addTarget(m map[string]map[string]struct{}, key, input string) {
-	ts := m[key]
-	if ts == nil {
-		ts = make(map[string]struct{})
-		m[key] = ts
-	}
-	ts[input] = struct{}{}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"cqjoin/internal/query"
 	"cqjoin/internal/relation"
@@ -169,7 +170,7 @@ func TestRewriteTableMatchesMapAndSlice(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rw := &rewritten{Orig: q, rewriteTarget: &rewriteTarget{IndexSide: query.SideLeft, Trigger: proj, WantRel: "S", WantAttr: "E", WantValue: relation.N(float64(v))}}
+		rw := &rewritten{Orig: q, rewriteTarget: &rewriteTarget{IndexSide: query.SideLeft, Trigger: proj, Want: &relation.AttrRef{Rel: "S", Attr: "E"}, WantValue: relation.N(float64(v))}}
 		if spelled {
 			rw.Key = rw.key()
 		}
@@ -284,6 +285,26 @@ func TestTableIndexHysteresis(t *testing.T) {
 	s.removeIf(func(tu *relation.Tuple) bool { return tu.PubT() < int64(smallTableMax/2)+1 })
 	if s.index != nil || s.len() != smallTableMax/2 {
 		t.Fatalf("index kept at %d tuples", s.len())
+	}
+}
+
+// What the value level stores per bucket and per triggered group stays in the
+// size class its comment names: a VLQT bucket of vlqtInline rewrites and a
+// stored rewrite's target in the 64-byte class, a VLTT bucket of vlttInline
+// tuples in the 48. One field more, or a want said as two strings again,
+// moves every one of them up a class.
+func TestStoredLayoutsKeepTheirSizeClasses(t *testing.T) {
+	for _, c := range []struct {
+		what       string
+		size, want uintptr
+	}{
+		{"a VLQT bucket", unsafe.Sizeof(vlqtBucket{}), 64},
+		{"a VLTT bucket", unsafe.Sizeof(vlttBucket{}), 48},
+		{"a rewrite target", unsafe.Sizeof(rewriteTarget{}), 64},
+	} {
+		if c.size > c.want {
+			t.Errorf("%s takes %d bytes, past its %d-byte size class", c.what, c.size, c.want)
+		}
 	}
 }
 

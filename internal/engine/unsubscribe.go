@@ -16,9 +16,10 @@ import (
 // removal path the paper leaves implicit. The subscriber (who knows where
 // it indexed its query) retracts it from its rewriter(s); each rewriter
 // drops it from the ALQT and purges the rewritten queries it had fanned
-// out to evaluators, using the per-query target set it recorded while
-// rewriting. Tuples stored at evaluators are shared state and stay. Its
-// interest marks (index.go) go by the same message, from the same list.
+// out to evaluators, using the purge list its condition group recorded while
+// rewriting (queryGroup.sent): the inputs the group was triggered at since
+// the query's insT. Tuples stored at evaluators are shared state and stay.
+// Its interest marks (index.go) go by the same message, from the same list.
 //
 // A retraction can overtake what it retracts — a rewriter sends a join after
 // releasing the lock it recorded the target under, and a mark or the query
@@ -86,7 +87,7 @@ func (e *Engine) retractQuery(from *chord.Node, key, cond string) error {
 // handleUnsub removes the query from this rewriter's ALQT and purges its
 // stored rewrites from every evaluator this rewriter fanned out to.
 func (st *nodeState) handleUnsub(m *unsubMsg) {
-	var targets map[string]struct{}
+	var purges []purgeMsg
 	removed := 0
 
 	st.mu.Lock()
@@ -94,13 +95,14 @@ func (st *nodeState) handleUnsub(m *unsubMsg) {
 	if b := st.alqt[m.Input]; b != nil {
 		delete(b.interest, m.QueryKey)
 		if g := b.byCond.get(m.Cond); g != nil {
-			removed += removeKey(&g.queries, m.QueryKey)
+			var ok bool
+			if purges, ok = g.retire(m.QueryKey); ok {
+				removed++
+			}
 			if len(g.queries) == 0 {
 				b.byCond.drop(m.Cond)
 			}
 		}
-		targets = b.sentTargets[m.QueryKey]
-		delete(b.sentTargets, m.QueryKey)
 		// Forget the reindex-once markers so a re-subscription of the same
 		// subscriber sequence starts clean.
 		prefix := m.QueryKey + "+"
@@ -116,27 +118,24 @@ func (st *nodeState) handleUnsub(m *unsubMsg) {
 	if removed > 0 {
 		st.load.AddStorage(metrics.Rewriter, -removed)
 	}
-	st.sendPurges(m.QueryKey, targets)
+	st.sendPurges(purges)
 }
 
-// sendPurges purges query key's stored rewrites at targets, one array of
-// messages in one batch, and at every shard of a target the hot-key layer
-// promoted, which holds copies of them (DESIGN.md §13). With the JFRT on
-// (Section 4.7.1) a purge whose evaluator the table remembers taking its
-// input's joins goes there in one hinted hop, retried like any other where it
-// fails, and only the rest walk; with it off the table is not read.
-func (st *nodeState) sendPurges(key string, targets map[string]struct{}) {
-	if len(targets) == 0 {
+// sendPurges sends msgs, one array of purges in one batch, and a purge to
+// every shard of an input the hot-key layer promoted, which holds copies of
+// the rewrites (DESIGN.md §13). With the JFRT on (Section 4.7.1) a purge
+// whose evaluator the table remembers taking its input's joins goes there in
+// one hinted hop, retried like any other where it fails, and only the rest
+// walk; with it off the table is not read.
+func (st *nodeState) sendPurges(msgs []purgeMsg) {
+	if len(msgs) == 0 {
 		return
 	}
 	e := st.engine
-	hot := e.hot
-	msgs := make([]purgeMsg, 0, len(targets))
-	for input := range targets {
-		msgs = append(msgs, purgeMsg{QueryKey: key, Input: input})
-		if hot != nil {
-			for s, k := 1, hot.lookup(input).k; s < k; s++ {
-				msgs = append(msgs, purgeMsg{QueryKey: key, Input: hotShardInput(input, s)})
+	if hot := e.hot; hot != nil {
+		for _, m := range msgs {
+			for s, k := 1, hot.lookup(m.Input).k; s < k; s++ {
+				msgs = append(msgs, purgeMsg{QueryKey: m.QueryKey, Input: hotShardInput(m.Input, s)})
 			}
 		}
 	}
@@ -169,14 +168,6 @@ func (st *nodeState) sendPurges(key string, targets map[string]struct{}) {
 	_ = e.dispatch(st.node, batch)
 }
 
-// removeKey removes the items of *items whose Key() is key, and returns how
-// many it removed.
-func removeKey[T interface{ Key() string }](items *[]T, key string) int {
-	n := len(*items)
-	*items = slices.DeleteFunc(*items, func(it T) bool { return it.Key() == key })
-	return n - len(*items)
-}
-
 // handlePurge drops the retracted query's stored rewrites from this
 // evaluator's VLQT. A chain's purge cascades: rewrites that went on from
 // here live at later stages, so it follows the targets they went on to. The
@@ -185,7 +176,7 @@ func removeKey[T interface{ Key() string }](items *[]T, key string) int {
 func (st *nodeState) handlePurge(m *purgeMsg) {
 	removed := 0
 	prefix := []byte(m.QueryKey + "+")
-	var cascade map[string]struct{}
+	var cascade []purgeMsg
 
 	st.mu.Lock()
 	st.retract(m.QueryKey)
@@ -194,7 +185,12 @@ func (st *nodeState) handlePurge(m *purgeMsg) {
 			var buf [keyScratch]byte
 			return rw.Orig.Key() == m.QueryKey || bytes.HasPrefix(rw.appendKey(buf[:0]), prefix)
 		})
-		cascade = qb.rewrites.takeTargets(m.QueryKey)
+		if targets := qb.rewrites.takeTargets(m.QueryKey); len(targets) > 0 {
+			cascade = make([]purgeMsg, 0, len(targets))
+			for input := range targets {
+				cascade = append(cascade, purgeMsg{QueryKey: m.QueryKey, Input: input})
+			}
+		}
 		if qb.empty() {
 			delete(st.vlqt, m.Input)
 		}
@@ -205,7 +201,7 @@ func (st *nodeState) handlePurge(m *purgeMsg) {
 	if removed > 0 {
 		st.load.AddStorage(metrics.Evaluator, -removed)
 	}
-	st.sendPurges(m.QueryKey, cascade)
+	st.sendPurges(cascade)
 }
 
 // retractedMax bounds a node's retraction memory as idCache is bounded: full,

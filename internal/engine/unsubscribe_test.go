@@ -2,6 +2,7 @@ package engine
 
 import (
 	"encoding/hex"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"cqjoin/internal/id"
 	"cqjoin/internal/metrics"
 	"cqjoin/internal/query"
+	"cqjoin/internal/relation"
 	"cqjoin/internal/wire"
 )
 
@@ -371,7 +373,9 @@ func TestJFRTPurgesGoStraightToTheirEvaluators(t *testing.T) {
 			st := env.eng.state(n)
 			st.mu.Lock()
 			for _, b := range st.alqt {
-				targets += len(b.sentTargets[q.Key()])
+				if g := b.byCond.get(q.ConditionKey()); g != nil {
+					targets += len(g.targets(q))
+				}
 			}
 			st.mu.Unlock()
 		}
@@ -407,5 +411,212 @@ func TestJFRTPurgesGoStraightToTheirEvaluators(t *testing.T) {
 	}
 	if len(delivered[true]) != 8 || !slices.Equal(delivered[true], delivered[false]) {
 		t.Fatalf("JFRT on delivers\n%v\nJFRT off\n%v\nwant the same 8", delivered[true], delivered[false])
+	}
+}
+
+// purgeRecorder passes every delivery on and records the inputs purges were
+// delivered to.
+type purgeRecorder struct{ inputs map[string]bool }
+
+func (p *purgeRecorder) Deliver(_, _ *chord.Node, msg chord.Message, forward func() bool) int {
+	if m, ok := msg.(*purgeMsg); ok {
+		p.inputs[m.Input] = true
+	}
+	return btoi(forward())
+}
+
+// retractRecorded retracts q and returns the sorted inputs its purges went to.
+func retractRecorded(t *testing.T, env *testEnv, from int, q *query.Query) []string {
+	t.Helper()
+	rec := &purgeRecorder{inputs: map[string]bool{}}
+	env.net.SetInterceptor(rec)
+	defer env.net.SetInterceptor(nil)
+	if err := env.eng.Unsubscribe(env.node(from), q); err != nil {
+		t.Fatal(err)
+	}
+	return sortedKeys(rec.inputs)
+}
+
+// heldAt returns the sorted inputs whose VLQT bucket holds a rewrite of
+// query key.
+func heldAt(env *testEnv, key string) []string {
+	var inputs []string
+	for _, n := range env.net.Nodes() {
+		st := env.eng.state(n)
+		st.mu.Lock()
+		for input, qb := range st.vlqt {
+			if slices.ContainsFunc(qb.rewrites.all(), func(rw *rewritten) bool { return rw.Orig.Key() == key }) {
+				inputs = append(inputs, input)
+			}
+		}
+		st.mu.Unlock()
+	}
+	slices.Sort(inputs)
+	return inputs
+}
+
+// purgeFill subscribes three queries on one condition at three times — the
+// second with a predicate on the rewriter's side — with R tuples published
+// between them, each rewriting the group toward S+E+b. Input S+E+2 is
+// triggered again last, by a tuple the second query's predicate refuses.
+// Rewrites are held at (first, second, third): b in 1..8, {4, 5, 7} and
+// {2, 7, 8}.
+func purgeFill(t *testing.T, env *testEnv) (qs [3]*query.Query) {
+	const pair = `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`
+	publish := func(bs []float64, c float64) {
+		for _, b := range bs {
+			env.publish(t, 10+int(b), rTuple(env, 100+b, b, c))
+		}
+	}
+	qs[0] = env.subscribe(t, 0, pair)
+	publish([]float64{1, 2, 3}, 0)
+	qs[1] = env.subscribe(t, 1, pair+` AND R.C = 1`)
+	publish([]float64{4, 5}, 1)
+	publish([]float64{6}, 0)
+	qs[2] = env.subscribe(t, 2, pair)
+	publish([]float64{7}, 1)
+	publish([]float64{8, 2}, 0)
+	return qs
+}
+
+// inputsOf returns the S+E inputs of values bs, sorted.
+func inputsOf(bs ...float64) []string {
+	var inputs []string
+	for _, b := range bs {
+		inputs = append(inputs, vlInput("S", "E", relation.N(b)))
+	}
+	slices.Sort(inputs)
+	return inputs
+}
+
+// A rewriter remembers where a condition group's rewrites went once for the
+// group, with the newest time that triggered it there, not once per query. A
+// retraction purges the inputs triggered at or after its query's insT — where
+// its rewrites are, and for a query with a predicate a superset — and the list
+// then forgets what is older than every live query. Both rules show: purging
+// the whole list sends the third query's purges where it has no rewrite, and
+// pruning at any other bound loses the second query's targets or keeps what
+// no live query needs.
+func TestRetractionPurgesWhereItsRewritesAre(t *testing.T) {
+	env := newTestEnv(t, 48, Config{Algorithm: SAI, Strategy: StrategyLeft, Seed: 4})
+	qs := purgeFill(t, env)
+	held := [3][]string{inputsOf(1, 2, 3, 4, 5, 6, 7, 8), inputsOf(4, 5, 7), inputsOf(2, 7, 8)}
+	for i, q := range qs {
+		if got := heldAt(env, q.Key()); !slices.Equal(got, held[i]) {
+			t.Fatalf("query %d's rewrites are held at %v, want %v", i+1, got, held[i])
+		}
+	}
+	if got := env.eng.Census()["alqt_purge_entries"].Sum; got != 8 {
+		t.Fatalf("the group's purge list holds %d inputs, want 8", got)
+	}
+	for _, step := range []struct {
+		q       int
+		purges  []string
+		entries int // what the list keeps: the inputs triggered since the oldest live insT
+	}{
+		{q: 2, purges: held[2], entries: 8},
+		{q: 0, purges: held[0], entries: 6}, // 1 and 3 are older than the second query
+		{q: 1, purges: inputsOf(2, 4, 5, 6, 7, 8), entries: 0},
+	} {
+		q := qs[step.q]
+		got := retractRecorded(t, env, step.q, q)
+		if !slices.Equal(got, step.purges) {
+			t.Fatalf("retracting query %d purged %v, want %v", step.q+1, got, step.purges)
+		}
+		for _, input := range held[step.q] {
+			if _, found := slices.BinarySearch(got, input); !found {
+				t.Fatalf("retracting query %d sent no purge to %s, which holds its rewrite", step.q+1, input)
+			}
+		}
+		if left := heldAt(env, q.Key()); len(left) != 0 {
+			t.Fatalf("query %d's rewrites survive its retraction at %v", step.q+1, left)
+		}
+		if got := env.eng.Census()["alqt_purge_entries"].Sum; got != step.entries {
+			t.Fatalf("after retracting query %d the purge list holds %d inputs, want %d", step.q+1, got, step.entries)
+		}
+	}
+	if _, queries, rewrites := ringHolds(env); queries != 0 || rewrites != 0 {
+		t.Fatalf("%d queries and %d rewrites left after every retraction", queries, rewrites)
+	}
+}
+
+// rewriterTargets returns the purge targets a cut of R+B's rewriter bucket
+// writes.
+func rewriterTargets(t *testing.T, env *testEnv) []targetsEntry {
+	t.Helper()
+	for _, n := range env.net.Nodes() {
+		if m := env.eng.state(n).cut(func(input string) bool { return input == "R+B" }, false); len(m.AL) == 1 {
+			return m.AL[0].SentTargets
+		}
+	}
+	t.Fatal("no node holds R+B's rewriter bucket")
+	return nil
+}
+
+// targetsBytes encodes purge targets as a hand-off section writes them.
+func targetsBytes(t *testing.T, es []targetsEntry) []byte {
+	t.Helper()
+	var w wire.Buffer
+	c := wire.Encoder(&w)
+	walkTargets(&c, &es)
+	if err := c.Flush(&w); err != nil {
+		t.Fatal(err)
+	}
+	return w.Bytes()
+}
+
+// A move writes each query's purge targets and the next holder folds them
+// back into its group's list, so the rule survives it: for unfiltered queries
+// the cut writes what the per-query sets of earlier builds wrote — the inputs
+// holding the query's rewrites — and a retraction after a move inside the
+// process, or after a snapshot restore, purges where one before it would.
+func TestPurgeListSurvivesAMove(t *testing.T) {
+	cfg := Config{Algorithm: SAI, Strategy: StrategyLeft, Seed: 4}
+	build := func() (*testEnv, [3]*query.Query) {
+		env := newTestEnv(t, 48, cfg)
+		return env, purgeFill(t, env)
+	}
+	still, qs := build()
+	before := rewriterTargets(t, still)
+	var parent []targetsEntry // what a per-query set wrote, for the unfiltered two
+	for _, i := range []int{0, 2} {
+		parent = append(parent, targetsEntry{Key: qs[i].Key(), Targets: heldAt(still, qs[i].Key())})
+	}
+	slices.SortFunc(parent, func(a, b targetsEntry) int { return strings.Compare(a.Key, b.Key) })
+	var unfiltered []targetsEntry
+	for _, e := range before {
+		if e.Key != qs[1].Key() {
+			unfiltered = append(unfiltered, e)
+		}
+	}
+	if got, want := targetsBytes(t, unfiltered), targetsBytes(t, parent); !slices.Equal(got, want) {
+		t.Fatalf("the cut writes the unfiltered queries' targets as\n%v\nper-query sets wrote\n%v", unfiltered, parent)
+	}
+
+	moved, _ := build()
+	owner := moved.net.OracleSuccessor(id.Hash("R+B"))
+	joiner, err := moved.net.Join(keyTaking(t, moved.net, "R+B"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved.eng.Attach(joiner)
+	if moved.net.OracleSuccessor(id.Hash("R+B")) == owner {
+		t.Fatal("the join did not take R+B's rewriter over")
+	}
+	restoredFrom, _ := build()
+	restored := snapshotInto(t, restoredFrom, nil)
+
+	for name, env := range map[string]*testEnv{"a move": moved, "a snapshot restore": restored} {
+		if got := rewriterTargets(t, env); !reflect.DeepEqual(got, before) {
+			t.Fatalf("after %s the cut writes\n%v\nbefore it\n%v", name, got, before)
+		}
+	}
+	for _, i := range []int{2, 0, 1} {
+		want := retractRecorded(t, still, i, qs[i])
+		for name, env := range map[string]*testEnv{"a move": moved, "a snapshot restore": restored} {
+			if got := retractRecorded(t, env, i, qs[i]); !slices.Equal(got, want) {
+				t.Fatalf("after %s retracting query %d purged %v, without it %v", name, i+1, got, want)
+			}
+		}
 	}
 }

@@ -119,46 +119,56 @@ func TestMultiReverse(t *testing.T) {
 	mq := MustParse(multiCatalog(), `SELECT A.z FROM A, B, C WHERE A.x = B.y AND B.x = 2 * C.y`)
 	c := relation.MustSchema("C", "x", "y", "z")
 	tc := relation.MustTuple(c, relation.N(0), relation.N(3), relation.N(0))
-	rel, attr, val, err := mq.StageWant(SideRight, 1, tc)
-	if err != nil || rel != "B" || attr != "x" || !val.Equal(relation.N(6)) {
-		t.Fatalf("stage 1 from C wants %s.%s = %v (%v), want B.x = 6", rel, attr, val, err)
+	want, val, err := mq.StageWant(SideRight, 1, tc)
+	if err != nil || *want != (relation.AttrRef{Rel: "B", Attr: "x"}) || !val.Equal(relation.N(6)) {
+		t.Fatalf("stage 1 from C wants %v = %v (%v), want B.x = 6", want, val, err)
 	}
 	b := relation.MustSchema("B", "x", "y", "z")
 	tb := relation.MustTuple(b, relation.N(6), relation.N(4), relation.N(0))
-	if rel, attr, val, err = mq.StageWant(SideRight, 2, tb); err != nil || rel != "A" || attr != "x" || !val.Equal(relation.N(4)) {
-		t.Fatalf("stage 2 from C wants %s.%s = %v (%v), want A.x = 4", rel, attr, val, err)
+	if want, val, err = mq.StageWant(SideRight, 2, tb); err != nil || *want != (relation.AttrRef{Rel: "A", Attr: "x"}) || !val.Equal(relation.N(4)) {
+		t.Fatalf("stage 2 from C wants %v = %v (%v), want A.x = 4", want, val, err)
 	}
 	if got := mq.StageProjection(SideRight, 3); got.Name() != "A" {
 		t.Fatalf("stage 3 from C matches %s, want A", got.Name())
 	}
-	if _, _, ok := mq.StageAttr(SideRight, 3); ok {
+	if _, ok := mq.StageAttr(SideRight, 3); ok {
 		t.Fatal("a chain of three went on past its third stage")
 	}
 }
 
 func TestMultiStageWant(t *testing.T) {
-	mq := MustParse(multiCatalog(), `SELECT A.z FROM A, B, C WHERE 2 * A.x = B.y AND B.x = C.y + 1`)
+	catalog := multiCatalog()
+	mq := MustParse(catalog, `SELECT A.z FROM A, B, C WHERE 2 * A.x = B.y AND B.x = C.y + 1`)
 	a := relation.MustSchema("A", "x", "y", "z")
 	ta := relation.MustTuple(a, relation.N(3), relation.N(0), relation.N(0))
-	rel, attr, val, err := mq.StageWant(SideLeft, 1, ta)
+	want, val, err := mq.StageWant(SideLeft, 1, ta)
 	if err != nil {
 		t.Fatalf("StageWant: %v", err)
 	}
 	// 2*A.x = 6 → B.y must be 6.
-	if rel != "B" || attr != "y" || !val.Equal(relation.N(6)) {
-		t.Fatalf("stage 1 want: %s.%s = %v", rel, attr, val)
+	if *want != (relation.AttrRef{Rel: "B", Attr: "y"}) || !val.Equal(relation.N(6)) {
+		t.Fatalf("stage 1 want: %v = %v", want, val)
+	}
+	// A copy of the query, and another query waiting for B.y, share the
+	// schema's one AttrRef for it.
+	if again, ok := mq.WithInsT(7).StageAttr(SideLeft, 1); !ok || again != want {
+		t.Fatalf("a copy's stage 1 want is %p, the query's %p", again, want)
+	}
+	other := MustParse(catalog, `SELECT A.z FROM A, B WHERE A.x = B.y`)
+	if again, ok := other.StageAttr(SideLeft, 1); !ok || again != want {
+		t.Fatalf("another query's want of B.y is %p, this one's %p", again, want)
 	}
 	b := relation.MustSchema("B", "x", "y", "z")
 	tb := relation.MustTuple(b, relation.N(5), relation.N(6), relation.N(0))
-	rel, attr, val, err = mq.StageWant(SideLeft, 2, tb)
+	want, val, err = mq.StageWant(SideLeft, 2, tb)
 	if err != nil {
 		t.Fatalf("StageWant: %v", err)
 	}
 	// B.x = 5 → C.y + 1 = 5 → C.y = 4.
-	if rel != "C" || attr != "y" || !val.Equal(relation.N(4)) {
-		t.Fatalf("stage 2 want: %s.%s = %v", rel, attr, val)
+	if *want != (relation.AttrRef{Rel: "C", Attr: "y"}) || !val.Equal(relation.N(4)) {
+		t.Fatalf("stage 2 want: %v = %v", want, val)
 	}
-	if _, _, _, err := mq.StageWant(SideLeft, 3, tb); err == nil {
+	if _, _, err := mq.StageWant(SideLeft, 3, tb); err == nil {
 		t.Fatal("stage out of range accepted")
 	}
 }

@@ -229,9 +229,9 @@ func TestEvalAndInvertSide(t *testing.T) {
 		t.Fatalf("EvalSide = %v, %v", v, err)
 	}
 	// Right side must equal 10 → S.E = 9.
-	rel, attr, want, err := q.StageWant(SideLeft, 1, tp)
-	if err != nil || rel != "S" || attr != "E" || !want.Equal(relation.N(9)) {
-		t.Fatalf("StageWant = %s.%s = %v, %v", rel, attr, want, err)
+	want, val, err := q.StageWant(SideLeft, 1, tp)
+	if err != nil || *want != (relation.AttrRef{Rel: "S", Attr: "E"}) || !val.Equal(relation.N(9)) {
+		t.Fatalf("StageWant = %v = %v, %v", want, val, err)
 	}
 }
 

@@ -338,16 +338,18 @@ func (l Link) expr(s Side) Expr {
 	return l.R
 }
 
-// StageAttr returns the relation a rewrite indexed under side s waits for
-// once it has matched stage relations (1 <= stage < Arity), and the single
-// attribute the link names on it; ok is false outside that range or where
-// the link names several.
-func (q *Query) StageAttr(s Side, stage int) (rel, attr string, ok bool) {
+// StageAttr returns what a rewrite indexed under side s waits for once it
+// has matched stage relations (1 <= stage < Arity): the next relation, and
+// the single attribute the link names on it, as the relation's schema's one
+// AttrRef for it, which every rewrite shares; ok is false outside that range
+// or where the link names several.
+func (q *Query) StageAttr(s Side, stage int) (want *relation.AttrRef, ok bool) {
 	r, ok := q.step(s, stage)
 	if !ok || len(r.attrs[s.Other()]) != 1 {
-		return "", "", false
+		return nil, false
 	}
-	return q.plan.rels[q.stagePos(s, stage+1)].schema.Name(), r.attrs[s.Other()][0], true
+	want = q.plan.rels[q.stagePos(s, stage+1)].schema.Ref(r.attrs[s.Other()][0])
+	return want, want != nil
 }
 
 // StageWant computes what a rewrite indexed under side s asks for once its
@@ -355,20 +357,20 @@ func (q *Query) StageAttr(s Side, stage int) (rel, attr string, ok bool) {
 // the value the link says that attribute must take. With two relations it is
 // Section 4.3.2's DisR(q), DisA(q) and valDA(q, t). It fails where the
 // equality has no solution for t (e.g. c/x = 0).
-func (q *Query) StageWant(s Side, stage int, t *relation.Tuple) (rel, attr string, val relation.Value, err error) {
-	rel, attr, ok := q.StageAttr(s, stage)
+func (q *Query) StageWant(s Side, stage int, t *relation.Tuple) (want *relation.AttrRef, val relation.Value, err error) {
+	want, ok := q.StageAttr(s, stage)
 	if !ok {
-		return "", "", relation.Value{}, fmt.Errorf("query: no single-attribute link past stage %d of %s from its %s end", stage, q.chain(), s)
+		return nil, relation.Value{}, fmt.Errorf("query: no single-attribute link past stage %d of %s from its %s end", stage, q.chain(), s)
 	}
 	r, _ := q.step(s, stage)
 	v, err := r.link.expr(s).Eval(t)
 	if err != nil {
-		return "", "", relation.Value{}, err
+		return nil, relation.Value{}, err
 	}
 	if val, err = invert(r.link.expr(s.Other()), v); err != nil {
-		return "", "", relation.Value{}, err
+		return nil, relation.Value{}, err
 	}
-	return rel, attr, val, nil
+	return want, val, nil
 }
 
 // StageProjection returns the Projection shape of the relation a rewrite

@@ -95,6 +95,9 @@ func TestSchemaAccessors(t *testing.T) {
 	if s.AttrIndex("Title") != 1 || s.AttrIndex("Nope") != -1 {
 		t.Fatal("AttrIndex wrong")
 	}
+	if ref := s.Ref("Title"); ref == nil || *ref != (AttrRef{"Document", "Title"}) || s.Ref("Title") != ref || s.Ref("Nope") != nil {
+		t.Fatal("Ref wrong: one AttrRef per attribute, nil for none")
+	}
 	if !s.HasAttr("Id") || s.HasAttr("X") {
 		t.Fatal("HasAttr wrong")
 	}

@@ -16,6 +16,7 @@ type Schema struct {
 	name  string
 	attrs []string
 	index map[string]int
+	refs  []AttrRef // one per attribute, in declaration order (Ref)
 
 	// cataloged is set once a Catalog holds the schema; atomic because a
 	// schema may join another catalog while its tuples are being sized.
@@ -38,8 +39,9 @@ func NewSchema(name string, attrs ...string) (*Schema, error) {
 	if len(attrs) == 0 {
 		return nil, fmt.Errorf("relation: schema %s has no attributes", name)
 	}
-	s := &Schema{name: name, attrs: append([]string(nil), attrs...), index: make(map[string]int, len(attrs))}
+	s := &Schema{name: name, attrs: append([]string(nil), attrs...), index: make(map[string]int, len(attrs)), refs: make([]AttrRef, len(attrs))}
 	for i, a := range attrs {
+		s.refs[i] = AttrRef{Rel: name, Attr: a}
 		if !isIdent(a) {
 			return nil, fmt.Errorf("relation: schema %s: attribute name %q is not an identifier", name, a)
 		}
@@ -141,6 +143,21 @@ func (s *Schema) Projection(attrs []string) (*Schema, error) {
 	}
 	s.projections = append(s.projections, sub)
 	return sub, nil
+}
+
+// AttrRef names one attribute of a relation — what a rewritten query waits
+// for, Section 4.3.2's DisR(q) and DisA(q).
+type AttrRef struct {
+	Rel, Attr string
+}
+
+// Ref returns the schema's one AttrRef for the named attribute, which every
+// caller shares, or nil where the schema has no such attribute.
+func (s *Schema) Ref(name string) *AttrRef {
+	if i, ok := s.index[name]; ok {
+		return &s.refs[i]
+	}
+	return nil
 }
 
 // AttrIndex returns the position of the named attribute, or -1.
