@@ -33,8 +33,9 @@ import (
 
 // Message type tags. Tags 14 and 15 were a chain's query and join, before a
 // chain was indexed by a query message and its stages were joins; tag 20 was
-// hot-recall's (hot-key demotion). They stay reserved, so a frame holding one
-// decodes as an unknown tag.
+// hot-recall's (hot-key demotion); tags 19 and 21 were hot-migrate's and
+// hot-handoff's, before a promotion moved only the rewrite set. They stay
+// reserved, so a frame holding one decodes as an unknown tag.
 const (
 	tagQuery byte = iota + 1
 	tagALIndex
@@ -54,9 +55,9 @@ const (
 	tagHandoff
 	tagHotJoin
 	tagHotVLIndex
-	tagHotMigrate
 	_
-	tagHotHandoff
+	_
+	_
 	tagSnapMeta
 	tagInterest
 	tagALAsk
@@ -206,12 +207,6 @@ func walkMessage(c *wire.Coder, msg *chord.Message) {
 	case hotVLIndexMsg:
 		c.Tag(tagHotVLIndex)
 		m.walk(c)
-	case hotMigrateMsg:
-		c.Tag(tagHotMigrate)
-		m.walk(c)
-	case hotHandoffMsg:
-		c.Tag(tagHotHandoff)
-		m.walk(c)
 	case snapMetaMsg:
 		c.Tag(tagSnapMeta)
 		m.walk(c)
@@ -302,14 +297,6 @@ func decodeMessage(c *wire.Coder) chord.Message {
 		return m
 	case tagHotVLIndex:
 		var m hotVLIndexMsg
-		m.walk(c)
-		return m
-	case tagHotMigrate:
-		var m hotMigrateMsg
-		m.walk(c)
-		return m
-	case tagHotHandoff:
-		var m hotHandoffMsg
 		m.walk(c)
 		return m
 	case tagSnapMeta:
@@ -480,21 +467,6 @@ func (m *hotVLIndexMsg) walk(c *wire.Coder) {
 	c.Int(&m.Version)
 	c.Int(&m.K)
 	c.Tuple(&m.T, nil)
-}
-
-func (m *hotMigrateMsg) walk(c *wire.Coder) {
-	c.String(&m.Input)
-	c.Int(&m.Version)
-	c.Int(&m.K)
-}
-
-func (m *hotHandoffMsg) walk(c *wire.Coder) {
-	c.String(&m.Input)
-	c.Int(&m.Shard)
-	c.Int(&m.Version)
-	c.Int(&m.K)
-	walkVQEntries(c, &m.Entries)
-	c.Tuples(&m.Tuples)
 }
 
 func (m *snapMetaMsg) walk(c *wire.Coder) {

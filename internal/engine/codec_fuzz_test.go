@@ -64,7 +64,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{byte(tagJoin), 0xff, 0xff, 0xff, 0xff, 0x0f}) // forged huge count
 	for _, tag := range retiredTags {
-		f.Add([]byte{byte(tag)}) // the reserved tags, once a chain's and hot-recall's
+		f.Add([]byte{byte(tag)}) // the reserved tags, once a chain's and the hot-key layer's
 	}
 	longLived := NewWireCodec(catalog)
 	predecessors := []chord.Message{msgs[1], msgs[2], msgs[9], msgs[3]} // alIndexMsg{tu}, vlIndexMsg{su}, purgeMsg{q}, joinMsg

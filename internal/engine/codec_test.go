@@ -98,10 +98,8 @@ func codecFixtures(t testing.TB, extra ...*relation.Schema) (*relation.Catalog, 
 		},
 		hotJoinMsg{Input: "S+E+7", Shard: 2, Version: 3, K: 4, Rewrites: []rewritten{*rw, *rw}},
 		hotVLIndexMsg{Input: "S+E+7", Shard: 1, Version: 3, K: 4, T: su},
-		hotMigrateMsg{Input: "S+E+7", Version: 3, K: 4},
-		hotHandoffMsg{Input: "S+E+7", Shard: 2, Version: 3, K: 4,
-			Entries: []vqEntry{{Rw: rw, Times: []int64{9, 11}}},
-			Tuples:  []*relation.Tuple{su}},
+		// Lines 19 and 21 held a promotion's migrate and hand-off, and line
+		// 20 a hot-recall: retired tags.
 		snapMetaMsg{
 			Clock: 12, Nodes: []string{"peer0", "peer1"}, Down: []string{"peer9"},
 			Seq:   []seqEntry{{Key: q.Subscriber(), Seq: 2}},
@@ -351,27 +349,6 @@ func assertSemanticEqual(t *testing.T, want, got chord.Message) {
 			g.K != w.K || g.T.String() != w.T.String() || g.T.PubT() != w.T.PubT() {
 			t.Fatalf("hotVLIndexMsg mismatch: %+v", g)
 		}
-	case hotMigrateMsg:
-		if got.(hotMigrateMsg) != w {
-			t.Fatal("hotMigrateMsg mismatch")
-		}
-	case hotHandoffMsg:
-		g := got.(hotHandoffMsg)
-		if g.Input != w.Input || g.Shard != w.Shard || g.Version != w.Version ||
-			g.K != w.K || len(g.Entries) != len(w.Entries) || len(g.Tuples) != len(w.Tuples) {
-			t.Fatalf("hotHandoffMsg mismatch: %+v", g)
-		}
-		for i := range g.Entries {
-			assertRewrittenEqual(t, w.Entries[i].Rw, g.Entries[i].Rw)
-			if !reflect.DeepEqual(g.Entries[i].Times, w.Entries[i].Times) {
-				t.Fatalf("hotHandoffMsg entry %d times mismatch", i)
-			}
-		}
-		for i := range g.Tuples {
-			if g.Tuples[i].String() != w.Tuples[i].String() || g.Tuples[i].PubT() != w.Tuples[i].PubT() {
-				t.Fatalf("hotHandoffMsg tuple %d mismatch", i)
-			}
-		}
 	case snapMetaMsg:
 		g := got.(snapMetaMsg)
 		// same: equal lists, an empty one decoding as one of no elements.
@@ -456,9 +433,6 @@ func TestAllMessagesImplementSizer(t *testing.T) {
 		baselineProbeMsg{Rewrites: []rewritten{*rw}, Input: "S"},
 		hotJoinMsg{Input: "S+E+7", Shard: 1, Version: 1, K: 4, Rewrites: []rewritten{*rw}},
 		hotVLIndexMsg{Input: "S+E+7", Shard: 1, Version: 1, K: 4, T: tu},
-		hotMigrateMsg{Input: "S+E+7", Version: 1, K: 4},
-		hotHandoffMsg{Input: "S+E+7", Shard: 1, Version: 1, K: 4,
-			Entries: []vqEntry{{Rw: rw, Times: []int64{5}}}, Tuples: nil},
 	}
 	for _, m := range msgs {
 		if size, _ := sizeAfter(m, nil); size <= 0 {
@@ -688,9 +662,9 @@ func TestDecodeTruncated(t *testing.T) {
 
 // Every tag has a fixture, whose encoding leads with that tag and decodes to
 // the fixture's own type, the one type the tag leads: the two switches of
-// codec.go pair each message kind with one tag, both ways. Tag 20, hot-recall's
-// until demotion went, is the one blank: reserved, led by nothing
-// (TestWireGolden holds the decoder to refusing it).
+// codec.go pair each message kind with one tag, both ways. The retired tags
+// (retiredTags) are the blanks: reserved, led by nothing (TestWireGolden
+// holds the decoder to refusing them).
 func TestEveryTagRoundTrips(t *testing.T) {
 	catalog, msgs := codecFixtures(t)
 	fixtures := map[byte]chord.Message{}
@@ -880,8 +854,6 @@ func TestCodecDecodeSharesRewriteTargets(t *testing.T) {
 	}
 	ho := roundTrip(handoffMsg{VQ: []vqSection{{Input: "S+E+7", Entries: entries(mixed)}}}).(handoffMsg)
 	assertRuns("hand-off section", mixed, unwrap(ho.VQ[0].Entries), 3)
-	hh := roundTrip(hotHandoffMsg{Input: "S+E+7", Shard: 1, Version: 2, K: 4, Entries: entries(one)}).(hotHandoffMsg)
-	assertRuns("hot hand-off", one, unwrap(hh.Entries), 1)
 }
 
 // Hostile input never aliases a shared schema: a tuple whose attribute list
@@ -1259,10 +1231,6 @@ func queriesOf(msg chord.Message) []*query.Query {
 		rewrites(m.Rewrites)
 	case hotJoinMsg:
 		rewrites(m.Rewrites)
-	case hotHandoffMsg:
-		for _, e := range m.Entries {
-			qs = append(qs, e.Rw.Orig)
-		}
 	case handoffMsg:
 		for _, sec := range m.AL {
 			for _, g := range sec.Groups {

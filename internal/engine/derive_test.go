@@ -263,11 +263,13 @@ func TestHostileSideFailsToDecode(t *testing.T) {
 // snapshot's Multi and Marks flags of 2.
 func hostileScalars(tb testing.TB) map[string][]byte {
 	tb.Helper()
-	var migrate wire.Buffer
-	migrate.PutUvarint(uint64(tagHotMigrate))
-	migrate.PutString("S+E+7")
-	migrate.PutUvarint(1)       // Version
-	migrate.PutUvarint(1 << 63) // K
+	var scatter wire.Buffer
+	scatter.PutUvarint(uint64(tagHotJoin))
+	scatter.PutString("S+E+7")
+	scatter.PutUvarint(1)       // Shard
+	scatter.PutUvarint(1)       // Version
+	scatter.PutUvarint(1 << 63) // K
+	scatter.PutUvarint(0)       // no rewrites
 	flag := func(m snapMetaMsg, at int) []byte {
 		var w wire.Buffer
 		if err := EncodeMessage(&w, m); err != nil {
@@ -283,7 +285,7 @@ func hostileScalars(tb testing.TB) map[string][]byte {
 		return w.Bytes()
 	}
 	return map[string][]byte{
-		"shard count of 2^63": migrate.Bytes(),
+		"shard count of 2^63": scatter.Bytes(),
 		"Multi of 2":          flag(snapMetaMsg{Clock: 1}, 6), // tag, clock, four empty lists, Multi
 		"Marks of 2":          flag(snapMetaMsg{Clock: 1, Count: 1, Marks: true}, -1),
 	}

@@ -133,8 +133,8 @@ type Config struct {
 	// arrivals within one HotKeyWindow promotes, sharding its evaluator
 	// across HotKeyReplicas deterministic replica identifiers, for good. Zero
 	// — the default — disables the layer entirely. Only SAI shards (its
-	// evaluators store both rewrites and tuples, which the migration's
-	// match-on-merge relies on); other algorithms ignore these knobs. Set by
+	// evaluators store both rewrites and tuples, so a shard's rewrite and
+	// tuple meet in either order); other algorithms ignore these knobs. Set by
 	// cqjoin.NewCluster and tests.
 	HotKeyThreshold int
 	// HotKeyReplicas is the shard count k of a promoted input. Values < 2

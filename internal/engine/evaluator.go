@@ -29,70 +29,73 @@ import (
 // (meet) instead of building a notification.
 func (st *nodeState) handleJoin(m *joinMsg) {
 	e := st.engine
-	alg := e.cfg.Algorithm
 	// A rewrite that arrives behind its query's purge is refused. The
 	// message is not written: a duplicated delivery hands it over again.
 	rws := st.liveRewrites(m.Rewrites)
+	var buf [keyScratch]byte
 	var mbuf [matchScratch]match
 	ms := mbuf[:0]
 	var outs []outbound
-	work := 1
-	stored := 0
-
-	// Hot-key sharding (DESIGN.md §13): count the arrivals, and scatter the
-	// groups bound for promoted inputs to their shards after this bucket —
-	// shard 0 — has stored them below.
 	var scatter []chord.Deliverable
-	if hot := e.hot; hot != nil {
-		scatter = st.hotScatterJoins(hot, rws)
-	}
-
-	var buf [keyScratch]byte
-	var key []byte
-	var qb *vlqtBucket
-	var tb *vlttBucket
+	n := tally{work: 1}
 
 	st.mu.Lock()
-	for i := range rws {
-		rw := &rws[i]
-		// A rewriter's group shares one identifier (Section 4.3.5): look its
-		// buckets up once, again only where a message mixes targets.
-		if i == 0 || !rw.sameTarget(&rws[i-1]) {
-			key = appendVLInput(buf[:0], rw.Want.Rel, rw.Want.Attr, rw.WantValue)
-			qb, tb = st.vlqt[string(key)], st.vltt[string(key)]
+	for i := 0; i < len(rws); {
+		// A rewriter's group shares one identifier (Section 4.3.5): a run
+		// bound for one bucket looks it up once.
+		run := rws[i : i+sameTargetRun(rws[i:])]
+		i += len(run)
+		key := appendVLInput(buf[:0], run[0].Want.Rel, run[0].Want.Attr, run[0].WantValue)
+		ms, outs = st.joinAt(key, run, &n, ms, outs)
+		// Hot-key sharding (DESIGN.md §13): count the arrivals, and owe a
+		// promoted input's shards what this bucket — shard 0 — stored.
+		if hot := e.hot; hot != nil {
+			scatter = st.hotScatter(hot, run, scatter)
 		}
+	}
+	st.mu.Unlock()
 
+	_ = e.dispatch(st.node, scatter)
+	st.evaluated(n, ms, outs)
+}
+
+// tally is what an arrival at an evaluator cost it: the lookups and
+// comparisons it made, and the items it stored.
+type tally struct{ work, stored int }
+
+// joinAt stores (where the algorithm does) and matches run, rewrites bound
+// for the one bucket named key: the input they were derived for, or one of
+// its shards' (hotShardInput). It appends the matches to ms and a chain's
+// rewrites a stage on to outs (meet). The caller holds st.mu.
+func (st *nodeState) joinAt(key []byte, run []rewritten, n *tally, ms []match, outs []outbound) ([]match, []outbound) {
+	e := st.engine
+	alg := e.cfg.Algorithm
+	qb, tb := st.vlqt[string(key)], st.vltt[string(key)]
+	for i := range run {
+		rw := &run[i]
 		if e.storesRewrite(rw.Orig) {
 			if qb == nil {
-				qb = st.newVLQT(string(key), sameTargetRun(rws[i:]))
+				qb = st.newVLQT(string(key), len(run)-i)
 			}
 			if !qb.rewrites.record(rw, rw.Trigger.PubT()) {
-				work++
+				n.work++
 				continue
 			}
-			stored++
+			n.stored++
 		}
 
 		if (alg == SAI || alg == DAIQ) && tb != nil {
 			// Match the rewritten query against stored tuples that were
 			// inserted after the query was posed.
 			for _, tt := range tb.tuples.all() {
-				work++
+				n.work++
 				if matchRewrite(rw, tt) {
 					ms, outs = meet(qb, rw, tt, ms, outs)
 				}
 			}
 		}
 	}
-	st.mu.Unlock()
-
-	st.load.AddFiltering(metrics.Evaluator, work)
-	if stored > 0 {
-		st.load.AddStorage(metrics.Evaluator, stored)
-	}
-	_ = e.dispatch(st.node, scatter)
-	st.sendJoins(outs)
-	st.sendNotifications(notifications(ms))
+	return ms, outs
 }
 
 // handleVLIndex processes a tuple arriving at the value level
@@ -104,33 +107,32 @@ func (st *nodeState) handleJoin(m *joinMsg) {
 //   - DAI-Q only stores the tuple; stored rewritten queries are a chain's.
 //   - DAI-T only matches; tuples are never stored at the value level.
 func (st *nodeState) handleVLIndex(m *vlIndexMsg) {
-	alg := st.engine.cfg.Algorithm
 	t := m.T
 	var buf [keyScratch]byte
 	key := appendVLInput(buf[:0], t.Relation(), m.Attr, t.MustValue(m.Attr))
-
-	// Hot-key sharding (DESIGN.md §13): count the arrival; when the input
-	// is promoted and the tuple's content hashes to a foreign shard, relay
-	// it there instead of evaluating here. Shard 0 is this bucket.
-	if hot := st.engine.hot; hot != nil {
-		input := string(key)
-		entry := st.countHotArrival(hot, input, t.PubT())
-		if s := shardOf(t, entry.k); s != 0 {
-			st.forwardHotTuple(input, s, entry, t)
-			return
-		}
+	// Hot-key sharding (DESIGN.md §13): count the arrival; a tuple of a
+	// promoted input whose content hashes to a foreign shard is relayed
+	// there instead of evaluated here. Shard 0 is this bucket.
+	if hot := st.engine.hot; hot != nil && st.relayHot(hot, string(key), t) {
+		return
 	}
+	st.tupleAt(m.Kind(), key, t)
+}
 
+// tupleAt matches t, which arrived as a message of kind, against the
+// rewrites stored in the bucket named key — the input t was indexed under,
+// or one of its shards' — and stores it there where the algorithm does.
+func (st *nodeState) tupleAt(kind string, key []byte, t *relation.Tuple) {
+	alg := st.engine.cfg.Algorithm
 	var mbuf [matchScratch]match
 	ms := mbuf[:0]
 	var outs []outbound
-	work := 1
-	stored := 0
+	n := tally{work: 1}
 
 	st.mu.Lock()
 	if qb := st.vlqt[string(key)]; qb != nil {
 		for _, rw := range qb.rewrites.all() {
-			work++
+			n.work++
 			if matchRewrite(rw, t) {
 				ms, outs = meet(qb, rw, t, ms, outs)
 			}
@@ -144,16 +146,22 @@ func (st *nodeState) handleVLIndex(m *vlIndexMsg) {
 			tb = st.vlttFor(string(key))
 		}
 		if tb.tuples.add(t) {
-			stored++
+			n.stored++
 		} else {
-			st.engine.net.Traffic().RecordDuplicate(m.Kind())
+			st.engine.net.Traffic().RecordDuplicate(kind)
 		}
 	}
 	st.mu.Unlock()
 
-	st.load.AddFiltering(metrics.Evaluator, work)
-	if stored > 0 {
-		st.load.AddStorage(metrics.Evaluator, stored)
+	st.evaluated(n, ms, outs)
+}
+
+// evaluated charges an evaluator's arrival to its load and sends what it
+// yielded: a chain's rewrites a stage on, and the notifications.
+func (st *nodeState) evaluated(n tally, ms []match, outs []outbound) {
+	st.load.AddFiltering(metrics.Evaluator, n.work)
+	if n.stored > 0 {
+		st.load.AddStorage(metrics.Evaluator, n.stored)
 	}
 	st.sendJoins(outs)
 	st.sendNotifications(notifications(ms))

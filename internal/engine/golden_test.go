@@ -15,8 +15,9 @@ import (
 )
 
 // retiredTags are the blanks in codec.go's tag block, on the same lines of
-// every golden: a chain's query and join, and hot-recall.
-var retiredTags = []int{14, 15, 20}
+// every golden: a chain's query and join, and the hot-key layer's migrate,
+// recall and hand-off.
+var retiredTags = []int{14, 15, 19, 20, 21}
 
 // TestWireGolden pins the wire format across commits: testdata/wire.golden
 // holds the encoding of every codecFixtures message, one "type hex" line
@@ -54,9 +55,11 @@ var retiredTags = []int{14, 15, 20}
 // fixture, and decode behind nothing, or behind a message that carries
 // nothing, to an error.
 //
-// Lines 14, 15 and 20 of every golden are a chain's query and join — retired
-// when a chain became a query and its stages joins — and a hot-recall, which
-// went with hot-key demotion: their tags stay reserved. Each line is kept to
+// Lines 14, 15, 19, 20 and 21 of every golden are a chain's query and join —
+// retired when a chain became a query and its stages joins — a hot-migrate and
+// a hot-handoff, retired when a promotion came to move only the rewrite set,
+// and a hot-recall, which went with hot-key demotion: their tags stay
+// reserved. Each line is kept to
 // the byte, has no fixture, and must fail to decode as an unknown tag — a
 // build that gave the tag to another kind would read an old peer's message
 // as that.

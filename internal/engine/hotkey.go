@@ -20,26 +20,31 @@ import (
 //
 //   - The base evaluator counts arrivals (tuples and rewritten queries) per
 //     value-level input over a logical-time window. Crossing the threshold
-//     promotes the input: its evaluator splits across k deterministic
-//     replica identifiers Hash(hotShardInput(input, i)).
-//   - Rewritten queries scatter: every join arriving at the base bucket is
-//     stored there (the base doubles as shard 0) and re-sent to shards
-//     1..k-1, so each shard holds the full rewrite set.
-//   - Tuples partition: the base relays each arriving tuple to the one
-//     shard its content hashes to, so matching and storage spread ~k ways.
-//     Matches gather back through the ordinary notification path.
-//   - A promoted input stays promoted. Promotion moves the base bucket's
-//     state to the shards in hot-handoff frames merged with match-on-merge,
-//     so pairs split by the in-flight migration are still reported exactly
-//     once (the subscriber-side delivery dedup absorbs re-matches).
+//     promotes the input, for good: its evaluator splits across k
+//     deterministic replica identifiers Hash(hotShardInput(input, i)).
+//   - The base is shard 0. It keeps the tuples it stored and stores every
+//     rewrite that reaches it, so a promotion moves only the rewrite set: the
+//     handler whose arrival promoted copies it to shards 1..k-1, and every
+//     rewrite the base stores later is scattered there too (hot-join). Each
+//     shard holds the full rewrite set.
+//   - Tuples partition: the base relays each later tuple to the one shard
+//     its content hashes to (hot-vl-index), so matching and storage spread
+//     ~k ways. Matches gather back through the ordinary notification path.
+//   - A shard is an ordinary SAI evaluator of its own bucket: a frame lands
+//     through the retraction filter and the store-and-match bodies of
+//     handleJoin and handleVLIndex (joinAt, tupleAt). Whichever of a rewrite
+//     and a tuple reaches it second meets the first, as at any evaluator.
+//   - The base reads an input's epoch in the locked section that stores the
+//     rewrite, the lock a promotion's copy is taken under: a rewrite stored
+//     before the promotion is in the copy, one stored after it is scattered.
 //
-// The layer runs only under SAI: SAI evaluators store both rewrites and
-// tuples, which the match-on-merge recovery relies on. DAI-Q and DAI-T
-// store only one side, so a pair split by an in-flight migration could
-// never meet again; they keep the paper's unsharded path. A chain's rewrites
-// shard like any others: the shard a match lands on sends the rewrite a
-// stage on and records where on its own bucket, and a retraction's purge
-// reaches every shard (sendPurges), so its cascade leaves from each.
+// Two kinds, hot-join and hot-vl-index; tags 19 and 21, a promotion's
+// migrate and hand-off frames before the base kept its tuples, are reserved.
+// The layer runs only under SAI, whose evaluators store both sides. A
+// chain's rewrites shard like any others: the shard a match lands on sends
+// the rewrite a stage on and records where on its own bucket, and a
+// retraction's purge reaches every shard (sendPurges), so its cascade leaves
+// from each.
 //
 // Determinism: counters are exact per-input tallies (an unbounded
 // space-saving sketch — no capacity eviction, whose cross-input victim
@@ -48,8 +53,8 @@ import (
 // every time and a uniform workload that never promotes is bit-identical
 // with the layer on or off. Concurrent publishers share the tracker under
 // its mutex: which arrival crosses the threshold then depends on
-// scheduling, and match-on-merge keeps the notification set complete
-// whichever does.
+// scheduling, and the copy-or-scatter rule above keeps the notification
+// set complete whichever does.
 
 // hotShardInput names shard i of a promoted value-level input. Shard 0 is
 // the unsuffixed base input — the cold bucket and shard 0 are the same
@@ -58,16 +63,22 @@ func hotShardInput(input string, shard int) string {
 	if shard == 0 {
 		return input
 	}
-	b := make([]byte, 0, len(input)+5)
+	return string(appendShardInput(make([]byte, 0, len(input)+5), input, shard))
+}
+
+// appendShardInput appends hotShardInput(input, shard) to b.
+func appendShardInput(b []byte, input string, shard int) []byte {
 	b = append(b, input...)
+	if shard == 0 {
+		return b
+	}
 	b = append(b, '#', 's')
-	b = strconv.AppendInt(b, int64(shard), 10)
-	return string(b)
+	return strconv.AppendInt(b, int64(shard), 10)
 }
 
 // shardOf deterministically assigns a tuple to one of k shards by hashing
-// its content identity. Content-based (not engine-local) so routing-time
-// and migration-time partitioning agree, in any process.
+// its content identity. Content-based (not engine-local) so every relay of
+// one tuple, from whichever process holds the base, reaches one shard.
 func shardOf(t *relation.Tuple, k int) int {
 	if k <= 1 {
 		return 0
@@ -199,13 +210,12 @@ func (e *Engine) HotKeys() []HotKeyState {
 const (
 	kindHotJoin    = "hot-join"
 	kindHotVLIndex = "hot-vl-index"
-	kindHotMigrate = "hot-migrate"
-	kindHotHandoff = "hot-handoff"
 )
 
-// hotJoinMsg scatters a group of rewritten queries from the base bucket to
-// shard Shard (1..K-1) of promoted input Input, under epoch Version/K. Its
-// rewrites are a run of the join's own array.
+// hotJoinMsg carries rewritten queries from the base bucket to shard Shard
+// (1..K-1) of promoted input Input, under epoch Version/K: a run the base
+// stored, or the base's rewrite set when the run promoted the input. Its
+// rewrites are a run of the join's own array, or the copy's.
 type hotJoinMsg struct {
 	Input    string
 	Shard    int
@@ -228,85 +238,77 @@ type hotVLIndexMsg struct {
 
 func (hotVLIndexMsg) Kind() string { return kindHotVLIndex }
 
-// hotMigrateMsg tells the base evaluator of Input to partition its bucket
-// under epoch Version/K: the rewrite set is copied to every shard and each
-// stored tuple ships to the shard it hashes to. Sent on promotion.
-type hotMigrateMsg struct {
-	Input   string
-	Version int
-	K       int
-}
-
-func (hotMigrateMsg) Kind() string { return kindHotMigrate }
-
-// hotHandoffMsg moves evaluator state from the base bucket to shard Shard
-// on promotion: the rewrite set plus that shard's tuple partition. Merging
-// matches newly added items against the counterpart table, so pairs split by
-// the in-flight migration still meet; re-matches are absorbed by the
-// subscriber-side delivery dedup.
-type hotHandoffMsg struct {
-	Input   string
-	Shard   int
-	Version int
-	K       int
-	Entries []vqEntry
-	Tuples  []*relation.Tuple
-}
-
-func (hotHandoffMsg) Kind() string { return kindHotHandoff }
-
-// countHotArrival runs the detector over one arrival for input at this
-// (base) evaluator and returns input's entry. The arrival that promotes the
-// input sends its migrate frame from here. Callers must not hold st.mu — the
-// cascade delivers synchronously in the simulator and re-enters node state.
-func (st *nodeState) countHotArrival(hot *hotTracker, input string, eventT int64) hotEntry {
-	entry, promoted := hot.bump(input, eventT)
-	if promoted {
-		e := st.engine
-		e.obs.hotPromotions.Add(1)
-		_ = e.dispatch(st.node, []chord.Deliverable{{
-			Target: e.hashInput(input),
-			Msg:    hotMigrateMsg{Input: input, Version: entry.version, K: entry.k},
-		}})
+// hotScatter runs the detector over run, rewrites of one input the base
+// bucket has just stored or repeated, and appends to batch the hot-joins its
+// shards are owed: run, where the input is promoted, or the bucket's whole
+// rewrite set, where run promoted it. The caller holds st.mu — the lock a
+// promotion's copy is taken under — and dispatches batch after releasing it.
+func (st *nodeState) hotScatter(hot *hotTracker, run []rewritten, batch []chord.Deliverable) []chord.Deliverable {
+	input := run[0].input()
+	var entry hotEntry
+	promoted := false
+	for i := range run {
+		var p bool
+		entry, p = hot.bump(input, run[i].Trigger.PubT())
+		promoted = promoted || p
 	}
-	return entry
+	if promoted {
+		return st.promote(input, entry, batch)
+	}
+	return st.engine.hotJoins(input, entry, run, batch)
 }
 
-// hotScatterJoins runs the detector over a join batch arriving at this
-// (base) evaluator and builds the scatter frames for promoted inputs: per run
-// of rewrites bound for one input, one hotJoinMsg per shard carrying the run.
-// The caller stores the rewrites locally (shard 0) and dispatches the scatter
-// after releasing st.mu.
-func (st *nodeState) hotScatterJoins(hot *hotTracker, rws []rewritten) []chord.Deliverable {
-	e := st.engine
-	var batch []chord.Deliverable
-	for i := 0; i < len(rws); {
-		run := rws[i : i+sameTargetRun(rws[i:])]
-		i += len(run)
-		input := run[0].input()
-		for j := range run {
-			st.countHotArrival(hot, input, run[j].Trigger.PubT())
-		}
-		entry := hot.lookup(input)
-		for s := 1; s < entry.k; s++ {
-			batch = append(batch, chord.Deliverable{
-				Target: e.hashInput(hotShardInput(input, s)),
-				Msg: hotJoinMsg{
-					Input: input, Shard: s,
-					Version: entry.version, K: entry.k,
-					Rewrites: run,
-				},
-			})
-		}
+// promote appends to batch the copies of input's rewrite set its shards are
+// sent when the input is promoted to entry. Each copy lands with its own
+// trigger's time; the times later repeats added stay at the base. The caller
+// holds st.mu.
+func (st *nodeState) promote(input string, entry hotEntry, batch []chord.Deliverable) []chord.Deliverable {
+	st.engine.obs.hotPromotions.Add(1)
+	qb := st.vlqt[input]
+	if qb == nil || qb.rewrites.len() == 0 {
+		return batch
+	}
+	set := make([]rewritten, qb.rewrites.len())
+	for i, rw := range qb.rewrites.all() {
+		set[i] = *rw
+	}
+	return st.engine.hotJoins(input, entry, set, batch)
+}
+
+// hotJoins appends to batch one hot-join carrying rws to each shard 1..k-1
+// of input (none while input is cold).
+func (e *Engine) hotJoins(input string, entry hotEntry, rws []rewritten, batch []chord.Deliverable) []chord.Deliverable {
+	for s := 1; s < entry.k; s++ {
+		batch = append(batch, chord.Deliverable{
+			Target: e.hashInput(hotShardInput(input, s)),
+			Msg: hotJoinMsg{
+				Input: input, Shard: s,
+				Version: entry.version, K: entry.k,
+				Rewrites: rws,
+			},
+		})
 	}
 	return batch
 }
 
-// forwardHotTuple relays a value-level tuple arrival from the base bucket
-// to its shard. The relay costs the base one filtering unit; the matching
-// and storage work lands on the shard.
-func (st *nodeState) forwardHotTuple(input string, shard int, entry hotEntry, t *relation.Tuple) {
+// relayHot runs the detector over tuple t arriving at the base bucket of
+// input and, where the input is promoted and t's content hashes to a foreign
+// shard, relays t there; it reports whether it did. The arrival that promotes
+// the input copies the rewrite set first. The relay costs the base one
+// filtering unit; the matching and storage work lands on the shard.
+func (st *nodeState) relayHot(hot *hotTracker, input string, t *relation.Tuple) bool {
 	e := st.engine
+	entry, promoted := hot.bump(input, t.PubT())
+	if promoted {
+		st.mu.Lock()
+		copies := st.promote(input, entry, nil)
+		st.mu.Unlock()
+		_ = e.dispatch(st.node, copies)
+	}
+	shard := shardOf(t, entry.k)
+	if shard == 0 {
+		return false
+	}
 	st.load.AddFiltering(metrics.Evaluator, 1)
 	e.obs.hotForwards.Add(kindVLIndex, 1)
 	_ = e.dispatch(st.node, []chord.Deliverable{{
@@ -317,147 +319,36 @@ func (st *nodeState) forwardHotTuple(input string, shard int, entry hotEntry, t 
 			T: t,
 		},
 	}})
+	return true
 }
 
-// handleHotMigrate partitions the base bucket of a freshly promoted input:
-// the full rewrite set is copied to every shard and each stored tuple whose
-// content hashes to a foreign shard ships there. Shard-0 items stay — the
-// base bucket is shard 0. Idempotent under re-delivery: already-shipped
-// tuples are gone and the rewrite copies merge keyed.
-func (st *nodeState) handleHotMigrate(m hotMigrateMsg) {
-	e := st.engine
-	hot := e.hot
+// handleHotJoin lands rewrites at a shard: it learns the frame's epoch, and
+// the shard's bucket takes the rewrites of queries not retracted here as
+// handleJoin's does.
+func (st *nodeState) handleHotJoin(m hotJoinMsg) {
+	hot := st.engine.hot
 	if hot == nil {
 		return
 	}
-	entry := hot.observe(m.Input, m.Version, m.K)
-	var entries []vqEntry
-	groups := make(map[int][]*relation.Tuple) // by shard: no size taken from a frame
-	shipped := 0
-
-	st.mu.Lock()
-	if qb := st.vlqt[m.Input]; qb != nil {
-		entries = make([]vqEntry, 0, qb.rewrites.len())
-		for _, rw := range qb.rewrites.all() {
-			entries = append(entries, vqEntry{Rw: rw, Times: qb.rewrites.times(rw)})
-		}
-	}
-	if tb := st.vltt[m.Input]; tb != nil {
-		shipped = tb.tuples.removeIf(func(t *relation.Tuple) bool {
-			s := shardOf(t, entry.k)
-			if s != 0 {
-				groups[s] = append(groups[s], t)
-			}
-			return s != 0
-		})
-	}
-	st.mu.Unlock()
-
-	st.load.AddFiltering(metrics.Evaluator, 1)
-	if shipped > 0 {
-		st.load.AddStorage(metrics.Evaluator, -shipped)
-	}
-	var batch []chord.Deliverable
-	for s := 1; s < entry.k; s++ {
-		if len(entries) == 0 && len(groups[s]) == 0 {
-			continue
-		}
-		batch = append(batch, chord.Deliverable{
-			Target: e.hashInput(hotShardInput(m.Input, s)),
-			Msg: hotHandoffMsg{
-				Input: m.Input, Shard: s,
-				Version: entry.version, K: entry.k,
-				Entries: entries, Tuples: groups[s],
-			},
-		})
-	}
-	_ = e.dispatch(st.node, batch)
-}
-
-// mergeAtShard is how every frame addressed to a shard lands — a scattered
-// rewrite group (hot-join), a relayed tuple (hot-vl-index), the migrated
-// state of a promotion (hot-handoff): it learns the frame's epoch, merges what
-// the frame carries into the shard's bucket, and sends what the merge matched.
-// The shard-side mirror of handleJoin's and handleVLIndex's SAI arms.
-func (st *nodeState) mergeAtShard(kind, input string, shard, version, k int, rws []rewritten, entries []vqEntry, tuples []*relation.Tuple) {
-	e := st.engine
-	hot := e.hot
-	if hot == nil {
-		return
-	}
-	hot.observe(input, version, k)
-
+	hot.observe(m.Input, m.Version, m.K)
+	rws := st.liveRewrites(m.Rewrites)
+	var buf [keyScratch]byte
 	var mbuf [matchScratch]match
-	var outs []outbound
+	n := tally{work: 1}
 	st.mu.Lock()
-	added, dups, work, ms := st.mergeHotBucket(hotShardInput(input, shard), rws, entries, tuples, mbuf[:0], &outs)
+	ms, outs := st.joinAt(appendShardInput(buf[:0], m.Input, m.Shard), rws, &n, mbuf[:0], nil)
 	st.mu.Unlock()
-
-	st.load.AddFiltering(metrics.Evaluator, 1+work)
-	if added > 0 {
-		st.load.AddStorage(metrics.Evaluator, added)
-	}
-	for ; dups > 0; dups-- {
-		e.net.Traffic().RecordDuplicate(kind)
-	}
-	st.sendJoins(outs)
-	st.sendNotifications(notifications(ms))
+	st.evaluated(n, ms, outs)
 }
 
-// mergeHotBucket merges rewrites — arriving (rws, each with its trigger's
-// time) or migrated with the times they had collected (entries) — and tuples
-// into the bucket named key with match-on-merge. Matching order keeps every
-// cross pair to one meeting: added rewrites match only the tuples already
-// present, then added tuples match the full (merged) rewrite set. A rewrite
-// or tuple already there costs the lookup that found it; dups counts such
-// tuples. It appends the matches to ms, and a chain's rewrites a stage on to
-// *outs (meet). The caller holds st.mu.
-func (st *nodeState) mergeHotBucket(key string, rws []rewritten, entries []vqEntry, tuples []*relation.Tuple, ms []match, outs *[]outbound) (added, dups, work int, _ []match) {
-	qb, tb := st.vlqt[key], st.vltt[key]
-	if len(rws)+len(entries) > 0 {
-		qb = st.vlqtFor(key, len(rws)+len(entries))
+// handleHotVLIndex lands a relayed tuple at a shard: it learns the frame's
+// epoch, and the shard's bucket takes the tuple as handleVLIndex's does.
+func (st *nodeState) handleHotVLIndex(m hotVLIndexMsg) {
+	hot := st.engine.hot
+	if hot == nil {
+		return
 	}
-	storeRewrite := func(rw *rewritten, times ...int64) {
-		if !qb.rewrites.record(rw, times...) {
-			work++
-			return
-		}
-		added++
-		if tb == nil {
-			return
-		}
-		for _, tt := range tb.tuples.all() {
-			work++
-			if matchRewrite(rw, tt) {
-				ms, *outs = meet(qb, rw, tt, ms, *outs)
-			}
-		}
-	}
-	for i := range rws {
-		storeRewrite(&rws[i], rws[i].Trigger.PubT())
-	}
-	for _, e := range entries {
-		storeRewrite(e.Rw, e.Times...)
-	}
-	if len(tuples) > 0 {
-		tb = st.vlttFor(key)
-	}
-	for _, t := range tuples {
-		if !tb.tuples.add(t) {
-			work++
-			dups++
-			continue
-		}
-		added++
-		if qb == nil {
-			continue
-		}
-		for _, rw := range qb.rewrites.all() {
-			work++
-			if matchRewrite(rw, t) {
-				ms, *outs = meet(qb, rw, t, ms, *outs)
-			}
-		}
-	}
-	return added, dups, work, ms
+	hot.observe(m.Input, m.Version, m.K)
+	var buf [keyScratch]byte
+	st.tupleAt(m.Kind(), appendShardInput(buf[:0], m.Input, m.Shard), m.T)
 }

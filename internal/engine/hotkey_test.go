@@ -2,10 +2,12 @@ package engine
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"cqjoin/internal/chord"
@@ -119,18 +121,43 @@ func largestTupleTable(env *testEnv) int {
 	return largest
 }
 
-// Promotion partitions the base bucket: the rewrite set goes to every shard and
-// each stored tuple to the shard it hashes to, merged there with
-// match-on-merge. Run once with every bucket involved small enough to be
-// scanned and once with all of them indexed (tables.go): the partition leaving
-// a bucket and the merge entering one must keep either form whole.
+// bucketHolding returns the node state whose value-level tables hold input,
+// nil where none does.
+func bucketHolding(env *testEnv, input string) *nodeState {
+	for _, st := range env.eng.states {
+		if st.vlqt[input] != nil || st.vltt[input] != nil {
+			return st
+		}
+	}
+	return nil
+}
+
+// storedRewriteKeys returns the sorted keys of the rewrites stored under input.
+func storedRewriteKeys(env *testEnv, input string) []string {
+	var keys []string
+	if st := bucketHolding(env, input); st != nil && st.vlqt[input] != nil {
+		for _, rw := range st.vlqt[input].rewrites.all() {
+			keys = append(keys, rw.key())
+		}
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// Promotion moves only the rewrite set: the base keeps every tuple it stored
+// while cold, and every shard holds the base's rewrite set, the rewrites the
+// base stored before the promotion included. Run once with
+// every tuple table involved small enough to be scanned and once with the
+// fullest indexed (tables.go): matching must see every stored hot tuple,
+// whichever bucket holds it, in either form.
 func TestHotKeyPromotionPartitionsBucket(t *testing.T) {
+	const early = 2
 	for _, tc := range []struct {
 		name                     string
 		threshold, window, burst int
 		indexed                  bool
 	}{
-		{name: "scanned tables", threshold: 8, window: 16, burst: 20},
+		{name: "scanned tables", threshold: 4, window: 16, burst: 12},
 		{name: "indexed tables", threshold: 3 * smallTableMax, window: 64, burst: 120, indexed: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -143,23 +170,52 @@ func TestHotKeyPromotionPartitionsBucket(t *testing.T) {
 				}
 				env := newTestEnv(t, 64, cfg)
 				env.subscribe(t, 0, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
-				// Burst: promotes S+E+7 (or R+B+7, depending on the index side)
-				// with threshold-1 tuples already in its base bucket.
+				// Rewrites the base of S+E+7 stores while it is cold, which
+				// its promotion copies to the shards.
+				for i := 0; i < early; i++ {
+					env.publish(t, 30+i, rTuple(env, float64(100+i), 7, 0))
+				}
+				// Burst: promotes S+E+7 with the tuples published while it
+				// was cold already in its base bucket.
+				var cold []string
 				for i := 0; i < tc.burst; i++ {
-					env.publish(t, 1+i, sTuple(env, float64(i), 7, float64(i)))
+					tu := env.publish(t, 1+i, sTuple(env, float64(i), 7, float64(i)))
+					if !slices.ContainsFunc(env.eng.HotKeys(), func(h HotKeyState) bool { return h.Input == "S+E+7" }) {
+						cold = append(cold, tu.ContentKey())
+					}
 				}
 				if on {
-					if len(env.eng.HotKeys()) == 0 {
-						t.Fatal("the burst promoted nothing")
+					if len(cold) == 0 || len(cold) == tc.burst {
+						t.Fatalf("%d of %d tuples published while S+E+7 was cold: the burst promoted it first or never", len(cold), tc.burst)
+					}
+					base := bucketHolding(env, "S+E+7")
+					for _, key := range cold {
+						if base == nil || !slices.ContainsFunc(base.vltt["S+E+7"].tuples.all(), func(tu *relation.Tuple) bool { return tu.ContentKey() == key }) {
+							t.Fatalf("the base no longer holds %s, stored before the promotion", key)
+						}
 					}
 					if got := largestTupleTable(env); (got > smallTableMax) != tc.indexed {
-						t.Fatalf("fullest shard holds %d tuples, threshold %d: not the regime this case is for", got, smallTableMax)
+						t.Fatalf("fullest tuple table holds %d tuples, threshold %d: not the regime this case is for", got, smallTableMax)
 					}
 				}
-				// Matching must see every stored hot tuple, whichever shard
+				// Matching must see every stored hot tuple, whichever bucket
 				// holds it now.
 				for i := 0; i < 5; i++ {
 					env.publish(t, 7+i, rTuple(env, float64(i), 7, float64(i)))
+				}
+				if on {
+					hot := env.eng.HotKeys()
+					if !slices.ContainsFunc(hot, func(h HotKeyState) bool { return len(storedRewriteKeys(env, h.Input)) > 5 }) {
+						t.Fatalf("no promoted input holds a rewrite from before its promotion: %v", hot)
+					}
+					for _, h := range hot {
+						want := storedRewriteKeys(env, h.Input)
+						for s := 1; s < h.Replicas; s++ {
+							if got := storedRewriteKeys(env, hotShardInput(h.Input, s)); !slices.Equal(got, want) {
+								t.Fatalf("shard %d of %s holds %d rewrites, the base %d", s, h.Input, len(got), len(want))
+							}
+						}
+					}
 				}
 				return env
 			}
@@ -168,8 +224,8 @@ func TestHotKeyPromotionPartitionsBucket(t *testing.T) {
 			if got, want := contentKeys(envOn.eng.Notifications()), contentKeys(envOff.eng.Notifications()); !reflect.DeepEqual(got, want) {
 				t.Fatalf("promotion lost or duplicated matches: %d vs %d", len(got), len(want))
 			}
-			if len(envOff.eng.Notifications()) != 5*tc.burst {
-				t.Fatalf("the never-sharded run delivered %d notifications, want %d", len(envOff.eng.Notifications()), 5*tc.burst)
+			if len(envOff.eng.Notifications()) != (early+5)*tc.burst {
+				t.Fatalf("the never-sharded run delivered %d notifications, want %d", len(envOff.eng.Notifications()), (early+5)*tc.burst)
 			}
 		})
 	}
@@ -203,8 +259,8 @@ func TestHotKeyUnsubscribePurgesShards(t *testing.T) {
 }
 
 // Every engine of a ring shards a hot input the same K ways, so a hot frame
-// naming another K is forged: here 2^40, which the next scatter, purge fan-out
-// or migrate would loop over. Neither a frame nor a snapshot that says it
+// naming another K is forged: here 2^40, which the next scatter, copy or purge
+// fan-out would loop over. Neither a frame nor a snapshot that says it
 // installs an epoch; a frame of the ring's own K does.
 func TestForgedShardCountIsRefused(t *testing.T) {
 	env := newTestEnv(t, 16, hotConfig(true))
@@ -214,14 +270,12 @@ func TestForgedShardCountIsRefused(t *testing.T) {
 	for _, msg := range []chord.Message{
 		hotVLIndexMsg{Input: "S+E+7", Shard: 1, Version: 1, K: forged, T: tu},
 		hotJoinMsg{Input: "S+E+7", Shard: 2, Version: 2, K: forged},
-		hotHandoffMsg{Input: "S+E+7", Shard: 3, Version: 3, K: forged, Tuples: []*relation.Tuple{tu}},
 	} {
 		env.eng.state(node).HandleMessage(node, msg)
 	}
 	if hot := env.eng.HotKeys(); len(hot) != 0 {
 		t.Fatalf("forged frames installed %+v", hot)
 	}
-	env.eng.state(node).HandleMessage(node, hotMigrateMsg{Input: "S+E+7", Version: 4, K: forged})
 	env.eng.state(node).HandleMessage(node, hotVLIndexMsg{Input: "S+E+7", Shard: 1, Version: 5, K: 4, T: tu})
 	if hot := env.eng.HotKeys(); len(hot) != 1 || hot[0].Replicas != 4 || hot[0].Version != 5 {
 		t.Fatalf("after a frame of the ring's own K: %+v", hot)
@@ -315,4 +369,101 @@ func TestHotKeyShardsChains(t *testing.T) {
 			}
 		})
 	}
+}
+
+// A shard refuses a rewrite that arrives behind its query's purge, as the base
+// does (liveRewrites): the hot-join frames of a promoted run, delivered again
+// after the retraction, store nothing.
+func TestShardRefusesARewriteBehindItsPurge(t *testing.T) {
+	env := newTestEnv(t, 64, hotConfig(true))
+	q := env.subscribe(t, 0, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
+	type frame struct {
+		dst *chord.Node
+		msg chord.Message
+	}
+	var frames []frame
+	env.net.SetInterceptor(interceptFunc(func(_, dst *chord.Node, msg chord.Message, forward func() bool) int {
+		if msg.Kind() == kindHotJoin {
+			frames = append(frames, frame{dst, msg})
+		}
+		return btoi(forward())
+	}))
+	publishHotPair(t, env, 30, 10)
+	env.net.SetInterceptor(nil)
+	if len(frames) == 0 {
+		t.Fatal("the hot pair sent no hot-join")
+	}
+	if err := env.eng.Unsubscribe(env.node(0), q); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range frames {
+		env.eng.state(f.dst).HandleMessage(f.dst, f.msg)
+	}
+	if got := env.eng.Census()["vlqt_rewrites"].Sum; got != 0 {
+		t.Fatalf("%d rewrites stored after %d hot-joins replayed behind the retraction, want 0", got, len(frames))
+	}
+	for _, st := range env.eng.states {
+		for input, qb := range st.vlqt {
+			for _, rw := range qb.rewrites.all() {
+				if rw.Orig.Key() == q.Key() {
+					t.Fatalf("%s holds a rewrite of the retracted query", input)
+				}
+			}
+		}
+	}
+}
+
+// Several publishers at once on one hot value, through its promotion: which
+// arrival promotes the key's inputs depends on scheduling, and what is
+// delivered must not. The set equals the oracle's and that of a run that
+// never shards, each match delivered once. Run with -race.
+func TestConcurrentPublishersPromoteAHotKey(t *testing.T) {
+	const publishers, each = 4, 30
+	run := func(on bool) (got, want map[string]bool, hot []HotKeyState) {
+		env := newTestEnv(t, 64, hotConfig(on))
+		o := NewOracle()
+		o.AddQuery(env.subscribe(t, 0, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`))
+		published := make([][]*relation.Tuple, publishers)
+		var wg sync.WaitGroup
+		for p := 0; p < publishers; p++ {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				for i := 0; i < each; i++ {
+					id := float64(p*each + i)
+					tu := sTuple(env, id, 7, id)
+					if (p+i)%2 == 0 {
+						tu = rTuple(env, id, 7, id)
+					}
+					pub, err := env.eng.Publish(env.node(1+p), tu)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					published[p] = append(published[p], pub)
+				}
+			}(p)
+		}
+		wg.Wait()
+		for _, tuples := range published {
+			for _, tu := range tuples {
+				o.AddTuple(tu)
+			}
+		}
+		got = gotContents(env)
+		if n := env.eng.NotificationCount(); n != len(got) {
+			t.Errorf("sharded=%v: %d notifications for %d matches", on, n, len(got))
+		}
+		return got, o.ExpectedContentKeys(), env.eng.HotKeys()
+	}
+	cold, coldWant, coldHot := run(false)
+	got, want, hot := run(true)
+	if len(hot) == 0 || len(coldHot) != 0 {
+		t.Fatalf("promoted %v sharded, %v unsharded", hot, coldHot)
+	}
+	if len(want) != publishers*each*publishers*each/4 || !maps.Equal(want, coldWant) {
+		t.Fatalf("the oracle derives %d matches, want %d", len(want), publishers*each*publishers*each/4)
+	}
+	assertSetsEqual(t, SAI, want, cold)
+	assertSetsEqual(t, SAI, want, got)
 }

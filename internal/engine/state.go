@@ -512,13 +512,9 @@ func (st *nodeState) HandleMessage(on *chord.Node, msg chord.Message) {
 	case handoffMsg:
 		st.merge(on, m, true)
 	case hotJoinMsg:
-		st.mergeAtShard(m.Kind(), m.Input, m.Shard, m.Version, m.K, m.Rewrites, nil, nil)
+		st.handleHotJoin(m)
 	case hotVLIndexMsg:
-		st.mergeAtShard(m.Kind(), m.Input, m.Shard, m.Version, m.K, nil, nil, []*relation.Tuple{m.T})
-	case hotMigrateMsg:
-		st.handleHotMigrate(m)
-	case hotHandoffMsg:
-		st.mergeAtShard(m.Kind(), m.Input, m.Shard, m.Version, m.K, nil, m.Entries, m.Tuples)
+		st.handleHotVLIndex(m)
 	}
 }
 

@@ -56,7 +56,9 @@ const (
 	// notification batch says its keys past its subscriber, which a version-9
 	// peer would read as a key in full. 11: a chain travels as a query and its
 	// stages as joins, where a version-10 peer sends and expects tags 14 and 15.
-	protoVersion = 11
+	// 12: a promotion copies the rewrite set from the base itself, where a
+	// version-11 peer sends and expects tags 19 and 21.
+	protoVersion = 12
 
 	// maxFrame bounds one frame so a corrupt length prefix cannot allocate
 	// gigabytes. 16 MiB fits any realistic multisend leg (the simulator's
