@@ -288,8 +288,9 @@ func (c *Cluster) EvaluatorLoad() Distribution {
 	return metrics.SummarizeInt(c.eng.RoleLoads(metrics.Evaluator, false))
 }
 
-// HotKeys lists the currently promoted value-level inputs, sorted by
-// input; nil when hot-key sharding is disabled.
+// HotKeys lists the value-level inputs promoted at this cluster's nodes, each
+// promotion being its base node's own state, sorted by input; nil when none
+// is, as when hot-key sharding is disabled.
 func (c *Cluster) HotKeys() []HotKeyState { return c.eng.HotKeys() }
 
 // StorageLoad summarizes the per-node storage load (TS) distribution.

@@ -22,9 +22,9 @@ import (
 // runs with hot-key sharding armed, and the workload is skewed — half of
 // all draws pin the join attribute (R.B / S.E) to the hot value 7, so one
 // value-level input per side concentrates enough traffic to cross the
-// promotion threshold mid-run. The window is effectively infinite so the
-// promotion decision is a pure function of the per-input bump count,
-// independent of the delivery reordering churn introduces.
+// promotion threshold mid-run, within the detector's 64-unit window.
+// Delivery reordering under churn may move the arrival that promotes, and
+// promotion only moves work, so the delivered content cannot depend on it.
 func runHotKeyChurn(t *testing.T, seed int64, batches int, churn bool) (chaosResult, []engine.HotKeyState) {
 	t.Helper()
 	r := relation.MustSchema("R", "A", "B", "C")
@@ -39,7 +39,6 @@ func runHotKeyChurn(t *testing.T, seed int64, batches int, churn bool) (chaosRes
 		MaxRetries:      6,
 		HotKeyThreshold: 8,
 		HotKeyReplicas:  4,
-		HotKeyWindow:    1 << 20,
 	})
 	var in *Injector
 	if churn {

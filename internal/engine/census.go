@@ -16,10 +16,11 @@ type CensusEntry struct{ Sum, Max int }
 //   - retracted, sub_ips and stored_notifs;
 //   - jfrt_entries, and publisher_verdicts (the attribute-level inputs whose
 //     rewriter told a publisher whether a query reads them);
-//   - engine-wide, delivered and id_cache; hot_counters and hot_entries, the
-//     hot-key registry's inputs tallied and promoted or observed; and
-//     wire_memo_queries, wire_memo_parsed and wire_memo_strings, what the
-//     memo of the engine's WireCodec holds.
+//   - hot_counters and hot_entries, the inputs the hot-key detector tallies
+//     at their bases and those of them it promoted;
+//   - engine-wide, delivered and id_cache; and wire_memo_queries,
+//     wire_memo_parsed and wire_memo_strings, what the memo of the engine's
+//     WireCodec holds.
 //
 // It takes each live node's lock in turn, and costs nothing until called.
 func (e *Engine) Census() map[string]CensusEntry {
@@ -33,14 +34,6 @@ func (e *Engine) Census() map[string]CensusEntry {
 	e.ids.mu.Lock()
 	c.engineWide("id_cache", len(e.ids.m))
 	e.ids.mu.Unlock()
-	var counters, entries int
-	if h := e.hot; h != nil {
-		h.mu.Lock()
-		counters, entries = len(h.counters), len(h.entries)
-		h.mu.Unlock()
-	}
-	c.engineWide("hot_counters", counters)
-	c.engineWide("hot_entries", entries)
 	queries, parsed, strs := e.memo.Sizes()
 	c.engineWide("wire_memo_queries", queries)
 	c.engineWide("wire_memo_parsed", parsed)
@@ -65,7 +58,7 @@ func (st *nodeState) census(c census) {
 	c.add("jfrt_entries", st.jfrt.len())
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	var rewrites, spelled, later, tuples, queries, targets, marks, grants, notifs, verdicts int
+	var rewrites, spelled, later, tuples, queries, targets, marks, grants, notifs, verdicts, promoted int
 	for _, b := range st.vlqt {
 		rewrites += b.rewrites.len()
 		if b.rewrites.rare != nil {
@@ -96,6 +89,11 @@ func (st *nodeState) census(c census) {
 			verdicts++
 		}
 	}
+	for _, h := range st.hot {
+		if h.promoted {
+			promoted++
+		}
+	}
 	c.add("vlqt_buckets", len(st.vlqt))
 	c.add("vlqt_rewrites", rewrites)
 	c.add("vlqt_spelled_keys", spelled)
@@ -110,4 +108,6 @@ func (st *nodeState) census(c census) {
 	c.add("sub_ips", len(st.subIPs))
 	c.add("stored_notifs", notifs)
 	c.add("publisher_verdicts", verdicts)
+	c.add("hot_counters", len(st.hot))
+	c.add("hot_entries", promoted)
 }

@@ -12,7 +12,7 @@ import (
 // the engine's WireCodec — empty until a message is decoded through it, then
 // one query, its parsed text and no interned string for a query message.
 func TestCensusCountsWhatTheEngineKeepsBesideItsTables(t *testing.T) {
-	env := newTestEnv(t, 32, Config{Algorithm: SAI, UseJFRT: true, HotKeyThreshold: 4, HotKeyReplicas: 2, HotKeyWindow: 1 << 20, Seed: 7})
+	env := newTestEnv(t, 32, Config{Algorithm: SAI, UseJFRT: true, HotKeyThreshold: 4, HotKeyReplicas: 2, Seed: 7})
 	q := env.subscribe(t, 0, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
 	for i := 0; i < 8; i++ {
 		env.publish(t, 3, rTuple(env, float64(i), 7, 0)) // one publisher: its second publication asks

@@ -34,8 +34,9 @@ import (
 // Message type tags. Tags 14 and 15 were a chain's query and join, before a
 // chain was indexed by a query message and its stages were joins; tag 20 was
 // hot-recall's (hot-key demotion); tags 19 and 21 were hot-migrate's and
-// hot-handoff's, before a promotion moved only the rewrite set. They stay
-// reserved, so a frame holding one decodes as an unknown tag.
+// hot-handoff's, before a promotion moved only the rewrite set; tags 17 and
+// 18 were hot-join's and hot-vl-index's while those said the promotion's
+// epoch. They stay reserved, so a frame holding one decodes as an unknown tag.
 const (
 	tagQuery byte = iota + 1
 	tagALIndex
@@ -53,8 +54,8 @@ const (
 	_
 	_
 	tagHandoff
-	tagHotJoin
-	tagHotVLIndex
+	_
+	_
 	_
 	_
 	_
@@ -62,6 +63,8 @@ const (
 	tagInterest
 	tagALAsk
 	tagRevoke
+	tagHotJoin
+	tagHotVLIndex
 )
 
 // EncodeMessage appends the wire form of msg on its own — a send, a WAL
@@ -451,21 +454,33 @@ func (m *handoffMsg) walk(c *wire.Coder) {
 	for i := range m.VQ {
 		walkTargets(c, &m.VQ[i].SentTargets)
 	}
+	// A build whose hot-key state was engine-wide ended it here: the
+	// detector's sections follow only where there are any.
+	if c.AtEnd() || !c.Decoding() && len(m.Hot) == 0 {
+		return
+	}
+	wire.Slice(c, &m.Hot)
+	for i := range m.Hot {
+		m.Hot[i].walk(c)
+	}
+}
+
+func (s *hotSection) walk(c *wire.Coder) {
+	c.String(&s.Input)
+	c.Varint(&s.Count)
+	c.Varint(&s.WindowStart)
+	c.Bool(&s.Promoted)
 }
 
 func (m *hotJoinMsg) walk(c *wire.Coder) {
 	c.String(&m.Input)
 	c.Int(&m.Shard)
-	c.Int(&m.Version)
-	c.Int(&m.K)
 	walkRewrites(c, &m.Rewrites)
 }
 
 func (m *hotVLIndexMsg) walk(c *wire.Coder) {
 	c.String(&m.Input)
 	c.Int(&m.Shard)
-	c.Int(&m.Version)
-	c.Int(&m.K)
 	c.Tuple(&m.T, nil)
 }
 

@@ -45,7 +45,7 @@ func BenchmarkCodec(b *testing.B) {
 		{"vl-index", &vlIndexMsg{T: su, Attr: "E"}},
 		{"join", &joinMsg{Rewrites: rws}},
 		{"notification", &notifyMsg{Subscriber: notifs[0].Subscriber, Batch: notifs}},
-		{"hot-join", hotJoinMsg{Input: "S+E+7", Shard: 2, Version: 3, K: 4, Rewrites: rws}},
+		{"hot-join", hotJoinMsg{Input: "S+E+7", Shard: 2, Rewrites: rws}},
 	} {
 		var w wire.Buffer
 		if err := codec.Encode(&w, tc.msg); err != nil {

@@ -96,10 +96,9 @@ func codecFixtures(t testing.TB, extra ...*relation.Schema) (*relation.Catalog, 
 			DV:     []dvSection{{Input: "7", Entries: []dvEntry{{Cond: q.ConditionKey(), Left: []*relation.Tuple{tu}, Right: []*relation.Tuple{su}}}}},
 			Notifs: []notifSection{{Subscriber: q.Subscriber(), Batch: []Notification{notif}}},
 		},
-		hotJoinMsg{Input: "S+E+7", Shard: 2, Version: 3, K: 4, Rewrites: []rewritten{*rw, *rw}},
-		hotVLIndexMsg{Input: "S+E+7", Shard: 1, Version: 3, K: 4, T: su},
-		// Lines 19 and 21 held a promotion's migrate and hand-off, and line
-		// 20 a hot-recall: retired tags.
+		// Lines 17 and 18 held the hot-key frames while they said their
+		// promotion's epoch, lines 19 and 21 a promotion's migrate and
+		// hand-off, and line 20 a hot-recall: retired tags.
 		snapMetaMsg{
 			Clock: 12, Nodes: []string{"peer0", "peer1"}, Down: []string{"peer9"},
 			Seq:   []seqEntry{{Key: q.Subscriber(), Seq: 2}},
@@ -140,6 +139,18 @@ func codecFixtures(t testing.TB, extra ...*relation.Schema) (*relation.Catalog, 
 		// tuples on its way to C.y = 3.
 		queryMsg{Q: mq, Side: query.SideRight, Attr: "y", Replica: 0},
 		&joinMsg{Rewrites: []rewritten{*mrw2}},
+		// The hot-key frames, which name their shard and nothing of the
+		// promotion, and a node's state with the detector's sections behind
+		// its VQ targets: a promoted input and one only counted.
+		hotJoinMsg{Input: "S+E+7", Shard: 2, Rewrites: []rewritten{*rw, *rw}},
+		hotVLIndexMsg{Input: "S+E+7", Shard: 1, T: su},
+		handoffMsg{
+			VQ: []vqSection{{Input: "S+E+7", Entries: []vqEntry{{Rw: rw, Times: []int64{9}}}}},
+			Hot: []hotSection{
+				{Input: "S+E+7", Count: 9, WindowStart: 64, Promoted: true},
+				{Input: "S+E+9", Count: 2, WindowStart: 70},
+			},
+		},
 	}
 	return full, msgs
 }
@@ -272,6 +283,9 @@ func assertSemanticEqual(t *testing.T, want, got chord.Message) {
 			len(g.VT) != len(w.VT) || len(g.DV) != len(w.DV) || len(g.Notifs) != len(w.Notifs) {
 			t.Fatalf("handoffMsg section counts mismatch: %+v", g)
 		}
+		if len(g.Hot)+len(w.Hot) > 0 && !reflect.DeepEqual(g.Hot, w.Hot) {
+			t.Fatalf("handoffMsg hot-key sections mismatch: %+v", g.Hot)
+		}
 		if !slices.Equal(g.Retracted, w.Retracted) {
 			t.Fatalf("handoffMsg retraction memory mismatch: %v", g.Retracted)
 		}
@@ -336,8 +350,7 @@ func assertSemanticEqual(t *testing.T, want, got chord.Message) {
 		}
 	case hotJoinMsg:
 		g := got.(hotJoinMsg)
-		if g.Input != w.Input || g.Shard != w.Shard || g.Version != w.Version ||
-			g.K != w.K || len(g.Rewrites) != len(w.Rewrites) {
+		if g.Input != w.Input || g.Shard != w.Shard || len(g.Rewrites) != len(w.Rewrites) {
 			t.Fatalf("hotJoinMsg mismatch: %+v", g)
 		}
 		for i := range g.Rewrites {
@@ -345,8 +358,7 @@ func assertSemanticEqual(t *testing.T, want, got chord.Message) {
 		}
 	case hotVLIndexMsg:
 		g := got.(hotVLIndexMsg)
-		if g.Input != w.Input || g.Shard != w.Shard || g.Version != w.Version ||
-			g.K != w.K || g.T.String() != w.T.String() || g.T.PubT() != w.T.PubT() {
+		if g.Input != w.Input || g.Shard != w.Shard || g.T.String() != w.T.String() || g.T.PubT() != w.T.PubT() {
 			t.Fatalf("hotVLIndexMsg mismatch: %+v", g)
 		}
 	case snapMetaMsg:
@@ -431,8 +443,8 @@ func TestAllMessagesImplementSizer(t *testing.T) {
 		baselineQueryMsg{Q: q, Input: "R"},
 		baselineTupleMsg{T: tu, Input: "R"},
 		baselineProbeMsg{Rewrites: []rewritten{*rw}, Input: "S"},
-		hotJoinMsg{Input: "S+E+7", Shard: 1, Version: 1, K: 4, Rewrites: []rewritten{*rw}},
-		hotVLIndexMsg{Input: "S+E+7", Shard: 1, Version: 1, K: 4, T: tu},
+		hotJoinMsg{Input: "S+E+7", Shard: 1, Rewrites: []rewritten{*rw}},
+		hotVLIndexMsg{Input: "S+E+7", Shard: 1, T: tu},
 	}
 	for _, m := range msgs {
 		if size, _ := sizeAfter(m, nil); size <= 0 {
@@ -619,6 +631,16 @@ func TestDecodeTruncated(t *testing.T) {
 		case handoffMsg:
 			if m.marked() {
 				var tail wire.Coder
+				if len(m.Hot) > 0 {
+					wire.Slice(&tail, &m.Hot)
+					for i := range m.Hot {
+						m.Hot[i].walk(&tail)
+					}
+					whole[len(full)-tail.Size()] = func(got chord.Message) bool {
+						g, ok := got.(handoffMsg)
+						return ok && len(g.Hot) == 0 && len(g.VQ) == len(m.VQ)
+					}
+				}
 				if m.forwarded() {
 					for i := range m.VQ {
 						walkTargets(&tail, &m.VQ[i].SentTargets)
@@ -683,13 +705,13 @@ func TestEveryTagRoundTrips(t *testing.T) {
 			t.Fatalf("tag %d: a %T decoded as %T (%v)", tag, msg, got, err)
 		}
 	}
-	for tag := tagQuery; tag <= tagRevoke; tag++ {
+	for tag := tagQuery; tag <= tagHotVLIndex; tag++ {
 		if (fixtures[tag] == nil) != slices.Contains(retiredTags, int(tag)) {
 			t.Errorf("tag %d: fixture %T in codecFixtures", tag, fixtures[tag])
 		}
 	}
-	if len(fixtures) != int(tagRevoke)-len(retiredTags) {
-		t.Errorf("%d tags in use, the constants declare %d and %d blanks", len(fixtures), tagRevoke, len(retiredTags))
+	if len(fixtures) != int(tagHotVLIndex)-len(retiredTags) {
+		t.Errorf("%d tags in use, the constants declare %d and %d blanks", len(fixtures), tagHotVLIndex, len(retiredTags))
 	}
 }
 
@@ -835,7 +857,7 @@ func TestCodecDecodeSharesRewriteTargets(t *testing.T) {
 	mixed := slices.Concat(one[:2], group(second, qs[2], qs[3]), group(target(wide, 8, 11), wide))
 	assertRuns("two groups and a shape", mixed, roundTrip(&joinMsg{Rewrites: mixed}).(*joinMsg).Rewrites, 3)
 
-	hot := roundTrip(hotJoinMsg{Input: "S+E+7", Shard: 1, Version: 2, K: 4, Rewrites: one}).(hotJoinMsg)
+	hot := roundTrip(hotJoinMsg{Input: "S+E+7", Shard: 1, Rewrites: one}).(hotJoinMsg)
 	assertRuns("hot-join", one, hot.Rewrites, 1)
 
 	entries := func(rws []rewritten) []vqEntry {

@@ -259,16 +259,14 @@ func TestHostileSideFailsToDecode(t *testing.T) {
 }
 
 // hostileScalars returns messages whose int or bool field says what the field
-// cannot hold: a shard count of 2^63, which read as an int is negative, and a
-// snapshot's Multi and Marks flags of 2.
+// cannot hold: a hot-join's shard of 2^63, which read as an int is negative,
+// and a snapshot's Multi and Marks flags of 2.
 func hostileScalars(tb testing.TB) map[string][]byte {
 	tb.Helper()
 	var scatter wire.Buffer
 	scatter.PutUvarint(uint64(tagHotJoin))
 	scatter.PutString("S+E+7")
-	scatter.PutUvarint(1)       // Shard
-	scatter.PutUvarint(1)       // Version
-	scatter.PutUvarint(1 << 63) // K
+	scatter.PutUvarint(1 << 63) // Shard
 	scatter.PutUvarint(0)       // no rewrites
 	flag := func(m snapMetaMsg, at int) []byte {
 		var w wire.Buffer
@@ -285,9 +283,9 @@ func hostileScalars(tb testing.TB) map[string][]byte {
 		return w.Bytes()
 	}
 	return map[string][]byte{
-		"shard count of 2^63": scatter.Bytes(),
-		"Multi of 2":          flag(snapMetaMsg{Clock: 1}, 6), // tag, clock, four empty lists, Multi
-		"Marks of 2":          flag(snapMetaMsg{Clock: 1, Count: 1, Marks: true}, -1),
+		"shard of 2^63": scatter.Bytes(),
+		"Multi of 2":    flag(snapMetaMsg{Clock: 1}, 6), // tag, clock, four empty lists, Multi
+		"Marks of 2":    flag(snapMetaMsg{Clock: 1, Count: 1, Marks: true}, -1),
 	}
 }
 

@@ -130,20 +130,16 @@ type Config struct {
 	MaxRetries int
 	// HotKeyThreshold enables adaptive hot-key sharding (DESIGN.md §13)
 	// when positive: a value-level input receiving at least this many
-	// arrivals within one HotKeyWindow promotes, sharding its evaluator
-	// across HotKeyReplicas deterministic replica identifiers, for good. Zero
-	// — the default — disables the layer entirely. Only SAI shards (its
-	// evaluators store both rewrites and tuples, so a shard's rewrite and
-	// tuple meet in either order); other algorithms ignore these knobs. Set by
-	// cqjoin.NewCluster and tests.
+	// arrivals within one window of 64 units of logical time (hotWindow)
+	// promotes, sharding its evaluator across HotKeyReplicas deterministic
+	// replica identifiers, for good. Zero — the default — disables the layer
+	// entirely. Only SAI shards (its evaluators store both rewrites and
+	// tuples, so a shard's rewrite and tuple meet in either order); other
+	// algorithms ignore these knobs. Set by cqjoin.NewCluster and tests.
 	HotKeyThreshold int
 	// HotKeyReplicas is the shard count k of a promoted input. Values < 2
 	// default to 4. Set by cqjoin.NewCluster and tests.
 	HotKeyReplicas int
-	// HotKeyWindow is the logical-time length of the detector's counting
-	// window. Values <= 0 default to 64 — what every daemon, example and
-	// benchmark workload runs with: tests alone set another.
-	HotKeyWindow int64
 	// BlindIndexing selects the paper's tuple indexing (Section 4.2): the
 	// publisher sends every tuple to all 2h identifiers and no rewriter
 	// forwards one. False — the default — indexes on demand: the publisher
@@ -174,7 +170,7 @@ type Engine struct {
 	ids     idCache
 	alIDs   map[relAttr][]alIdent // read-only after New (alKey)
 	alOrds  map[string]int        // attribute-level input -> alIdent.ord; read-only after New
-	hot     *hotTracker           // non-nil iff hot-key sharding is configured
+	hotK    int                   // shard count k of a promoted input; 0 while hot-key sharding is off
 	memo    *wire.Memo            // WireCodec's: what a receiving process has decoded
 
 	mu        sync.Mutex
@@ -213,7 +209,10 @@ func New(net *chord.Network, catalog *relation.Catalog, cfg Config) *Engine {
 	}
 	e.alIDs, e.alOrds = alIdents(catalog, cfg.ReplicationFactor)
 	if cfg.HotKeyThreshold > 0 && cfg.Algorithm == SAI {
-		e.hot = newHotTracker(cfg)
+		e.hotK = cfg.HotKeyReplicas
+		if e.hotK < 2 {
+			e.hotK = 4
+		}
 	}
 	net.SetSizer(sizeAfter)
 	for _, n := range net.Nodes() {

@@ -49,8 +49,8 @@ func (st *nodeState) handleJoin(m *joinMsg) {
 		ms, outs = st.joinAt(key, run, &n, ms, outs)
 		// Hot-key sharding (DESIGN.md §13): count the arrivals, and owe a
 		// promoted input's shards what this bucket — shard 0 — stored.
-		if hot := e.hot; hot != nil {
-			scatter = st.hotScatter(hot, run, scatter)
+		if e.hotK > 0 {
+			scatter = st.hotScatter(key, run, scatter)
 		}
 	}
 	st.mu.Unlock()
@@ -113,7 +113,7 @@ func (st *nodeState) handleVLIndex(m *vlIndexMsg) {
 	// Hot-key sharding (DESIGN.md §13): count the arrival; a tuple of a
 	// promoted input whose content hashes to a foreign shard is relayed
 	// there instead of evaluated here. Shard 0 is this bucket.
-	if hot := st.engine.hot; hot != nil && st.relayHot(hot, string(key), t) {
+	if st.engine.hotK > 0 && st.relayHot(key, t) {
 		return
 	}
 	st.tupleAt(m.Kind(), key, t)

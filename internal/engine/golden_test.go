@@ -15,9 +15,10 @@ import (
 )
 
 // retiredTags are the blanks in codec.go's tag block, on the same lines of
-// every golden: a chain's query and join, and the hot-key layer's migrate,
-// recall and hand-off.
-var retiredTags = []int{14, 15, 19, 20, 21}
+// every golden: a chain's query and join, the hot-key frames' layouts that
+// said their promotion's epoch, and the hot-key layer's migrate, recall and
+// hand-off.
+var retiredTags = []int{14, 15, 17, 18, 19, 20, 21}
 
 // TestWireGolden pins the wire format across commits: testdata/wire.golden
 // holds the encoding of every codecFixtures message, one "type hex" line
@@ -39,7 +40,9 @@ var retiredTags = []int{14, 15, 19, 20, 21}
 // text, not its token form; testdata/wire-pr38.golden as the last build whose
 // notifications said their key in full, their address and their delivery time;
 // testdata/wire-pr45.golden as the last build whose chains had messages and
-// hand-off sections of their own, read into the one query table and VQ.
+// hand-off sections of their own, read into the one query table and VQ;
+// testdata/wire-pr48.golden as the last build whose hot-key frames said their
+// promotion's epoch, under tags 17 and 18.
 // Nothing writes those layouts any more, and
 // peers, WAL delivery records and snapshots still hold them, so they are only
 // ever read: each line must decode to its fixture, and to a message that
@@ -55,11 +58,12 @@ var retiredTags = []int{14, 15, 19, 20, 21}
 // fixture, and decode behind nothing, or behind a message that carries
 // nothing, to an error.
 //
-// Lines 14, 15, 19, 20 and 21 of every golden are a chain's query and join —
-// retired when a chain became a query and its stages joins — a hot-migrate and
-// a hot-handoff, retired when a promotion came to move only the rewrite set,
-// and a hot-recall, which went with hot-key demotion: their tags stay
-// reserved. Each line is kept to
+// Lines 14, 15, 17 to 21 of every golden are a chain's query and join —
+// retired when a chain became a query and its stages joins — a hot-join and a
+// hot-vl-index that said their promotion's epoch, retired when a promotion
+// became its base's own state, a hot-migrate and a hot-handoff, retired when
+// a promotion came to move only the rewrite set, and a hot-recall, which went
+// with hot-key demotion: their tags stay reserved. Each line is kept to
 // the byte, has no fixture, and must fail to decode as an unknown tag — a
 // build that gave the tag to another kind would read an old peer's message
 // as that.
@@ -71,7 +75,7 @@ func TestWireGolden(t *testing.T) {
 	lines, behind := splitGolden(goldenLines(t, "testdata/wire.golden"))
 	checkBehindLines(t, catalog, msgs, behind)
 	var parents [][]string
-	for _, pr := range []int{19, 20, 32, 34, 36, 38, 45} {
+	for _, pr := range []int{19, 20, 32, 34, 36, 38, 45, 48} {
 		fixtures, _ := splitGolden(goldenLines(t, fmt.Sprintf("testdata/wire-pr%d.golden", pr)))
 		parents = append(parents, fixtures)
 	}

@@ -110,7 +110,8 @@ type handoffMsg struct {
 	VT        []vtSection
 	DV        []dvSection
 	Notifs    []notifSection
-	Retracted []string // the node's retraction memory, sorted (unsubscribe.go)
+	Retracted []string     // the node's retraction memory, sorted (unsubscribe.go)
+	Hot       []hotSection // the hot-key detector at the arc's bases, by input; walked behind the VQ targets
 
 	pair []*pairBucket // the pair-baseline store, taken by an in-process move only: not walked
 }
@@ -146,7 +147,7 @@ func flattenTargets(m map[string]map[string]struct{}) []targetsEntry {
 // empty reports whether the message carries no section at all.
 func (m handoffMsg) empty() bool {
 	return len(m.AL) == 0 && len(m.VQ) == 0 &&
-		len(m.VT) == 0 && len(m.DV) == 0 && len(m.Notifs) == 0 && len(m.Retracted) == 0
+		len(m.VT) == 0 && len(m.DV) == 0 && len(m.Notifs) == 0 && len(m.Retracted) == 0 && len(m.Hot) == 0
 }
 
 // marked reports whether the message says what no build up to PR 25 could:
@@ -172,14 +173,14 @@ func (m handoffMsg) granted() bool {
 
 // forwarded reports whether the message says what no build whose chains had
 // sections of their own could: where a chain's rewrites went on from its VQ
-// sections.
+// sections, or what the hot-key detector holds at the arc's bases.
 func (m handoffMsg) forwarded() bool {
 	for i := range m.VQ {
 		if len(m.VQ[i].SentTargets) > 0 {
 			return true
 		}
 	}
-	return false
+	return len(m.Hot) > 0
 }
 
 // ExportHandoff removes node n's movable engine state from this process
@@ -256,6 +257,9 @@ func (st *nodeState) cut(inArc func(string) bool, take bool) handoffMsg {
 		}
 		evaluator += b.storedItems()
 		m.DV = append(m.DV, sec)
+	})
+	cutEach(st.hot, inArc, take, func(input string, h *hotInput) {
+		m.Hot = append(m.Hot, hotSection{Input: input, Count: h.count, WindowStart: h.windowStart, Promoted: h.promoted})
 	})
 	cutEach(st.storedNotifs, inArc, take, func(sub string, batch []Notification) {
 		evaluator += len(batch)
@@ -339,6 +343,11 @@ func (st *nodeState) merge(on *chord.Node, m handoffMsg, replayNotifs bool) {
 	}
 	for _, key := range m.Retracted {
 		st.retract(key)
+	}
+	if st.engine.hotK > 0 {
+		for _, sec := range m.Hot {
+			st.mergeHot(sec)
+		}
 	}
 	for _, sec := range m.Notifs {
 		st.storedNotifs[sec.Subscriber] = append(st.storedNotifs[sec.Subscriber], sec.Batch...)

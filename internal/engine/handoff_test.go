@@ -138,6 +138,15 @@ func TestEveryMoveKeepsEveryTable(t *testing.T) {
 		},
 		tables: []string{"al", "al-grant", "al-sent"},
 	}, {
+		name: "SAI hot keys",
+		cfg:  Config{Algorithm: SAI, HotKeyThreshold: 4, HotKeyReplicas: 2, Seed: 5},
+		fill: func(t *testing.T, env *testEnv) {
+			env.subscribe(t, 0, pair)
+			publishHotPair(t, env, 8, 4)
+			publishPairs(t, env)
+		},
+		tables: []string{"al", "hot", "vq", "vt"},
+	}, {
 		name: "DAI-V",
 		cfg:  Config{Algorithm: DAIV},
 		fill: func(t *testing.T, env *testEnv) {
@@ -314,6 +323,9 @@ func stateDump(env *testEnv) []string {
 		}
 		for _, k := range m.Retracted {
 			add("retracted %s", k)
+		}
+		for _, sec := range m.Hot {
+			add("hot %s %d %d %v", sec.Input, sec.Count, sec.WindowStart, sec.Promoted)
 		}
 		st.mu.Lock()
 		for input, b := range st.alqt {

@@ -4,7 +4,6 @@ import (
 	"hash/fnv"
 	"sort"
 	"strconv"
-	"sync"
 
 	"cqjoin/internal/chord"
 	"cqjoin/internal/metrics"
@@ -19,9 +18,13 @@ import (
 // only their evaluators:
 //
 //   - The base evaluator counts arrivals (tuples and rewritten queries) per
-//     value-level input over a logical-time window. Crossing the threshold
-//     promotes the input, for good: its evaluator splits across k
+//     value-level input over a logical-time window of hotWindow. Crossing the
+//     threshold promotes the input, for good: its evaluator splits across k
 //     deterministic replica identifiers Hash(hotShardInput(input, i)).
+//   - A promotion is the base's own state (nodeState.hot), under the lock that
+//     guards its buckets: no other node, and no other process, keeps a copy.
+//     It moves with the base's arc (cut/merge), and the base fans a purge out
+//     to its shards (handlePurge).
 //   - The base is shard 0. It keeps the tuples it stored and stores every
 //     rewrite that reaches it, so a promotion moves only the rewrite set: the
 //     handler whose arrival promoted copies it to shards 1..k-1, and every
@@ -34,27 +37,37 @@ import (
 //     through the retraction filter and the store-and-match bodies of
 //     handleJoin and handleVLIndex (joinAt, tupleAt). Whichever of a rewrite
 //     and a tuple reaches it second meets the first, as at any evaluator.
-//   - The base reads an input's epoch in the locked section that stores the
+//   - The base counts and promotes in the locked section that stores the
 //     rewrite, the lock a promotion's copy is taken under: a rewrite stored
 //     before the promotion is in the copy, one stored after it is scattered.
 //
-// Two kinds, hot-join and hot-vl-index; tags 19 and 21, a promotion's
-// migrate and hand-off frames before the base kept its tuples, are reserved.
-// The layer runs only under SAI, whose evaluators store both sides. A
-// chain's rewrites shard like any others: the shard a match lands on sends
-// the rewrite a stage on and records where on its own bucket, and a
-// retraction's purge reaches every shard (sendPurges), so its cascade leaves
-// from each.
+// Two kinds, hot-join and hot-vl-index; tags 17 and 18, their layouts while
+// they said the promotion's epoch, and 19 and 21, a promotion's migrate and
+// hand-off frames before the base kept its tuples, are reserved. The layer
+// runs only under SAI, whose evaluators store both sides. A chain's rewrites
+// shard like any others: the shard a match lands on sends the rewrite a stage
+// on and records where on its own bucket, so a retraction's purge, fanned out
+// by the base, cascades from each shard.
 //
 // Determinism: counters are exact per-input tallies (an unbounded
 // space-saving sketch — no capacity eviction, whose cross-input victim
 // choice would depend on arrival interleaving), bumped by logical event
 // time, so a sequential run promotes the same inputs at the same events
 // every time and a uniform workload that never promotes is bit-identical
-// with the layer on or off. Concurrent publishers share the tracker under
-// its mutex: which arrival crosses the threshold then depends on
-// scheduling, and the copy-or-scatter rule above keeps the notification
-// set complete whichever does.
+// with the layer on or off. Under concurrent publishers which arrival
+// crosses the threshold depends on scheduling, and the copy-or-scatter rule
+// above keeps the notification set complete whichever does.
+
+// hotWindow is the logical-time length of the detector's counting window.
+const hotWindow = 64
+
+// hotInput is the detector's state of one value-level input at its base: the
+// arrivals of the current window, and whether the input is promoted.
+type hotInput struct {
+	count       int64
+	windowStart int64
+	promoted    bool
+}
 
 // hotShardInput names shard i of a promoted value-level input. Shard 0 is
 // the unsuffixed base input — the cold bucket and shard 0 are the same
@@ -88,120 +101,60 @@ func shardOf(t *relation.Tuple, k int) int {
 	return int(h.Sum64() % uint64(k))
 }
 
-// hotEntry is the registry state of one value-level input: the epoch
-// version (incremented by its promotion) and the shard count k. k == 0
-// means cold.
-type hotEntry struct {
-	version int
-	k       int
+// countHot records one arrival at logical time t at the base bucket of input
+// key and reports whether the input is promoted, and whether this arrival
+// promoted it. Window accounting is touch-driven: a window closes when the
+// first event past its end arrives. The caller holds st.mu.
+func (st *nodeState) countHot(key []byte, t int64) (hot, promoted bool) {
+	h := st.hot[string(key)]
+	if h == nil {
+		h = st.newHot(string(key), t)
+	}
+	if t-h.windowStart >= hotWindow {
+		h.count, h.windowStart = 0, t
+	}
+	h.count++
+	if h.promoted || h.count < int64(st.engine.cfg.HotKeyThreshold) {
+		return h.promoted, false
+	}
+	h.promoted = true
+	return true, true
 }
 
-func (e hotEntry) hot() bool { return e.k > 0 }
-
-// hotCounter is the per-input arrival tally of the current window.
-type hotCounter struct {
-	count       int64
-	windowStart int64
-}
-
-// hotTracker is the engine-wide heavy-hitter detector and epoch registry.
-type hotTracker struct {
-	threshold int64
-	window    int64
-	replicas  int
-
-	mu       sync.Mutex
-	counters map[string]*hotCounter
-	entries  map[string]hotEntry
-}
-
-func newHotTracker(cfg Config) *hotTracker {
-	t := &hotTracker{
-		threshold: int64(cfg.HotKeyThreshold),
-		window:    cfg.HotKeyWindow,
-		replicas:  cfg.HotKeyReplicas,
-		counters:  make(map[string]*hotCounter),
-		entries:   make(map[string]hotEntry),
+// newHot starts the detector's state of input with a window opening at t. The
+// caller holds st.mu.
+func (st *nodeState) newHot(input string, t int64) *hotInput {
+	if st.hot == nil {
+		st.hot = make(map[string]*hotInput)
 	}
-	if t.window <= 0 {
-		t.window = 64
-	}
-	if t.replicas < 2 {
-		t.replicas = 4
-	}
-	return t
-}
-
-// bump records one arrival for input at logical time eventT and returns
-// input's entry and whether this arrival promoted it. Window accounting is
-// touch-driven: a window closes when the first event past its end arrives.
-func (h *hotTracker) bump(input string, eventT int64) (hotEntry, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	c := h.counters[input]
-	if c == nil {
-		c = &hotCounter{windowStart: eventT}
-		h.counters[input] = c
-	}
-	if eventT-c.windowStart >= h.window {
-		c.count = 0
-		c.windowStart = eventT
-	}
-	c.count++
-	entry := h.entries[input]
-	if entry.hot() || c.count < h.threshold {
-		return entry, false
-	}
-	entry = hotEntry{version: entry.version + 1, k: h.replicas}
-	h.entries[input] = entry
-	return entry, true
-}
-
-// observe installs the epoch a received hot frame was sent under, if newer
-// than the registry's, and returns the registry's entry. Within one process
-// the registry is shared, so observe changes nothing there; it is how a
-// process that did not decide a promotion learns of it. Every engine of a
-// ring shards an input the same k ways (Config.HotKeyReplicas): a frame of
-// another k is forged, and sizes no shard loop here.
-func (h *hotTracker) observe(input string, version, k int) hotEntry {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	e := h.entries[input]
-	if version > e.version && k == h.replicas {
-		e = hotEntry{version: version, k: k}
-		h.entries[input] = e
-	}
-	return e
-}
-
-// lookup returns input's entry.
-func (h *hotTracker) lookup(input string) hotEntry {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.entries[input]
+	h := &hotInput{windowStart: t}
+	st.hot[input] = h
+	return h
 }
 
 // HotKeyState describes one currently promoted value-level input.
 type HotKeyState struct {
 	Input    string
 	Replicas int
-	Version  int
 }
 
-// HotKeys returns the promoted inputs in sorted order.
+// HotKeys returns the inputs promoted at this engine's nodes, in sorted order;
+// nil while the layer is off.
 func (e *Engine) HotKeys() []HotKeyState {
-	if e.hot == nil {
+	if e.hotK == 0 {
 		return nil
 	}
-	h := e.hot
-	h.mu.Lock()
 	var out []HotKeyState
-	for input, entry := range h.entries {
-		if entry.hot() {
-			out = append(out, HotKeyState{Input: input, Replicas: entry.k, Version: entry.version})
+	for _, n := range e.net.Nodes() {
+		st := e.state(n)
+		st.mu.Lock()
+		for input, h := range st.hot {
+			if h.promoted {
+				out = append(out, HotKeyState{Input: input, Replicas: e.hotK})
+			}
 		}
+		st.mu.Unlock()
 	}
-	h.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Input < out[j].Input })
 	return out
 }
@@ -213,14 +166,12 @@ const (
 )
 
 // hotJoinMsg carries rewritten queries from the base bucket to shard Shard
-// (1..K-1) of promoted input Input, under epoch Version/K: a run the base
-// stored, or the base's rewrite set when the run promoted the input. Its
-// rewrites are a run of the join's own array, or the copy's.
+// (1..k-1) of promoted input Input: a run the base stored, or the base's
+// rewrite set when the run promoted the input. Its rewrites are a run of the
+// join's own array, or the copy's.
 type hotJoinMsg struct {
 	Input    string
 	Shard    int
-	Version  int
-	K        int
 	Rewrites []rewritten
 }
 
@@ -229,40 +180,39 @@ func (hotJoinMsg) Kind() string { return kindHotJoin }
 // hotVLIndexMsg relays one tuple from the base bucket to the shard its
 // content hashes to.
 type hotVLIndexMsg struct {
-	Input   string
-	Shard   int
-	Version int
-	K       int
-	T       *relation.Tuple
+	Input string
+	Shard int
+	T     *relation.Tuple
 }
 
 func (hotVLIndexMsg) Kind() string { return kindHotVLIndex }
 
-// hotScatter runs the detector over run, rewrites of one input the base
+// hotScatter runs the detector over run, rewrites of input key the base
 // bucket has just stored or repeated, and appends to batch the hot-joins its
 // shards are owed: run, where the input is promoted, or the bucket's whole
 // rewrite set, where run promoted it. The caller holds st.mu — the lock a
 // promotion's copy is taken under — and dispatches batch after releasing it.
-func (st *nodeState) hotScatter(hot *hotTracker, run []rewritten, batch []chord.Deliverable) []chord.Deliverable {
-	input := run[0].input()
-	var entry hotEntry
-	promoted := false
+func (st *nodeState) hotScatter(key []byte, run []rewritten, batch []chord.Deliverable) []chord.Deliverable {
+	hot, promoted := false, false
 	for i := range run {
 		var p bool
-		entry, p = hot.bump(input, run[i].Trigger.PubT())
+		hot, p = st.countHot(key, run[i].Trigger.PubT())
 		promoted = promoted || p
 	}
-	if promoted {
-		return st.promote(input, entry, batch)
+	switch {
+	case promoted:
+		return st.promote(string(key), batch)
+	case hot:
+		return st.engine.hotJoins(string(key), run, batch)
 	}
-	return st.engine.hotJoins(input, entry, run, batch)
+	return batch
 }
 
 // promote appends to batch the copies of input's rewrite set its shards are
-// sent when the input is promoted to entry. Each copy lands with its own
-// trigger's time; the times later repeats added stay at the base. The caller
-// holds st.mu.
-func (st *nodeState) promote(input string, entry hotEntry, batch []chord.Deliverable) []chord.Deliverable {
+// sent when the input is promoted. Each copy lands with its own trigger's
+// time; the times later repeats added stay at the base. The caller holds
+// st.mu.
+func (st *nodeState) promote(input string, batch []chord.Deliverable) []chord.Deliverable {
 	st.engine.obs.hotPromotions.Add(1)
 	qb := st.vlqt[input]
 	if qb == nil || qb.rewrites.len() == 0 {
@@ -272,65 +222,63 @@ func (st *nodeState) promote(input string, entry hotEntry, batch []chord.Deliver
 	for i, rw := range qb.rewrites.all() {
 		set[i] = *rw
 	}
-	return st.engine.hotJoins(input, entry, set, batch)
+	return st.engine.hotJoins(input, set, batch)
 }
 
 // hotJoins appends to batch one hot-join carrying rws to each shard 1..k-1
-// of input (none while input is cold).
-func (e *Engine) hotJoins(input string, entry hotEntry, rws []rewritten, batch []chord.Deliverable) []chord.Deliverable {
-	for s := 1; s < entry.k; s++ {
+// of promoted input.
+func (e *Engine) hotJoins(input string, rws []rewritten, batch []chord.Deliverable) []chord.Deliverable {
+	for s := 1; s < e.hotK; s++ {
 		batch = append(batch, chord.Deliverable{
 			Target: e.hashInput(hotShardInput(input, s)),
-			Msg: hotJoinMsg{
-				Input: input, Shard: s,
-				Version: entry.version, K: entry.k,
-				Rewrites: rws,
-			},
+			Msg:    hotJoinMsg{Input: input, Shard: s, Rewrites: rws},
 		})
 	}
 	return batch
 }
 
 // relayHot runs the detector over tuple t arriving at the base bucket of
-// input and, where the input is promoted and t's content hashes to a foreign
-// shard, relays t there; it reports whether it did. The arrival that promotes
-// the input copies the rewrite set first. The relay costs the base one
-// filtering unit; the matching and storage work lands on the shard.
-func (st *nodeState) relayHot(hot *hotTracker, input string, t *relation.Tuple) bool {
+// input key and, where the input is promoted and t's content hashes to a
+// foreign shard, relays t there; it reports whether it did. The arrival that
+// promotes the input copies the rewrite set first, in the section that
+// counted it. The relay costs the base one filtering unit; the matching and
+// storage work lands on the shard.
+func (st *nodeState) relayHot(key []byte, t *relation.Tuple) bool {
 	e := st.engine
-	entry, promoted := hot.bump(input, t.PubT())
+	var copies []chord.Deliverable
+	st.mu.Lock()
+	hot, promoted := st.countHot(key, t.PubT())
 	if promoted {
-		st.mu.Lock()
-		copies := st.promote(input, entry, nil)
-		st.mu.Unlock()
-		_ = e.dispatch(st.node, copies)
+		copies = st.promote(string(key), nil)
 	}
-	shard := shardOf(t, entry.k)
+	st.mu.Unlock()
+	_ = e.dispatch(st.node, copies)
+	if !hot {
+		return false
+	}
+	shard := shardOf(t, e.hotK)
 	if shard == 0 {
 		return false
 	}
 	st.load.AddFiltering(metrics.Evaluator, 1)
 	e.obs.hotForwards.Add(kindVLIndex, 1)
 	_ = e.dispatch(st.node, []chord.Deliverable{{
-		Target: e.hashInput(hotShardInput(input, shard)),
-		Msg: hotVLIndexMsg{
-			Input: input, Shard: shard,
-			Version: entry.version, K: entry.k,
-			T: t,
-		},
+		Target: e.hashInput(hotShardInput(string(key), shard)),
+		Msg:    hotVLIndexMsg{Input: string(key), Shard: shard, T: t},
 	}})
 	return true
 }
 
-// handleHotJoin lands rewrites at a shard: it learns the frame's epoch, and
-// the shard's bucket takes the rewrites of queries not retracted here as
-// handleJoin's does.
+// hotShard reports whether shard names one of 1..k-1 here. The field comes
+// off the wire: a frame naming another stores nothing.
+func (e *Engine) hotShard(shard int) bool { return shard >= 1 && shard < e.hotK }
+
+// handleHotJoin lands rewrites at a shard: its bucket takes the rewrites of
+// queries not retracted here as handleJoin's does.
 func (st *nodeState) handleHotJoin(m hotJoinMsg) {
-	hot := st.engine.hot
-	if hot == nil {
+	if !st.engine.hotShard(m.Shard) {
 		return
 	}
-	hot.observe(m.Input, m.Version, m.K)
 	rws := st.liveRewrites(m.Rewrites)
 	var buf [keyScratch]byte
 	var mbuf [matchScratch]match
@@ -341,14 +289,38 @@ func (st *nodeState) handleHotJoin(m hotJoinMsg) {
 	st.evaluated(n, ms, outs)
 }
 
-// handleHotVLIndex lands a relayed tuple at a shard: it learns the frame's
-// epoch, and the shard's bucket takes the tuple as handleVLIndex's does.
+// handleHotVLIndex lands a relayed tuple at a shard: its bucket takes the
+// tuple as handleVLIndex's does.
 func (st *nodeState) handleHotVLIndex(m hotVLIndexMsg) {
-	hot := st.engine.hot
-	if hot == nil {
+	if !st.engine.hotShard(m.Shard) {
 		return
 	}
-	hot.observe(m.Input, m.Version, m.K)
 	var buf [keyScratch]byte
 	st.tupleAt(m.Kind(), appendShardInput(buf[:0], m.Input, m.Shard), m.T)
+}
+
+// hotSection is the wire form of one input's detector state at its base
+// (nodeState.hot), as a hand-off or snapshot carries it.
+type hotSection struct {
+	Input       string
+	Count       int64
+	WindowStart int64
+	Promoted    bool
+}
+
+// mergeHot installs sec at this node, the input's base: the later window's
+// count, the larger where both are one window's, and a promotion either side
+// made. Merged twice it adds nothing. The caller holds st.mu.
+func (st *nodeState) mergeHot(sec hotSection) {
+	h := st.hot[sec.Input]
+	if h == nil {
+		h = st.newHot(sec.Input, sec.WindowStart)
+	}
+	switch {
+	case sec.WindowStart > h.windowStart:
+		h.count, h.windowStart = sec.Count, sec.WindowStart
+	case sec.WindowStart == h.windowStart:
+		h.count = max(h.count, sec.Count)
+	}
+	h.promoted = h.promoted || sec.Promoted
 }

@@ -14,6 +14,7 @@ import (
 	"cqjoin/internal/metrics"
 	"cqjoin/internal/query"
 	"cqjoin/internal/relation"
+	"cqjoin/internal/wire"
 )
 
 // Tests for adaptive hot-key sharding (DESIGN.md §13). Every scenario runs
@@ -26,7 +27,6 @@ func hotConfig(on bool) Config {
 	if on {
 		cfg.HotKeyThreshold = 8
 		cfg.HotKeyReplicas = 4
-		cfg.HotKeyWindow = 1 << 20
 	}
 	return cfg
 }
@@ -65,7 +65,7 @@ func TestHotKeyShardingReducesMaxLoad(t *testing.T) {
 		t.Fatal("no promoted inputs after a skewed stream")
 	}
 	for _, h := range hot {
-		if h.Replicas != 4 || h.Version == 0 {
+		if h.Replicas != 4 {
 			t.Fatalf("unexpected hot-key state: %+v", h)
 		}
 	}
@@ -153,12 +153,12 @@ func storedRewriteKeys(env *testEnv, input string) []string {
 func TestHotKeyPromotionPartitionsBucket(t *testing.T) {
 	const early = 2
 	for _, tc := range []struct {
-		name                     string
-		threshold, window, burst int
-		indexed                  bool
+		name             string
+		threshold, burst int
+		indexed          bool
 	}{
-		{name: "scanned tables", threshold: 4, window: 16, burst: 12},
-		{name: "indexed tables", threshold: 3 * smallTableMax, window: 64, burst: 120, indexed: true},
+		{name: "scanned tables", threshold: 4, burst: 12},
+		{name: "indexed tables", threshold: 3 * smallTableMax, burst: 120, indexed: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(on bool) *testEnv {
@@ -166,7 +166,6 @@ func TestHotKeyPromotionPartitionsBucket(t *testing.T) {
 				if on {
 					cfg.HotKeyThreshold = tc.threshold
 					cfg.HotKeyReplicas = 4
-					cfg.HotKeyWindow = int64(tc.window)
 				}
 				env := newTestEnv(t, 64, cfg)
 				env.subscribe(t, 0, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
@@ -232,7 +231,11 @@ func TestHotKeyPromotionPartitionsBucket(t *testing.T) {
 }
 
 func TestHotKeyUnsubscribePurgesShards(t *testing.T) {
-	env := newTestEnv(t, 64, hotConfig(true))
+	// Publishers index blind, so a retraction's marks do not keep the later
+	// tuples from the value level: only its purges can.
+	cfg := hotConfig(true)
+	cfg.BlindIndexing = true
+	env := newTestEnv(t, 64, cfg)
 	q := env.subscribe(t, 0, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
 	publishHotPair(t, env, 30, 10)
 	if len(env.eng.HotKeys()) == 0 {
@@ -258,35 +261,164 @@ func TestHotKeyUnsubscribePurgesShards(t *testing.T) {
 	}
 }
 
-// Every engine of a ring shards a hot input the same K ways, so a hot frame
-// naming another K is forged: here 2^40, which the next scatter, copy or purge
-// fan-out would loop over. Neither a frame nor a snapshot that says it
-// installs an epoch; a frame of the ring's own K does.
+// promoted reports whether env's engine lists input as promoted.
+func promoted(env *testEnv, input string) bool {
+	return slices.ContainsFunc(env.eng.HotKeys(), func(h HotKeyState) bool { return h.Input == input })
+}
+
+// moveEveryNode hands every node of env over the wire, as ExportHandoff sends
+// it, to a fresh engine over a ring of the same nodes: another process, which
+// has seen none of env's traffic. The subscriber's index and the clock go
+// along, so the fresh engine can retract env's queries and publish after
+// env's last tuple.
+func moveEveryNode(t *testing.T, env *testEnv, cfg Config) *testEnv {
+	t.Helper()
+	fresh := newTestEnv(t, len(env.nodes), cfg)
+	fresh.net.Clock().Advance(env.net.Clock().Now() - fresh.net.Clock().Now())
+	fresh.eng.subs = maps.Clone(env.eng.subs)
+	for i, node := range env.nodes {
+		msg, ok := env.eng.ExportHandoff(node)
+		if !ok {
+			continue
+		}
+		var w wire.Buffer
+		if err := EncodeMessage(&w, msg); err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := DecodeMessage(wire.NewReader(w.Bytes()), fresh.catalog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		to := fresh.nodes[i]
+		if to.Key() != node.Key() {
+			t.Fatalf("node %d is %s here and %s there", i, to, node)
+		}
+		fresh.eng.state(to).HandleMessage(to, decoded)
+	}
+	return fresh
+}
+
+// A promotion is its base's state, so it crosses a process hand-off with the
+// base: the R tuples published after the move, fewer than the threshold, are
+// scattered to the shards and meet the S tuples the shards hold.
+func TestPromotionCrossesAProcessHandoff(t *testing.T) {
+	run := func(on bool) (got map[string]bool, hot bool) {
+		env := newTestEnv(t, 64, hotConfig(on))
+		env.subscribe(t, 0, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
+		publishHotPair(t, env, 30, 0)
+		hot = promoted(env, "S+E+7")
+		got = gotContents(env)
+		fresh := moveEveryNode(t, env, hotConfig(on))
+		for i := 0; i < 5; i++ {
+			fresh.publish(t, 2+i, rTuple(fresh, float64(i), 7, float64(i)))
+		}
+		maps.Copy(got, gotContents(fresh))
+		return got, hot
+	}
+	want, cold := run(false)
+	got, hot := run(true)
+	if cold || !hot {
+		t.Fatalf("S+E+7 promoted: %v sharded, %v unsharded", hot, cold)
+	}
+	if len(want) != 30*5 {
+		t.Fatalf("the unsharded run delivered %d matches, want %d", len(want), 30*5)
+	}
+	assertSetsEqual(t, SAI, want, got)
+}
+
+// The base of a promoted input fans a purge out to its shards, so a
+// retraction reaches them from a process that never saw the promotion: after
+// the move, a retraction at the fresh engine stops every notification.
+func TestRetractionReachesShardsAfterAHandoff(t *testing.T) {
+	// Publishers index blind, so a retraction's marks do not keep the later
+	// tuples from the value level: only its purges can.
+	cfg := hotConfig(true)
+	cfg.BlindIndexing = true
+	env := newTestEnv(t, 64, cfg)
+	q := env.subscribe(t, 0, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
+	publishHotPair(t, env, 30, 10)
+	if !promoted(env, "S+E+7") {
+		t.Fatalf("S+E+7 not promoted: %v", env.eng.HotKeys())
+	}
+	fresh := moveEveryNode(t, env, cfg)
+	if err := fresh.eng.Unsubscribe(fresh.node(0), q); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		fresh.publish(t, 3+i, sTuple(fresh, float64(200+i), 7, float64(200+i)))
+	}
+	for i := 0; i < 5; i++ {
+		fresh.publish(t, 4+i, rTuple(fresh, float64(200+i), 7, float64(200+i)))
+	}
+	if n := fresh.eng.NotificationCount(); n != 0 {
+		t.Fatalf("%d notifications after the retraction", n)
+	}
+}
+
+// A hot frame's Shard comes off the wire: one outside [1, k) stores nothing,
+// and one inside stores as a shard does. A snapshot written while the
+// registry was engine-wide restores its promotions at each input's owner, and
+// one of another K than the ring's is refused.
 func TestForgedShardCountIsRefused(t *testing.T) {
 	env := newTestEnv(t, 16, hotConfig(true))
+	q := env.subscribe(t, 0, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
 	node := env.nodes[3]
-	const forged = 1 << 40
-	tu := sTuple(env, 1, 7, 1)
-	for _, msg := range []chord.Message{
-		hotVLIndexMsg{Input: "S+E+7", Shard: 1, Version: 1, K: forged, T: tu},
-		hotJoinMsg{Input: "S+E+7", Shard: 2, Version: 2, K: forged},
-	} {
-		env.eng.state(node).HandleMessage(node, msg)
+	tu := sTuple(env, 1, 7, 1).WithPubT(5)
+	trig := rTuple(env, 1, 7, 1).WithPubT(4)
+	rw := rewritten{Orig: q, rewriteTarget: &rewriteTarget{Trigger: trig, Want: &relation.AttrRef{Rel: "S", Attr: "E"}, WantValue: trig.MustValue("B")}}
+	stored := func() int {
+		c := env.eng.Census()
+		return c["vltt_tuples"].Sum + c["vlqt_rewrites"].Sum
 	}
-	if hot := env.eng.HotKeys(); len(hot) != 0 {
-		t.Fatalf("forged frames installed %+v", hot)
+	base := stored()
+	for _, shard := range []int{-1, 0, 4, 1 << 40} {
+		for _, msg := range []chord.Message{
+			hotVLIndexMsg{Input: "S+E+7", Shard: shard, T: tu},
+			hotJoinMsg{Input: "S+E+7", Shard: shard, Rewrites: []rewritten{rw}},
+		} {
+			env.eng.state(node).HandleMessage(node, msg)
+		}
 	}
-	env.eng.state(node).HandleMessage(node, hotVLIndexMsg{Input: "S+E+7", Shard: 1, Version: 5, K: 4, T: tu})
-	if hot := env.eng.HotKeys(); len(hot) != 1 || hot[0].Replicas != 4 || hot[0].Version != 5 {
-		t.Fatalf("after a frame of the ring's own K: %+v", hot)
+	if got := stored(); got != base || len(env.eng.HotKeys()) != 0 {
+		t.Fatalf("frames of shards outside [1, 4) stored %d items, promoted %v", got-base, env.eng.HotKeys())
+	}
+	env.eng.state(node).HandleMessage(node, hotVLIndexMsg{Input: "S+E+7", Shard: 3, T: tu})
+	env.eng.state(node).HandleMessage(node, hotJoinMsg{Input: "S+E+7", Shard: 3, Rewrites: []rewritten{rw}})
+	if got := stored(); got != base+2 {
+		t.Fatalf("a tuple and a rewrite for shard 3 stored %d items, want 2", got-base)
 	}
 
 	meta, nodes := env.eng.ExportSnapshot(nil)
-	m := meta.(snapMetaMsg)
-	m.HotEpochs = append(m.HotEpochs, hotEpochEntry{Input: "S+E+9", Version: 1, K: forged})
+	if m := meta.(snapMetaMsg); len(m.HotEpochs)+len(m.HotCounts) != 0 {
+		t.Fatalf("the meta lists the hot-key state: %+v %+v", m.HotEpochs, m.HotCounts)
+	}
+	parent := func(k int) chord.Message {
+		m := meta.(snapMetaMsg)
+		m.HotEpochs = []hotEpochEntry{{Input: "S+E+9", Version: 1, K: k}, {Input: "S+E+8", Version: 2}}
+		var w wire.Buffer
+		if err := EncodeMessage(&w, m); err != nil {
+			t.Fatal(err)
+		}
+		back, err := DecodeMessage(wire.NewReader(w.Bytes()), env.catalog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return back
+	}
 	fresh := newTestEnv(t, 16, hotConfig(true))
-	if _, err := fresh.eng.RestoreSnapshot(m, nodes); err == nil {
-		t.Fatalf("a snapshot of a %d-way epoch restored to %+v", forged, fresh.eng.HotKeys())
+	if _, err := fresh.eng.RestoreSnapshot(parent(4), nodes); err != nil {
+		t.Fatal(err)
+	}
+	if hot := fresh.eng.HotKeys(); !slices.Equal(hot, []HotKeyState{{Input: "S+E+9", Replicas: 4}}) {
+		t.Fatalf("a parent's epochs of the ring's K restored as %+v", hot)
+	}
+	owner := fresh.eng.state(fresh.net.OracleSuccessor(fresh.eng.hashInput("S+E+9")))
+	if h := owner.hot["S+E+9"]; h == nil || !h.promoted {
+		t.Fatalf("the owner of S+E+9 holds %+v", h)
+	}
+	const forged = 1 << 40
+	if _, err := newTestEnv(t, 16, hotConfig(true)).eng.RestoreSnapshot(parent(forged), nodes); err == nil {
+		t.Fatalf("a snapshot of a %d-way epoch restored", forged)
 	}
 }
 
@@ -313,7 +445,7 @@ func TestHotKeyShardsChains(t *testing.T) {
 				// Publishers index blind, so a retraction's marks do not keep
 				// the later tuples from the value level: only its purges can.
 				eng := New(net, catalog, Config{Algorithm: SAI, Strategy: StrategyLeft, Seed: 7, BlindIndexing: true,
-					HotKeyThreshold: threshold, HotKeyReplicas: 4, HotKeyWindow: 1 << 20})
+					HotKeyThreshold: threshold, HotKeyReplicas: 4})
 				nodes := net.Nodes()
 				pub := func(i int, tu *relation.Tuple) {
 					if _, err := eng.Publish(nodes[i%len(nodes)], tu); err != nil {

@@ -17,11 +17,11 @@ import (
 // per-subscriber query sequence counters (so replayed subscribes re-derive
 // the same Key(q)), the subscription index, what has been delivered (the
 // notifications in the record, the bare identities of those a consumer took,
-// the count), and the hot-key epoch registry. Deliberately NOT carried: what
-// only a taking cut hands over (probe statistics, the pair-baseline store),
-// the caches no move carries, and the engine's private rng state (it only
-// picks index attributes and replicas, which never changes match content —
-// see DESIGN.md §14.3).
+// the count). The hot-key detector is a base's own state and travels in its
+// node's section. Deliberately NOT carried: what only a taking cut hands over
+// (probe statistics, the pair-baseline store), the caches no move carries,
+// and the engine's private rng state (it only picks index attributes and
+// replicas, which never changes match content — see DESIGN.md §14.3).
 
 // kindSnapMeta names the snapshot-meta message class.
 const kindSnapMeta = "snapmeta"
@@ -39,16 +39,17 @@ type subsEntry struct {
 	Inputs []string
 }
 
-// hotEpochEntry is one hot-key registry entry: the promoted epoch of a
-// value-level input (K==0: demoted, in a snapshot a build that demoted wrote).
+// hotEpochEntry is one entry of the engine-wide hot-key registry a parent
+// build's meta carried: the promoted epoch of a value-level input, sharded K
+// ways (K==0: demoted, in a snapshot a build that demoted wrote).
 type hotEpochEntry struct {
 	Input   string
 	Version int
 	K       int
 }
 
-// hotCountEntry is one hot-key detector counter: arrivals within the
-// currently open window of an input.
+// hotCountEntry is one detector counter a parent build's meta carried:
+// arrivals within the currently open window of an input.
 type hotCountEntry struct {
 	Input       string
 	Count       int64
@@ -60,6 +61,8 @@ type hotCountEntry struct {
 // like every other frame. Conds is neither filled by ExportSnapshot nor read
 // by RestoreSnapshot: earlier builds listed every join condition ever indexed
 // there, and the field keeps its place in the walk so their files decode.
+// HotEpochs and HotCounts likewise are written empty, and read only from the
+// files of builds that kept the hot-key state engine-wide (installHot).
 // Delivered and Count follow everything those builds wrote: a frame that ends
 // before them is one of theirs, whose Sink is all it had delivered. Marks
 // follows in turn, written only when set, as ExportSnapshot does: without it
@@ -124,19 +127,6 @@ func (e *Engine) ExportSnapshot(down []string) (chord.Message, []NodeSnapshot) {
 	}
 	e.mu.Unlock()
 
-	if e.hot != nil {
-		e.hot.mu.Lock()
-		for _, input := range sortedKeys(e.hot.entries) {
-			en := e.hot.entries[input]
-			meta.HotEpochs = append(meta.HotEpochs, hotEpochEntry{Input: input, Version: en.version, K: en.k})
-		}
-		for _, input := range sortedKeys(e.hot.counters) {
-			c := e.hot.counters[input]
-			meta.HotCounts = append(meta.HotCounts, hotCountEntry{Input: input, Count: c.count, WindowStart: c.windowStart})
-		}
-		e.hot.mu.Unlock()
-	}
-
 	var out []NodeSnapshot
 	for _, n := range nodes {
 		if m := e.state(n).cut(nil, false); !m.empty() {
@@ -163,8 +153,8 @@ func (e *Engine) RestoreSnapshot(meta chord.Message, nodes []NodeSnapshot) (deri
 		return 0, fmt.Errorf("engine: restore: meta is %T, want snapMetaMsg", meta)
 	}
 	for _, en := range m.HotEpochs {
-		if e.hot != nil && en.K != e.hot.replicas {
-			return 0, fmt.Errorf("engine: restore: %s is sharded %d ways, this engine shards %d", en.Input, en.K, e.hot.replicas)
+		if e.hotK > 0 && en.K != 0 && en.K != e.hotK {
+			return 0, fmt.Errorf("engine: restore: %s is sharded %d ways, this engine shards %d", en.Input, en.K, e.hotK)
 		}
 	}
 
@@ -215,15 +205,8 @@ func (e *Engine) RestoreSnapshot(meta chord.Message, nodes []NodeSnapshot) (deri
 	}
 	e.mu.Unlock()
 
-	if e.hot != nil {
-		e.hot.mu.Lock()
-		for _, en := range m.HotEpochs {
-			e.hot.entries[en.Input] = hotEntry{version: en.Version, k: en.K}
-		}
-		for _, c := range m.HotCounts {
-			e.hot.counters[c.Input] = &hotCounter{count: c.Count, windowStart: c.WindowStart}
-		}
-		e.hot.mu.Unlock()
+	if e.hotK > 0 {
+		e.installHot(m)
 	}
 
 	for _, ns := range nodes {
@@ -245,6 +228,25 @@ func (e *Engine) RestoreSnapshot(meta chord.Message, nodes []NodeSnapshot) (deri
 		}
 	}
 	return derivedMarks, nil
+}
+
+// installHot gives each input of a parent build's engine-wide hot-key
+// registry to its base, the input's owner: its counter, and a promotion where
+// its K is not 0.
+func (e *Engine) installHot(m snapMetaMsg) {
+	at := func(input string) *nodeState { return e.state(e.net.OracleSuccessor(e.hashInput(input))) }
+	for _, c := range m.HotCounts {
+		st := at(c.Input)
+		st.mu.Lock()
+		st.mergeHot(hotSection{Input: c.Input, Count: c.Count, WindowStart: c.WindowStart})
+		st.mu.Unlock()
+	}
+	for _, en := range m.HotEpochs {
+		st := at(en.Input)
+		st.mu.Lock()
+		st.mergeHot(hotSection{Input: en.Input, Promoted: en.K > 0})
+		st.mu.Unlock()
+	}
 }
 
 // deriveInterest sets the marks of a restored node's queries where Subscribe

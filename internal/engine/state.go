@@ -40,10 +40,11 @@ type nodeState struct {
 	storedNotifs map[string][]Notification
 	subIPs       map[string]string // learned subscriber addresses (Section 4.6)
 	jfrt         *jfrtCache
-	alOwners     alHints             // who took this node's publications at the attribute level (index.go)
-	verdicts     []byte              // the rewriters' answers to this node's asks, by alIdent.ord (index.go: verdict); nil before its first
-	revokes      uint64              // revocations received: an answer read back after this moved since its ask is discarded
-	retracted    map[string]struct{} // queries retracted here: refused from then on (unsubscribe.go)
+	alOwners     alHints              // who took this node's publications at the attribute level (index.go)
+	verdicts     []byte               // the rewriters' answers to this node's asks, by alIdent.ord (index.go: verdict); nil before its first
+	revokes      uint64               // revocations received: an answer read back after this moved since its ask is discarded
+	retracted    map[string]struct{}  // queries retracted here: refused from then on (unsubscribe.go)
+	hot          map[string]*hotInput // the hot-key detector at the inputs this node is the base of (hotkey.go); nil while the layer is off
 }
 
 // A rewriter's verdict on an attribute-level input, as it answers a publisher

@@ -75,7 +75,7 @@ func TestSubscribeRaceMatrix(t *testing.T) {
 		{"DAI-T", twoWayRace(Config{Algorithm: DAIT}, nil)},
 		{"DAI-V", twoWayRace(Config{Algorithm: DAIV}, nil)},
 		{"chain", chainRace},
-		{"hot key", twoWayRace(Config{Algorithm: SAI, Strategy: StrategyLeft, HotKeyThreshold: 4, HotKeyReplicas: 2, HotKeyWindow: 1 << 20},
+		{"hot key", twoWayRace(Config{Algorithm: SAI, Strategy: StrategyLeft, HotKeyThreshold: 4, HotKeyReplicas: 2},
 			func(t *testing.T, env *testEnv, o *Oracle, pub func(int, *relation.Tuple)) {
 				o.AddQuery(env.subscribe(t, 1, `SELECT R.C, S.F FROM R, S WHERE R.B = S.E`))
 				for i := 0; i < 8; i++ {

@@ -121,24 +121,15 @@ func (st *nodeState) handleUnsub(m *unsubMsg) {
 	st.sendPurges(purges)
 }
 
-// sendPurges sends msgs, one array of purges in one batch, and a purge to
-// every shard of an input the hot-key layer promoted, which holds copies of
-// the rewrites (DESIGN.md §13). With the JFRT on (Section 4.7.1) a purge
-// whose evaluator the table remembers taking its input's joins goes there in
-// one hinted hop, retried like any other where it fails, and only the rest
-// walk; with it off the table is not read.
+// sendPurges sends msgs, one array of purges in one batch. With the JFRT on
+// (Section 4.7.1) a purge whose evaluator the table remembers taking its
+// input's joins goes there in one hinted hop, retried like any other where it
+// fails, and only the rest walk; with it off the table is not read.
 func (st *nodeState) sendPurges(msgs []purgeMsg) {
 	if len(msgs) == 0 {
 		return
 	}
 	e := st.engine
-	if hot := e.hot; hot != nil {
-		for _, m := range msgs {
-			for s, k := 1, hot.lookup(m.Input).k; s < k; s++ {
-				msgs = append(msgs, purgeMsg{QueryKey: m.QueryKey, Input: hotShardInput(m.Input, s)})
-			}
-		}
-	}
 	batch := make([]chord.Deliverable, len(msgs))
 	for i := range msgs {
 		batch[i] = chord.Deliverable{Target: e.hashInput(msgs[i].Input), Msg: &msgs[i]}
@@ -172,7 +163,9 @@ func (st *nodeState) sendPurges(msgs []purgeMsg) {
 // evaluator's VLQT. A chain's purge cascades: rewrites that went on from
 // here live at later stages, so it follows the targets they went on to. The
 // cascade ends because each visit consumes its targets: a bucket visited
-// again sends nothing on.
+// again sends nothing on. The base of an input the hot-key layer promoted
+// passes the purge on to shards 1..k-1, which hold copies of its rewrites
+// (DESIGN.md §13); a shard is never promoted itself.
 func (st *nodeState) handlePurge(m *purgeMsg) {
 	removed := 0
 	prefix := []byte(m.QueryKey + "+")
@@ -193,6 +186,11 @@ func (st *nodeState) handlePurge(m *purgeMsg) {
 		}
 		if qb.empty() {
 			delete(st.vlqt, m.Input)
+		}
+	}
+	if h := st.hot[m.Input]; h != nil && h.promoted {
+		for s := 1; s < st.engine.hotK; s++ {
+			cascade = append(cascade, purgeMsg{QueryKey: m.QueryKey, Input: hotShardInput(m.Input, s)})
 		}
 	}
 	st.mu.Unlock()

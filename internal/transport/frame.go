@@ -57,8 +57,10 @@ const (
 	// peer would read as a key in full. 11: a chain travels as a query and its
 	// stages as joins, where a version-10 peer sends and expects tags 14 and 15.
 	// 12: a promotion copies the rewrite set from the base itself, where a
-	// version-11 peer sends and expects tags 19 and 21.
-	protoVersion = 12
+	// version-11 peer sends and expects tags 19 and 21. 13: a promotion is its
+	// base's own state, and the hot-key frames say only their shard, where a
+	// version-12 peer sends and expects tags 17 and 18.
+	protoVersion = 13
 
 	// maxFrame bounds one frame so a corrupt length prefix cannot allocate
 	// gigabytes. 16 MiB fits any realistic multisend leg (the simulator's

@@ -596,18 +596,19 @@ func TestAckValidation(t *testing.T) {
 // query, for a key, protocol 7 a query's empty subscriber for a subscriber,
 // protocol 8 a query's token form for its SQL text, protocol 9 a
 // notification's key past its batch's subscriber for a key, protocol 10 a
-// chain's query or join for a two-way one's, and protocol 11 would send a
-// promotion's migrate frame, tag 19, which this build reads as an unknown tag —
-// so the two must part at the handshake, whichever dials.
+// chain's query or join for a two-way one's, protocol 11 would send a
+// promotion's migrate frame, tag 19, and protocol 12 a hot-join under tag 17,
+// both of which this build reads as an unknown tag — so the two must part at
+// the handshake, whichever dials.
 // When the old build answers, this dialer refuses its helloOK with an error
 // naming both versions and sends it no batch; when the old build dials, its
 // hello is answered with this build's version, the number its own copy of that
 // check refuses.
 func TestOlderProtocolPeerRefusedAtHello(t *testing.T) {
-	if protoVersion != 12 {
-		t.Fatalf("protoVersion = %d: this test is about 12 meeting 2 to 11", protoVersion)
+	if protoVersion != 13 {
+		t.Fatalf("protoVersion = %d: this test is about 13 meeting 2 to 12", protoVersion)
 	}
-	for _, oldVersion := range []uint64{2, 3, 4, 5, 6, 7, 8, 9, 10, 11} {
+	for _, oldVersion := range []uint64{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12} {
 		olderPeerRefused(t, oldVersion)
 	}
 }
