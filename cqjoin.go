@@ -23,11 +23,10 @@
 //	bob.Publish("Authors", 17, "John", "Smith")
 //	bob.Publish("Document", 1, "P2P Joins", "ICDE", 17)
 //
-// Four algorithms are available — SAI, DAIQ, DAIT and DAIV — plus the naive
-// baselines the paper argues against; the Join Fingers Routing Table,
-// attribute-level replication and index-attribute strategies are switchable
-// through Config. See DESIGN.md for the full map from the paper to this
-// implementation.
+// Four algorithms are available — SAI, DAIQ, DAIT and DAIV; the Join Fingers
+// Routing Table, the index-attribute strategies and hot-key sharding are
+// switchable through Config. See DESIGN.md for the full map from the paper to
+// this implementation.
 package cqjoin
 
 import (
@@ -78,11 +77,6 @@ const (
 	DAIQ = engine.DAIQ
 	DAIT = engine.DAIT
 	DAIV = engine.DAIV
-	// BaselineRelation, BaselineAttribute and BaselinePair are the naive
-	// single-level schemes of Section 4.1, provided for comparison.
-	BaselineRelation  = engine.BaselineRelation
-	BaselineAttribute = engine.BaselineAttribute
-	BaselinePair      = engine.BaselinePair
 )
 
 // The value kinds.
@@ -134,11 +128,6 @@ type Config struct {
 	// UseJFRT enables the Join Fingers Routing Table (Section 4.7.1). Set by
 	// daemon.New (-jfrt), the examples and tests.
 	UseJFRT bool
-	// ReplicationFactor spreads each rewriter over k replica nodes
-	// (Section 4.7.2); values < 2 disable replication. No caller in this
-	// repository sets it: the library's switch for the paper's replication,
-	// which internal/exp measures through engine.Config.
-	ReplicationFactor int
 	// Window is the sliding window in logical time units; 0 keeps stored
 	// tuples forever. Set by the marketfeed example.
 	Window int64
@@ -192,15 +181,14 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	net := chord.New(chord.Config{})
 	net.AddNodes("peer", cfg.Nodes)
 	eng := engine.New(net, cfg.Catalog, engine.Config{
-		Algorithm:         cfg.Algorithm,
-		Strategy:          cfg.Strategy,
-		UseJFRT:           cfg.UseJFRT,
-		ReplicationFactor: cfg.ReplicationFactor,
-		Window:            cfg.Window,
-		Seed:              cfg.Seed,
-		HotKeyThreshold:   cfg.HotKeyThreshold,
-		HotKeyReplicas:    cfg.HotKeyReplicas,
-		Obs:               cfg.Obs,
+		Algorithm:       cfg.Algorithm,
+		Strategy:        cfg.Strategy,
+		UseJFRT:         cfg.UseJFRT,
+		Window:          cfg.Window,
+		Seed:            cfg.Seed,
+		HotKeyThreshold: cfg.HotKeyThreshold,
+		HotKeyReplicas:  cfg.HotKeyReplicas,
+		Obs:             cfg.Obs,
 	})
 	return &Cluster{net: net, eng: eng, catalog: cfg.Catalog}, nil
 }

@@ -317,43 +317,3 @@ func TestStrategyStrings(t *testing.T) {
 		t.Fatal("unknown algorithm renders empty")
 	}
 }
-
-// BaselinePair sites must honor the sliding window too.
-func TestPairBaselineWindowEviction(t *testing.T) {
-	env := newTestEnv(t, 24, Config{Algorithm: BaselinePair, Window: 5})
-	env.subscribe(t, 0, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
-	env.publish(t, 1, rTuple(env, 1, 7, 0))
-	before := sum(env.eng.StorageLoads())
-	env.net.Clock().Advance(100)
-	env.eng.EvictExpired()
-	after := sum(env.eng.StorageLoads())
-	if after >= before {
-		t.Fatalf("pair eviction did not reduce storage: %d -> %d", before, after)
-	}
-	env.publish(t, 2, sTuple(env, 2, 7, 0))
-	if got := env.eng.Notifications(); len(got) != 0 {
-		t.Fatalf("expired pair tuple matched: %v", got)
-	}
-}
-
-// Pair-baseline state must survive churn hand-offs (exercises the
-// pairStore branch of TransferKeys).
-func TestPairBaselineSurvivesChurn(t *testing.T) {
-	env := newTestEnv(t, 24, Config{Algorithm: BaselinePair})
-	env.subscribe(t, 0, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
-	env.publish(t, 1, rTuple(env, 1, 7, 0))
-	for i := 0; i < 6; i++ {
-		n, err := env.net.Join("pair-late-" + string(rune('a'+i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		env.eng.Attach(n)
-	}
-	nodes := env.net.Nodes()
-	env.net.Leave(nodes[5])
-	env.net.Leave(nodes[11])
-	env.publish(t, 2, sTuple(env, 2, 7, 0))
-	if got := env.eng.Notifications(); len(got) != 1 {
-		t.Fatalf("%d notifications after pair churn, want 1", len(got))
-	}
-}

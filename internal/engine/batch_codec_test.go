@@ -53,15 +53,15 @@ func frameAboard(t *testing.T, codec WireCodec, aboard []chord.Message) [][]byte
 }
 
 // The ledger is the encoder. For index batches as the engine builds them —
-// arity 1 to 6 under SAI, DAI-V and the pair baseline — mixed with join and
-// query messages, two publications' batches interleaved, and some tuples
-// present twice by value but not by pointer (what a socket makes of one tuple
-// that arrives in two deliveries), for a rewriter's purge walk, and for every
-// suffix of the clockwise order, which is every list a leg can find aboard:
-// the bytes Multisend charges for a leg with that list aboard are the bytes of
-// the frame the transport would write for it, entry by entry, and decoding
-// that frame the way handleBatchInto does and encoding it again yields the
-// same bytes.
+// arity 1 to 6 under SAI, indexing on demand and blind, blind DAI-Q and DAI-T,
+// and DAI-V — mixed with join and query messages, two publications' batches
+// interleaved, and some tuples present twice by value but not by pointer (what
+// a socket makes of one tuple that arrives in two deliveries), for a
+// rewriter's purge walk, and for every suffix of the clockwise order, which is
+// every list a leg can find aboard: the bytes Multisend charges for a leg with
+// that list aboard are the bytes of the frame the transport would write for
+// it, entry by entry, and decoding that frame the way handleBatchInto does and
+// encoding it again yields the same bytes.
 func TestLedgerIsTheEncoder(t *testing.T) {
 	var schemas []*relation.Schema
 	for arity := 1; arity <= 6; arity++ {
@@ -75,10 +75,14 @@ func TestLedgerIsTheEncoder(t *testing.T) {
 	extras := []chord.Message{fixtures[0], fixtures[3]} // a queryMsg, a joinMsg: neither carries a tuple
 	rng := rand.New(rand.NewSource(25))
 	shared, legsChecked := 0, 0
-	for _, alg := range []Algorithm{SAI, DAIV, BaselinePair} {
+	for _, cfg := range []Config{
+		{Algorithm: SAI}, {Algorithm: SAI, BlindIndexing: true}, {Algorithm: DAIQ, BlindIndexing: true},
+		{Algorithm: DAIT, BlindIndexing: true}, {Algorithm: DAIV},
+	} {
+		alg := cfg.Algorithm
 		net := chord.New(chord.Config{})
 		nodes := net.AddNodes("peer", 64)
-		eng := New(net, catalog, Config{Algorithm: alg})
+		eng := New(net, catalog, cfg)
 		rec := &walkRecorder{}
 		net.SetTransport(rec)
 		for _, schema := range schemas {
@@ -166,9 +170,6 @@ func reboxSome(t *testing.T, rng *rand.Rand, msgs []chord.Message) []chord.Messa
 				c.T = cp
 				msg = &c
 			case *vlIndexMsg:
-				m.T = cp
-				msg = m
-			case baselineTupleMsg:
 				m.T = cp
 				msg = m
 			}

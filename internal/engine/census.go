@@ -6,9 +6,8 @@ type CensusEntry struct{ Sum, Max int }
 
 // Census returns the size of each structure the engine keeps that grows with
 // what it is sent, by name:
-//   - vlqt_buckets, vlqt_rewrites, vlqt_spelled_keys (stored rewrites whose
-//     Key(q') is a string, not derived) and vlqt_later (stored rewrites with
-//     times other than their trigger's);
+//   - vlqt_buckets, vlqt_rewrites and vlqt_spelled_keys (stored rewrites
+//     whose Key(q') is a string, not derived);
 //   - vltt_buckets and vltt_tuples;
 //   - alqt_queries, alqt_purge_entries (the inputs on the condition groups'
 //     purge lists, each once a group however many of its queries it serves),
@@ -58,12 +57,9 @@ func (st *nodeState) census(c census) {
 	c.add("jfrt_entries", st.jfrt.len())
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	var rewrites, spelled, later, tuples, queries, targets, marks, grants, notifs, verdicts, promoted int
+	var rewrites, spelled, tuples, queries, targets, marks, grants, notifs, verdicts, promoted int
 	for _, b := range st.vlqt {
 		rewrites += b.rewrites.len()
-		if b.rewrites.rare != nil {
-			later += len(b.rewrites.rare.later)
-		}
 		for _, rw := range b.rewrites.all() {
 			if rw.Key != "" {
 				spelled++
@@ -97,7 +93,6 @@ func (st *nodeState) census(c census) {
 	c.add("vlqt_buckets", len(st.vlqt))
 	c.add("vlqt_rewrites", rewrites)
 	c.add("vlqt_spelled_keys", spelled)
-	c.add("vlqt_later", later)
 	c.add("vltt_buckets", len(st.vltt))
 	c.add("vltt_tuples", tuples)
 	c.add("alqt_queries", queries)

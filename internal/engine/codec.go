@@ -31,12 +31,14 @@ import (
 // codecFixtures with its line in testdata/wire.golden, which pins every byte
 // below (tag numbers included) across commits.
 
-// Message type tags. Tags 14 and 15 were a chain's query and join, before a
-// chain was indexed by a query message and its stages were joins; tag 20 was
-// hot-recall's (hot-key demotion); tags 19 and 21 were hot-migrate's and
-// hot-handoff's, before a promotion moved only the rewrite set; tags 17 and
-// 18 were hot-join's and hot-vl-index's while those said the promotion's
-// epoch. They stay reserved, so a frame holding one decodes as an unknown tag.
+// Message type tags. Tags 11 to 13 were the query, tuple and probe of the
+// naive indexing schemes of Section 4.1, which are not built; tags 14 and 15
+// were a chain's query and join, before a chain was indexed by a query
+// message and its stages were joins; tag 20 was hot-recall's (hot-key
+// demotion); tags 19 and 21 were hot-migrate's and hot-handoff's, before a
+// promotion moved only the rewrite set; tags 17 and 18 were hot-join's and
+// hot-vl-index's while those said the promotion's epoch. They stay reserved,
+// so a frame holding one decodes as an unknown tag.
 const (
 	tagQuery byte = iota + 1
 	tagALIndex
@@ -48,9 +50,9 @@ const (
 	tagProbe
 	tagUnsub
 	tagPurge
-	tagBaselineQuery
-	tagBaselineTuple
-	tagBaselineProbe
+	_
+	_
+	_
 	_
 	_
 	tagHandoff
@@ -121,8 +123,6 @@ func carried(msg chord.Message) wire.Carried {
 		return wire.Carried{Tuple: m.T}
 	case joinVMsg:
 		return wire.Carried{Tuple: m.Trigger}
-	case baselineTupleMsg:
-		return wire.Carried{Tuple: m.T}
 	case hotVLIndexMsg:
 		return wire.Carried{Tuple: m.T}
 	case *unsubMsg:
@@ -191,15 +191,6 @@ func walkMessage(c *wire.Coder, msg *chord.Message) {
 		m.walk(c)
 	case *purgeMsg:
 		c.Tag(tagPurge)
-		m.walk(c)
-	case baselineQueryMsg:
-		c.Tag(tagBaselineQuery)
-		m.walk(c)
-	case baselineTupleMsg:
-		c.Tag(tagBaselineTuple)
-		m.walk(c)
-	case baselineProbeMsg:
-		c.Tag(tagBaselineProbe)
 		m.walk(c)
 	case handoffMsg:
 		c.Tag(tagHandoff)
@@ -271,18 +262,6 @@ func decodeMessage(c *wire.Coder) chord.Message {
 		return m
 	case tagPurge:
 		m := new(purgeMsg)
-		m.walk(c)
-		return m
-	case tagBaselineQuery:
-		var m baselineQueryMsg
-		m.walk(c)
-		return m
-	case tagBaselineTuple:
-		var m baselineTupleMsg
-		m.walk(c)
-		return m
-	case tagBaselineProbe:
-		var m baselineProbeMsg
 		m.walk(c)
 		return m
 	case tagHandoff:
@@ -389,23 +368,6 @@ func (m *purgeMsg) walk(c *wire.Coder) { c.Input(&m.Input, c.Key(&m.QueryKey)) }
 func (m *interestMsg) walk(c *wire.Coder) { c.Input(&m.Input, c.Key(&m.QueryKey)) }
 
 func (m *revokeMsg) walk(c *wire.Coder) { c.String(&m.Input) }
-
-func (m *baselineQueryMsg) walk(c *wire.Coder) {
-	c.Query(&m.Q, "")
-	walkSide(c, &m.Side, query.SideRight)
-	c.String(&m.Input)
-}
-
-func (m *baselineTupleMsg) walk(c *wire.Coder) {
-	c.Tuple(&m.T, nil)
-	c.String(&m.Input)
-	walkSide(c, &m.Side, query.SideRight)
-}
-
-func (m *baselineProbeMsg) walk(c *wire.Coder) {
-	c.String(&m.Input)
-	walkRewrites(c, &m.Rewrites)
-}
 
 func (m *handoffMsg) walk(c *wire.Coder) {
 	wire.Slice(c, &m.AL)
@@ -718,8 +680,7 @@ func (rw *rewritten) keyDerived() bool {
 }
 
 // derived reports whether tg's wants are what its receiver derives from q and
-// the trigger (rewriteTarget.wants), value for value; a baseline probe's,
-// with no Want.Attr, never are.
+// the trigger (rewriteTarget.wants), value for value.
 func (tg *rewriteTarget) derived(q *query.Query) bool {
 	if want, ok := q.StageAttr(tg.IndexSide, tg.stage()); !ok || !sameWant(want, tg.Want) {
 		return false // a failed wants would allocate its error

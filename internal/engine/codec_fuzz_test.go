@@ -2,6 +2,9 @@ package engine
 
 import (
 	"bytes"
+	"encoding/hex"
+	"slices"
+	"strings"
 	"testing"
 
 	"cqjoin/internal/chord"
@@ -64,7 +67,15 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{byte(tagJoin), 0xff, 0xff, 0xff, 0xff, 0x0f}) // forged huge count
 	for _, tag := range retiredTags {
-		f.Add([]byte{byte(tag)}) // the reserved tags, once a chain's and the hot-key layer's
+		f.Add([]byte{byte(tag)}) // the reserved tags, once the baselines', a chain's and the hot-key layer's
+	}
+	for _, line := range goldenLines(f, "testdata/wire.golden") {
+		// What the last build to send a retired kind wrote, alone and behind
+		// its predecessor: an older peer's bytes.
+		raw, err := hex.DecodeString(line[strings.LastIndexByte(line, ' ')+1:])
+		if err == nil && len(raw) > 0 && slices.Contains(retiredTags, int(raw[0])) {
+			f.Add(raw)
+		}
 	}
 	longLived := NewWireCodec(catalog)
 	predecessors := []chord.Message{msgs[1], msgs[2], msgs[9], msgs[3]} // alIndexMsg{tu}, vlIndexMsg{su}, purgeMsg{q}, joinMsg

@@ -71,10 +71,8 @@ func codecFixtures(t testing.TB, extra ...*relation.Schema) (*relation.Catalog, 
 		probeMsg{AttrInput: "R+B"},
 		&unsubMsg{QueryKey: q.Key(), Cond: q.ConditionKey(), Input: "R+B"},
 		&purgeMsg{QueryKey: q.Key(), Input: "S+E+7"},
-		baselineQueryMsg{Q: q, Side: query.SideLeft, Input: "R"},
-		baselineTupleMsg{T: tu, Input: "R.B+S.E", Side: query.SideLeft},
-		baselineProbeMsg{Input: "S", Rewrites: []rewritten{*rw}},
-		// Lines 14 and 15 held a chain's query and join, retired tags.
+		// Lines 11 to 13 held the naive baselines' query, tuple and probe,
+		// and lines 14 and 15 a chain's query and join: retired tags.
 		// A node's state: a chain's group, once a section of its own, and
 		// its partial match at B.y = 1, which went on to C.y = 3.
 		handoffMsg{
@@ -262,21 +260,6 @@ func assertSemanticEqual(t *testing.T, want, got chord.Message) {
 		if got.(revokeMsg) != w {
 			t.Fatal("revokeMsg mismatch")
 		}
-	case baselineQueryMsg:
-		g := got.(baselineQueryMsg)
-		if g.Q.Key() != w.Q.Key() || g.Side != w.Side || g.Input != w.Input {
-			t.Fatalf("baselineQueryMsg mismatch: %+v", g)
-		}
-	case baselineTupleMsg:
-		g := got.(baselineTupleMsg)
-		if g.T.String() != w.T.String() || g.Input != w.Input || g.Side != w.Side {
-			t.Fatalf("baselineTupleMsg mismatch: %+v", g)
-		}
-	case baselineProbeMsg:
-		g := got.(baselineProbeMsg)
-		if g.Input != w.Input || len(g.Rewrites) != len(w.Rewrites) {
-			t.Fatalf("baselineProbeMsg mismatch: %+v", g)
-		}
 	case handoffMsg:
 		g := got.(handoffMsg)
 		if len(g.AL) != len(w.AL) || len(g.VQ) != len(w.VQ) ||
@@ -440,9 +423,6 @@ func TestAllMessagesImplementSizer(t *testing.T) {
 		probeMsg{AttrInput: "R+B"},
 		&unsubMsg{QueryKey: q.Key(), Cond: q.ConditionKey(), Input: "R+B"},
 		&purgeMsg{QueryKey: q.Key(), Input: "S+E+7"},
-		baselineQueryMsg{Q: q, Input: "R"},
-		baselineTupleMsg{T: tu, Input: "R"},
-		baselineProbeMsg{Rewrites: []rewritten{*rw}, Input: "S"},
 		hotJoinMsg{Input: "S+E+7", Shard: 1, Rewrites: []rewritten{*rw}},
 		hotVLIndexMsg{Input: "S+E+7", Shard: 1, T: tu},
 	}
@@ -1241,15 +1221,11 @@ func queriesOf(msg chord.Message) []*query.Query {
 	switch m := msg.(type) {
 	case queryMsg:
 		qs = append(qs, m.Q)
-	case baselineQueryMsg:
-		qs = append(qs, m.Q)
 	case joinVMsg:
 		qs = append(qs, m.Queries...)
 	case snapMetaMsg:
 		qs = append(qs, m.Conds...)
 	case *joinMsg:
-		rewrites(m.Rewrites)
-	case baselineProbeMsg:
 		rewrites(m.Rewrites)
 	case hotJoinMsg:
 		rewrites(m.Rewrites)

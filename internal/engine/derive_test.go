@@ -16,7 +16,7 @@ type joinTap struct{ msgs []chord.Message }
 
 func (tp *joinTap) Deliver(from, dst *chord.Node, msg chord.Message) bool {
 	switch msg.(type) {
-	case *joinMsg, baselineProbeMsg:
+	case *joinMsg:
 		tp.msgs = append(tp.msgs, msg)
 	}
 	if !dst.Alive() {
@@ -38,14 +38,11 @@ func (tp *joinTap) DeliverBatch(from, dst *chord.Node, msgs []chord.Message) []b
 // first rewrite starts in the message's encoding.
 func rewritesOf(t *testing.T, msg chord.Message) ([]rewritten, int) {
 	t.Helper()
-	switch m := msg.(type) {
-	case *joinMsg:
-		return m.Rewrites, 1 + wire.SizeUvarint(uint64(len(m.Rewrites)))
-	case baselineProbeMsg:
-		return m.Rewrites, 1 + wire.SizeString(m.Input) + wire.SizeUvarint(uint64(len(m.Rewrites)))
+	m, ok := msg.(*joinMsg)
+	if !ok {
+		t.Fatalf("a %T carries no rewrites", msg)
 	}
-	t.Fatalf("a %T carries no rewrites", msg)
-	return nil, 0
+	return m.Rewrites, 1 + wire.SizeUvarint(uint64(len(m.Rewrites)))
 }
 
 // firstSide reads the key and the side of the rewrite that leads msg's
@@ -155,31 +152,6 @@ func TestRewritersBuildDerivableTargets(t *testing.T) {
 	}
 }
 
-// A baseline probe's rewrites (Section 4.1) ask for a value, not for an
-// attribute: nothing in them is derived, so they say their key and wants in
-// full — the trigger, as every rewrite's, as its projection — and decode to
-// what was sent.
-func TestBaselineRewritesTravelInFull(t *testing.T) {
-	env := newTestEnv(t, 32, Config{Algorithm: BaselineAttribute})
-	for i := 0; i < 3; i++ {
-		env.subscribe(t, i, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
-	}
-	tap := &joinTap{}
-	env.net.SetTransport(tap)
-	env.publish(t, 9, rTuple(env, 1, 7, 2))
-	env.publish(t, 10, sTuple(env, 3, 7, 1))
-	if len(tap.msgs) == 0 {
-		t.Fatal("no probe was sent")
-	}
-	for _, msg := range tap.msgs {
-		rws, _ := rewritesOf(t, msg)
-		if key, side := firstSide(t, msg); key != rws[0].key() || side != rws[0].IndexSide {
-			t.Errorf("a baseline rewrite travels with key %q and side %d, want %q and %d", key, side, rws[0].key(), rws[0].IndexSide)
-		}
-		roundTrips(t, env.catalog, msg)
-	}
-}
-
 // The saving, pinned: three subscribers' rewrites of one trigger, shaped as
 // the benchmark's are — a 2048-node ring's subscriber names, Id values in the
 // hundred thousands — say their query keys, the query's token form and the
@@ -220,7 +192,7 @@ func TestBenchShapedJoinSize(t *testing.T) {
 
 // hostileSides returns the fixtures of every message that walks a side with
 // that side forged to 7, a value no side field holds: a query, a DAI-V join,
-// a hand-off's ALQT group, a rewrite and the two baseline messages.
+// a hand-off's ALQT group and a rewrite.
 func hostileSides(tb testing.TB, msgs []chord.Message) map[string][]byte {
 	tb.Helper()
 	forge := func(msg chord.Message, at int, side query.Side) []byte {
@@ -234,16 +206,14 @@ func hostileSides(tb testing.TB, msgs []chord.Message) map[string][]byte {
 		w.Bytes()[at] = 7
 		return w.Bytes()
 	}
-	qm, jv, ho := msgs[0].(queryMsg), msgs[4].(joinVMsg), msgs[13].(handoffMsg)
-	rw, bq, bt := msgs[3].(*joinMsg).Rewrites[0], msgs[10].(baselineQueryMsg), msgs[11].(baselineTupleMsg)
+	qm, jv, ho := msgs[0].(queryMsg), msgs[4].(joinVMsg), msgs[10].(handoffMsg)
+	rw := msgs[3].(*joinMsg).Rewrites[0]
 	group := ho.AL[0].Groups[0]
 	return map[string][]byte{
-		"query":          forge(qm, MessageSize(qm)-wire.SizeUvarint(uint64(qm.Replica))-1, qm.Side),
-		"DAI-V join":     forge(jv, 1+wire.SizeString(jv.Input)+wire.SizeString(jv.Cond), jv.Side),
-		"ALQT group":     forge(ho, 2+wire.SizeString(ho.AL[0].Input)+1+wire.SizeString(group.Cond), group.Side),
-		"rewrite":        forge(msgs[3], 2+wire.SizeString(rw.Key)+querySize(rw.Orig, ""), rw.IndexSide+sideDerived),
-		"baseline query": forge(bq, 1+querySize(bq.Q, ""), bq.Side),
-		"baseline tuple": forge(bt, MessageSize(bt)-1, bt.Side),
+		"query":      forge(qm, MessageSize(qm)-wire.SizeUvarint(uint64(qm.Replica))-1, qm.Side),
+		"DAI-V join": forge(jv, 1+wire.SizeString(jv.Input)+wire.SizeString(jv.Cond), jv.Side),
+		"ALQT group": forge(ho, 2+wire.SizeString(ho.AL[0].Input)+1+wire.SizeString(group.Cond), group.Side),
+		"rewrite":    forge(msgs[3], 2+wire.SizeString(rw.Key)+querySize(rw.Orig, ""), rw.IndexSide+sideDerived),
 	}
 }
 

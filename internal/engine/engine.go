@@ -1,9 +1,8 @@
 // Package engine implements the paper's primary contribution (Chapter 4):
 // four distributed algorithms for evaluating continuous two-way equi-join
 // queries over a DHT — SAI (single-attribute indexing), DAI-Q, DAI-T and
-// DAI-V (double-attribute indexing) — together with the naive baselines of
-// Section 4.1, the two-level ALQT/VLQT/VLTT hash tables of Section 4.3.5,
-// notification creation and delivery (Section 4.6), and the optimizations
+// DAI-V (double-attribute indexing) — together with the two-level
+// ALQT/VLQT/VLTT hash tables of Section 4.3.5, notification creation and delivery (Section 4.6), and the optimizations
 // of Section 4.7: the Join Fingers Routing Table and attribute-level
 // replication.
 //
@@ -47,16 +46,6 @@ const (
 	// evaluators by the value of the join-condition side alone, supporting
 	// type-T2 queries (Section 4.5).
 	DAIV
-	// BaselineRelation is the naive scheme of Section 4.1 indexing queries
-	// and tuples by relation name only: load concentrates on one node per
-	// relation.
-	BaselineRelation
-	// BaselineAttribute indexes by relation+attribute name with no value
-	// level: load bounded by the number of schema attributes.
-	BaselineAttribute
-	// BaselinePair indexes a query at Hash(R.A + S.B), the combination of
-	// its two join attributes; tuples must reach every attribute pair.
-	BaselinePair
 )
 
 // String names the algorithm as the paper does.
@@ -70,12 +59,6 @@ func (a Algorithm) String() string {
 		return "DAI-T"
 	case DAIV:
 		return "DAI-V"
-	case BaselineRelation:
-		return "naive-rel"
-	case BaselineAttribute:
-		return "naive-attr"
-	case BaselinePair:
-		return "naive-pair"
 	default:
 		return fmt.Sprintf("Algorithm(%d)", int(a))
 	}
@@ -100,7 +83,7 @@ type Config struct {
 	// over k nodes (Section 4.7.2). Queries are indexed at all replicas;
 	// each incoming tuple is routed to one replica chosen by its attribute
 	// value, splitting the filtering load. Values < 2 disable replication.
-	// Set by cqjoin.NewCluster, internal/exp (F5.6, F5.7) and tests.
+	// Set by internal/exp (F5.6, F5.7) and tests.
 	ReplicationFactor int
 	// DAIVKeyed enables the Section 4.5 extension of DAI-V that computes
 	// evaluator identifiers as Key(q) + valJC: every query gets private
@@ -412,7 +395,7 @@ func (e *Engine) Subscribe(from *chord.Node, q *query.Query) (*query.Query, erro
 	if q.Arity() > 2 && e.cfg.Algorithm != SAI && e.cfg.Algorithm != DAIQ {
 		return nil, fmt.Errorf("engine: multi-way joins need value-level tuple storage; run SAI or DAI-Q, not %s", e.cfg.Algorithm)
 	}
-	if q.Type() == query.T2 && e.cfg.Algorithm != DAIV && e.cfg.Algorithm != BaselineRelation {
+	if q.Type() == query.T2 && e.cfg.Algorithm != DAIV {
 		return nil, fmt.Errorf("engine: %s cannot evaluate type-T2 query %q; use DAI-V", e.cfg.Algorithm, q)
 	}
 	e.mu.Lock()

@@ -75,7 +75,7 @@ func contentKeys(ns []Notification) []string {
 }
 
 func algorithms() []Algorithm {
-	return []Algorithm{SAI, DAIQ, DAIT, DAIV, BaselineRelation, BaselineAttribute, BaselinePair}
+	return []Algorithm{SAI, DAIQ, DAIT, DAIV}
 }
 
 // --- Basic two-phase evaluation, all algorithms -------------------------
@@ -270,7 +270,7 @@ func TestNoDuplicateNotifications(t *testing.T) {
 
 func TestT2QueryOnlyDAIV(t *testing.T) {
 	sql := `SELECT R.A, S.D FROM R, S WHERE 4 * R.B + R.C + 8 = 5 * S.E + S.D - S.F`
-	for _, alg := range []Algorithm{SAI, DAIQ, DAIT, BaselineAttribute, BaselinePair} {
+	for _, alg := range []Algorithm{SAI, DAIQ, DAIT} {
 		env := newTestEnv(t, 16, Config{Algorithm: alg})
 		if _, err := env.eng.Subscribe(env.node(0), query.MustParse(env.catalog, sql)); err == nil {
 			t.Fatalf("%s accepted a T2 query", alg)
@@ -289,28 +289,6 @@ func TestT2QueryOnlyDAIV(t *testing.T) {
 	}
 	if !got[0].Values[0].Equal(relation.N(1)) || !got[0].Values[1].Equal(relation.N(4)) {
 		t.Fatalf("values = %v", got[0].Values)
-	}
-}
-
-// The relation-level baseline stores whole tuples per relation and
-// evaluates arbitrary conditions at probe time, so it handles T2 queries
-// too — and must agree with DAI-V.
-func TestT2BaselineRelationAgreesWithDAIV(t *testing.T) {
-	sql := `SELECT R.A, S.D FROM R, S WHERE R.B + R.C = S.E * S.F`
-	var results [][]string
-	for _, alg := range []Algorithm{DAIV, BaselineRelation} {
-		env := newTestEnv(t, 32, Config{Algorithm: alg})
-		env.subscribe(t, 0, sql)
-		env.publish(t, 1, rTuple(env, 1, 2, 4)) // left = 6
-		env.publish(t, 2, sTuple(env, 9, 2, 3)) // right = 6: match
-		env.publish(t, 3, sTuple(env, 9, 2, 4)) // right = 8: no match
-		results = append(results, dedup(contentKeys(env.eng.Notifications())))
-	}
-	if !equalStrings(results[0], results[1]) {
-		t.Fatalf("DAI-V %v != baseline %v", results[0], results[1])
-	}
-	if len(results[0]) != 1 {
-		t.Fatalf("want exactly 1 distinct notification, got %v", results[0])
 	}
 }
 

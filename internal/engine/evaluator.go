@@ -77,7 +77,7 @@ func (st *nodeState) joinAt(key []byte, run []rewritten, n *tally, ms []match, o
 			if qb == nil {
 				qb = st.newVLQT(string(key), len(run)-i)
 			}
-			if !qb.rewrites.record(rw, rw.Trigger.PubT()) {
+			if !qb.rewrites.record(rw) {
 				n.work++
 				continue
 			}

@@ -15,10 +15,10 @@ import (
 )
 
 // retiredTags are the blanks in codec.go's tag block, on the same lines of
-// every golden: a chain's query and join, the hot-key frames' layouts that
-// said their promotion's epoch, and the hot-key layer's migrate, recall and
-// hand-off.
-var retiredTags = []int{14, 15, 17, 18, 19, 20, 21}
+// every golden: the naive baselines' query, tuple and probe, a chain's query
+// and join, the hot-key frames' layouts that said their promotion's epoch,
+// and the hot-key layer's migrate, recall and hand-off.
+var retiredTags = []int{11, 12, 13, 14, 15, 17, 18, 19, 20, 21}
 
 // TestWireGolden pins the wire format across commits: testdata/wire.golden
 // holds the encoding of every codecFixtures message, one "type hex" line
@@ -58,15 +58,17 @@ var retiredTags = []int{14, 15, 17, 18, 19, 20, 21}
 // fixture, and decode behind nothing, or behind a message that carries
 // nothing, to an error.
 //
-// Lines 14, 15, 17 to 21 of every golden are a chain's query and join —
-// retired when a chain became a query and its stages joins — a hot-join and a
-// hot-vl-index that said their promotion's epoch, retired when a promotion
-// became its base's own state, a hot-migrate and a hot-handoff, retired when
-// a promotion came to move only the rewrite set, and a hot-recall, which went
-// with hot-key demotion: their tags stay reserved. Each line is kept to
-// the byte, has no fixture, and must fail to decode as an unknown tag — a
-// build that gave the tag to another kind would read an old peer's message
-// as that.
+// Lines 11 to 15 and 17 to 21 of every golden are the naive baselines' query,
+// tuple and probe — retired when Section 4.1's schemes were no longer built —
+// a chain's query and join — retired when a chain became a query and its
+// stages joins — a hot-join and a hot-vl-index that said their promotion's
+// epoch, retired when a promotion became its base's own state, a hot-migrate
+// and a hot-handoff, retired when a promotion came to move only the rewrite
+// set, and a hot-recall, which went with hot-key demotion: their tags stay
+// reserved. Each line is kept to the byte, has no fixture, and must fail to
+// decode as an unknown tag — a build that gave the tag to another kind would
+// read an old peer's message as that. An "after" line of a retired kind must
+// likewise fail behind its predecessor.
 func TestWireGolden(t *testing.T) {
 	catalog, msgs := codecFixtures(t)
 	for _, tag := range retiredTags {
@@ -145,6 +147,12 @@ func checkBehindLines(t *testing.T, catalog *relation.Catalog, msgs []chord.Mess
 			t.Fatalf("malformed line %q: %v", line, err)
 		}
 		msg, prev := msgs[at-1], msgs[prevAt-1]
+		if msg == nil && prev != nil {
+			if back, err := codec.DecodeAfter(wire.NewReader(golden), prev); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown message tag %d", at)) {
+				t.Errorf("%q: the retired kind's bytes decode to %+v (%v), want an unknown tag", line, back, err)
+			}
+			continue
+		}
 		if what != typeLabel(msg) || after != typeLabel(prev) {
 			t.Fatalf("%q: lines %d and %d hold a %T and a %T", line, at, prevAt, msg, prev)
 		}
@@ -200,7 +208,7 @@ func splitGolden(lines []string) (fixtures, behind []string) {
 // message sent as a pointer (an al-index), so the lines predate the choice.
 func typeLabel(msg chord.Message) string { return strings.TrimPrefix(fmt.Sprintf("%T", msg), "*") }
 
-func goldenLines(t *testing.T, path string) []string {
+func goldenLines(t testing.TB, path string) []string {
 	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {

@@ -66,15 +66,15 @@ func (l *sendLog) Deliver(_, dst *chord.Node, msg chord.Message, forward func() 
 // Every walk over a bucket's groups that builds messages goes in one order,
 // so one seed sends the same messages and notifications in the same order on
 // every run. Each scenario puts several conditions in one bucket and triggers
-// all of them with one tuple; the baselines and the multi-way rewriter once
-// walked their groups in map order.
+// all of them with one tuple; the multi-way rewriter once walked its groups
+// in map order.
 func TestGroupWalksAreOrdered(t *testing.T) {
 	scenarios := []struct {
 		name string
 		run  func(t *testing.T, log *sendLog) []Notification
 	}{
-		{"BaselineAttribute", func(t *testing.T, log *sendLog) []Notification {
-			env := newTestEnv(t, 32, Config{Algorithm: BaselineAttribute, Seed: 1})
+		{"SAIConditions", func(t *testing.T, log *sendLog) []Notification {
+			env := newTestEnv(t, 32, Config{Algorithm: SAI, Strategy: StrategyLeft, Seed: 1})
 			env.net.SetInterceptor(log)
 			for i, right := range []string{"S.D", "S.E", "S.F", "S.D + 1", "2 * S.E"} {
 				env.subscribe(t, i, `SELECT R.A, S.D FROM R, S WHERE R.B = `+right)
@@ -82,18 +82,6 @@ func TestGroupWalksAreOrdered(t *testing.T) {
 			env.publish(t, 7, sTuple(env, 4, 2, 4))
 			env.publish(t, 8, sTuple(env, 5, 4, 3))
 			env.publish(t, 9, rTuple(env, 1, 4, 0))
-			return env.eng.Notifications()
-		}},
-		{"BaselinePair", func(t *testing.T, log *sendLog) []Notification {
-			env := newTestEnv(t, 32, Config{Algorithm: BaselinePair, Seed: 1})
-			env.net.SetInterceptor(log)
-			for i, right := range []string{"S.E", "S.E + 1", "2 * S.E", "S.E - 1", "3 * S.E"} {
-				env.subscribe(t, i, `SELECT R.A, S.D FROM R, S WHERE R.B = `+right)
-			}
-			for i, e := range []float64{6, 5, 3, 7, 2} {
-				env.publish(t, 7+i, sTuple(env, float64(i), e, 0))
-			}
-			env.publish(t, 20, rTuple(env, 1, 6, 0))
 			return env.eng.Notifications()
 		}},
 		{"ThreeWayChain", func(t *testing.T, log *sendLog) []Notification {

@@ -23,10 +23,9 @@ import (
 //     recovery merges the copies (RestoreSnapshot).
 //
 // The sections below mirror the movable tables of nodeState. A taking cut also
-// hands over two things in fields the walk does not list, so only a move
-// inside the process carries them: the probe statistics (arrivals/distinct —
-// advisory, cheap to re-learn) and the pair-baseline store (daemon.
-// parseAlgorithm runs no baseline, so no process holds one). No move carries
+// hands over the probe statistics (arrivals/distinct — advisory, cheap to
+// re-learn) in fields the walk does not list, so only a move inside the
+// process carries them. No move carries
 // the JFRT, the learned subscriber IPs or the publisher's owner hints and
 // verdicts: caches that refill. The grants behind those verdicts move with the
 // rewriter's buckets, so a reader the new owner gets takes them back.
@@ -36,7 +35,7 @@ const kindHandoff = "handoff"
 
 // targetsEntry is the wire form of one query's purge targets, sorted: at a
 // rewriter, the inputs its group's purge list gives it (queryGroup.targets);
-// at an evaluator, where its chain rewrites went on to (rewriteRare.sent).
+// at an evaluator, where its chain rewrites went on to (rewriteTable.sent).
 type targetsEntry struct {
 	Key     string
 	Targets []string
@@ -62,7 +61,8 @@ type alSection struct {
 	distinct map[string]struct{}
 }
 
-// vqEntry is one stored rewritten query with its trigger times.
+// vqEntry is one stored rewritten query. Times is its trigger's pubT as cut
+// writes it; merge ignores it, so a parent's repeat times are read and dropped.
 type vqEntry struct {
 	Rw    *rewritten
 	Times []int64
@@ -112,8 +112,6 @@ type handoffMsg struct {
 	Notifs    []notifSection
 	Retracted []string     // the node's retraction memory, sorted (unsubscribe.go)
 	Hot       []hotSection // the hot-key detector at the arc's bases, by input; walked behind the VQ targets
-
-	pair []*pairBucket // the pair-baseline store, taken by an in-process move only: not walked
 }
 
 func (handoffMsg) Kind() string { return kindHandoff }
@@ -129,7 +127,7 @@ func sortedKeys[V any](m map[string]V) []string {
 	return out
 }
 
-// flattenTargets converts an evaluator's rewriteRare.sent to its
+// flattenTargets converts an evaluator's rewriteTable.sent to its
 // deterministic wire form.
 func flattenTargets(m map[string]map[string]struct{}) []targetsEntry {
 	out := make([]targetsEntry, 0, len(m))
@@ -234,10 +232,10 @@ func (st *nodeState) cut(inArc func(string) bool, take bool) handoffMsg {
 	cutEach(st.vlqt, inArc, take, func(input string, b *vlqtBucket) {
 		sec := vqSection{Input: input}
 		for _, rw := range b.rewrites.all() {
-			sec.Entries = append(sec.Entries, vqEntry{Rw: rw, Times: b.rewrites.times(rw)})
+			sec.Entries = append(sec.Entries, vqEntry{Rw: rw, Times: []int64{rw.Trigger.PubT()}})
 		}
-		if r := b.rewrites.rare; r != nil && len(r.sent) > 0 {
-			sec.SentTargets = flattenTargets(r.sent)
+		if len(b.rewrites.sent) > 0 {
+			sec.SentTargets = flattenTargets(b.rewrites.sent)
 		}
 		evaluator += b.rewrites.len()
 		m.VQ = append(m.VQ, sec)
@@ -265,12 +263,6 @@ func (st *nodeState) cut(inArc func(string) bool, take bool) handoffMsg {
 		evaluator += len(batch)
 		m.Notifs = append(m.Notifs, notifSection{Subscriber: sub, Batch: append([]Notification(nil), batch...)})
 	})
-	if take {
-		cutEach(st.pairStore, inArc, take, func(_ string, b *pairBucket) {
-			evaluator += b.storedItems()
-			m.pair = append(m.pair, b)
-		})
-	}
 	m.Retracted = sortedKeys(st.retracted)
 	if take && inArc == nil {
 		clear(st.retracted)
@@ -322,7 +314,7 @@ func (st *nodeState) merge(on *chord.Node, m handoffMsg, replayNotifs bool) {
 	for _, sec := range m.VQ {
 		qb := st.vlqtFor(sec.Input, len(sec.Entries))
 		for _, e := range sec.Entries {
-			if qb.rewrites.record(e.Rw, e.Times...) {
+			if qb.rewrites.record(e.Rw) {
 				addedEvaluator++
 			}
 		}
@@ -337,9 +329,6 @@ func (st *nodeState) merge(on *chord.Node, m handoffMsg, replayNotifs bool) {
 	}
 	for _, sec := range m.DV {
 		addedEvaluator += st.mergeDAIV(sec)
-	}
-	for _, b := range m.pair {
-		addedEvaluator += st.mergePair(b)
 	}
 	for _, key := range m.Retracted {
 		st.retract(key)

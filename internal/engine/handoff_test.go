@@ -90,8 +90,8 @@ func TestHandoffAcrossTableThreshold(t *testing.T) {
 // Every move of a node's state — a join, a leave, a crash, a join by protocol
 // and a process hand-off — must keep every table it moves: after each, the
 // ring stores what it stored before, wherever it now stores it, and weighs and
-// counts (Engine.Census) the same. The hand-off crosses the wire, which carries neither the pair-baseline
-// store nor the probe statistics; the moves inside the process carry both.
+// counts (Engine.Census) the same. The hand-off crosses the wire, which does
+// not carry the probe statistics; the moves inside the process do.
 func TestEveryMoveKeepsEveryTable(t *testing.T) {
 	const pair = `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`
 	publishPairs := func(t *testing.T, env *testEnv) {
@@ -154,14 +154,6 @@ func TestEveryMoveKeepsEveryTable(t *testing.T) {
 			publishPairs(t, env)
 		},
 		tables: []string{"al", "dv"},
-	}, {
-		name: "pair",
-		cfg:  Config{Algorithm: BaselinePair},
-		fill: func(t *testing.T, env *testEnv) {
-			env.subscribe(t, 0, pair)
-			publishPairs(t, env)
-		},
-		tables: []string{"pair", "pair-tuple"},
 	}} {
 		t.Run(tc.name, func(t *testing.T) {
 			env := newTestEnv(t, 32, tc.cfg)
@@ -248,8 +240,7 @@ func TestEveryMoveKeepsEveryTable(t *testing.T) {
 			if got, want := wireOnly(stateDump(env)), wireOnly(want); !slices.Equal(got, want) {
 				t.Fatalf("after the hand-off the ring stores\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 			}
-			// The pair store does not cross processes: no daemon runs a baseline.
-			if got := sum(env.eng.StorageLoads()); tc.cfg.Algorithm != BaselinePair && got != wantStorage {
+			if got := sum(env.eng.StorageLoads()); got != wantStorage {
 				t.Fatalf("after the hand-off the storage loads sum to %d, want %d", got, wantStorage)
 			}
 		})
@@ -266,8 +257,8 @@ func censusSums(eng *Engine) map[string]int {
 }
 
 // stateDump renders what the ring stores as a sorted set of lines that name
-// no node: every node's cut, copied, then the pair-baseline store and the
-// probe statistics that only a move inside the process carries.
+// no node: every node's cut, copied, then the probe statistics that only a
+// move inside the process carries.
 func stateDump(env *testEnv) []string {
 	var lines []string
 	add := func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) }
@@ -335,18 +326,6 @@ func stateDump(env *testEnv) []string {
 				add("probe %s %v %v", input, arrivals, sortedKeys(b.distinct))
 			}
 		}
-		for input, b := range st.pairStore {
-			for _, g := range b.byCond.all() {
-				for _, q := range g.queries {
-					add("pair %s %s %d %s", input, g.cond, g.side, q.Key())
-				}
-			}
-			for side := range b.tuples {
-				for _, tu := range b.tuples[side].all() {
-					add("pair-tuple %s %d %s", input, side, tu.ContentKey())
-				}
-			}
-		}
 		st.mu.Unlock()
 	}
 	sort.Strings(lines)
@@ -356,7 +335,7 @@ func stateDump(env *testEnv) []string {
 // wireOnly drops from a dump the lines no wire form carries.
 func wireOnly(dump []string) []string {
 	return slices.DeleteFunc(slices.Clone(dump), func(line string) bool {
-		return strings.HasPrefix(line, "probe ") || strings.HasPrefix(line, "pair")
+		return strings.HasPrefix(line, "probe ")
 	})
 }
 

@@ -209,9 +209,7 @@ func (st *nodeState) hotScatter(key []byte, run []rewritten, batch []chord.Deliv
 }
 
 // promote appends to batch the copies of input's rewrite set its shards are
-// sent when the input is promoted. Each copy lands with its own trigger's
-// time; the times later repeats added stay at the base. The caller holds
-// st.mu.
+// sent when the input is promoted. The caller holds st.mu.
 func (st *nodeState) promote(input string, batch []chord.Deliverable) []chord.Deliverable {
 	st.engine.obs.hotPromotions.Add(1)
 	qb := st.vlqt[input]

@@ -103,9 +103,6 @@ func (e *Engine) indexQuery(from *chord.Node, q *query.Query) (*query.Query, err
 		la := pick(e, q.SideAttrs(query.SideLeft))
 		ra := pick(e, q.SideAttrs(query.SideRight))
 		return e.sendQueryIndex(from, q, []sideAttr{{query.SideLeft, la}, {query.SideRight, ra}})
-	case BaselineRelation, BaselineAttribute, BaselinePair:
-		q = q.WithInsT(e.net.Clock().Tick())
-		return q, e.indexQueryBaseline(from, q)
 	default:
 		return nil, fmt.Errorf("engine: unknown algorithm %v", e.cfg.Algorithm)
 	}
@@ -200,10 +197,6 @@ func (e *Engine) sendQueryIndex(from *chord.Node, q *query.Query, idx []sideAttr
 // Config.BlindIndexing, to both by the publisher, 2h messages in one multisend.
 // DAI-V indexes tuples only at the attribute level (Section 4.5).
 func (e *Engine) indexTuple(from *chord.Node, t *relation.Tuple) error {
-	switch e.cfg.Algorithm {
-	case BaselineRelation, BaselineAttribute, BaselinePair:
-		return e.indexTupleBaseline(from, t)
-	}
 	schema := t.Schema()
 	blind := e.cfg.BlindIndexing && e.cfg.Algorithm != DAIV
 	var batchBuf [8]chord.Deliverable

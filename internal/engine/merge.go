@@ -102,20 +102,3 @@ func (st *nodeState) mergeDAIV(sec dvSection) int {
 	}
 	return added
 }
-
-func (st *nodeState) mergePair(b *pairBucket) int {
-	ex := st.pairStore[b.input]
-	if ex == nil {
-		st.pairStore[b.input] = b
-		return b.storedItems()
-	}
-	added := 0
-	for _, g := range b.byCond.all() {
-		eg := ex.byCond.getOrAdd(g.cond, func() *queryGroup { return &queryGroup{cond: g.cond, side: g.side} })
-		added += appendNew(&eg.queries, g.queries, (*query.Query).Key)
-	}
-	for side := range b.tuples {
-		added += ex.tuples[side].addAll(b.tuples[side].all())
-	}
-	return added
-}

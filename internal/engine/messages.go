@@ -23,7 +23,6 @@ const (
 	kindRevoke   = "revoke"         // revoke(R+A): a publisher told no query reads R.A must send it again
 	kindUnsub    = "unsubscribe"    // a query's retraction at its rewriter, and the purges of its rewrites
 	kindProbe    = "strategy-probe" // rate/domain probe of candidate rewriters (Section 4.3.6)
-	kindBaseline = "probe"          // baseline cross-site probe (Section 4.1)
 )
 
 // queryMsg indexes query Q at the attribute level under index attribute
@@ -190,8 +189,8 @@ func (rw *rewritten) keyStart() string {
 // and join attribute), and the q' asks for tuples of Want.Rel whose Want.Attr
 // equals WantValue. Want is the catalog schema's one AttrRef for the
 // attribute (query.Query.StageAttr), which every target derived from a query
-// shares; a decoded target that is not derived (a parent's, a baseline
-// probe's) holds one of its own. A rewriter's Trigger is the tuple it received, for every
+// shares; a decoded target that is not derived (a parent's) holds one of its
+// own. A rewriter's Trigger is the tuple it received, for every
 // shape of its group; the wire says its projection onto each rewrite's
 // shape, and a decoded Trigger is that projection. A chain's rewrite past
 // its first stage also carries Prefix, the tuples matched before Trigger in
@@ -339,5 +338,3 @@ type probeMsg struct {
 }
 
 func (probeMsg) Kind() string { return kindProbe }
-
-// The naive-baseline messages of Section 4.1 live in baseline.go.

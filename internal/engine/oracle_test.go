@@ -123,6 +123,7 @@ func TestOracleT2DAIV(t *testing.T) {
 	sqls := []string{
 		`SELECT R.A, S.D FROM R, S WHERE R.B + R.C = S.E + S.F`,
 		`SELECT R.A FROM R, S WHERE 2 * R.B + R.C = S.E * S.F AND S.D >= 1`,
+		`SELECT R.A, S.D FROM R, S WHERE R.B + R.C = S.E * S.F`,
 		`SELECT R.C, S.F FROM R, S WHERE R.A = S.D`, // T1 mixed in
 	}
 	for seed := int64(1); seed <= 3; seed++ {

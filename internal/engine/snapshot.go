@@ -19,7 +19,7 @@ import (
 // notifications in the record, the bare identities of those a consumer took,
 // the count). The hot-key detector is a base's own state and travels in its
 // node's section. Deliberately NOT carried: what only a taking cut hands over
-// (probe statistics, the pair-baseline store), the caches no move carries,
+// (probe statistics), the caches no move carries,
 // and the engine's private rng state (it only picks index attributes and
 // replicas, which never changes match content — see DESIGN.md §14.3).
 

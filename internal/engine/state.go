@@ -36,7 +36,6 @@ type nodeState struct {
 	vlqt         map[string]*vlqtBucket
 	vltt         map[string]*vlttBucket
 	vstore       map[string]*daivBucket
-	pairStore    map[string]*pairBucket
 	storedNotifs map[string][]Notification
 	subIPs       map[string]string // learned subscriber addresses (Section 4.6)
 	jfrt         *jfrtCache
@@ -118,7 +117,6 @@ func newNodeState(e *Engine, n *chord.Node) *nodeState {
 		vlqt:         make(map[string]*vlqtBucket),
 		vltt:         make(map[string]*vlttBucket),
 		vstore:       make(map[string]*daivBucket),
-		pairStore:    make(map[string]*pairBucket),
 		storedNotifs: make(map[string][]Notification),
 		subIPs:       make(map[string]string),
 		jfrt:         new(jfrtCache),
@@ -344,7 +342,7 @@ func (g *queryGroup) targets(q *query.Query) []string {
 // vlqtBucket is the slice of the value-level query table reached through
 // one value-level identifier Hash(R+A+v): the rewritten queries waiting for
 // tuples whose attribute A equals v. The second level is keyed by rewritten
-// key so duplicates only add trigger times (Section 4.3.3). Its input is the
+// key so a duplicate adds nothing (Section 4.3.3). Its input is the
 // key the table holds it under. A bucket is one allocation while its table
 // fits inline, where its items start: a copy would share the original's
 // entries, so noCopy has go vet's copylocks check refuse one.
@@ -357,7 +355,7 @@ type vlqtBucket struct {
 // empty reports whether the bucket holds nothing: no rewrite, and no target
 // a chain's purge would follow from it.
 func (qb *vlqtBucket) empty() bool {
-	return qb.rewrites.len() == 0 && (qb.rewrites.rare == nil || len(qb.rewrites.rare.sent) == 0)
+	return qb.rewrites.len() == 0 && len(qb.rewrites.sent) == 0
 }
 
 // vlqtInline is how many rewrites a VLQT bucket holds inside itself: at the
@@ -452,26 +450,6 @@ func (st *nodeState) daivBucketFor(input string) *daivBucket {
 	return b
 }
 
-// pairBucket serves the naive pair-indexing baseline of Section 4.1: one
-// node holds both relations' tuples and the queries for one join-attribute
-// pair, and evaluates joins entirely locally.
-type pairBucket struct {
-	input  string
-	byCond condTable[*queryGroup]
-	tuples [2]tupleSet // per query.Side of the pair key
-}
-
-// pairBucketFor returns the pair-baseline bucket of input, creating it when
-// absent. The caller holds st.mu.
-func (st *nodeState) pairBucketFor(input string) *pairBucket {
-	b := st.pairStore[input]
-	if b == nil {
-		b = &pairBucket{input: input}
-		st.pairStore[input] = b
-	}
-	return b
-}
-
 // HandleMessage dispatches overlay messages to the role handlers.
 func (st *nodeState) HandleMessage(on *chord.Node, msg chord.Message) {
 	switch m := msg.(type) {
@@ -496,12 +474,6 @@ func (st *nodeState) HandleMessage(on *chord.Node, msg chord.Message) {
 	case probeMsg:
 		// The probe answer is read synchronously by the prober; receiving
 		// the message only charges its routing (Section 4.3.6).
-	case baselineQueryMsg:
-		st.handleBaselineQuery(m)
-	case baselineTupleMsg:
-		st.handleBaselineTuple(m)
-	case baselineProbeMsg:
-		st.handleBaselineProbe(m)
 	case *unsubMsg:
 		st.handleUnsub(m)
 	case interestMsg:
@@ -549,15 +521,6 @@ func (b *daivBucket) storedItems() int {
 	return n
 }
 
-// storedItems counts the tuples and queries a pair bucket stores.
-func (b *pairBucket) storedItems() int {
-	n := b.tuples[0].len() + b.tuples[1].len()
-	for _, g := range b.byCond.all() {
-		n += len(g.queries)
-	}
-	return n
-}
-
 // evictBefore drops stored tuples older than the cutoff — the sliding
 // window of the evaluation chapter — and the buckets that emptied, so a
 // stream of mostly-unique values does not leave a bucket behind per value.
@@ -587,9 +550,6 @@ func (st *nodeState) evictBefore(cutoff int64) {
 		if len(b.byCond.all()) == 0 {
 			delete(st.vstore, input)
 		}
-	}
-	for _, b := range st.pairStore {
-		evicted += b.tuples[0].removeIf(expired) + b.tuples[1].removeIf(expired)
 	}
 	chainExpired := func(rw *rewritten) bool {
 		return rw.Orig.Arity() > 2 && !slices.ContainsFunc(rw.matched(nil), func(t *relation.Tuple) bool { return !expired(t) })

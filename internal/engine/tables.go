@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"slices"
-
 	"cqjoin/internal/relation"
 )
 
@@ -96,23 +94,15 @@ func (s *tupleSet) removeIf(drop func(*relation.Tuple) bool) int {
 
 // rewriteTable is an insertion-ordered table of stored rewritten queries,
 // unique by Key(q') (Section 4.3.3). An entry is the *rewritten its join
-// carried, and its trigger times are its trigger's pubT — what an arrival
-// records — unless rare.later holds others: a repeat of its key added its
-// own, or a move merged it with times that differ. A table that carries an
-// index keys it by key(), so only those build the strings of derived keys.
+// carried; a repeat of its key adds nothing. A table that carries an index
+// keys it by key(), so only those build the strings of derived keys.
 type rewriteTable struct {
 	items []*rewritten
 	index map[string]*rewritten
-	rare  *rewriteRare // nil until a table needs it: a value-level bucket stays in its 64-byte size class
-}
-
-// rewriteRare is what few tables hold: later, the trigger times of entries
-// whose times are not their trigger's alone; and sent, by query key, the
-// inputs the table's chain rewrites went on to a stage (meet) — where a
-// retraction's purge follows them (handlePurge).
-type rewriteRare struct {
-	later map[*rewritten][]int64
-	sent  map[string]map[string]struct{}
+	// sent is what few tables hold, nil until one needs it: by query key, the
+	// inputs the table's chain rewrites went on to a stage (meet) — where a
+	// retraction's purge follows them (handlePurge).
+	sent map[string]map[string]struct{}
 }
 
 func (t *rewriteTable) len() int { return len(t.items) }
@@ -135,41 +125,14 @@ func (t *rewriteTable) get(rw *rewritten) *rewritten {
 	return nil
 }
 
-// later returns the times rare.later holds for rw, and whether it does.
-func (t *rewriteTable) later(rw *rewritten) ([]int64, bool) {
-	if t.rare == nil {
-		return nil, false
-	}
-	ts, ok := t.rare.later[rw]
-	return ts, ok
-}
-
-// times returns the trigger times of stored rewrite rw, in a slice of the
-// caller's.
-func (t *rewriteTable) times(rw *rewritten) []int64 {
-	if ts, ok := t.later(rw); ok {
-		return slices.Clone(ts)
-	}
-	return []int64{rw.Trigger.PubT()}
-}
-
-// record stores rw with its trigger times, or — when its key is already
-// present: the same query rewritten by a tuple with the same index-attribute
-// value — only adds the times to the stored entry (Section 4.3.3). It reports
-// whether rw was stored.
-func (t *rewriteTable) record(rw *rewritten, times ...int64) bool {
-	if o := t.get(rw); o != nil {
-		ts, ok := t.later(o)
-		if !ok {
-			ts = []int64{o.Trigger.PubT()}
-		}
-		t.setLater(o, append(ts, times...))
+// record stores rw unless its key is already present: the same query
+// rewritten by a tuple with the same index-attribute value (Section 4.3.3).
+// It reports whether rw was stored.
+func (t *rewriteTable) record(rw *rewritten) bool {
+	if t.get(rw) != nil {
 		return false
 	}
 	t.items = append(t.items, rw)
-	if len(times) != 1 || times[0] != rw.Trigger.PubT() {
-		t.setLater(rw, slices.Clone(times))
-	}
 	if t.index != nil {
 		t.index[rw.key()] = rw
 	} else if len(t.items) > smallTableMax {
@@ -181,33 +144,16 @@ func (t *rewriteTable) record(rw *rewritten, times ...int64) bool {
 	return true
 }
 
-// makeRare returns the table's rare state, making it where there is none.
-func (t *rewriteTable) makeRare() *rewriteRare {
-	if t.rare == nil {
-		t.rare = new(rewriteRare)
-	}
-	return t.rare
-}
-
-func (t *rewriteTable) setLater(rw *rewritten, times []int64) {
-	r := t.makeRare()
-	if r.later == nil {
-		r.later = make(map[*rewritten][]int64)
-	}
-	r.later[rw] = times
-}
-
 // recordTarget remembers that a chain rewrite of query key stored here went
 // on to input.
 func (t *rewriteTable) recordTarget(key, input string) {
-	r := t.makeRare()
-	if r.sent == nil {
-		r.sent = make(map[string]map[string]struct{})
+	if t.sent == nil {
+		t.sent = make(map[string]map[string]struct{})
 	}
-	ts := r.sent[key]
+	ts := t.sent[key]
 	if ts == nil {
 		ts = make(map[string]struct{})
-		r.sent[key] = ts
+		t.sent[key] = ts
 	}
 	ts[input] = struct{}{}
 }
@@ -215,11 +161,8 @@ func (t *rewriteTable) recordTarget(key, input string) {
 // takeTargets forgets and returns the inputs query key's chain rewrites went
 // on to from here.
 func (t *rewriteTable) takeTargets(key string) map[string]struct{} {
-	if t.rare == nil {
-		return nil
-	}
-	ts := t.rare.sent[key]
-	delete(t.rare.sent, key)
+	ts := t.sent[key]
+	delete(t.sent, key)
 	return ts
 }
 
@@ -231,9 +174,6 @@ func (t *rewriteTable) removeIf(drop func(*rewritten) bool) int {
 		if !drop(rw) {
 			kept = append(kept, rw)
 			continue
-		}
-		if t.rare != nil {
-			delete(t.rare.later, rw)
 		}
 		if t.index != nil {
 			var buf [keyScratch]byte

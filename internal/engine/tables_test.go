@@ -127,32 +127,24 @@ func TestTupleSetMatchesMapAndSlice(t *testing.T) {
 }
 
 // refRewrites is the reference rewrite table: entries by spelled key beside
-// their order, each with its times in full.
+// their order.
 type refRewrites struct {
-	byKey  map[string]*refRewrite
-	sorted []*refRewrite
+	byKey  map[string]*rewritten
+	sorted []*rewritten
 }
 
-type refRewrite struct {
-	rw    *rewritten
-	times []int64
-}
-
-func (r *refRewrites) record(rw *rewritten, times ...int64) bool {
-	if e, dup := r.byKey[rw.key()]; dup {
-		e.times = append(e.times, times...)
+func (r *refRewrites) record(rw *rewritten) bool {
+	if _, dup := r.byKey[rw.key()]; dup {
 		return false
 	}
-	e := &refRewrite{rw: rw, times: slices.Clone(times)}
-	r.byKey[rw.key()] = e
-	r.sorted = append(r.sorted, e)
+	r.byKey[rw.key()] = rw
+	r.sorted = append(r.sorted, rw)
 	return true
 }
 
 // The rewrite table holds the *rewritten its join carried, its Key(q') held
-// derived ("") or spelled, and its trigger times in later only where they are
-// not the trigger's pubT alone: arrivals in both key forms, repeats of a key,
-// merged entries whose times lead with another, and retractions.
+// derived ("") or spelled: arrivals in both key forms, repeats of a key and
+// retractions.
 func TestRewriteTableMatchesMapAndSlice(t *testing.T) {
 	r := relation.MustSchema("R", "A", "B", "C")
 	catalog := relation.MustCatalog(r, relation.MustSchema("S", "D", "E", "F"))
@@ -183,11 +175,8 @@ func TestRewriteTableMatchesMapAndSlice(t *testing.T) {
 	if spelled.Key != qs[0].Key()+"+1+7" || derived.key() != spelled.Key {
 		t.Fatalf("keys %q and %q, want both %s+1+7", derived.key(), spelled.Key, qs[0].Key())
 	}
-	if !tab.record(derived, 1) || tab.record(spelled, 2) || tab.len() != 1 || tab.get(spelled) != derived {
+	if !tab.record(derived) || tab.record(spelled) || tab.len() != 1 || tab.get(spelled) != derived {
 		t.Fatalf("a derived key and its spelling stored as %d entries", tab.len())
-	}
-	if got := tab.times(derived); !slices.Equal(got, []int64{1, 2}) {
-		t.Fatalf("the entry's times are %v, want [1 2]", got)
 	}
 
 	absent := arrival(3, 1000, 0, false)
@@ -195,26 +184,19 @@ func TestRewriteTableMatchesMapAndSlice(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		limit := 1 + rng.Intn(64)
 		var tab rewriteTable
-		ref := &refRewrites{byKey: make(map[string]*refRewrite)}
+		ref := &refRewrites{byKey: make(map[string]*rewritten)}
 		check := func(step string) {
 			t.Helper()
 			if tab.len() != len(ref.sorted) {
 				t.Fatalf("%s: table holds %d rewrites, reference %d", step, tab.len(), len(ref.sorted))
 			}
 			for i, rw := range tab.all() {
-				want := ref.sorted[i]
-				if got := tab.times(rw); rw != want.rw || !slices.Equal(got, want.times) {
-					t.Fatalf("%s: entry %d is %s %v, reference %s %v", step, i, rw.key(), got, want.rw.key(), want.times)
-				}
-				if _, in := tab.later(rw); in == (len(want.times) == 1 && want.times[0] == rw.Trigger.PubT()) {
-					t.Fatalf("%s: entry %s with times %v is in later: %v", step, rw.key(), want.times, in)
+				if want := ref.sorted[i]; rw != want {
+					t.Fatalf("%s: entry %d is %s, reference %s", step, i, rw.key(), want.key())
 				}
 				if tab.get(rw) != rw {
 					t.Fatalf("%s: get(%s) does not return the stored entry", step, rw.key())
 				}
-			}
-			if tab.rare != nil && len(tab.rare.later) > tab.len() {
-				t.Fatalf("%s: later holds %d entries over %d rewrites", step, len(tab.rare.later), tab.len())
 			}
 			if tab.index == nil && tab.len() > smallTableMax {
 				t.Fatalf("%s: %d rewrites and no index", step, tab.len())
@@ -229,28 +211,21 @@ func TestRewriteTableMatchesMapAndSlice(t *testing.T) {
 		for op := 0; op < 300; op++ {
 			step := fmt.Sprintf("seed %d op %d", seed, op)
 			if rng.Intn(10) < 8 {
-				// Only the first of a key is stored; a repeat adds its times.
+				// Only the first of a key is stored.
 				rw := arrival(rng.Intn(len(qs)), rng.Intn(limit), int64(op), rng.Intn(2) == 0)
-				times := []int64{rw.Trigger.PubT()}
-				switch rng.Intn(6) {
-				case 0: // merged by a move, after a repeat elsewhere
-					times = append(times, int64(op)+1000)
-				case 1: // merged by a move, its first time not its trigger's
-					times = []int64{int64(op) + 2000}
-				}
-				if got, want := tab.record(rw, times...), ref.record(rw, times...); got != want {
+				if got, want := tab.record(rw), ref.record(rw); got != want {
 					t.Fatalf("%s: record(%s) = %v, reference %v", step, rw.key(), got, want)
 				}
 			} else { // a query is retracted
 				qk := qs[rng.Intn(len(qs))].Key()
 				gone := make(map[*rewritten]bool)
 				kept := ref.sorted[:0:0]
-				for _, e := range ref.sorted {
-					if e.rw.Orig.Key() == qk && rng.Intn(3) > 0 {
-						gone[e.rw] = true
-						delete(ref.byKey, e.rw.key())
+				for _, rw := range ref.sorted {
+					if rw.Orig.Key() == qk && rng.Intn(3) > 0 {
+						gone[rw] = true
+						delete(ref.byKey, rw.key())
 					} else {
-						kept = append(kept, e)
+						kept = append(kept, rw)
 					}
 				}
 				want := len(ref.sorted) - len(kept)

@@ -49,18 +49,12 @@ func (*purgeMsg) Kind() string { return kindUnsub }
 
 // Unsubscribe retracts a continuous query previously returned by
 // Subscribe. After it returns, future tuple insertions can no longer
-// trigger the query. Baseline algorithms do not support retraction. A
-// chain's rewriter purges its first-stage rewrites like any others; each
+// trigger the query. A chain's rewriter purges its first-stage rewrites like any others; each
 // evaluator cascades the purge down the chain along the targets its rewrites
 // went on to (rewriteTable.recordTarget).
 func (e *Engine) Unsubscribe(from *chord.Node, q *query.Query) error {
 	if !from.Alive() {
 		return fmt.Errorf("engine: unsubscribe from departed node %s", from)
-	}
-	switch e.cfg.Algorithm {
-	case SAI, DAIQ, DAIT, DAIV:
-	default:
-		return fmt.Errorf("engine: %s does not support unsubscribe", e.cfg.Algorithm)
 	}
 	return e.retractQuery(from, q.Key(), q.ConditionKey())
 }

@@ -124,12 +124,6 @@ func TestUnsubscribeErrors(t *testing.T) {
 	if err := env.eng.Unsubscribe(env.node(0), q); err == nil {
 		t.Fatal("double retraction accepted")
 	}
-
-	base := newTestEnv(t, 16, Config{Algorithm: BaselineRelation})
-	bq := base.subscribe(t, 0, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
-	if err := base.eng.Unsubscribe(base.node(0), bq); err == nil {
-		t.Fatal("baseline retraction accepted")
-	}
 }
 
 func TestUnsubscribeMultiStopsNotifications(t *testing.T) {

@@ -113,9 +113,9 @@ func (t *Tuple) SetCachedWireSize(n int) { atomic.StoreInt64(&t.wireSize, int64(
 //	R|A1=v1|...|Ah=vh|@pubT
 //
 // the key under which every tuple store absorbs duplicated deliveries (the
-// value-level tuple table of SAI and DAI-Q, DAI-V's value store, the pair
-// baseline) and from which hot-key sharding picks a tuple's shard. It is
-// computed once per tuple, however many evaluators store it.
+// value-level tuple table of SAI and DAI-Q, DAI-V's value store) and from
+// which hot-key sharding picks a tuple's shard. It is computed once per tuple,
+// however many evaluators store it.
 func (t *Tuple) ContentKey() string {
 	if k := t.contentKey.Load(); k != nil {
 		return *k
