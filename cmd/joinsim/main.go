@@ -66,7 +66,7 @@ func main() {
 
 	sc := exp.CI()
 	if *scale == "paper" {
-		sc = exp.Paper()
+		sc = exp.Scale{Nodes: 10000, Queries: 100000, Tuples: 20000, Seed: 1}
 	} else if *scale != "ci" {
 		fmt.Fprintf(os.Stderr, "joinsim: unknown scale %q (want ci or paper)\n", *scale)
 		os.Exit(2)

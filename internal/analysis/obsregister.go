@@ -11,7 +11,6 @@ import (
 var registryMethods = map[string]bool{
 	"cqjoin/internal/obs.Registry.Counter":    true,
 	"cqjoin/internal/obs.Registry.Gauge":      true,
-	"cqjoin/internal/obs.Registry.Histogram":  true,
 	"cqjoin/internal/obs.Registry.CounterVec": true,
 }
 
@@ -19,9 +18,6 @@ var registryMethods = map[string]bool{
 //
 //   - the metric name must be a compile-time constant, so the name space
 //     of a run is closed and Snapshot keys are stable;
-//   - histogram bounds must be constants or a single spread of a
-//     package-level variable (the shared bucket tables), not values
-//     computed at the call site;
 //   - registration must not sit inside a loop (Registry methods take a
 //     registry-wide lock and intern by name — a registration in a hot loop
 //     is a lock acquisition per iteration for a value that never changes);
@@ -29,7 +25,7 @@ var registryMethods = map[string]bool{
 //     so a metric's meaning has a single owner.
 var ObsRegisterAnalyzer = &Analyzer{
 	Name: "obsregister",
-	Doc:  "metric registration must use constant names/bounds, happen outside loops, once per package",
+	Doc:  "metric registration must use constant names, happen outside loops, once per package",
 	Run:  runObsRegister,
 }
 
@@ -60,16 +56,6 @@ func runObsRegister(pass *Pass) error {
 					firstSite[nameVal] = pos
 				}
 			}
-			// Histogram bounds: constants, or one spread package-level
-			// bucket table (reg.Histogram(name, hopBuckets...)).
-			if fn.Name() == "Histogram" {
-				for _, arg := range call.Args[1:] {
-					if isConstExpr(info, arg) || isPackageLevelSpread(info, call, arg) {
-						continue
-					}
-					pass.Reportf(arg.Pos(), "histogram bounds must be constants or a spread package-level bucket table")
-				}
-			}
 			return true
 		})
 	}
@@ -97,23 +83,4 @@ func constStringValue(info *types.Info, e ast.Expr) string {
 		return ""
 	}
 	return constant.StringVal(tv.Value)
-}
-
-func isConstExpr(info *types.Info, e ast.Expr) bool {
-	tv, ok := info.Types[e]
-	return ok && tv.Value != nil
-}
-
-// isPackageLevelSpread reports whether arg is the final `v...` argument of
-// call with v a package-level variable.
-func isPackageLevelSpread(info *types.Info, call *ast.CallExpr, arg ast.Expr) bool {
-	if call.Ellipsis == token.NoPos || arg != call.Args[len(call.Args)-1] {
-		return false
-	}
-	id, ok := ast.Unparen(arg).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	v, ok := info.Uses[id].(*types.Var)
-	return ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
 }

@@ -3,12 +3,10 @@ package obs
 
 type Counter struct{}
 type Gauge struct{}
-type Histogram struct{}
 type CounterVec struct{}
 
 type Registry struct{}
 
-func (r *Registry) Counter(name string) *Counter                      { return nil }
-func (r *Registry) Gauge(name string) *Gauge                          { return nil }
-func (r *Registry) Histogram(name string, bounds ...int64) *Histogram { return nil }
-func (r *Registry) CounterVec(name string) *CounterVec                { return nil }
+func (r *Registry) Counter(name string) *Counter       { return nil }
+func (r *Registry) Gauge(name string) *Gauge           { return nil }
+func (r *Registry) CounterVec(name string) *CounterVec { return nil }

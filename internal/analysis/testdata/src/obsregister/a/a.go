@@ -1,25 +1,23 @@
 // Package a exercises the obsregister analyzer: metric registration must
-// use constant names and bounds, sit outside loops, and happen at one
-// site per package.
+// use constant names, sit outside loops, and happen at one site per
+// package.
 package a
 
 import "cqjoin/internal/obs"
 
 const latencyName = "a.latency"
 
-var bucketTable = []int64{1, 2, 4, 8}
-
 type holder struct {
 	reqs *obs.Counter
-	lat  *obs.Histogram
+	lat  *obs.Gauge
 }
 
-// newHolder is the sanctioned shape: constant names, constant bounds or a
-// shared bucket table, one site per metric. No diagnostics.
+// newHolder is the sanctioned shape: constant names, one site per metric.
+// No diagnostics.
 func newHolder(reg *obs.Registry) *holder {
 	return &holder{
 		reqs: reg.Counter("a.requests"),
-		lat:  reg.Histogram(latencyName, bucketTable...),
+		lat:  reg.Gauge(latencyName),
 	}
 }
 
@@ -35,15 +33,6 @@ func dynamicName(reg *obs.Registry, shard string) {
 
 func duplicateName(reg *obs.Registry) {
 	reg.Counter("a.requests") // want "metric \"a.requests\" already registered"
-}
-
-func dynamicBounds(reg *obs.Registry, max int64) {
-	reg.Histogram("a.hist", 1, 2, max) // want "histogram bounds must be constants or a spread package-level bucket table"
-}
-
-func localSpread(reg *obs.Registry) {
-	local := []int64{1, 2}
-	reg.Histogram("a.hist2", local...) // want "histogram bounds must be constants or a spread package-level bucket table"
 }
 
 func suppressed(reg *obs.Registry, n int) {

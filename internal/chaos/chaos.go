@@ -179,7 +179,6 @@ func (in *Injector) Deliver(from, dst *chord.Node, msg chord.Message, forward fu
 	case p < c.DropRate:
 		in.tracefLocked("t=%d drop %s %s->%s", now, kind, from.Key(), dst.Key())
 		in.mu.Unlock()
-		in.net.Traffic().RecordDrop(kind)
 		return 0
 	case p < c.DropRate+c.DupRate:
 		in.tracefLocked("t=%d dup %s %s->%s", now, kind, from.Key(), dst.Key())
@@ -190,7 +189,6 @@ func (in *Injector) Deliver(from, dst *chord.Node, msg chord.Message, forward fu
 	case p < c.DropRate+c.DupRate+c.DelayRate:
 		in.tracefLocked("t=%d delay+%d %s %s->%s", now, d, kind, from.Key(), dst.Key())
 		in.mu.Unlock()
-		in.net.Traffic().RecordDelayed(kind)
 		in.dq.PushAt(now+d, func() {
 			in.tracef("t=%d release %s %s->%s", in.net.Clock().Now(), kind, from.Key(), dst.Key())
 			forward() // checks dst.Alive itself; a crashed recipient loses the copy

@@ -7,7 +7,6 @@ import (
 	"cqjoin/internal/chord"
 	"cqjoin/internal/engine"
 	"cqjoin/internal/id"
-	"cqjoin/internal/obs"
 	"cqjoin/internal/query"
 	"cqjoin/internal/relation"
 )
@@ -27,8 +26,7 @@ func runPublisherChurn(t *testing.T, prefix string, change func(eng *engine.Engi
 	r := relation.MustSchema(prefix+"R", "A", "B", "C", "D")
 	s := relation.MustSchema(prefix+"S", "E", "F", "G", "H")
 	catalog := relation.MustCatalog(r, s)
-	reg := obs.NewRegistry()
-	net := chord.New(chord.Config{Obs: reg})
+	net := chord.New(chord.Config{})
 	net.AddNodes("peer", 64)
 	eng := engine.New(net, catalog, engine.Config{Seed: 1, MaxRetries: 2})
 	oracle := engine.NewOracle()
@@ -76,7 +74,7 @@ func runPublisherChurn(t *testing.T, prefix string, change func(eng *engine.Engi
 	if lost := net.Traffic().TotalLost(); lost != 0 {
 		t.Errorf("%d messages lost", lost)
 	}
-	return reg.Counter("chord.handbacks").Value()
+	return net.Handbacks()
 }
 
 func TestPublisherTableChurnDeliversWhatTheOracleDerives(t *testing.T) {
@@ -109,7 +107,7 @@ func TestPublisherTableChurnDeliversWhatTheOracleDerives(t *testing.T) {
 		for _, prefix := range []string{"", "x", "Rel"} {
 			t.Run(c.name+"/"+prefix, func(t *testing.T) {
 				if handbacks := runPublisherChurn(t, prefix, c.change); handbacks == 0 {
-					t.Error("chord.handbacks = 0: no hinted send met a node that no longer owned its identifier")
+					t.Error("Handbacks = 0: no hinted send met a node that no longer owned its identifier")
 				}
 			})
 		}

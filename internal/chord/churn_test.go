@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"cqjoin/internal/id"
-	"cqjoin/internal/obs"
 )
 
 // Property: after ANY sequence of joins, voluntary leaves and crashes, the
@@ -255,7 +254,7 @@ func TestChurnLookupsLandOnOwnerWhileListsLag(t *testing.T) {
 	for script, name := range []string{"joins", "mixed"} {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(42 + script)))
-			net := New(Config{Obs: obs.NewRegistry()})
+			net := New(Config{})
 			net.AddNodes("lag", 256)
 			probe := func(when string) {
 				nodes := net.Nodes()
@@ -291,16 +290,16 @@ func TestChurnLookupsLandOnOwnerWhileListsLag(t *testing.T) {
 					probe(fmt.Sprintf("event %d, round %d", ev, r))
 				}
 			}
-			handbacks := net.obs.handbacks.Value()
+			handbacks := net.Handbacks()
 			if handbacks == 0 {
-				t.Fatal("chord.handbacks = 0: no lookup ever landed on a lagging list")
+				t.Fatal("Handbacks = 0: no lookup ever landed on a lagging list")
 			}
 			if !listsExact(net) {
 				t.Fatalf("successor lists still lag %d rounds after the last event", rounds)
 			}
 			probe("lists exact")
-			if got := net.obs.handbacks.Value(); got != handbacks {
-				t.Fatalf("chord.handbacks rose %d -> %d on exact lists", handbacks, got)
+			if got := net.Handbacks(); got != handbacks {
+				t.Fatalf("Handbacks rose %d -> %d on exact lists", handbacks, got)
 			}
 		})
 	}
@@ -310,7 +309,7 @@ func TestChurnLookupsLandOnOwnerWhileListsLag(t *testing.T) {
 // lagging list named, it is handed back, delivered at the owner, and the extra
 // hop is charged to the walk.
 func TestMultisendHandsBackFromLaggingList(t *testing.T) {
-	net := New(Config{Obs: obs.NewRegistry()})
+	net := New(Config{})
 	net.AddNodes("mlag", 16)
 	rec := newRecorder()
 	for _, n := range net.Nodes() {
@@ -347,7 +346,7 @@ func TestMultisendHandsBackFromLaggingList(t *testing.T) {
 	if want := int(lookupHops) + 1; hops != want || net.Traffic().Hops("ms") != int64(want) {
 		t.Fatalf("multisend hops = %d (ledger %d), want %d", hops, net.Traffic().Hops("ms"), want)
 	}
-	if got := net.obs.handbacks.Value(); got != 2 {
-		t.Fatalf("chord.handbacks = %d, want 2 (one per walk)", got)
+	if got := net.Handbacks(); got != 2 {
+		t.Fatalf("Handbacks = %d, want 2 (one per walk)", got)
 	}
 }

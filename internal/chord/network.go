@@ -19,61 +19,6 @@ type Config struct {
 	// Zero means the default of 8. Set by tests; everything else runs the
 	// default.
 	SuccessorListLen int
-	// Obs is the observability registry. When set, the traffic ledger's
-	// families are registered on it, the routing layer records per-kind
-	// send counters and hop histograms ("chord.*"), and the clock reports
-	// its tick metrics ("sim.clock.*"). Nil (the default) disables the
-	// layer at zero cost — same-seed runs are bit-identical either way,
-	// because recording never feeds back into routing decisions. Set by
-	// tests, directly or through internal/exp.Setup.
-	Obs *obs.Registry
-}
-
-// netObs holds the overlay's pre-created metric handles. All fields are
-// nil when observability is disabled; every recording site tolerates that
-// via the obs package's nil-receiver no-ops.
-type netObs struct {
-	lookups       *obs.Counter
-	lookupHops    *obs.Histogram
-	sends         *obs.CounterVec // per message kind
-	sendHops      *obs.Histogram
-	directSends   *obs.Counter
-	multisends    *obs.Counter
-	multisendSize *obs.Histogram
-	multisendHops *obs.Histogram
-	routeFailures *obs.Counter
-	handbacks     *obs.Counter    // hops back to the owner after a final hop (Network.land)
-	deliveries    *obs.CounterVec // per message kind, at the delivery choke point
-	deliveryMiss  *obs.Counter    // dropped / dead-destination deliveries
-	wireBytes     *obs.Histogram  // per-message encoded size (the codec path)
-	joins, exits  *obs.Counter    // membership churn
-}
-
-// hopBuckets covers O(log N) lookups up to thesis scale plus a tail for
-// churn-stressed successor walks.
-var hopBuckets = []int64{0, 1, 2, 4, 8, 16, 32, 64, 128}
-
-func newNetObs(reg *obs.Registry) netObs {
-	if reg == nil {
-		return netObs{handbacks: new(obs.Counter)} // Network.Handbacks reads it
-	}
-	return netObs{
-		lookups:       reg.Counter("chord.lookups"),
-		lookupHops:    reg.Histogram("chord.lookup.hops", hopBuckets...),
-		sends:         reg.CounterVec("chord.sends"),
-		sendHops:      reg.Histogram("chord.send.hops", hopBuckets...),
-		directSends:   reg.Counter("chord.direct_sends"),
-		multisends:    reg.Counter("chord.multisends"),
-		multisendSize: reg.Histogram("chord.multisend.batch", 1, 4, 16, 64, 256, 1024),
-		multisendHops: reg.Histogram("chord.multisend.hops", hopBuckets...),
-		routeFailures: reg.Counter("chord.route_failures"),
-		handbacks:     reg.Counter("chord.handbacks"),
-		deliveries:    reg.CounterVec("chord.deliveries"),
-		deliveryMiss:  reg.Counter("chord.delivery_misses"),
-		wireBytes:     reg.Histogram("chord.wire_bytes", 16, 64, 256, 1024, 4096, 16384),
-		joins:         reg.Counter("chord.joins"),
-		exits:         reg.Counter("chord.exits"),
-	}
 }
 
 const defaultSuccessorListLen = 8
@@ -90,8 +35,7 @@ type Network struct {
 	succListLen int
 	traffic     *metrics.Traffic
 	clock       *sim.Clock
-	obsReg      *obs.Registry
-	obs         netObs
+	handbacks   obs.Counter // hops back to the owner after a final hop (land)
 
 	icMu        sync.RWMutex
 	interceptor Interceptor
@@ -138,17 +82,11 @@ func New(cfg Config) *Network {
 	if cfg.SuccessorListLen <= 0 {
 		cfg.SuccessorListLen = defaultSuccessorListLen
 	}
-	clock := &sim.Clock{}
-	clock.Instrument(cfg.Obs)
 	net := &Network{
 		byKey:       make(map[string]*Node),
 		succListLen: cfg.SuccessorListLen,
-		// The ledger's families hang on the shared registry, so one snapshot
-		// covers the paper's metrics and the substrate's.
-		traffic: metrics.NewTraffic(cfg.Obs),
-		clock:   clock,
-		obsReg:  cfg.Obs,
-		obs:     newNetObs(cfg.Obs),
+		traffic:     metrics.NewTraffic(),
+		clock:       &sim.Clock{},
 	}
 	net.simT = &simTransport{net: net}
 	return net
@@ -157,14 +95,9 @@ func New(cfg Config) *Network {
 // Traffic returns the network's traffic ledger.
 func (net *Network) Traffic() *metrics.Traffic { return net.traffic }
 
-// Obs returns the observability registry the overlay records into, or nil
-// when the layer is disabled.
-func (net *Network) Obs() *obs.Registry { return net.obsReg }
-
 // Handbacks returns how many hops a message was handed back toward its owner
-// after a final hop (land): "chord.handbacks", counted with or without a
-// registry — hand-backs are rare, and a daemon reports them.
-func (net *Network) Handbacks() int64 { return net.obs.handbacks.Value() }
+// after a final hop (land). A daemon reports them as "chord.handbacks".
+func (net *Network) Handbacks() int64 { return net.handbacks.Value() }
 
 // Clock returns the network's logical clock.
 func (net *Network) Clock() *sim.Clock { return net.clock }
@@ -269,7 +202,6 @@ func (net *Network) JoinAt(key string, nid id.ID) (*Node, error) {
 		}
 	}
 
-	net.obs.joins.Inc()
 	net.repairAround(n)
 	net.buildFingers(n)
 
@@ -328,7 +260,6 @@ func (net *Network) JoinProtocol(key string) (*Node, error) {
 	}
 	net.insertLocked(n)
 	net.mu.Unlock()
-	net.obs.joins.Inc()
 
 	if bootstrap == nil {
 		// First node: a singleton ring, its own successor.
@@ -420,7 +351,6 @@ func (net *Network) FailProtocol(n *Node) {
 // removeQuiet takes n out of the membership index and marks it dead,
 // leaving every pointer that references it stale. The protocol heals them.
 func (net *Network) removeQuiet(n *Node) {
-	net.obs.exits.Inc()
 	net.mu.Lock()
 	defer net.mu.Unlock()
 	n.alive.Store(false)
@@ -491,7 +421,6 @@ func (net *Network) Fail(n *Node) {
 }
 
 func (net *Network) remove(n *Node) {
-	net.obs.exits.Inc()
 	net.mu.Lock()
 	defer net.mu.Unlock()
 	n.alive.Store(false)

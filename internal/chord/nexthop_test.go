@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"cqjoin/internal/id"
-	"cqjoin/internal/obs"
 )
 
 // linearNextHop is the routing step written out plainly — every live list
@@ -245,7 +244,7 @@ func TestFixFingerInstallsNoStrayFinger(t *testing.T) {
 // the seeded lookups and eight-target batches both draw.
 func hopRing(tb testing.TB, lookups, batches int) (*Network, []*Node, []id.ID, [][]Deliverable) {
 	tb.Helper()
-	net := New(Config{Obs: obs.NewRegistry()})
+	net := New(Config{})
 	nodes := net.AddNodes("hop", 2048)
 	rng := rand.New(rand.NewSource(7))
 	draw := func() (k id.ID) {
@@ -297,8 +296,8 @@ func TestRouteAndMultisendHopCeilings(t *testing.T) {
 	if mean := float64(total) / float64(batches); mean > 29.5 {
 		t.Errorf("mean hops of an eight-target multisend = %.3f, want <= 29.5", mean)
 	}
-	if got := net.obs.handbacks.Value(); got != 0 {
-		t.Errorf("chord.handbacks = %d on a static ring, want 0", got)
+	if got := net.Handbacks(); got != 0 {
+		t.Errorf("Handbacks = %d on a static ring, want 0", got)
 	}
 }
 
@@ -379,8 +378,7 @@ func TestMultisendWalkCost(t *testing.T) {
 // the routed walk's message, where a failed DirectSend followed by a walk
 // booked two.
 func TestHintedSendCountsOneMessage(t *testing.T) {
-	reg := obs.NewRegistry()
-	net := New(Config{Obs: reg})
+	net := New(Config{})
 	nodes := net.AddNodes("hint", 64)
 	rec := newRecorder()
 	for _, n := range nodes {
@@ -410,13 +408,13 @@ func TestHintedSendCountsOneMessage(t *testing.T) {
 		}
 	}
 	sent("owner hinted", owner, owner, 1)
-	if got := reg.Counter("chord.handbacks").Value(); got != 0 {
-		t.Fatalf("chord.handbacks = %d after a hint that held, want 0", got)
+	if got := net.Handbacks(); got != 0 {
+		t.Fatalf("Handbacks = %d after a hint that held, want 0", got)
 	}
 	// Two nodes past the owner: a live non-owner hands back along predecessors.
 	sent("two past the owner", owner.Successor().Successor(), owner, 3)
-	if got := reg.Counter("chord.handbacks").Value(); got != 2 {
-		t.Fatalf("chord.handbacks = %d, want 2", got)
+	if got := net.Handbacks(); got != 2 {
+		t.Fatalf("Handbacks = %d, want 2", got)
 	}
 	// Further back than a successor list reaches the chain gives up and routes.
 	far := owner

@@ -88,9 +88,6 @@ func (n *Node) SetIP(ip string) {
 	n.ip = ip
 }
 
-// Network returns the overlay the node belongs to.
-func (n *Node) Network() *Network { return n.net }
-
 // Alive reports whether the node is currently part of the overlay.
 func (n *Node) Alive() bool { return n.alive.Load() }
 

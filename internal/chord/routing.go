@@ -37,18 +37,13 @@ type Interceptor interface {
 // was left, from there on; a message alone has no prev. This is where the
 // simulator meets the codec: the sizing function runs the message's one field
 // walk in sizing mode, lengths added and no byte written (tuples and queries
-// remember theirs), once per walk, and the size the message got off at is
-// observed into the "chord.wire_bytes" histogram when observability is on.
+// remember theirs), once per walk.
 func (n *Node) chargeBytes(msg, prev Message, prevHops, hops int) {
 	if hops <= 0 || n.net.sizer == nil {
 		return
 	}
 	if size, shared := n.net.sizer(msg, prev); size > 0 {
 		n.net.traffic.AddBytes(msg.Kind(), size*hops+shared*(hops-prevHops))
-		if prevHops < hops {
-			size += shared
-		}
-		n.net.obs.wireBytes.Observe(int64(size))
 	}
 }
 
@@ -92,7 +87,7 @@ func (n *Node) route(target id.ID) (*Node, int, error) {
 // hop each, inside the walk's budget. A hand-back moves toward target and never
 // past it (a node that does not own target has its predecessor at or past it),
 // so the walk ends at the owner. On an exact ring the lander is the owner and
-// "chord.handbacks" stays 0.
+// Handbacks stays 0.
 func (net *Network) land(at *Node, target id.ID, hops, budget int) (*Node, int, error) {
 	for !at.OwnsKey(target) {
 		pred := at.Predecessor()
@@ -104,7 +99,7 @@ func (net *Network) land(at *Node, target id.ID, hops, budget int) (*Node, int, 
 		}
 		at = pred
 		hops++
-		net.obs.handbacks.Inc()
+		net.handbacks.Inc()
 	}
 	return at, hops, nil
 }
@@ -119,12 +114,9 @@ func (n *Node) Lookup(target id.ID) (*Node, int, error) {
 		// before giving up; charge them so churn experiments account for
 		// wasted routing work.
 		n.net.traffic.RecordHopsOnly("lookup", hops)
-		n.net.obs.routeFailures.Inc()
 		return nil, hops, err
 	}
 	n.net.traffic.Record("lookup", hops)
-	n.net.obs.lookups.Inc()
-	n.net.obs.lookupHops.Observe(int64(hops))
 	return dst, hops, nil
 }
 
@@ -139,7 +131,6 @@ func (n *Node) Send(msg Message, target id.ID) (*Node, int, error) {
 	n.chargeBytes(msg, nil, 0, hops) // a walk that gave up moved its bytes all the same
 	if err != nil {
 		n.net.traffic.RecordHopsOnly(msg.Kind(), hops)
-		n.net.obs.routeFailures.Inc()
 		return nil, hops, err
 	}
 	return n.arrive(msg, dst, hops)
@@ -148,8 +139,6 @@ func (n *Node) Send(msg Message, target id.ID) (*Node, int, error) {
 // arrive books a deliverable that reached dst over hops hops and hands it over.
 func (n *Node) arrive(msg Message, dst *Node, hops int) (*Node, int, error) {
 	n.net.traffic.Record(msg.Kind(), hops)
-	n.net.obs.sends.Add(msg.Kind(), 1)
-	n.net.obs.sendHops.Observe(int64(hops))
 	if !n.deliverTo(dst, msg) {
 		return dst, hops, ErrDropped
 	}
@@ -165,7 +154,6 @@ func (n *Node) arrive(msg Message, dst *Node, hops int) (*Node, int, error) {
 func (n *Node) DirectSend(msg Message, dst *Node) bool {
 	n.net.traffic.Record(msg.Kind(), 1)
 	n.chargeBytes(msg, nil, 0, 1)
-	n.net.obs.directSends.Inc()
 	return n.deliverTo(dst, msg)
 }
 
@@ -265,8 +253,6 @@ func (n *Node) Multisend(batch []Deliverable, recipients []*Node) ([]*Node, int,
 	for _, it := range sorted {
 		n.net.traffic.Record(it.d.Msg.Kind(), 0)
 	}
-	n.net.obs.multisends.Inc()
-	n.net.obs.multisendSize.Observe(int64(len(sorted)))
 
 	if cap(recipients) < len(batch) {
 		recipients = make([]*Node, len(batch))
@@ -312,7 +298,7 @@ func (n *Node) Multisend(batch []Deliverable, recipients []*Node) ([]*Node, int,
 					recipients[sorted[0].idx] = cur
 				}
 			} else {
-				for i, ok := range n.deliverBatchTo(cur, msgs) {
+				for i, ok := range n.net.Transport().DeliverBatch(n, cur, msgs) {
 					if ok {
 						recipients[sorted[i].idx] = cur
 					}
@@ -347,10 +333,6 @@ func (n *Node) Multisend(batch []Deliverable, recipients []*Node) ([]*Node, int,
 	*scratch = msgs
 	putRunScratch(scratch)
 	n.net.traffic.RecordHopsOnly(kind, totalHops)
-	n.net.obs.multisendHops.Observe(int64(totalHops))
-	if err != nil {
-		n.net.obs.routeFailures.Inc()
-	}
 	return recipients, totalHops, err
 }
 
@@ -409,30 +391,7 @@ func (n *Node) MultisendIterative(batch []Deliverable) ([]*Node, int, error) {
 // in-process simulated delivery by default, a real wire when one is
 // installed — and reports whether at least one synchronous delivery
 // completed. A false return is the missing ack the reliability layer
-// retries on. Sender-side delivery accounting lives here, above the
-// transport, so it is identical for every implementation.
+// retries on.
 func (n *Node) deliverTo(dst *Node, msg Message) bool {
-	ok := n.net.Transport().Deliver(n, dst, msg)
-	if ok {
-		n.net.obs.deliveries.Add(msg.Kind(), 1)
-	} else {
-		n.net.obs.deliveryMiss.Inc()
-	}
-	return ok
-}
-
-// deliverBatchTo delivers a run of messages bound for the same node in
-// order, returning one ack per message. A remote transport moves the whole
-// run in a single frame; the simulated default delivers one by one,
-// exactly like repeated deliverTo calls.
-func (n *Node) deliverBatchTo(dst *Node, msgs []Message) []bool {
-	acks := n.net.Transport().DeliverBatch(n, dst, msgs)
-	for i, ok := range acks {
-		if ok {
-			n.net.obs.deliveries.Add(msgs[i].Kind(), 1)
-		} else {
-			n.net.obs.deliveryMiss.Inc()
-		}
-	}
-	return acks
+	return n.net.Transport().Deliver(n, dst, msg)
 }

@@ -515,17 +515,8 @@ func algorithmName(alg cqjoin.Algorithm) string {
 	}
 }
 
-// ListenAndServe accepts connections until the listener is closed.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
-// Serve accepts connections on an existing listener (tests pass a
-// loopback listener with port 0).
+// Serve accepts connections on ln until it is closed (cqjoind passes its
+// -addr listener, tests a loopback listener with port 0).
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	s.listening = ln

@@ -518,10 +518,10 @@ func TestRepeatPublicationGoesHinted(t *testing.T) {
 			schemas = append(schemas, relation.MustSchema(fmt.Sprintf("P%d", i), "Id", "A", "B", "C"))
 		}
 		reg := obs.NewRegistry()
-		net := chord.New(chord.Config{Obs: reg})
+		net := chord.New(chord.Config{})
 		nodes := net.AddNodes("peer", size)
 		eng := New(net, relation.MustCatalog(schemas...), Config{Algorithm: SAI, Strategy: StrategyMinRate, Seed: 1, Obs: reg})
-		tr, handbacks, hints := net.Traffic(), reg.Counter("chord.handbacks"), reg.CounterVec("engine.hints")
+		tr, hints := net.Traffic(), reg.CounterVec("engine.hints")
 		round := func(n int) float64 {
 			tr.Reset()
 			for i, node := range nodes {
@@ -555,8 +555,8 @@ func TestRepeatPublicationGoesHinted(t *testing.T) {
 				size, first, float64(walked)/float64(size*len(schemas)), walk)
 		}
 		t.Logf("%d nodes: %.2f hops a first publication", size, float64(walked)/float64(size*len(schemas)))
-		if second := round(2); second != 4 || handbacks.Value() != 0 {
-			t.Errorf("%d nodes: a second publication costs %.2f hops with %d hand-backs, want 4 and none", size, second, handbacks.Value())
+		if second := round(2); second != 4 || net.Handbacks() != 0 {
+			t.Errorf("%d nodes: a second publication costs %.2f hops with %d hand-backs, want 4 and none", size, second, net.Handbacks())
 		}
 		pubs := int64(size * len(schemas))
 		if hints.Value("al.miss") != pubs || hints.Value("al.hit") != pubs || hints.Total() != 2*pubs {
@@ -575,9 +575,9 @@ func TestRepeatPublicationGoesHinted(t *testing.T) {
 			if _, err := eng.Publish(nodes[7], relation.MustTuple(schemas[0], relation.N(float64(3+n)), relation.N(7), relation.N(1), relation.N(2))); err != nil {
 				t.Fatal(err)
 			}
-			if tr.TotalHops() != want || handbacks.Value() != 1 || eng.state(joiner).load.Filtering(metrics.Rewriter) != int64(1+n) {
+			if tr.TotalHops() != want || net.Handbacks() != 1 || eng.state(joiner).load.Filtering(metrics.Rewriter) != int64(1+n) {
 				t.Errorf("%d nodes, publication %d after the join: %d hops, %d hand-backs in all, %d deliveries at the joiner; want %d, 1, %d",
-					size, 1+n, tr.TotalHops(), handbacks.Value(), eng.state(joiner).load.Filtering(metrics.Rewriter), want, 1+n)
+					size, 1+n, tr.TotalHops(), net.Handbacks(), eng.state(joiner).load.Filtering(metrics.Rewriter), want, 1+n)
 			}
 		}
 		if hints.Value("al.stale") != 1 || hints.Value("al.reset") != 0 {

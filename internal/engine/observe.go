@@ -8,8 +8,8 @@ import "cqjoin/internal/obs"
 // no map lookups. With no registry configured every handle is nil and each
 // record call is one predicate on a nil receiver — recording never feeds
 // back into protocol decisions, so runs are bit-identical either way.
-// Dispatches, retries and losses are not here: the overlay's "chord.deliveries"
-// and the ledger's "traffic.retries" / "traffic.lost" count them.
+// Messages, retries and losses are not here: the overlay's traffic ledger
+// (metrics.Traffic) counts them by kind.
 type engObs struct {
 	// notifyDelivered counts notifications consumed by their subscriber;
 	// notifyStored counts notifications parked at Successor(Id(n)) for an

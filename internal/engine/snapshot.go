@@ -6,7 +6,6 @@ import (
 
 	"cqjoin/internal/chord"
 	"cqjoin/internal/query"
-	"cqjoin/internal/relation"
 )
 
 // Engine-wide snapshot for the durability layer (internal/durable,
@@ -278,7 +277,3 @@ func (e *Engine) deriveInterest(m handoffMsg) (derived int) {
 	}
 	return derived
 }
-
-// Catalog returns the schema catalog the engine resolves relations and
-// queries against.
-func (e *Engine) Catalog() *relation.Catalog { return e.catalog }

@@ -10,8 +10,8 @@ import (
 )
 
 // Scale sets the size of an experiment run. The CLI and the golden test
-// default to CI(); Paper() is the thesis set-up (10^4-node network, 10^5
-// indexed queries, Section 4.5).
+// default to CI(); joinsim's -scale paper is the thesis set-up (10^4-node
+// network, 10^5 indexed queries, Section 4.5).
 type Scale struct {
 	Nodes   int
 	Queries int
@@ -21,10 +21,6 @@ type Scale struct {
 
 // CI returns a laptop-second scale preserving every experiment's shape.
 func CI() Scale { return Scale{Nodes: 256, Queries: 400, Tuples: 400, Seed: 1} }
-
-// Paper returns the thesis scale. It does not yet run in bounded memory: on an
-// 8 GB host F5.2 was OOM-killed within 93 s (ROADMAP AG).
-func Paper() Scale { return Scale{Nodes: 10000, Queries: 100000, Tuples: 20000, Seed: 1} }
 
 // Run is a live experiment: an overlay, an engine and a workload stream.
 type Run struct {
@@ -46,11 +42,7 @@ func Setup(cfg engine.Config, sc Scale, wp workload.Params) *Run {
 	}
 	cfg.BlindIndexing = true // the paper's tables measure the paper's protocol (Section 4.2)
 	gen := workload.New(wp)
-	// One registry serves both layers: the overlay records routing-level
-	// metrics ("chord.*", "sim.*", traffic families) and the engine records
-	// protocol-level ones ("engine.*"). cfg.Obs is nil by default, which
-	// disables the whole layer at zero cost.
-	net := chord.New(chord.Config{Obs: cfg.Obs})
+	net := chord.New(chord.Config{})
 	net.AddNodes("peer", sc.Nodes)
 	eng := engine.New(net, gen.Catalog(), cfg)
 	return &Run{

@@ -48,20 +48,6 @@ func FromUint64(v uint64) ID {
 	return x
 }
 
-// Parse decodes a 40-character hexadecimal identifier.
-func Parse(s string) (ID, error) {
-	var x ID
-	b, err := hex.DecodeString(s)
-	if err != nil {
-		return x, fmt.Errorf("id: parse %q: %w", s, err)
-	}
-	if len(b) != bytesLen {
-		return x, fmt.Errorf("id: parse %q: want %d bytes, got %d", s, bytesLen, len(b))
-	}
-	copy(x[:], b)
-	return x, nil
-}
-
 // String renders the identifier as 40 hexadecimal digits.
 func (x ID) String() string { return hex.EncodeToString(x[:]) }
 

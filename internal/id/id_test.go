@@ -36,23 +36,6 @@ func TestFromUint64(t *testing.T) {
 	}
 }
 
-func TestParseRoundTrip(t *testing.T) {
-	x := Hash("node-42")
-	y, err := Parse(x.String())
-	if err != nil {
-		t.Fatalf("Parse: %v", err)
-	}
-	if x != y {
-		t.Fatalf("round trip: got %s want %s", y, x)
-	}
-	if _, err := Parse("zz"); err == nil {
-		t.Fatal("Parse accepted invalid hex")
-	}
-	if _, err := Parse("abcd"); err == nil {
-		t.Fatal("Parse accepted short input")
-	}
-}
-
 func TestCmpOrdering(t *testing.T) {
 	a, b := FromUint64(10), FromUint64(20)
 	if a.Cmp(b) != -1 || b.Cmp(a) != 1 || a.Cmp(a) != 0 {

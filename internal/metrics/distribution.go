@@ -131,15 +131,6 @@ func topShare(sorted []float64, frac float64) float64 {
 	return top / total
 }
 
-// SortedCurve returns the per-node loads sorted descending: the exact series
-// the thesis load-distribution figures plot (node rank on x, load on y).
-func SortedCurve(loads []float64) []float64 {
-	out := make([]float64, len(loads))
-	copy(out, loads)
-	sort.Sort(sort.Reverse(sort.Float64Slice(out)))
-	return out
-}
-
 // String renders the summary on one line for experiment tables.
 func (d Distribution) String() string {
 	return fmt.Sprintf("n=%d used=%d total=%.0f mean=%.2f max=%.0f gini=%.3f cov=%.2f top1%%=%.2f",

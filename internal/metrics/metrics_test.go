@@ -9,7 +9,7 @@ import (
 )
 
 func TestTrafficRecord(t *testing.T) {
-	tr := NewTraffic(nil)
+	tr := NewTraffic()
 	tr.Record("al-index", 5)
 	tr.Record("al-index", 3)
 	tr.Record("join", 0)
@@ -28,7 +28,7 @@ func TestTrafficRecord(t *testing.T) {
 }
 
 func TestTrafficRecordHopsOnly(t *testing.T) {
-	tr := NewTraffic(nil)
+	tr := NewTraffic()
 	tr.Record("multisend", 2)
 	tr.RecordHopsOnly("multisend", 4)
 	if got := tr.Messages("multisend"); got != 1 {
@@ -40,7 +40,7 @@ func TestTrafficRecordHopsOnly(t *testing.T) {
 }
 
 func TestTrafficBytes(t *testing.T) {
-	tr := NewTraffic(nil)
+	tr := NewTraffic()
 	tr.Record("join", 3)
 	tr.AddBytes("join", 120)
 	tr.AddBytes("join", 30)
@@ -61,7 +61,7 @@ func TestTrafficBytes(t *testing.T) {
 }
 
 func TestTrafficResetAndSnapshot(t *testing.T) {
-	tr := NewTraffic(nil)
+	tr := NewTraffic()
 	tr.Record("x", 1)
 	msgs, hops := tr.Snapshot()
 	if msgs["x"] != 1 || hops["x"] != 1 {
@@ -79,7 +79,7 @@ func TestTrafficResetAndSnapshot(t *testing.T) {
 }
 
 func TestTrafficString(t *testing.T) {
-	tr := NewTraffic(nil)
+	tr := NewTraffic()
 	tr.Record("b-kind", 2)
 	tr.Record("a-kind", 1)
 	s := tr.String()
@@ -92,7 +92,7 @@ func TestTrafficString(t *testing.T) {
 }
 
 func TestTrafficConcurrent(t *testing.T) {
-	tr := NewTraffic(nil)
+	tr := NewTraffic()
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -229,17 +229,6 @@ func TestSummarizeInt(t *testing.T) {
 	d := SummarizeInt([]int64{1, 2, 3})
 	if d.Total != 6 || d.N != 3 {
 		t.Fatalf("SummarizeInt wrong: %+v", d)
-	}
-}
-
-func TestSortedCurve(t *testing.T) {
-	in := []float64{1, 5, 3}
-	out := SortedCurve(in)
-	if out[0] != 5 || out[1] != 3 || out[2] != 1 {
-		t.Fatalf("curve = %v", out)
-	}
-	if in[0] != 1 {
-		t.Fatal("SortedCurve mutated input")
 	}
 }
 

@@ -1,16 +1,13 @@
 // Package metrics implements the measurement apparatus of the paper's
 // evaluation chapter: a network-traffic ledger counting overlay messages and
 // hops per message kind, per-node filtering (TF) and storage (TS) load
-// counters, and distribution statistics (sorted load curves, Gini
-// coefficient, coefficient of variation, top-k shares) used to plot the
-// load-balance figures.
+// counters, and distribution statistics (Gini coefficient, coefficient of
+// variation, top-k shares) used to plot the load-balance figures.
 //
-// Since the observability PR, the ledger and the load counters are thin
-// facades over internal/obs: every count lives in an obs.CounterVec /
-// obs.Counter, so an experiment that shares its obs.Registry with the
-// overlay sees the paper's metrics and the substrate's instrumentation in
-// one snapshot, and the hot-path cost is an interned map read plus an
-// atomic add instead of a mutex-guarded map write.
+// The ledger and the load counters are thin facades over internal/obs:
+// every count lives in an obs.CounterVec / obs.Counter, so the hot-path
+// cost is an interned map read plus an atomic add instead of a
+// mutex-guarded map write.
 package metrics
 
 import (
@@ -31,32 +28,23 @@ type Traffic struct {
 	messages *obs.CounterVec
 	hops     *obs.CounterVec
 	bytes    *obs.CounterVec
-	// Fault accounting (chaos runs): deliveries dropped in transit,
-	// duplicate deliveries (injected or suppressed at the receiver),
-	// deliveries held back by a delay fault, sender-side retries, and
-	// messages lost for good after the retry budget ran out.
-	drops   *obs.CounterVec
+	// Fault accounting (chaos runs): duplicate deliveries (injected or
+	// suppressed at the receiver), sender-side retries, and messages lost
+	// for good after the retry budget ran out.
 	dups    *obs.CounterVec
-	delays  *obs.CounterVec
 	retries *obs.CounterVec
 	lost    *obs.CounterVec
 }
 
-// NewTraffic builds a ledger whose counter families live in reg under the
-// "traffic.*" namespace, so one registry snapshot covers both the paper's
-// ledger and the rest of the instrumentation. A nil reg allocates a
-// private registry.
-func NewTraffic(reg *obs.Registry) *Traffic {
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+// NewTraffic builds an empty ledger, its counter families on a registry of
+// its own.
+func NewTraffic() *Traffic {
+	reg := obs.NewRegistry()
 	return &Traffic{
 		messages: reg.CounterVec("traffic.msgs"),
 		hops:     reg.CounterVec("traffic.hops"),
 		bytes:    reg.CounterVec("traffic.bytes"),
-		drops:    reg.CounterVec("traffic.drops"),
 		dups:     reg.CounterVec("traffic.dups"),
-		delays:   reg.CounterVec("traffic.delays"),
 		retries:  reg.CounterVec("traffic.retries"),
 		lost:     reg.CounterVec("traffic.lost"),
 	}
@@ -70,15 +58,8 @@ func (t *Traffic) Record(kind string, hops int) {
 	t.hops.Add(kind, int64(hops))
 }
 
-// RecordDrop charges one delivery of the given kind lost in transit.
-func (t *Traffic) RecordDrop(kind string) { t.drops.Add(kind, 1) }
-
 // RecordDuplicate charges one duplicated delivery of the given kind.
 func (t *Traffic) RecordDuplicate(kind string) { t.dups.Add(kind, 1) }
-
-// RecordDelayed charges one delivery of the given kind held back in
-// transit.
-func (t *Traffic) RecordDelayed(kind string) { t.delays.Add(kind, 1) }
 
 // RecordRetry charges one sender-side re-send of the given kind.
 func (t *Traffic) RecordRetry(kind string) { t.retries.Add(kind, 1) }
@@ -139,9 +120,7 @@ func (t *Traffic) Reset() {
 	t.messages.Reset()
 	t.hops.Reset()
 	t.bytes.Reset()
-	t.drops.Reset()
 	t.dups.Reset()
-	t.delays.Reset()
 	t.retries.Reset()
 	t.lost.Reset()
 }
@@ -174,11 +153,9 @@ func (t *Traffic) String() string {
 	}
 	fmt.Fprintf(&b, "%-14s msgs=%-8d hops=%-8d bytes=%d", "TOTAL",
 		t.TotalMessages(), t.TotalHops(), t.TotalBytes())
-	drops, dups := t.drops.Total(), t.dups.Total()
-	delays, retries, lost := t.delays.Total(), t.retries.Total(), t.lost.Total()
-	if drops+dups+delays+retries+lost > 0 {
-		fmt.Fprintf(&b, "\n%-14s drops=%d dups=%d delays=%d retries=%d lost=%d",
-			"FAULTS", drops, dups, delays, retries, lost)
+	dups, retries, lost := t.dups.Total(), t.retries.Total(), t.lost.Total()
+	if dups+retries+lost > 0 {
+		fmt.Fprintf(&b, "\n%-14s dups=%d retries=%d lost=%d", "FAULTS", dups, retries, lost)
 	}
 	return b.String()
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"sync"
 	"testing"
 )
@@ -27,61 +26,24 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if got := g.HighWater(); got != 7 {
 		t.Fatalf("high-water = %d, want 7", got)
 	}
-	g.Reset()
-	if g.Value() != 0 || g.HighWater() != 0 {
-		t.Fatal("gauge Reset did not clear value and high-water mark")
-	}
 }
 
 func TestNilHandlesAreNoOps(t *testing.T) {
 	var r *Registry // disabled layer
 	c := r.Counter("x")
 	g := r.Gauge("x")
-	h := r.Histogram("x", 1, 2)
 	v := r.CounterVec("x")
 	c.Inc()
 	c.Add(5)
 	g.Set(9)
 	g.Add(1)
-	h.Observe(3)
 	v.Add("k", 2)
 	v.With("k").Inc()
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || v.Total() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || v.Total() != 0 {
 		t.Fatal("nil handles must discard all updates")
 	}
 	if r.Snapshot() != nil {
 		t.Fatal("nil registry snapshot must be nil")
-	}
-	r.Reset() // must not panic
-}
-
-func TestHistogramBucketsAndQuantiles(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("hops", 1, 2, 4, 8)
-	for _, v := range []int64{0, 1, 1, 2, 3, 5, 9, 100} {
-		h.Observe(v)
-	}
-	if got := h.Count(); got != 8 {
-		t.Fatalf("count = %d, want 8", got)
-	}
-	if got := h.Sum(); got != 121 {
-		t.Fatalf("sum = %d, want 121", got)
-	}
-	bounds, counts := h.Buckets()
-	wantCounts := []int64{3, 1, 1, 1, 2} // ≤1:{0,1,1} ≤2:{2} ≤4:{3} ≤8:{5} overflow:{9,100}
-	for i, want := range wantCounts {
-		if counts[i] != want {
-			t.Fatalf("bucket %d (≤%d) = %d, want %d", i, bounds[i], counts[i], want)
-		}
-	}
-	if q := h.Quantile(0.5); q != 2 {
-		t.Fatalf("p50 = %d, want 2", q)
-	}
-	if q := h.Quantile(1.0); q != math.MaxInt64 {
-		t.Fatalf("p100 = %d, want overflow sentinel", q)
-	}
-	if q := h.Quantile(0.5); h.Mean() == 0 || q == 0 {
-		t.Fatal("mean/quantile must be nonzero with observations")
 	}
 }
 
@@ -114,7 +76,6 @@ func TestRegistryConcurrency(t *testing.T) {
 			for j := 0; j < 1000; j++ {
 				r.Counter("c").Inc()
 				r.CounterVec("v").Add("k", 1)
-				r.Histogram("h", 1, 10).Observe(int64(j % 20))
 				r.Gauge("g").Add(1)
 			}
 		}()
@@ -125,24 +86,6 @@ func TestRegistryConcurrency(t *testing.T) {
 	}
 	if got := r.CounterVec("v").Total(); got != 8000 {
 		t.Fatalf("concurrent vec total = %d, want 8000", got)
-	}
-	if got := r.Histogram("h").Count(); got != 8000 {
-		t.Fatalf("concurrent histogram count = %d, want 8000", got)
-	}
-}
-
-func TestRegistryReset(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("c").Add(3)
-	r.Gauge("g").Set(5)
-	r.Histogram("h", 1).Observe(2)
-	r.CounterVec("v").Add("k", 7)
-	r.Reset()
-	snap := r.Snapshot()
-	for name, val := range snap {
-		if val != 0 {
-			t.Fatalf("after Reset, %s = %g, want 0", name, val)
-		}
 	}
 }
 
@@ -165,13 +108,5 @@ func BenchmarkCounterVecEnabled(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		v.Add("join", 1)
-	}
-}
-
-func BenchmarkHistogramObserve(b *testing.B) {
-	h := NewRegistry().Histogram("hops", 1, 2, 4, 8, 16, 32)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Observe(int64(i & 31))
 	}
 }

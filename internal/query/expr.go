@@ -225,19 +225,11 @@ func invertibleStruct(e Expr) bool {
 	}
 }
 
-// Invert solves e(x) = target for the single attribute x of e, returning
+// invert solves e(x) = target for the single attribute x of e, returning
 // the value x must take. It fails when e is not invertible, when the target
 // has the wrong type, or when solving hits an arithmetic impossibility
-// (e.g. c/x = 0). Rewriters use Invert to compute the value the load
-// distributing attribute must take (valDA) from an incoming tuple's value
-// of the other side.
-func Invert(e Expr, target relation.Value) (relation.Value, error) {
-	if len(Attrs(e)) != 1 {
-		return relation.Value{}, fmt.Errorf("query: invert of multi-attribute expression %s", e)
-	}
-	return invert(e, target)
-}
-
+// (e.g. c/x = 0). StageWant uses it for the value the next stage's
+// attribute must take, given a tuple's value of the other side.
 func invert(e Expr, target relation.Value) (relation.Value, error) {
 	switch x := e.(type) {
 	case Attr:
@@ -296,44 +288,6 @@ func invert(e Expr, target relation.Value) (relation.Value, error) {
 		return relation.Value{}, fmt.Errorf("query: expression %s is not invertible", e)
 	default:
 		return relation.Value{}, fmt.Errorf("query: cannot invert %T", e)
-	}
-}
-
-// Substitute replaces every attribute reference of relation rel in e with
-// its value in tuple t, returning a new expression. It implements the
-// rewriting step of Section 4.3.2: "each attribute of IndexR(q) in the
-// Select and Where clause of q is replaced by its corresponding value".
-func Substitute(e Expr, t *relation.Tuple) (Expr, error) {
-	switch x := e.(type) {
-	case Attr:
-		if x.Rel == t.Relation() {
-			v, err := t.Value(x.Name)
-			if err != nil {
-				return nil, err
-			}
-			return Const{Val: v}, nil
-		}
-		return x, nil
-	case Const:
-		return x, nil
-	case Neg:
-		inner, err := Substitute(x.X, t)
-		if err != nil {
-			return nil, err
-		}
-		return Neg{X: inner}, nil
-	case Binary:
-		l, err := Substitute(x.L, t)
-		if err != nil {
-			return nil, err
-		}
-		r, err := Substitute(x.R, t)
-		if err != nil {
-			return nil, err
-		}
-		return Binary{Op: x.Op, L: l, R: r}, nil
-	default:
-		return nil, fmt.Errorf("query: cannot substitute into %T", e)
 	}
 }
 

@@ -142,32 +142,32 @@ func TestInvertSolvesEquations(t *testing.T) {
 		{Binary{'+', Binary{'*', Const{relation.N(4)}, Attr{"R", "A"}}, Const{relation.N(8)}}, 16, 2},
 	}
 	for _, c := range cases {
-		got, err := Invert(c.e, relation.N(c.target))
+		got, err := invert(c.e, relation.N(c.target))
 		if err != nil {
-			t.Fatalf("Invert(%s, %v): %v", c.e, c.target, err)
+			t.Fatalf("invert(%s, %v): %v", c.e, c.target, err)
 		}
 		if !got.Equal(relation.N(c.want)) {
-			t.Fatalf("Invert(%s, %v) = %v, want %v", c.e, c.target, got, c.want)
+			t.Fatalf("invert(%s, %v) = %v, want %v", c.e, c.target, got, c.want)
 		}
 	}
 }
 
 func TestInvertErrors(t *testing.T) {
-	if _, err := Invert(Binary{'+', Attr{"R", "A"}, Attr{"R", "B"}}, relation.N(1)); err == nil {
+	if _, err := invert(Binary{'+', Attr{"R", "A"}, Attr{"R", "B"}}, relation.N(1)); err == nil {
 		t.Fatal("multi-attribute invert accepted")
 	}
-	if _, err := Invert(Binary{'/', Const{relation.N(8)}, Attr{"R", "A"}}, relation.N(0)); err == nil {
+	if _, err := invert(Binary{'/', Const{relation.N(8)}, Attr{"R", "A"}}, relation.N(0)); err == nil {
 		t.Fatal("c/x = 0 accepted")
 	}
-	if _, err := Invert(Binary{'+', Attr{"R", "A"}, Const{relation.N(1)}}, relation.S("s")); err == nil {
+	if _, err := invert(Binary{'+', Attr{"R", "A"}, Const{relation.N(1)}}, relation.S("s")); err == nil {
 		t.Fatal("string target through arithmetic accepted")
 	}
-	if _, err := Invert(Binary{'*', Const{relation.N(0)}, Attr{"R", "A"}}, relation.N(4)); err == nil {
+	if _, err := invert(Binary{'*', Const{relation.N(0)}, Attr{"R", "A"}}, relation.N(4)); err == nil {
 		t.Fatal("multiplication by zero accepted")
 	}
 }
 
-// Property: for invertible linear expressions, Eval(Invert(target)) == target.
+// Property: for invertible linear expressions, Eval(invert(target)) == target.
 func TestInvertRoundTripProperty(t *testing.T) {
 	f := func(a8, b8 int8, target8 int16) bool {
 		a := float64(a8)
@@ -177,7 +177,7 @@ func TestInvertRoundTripProperty(t *testing.T) {
 		b, target := float64(b8), float64(target8)
 		// e = a*X + b
 		e := Binary{'+', Binary{'*', Const{relation.N(a)}, Attr{"R", "A"}}, Const{relation.N(b)}}
-		x, err := Invert(e, relation.N(target))
+		x, err := invert(e, relation.N(target))
 		if err != nil {
 			return false
 		}
@@ -190,32 +190,6 @@ func TestInvertRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSubstitute(t *testing.T) {
-	// 4*R.B + R.C + 8 with R(B=4, C=9) → constants fold to 33 on eval.
-	e := Binary{'+', Binary{'+', Binary{'*', Const{relation.N(4)}, Attr{"R", "B"}}, Attr{"R", "C"}}, Const{relation.N(8)}}
-	tp := exprTuple(0, 4, 9)
-	sub, err := Substitute(e, tp)
-	if err != nil {
-		t.Fatalf("Substitute: %v", err)
-	}
-	if len(Attrs(sub)) != 0 {
-		t.Fatalf("substituted expression still has attributes: %s", sub)
-	}
-	v, ok := ConstFold(sub)
-	if !ok || !v.Equal(relation.N(33)) {
-		t.Fatalf("folded = %v, %v", v, ok)
-	}
-	// Attributes of other relations survive.
-	mixed := Binary{'+', Attr{"R", "B"}, Attr{"S", "E"}}
-	sub2, err := Substitute(mixed, tp)
-	if err != nil {
-		t.Fatalf("Substitute: %v", err)
-	}
-	if len(Attrs(sub2)) != 1 || Attrs(sub2)[0].Rel != "S" {
-		t.Fatalf("cross-relation substitution wrong: %s", sub2)
 	}
 }
 

@@ -3,11 +3,7 @@
 // and deterministic random sources for reproducible workloads.
 package sim
 
-import (
-	"sync"
-
-	"cqjoin/internal/obs"
-)
+import "sync"
 
 // Clock is the single logical clock of a simulated network. The paper
 // assumes nodes synchronize real clocks within a few milliseconds via NTP;
@@ -21,31 +17,6 @@ type Clock struct {
 	mu        sync.Mutex
 	now       int64
 	listeners []func(now int64)
-
-	// Event-loop instrumentation (nil handles when observability is off):
-	// ticks/advances count the two ways time moves, nowGauge mirrors the
-	// current logical time, and fanout observes how many listeners each
-	// advancement wakes — the simulator's event-loop latency proxy, since
-	// every listener runs synchronously before the advancing call returns.
-	obsTicks    *obs.Counter
-	obsAdvances *obs.Counter
-	nowGauge    *obs.Gauge
-	fanout      *obs.Histogram
-}
-
-// Instrument hangs the clock's metrics ("sim.clock.*") on reg. A nil
-// registry leaves the clock un-instrumented (the zero-cost default).
-// Instrument before concurrent use.
-func (c *Clock) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.obsTicks = reg.Counter("sim.clock.ticks")
-	c.obsAdvances = reg.Counter("sim.clock.advances")
-	c.nowGauge = reg.Gauge("sim.clock.now")
-	c.fanout = reg.Histogram("sim.clock.listener_fanout", 0, 1, 2, 4, 8, 16)
 }
 
 // AddListener registers fn to run after every Tick or Advance, outside the
@@ -87,11 +58,7 @@ func (c *Clock) Tick() int64 {
 	}
 	c.now++
 	now, fns := c.now, c.listeners
-	ticks, gauge, fan := c.obsTicks, c.nowGauge, c.fanout
 	c.mu.Unlock()
-	ticks.Inc()
-	gauge.Set(now)
-	fan.Observe(int64(len(fns)))
 	c.notify(now, fns)
 	return now
 }
@@ -109,11 +76,7 @@ func (c *Clock) Advance(d int64) int64 {
 	}
 	c.now += d
 	now, fns := c.now, c.listeners
-	advances, gauge, fan := c.obsAdvances, c.nowGauge, c.fanout
 	c.mu.Unlock()
-	advances.Inc()
-	gauge.Set(now)
-	fan.Observe(int64(len(fns)))
 	c.notify(now, fns)
 	return now
 }

@@ -3,8 +3,6 @@ package sim
 import (
 	"container/heap"
 	"sync"
-
-	"cqjoin/internal/obs"
 )
 
 // DelayQueue holds deferred actions ordered by logical due time. A fault
@@ -16,27 +14,6 @@ type DelayQueue struct {
 	mu    sync.Mutex
 	items delayHeap
 	seq   int64
-
-	// Queue-depth instrumentation (nil handles when observability is off).
-	// The depth gauge's high-water mark is the interesting number: how far
-	// behind logical time the in-flight message backlog ever got.
-	depth    *obs.Gauge
-	pushes   *obs.Counter
-	released *obs.Counter
-}
-
-// Instrument hangs the queue's metrics ("sim.delayqueue.*") on reg. A nil
-// registry leaves the queue un-instrumented. Instrument before concurrent
-// use.
-func (q *DelayQueue) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.depth = reg.Gauge("sim.delayqueue.depth")
-	q.pushes = reg.Counter("sim.delayqueue.pushes")
-	q.released = reg.Counter("sim.delayqueue.released")
 }
 
 type delayItem struct {
@@ -70,29 +47,19 @@ func (q *DelayQueue) PushAt(due int64, fn func()) {
 	defer q.mu.Unlock()
 	q.seq++
 	heap.Push(&q.items, delayItem{due: due, seq: q.seq, fn: fn})
-	q.pushes.Inc()
-	q.depth.Set(int64(len(q.items)))
 }
 
-// PopDue removes and returns every action whose due time is <= now, in
-// (due, push-order) order. The caller runs them outside the queue's
-// lock, so released actions may push further delayed actions.
-func (q *DelayQueue) PopDue(now int64) []func() {
-	return q.PopDueInto(now, nil)
-}
-
-// PopDueInto is PopDue reusing scratch's backing array for the result,
-// letting a drain loop amortize the slice allocation across rounds.
+// PopDueInto removes and returns every action whose due time is <= now, in
+// (due, push-order) order, reusing scratch's backing array for the result so
+// a drain loop amortizes the slice allocation across rounds. The caller runs
+// them outside the queue's lock, so released actions may push further
+// delayed actions.
 func (q *DelayQueue) PopDueInto(now int64, scratch []func()) []func() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	out := scratch[:0]
 	for len(q.items) > 0 && q.items[0].due <= now {
 		out = append(out, heap.Pop(&q.items).(delayItem).fn)
-	}
-	if len(out) > 0 {
-		q.released.Add(int64(len(out)))
-		q.depth.Set(int64(len(q.items)))
 	}
 	return out
 }

@@ -14,13 +14,13 @@ func TestDelayQueueReleasesInDueThenPushOrder(t *testing.T) {
 	if due, ok := q.NextDue(); !ok || due != 3 {
 		t.Fatalf("NextDue = %d, %v; want 3, true", due, ok)
 	}
-	for _, fn := range q.PopDue(4) {
+	for _, fn := range q.PopDueInto(4, nil) {
 		fn()
 	}
 	if len(got) != 2 || got[0] != 2 || got[1] != 4 {
-		t.Fatalf("after PopDue(4): %v, want [2 4]", got)
+		t.Fatalf("after PopDueInto(4): %v, want [2 4]", got)
 	}
-	for _, fn := range q.PopDue(10) {
+	for _, fn := range q.PopDueInto(10, nil) {
 		fn()
 	}
 	if len(got) != 4 || got[2] != 1 || got[3] != 3 {
@@ -38,10 +38,10 @@ func TestDelayQueueReentrantPush(t *testing.T) {
 		ran++
 		q.PushAt(2, func() { ran++ })
 	})
-	for _, fn := range q.PopDue(1) {
+	for _, fn := range q.PopDueInto(1, nil) {
 		fn()
 	}
-	for _, fn := range q.PopDue(2) {
+	for _, fn := range q.PopDueInto(2, nil) {
 		fn()
 	}
 	if ran != 2 {

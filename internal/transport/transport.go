@@ -270,16 +270,6 @@ func (t *TCP) ListenAndServe() error {
 	return nil
 }
 
-// Addr returns the listener address once started, or nil.
-func (t *TCP) Addr() net.Addr {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.ln == nil {
-		return nil
-	}
-	return t.ln.Addr()
-}
-
 // Close stops the listener, the reaper and every connection, then waits
 // for the server goroutines to drain.
 func (t *TCP) Close() error {

@@ -33,13 +33,6 @@ func EncodeMemberView(w *Buffer, v *MemberView) {
 	_ = c.Flush(w) // encoding a view cannot fail
 }
 
-// SizeMemberView reports the exact encoded length of v.
-func SizeMemberView(v *MemberView) int {
-	var c Coder
-	v.Walk(&c)
-	return c.Size()
-}
-
 // DecodeMemberView reads one view encoded by EncodeMemberView.
 func DecodeMemberView(r *Reader) (*MemberView, error) {
 	c := Decoder(r, nil, nil)

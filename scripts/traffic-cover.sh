@@ -8,6 +8,14 @@
 #
 #	bash scripts/traffic-cover.sh
 #
+# Each of those functions must have its keeper in scripts/traffic-cover.keep:
+# a line "path:Func  Keeper" (Func is Type.Method for a method), or a line
+# for its file or a directory above it ("path  Keeper", a directory ending in
+# "/"), naming the test or examples/<dir> that exercises it. The script exits
+# 1 if one has none, and lists without failing the ledgered functions that
+# did run, since TCP timing decides a few of them. TestTrafficCoverLedger
+# checks that every line names code and a keeper that exist.
+#
 # Everything it builds and writes stays under .bench_build/traffic-cover; the
 # profile it reads is .bench_build/traffic-cover/profile.txt. It edits nothing.
 set -euo pipefail
@@ -34,4 +42,52 @@ unset GOCOVERDIR
 # `go tool cover` cannot resolve its files: its lines go before the report.
 go tool covdata textfmt -i "$cover/data" -o "$cover/profile.all"
 grep -v '^cqjoin/bench/' "$cover/profile.all" >"$cover/profile.txt"
-go tool cover -func "$cover/profile.txt" | awk '$NF == "0.0%"'
+go tool cover -func "$cover/profile.txt" >"$cover/funcs.txt"
+awk '$NF == "0.0%"' "$cover/funcs.txt"
+
+# Name each function as the ledger does, from its declaration's line, and hold
+# it to the ledger.
+awk -v ledger=scripts/traffic-cover.keep '
+BEGIN {
+	while ((getline line < ledger) > 0) {
+		sub(/#.*/, "", line)
+		if (split(line, f, " ") >= 1)
+			keep[f[1]] = 1
+	}
+}
+function kept(key, path,    dir) {
+	if (key in keep || path in keep)
+		return 1
+	for (dir = path; sub(/\/[^\/]*$/, "", dir);)
+		if ((dir "/") in keep)
+			return 1
+	return 0
+}
+$1 ~ /\.go:[0-9]+:$/ {
+	split($1, loc, ":")
+	path = loc[1]
+	sub(/^cqjoin\//, "", path)
+	if (!(path in read)) {
+		read[path] = 1
+		for (n = 1; (getline src < path) > 0; n++)
+			decl[path, n] = src
+		close(path)
+	}
+	name = $2
+	if (match(decl[path, loc[2]], /^func \([^)]*\)/)) {
+		recv = substr(decl[path, loc[2]], RSTART + 6, RLENGTH - 7)
+		sub(/^.* /, "", recv)
+		sub(/^\*/, "", recv)
+		sub(/\[.*$/, "", recv)
+		name = recv "." name
+	}
+	key = path ":" name
+	if ($NF == "0.0%" && !kept(key, path)) {
+		print "# no keeper in the ledger: " key > "/dev/stderr"
+		missing++
+	} else if ($NF != "0.0%" && kept(key, path)) {
+		print "# ledgered, and ran: " key " " $NF > "/dev/stderr"
+	}
+}
+END { exit missing > 0 }
+' "$cover/funcs.txt"
