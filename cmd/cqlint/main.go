@@ -1,10 +1,8 @@
 // Command cqlint is the project's invariant checker: a multichecker that
-// runs the internal/analysis suite of seven analyzers — the per-function
-// syntax checks (determinism, maporder, sendunderlock, obsregister) and the
-// interprocedural call-graph analyzers (lockorder, goroleak, poolsafe) —
-// over the module and exits non-zero on any diagnostic. It is
-// the compile-time counterpart of the differential determinism harness
-// in parallel_test.go — see DESIGN.md §9.
+// runs the internal/analysis suite — the interprocedural call-graph
+// analyzers lockorder, goroleak and poolsafe — over the module and exits
+// non-zero on any diagnostic. It holds the concurrency invariants no test
+// can; DESIGN.md §9 is its ledger.
 //
 // Usage:
 //

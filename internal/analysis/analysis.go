@@ -16,7 +16,7 @@ type Analyzer struct {
 	Name string
 	Doc  string
 	// Filter, when non-nil, restricts the analyzer to packages for which
-	// it returns true (import-path based; used by determinism's package
+	// it returns true (import-path based; used by goroleak's package
 	// scope). A nil Filter means "every analyzed package".
 	Filter func(pkgPath string) bool
 	Run    func(*Pass) error
@@ -49,48 +49,20 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // Prog is the whole-program context shared by every pass: all loaded
-// packages plus the cross-package facts analyzers consult (the
-// //cqlint:sink marker set).
+// packages plus the call graph the interprocedural analyzers consult.
 type Prog struct {
 	Loader   *Loader
 	Packages []*Package
-
-	// sinks holds every function object whose declaration carries a
-	// //cqlint:sink directive. Calls to these are order-sensitive
-	// consumers for maporder and network sends for sendunderlock.
-	sinks map[types.Object]bool
 
 	// cg caches the interprocedural call graph; built lazily by
 	// CallGraph() the first time an interprocedural analyzer runs.
 	cg *CallGraph
 }
 
-// NewProg assembles a program from loaded packages and scans declaration
-// directives.
+// NewProg assembles a program from loaded packages.
 func NewProg(l *Loader, pkgs []*Package) *Prog {
-	prog := &Prog{Loader: l, Packages: pkgs, sinks: make(map[types.Object]bool)}
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Doc == nil {
-					continue
-				}
-				for _, c := range fd.Doc.List {
-					if strings.TrimSpace(c.Text) == "//cqlint:sink" {
-						if obj := pkg.Info.Defs[fd.Name]; obj != nil {
-							prog.sinks[obj] = true
-						}
-					}
-				}
-			}
-		}
-	}
-	return prog
+	return &Prog{Loader: l, Packages: pkgs}
 }
-
-// IsMarkedSink reports whether obj's declaration carries //cqlint:sink.
-func (prog *Prog) IsMarkedSink(obj types.Object) bool { return prog.sinks[obj] }
 
 // Run executes the analyzers over every package, applies //lint:allow
 // suppression, and returns the surviving diagnostics in file/position
@@ -192,7 +164,7 @@ func (a allowSet) suppresses(fset *token.FileSet, d Diagnostic) bool {
 
 // funcKey renders a *types.Func as "pkgpath.Name" for package functions or
 // "pkgpath.Recv.Name" for methods (pointerness of the receiver ignored),
-// the form the analyzers' sink/send tables use.
+// the form the analyzers' send tables use.
 func funcKey(fn *types.Func) string {
 	if fn.Pkg() == nil {
 		return fn.Name()

@@ -21,7 +21,7 @@ import (
 // and reports any mismatch between diagnostics and want comments as test
 // errors. Fixture packages may import fake dependency packages from the
 // same srcRoot under their production import paths (e.g.
-// cqjoin/internal/chord), which is how sink/send resolution is exercised
+// cqjoin/internal/chord), which is how send resolution is exercised
 // without loading the real tree.
 func Run(t *testing.T, srcRoot string, a *analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
@@ -37,11 +37,9 @@ func Run(t *testing.T, srcRoot string, a *analysis.Analyzer, pkgPaths ...string)
 		}
 		pkgs = append(pkgs, p)
 	}
-	// The Prog scans every loaded full package (fixture dependencies
-	// included) for //cqlint:sink markers; the analyzer itself only runs
-	// over the packages named by the test.
-	prog := analysis.NewProg(loader, loader.FullPackages())
-	prog.Packages = pkgs
+	// The analyzer runs over the packages named by the test; the call
+	// graph spans every loaded package, fixture dependencies included.
+	prog := analysis.NewProg(loader, pkgs)
 	diags, err := prog.Run([]*analysis.Analyzer{a})
 	if err != nil {
 		t.Fatalf("run %s: %v", a.Name, err)

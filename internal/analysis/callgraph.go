@@ -24,6 +24,19 @@ import (
 // analyzers built on the graph are gates, and a gate that cries wolf gets
 // deleted.
 
+// networkSends are the overlay send entry points: each one can traverse
+// O(log N) simulated hops, run delivery handlers on other nodes, and (in a
+// socket deployment) block on the network. Holding a local mutex across
+// one is a latency and deadlock hazard — delivery handlers may call back
+// into the sending node.
+var networkSends = map[string]bool{
+	"cqjoin/internal/chord.Node.Send":               true,
+	"cqjoin/internal/chord.Node.DirectSend":         true,
+	"cqjoin/internal/chord.Node.SendHinted":         true,
+	"cqjoin/internal/chord.Node.Multisend":          true,
+	"cqjoin/internal/chord.Node.MultisendIterative": true,
+}
+
 // blockingTransportCalls are the internal/transport entry points that
 // block on sockets (dial, frame write, ack wait). Together with the
 // chord overlay sends in networkSends they form lockorder's sink set.
@@ -293,6 +306,27 @@ func (g *CallGraph) resolveInterfaces(pkgs []*Package) {
 			}
 		}
 	}
+}
+
+// mutexMethod classifies a call as a lock or unlock on sync.Mutex or
+// sync.RWMutex, returning +1 for acquisitions, -1 for releases, 0 for
+// anything else.
+func mutexMethod(info *types.Info, call *ast.CallExpr) int {
+	fn := calleeFunc(info, call)
+	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
+		return 0
+	}
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return 0
+	}
+	switch fn.Name() {
+	case "Lock", "RLock":
+		return +1
+	case "Unlock", "RUnlock":
+		return -1
+	}
+	return 0
 }
 
 // mutexClass resolves the lock-class object of a sync.(RW)Mutex method

@@ -1,6 +1,6 @@
 // Package analysis is a self-contained static-analysis framework plus the
-// cqlint analyzer suite that proves the repository's determinism and
-// protocol invariants at compile time (DESIGN.md §9).
+// cqlint analyzer suite that proves the repository's concurrency
+// invariants at compile time (DESIGN.md §9).
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis
 // (Analyzer / Pass / Diagnostic, analysistest-style golden tests) but is

@@ -1,15 +1,15 @@
 package analysis
 
-// LockOrderAnalyzer generalizes sendunderlock across call boundaries: it
-// consumes the call graph's per-function lock summaries to report
+// LockOrderAnalyzer consumes the call graph's per-function lock summaries
+// to report
 //
-//  1. transitive sends — a call made while a mutex acquired in the same
-//     function is held, where the callee (through any chain of module
-//     functions, interface dispatch included) reaches a chord overlay
-//     send or a blocking transport entry point. This is the PR-7
-//     deadlock class: batch handlers that called back into the overlay
-//     while holding a connection lock head-of-line-cycled the in-order
-//     reply protocol into timeouts.
+//  1. sends under a lock — a chord overlay send or blocking transport
+//     entry point called while a mutex acquired in the same function is
+//     held, directly or through any chain of module functions (interface
+//     dispatch included). This is the pipelining deadlock class: batch
+//     handlers that called back into the overlay while holding a
+//     connection lock head-of-line-cycled the in-order reply protocol
+//     into timeouts.
 //  2. lock-order cycles — an acquisition of class B while class A is
 //     held (directly, or summarized through a callee) when B's holders
 //     also, possibly transitively, acquire A.
@@ -18,11 +18,10 @@ package analysis
 // class across every instance) or per variable. The summary arithmetic
 // is branch-insensitive and clamps held counts at zero, so asymmetric
 // helpers (transport's writeAndAwait releases its caller's lock) bias
-// toward silence rather than noise; sendunderlock retains the precise
-// same-function check.
+// toward silence rather than noise.
 var LockOrderAnalyzer = &Analyzer{
 	Name: "lockorder",
-	Doc:  "report transitive overlay/transport sends under a held mutex and lock-order cycles, via call-graph lock summaries",
+	Doc:  "report overlay/transport sends under a held mutex, direct or down a call chain, and lock-order cycles",
 	Run:  runLockOrder,
 }
 

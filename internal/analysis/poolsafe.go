@@ -6,10 +6,8 @@ import (
 	"go/types"
 )
 
-// PoolSafeAnalyzer enforces the pooled-object hygiene the transport's
-// zero-alloc hot path depends on (callPool, replyBufPool, timerPool,
-// serveStatePool, frameBufPool). For every package-level sync.Pool it
-// checks:
+// PoolSafeAnalyzer enforces the pooled-object hygiene the zero-alloc hot
+// paths depend on. For every package-level sync.Pool it checks:
 //
 //  1. accessor discipline — at most one function calls <pool>.Get and at
 //     most one calls <pool>.Put. Scattered Get/Put sites are how reset

@@ -9,44 +9,7 @@ import (
 
 // The analyzer suites run against golden fixtures under
 // testdata/src, each with positive (diagnostic expected) and suppressed
-// (//lint:allow) cases. The determinism fixture lives under the
-// cqjoin/internal/sim fixture path so the analyzer's package scope
-// applies; determinism/outofscope proves the scope exemption by carrying
-// a wall-clock read and no want comments.
-
-func TestDeterminismAnalyzer(t *testing.T) {
-	analysistest.Run(t, "testdata/src", analysis.DeterminismAnalyzer,
-		"cqjoin/internal/sim/detfix", "determinism/outofscope")
-}
-
-// TestDeterminismScopeExcludesTransport pins the determinism boundary:
-// internal/transport lives below the chord.Transport interface and runs
-// on wall clocks (deadlines, idle reaping, backoff) by design, while the
-// packages above the interface stay in scope. See the comment on
-// DeterministicPackages for the rationale.
-func TestDeterminismScopeExcludesTransport(t *testing.T) {
-	scope := analysis.DeterminismAnalyzer.Filter
-	if scope("cqjoin/internal/transport") {
-		t.Fatal("internal/transport must be outside the determinism scope")
-	}
-	for _, p := range []string{"cqjoin/internal/chord", "cqjoin/internal/engine", "cqjoin/internal/wire"} {
-		if !scope(p) {
-			t.Fatalf("%s must stay inside the determinism scope", p)
-		}
-	}
-}
-
-func TestMapOrderAnalyzer(t *testing.T) {
-	analysistest.Run(t, "testdata/src", analysis.MapOrderAnalyzer, "maporder/a")
-}
-
-func TestSendUnderLockAnalyzer(t *testing.T) {
-	analysistest.Run(t, "testdata/src", analysis.SendUnderLockAnalyzer, "sendunderlock/a")
-}
-
-func TestObsRegisterAnalyzer(t *testing.T) {
-	analysistest.Run(t, "testdata/src", analysis.ObsRegisterAnalyzer, "obsregister/a")
-}
+// (//lint:allow) cases.
 
 func TestLockOrderAnalyzer(t *testing.T) {
 	analysistest.Run(t, "testdata/src", analysis.LockOrderAnalyzer, "lockorder/a")

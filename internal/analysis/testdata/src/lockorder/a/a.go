@@ -1,5 +1,6 @@
 // Package a exercises the lockorder analyzer: transitive sends reached
-// through a call chain while a mutex is held, direct sends under a lock,
+// through a call chain while a mutex is held, direct sends under a lock
+// (plain, deferred-unlock and read lock) but not after it or in a closure,
 // lock-order cycles between two classes, and the //lint:allow escape
 // hatch. The chord import resolves to the fixture fake under this
 // testdata root, whose Node.Send et al carry the production funcKeys the
@@ -15,6 +16,7 @@ import (
 type state struct {
 	mu   sync.Mutex
 	ack  sync.Mutex
+	rw   sync.RWMutex
 	node *chord.Node
 }
 
@@ -43,11 +45,32 @@ func (s *state) directSendUnderLock() {
 	s.mu.Unlock()
 }
 
-// sendAfterUnlock is the clean shape: the lock is released first.
-func (s *state) sendAfterUnlock() {
+// sendsUnderReadLock: a read lock pinned by a deferred unlock is held
+// all the same, across every overlay send.
+func (s *state) sendsUnderReadLock(batch []chord.Deliverable, hint *chord.Node) {
+	s.rw.RLock()
+	defer s.rw.RUnlock()
+	s.node.Multisend(batch, nil)     // want "Multisend blocks on the overlay/transport while mutex state.rw is held"
+	s.node.MultisendIterative(batch) // want "MultisendIterative blocks on the overlay/transport while mutex state.rw is held"
+	s.node.DirectSend(nil, hint)     // want "DirectSend blocks on the overlay/transport while mutex state.rw is held"
+	s.node.SendHinted(nil, 0, hint)  // want "SendHinted blocks on the overlay/transport while mutex state.rw is held"
+}
+
+// collectThenSend is the clean shape: copy under the lock, release it,
+// then talk to the network.
+func (s *state) collectThenSend(pending []chord.Deliverable) {
 	s.mu.Lock()
+	batch := append([]chord.Deliverable(nil), pending...)
 	s.mu.Unlock()
-	s.node.Send(nil, 0)
+	s.node.Multisend(batch, nil)
+}
+
+// closureIsSeparate: a closure's body runs later, under its own
+// discipline; the enclosing function's lock does not cover its send.
+func (s *state) closureIsSeparate() func() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return func() { s.node.Send(nil, 0) }
 }
 
 // lockAThenB and lockBThenA disagree on acquisition order, closing a

@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -139,9 +140,10 @@ func TestDaemonLineTooLong(t *testing.T) {
 // the in-process server, a connected protocol client, and its overlay
 // address.
 type overlayProc struct {
-	srv  *Server
-	c    *client
-	addr string
+	srv        *Server
+	c          *client
+	addr       string
+	clientAddr string
 }
 
 // ownsNode reports whether this process owns ring position i under its
@@ -201,7 +203,7 @@ func startOverlayProc(t *testing.T, cfg Config, ln net.Listener) *overlayProc {
 		t.Fatalf("dial %s: %v", cfg.OverlayAddr, err)
 	}
 	t.Cleanup(func() { _ = conn.Close() })
-	return &overlayProc{srv: srv, c: newClient(t, conn), addr: cfg.OverlayAddr}
+	return &overlayProc{srv: srv, c: newClient(t, conn), addr: cfg.OverlayAddr, clientAddr: cln.Addr().String()}
 }
 
 // listenOverlay binds count overlay listeners on loopback whose addresses,
@@ -567,5 +569,87 @@ func TestDaemonSingleProcessStatsHaveNoTransport(t *testing.T) {
 	}
 	if resp := c.call(map[string]interface{}{"op": "overlay-config"}); resp["ok"] != true {
 		t.Fatalf("overlay-config: %v", resp)
+	}
+}
+
+// TestStatsMetricNamesAreFixed: the metric names a daemon's stats reports
+// are fixed once the daemon is up. Only a vector's {label} entries and the
+// traffic ledger's per-kind entries grow with what the daemon has seen; a
+// metric named from run-time data — a peer, a connection, a query — fails
+// here. Each process is read at start, after a run of publications, and
+// after subscribes, unsubscribes, listeners come and go and more
+// publications.
+func TestStatsMetricNamesAreFixed(t *testing.T) {
+	procs := startOverlayProcs(t, defaultConfig(), 2)
+	names := func() []map[string]bool {
+		out := make([]map[string]bool, len(procs))
+		for i, p := range procs {
+			out[i] = make(map[string]bool)
+			for layer, v := range p.c.call(map[string]interface{}{"op": "stats"}) {
+				section, _ := v.(map[string]interface{})
+				for name := range section {
+					byKind := strings.HasPrefix(name, "chord.msgs.") || strings.HasPrefix(name, "chord.hops.") || strings.HasPrefix(name, "chord.bytes.")
+					if strings.HasPrefix(name, layer+".") && !strings.Contains(name, "{") && !byKind {
+						out[i][name] = true
+					}
+				}
+			}
+		}
+		return out
+	}
+	publish := func(round string, n int) {
+		for i := 0; i < n; i++ {
+			publishPair(t, procs, fmt.Sprintf("%s%d", round, i))
+		}
+	}
+	subscribe := func(p *overlayProc) string {
+		resp := p.c.call(map[string]interface{}{"op": "subscribe", "node": p.nodeOwnedBy(t), "sql": ordersShipmentsSQL})
+		if resp["ok"] != true {
+			t.Fatalf("subscribe via %s: %v", p.addr, resp)
+		}
+		return resp["key"].(string)
+	}
+
+	up := names()
+	for i, p := range procs {
+		for _, name := range []string{"daemon.listeners", "codec.memo_hits", "engine.revokes", "engine.census.delivered.sum", "transport.dials", "chord.handbacks"} {
+			if !up[i][name] {
+				t.Fatalf("%s: stats at start carry no %s: %v", p.addr, name, up[i])
+			}
+		}
+	}
+	subscribe(procs[0])
+	publish("a", 8)
+	reads := [][]map[string]bool{names()}
+	for _, p := range procs {
+		conn, err := net.Dial("tcp", p.clientAddr)
+		if err != nil {
+			t.Fatalf("dial %s: %v", p.clientAddr, err)
+		}
+		if resp := newClient(t, conn).call(map[string]interface{}{"op": "listen"}); resp["ok"] != true {
+			t.Fatalf("listen: %v", resp)
+		}
+		key := subscribe(p)
+		publish("b"+p.addr, 2)
+		if resp := p.c.call(map[string]interface{}{"op": "unsubscribe", "key": key}); resp["ok"] != true {
+			t.Fatalf("unsubscribe: %v", resp)
+		}
+		_ = conn.Close()
+	}
+	publish("c", 8)
+	reads = append(reads, names())
+	for r, read := range reads {
+		for i := range procs {
+			for name := range read[i] {
+				if !up[i][name] {
+					t.Errorf("%s, read %d: %s, not there at start", procs[i].addr, r+1, name)
+				}
+			}
+			for name := range up[i] {
+				if !read[i][name] {
+					t.Errorf("%s, read %d: %s gone", procs[i].addr, r+1, name)
+				}
+			}
+		}
 	}
 }

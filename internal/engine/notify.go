@@ -194,8 +194,6 @@ func notifications(ms []match) []Notification {
 // run is a slice of the batch; more through a map. Either way the messages,
 // one per subscriber, are one array. The batch becomes the engine's: callers
 // build it and end with this call.
-//
-//cqlint:sink
 func (st *nodeState) sendNotifications(batch []Notification) {
 	if len(batch) == 0 {
 		return
@@ -229,7 +227,6 @@ func (st *nodeState) sendNotifications(batch []Notification) {
 	}
 }
 
-//cqlint:sink
 func (st *nodeState) sendNotificationsByMap(batch []Notification) {
 	bySub := make(map[string][]Notification)
 	order := make([]string, 0, 2*smallTableMax)
@@ -253,8 +250,6 @@ func (st *nodeState) sendNotificationsByMap(batch []Notification) {
 // address, or DHT delivery with address learning when the known address is
 // stale. A missing ack consumes one retry from Config.MaxRetries; a batch
 // still unacked after the budget is charged as lost.
-//
-//cqlint:sink
 func (st *nodeState) deliverNotify(msg *notifyMsg) {
 	e := st.engine
 	sub := msg.Subscriber

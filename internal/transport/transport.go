@@ -19,11 +19,10 @@
 // over. At-least-once resends are safe because every engine receiver is
 // idempotent.
 //
-// This package is deliberately outside cqlint's determinism scope: real
-// sockets need wall-clock deadlines, idle reaping and jittered backoff.
-// The simulated transport remains the bit-exact default; the differential
-// test in the repo root proves the two produce identical notification
-// fingerprints for the same workload.
+// Real sockets need wall-clock deadlines, idle reaping and jittered
+// backoff. The simulated transport remains the bit-exact default; the
+// differential test in the repo root proves the two produce identical
+// notification fingerprints for the same workload.
 package transport
 
 import (
