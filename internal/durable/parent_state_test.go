@@ -33,7 +33,9 @@ import (
 // snapshots say every query's SQL text, not its token form, and whose
 // directory records no catalog digest; state-pr38 at d97b968, the first whose
 // queries say their token form and the last whose stored notifications say
-// their key in full, their address and their delivery time. snapshot.bin is a
+// their key in full, their address and their delivery time — and, byte for
+// byte, what 3d63375 wrote: the last whose value-level sections say their
+// input, which recovery hashes, not their identifier. snapshot.bin is a
 // graceful checkpoint taken mid-script, wal.log the records appended after it
 // up to a kill -9.
 

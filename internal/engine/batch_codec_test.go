@@ -449,7 +449,7 @@ func TestPurgeWalkSaysItsQueryOnce(t *testing.T) {
 	env.net.SetSizer(sizeSolo)
 	var batch, solo []chord.Deliverable
 	for _, m := range purges {
-		target := env.eng.hashInput(m.(*purgeMsg).Input)
+		target := id.Hash(m.(*purgeMsg).Input)
 		batch = append(batch, chord.Deliverable{Target: target, Msg: m})
 		solo = append(solo, chord.Deliverable{Target: target, Msg: soloPriced{m}})
 	}

@@ -6,9 +6,9 @@ type CensusEntry struct{ Sum, Max int }
 
 // Census returns the size of each structure the engine keeps that grows with
 // what it is sent, by name:
-//   - vlqt_buckets, vlqt_rewrites and vlqt_spelled_keys (stored rewrites
-//     whose Key(q') is a string, not derived);
-//   - vltt_buckets and vltt_tuples;
+//   - vl_buckets, the value-level identifiers (slots), and what their
+//     buckets store: vlqt_rewrites, vlqt_spelled_keys (stored rewrites whose
+//     Key(q') is a string, not derived) and vltt_tuples;
 //   - alqt_queries, alqt_purge_entries (the inputs on the condition groups'
 //     purge lists, each once a group however many of its queries it serves),
 //     alqt_marks and alqt_grants;
@@ -17,9 +17,8 @@ type CensusEntry struct{ Sum, Max int }
 //     rewriter told a publisher whether a query reads them);
 //   - hot_counters and hot_entries, the inputs the hot-key detector tallies
 //     at their bases and those of them it promoted;
-//   - engine-wide, delivered and id_cache; and wire_memo_queries,
-//     wire_memo_parsed and wire_memo_strings, what the memo of the engine's
-//     WireCodec holds.
+//   - engine-wide, delivered; and wire_memo_queries, wire_memo_parsed and
+//     wire_memo_strings, what the memo of the engine's WireCodec holds.
 //
 // It takes each live node's lock in turn, and costs nothing until called.
 func (e *Engine) Census() map[string]CensusEntry {
@@ -30,9 +29,6 @@ func (e *Engine) Census() map[string]CensusEntry {
 	e.mu.Lock()
 	c.engineWide("delivered", len(e.delivered))
 	e.mu.Unlock()
-	e.ids.mu.Lock()
-	c.engineWide("id_cache", len(e.ids.m))
-	e.ids.mu.Unlock()
 	queries, parsed, strs := e.memo.Sizes()
 	c.engineWide("wire_memo_queries", queries)
 	c.engineWide("wire_memo_parsed", parsed)
@@ -58,16 +54,18 @@ func (st *nodeState) census(c census) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	var rewrites, spelled, tuples, queries, targets, marks, grants, notifs, verdicts, promoted int
-	for _, b := range st.vlqt {
-		rewrites += b.rewrites.len()
-		for _, rw := range b.rewrites.all() {
-			if rw.Key != "" {
-				spelled++
+	for _, s := range st.vl {
+		if s.q != nil {
+			rewrites += s.q.rewrites.len()
+			for _, rw := range s.q.rewrites.all() {
+				if rw.Key != "" {
+					spelled++
+				}
 			}
 		}
-	}
-	for _, b := range st.vltt {
-		tuples += b.tuples.len()
+		if s.t != nil {
+			tuples += s.t.tuples.len()
+		}
 	}
 	for _, b := range st.alqt {
 		queries += b.storedItems()
@@ -90,10 +88,9 @@ func (st *nodeState) census(c census) {
 			promoted++
 		}
 	}
-	c.add("vlqt_buckets", len(st.vlqt))
+	c.add("vl_buckets", len(st.vl))
 	c.add("vlqt_rewrites", rewrites)
 	c.add("vlqt_spelled_keys", spelled)
-	c.add("vltt_buckets", len(st.vltt))
 	c.add("vltt_tuples", tuples)
 	c.add("alqt_queries", queries)
 	c.add("alqt_purge_entries", targets)

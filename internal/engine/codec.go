@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"cqjoin/internal/chord"
+	"cqjoin/internal/id"
 	"cqjoin/internal/query"
 	"cqjoin/internal/relation"
 	"cqjoin/internal/wire"
@@ -947,13 +948,29 @@ func walkVQEntries(c *wire.Coder, es *[]vqEntry) {
 }
 
 func (sec *vqSection) walk(c *wire.Coder) {
-	c.String(&sec.Input)
+	walkVLID(c, &sec.ID)
 	walkVQEntries(c, &sec.Entries)
 }
 
 func (sec *vtSection) walk(c *wire.Coder) {
-	c.String(&sec.Input)
+	walkVLID(c, &sec.ID)
 	c.Tuples(&sec.Tuples)
+}
+
+// walkVLID walks the identifier of a value-level section: an empty input,
+// which no parent wrote there (DESIGN.md §8.1), then the identifier's bytes,
+// which decoding refuses short or long. A parent's section said its input,
+// which decoding hashes.
+func walkVLID(c *wire.Coder, h *id.ID) {
+	var input string
+	b := h[:]
+	if c.String(&input); input != "" {
+		*h = vlHash([]byte(input))
+	} else if c.Bytes(&b); len(b) != len(h) {
+		c.Fail(fmt.Errorf("engine: a value-level identifier of %d bytes", len(b)))
+	} else {
+		copy(h[:], b)
+	}
 }
 
 func (e *dvEntry) walk(c *wire.Coder) {
@@ -1048,9 +1065,11 @@ func walkParentPartialMatches(c *wire.Coder, vq *[]vqSection) {
 		}
 		var targets []targetsEntry
 		walkTargets(c, &targets)
-		i, found := slices.BinarySearchFunc(*vq, input, func(s vqSection, in string) int { return strings.Compare(s.Input, in) })
-		if !found {
-			*vq = slices.Insert(*vq, i, vqSection{Input: input})
+		h := vlHash([]byte(input))
+		i := slices.IndexFunc(*vq, func(s vqSection) bool { return s.ID == h })
+		if i < 0 { // where cut, which writes in identifier order, puts it
+			i, _ = slices.BinarySearchFunc(*vq, h, func(s vqSection, h id.ID) int { return s.ID.Cmp(h) })
+			*vq = slices.Insert(*vq, i, vqSection{ID: h})
 		}
 		(*vq)[i].Entries = append((*vq)[i].Entries, entries...)
 		(*vq)[i].SentTargets = append((*vq)[i].SentTargets, targets...)

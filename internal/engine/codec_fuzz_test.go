@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"cqjoin/internal/chord"
+	"cqjoin/internal/id"
+	"cqjoin/internal/relation"
 	"cqjoin/internal/wire"
 )
 
@@ -23,8 +25,9 @@ import (
 // whose first element repeats a predecessor it does not have, messages
 // whose side is one no side field holds, queries whose token form names
 // what the catalog has not or spells no query, notification batches whose
-// key past their subscriber stands where none may, and ints and bools their
-// fields cannot hold.
+// key past their subscriber stands where none may, ints and bools their
+// fields cannot hold, and a hand-off whose value-level section says its
+// identifier behind the empty-input marker, whole and one byte short.
 //
 // Every input is then decoded as an entry of a batch frame, behind each of
 // four predecessors: one carrying the fixtures' R tuple, one their S tuple,
@@ -62,6 +65,9 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		f.Add(data)
 	}
 	for _, data := range hostileNotifications("peer5") {
+		f.Add(data)
+	}
+	for _, data := range markedSections(f, catalog, msgs[2].(*vlIndexMsg).T) {
 		f.Add(data)
 	}
 	f.Add([]byte{})
@@ -158,4 +164,27 @@ func fuzzBehind(t *testing.T, codec WireCodec, data []byte, prev chord.Message, 
 	if err := codec.EncodeAfter(&w2, msg2, prev); err != nil || !bytes.Equal(w1.Bytes(), w2.Bytes()) {
 		t.Fatalf("encoding behind %T not canonical (%v):\nfirst:  %x\nsecond: %x", prev, err, w1.Bytes(), w2.Bytes())
 	}
+}
+
+// markedSections returns a hand-off of one value-level section, which says
+// its identifier behind an empty input (walkVLID), and the same hand-off
+// forged to say a 19-byte identifier, which walkVLID must refuse.
+func markedSections(tb testing.TB, catalog *relation.Catalog, tu *relation.Tuple) [][]byte {
+	tb.Helper()
+	h := id.Hash("S+E+7")
+	var w wire.Buffer
+	if err := EncodeMessage(&w, handoffMsg{VT: []vtSection{{ID: h, Tuples: []*relation.Tuple{tu}}}}); err != nil {
+		tb.Fatal(err)
+	}
+	marked := w.Bytes()
+	at := bytes.Index(marked, append([]byte{0, byte(len(h))}, h[:]...))
+	if at < 0 {
+		tb.Fatalf("%x says no marker and identifier", marked)
+	}
+	short := slices.Delete(slices.Clone(marked), at+2, at+3)
+	short[at+1] = byte(len(h) - 1)
+	if got, err := DecodeMessage(wire.NewReader(short), catalog); err == nil || !strings.Contains(err.Error(), "identifier of 19 bytes") {
+		tb.Fatalf("a 19-byte identifier decoded to %+v (%v)", got, err)
+	}
+	return [][]byte{marked, short}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"cqjoin/internal/chord"
+	"cqjoin/internal/id"
 	"cqjoin/internal/obs"
 	"cqjoin/internal/query"
 	"cqjoin/internal/relation"
@@ -86,11 +87,11 @@ func codecFixtures(t testing.TB, extra ...*relation.Schema) (*relation.Catalog, 
 				SentTargets:  []targetsEntry{{Key: rw.Key, Targets: []string{"S+E+7", "S+E+9"}}},
 			}},
 			VQ: []vqSection{
-				{Input: "B+y+1", Entries: []vqEntry{{Rw: mrw, Times: []int64{6}}},
+				{ID: id.Hash("B+y+1"), Entries: []vqEntry{{Rw: mrw, Times: []int64{6}}},
 					SentTargets: []targetsEntry{{Key: "peer3#2+6", Targets: []string{"C+y+3"}}}},
-				{Input: "S+E+7", Entries: []vqEntry{{Rw: rw, Times: []int64{9, 11}}}},
+				{ID: id.Hash("S+E+7"), Entries: []vqEntry{{Rw: rw, Times: []int64{9, 11}}}},
 			},
-			VT:     []vtSection{{Input: "S+E+7", Tuples: []*relation.Tuple{su}}},
+			VT:     []vtSection{{ID: id.Hash("S+E+7"), Tuples: []*relation.Tuple{su}}},
 			DV:     []dvSection{{Input: "7", Entries: []dvEntry{{Cond: q.ConditionKey(), Left: []*relation.Tuple{tu}, Right: []*relation.Tuple{su}}}}},
 			Notifs: []notifSection{{Subscriber: q.Subscriber(), Batch: []Notification{notif}}},
 		},
@@ -143,7 +144,7 @@ func codecFixtures(t testing.TB, extra ...*relation.Schema) (*relation.Catalog, 
 		hotJoinMsg{Input: "S+E+7", Shard: 2, Rewrites: []rewritten{*rw, *rw}},
 		hotVLIndexMsg{Input: "S+E+7", Shard: 1, T: su},
 		handoffMsg{
-			VQ: []vqSection{{Input: "S+E+7", Entries: []vqEntry{{Rw: rw, Times: []int64{9}}}}},
+			VQ: []vqSection{{ID: id.Hash("S+E+7"), Entries: []vqEntry{{Rw: rw, Times: []int64{9}}}}},
 			Hot: []hotSection{
 				{Input: "S+E+7", Count: 9, WindowStart: 64, Promoted: true},
 				{Input: "S+E+9", Count: 2, WindowStart: 70},
@@ -290,7 +291,7 @@ func assertSemanticEqual(t *testing.T, want, got chord.Message) {
 		}
 		for i := range g.VQ {
 			gv, wv := g.VQ[i], w.VQ[i]
-			if gv.Input != wv.Input || len(gv.Entries) != len(wv.Entries) ||
+			if gv.ID != wv.ID || len(gv.Entries) != len(wv.Entries) ||
 				len(gv.SentTargets)+len(wv.SentTargets) > 0 && !reflect.DeepEqual(gv.SentTargets, wv.SentTargets) {
 				t.Fatalf("vqSection %d mismatch: %+v", i, gv)
 			}
@@ -303,7 +304,7 @@ func assertSemanticEqual(t *testing.T, want, got chord.Message) {
 		}
 		for i := range g.VT {
 			gv, wv := g.VT[i], w.VT[i]
-			if gv.Input != wv.Input || len(gv.Tuples) != len(wv.Tuples) ||
+			if gv.ID != wv.ID || len(gv.Tuples) != len(wv.Tuples) ||
 				gv.Tuples[0].String() != wv.Tuples[0].String() ||
 				gv.Tuples[0].PubT() != wv.Tuples[0].PubT() {
 				t.Fatalf("vtSection %d mismatch: %+v", i, gv)
@@ -649,6 +650,31 @@ func TestDecodeTruncated(t *testing.T) {
 				}
 			}
 		}
+		// A value-level section says its identifier behind the empty input
+		// that marks it, whole or not at all: cut anywhere past the marker,
+		// walkVLID refuses it.
+		if m, ok := msg.(handoffMsg); ok {
+			var ids []id.ID
+			for _, sec := range m.VQ {
+				ids = append(ids, sec.ID)
+			}
+			for _, sec := range m.VT {
+				ids = append(ids, sec.ID)
+			}
+			for _, h := range ids {
+				marked := append([]byte{0, byte(len(h))}, h[:]...)
+				if !bytes.Contains(full, marked) {
+					t.Fatalf("%T says no marker and identifier %s", msg, h)
+				}
+				for cut := 1; cut < len(marked); cut++ {
+					c := wire.Decoder(wire.NewReader(marked[:cut]), catalog, nil)
+					var got id.ID
+					if walkVLID(&c, &got); c.Err() == nil {
+						t.Fatalf("a section identifier cut at %d of %d decoded as %s", cut, len(h), got)
+					}
+				}
+			}
+		}
 		for cut := 0; cut < len(full); cut++ {
 			got, err := DecodeMessage(wire.NewReader(full[:cut]), catalog)
 			if asParent := whole[cut]; asParent != nil {
@@ -854,7 +880,7 @@ func TestCodecDecodeSharesRewriteTargets(t *testing.T) {
 		}
 		return rws
 	}
-	ho := roundTrip(handoffMsg{VQ: []vqSection{{Input: "S+E+7", Entries: entries(mixed)}}}).(handoffMsg)
+	ho := roundTrip(handoffMsg{VQ: []vqSection{{ID: id.Hash("S+E+7"), Entries: entries(mixed)}}}).(handoffMsg)
 	assertRuns("hand-off section", mixed, unwrap(ho.VQ[0].Entries), 3)
 }
 

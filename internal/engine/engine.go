@@ -150,7 +150,6 @@ type Engine struct {
 	net     *chord.Network
 	catalog *relation.Catalog
 	obs     engObs
-	ids     idCache
 	alIDs   map[relAttr][]alIdent // read-only after New (alKey)
 	alOrds  map[string]int        // attribute-level input -> alIdent.ord; read-only after New
 	hotK    int                   // shard count k of a promoted input; 0 while hot-key sharding is off

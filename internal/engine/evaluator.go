@@ -2,6 +2,7 @@ package engine
 
 import (
 	"cqjoin/internal/chord"
+	"cqjoin/internal/id"
 	"cqjoin/internal/metrics"
 	"cqjoin/internal/query"
 	"cqjoin/internal/relation"
@@ -46,7 +47,7 @@ func (st *nodeState) handleJoin(m *joinMsg) {
 		run := rws[i : i+sameTargetRun(rws[i:])]
 		i += len(run)
 		key := appendVLInput(buf[:0], run[0].Want.Rel, run[0].Want.Attr, run[0].WantValue)
-		ms, outs = st.joinAt(key, run, &n, ms, outs)
+		ms, outs = st.joinAt(vlHash(key), run, &n, ms, outs)
 		// Hot-key sharding (DESIGN.md §13): count the arrivals, and owe a
 		// promoted input's shards what this bucket — shard 0 — stored.
 		if e.hotK > 0 {
@@ -64,18 +65,19 @@ func (st *nodeState) handleJoin(m *joinMsg) {
 type tally struct{ work, stored int }
 
 // joinAt stores (where the algorithm does) and matches run, rewrites bound
-// for the one bucket named key: the input they were derived for, or one of
-// its shards' (hotShardInput). It appends the matches to ms and a chain's
+// for the one bucket of identifier h: the input they were derived for, or one
+// of its shards' (appendShardInput). It appends the matches to ms and a chain's
 // rewrites a stage on to outs (meet). The caller holds st.mu.
-func (st *nodeState) joinAt(key []byte, run []rewritten, n *tally, ms []match, outs []outbound) ([]match, []outbound) {
+func (st *nodeState) joinAt(h id.ID, run []rewritten, n *tally, ms []match, outs []outbound) ([]match, []outbound) {
 	e := st.engine
 	alg := e.cfg.Algorithm
-	qb, tb := st.vlqt[string(key)], st.vltt[string(key)]
+	s := st.vl[h]
+	qb, tb := s.q, s.t
 	for i := range run {
 		rw := &run[i]
 		if e.storesRewrite(rw.Orig) {
 			if qb == nil {
-				qb = st.newVLQT(string(key), len(run)-i)
+				qb = st.vlqtFor(h, len(run)-i)
 			}
 			if !qb.rewrites.record(rw) {
 				n.work++
@@ -116,13 +118,14 @@ func (st *nodeState) handleVLIndex(m *vlIndexMsg) {
 	if st.engine.hotK > 0 && st.relayHot(key, t) {
 		return
 	}
-	st.tupleAt(m.Kind(), key, t)
+	st.tupleAt(m.Kind(), vlHash(key), t)
 }
 
 // tupleAt matches t, which arrived as a message of kind, against the
-// rewrites stored in the bucket named key — the input t was indexed under,
-// or one of its shards' — and stores it there where the algorithm does.
-func (st *nodeState) tupleAt(kind string, key []byte, t *relation.Tuple) {
+// rewrites stored in the bucket of identifier h — the input t was indexed
+// under, or one of its shards' — and stores it there where the algorithm
+// does.
+func (st *nodeState) tupleAt(kind string, h id.ID, t *relation.Tuple) {
 	alg := st.engine.cfg.Algorithm
 	var mbuf [matchScratch]match
 	ms := mbuf[:0]
@@ -130,20 +133,21 @@ func (st *nodeState) tupleAt(kind string, key []byte, t *relation.Tuple) {
 	n := tally{work: 1}
 
 	st.mu.Lock()
-	if qb := st.vlqt[string(key)]; qb != nil {
-		for _, rw := range qb.rewrites.all() {
+	s := st.vl[h]
+	if s.q != nil {
+		for _, rw := range s.q.rewrites.all() {
 			n.work++
 			if matchRewrite(rw, t) {
-				ms, outs = meet(qb, rw, t, ms, outs)
+				ms, outs = meet(s.q, rw, t, ms, outs)
 			}
 		}
 	}
 	if alg == SAI || alg == DAIQ {
 		// Absorb duplicated deliveries: storing the tuple twice would
 		// double every future rewritten-query match.
-		tb := st.vltt[string(key)] // probed without a string; vlttFor makes the one it keeps
+		tb := s.t
 		if tb == nil {
-			tb = st.vlttFor(string(key))
+			tb = st.vlttFor(h)
 		}
 		if tb.tuples.add(t) {
 			n.stored++
@@ -169,14 +173,14 @@ func (st *nodeState) evaluated(n tally, ms []match, outs []outbound) {
 
 // meet adds to ms or outs what rw yields where it matched t: the match that
 // answers its query or, where its chain has relations left, rw a stage on —
-// its target recorded on qb, the bucket storing rw, for a retraction's purge
+// its input recorded on qb, the bucket storing rw, for a retraction's purge
 // to follow (handlePurge). The caller holds st.mu.
 func meet(qb *vlqtBucket, rw *rewritten, t *relation.Tuple, ms []match, outs []outbound) ([]match, []outbound) {
 	if rw.last() {
 		return append(ms, rw.match(t)), outs
 	}
-	if out, ok := rw.next(t); ok {
-		qb.rewrites.recordTarget(rw.Orig.Key(), out.input)
+	if out, input, ok := rw.next(t); ok {
+		qb.rewrites.recordTarget(rw.Orig.Key(), input)
 		outs = append(outs, out)
 	}
 	return ms, outs
@@ -190,13 +194,15 @@ func (e *Engine) storesRewrite(q *query.Query) bool {
 }
 
 // matchRewrite checks a rewritten query against a tuple of the
-// load-distributing relation. The value condition holds by construction —
-// both reached this identifier through DisR + DisA + valDA — so only the
-// time semantics (pubT >= insT, Section 3.2) and the selection predicates
-// on the stored side remain. The loop that asks collects rw.match(t), and
+// load-distributing relation: both reached this identifier through DisR +
+// DisA + valDA, but an identifier is only what its input hashes to, so the
+// value condition is checked too — t is of Want.Rel and its Want.Attr equals
+// WantValue — and a collision costs a probe, never a wrong notification. Then
+// the time semantics (pubT >= insT, Section 3.2) and the selection predicates
+// on the stored side. The loop that asks collects rw.match(t), and
 // notifications projects the batch once the loop is done.
 func matchRewrite(rw *rewritten, t *relation.Tuple) bool {
-	if t.PubT() < rw.Orig.InsT() {
+	if v, err := t.Value(rw.Want.Attr); err != nil || v != rw.WantValue || t.Relation() != rw.Want.Rel || t.PubT() < rw.Orig.InsT() {
 		return false
 	}
 	ok, err := rw.Orig.FiltersPass(t)

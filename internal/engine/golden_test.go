@@ -42,7 +42,9 @@ var retiredTags = []int{11, 12, 13, 14, 15, 17, 18, 19, 20, 21}
 // testdata/wire-pr45.golden as the last build whose chains had messages and
 // hand-off sections of their own, read into the one query table and VQ;
 // testdata/wire-pr48.golden as the last build whose hot-key frames said their
-// promotion's epoch, under tags 17 and 18.
+// promotion's epoch, under tags 17 and 18; testdata/wire-pr52.golden as the
+// last build whose value-level hand-off sections said their input, not its
+// identifier.
 // Nothing writes those layouts any more, and
 // peers, WAL delivery records and snapshots still hold them, so they are only
 // ever read: each line must decode to its fixture, and to a message that
@@ -77,7 +79,7 @@ func TestWireGolden(t *testing.T) {
 	lines, behind := splitGolden(goldenLines(t, "testdata/wire.golden"))
 	checkBehindLines(t, catalog, msgs, behind)
 	var parents [][]string
-	for _, pr := range []int{19, 20, 32, 34, 36, 38, 45, 48} {
+	for _, pr := range []int{19, 20, 32, 34, 36, 38, 45, 48, 52} {
 		fixtures, _ := splitGolden(goldenLines(t, fmt.Sprintf("testdata/wire-pr%d.golden", pr)))
 		parents = append(parents, fixtures)
 	}

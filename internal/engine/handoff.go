@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"cqjoin/internal/chord"
+	"cqjoin/internal/id"
 	"cqjoin/internal/metrics"
 	"cqjoin/internal/query"
 	"cqjoin/internal/relation"
@@ -68,16 +69,16 @@ type vqEntry struct {
 	Times []int64
 }
 
-// vqSection is the wire form of one vlqtBucket.
+// vqSection is the wire form of one vlqtBucket, under its identifier.
 type vqSection struct {
-	Input       string
+	ID          id.ID
 	Entries     []vqEntry
 	SentTargets []targetsEntry // walked behind the sections (handoffMsg.walk)
 }
 
-// vtSection is the wire form of one vlttBucket.
+// vtSection is the wire form of one vlttBucket, under its identifier.
 type vtSection struct {
-	Input  string
+	ID     id.ID
 	Tuples []*relation.Tuple
 }
 
@@ -192,15 +193,16 @@ func (e *Engine) ExportHandoff(n *chord.Node) (chord.Message, bool) {
 }
 
 // cut is the one place a node's movable tables are read out: it renders the
-// buckets whose input inArc selects (nil: every one) as hand-off sections, in
-// sorted input order. Mutable slices are copied so later engine activity
-// cannot reach into the message; the immutable leaves (tuples, queries,
-// rewrites) are shared. With take set it removes what it renders, books the
+// buckets whose identifier inArc selects (nil: every one) as hand-off
+// sections, in sorted key order — a value-level slot's key is its
+// identifier, every other table's a string, hashed for inArc. Mutable slices
+// are copied so later engine activity cannot reach into the message; the
+// immutable leaves (tuples, queries, rewrites) are shared. With take set it removes what it renders, books the
 // removal on the storage gauges, and adds what only an in-process move
 // carries (the unwalked fields). The retraction memory is keyed by query, not
 // input: every cut copies all of it, and only a taking cut of the whole node
 // empties it.
-func (st *nodeState) cut(inArc func(string) bool, take bool) handoffMsg {
+func (st *nodeState) cut(inArc func(id.ID) bool, take bool) handoffMsg {
 	var m handoffMsg
 	var rewriter, evaluator int
 	st.mu.Lock()
@@ -229,21 +231,33 @@ func (st *nodeState) cut(inArc func(string) bool, take bool) handoffMsg {
 		rewriter += b.storedItems()
 		m.AL = append(m.AL, sec)
 	})
-	cutEach(st.vlqt, inArc, take, func(input string, b *vlqtBucket) {
-		sec := vqSection{Input: input}
-		for _, rw := range b.rewrites.all() {
-			sec.Entries = append(sec.Entries, vqEntry{Rw: rw, Times: []int64{rw.Trigger.PubT()}})
+	hs := make([]id.ID, 0, len(st.vl))
+	for h := range st.vl {
+		if inArc == nil || inArc(h) {
+			hs = append(hs, h)
 		}
-		if len(b.rewrites.sent) > 0 {
-			sec.SentTargets = flattenTargets(b.rewrites.sent)
+	}
+	slices.SortFunc(hs, id.ID.Cmp)
+	for _, h := range hs {
+		if qb := st.vl[h].q; qb != nil {
+			sec := vqSection{ID: h}
+			for _, rw := range qb.rewrites.all() {
+				sec.Entries = append(sec.Entries, vqEntry{Rw: rw, Times: []int64{rw.Trigger.PubT()}})
+			}
+			if len(qb.rewrites.sent) > 0 {
+				sec.SentTargets = flattenTargets(qb.rewrites.sent)
+			}
+			evaluator += qb.rewrites.len()
+			m.VQ = append(m.VQ, sec)
 		}
-		evaluator += b.rewrites.len()
-		m.VQ = append(m.VQ, sec)
-	})
-	cutEach(st.vltt, inArc, take, func(input string, b *vlttBucket) {
-		evaluator += b.tuples.len()
-		m.VT = append(m.VT, vtSection{Input: input, Tuples: append([]*relation.Tuple(nil), b.tuples.all()...)})
-	})
+		if tb := st.vl[h].t; tb != nil {
+			evaluator += tb.tuples.len()
+			m.VT = append(m.VT, vtSection{ID: h, Tuples: append([]*relation.Tuple(nil), tb.tuples.all()...)})
+		}
+		if take {
+			delete(st.vl, h)
+		}
+	}
 	cutEach(st.vstore, inArc, take, func(_ string, b *daivBucket) {
 		sec := dvSection{Input: b.input}
 		for _, entry := range b.byCond.all() {
@@ -276,12 +290,12 @@ func (st *nodeState) cut(inArc func(string) bool, take bool) handoffMsg {
 	return m
 }
 
-// cutEach calls f on the entries of m whose key inArc selects (nil: every
-// one), in key order, and deletes each after f when take is set.
-func cutEach[V any](m map[string]V, inArc func(string) bool, take bool, f func(key string, v V)) {
+// cutEach calls f on the entries of m whose key's hash inArc selects (nil:
+// every one), in key order, and deletes each after f when take is set.
+func cutEach[V any](m map[string]V, inArc func(id.ID) bool, take bool, f func(key string, v V)) {
 	keys := make([]string, 0, len(m))
 	for k := range m {
-		if inArc == nil || inArc(k) {
+		if inArc == nil || inArc(id.Hash(k)) {
 			keys = append(keys, k)
 		}
 	}
@@ -312,7 +326,7 @@ func (st *nodeState) merge(on *chord.Node, m handoffMsg, replayNotifs bool) {
 		}
 	}
 	for _, sec := range m.VQ {
-		qb := st.vlqtFor(sec.Input, len(sec.Entries))
+		qb := st.vlqtFor(sec.ID, len(sec.Entries))
 		for _, e := range sec.Entries {
 			if qb.rewrites.record(e.Rw) {
 				addedEvaluator++
@@ -325,7 +339,7 @@ func (st *nodeState) merge(on *chord.Node, m handoffMsg, replayNotifs bool) {
 		}
 	}
 	for _, sec := range m.VT {
-		addedEvaluator += st.vlttFor(sec.Input).tuples.addAll(sec.Tuples)
+		addedEvaluator += st.vlttFor(sec.ID).tuples.addAll(sec.Tuples)
 	}
 	for _, sec := range m.DV {
 		addedEvaluator += st.mergeDAIV(sec)

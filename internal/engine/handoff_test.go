@@ -286,15 +286,15 @@ func stateDump(env *testEnv) []string {
 		}
 		for _, sec := range m.VQ {
 			for _, e := range sec.Entries {
-				add("vq %s %s %v %v", sec.Input, e.Rw.key(), e.Times, projectedMatch(e.Rw))
+				add("vq %s %s %v %v", sec.ID, e.Rw.key(), e.Times, projectedMatch(e.Rw))
 			}
 			for _, e := range sec.SentTargets {
-				add("vq-targets %s %s %v", sec.Input, e.Key, e.Targets)
+				add("vq-targets %s %s %v", sec.ID, e.Key, e.Targets)
 			}
 		}
 		for _, sec := range m.VT {
 			for _, tu := range sec.Tuples {
-				add("vt %s %s", sec.Input, tu.ContentKey())
+				add("vt %s %s", sec.ID, tu.ContentKey())
 			}
 		}
 		for _, sec := range m.DV {

@@ -20,7 +20,7 @@ import (
 //   - The base evaluator counts arrivals (tuples and rewritten queries) per
 //     value-level input over a logical-time window of hotWindow. Crossing the
 //     threshold promotes the input, for good: its evaluator splits across k
-//     deterministic replica identifiers Hash(hotShardInput(input, i)).
+//     deterministic replica identifiers Hash(input#s<i>) (appendShardInput).
 //   - A promotion is the base's own state (nodeState.hot), under the lock that
 //     guards its buckets: no other node, and no other process, keeps a copy.
 //     It moves with the base's arc (cut/merge), and the base fans a purge out
@@ -69,17 +69,9 @@ type hotInput struct {
 	promoted    bool
 }
 
-// hotShardInput names shard i of a promoted value-level input. Shard 0 is
-// the unsuffixed base input — the cold bucket and shard 0 are the same
-// bucket, so promotion never moves shard-0 state.
-func hotShardInput(input string, shard int) string {
-	if shard == 0 {
-		return input
-	}
-	return string(appendShardInput(make([]byte, 0, len(input)+5), input, shard))
-}
-
-// appendShardInput appends hotShardInput(input, shard) to b.
+// appendShardInput appends to b the input of shard i of a promoted
+// value-level input. Shard 0 is the unsuffixed base input — the cold bucket
+// and shard 0 are the same bucket, so promotion never moves shard-0 state.
 func appendShardInput(b []byte, input string, shard int) []byte {
 	b = append(b, input...)
 	if shard == 0 {
@@ -212,7 +204,7 @@ func (st *nodeState) hotScatter(key []byte, run []rewritten, batch []chord.Deliv
 // sent when the input is promoted. The caller holds st.mu.
 func (st *nodeState) promote(input string, batch []chord.Deliverable) []chord.Deliverable {
 	st.engine.obs.hotPromotions.Add(1)
-	qb := st.vlqt[input]
+	qb := st.vl[vlHash([]byte(input))].q
 	if qb == nil || qb.rewrites.len() == 0 {
 		return batch
 	}
@@ -226,9 +218,10 @@ func (st *nodeState) promote(input string, batch []chord.Deliverable) []chord.De
 // hotJoins appends to batch one hot-join carrying rws to each shard 1..k-1
 // of promoted input.
 func (e *Engine) hotJoins(input string, rws []rewritten, batch []chord.Deliverable) []chord.Deliverable {
+	var buf [keyScratch]byte
 	for s := 1; s < e.hotK; s++ {
 		batch = append(batch, chord.Deliverable{
-			Target: e.hashInput(hotShardInput(input, s)),
+			Target: vlHash(appendShardInput(buf[:0], input, s)),
 			Msg:    hotJoinMsg{Input: input, Shard: s, Rewrites: rws},
 		})
 	}
@@ -260,9 +253,11 @@ func (st *nodeState) relayHot(key []byte, t *relation.Tuple) bool {
 	}
 	st.load.AddFiltering(metrics.Evaluator, 1)
 	e.obs.hotForwards.Add(kindVLIndex, 1)
+	input := string(key)
+	var buf [keyScratch]byte
 	_ = e.dispatch(st.node, []chord.Deliverable{{
-		Target: e.hashInput(hotShardInput(string(key), shard)),
-		Msg:    hotVLIndexMsg{Input: string(key), Shard: shard, T: t},
+		Target: vlHash(appendShardInput(buf[:0], input, shard)),
+		Msg:    hotVLIndexMsg{Input: input, Shard: shard, T: t},
 	}})
 	return true
 }
@@ -282,7 +277,7 @@ func (st *nodeState) handleHotJoin(m hotJoinMsg) {
 	var mbuf [matchScratch]match
 	n := tally{work: 1}
 	st.mu.Lock()
-	ms, outs := st.joinAt(appendShardInput(buf[:0], m.Input, m.Shard), rws, &n, mbuf[:0], nil)
+	ms, outs := st.joinAt(vlHash(appendShardInput(buf[:0], m.Input, m.Shard)), rws, &n, mbuf[:0], nil)
 	st.mu.Unlock()
 	st.evaluated(n, ms, outs)
 }
@@ -294,7 +289,7 @@ func (st *nodeState) handleHotVLIndex(m hotVLIndexMsg) {
 		return
 	}
 	var buf [keyScratch]byte
-	st.tupleAt(m.Kind(), appendShardInput(buf[:0], m.Input, m.Shard), m.T)
+	st.tupleAt(m.Kind(), vlHash(appendShardInput(buf[:0], m.Input, m.Shard)), m.T)
 }
 
 // hotSection is the wire form of one input's detector state at its base

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"cqjoin/internal/chord"
+	"cqjoin/internal/id"
 	"cqjoin/internal/metrics"
 	"cqjoin/internal/query"
 	"cqjoin/internal/relation"
@@ -110,22 +111,25 @@ func TestHotKeyUniformWorkloadIdentical(t *testing.T) {
 	}
 }
 
-// largestTupleTable returns the size of the fullest VLTT bucket in the engine.
+// largestTupleTable returns the most tuples one value-level bucket of the
+// engine stores.
 func largestTupleTable(env *testEnv) int {
 	largest := 0
 	for _, st := range env.eng.states {
-		for _, tb := range st.vltt {
-			largest = max(largest, tb.tuples.len())
+		for _, s := range st.vl {
+			if s.t != nil {
+				largest = max(largest, s.t.tuples.len())
+			}
 		}
 	}
 	return largest
 }
 
-// bucketHolding returns the node state whose value-level tables hold input,
+// bucketHolding returns the node state whose value-level buckets hold input,
 // nil where none does.
 func bucketHolding(env *testEnv, input string) *nodeState {
 	for _, st := range env.eng.states {
-		if st.vlqt[input] != nil || st.vltt[input] != nil {
+		if st.vlSlotOf(input) != (vlSlot{}) {
 			return st
 		}
 	}
@@ -135,8 +139,8 @@ func bucketHolding(env *testEnv, input string) *nodeState {
 // storedRewriteKeys returns the sorted keys of the rewrites stored under input.
 func storedRewriteKeys(env *testEnv, input string) []string {
 	var keys []string
-	if st := bucketHolding(env, input); st != nil && st.vlqt[input] != nil {
-		for _, rw := range st.vlqt[input].rewrites.all() {
+	if st := bucketHolding(env, input); st != nil && st.vlSlotOf(input).q != nil {
+		for _, rw := range st.vlSlotOf(input).q.rewrites.all() {
 			keys = append(keys, rw.key())
 		}
 	}
@@ -189,7 +193,7 @@ func TestHotKeyPromotionPartitionsBucket(t *testing.T) {
 					}
 					base := bucketHolding(env, "S+E+7")
 					for _, key := range cold {
-						if base == nil || !slices.ContainsFunc(base.vltt["S+E+7"].tuples.all(), func(tu *relation.Tuple) bool { return tu.ContentKey() == key }) {
+						if base == nil || !slices.ContainsFunc(base.vlSlotOf("S+E+7").t.tuples.all(), func(tu *relation.Tuple) bool { return tu.ContentKey() == key }) {
 							t.Fatalf("the base no longer holds %s, stored before the promotion", key)
 						}
 					}
@@ -210,7 +214,7 @@ func TestHotKeyPromotionPartitionsBucket(t *testing.T) {
 					for _, h := range hot {
 						want := storedRewriteKeys(env, h.Input)
 						for s := 1; s < h.Replicas; s++ {
-							if got := storedRewriteKeys(env, hotShardInput(h.Input, s)); !slices.Equal(got, want) {
+							if got := storedRewriteKeys(env, string(appendShardInput(nil, h.Input, s))); !slices.Equal(got, want) {
 								t.Fatalf("shard %d of %s holds %d rewrites, the base %d", s, h.Input, len(got), len(want))
 							}
 						}
@@ -412,7 +416,7 @@ func TestForgedShardCountIsRefused(t *testing.T) {
 	if hot := fresh.eng.HotKeys(); !slices.Equal(hot, []HotKeyState{{Input: "S+E+9", Replicas: 4}}) {
 		t.Fatalf("a parent's epochs of the ring's K restored as %+v", hot)
 	}
-	owner := fresh.eng.state(fresh.net.OracleSuccessor(fresh.eng.hashInput("S+E+9")))
+	owner := fresh.eng.state(fresh.net.OracleSuccessor(id.Hash("S+E+9")))
 	if h := owner.hot["S+E+9"]; h == nil || !h.promoted {
 		t.Fatalf("the owner of S+E+9 holds %+v", h)
 	}
@@ -535,10 +539,13 @@ func TestShardRefusesARewriteBehindItsPurge(t *testing.T) {
 		t.Fatalf("%d rewrites stored after %d hot-joins replayed behind the retraction, want 0", got, len(frames))
 	}
 	for _, st := range env.eng.states {
-		for input, qb := range st.vlqt {
-			for _, rw := range qb.rewrites.all() {
+		for h, s := range st.vl {
+			if s.q == nil {
+				continue
+			}
+			for _, rw := range s.q.rewrites.all() {
 				if rw.Orig.Key() == q.Key() {
-					t.Fatalf("%s holds a rewrite of the retracted query", input)
+					t.Fatalf("%s holds a rewrite of the retracted query", h)
 				}
 			}
 		}

@@ -7,13 +7,15 @@ import (
 	"strconv"
 
 	"cqjoin/internal/chord"
+	"cqjoin/internal/id"
 	"cqjoin/internal/query"
 	"cqjoin/internal/relation"
 )
 
 // Identifier construction (Sections 4.2, 4.3.1, 4.5). Every index
-// identifier is the hash of a canonical string; the strings double as the
-// table keys on the responsible node so items can be re-homed on churn.
+// identifier is the hash of a canonical string. A value-level slot is keyed
+// by its identifier, every other table by the string, so items can be
+// re-homed on churn either way.
 
 // alInput is the attribute-level hash input: Hash(R + A), optionally
 // suffixed with a replica number when attribute-level replication
@@ -33,15 +35,10 @@ func alInput(rel, attr string, replica int) string {
 	return string(b)
 }
 
-// vlInput is the value-level hash input: Hash(R + A + v).
-func vlInput(rel, attr string, v relation.Value) string {
-	var buf [keyScratch]byte
-	return string(appendVLInput(buf[:0], rel, attr, v))
-}
-
-// appendVLInput appends vlInput(rel, attr, v) to b: a lookup builds the key
-// in a stack buffer and probes a table with string(b), which allocates
-// nothing; only a table or cache that keeps the key makes it a string.
+// appendVLInput appends the value-level hash input R + A + v to b: a
+// receiver builds it in a stack buffer and hashes it (vlHash), which
+// allocates nothing; only a purge list that keeps the input makes it a
+// string.
 func appendVLInput(b []byte, rel, attr string, v relation.Value) []byte {
 	b = append(b, rel...)
 	b = append(b, '+')
@@ -55,6 +52,49 @@ func appendVLInput(b []byte, rel, attr string, v relation.Value) []byte {
 // the reason DAI-V groups more and distributes less.
 func daivInput(v relation.Value) string { return v.Canon() }
 
+// relAttr names one attribute of one relation.
+type relAttr struct{ rel, attr string }
+
+// alIdent is an attribute-level input, its identifier and its ordinal: where
+// a publisher keeps the input's rewriter's verdict (nodeState.verdicts), -1
+// for an input the catalog did not hold at New.
+type alIdent struct {
+	input string
+	id    id.ID
+	ord   int
+}
+
+// alIdents computes every catalog attribute's attribute-level inputs and
+// identifiers, one per replica, once (Engine.New): a relation's are the same
+// for every tuple it publishes, so their number is bounded by the catalog,
+// not by what is published. It also returns each input's ordinal, by input.
+func alIdents(catalog *relation.Catalog, replicas int) (map[relAttr][]alIdent, map[string]int) {
+	out, ords := make(map[relAttr][]alIdent), make(map[string]int)
+	for _, schema := range catalog.Schemas() {
+		for i := 0; i < schema.Arity(); i++ {
+			ids := make([]alIdent, replicas)
+			for r := range ids {
+				input := alInput(schema.Name(), schema.Attr(i), r)
+				ids[r] = alIdent{input: input, id: id.Hash(input), ord: len(ords)}
+				ords[input] = len(ords)
+			}
+			out[relAttr{schema.Name(), schema.Attr(i)}] = ids
+		}
+	}
+	return out, ords
+}
+
+// alKey returns the attribute-level identity of (rel, attr) on replica: the
+// catalog's, or — for a relation the catalog took in after New, or a replica
+// past the configured factor — built and hashed here, with no ordinal.
+func (e *Engine) alKey(rel, attr string, replica int) alIdent {
+	if ids := e.alIDs[relAttr{rel, attr}]; replica >= 0 && replica < len(ids) {
+		return ids[replica]
+	}
+	input := alInput(rel, attr, replica)
+	return alIdent{input: input, id: id.Hash(input), ord: -1}
+}
+
 // replicaOf deterministically assigns a tuple's attribute value to one of
 // the k rewriter replicas, so equal values always meet the same replica and
 // per-replica statistics stay meaningful.
@@ -64,7 +104,7 @@ func (e *Engine) replicaOf(v relation.Value) int {
 		return 0
 	}
 	var buf [keyScratch]byte
-	h := e.ids.hashBytes(v.AppendCanon(append(buf[:0], "replica+"...)))
+	h := id.HashBytes(v.AppendCanon(append(buf[:0], "replica+"...)))
 	return int(binary.BigEndian.Uint64(h[:8]) % uint64(k))
 }
 
@@ -139,7 +179,7 @@ func (e *Engine) replicaInputs(inputs []string, rel, attr string) []string {
 func (e *Engine) announceInterest(from *chord.Node, key string, inputs []string) error {
 	batch := make([]chord.Deliverable, len(inputs))
 	for i, input := range inputs {
-		batch[i] = chord.Deliverable{Target: e.hashInput(input), Msg: interestMsg{QueryKey: key, Input: input}}
+		batch[i] = chord.Deliverable{Target: id.Hash(input), Msg: interestMsg{QueryKey: key, Input: input}}
 	}
 	return e.dispatch(from, batch)
 }
@@ -212,7 +252,7 @@ func (e *Engine) indexTuple(from *chord.Node, t *relation.Tuple) error {
 		ords = append(ords, al.ord)
 		if blind { // the vl-index message the al-index one holds
 			batch = append(batch, chord.Deliverable{
-				Target: e.ids.hashBytes(appendVLInput(buf[:0], schema.Name(), a, v)),
+				Target: vlHash(appendVLInput(buf[:0], schema.Name(), a, v)),
 				Msg:    &msgs[i].vlIndexMsg,
 			})
 		}

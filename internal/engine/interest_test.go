@@ -86,8 +86,10 @@ func ringHolds(env *testEnv) (marks, queries, rewrites int) {
 			marks += len(b.interest)
 			queries += b.storedItems()
 		}
-		for _, qb := range st.vlqt {
-			rewrites += qb.rewrites.len()
+		for _, s := range st.vl {
+			if s.q != nil {
+				rewrites += s.q.rewrites.len()
+			}
 		}
 		st.mu.Unlock()
 	}
@@ -541,7 +543,7 @@ func TestRepeatPublicationGoesHinted(t *testing.T) {
 			for _, schema := range schemas {
 				var batch []chord.Deliverable
 				for i := 0; i < schema.Arity(); i++ {
-					batch = append(batch, chord.Deliverable{Target: eng.hashInput(alInput(schema.Name(), schema.Attr(i), 0)), Msg: probeMsg{}})
+					batch = append(batch, chord.Deliverable{Target: id.Hash(alInput(schema.Name(), schema.Attr(i), 0)), Msg: probeMsg{}})
 				}
 				_, hops, err := node.Multisend(batch, nil)
 				if err != nil {
@@ -564,7 +566,7 @@ func TestRepeatPublicationGoesHinted(t *testing.T) {
 		}
 
 		// A joiner placed on P0.A's identifier takes it from its owner.
-		target := eng.hashInput(alInput("P0", "A", 0))
+		target := id.Hash(alInput("P0", "A", 0))
 		joiner, err := net.JoinAt("joiner", target)
 		if err != nil {
 			t.Fatal(err)

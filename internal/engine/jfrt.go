@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"cqjoin/internal/chord"
+	"cqjoin/internal/id"
 	"cqjoin/internal/obs"
 )
 
@@ -15,38 +16,39 @@ import (
 // costs a single hinted hop instead of an O(log N) overlay lookup
 // (chord.Node.SendHinted). Entries are soft state, and whether one still holds
 // is not the rewriter's to know: the node the message lands on decides, and
-// the rewriter remembers whoever took delivery in the end. Bounded like
-// idCache: full, it is dropped and restarted.
+// the rewriter remembers whoever took delivery in the end. It is keyed by
+// the identifier the rewriter sends to, and bounded by jfrtMax: full, it is
+// dropped and restarted.
 type jfrtCache struct {
 	mu      sync.Mutex
-	entries map[string]*chord.Node
+	entries map[id.ID]*chord.Node
 }
 
 // jfrtMax bounds one rewriter's table.
 const jfrtMax = 1 << 16
 
-// lookup returns the evaluator remembered for the value-level input.
-func (c *jfrtCache) lookup(input string) (*chord.Node, bool) {
+// lookup returns the evaluator remembered for the value-level identifier.
+func (c *jfrtCache) lookup(target id.ID) (*chord.Node, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n, ok := c.entries[input]
+	n, ok := c.entries[target]
 	return n, ok
 }
 
-// store records the node that took delivery for input; a full table is
+// store records the node that took delivery for target; a full table is
 // restarted for it, counted in resets. The table is made on the first store:
 // with the JFRT off, a node's stays nil, which reads as empty.
-func (c *jfrtCache) store(input string, n *chord.Node, resets *obs.CounterVec) {
+func (c *jfrtCache) store(target id.ID, n *chord.Node, resets *obs.CounterVec) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.entries[input]; !ok && len(c.entries) >= jfrtMax {
+	if _, ok := c.entries[target]; !ok && len(c.entries) >= jfrtMax {
 		c.entries = nil
 		resets.Add("jfrt.reset", 1)
 	}
 	if c.entries == nil {
-		c.entries = make(map[string]*chord.Node)
+		c.entries = make(map[id.ID]*chord.Node)
 	}
-	c.entries[input] = n
+	c.entries[target] = n
 }
 
 // len returns how many evaluators the table remembers.

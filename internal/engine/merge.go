@@ -86,7 +86,7 @@ func (b *alBucket) mergeTargets(entries []targetsEntry) {
 	for _, te := range entries {
 		if h, ok := byKey[te.Key]; ok {
 			for _, input := range te.Targets {
-				h.g.record(input, h.q.InsT())
+				h.g.record([]byte(input), h.q.InsT())
 			}
 		}
 	}

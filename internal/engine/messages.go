@@ -232,8 +232,11 @@ func (tg *rewriteTarget) wants(q *query.Query) (want *relation.AttrRef, val rela
 	return q.StageWant(tg.IndexSide, tg.stage(), tg.Trigger)
 }
 
-// input returns the value-level identifier the target's rewrites wait at.
-func (tg *rewriteTarget) input() string { return vlInput(tg.Want.Rel, tg.Want.Attr, tg.WantValue) }
+// appendInput appends the value-level input the target's rewrites wait at to
+// b: what vlHash makes their identifier of.
+func (tg *rewriteTarget) appendInput(b []byte) []byte {
+	return appendVLInput(b, tg.Want.Rel, tg.Want.Attr, tg.WantValue)
+}
 
 // last reports whether a match of rw completes its query: its target waits
 // for the query's last relation.
@@ -241,17 +244,19 @@ func (rw *rewritten) last() bool { return rw.stage()+1 == rw.Orig.Arity() }
 
 // next returns, where tuple t matched rw, rw one stage on: bound for the
 // next relation's value level in a join of its own, triggered by t, with
-// rw's prefix and trigger its prefix. It is false where t's link has no
-// solution.
-func (rw *rewritten) next(t *relation.Tuple) (outbound, bool) {
+// rw's prefix and trigger its prefix; and the input it is bound for. It is
+// false where t's link has no solution.
+func (rw *rewritten) next(t *relation.Tuple) (out outbound, input string, ok bool) {
 	prefix := rw.matched(make([]*relation.Tuple, 0, rw.stage()))
 	tg := &rewriteTarget{IndexSide: rw.IndexSide, Trigger: t, Prefix: &prefix}
 	var err error
 	if tg.Want, tg.WantValue, err = tg.wants(rw.Orig); err != nil {
-		return outbound{}, false
+		return outbound{}, "", false
 	}
+	var buf [keyScratch]byte
+	key := tg.appendInput(buf[:0])
 	m := &joinMsg{Rewrites: []rewritten{{Orig: rw.Orig, rewriteTarget: tg}}}
-	return outbound{input: tg.input(), msg: m}, true
+	return outbound{target: vlHash(key), msg: m}, string(key), true
 }
 
 // sameTarget reports whether rw and o wait at the same value-level

@@ -296,9 +296,9 @@ func (st *nodeState) deliverNotify(msg *notifyMsg) {
 	}
 }
 
-// subIPsMax bounds the subscriber addresses one evaluator learns, as idCache
-// is bounded: full, they restart, and a subscriber whose entry went is reached
-// through the DHT once more and relearned.
+// subIPsMax bounds the subscriber addresses one evaluator learns: full, they
+// restart, and a subscriber whose entry went is reached through the DHT once
+// more and relearned.
 const subIPsMax = 1 << 14
 
 // learnIP records the address sub answered from. The caller holds st.mu.

@@ -168,9 +168,9 @@ func TestMovedSubscriberGetsItsMail(t *testing.T) {
 	}
 }
 
-// An evaluator's learned subscriber addresses are bounded as idCache is: past
-// subIPsMax entries they restart, counted, and a subscriber whose address went
-// with them is reached through the DHT once more and its address relearned.
+// An evaluator's learned subscriber addresses are bounded: past subIPsMax
+// entries they restart, counted, and a subscriber whose address went with
+// them is reached through the DHT once more and its address relearned.
 func TestLearnedAddressesRestartWhenFull(t *testing.T) {
 	reg := obs.NewRegistry()
 	env := newTestEnv(t, 64, Config{Algorithm: SAI, Strategy: StrategyLeft, Obs: reg})

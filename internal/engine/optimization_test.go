@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math/rand"
-	"strconv"
 	"testing"
 
 	"cqjoin/internal/id"
@@ -59,11 +58,11 @@ func TestJFRTStats(t *testing.T) {
 	}
 }
 
-// A rewriter's table is bounded like idCache: full, it restarts, counted.
+// A rewriter's table is bounded by jfrtMax: full, it restarts, counted.
 func TestJFRTIsBounded(t *testing.T) {
 	c, resets := new(jfrtCache), obs.NewRegistry().CounterVec("engine.hints")
 	for i := 0; i <= jfrtMax; i++ {
-		c.store(strconv.Itoa(i), nil, resets)
+		c.store(id.FromUint64(uint64(i)), nil, resets)
 	}
 	if entries := c.len(); entries != 1 || resets.Value("jfrt.reset") != 1 {
 		t.Fatalf("%d entries and %d resets after jfrtMax+1 stores, want 1 and 1", entries, resets.Value("jfrt.reset"))
@@ -314,7 +313,14 @@ func TestWindowEvictionDropsEmptiedBuckets(t *testing.T) {
 					env.eng.EvictExpired()
 					buckets := 0
 					for _, st := range env.eng.states {
-						buckets += len(st.vltt)
+						for _, s := range st.vl {
+							if s.t != nil && s.t.tuples.len() == 0 || s.q != nil && s.q.empty() || s == (vlSlot{}) {
+								t.Fatal("a value-level bucket outlived all it held")
+							}
+							if s.t != nil {
+								buckets++
+							}
+						}
 						for _, b := range st.vstore {
 							buckets += len(b.byCond.all())
 						}

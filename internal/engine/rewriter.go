@@ -118,10 +118,10 @@ func (st *nodeState) answer(b *alBucket, asker string) byte {
 }
 
 // outbound is a rewritten-query message bound for one value-level
-// identifier.
+// identifier, computed once for the group it carries.
 type outbound struct {
-	input string
-	msg   chord.Message
+	target id.ID
+	msg    chord.Message
 }
 
 // handleALIndex processes a tuple arriving at the attribute level
@@ -189,7 +189,7 @@ func (st *nodeState) handleALIndex(m *alIndexMsg, ask *alAskMsg) {
 		e.obs.vlForwards.Inc()
 		var buf [keyScratch]byte
 		_ = e.dispatch(st.node, []chord.Deliverable{{
-			Target: e.ids.hashBytes(appendVLInput(buf[:0], t.Relation(), m.Attr, t.MustValue(m.Attr))),
+			Target: vlHash(appendVLInput(buf[:0], t.Relation(), m.Attr, t.MustValue(m.Attr))),
 			Msg:    &m.vlIndexMsg, // the tuple it received (Section 4.3.2)
 		}})
 	} else if len(outs) == 0 {
@@ -218,11 +218,12 @@ func (st *nodeState) rewriteGroup(b *alBucket, g *queryGroup, triggered []*query
 		return outbound{}, false
 	}
 
-	target := tgt.input()
+	var buf [keyScratch]byte
+	input := tgt.appendInput(buf[:0])
 	if st.engine.storesRewrite(triggered[0]) {
 		// Remember where the group's rewrites live, and how recently, so a
 		// retraction can purge them (queryGroup.sent).
-		g.record(target, t.PubT())
+		g.record(input, t.PubT())
 	}
 
 	var projects *relation.Schema // the last shape the trigger was found to have
@@ -249,7 +250,7 @@ func (st *nodeState) rewriteGroup(b *alBucket, g *queryGroup, triggered []*query
 	if len(m.Rewrites) == 0 {
 		return outbound{}, false
 	}
-	return outbound{input: target, msg: m}, true
+	return outbound{target: vlHash(input), msg: m}, true
 }
 
 // rewriteGroupV rewrites one triggered group for DAI-V (Section 4.5): the
@@ -270,10 +271,11 @@ func rewriteGroupV(g *queryGroup, triggered []*query.Query, t *relation.Tuple, k
 		return nil
 	}
 	if !keyed {
+		input := daivInput(vJC)
 		return []outbound{{
-			input: daivInput(vJC),
+			target: id.Hash(input),
 			msg: joinVMsg{
-				Input:   daivInput(vJC),
+				Input:   input,
 				Cond:    g.cond,
 				Side:    g.side,
 				Value:   vJC,
@@ -286,7 +288,7 @@ func rewriteGroupV(g *queryGroup, triggered []*query.Query, t *relation.Tuple, k
 	for _, q := range triggered {
 		input := q.Key() + "+" + daivInput(vJC)
 		outs = append(outs, outbound{
-			input: input,
+			target: id.Hash(input),
 			msg: joinVMsg{
 				Input:   input,
 				Cond:    g.cond,
@@ -318,7 +320,7 @@ func (st *nodeState) sendJoins(outs []outbound) {
 		var hitOrder []*chord.Node
 		hits := make(map[*chord.Node][]outbound)
 		for _, o := range outs {
-			dst, ok := st.jfrt.lookup(o.input)
+			dst, ok := st.jfrt.lookup(o.target)
 			if !ok {
 				e.obs.hints.Add("jfrt.miss", 1)
 				misses = append(misses, o)
@@ -340,10 +342,10 @@ func (st *nodeState) sendJoins(outs []outbound) {
 				}
 				msg = joinBatch{Msgs: msgs}
 				for _, o := range group[1:] {
-					also = append(also, e.hashInput(o.input))
+					also = append(also, o.target)
 				}
 			}
-			taker, _, err := st.node.SendHinted(msg, e.hashInput(group[0].input), dst, also...)
+			taker, _, err := st.node.SendHinted(msg, group[0].target, dst, also...)
 			switch {
 			case err != nil:
 				// Nobody took it — the lander does not own all the group
@@ -353,7 +355,7 @@ func (st *nodeState) sendJoins(outs []outbound) {
 				misses = append(misses, group...)
 			case taker != dst:
 				e.obs.hints.Add("jfrt.stale", 1)
-				st.jfrt.store(group[0].input, taker, e.obs.hints)
+				st.jfrt.store(group[0].target, taker, e.obs.hints)
 			default:
 				e.obs.hints.Add("jfrt.hit", int64(len(group)))
 			}
@@ -363,12 +365,12 @@ func (st *nodeState) sendJoins(outs []outbound) {
 		if len(misses) > 0 {
 			batch := make([]chord.Deliverable, len(misses))
 			for i, o := range misses {
-				batch[i] = chord.Deliverable{Target: e.hashInput(o.input), Msg: o.msg}
+				batch[i] = chord.Deliverable{Target: o.target, Msg: o.msg}
 			}
 			recipients, _, _ := st.node.Multisend(batch, nil)
 			for i, dst := range e.retryFailed(st.node, batch, recipients) {
 				if dst != nil {
-					st.jfrt.store(misses[i].input, dst, e.obs.hints)
+					st.jfrt.store(misses[i].target, dst, e.obs.hints)
 				}
 			}
 		}
@@ -378,7 +380,7 @@ func (st *nodeState) sendJoins(outs []outbound) {
 	var recBuf [4]*chord.Node
 	batch := batchBuf[:0]
 	for _, o := range outs {
-		batch = append(batch, chord.Deliverable{Target: e.hashInput(o.input), Msg: o.msg})
+		batch = append(batch, chord.Deliverable{Target: o.target, Msg: o.msg})
 	}
 	// Best-effort (Section 3.2): an unroutable overlay drops the batch.
 	// With retries configured, unacked deliverables are re-sent.

@@ -43,7 +43,7 @@ func TestSharedTriggerGroup(t *testing.T) {
 	for _, n := range env.nodes {
 		st := env.eng.state(n)
 		st.mu.Lock()
-		if qb := st.vlqt["S+E+7"]; qb != nil {
+		if qb := st.vlSlotOf("S+E+7").q; qb != nil {
 			stored = append(stored, qb.rewrites.all()...)
 		}
 		st.mu.Unlock()
@@ -204,13 +204,15 @@ func TestStoredTriggersAreStoredTuples(t *testing.T) {
 	for _, n := range env.nodes {
 		st := env.eng.state(n)
 		st.mu.Lock()
-		for _, b := range st.vltt {
-			for _, tu := range b.tuples.all() {
-				held[tu] = true
+		for _, s := range st.vl {
+			if s.t != nil {
+				for _, tu := range s.t.tuples.all() {
+					held[tu] = true
+				}
 			}
-		}
-		for _, b := range st.vlqt {
-			rewrites = append(rewrites, b.rewrites.all()...)
+			if s.q != nil {
+				rewrites = append(rewrites, s.q.rewrites.all()...)
+			}
 		}
 		st.mu.Unlock()
 	}

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"cqjoin/internal/chord"
+	"cqjoin/internal/id"
 	"cqjoin/internal/query"
 )
 
@@ -233,7 +234,7 @@ func (e *Engine) RestoreSnapshot(meta chord.Message, nodes []NodeSnapshot) (deri
 // registry to its base, the input's owner: its counter, and a promotion where
 // its K is not 0.
 func (e *Engine) installHot(m snapMetaMsg) {
-	at := func(input string) *nodeState { return e.state(e.net.OracleSuccessor(e.hashInput(input))) }
+	at := func(input string) *nodeState { return e.state(e.net.OracleSuccessor(vlHash([]byte(input)))) }
 	for _, c := range m.HotCounts {
 		st := at(c.Input)
 		st.mu.Lock()
@@ -253,7 +254,7 @@ func (e *Engine) installHot(m snapMetaMsg) {
 func (e *Engine) deriveInterest(m handoffMsg) (derived int) {
 	mark := func(key string, inputs []string) {
 		for _, input := range inputs {
-			st := e.state(e.net.OracleSuccessor(e.hashInput(input)))
+			st := e.state(e.net.OracleSuccessor(id.Hash(input)))
 			st.mu.Lock()
 			added := st.alBucketFor(input).mark(key)
 			st.mu.Unlock()

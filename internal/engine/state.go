@@ -13,19 +13,21 @@ import (
 )
 
 // nodeState is the query-processing state of one overlay node: its role
-// tables (ALQT at the attribute level; VLQT, VLTT and the DAI-V value store
-// at the value level), the stored notifications it holds for offline
-// subscribers, the JFRT cache, and its load counters. A node plays the
-// rewriter role, the evaluator role, both or neither, purely as a function
-// of which identifiers it is responsible for (Section 4.1).
+// tables (ALQT at the attribute level; VLQT and VLTT, one slot of both per
+// identifier, and the DAI-V value store at the value level), the stored
+// notifications it holds for offline subscribers, the JFRT cache, and its
+// load counters. A node plays the rewriter role, the evaluator role, both or
+// neither, purely as a function of which identifiers it is responsible for
+// (Section 4.1).
 //
-// All tables are keyed by the exact string that was hashed to reach this
-// node (e.g. "R+B", "R+B+7", "25"), so ring responsibility of every entry
-// can be recomputed for key hand-off on joins and leaves. The two-level
-// hash structure of Section 4.3.5 is preserved inside each bucket: the
-// first level (attribute, or value for DAI-V) is the table key prefix and
-// the second level (join condition, value, or rewritten-query key) is the
-// in-bucket map.
+// The value-level slots are keyed by their identifier Hash(R+A+v); every
+// other table by the exact string that was hashed to reach this node (e.g.
+// "R+B", "25"). Either way the ring responsibility of every entry can be
+// recomputed for key hand-off on joins and leaves. The two-level hash
+// structure of Section 4.3.5 is preserved inside each bucket: the first
+// level (attribute, or value for DAI-V) is the table key and the second
+// level (join condition, value, or rewritten-query key) is the in-bucket
+// map.
 type nodeState struct {
 	engine *Engine
 	node   *chord.Node
@@ -33,8 +35,7 @@ type nodeState struct {
 
 	mu           sync.Mutex
 	alqt         map[string]*alBucket
-	vlqt         map[string]*vlqtBucket
-	vltt         map[string]*vlttBucket
+	vl           map[id.ID]vlSlot
 	vstore       map[string]*daivBucket
 	storedNotifs map[string][]Notification
 	subIPs       map[string]string // learned subscriber addresses (Section 4.6)
@@ -114,8 +115,7 @@ func newNodeState(e *Engine, n *chord.Node) *nodeState {
 		engine:       e,
 		node:         n,
 		alqt:         make(map[string]*alBucket),
-		vlqt:         make(map[string]*vlqtBucket),
-		vltt:         make(map[string]*vlttBucket),
+		vl:           make(map[id.ID]vlSlot),
 		vstore:       make(map[string]*daivBucket),
 		storedNotifs: make(map[string][]Notification),
 		subIPs:       make(map[string]string),
@@ -269,14 +269,15 @@ type queryGroup struct {
 }
 
 // record notes that a tuple published at pubT sent the group's rewrites to
-// input.
-func (g *queryGroup) record(input string, pubT int64) {
+// input, which it makes a string only where the list changes.
+func (g *queryGroup) record(input []byte, pubT int64) {
+	if newest, ok := g.sent[string(input)]; ok && pubT <= newest {
+		return
+	}
 	if g.sent == nil {
 		g.sent = make(map[string]int64)
 	}
-	if newest, ok := g.sent[input]; !ok || pubT > newest {
-		g.sent[input] = pubT
-	}
+	g.sent[string(input)] = pubT
 }
 
 // retire removes query key from the group and returns, in one array, the
@@ -339,11 +340,23 @@ func (g *queryGroup) targets(q *query.Query) []string {
 	return ts
 }
 
-// vlqtBucket is the slice of the value-level query table reached through
-// one value-level identifier Hash(R+A+v): the rewritten queries waiting for
-// tuples whose attribute A equals v. The second level is keyed by rewritten
-// key so a duplicate adds nothing (Section 4.3.3). Its input is the
-// key the table holds it under. A bucket is one allocation while its table
+// vlSlot is the value level reached through one identifier Hash(R+A+v)
+// (Section 4.2), and the table holds it under that identifier: the rewritten
+// queries waiting for tuples whose attribute A equals v (Section 4.3.3), and
+// the tuples stored under A = v awaiting future rewritten queries
+// (Section 4.3.4). Each half is made when it first holds something and
+// dropped when it empties, the slot when both are: at the end of a run only
+// 42 k of sim-steady's 171 k identifiers hold both halves, and 1 k of
+// sim-subchurn's 79 k, so one bucket of both would mostly carry an empty
+// half. Two inputs that hash alike share a slot, and matchRewrite keeps each
+// to its own.
+type vlSlot struct {
+	q *vlqtBucket
+	t *vlttBucket
+}
+
+// vlqtBucket is a slot's rewrite half, keyed by rewritten key so a duplicate
+// adds nothing (Section 4.3.3). A bucket is one allocation while its table
 // fits inline, where its items start: a copy would share the original's
 // entries, so noCopy has go vet's copylocks check refuse one.
 type vlqtBucket struct {
@@ -366,34 +379,25 @@ func (qb *vlqtBucket) empty() bool {
 // target its rewrites share.
 const vlqtInline = 3
 
-// vlqtFor returns the VLQT bucket of input, creating it with room for the n
-// rewrites about to be merged into it when absent. The caller holds st.mu.
-func (st *nodeState) vlqtFor(input string, n int) *vlqtBucket {
-	if qb := st.vlqt[input]; qb != nil {
-		return qb
+// vlqtFor returns the rewrite half at h, creating it with room for the n
+// rewrites about to be merged into it when absent: inside itself up to
+// vlqtInline, else in an array of n. The caller holds st.mu.
+func (st *nodeState) vlqtFor(h id.ID, n int) *vlqtBucket {
+	s := st.vl[h]
+	if s.q == nil {
+		s.q = new(vlqtBucket)
+		s.q.rewrites.items = s.q.inline[:0]
+		if n > vlqtInline {
+			s.q.rewrites.items = make([]*rewritten, 0, n)
+		}
+		st.vl[h] = s
 	}
-	return st.newVLQT(input, n)
+	return s.q
 }
 
-// newVLQT creates input's VLQT bucket with room for the n rewrites of the
-// group that creates it: inside itself up to vlqtInline, else in an array of
-// n. The caller holds st.mu.
-func (st *nodeState) newVLQT(input string, n int) *vlqtBucket {
-	qb := new(vlqtBucket)
-	qb.rewrites.items = qb.inline[:0]
-	if n > vlqtInline {
-		qb.rewrites.items = make([]*rewritten, 0, n)
-	}
-	st.vlqt[input] = qb
-	return qb
-}
-
-// vlttBucket is the slice of the value-level tuple table reached through
-// one value-level identifier: the tuples stored under attribute A = v,
-// awaiting future rewritten queries (Section 4.3.4). The set is unique by
-// content so a duplicated vl-index delivery is absorbed instead of stored
-// twice. Like a vlqtBucket, it is keyed by its input, holds its first
-// tuples inline and must not be copied (noCopy).
+// vlttBucket is a slot's tuple half, unique by content so a duplicated
+// vl-index delivery is absorbed instead of stored twice. Like a vlqtBucket,
+// it holds its first tuples inline and must not be copied (noCopy).
 type vlttBucket struct {
 	noCopy noCopy
 	tuples tupleSet
@@ -402,21 +406,40 @@ type vlttBucket struct {
 
 // vlttInline is how many tuples a VLTT bucket holds inside itself: at the
 // end of a run, 96.5 % of sim-steady's and sim-subchurn's buckets hold at
-// most 2, as do 62.0 % of tcp-steady's and 68.3 % of tcp-hot's. A bucket of
+// most 2, as do 62.8 % of tcp-steady's and 67.7 % of tcp-hot's. A bucket of
 // 2 fills the 48-byte size class (TestStoredLayoutsKeepTheirSizeClasses).
 const vlttInline = 2
 
-// vlttFor returns the VLTT bucket of input, creating it when absent. The
-// caller holds st.mu.
-func (st *nodeState) vlttFor(input string) *vlttBucket {
-	tb := st.vltt[input]
-	if tb == nil {
-		tb = new(vlttBucket)
-		tb.tuples.items = tb.inline[:0]
-		st.vltt[input] = tb
+// vlttFor returns the tuple half at h, creating it when absent. The caller
+// holds st.mu.
+func (st *nodeState) vlttFor(h id.ID) *vlttBucket {
+	s := st.vl[h]
+	if s.t == nil {
+		s.t = new(vlttBucket)
+		s.t.tuples.items = s.t.inline[:0]
+		st.vl[h] = s
 	}
-	return tb
+	return s.t
 }
+
+// setVL stores s at h, or drops h's slot where both its halves are gone. The
+// caller holds st.mu.
+func (st *nodeState) setVL(h id.ID, s vlSlot) {
+	if s == (vlSlot{}) {
+		delete(st.vl, h)
+	} else {
+		st.vl[h] = s
+	}
+}
+
+// vlHash returns the value-level identifier of input, R+A+v (appendVLInput)
+// or a hot shard's (appendShardInput): id.HashBytes(input), which allocates
+// nothing, passed through vlCollide.
+func vlHash(input []byte) id.ID { return vlCollide(id.HashBytes(input)) }
+
+// vlCollide is the identity but where a test forces two inputs onto one
+// identifier: only _test.go files set it.
+var vlCollide = func(h id.ID) id.ID { return h }
 
 // noCopy is a zero-size marker for a struct that points into itself: go
 // vet's copylocks check reports a copy of any value holding one.
@@ -499,7 +522,7 @@ func (st *nodeState) HandleMessage(on *chord.Node, msg chord.Message) {
 // (handoff.go); stored notifications addressed to the joining subscriber
 // itself are replayed immediately (Section 4.6).
 func (st *nodeState) TransferKeys(from, to *chord.Node, lo, hi id.ID) {
-	inArc := func(input string) bool { return id.BetweenRightIncl(id.Hash(input), lo, hi) }
+	inArc := func(h id.ID) bool { return id.BetweenRightIncl(h, lo, hi) }
 	st.engine.state(to).merge(to, st.cut(inArc, true), true)
 }
 
@@ -529,13 +552,26 @@ func (b *daivBucket) storedItems() int {
 // expire.
 func (st *nodeState) evictBefore(cutoff int64) {
 	expired := func(t *relation.Tuple) bool { return t.PubT() < cutoff }
+	chainExpired := func(rw *rewritten) bool {
+		return rw.Orig.Arity() > 2 && !slices.ContainsFunc(rw.matched(nil), func(t *relation.Tuple) bool { return !expired(t) })
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	evicted := 0
-	for input, b := range st.vltt {
-		evicted += b.tuples.removeIf(expired)
-		if b.tuples.len() == 0 {
-			delete(st.vltt, input)
+	for h, s := range st.vl {
+		was := s
+		if s.t != nil {
+			if evicted += s.t.tuples.removeIf(expired); s.t.tuples.len() == 0 {
+				s.t = nil
+			}
+		}
+		if s.q != nil {
+			if evicted += s.q.rewrites.removeIf(chainExpired); s.q.empty() {
+				s.q = nil
+			}
+		}
+		if s != was {
+			st.setVL(h, s)
 		}
 	}
 	for input, b := range st.vstore {
@@ -549,15 +585,6 @@ func (st *nodeState) evictBefore(cutoff int64) {
 		}
 		if len(b.byCond.all()) == 0 {
 			delete(st.vstore, input)
-		}
-	}
-	chainExpired := func(rw *rewritten) bool {
-		return rw.Orig.Arity() > 2 && !slices.ContainsFunc(rw.matched(nil), func(t *relation.Tuple) bool { return !expired(t) })
-	}
-	for input, qb := range st.vlqt {
-		evicted += qb.rewrites.removeIf(chainExpired)
-		if qb.empty() {
-			delete(st.vlqt, input)
 		}
 	}
 	if evicted > 0 {

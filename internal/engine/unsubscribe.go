@@ -42,7 +42,7 @@ func (*unsubMsg) Kind() string { return kindUnsub }
 // are one array (purges).
 type purgeMsg struct {
 	QueryKey string
-	Input    string // the evaluator's VLQT bucket key
+	Input    string // the value-level input, whose identifier names the evaluator's bucket
 }
 
 func (*purgeMsg) Kind() string { return kindUnsub }
@@ -126,15 +126,14 @@ func (st *nodeState) sendPurges(msgs []purgeMsg) {
 	e := st.engine
 	batch := make([]chord.Deliverable, len(msgs))
 	for i := range msgs {
-		batch[i] = chord.Deliverable{Target: e.hashInput(msgs[i].Input), Msg: &msgs[i]}
+		batch[i] = chord.Deliverable{Target: vlHash([]byte(msgs[i].Input)), Msg: &msgs[i]}
 	}
 
 	if e.cfg.UseJFRT {
 		walk := batch[:0]
 		var failed []chord.Deliverable
 		for _, d := range batch {
-			input := d.Msg.(*purgeMsg).Input
-			dst, ok := st.jfrt.lookup(input)
+			dst, ok := st.jfrt.lookup(d.Target)
 			if !ok {
 				walk = append(walk, d)
 				continue
@@ -142,7 +141,7 @@ func (st *nodeState) sendPurges(msgs []purgeMsg) {
 			if taker, _, err := st.node.SendHinted(d.Msg, d.Target, dst); err != nil {
 				failed = append(failed, d)
 			} else if taker != dst {
-				st.jfrt.store(input, taker, e.obs.hints)
+				st.jfrt.store(d.Target, taker, e.obs.hints)
 			}
 		}
 		if len(failed) > 0 {
@@ -153,8 +152,8 @@ func (st *nodeState) sendPurges(msgs []purgeMsg) {
 	_ = e.dispatch(st.node, batch)
 }
 
-// handlePurge drops the retracted query's stored rewrites from this
-// evaluator's VLQT. A chain's purge cascades: rewrites that went on from
+// handlePurge drops the retracted query's stored rewrites from the VLQT
+// bucket of its input at this evaluator. A chain's purge cascades: rewrites that went on from
 // here live at later stages, so it follows the targets they went on to. The
 // cascade ends because each visit consumes its targets: a bucket visited
 // again sends nothing on. The base of an input the hot-key layer promoted
@@ -165,26 +164,27 @@ func (st *nodeState) handlePurge(m *purgeMsg) {
 	prefix := []byte(m.QueryKey + "+")
 	var cascade []purgeMsg
 
+	h := vlHash([]byte(m.Input))
 	st.mu.Lock()
 	st.retract(m.QueryKey)
-	if qb := st.vlqt[m.Input]; qb != nil {
-		removed += qb.rewrites.removeIf(func(rw *rewritten) bool {
+	if s := st.vl[h]; s.q != nil {
+		removed += s.q.rewrites.removeIf(func(rw *rewritten) bool {
 			var buf [keyScratch]byte
 			return rw.Orig.Key() == m.QueryKey || bytes.HasPrefix(rw.appendKey(buf[:0]), prefix)
 		})
-		if targets := qb.rewrites.takeTargets(m.QueryKey); len(targets) > 0 {
+		if targets := s.q.rewrites.takeTargets(m.QueryKey); len(targets) > 0 {
 			cascade = make([]purgeMsg, 0, len(targets))
 			for input := range targets {
 				cascade = append(cascade, purgeMsg{QueryKey: m.QueryKey, Input: input})
 			}
 		}
-		if qb.empty() {
-			delete(st.vlqt, m.Input)
+		if s.q.empty() {
+			st.setVL(h, vlSlot{t: s.t})
 		}
 	}
 	if h := st.hot[m.Input]; h != nil && h.promoted {
 		for s := 1; s < st.engine.hotK; s++ {
-			cascade = append(cascade, purgeMsg{QueryKey: m.QueryKey, Input: hotShardInput(m.Input, s)})
+			cascade = append(cascade, purgeMsg{QueryKey: m.QueryKey, Input: string(appendShardInput(nil, m.Input, s))})
 		}
 	}
 	st.mu.Unlock()
@@ -196,8 +196,8 @@ func (st *nodeState) handlePurge(m *purgeMsg) {
 	st.sendPurges(cascade)
 }
 
-// retractedMax bounds a node's retraction memory as idCache is bounded: full,
-// it restarts (a late message outlives its retraction by a network delay).
+// retractedMax bounds a node's retraction memory: full, it restarts (a late
+// message outlives its retraction by a network delay).
 const retractedMax = 1 << 16
 
 // retract remembers that this node processed a retraction of query key. The

@@ -438,9 +438,12 @@ func heldAt(env *testEnv, key string) []string {
 	for _, n := range env.net.Nodes() {
 		st := env.eng.state(n)
 		st.mu.Lock()
-		for input, qb := range st.vlqt {
-			if slices.ContainsFunc(qb.rewrites.all(), func(rw *rewritten) bool { return rw.Orig.Key() == key }) {
-				inputs = append(inputs, input)
+		for _, s := range st.vl {
+			if s.q == nil {
+				continue
+			}
+			if i := slices.IndexFunc(s.q.rewrites.all(), func(rw *rewritten) bool { return rw.Orig.Key() == key }); i >= 0 {
+				inputs = append(inputs, string(s.q.rewrites.all()[i].appendInput(nil)))
 			}
 		}
 		st.mu.Unlock()
@@ -539,7 +542,7 @@ func TestRetractionPurgesWhereItsRewritesAre(t *testing.T) {
 func rewriterTargets(t *testing.T, env *testEnv) []targetsEntry {
 	t.Helper()
 	for _, n := range env.net.Nodes() {
-		if m := env.eng.state(n).cut(func(input string) bool { return input == "R+B" }, false); len(m.AL) == 1 {
+		if m := env.eng.state(n).cut(func(h id.ID) bool { return h == id.Hash("R+B") }, false); len(m.AL) == 1 {
 			return m.AL[0].SentTargets
 		}
 	}

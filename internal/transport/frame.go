@@ -59,8 +59,10 @@ const (
 	// 12: a promotion copies the rewrite set from the base itself, where a
 	// version-11 peer sends and expects tags 19 and 21. 13: a promotion is its
 	// base's own state, and the hot-key frames say only their shard, where a
-	// version-12 peer sends and expects tags 17 and 18.
-	protoVersion = 13
+	// version-12 peer sends and expects tags 17 and 18. 14: a value-level
+	// hand-off section says its bucket's identifier behind an empty input,
+	// which a version-13 peer would take for an input.
+	protoVersion = 14
 
 	// maxFrame bounds one frame so a corrupt length prefix cannot allocate
 	// gigabytes. 16 MiB fits any realistic multisend leg (the simulator's

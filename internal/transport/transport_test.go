@@ -605,10 +605,10 @@ func TestAckValidation(t *testing.T) {
 // hello is answered with this build's version, the number its own copy of that
 // check refuses.
 func TestOlderProtocolPeerRefusedAtHello(t *testing.T) {
-	if protoVersion != 13 {
-		t.Fatalf("protoVersion = %d: this test is about 13 meeting 2 to 12", protoVersion)
+	if protoVersion != 14 {
+		t.Fatalf("protoVersion = %d: this test is about 14 meeting 2 to 13", protoVersion)
 	}
-	for _, oldVersion := range []uint64{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12} {
+	for _, oldVersion := range []uint64{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13} {
 		olderPeerRefused(t, oldVersion)
 	}
 }
