@@ -225,7 +225,7 @@ func TestWarmDecodeAllocCeilings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rws = append(rws, rewritten{Key: key, Orig: q, rewriteTarget: target})
+		rws = append(rws, *spelled(key, q, target))
 		n, err := buildNotification(q, query.SideLeft, target.Trigger, su)
 		if err != nil {
 			t.Fatal(err)

@@ -8,7 +8,7 @@ type CensusEntry struct{ Sum, Max int }
 // what it is sent, by name:
 //   - vl_buckets, the value-level identifiers (slots), and what their
 //     buckets store: vlqt_rewrites, vlqt_spelled_keys (stored rewrites whose
-//     Key(q') is a string, not derived) and vltt_tuples;
+//     Key(q') is a string their target holds, not derived) and vltt_tuples;
 //   - alqt_queries, alqt_purge_entries (the inputs on the condition groups'
 //     purge lists, each once a group however many of its queries it serves),
 //     alqt_marks and alqt_grants;
@@ -58,7 +58,7 @@ func (st *nodeState) census(c census) {
 		if s.q != nil {
 			rewrites += s.q.rewrites.len()
 			for _, rw := range s.q.rewrites.all() {
-				if rw.Key != "" {
+				if rw.spelledKey() != "" {
 					spelled++
 				}
 			}

@@ -556,8 +556,9 @@ const (
 // target is the trigger alone, and an empty key stands for Orig.RewriteKey —
 // read before the side, resolved after the trigger. All are decided on
 // values, keys as appendKey renders them: a message rebuilt from decoded
-// parts encodes the same, and a key held derived ("") or spelled says the
-// same. Decoded, a key its target derives is held as "". No prev, no marker
+// parts encodes the same, and a key held derived or spelled says the same.
+// Decoded, a key its target derives is held derived, and a spelled one by a
+// target of its own (rewriteTarget.withKey). No prev, no marker
 // for prev's. A chain's rewrite is always derived, behind sideChain: it says
 // its prefix, then its trigger (rewriteTarget.walk).
 func (rw *rewritten) walk(c *wire.Coder, prev *rewritten) {
@@ -631,9 +632,9 @@ func (rw *rewritten) walk(c *wire.Coder, prev *rewritten) {
 	case len(full) == 0 && err != nil: // derived side, derived key
 		c.Fail(fmt.Errorf("engine: a rewrite's derived key: %w", err))
 	case len(full) == 0, err == nil && bytes.Equal(full, k) && (derived || rw.rewriteTarget.derived(rw.Orig)):
-		rw.Key = ""
+		rw.rewriteTarget = rw.withKey("") // prev's target may spell prev's
 	default:
-		rw.Key = string(full)
+		rw.rewriteTarget = rw.withKey(string(full))
 	}
 }
 
@@ -641,16 +642,16 @@ func (rw *rewritten) walk(c *wire.Coder, prev *rewritten) {
 // empty where the receiver derives it (a derived side) or chains it from
 // prev's, else the key, in own where it is held derived. It renders prev's
 // key into prevs only for the chain rule. A key held derived behind a side
-// that is neither derived nor a repeat breaks rewritten.Key's rule, and fails
-// the walk.
+// that is neither derived nor a repeat breaks rewritten's rule, and fails the
+// walk.
 func (rw *rewritten) keySaid(c *wire.Coder, side query.Side, prev *rewritten, own, prevs []byte) []byte {
 	switch {
 	case side >= sideDerived:
-		if rw.Key == "" || rw.keyDerived() {
+		if rw.spelledKey() == "" || rw.keyDerived() {
 			return nil
 		}
-		return append(own, rw.Key...)
-	case rw.Key == "" && side != sideRepeat:
+		return append(own, rw.spelledKey()...)
+	case rw.spelledKey() == "" && side != sideRepeat:
 		c.Fail(errors.New("engine: a derived key behind a target that is not"))
 		return nil
 	}
@@ -674,10 +675,13 @@ func cutKey(key []byte, qk string) ([]byte, bool) {
 // keyDerived reports whether rw's key is the one its receiver derives,
 // Orig.RewriteKey of its trigger and WantValue. Sizing calls it: the key is
 // built in a stack buffer.
-func (rw *rewritten) keyDerived() bool {
+func (rw *rewritten) keyDerived() bool { return rw.derives(rw.spelledKey()) }
+
+// derives reports whether key is the Key(q') rw's receiver derives.
+func (rw *rewritten) derives(key string) bool {
 	var buf [keyScratch]byte
 	b, err := rw.appendDerivedKey(buf[:0])
-	return err == nil && string(b) == rw.Key
+	return err == nil && string(b) == key
 }
 
 // derived reports whether tg's wants are what its receiver derives from q and
@@ -698,9 +702,14 @@ func (tg *rewriteTarget) derived(q *query.Query) bool {
 func (rw *rewritten) repeats(prev *rewritten) bool {
 	tg, o := rw.rewriteTarget, prev.rewriteTarget
 	shape := tg.shape(rw.Orig)
-	return tg.IndexSide == o.IndexSide && tg.Prefix == o.Prefix && shape.Equal(o.shape(prev.Orig)) &&
+	return tg.IndexSide == o.IndexSide && samePrefix(tg.prefix(), o.prefix()) && shape.Equal(o.shape(prev.Orig)) &&
 		tg.WantValue == o.WantValue && sameWant(tg.Want, o.Want) &&
 		wire.SameProjection(tg.Trigger, o.Trigger, shape)
+}
+
+// samePrefix reports whether a and b are one prefix: one array's tuples.
+func samePrefix(a, b []*relation.Tuple) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // shape returns the schema the trigger of a rewrite of q travels as: the
@@ -742,10 +751,7 @@ func (tg *rewriteTarget) walk(c *wire.Coder, q *query.Query, derived, chain bool
 // projection of the relation it matched. Decoding, a prefix as long as the
 // chain, or longer, fails: nothing would be left to wait for.
 func (tg *rewriteTarget) walkPrefix(c *wire.Coder, q *query.Query) {
-	var prefix []*relation.Tuple
-	if tg.Prefix != nil {
-		prefix = *tg.Prefix
-	}
+	prefix := tg.prefix()
 	n := c.Count(len(prefix))
 	if c.Decoding() {
 		if n+1 >= q.Arity() {
@@ -753,8 +759,8 @@ func (tg *rewriteTarget) walkPrefix(c *wire.Coder, q *query.Query) {
 			return
 		}
 		if n > 0 {
-			decoded := make([]*relation.Tuple, n)
-			tg.Prefix, prefix = &decoded, decoded
+			prefix = make([]*relation.Tuple, n)
+			tg.Extra = &targetExtra{Prefix: prefix}
 		}
 	}
 	for i := range prefix {
@@ -1105,16 +1111,15 @@ func walkParentPartialMatch(c *wire.Coder) *rewritten {
 	}
 	tg := &rewriteTarget{IndexSide: side, Trigger: acc[stage-1], Want: &relation.AttrRef{Rel: wantRel, Attr: wantAttr}, WantValue: want}
 	if stage > 1 {
-		prefix := acc[: stage-1 : stage-1]
-		tg.Prefix = &prefix
+		tg.Extra = &targetExtra{Prefix: acc[: stage-1 : stage-1]}
 	}
 	if q.Arity() > 2 && !tg.derived(q) {
 		c.Fail(errors.New("engine: a parent's partial match whose wants its tuples do not give"))
 		return nil
 	}
-	rw := &rewritten{Key: key, Orig: q, rewriteTarget: tg}
-	if rw.keyDerived() {
-		rw.Key = ""
+	rw := &rewritten{Orig: q, rewriteTarget: tg}
+	if !rw.derives(key) {
+		rw.rewriteTarget = tg.withKey(key)
 	}
 	return rw
 }

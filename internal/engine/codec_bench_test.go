@@ -29,7 +29,7 @@ func BenchmarkCodec(b *testing.B) {
 			}
 			target = &rewriteTarget{IndexSide: query.SideLeft, Trigger: proj, Want: &relation.AttrRef{Rel: "S", Attr: "E"}, WantValue: relation.N(7)}
 		}
-		rws = append(rws, rewritten{Key: q.Key() + "+9", Orig: q, rewriteTarget: target})
+		rws = append(rws, *spelled(q.Key()+"+9", q, target))
 		n, err := buildNotification(q, query.SideLeft, target.Trigger, su)
 		if err != nil {
 			b.Fatal(err)

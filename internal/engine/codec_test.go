@@ -37,10 +37,10 @@ func codecFixtures(t testing.TB, extra ...*relation.Schema) (*relation.Catalog, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	rw := &rewritten{Key: "n#1+1+7", Orig: q, rewriteTarget: &rewriteTarget{
+	rw := spelled("n#1+1+7", q, &rewriteTarget{
 		IndexSide: query.SideLeft, Trigger: proj,
 		Want: &relation.AttrRef{Rel: "S", Attr: "E"}, WantValue: relation.N(7),
-	}}
+	})
 	notif, err := buildNotification(q, query.SideLeft, proj, su)
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +57,7 @@ func codecFixtures(t testing.TB, extra ...*relation.Schema) (*relation.Catalog, 
 		Want: &relation.AttrRef{Rel: "B", Attr: "y"}, WantValue: relation.N(1),
 	}}
 	mrw2 := &rewritten{Orig: mq, rewriteTarget: &rewriteTarget{
-		IndexSide: query.SideLeft, Trigger: tb, Prefix: &[]*relation.Tuple{ta},
+		IndexSide: query.SideLeft, Trigger: tb, Extra: &targetExtra{Prefix: []*relation.Tuple{ta}},
 		Want: &relation.AttrRef{Rel: "C", Attr: "y"}, WantValue: relation.N(3),
 	}}
 
@@ -83,8 +83,8 @@ func codecFixtures(t testing.TB, extra ...*relation.Schema) (*relation.Catalog, 
 					{Cond: q.ConditionKey(), Side: query.SideLeft, Queries: []*query.Query{q}},
 					{Cond: mq.ConditionKey(), Side: query.SideRight, Queries: []*query.Query{mq}},
 				},
-				SentRewrites: []string{rw.Key},
-				SentTargets:  []targetsEntry{{Key: rw.Key, Targets: []string{"S+E+7", "S+E+9"}}},
+				SentRewrites: []string{rw.key()},
+				SentTargets:  []targetsEntry{{Key: rw.key(), Targets: []string{"S+E+7", "S+E+9"}}},
 			}},
 			VQ: []vqSection{
 				{ID: id.Hash("B+y+1"), Entries: []vqEntry{{Rw: mrw, Times: []int64{6}}},
@@ -375,6 +375,17 @@ func assertSemanticEqual(t *testing.T, want, got chord.Message) {
 // assertRewrittenEqual compares two rewrites field by field, each trigger
 // through its projection onto its query's shape: what the wire says of it,
 // and all a decoded rewrite holds of a rewriter's whole tuple.
+// spelled returns q's rewrite at tg whose Key(q') is key, held as a decoder
+// holds it: derived where tg derives that key, else spelled by a target of
+// its own.
+func spelled(key string, q *query.Query, tg *rewriteTarget) *rewritten {
+	rw := &rewritten{Orig: q, rewriteTarget: tg}
+	if !rw.derives(key) || !tg.derived(q) {
+		rw.rewriteTarget = tg.withKey(key)
+	}
+	return rw
+}
+
 func assertRewrittenEqual(t *testing.T, w, g *rewritten) {
 	t.Helper()
 	if g.key() != w.key() || g.Orig.Key() != w.Orig.Key() || g.IndexSide != w.IndexSide ||
@@ -407,7 +418,7 @@ func TestAllMessagesImplementSizer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rw := &rewritten{Key: "k", Orig: q, rewriteTarget: &rewriteTarget{Trigger: proj, Want: &relation.AttrRef{Rel: "S", Attr: "E"}, WantValue: tu.MustValue("B")}}
+	rw := spelled("k", q, &rewriteTarget{Trigger: proj, Want: &relation.AttrRef{Rel: "S", Attr: "E"}, WantValue: tu.MustValue("B")})
 	notif, err := buildNotification(q, query.SideLeft, proj, sTuple(env, 2, 7, 0).WithPubT(6))
 	if err != nil {
 		t.Fatal(err)
@@ -736,10 +747,10 @@ func TestCodecDecodeReusesCatalogAndPlanSchemas(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rws = append(rws, rewritten{Key: q.Key() + "+1+7", Orig: q, rewriteTarget: &rewriteTarget{
+		rws = append(rws, *spelled(q.Key()+"+1+7", q, &rewriteTarget{
 			IndexSide: query.SideLeft, Trigger: proj,
 			Want: &relation.AttrRef{Rel: "S", Attr: "E"}, WantValue: relation.N(7),
-		}})
+		}))
 	}
 	roundTrip := func(msg chord.Message) chord.Message {
 		t.Helper()
@@ -793,7 +804,8 @@ func TestCodecDecodeReusesCatalogAndPlanSchemas(t *testing.T) {
 // targets holding projected triggers are sent: a rewrite whose target
 // bytes repeat its predecessor's takes the predecessor's *rewriteTarget, in
 // a join message, a scattered hot-join and the VLQT entries of a hand-off
-// alike, and a message mixing targets yields one per run.
+// alike, and a message mixing targets yields one per run. A rewrite that
+// spells a key its target does not derive takes a target of its own.
 func TestCodecDecodeSharesRewriteTargets(t *testing.T) {
 	env := newTestEnv(t, 16, Config{Algorithm: SAI})
 	const sql = `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`
@@ -814,7 +826,7 @@ func TestCodecDecodeSharesRewriteTargets(t *testing.T) {
 	group := func(tg *rewriteTarget, qs ...*query.Query) []rewritten {
 		var rws []rewritten
 		for _, q := range qs {
-			rws = append(rws, rewritten{Key: q.Key() + "+" + tg.WantValue.Canon(), Orig: q, rewriteTarget: tg})
+			rws = append(rws, rewritten{Orig: q, rewriteTarget: tg})
 		}
 		return rws
 	}
@@ -857,6 +869,15 @@ func TestCodecDecodeSharesRewriteTargets(t *testing.T) {
 
 	one := group(target(qs[0], 7, 9), qs...)
 	assertRuns("one group", one, roundTrip(&joinMsg{Rewrites: one}).(*joinMsg).Rewrites, 1)
+	var spelledOne []rewritten
+	for _, rw := range one {
+		spelledOne = append(spelledOne, *spelled(rw.Orig.Key()+"+7", rw.Orig, rw.rewriteTarget))
+	}
+	assertRuns("one group, keys spelled", spelledOne, roundTrip(&joinMsg{Rewrites: spelledOne}).(*joinMsg).Rewrites, len(qs))
+	// A derived key behind a spelled one repeats its target, and does not
+	// take its key.
+	behind := []rewritten{spelledOne[0], one[1]}
+	assertRuns("a derived key behind a spelled one", behind, roundTrip(&joinMsg{Rewrites: behind}).(*joinMsg).Rewrites, 2)
 
 	// Two triggers' groups, then the wide query's own shape of the second.
 	second := target(qs[0], 8, 11)
@@ -1078,7 +1099,7 @@ func TestMarkerWithoutPredecessorFailsToDecode(t *testing.T) {
 	catalog, msgs := codecFixtures(t)
 	rw := msgs[3].(*joinMsg).Rewrites[0]
 	inputs := orphanMarkers(t, rw.Orig, rw.rewriteTarget)
-	whole := &joinMsg{Rewrites: []rewritten{{Key: rw.Orig.Key() + "+7", Orig: rw.Orig, rewriteTarget: rw.rewriteTarget}}}
+	whole := &joinMsg{Rewrites: []rewritten{*spelled(rw.Orig.Key()+"+7", rw.Orig, rw.rewriteTarget)}}
 	if got := inputs["whole"]; len(got) != encodedLen(whole) || len(got) != MessageSize(whole) {
 		t.Fatalf("the hand-written join is %d bytes, the codec's %d: the variants below test nothing", len(got), encodedLen(whole))
 	}
@@ -1116,8 +1137,8 @@ func TestJoinSizeSurvivesDecode(t *testing.T) {
 			t.Fatal(err)
 		}
 		tg := &rewriteTarget{IndexSide: query.SideLeft, Trigger: proj, Want: &relation.AttrRef{Rel: "S", Attr: "E"}, WantValue: relation.N(7)}
-		apart = append(apart, rewritten{Key: q.Key() + "+1+7", Orig: q, rewriteTarget: tg})
-		shared = append(shared, rewritten{Key: q.Key() + "+1+7", Orig: q, rewriteTarget: apart[0].rewriteTarget})
+		apart = append(apart, *spelled(q.Key()+"+1+7", q, tg))
+		shared = append(shared, *spelled(q.Key()+"+1+7", q, apart[0].rewriteTarget))
 		alone += encodedLen(&joinMsg{Rewrites: apart[i:]}) - 2 // less tag and count
 	}
 	// A second group: another trigger, so another target and key suffix, and
@@ -1127,8 +1148,8 @@ func TestJoinSizeSurvivesDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := rewritten{Key: q.Key() + "+2+8", Orig: q, rewriteTarget: &rewriteTarget{
-		IndexSide: query.SideLeft, Trigger: proj, Want: &relation.AttrRef{Rel: "S", Attr: "E"}, WantValue: relation.N(8)}}
+	next := *spelled(q.Key()+"+2+8", q, &rewriteTarget{
+		IndexSide: query.SideLeft, Trigger: proj, Want: &relation.AttrRef{Rel: "S", Attr: "E"}, WantValue: relation.N(8)})
 	apart, shared = append(apart, next), append(shared, next)
 
 	var w wire.Buffer

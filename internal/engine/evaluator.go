@@ -211,7 +211,7 @@ func matchRewrite(rw *rewritten, t *relation.Tuple) bool {
 
 // match is the match of rw with the value-level tuple t.
 func (rw *rewritten) match(t *relation.Tuple) match {
-	return match{q: rw.Orig, side: rw.IndexSide, trig: rw.Trigger, other: t, prefix: rw.Prefix}
+	return match{q: rw.Orig, side: rw.IndexSide, trig: rw.Trigger, other: t, prefix: rw.prefix()}
 }
 
 // matchScratch sizes the stack arrays an evaluator's loop collects its

@@ -353,7 +353,7 @@ func (st *nodeState) merge(on *chord.Node, m handoffMsg, replayNotifs bool) {
 		}
 	}
 	for _, sec := range m.Notifs {
-		st.storedNotifs[sec.Subscriber] = append(st.storedNotifs[sec.Subscriber], sec.Batch...)
+		st.storeNotifs(sec.Subscriber, sec.Batch)
 		addedEvaluator += len(sec.Batch)
 		if replayNotifs && sec.Subscriber == on.Key() {
 			replay = append(replay, sec.Subscriber)

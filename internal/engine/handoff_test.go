@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"maps"
 	"reflect"
@@ -389,4 +390,61 @@ func TestRetractionMemoryMovesInOneOrder(t *testing.T) {
 	if !slices.Equal(first, second) {
 		t.Fatalf("two identical moves left different retraction memories:\n%v\n%v", first, second)
 	}
+}
+
+// A rewrite that spells a key its target does not derive — the fixtures'
+// n#1+1+7 under query key peer5#1, as a parent's hand-off may carry — keeps
+// it from decode to hand-off: its repeat in the join decodes onto the same
+// target, joinAt stores the one rewrite, vlqt_spelled_keys counts it, and a
+// cut of its bucket writes the bytes a hand-off of the sent rewrite does.
+func TestSpelledKeySurvivesStorageAndHandOff(t *testing.T) {
+	catalog, msgs := codecFixtures(t)
+	sent := msgs[3].(*joinMsg)
+	rw := &sent.Rewrites[0]
+	if rw.spelledKey() != "n#1+1+7" || rw.derives(rw.spelledKey()) {
+		t.Fatalf("the fixture's rewrite holds key %q, derived %v", rw.spelledKey(), rw.keyDerived())
+	}
+	var w wire.Buffer
+	if err := EncodeMessage(&w, sent); err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeMessage(wire.NewReader(w.Bytes()), catalog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	join := got.(*joinMsg)
+	if join.Rewrites[0].spelledKey() != rw.spelledKey() || join.Rewrites[1].rewriteTarget != join.Rewrites[0].rewriteTarget {
+		t.Fatalf("decoded keys %q and %q, one target: %v", join.Rewrites[0].spelledKey(), join.Rewrites[1].spelledKey(),
+			join.Rewrites[1].rewriteTarget == join.Rewrites[0].rewriteTarget)
+	}
+
+	env := newTestEnv(t, 16, Config{Algorithm: SAI})
+	st := env.eng.state(env.node(0))
+	h := vlHash(rw.appendInput(nil))
+	var n tally
+	st.mu.Lock()
+	st.joinAt(h, join.Rewrites, &n, nil, nil)
+	st.mu.Unlock()
+	if n.stored != 1 {
+		t.Fatalf("joinAt stored %d of a rewrite and its repeat", n.stored)
+	}
+	if c := env.eng.Census(); c["vlqt_rewrites"].Sum != 1 || c["vlqt_spelled_keys"].Sum != 1 {
+		t.Fatalf("census counts %d rewrites, %d spelled keys; want 1 and 1", c["vlqt_rewrites"].Sum, c["vlqt_spelled_keys"].Sum)
+	}
+
+	cut := st.cut(func(x id.ID) bool { return x == h }, false)
+	want := handoffMsg{VQ: []vqSection{{ID: h, Entries: []vqEntry{{Rw: rw, Times: []int64{rw.Trigger.PubT()}}}}}}
+	if a, b := encodedBytes(t, cut), encodedBytes(t, want); !bytes.Equal(a, b) {
+		t.Fatalf("the stored rewrite's hand-off is\n%x\nthe sent one's\n%x", a, b)
+	}
+}
+
+// encodedBytes returns msg's encoding.
+func encodedBytes(t *testing.T, msg chord.Message) []byte {
+	t.Helper()
+	var w wire.Buffer
+	if err := EncodeMessage(&w, msg); err != nil {
+		t.Fatal(err)
+	}
+	return w.Bytes()
 }

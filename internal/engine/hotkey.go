@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"hash/fnv"
 	"sort"
 	"strconv"
 
@@ -88,9 +87,8 @@ func shardOf(t *relation.Tuple, k int) int {
 	if k <= 1 {
 		return 0
 	}
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(t.ContentKey()))
-	return int(h.Sum64() % uint64(k))
+	var buf [keyScratch]byte
+	return int(fnv64a(t.AppendContentKey(buf[:0])) % uint64(k))
 }
 
 // countHot records one arrival at logical time t at the base bucket of input

@@ -108,20 +108,21 @@ func (interestMsg) Kind() string { return kindInterest }
 // tuple that matches it sends the rest of the query on to the next relation's
 // value level, as a rewrite one stage on (next), until the last relation
 // builds the notification.
+//
+// Key(q') per Section 4.3.3 is held derived from Orig and the target
+// (appendDerivedKey), as it is on the wire, wherever the target is derived
+// (rewriteTarget.derived) and the key is the one derived; only a parent's
+// fixture or partial match spells another, and such a rewrite holds a target
+// of its own that says it (spelledKey). Read it through appendKey.
 type rewritten struct {
-	// Key is Key(q') per Section 4.3.3, or "" where it is the key derived
-	// from Orig and the target (appendDerivedKey) — as it is on the wire:
-	// held only where the target is derived (rewriteTarget.derived). Read it
-	// through key or appendKey.
-	Key  string
 	Orig *query.Query
 	*rewriteTarget
 }
 
-// appendKey appends Key(q') to dst: Key, or the key it stands for.
+// appendKey appends Key(q') to dst: the spelled key, or the derived one.
 func (rw *rewritten) appendKey(dst []byte) []byte {
-	if rw.Key != "" {
-		return append(dst, rw.Key...)
+	if k := rw.spelledKey(); k != "" {
+		return append(dst, k...)
 	}
 	dst, _ = rw.appendDerivedKey(dst) // a derived key renders: the decoder checked
 	return dst
@@ -133,30 +134,19 @@ func (rw *rewritten) appendDerivedKey(dst []byte) ([]byte, error) {
 	if rw.Orig.Arity() == 2 {
 		return rw.Orig.AppendRewriteKey(dst, rw.Trigger, rw.WantValue)
 	}
-	return appendChainKey(dst, rw.Orig.Key(), rw.Prefix, rw.Trigger), nil
+	return appendChainKey(dst, rw.Orig.Key(), rw.prefix(), rw.Trigger), nil
 }
 
 // appendChainKey appends the key of a chain's rewrite to dst: Key(q), then
 // the publication time of every tuple it has matched, prefix and trigger in
 // the order matched — each partial match a rewrite of its own, which a
 // repeated delivery adds nothing to.
-func appendChainKey(dst []byte, queryKey string, prefix *[]*relation.Tuple, trigger *relation.Tuple) []byte {
+func appendChainKey(dst []byte, queryKey string, prefix []*relation.Tuple, trigger *relation.Tuple) []byte {
 	dst = append(dst, queryKey...)
-	if prefix != nil {
-		for _, t := range *prefix {
-			dst = strconv.AppendInt(append(dst, '+'), t.PubT(), 10)
-		}
+	for _, t := range prefix {
+		dst = strconv.AppendInt(append(dst, '+'), t.PubT(), 10)
 	}
 	return strconv.AppendInt(append(dst, '+'), trigger.PubT(), 10)
-}
-
-// key returns Key(q'), built where it is derived.
-func (rw *rewritten) key() string {
-	if rw.Key != "" {
-		return rw.Key
-	}
-	var buf [keyScratch]byte
-	return string(rw.appendKey(buf[:0]))
 }
 
 // sameKey reports whether rw and o have one Key(q'). Where what the two are
@@ -164,7 +154,7 @@ func (rw *rewritten) key() string {
 // differs, neither is built.
 func (rw *rewritten) sameKey(o *rewritten) bool {
 	a, b := rw.keyStart(), o.keyStart()
-	if rw.Key != "" && o.Key != "" {
+	if rw.spelledKey() != "" && o.spelledKey() != "" {
 		return a == b
 	}
 	if n := min(len(a), len(b)); a[:n] != b[:n] {
@@ -174,11 +164,11 @@ func (rw *rewritten) sameKey(o *rewritten) bool {
 	return bytes.Equal(rw.appendKey(ka[:0]), o.appendKey(kb[:0]))
 }
 
-// keyStart returns what Key(q') starts with unbuilt: Key, or where it is
-// derived, the query's key.
+// keyStart returns what Key(q') starts with unbuilt: the spelled key, or
+// where it is derived, the query's key.
 func (rw *rewritten) keyStart() string {
-	if rw.Key != "" {
-		return rw.Key
+	if k := rw.spelledKey(); k != "" {
+		return k
 	}
 	return rw.Orig.Key()
 }
@@ -193,34 +183,66 @@ func (rw *rewritten) keyStart() string {
 // own. A rewriter's Trigger is the tuple it received, for every
 // shape of its group; the wire says its projection onto each rewrite's
 // shape, and a decoded Trigger is that projection. A chain's rewrite past
-// its first stage also carries Prefix, the tuples matched before Trigger in
-// the order matched, said on the wire as Trigger is. It is a pointer, nil
-// elsewhere. Pointers all, bar the value, the target fills the 64-byte size
-// class; two want strings took it to the 96.
+// its first stage also carries a prefix, the tuples matched before Trigger in
+// the order matched, said on the wire as Trigger is. It and a spelled key are
+// what few targets hold, behind Extra, nil elsewhere. Pointers all, bar the
+// value, the target fills the 64-byte size class; two want strings took it to
+// the 96.
 type rewriteTarget struct {
 	IndexSide query.Side        // the side consumed by the first trigger: the end of the chain it walks from
 	Trigger   *relation.Tuple   // the triggering tuple, or its projection
 	Want      *relation.AttrRef // DisR(q) and DisA(q)
 	WantValue relation.Value    // valDA(q, t)
-	Prefix    *[]*relation.Tuple
+	Extra     *targetExtra
+}
+
+// targetExtra is what few rewrite targets carry: a chain's prefix past its
+// first stage, and a spelled Key(q'), which makes the target its rewrite's
+// own.
+type targetExtra struct {
+	Prefix []*relation.Tuple
+	Key    string
+}
+
+// prefix returns the tuples the target's rewrites matched before Trigger.
+func (tg *rewriteTarget) prefix() []*relation.Tuple {
+	if tg.Extra == nil {
+		return nil
+	}
+	return tg.Extra.Prefix
+}
+
+// spelledKey returns the Key(q') the target's rewrite spells, "" where it is
+// held derived.
+func (tg *rewriteTarget) spelledKey() string {
+	if tg.Extra == nil {
+		return ""
+	}
+	return tg.Extra.Key
+}
+
+// withKey returns tg spelling Key(q') as key ("": derived): tg itself where
+// it does, else a copy.
+func (tg *rewriteTarget) withKey(key string) *rewriteTarget {
+	if tg.spelledKey() == key {
+		return tg
+	}
+	c := *tg
+	c.Extra = nil
+	if prefix := tg.prefix(); key != "" || prefix != nil {
+		c.Extra = &targetExtra{Prefix: prefix, Key: key}
+	}
+	return &c
 }
 
 // stage returns how many of its query's relations the target's rewrites
-// have matched: Trigger's, and Prefix's.
-func (tg *rewriteTarget) stage() int {
-	if tg.Prefix == nil {
-		return 1
-	}
-	return 1 + len(*tg.Prefix)
-}
+// have matched: Trigger's, and the prefix's.
+func (tg *rewriteTarget) stage() int { return 1 + len(tg.prefix()) }
 
 // matched appends the tuples the target's rewrites have matched to dst, in
-// the order matched: Prefix, then Trigger.
+// the order matched: the prefix, then Trigger.
 func (tg *rewriteTarget) matched(dst []*relation.Tuple) []*relation.Tuple {
-	if tg.Prefix != nil {
-		dst = append(dst, *tg.Prefix...)
-	}
-	return append(dst, tg.Trigger)
+	return append(append(dst, tg.prefix()...), tg.Trigger)
 }
 
 // wants computes what a rewrite of q triggered by tg.Trigger asks for
@@ -248,7 +270,7 @@ func (rw *rewritten) last() bool { return rw.stage()+1 == rw.Orig.Arity() }
 // false where t's link has no solution.
 func (rw *rewritten) next(t *relation.Tuple) (out outbound, input string, ok bool) {
 	prefix := rw.matched(make([]*relation.Tuple, 0, rw.stage()))
-	tg := &rewriteTarget{IndexSide: rw.IndexSide, Trigger: t, Prefix: &prefix}
+	tg := &rewriteTarget{IndexSide: rw.IndexSide, Trigger: t, Extra: &targetExtra{Prefix: prefix}}
 	var err error
 	if tg.Want, tg.WantValue, err = tg.wants(rw.Orig); err != nil {
 		return outbound{}, "", false

@@ -84,12 +84,12 @@ type match struct {
 	q           *query.Query
 	side        query.Side
 	trig, other *relation.Tuple
-	prefix      *[]*relation.Tuple
+	prefix      []*relation.Tuple // a chain match's tuples before trig
 }
 
 // combo returns the chain match's tuples in chain order, in a slice of buf.
 func (m *match) combo(buf []*relation.Tuple) []*relation.Tuple {
-	combo := append(append(append(buf[:0], *m.prefix...), m.trig), m.other)
+	combo := append(append(append(buf[:0], m.prefix...), m.trig), m.other)
 	if m.side == query.SideRight {
 		slices.Reverse(combo)
 	}
@@ -159,7 +159,7 @@ func notifications(ms []match) []Notification {
 		m := &ms[i]
 		start := len(slab)
 		var err error
-		if m.prefix != nil {
+		if len(m.prefix) > 0 {
 			var buf [8]*relation.Tuple
 			if slab, err = m.q.AppendNotification(slab, m.combo(buf[:0])...); err == nil {
 				n := m.notification(m.trig, m.other, slab[start:len(slab):len(slab)])
@@ -307,6 +307,9 @@ func (st *nodeState) learnIP(sub, ip string) {
 		st.engine.obs.subIPResets.Inc()
 		clear(st.subIPs)
 	}
+	if st.subIPs == nil {
+		st.subIPs = make(map[string]string)
+	}
 	st.subIPs[sub] = ip
 }
 
@@ -355,9 +358,8 @@ func (st *nodeState) handleNotify(msg *notifyMsg) {
 		return
 	}
 	st.mu.Lock()
-	stored := st.storedNotifs[msg.Subscriber]
-	kept := msg.Batch[:min(len(msg.Batch), max(0, storedMailMax-len(stored)))]
-	st.storedNotifs[msg.Subscriber] = append(stored, kept...)
+	kept := msg.Batch[:min(len(msg.Batch), max(0, storedMailMax-len(st.storedNotifs[msg.Subscriber])))]
+	st.storeNotifs(msg.Subscriber, kept)
 	st.mu.Unlock()
 	for range msg.Batch[len(kept):] {
 		st.engine.net.Traffic().RecordLost(kindNotify)
@@ -402,7 +404,16 @@ func (st *nodeState) replayStoredNotifications(sub string, dst *chord.Node) {
 	}
 	e.net.Traffic().RecordLost(kindNotify)
 	st.mu.Lock()
-	st.storedNotifs[sub] = append(st.storedNotifs[sub], batch...)
+	st.storeNotifs(sub, batch)
 	st.mu.Unlock()
 	st.load.AddStorage(metrics.Evaluator, len(batch))
+}
+
+// storeNotifs adds batch to the notifications stored for subscriber sub. The
+// caller holds st.mu.
+func (st *nodeState) storeNotifs(sub string, batch []Notification) {
+	if st.storedNotifs == nil {
+		st.storedNotifs = make(map[string][]Notification)
+	}
+	st.storedNotifs[sub] = append(st.storedNotifs[sub], batch...)
 }

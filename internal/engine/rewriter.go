@@ -211,7 +211,7 @@ func (st *nodeState) rewriteGroup(b *alBucket, g *queryGroup, triggered []*query
 	// trigger is its projection onto each query's shape (wire.Coder.Tuple),
 	// which holds the join attribute and the SELECT values, so what a
 	// receiver derives from it — the wants and Key(q') — is what is built
-	// here, and Key(q') stays derived: "" (rewritten.Key).
+	// here, and Key(q') stays derived: no target here spells one.
 	tgt := &rewriteTarget{IndexSide: g.side, Trigger: t}
 	var err error
 	if tgt.Want, tgt.WantValue, err = tgt.wants(triggered[0]); err != nil {

@@ -110,17 +110,18 @@ func (h *alHints) claim(schema *relation.Schema, n int) (owners []*chord.Node, e
 	return slot.owners, evicted
 }
 
+// newNodeState makes the tables every node fills. The DAI-V value store, the
+// stored notifications and the learned addresses, which most nodes never
+// write, are made at their first write; the retraction memory is not, so that
+// a node's first retraction allocates no map header (TestRetractionAllocCeiling).
 func newNodeState(e *Engine, n *chord.Node) *nodeState {
 	return &nodeState{
-		engine:       e,
-		node:         n,
-		alqt:         make(map[string]*alBucket),
-		vl:           make(map[id.ID]vlSlot),
-		vstore:       make(map[string]*daivBucket),
-		storedNotifs: make(map[string][]Notification),
-		subIPs:       make(map[string]string),
-		jfrt:         new(jfrtCache),
-		retracted:    make(map[string]struct{}),
+		engine:    e,
+		node:      n,
+		alqt:      make(map[string]*alBucket),
+		vl:        make(map[id.ID]vlSlot),
+		jfrt:      new(jfrtCache),
+		retracted: make(map[string]struct{}),
 	}
 }
 
@@ -269,15 +270,28 @@ type queryGroup struct {
 }
 
 // record notes that a tuple published at pubT sent the group's rewrites to
-// input, which it makes a string only where the list changes.
+// input, which it makes a string only where the list changes. An input whose
+// newest time already reaches every live query's insT keeps that time: a
+// later one changes no live query's purges and no prune, and it rewrote no
+// query that joins the group after it — whose own first trigger there raises
+// the time.
 func (g *queryGroup) record(input []byte, pubT int64) {
-	if newest, ok := g.sent[string(input)]; ok && pubT <= newest {
+	if newest, ok := g.sent[string(input)]; ok && (pubT <= newest || newest >= g.newestInsT()) {
 		return
 	}
 	if g.sent == nil {
 		g.sent = make(map[string]int64)
 	}
 	g.sent[string(input)] = pubT
+}
+
+// newestInsT returns the highest insT of the group's live queries.
+func (g *queryGroup) newestInsT() int64 {
+	var newest int64
+	for _, q := range g.queries {
+		newest = max(newest, q.InsT())
+	}
+	return newest
 }
 
 // retire removes query key from the group and returns, in one array, the
@@ -467,6 +481,9 @@ type daivEntry struct {
 func (st *nodeState) daivBucketFor(input string) *daivBucket {
 	b := st.vstore[input]
 	if b == nil {
+		if st.vstore == nil {
+			st.vstore = make(map[string]*daivBucket)
+		}
 		b = &daivBucket{input: input}
 		st.vstore[input] = b
 	}

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"bytes"
+
 	"cqjoin/internal/relation"
 )
 
@@ -32,7 +34,8 @@ func (s *tupleSet) all() []*relation.Tuple { return s.items }
 
 func (s *tupleSet) has(t *relation.Tuple) bool {
 	if s.index != nil {
-		_, ok := s.index[t.ContentKey()]
+		var buf [keyScratch]byte
+		_, ok := s.index[string(t.AppendContentKey(buf[:0]))]
 		return ok
 	}
 	for _, o := range s.items {
@@ -80,7 +83,8 @@ func (s *tupleSet) removeIf(drop func(*relation.Tuple) bool) int {
 		if !drop(t) {
 			kept = append(kept, t)
 		} else if s.index != nil {
-			delete(s.index, t.ContentKey())
+			var buf [keyScratch]byte
+			delete(s.index, string(t.AppendContentKey(buf[:0])))
 		}
 	}
 	removed := len(s.items) - len(kept)
@@ -95,10 +99,13 @@ func (s *tupleSet) removeIf(drop func(*relation.Tuple) bool) int {
 // rewriteTable is an insertion-ordered table of stored rewritten queries,
 // unique by Key(q') (Section 4.3.3). An entry is the *rewritten its join
 // carried; a repeat of its key adds nothing. A table that carries an index
-// keys it by key(), so only those build the strings of derived keys.
+// keys it by indexHash of each key, rendered on the stack: no key is built
+// as a string. Every stored rewrite's hash has a slot: the rewrite, whose
+// key a lookup compares, or nil where two stored keys have shared the hash,
+// which a lookup answers by a scan.
 type rewriteTable struct {
 	items []*rewritten
-	index map[string]*rewritten
+	index map[uint64]*rewritten
 	// sent is what few tables hold, nil until one needs it: by query key, the
 	// inputs the table's chain rewrites went on to a stage (meet) — where a
 	// retraction's purge follows them (handlePurge).
@@ -111,12 +118,8 @@ func (t *rewriteTable) len() int { return len(t.items) }
 // follows; callers must not modify the slice.
 func (t *rewriteTable) all() []*rewritten { return t.items }
 
-// get returns the stored rewrite whose Key(q') is rw's, nil when none is.
-func (t *rewriteTable) get(rw *rewritten) *rewritten {
-	if t.index != nil {
-		var buf [keyScratch]byte
-		return t.index[string(rw.appendKey(buf[:0]))]
-	}
+// scan returns the stored rewrite whose Key(q') is rw's, looking at each.
+func (t *rewriteTable) scan(rw *rewritten) *rewritten {
 	for _, o := range t.items {
 		if o == rw || o.sameKey(rw) {
 			return o
@@ -125,23 +128,85 @@ func (t *rewriteTable) get(rw *rewritten) *rewritten {
 	return nil
 }
 
+// lookup returns the stored rewrite whose Key(q') is rw's, key, through the
+// index: h is indexHash(key).
+func (t *rewriteTable) lookup(rw *rewritten, key []byte, h uint64) *rewritten {
+	o, ok := t.index[h]
+	switch {
+	case !ok:
+		return nil
+	case o == nil:
+		return t.scan(rw)
+	case o == rw:
+		return o
+	}
+	var buf [keyScratch]byte
+	if bytes.Equal(o.appendKey(buf[:0]), key) {
+		return o
+	}
+	return nil
+}
+
 // record stores rw unless its key is already present: the same query
 // rewritten by a tuple with the same index-attribute value (Section 4.3.3).
 // It reports whether rw was stored.
 func (t *rewriteTable) record(rw *rewritten) bool {
-	if t.get(rw) != nil {
+	if t.index == nil {
+		if t.scan(rw) != nil {
+			return false
+		}
+		t.items = append(t.items, rw)
+		if len(t.items) > smallTableMax {
+			t.index = make(map[uint64]*rewritten, 2*len(t.items))
+			for _, o := range t.items {
+				t.indexAt(o, o.keyHash())
+			}
+		}
+		return true
+	}
+	var buf [keyScratch]byte
+	key := rw.appendKey(buf[:0])
+	h := indexHash(key)
+	if t.lookup(rw, key, h) != nil {
 		return false
 	}
 	t.items = append(t.items, rw)
-	if t.index != nil {
-		t.index[rw.key()] = rw
-	} else if len(t.items) > smallTableMax {
-		t.index = make(map[string]*rewritten, 2*len(t.items))
-		for _, o := range t.items {
-			t.index[o.key()] = o
-		}
-	}
+	t.indexAt(rw, h)
 	return true
+}
+
+// indexAt gives rw, a key not yet indexed, the slot of its hash h: its own,
+// or nil where another key holds h.
+func (t *rewriteTable) indexAt(rw *rewritten, h uint64) {
+	if _, taken := t.index[h]; taken {
+		t.index[h] = nil
+	} else {
+		t.index[h] = rw
+	}
+}
+
+// keyHash returns indexHash of rw's Key(q').
+func (rw *rewritten) keyHash() uint64 {
+	var buf [keyScratch]byte
+	return indexHash(rw.appendKey(buf[:0]))
+}
+
+// indexHash hashes the keys a rewriteTable indexes: FNV-1a, the same in
+// every process, passed through indexCollide.
+func indexHash(key []byte) uint64 { return indexCollide(fnv64a(key)) }
+
+// indexCollide is the identity but where a test makes keys collide: only
+// _test.go files set it.
+var indexCollide = func(h uint64) uint64 { return h }
+
+// fnv64a returns the 64-bit FNV-1a hash of b.
+func fnv64a(b []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= 1099511628211
+	}
+	return h
 }
 
 // recordTarget remembers that a chain rewrite of query key stored here went
@@ -176,8 +241,9 @@ func (t *rewriteTable) removeIf(drop func(*rewritten) bool) int {
 			continue
 		}
 		if t.index != nil {
-			var buf [keyScratch]byte
-			delete(t.index, string(rw.appendKey(buf[:0]))) // a derived key is not built as a string
+			if h := rw.keyHash(); t.index[h] == rw { // a shared hash's nil stays: a kept key may have it
+				delete(t.index, h)
+			}
 		}
 	}
 	removed := len(t.items) - len(kept)

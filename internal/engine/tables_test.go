@@ -16,6 +16,18 @@ func vlInput(rel, attr string, v relation.Value) string {
 	return string(appendVLInput(nil, rel, attr, v))
 }
 
+// key returns Key(q') as a string.
+func (rw *rewritten) key() string { return string(rw.appendKey(nil)) }
+
+// get returns the stored rewrite whose Key(q') is rw's, nil when none is.
+func (t *rewriteTable) get(rw *rewritten) *rewritten {
+	if t.index == nil {
+		return t.scan(rw)
+	}
+	key := rw.appendKey(nil)
+	return t.lookup(rw, key, indexHash(key))
+}
+
 // vlSlotOf returns st's value-level slot of input, the zero slot where it
 // has none. The caller holds st.mu, or owns the engine alone.
 func (st *nodeState) vlSlotOf(input string) vlSlot { return st.vl[vlHash([]byte(input))] }
@@ -152,8 +164,10 @@ func (r *refRewrites) record(rw *rewritten) bool {
 }
 
 // The rewrite table holds the *rewritten its join carried, its Key(q') held
-// derived ("") or spelled: arrivals in both key forms, repeats of a key and
-// retractions.
+// derived or spelled: arrivals in both key forms, repeats of a key and
+// retractions. It does so as well where indexCollide makes keys collide — a
+// hash of four values, so an index past smallTableMax shares slots: dedupe
+// and removeIf stay exact, and every kept rewrite stays findable.
 func TestRewriteTableMatchesMapAndSlice(t *testing.T) {
 	r := relation.MustSchema("R", "A", "B", "C")
 	catalog := relation.MustCatalog(r, relation.MustSchema("S", "D", "E", "F"))
@@ -173,7 +187,7 @@ func TestRewriteTableMatchesMapAndSlice(t *testing.T) {
 		}
 		rw := &rewritten{Orig: q, rewriteTarget: &rewriteTarget{IndexSide: query.SideLeft, Trigger: proj, Want: &relation.AttrRef{Rel: "S", Attr: "E"}, WantValue: relation.N(float64(v))}}
 		if spelled {
-			rw.Key = rw.key()
+			rw.rewriteTarget = rw.withKey(rw.key())
 		}
 		return rw
 	}
@@ -181,14 +195,27 @@ func TestRewriteTableMatchesMapAndSlice(t *testing.T) {
 	// One Key(q'), said both ways, is one entry.
 	var tab rewriteTable
 	derived, spelled := arrival(0, 7, 1, false), arrival(0, 7, 2, true)
-	if spelled.Key != qs[0].Key()+"+1+7" || derived.key() != spelled.Key {
-		t.Fatalf("keys %q and %q, want both %s+1+7", derived.key(), spelled.Key, qs[0].Key())
+	if spelled.spelledKey() != qs[0].Key()+"+1+7" || derived.key() != spelled.spelledKey() {
+		t.Fatalf("keys %q and %q, want both %s+1+7", derived.key(), spelled.spelledKey(), qs[0].Key())
 	}
 	if !tab.record(derived) || tab.record(spelled) || tab.len() != 1 || tab.get(spelled) != derived {
 		t.Fatalf("a derived key and its spelling stored as %d entries", tab.len())
 	}
 
 	absent := arrival(3, 1000, 0, false)
+	tableRun(t, qs, arrival, absent, false)
+	defer func(c func(uint64) uint64) { indexCollide = c }(indexCollide)
+	indexCollide = func(h uint64) uint64 { return h % 4 }
+	if !tableRun(t, qs, arrival, absent, true) {
+		t.Fatal("the colliding hash never made two stored keys share a slot")
+	}
+}
+
+// tableRun drives a rewriteTable and its reference through seeded arrivals of
+// queries' rewrites and retractions, comparing them after every step, and
+// reports whether two stored keys shared an index slot.
+func tableRun(t *testing.T, qs []*query.Query, arrival func(i, v int, pubT int64, spelled bool) *rewritten, absent *rewritten, colliding bool) (shared bool) {
+	t.Helper()
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		limit := 1 + rng.Intn(64)
@@ -210,8 +237,18 @@ func TestRewriteTableMatchesMapAndSlice(t *testing.T) {
 			if tab.index == nil && tab.len() > smallTableMax {
 				t.Fatalf("%s: %d rewrites and no index", step, tab.len())
 			}
-			if tab.index != nil && len(tab.index) != tab.len() {
+			if tab.index != nil && !colliding && len(tab.index) != tab.len() {
 				t.Fatalf("%s: index of %d keys over %d rewrites", step, len(tab.index), tab.len())
+			}
+			for _, rw := range tab.all() {
+				if tab.index == nil {
+					break
+				}
+				o, ok := tab.index[rw.keyHash()]
+				if !ok || o != nil && o != rw {
+					t.Fatalf("%s: %s's hash has no slot, or another key's", step, rw.key())
+				}
+				shared = shared || o == nil // a hash two stored keys held
 			}
 			if tab.get(absent) != nil {
 				t.Fatalf("%s: get of an absent key returned an entry", step)
@@ -246,6 +283,7 @@ func TestRewriteTableMatchesMapAndSlice(t *testing.T) {
 			check(step)
 		}
 	}
+	return shared
 }
 
 // The index is dropped only at half the threshold, so a table hovering at
@@ -275,8 +313,9 @@ func TestTableIndexHysteresis(t *testing.T) {
 // What the value level stores per bucket and per triggered group stays in the
 // size class its comment names: a VLQT bucket of vlqtInline rewrites and a
 // stored rewrite's target in the 64-byte class, a VLTT bucket of vlttInline
-// tuples in the 48. One field more, or a want said as two strings again,
-// moves every one of them up a class.
+// tuples in the 48, and a stored rewrite — an element of its join's array —
+// two words, its spelled key held by its target. One field more, or a want
+// said as two strings again, moves every one of them up a class.
 func TestStoredLayoutsKeepTheirSizeClasses(t *testing.T) {
 	for _, c := range []struct {
 		what       string
@@ -286,6 +325,7 @@ func TestStoredLayoutsKeepTheirSizeClasses(t *testing.T) {
 		{"a VLTT bucket", unsafe.Sizeof(vlttBucket{}), 48},
 		{"a value-level slot", unsafe.Sizeof(vlSlot{}), 16},
 		{"a rewrite target", unsafe.Sizeof(rewriteTarget{}), 64},
+		{"a stored rewrite", unsafe.Sizeof(rewritten{}), 16},
 	} {
 		if c.size > c.want {
 			t.Errorf("%s takes %d bytes, past its %d-byte size class", c.what, c.size, c.want)

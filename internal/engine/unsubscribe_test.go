@@ -617,3 +617,50 @@ func TestPurgeListSurvivesAMove(t *testing.T) {
 		}
 	}
 }
+
+// A trigger that finds its input's newest time already at or past every live
+// query's insT leaves the purge list as it is, and allocates nothing doing
+// so; a query that joins later raises the time on its own first trigger
+// there, so its retraction still purges every input holding its rewrite.
+func TestRepeatTriggerKeepsThePurgeList(t *testing.T) {
+	env := newTestEnv(t, 48, Config{Algorithm: SAI, Strategy: StrategyLeft, Seed: 4})
+	const pair = `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`
+	early := env.subscribe(t, 0, pair)
+	for i := range 3 { // S+E+1 triggered three times for the early query alone
+		env.publish(t, 10+i, rTuple(env, float64(100+i), 1, 0))
+	}
+	late := env.subscribe(t, 1, pair)
+	env.publish(t, 20, rTuple(env, 200, 1, 0))
+	env.publish(t, 21, rTuple(env, 201, 2, 0))
+	if got, want := heldAt(env, late.Key()), inputsOf(1, 2); !slices.Equal(got, want) {
+		t.Fatalf("the late query's rewrites are held at %v, want %v", got, want)
+	}
+
+	g := &queryGroup{queries: []*query.Query{early}}
+	input := []byte(vlInput("S", "E", relation.N(1)))
+	g.record(input, early.InsT())
+	pubT := early.InsT()
+	if allocs := testing.AllocsPerRun(100, func() { pubT++; g.record(input, pubT) }); allocs != 0 && !raceEnabled {
+		t.Fatalf("a repeat trigger allocated %v times", allocs)
+	}
+	if got := g.sent[string(input)]; got != early.InsT() {
+		t.Fatalf("repeat triggers moved the input's newest time to %d, want %d", got, early.InsT())
+	}
+
+	for _, q := range []*query.Query{late, early} {
+		held := heldAt(env, q.Key())
+		from := 0
+		if q == late {
+			from = 1
+		}
+		got := retractRecorded(t, env, from, q)
+		for _, input := range held {
+			if _, found := slices.BinarySearch(got, input); !found {
+				t.Fatalf("retracting %s sent no purge to %s, which holds its rewrite", q.Key(), input)
+			}
+		}
+		if left := heldAt(env, q.Key()); len(left) != 0 {
+			t.Fatalf("%s's rewrites survive its retraction at %v", q.Key(), left)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"strings"
@@ -21,11 +22,6 @@ type Tuple struct {
 	// tuple value is shared by every in-flight message that carries it, and
 	// concurrent publishers size those messages independently.
 	wireSize int64
-
-	// contentKey memoizes ContentKey. Like wireSize it is a pure function
-	// of fields that never change after construction, so concurrent first
-	// callers store equal strings and either store may win.
-	contentKey atomic.Pointer[string]
 }
 
 // NewTuple builds a tuple of the given schema. The number of values must
@@ -114,14 +110,21 @@ func (t *Tuple) SetCachedWireSize(n int) { atomic.StoreInt64(&t.wireSize, int64(
 //
 // the key under which every tuple store absorbs duplicated deliveries (the
 // value-level tuple table of SAI and DAI-Q, DAI-V's value store) and from
-// which hot-key sharding picks a tuple's shard. It is computed once per tuple,
-// however many evaluators store it.
+// which hot-key sharding picks a tuple's shard. It is built on every call:
+// a caller that does not keep it appends it to a buffer of its own
+// (AppendContentKey).
 func (t *Tuple) ContentKey() string {
-	if k := t.contentKey.Load(); k != nil {
-		return *k
-	}
-	var buf [192]byte // a key that fits costs one allocation, its string
-	b := append(buf[:0], t.schema.name...)
+	var buf [contentKeyScratch]byte
+	return string(t.AppendContentKey(buf[:0]))
+}
+
+// contentKeyScratch sizes the stack buffers content keys are rendered in: a
+// key that fits allocates nothing but the string a caller keeps.
+const contentKeyScratch = 192
+
+// AppendContentKey appends ContentKey's rendering to b.
+func (t *Tuple) AppendContentKey(b []byte) []byte {
+	b = append(b, t.schema.name...)
 	for i, v := range t.values {
 		b = append(b, '|')
 		b = append(b, t.schema.attrs[i]...)
@@ -129,21 +132,22 @@ func (t *Tuple) ContentKey() string {
 		b = v.AppendCanon(b)
 	}
 	b = append(b, '|', '@')
-	b = N(float64(t.pubT)).AppendCanon(b)
-	k := string(b)
-	t.contentKey.Store(&k)
-	return k
+	return N(float64(t.pubT)).AppendCanon(b)
 }
 
 // SameContent reports whether t and o have equal content keys. Tuples whose
 // publication times differ (as the key renders them, through float64) are
 // told apart without rendering either key — the common case in a small
-// tuple store, whose members then never pay for a key at all.
+// tuple store; others compare keys rendered on the stack.
 func (t *Tuple) SameContent(o *Tuple) bool {
 	if t == o {
 		return true
 	}
-	return float64(t.pubT) == float64(o.pubT) && t.ContentKey() == o.ContentKey()
+	if float64(t.pubT) != float64(o.pubT) {
+		return false
+	}
+	var a, b [contentKeyScratch]byte
+	return bytes.Equal(t.AppendContentKey(a[:0]), o.AppendContentKey(b[:0]))
 }
 
 // Equal reports whether t and o are the same tuple: equal schemas, values
