@@ -197,7 +197,7 @@ func TestMultiMinRateOrientation(t *testing.T) {
 	if b == nil {
 		t.Fatal("the chain is not indexed at C.y")
 	}
-	if g := b.byCond.get(mq.ConditionKey()); g == nil || g.side != query.SideRight || len(g.queries) != 1 {
+	if g := condEntryOf(&b.byCond, mq.ConditionKey(), nil); g == nil || g.side != query.SideRight || len(g.queries) != 1 {
 		t.Fatalf("C.y's group of the chain is %+v, want it walked from the right", g)
 	}
 }

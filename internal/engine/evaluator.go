@@ -79,7 +79,7 @@ func (st *nodeState) joinAt(h id.ID, run []rewritten, n *tally, ms []match, outs
 			if qb == nil {
 				qb = st.vlqtFor(h, len(run)-i)
 			}
-			if !qb.rewrites.record(rw) {
+			if !addRewrite(&qb.rewrites, rw) {
 				n.work++
 				continue
 			}
@@ -149,7 +149,7 @@ func (st *nodeState) tupleAt(kind string, h id.ID, t *relation.Tuple) {
 		if tb == nil {
 			tb = st.vlttFor(h)
 		}
-		if tb.tuples.add(t) {
+		if addTuple(&tb.tuples, t) {
 			n.stored++
 		} else {
 			st.engine.net.Traffic().RecordDuplicate(kind)
@@ -180,7 +180,7 @@ func meet(qb *vlqtBucket, rw *rewritten, t *relation.Tuple, ms []match, outs []o
 		return append(ms, rw.match(t)), outs
 	}
 	if out, input, ok := rw.next(t); ok {
-		qb.rewrites.recordTarget(rw.Orig.Key(), input)
+		qb.recordTarget(rw.Orig.Key(), input)
 		outs = append(outs, out)
 	}
 	return ms, outs
@@ -232,7 +232,7 @@ func (st *nodeState) handleJoinV(m joinVMsg) {
 	stored := 0
 
 	st.mu.Lock()
-	entry := st.daivBucketFor(input).byCond.getOrAdd(m.Cond, func() *daivEntry { return &daivEntry{cond: m.Cond} })
+	entry := condEntryOf(&st.daivBucketFor(input).byCond, m.Cond, func() *daivEntry { return &daivEntry{cond: m.Cond} })
 	for _, tt := range entry.tuples[m.Side.Other()].all() {
 		for _, q := range m.Queries {
 			work++
@@ -247,7 +247,7 @@ func (st *nodeState) handleJoinV(m joinVMsg) {
 	}
 	// Store the triggering tuple once, even when equivalent query groups
 	// indexed under different attributes deliver it twice.
-	if entry.tuples[m.Side].add(m.Trigger) {
+	if addTuple(&entry.tuples[m.Side], m.Trigger) {
 		stored++
 	}
 	st.mu.Unlock()

@@ -36,7 +36,7 @@ const kindHandoff = "handoff"
 
 // targetsEntry is the wire form of one query's purge targets, sorted: at a
 // rewriter, the inputs its group's purge list gives it (queryGroup.targets);
-// at an evaluator, where its chain rewrites went on to (rewriteTable.sent).
+// at an evaluator, where its chain rewrites went on to (vlqtBucket.sent).
 type targetsEntry struct {
 	Key     string
 	Targets []string
@@ -128,7 +128,7 @@ func sortedKeys[V any](m map[string]V) []string {
 	return out
 }
 
-// flattenTargets converts an evaluator's rewriteTable.sent to its
+// flattenTargets converts an evaluator's vlqtBucket.sent to its
 // deterministic wire form.
 func flattenTargets(m map[string]map[string]struct{}) []targetsEntry {
 	out := make([]targetsEntry, 0, len(m))
@@ -244,8 +244,8 @@ func (st *nodeState) cut(inArc func(id.ID) bool, take bool) handoffMsg {
 			for _, rw := range qb.rewrites.all() {
 				sec.Entries = append(sec.Entries, vqEntry{Rw: rw, Times: []int64{rw.Trigger.PubT()}})
 			}
-			if len(qb.rewrites.sent) > 0 {
-				sec.SentTargets = flattenTargets(qb.rewrites.sent)
+			if len(qb.sent) > 0 {
+				sec.SentTargets = flattenTargets(qb.sent)
 			}
 			evaluator += qb.rewrites.len()
 			m.VQ = append(m.VQ, sec)
@@ -328,18 +328,18 @@ func (st *nodeState) merge(on *chord.Node, m handoffMsg, replayNotifs bool) {
 	for _, sec := range m.VQ {
 		qb := st.vlqtFor(sec.ID, len(sec.Entries))
 		for _, e := range sec.Entries {
-			if qb.rewrites.record(e.Rw) {
+			if addRewrite(&qb.rewrites, e.Rw) {
 				addedEvaluator++
 			}
 		}
 		for _, te := range sec.SentTargets {
 			for _, t := range te.Targets {
-				qb.rewrites.recordTarget(te.Key, t)
+				qb.recordTarget(te.Key, t)
 			}
 		}
 	}
 	for _, sec := range m.VT {
-		addedEvaluator += st.vlttFor(sec.ID).tuples.addAll(sec.Tuples)
+		addedEvaluator += addTuples(&st.vlttFor(sec.ID).tuples, sec.Tuples)
 	}
 	for _, sec := range m.DV {
 		addedEvaluator += st.mergeDAIV(sec)

@@ -87,8 +87,7 @@ func shardOf(t *relation.Tuple, k int) int {
 	if k <= 1 {
 		return 0
 	}
-	var buf [keyScratch]byte
-	return int(fnv64a(t.AppendContentKey(buf[:0])) % uint64(k))
+	return int(contentHash(t) % uint64(k))
 }
 
 // countHot records one arrival at logical time t at the base bucket of input

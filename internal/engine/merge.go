@@ -42,7 +42,7 @@ func appendNew[T any](dst *[]T, src []T, key func(T) string) int {
 func (st *nodeState) mergeAL(sec alSection) (added int, revoked []string) {
 	b := st.alBucketFor(sec.Input)
 	for _, g := range sec.Groups {
-		eg := b.byCond.getOrAdd(g.Cond, func() *queryGroup { return &queryGroup{cond: g.Cond, side: g.Side} })
+		eg := condEntryOf(&b.byCond, g.Cond, func() *queryGroup { return &queryGroup{cond: g.Cond, side: g.Side} })
 		added += appendNew(&eg.queries, g.Queries, (*query.Query).Key)
 	}
 	b.arrivals = append(b.arrivals, sec.arrivals...)
@@ -97,8 +97,8 @@ func (st *nodeState) mergeDAIV(sec dvSection) int {
 	b := st.daivBucketFor(sec.Input)
 	added := 0
 	for _, e := range sec.Entries {
-		entry := b.byCond.getOrAdd(e.Cond, func() *daivEntry { return &daivEntry{cond: e.Cond} })
-		added += entry.tuples[query.SideLeft].addAll(e.Left) + entry.tuples[query.SideRight].addAll(e.Right)
+		entry := condEntryOf(&b.byCond, e.Cond, func() *daivEntry { return &daivEntry{cond: e.Cond} })
+		added += addTuples(&entry.tuples[query.SideLeft], e.Left) + addTuples(&entry.tuples[query.SideRight], e.Right)
 	}
 	return added
 }

@@ -30,7 +30,7 @@ func (st *nodeState) handleQueryIndex(m queryMsg) {
 		return
 	}
 	b := st.alBucketFor(input)
-	g := b.byCond.getOrAdd(cond, func() *queryGroup { return &queryGroup{cond: cond, side: m.Side} })
+	g := condEntryOf(&b.byCond, cond, func() *queryGroup { return &queryGroup{cond: cond, side: m.Side} })
 	// A duplicated query() delivery must not register the query twice —
 	// it would inflate the group and double every future rewrite.
 	for _, q := range g.queries {

@@ -26,8 +26,8 @@ import (
 // recomputed for key hand-off on joins and leaves. The two-level hash
 // structure of Section 4.3.5 is preserved inside each bucket: the first
 // level (attribute, or value for DAI-V) is the table key and the second
-// level (join condition, value, or rewritten-query key) is the in-bucket
-// map.
+// level (join condition, tuple content, or rewritten-query key) is the
+// bucket's table (tables.go).
 type nodeState struct {
 	engine *Engine
 	node   *chord.Node
@@ -111,17 +111,15 @@ func (h *alHints) claim(schema *relation.Schema, n int) (owners []*chord.Node, e
 }
 
 // newNodeState makes the tables every node fills. The DAI-V value store, the
-// stored notifications and the learned addresses, which most nodes never
-// write, are made at their first write; the retraction memory is not, so that
-// a node's first retraction allocates no map header (TestRetractionAllocCeiling).
+// stored notifications, the learned addresses and the retraction memory,
+// which most nodes never write, are made at their first write.
 func newNodeState(e *Engine, n *chord.Node) *nodeState {
 	return &nodeState{
-		engine:    e,
-		node:      n,
-		alqt:      make(map[string]*alBucket),
-		vl:        make(map[id.ID]vlSlot),
-		jfrt:      new(jfrtCache),
-		retracted: make(map[string]struct{}),
+		engine: e,
+		node:   n,
+		alqt:   make(map[string]*alBucket),
+		vl:     make(map[id.ID]vlSlot),
+		jfrt:   new(jfrtCache),
 	}
 }
 
@@ -135,7 +133,7 @@ func newNodeState(e *Engine, n *chord.Node) *nodeState {
 // strategy both stay empty.
 type alBucket struct {
 	input    string // the hashed string, e.g. "R+B" or "R+B#r2"
-	byCond   condTable[*queryGroup]
+	byCond   table[*queryGroup]
 	arrivals []int64
 	distinct map[string]struct{}
 	// sentRewrites records the rewritten-query keys this rewriter has
@@ -175,46 +173,6 @@ func (st *nodeState) alBucketFor(input string) *alBucket {
 	return b
 }
 
-// condTable holds a bucket's entries by condition key (Section 4.3.5's
-// second level) and is the only holder of them: every walk that builds
-// messages iterates all(), in registration order, so a seeded run sends the
-// same messages in the same order, and drop removes an entry from the lookup
-// and the order at once. The zero value is an empty table.
-type condTable[G comparable] struct {
-	byKey map[string]G
-	order []G
-}
-
-// get returns the entry of cond, the zero G when there is none.
-func (t *condTable[G]) get(cond string) G { return t.byKey[cond] }
-
-// getOrAdd returns the entry of cond, registering mk() last when there is none.
-func (t *condTable[G]) getOrAdd(cond string, mk func() G) G {
-	if g, ok := t.byKey[cond]; ok {
-		return g
-	}
-	if t.byKey == nil {
-		t.byKey = make(map[string]G)
-	}
-	g := mk()
-	t.byKey[cond] = g
-	t.order = append(t.order, g)
-	return g
-}
-
-// drop removes the entry of cond, keeping the others' order.
-func (t *condTable[G]) drop(cond string) {
-	if g, ok := t.byKey[cond]; ok {
-		delete(t.byKey, cond)
-		i := slices.Index(t.order, g)
-		t.order = slices.Delete(t.order, i, i+1)
-	}
-}
-
-// all returns the entries in registration order. The caller must not keep
-// the slice past a getOrAdd or drop.
-func (t *condTable[G]) all() []G { return t.order }
-
 // mark sets query key's interest mark on the bucket and reports whether it
 // was not set before.
 func (b *alBucket) mark(key string) bool {
@@ -229,7 +187,7 @@ func (b *alBucket) mark(key string) bool {
 // idle reports whether nothing reads the tuples that reach the bucket: no
 // condition group and no interest mark.
 func (b *alBucket) idle() bool {
-	return len(b.byCond.all()) == 0 && len(b.interest) == 0
+	return b.byCond.len() == 0 && len(b.interest) == 0
 }
 
 // grant records that publisher key was told nothing reads the bucket.
@@ -268,6 +226,8 @@ type queryGroup struct {
 	// is no query's, and goes (prune).
 	sent map[string]int64
 }
+
+func (g *queryGroup) condKey() string { return g.cond }
 
 // record notes that a tuple published at pubT sent the group's rewrites to
 // input, which it makes a string only where the list changes. An input whose
@@ -370,19 +330,45 @@ type vlSlot struct {
 }
 
 // vlqtBucket is a slot's rewrite half, keyed by rewritten key so a duplicate
-// adds nothing (Section 4.3.3). A bucket is one allocation while its table
-// fits inline, where its items start: a copy would share the original's
-// entries, so noCopy has go vet's copylocks check refuse one.
+// adds nothing (Section 4.3.3, addRewrite). A bucket is one allocation while
+// its table fits inline, where its items start: a copy would share the
+// original's entries, so noCopy has go vet's copylocks check refuse one.
 type vlqtBucket struct {
 	noCopy   noCopy
-	rewrites rewriteTable
-	inline   [vlqtInline]*rewritten
+	rewrites table[*rewritten]
+	// sent is what few buckets hold, nil until one needs it: by query key, the
+	// inputs the bucket's chain rewrites went on to a stage (meet) — where a
+	// retraction's purge follows them (handlePurge).
+	sent   map[string]map[string]struct{}
+	inline [vlqtInline]*rewritten
 }
 
 // empty reports whether the bucket holds nothing: no rewrite, and no target
 // a chain's purge would follow from it.
 func (qb *vlqtBucket) empty() bool {
-	return qb.rewrites.len() == 0 && len(qb.rewrites.sent) == 0
+	return qb.rewrites.len() == 0 && len(qb.sent) == 0
+}
+
+// recordTarget remembers that a chain rewrite of query key stored here went
+// on to input.
+func (qb *vlqtBucket) recordTarget(key, input string) {
+	if qb.sent == nil {
+		qb.sent = make(map[string]map[string]struct{})
+	}
+	ts := qb.sent[key]
+	if ts == nil {
+		ts = make(map[string]struct{})
+		qb.sent[key] = ts
+	}
+	ts[input] = struct{}{}
+}
+
+// takeTargets forgets and returns the inputs query key's chain rewrites went
+// on to from here.
+func (qb *vlqtBucket) takeTargets(key string) map[string]struct{} {
+	ts := qb.sent[key]
+	delete(qb.sent, key)
+	return ts
 }
 
 // vlqtInline is how many rewrites a VLQT bucket holds inside itself: at the
@@ -410,11 +396,11 @@ func (st *nodeState) vlqtFor(h id.ID, n int) *vlqtBucket {
 }
 
 // vlttBucket is a slot's tuple half, unique by content so a duplicated
-// vl-index delivery is absorbed instead of stored twice. Like a vlqtBucket,
-// it holds its first tuples inline and must not be copied (noCopy).
+// vl-index delivery is absorbed instead of stored twice (addTuple). Like a
+// vlqtBucket, it holds its first tuples inline and must not be copied (noCopy).
 type vlttBucket struct {
 	noCopy noCopy
-	tuples tupleSet
+	tuples table[*relation.Tuple]
 	inline [vlttInline]*relation.Tuple
 }
 
@@ -468,13 +454,15 @@ func (*noCopy) Unlock() {}
 // different rewriters of equivalent query groups.
 type daivBucket struct {
 	input  string // the value canon that was hashed
-	byCond condTable[*daivEntry]
+	byCond table[*daivEntry]
 }
 
 type daivEntry struct {
 	cond   string
-	tuples [2]tupleSet // per query.Side; the sides hold different relations
+	tuples [2]table[*relation.Tuple] // per query.Side; the sides hold different relations
 }
+
+func (e *daivEntry) condKey() string { return e.cond }
 
 // daivBucketFor returns the DAI-V bucket of input, creating it when absent.
 // The caller holds st.mu.
@@ -578,12 +566,12 @@ func (st *nodeState) evictBefore(cutoff int64) {
 	for h, s := range st.vl {
 		was := s
 		if s.t != nil {
-			if evicted += s.t.tuples.removeIf(expired); s.t.tuples.len() == 0 {
+			if evicted += s.t.tuples.removeIf(expired, tupleHash); s.t.tuples.len() == 0 {
 				s.t = nil
 			}
 		}
 		if s.q != nil {
-			if evicted += s.q.rewrites.removeIf(chainExpired); s.q.empty() {
+			if evicted += s.q.rewrites.removeIf(chainExpired, (*rewritten).keyHash); s.q.empty() {
 				s.q = nil
 			}
 		}
@@ -592,15 +580,11 @@ func (st *nodeState) evictBefore(cutoff int64) {
 		}
 	}
 	for input, b := range st.vstore {
-		entries := b.byCond.all()
-		for i := len(entries) - 1; i >= 0; i-- { // a drop shifts only the entries after it
-			e := entries[i]
-			evicted += e.tuples[0].removeIf(expired) + e.tuples[1].removeIf(expired)
-			if e.tuples[0].len()+e.tuples[1].len() == 0 {
-				b.byCond.drop(e.cond)
-			}
-		}
-		if len(b.byCond.all()) == 0 {
+		b.byCond.removeIf(func(e *daivEntry) bool {
+			evicted += e.tuples[0].removeIf(expired, tupleHash) + e.tuples[1].removeIf(expired, tupleHash)
+			return e.tuples[0].len()+e.tuples[1].len() == 0
+		}, condHash[*daivEntry])
+		if b.byCond.len() == 0 {
 			delete(st.vstore, input)
 		}
 	}

@@ -1,247 +1,113 @@
 package engine
 
-import (
-	"bytes"
-
-	"cqjoin/internal/relation"
-)
+import "cqjoin/internal/relation"
 
 // The second hash level of Section 4.3.5, sized for what a bucket actually
-// holds (DESIGN.md §8.2): nearly every value-level bucket stores a handful
-// of items, so membership is a scan of the insertion-ordered slice, and only
-// a bucket that outgrows smallTableMax carries a key index. Both table types
-// own that invariant — index == nil, or it holds exactly the keys of items —
-// so no caller dedupes by hand.
+// holds (DESIGN.md §8.2): nearly every bucket stores a handful of items, so
+// membership is a scan of the insertion-ordered slice, and only a bucket that
+// outgrows smallTableMax carries an index. One table serves every second
+// level — a VLTT bucket's tuples and a DAI-V entry's sides (addTuple), a VLQT
+// bucket's rewrites (addRewrite), an ALQT or DAI-V bucket's condition groups
+// (condEntryOf) — and owns the invariant that the index is nil or holds a
+// slot per stored key, so no caller dedupes by hand.
 
 // smallTableMax is the largest table searched by scanning: 99.4 % of
 // sim-steady's tuple buckets hold at most 4 tuples and 99 % of its rewrite
-// buckets at most 8 rewrites, while a scan of 8 costs less than one string
-// hash. A table that shrinks keeps its index until it is half that size, so
-// one hovering at the threshold does not rebuild it on every eviction.
+// buckets at most 8 rewrites, while a scan of 8 costs less than one hash of a
+// rendered key. A table that shrinks keeps its index until it is half that
+// size, so one hovering at the threshold does not rebuild it on every
+// eviction.
 const smallTableMax = 8
 
-// tupleSet is an insertion-ordered set of tuples, unique by content key.
-type tupleSet struct {
-	items []*relation.Tuple
-	index map[string]struct{}
+// table is an insertion-ordered table of items, unique by a key its caller
+// defines in two functions: same, whether an item holds the key a lookup asks
+// for, and keyHash, the indexHash of an item's key, rendered on the caller's
+// stack. Every stored key's hash has an index slot: the item holding the key,
+// or the zero T where two stored keys have shared the hash, which a lookup
+// answers by a scan. The zero value is an empty table.
+type table[T comparable] struct {
+	items []T
+	index map[uint64]T
 }
 
-func (s *tupleSet) len() int { return len(s.items) }
+func (t *table[T]) len() int { return len(t.items) }
 
-// all returns the stored tuples in insertion order; callers must not modify
-// the slice.
-func (s *tupleSet) all() []*relation.Tuple { return s.items }
+// all returns the stored items in insertion order, the order every walk that
+// matches or sends follows; callers must not modify the slice.
+func (t *table[T]) all() []T { return t.items }
 
-func (s *tupleSet) has(t *relation.Tuple) bool {
-	if s.index != nil {
-		var buf [keyScratch]byte
-		_, ok := s.index[string(t.AppendContentKey(buf[:0]))]
-		return ok
-	}
-	for _, o := range s.items {
-		if o.SameContent(t) {
-			return true
-		}
-	}
-	return false
-}
-
-// add stores t unless a tuple of the same content is present, and reports
-// whether it was stored.
-func (s *tupleSet) add(t *relation.Tuple) bool {
-	if s.has(t) {
-		return false
-	}
-	s.items = append(s.items, t)
-	if s.index != nil {
-		s.index[t.ContentKey()] = struct{}{}
-	} else if len(s.items) > smallTableMax {
-		s.index = make(map[string]struct{}, 2*len(s.items))
-		for _, o := range s.items {
-			s.index[o.ContentKey()] = struct{}{}
-		}
-	}
-	return true
-}
-
-// addAll adds every tuple of ts and returns how many were new.
-func (s *tupleSet) addAll(ts []*relation.Tuple) int {
-	added := 0
-	for _, t := range ts {
-		if s.add(t) {
-			added++
-		}
-	}
-	return added
-}
-
-// removeIf drops the tuples drop selects, keeping the order of the rest, and
-// returns how many went.
-func (s *tupleSet) removeIf(drop func(*relation.Tuple) bool) int {
-	kept := s.items[:0]
-	for _, t := range s.items {
-		if !drop(t) {
-			kept = append(kept, t)
-		} else if s.index != nil {
-			var buf [keyScratch]byte
-			delete(s.index, string(t.AppendContentKey(buf[:0])))
-		}
-	}
-	removed := len(s.items) - len(kept)
-	clear(s.items[len(kept):])
-	s.items = kept
-	if len(kept) <= smallTableMax/2 {
-		s.index = nil
-	}
-	return removed
-}
-
-// rewriteTable is an insertion-ordered table of stored rewritten queries,
-// unique by Key(q') (Section 4.3.3). An entry is the *rewritten its join
-// carried; a repeat of its key adds nothing. A table that carries an index
-// keys it by indexHash of each key, rendered on the stack: no key is built
-// as a string. Every stored rewrite's hash has a slot: the rewrite, whose
-// key a lookup compares, or nil where two stored keys have shared the hash,
-// which a lookup answers by a scan.
-type rewriteTable struct {
-	items []*rewritten
-	index map[uint64]*rewritten
-	// sent is what few tables hold, nil until one needs it: by query key, the
-	// inputs the table's chain rewrites went on to a stage (meet) — where a
-	// retraction's purge follows them (handlePurge).
-	sent map[string]map[string]struct{}
-}
-
-func (t *rewriteTable) len() int { return len(t.items) }
-
-// all returns the stored rewrites in insertion order, the order matching
-// follows; callers must not modify the slice.
-func (t *rewriteTable) all() []*rewritten { return t.items }
-
-// scan returns the stored rewrite whose Key(q') is rw's, looking at each.
-func (t *rewriteTable) scan(rw *rewritten) *rewritten {
-	for _, o := range t.items {
-		if o == rw || o.sameKey(rw) {
-			return o
-		}
-	}
-	return nil
-}
-
-// lookup returns the stored rewrite whose Key(q') is rw's, key, through the
-// index: h is indexHash(key).
-func (t *rewriteTable) lookup(rw *rewritten, key []byte, h uint64) *rewritten {
-	o, ok := t.index[h]
-	switch {
-	case !ok:
-		return nil
-	case o == nil:
-		return t.scan(rw)
-	case o == rw:
-		return o
-	}
-	var buf [keyScratch]byte
-	if bytes.Equal(o.appendKey(buf[:0]), key) {
-		return o
-	}
-	return nil
-}
-
-// record stores rw unless its key is already present: the same query
-// rewritten by a tuple with the same index-attribute value (Section 4.3.3).
-// It reports whether rw was stored.
-func (t *rewriteTable) record(rw *rewritten) bool {
-	if t.index == nil {
-		if t.scan(rw) != nil {
-			return false
-		}
-		t.items = append(t.items, rw)
-		if len(t.items) > smallTableMax {
-			t.index = make(map[uint64]*rewritten, 2*len(t.items))
-			for _, o := range t.items {
-				t.indexAt(o, o.keyHash())
+// find returns the stored item same accepts, and whether there is one. h is
+// the hash of the key same looks for, read only where the table has an index.
+func (t *table[T]) find(h uint64, same func(T) bool) (T, bool) {
+	var none T
+	if t.index != nil {
+		switch o, ok := t.index[h]; {
+		case !ok:
+			return none, false
+		case o != none:
+			if same(o) {
+				return o, true
 			}
+			return none, false
 		}
-		return true
 	}
-	var buf [keyScratch]byte
-	key := rw.appendKey(buf[:0])
-	h := indexHash(key)
-	if t.lookup(rw, key, h) != nil {
+	for _, o := range t.items {
+		if same(o) {
+			return o, true
+		}
+	}
+	return none, false
+}
+
+// insert stores x unless an item of its key — one same accepts — is stored,
+// and reports whether it stored x. It hashes x only where the table has an
+// index.
+func (t *table[T]) insert(x T, same func(T) bool, keyHash func(T) uint64) bool {
+	var h uint64
+	if t.index != nil {
+		h = keyHash(x)
+	}
+	if _, dup := t.find(h, same); dup {
 		return false
 	}
-	t.items = append(t.items, rw)
-	t.indexAt(rw, h)
+	t.add(x, h, keyHash)
 	return true
 }
 
-// indexAt gives rw, a key not yet indexed, the slot of its hash h: its own,
-// or nil where another key holds h.
-func (t *rewriteTable) indexAt(rw *rewritten, h uint64) {
-	if _, taken := t.index[h]; taken {
-		t.index[h] = nil
-	} else {
-		t.index[h] = rw
-	}
-}
-
-// keyHash returns indexHash of rw's Key(q').
-func (rw *rewritten) keyHash() uint64 {
-	var buf [keyScratch]byte
-	return indexHash(rw.appendKey(buf[:0]))
-}
-
-// indexHash hashes the keys a rewriteTable indexes: FNV-1a, the same in
-// every process, passed through indexCollide.
-func indexHash(key []byte) uint64 { return indexCollide(fnv64a(key)) }
-
-// indexCollide is the identity but where a test makes keys collide: only
-// _test.go files set it.
-var indexCollide = func(h uint64) uint64 { return h }
-
-// fnv64a returns the 64-bit FNV-1a hash of b.
-func fnv64a(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
-}
-
-// recordTarget remembers that a chain rewrite of query key stored here went
-// on to input.
-func (t *rewriteTable) recordTarget(key, input string) {
-	if t.sent == nil {
-		t.sent = make(map[string]map[string]struct{})
-	}
-	ts := t.sent[key]
-	if ts == nil {
-		ts = make(map[string]struct{})
-		t.sent[key] = ts
-	}
-	ts[input] = struct{}{}
-}
-
-// takeTargets forgets and returns the inputs query key's chain rewrites went
-// on to from here.
-func (t *rewriteTable) takeTargets(key string) map[string]struct{} {
-	ts := t.sent[key]
-	delete(t.sent, key)
-	return ts
-}
-
-// removeIf drops the rewrites drop selects, keeping the order of the rest,
-// and returns how many went.
-func (t *rewriteTable) removeIf(drop func(*rewritten) bool) int {
-	kept := t.items[:0]
-	for _, rw := range t.items {
-		if !drop(rw) {
-			kept = append(kept, rw)
-			continue
+// add appends x, whose key no stored item holds: h is its hash where the
+// table has an index. The item past smallTableMax builds the index.
+func (t *table[T]) add(x T, h uint64, keyHash func(T) uint64) {
+	t.items = append(t.items, x)
+	if t.index != nil {
+		t.indexAt(x, h)
+	} else if len(t.items) > smallTableMax {
+		t.index = make(map[uint64]T, 2*len(t.items))
+		for _, o := range t.items {
+			t.indexAt(o, keyHash(o))
 		}
-		if t.index != nil {
-			if h := rw.keyHash(); t.index[h] == rw { // a shared hash's nil stays: a kept key may have it
+	}
+}
+
+// indexAt gives x, a key not yet indexed, the slot of its hash h: its own, or
+// none where another key holds h.
+func (t *table[T]) indexAt(x T, h uint64) {
+	if _, taken := t.index[h]; taken {
+		var none T
+		t.index[h] = none
+	} else {
+		t.index[h] = x
+	}
+}
+
+// removeIf drops the items drop selects, keeping the order of the rest, and
+// returns how many went.
+func (t *table[T]) removeIf(drop func(T) bool, keyHash func(T) uint64) int {
+	kept := t.items[:0]
+	for _, x := range t.items {
+		if !drop(x) {
+			kept = append(kept, x)
+		} else if t.index != nil {
+			if h := keyHash(x); t.index[h] == x { // a shared hash's empty slot stays: a kept key may have it
 				delete(t.index, h)
 			}
 		}
@@ -253,4 +119,85 @@ func (t *rewriteTable) removeIf(drop func(*rewritten) bool) int {
 		t.index = nil
 	}
 	return removed
+}
+
+// addTuple stores tu unless a tuple of its content is stored, and reports
+// whether it did: a duplicated delivery is absorbed.
+func addTuple(s *table[*relation.Tuple], tu *relation.Tuple) bool {
+	return s.insert(tu, tu.SameContent, tupleHash)
+}
+
+// addTuples adds every tuple of ts and returns how many were new.
+func addTuples(s *table[*relation.Tuple], ts []*relation.Tuple) int {
+	added := 0
+	for _, tu := range ts {
+		if addTuple(s, tu) {
+			added++
+		}
+	}
+	return added
+}
+
+// tupleHash returns indexHash of tu's content key.
+func tupleHash(tu *relation.Tuple) uint64 { return indexCollide(contentHash(tu)) }
+
+// contentHash returns the FNV-1a hash of t's content key, rendered on the
+// stack.
+func contentHash(t *relation.Tuple) uint64 {
+	var buf [keyScratch]byte
+	return fnv64a(t.AppendContentKey(buf[:0]))
+}
+
+// addRewrite stores rw unless its Key(q') is stored — the same query
+// rewritten by a tuple with the same index-attribute value (Section 4.3.3) —
+// and reports whether it did.
+func addRewrite(t *table[*rewritten], rw *rewritten) bool {
+	return t.insert(rw, func(o *rewritten) bool { return o == rw || o.sameKey(rw) }, (*rewritten).keyHash)
+}
+
+// keyHash returns indexHash of rw's Key(q').
+func (rw *rewritten) keyHash() uint64 {
+	var buf [keyScratch]byte
+	return indexHash(rw.appendKey(buf[:0]))
+}
+
+// condEntry is an entry of a condition table, Section 4.3.5's second level at
+// a rewriter (queryGroup) or a DAI-V evaluator (daivEntry): it says its
+// condition key.
+type condEntry interface {
+	comparable
+	condKey() string
+}
+
+// condEntryOf returns t's entry of cond, adding mk() last where there is
+// none; with mk nil it returns the zero G there.
+func condEntryOf[G condEntry](t *table[G], cond string, mk func() G) G {
+	h := indexHash(cond)
+	g, ok := t.find(h, func(g G) bool { return g.condKey() == cond })
+	if !ok && mk != nil {
+		g = mk()
+		t.add(g, h, condHash[G])
+	}
+	return g
+}
+
+// condHash returns indexHash of g's condition key.
+func condHash[G condEntry](g G) uint64 { return indexHash(g.condKey()) }
+
+// indexHash hashes the keys a table indexes: FNV-1a, the same in every
+// process, passed through indexCollide.
+func indexHash[K string | []byte](key K) uint64 { return indexCollide(fnv64a(key)) }
+
+// indexCollide is the identity but where a test makes keys collide: only
+// _test.go files set it.
+var indexCollide = func(h uint64) uint64 { return h }
+
+// fnv64a returns the 64-bit FNV-1a hash of b.
+func fnv64a[K string | []byte](b K) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(b); i++ {
+		h ^= uint64(b[i])
+		h *= 1099511628211
+	}
+	return h
 }

@@ -19,155 +19,197 @@ func vlInput(rel, attr string, v relation.Value) string {
 // key returns Key(q') as a string.
 func (rw *rewritten) key() string { return string(rw.appendKey(nil)) }
 
-// get returns the stored rewrite whose Key(q') is rw's, nil when none is.
-func (t *rewriteTable) get(rw *rewritten) *rewritten {
-	if t.index == nil {
-		return t.scan(rw)
-	}
-	key := rw.appendKey(nil)
-	return t.lookup(rw, key, indexHash(key))
+// getRewrite returns the stored rewrite whose Key(q') is rw's, nil when none
+// is.
+func getRewrite(t *table[*rewritten], rw *rewritten) *rewritten {
+	o, _ := t.find(rw.keyHash(), func(o *rewritten) bool { return o == rw || o.sameKey(rw) })
+	return o
 }
 
 // vlSlotOf returns st's value-level slot of input, the zero slot where it
 // has none. The caller holds st.mu, or owns the engine alone.
 func (st *nodeState) vlSlotOf(input string) vlSlot { return st.vl[vlHash([]byte(input))] }
 
-// The table types against the layout they replaced — a map for membership
-// beside a slice for order — under random operation sequences that cross
-// smallTableMax in both directions. Membership, order and every return
-// value must agree, and the index must be exactly the keys of the items
-// whenever it exists.
-
-// refTuples is the reference tuple store: the eager seen map plus slice.
-type refTuples struct {
-	seen   map[string]bool
-	tuples []*relation.Tuple
+// tableKind is one kind of item a table holds, as matchesMapAndSlice drives
+// it: a pool whose keys repeat, the reference's key of an item, the
+// engine's own calls for the kind, and its own removal.
+type tableKind[T comparable] struct {
+	// pool returns items of n keys, each at least twice, so a duplicate
+	// arrives both as the same pointer and as an equal copy.
+	pool    func(n int) []T
+	key     func(T) string
+	add     func(*table[T], T) bool
+	addAll  func(*table[T], []T) int // nil: add one by one, as a hand-off merges the kind
+	get     func(*table[T], T) (T, bool)
+	keyHash func(T) uint64
+	// evict returns the kind's removal: a moving window, a retraction, a
+	// dropped group.
+	evict  func(rng *rand.Rand, n int) func(T) bool
+	absent T // an item of a key no pool holds
 }
 
-func (r *refTuples) add(t *relation.Tuple) bool {
-	if r.seen[t.ContentKey()] {
-		return false
-	}
-	r.seen[t.ContentKey()] = true
-	r.tuples = append(r.tuples, t)
-	return true
-}
-
-func (r *refTuples) removeIf(drop func(*relation.Tuple) bool) int {
-	kept := r.tuples[:0:0]
-	for _, t := range r.tuples {
-		if drop(t) {
-			delete(r.seen, t.ContentKey())
-		} else {
-			kept = append(kept, t)
-		}
-	}
-	removed := len(r.tuples) - len(kept)
-	r.tuples = kept
-	return removed
-}
-
-func checkTupleSet(t *testing.T, step string, s *tupleSet, ref *refTuples) {
+// run drives a table and the layout it replaced — a map for membership
+// beside a slice for order — through seeded sequences of adds, merges,
+// removals and partitions that cross smallTableMax in both directions.
+// Membership, order and every return value must agree, every stored item
+// must be found, and the index, where there is one, must give each stored
+// key's hash a slot: the item's own, or a shared one. It reports whether two
+// stored keys shared a slot.
+func (k tableKind[T]) run(t *testing.T, colliding bool) (shared bool) {
 	t.Helper()
-	if !slices.Equal(s.all(), ref.tuples) || s.len() != len(ref.tuples) {
-		t.Fatalf("%s: set holds %v, reference %v", step, s.all(), ref.tuples)
-	}
-	if s.index == nil {
-		if s.len() > smallTableMax {
-			t.Fatalf("%s: %d tuples and no index", step, s.len())
-		}
-		return
-	}
-	if len(s.index) != s.len() {
-		t.Fatalf("%s: index of %d keys over %d tuples", step, len(s.index), s.len())
-	}
-	for _, tu := range s.all() {
-		if _, ok := s.index[tu.ContentKey()]; !ok {
-			t.Fatalf("%s: %s stored but not indexed", step, tu)
-		}
-	}
-}
-
-func TestTupleSetMatchesMapAndSlice(t *testing.T) {
-	schema := relation.MustSchema("R", "A", "B")
+	var none T
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		limit := 1 + rng.Intn(64) // sizes 0…64: below, at and far above the threshold
-		// A small pool of contents, each built twice, so duplicates arrive
-		// both as the same pointer and as an equal copy — some of them
-		// differing from a stored tuple only in a value, not in pubT.
-		var pool []*relation.Tuple
-		for i := 0; i < limit; i++ {
-			for c := 0; c < 2; c++ {
-				pool = append(pool, relation.MustTuple(schema, relation.N(float64(i%7)), relation.S(fmt.Sprint(i))).WithPubT(int64(i/3)))
+		limit := 1 + rng.Intn(64) // keys 1…64: below, at and far above the threshold
+		pool := k.pool(limit)
+		var tab table[T]
+		byKey := make(map[string]T)
+		var items []T
+		refAdd := func(x T) bool {
+			if _, dup := byKey[k.key(x)]; dup {
+				return false
+			}
+			byKey[k.key(x)] = x
+			items = append(items, x)
+			return true
+		}
+		removeIf := func(step string, drop func(T) bool) {
+			t.Helper()
+			kept := items[:0:0]
+			for _, x := range items {
+				if drop(x) {
+					delete(byKey, k.key(x))
+				} else {
+					kept = append(kept, x)
+				}
+			}
+			want := len(items) - len(kept)
+			items = kept
+			if got := tab.removeIf(drop, k.keyHash); got != want {
+				t.Fatalf("%s: removeIf removed %d, reference %d", step, got, want)
 			}
 		}
-		var s tupleSet
-		ref := &refTuples{seen: make(map[string]bool)}
 		for op := 0; op < 300; op++ {
 			step := fmt.Sprintf("seed %d op %d", seed, op)
-			switch k := rng.Intn(10); {
-			case k < 6:
-				tu := pool[rng.Intn(len(pool))]
-				if has, want := s.has(tu), ref.seen[tu.ContentKey()]; has != want {
-					t.Fatalf("%s: has(%s) = %v, reference %v", step, tu, has, want)
+			switch c := rng.Intn(10); {
+			case c < 6:
+				x := pool[rng.Intn(len(pool))]
+				_, want := byKey[k.key(x)]
+				if _, has := k.get(&tab, x); has != want {
+					t.Fatalf("%s: get(%s) found %v, reference %v", step, k.key(x), has, want)
 				}
-				if got, want := s.add(tu), ref.add(tu); got != want {
-					t.Fatalf("%s: add(%s) = %v, reference %v", step, tu, got, want)
+				if got, want := k.add(&tab, x), refAdd(x); got != want {
+					t.Fatalf("%s: add(%s) = %v, reference %v", step, k.key(x), got, want)
 				}
-			case k < 7: // a merge: a batch with duplicates inside and against the set
-				batch := make([]*relation.Tuple, rng.Intn(12))
+			case c < 7: // a merge: a batch with duplicates inside and against the table
+				batch := make([]T, rng.Intn(12))
 				for i := range batch {
 					batch[i] = pool[rng.Intn(len(pool))]
 				}
 				want := 0
-				for _, tu := range batch {
-					if ref.add(tu) {
+				for _, x := range batch {
+					if refAdd(x) {
 						want++
 					}
 				}
-				if got := s.addAll(batch); got != want {
-					t.Fatalf("%s: addAll added %d, reference %d", step, got, want)
+				got := 0
+				if k.addAll != nil {
+					got = k.addAll(&tab, batch)
+				} else {
+					for _, x := range batch {
+						if k.add(&tab, x) {
+							got++
+						}
+					}
 				}
-			case k < 8: // the window moves
-				cutoff := int64(rng.Intn(limit/3 + 2))
-				old := func(tu *relation.Tuple) bool { return tu.PubT() < cutoff }
-				if got, want := s.removeIf(old), ref.removeIf(old); got != want {
-					t.Fatalf("%s: evicting before %d removed %d, reference %d", step, cutoff, got, want)
+				if got != want {
+					t.Fatalf("%s: merging added %d, reference %d", step, got, want)
 				}
+			case c < 8:
+				removeIf(step, k.evict(rng, limit))
 			default: // a partition leaves, as on hot-key migration
 				m := 2 + rng.Intn(3)
-				odd := func(tu *relation.Tuple) bool { return len(tu.ContentKey())%m == 0 }
-				if got, want := s.removeIf(odd), ref.removeIf(odd); got != want {
-					t.Fatalf("%s: removeIf removed %d, reference %d", step, got, want)
+				removeIf(step, func(x T) bool { return len(k.key(x))%m == 0 })
+			}
+
+			if !slices.Equal(tab.all(), items) || tab.len() != len(items) {
+				t.Fatalf("%s: table holds %d items, reference %d, or in another order", step, tab.len(), len(items))
+			}
+			for _, x := range tab.all() {
+				if o, ok := k.get(&tab, x); !ok || o != x {
+					t.Fatalf("%s: get(%s) does not return the stored item", step, k.key(x))
 				}
 			}
-			checkTupleSet(t, step, &s, ref)
+			if _, ok := k.get(&tab, k.absent); ok {
+				t.Fatalf("%s: get of an absent key found an item", step)
+			}
+			if tab.index == nil {
+				if tab.len() > smallTableMax {
+					t.Fatalf("%s: %d items and no index", step, tab.len())
+				}
+				continue
+			}
+			if !colliding && len(tab.index) != tab.len() {
+				t.Fatalf("%s: index of %d keys over %d items", step, len(tab.index), tab.len())
+			}
+			for _, x := range tab.all() {
+				o, ok := tab.index[k.keyHash(x)]
+				if !ok || o != none && o != x {
+					t.Fatalf("%s: %s's hash has no slot, or another key's", step, k.key(x))
+				}
+				shared = shared || o == none // a hash two stored keys held
+			}
 		}
 	}
+	return shared
 }
 
-// refRewrites is the reference rewrite table: entries by spelled key beside
-// their order.
-type refRewrites struct {
-	byKey  map[string]*rewritten
-	sorted []*rewritten
-}
-
-func (r *refRewrites) record(rw *rewritten) bool {
-	if _, dup := r.byKey[rw.key()]; dup {
-		return false
+// matchesMapAndSlice runs k with FNV-1a hashes and again where indexCollide
+// makes keys collide: a hash of four values, so an index past smallTableMax
+// shares slots, dedupe and removeIf stay exact, and every kept item stays
+// findable. It fails unless the colliding run saw a shared slot.
+func (k tableKind[T]) matchesMapAndSlice(t *testing.T) {
+	t.Helper()
+	k.run(t, false)
+	defer func(c func(uint64) uint64) { indexCollide = c }(indexCollide)
+	indexCollide = func(h uint64) uint64 { return h % 4 }
+	if !k.run(t, true) {
+		t.Fatal("the colliding hash never made two stored keys share a slot")
 	}
-	r.byKey[rw.key()] = rw
-	r.sorted = append(r.sorted, rw)
-	return true
 }
 
-// The rewrite table holds the *rewritten its join carried, its Key(q') held
-// derived or spelled: arrivals in both key forms, repeats of a key and
-// retractions. It does so as well where indexCollide makes keys collide — a
-// hash of four values, so an index past smallTableMax shares slots: dedupe
-// and removeIf stay exact, and every kept rewrite stays findable.
+// A table of tuples, unique by content, matches the map-plus-slice layout.
+func TestTupleSetMatchesMapAndSlice(t *testing.T) {
+	schema := relation.MustSchema("R", "A", "B")
+	tuples := tableKind[*relation.Tuple]{
+		// Some tuples differ from another only in a value, not in pubT.
+		pool: func(n int) []*relation.Tuple {
+			var pool []*relation.Tuple
+			for i := 0; i < n; i++ {
+				for c := 0; c < 2; c++ {
+					pool = append(pool, relation.MustTuple(schema, relation.N(float64(i%7)), relation.S(fmt.Sprint(i))).WithPubT(int64(i/3)))
+				}
+			}
+			return pool
+		},
+		key:    (*relation.Tuple).ContentKey,
+		add:    addTuple,
+		addAll: addTuples,
+		get: func(s *table[*relation.Tuple], tu *relation.Tuple) (*relation.Tuple, bool) {
+			return s.find(tupleHash(tu), tu.SameContent)
+		},
+		keyHash: tupleHash,
+		evict: func(rng *rand.Rand, n int) func(*relation.Tuple) bool {
+			cutoff := int64(rng.Intn(n/3 + 2))
+			return func(tu *relation.Tuple) bool { return tu.PubT() < cutoff }
+		},
+		absent: relation.MustTuple(schema, relation.N(0), relation.S("absent")),
+	}
+	tuples.matchesMapAndSlice(t)
+}
+
+// A table of rewrites, unique by Key(q') whether derived or spelled in full,
+// matches the map-plus-slice layout.
 func TestRewriteTableMatchesMapAndSlice(t *testing.T) {
 	r := relation.MustSchema("R", "A", "B", "C")
 	catalog := relation.MustCatalog(r, relation.MustSchema("S", "D", "E", "F"))
@@ -191,120 +233,95 @@ func TestRewriteTableMatchesMapAndSlice(t *testing.T) {
 		}
 		return rw
 	}
-
 	// One Key(q'), said both ways, is one entry.
-	var tab rewriteTable
+	var tab table[*rewritten]
 	derived, spelled := arrival(0, 7, 1, false), arrival(0, 7, 2, true)
 	if spelled.spelledKey() != qs[0].Key()+"+1+7" || derived.key() != spelled.spelledKey() {
 		t.Fatalf("keys %q and %q, want both %s+1+7", derived.key(), spelled.spelledKey(), qs[0].Key())
 	}
-	if !tab.record(derived) || tab.record(spelled) || tab.len() != 1 || tab.get(spelled) != derived {
+	if !addRewrite(&tab, derived) || addRewrite(&tab, spelled) || tab.len() != 1 || getRewrite(&tab, spelled) != derived {
 		t.Fatalf("a derived key and its spelling stored as %d entries", tab.len())
 	}
-
-	absent := arrival(3, 1000, 0, false)
-	tableRun(t, qs, arrival, absent, false)
-	defer func(c func(uint64) uint64) { indexCollide = c }(indexCollide)
-	indexCollide = func(h uint64) uint64 { return h % 4 }
-	if !tableRun(t, qs, arrival, absent, true) {
-		t.Fatal("the colliding hash never made two stored keys share a slot")
+	rewrites := tableKind[*rewritten]{
+		// A repeat trigger of a key arrives both derived and spelled.
+		pool: func(n int) []*rewritten {
+			var pool []*rewritten
+			for v := 0; v < n; v++ {
+				for i := range qs {
+					pool = append(pool, arrival(i, v, int64(v), false), arrival(i, v, int64(v+1), true))
+				}
+			}
+			return pool
+		},
+		key: (*rewritten).key,
+		add: addRewrite,
+		get: func(t *table[*rewritten], rw *rewritten) (*rewritten, bool) {
+			o := getRewrite(t, rw)
+			return o, o != nil
+		},
+		keyHash: (*rewritten).keyHash,
+		// A query is retracted: a purge drops its rewrites of some values.
+		evict: func(rng *rand.Rand, _ int) func(*rewritten) bool {
+			qk, m := qs[rng.Intn(len(qs))].Key(), 1+rng.Intn(3)
+			return func(rw *rewritten) bool { return rw.Orig.Key() == qk && int(rw.WantValue.Num())%m == 0 }
+		},
+		absent: arrival(3, 1000, 0, false),
 	}
+	rewrites.matchesMapAndSlice(t)
 }
 
-// tableRun drives a rewriteTable and its reference through seeded arrivals of
-// queries' rewrites and retractions, comparing them after every step, and
-// reports whether two stored keys shared an index slot.
-func tableRun(t *testing.T, qs []*query.Query, arrival func(i, v int, pubT int64, spelled bool) *rewritten, absent *rewritten, colliding bool) (shared bool) {
-	t.Helper()
-	for seed := int64(0); seed < 40; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		limit := 1 + rng.Intn(64)
-		var tab rewriteTable
-		ref := &refRewrites{byKey: make(map[string]*rewritten)}
-		check := func(step string) {
-			t.Helper()
-			if tab.len() != len(ref.sorted) {
-				t.Fatalf("%s: table holds %d rewrites, reference %d", step, tab.len(), len(ref.sorted))
+// A table of condition groups, unique by condition key, matches the
+// map-plus-slice layout through condEntryOf.
+func TestCondTableMatchesMapAndSlice(t *testing.T) {
+	groups := tableKind[*queryGroup]{
+		pool: func(n int) []*queryGroup {
+			var pool []*queryGroup
+			for i := 0; i < n; i++ {
+				cond := fmt.Sprintf("R.B%d=S.E%d", i%5, i)
+				pool = append(pool, &queryGroup{cond: cond}, &queryGroup{cond: cond})
 			}
-			for i, rw := range tab.all() {
-				if want := ref.sorted[i]; rw != want {
-					t.Fatalf("%s: entry %d is %s, reference %s", step, i, rw.key(), want.key())
-				}
-				if tab.get(rw) != rw {
-					t.Fatalf("%s: get(%s) does not return the stored entry", step, rw.key())
-				}
-			}
-			if tab.index == nil && tab.len() > smallTableMax {
-				t.Fatalf("%s: %d rewrites and no index", step, tab.len())
-			}
-			if tab.index != nil && !colliding && len(tab.index) != tab.len() {
-				t.Fatalf("%s: index of %d keys over %d rewrites", step, len(tab.index), tab.len())
-			}
-			for _, rw := range tab.all() {
-				if tab.index == nil {
-					break
-				}
-				o, ok := tab.index[rw.keyHash()]
-				if !ok || o != nil && o != rw {
-					t.Fatalf("%s: %s's hash has no slot, or another key's", step, rw.key())
-				}
-				shared = shared || o == nil // a hash two stored keys held
-			}
-			if tab.get(absent) != nil {
-				t.Fatalf("%s: get of an absent key returned an entry", step)
-			}
-		}
-		for op := 0; op < 300; op++ {
-			step := fmt.Sprintf("seed %d op %d", seed, op)
-			if rng.Intn(10) < 8 {
-				// Only the first of a key is stored.
-				rw := arrival(rng.Intn(len(qs)), rng.Intn(limit), int64(op), rng.Intn(2) == 0)
-				if got, want := tab.record(rw), ref.record(rw); got != want {
-					t.Fatalf("%s: record(%s) = %v, reference %v", step, rw.key(), got, want)
-				}
-			} else { // a query is retracted
-				qk := qs[rng.Intn(len(qs))].Key()
-				gone := make(map[*rewritten]bool)
-				kept := ref.sorted[:0:0]
-				for _, rw := range ref.sorted {
-					if rw.Orig.Key() == qk && rng.Intn(3) > 0 {
-						gone[rw] = true
-						delete(ref.byKey, rw.key())
-					} else {
-						kept = append(kept, rw)
-					}
-				}
-				want := len(ref.sorted) - len(kept)
-				ref.sorted = kept
-				if got := tab.removeIf(func(rw *rewritten) bool { return gone[rw] }); got != want {
-					t.Fatalf("%s: removeIf removed %d, reference %d", step, got, want)
-				}
-			}
-			check(step)
-		}
+			return pool
+		},
+		key: (*queryGroup).condKey,
+		add: func(t *table[*queryGroup], g *queryGroup) bool {
+			added := false
+			condEntryOf(t, g.cond, func() *queryGroup { added = true; return g })
+			return added
+		},
+		get: func(t *table[*queryGroup], g *queryGroup) (*queryGroup, bool) {
+			o := condEntryOf(t, g.cond, nil)
+			return o, o != nil
+		},
+		keyHash: condHash[*queryGroup],
+		// A group's last query is retracted.
+		evict: func(rng *rand.Rand, n int) func(*queryGroup) bool {
+			cond := fmt.Sprintf("R.B%d=S.E%d", rng.Intn(n)%5, rng.Intn(n))
+			return func(g *queryGroup) bool { return g.cond == cond }
+		},
+		absent: &queryGroup{cond: "R.A=S.D"},
 	}
-	return shared
+	groups.matchesMapAndSlice(t)
 }
 
 // The index is dropped only at half the threshold, so a table hovering at
 // it does not rebuild one per eviction.
 func TestTableIndexHysteresis(t *testing.T) {
 	schema := relation.MustSchema("R", "A")
-	var s tupleSet
+	var s table[*relation.Tuple]
 	for i := 0; i <= smallTableMax; i++ {
 		if s.index != nil {
 			t.Fatalf("index built at %d tuples, threshold %d", i, smallTableMax)
 		}
-		s.add(relation.MustTuple(schema, relation.N(float64(i))).WithPubT(int64(i)))
+		addTuple(&s, relation.MustTuple(schema, relation.N(float64(i))).WithPubT(int64(i)))
 	}
 	if s.index == nil {
 		t.Fatalf("no index at %d tuples", s.len())
 	}
-	s.removeIf(func(tu *relation.Tuple) bool { return tu.PubT() < 2 })
+	s.removeIf(func(tu *relation.Tuple) bool { return tu.PubT() < 2 }, tupleHash)
 	if s.index == nil {
 		t.Fatalf("index dropped at %d tuples, above half the threshold", s.len())
 	}
-	s.removeIf(func(tu *relation.Tuple) bool { return tu.PubT() < int64(smallTableMax/2)+1 })
+	s.removeIf(func(tu *relation.Tuple) bool { return tu.PubT() < int64(smallTableMax/2)+1 }, tupleHash)
 	if s.index != nil || s.len() != smallTableMax/2 {
 		t.Fatalf("index kept at %d tuples", s.len())
 	}

@@ -51,7 +51,7 @@ func (*purgeMsg) Kind() string { return kindUnsub }
 // Subscribe. After it returns, future tuple insertions can no longer
 // trigger the query. A chain's rewriter purges its first-stage rewrites like any others; each
 // evaluator cascades the purge down the chain along the targets its rewrites
-// went on to (rewriteTable.recordTarget).
+// went on to (vlqtBucket.recordTarget).
 func (e *Engine) Unsubscribe(from *chord.Node, q *query.Query) error {
 	if !from.Alive() {
 		return fmt.Errorf("engine: unsubscribe from departed node %s", from)
@@ -88,13 +88,13 @@ func (st *nodeState) handleUnsub(m *unsubMsg) {
 	st.retract(m.QueryKey)
 	if b := st.alqt[m.Input]; b != nil {
 		delete(b.interest, m.QueryKey)
-		if g := b.byCond.get(m.Cond); g != nil {
+		if g := condEntryOf(&b.byCond, m.Cond, nil); g != nil {
 			var ok bool
 			if purges, ok = g.retire(m.QueryKey); ok {
 				removed++
 			}
 			if len(g.queries) == 0 {
-				b.byCond.drop(m.Cond)
+				b.byCond.removeIf(func(o *queryGroup) bool { return o == g }, condHash[*queryGroup])
 			}
 		}
 		// Forget the reindex-once markers so a re-subscription of the same
@@ -171,8 +171,8 @@ func (st *nodeState) handlePurge(m *purgeMsg) {
 		removed += s.q.rewrites.removeIf(func(rw *rewritten) bool {
 			var buf [keyScratch]byte
 			return rw.Orig.Key() == m.QueryKey || bytes.HasPrefix(rw.appendKey(buf[:0]), prefix)
-		})
-		if targets := s.q.rewrites.takeTargets(m.QueryKey); len(targets) > 0 {
+		}, (*rewritten).keyHash)
+		if targets := s.q.takeTargets(m.QueryKey); len(targets) > 0 {
 			cascade = make([]purgeMsg, 0, len(targets))
 			for input := range targets {
 				cascade = append(cascade, purgeMsg{QueryKey: m.QueryKey, Input: input})
@@ -203,7 +203,9 @@ const retractedMax = 1 << 16
 // retract remembers that this node processed a retraction of query key. The
 // caller holds st.mu, as isRetracted's does.
 func (st *nodeState) retract(key string) {
-	if len(st.retracted) >= retractedMax {
+	if st.retracted == nil {
+		st.retracted = make(map[string]struct{})
+	} else if len(st.retracted) >= retractedMax {
 		st.engine.obs.retractedResets.Inc()
 		clear(st.retracted)
 	}

@@ -367,7 +367,7 @@ func TestJFRTPurgesGoStraightToTheirEvaluators(t *testing.T) {
 			st := env.eng.state(n)
 			st.mu.Lock()
 			for _, b := range st.alqt {
-				if g := b.byCond.get(q.ConditionKey()); g != nil {
+				if g := condEntryOf(&b.byCond, q.ConditionKey(), nil); g != nil {
 					targets += len(g.targets(q))
 				}
 			}

@@ -108,11 +108,11 @@ func (t *Tuple) SetCachedWireSize(n int) { atomic.StoreInt64(&t.wireSize, int64(
 //
 //	R|A1=v1|...|Ah=vh|@pubT
 //
-// the key under which every tuple store absorbs duplicated deliveries (the
-// value-level tuple table of SAI and DAI-Q, DAI-V's value store) and from
-// which hot-key sharding picks a tuple's shard. It is built on every call:
-// a caller that does not keep it appends it to a buffer of its own
-// (AppendContentKey).
+// the identity under which every tuple store absorbs duplicated deliveries
+// (the value-level tuple table of SAI and DAI-Q, DAI-V's value store), and
+// whose hash indexes a big store and picks a hot tuple's shard. It is built
+// on every call: a caller that keeps no string appends it to a buffer of its
+// own (AppendContentKey).
 func (t *Tuple) ContentKey() string {
 	var buf [contentKeyScratch]byte
 	return string(t.AppendContentKey(buf[:0]))
