@@ -14,18 +14,19 @@ import (
 //     and ownership bugs creep in; every other caller routes through the
 //     accessor pair.
 //  2. reset coverage — if the pooled type has a Reset method, the get or
-//     put accessor must call it (this tree resets on Get: getBuf,
-//     getTimer), so a recycled object can never leak a previous life.
+//     put accessor must call it, so a recycled object can never leak a
+//     previous life.
 //  3. use-after-Put / double-Put — within a function, a variable that
 //     was released (directly, via a put accessor, or via a method that
-//     puts its own receiver, like call.finish) must not be used or
-//     released again on the same straight-line path. Branches fork the
-//     tracking state; a branch that returns keeps its releases to
-//     itself.
+//     puts its own receiver) must not be used or released again on the
+//     same straight-line path. Branches fork the tracking state; a branch
+//     that returns keeps its releases to itself.
 //  4. retained aliases — returning a pooled variable (or a slice of it)
 //     while a deferred Put of that variable is pending hands the caller
-//     a buffer the pool is about to recycle; copy it out instead, as
-//     controlRoundTrip does.
+//     a buffer the pool is about to recycle; copy it out instead.
+//
+// The tree's one package-level pool is chord's runScratch; every other
+// buffer belongs to the connection, slot or worker it serves.
 var PoolSafeAnalyzer = &Analyzer{
 	Name: "poolsafe",
 	Doc:  "sync.Pool hygiene: single Get/Put accessors, reset coverage, use-after-Put, double Put, and escaping aliases of pooled buffers",

@@ -155,12 +155,10 @@ func (l *listener) finish() {
 	<-l.done
 }
 
-// eventBufPool recycles the buffer broadcast encodes an event line into.
-var eventBufPool = sync.Pool{New: func() interface{} { return new([]byte) }}
-
 // broadcast pushes one notification to every listening connection: the
-// line is encoded once and queued for each. It runs inside the chord handler
-// that delivered the notification and never touches a socket.
+// line is encoded once, on the stack while it fits there, and enqueue copies
+// it into each queue. It runs inside the chord handler that delivered the
+// notification and never touches a socket.
 func (s *Server) broadcast(n cqjoin.Notification) {
 	s.mu.Lock()
 	targets := s.listeners // replaced, never modified, by listen and disconnect
@@ -168,15 +166,13 @@ func (s *Server) broadcast(n cqjoin.Notification) {
 	if len(targets) == 0 {
 		return
 	}
-	bp := eventBufPool.Get().(*[]byte)
-	line, ok := appendEvent((*bp)[:0], n)
+	var buf [256]byte
+	line, ok := appendEvent(buf[:0], n)
 	if ok {
 		for _, l := range targets {
 			s.enqueue(l, line)
 		}
 	}
-	*bp = line
-	eventBufPool.Put(bp)
 }
 
 // appendEvent appends the line a listening connection receives for n, byte

@@ -372,13 +372,11 @@ func (ackOnly) DeliverBatch(from, dst *chord.Node, msgs []chord.Message) []bool 
 
 // retractionAllocCeiling bounds what a rewriter allocates to retract a query:
 // its purges are one array of messages in one batch, whatever their number, so
-// a query whose rewrites went to 1, 8 or 40 evaluators costs the same. A node's
-// second retraction makes 2: the purge array and its batch. The ceiling is
-// what a fresh ring's first made, 6 (the retraction memory's entry, the
-// reindex-once prefix and the traffic ledger's first counters of the kind
-// besides; 7, 17 and 52 while each purge was boxed and the target list grew by
-// doubling), plus 10 %, rounded down.
-const retractionAllocCeiling = 6
+// a query whose rewrites went to 1, 8 or 40 evaluators costs the same. The
+// ceiling is what a node's second retraction makes, 2 (the purge array and
+// its batch; 6 for a fresh ring's first, 7, 17 and 52 while each purge was
+// boxed and the target list grew by doubling), plus 10 %, rounded down.
+const retractionAllocCeiling = 2
 
 // With the JFRT on, every evaluator the rewriter reached is remembered, so
 // each purge goes in one hinted hop and no walk's own buffers enter the count.

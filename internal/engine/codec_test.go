@@ -403,7 +403,7 @@ func projectedMatch(rw *rewritten) []string {
 		if proj, err := t.ProjectOnto(rw.Orig.StageProjection(rw.IndexSide, i+1)); err == nil {
 			t = proj
 		}
-		out = append(out, t.ContentKey())
+		out = append(out, contentKey(t))
 	}
 	return out
 }
@@ -772,8 +772,8 @@ func TestCodecDecodeReusesCatalogAndPlanSchemas(t *testing.T) {
 	if al.T.Schema() != env.r {
 		t.Fatal("a full tuple did not decode onto the catalog's schema")
 	}
-	if al.T.ContentKey() != tu.ContentKey() {
-		t.Fatalf("content key changed over the wire: %q vs %q", al.T.ContentKey(), tu.ContentKey())
+	if contentKey(al.T) != contentKey(tu) {
+		t.Fatalf("content key changed over the wire: %q vs %q", contentKey(al.T), contentKey(tu))
 	}
 
 	join := roundTrip(&joinMsg{Rewrites: rws}).(*joinMsg)

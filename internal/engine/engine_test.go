@@ -23,6 +23,9 @@ type testEnv struct {
 	nodes   []*chord.Node
 }
 
+// contentKey is tu's identity as the tuple stores absorb duplicates by it.
+func contentKey(tu *relation.Tuple) string { return string(tu.AppendContentKey(nil)) }
+
 func newTestEnv(t testing.TB, nNodes int, cfg Config) *testEnv {
 	t.Helper()
 	r := relation.MustSchema("R", "A", "B", "C")

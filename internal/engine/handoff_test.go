@@ -295,16 +295,16 @@ func stateDump(env *testEnv) []string {
 		}
 		for _, sec := range m.VT {
 			for _, tu := range sec.Tuples {
-				add("vt %s %s", sec.ID, tu.ContentKey())
+				add("vt %s %s", sec.ID, contentKey(tu))
 			}
 		}
 		for _, sec := range m.DV {
 			for _, e := range sec.Entries {
 				for _, tu := range e.Left {
-					add("dv %s %s left %s", sec.Input, e.Cond, tu.ContentKey())
+					add("dv %s %s left %s", sec.Input, e.Cond, contentKey(tu))
 				}
 				for _, tu := range e.Right {
-					add("dv %s %s right %s", sec.Input, e.Cond, tu.ContentKey())
+					add("dv %s %s right %s", sec.Input, e.Cond, contentKey(tu))
 				}
 			}
 		}

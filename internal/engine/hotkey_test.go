@@ -184,7 +184,7 @@ func TestHotKeyPromotionPartitionsBucket(t *testing.T) {
 				for i := 0; i < tc.burst; i++ {
 					tu := env.publish(t, 1+i, sTuple(env, float64(i), 7, float64(i)))
 					if !slices.ContainsFunc(env.eng.HotKeys(), func(h HotKeyState) bool { return h.Input == "S+E+7" }) {
-						cold = append(cold, tu.ContentKey())
+						cold = append(cold, contentKey(tu))
 					}
 				}
 				if on {
@@ -193,7 +193,7 @@ func TestHotKeyPromotionPartitionsBucket(t *testing.T) {
 					}
 					base := bucketHolding(env, "S+E+7")
 					for _, key := range cold {
-						if base == nil || !slices.ContainsFunc(base.vlSlotOf("S+E+7").t.tuples.all(), func(tu *relation.Tuple) bool { return tu.ContentKey() == key }) {
+						if base == nil || !slices.ContainsFunc(base.vlSlotOf("S+E+7").t.tuples.all(), func(tu *relation.Tuple) bool { return contentKey(tu) == key }) {
 							t.Fatalf("the base no longer holds %s, stored before the promotion", key)
 						}
 					}

@@ -192,7 +192,7 @@ func TestTupleSetMatchesMapAndSlice(t *testing.T) {
 			}
 			return pool
 		},
-		key:    (*relation.Tuple).ContentKey,
+		key:    contentKey,
 		add:    addTuple,
 		addAll: addTuples,
 		get: func(s *table[*relation.Tuple], tu *relation.Tuple) (*relation.Tuple, bool) {

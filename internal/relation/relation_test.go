@@ -267,6 +267,9 @@ func TestValueAppendCanonMatchesCanon(t *testing.T) {
 	}
 }
 
+// contentKey is tu's content key as a string.
+func contentKey(tu *Tuple) string { return string(tu.AppendContentKey(nil)) }
+
 // The content key's bytes are a contract: evaluators' dedup sets hold them
 // across hand-offs and snapshots, and every process must hash a tuple to
 // the same hot-key shard.
@@ -274,27 +277,27 @@ func TestTupleContentKeyFormat(t *testing.T) {
 	s := MustSchema("R", "A", "B", "C")
 	tp := MustTuple(s, N(7), S("x|y"), N(0.5)).WithPubT(12)
 	const want = "R|A=7|B=x|y|C=0.5|@12"
-	if got := tp.ContentKey(); got != want {
-		t.Fatalf("ContentKey = %q, want %q", got, want)
+	if got := contentKey(tp); got != want {
+		t.Fatalf("content key = %q, want %q", got, want)
 	}
-	if tp.ContentKey() != want {
-		t.Fatal("memoized ContentKey differs")
+	if got := string(tp.AppendContentKey([]byte("x"))); got != "x"+want {
+		t.Fatalf("AppendContentKey after x = %q", got)
 	}
 	// Attribute names are part of the identity: a projection is not its source.
 	p, err := tp.Project([]string{"A"})
-	if err != nil || p.ContentKey() != "R|A=7|@12" {
-		t.Fatalf("projection key = %q, %v", p.ContentKey(), err)
+	if err != nil || contentKey(p) != "R|A=7|@12" {
+		t.Fatalf("projection key = %q, %v", contentKey(p), err)
 	}
-	if got := tp.WithPubT(1 << 60).ContentKey(); got != "R|A=7|B=x|y|C=0.5|@1.152921504606847e+18" {
+	if got := contentKey(tp.WithPubT(1 << 60)); got != "R|A=7|B=x|y|C=0.5|@1.152921504606847e+18" {
 		t.Fatalf("large pubT key = %q", got)
 	}
 	long := MustTuple(s, S(strings.Repeat("v", 300)), N(1), N(2)).WithPubT(3)
-	if got := long.ContentKey(); got != "R|A="+strings.Repeat("v", 300)+"|B=1|C=2|@3" {
+	if got := contentKey(long); got != "R|A="+strings.Repeat("v", 300)+"|B=1|C=2|@3" {
 		t.Fatalf("key longer than the scratch buffer = %q", got)
 	}
 }
 
-// SameContent is ContentKey equality, decided from the publication times
+// SameContent is content key equality, decided from the publication times
 // alone when they differ — differ as the key renders them: two int64 times
 // one float64 cannot tell apart still collide.
 func TestTupleSameContentIsContentKeyEquality(t *testing.T) {
@@ -311,8 +314,8 @@ func TestTupleSameContentIsContentKeyEquality(t *testing.T) {
 	}
 	for _, a := range tuples {
 		for _, b := range tuples {
-			if got, want := a.SameContent(b), a.ContentKey() == b.ContentKey(); got != want {
-				t.Fatalf("SameContent(%s, %s) = %v, content keys %q and %q", a, b, got, a.ContentKey(), b.ContentKey())
+			if got, want := a.SameContent(b), contentKey(a) == contentKey(b); got != want {
+				t.Fatalf("SameContent(%s, %s) = %v, content keys %q and %q", a, b, got, contentKey(a), contentKey(b))
 			}
 		}
 	}
@@ -337,20 +340,20 @@ func TestTupleKeepsItsSizeClass(t *testing.T) {
 	}
 }
 
-// One tuple is shared by every in-flight message carrying it, so first
-// calls of ContentKey race by design; run with -race.
+// One tuple is shared by every in-flight message carrying it, so
+// renderings of its content key run at once; run with -race.
 func TestTupleContentKeyConcurrent(t *testing.T) {
 	s := MustSchema("R", "A", "B")
 	for round := 0; round < 50; round++ {
 		tp := MustTuple(s, N(float64(round)), S("b")).WithPubT(int64(round))
-		want := MustTuple(s, N(float64(round)), S("b")).WithPubT(int64(round)).ContentKey()
+		want := contentKey(MustTuple(s, N(float64(round)), S("b")).WithPubT(int64(round)))
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if got := tp.ContentKey(); got != want {
-					t.Errorf("ContentKey = %q, want %q", got, want)
+				if got := contentKey(tp); got != want {
+					t.Errorf("content key = %q, want %q", got, want)
 				}
 			}()
 		}

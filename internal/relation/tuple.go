@@ -103,26 +103,15 @@ func (t *Tuple) CachedWireSize() int { return int(atomic.LoadInt64(&t.wireSize))
 // SetCachedWireSize memoizes the tuple's wire-encoding length.
 func (t *Tuple) SetCachedWireSize(n int) { atomic.StoreInt64(&t.wireSize, int64(n)) }
 
-// ContentKey renders the tuple's identity — relation, attribute names and
-// values, publication time — as
+// AppendContentKey appends the tuple's content key to b: its identity —
+// relation, attribute names and values, publication time — rendered as
 //
 //	R|A1=v1|...|Ah=vh|@pubT
 //
 // the identity under which every tuple store absorbs duplicated deliveries
 // (the value-level tuple table of SAI and DAI-Q, DAI-V's value store), and
 // whose hash indexes a big store and picks a hot tuple's shard. It is built
-// on every call: a caller that keeps no string appends it to a buffer of its
-// own (AppendContentKey).
-func (t *Tuple) ContentKey() string {
-	var buf [contentKeyScratch]byte
-	return string(t.AppendContentKey(buf[:0]))
-}
-
-// contentKeyScratch sizes the stack buffers content keys are rendered in: a
-// key that fits allocates nothing but the string a caller keeps.
-const contentKeyScratch = 192
-
-// AppendContentKey appends ContentKey's rendering to b.
+// on every call; no tuple keeps it.
 func (t *Tuple) AppendContentKey(b []byte) []byte {
 	b = append(b, t.schema.name...)
 	for i, v := range t.values {
@@ -134,6 +123,10 @@ func (t *Tuple) AppendContentKey(b []byte) []byte {
 	b = append(b, '|', '@')
 	return N(float64(t.pubT)).AppendCanon(b)
 }
+
+// contentKeyScratch sizes the stack buffers content keys are rendered in: a
+// key that fits allocates nothing.
+const contentKeyScratch = 192
 
 // SameContent reports whether t and o have equal content keys. Tuples whose
 // publication times differ (as the key renders them, through float64) are

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 
 	"cqjoin/internal/wire"
 )
@@ -92,23 +91,6 @@ const (
 	maxBatchBody = 4 << 20
 )
 
-// frameBufPool recycles encode scratch across RPCs and server replies. A
-// buffer taken from the pool keeps whatever capacity its last use grew it
-// to, so steady-state encoding allocates nothing.
-var frameBufPool = sync.Pool{New: func() interface{} { return new(wire.Buffer) }}
-
-// getBuf returns an empty pooled scratch buffer (no header reservation);
-// DeliverBatch accumulates batch entries in one.
-func getBuf() *wire.Buffer {
-	w := frameBufPool.Get().(*wire.Buffer)
-	w.Reset()
-	return w
-}
-
-// putBuf returns a scratch buffer to the pool. The caller must not retain
-// any slice aliasing it afterwards.
-func putBuf(w *wire.Buffer) { frameBufPool.Put(w) }
-
 // beginFrame resets w and reserves the 4-byte frame header; build the
 // payload after it and call finishFrame.
 func beginFrame(w *wire.Buffer) {
@@ -116,18 +98,6 @@ func beginFrame(w *wire.Buffer) {
 	var hdr [frameHeaderLen]byte
 	w.PutRaw(hdr[:])
 }
-
-// getFrameBuf returns an empty pooled buffer with the frame header
-// already reserved; it delegates to getBuf so the pool has one accessor
-// pair.
-func getFrameBuf() *wire.Buffer {
-	w := getBuf()
-	beginFrame(w)
-	return w
-}
-
-// putFrameBuf returns a framed scratch buffer to the pool.
-func putFrameBuf(w *wire.Buffer) { putBuf(w) }
 
 // finishFrame patches the reserved header with the payload length and
 // returns the complete frame (header + payload), ready for one Write.
@@ -146,10 +116,10 @@ func writeFrame(c net.Conn, payload []byte) error {
 	if len(payload) > maxFrame {
 		return fmt.Errorf("transport: frame of %d bytes exceeds limit %d", len(payload), maxFrame)
 	}
-	w := getFrameBuf()
-	defer putFrameBuf(w)
+	var w wire.Buffer
+	beginFrame(&w)
 	w.PutRaw(payload)
-	frame, err := finishFrame(w)
+	frame, err := finishFrame(&w)
 	if err != nil {
 		return err
 	}
@@ -166,11 +136,10 @@ func readFrame(br *bufio.Reader) ([]byte, error) {
 }
 
 // readFrameReuse reads one frame into *buf, growing it only when the payload
-// exceeds its capacity. Callers take *buf from a pool that every connection
-// shares (serveStatePool, replyBufPool), so that capacity is what some
-// earlier read on any connection left. The returned slice aliases *buf and
-// is valid until the next call. The header is read in place in br's buffer:
-// a connection cut inside it is io.ErrUnexpectedEOF, as io.ReadFull says.
+// exceeds the capacity an earlier read into the same buffer left. The
+// returned slice aliases *buf and is valid until the next call. The header is
+// read in place in br's buffer: a connection cut inside it is
+// io.ErrUnexpectedEOF, as io.ReadFull says.
 func readFrameReuse(br *bufio.Reader, buf *[]byte) ([]byte, error) {
 	hdr, err := br.Peek(frameHeaderLen)
 	if err != nil {

@@ -41,11 +41,11 @@ func TestSizedCodecMatchesEncode(t *testing.T) {
 	}
 }
 
-// TestPooledEncodeConcurrentNoAliasing hammers the pooled encode path
-// from 8 goroutines. Frame buffers come from a sync.Pool and entries are
-// encoded in place, so any cross-request buffer aliasing shows up as a
-// corrupted, missing or duplicated delivery; under -race it also trips
-// the race detector. The delivered multiset must equal the sent multiset
+// TestPooledEncodeConcurrentNoAliasing hammers the encode path from 8
+// goroutines. Requests sharing a connection are encoded in place into its
+// one frame buffer, and replies swap read buffers between slots, so any
+// cross-request buffer aliasing shows up as a corrupted, missing or
+// duplicated delivery; under -race it also trips the race detector. The delivered multiset must equal the sent multiset
 // exactly.
 func TestPooledEncodeConcurrentNoAliasing(t *testing.T) {
 	from, dst := testNodes(t)
@@ -219,6 +219,44 @@ func TestRunSplitAcrossFramesStartsInFull(t *testing.T) {
 	}
 	if v := reg.Counter("transport.frame_bytes_out").Value(); v < 7<<20 || v > 7<<20+200 {
 		t.Errorf("frame_bytes_out = %d, want the 7 MiB of a + b + b and little else", v)
+	}
+}
+
+// otherMsg is a message testCodec cannot encode.
+type otherMsg struct{}
+
+func (otherMsg) Kind() string { return "other" }
+
+// A run holding a message the codec cannot encode is not sent: its frame is
+// given up while being built into the connection's frame buffer, spending no
+// further attempt, and the connection serves the next request.
+func TestUnencodableMessageSpendsNoAttempt(t *testing.T) {
+	from, dst := testNodes(t)
+	remote := &testLocal{}
+	_, addrB := startTransport(t, Config{Local: remote})
+	reg := obs.NewRegistry()
+	var logged atomic.Int32
+	trA, _ := startTransport(t, Config{
+		Local:   &testLocal{},
+		OwnerOf: func(string) string { return addrB },
+		Obs:     reg,
+		Logf:    func(string, ...interface{}) { logged.Add(1) },
+	})
+	acks := trA.DeliverBatch(from, dst, []chord.Message{&testMsg{Body: "a"}, otherMsg{}, &testMsg{Body: "b"}})
+	if want := []bool{false, false, false}; !reflect.DeepEqual(acks, want) {
+		t.Fatalf("acks = %v, want %v", acks, want)
+	}
+	if r, f := reg.Counter("transport.retries").Value(), reg.Counter("transport.rpc_failures").Value(); r != 0 || f != 0 || logged.Load() != 1 {
+		t.Fatalf("retries %d, rpc_failures %d, %d lines logged; want 0, 0, 1", r, f, logged.Load())
+	}
+	if !trA.Deliver(from, dst, &testMsg{Body: "after"}) {
+		t.Fatal("the connection did not serve the request after")
+	}
+	if got, want := remote.snapshot(), []string{dst.Key() + ":after"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("delivered %v, want %v", got, want)
+	}
+	if v := reg.Counter("transport.dials").Value(); v != 1 {
+		t.Fatalf("dials = %d, want 1", v)
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"cqjoin/internal/wire"
 )
 
 var (
@@ -13,57 +15,24 @@ var (
 	errConnIdleReaped = errors.New("transport: connection reaped after idle timeout")
 )
 
-// call is one in-flight request on a pipelined connection: the writer
-// enqueues it under the request's seq and the connection's read loop
-// completes it with the reply frame echoing that seq. Replies
-// demultiplex purely by seq — the server answers pipelined frames in
-// completion order, not arrival order (nested RPCs between mutually
-// calling peers forbid in-order replies) — so FIFO position means
-// nothing.
+// slot is one of a connection's MaxInflight in-flight requests: the writer
+// claims a free slot under the request's seq and the connection's read loop
+// completes it with the reply frame echoing that seq. Replies demultiplex
+// purely by seq — the server answers pipelined frames in completion order,
+// not arrival order (nested RPCs between mutually calling peers forbid
+// in-order replies) — so FIFO position means nothing.
 //
-// Calls recycle through callPool: done is a one-slot channel completed
-// by a single send (never closed), each call is completed exactly once
-// (take/failAll remove it from the map under errMu first), and the
-// waiter drains the token before the call is reset and pooled.
-type call struct {
-	payload []byte  // reply frame payload; aliases *buf
-	buf     *[]byte // pooled backing array, returned via replyBufPool
+// A slot lives as long as its connection: done is a one-slot channel
+// completed by a single send (never closed), each claim is completed exactly
+// once (take and failAll clear seq under errMu first), and the claimer drains
+// the token and reads the reply before release frees the slot.
+type slot struct {
+	seq     uint64 // the request awaiting its reply, 0 while none is; guarded by errMu
+	payload []byte // the reply frame; aliases buf
+	buf     []byte // the reply's read buffer, swapped in by the read loop
 	err     error
 	done    chan struct{}
-}
-
-var callPool = sync.Pool{New: func() interface{} {
-	return &call{done: make(chan struct{}, 1)}
-}}
-
-func getCall() *call { return callPool.Get().(*call) }
-
-// putCall resets a call and returns it to the pool. Every recycle —
-// finish and the never-enqueued error paths — routes through here, so a
-// pooled call always re-enters with cleared fields.
-func putCall(cl *call) {
-	cl.payload, cl.buf, cl.err = nil, nil, nil
-	callPool.Put(cl)
-}
-
-// finish extracts a completed call's results, resets it and returns it
-// to the pool. The payload remains valid until its buffer is released
-// with putReplyBuf.
-func (cl *call) finish() (payload []byte, buf *[]byte, err error) {
-	payload, buf, err = cl.payload, cl.buf, cl.err
-	putCall(cl)
-	return payload, buf, err
-}
-
-// replyBufPool recycles reply payload read buffers across RPCs; each
-// in-flight reply owns its buffer, so concurrent calls on one connection
-// never alias.
-var replyBufPool = sync.Pool{New: func() interface{} { return new([]byte) }}
-
-func putReplyBuf(buf *[]byte) {
-	if buf != nil {
-		replyBufPool.Put(buf)
-	}
+	timer   *time.Timer // the reply's deadline; stopped and drained between claims
 }
 
 // pooledConn is one established, hello-verified connection to a peer,
@@ -79,19 +48,21 @@ type pooledConn struct {
 	c    net.Conn
 	br   *bufio.Reader
 
-	// wmu serializes seq assignment, call enqueueing and frame writes;
-	// the request frame carrying a seq is on the wire before any later
-	// seq can be assigned.
+	// wmu serializes seq assignment, building a request in w, claiming its
+	// slot and writing it; the request frame carrying a seq is on the wire
+	// before any later seq can be assigned.
 	wmu sync.Mutex
 	seq uint64
+	w   wire.Buffer
 
-	// errMu guards werr and calls. calls holds in-flight requests keyed
-	// by seq; poison stores the first fatal error and closes the socket,
-	// which unblocks the read loop to fail every remaining call. enqueue
-	// runs under errMu, so no call can slip in after that final drain.
+	// errMu guards werr, free and each slot's seq. poison stores the first
+	// fatal error and closes the socket, which unblocks the read loop to fail
+	// every slot still awaiting its reply. claim runs under errMu, so no
+	// request can slip in after that final drain.
 	errMu sync.Mutex
 	werr  error
-	calls map[uint64]*call
+	slots []slot
+	free  []*slot
 
 	inflight  int
 	idleSince time.Time
@@ -100,12 +71,18 @@ type pooledConn struct {
 // newPooledConn wraps a freshly dialed connection. The caller performs
 // the hello exchange before registering it with the pool.
 func newPooledConn(addr string, c net.Conn, maxInflight int) *pooledConn {
-	return &pooledConn{
+	pc := &pooledConn{
 		addr:  addr,
 		c:     c,
 		br:    bufio.NewReader(c),
-		calls: make(map[uint64]*call, maxInflight),
+		slots: make([]slot, maxInflight),
+		free:  make([]*slot, maxInflight),
 	}
+	for i := range pc.slots {
+		pc.slots[i].done = make(chan struct{}, 1)
+		pc.free[i] = &pc.slots[i]
+	}
+	return pc
 }
 
 // poison marks the connection fatally broken and closes the socket,
@@ -127,42 +104,57 @@ func (pc *pooledConn) broken() error {
 	return pc.werr
 }
 
-// enqueue registers a call under its request seq, failing instead of
-// enqueueing on a poisoned connection so the read loop's final drain
-// cannot miss it.
-func (pc *pooledConn) enqueue(seq uint64, cl *call) error {
+// claim takes a free slot for the request seq, failing instead on a
+// poisoned connection so the read loop's final drain cannot miss it. The
+// pool hands a connection to at most maxInflight holders, each of which
+// claims one slot at a time, so a free one is always there.
+func (pc *pooledConn) claim(seq uint64) (*slot, error) {
 	pc.errMu.Lock()
 	defer pc.errMu.Unlock()
 	if pc.werr != nil {
-		return pc.werr
+		return nil, pc.werr
 	}
-	pc.calls[seq] = cl
+	s := pc.free[len(pc.free)-1]
+	pc.free = pc.free[:len(pc.free)-1]
+	s.seq = seq
+	return s, nil
+}
+
+// release frees a slot whose claimer is done with its reply. The slot keeps
+// its buffer's capacity for the next reply, and nothing else of this one.
+func (pc *pooledConn) release(s *slot) {
+	s.payload, s.err = nil, nil
+	pc.errMu.Lock()
+	pc.free = append(pc.free, s)
+	pc.errMu.Unlock()
+}
+
+// take returns the slot awaiting seq, which it now awaits no more, or nil
+// when no such request is in flight (a protocol violation the read loop
+// treats as fatal).
+func (pc *pooledConn) take(seq uint64) *slot {
+	pc.errMu.Lock()
+	defer pc.errMu.Unlock()
+	for i := range pc.slots {
+		if s := &pc.slots[i]; s.seq == seq && seq != 0 {
+			s.seq = 0
+			return s
+		}
+	}
 	return nil
 }
 
-// take removes and returns the call awaiting seq, or nil when no such
-// request is in flight (a protocol violation the read loop treats as
-// fatal).
-func (pc *pooledConn) take(seq uint64) *call {
-	pc.errMu.Lock()
-	defer pc.errMu.Unlock()
-	cl := pc.calls[seq]
-	delete(pc.calls, seq)
-	return cl
-}
-
-// failAll fails every in-flight call with the poison error. The caller
-// must poison first; enqueue checks the poison error under the same lock
-// this drain holds, so nothing can be queued afterwards.
+// failAll fails every slot still awaiting its reply with the poison error.
+// The caller must poison first; claim checks the poison error under the
+// same lock this drain holds, so nothing can be claimed afterwards.
 func (pc *pooledConn) failAll() {
 	pc.errMu.Lock()
-	err := pc.werr
-	calls := pc.calls
-	pc.calls = nil
-	pc.errMu.Unlock()
-	for _, cl := range calls {
-		cl.err = err
-		cl.done <- struct{}{}
+	defer pc.errMu.Unlock()
+	for i := range pc.slots {
+		if s := &pc.slots[i]; s.seq != 0 {
+			s.seq, s.err = 0, pc.werr
+			s.done <- struct{}{} // never blocks: each claim is completed once
+		}
 	}
 }
 

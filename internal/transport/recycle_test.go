@@ -6,40 +6,39 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"net"
 	"testing"
 )
 
-// TestPutCallClearsFields pins the reset discipline putCall centralizes:
-// every recycle path — finish and the never-enqueued error paths — clears
-// payload, buf and err, so a recycled call can never leak a previous
-// RPC's reply or error into the next request.
-func TestPutCallClearsFields(t *testing.T) {
-	cl := getCall()
-	b := []byte{1, 2, 3}
-	cl.payload = b
-	cl.buf = &b
-	cl.err = errors.New("stale")
-	putCall(cl)
-	got := getCall()
-	defer putCall(got)
-	if got.payload != nil || got.buf != nil || got.err != nil {
-		t.Fatalf("recycled call carries stale state: payload=%v buf=%v err=%v",
-			got.payload, got.buf, got.err)
+// A released slot holds nothing of its last call — neither its reply nor its
+// error — so the request that claims it next cannot read them; it keeps its
+// buffer's capacity for the next reply, and no longer awaits the old seq.
+func TestReleasedSlotHoldsNothingOfItsLastCall(t *testing.T) {
+	c, peer := net.Pipe()
+	t.Cleanup(func() { _, _ = c.Close(), peer.Close() })
+	pc := newPooledConn("addr", c, 1)
+	s, err := pc.claim(1)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestFrameBufHeaderReserved pins getFrameBuf's contract: no matter what
-// state a scratch buffer was returned in, the next getFrameBuf hands out
-// an empty buffer with exactly the frame header reserved.
-func TestFrameBufHeaderReserved(t *testing.T) {
-	w := getBuf()
-	w.PutRaw([]byte("junk left over from a previous frame"))
-	putBuf(w)
-	fw := getFrameBuf()
-	defer putFrameBuf(fw)
-	if fw.Len() != frameHeaderLen {
-		t.Fatalf("getFrameBuf returned %d bytes, want the %d-byte reserved header",
-			fw.Len(), frameHeaderLen)
+	if pc.take(1) != s {
+		t.Fatal("the claimed slot does not await its seq")
+	}
+	s.buf = make([]byte, 64)
+	s.payload, s.err = s.buf[:3], errors.New("stale")
+	pc.release(s)
+	next, err := pc.claim(2)
+	if err != nil || next != s {
+		t.Fatalf("claim = %p, %v; want the connection's one slot %p", next, err, s)
+	}
+	if next.payload != nil || next.err != nil {
+		t.Fatalf("released slot carries its last call: payload=%v err=%v", next.payload, next.err)
+	}
+	if cap(next.buf) != 64 {
+		t.Fatalf("released slot's buffer has capacity %d, want the 64 it grew to", cap(next.buf))
+	}
+	if pc.take(1) != nil || pc.take(2) != next {
+		t.Fatal("the slot awaits the wrong seq")
 	}
 }
 

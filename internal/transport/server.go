@@ -27,19 +27,22 @@ func (t *TCP) acceptLoop(ln net.Listener) {
 			_ = c.Close()
 			return
 		}
-		t.serverConns[c] = struct{}{}
+		cs := &connServer{t: t, c: c, free: make(chan *serveState, serveQueueDepth), frames: make(chan inboundFrame)}
+		t.serverConns[c] = cs
 		t.mu.Unlock()
 		t.wg.Add(1)
-		go t.handleConn(c)
+		go cs.serve()
 	}
 }
 
 // serveState is the scratch for processing one inbound frame: the frame
 // read buffer, the reply buffer (header reserved by beginFrame each
 // frame), the ack status array, wire readers for the frame and for
-// message bodies, and an intern table for destination keys. States are
-// recycled through a sync.Pool across frames and connections, so
-// steady-state traffic allocates only what the codec's Decode must.
+// message bodies, and an intern table for destination keys. A connection
+// keeps the states it made for its frames, so steady-state traffic
+// allocates only what the codec's Decode must. readBuf, reply, statuses and
+// keys are capacity caches deliberately retained across frames; the wire
+// readers are Reset before each reuse.
 type serveState struct {
 	readBuf  []byte
 	reply    wire.Buffer
@@ -49,22 +52,12 @@ type serveState struct {
 	keys     map[string]string
 }
 
-var serveStatePool = sync.Pool{New: func() interface{} { return new(serveState) }}
-
-// getServeState takes a frame-processing scratch from the pool.
-func getServeState() *serveState { return serveStatePool.Get().(*serveState) }
-
-// putServeState recycles a frame-processing scratch. readBuf, reply,
-// statuses and keys are capacity caches deliberately retained across
-// frames; the wire readers are Reset before each reuse.
-func putServeState(st *serveState) { serveStatePool.Put(st) }
-
 // serveQueueDepth bounds how many pipelined frames one connection may
 // have in flight server-side. Beyond it the reader stops reading — the
 // backpressure a pipelining sender sees as a slow ack.
 const serveQueueDepth = 64
 
-// handleConn answers frames from one peer connection: hello with helloOK,
+// serve answers frames from one peer connection: hello with helloOK,
 // batches with acks, join/view with view/viewAck. Messages are decoded
 // and handed to the local deliverer before the ack goes out, preserving
 // the synchronous-ack contract end to end.
@@ -85,33 +78,29 @@ const serveQueueDepth = 64
 // frame costs a goroutine — and the closure its go statement allocates —
 // only where every worker it has is busy, a blocked one included. A worker
 // serves frames until the read loop ends and closes the channel.
-func (t *TCP) handleConn(c net.Conn) {
+func (cs *connServer) serve() {
+	t := cs.t
 	defer t.wg.Done()
-	cs := &connServer{t: t, c: c, sem: make(chan struct{}, serveQueueDepth), frames: make(chan inboundFrame)}
 	defer func() {
 		close(cs.frames)
 		cs.workers.Wait()
 		t.mu.Lock()
-		delete(t.serverConns, c)
+		delete(t.serverConns, cs.c)
 		t.mu.Unlock()
-		_ = c.Close()
+		_ = cs.c.Close()
 	}()
 
-	br := bufio.NewReader(c)
+	br := bufio.NewReader(cs.c)
 	for {
-		st := getServeState()
-		payload, err := readFrameReuse(br, &st.readBuf)
+		f, err := cs.next(br)
 		if err != nil {
-			putServeState(st)
 			if !errors.Is(err, io.EOF) && !cs.dead.Load() && !t.isClosed() {
-				t.cfg.Logf("transport: read from %s: %v", c.RemoteAddr(), err)
+				t.cfg.Logf("transport: read from %s: %v", cs.c.RemoteAddr(), err)
 			}
 			return
 		}
 		t.obs.framesIn.Inc()
-		t.obs.frameBytesIn.Add(int64(len(payload)))
-		cs.sem <- struct{}{}
-		f := inboundFrame{st: st, payload: payload}
+		t.obs.frameBytesIn.Add(int64(len(f.payload)))
 		select {
 		case cs.frames <- f:
 		default:
@@ -119,6 +108,29 @@ func (t *TCP) handleConn(c net.Conn) {
 			go cs.work(f)
 		}
 	}
+}
+
+// next waits for the next frame to begin, then reads it into a state: a free
+// one, else a new one while fewer than serveQueueDepth exist, else the first
+// a frame in flight gives back. So a connection makes as many states as it
+// ever has frames in flight, and a frame past the bound waits unread.
+func (cs *connServer) next(br *bufio.Reader) (inboundFrame, error) {
+	if _, err := br.Peek(1); err != nil {
+		return inboundFrame{}, err
+	}
+	var st *serveState
+	select {
+	case st = <-cs.free:
+	default:
+		if cs.made < serveQueueDepth {
+			cs.made++
+			st = new(serveState)
+		} else {
+			st = <-cs.free
+		}
+	}
+	payload, err := readFrameReuse(br, &st.readBuf)
+	return inboundFrame{st: st, payload: payload}, err
 }
 
 // inboundFrame is one frame read off a connection, with the scratch that
@@ -131,14 +143,15 @@ type inboundFrame struct {
 // connServer is the shared state of one server-side connection's
 // concurrent frame handlers: the write lock replies serialize on, the
 // dead flag the first fatal error sets (so later handlers fail quietly),
-// the semaphore bounding the frames in flight, and the channel idle
+// the states no frame holds and how many were made, and the channel idle
 // workers take frames from, with the WaitGroup draining them.
 type connServer struct {
 	t       *TCP
 	c       net.Conn
 	wmu     sync.Mutex
 	dead    atomic.Bool
-	sem     chan struct{}
+	free    chan *serveState // a give-back never blocks: at most cap(free) are made
+	made    int              // the read loop's alone
 	frames  chan inboundFrame
 	workers sync.WaitGroup
 }
@@ -157,10 +170,7 @@ func (cs *connServer) work(f inboundFrame) {
 // frame, oversized reply, failed write — marks the connection dead and
 // closes it.
 func (cs *connServer) serveFrame(st *serveState, payload []byte) {
-	defer func() {
-		putServeState(st)
-		<-cs.sem
-	}()
+	defer func() { cs.free <- st }()
 	t := cs.t
 	beginFrame(&st.reply)
 	hasReply, err := t.handleFrameInto(st, payload)

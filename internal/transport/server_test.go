@@ -128,3 +128,97 @@ func TestConnWorkersExitOnClose(t *testing.T) {
 	buf := make([]byte, 1<<16)
 	t.Fatalf("%d goroutines after Close, want at most %d:\n%s", n, baseline, buf[:runtime.Stack(buf, true)])
 }
+
+// serverConn returns tr's one accepted connection.
+func serverConn(t *testing.T, tr *TCP) *connServer {
+	t.Helper()
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	if len(tr.serverConns) != 1 {
+		t.Fatalf("%d server connections, want 1", len(tr.serverConns))
+	}
+	for _, cs := range tr.serverConns {
+		return cs
+	}
+	return nil
+}
+
+// A connection makes a frame state only when none is free: k frames in flight
+// make k states, and the frame past serveQueueDepth waits unread until one
+// is given back — the backpressure a pipelining sender sees as a slow ack.
+func TestServeStatesTrackFramesInFlight(t *testing.T) {
+	from, dst := testNodes(t)
+	const total = serveQueueDepth + 1
+	l := &countingLocal{in: make(chan struct{}, total), release: make(chan struct{})}
+	trB, addrB := startTransport(t, Config{Local: l})
+	reg := obs.NewRegistry()
+	trA, _ := startTransport(t, Config{
+		Local:       &testLocal{},
+		OwnerOf:     func(string) string { return addrB },
+		Obs:         reg,
+		MaxInflight: total,
+	})
+	t.Cleanup(func() { close(l.release) }) // before the transports close: B's handlers must return
+	acks := make(chan bool, total)
+	deliver := func(n int) {
+		for i := 0; i < n; i++ {
+			go func() { acks <- trA.Deliver(from, dst, &testMsg{Body: "x"}) }()
+		}
+	}
+	var cs *connServer
+	// settle releases n held frames and waits for their acks, then for every
+	// state to be given back: a worker gives its state back after writing the
+	// ack, and a frame that came before would find none free.
+	settle := func(n int) {
+		for i := 0; i < n; i++ {
+			l.release <- struct{}{}
+		}
+		for i := 0; i < n; i++ {
+			if !<-acks {
+				t.Fatal("a held frame was not acked")
+			}
+		}
+		for len(cs.free) != cs.made {
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	deliver(1) // dial the one connection the rest share
+	<-l.in
+	// made is the read loop's: it writes it before the frame reaches a
+	// handler, whose arrival on l.in orders that write before these reads.
+	cs = serverConn(t, trB)
+	settle(1)
+	for _, k := range []int{3, serveQueueDepth} {
+		deliver(k)
+		for i := 0; i < k; i++ {
+			<-l.in
+		}
+		if cs.made != k {
+			t.Fatalf("%d frames in flight made %d states, want %d", k, cs.made, k)
+		}
+		settle(k)
+	}
+
+	deliver(total)
+	for i := 0; i < serveQueueDepth; i++ {
+		<-l.in
+	}
+	select {
+	case <-l.in:
+		t.Fatalf("frame %d was served while %d held every state", total, serveQueueDepth)
+	case <-time.After(50 * time.Millisecond):
+	}
+	l.release <- struct{}{}
+	<-l.in
+	if cs.made != serveQueueDepth {
+		t.Fatalf("%d frames sent made %d states, want %d", total, cs.made, serveQueueDepth)
+	}
+	if !<-acks {
+		t.Fatal("the first frame released was not acked")
+	}
+	settle(total - 1)
+	if v := reg.Counter("transport.dials").Value(); v != 1 {
+		t.Fatalf("dials = %d, want 1: every frame on one connection", v)
+	}
+}

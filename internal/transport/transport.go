@@ -192,7 +192,7 @@ type TCP struct {
 	mu          sync.Mutex
 	ln          net.Listener
 	lnAddr      string
-	serverConns map[net.Conn]struct{}
+	serverConns map[net.Conn]*connServer
 	closed      bool
 
 	done chan struct{}
@@ -241,7 +241,7 @@ func New(cfg Config) (*TCP, error) {
 		pool:        newPool(cfg.MaxInflight, cfg.IdleTimeout),
 		obs:         newTObs(cfg.Obs),
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
-		serverConns: make(map[net.Conn]struct{}),
+		serverConns: make(map[net.Conn]*connServer),
 		done:        make(chan struct{}),
 	}
 	return t, nil
@@ -304,10 +304,10 @@ func (t *TCP) Deliver(from, dst *chord.Node, msg chord.Message) bool {
 }
 
 // DeliverBatch implements chord.Transport: one RPC moves the whole run of
-// messages bound for dst's owning process. Entries are encoded exactly
-// once, each behind the one before it, directly into a pooled buffer; a run
-// whose encoding approaches the frame cap is split across multiple frames,
-// each of which starts over with an entry in full.
+// messages bound for dst's owning process. A run whose encoding approaches
+// the frame cap is cut, by the codec's sizes, into several frames, each of
+// which starts over with an entry in full; each frame's entries are encoded,
+// each behind the one before it, straight into its connection's frame buffer.
 func (t *TCP) DeliverBatch(from, dst *chord.Node, msgs []chord.Message) []bool {
 	acks := make([]bool, len(msgs))
 	if len(msgs) == 0 {
@@ -327,59 +327,71 @@ func (t *TCP) DeliverBatch(from, dst *chord.Node, msgs []chord.Message) []bool {
 			return acks
 		}
 	}
-	entries := getBuf()
-	defer putBuf(entries)
-	start := 0
-	var prev chord.Message // the entry before m in its frame
-	for i, m := range msgs {
-		err := t.appendMsgEntry(entries, dst.Key(), m, prev)
-		prev = m
-		if err != nil {
+	for start := 0; start < len(msgs); {
+		end := t.frameEnd(dst.Key(), msgs, start)
+		if err := t.rpcInto(addr, dst.Key(), msgs[start:end], acks[start:end]); errors.Is(err, errUnencodable) {
 			// An unencodable message can never be delivered; report the
-			// miss without burning the RPC budget. Chunks already sent
+			// miss without burning the RPC budget. Frames already sent
 			// keep their acks.
-			t.cfg.Logf("transport: encode %s for %s: %v", m.Kind(), dst.Key(), err)
 			return acks
 		}
-		if entries.Len() >= maxBatchBody {
-			t.rpcInto(addr, entries.Bytes(), msgs[start:i+1], acks[start:i+1])
-			start = i + 1
-			entries.Reset()
-			prev = nil
-		}
-	}
-	if start < len(msgs) {
-		t.rpcInto(addr, entries.Bytes(), msgs[start:], acks[start:])
+		start = end
 	}
 	return acks
+}
+
+// frameEnd returns where the frame that starts at msgs[start] ends: past the
+// entry that takes its body to maxBatchBody, or at the end of the run.
+func (t *TCP) frameEnd(dstKey string, msgs []chord.Message, start int) int {
+	body := 0
+	var prev chord.Message // the entry before m in its frame
+	for i, m := range msgs[start:] {
+		sz := t.cfg.Codec.SizeAfter(m, prev)
+		prev = m
+		if body += wire.SizeString(dstKey) + wire.SizeUvarint(uint64(sz)) + sz; body >= maxBatchBody {
+			return start + i + 1
+		}
+	}
+	return len(msgs)
 }
 
 // appendMsgEntry appends one {dstKey, msg} batch entry, msg as it encodes
 // behind prev: in place, behind the exact length prefix the codec's sizing
 // gives it — the bytes PutBytes of a separately encoded message would be.
-func (t *TCP) appendMsgEntry(entries *wire.Buffer, dstKey string, msg, prev chord.Message) error {
-	entries.PutString(dstKey)
+func (t *TCP) appendMsgEntry(w *wire.Buffer, dstKey string, msg, prev chord.Message) error {
+	w.PutString(dstKey)
 	sz := t.cfg.Codec.SizeAfter(msg, prev)
-	entries.PutUvarint(uint64(sz))
-	before := entries.Len()
-	if err := t.cfg.Codec.EncodeAfter(entries, msg, prev); err != nil {
+	w.PutUvarint(uint64(sz))
+	before := w.Len()
+	if err := t.cfg.Codec.EncodeAfter(w, msg, prev); err != nil {
 		return err
 	}
-	if got := entries.Len() - before; got != sz {
+	if got := w.Len() - before; got != sz {
 		return fmt.Errorf("transport: codec sized %s at %d bytes but encoded %d", msg.Kind(), sz, got)
 	}
 	return nil
 }
 
-// rpcInto sends one batch body, the entries of msgs, to addr and maps its
-// per-message statuses onto acks, handing an acked chord.Replier its
-// handler's answer. Acks left all-false after the attempt budget are the
-// remote analogue of a dropped packet: the caller's reliability layer may
-// retry the whole delivery.
-func (t *TCP) rpcInto(addr string, entries []byte, msgs []chord.Message, acks []bool) {
-	err := t.rpc(addr, frameAck, func(w *wire.Buffer, seq uint64) {
-		batchHeaderInto(w, seq, len(acks))
-		w.PutRaw(entries)
+// errUnencodable marks a request that could not be built: no attempt can
+// send it, so rpc spends no more of its budget on it.
+var errUnencodable = errors.New("transport: cannot encode")
+
+// rpcInto sends msgs to addr as one batch frame and maps its per-message
+// statuses onto acks, handing an acked chord.Replier its handler's answer.
+// Acks left all-false after the attempt budget are the remote analogue of a
+// dropped packet: the caller's reliability layer may retry the whole
+// delivery.
+func (t *TCP) rpcInto(addr, dstKey string, msgs []chord.Message, acks []bool) error {
+	err := t.rpc(addr, frameAck, func(w *wire.Buffer, seq uint64) error {
+		batchHeaderInto(w, seq, len(msgs))
+		var prev chord.Message // the entry before m in this frame
+		for _, m := range msgs {
+			if err := t.appendMsgEntry(w, dstKey, m, prev); err != nil {
+				return fmt.Errorf("%w %s for %s: %w", errUnencodable, m.Kind(), dstKey, err)
+			}
+			prev = m
+		}
+		return nil
 	}, func(body []byte) error {
 		statuses, err := decodeAck(wire.NewReader(body), len(acks))
 		if err != nil {
@@ -397,6 +409,7 @@ func (t *TCP) rpcInto(addr string, entries []byte, msgs []chord.Message, acks []
 	if err != nil && !errors.Is(err, errClosed) {
 		t.cfg.Logf("%v", err)
 	}
+	return err
 }
 
 // errClosed is what an RPC the transport closed under before its first
@@ -405,10 +418,10 @@ var errClosed = errors.New("transport: closed")
 
 // rpc runs one request/reply exchange with addr — a batch or a membership
 // frame — retrying with backoff on connection-level failures. build appends
-// the request for the seq its connection draws; read takes the body of the
-// reply, of frame type want, past its echoed seq, before the reply's pooled
-// buffer goes back.
-func (t *TCP) rpc(addr string, want uint64, build func(w *wire.Buffer, seq uint64), read func(body []byte) error) error {
+// the request for the seq its connection draws to the connection's frame
+// buffer; read takes the body of the reply, of frame type want, past its
+// echoed seq, before the reply's slot is freed.
+func (t *TCP) rpc(addr string, want uint64, build func(w *wire.Buffer, seq uint64) error, read func(body []byte) error) error {
 	lastErr := errClosed
 	for attempt := 0; attempt < t.cfg.Attempts; attempt++ {
 		if attempt > 0 {
@@ -426,8 +439,8 @@ func (t *TCP) rpc(addr string, want uint64, build func(w *wire.Buffer, seq uint6
 		err = t.roundTrip(pc, want, build, read)
 		t.pool.release(pc, time.Now())
 		t.obs.idleConns.Set(int64(t.pool.idleCount()))
-		if err == nil {
-			return nil
+		if err == nil || errors.Is(err, errUnencodable) {
+			return err
 		}
 		lastErr = err
 	}
@@ -473,41 +486,47 @@ func (t *TCP) checkout(addr string) (*pooledConn, error) {
 }
 
 // readLoop completes this connection's in-flight calls: read a reply
-// frame, extract the echoed seq, hand the payload to the matching call.
+// frame, extract the echoed seq, hand the payload to the matching slot.
 // Replies arrive in the server's completion order, not request order —
-// seq is the demultiplexer. On any read error or poisoning (which closes
-// the socket, unblocking the read) it fails every remaining call, so no
-// caller waits past the connection's death.
+// seq is the demultiplexer. Each reply is read into the loop's spare buffer,
+// which it then swaps for the buffer of the slot it completes. On any read
+// error or poisoning (which closes the socket, unblocking the read) it fails
+// every remaining call, so no caller waits past the connection's death.
 func (t *TCP) readLoop(pc *pooledConn) {
 	defer t.pool.wg.Done()
+	var spare []byte
 	for {
-		buf := replyBufPool.Get().(*[]byte)
-		payload, err := readFrameReuse(pc.br, buf)
+		err := t.readReply(pc, &spare)
 		if err != nil {
-			putReplyBuf(buf)
 			pc.poison(err)
 			pc.failAll()
 			return
 		}
-		t.obs.framesIn.Inc()
-		t.obs.frameBytesIn.Add(int64(len(payload)))
-		seq, err := replySeq(payload)
-		if err != nil {
-			putReplyBuf(buf)
-			pc.poison(err)
-			pc.failAll()
-			return
-		}
-		cl := pc.take(seq)
-		if cl == nil {
-			putReplyBuf(buf)
-			pc.poison(fmt.Errorf("transport: reply for unknown seq %d", seq))
-			pc.failAll()
-			return
-		}
-		cl.payload, cl.buf = payload, buf
-		cl.done <- struct{}{}
 	}
+}
+
+// readReply reads one reply frame into *spare and completes the slot
+// awaiting it, which takes *spare as its buffer and leaves its old one
+// there for the next reply.
+func (t *TCP) readReply(pc *pooledConn, spare *[]byte) error {
+	payload, err := readFrameReuse(pc.br, spare)
+	if err != nil {
+		return err
+	}
+	t.obs.framesIn.Inc()
+	t.obs.frameBytesIn.Add(int64(len(payload)))
+	seq, err := replySeq(payload)
+	if err != nil {
+		return err
+	}
+	s := pc.take(seq)
+	if s == nil {
+		return fmt.Errorf("transport: reply for unknown seq %d", seq)
+	}
+	s.payload = payload
+	s.buf, *spare = *spare, s.buf
+	s.done <- struct{}{}
+	return nil
 }
 
 // hello performs the version and catalog handshake on a fresh connection.
@@ -551,52 +570,53 @@ func (t *TCP) hello(pc *pooledConn) error {
 }
 
 // roundTrip runs one RPC on a (possibly shared) pipelined connection: draw
-// the seq and build the frame in a pooled buffer, write it and enqueue the
-// call under the write lock, block for the reply echoing that seq, then hand
-// the reply's body to read before its pooled buffer goes back (a slice, not a
-// reader: a pointer handed to a func value escapes). Batches and membership
-// frames interleave freely on one connection: every reply demultiplexes by its
-// seq.
-func (t *TCP) roundTrip(pc *pooledConn, want uint64, build func(w *wire.Buffer, seq uint64), read func(body []byte) error) error {
-	w := getFrameBuf()
-	defer putFrameBuf(w)
-	cl := getCall()
+// the seq and build the frame in the connection's frame buffer, claim a slot
+// and write the frame under the write lock, block for the reply echoing that
+// seq, then hand the reply's body to read before the slot is freed (a slice,
+// not a reader: a pointer handed to a func value escapes). Batches and
+// membership frames interleave freely on one connection: every reply
+// demultiplexes by its seq.
+func (t *TCP) roundTrip(pc *pooledConn, want uint64, build func(w *wire.Buffer, seq uint64) error, read func(body []byte) error) error {
 	pc.wmu.Lock()
 	pc.seq++
 	seq := pc.seq
-	build(w, seq)
-	frame, err := finishFrame(w)
+	beginFrame(&pc.w)
+	if err := build(&pc.w, seq); err != nil {
+		pc.wmu.Unlock()
+		return err
+	}
+	frame, err := finishFrame(&pc.w)
 	if err != nil {
 		pc.wmu.Unlock()
-		putCall(cl)
 		return err
 	}
-	payload, buf, err := t.writeAndAwait(pc, cl, seq, frame)
+	s, err := t.writeAndAwait(pc, seq, frame)
 	if err != nil {
 		return err
 	}
-	defer putReplyBuf(buf)
-	r := wire.NewReader(payload)
+	defer pc.release(s)
+	r := wire.NewReader(s.payload)
 	if err := readReplyHeader(r, want, seq); err != nil {
 		return err
 	}
-	return read(payload[len(payload)-r.Remaining():])
+	return read(s.payload[len(s.payload)-r.Remaining():])
 }
 
 // errAckTimeout poisons a connection whose reply outlived DefaultIOTimeout.
 var errAckTimeout = errors.New("transport: timed out waiting for reply")
 
-// writeAndAwait enqueues cl under its seq, writes the finished frame —
-// both under the connection's write lock, which the caller already holds
-// and which this function releases — then blocks for the reply. The call
-// is enqueued before the write so the read loop owns its completion from
-// that point on: a failed write poisons the connection and the read loop
-// fails the call, never leaving a waiter stuck.
-func (t *TCP) writeAndAwait(pc *pooledConn, cl *call, seq uint64, frame []byte) ([]byte, *[]byte, error) {
-	if err := pc.enqueue(seq, cl); err != nil {
+// writeAndAwait claims a slot under seq, writes the finished frame — both
+// under the connection's write lock, which the caller already holds and
+// which this function releases — then blocks for the reply, returning the
+// slot that holds it for the caller to release. The slot is claimed before
+// the write so the read loop owns its completion from that point on: a
+// failed write poisons the connection and the read loop fails the slot,
+// never leaving a waiter stuck.
+func (t *TCP) writeAndAwait(pc *pooledConn, seq uint64, frame []byte) (*slot, error) {
+	s, err := pc.claim(seq)
+	if err != nil {
 		pc.wmu.Unlock()
-		putCall(cl) // never enqueued; nothing will complete it
-		return nil, nil, err
+		return nil, err
 	}
 	_ = pc.c.SetWriteDeadline(time.Now().Add(DefaultIOTimeout))
 	_, werr := pc.c.Write(frame)
@@ -604,54 +624,38 @@ func (t *TCP) writeAndAwait(pc *pooledConn, cl *call, seq uint64, frame []byte) 
 	if werr != nil {
 		pc.poison(werr)
 		pc.wmu.Unlock()
-		<-cl.done
-		_, buf, _ := cl.finish()
-		putReplyBuf(buf)
-		return nil, nil, werr
+		<-s.done
+		pc.release(s)
+		return nil, werr
 	}
 	t.obs.framesOut.Inc()
 	t.obs.frameBytesOut.Add(int64(len(frame) - frameHeaderLen))
 	pc.wmu.Unlock()
 
-	timer := getTimer(DefaultIOTimeout)
+	if s.timer == nil {
+		s.timer = time.NewTimer(DefaultIOTimeout)
+	} else {
+		s.timer.Reset(DefaultIOTimeout)
+	}
 	select {
-	case <-cl.done:
-	case <-timer.C:
+	case <-s.done:
+	case <-s.timer.C:
 		// Poisoning closes the socket, so the read loop unblocks and
 		// completes every pending call (this one included) promptly.
 		pc.poison(errAckTimeout)
-		<-cl.done
+		<-s.done
 	}
-	putTimer(timer)
-	payload, buf, err := cl.finish()
-	if err != nil {
-		putReplyBuf(buf)
-		return nil, nil, err
-	}
-	return payload, buf, nil
-}
-
-// timerPool recycles RPC ack timers; getTimer/putTimer follow the
-// stop-and-drain discipline so a pooled timer's channel is always empty.
-var timerPool sync.Pool
-
-func getTimer(d time.Duration) *time.Timer {
-	if v := timerPool.Get(); v != nil {
-		tm := v.(*time.Timer)
-		tm.Reset(d)
-		return tm
-	}
-	return time.NewTimer(d)
-}
-
-func putTimer(tm *time.Timer) {
-	if !tm.Stop() {
+	if !s.timer.Stop() {
 		select {
-		case <-tm.C:
+		case <-s.timer.C:
 		default:
 		}
 	}
-	timerPool.Put(tm)
+	if err := s.err; err != nil {
+		pc.release(s)
+		return nil, err
+	}
+	return s, nil
 }
 
 // SendJoin asks the overlay process at addr to admit this process and
@@ -660,8 +664,9 @@ func putTimer(tm *time.Timer) {
 // already-listed address just returns the current view).
 func (t *TCP) SendJoin(addr string) (*wire.MemberView, error) {
 	var v *wire.MemberView
-	err := t.rpc(addr, frameView, func(w *wire.Buffer, seq uint64) {
+	err := t.rpc(addr, frameView, func(w *wire.Buffer, seq uint64) error {
 		joinInto(w, seq, t.cfg.Self)
+		return nil
 	}, func(body []byte) (err error) {
 		v, err = wire.DecodeMemberView(wire.NewReader(body)) // copies every string out of the reply
 		return err
@@ -673,8 +678,9 @@ func (t *TCP) SendJoin(addr string) (*wire.MemberView, error) {
 // the receiver's view version after it applied (or ignored) the gossip.
 func (t *TCP) SendView(addr string, v *wire.MemberView) (uint64, error) {
 	var version uint64
-	err := t.rpc(addr, frameViewAck, func(w *wire.Buffer, seq uint64) {
+	err := t.rpc(addr, frameViewAck, func(w *wire.Buffer, seq uint64) error {
 		viewInto(w, seq, v)
+		return nil
 	}, func(body []byte) (err error) {
 		version, err = wire.NewReader(body).Uvarint()
 		return err

@@ -109,7 +109,7 @@ func (l *testLocal) snapshot() []string {
 }
 
 // handleFrame processes one standalone frame and returns the reply payload
-// (or nil for none): what a connection's serveFrame does over pooled scratch.
+// (or nil for none): what a connection's serveFrame does over its state.
 func (t *TCP) handleFrame(payload []byte) ([]byte, error) {
 	st := &serveState{}
 	beginFrame(&st.reply)
