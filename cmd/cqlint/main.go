@@ -1,6 +1,6 @@
 // Command cqlint is the project's invariant checker: a multichecker that
 // runs the internal/analysis suite — the interprocedural call-graph
-// analyzers lockorder, goroleak and poolsafe — over the module and exits
+// analyzers lockorder and goroleak — over the module and exits
 // non-zero on any diagnostic. It holds the concurrency invariants no test
 // can; DESIGN.md §9 is its ledger.
 //

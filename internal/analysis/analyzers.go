@@ -5,6 +5,5 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		LockOrderAnalyzer,
 		GoroLeakAnalyzer,
-		PoolSafeAnalyzer,
 	}
 }

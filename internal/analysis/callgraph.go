@@ -9,10 +9,10 @@ import (
 	"strings"
 )
 
-// callgraph.go is the interprocedural layer under lockorder, goroleak and
-// poolsafe: an intra-module call graph over every fully loaded package,
-// with a per-function summary of lock effects, send reachability and
-// goroutine stop paths. The graph is built lazily, once per Prog, from
+// callgraph.go is the interprocedural layer under lockorder and goroleak:
+// an intra-module call graph over every fully loaded package, with a
+// per-function summary of lock effects, send reachability and goroutine
+// stop paths. The graph is built lazily, once per Prog, from
 // the loader's full-package set (the module or fixture packages — stdlib
 // imports are signature-only and contribute no nodes).
 //

@@ -23,10 +23,6 @@ func TestGoroLeakAnalyzer(t *testing.T) {
 		"cqjoin/internal/transport/goroleakfix")
 }
 
-func TestPoolSafeAnalyzer(t *testing.T) {
-	analysistest.Run(t, "testdata/src", analysis.PoolSafeAnalyzer, "poolsafe/a")
-}
-
 // TestSuiteCleanOnTree is the in-repo form of the CI gate: the full suite
 // over the whole module must produce zero diagnostics. Any regression a
 // developer introduces fails `go test` before it ever reaches the cqlint

@@ -54,6 +54,12 @@ type Node struct {
 
 	alive atomic.Bool
 
+	// run is the slice the node's walks hand their runs to the transport in,
+	// kept between walks. A walk uses it only when it sets runBusy, so one
+	// nested in a delivery, or a concurrent one, makes a slice of its own.
+	runBusy atomic.Bool
+	run     []Message
+
 	mu         sync.Mutex
 	ip         string
 	pred       *Node

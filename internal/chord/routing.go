@@ -3,7 +3,6 @@ package chord
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"cqjoin/internal/id"
 )
@@ -259,10 +258,13 @@ func (n *Node) Multisend(batch []Deliverable, recipients []*Node) ([]*Node, int,
 	}
 	recipients = recipients[:len(batch)]
 	clear(recipients)
-	// One scratch slice carries every run of the call, and the next call's: a
+	// One slice carries every run of the walk, and the node's next walk's: a
 	// transport is done with a run when DeliverBatch returns.
-	scratch := getRunScratch()
-	msgs := *scratch
+	var msgs []Message
+	owner := n.runBusy.CompareAndSwap(false, true)
+	if owner {
+		msgs = n.run
+	}
 	cur := n
 	totalHops := 0
 	// The list only ever loses its head, so the message before sorted[i]
@@ -283,21 +285,26 @@ func (n *Node) Multisend(batch []Deliverable, recipients []*Node) ([]*Node, int,
 			run++
 		}
 		if run > 0 {
-			msgs = msgs[:0]
 			for i := 0; i < run; i++ {
 				// Each message rode the shared walk for totalHops legs so far.
 				n.chargeBytes(sorted[i].d.Msg, prev, prevHops, totalHops)
 				prev, prevHops = sorted[i].d.Msg, totalHops
-				msgs = append(msgs, prev)
 			}
 			// A failed delivery leaves recipients[idx] nil; the batch keeps
 			// moving so one lost packet doesn't strand the rest. A run of one
-			// is one delivery, and has no acks to make.
+			// is one delivery, with no slice to hand over and no acks to make.
 			if run == 1 {
-				if n.deliverTo(cur, msgs[0]) {
+				if n.deliverTo(cur, prev) {
 					recipients[sorted[0].idx] = cur
 				}
 			} else {
+				msgs = msgs[:0]
+				if cap(msgs) < run {
+					msgs = make([]Message, 0, max(run, multisendStack))
+				}
+				for i := 0; i < run; i++ {
+					msgs = append(msgs, sorted[i].d.Msg)
+				}
 				for i, ok := range n.net.Transport().DeliverBatch(n, cur, msgs) {
 					if ok {
 						recipients[sorted[i].idx] = cur
@@ -330,8 +337,14 @@ func (n *Node) Multisend(batch []Deliverable, recipients []*Node) ([]*Node, int,
 		n.chargeBytes(it.d.Msg, prev, prevHops, totalHops)
 		prev, prevHops = it.d.Msg, totalHops
 	}
-	*scratch = msgs
-	putRunScratch(scratch)
+	if owner {
+		n.run = nil
+		if cap(msgs) <= multisendKeep { // emptied, so the node keeps no message alive
+			clear(msgs[:cap(msgs)])
+			n.run = msgs[:0]
+		}
+		n.runBusy.Store(false)
+	}
 	n.net.traffic.RecordHopsOnly(kind, totalHops)
 	return recipients, totalHops, err
 }
@@ -348,20 +361,9 @@ type multisendItem struct {
 // publication's h al-index messages and a rewriter's join groups fit.
 const multisendStack = 8
 
-// runScratch recycles the slice Multisend hands each run to the transport in,
-// between walks: nested walks — a handler sending from inside a delivery —
-// and concurrent ones take slices of their own.
-var runScratch = sync.Pool{New: func() any { return new([]Message) }}
-
-func getRunScratch() *[]Message { return runScratch.Get().(*[]Message) }
-
-// putRunScratch returns a run slice to the pool emptied, so the pool keeps no
-// message alive.
-func putRunScratch(s *[]Message) {
-	clear((*s)[:cap(*s)])
-	*s = (*s)[:0]
-	runScratch.Put(s)
-}
+// multisendKeep is the largest run slice a node keeps between walks: one long
+// run does not pin its size on the node.
+const multisendKeep = 64
 
 // MultisendIterative is the baseline the paper implemented "for comparison
 // purposes": k independent send() lookups from the origin, costing

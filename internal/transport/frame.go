@@ -89,7 +89,20 @@ const (
 	// under maxFrame that any realistic message (the engine's are at most
 	// a few KiB) still fits.
 	maxBatchBody = 4 << 20
+
+	// bufKeepCap is the largest capacity a connection's frame buffer or a
+	// server state's read buffer keeps past the frame it held: one large
+	// frame, a hand-off's say, does not pin its size on the connection for
+	// the connection's life. Replies (acks and views) never grow that large.
+	bufKeepCap = 64 << 10
 )
+
+// trimFrameBuf drops w's array once a frame has grown it past bufKeepCap.
+func trimFrameBuf(w *wire.Buffer) {
+	if cap(w.Bytes()) > bufKeepCap {
+		*w = wire.Buffer{}
+	}
+}
 
 // beginFrame resets w and reserves the 4-byte frame header; build the
 // payload after it and call finishFrame.

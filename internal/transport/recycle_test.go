@@ -7,7 +7,11 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"testing"
+
+	"cqjoin/internal/chord"
+	"cqjoin/internal/obs"
 )
 
 // A released slot holds nothing of its last call — neither its reply nor its
@@ -86,5 +90,56 @@ func TestReadFrameCutShort(t *testing.T) {
 		if _, err := readFrameReuse(bufio.NewReader(bytes.NewReader(frame[:cut])), &buf); err != want {
 			t.Fatalf("stream cut after %d bytes: %v, want %v", cut, err, want)
 		}
+	}
+}
+
+// A frame past bufKeepCap does not pin its size on the connection it crossed:
+// after a batch of two 3 MiB bodies, then a small batch on the same
+// connection, the client's frame buffer and every server state's read buffer
+// are within the cap.
+func TestLargeFrameLeavesNoLargeBuffer(t *testing.T) {
+	from, dst := testNodes(t)
+	remote := &testLocal{}
+	trB, addrB := startTransport(t, Config{Local: remote})
+	reg := obs.NewRegistry()
+	trA, _ := startTransport(t, Config{
+		Local:   &testLocal{},
+		OwnerOf: func(string) string { return addrB },
+		Obs:     reg,
+	})
+	big := []chord.Message{&testMsg{Body: strings.Repeat("a", 3<<20)}, &testMsg{Body: strings.Repeat("b", 3<<20)}}
+	for _, run := range [][]chord.Message{big, {&testMsg{Body: "c"}}} {
+		for i, ok := range trA.DeliverBatch(from, dst, run) {
+			if !ok {
+				t.Fatalf("message %d of a run of %d was not acked", i, len(run))
+			}
+		}
+	}
+	if v := reg.Counter("transport.frames_out").Value(); v != 3 {
+		t.Fatalf("frames_out = %d, want 3 (hello and one frame a batch)", v)
+	}
+	// The server's read loop counts the states it makes before a frame
+	// reaches the deliverer, whose lock orders that before this read.
+	remote.snapshot()
+	cs := serverConn(t, trB)
+
+	trA.pool.mu.Lock()
+	conns := trA.pool.conns[addrB]
+	trA.pool.mu.Unlock()
+	if len(conns) != 1 {
+		t.Fatalf("%d client connections, want 1", len(conns))
+	}
+	if c := cap(conns[0].w.Bytes()); c > bufKeepCap {
+		t.Errorf("the client's frame buffer kept %d bytes, want at most %d", c, bufKeepCap)
+	}
+	states := make([]*serveState, cs.made)
+	for i := range states {
+		states[i] = <-cs.free // given back after its ack is written
+		if c := cap(states[i].readBuf); c > bufKeepCap {
+			t.Errorf("server state %d's read buffer kept %d bytes, want at most %d", i, c, bufKeepCap)
+		}
+	}
+	for _, st := range states {
+		cs.free <- st
 	}
 }

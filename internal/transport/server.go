@@ -41,8 +41,8 @@ func (t *TCP) acceptLoop(ln net.Listener) {
 // message bodies, and an intern table for destination keys. A connection
 // keeps the states it made for its frames, so steady-state traffic
 // allocates only what the codec's Decode must. readBuf, reply, statuses and
-// keys are capacity caches deliberately retained across frames; the wire
-// readers are Reset before each reuse.
+// keys are capacity caches deliberately retained across frames, readBuf up
+// to bufKeepCap; the wire readers are Reset before each reuse.
 type serveState struct {
 	readBuf  []byte
 	reply    wire.Buffer
@@ -170,7 +170,14 @@ func (cs *connServer) work(f inboundFrame) {
 // frame, oversized reply, failed write — marks the connection dead and
 // closes it.
 func (cs *connServer) serveFrame(st *serveState, payload []byte) {
-	defer func() { cs.free <- st }()
+	defer func() {
+		if cap(st.readBuf) > bufKeepCap { // dropped with the readers' views of it
+			st.readBuf = nil
+			st.rd.Reset(nil)
+			st.msgRd.Reset(nil)
+		}
+		cs.free <- st
+	}()
 	t := cs.t
 	beginFrame(&st.reply)
 	hasReply, err := t.handleFrameInto(st, payload)

@@ -581,12 +581,13 @@ func (t *TCP) roundTrip(pc *pooledConn, want uint64, build func(w *wire.Buffer, 
 	pc.seq++
 	seq := pc.seq
 	beginFrame(&pc.w)
-	if err := build(&pc.w, seq); err != nil {
-		pc.wmu.Unlock()
-		return err
+	var frame []byte
+	err := build(&pc.w, seq)
+	if err == nil {
+		frame, err = finishFrame(&pc.w)
 	}
-	frame, err := finishFrame(&pc.w)
 	if err != nil {
+		trimFrameBuf(&pc.w)
 		pc.wmu.Unlock()
 		return err
 	}
@@ -621,6 +622,7 @@ func (t *TCP) writeAndAwait(pc *pooledConn, seq uint64, frame []byte) (*slot, er
 	_ = pc.c.SetWriteDeadline(time.Now().Add(DefaultIOTimeout))
 	_, werr := pc.c.Write(frame)
 	_ = pc.c.SetWriteDeadline(time.Time{})
+	trimFrameBuf(&pc.w)
 	if werr != nil {
 		pc.poison(werr)
 		pc.wmu.Unlock()
