@@ -163,32 +163,10 @@ func (net *Network) Join(key string) (*Node, error) {
 // from its natural position relies on the direct-IP delivery path while
 // online.
 func (net *Network) JoinAt(key string, nid id.ID) (*Node, error) {
-	n := &Node{
-		net:   net,
-		key:   key,
-		ip:    fmt.Sprintf("sim://%s", nid.Short()),
-		id:    nid,
-		succs: make([]*Node, 0, net.succListLen),
+	n, bootstrap, err := net.admit(key, nid)
+	if err != nil {
+		return nil, err
 	}
-	n.alive.Store(true)
-
-	net.mu.Lock()
-	if old, ok := net.byKey[key]; ok && old.Alive() {
-		net.mu.Unlock()
-		return nil, fmt.Errorf("chord: join %q: key already in overlay", key)
-	}
-	if i := net.ringIndexLocked(nid); i < len(net.ring) && net.ring[i].id == nid {
-		net.mu.Unlock()
-		return nil, fmt.Errorf("chord: join %q: ring position %s already occupied by %s", key, nid.Short(), net.ring[i])
-	}
-	// Pick an arbitrary alive bootstrap before inserting n.
-	var bootstrap *Node
-	if len(net.ring) > 0 {
-		bootstrap = net.ring[0]
-	}
-	net.insertLocked(n)
-	net.mu.Unlock()
-
 	if bootstrap != nil {
 		// Charge the join lookup: finding Successor(id(n)) from the
 		// bootstrap node. The ring index already contains n, so route from
@@ -236,31 +214,10 @@ func (net *Network) JoinAt(key string, nid id.ID) (*Node, error) {
 // it.
 func (net *Network) JoinProtocol(key string) (*Node, error) {
 	nid := id.Hash(key)
-	n := &Node{
-		net:   net,
-		key:   key,
-		ip:    fmt.Sprintf("sim://%s", nid.Short()),
-		id:    nid,
-		succs: make([]*Node, 0, net.succListLen),
+	n, bootstrap, err := net.admit(key, nid)
+	if err != nil {
+		return nil, err
 	}
-	n.alive.Store(true)
-
-	net.mu.Lock()
-	if old, ok := net.byKey[key]; ok && old.Alive() {
-		net.mu.Unlock()
-		return nil, fmt.Errorf("chord: join %q: key already in overlay", key)
-	}
-	if i := net.ringIndexLocked(nid); i < len(net.ring) && net.ring[i].id == nid {
-		net.mu.Unlock()
-		return nil, fmt.Errorf("chord: join %q: ring position %s already occupied by %s", key, nid.Short(), net.ring[i])
-	}
-	var bootstrap *Node
-	if len(net.ring) > 0 {
-		bootstrap = net.ring[0]
-	}
-	net.insertLocked(n)
-	net.mu.Unlock()
-
 	if bootstrap == nil {
 		// First node: a singleton ring, its own successor.
 		return n, nil
@@ -307,6 +264,49 @@ func (net *Network) JoinProtocol(key string) (*Node, error) {
 	return n, nil
 }
 
+// admit makes the node of key at ring position nid and adds it to the
+// membership index, the start both join modes share. It returns the node and
+// the bootstrap a joiner looks its successor up from: an arbitrary node
+// already in the ring, nil on an empty one. A key already in the overlay, or
+// an occupied position, is refused.
+func (net *Network) admit(key string, nid id.ID) (n, bootstrap *Node, err error) {
+	n = &Node{
+		net:   net,
+		key:   key,
+		ip:    fmt.Sprintf("sim://%s", nid.Short()),
+		id:    nid,
+		succs: make([]*Node, 0, net.succListLen),
+	}
+	n.alive.Store(true)
+
+	net.mu.Lock()
+	defer net.mu.Unlock()
+	if old, ok := net.byKey[key]; ok && old.Alive() {
+		return nil, nil, fmt.Errorf("chord: join %q: key already in overlay", key)
+	}
+	if i := net.ringIndexLocked(nid); i < len(net.ring) && net.ring[i].id == nid {
+		return nil, nil, fmt.Errorf("chord: join %q: ring position %s already occupied by %s", key, nid.Short(), net.ring[i])
+	}
+	if len(net.ring) > 0 {
+		bootstrap = net.ring[0]
+	}
+	net.insertLocked(n)
+	return n, bootstrap, nil
+}
+
+// handOver gives everything departing node n stored to its successor, and
+// returns n's successor and predecessor as they were: the key transfer both
+// leave modes share.
+func (n *Node) handOver() (succ, pred *Node) {
+	succ, pred = n.Successor(), n.Predecessor()
+	if succ != n && succ != nil {
+		if h, ok := n.Handler().(KeyTransferrer); ok {
+			h.TransferKeys(n, succ, n.ID(), n.ID())
+		}
+	}
+	return succ, pred
+}
+
 // LeaveProtocol removes a node voluntarily using only the protocol: the
 // departing node hands its keys to its successor, tells its successor to
 // adopt its predecessor, and points its predecessor's successor chain past
@@ -316,14 +316,7 @@ func (net *Network) LeaveProtocol(n *Node) {
 	if !n.Alive() {
 		return
 	}
-	succ := n.Successor()
-	pred := n.Predecessor()
-	if succ != n && succ != nil {
-		if h, ok := n.Handler().(KeyTransferrer); ok {
-			// Everything n stored now belongs to its successor.
-			h.TransferKeys(n, succ, n.ID(), n.ID())
-		}
-	}
+	succ, pred := n.handOver()
 	net.removeQuiet(n)
 	if succ == nil || succ == n || !succ.Alive() {
 		return
@@ -394,14 +387,7 @@ func (net *Network) Leave(n *Node) {
 	if !n.Alive() {
 		return
 	}
-	succ := n.Successor()
-	pred := n.Predecessor()
-	if succ != n && succ != nil {
-		if h, ok := n.Handler().(KeyTransferrer); ok {
-			// Everything n stored now belongs to its successor.
-			h.TransferKeys(n, succ, n.ID(), n.ID())
-		}
-	}
+	succ, pred := n.handOver()
 	net.remove(n)
 	if succ != nil && succ.Alive() {
 		net.repairAround(succ)
@@ -420,17 +406,13 @@ func (net *Network) Fail(n *Node) {
 	net.remove(n)
 }
 
+// remove is removeQuiet plus the correction of n's immediate neighbors'
+// pointers, so successor chains stay valid, as Chord's stabilization would
+// make them within one round.
 func (net *Network) remove(n *Node) {
+	net.removeQuiet(n)
 	net.mu.Lock()
 	defer net.mu.Unlock()
-	n.alive.Store(false)
-	delete(net.byKey, n.key)
-	i := net.ringIndexLocked(n.id)
-	if i < len(net.ring) && net.ring[i] == n {
-		net.ring = append(net.ring[:i], net.ring[i+1:]...)
-	}
-	// Correct the immediate neighbors' pointers so successor chains stay
-	// valid, as Chord's stabilization would within one round.
 	if len(net.ring) == 0 {
 		return
 	}

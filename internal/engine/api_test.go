@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"cqjoin/internal/chord"
+	"cqjoin/internal/metrics"
 	"cqjoin/internal/query"
 	"cqjoin/internal/relation"
 	"cqjoin/internal/wire"
@@ -264,6 +266,10 @@ func TestDeliveredIdentitiesAcrossChunks(t *testing.T) {
 	}
 }
 
+// TS is a level read off the tables, TF a flow: a reset zeroes TF and leaves
+// TS. Across a crash and a protocol leave of the nodes holding the most
+// queries, the rewriters hold every query once per rewriter it has (one under
+// SAI, two under DAI), and once every query is retracted they hold none.
 func TestLoadAccessorsAndReset(t *testing.T) {
 	env := newTestEnv(t, 24, Config{Algorithm: SAI})
 	env.subscribe(t, 0, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
@@ -271,16 +277,71 @@ func TestLoadAccessorsAndReset(t *testing.T) {
 	if sum(env.eng.FilteringLoads()) == 0 {
 		t.Fatal("FilteringLoads all zero")
 	}
-	if sum(env.eng.StorageLoads()) == 0 {
+	ts := sum(env.eng.StorageLoads())
+	if ts == 0 {
 		t.Fatal("StorageLoads all zero")
 	}
 	if got := len(env.eng.FilteringLoads()); got != 24 {
 		t.Fatalf("loads length = %d, want one per node", got)
 	}
 	env.eng.ResetLoads()
-	if sum(env.eng.FilteringLoads())+sum(env.eng.StorageLoads()) != 0 {
-		t.Fatal("ResetLoads left residue")
+	if got := sum(env.eng.FilteringLoads()); got != 0 {
+		t.Fatalf("ResetLoads left a TF of %d", got)
 	}
+	if got := sum(env.eng.StorageLoads()); got != ts {
+		t.Fatalf("ResetLoads moved TS from %d to %d", ts, got)
+	}
+
+	for _, c := range []struct {
+		alg       Algorithm
+		rewriters int64
+	}{{SAI, 1}, {DAIQ, 2}, {DAIT, 2}, {DAIV, 2}} {
+		t.Run(c.alg.String(), func(t *testing.T) {
+			env := newTestEnv(t, 24, Config{Algorithm: c.alg})
+			var qs []*query.Query
+			for i, l := range []string{"A", "B", "C"} {
+				for j, r := range []string{"D", "E", "F"} {
+					qs = append(qs, env.subscribe(t, 3*i+j, fmt.Sprintf(`SELECT R.A, S.D FROM R, S WHERE R.%s = S.%s`, l, r)))
+				}
+			}
+			env.eng.ResetLoads()
+			rewriterTS := func(step string, want int64) {
+				t.Helper()
+				if got := sum(env.eng.RoleLoads(metrics.Rewriter, true)); got != want {
+					t.Fatalf("%s: rewriter TS = %d, want %d", step, got, want)
+				}
+			}
+			want := int64(len(qs)) * c.rewriters
+			rewriterTS("subscribed", want)
+			env.eng.FailNode(env.mostQueries(t, len(qs)))
+			env.eng.LeaveNodeProtocol(env.mostQueries(t, len(qs)))
+			env.net.RepairAll()
+			rewriterTS("after a crash and a leave", want)
+			for i, q := range qs {
+				if err := env.eng.Unsubscribe(env.node(i), q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rewriterTS("unsubscribed", 0)
+		})
+	}
+}
+
+// mostQueries returns the alive node past the first skip that holds the most
+// queries at its rewriter tables, and fails t where none holds one.
+func (env *testEnv) mostQueries(t *testing.T, skip int) *chord.Node {
+	t.Helper()
+	var best *chord.Node
+	most := 0
+	for _, n := range env.nodes[skip:] {
+		if q := env.eng.state(n).holding().queries; n.Alive() && q > most {
+			best, most = n, q
+		}
+	}
+	if best == nil {
+		t.Fatal("no node past the subscribers holds a query")
+	}
+	return best
 }
 
 func TestPublishErrorPaths(t *testing.T) {

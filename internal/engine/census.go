@@ -1,5 +1,7 @@
 package engine
 
+import "cqjoin/internal/metrics"
+
 // CensusEntry is the size of one structure the engine keeps: summed over the
 // nodes, and the largest on one node. An engine-wide structure's are equal.
 type CensusEntry struct{ Sum, Max int }
@@ -9,6 +11,7 @@ type CensusEntry struct{ Sum, Max int }
 //   - vl_buckets, the value-level identifiers (slots), and what their
 //     buckets store: vlqt_rewrites, vlqt_spelled_keys (stored rewrites whose
 //     Key(q') is a string their target holds, not derived) and vltt_tuples;
+//   - daiv_tuples, what DAI-V's value stores hold;
 //   - alqt_queries, alqt_purge_entries (the inputs on the condition groups'
 //     purge lists, each once a group however many of its queries it serves),
 //     alqt_marks and alqt_grants;
@@ -48,35 +51,71 @@ func (c census) add(name string, n int) {
 
 func (c census) engineWide(name string, n int) { c[name] = CensusEntry{n, n} }
 
+// holding is what a node stores, table by table. Its storage load TS, "how
+// many items a node currently holds" (Chapter 1), is their sum by role, and
+// the census reports each: so TS is counted, never kept, and cannot drift
+// from the tables.
+type holding struct{ queries, rewrites, tuples, daivTuples, notifs int }
+
+// holding counts this node's stored items, under st.mu.
+func (st *nodeState) holding() holding {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	var h holding
+	for _, s := range st.vl {
+		if s.q != nil {
+			h.rewrites += s.q.rewrites.len()
+		}
+		if s.t != nil {
+			h.tuples += s.t.tuples.len()
+		}
+	}
+	for _, b := range st.alqt {
+		h.queries += b.storedItems()
+	}
+	for _, b := range st.vstore {
+		h.daivTuples += b.storedItems()
+	}
+	for _, batch := range st.storedNotifs {
+		h.notifs += len(batch)
+	}
+	return h
+}
+
+// storage returns the TS of role r: a rewriter's ALQT queries; an evaluator's
+// VLQT rewrites, VLTT and DAI-V tuples and stored notifications.
+func (h holding) storage(r metrics.Role) int64 {
+	switch r {
+	case metrics.Rewriter:
+		return int64(h.queries)
+	case metrics.Evaluator:
+		return int64(h.rewrites + h.tuples + h.daivTuples + h.notifs)
+	}
+	return 0
+}
+
 // census adds this node's counts to c.
 func (st *nodeState) census(c census) {
 	c.add("jfrt_entries", st.jfrt.len())
+	h := st.holding()
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	var rewrites, spelled, tuples, queries, targets, marks, grants, notifs, verdicts, promoted int
+	var spelled, targets, marks, grants, verdicts, promoted int
 	for _, s := range st.vl {
 		if s.q != nil {
-			rewrites += s.q.rewrites.len()
 			for _, rw := range s.q.rewrites.all() {
 				if rw.spelledKey() != "" {
 					spelled++
 				}
 			}
 		}
-		if s.t != nil {
-			tuples += s.t.tuples.len()
-		}
 	}
 	for _, b := range st.alqt {
-		queries += b.storedItems()
 		for _, g := range b.byCond.all() {
 			targets += len(g.sent)
 		}
 		marks += len(b.interest)
 		grants += len(b.grants)
-	}
-	for _, batch := range st.storedNotifs {
-		notifs += len(batch)
 	}
 	for ord := range 4 * len(st.verdicts) {
 		if st.verdict(ord) != verdictUnknown {
@@ -89,16 +128,17 @@ func (st *nodeState) census(c census) {
 		}
 	}
 	c.add("vl_buckets", len(st.vl))
-	c.add("vlqt_rewrites", rewrites)
+	c.add("vlqt_rewrites", h.rewrites)
 	c.add("vlqt_spelled_keys", spelled)
-	c.add("vltt_tuples", tuples)
-	c.add("alqt_queries", queries)
+	c.add("vltt_tuples", h.tuples)
+	c.add("daiv_tuples", h.daivTuples)
+	c.add("alqt_queries", h.queries)
 	c.add("alqt_purge_entries", targets)
 	c.add("alqt_marks", marks)
 	c.add("alqt_grants", grants)
 	c.add("retracted", len(st.retracted))
 	c.add("sub_ips", len(st.subIPs))
-	c.add("stored_notifs", notifs)
+	c.add("stored_notifs", h.notifs)
 	c.add("publisher_verdicts", verdicts)
 	c.add("hot_counters", len(st.hot))
 	c.add("hot_entries", promoted)

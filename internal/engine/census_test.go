@@ -3,6 +3,7 @@ package engine
 import (
 	"testing"
 
+	"cqjoin/internal/metrics"
 	"cqjoin/internal/query"
 	"cqjoin/internal/wire"
 )
@@ -39,5 +40,20 @@ func TestCensusCountsWhatTheEngineKeepsBesideItsTables(t *testing.T) {
 	c = env.eng.Census()
 	if got := [3]int{c["wire_memo_queries"].Sum, c["wire_memo_parsed"].Sum, c["wire_memo_strings"].Sum}; got != [3]int{1, 1, 0} {
 		t.Errorf("after one query message the memo holds %v queries, texts and strings, want [1 1 0]", got)
+	}
+}
+
+// DAI-V's value stores are what its evaluators hold: the census counts them
+// as daiv_tuples, and they are the evaluator TS.
+func TestCensusCountsDAIVValueStores(t *testing.T) {
+	env := newTestEnv(t, 32, Config{Algorithm: DAIV})
+	env.subscribe(t, 0, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
+	env.publish(t, 1, rTuple(env, 1, 7, 0))
+	env.publish(t, 2, sTuple(env, 2, 7, 0))
+	if got := env.eng.Census()["daiv_tuples"].Sum; got != 2 {
+		t.Errorf("daiv_tuples = %d after one tuple a side, want 2", got)
+	}
+	if got := sum(env.eng.RoleLoads(metrics.Evaluator, true)); got != 2 {
+		t.Errorf("evaluator TS = %d after one tuple a side, want 2", got)
 	}
 }

@@ -441,12 +441,13 @@ func (e *Engine) FilteringLoads() []int64 {
 }
 
 // StorageLoads returns every alive node's total storage load (TS), in ring
-// order.
+// order, counted off its tables (holding).
 func (e *Engine) StorageLoads() []int64 {
 	nodes := e.net.Nodes()
 	out := make([]int64, len(nodes))
 	for i, n := range nodes {
-		out[i] = e.state(n).load.TotalStorage()
+		h := e.state(n).holding()
+		out[i] = h.storage(metrics.Rewriter) + h.storage(metrics.Evaluator)
 	}
 	return out
 }
@@ -457,17 +458,17 @@ func (e *Engine) RoleLoads(role metrics.Role, storage bool) []int64 {
 	nodes := e.net.Nodes()
 	out := make([]int64, len(nodes))
 	for i, n := range nodes {
-		l := &e.state(n).load
-		if storage {
-			out[i] = l.Storage(role)
+		if st := e.state(n); storage {
+			out[i] = st.holding().storage(role)
 		} else {
-			out[i] = l.Filtering(role)
+			out[i] = st.load.Filtering(role)
 		}
 	}
 	return out
 }
 
-// ResetLoads zeroes every node's load counters, typically after warm-up.
+// ResetLoads zeroes every node's filtering load, typically after warm-up.
+// The storage load is a level, read off the tables, and has nothing to reset.
 func (e *Engine) ResetLoads() {
 	for _, n := range e.net.Nodes() {
 		e.state(n).load.Reset()

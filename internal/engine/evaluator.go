@@ -38,7 +38,7 @@ func (st *nodeState) handleJoin(m *joinMsg) {
 	ms := mbuf[:0]
 	var outs []outbound
 	var scatter []chord.Deliverable
-	n := tally{work: 1}
+	work := 1
 
 	st.mu.Lock()
 	for i := 0; i < len(rws); {
@@ -47,7 +47,7 @@ func (st *nodeState) handleJoin(m *joinMsg) {
 		run := rws[i : i+sameTargetRun(rws[i:])]
 		i += len(run)
 		key := appendVLInput(buf[:0], run[0].Want.Rel, run[0].Want.Attr, run[0].WantValue)
-		ms, outs = st.joinAt(vlHash(key), run, &n, ms, outs)
+		ms, outs = st.joinAt(vlHash(key), run, &work, ms, outs)
 		// Hot-key sharding (DESIGN.md §13): count the arrivals, and owe a
 		// promoted input's shards what this bucket — shard 0 — stored.
 		if e.hotK > 0 {
@@ -57,18 +57,15 @@ func (st *nodeState) handleJoin(m *joinMsg) {
 	st.mu.Unlock()
 
 	_ = e.dispatch(st.node, scatter)
-	st.evaluated(n, ms, outs)
+	st.evaluated(work, ms, outs)
 }
-
-// tally is what an arrival at an evaluator cost it: the lookups and
-// comparisons it made, and the items it stored.
-type tally struct{ work, stored int }
 
 // joinAt stores (where the algorithm does) and matches run, rewrites bound
 // for the one bucket of identifier h: the input they were derived for, or one
-// of its shards' (appendShardInput). It appends the matches to ms and a chain's
-// rewrites a stage on to outs (meet). The caller holds st.mu.
-func (st *nodeState) joinAt(h id.ID, run []rewritten, n *tally, ms []match, outs []outbound) ([]match, []outbound) {
+// of its shards' (appendShardInput). It adds the lookups and comparisons it
+// made to *work, and appends the matches to ms and a chain's rewrites a stage
+// on to outs (meet). The caller holds st.mu.
+func (st *nodeState) joinAt(h id.ID, run []rewritten, work *int, ms []match, outs []outbound) ([]match, []outbound) {
 	e := st.engine
 	alg := e.cfg.Algorithm
 	s := st.vl[h]
@@ -80,17 +77,16 @@ func (st *nodeState) joinAt(h id.ID, run []rewritten, n *tally, ms []match, outs
 				qb = st.vlqtFor(h, len(run)-i)
 			}
 			if !addRewrite(&qb.rewrites, rw) {
-				n.work++
+				*work++
 				continue
 			}
-			n.stored++
 		}
 
 		if (alg == SAI || alg == DAIQ) && tb != nil {
 			// Match the rewritten query against stored tuples that were
 			// inserted after the query was posed.
 			for _, tt := range tb.tuples.all() {
-				n.work++
+				*work++
 				if matchRewrite(rw, tt) {
 					ms, outs = meet(qb, rw, tt, ms, outs)
 				}
@@ -130,13 +126,13 @@ func (st *nodeState) tupleAt(kind string, h id.ID, t *relation.Tuple) {
 	var mbuf [matchScratch]match
 	ms := mbuf[:0]
 	var outs []outbound
-	n := tally{work: 1}
+	work := 1
 
 	st.mu.Lock()
 	s := st.vl[h]
 	if s.q != nil {
 		for _, rw := range s.q.rewrites.all() {
-			n.work++
+			work++
 			if matchRewrite(rw, t) {
 				ms, outs = meet(s.q, rw, t, ms, outs)
 			}
@@ -149,24 +145,20 @@ func (st *nodeState) tupleAt(kind string, h id.ID, t *relation.Tuple) {
 		if tb == nil {
 			tb = st.vlttFor(h)
 		}
-		if addTuple(&tb.tuples, t) {
-			n.stored++
-		} else {
+		if !addTuple(&tb.tuples, t) {
 			st.engine.net.Traffic().RecordDuplicate(kind)
 		}
 	}
 	st.mu.Unlock()
 
-	st.evaluated(n, ms, outs)
+	st.evaluated(work, ms, outs)
 }
 
-// evaluated charges an evaluator's arrival to its load and sends what it
-// yielded: a chain's rewrites a stage on, and the notifications.
-func (st *nodeState) evaluated(n tally, ms []match, outs []outbound) {
-	st.load.AddFiltering(metrics.Evaluator, n.work)
-	if n.stored > 0 {
-		st.load.AddStorage(metrics.Evaluator, n.stored)
-	}
+// evaluated charges an evaluator's arrival, work lookups and comparisons, to
+// its load and sends what it yielded: a chain's rewrites a stage on, and the
+// notifications.
+func (st *nodeState) evaluated(work int, ms []match, outs []outbound) {
+	st.load.AddFiltering(metrics.Evaluator, work)
 	st.sendJoins(outs)
 	st.sendNotifications(notifications(ms))
 }
@@ -229,7 +221,6 @@ func (st *nodeState) handleJoinV(m joinVMsg) {
 	var mbuf [matchScratch]match
 	ms := mbuf[:0]
 	work := 1
-	stored := 0
 
 	st.mu.Lock()
 	entry := condEntryOf(&st.daivBucketFor(input).byCond, m.Cond, func() *daivEntry { return &daivEntry{cond: m.Cond} })
@@ -247,14 +238,9 @@ func (st *nodeState) handleJoinV(m joinVMsg) {
 	}
 	// Store the triggering tuple once, even when equivalent query groups
 	// indexed under different attributes deliver it twice.
-	if addTuple(&entry.tuples[m.Side], m.Trigger) {
-		stored++
-	}
+	addTuple(&entry.tuples[m.Side], m.Trigger)
 	st.mu.Unlock()
 
 	st.load.AddFiltering(metrics.Evaluator, work)
-	if stored > 0 {
-		st.load.AddStorage(metrics.Evaluator, stored)
-	}
 	st.sendNotifications(notifications(ms))
 }

@@ -7,7 +7,6 @@ import (
 
 	"cqjoin/internal/chord"
 	"cqjoin/internal/id"
-	"cqjoin/internal/metrics"
 	"cqjoin/internal/query"
 	"cqjoin/internal/relation"
 )
@@ -197,14 +196,13 @@ func (e *Engine) ExportHandoff(n *chord.Node) (chord.Message, bool) {
 // sections, in sorted key order — a value-level slot's key is its
 // identifier, every other table's a string, hashed for inArc. Mutable slices
 // are copied so later engine activity cannot reach into the message; the
-// immutable leaves (tuples, queries, rewrites) are shared. With take set it removes what it renders, books the
-// removal on the storage gauges, and adds what only an in-process move
-// carries (the unwalked fields). The retraction memory is keyed by query, not
+// immutable leaves (tuples, queries, rewrites) are shared. With take set it
+// removes what it renders and adds what only an in-process move carries (the
+// unwalked fields). The retraction memory is keyed by query, not
 // input: every cut copies all of it, and only a taking cut of the whole node
 // empties it.
 func (st *nodeState) cut(inArc func(id.ID) bool, take bool) handoffMsg {
 	var m handoffMsg
-	var rewriter, evaluator int
 	st.mu.Lock()
 	cutEach(st.alqt, inArc, take, func(_ string, b *alBucket) {
 		sec := alSection{
@@ -228,7 +226,6 @@ func (st *nodeState) cut(inArc func(id.ID) bool, take bool) handoffMsg {
 		if take {
 			sec.arrivals, sec.distinct = b.arrivals, b.distinct
 		}
-		rewriter += b.storedItems()
 		m.AL = append(m.AL, sec)
 	})
 	hs := make([]id.ID, 0, len(st.vl))
@@ -247,11 +244,9 @@ func (st *nodeState) cut(inArc func(id.ID) bool, take bool) handoffMsg {
 			if len(qb.sent) > 0 {
 				sec.SentTargets = flattenTargets(qb.sent)
 			}
-			evaluator += qb.rewrites.len()
 			m.VQ = append(m.VQ, sec)
 		}
 		if tb := st.vl[h].t; tb != nil {
-			evaluator += tb.tuples.len()
 			m.VT = append(m.VT, vtSection{ID: h, Tuples: append([]*relation.Tuple(nil), tb.tuples.all()...)})
 		}
 		if take {
@@ -267,14 +262,12 @@ func (st *nodeState) cut(inArc func(id.ID) bool, take bool) handoffMsg {
 				Right: append([]*relation.Tuple(nil), entry.tuples[query.SideRight].all()...),
 			})
 		}
-		evaluator += b.storedItems()
 		m.DV = append(m.DV, sec)
 	})
 	cutEach(st.hot, inArc, take, func(input string, h *hotInput) {
 		m.Hot = append(m.Hot, hotSection{Input: input, Count: h.count, WindowStart: h.windowStart, Promoted: h.promoted})
 	})
 	cutEach(st.storedNotifs, inArc, take, func(sub string, batch []Notification) {
-		evaluator += len(batch)
 		m.Notifs = append(m.Notifs, notifSection{Subscriber: sub, Batch: append([]Notification(nil), batch...)})
 	})
 	m.Retracted = sortedKeys(st.retracted)
@@ -282,11 +275,6 @@ func (st *nodeState) cut(inArc func(id.ID) bool, take bool) handoffMsg {
 		clear(st.retracted)
 	}
 	st.mu.Unlock()
-
-	if take {
-		st.load.AddStorage(metrics.Rewriter, -rewriter)
-		st.load.AddStorage(metrics.Evaluator, -evaluator)
-	}
 	return m
 }
 
@@ -313,24 +301,19 @@ func cutEach[V any](m map[string]V, inArc func(id.ID) bool, take bool, f func(ke
 // addressed to this node are replayed immediately; snapshot restore passes
 // false so recovered offline queues stay queued exactly as exported.
 func (st *nodeState) merge(on *chord.Node, m handoffMsg, replayNotifs bool) {
-	var addedRewriter, addedEvaluator int
 	var replay []string
 	var revoke []revocation
 
 	st.mu.Lock()
 	for _, sec := range m.AL {
-		added, revoked := st.mergeAL(sec)
-		addedRewriter += added
-		if len(revoked) > 0 {
+		if revoked := st.mergeAL(sec); len(revoked) > 0 {
 			revoke = append(revoke, revocation{sec.Input, revoked})
 		}
 	}
 	for _, sec := range m.VQ {
 		qb := st.vlqtFor(sec.ID, len(sec.Entries))
 		for _, e := range sec.Entries {
-			if addRewrite(&qb.rewrites, e.Rw) {
-				addedEvaluator++
-			}
+			addRewrite(&qb.rewrites, e.Rw)
 		}
 		for _, te := range sec.SentTargets {
 			for _, t := range te.Targets {
@@ -339,10 +322,10 @@ func (st *nodeState) merge(on *chord.Node, m handoffMsg, replayNotifs bool) {
 		}
 	}
 	for _, sec := range m.VT {
-		addedEvaluator += addTuples(&st.vlttFor(sec.ID).tuples, sec.Tuples)
+		addTuples(&st.vlttFor(sec.ID).tuples, sec.Tuples)
 	}
 	for _, sec := range m.DV {
-		addedEvaluator += st.mergeDAIV(sec)
+		st.mergeDAIV(sec)
 	}
 	for _, key := range m.Retracted {
 		st.retract(key)
@@ -354,15 +337,12 @@ func (st *nodeState) merge(on *chord.Node, m handoffMsg, replayNotifs bool) {
 	}
 	for _, sec := range m.Notifs {
 		st.storeNotifs(sec.Subscriber, sec.Batch)
-		addedEvaluator += len(sec.Batch)
 		if replayNotifs && sec.Subscriber == on.Key() {
 			replay = append(replay, sec.Subscriber)
 		}
 	}
 	st.mu.Unlock()
 
-	st.load.AddStorage(metrics.Rewriter, addedRewriter)
-	st.load.AddStorage(metrics.Evaluator, addedEvaluator)
 	for _, r := range revoke {
 		st.revoke(r.input, r.grantees)
 	}

@@ -421,13 +421,10 @@ func TestSpelledKeySurvivesStorageAndHandOff(t *testing.T) {
 	env := newTestEnv(t, 16, Config{Algorithm: SAI})
 	st := env.eng.state(env.node(0))
 	h := vlHash(rw.appendInput(nil))
-	var n tally
+	var work int
 	st.mu.Lock()
-	st.joinAt(h, join.Rewrites, &n, nil, nil)
+	st.joinAt(h, join.Rewrites, &work, nil, nil)
 	st.mu.Unlock()
-	if n.stored != 1 {
-		t.Fatalf("joinAt stored %d of a rewrite and its repeat", n.stored)
-	}
 	if c := env.eng.Census(); c["vlqt_rewrites"].Sum != 1 || c["vlqt_spelled_keys"].Sum != 1 {
 		t.Fatalf("census counts %d rewrites, %d spelled keys; want 1 and 1", c["vlqt_rewrites"].Sum, c["vlqt_spelled_keys"].Sum)
 	}

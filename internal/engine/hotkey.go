@@ -272,11 +272,11 @@ func (st *nodeState) handleHotJoin(m hotJoinMsg) {
 	rws := st.liveRewrites(m.Rewrites)
 	var buf [keyScratch]byte
 	var mbuf [matchScratch]match
-	n := tally{work: 1}
+	work := 1
 	st.mu.Lock()
-	ms, outs := st.joinAt(vlHash(appendShardInput(buf[:0], m.Input, m.Shard)), rws, &n, mbuf[:0], nil)
+	ms, outs := st.joinAt(vlHash(appendShardInput(buf[:0], m.Input, m.Shard)), rws, &work, mbuf[:0], nil)
 	st.mu.Unlock()
-	st.evaluated(n, ms, outs)
+	st.evaluated(work, ms, outs)
 }
 
 // handleHotVLIndex lands a relayed tuple at a shard: its bucket takes the

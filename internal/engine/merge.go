@@ -13,37 +13,33 @@ import (
 // later handed over, the incoming bucket must merge with whatever the
 // destination already accumulated; overwriting would lose state and
 // duplicating would double future matches. Every helper is idempotent under
-// re-merge (items are keyed), returns the number of items actually added
-// for storage-load accounting, and iterates in deterministic order so
+// re-merge (items are keyed) and iterates in deterministic order so
 // hand-offs don't perturb a seeded chaos trace. Callers hold dst.mu.
 
 // appendNew appends to *dst the items of src whose key no item of *dst has
-// yet, and returns how many it added.
-func appendNew[T any](dst *[]T, src []T, key func(T) string) int {
+// yet.
+func appendNew[T any](dst *[]T, src []T, key func(T) string) {
 	have := make(map[string]bool, len(*dst))
 	for _, it := range *dst {
 		have[key(it)] = true
 	}
-	added := 0
 	for _, it := range src {
 		if k := key(it); !have[k] {
 			have[k] = true
 			*dst = append(*dst, it)
-			added++
 		}
 	}
-	return added
 }
 
 // mergeAL installs one ALQT section, its groups after the bucket's own in
-// section order, and returns the queries it added and the grants the merged
-// bucket takes back: one with a reader keeps no silence granted. Grants merge
-// past alGrantsMax, which bounds granting, not keeping.
-func (st *nodeState) mergeAL(sec alSection) (added int, revoked []string) {
+// section order, and returns the grants the merged bucket takes back: one
+// with a reader keeps no silence granted. Grants merge past alGrantsMax, which
+// bounds granting, not keeping.
+func (st *nodeState) mergeAL(sec alSection) (revoked []string) {
 	b := st.alBucketFor(sec.Input)
 	for _, g := range sec.Groups {
 		eg := condEntryOf(&b.byCond, g.Cond, func() *queryGroup { return &queryGroup{cond: g.Cond, side: g.Side} })
-		added += appendNew(&eg.queries, g.Queries, (*query.Query).Key)
+		appendNew(&eg.queries, g.Queries, (*query.Query).Key)
 	}
 	b.arrivals = append(b.arrivals, sec.arrivals...)
 	maps.Copy(b.distinct, sec.distinct)
@@ -60,7 +56,7 @@ func (st *nodeState) mergeAL(sec alSection) (added int, revoked []string) {
 	if !b.idle() {
 		revoked = b.takeGrants()
 	}
-	return added, revoked
+	return revoked
 }
 
 // mergeTargets folds each query's purge targets into its group's purge list
@@ -92,13 +88,12 @@ func (b *alBucket) mergeTargets(entries []targetsEntry) {
 	}
 }
 
-// mergeDAIV installs one DAI-V section and returns the tuples it added.
-func (st *nodeState) mergeDAIV(sec dvSection) int {
+// mergeDAIV installs one DAI-V section.
+func (st *nodeState) mergeDAIV(sec dvSection) {
 	b := st.daivBucketFor(sec.Input)
-	added := 0
 	for _, e := range sec.Entries {
 		entry := condEntryOf(&b.byCond, e.Cond, func() *daivEntry { return &daivEntry{cond: e.Cond} })
-		added += addTuples(&entry.tuples[query.SideLeft], e.Left) + addTuples(&entry.tuples[query.SideRight], e.Right)
+		addTuples(&entry.tuples[query.SideLeft], e.Left)
+		addTuples(&entry.tuples[query.SideRight], e.Right)
 	}
-	return added
 }

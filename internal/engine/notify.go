@@ -8,7 +8,6 @@ import (
 
 	"cqjoin/internal/chord"
 	"cqjoin/internal/id"
-	"cqjoin/internal/metrics"
 	"cqjoin/internal/query"
 	"cqjoin/internal/relation"
 )
@@ -364,7 +363,6 @@ func (st *nodeState) handleNotify(msg *notifyMsg) {
 	for range msg.Batch[len(kept):] {
 		st.engine.net.Traffic().RecordLost(kindNotify)
 	}
-	st.load.AddStorage(metrics.Evaluator, len(kept))
 	st.engine.obs.notifyStored.Add(int64(len(kept)))
 }
 
@@ -382,7 +380,6 @@ func (st *nodeState) replayStoredNotifications(sub string, dst *chord.Node) {
 		return
 	}
 	e := st.engine
-	st.load.AddStorage(metrics.Evaluator, -len(batch))
 	msg := &notifyMsg{Subscriber: sub, Batch: batch}
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
@@ -406,7 +403,6 @@ func (st *nodeState) replayStoredNotifications(sub string, dst *chord.Node) {
 	st.mu.Lock()
 	st.storeNotifs(sub, batch)
 	st.mu.Unlock()
-	st.load.AddStorage(metrics.Evaluator, len(batch))
 }
 
 // storeNotifs adds batch to the notifications stored for subscriber sub. The

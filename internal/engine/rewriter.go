@@ -47,7 +47,6 @@ func (st *nodeState) handleQueryIndex(m queryMsg) {
 
 	st.revoke(input, granted)
 	st.load.AddFiltering(metrics.Rewriter, 1)
-	st.load.AddStorage(metrics.Rewriter, 1)
 }
 
 // handleInterest sets a query's interest mark on an ALQT bucket and revokes

@@ -255,12 +255,12 @@ func (g *queryGroup) newestInsT() int64 {
 }
 
 // retire removes query key from the group and returns, in one array, the
-// purges of its stored rewrites; it then prunes the purge list. It is false
-// where the group does not hold the query.
-func (g *queryGroup) retire(key string) ([]purgeMsg, bool) {
+// purges of its stored rewrites; it then prunes the purge list. A group that
+// does not hold the query is left as it is.
+func (g *queryGroup) retire(key string) []purgeMsg {
 	i := slices.IndexFunc(g.queries, func(q *query.Query) bool { return q.Key() == key })
 	if i < 0 {
-		return nil, false
+		return nil
 	}
 	insT := g.queries[i].InsT()
 	g.queries = slices.Delete(g.queries, i, i+1)
@@ -280,7 +280,7 @@ func (g *queryGroup) retire(key string) ([]purgeMsg, bool) {
 		}
 	}
 	g.prune()
-	return msgs, true
+	return msgs
 }
 
 // prune drops the inputs whose newest trigger is older than every live
@@ -562,16 +562,15 @@ func (st *nodeState) evictBefore(cutoff int64) {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	evicted := 0
 	for h, s := range st.vl {
 		was := s
 		if s.t != nil {
-			if evicted += s.t.tuples.removeIf(expired, tupleHash); s.t.tuples.len() == 0 {
+			if s.t.tuples.removeIf(expired, tupleHash); s.t.tuples.len() == 0 {
 				s.t = nil
 			}
 		}
 		if s.q != nil {
-			if evicted += s.q.rewrites.removeIf(chainExpired, (*rewritten).keyHash); s.q.empty() {
+			if s.q.rewrites.removeIf(chainExpired, (*rewritten).keyHash); s.q.empty() {
 				s.q = nil
 			}
 		}
@@ -581,14 +580,12 @@ func (st *nodeState) evictBefore(cutoff int64) {
 	}
 	for input, b := range st.vstore {
 		b.byCond.removeIf(func(e *daivEntry) bool {
-			evicted += e.tuples[0].removeIf(expired, tupleHash) + e.tuples[1].removeIf(expired, tupleHash)
+			e.tuples[0].removeIf(expired, tupleHash)
+			e.tuples[1].removeIf(expired, tupleHash)
 			return e.tuples[0].len()+e.tuples[1].len() == 0
 		}, condHash[*daivEntry])
 		if b.byCond.len() == 0 {
 			delete(st.vstore, input)
 		}
-	}
-	if evicted > 0 {
-		st.load.AddStorage(metrics.Evaluator, -evicted)
 	}
 }

@@ -99,9 +99,8 @@ func (t *table[T]) indexAt(x T, h uint64) {
 	}
 }
 
-// removeIf drops the items drop selects, keeping the order of the rest, and
-// returns how many went.
-func (t *table[T]) removeIf(drop func(T) bool, keyHash func(T) uint64) int {
+// removeIf drops the items drop selects, keeping the order of the rest.
+func (t *table[T]) removeIf(drop func(T) bool, keyHash func(T) uint64) {
 	kept := t.items[:0]
 	for _, x := range t.items {
 		if !drop(x) {
@@ -112,13 +111,11 @@ func (t *table[T]) removeIf(drop func(T) bool, keyHash func(T) uint64) int {
 			}
 		}
 	}
-	removed := len(t.items) - len(kept)
 	clear(t.items[len(kept):])
 	t.items = kept
 	if len(kept) <= smallTableMax/2 {
 		t.index = nil
 	}
-	return removed
 }
 
 // addTuple stores tu unless a tuple of its content is stored, and reports
@@ -127,15 +124,11 @@ func addTuple(s *table[*relation.Tuple], tu *relation.Tuple) bool {
 	return s.insert(tu, tu.SameContent, tupleHash)
 }
 
-// addTuples adds every tuple of ts and returns how many were new.
-func addTuples(s *table[*relation.Tuple], ts []*relation.Tuple) int {
-	added := 0
+// addTuples adds every tuple of ts whose content s does not hold.
+func addTuples(s *table[*relation.Tuple], ts []*relation.Tuple) {
 	for _, tu := range ts {
-		if addTuple(s, tu) {
-			added++
-		}
+		addTuple(s, tu)
 	}
-	return added
 }
 
 // tupleHash returns indexHash of tu's content key.

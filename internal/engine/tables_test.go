@@ -39,7 +39,7 @@ type tableKind[T comparable] struct {
 	pool    func(n int) []T
 	key     func(T) string
 	add     func(*table[T], T) bool
-	addAll  func(*table[T], []T) int // nil: add one by one, as a hand-off merges the kind
+	addAll  func(*table[T], []T) // nil: add one by one, as a hand-off merges the kind
 	get     func(*table[T], T) (T, bool)
 	keyHash func(T) uint64
 	// evict returns the kind's removal: a moving window, a retraction, a
@@ -73,8 +73,7 @@ func (k tableKind[T]) run(t *testing.T, colliding bool) (shared bool) {
 			items = append(items, x)
 			return true
 		}
-		removeIf := func(step string, drop func(T) bool) {
-			t.Helper()
+		removeIf := func(drop func(T) bool) {
 			kept := items[:0:0]
 			for _, x := range items {
 				if drop(x) {
@@ -83,11 +82,8 @@ func (k tableKind[T]) run(t *testing.T, colliding bool) (shared bool) {
 					kept = append(kept, x)
 				}
 			}
-			want := len(items) - len(kept)
 			items = kept
-			if got := tab.removeIf(drop, k.keyHash); got != want {
-				t.Fatalf("%s: removeIf removed %d, reference %d", step, got, want)
-			}
+			tab.removeIf(drop, k.keyHash)
 		}
 		for op := 0; op < 300; op++ {
 			step := fmt.Sprintf("seed %d op %d", seed, op)
@@ -106,30 +102,21 @@ func (k tableKind[T]) run(t *testing.T, colliding bool) (shared bool) {
 				for i := range batch {
 					batch[i] = pool[rng.Intn(len(pool))]
 				}
-				want := 0
 				for _, x := range batch {
-					if refAdd(x) {
-						want++
-					}
+					refAdd(x)
 				}
-				got := 0
 				if k.addAll != nil {
-					got = k.addAll(&tab, batch)
+					k.addAll(&tab, batch)
 				} else {
 					for _, x := range batch {
-						if k.add(&tab, x) {
-							got++
-						}
+						k.add(&tab, x)
 					}
 				}
-				if got != want {
-					t.Fatalf("%s: merging added %d, reference %d", step, got, want)
-				}
 			case c < 8:
-				removeIf(step, k.evict(rng, limit))
+				removeIf(k.evict(rng, limit))
 			default: // a partition leaves, as on hot-key migration
 				m := 2 + rng.Intn(3)
-				removeIf(step, func(x T) bool { return len(k.key(x))%m == 0 })
+				removeIf(func(x T) bool { return len(k.key(x))%m == 0 })
 			}
 
 			if !slices.Equal(tab.all(), items) || tab.len() != len(items) {

@@ -82,17 +82,13 @@ func (e *Engine) retractQuery(from *chord.Node, key, cond string) error {
 // stored rewrites from every evaluator this rewriter fanned out to.
 func (st *nodeState) handleUnsub(m *unsubMsg) {
 	var purges []purgeMsg
-	removed := 0
 
 	st.mu.Lock()
 	st.retract(m.QueryKey)
 	if b := st.alqt[m.Input]; b != nil {
 		delete(b.interest, m.QueryKey)
 		if g := condEntryOf(&b.byCond, m.Cond, nil); g != nil {
-			var ok bool
-			if purges, ok = g.retire(m.QueryKey); ok {
-				removed++
-			}
+			purges = g.retire(m.QueryKey)
 			if len(g.queries) == 0 {
 				b.byCond.removeIf(func(o *queryGroup) bool { return o == g }, condHash[*queryGroup])
 			}
@@ -109,9 +105,6 @@ func (st *nodeState) handleUnsub(m *unsubMsg) {
 	st.mu.Unlock()
 
 	st.load.AddFiltering(metrics.Rewriter, 1)
-	if removed > 0 {
-		st.load.AddStorage(metrics.Rewriter, -removed)
-	}
 	st.sendPurges(purges)
 }
 
@@ -160,7 +153,6 @@ func (st *nodeState) sendPurges(msgs []purgeMsg) {
 // passes the purge on to shards 1..k-1, which hold copies of its rewrites
 // (DESIGN.md §13); a shard is never promoted itself.
 func (st *nodeState) handlePurge(m *purgeMsg) {
-	removed := 0
 	prefix := []byte(m.QueryKey + "+")
 	var cascade []purgeMsg
 
@@ -168,7 +160,7 @@ func (st *nodeState) handlePurge(m *purgeMsg) {
 	st.mu.Lock()
 	st.retract(m.QueryKey)
 	if s := st.vl[h]; s.q != nil {
-		removed += s.q.rewrites.removeIf(func(rw *rewritten) bool {
+		s.q.rewrites.removeIf(func(rw *rewritten) bool {
 			var buf [keyScratch]byte
 			return rw.Orig.Key() == m.QueryKey || bytes.HasPrefix(rw.appendKey(buf[:0]), prefix)
 		}, (*rewritten).keyHash)
@@ -190,9 +182,6 @@ func (st *nodeState) handlePurge(m *purgeMsg) {
 	st.mu.Unlock()
 
 	st.load.AddFiltering(metrics.Evaluator, 1)
-	if removed > 0 {
-		st.load.AddStorage(metrics.Evaluator, -removed)
-	}
 	st.sendPurges(cascade)
 }
 

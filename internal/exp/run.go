@@ -101,8 +101,9 @@ func (r *Run) PublishWindows(batches, perBatch int) {
 	}
 }
 
-// ResetMeters zeroes the traffic ledger, the load counters and the
-// delivered-notification record, marking the end of warm-up.
+// ResetMeters zeroes the traffic ledger, the filtering loads and the
+// delivered-notification record, marking the end of warm-up. The storage
+// loads are what the nodes hold, and stay.
 func (r *Run) ResetMeters() {
 	r.Net.Traffic().Reset()
 	r.Eng.ResetLoads()

@@ -2,27 +2,28 @@ package metrics
 
 import "cqjoin/internal/obs"
 
-// Load accumulates the two per-node load metrics the paper introduces as a
-// technical contribution (Chapter 1): the filtering load TF — how many
-// filtering operations (tuple-against-query or query-against-tuple match
-// attempts triggered by received messages) a node performed — and the
-// storage load TS — how many items (queries, rewritten queries, tuples,
-// stored notifications) the node currently holds.
+// Load accumulates the first of the two per-node load metrics the paper
+// introduces as a technical contribution (Chapter 1): the filtering load TF —
+// how many filtering operations (tuple-against-query or query-against-tuple
+// match attempts triggered by received messages) a node performed. The other,
+// the storage load TS — how many items (queries, rewritten queries, tuples,
+// stored notifications) the node currently holds — is a level, not a flow:
+// the engine counts it off the node's tables when asked, so nothing here
+// keeps a second copy of it.
 //
 // Loads are tracked per role, so figures can split "rewriter" (attribute
 // level) from "evaluator" (value level) load as Figure 5.11 requires.
 //
-// The role set is small and fixed, so Load holds one obs.Counter per
-// (role, metric) pair inline: every update is a single atomic add with no
-// lock and no allocation — this is the hottest counter in the simulator
-// (one bump per filtering operation on every node).
+// The role set is small and fixed, so Load holds one obs.Counter per role
+// inline: every update is a single atomic add with no lock and no
+// allocation — this is the hottest counter in the simulator (one bump per
+// filtering operation on every node).
 //
 // The zero Load is ready to use. All methods are safe for concurrent use.
 // Load must not be copied after first use (it embeds atomics); it is
 // always reached through its owning node state's pointer.
 type Load struct {
 	filtering [numRoles]obs.Counter
-	storage   [numRoles]obs.Counter
 }
 
 // Role identifies which of the two-level-indexing roles charged a load unit.
@@ -60,29 +61,12 @@ func (l *Load) AddFiltering(r Role, n int) {
 	l.filtering[r].Add(int64(n))
 }
 
-// AddStorage charges n stored items to the given role. Negative n releases
-// storage (e.g. when a tuple slides out of the time window).
-func (l *Load) AddStorage(r Role, n int) {
-	if !r.valid() {
-		return
-	}
-	l.storage[r].Add(int64(n))
-}
-
 // Filtering returns the filtering load charged to role r.
 func (l *Load) Filtering(r Role) int64 {
 	if !r.valid() {
 		return 0
 	}
 	return l.filtering[r].Value()
-}
-
-// Storage returns the storage load charged to role r.
-func (l *Load) Storage(r Role) int64 {
-	if !r.valid() {
-		return 0
-	}
-	return l.storage[r].Value()
 }
 
 // TotalFiltering returns the node's TF over all roles.
@@ -94,19 +78,9 @@ func (l *Load) TotalFiltering() int64 {
 	return n
 }
 
-// TotalStorage returns the node's TS over all roles.
-func (l *Load) TotalStorage() int64 {
-	var n int64
-	for i := range l.storage {
-		n += l.storage[i].Value()
-	}
-	return n
-}
-
 // Reset clears all counters.
 func (l *Load) Reset() {
 	for i := range l.filtering {
 		l.filtering[i].Reset()
-		l.storage[i].Reset()
 	}
 }

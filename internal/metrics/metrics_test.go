@@ -113,22 +113,14 @@ func TestLoadRoles(t *testing.T) {
 	var l Load
 	l.AddFiltering(Rewriter, 3)
 	l.AddFiltering(Evaluator, 5)
-	l.AddStorage(Evaluator, 7)
-	l.AddStorage(Evaluator, -2)
 	if got := l.Filtering(Rewriter); got != 3 {
 		t.Fatalf("rewriter filtering = %d", got)
 	}
 	if got := l.TotalFiltering(); got != 8 {
 		t.Fatalf("total filtering = %d", got)
 	}
-	if got := l.Storage(Evaluator); got != 5 {
-		t.Fatalf("evaluator storage = %d", got)
-	}
-	if got := l.TotalStorage(); got != 5 {
-		t.Fatalf("total storage = %d", got)
-	}
 	l.Reset()
-	if l.TotalFiltering() != 0 || l.TotalStorage() != 0 {
+	if l.TotalFiltering() != 0 {
 		t.Fatal("reset did not clear")
 	}
 }

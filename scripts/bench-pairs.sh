@@ -12,7 +12,9 @@
 # under .bench_build as bench/run.sh keeps them; each run is what run.sh
 # runs, `cqbench -out <side>/.bench_build/out --workload W --seed N --seconds
 # S`. Pair i runs the parent first when i is odd and the change first when it
-# is even. Every run's output stays in .bench_build/pairs/runs/.
+# is even. Every run's output stays in .bench_build/pairs/runs/W/, one file a
+# pair and side: a call for another workload leaves it, and only the two
+# unpacked trees are cleared before each call rebuilds them.
 #
 # A bound is relative to the parent's median: a metric is past it when the
 # change's median is worse by more than that fraction, and unresolved when
@@ -57,8 +59,9 @@ change=$(git rev-parse --verify "${change:-HEAD}^{commit}")
 
 build="$root/.bench_build"
 work="$build/pairs"
-rm -rf "$work"
-mkdir -p "$work/runs" "$build/tmp"
+runs="$work/runs/$workload"
+rm -rf "$work/parent" "$work/change"
+mkdir -p "$runs" "$build/tmp"
 export GOCACHE="$build/gocache" GOMODCACHE="$build/gomod" GOTMPDIR="$build/tmp" TMPDIR="$build/tmp"
 export GOPROXY=off GOTOOLCHAIN=local GOFLAGS=
 for side in parent change; do
@@ -67,14 +70,14 @@ for side in parent change; do
 	(cd "$work/$side/bench" && go build -o "$work/$side/cqbench" ./cqbench)
 done
 
-# run SIDE PAIR: one cqbench run, its output in runs/PAIR-SIDE.txt. A run
+# run SIDE PAIR: one cqbench run, its output in runs/W/PAIR-SIDE.txt. A run
 # that fails its operations exits 1 and still prints its metrics.
 run() {
 	local dir="$work/$1"
 	echo "# pair $2: $1" >&2
 	mkdir -p "$dir/.bench_build/tmp"
 	TMPDIR="$dir/.bench_build/tmp" "$dir/cqbench" -out "$dir/.bench_build/out" \
-		-workload "$workload" -seed "$seed" -seconds "$seconds" >"$work/runs/$2-$1.txt" || true
+		-workload "$workload" -seed "$seed" -seconds "$seconds" >"$runs/$2-$1.txt" || true
 }
 for ((i = 1; i <= pairs; i++)); do
 	if ((i % 2)); then
@@ -87,7 +90,7 @@ for ((i = 1; i <= pairs; i++)); do
 done
 
 echo "# bench-pairs: workload=$workload pairs=$pairs seconds=$seconds seed=$seed parent=${parent:0:12} change=${change:0:12}"
-awk -v pairs="$pairs" -v runs="$work/runs" -v spec="$work/parent/BENCHMARK.json" '
+awk -v pairs="$pairs" -v runs="$runs" -v spec="$work/parent/BENCHMARK.json" '
 function median(a, n,    i, j, v, s) {
 	for (i = 1; i <= n; i++)
 		s[i] = a[i]
