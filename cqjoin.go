@@ -208,6 +208,12 @@ func (c *Cluster) NodeByKey(key string) *Node {
 	return &Node{c: c, n: n}
 }
 
+// Standing returns the standing query whose key a subscribe of this cluster
+// returned, or nil once it is retracted. It survives a restart from a state
+// directory, whose snapshot and log keep the query; one restored from a
+// snapshot an older build wrote, which kept only its key, is nil.
+func (c *Cluster) Standing(key string) *Query { return c.eng.Standing(key) }
+
 // Join adds a peer with the given key; ring state and stored items are
 // handed off exactly as Chord prescribes, including any notifications
 // stored while this key was offline.

@@ -95,8 +95,7 @@ type Server struct {
 	logf     func(format string, args ...interface{})
 
 	mu        sync.Mutex
-	queries   map[string]queryRef // query key -> owner + handle
-	listeners []*listener         // copy-on-write: broadcast reads it outside mu
+	listeners []*listener // copy-on-write: broadcast reads it outside mu
 	listening net.Listener
 	// conns tracks accepted client connections and connWG their handler
 	// goroutines, so Close can tear both down instead of leaking blocked
@@ -104,13 +103,6 @@ type Server struct {
 	conns  map[net.Conn]struct{}
 	connWG sync.WaitGroup
 	closed bool
-}
-
-// queryRef remembers who subscribed which query, so "unsubscribe" can
-// retract it.
-type queryRef struct {
-	nodeKey string
-	q       *cqjoin.Query
 }
 
 // serverMetrics is the client-socket side of the daemon as stats reports it.
@@ -162,20 +154,13 @@ func New(cfg Config) (*Server, error) {
 			dropped:    reg.Counter("daemon.listener_dropped"),
 			writes:     reg.Counter("daemon.listener_writes"),
 		},
-		codec:   cluster.Engine().WireCodec(),
-		logf:    log.Printf,
-		queries: make(map[string]queryRef),
-		conns:   make(map[net.Conn]struct{}),
+		codec: cluster.Engine().WireCodec(),
+		logf:  log.Printf,
+		conns: make(map[net.Conn]struct{}),
 	}
 	s.codec.Observe(reg)
 	if cfg.OverlayAddr != "" {
-		self := false
-		for _, p := range cfg.Peers {
-			if p == cfg.OverlayAddr {
-				self = true
-				break
-			}
-		}
+		self := slices.Contains(cfg.Peers, cfg.OverlayAddr)
 		if cfg.JoinExisting {
 			if self {
 				return nil, fmt.Errorf("daemon: joining process %s must not be in the peer list %v", cfg.OverlayAddr, cfg.Peers)
@@ -286,9 +271,10 @@ func (s *Server) Cluster() *cqjoin.Cluster { return s.cluster }
 // ack — its retry re-resolves the owner under the view it converges to.
 // Without the gate, a delivery racing a membership change would run a
 // handler on a process that no longer holds the node's authoritative
-// state.
+// state. Only the overlay transport calls it, so there is a view.
 func (s *Server) DeliverLocal(dstKey string, msg chord.Message) bool {
-	if s.members != nil && s.members.ownerOf(dstKey) != s.cfg.OverlayAddr {
+	dst := s.cluster.Overlay().NodeByKey(dstKey)
+	if dst == nil || s.members.ownerOf(dst.ID()) != s.cfg.OverlayAddr {
 		return false
 	}
 	if !s.cluster.Overlay().DeliverLocal(dstKey, msg) {
@@ -312,51 +298,23 @@ func (s *Server) DeliverLocal(dstKey string, msg chord.Message) bool {
 }
 
 // HandleJoin implements transport.MembershipHandler: admit the joining
-// process and return the authoritative post-join view. State movement is
-// deliberately NOT triggered here — the joiner cannot accept handoffs
-// until it has applied the new view, so it drives the hand-off phase
-// itself (JoinOverlay gossips the view to every member, and each member
-// exports on receipt).
+// process and return the authoritative post-join view, logged before it is
+// answered. State movement is deliberately NOT triggered here — the joiner
+// cannot accept handoffs until it has applied the new view, so it drives the
+// hand-off phase itself (JoinOverlay gossips the view to every member, and
+// each member exports on receipt).
 func (s *Server) HandleJoin(addr string) (*wire.MemberView, error) {
 	v, changed := s.members.add(addr)
 	if changed {
 		s.logf("daemon: admitted %s; membership v%d %v", addr, v.Version, v.Procs)
+		s.logView(v)
 	}
 	return v, nil
 }
 
-// HandleView implements transport.MembershipHandler: adopt the gossiped
-// view if it wins the total order, then hand off every locally held node
-// the view assigns elsewhere. The export also runs when the view merely
-// re-confirms the current version: the join protocol gossips the same
-// view to every member precisely to trigger exports after the joiner is
-// ready, and re-exporting is idempotent (only non-empty misowned state
-// moves). When adopting the winner orphaned a change this process
-// originated (a concurrent same-version originator won the arbitration),
-// the re-originated view is gossiped onward so the change lands in the
-// winning lineage at a higher version.
+// HandleView implements transport.MembershipHandler: adopt the gossiped view.
 func (s *Server) HandleView(v *wire.MemberView) uint64 {
-	changed, cur, reissue := s.members.apply(v)
-	if changed {
-		s.logf("daemon: membership v%d %v", v.Version, v.Procs)
-	}
-	if reissue != nil {
-		s.logf("daemon: re-originated concurrent change as v%d %v", reissue.Version, reissue.Procs)
-		s.spread(reissue)
-		if s.store != nil {
-			if err := s.store.LogView(reissue); err != nil {
-				s.logf("daemon: log reissued view: %v", err)
-			}
-		}
-	}
-	if s.store != nil && changed {
-		if err := s.store.LogView(s.members.view()); err != nil {
-			s.logf("daemon: log view: %v", err)
-		}
-	}
-	if changed || v.Version == cur {
-		s.exportMoved()
-	}
+	cur, _ := s.adopt(v, false)
 	return cur
 }
 
@@ -373,10 +331,8 @@ func (s *Server) JoinOverlay(seedAddr string) error {
 	if err != nil {
 		return fmt.Errorf("daemon: join via %s: %w", seedAddr, err)
 	}
-	if _, err := s.applyAndSpread(v); err != nil {
-		return err
-	}
-	return nil
+	_, err = s.adopt(v, true)
+	return err
 }
 
 // LeaveOverlay departs the overlay voluntarily: publish the view without
@@ -391,33 +347,55 @@ func (s *Server) LeaveOverlay() error {
 	if !ok {
 		return fmt.Errorf("daemon: %s is not an overlay member", s.cfg.OverlayAddr)
 	}
-	if _, err := s.applyAndSpread(v); err != nil {
-		return err
-	}
-	return nil
+	s.logView(v)
+	_, err := s.adopt(v, true) // v is held already: adopt gossips and exports
+	return err
 }
 
-// applyAndSpread adopts v locally, gossips it to every other member of v,
-// and exports locally held nodes the view assigns elsewhere. Gossip goes
-// out before the local export so receivers' ownership gates accept the
-// handoffs.
-func (s *Server) applyAndSpread(v *wire.MemberView) (changed bool, err error) {
-	changed, _, reissue := s.members.apply(v)
-	firstErr := s.spread(v)
+// adopt installs v if it wins the total order, logging each view it
+// installs before gossiping it: v itself when this process brings it
+// (bring), and a change of this process's own that v orphaned (a concurrent
+// same-version originator won the arbitration), re-originated on top of v so
+// it lands in the winning lineage at a higher version. Last it hands off
+// every locally held node the held view assigns elsewhere. Gossip goes out before the
+// export so receivers' ownership gates accept the handoffs. The export also
+// runs when v merely re-confirms the held version: the join protocol gossips
+// the same view to every member precisely to trigger exports after the joiner
+// is ready, and re-exporting is idempotent (only non-empty misowned state
+// moves).
+func (s *Server) adopt(v *wire.MemberView, bring bool) (cur uint64, err error) {
+	changed, cur, reissue := s.members.apply(v)
+	if changed {
+		s.logf("daemon: membership v%d %v", v.Version, v.Procs)
+		s.logView(v)
+	}
+	if bring {
+		err = s.spread(v)
+	}
 	if reissue != nil {
 		s.logf("daemon: re-originated concurrent change as v%d %v", reissue.Version, reissue.Procs)
-		if err := s.spread(reissue); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		v = reissue
-	}
-	if s.store != nil {
-		if err := s.store.LogView(v); err != nil {
-			s.logf("daemon: log view: %v", err)
+		s.logView(reissue)
+		if rerr := s.spread(reissue); err == nil {
+			err = rerr
 		}
 	}
-	s.exportMoved()
-	return changed, firstErr
+	if bring || changed || v.Version == cur {
+		s.exportMoved()
+	}
+	return cur, err
+}
+
+// logView writes a view this process installed to the WAL, before anything
+// answers, gossips or exports under it: each view add, remove or apply
+// installs comes here once. Recovery's own apply re-installs a logged view
+// and does not.
+func (s *Server) logView(v *wire.MemberView) {
+	if s.store == nil {
+		return
+	}
+	if err := s.store.LogView(v); err != nil {
+		s.logf("daemon: log view v%d: %v", v.Version, err)
+	}
 }
 
 // spread gossips v to every other member it lists.
@@ -441,7 +419,7 @@ func (s *Server) spread(v *wire.MemberView) error {
 // never dropped on the floor — it re-exports on the next view event.
 func (s *Server) exportMoved() {
 	for _, n := range s.cluster.Overlay().Nodes() {
-		owner := s.members.ownerOf(n.Key())
+		owner := s.members.ownerOf(n.ID())
 		if owner == s.cfg.OverlayAddr {
 			continue
 		}
@@ -547,19 +525,10 @@ func (s *Server) Serve(ln net.Listener) error {
 // acknowledged is either handed off or in the state directory.
 func (s *Server) Shutdown() error {
 	var first error
-	if s.members != nil && s.tr != nil {
-		member := false
-		for _, p := range s.members.view().Procs {
-			if p == s.cfg.OverlayAddr {
-				member = true
-				break
-			}
-		}
-		// A process that already left (the -leave op) has nothing to hand off.
-		if member {
-			if err := s.LeaveOverlay(); err != nil {
-				first = err
-			}
+	// A process that already left (the -leave op) has nothing to hand off.
+	if s.members != nil && s.tr != nil && slices.Contains(s.members.view().Procs, s.cfg.OverlayAddr) {
+		if err := s.LeaveOverlay(); err != nil {
+			first = err
 		}
 	}
 	if err := s.Close(); err != nil && first == nil {
@@ -711,7 +680,7 @@ func (s *Server) localNode(i int) (cqjoin.Node, error) {
 	}
 	n := *s.cluster.Node(i)
 	if s.members != nil {
-		if o := s.members.ownerOf(n.Key()); o != s.cfg.OverlayAddr {
+		if o := s.members.ownerOf(s.cluster.Overlay().NodeAt(i).ID()); o != s.cfg.OverlayAddr {
 			return cqjoin.Node{}, fmt.Errorf("node %d (%s) is hosted by peer %s", i, n.Key(), o)
 		}
 	}
@@ -729,7 +698,7 @@ func (s *Server) OwnsNode(i int) bool {
 	if s.members == nil {
 		return true
 	}
-	return s.members.ownerOf(s.cluster.Overlay().NodeAt(i).Key()) == s.cfg.OverlayAddr
+	return s.members.ownerOf(s.cluster.Overlay().NodeAt(i).ID()) == s.cfg.OverlayAddr
 }
 
 // The acknowledgements of the per-operation requests, appended as
@@ -776,23 +745,17 @@ func (s *Server) dispatch(req *request, lst *listener) []byte {
 		if err != nil {
 			return fail(err)
 		}
-		s.mu.Lock()
-		s.queries[q.Key()] = queryRef{nodeKey: node.Key(), q: q}
-		s.mu.Unlock()
 		return appendKeyAck(lst.out[:0], q.Key())
 	case "unsubscribe":
-		s.mu.Lock()
-		ref, ok := s.queries[req.Key]
-		delete(s.queries, req.Key)
-		s.mu.Unlock()
-		if !ok {
+		q := s.cluster.Standing(req.Key)
+		if q == nil {
 			return fail(fmt.Errorf("unknown query %q", req.Key))
 		}
-		node := s.cluster.NodeByKey(ref.nodeKey)
+		node := s.cluster.NodeByKey(q.Subscriber())
 		if node == nil {
-			return fail(fmt.Errorf("subscriber %s is offline", ref.nodeKey))
+			return fail(fmt.Errorf("subscriber %s is offline", q.Subscriber()))
 		}
-		if err := node.Unsubscribe(ref.q); err != nil {
+		if err := node.Unsubscribe(q); err != nil {
 			return fail(err)
 		}
 		return appendOKAck(lst.out[:0])

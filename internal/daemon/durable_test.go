@@ -363,3 +363,81 @@ func TestDaemonParentWrittenStateDir(t *testing.T) {
 		t.Fatalf("the refusal does not name the directory and the reason: %v", err)
 	}
 }
+
+// A standing query is retracted by its key after a restart as before one: the
+// engine keeps it where the snapshot and the log find it. A graceful restart
+// restores it from the snapshot, where it still matches and then retracts; the
+// retraction is logged, so after a crash it replays, and a fresh matching pair
+// notifies nobody.
+func TestDaemonStateDirUnsubscribesARestoredQuery(t *testing.T) {
+	cfg := defaultConfig()
+	cfg.StateDir = t.TempDir()
+	srv, conn := startServer(t, cfg)
+	key := subscribeDaemon(t, newClient(t, conn), 0)
+	if err := srv.Shutdown(); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+
+	restarted, conn := startServer(t, cfg)
+	c := newClient(t, conn)
+	before := restarted.Cluster().NotificationCount()
+	publishMatch(t, c, 1, "restored")
+	if got := restarted.Cluster().NotificationCount() - before; got != 1 {
+		t.Fatalf("a matching pair notified %d times after the restart, want 1", got)
+	}
+	if resp := c.call(map[string]interface{}{"op": "unsubscribe", "key": key}); resp["ok"] != true {
+		t.Fatalf("unsubscribe %s after a restart: %v", key, resp)
+	}
+	restarted.store.Abandon() // kill -9
+	_ = restarted.Close()
+
+	again, conn := startServer(t, cfg)
+	c = newClient(t, conn)
+	before = again.Cluster().NotificationCount()
+	publishMatch(t, c, 2, "retracted")
+	if got := again.Cluster().NotificationCount() - before; got != 0 {
+		t.Fatalf("a matching pair notified %d times after the crash: the retraction of %s did not replay", got, key)
+	}
+	if resp := c.call(map[string]interface{}{"op": "unsubscribe", "key": key}); resp["ok"] == true {
+		t.Fatalf("%s retracted a second time", key)
+	}
+}
+
+// A seed that admits a joiner logs the view it answers with, so killed and
+// restarted it holds the two-process view and owns none of the joiner's
+// nodes (DESIGN.md §14.5).
+func TestDaemonSeedCrashRestartKeepsItsJoinView(t *testing.T) {
+	base := defaultConfig()
+	lns, peers := listenOverlay(t, base, 1)
+	cfgA := base
+	cfgA.OverlayAddr, cfgA.Peers, cfgA.StateDir = peers[0], peers, t.TempDir()
+	a := startOverlayProc(t, cfgA, lns[0])
+	lnB, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen overlay B: %v", err)
+	}
+	b := startOverlayProc(t, joinerConfig(t, a, lnB), lnB)
+	if err := b.srv.JoinOverlay(a.addr); err != nil {
+		t.Fatalf("JoinOverlay: %v", err)
+	}
+	want := b.srv.members.view()
+	if len(want.Procs) != 2 {
+		t.Fatalf("the joiner holds %+v, want both processes", want)
+	}
+
+	a.srv.store.Abandon() // kill -9
+	_ = a.srv.Close()
+	restarted, err := New(cfgA)
+	if err != nil {
+		t.Fatalf("restart the seed: %v", err)
+	}
+	t.Cleanup(func() { _ = restarted.Close() })
+	if got := restarted.members.view(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("the restarted seed holds v%d %v, want v%d %v", got.Version, got.Procs, want.Version, want.Procs)
+	}
+	for i := 0; i < restarted.Cluster().Size(); i++ {
+		if restarted.OwnsNode(i) == b.ownsNode(i) {
+			t.Fatalf("node %d: the restarted seed owns it %v, the joiner %v", i, restarted.OwnsNode(i), b.ownsNode(i))
+		}
+	}
+}

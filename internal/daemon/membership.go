@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -121,21 +122,6 @@ func (m *membership) view() *wire.MemberView {
 	return m.viewLocked()
 }
 
-// currentVersion returns the view version.
-func (m *membership) currentVersion() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.version
-}
-
-// stamps returns the retained adopted-view history — the most recent
-// maxViewHistory stamps (for convergence checks).
-func (m *membership) stamps() []viewStamp {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]viewStamp(nil), m.history...)
-}
-
 // reflects reports whether procs embodies the pending change.
 func (p *pendingDelta) reflects(procs []string) bool {
 	for _, q := range procs {
@@ -192,10 +178,8 @@ func (m *membership) apply(v *wire.MemberView) (changed bool, version uint64, re
 func (m *membership) add(addr string) (*wire.MemberView, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, p := range m.procs {
-		if p == addr {
-			return m.viewLocked(), false
-		}
+	if slices.Contains(m.procs, addr) {
+		return m.viewLocked(), false
 	}
 	m.install(m.version+1, m.self, append(append([]string(nil), m.procs...), addr))
 	m.pending = &pendingDelta{add: true, addr: addr}
@@ -222,16 +206,16 @@ func (m *membership) remove(addr string) (*wire.MemberView, bool) {
 	return m.viewLocked(), true
 }
 
-// ownerOf maps a node key to the address of its owning process: the
-// clockwise successor of Hash(nodeKey) among the member positions. Empty
-// when the view has no members.
-func (m *membership) ownerOf(nodeKey string) string {
+// ownerOf maps a node's ring position to the address of its owning process:
+// the clockwise successor of pos among the member positions. Empty when the
+// view has no members. A daemon's node sits at Hash(its key) (chord's Join),
+// so its position is the one chord holds (chord.Node.ID), not hashed again.
+func (m *membership) ownerOf(pos id.ID) string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if len(m.points) == 0 {
 		return ""
 	}
-	pos := id.Hash(nodeKey)
 	i := sort.Search(len(m.points), func(i int) bool { return !m.points[i].pos.Less(pos) })
 	if i == len(m.points) {
 		i = 0 // wrapped past the highest position

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"cqjoin/internal/id"
 	"cqjoin/internal/wire"
 )
 
@@ -151,7 +152,7 @@ func TestConcurrentOriginatorsConverge(t *testing.T) {
 			// increase under the total order, and all end on the same stamp.
 			final := viewStamp{version: want.Version, origin: want.Origin}
 			for name, m := range sim.procs {
-				stamps := m.stamps()
+				stamps := m.history
 				for i := 1; i < len(stamps); i++ {
 					prev, cur := stamps[i-1], stamps[i]
 					if !viewAfter(cur.version, cur.origin, prev.version, prev.origin) {
@@ -261,17 +262,58 @@ func TestViewHistoryBounded(t *testing.T) {
 			m.remove(addrB)
 		}
 	}
-	stamps := m.stamps()
+	stamps := m.history
 	if len(stamps) != maxViewHistory {
 		t.Errorf("history holds %d stamps after churn, want cap %d", len(stamps), maxViewHistory)
 	}
 	last := stamps[len(stamps)-1]
-	if last.version != m.currentVersion() {
-		t.Errorf("history ends on version %d, installed view is %d", last.version, m.currentVersion())
+	if last.version != m.version {
+		t.Errorf("history ends on version %d, installed view is %d", last.version, m.version)
 	}
 	for i := 1; i < len(stamps); i++ {
 		if !viewAfter(stamps[i].version, stamps[i].origin, stamps[i-1].version, stamps[i-1].origin) {
 			t.Fatalf("retained history not linear: %+v then %+v", stamps[i-1], stamps[i])
+		}
+	}
+}
+
+// A node's owner is read off the position chord holds for it (chord.Node.ID),
+// not hashed from its key on every delivery. Every daemon node, a rejoined one
+// too, sits at Hash(its key), so over several views the owner of its position
+// is the owner of its hashed key.
+func TestOwnerOfReadsTheNodesPosition(t *testing.T) {
+	srv, err := New(defaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	eng := srv.Cluster().Engine()
+	gone := srv.Cluster().Overlay().NodeAt(7)
+	eng.FailNode(gone)
+	if _, err := eng.RejoinNode(gone.Key()); err != nil {
+		t.Fatal(err)
+	}
+	// byKey is the owner a view gave a node key before: the member position
+	// that succeeds the key's hash.
+	byKey := func(m *membership, key string) string {
+		pos := id.Hash(key)
+		for _, p := range m.points {
+			if !p.pos.Less(pos) {
+				return p.addr
+			}
+		}
+		return m.points[0].addr
+	}
+	procs := []string{"10.0.0.1:7570", "10.0.0.2:7570", "10.0.0.3:7570", "10.0.0.4:7571", "10.0.0.5:7570"}
+	for n := 1; n <= len(procs); n++ {
+		m := newMembership(procs[0], procs[:n], 1)
+		for _, node := range srv.Cluster().Overlay().Nodes() {
+			if !node.ID().Equal(id.Hash(node.Key())) {
+				t.Fatalf("node %s sits at %s, not at the hash of its key", node.Key(), node.ID())
+			}
+			if got, want := m.ownerOf(node.ID()), byKey(m, node.Key()); got != want {
+				t.Fatalf("%d processes: node %s is owned by %s, by its key %s", n, node.Key(), got, want)
+			}
 		}
 	}
 }

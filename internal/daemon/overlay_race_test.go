@@ -3,6 +3,7 @@ package daemon
 import (
 	"net"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -86,7 +87,9 @@ func TestDaemonConcurrentJoiners(t *testing.T) {
 	// strictly succeeds the previous one under the total order, and all
 	// processes end on the same stamp.
 	for _, p := range procs {
-		stamps := p.srv.members.stamps()
+		p.srv.members.mu.Lock()
+		stamps := slices.Clone(p.srv.members.history)
+		p.srv.members.mu.Unlock()
 		for i := 1; i < len(stamps); i++ {
 			prev, cur := stamps[i-1], stamps[i]
 			if !viewAfter(cur.version, cur.origin, prev.version, prev.origin) {

@@ -149,8 +149,7 @@ type overlayProc struct {
 // ownsNode reports whether this process owns ring position i under its
 // current membership view.
 func (p *overlayProc) ownsNode(i int) bool {
-	key := p.srv.Cluster().Node(i).Key()
-	return p.srv.members.ownerOf(key) == p.addr
+	return p.srv.members.ownerOf(p.srv.Cluster().Overlay().NodeAt(i).ID()) == p.addr
 }
 
 // nodeOwnedBy returns some ring position owned by this process, other
@@ -235,7 +234,7 @@ func listenOverlay(t *testing.T, base Config, count int) ([]net.Listener, []stri
 		view := newMembership(peers[0], peers, 1)
 		owned := make(map[string]int, count)
 		for i := 0; i < probe.Cluster().Size(); i++ {
-			owned[view.ownerOf(probe.Cluster().Node(i).Key())]++
+			owned[view.ownerOf(probe.Cluster().Overlay().NodeAt(i).ID())]++
 		}
 		fewest := owned[peers[0]]
 		for _, p := range peers {

@@ -35,11 +35,13 @@ import (
 // queries say their token form and the last whose stored notifications say
 // their key in full, their address and their delivery time — and, byte for
 // byte, what 3d63375 wrote: the last whose value-level sections say their
-// input, which recovery hashes, not their identifier. snapshot.bin is a
-// graceful checkpoint taken mid-script, wal.log the records appended after it
-// up to a kill -9.
+// input, which recovery hashes, not their identifier; state-pr58 at 7c5f42a,
+// the last whose snapshot meta says each standing query's key and inputs but
+// not the query, so that the queries it restores cannot be retracted by key.
+// snapshot.bin is a graceful checkpoint taken mid-script, wal.log the records
+// appended after it up to a kill -9.
 
-var parentStateDirs = []string{"testdata/state-pr18", "testdata/state-pr19", "testdata/state-pr20", "testdata/state-pr25", "testdata/state-pr32", "testdata/state-pr36", "testdata/state-pr38"}
+var parentStateDirs = []string{"testdata/state-pr18", "testdata/state-pr19", "testdata/state-pr20", "testdata/state-pr25", "testdata/state-pr32", "testdata/state-pr36", "testdata/state-pr38", "testdata/state-pr58"}
 
 // parentStateUnmarked is the last of parentStateDirs whose writer kept no
 // interest marks: recovery derives none for the ones after it.
@@ -204,6 +206,45 @@ func parentStateRecovers(t *testing.T, from string, consumed bool) {
 	}
 	if got := eng.NotificationCount(); got != parentStateNotifs+1 {
 		t.Fatalf("a fresh matching pair delivered %d notifications, want 1", got-parentStateNotifs)
+	}
+	// A parent's snapshot says no standing query: only the one its log
+	// replays stands.
+	checkStanding(t, eng, false)
+}
+
+// checkStanding holds eng, recovered from parentStateScript's files, to the
+// queries that stand there (engine.Standing): the one subscribed after the
+// checkpoint, which the log replays, and — where the snapshot says them
+// (inSnapshot) — the two subscribed before it. The retracted one stands
+// nowhere.
+func checkStanding(t *testing.T, eng *engine.Engine, inSnapshot bool) {
+	t.Helper()
+	key := func(i, seq int) string { return fmt.Sprintf("%s#%d", eng.Network().Nodes()[i].Key(), seq) }
+	for k, want := range map[string]bool{key(0, 1): false, key(1, 1): inSnapshot, key(0, 2): inSnapshot, key(5, 1): true} {
+		if q := eng.Standing(k); (q != nil) != want || q != nil && q.Key() != k {
+			t.Fatalf("query %s recovered as %v, want it standing: %v", k, q, want)
+		}
+	}
+}
+
+// A snapshot says its standing queries, so each recovers under its key and a
+// restarted subscriber can retract it.
+func TestRecoveredQueriesStand(t *testing.T) {
+	dir := t.TempDir()
+	parentStateScript(t, dir)
+	catalog, _, _ := parentStateCatalog()
+	eng := parentStateEngine(catalog)
+	st, err := Open(dir, catalog, Options{SnapshotEvery: -1})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer st.Abandon()
+	if _, err := st.Recover(eng); err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	checkStanding(t, eng, true)
+	if err := st.Unsubscribe(eng.Network().Nodes()[1], eng.Standing(eng.Network().Nodes()[1].Key()+"#1")); err != nil {
+		t.Fatalf("retract a query the snapshot restored: %v", err)
 	}
 }
 

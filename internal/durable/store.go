@@ -78,22 +78,15 @@ type Store struct {
 	opts    Options
 	eng     *engine.Engine
 
-	// gate serializes checkpoints against appends: every append holds it
-	// for read around apply+log, Checkpoint holds it for write, so a
-	// snapshot never observes an op mid-cascade and truncation never
-	// drops a record the snapshot missed.
-	gate sync.RWMutex
-
-	// applyMu serializes mutating client ops across apply+log so WAL
-	// order equals engine apply order. Replay re-derives publication
-	// stamps (clock ticks) and per-subscriber sequence numbers by
-	// re-executing records in log order; only when the original ticks and
-	// seq draws happened in that same order does recovery reproduce the
-	// acked values. Gate-free deliveries and views are exempt: they are
-	// replayed verbatim and never draw from the clock or seq space.
+	// applyMu orders client ops and checkpoints: an op holds it across
+	// apply+log, so WAL order equals engine apply order (replay re-draws
+	// clock ticks and per-subscriber seqs in log order), and a checkpoint
+	// holds it across the snapshot, so none observes an op mid-cascade.
+	// Deliveries and views do not take it: they are replayed verbatim and
+	// draw from neither the clock nor the seq space.
 	applyMu sync.Mutex
 
-	mu       sync.Mutex // serializes file appends; file order == LSN order
+	mu       sync.Mutex // orders file appends: file order == LSN order
 	f        *os.File
 	lsn      uint64 // last appended LSN
 	synced   uint64 // last fsynced LSN
@@ -390,23 +383,17 @@ func (s *Store) append(rec any) error {
 }
 
 // logged runs one mutating client op: apply executes it against the engine
-// and returns the record to log. It holds the checkpoint gate shared, then
-// applyMu, across apply+log: the gate keeps checkpoints op-atomic, applyMu
-// keeps WAL order identical to engine apply order (clock ticks,
-// per-subscriber seqs) so replay re-stamps to exactly the acked values.
-// The engine call inside apply can block on overlay sends; that is safe
-// here because the transport's inbound paths (LogDelivery, LogView) take
-// neither lock, so remote acks keep draining while a checkpoint writer or
-// the next client op waits.
+// and returns the record to log, both under applyMu. The engine call inside
+// apply can block on overlay sends; that is safe here because the
+// transport's inbound paths (LogDelivery, LogView) do not take applyMu, so
+// remote acks keep draining while a checkpoint or the next client op waits.
 func (s *Store) logged(apply func() (rec any, err error)) error {
-	s.gate.RLock()
 	s.applyMu.Lock()
 	rec, err := apply()
 	if err == nil {
 		err = s.append(rec)
 	}
 	s.applyMu.Unlock()
-	s.gate.RUnlock()
 	s.maybeCheckpoint()
 	return err
 }
@@ -449,18 +436,18 @@ func (s *Store) Publish(from *chord.Node, t *relation.Tuple) (*relation.Tuple, e
 // acked delivery is always durable). frame is the engine-codec encoding
 // of the delivered message.
 //
-// Deliberately gate-free: it runs on transport goroutines that an op
-// wrapper may be blocked on (awaiting an ack while holding the gate
-// shared). Taking the gate here would queue behind a waiting checkpoint
-// writer and deadlock the ack path. Checkpoint compensates by carrying
-// over the post-snapshot WAL tail instead of truncating blindly, and a
-// delivery replayed over a snapshot that already absorbed it lands in
+// Deliberately free of applyMu: it runs on transport goroutines that an op
+// wrapper may be blocked on (awaiting an ack while holding applyMu), so
+// taking it here would deadlock the ack path. Checkpoint compensates by
+// carrying over the post-snapshot WAL tail instead of truncating blindly,
+// and a delivery replayed over a snapshot that already absorbed it lands in
 // idempotent merges and the notification dedup.
 func (s *Store) LogDelivery(nodeKey string, frame []byte) error {
 	return s.append(deliveryRec{Node: nodeKey, Frame: frame})
 }
 
-// LogView logs one adopted membership view. Gate-free, like LogDelivery.
+// LogView logs one membership view the process installed. Free of applyMu,
+// like LogDelivery.
 func (s *Store) LogView(v *wire.MemberView) error {
 	return s.append(viewRec{View: v})
 }
@@ -485,11 +472,12 @@ func (s *Store) maybeCheckpoint() {
 }
 
 // Checkpoint writes a whole-engine snapshot and truncates the WAL. It
-// excludes all appends (the gate), so the snapshot is op-atomic and
-// truncation cannot drop a record the snapshot does not cover.
+// excludes client ops (applyMu), so the snapshot is op-atomic, and carries
+// over the records appended past it, so truncation cannot drop a record the
+// snapshot does not cover.
 func (s *Store) Checkpoint() error {
-	s.gate.Lock()
-	defer s.gate.Unlock()
+	s.applyMu.Lock()
+	defer s.applyMu.Unlock()
 	return s.checkpointLocked()
 }
 
@@ -533,10 +521,10 @@ func (s *Store) checkpointLocked() error {
 		return err
 	}
 
-	// Drop the covered WAL prefix. Gate-free appends (deliveries, views)
-	// may have landed after coveredBytes; they are not in the snapshot,
-	// so they carry over into the fresh log — via a temp-file rename so
-	// already-acked records are never in a half-truncated state.
+	// Drop the covered WAL prefix. Deliveries and views may have landed
+	// after coveredBytes; they are not in the snapshot, so they carry over
+	// into the fresh log — via a temp-file rename so already-acked records
+	// are never in a half-truncated state.
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// Wait out any group-commit leader mid-fsync: rewriteWAL closes and
@@ -616,11 +604,11 @@ func syncDir(dir string) error {
 // Close takes a final checkpoint and closes the WAL. The store is
 // unusable afterwards.
 func (s *Store) Close() error {
-	s.gate.Lock()
-	defer s.gate.Unlock()
+	s.applyMu.Lock()
+	defer s.applyMu.Unlock()
 	err := s.checkpointLocked()
 	s.mu.Lock()
-	// A gate-free append's commit leader may still be mid-fsync (e.g.
+	// A delivery's or view's commit leader may still be mid-fsync (e.g.
 	// when the checkpoint failed early); closing under it would turn a
 	// durable record's ack into a spurious error.
 	for s.syncing {

@@ -478,11 +478,17 @@ func (m *snapMetaMsg) walk(c *wire.Coder) {
 	}
 	c.Strings(&m.Delivered)
 	c.Int(&m.Count)
-	// Up to PR 25 it ended here; Marks is written only when set.
-	if c.AtEnd() || !c.Decoding() && !m.Marks {
+	// A build that kept no interest marks ended it here; Marks is written
+	// only when set, or when Standing follows it.
+	if c.AtEnd() || !c.Decoding() && !m.Marks && len(m.Standing) == 0 {
 		return
 	}
 	c.Bool(&m.Marks)
+	// A build that kept no standing query ended it here.
+	if c.AtEnd() || !c.Decoding() && len(m.Standing) == 0 {
+		return
+	}
+	c.Queries(&m.Standing)
 }
 
 func (s *seqEntry) walk(c *wire.Coder) {

@@ -150,6 +150,11 @@ func codecFixtures(t testing.TB, extra ...*relation.Schema) (*relation.Catalog, 
 				{Input: "S+E+9", Count: 2, WindowStart: 70},
 			},
 		},
+		// The meta of a snapshot that says its standing queries behind Marks.
+		snapMetaMsg{
+			Clock: 12, Nodes: []string{"peer0"}, Subs: []subsEntry{{Key: q.Key(), Inputs: []string{"R+B", "S+E"}}},
+			Marks: true, Standing: []*query.Query{q},
+		},
 	}
 	return full, msgs
 }
@@ -354,12 +359,17 @@ func assertSemanticEqual(t *testing.T, want, got chord.Message) {
 		if g.Clock != w.Clock || g.Multi != w.Multi || g.Count != w.Count || g.Marks != w.Marks ||
 			!same(g.Nodes, w.Nodes) || !same(g.Down, w.Down) || !same(g.Seq, w.Seq) || !same(g.Subs, w.Subs) ||
 			!same(g.HotEpochs, w.HotEpochs) || !same(g.HotCounts, w.HotCounts) || !same(g.Delivered, w.Delivered) ||
-			len(g.Conds) != len(w.Conds) || len(g.Sink) != len(w.Sink) {
+			len(g.Conds) != len(w.Conds) || len(g.Sink) != len(w.Sink) || len(g.Standing) != len(w.Standing) {
 			t.Fatalf("snapMetaMsg mismatch: %+v", g)
 		}
 		for i := range w.Conds {
 			if g.Conds[i].Key() != w.Conds[i].Key() {
 				t.Fatalf("snapMetaMsg condition %d mismatch: %+v", i, g)
+			}
+		}
+		for i, q := range w.Standing {
+			if g := g.Standing[i]; g.Key() != q.Key() || g.Subscriber() != q.Subscriber() || g.Text() != q.Text() || g.InsT() != q.InsT() {
+				t.Fatalf("snapMetaMsg standing query %d mismatch: %+v", i, g)
 			}
 		}
 		for i := range w.Sink {
@@ -600,14 +610,22 @@ func TestDecodeTruncated(t *testing.T) {
 		full := w.Bytes()
 		// Some prefixes are whole messages, cut where an earlier build ended
 		// them: a snapshot meta before Delivered and Count (PR 20), which says
-		// that its Sink is all that was delivered, and before Marks (PR 25); a
+		// that its Sink is all that was delivered, before Marks (eda9bcf) and
+		// before its standing queries (7c5f42a); a
 		// hand-off before its marks and retraction memory (PR 25) and before its
 		// grants (PR 32).
 		whole := map[int]func(chord.Message) bool{}
 		switch m := msg.(type) {
 		case snapMetaMsg:
 			var tail wire.Coder
-			if m.Marks {
+			if len(m.Standing) > 0 {
+				tail.Queries(&m.Standing)
+				whole[len(full)-tail.Size()] = func(got chord.Message) bool {
+					g, ok := got.(snapMetaMsg)
+					return ok && g.Standing == nil && g.Marks == m.Marks && len(g.Subs) == len(m.Subs)
+				}
+			}
+			if m.Marks || len(m.Standing) > 0 {
 				tail.Bool(&m.Marks)
 				whole[len(full)-tail.Size()] = func(got chord.Message) bool {
 					g, ok := got.(snapMetaMsg)
@@ -1271,7 +1289,7 @@ func queriesOf(msg chord.Message) []*query.Query {
 	case joinVMsg:
 		qs = append(qs, m.Queries...)
 	case snapMetaMsg:
-		qs = append(qs, m.Conds...)
+		qs = append(append(qs, m.Conds...), m.Standing...)
 	case *joinMsg:
 		rewrites(m.Rewrites)
 	case hotJoinMsg:

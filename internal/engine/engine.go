@@ -159,7 +159,7 @@ type Engine struct {
 	states    map[*chord.Node]*nodeState
 	byKey     map[string]*nodeState // subscriber key -> state (for delivery)
 	seq       map[string]int        // per-subscriber query sequence numbers
-	subs      map[string][]string   // query key -> attribute-level index inputs
+	subs      map[string]standing   // query key -> the query its subscriber here indexed
 	rng       *rand.Rand
 	onNotify  func(Notification)
 	delivered map[string]struct{} // deliveryKey of every match delivered: the receiver-side dedupe
@@ -184,7 +184,7 @@ func New(net *chord.Network, catalog *relation.Catalog, cfg Config) *Engine {
 		states:    make(map[*chord.Node]*nodeState),
 		byKey:     make(map[string]*nodeState),
 		seq:       make(map[string]int),
-		subs:      make(map[string][]string),
+		subs:      make(map[string]standing),
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		delivered: make(map[string]struct{}),
 		memo:      new(wire.Memo),

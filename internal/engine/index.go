@@ -222,10 +222,10 @@ func (e *Engine) sendQueryIndex(from *chord.Node, q *query.Query, idx []sideAttr
 			batch = append(batch, chord.Deliverable{Target: al.id, Msg: queryMsg{Q: q, Side: sa.side, Attr: sa.attr, Replica: r}})
 		}
 	}
-	// The subscriber remembers where its query and its marks live so it can
-	// retract them later (Unsubscribe).
+	// The subscriber remembers its query and where it and its marks live so
+	// it can retract them later (Unsubscribe).
 	e.mu.Lock()
-	e.subs[q.Key()] = inputs
+	e.subs[q.Key()] = standing{q: q, inputs: inputs}
 	e.mu.Unlock()
 	return q, e.dispatch(from, batch)
 }

@@ -315,7 +315,7 @@ func TestDoubleIndexingForwardsOnBothSidesWhileSubscribed(t *testing.T) {
 		if r, s := forwardsOf(t, env, 1, rTuple(env, 1, 7, 0)), forwardsOf(t, env, 2, sTuple(env, 1, 7, 0)); r != 1 || s != 1 {
 			t.Fatalf("%s: R forwarded %d times and S %d, want once each", alg, r, s)
 		}
-		if at := env.eng.subs[q.Key()]; len(at) != 2 {
+		if at := env.eng.subs[q.Key()].inputs; len(at) != 2 {
 			t.Fatalf("%s: the subscriber retracts at %v, want each rewriter once", alg, at)
 		}
 		if err := env.eng.Unsubscribe(env.node(0), q); err != nil {

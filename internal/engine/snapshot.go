@@ -15,9 +15,9 @@ import (
 // back on recovery, plus one snapMetaMsg carrying the engine-global state a
 // replayed log needs to continue deterministically — the logical clock, the
 // per-subscriber query sequence counters (so replayed subscribes re-derive
-// the same Key(q)), the subscription index, what has been delivered (the
-// notifications in the record, the bare identities of those a consumer took,
-// the count). The hot-key detector is a base's own state and travels in its
+// the same Key(q)), the subscription index and its queries, what has been
+// delivered (the notifications in the record, the bare identities of those a
+// consumer took, the count). The hot-key detector is a base's own state and travels in its
 // node's section. Deliberately NOT carried: what only a taking cut hands over
 // (probe statistics), the caches no move carries,
 // and the engine's private rng state (it only picks index attributes and
@@ -66,7 +66,9 @@ type hotCountEntry struct {
 // Delivered and Count follow everything those builds wrote: a frame that ends
 // before them is one of theirs, whose Sink is all it had delivered. Marks
 // follows in turn, written only when set, as ExportSnapshot does: without it
-// the node sections are a blind build's and hold no interest marks.
+// the node sections are a blind build's and hold no interest marks. Standing
+// follows Marks, written only where there are any: a frame that ends before
+// it restores each key of Subs with no query to retract it by.
 type snapMetaMsg struct {
 	Clock     int64
 	Nodes     []string // alive node keys, ring order
@@ -78,9 +80,10 @@ type snapMetaMsg struct {
 	Sink      []Notification
 	HotEpochs []hotEpochEntry
 	HotCounts []hotCountEntry
-	Delivered []string // every deliveryKey, in no order, unless Sink implies them all
-	Count     int      // NotificationCount
-	Marks     bool     // the node sections carry their buckets' interest marks
+	Delivered []string       // every deliveryKey, in no order, unless Sink implies them all
+	Count     int            // NotificationCount
+	Marks     bool           // the node sections carry their buckets' interest marks
+	Standing  []*query.Query // the queries of Subs that their subscriber posed here
 }
 
 func (snapMetaMsg) Kind() string { return kindSnapMeta }
@@ -114,7 +117,10 @@ func (e *Engine) ExportSnapshot(down []string) (chord.Message, []NodeSnapshot) {
 		meta.Seq = append(meta.Seq, seqEntry{Key: k, Seq: int64(e.seq[k])})
 	}
 	for _, k := range sortedKeys(e.subs) {
-		meta.Subs = append(meta.Subs, subsEntry{Key: k, Inputs: append([]string(nil), e.subs[k]...)})
+		meta.Subs = append(meta.Subs, subsEntry{Key: k, Inputs: append([]string(nil), e.subs[k].inputs...)})
+		if q := e.subs[k].q; q != nil {
+			meta.Standing = append(meta.Standing, q)
+		}
 	}
 	meta.Sink = append([]Notification(nil), e.sink...)
 	meta.Count = e.count
@@ -191,7 +197,10 @@ func (e *Engine) RestoreSnapshot(meta chord.Message, nodes []NodeSnapshot) (deri
 		e.seq[s.Key] = int(s.Seq)
 	}
 	for _, s := range m.Subs {
-		e.subs[s.Key] = append([]string(nil), s.Inputs...)
+		e.subs[s.Key] = standing{inputs: append([]string(nil), s.Inputs...)}
+	}
+	for _, q := range m.Standing { // each the query of a key of Subs
+		e.subs[q.Key()] = standing{q: q, inputs: e.subs[q.Key()].inputs}
 	}
 	for _, n := range m.Sink {
 		e.delivered[deliveryKey(n)] = struct{}{}
@@ -263,8 +272,9 @@ func (e *Engine) deriveInterest(m handoffMsg) (derived int) {
 			}
 			derived++
 			e.mu.Lock()
-			if have, ok := e.subs[key]; ok && !slices.Contains(have, input) { // its subscriber is this engine's
-				e.subs[key] = append(have, input)
+			if sub, ok := e.subs[key]; ok && !slices.Contains(sub.inputs, input) { // its subscriber is this engine's
+				sub.inputs = append(sub.inputs, input)
+				e.subs[key] = sub
 			}
 			e.mu.Unlock()
 		}

@@ -47,6 +47,23 @@ type purgeMsg struct {
 
 func (*purgeMsg) Kind() string { return kindUnsub }
 
+// standing is a query a subscriber of this engine indexed: the query, which
+// a retraction by its key names, and the inputs it was indexed or marked at.
+// One a parent's snapshot restores has its inputs alone.
+type standing struct {
+	q      *query.Query
+	inputs []string
+}
+
+// Standing returns the query of key that a subscriber of this engine has
+// standing, or nil: retracted, posed elsewhere, or restored from a snapshot
+// that did not say it.
+func (e *Engine) Standing(key string) *query.Query {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.subs[key].q
+}
+
 // Unsubscribe retracts a continuous query previously returned by
 // Subscribe. After it returns, future tuple insertions can no longer
 // trigger the query. A chain's rewriter purges its first-stage rewrites like any others; each
@@ -63,15 +80,15 @@ func (e *Engine) Unsubscribe(from *chord.Node, q *query.Query) error {
 // subscriber indexed or marked it at.
 func (e *Engine) retractQuery(from *chord.Node, key, cond string) error {
 	e.mu.Lock()
-	inputs, ok := e.subs[key]
+	sub, ok := e.subs[key]
 	delete(e.subs, key)
 	e.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("engine: unknown or already retracted query %s", key)
 	}
-	msgs := make([]unsubMsg, len(inputs))
-	batch := make([]chord.Deliverable, len(inputs))
-	for i, input := range inputs {
+	msgs := make([]unsubMsg, len(sub.inputs))
+	batch := make([]chord.Deliverable, len(sub.inputs))
+	for i, input := range sub.inputs {
 		msgs[i] = unsubMsg{QueryKey: key, Cond: cond, Input: input}
 		batch[i] = chord.Deliverable{Target: id.Hash(input), Msg: &msgs[i]}
 	}

@@ -254,7 +254,7 @@ func TestUnsubscribeRetractsAParentsChain(t *testing.T) {
 				t.Fatal(err)
 			}
 			env.eng.mu.Lock()
-			env.eng.subs[chain.Key()] = append(marks, c.input)
+			env.eng.subs[chain.Key()] = standing{q: chain, inputs: append(marks, c.input)}
 			env.eng.mu.Unlock()
 			if _, _, err := env.nodes[5].Send(msg, id.Hash(c.input)); err != nil {
 				t.Fatal(err)

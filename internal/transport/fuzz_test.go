@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cqjoin/internal/chord"
+	"cqjoin/internal/id"
 	"cqjoin/internal/wire"
 )
 
@@ -75,7 +76,7 @@ func FuzzMembershipFrames(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		tr, err := New(Config{
 			Self:       "fuzz:0",
-			OwnerOf:    func(string) string { return "" },
+			OwnerOf:    func(id.ID) string { return "" },
 			Codec:      rejectCodec{},
 			Local:      nullDeliverer{},
 			Membership: &fuzzMembership{},

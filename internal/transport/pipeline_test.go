@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"cqjoin/internal/chord"
+	"cqjoin/internal/id"
 	"cqjoin/internal/obs"
 	"cqjoin/internal/wire"
 )
@@ -54,7 +55,7 @@ func TestPooledEncodeConcurrentNoAliasing(t *testing.T) {
 
 	trA, _ := startTransport(t, Config{
 		Local:   &testLocal{},
-		OwnerOf: func(string) string { return addrB },
+		OwnerOf: func(id.ID) string { return addrB },
 	})
 
 	const workers = 8
@@ -114,7 +115,7 @@ func TestPipelinedSharedConn(t *testing.T) {
 	reg := obs.NewRegistry()
 	trA, _ := startTransport(t, Config{
 		Local:       &testLocal{},
-		OwnerOf:     func(string) string { return addrB },
+		OwnerOf:     func(id.ID) string { return addrB },
 		Obs:         reg,
 		MaxInflight: 8,
 	})
@@ -190,7 +191,7 @@ func TestRunSplitAcrossFramesStartsInFull(t *testing.T) {
 	reg := obs.NewRegistry()
 	trA, _ := startTransport(t, Config{
 		Local:   &testLocal{},
-		OwnerOf: func(string) string { return addrB },
+		OwnerOf: func(id.ID) string { return addrB },
 		Obs:     reg,
 	})
 	a, b := strings.Repeat("a", 3<<20), strings.Repeat("b", 2<<20)
@@ -238,7 +239,7 @@ func TestUnencodableMessageSpendsNoAttempt(t *testing.T) {
 	var logged atomic.Int32
 	trA, _ := startTransport(t, Config{
 		Local:   &testLocal{},
-		OwnerOf: func(string) string { return addrB },
+		OwnerOf: func(id.ID) string { return addrB },
 		Obs:     reg,
 		Logf:    func(string, ...interface{}) { logged.Add(1) },
 	})
@@ -288,7 +289,7 @@ func TestDecodeNackTakesItsDependentsAlong(t *testing.T) {
 	})
 	trA, _ := startTransport(t, Config{
 		Local:   &testLocal{},
-		OwnerOf: func(string) string { return addrB },
+		OwnerOf: func(id.ID) string { return addrB },
 	})
 	var msgs []chord.Message
 	for _, body := range []string{"before", "flaky", "flaky", "flaky", "after"} {

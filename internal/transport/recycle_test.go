@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"cqjoin/internal/chord"
+	"cqjoin/internal/id"
 	"cqjoin/internal/obs"
 )
 
@@ -104,7 +105,7 @@ func TestLargeFrameLeavesNoLargeBuffer(t *testing.T) {
 	reg := obs.NewRegistry()
 	trA, _ := startTransport(t, Config{
 		Local:   &testLocal{},
-		OwnerOf: func(string) string { return addrB },
+		OwnerOf: func(id.ID) string { return addrB },
 		Obs:     reg,
 	})
 	big := []chord.Message{&testMsg{Body: strings.Repeat("a", 3<<20)}, &testMsg{Body: strings.Repeat("b", 3<<20)}}

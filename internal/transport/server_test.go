@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"cqjoin/internal/chord"
+	"cqjoin/internal/id"
 	"cqjoin/internal/obs"
 )
 
@@ -44,7 +45,7 @@ func TestBlockedHandlerDoesNotHoldItsConnection(t *testing.T) {
 	reg := obs.NewRegistry()
 	trA, _ := startTransport(t, Config{
 		Local:   &testLocal{},
-		OwnerOf: func(string) string { return addrB },
+		OwnerOf: func(id.ID) string { return addrB },
 		Obs:     reg,
 	})
 
@@ -95,7 +96,7 @@ func TestConnWorkersExitOnClose(t *testing.T) {
 	trB, addrB := startTransport(t, Config{Local: l})
 	trA, _ := startTransport(t, Config{
 		Local:       &testLocal{},
-		OwnerOf:     func(string) string { return addrB },
+		OwnerOf:     func(id.ID) string { return addrB },
 		MaxInflight: held,
 	})
 	var wg sync.WaitGroup
@@ -154,7 +155,7 @@ func TestServeStatesTrackFramesInFlight(t *testing.T) {
 	reg := obs.NewRegistry()
 	trA, _ := startTransport(t, Config{
 		Local:       &testLocal{},
-		OwnerOf:     func(string) string { return addrB },
+		OwnerOf:     func(id.ID) string { return addrB },
 		Obs:         reg,
 		MaxInflight: total,
 	})

@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"cqjoin/internal/chord"
+	"cqjoin/internal/id"
 	"cqjoin/internal/obs"
 	"cqjoin/internal/wire"
 )
@@ -92,10 +93,10 @@ type Config struct {
 	// owner resolves to Self stay in-process (unless ForceLoopback). Set by
 	// daemon.New (the -overlay address) and tests.
 	Self string
-	// OwnerOf maps a node key to the advertised address of the process
-	// hosting it. An empty result means locally hosted. Set by daemon.New
-	// (its membership view) and tests.
-	OwnerOf func(dstKey string) string
+	// OwnerOf maps a node's ring position (chord.Node.ID) to the advertised
+	// address of the process hosting it. An empty result means locally
+	// hosted. Set by daemon.New (its membership view) and tests.
+	OwnerOf func(dst id.ID) string
 	// Codec encodes outgoing and decodes incoming messages. Set by daemon.New
 	// (engine.NewWireCodec) and tests.
 	Codec Codec
@@ -313,7 +314,7 @@ func (t *TCP) DeliverBatch(from, dst *chord.Node, msgs []chord.Message) []bool {
 	if len(msgs) == 0 {
 		return acks
 	}
-	addr := t.cfg.OwnerOf(dst.Key())
+	addr := t.cfg.OwnerOf(dst.ID())
 	if (addr == "" || addr == t.cfg.Self) && !t.cfg.ForceLoopback {
 		for i, m := range msgs {
 			acks[i] = t.cfg.Local.DeliverLocal(dst.Key(), m)

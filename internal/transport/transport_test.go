@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"cqjoin/internal/chord"
+	"cqjoin/internal/id"
 	"cqjoin/internal/obs"
 	"cqjoin/internal/wire"
 )
@@ -181,7 +182,7 @@ func startTransport(t *testing.T, cfg Config) (*TCP, string) {
 	}
 	if cfg.OwnerOf == nil {
 		// Receiver-side transports in these tests never send.
-		cfg.OwnerOf = func(string) string { return "" }
+		cfg.OwnerOf = func(id.ID) string { return "" }
 	}
 	tr, err := New(cfg)
 	if err != nil {
@@ -202,7 +203,7 @@ func TestDeliverAcrossTCP(t *testing.T) {
 	localA := &testLocal{}
 	trA, _ := startTransport(t, Config{
 		Local:   localA,
-		OwnerOf: func(string) string { return addrB },
+		OwnerOf: func(id.ID) string { return addrB },
 		Obs:     regA,
 	})
 
@@ -232,7 +233,7 @@ func TestDeliverBatchSingleRPC(t *testing.T) {
 	reg := obs.NewRegistry()
 	trA, _ := startTransport(t, Config{
 		Local:   &testLocal{},
-		OwnerOf: func(string) string { return addrB },
+		OwnerOf: func(id.ID) string { return addrB },
 		Obs:     reg,
 	})
 
@@ -258,7 +259,7 @@ func TestLocalShortCircuit(t *testing.T) {
 	local := &testLocal{}
 	tr, _ := startTransport(t, Config{
 		Local:   local,
-		OwnerOf: func(string) string { return "" }, // everything local
+		OwnerOf: func(id.ID) string { return "" }, // everything local
 		Obs:     reg,
 	})
 	if !tr.Deliver(from, dst, &testMsg{Body: "x"}) {
@@ -280,7 +281,7 @@ func TestForceLoopbackCrossesSocket(t *testing.T) {
 	// dial our own listener and cross a real socket.
 	tr, _ := startTransport(t, Config{
 		Local:         local,
-		OwnerOf:       func(string) string { return "" },
+		OwnerOf:       func(id.ID) string { return "" },
 		Obs:           reg,
 		ForceLoopback: true,
 	})
@@ -303,7 +304,7 @@ func TestPoolReuseAndReconnect(t *testing.T) {
 	reg := obs.NewRegistry()
 	trA, _ := startTransport(t, Config{
 		Local:       &testLocal{},
-		OwnerOf:     func(string) string { return addrB },
+		OwnerOf:     func(id.ID) string { return addrB },
 		Obs:         reg,
 		BackoffBase: time.Millisecond,
 	})
@@ -350,7 +351,7 @@ func TestRPCFailureReturnsNack(t *testing.T) {
 
 	tr, _ := startTransport(t, Config{
 		Local:       &testLocal{},
-		OwnerOf:     func(string) string { return dead },
+		OwnerOf:     func(id.ID) string { return dead },
 		Obs:         reg,
 		Attempts:    2,
 		BackoffBase: time.Millisecond,
@@ -391,7 +392,7 @@ func TestMembershipAndBatchShareOneConnection(t *testing.T) {
 	reg := obs.NewRegistry()
 	trA, _ := startTransport(t, Config{
 		Local:   &testLocal{},
-		OwnerOf: func(string) string { return addrB },
+		OwnerOf: func(id.ID) string { return addrB },
 		Obs:     reg,
 	})
 	release := sync.OnceFunc(func() { close(held.release) })
@@ -437,7 +438,7 @@ func TestMembershipAndBatchShareOneConnection(t *testing.T) {
 		reg := obs.NewRegistry()
 		tr, _ := startTransport(t, Config{
 			Local:       &testLocal{},
-			OwnerOf:     func(string) string { return silent },
+			OwnerOf:     func(id.ID) string { return silent },
 			Obs:         reg,
 			Attempts:    attempts,
 			BackoffBase: time.Millisecond,
@@ -474,8 +475,8 @@ func TestReplyRidesTheAck(t *testing.T) {
 	owner := addrB
 	trA, _ := startTransport(t, Config{
 		Local: &testLocal{answer: 3},
-		OwnerOf: func(key string) string {
-			if key == dst.Key() {
+		OwnerOf: func(pos id.ID) string {
+			if pos == dst.ID() {
 				return owner
 			}
 			return ""
@@ -504,7 +505,7 @@ func TestDeadDestinationNacks(t *testing.T) {
 	_, addrB := startTransport(t, Config{Local: remote})
 	tr, _ := startTransport(t, Config{
 		Local:   &testLocal{},
-		OwnerOf: func(string) string { return addrB },
+		OwnerOf: func(id.ID) string { return addrB },
 	})
 	if tr.Deliver(from, dst, &testMsg{Body: "x"}) {
 		t.Fatalf("Deliver returned true for a refusing destination")
@@ -519,7 +520,7 @@ func TestIdleReaping(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr, _ := startTransport(t, Config{
 		Local:       &testLocal{},
-		OwnerOf:     func(string) string { return addrB },
+		OwnerOf:     func(id.ID) string { return addrB },
 		Obs:         reg,
 		IdleTimeout: 20 * time.Millisecond,
 	})
@@ -647,7 +648,7 @@ func olderPeerRefused(t *testing.T, oldVersion uint64) {
 	from, dst := testNodes(t)
 	tr, addr := startTransport(t, Config{
 		Local:    &testLocal{},
-		OwnerOf:  func(string) string { return ln.Addr().String() },
+		OwnerOf:  func(id.ID) string { return ln.Addr().String() },
 		Attempts: 1,
 		Logf: func(format string, args ...interface{}) {
 			mu.Lock()
@@ -711,7 +712,7 @@ func TestCatalogMismatchRefusedAtHello(t *testing.T) {
 		tr, _ := startTransport(t, Config{
 			Local:    &testLocal{},
 			Codec:    testCodec{digest: tc.ours},
-			OwnerOf:  func(string) string { return addr },
+			OwnerOf:  func(id.ID) string { return addr },
 			Attempts: 1,
 			Logf: func(format string, args ...interface{}) {
 				mu.Lock()

@@ -17,6 +17,7 @@ import (
 	"cqjoin/internal/chord"
 	"cqjoin/internal/engine"
 	"cqjoin/internal/exp"
+	"cqjoin/internal/id"
 	"cqjoin/internal/metrics"
 	"cqjoin/internal/obs"
 	"cqjoin/internal/query"
@@ -38,7 +39,7 @@ func loopbackTransport(t testing.TB, cnet *chord.Network, catalog *relation.Cata
 	reg := obs.NewRegistry()
 	tr, err := transport.New(transport.Config{
 		Self:          ln.Addr().String(),
-		OwnerOf:       func(string) string { return "" },
+		OwnerOf:       func(id.ID) string { return "" },
 		Codec:         engine.NewWireCodec(catalog),
 		Local:         cnet,
 		ForceLoopback: true,
