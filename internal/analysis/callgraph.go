@@ -203,7 +203,7 @@ func (g *CallGraph) NodeByKey(key string) *FuncNode {
 	return nil
 }
 
-// LockName is the human display name of a lock class: "pooledConn.wmu"
+// LockName is the human display name of a lock class: "clientConn.wmu"
 // for struct fields, the variable name otherwise.
 func (g *CallGraph) LockName(obj types.Object) string {
 	if name, ok := g.lockName[obj]; ok {

@@ -14,7 +14,7 @@ package analysis
 //     held (directly, or summarized through a callee) when B's holders
 //     also, possibly transitively, acquire A.
 //
-// Lock classes are identified per struct field (pooledConn.wmu is one
+// Lock classes are identified per struct field (clientConn.wmu is one
 // class across every instance) or per variable. The summary arithmetic
 // is branch-insensitive and clamps held counts at zero, so asymmetric
 // helpers (transport's writeAndAwait releases its caller's lock) bias

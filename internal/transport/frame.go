@@ -26,8 +26,8 @@ import (
 //	view    := VIEW seq:uvarint memberView         (membership gossip; see wire.MemberView)
 //	viewAck := VIEW_ACK seq:uvarint version:uvarint (receiver's view version after apply)
 //
-// A connection is a pipelined RPC channel: a sender may have up to
-// Config.MaxInflight requests outstanding on one connection at a time.
+// A connection is a pipelined RPC channel, the one its dialer keeps to that
+// peer: any number of requests may be outstanding on it at a time.
 // Every request after the hello handshake carries a connection-scoped
 // seq, and every reply echoes it: seq IS the demultiplexer. The server
 // processes pipelined frames concurrently and writes each reply as its

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"net"
 	"reflect"
 	"sort"
 	"strings"
@@ -104,80 +103,44 @@ func TestPooledEncodeConcurrentNoAliasing(t *testing.T) {
 	}
 }
 
-// TestPipelinedSharedConn proves concurrent RPCs share one pipelined
-// connection instead of dialing per request: after a warm-up dial, 8
-// concurrent batches at MaxInflight 8 must not add a second dial.
+// TestPipelinedSharedConn proves every concurrent RPC to a peer shares its one
+// pipelined connection: 100 deliveries, each held in its handler until all 100
+// have entered, are all acked on one dial. Neither end caps the calls in
+// flight on a connection, so none waits for another to finish.
 func TestPipelinedSharedConn(t *testing.T) {
 	from, dst := testNodes(t)
-	remote := &testLocal{}
-	_, addrB := startTransport(t, Config{Local: remote})
-
+	const concurrent = 100
+	l := &countingLocal{in: make(chan struct{}, concurrent), release: make(chan struct{})}
+	_, addrB := startTransport(t, Config{Local: l})
 	reg := obs.NewRegistry()
 	trA, _ := startTransport(t, Config{
-		Local:       &testLocal{},
-		OwnerOf:     func(id.ID) string { return addrB },
-		Obs:         reg,
-		MaxInflight: 8,
+		Local:   &testLocal{},
+		OwnerOf: func(id.ID) string { return addrB },
+		Obs:     reg,
 	})
+	release := sync.OnceFunc(func() { close(l.release) })
+	t.Cleanup(release) // before the transports close: B's handlers must return
 
-	if !trA.Deliver(from, dst, &testMsg{Body: "warmup"}) {
-		t.Fatalf("warm-up Deliver failed")
-	}
-
-	const concurrent = 8
-	var wg sync.WaitGroup
+	acks := make(chan bool, concurrent)
 	for i := 0; i < concurrent; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if !trA.Deliver(from, dst, &testMsg{Body: fmt.Sprintf("m%d", i)}) {
-				t.Errorf("Deliver %d failed", i)
-			}
-		}(i)
+		go func(i int) { acks <- trA.Deliver(from, dst, &testMsg{Body: fmt.Sprintf("m%d", i)}) }(i)
 	}
-	wg.Wait()
-
+	timeout := time.After(DefaultIOTimeout / 2)
+	for i := 0; i < concurrent; i++ {
+		select {
+		case <-l.in:
+		case <-timeout:
+			t.Fatalf("%d of %d deliveries entered their handlers: the rest wait on those held", i, concurrent)
+		}
+	}
+	release()
+	for i := 0; i < concurrent; i++ {
+		if !<-acks {
+			t.Fatal("a held delivery was not acked")
+		}
+	}
 	if v := reg.Counter("transport.dials").Value(); v != 1 {
-		t.Fatalf("dials = %d, want 1: concurrent RPCs should pipeline on the shared conn", v)
-	}
-	if got := len(remote.snapshot()); got != concurrent+1 {
-		t.Fatalf("delivered %d messages, want %d", got, concurrent+1)
-	}
-}
-
-// TestPoolChecksIdleAgeAtGet is the regression test for checkout
-// trusting the reaper: get used to hand back the MRU idle conn without
-// re-checking the reap cutoff, so a conn idle past the timeout — whose
-// peer may long since have dropped it — could be checked out in the
-// window before the next reaper pass. get must validate age itself.
-func TestPoolChecksIdleAgeAtGet(t *testing.T) {
-	const idleTimeout = 50 * time.Millisecond
-	p := newPool(4, idleTimeout)
-
-	c, peer := net.Pipe()
-	t.Cleanup(func() { _ = peer.Close() })
-	pc := newPooledConn("addr", c, 4)
-	if !p.register(pc) {
-		t.Fatalf("register refused")
-	}
-	now := time.Now()
-	p.release(pc, now)
-
-	// Fresh idle conn: reused.
-	if got := p.get("addr", now.Add(idleTimeout/2)); got != pc {
-		t.Fatalf("get = %v, want the fresh idle conn", got)
-	}
-	p.release(pc, now)
-
-	// Same conn past the cutoff: refused and poisoned, never handed out.
-	if got := p.get("addr", now.Add(2*idleTimeout)); got != nil {
-		t.Fatalf("get handed out a conn idle past the reap cutoff")
-	}
-	if pc.broken() == nil {
-		t.Fatalf("stale conn was not poisoned at checkout")
-	}
-	if n := p.idleCount(); n != 0 {
-		t.Fatalf("idleCount = %d after stale checkout, want 0", n)
+		t.Fatalf("dials = %d, want 1: concurrent RPCs should pipeline on the peer's one connection", v)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"cqjoin/internal/chord"
 	"cqjoin/internal/id"
@@ -21,18 +22,18 @@ import (
 func TestReleasedSlotHoldsNothingOfItsLastCall(t *testing.T) {
 	c, peer := net.Pipe()
 	t.Cleanup(func() { _, _ = c.Close(), peer.Close() })
-	pc := newPooledConn("addr", c, 1)
-	s, err := pc.claim(1)
+	cc := newClientConn(c)
+	s, err := cc.claim(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pc.take(1) != s {
+	if cc.take(1) != s {
 		t.Fatal("the claimed slot does not await its seq")
 	}
 	s.buf = make([]byte, 64)
 	s.payload, s.err = s.buf[:3], errors.New("stale")
-	pc.release(s)
-	next, err := pc.claim(2)
+	cc.release(s)
+	next, err := cc.claim(2)
 	if err != nil || next != s {
 		t.Fatalf("claim = %p, %v; want the connection's one slot %p", next, err, s)
 	}
@@ -42,8 +43,11 @@ func TestReleasedSlotHoldsNothingOfItsLastCall(t *testing.T) {
 	if cap(next.buf) != 64 {
 		t.Fatalf("released slot's buffer has capacity %d, want the 64 it grew to", cap(next.buf))
 	}
-	if pc.take(1) != nil || pc.take(2) != next {
+	if cc.take(1) != nil || cc.take(2) != next {
 		t.Fatal("the slot awaits the wrong seq")
+	}
+	if other, err := cc.claim(3); err != nil || other == next || len(cc.slots) != 2 {
+		t.Fatalf("a claim while the one slot is taken got %p, %v, of %d slots; want a new slot", other, err, len(cc.slots))
 	}
 }
 
@@ -119,28 +123,24 @@ func TestLargeFrameLeavesNoLargeBuffer(t *testing.T) {
 	if v := reg.Counter("transport.frames_out").Value(); v != 3 {
 		t.Fatalf("frames_out = %d, want 3 (hello and one frame a batch)", v)
 	}
-	// The server's read loop counts the states it makes before a frame
-	// reaches the deliverer, whose lock orders that before this read.
-	remote.snapshot()
-	cs := serverConn(t, trB)
-
-	trA.pool.mu.Lock()
-	conns := trA.pool.conns[addrB]
-	trA.pool.mu.Unlock()
-	if len(conns) != 1 {
-		t.Fatalf("%d client connections, want 1", len(conns))
-	}
-	if c := cap(conns[0].w.Bytes()); c > bufKeepCap {
+	if c := cap(clientConnTo(t, trA, addrB).w.Bytes()); c > bufKeepCap {
 		t.Errorf("the client's frame buffer kept %d bytes, want at most %d", c, bufKeepCap)
 	}
-	states := make([]*serveState, cs.made)
-	for i := range states {
-		states[i] = <-cs.free // given back after its ack is written
-		if c := cap(states[i].readBuf); c > bufKeepCap {
-			t.Errorf("server state %d's read buffer kept %d bytes, want at most %d", i, c, bufKeepCap)
+	// Once the client closes, the server's connection drains its workers,
+	// and every state it made is free.
+	cs := serverConn(t, trB)
+	_ = trA.Close()
+	for end := time.Now().Add(5 * time.Second); serverConnCount(trB) > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(end) {
+			t.Fatal("the server kept its connection after the client closed")
 		}
 	}
-	for _, st := range states {
-		cs.free <- st
+	if len(cs.free) == 0 {
+		t.Fatal("the server's connection gave back no state")
+	}
+	for i, st := range cs.free {
+		if c := cap(st.readBuf); c > bufKeepCap {
+			t.Errorf("server state %d's read buffer kept %d bytes, want at most %d", i, c, bufKeepCap)
+		}
 	}
 }

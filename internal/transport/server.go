@@ -27,7 +27,7 @@ func (t *TCP) acceptLoop(ln net.Listener) {
 			_ = c.Close()
 			return
 		}
-		cs := &connServer{t: t, c: c, free: make(chan *serveState, serveQueueDepth), frames: make(chan inboundFrame)}
+		cs := &connServer{t: t, c: c, frames: make(chan inboundFrame)}
 		t.serverConns[c] = cs
 		t.mu.Unlock()
 		t.wg.Add(1)
@@ -52,18 +52,13 @@ type serveState struct {
 	keys     map[string]string
 }
 
-// serveQueueDepth bounds how many pipelined frames one connection may
-// have in flight server-side. Beyond it the reader stops reading — the
-// backpressure a pipelining sender sees as a slow ack.
-const serveQueueDepth = 64
-
 // serve answers frames from one peer connection: hello with helloOK,
 // batches with acks, join/view with view/viewAck. Messages are decoded
 // and handed to the local deliverer before the ack goes out, preserving
 // the synchronous-ack contract end to end.
 //
-// Pipelined frames are processed concurrently (at most serveQueueDepth in
-// flight) and each handler writes its own reply the moment it finishes, in
+// Pipelined frames are processed concurrently, as many as the peer sends,
+// and each handler writes its own reply the moment it finishes, in
 // completion order, not arrival order. Both halves matter: a handler
 // blocking on a nested RPC — proc A's batch handler delivering into an
 // engine that synchronously calls back to proc B, whose handler does the
@@ -111,23 +106,21 @@ func (cs *connServer) serve() {
 }
 
 // next waits for the next frame to begin, then reads it into a state: a free
-// one, else a new one while fewer than serveQueueDepth exist, else the first
-// a frame in flight gives back. So a connection makes as many states as it
-// ever has frames in flight, and a frame past the bound waits unread.
+// one, else a new one. So a connection makes as many states as it ever has
+// frames in flight, and no frame waits unread for one: with one connection
+// carrying every call from its peer, a cap here would bound nested RPCs.
 func (cs *connServer) next(br *bufio.Reader) (inboundFrame, error) {
 	if _, err := br.Peek(1); err != nil {
 		return inboundFrame{}, err
 	}
 	var st *serveState
-	select {
-	case st = <-cs.free:
-	default:
-		if cs.made < serveQueueDepth {
-			cs.made++
-			st = new(serveState)
-		} else {
-			st = <-cs.free
-		}
+	cs.freeMu.Lock()
+	if n := len(cs.free); n > 0 {
+		st, cs.free = cs.free[n-1], cs.free[:n-1]
+	}
+	cs.freeMu.Unlock()
+	if st == nil {
+		st = new(serveState)
 	}
 	payload, err := readFrameReuse(br, &st.readBuf)
 	return inboundFrame{st: st, payload: payload}, err
@@ -143,15 +136,15 @@ type inboundFrame struct {
 // connServer is the shared state of one server-side connection's
 // concurrent frame handlers: the write lock replies serialize on, the
 // dead flag the first fatal error sets (so later handlers fail quietly),
-// the states no frame holds and how many were made, and the channel idle
-// workers take frames from, with the WaitGroup draining them.
+// the states no frame holds, and the channel idle workers take frames
+// from, with the WaitGroup draining them.
 type connServer struct {
 	t       *TCP
 	c       net.Conn
 	wmu     sync.Mutex
 	dead    atomic.Bool
-	free    chan *serveState // a give-back never blocks: at most cap(free) are made
-	made    int              // the read loop's alone
+	freeMu  sync.Mutex
+	free    []*serveState
 	frames  chan inboundFrame
 	workers sync.WaitGroup
 }
@@ -176,7 +169,9 @@ func (cs *connServer) serveFrame(st *serveState, payload []byte) {
 			st.rd.Reset(nil)
 			st.msgRd.Reset(nil)
 		}
-		cs.free <- st
+		cs.freeMu.Lock()
+		cs.free = append(cs.free, st)
+		cs.freeMu.Unlock()
 	}()
 	t := cs.t
 	beginFrame(&st.reply)
@@ -336,20 +331,4 @@ func (t *TCP) handleBatchInto(st *serveState, r *wire.Reader) error {
 	}
 	ackInto(&st.reply, seq, statuses)
 	return nil
-}
-
-// reapLoop closes idle pooled connections past their idle timeout.
-func (t *TCP) reapLoop() {
-	defer t.wg.Done()
-	tick := time.NewTicker(t.cfg.IdleTimeout / 2)
-	defer tick.Stop()
-	for {
-		select {
-		case <-t.done:
-			return
-		case <-tick.C:
-			t.pool.reap(time.Now().Add(-t.cfg.IdleTimeout))
-			t.obs.idleConns.Set(int64(t.pool.idleCount()))
-		}
-	}
 }

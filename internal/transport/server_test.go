@@ -95,9 +95,8 @@ func TestConnWorkersExitOnClose(t *testing.T) {
 	l := &countingLocal{in: make(chan struct{}, held), release: make(chan struct{})}
 	trB, addrB := startTransport(t, Config{Local: l})
 	trA, _ := startTransport(t, Config{
-		Local:       &testLocal{},
-		OwnerOf:     func(id.ID) string { return addrB },
-		MaxInflight: held,
+		Local:   &testLocal{},
+		OwnerOf: func(id.ID) string { return addrB },
 	})
 	var wg sync.WaitGroup
 	for i := 0; i < held; i++ {
@@ -144,32 +143,54 @@ func serverConn(t *testing.T, tr *TCP) *connServer {
 	return nil
 }
 
+// serverConnCount returns how many accepted connections tr still serves.
+func serverConnCount(tr *TCP) int {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	return len(tr.serverConns)
+}
+
+// freeStates returns how many of cs's frame states no frame holds.
+func (cs *connServer) freeStates() int {
+	cs.freeMu.Lock()
+	defer cs.freeMu.Unlock()
+	return len(cs.free)
+}
+
 // A connection makes a frame state only when none is free: k frames in flight
-// make k states, and the frame past serveQueueDepth waits unread until one
-// is given back — the backpressure a pipelining sender sees as a slow ack.
+// make k states, however many k is, and no frame waits unread for a state
+// another frame holds.
 func TestServeStatesTrackFramesInFlight(t *testing.T) {
 	from, dst := testNodes(t)
-	const total = serveQueueDepth + 1
-	l := &countingLocal{in: make(chan struct{}, total), release: make(chan struct{})}
+	const most = 100
+	l := &countingLocal{in: make(chan struct{}, most), release: make(chan struct{})}
 	trB, addrB := startTransport(t, Config{Local: l})
 	reg := obs.NewRegistry()
 	trA, _ := startTransport(t, Config{
-		Local:       &testLocal{},
-		OwnerOf:     func(id.ID) string { return addrB },
-		Obs:         reg,
-		MaxInflight: total,
+		Local:   &testLocal{},
+		OwnerOf: func(id.ID) string { return addrB },
+		Obs:     reg,
 	})
 	t.Cleanup(func() { close(l.release) }) // before the transports close: B's handlers must return
-	acks := make(chan bool, total)
+	acks := make(chan bool, most)
 	deliver := func(n int) {
 		for i := 0; i < n; i++ {
 			go func() { acks <- trA.Deliver(from, dst, &testMsg{Body: "x"}) }()
 		}
+		timeout := time.After(DefaultIOTimeout / 2)
+		for i := 0; i < n; i++ {
+			select {
+			case <-l.in:
+			case <-timeout:
+				t.Fatalf("%d of %d frames in flight reached a handler", i, n)
+			}
+		}
 	}
 	var cs *connServer
-	// settle releases n held frames and waits for their acks, then for every
-	// state to be given back: a worker gives its state back after writing the
-	// ack, and a frame that came before would find none free.
+	// settle releases the n held frames and waits for their acks, then for
+	// every state to be given back — a worker gives its state back after
+	// writing the ack — and wants n of them: as many as were just in flight,
+	// more than in any round before.
 	settle := func(n int) {
 		for i := 0; i < n; i++ {
 			l.release <- struct{}{}
@@ -179,46 +200,22 @@ func TestServeStatesTrackFramesInFlight(t *testing.T) {
 				t.Fatal("a held frame was not acked")
 			}
 		}
-		for len(cs.free) != cs.made {
-			time.Sleep(time.Millisecond)
+		got := 0
+		for end := time.Now().Add(5 * time.Second); time.Now().Before(end); time.Sleep(time.Millisecond) {
+			if got = cs.freeStates(); got == n {
+				return
+			}
 		}
+		t.Fatalf("%d frames in flight made %d states, want %d", n, got, n)
 	}
 
 	deliver(1) // dial the one connection the rest share
-	<-l.in
-	// made is the read loop's: it writes it before the frame reaches a
-	// handler, whose arrival on l.in orders that write before these reads.
 	cs = serverConn(t, trB)
 	settle(1)
-	for _, k := range []int{3, serveQueueDepth} {
+	for _, k := range []int{3, 64, most} {
 		deliver(k)
-		for i := 0; i < k; i++ {
-			<-l.in
-		}
-		if cs.made != k {
-			t.Fatalf("%d frames in flight made %d states, want %d", k, cs.made, k)
-		}
 		settle(k)
 	}
-
-	deliver(total)
-	for i := 0; i < serveQueueDepth; i++ {
-		<-l.in
-	}
-	select {
-	case <-l.in:
-		t.Fatalf("frame %d was served while %d held every state", total, serveQueueDepth)
-	case <-time.After(50 * time.Millisecond):
-	}
-	l.release <- struct{}{}
-	<-l.in
-	if cs.made != serveQueueDepth {
-		t.Fatalf("%d frames sent made %d states, want %d", total, cs.made, serveQueueDepth)
-	}
-	if !<-acks {
-		t.Fatal("the first frame released was not acked")
-	}
-	settle(total - 1)
 	if v := reg.Counter("transport.dials").Value(); v != 1 {
 		t.Fatalf("dials = %d, want 1: every frame on one connection", v)
 	}

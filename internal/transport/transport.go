@@ -8,9 +8,9 @@
 // seed, same node keys, same ring) and a static peer list assigns each
 // ring position an owning process. Routing decisions walk the locally
 // replicated ring metadata for free; only final deliveries to nodes owned
-// by another process cross the wire, as one framed, acked RPC over a
-// pooled connection. Handlers run on the owning process, so each node's
-// authoritative state lives exactly once.
+// by another process cross the wire, as one framed, acked RPC over the one
+// connection this process keeps to that one. Handlers run on the owning
+// process, so each node's authoritative state lives exactly once.
 //
 // Reliability: an RPC that fails (dial, write, read, decode) is retried
 // with seeded-jitter exponential backoff; after the attempt budget the
@@ -19,10 +19,10 @@
 // over. At-least-once resends are safe because every engine receiver is
 // idempotent.
 //
-// Real sockets need wall-clock deadlines, idle reaping and jittered
-// backoff. The simulated transport remains the bit-exact default; the
-// differential test in the repo root proves the two produce identical
-// notification fingerprints for the same workload.
+// Real sockets need wall-clock deadlines and jittered backoff. The
+// simulated transport remains the bit-exact default; the differential test
+// in the repo root proves the two produce identical notification
+// fingerprints for the same workload.
 package transport
 
 import (
@@ -83,10 +83,6 @@ type MembershipHandler interface {
 // exchange on a fresh connection.
 const DefaultIOTimeout = 5 * time.Second
 
-// maxIdlePerPeer bounds the idle connections kept per peer; active ones are
-// unbounded and track RPC concurrency.
-const maxIdlePerPeer = 4
-
 // Config parameterizes a TCP transport. daemon.New builds the production one.
 type Config struct {
 	// Self is this process's advertised overlay address; deliveries whose
@@ -111,17 +107,6 @@ type Config struct {
 	// DialTimeout bounds connection establishment (default 2s). Set by
 	// tests; the daemon runs the default.
 	DialTimeout time.Duration
-	// IdleTimeout is how long a pooled connection may sit unused before
-	// the reaper closes it (default 60s). Set by tests; the daemon runs the
-	// default.
-	IdleTimeout time.Duration
-
-	// MaxInflight is how many RPCs may share one connection concurrently
-	// (pipelined frames; default 4). The server answers frames in
-	// completion order and replies demultiplex by the echoed seq. 1
-	// restores exclusive checkout per RPC. Set by tests; the daemon runs the
-	// default.
-	MaxInflight int
 
 	// Attempts is the RPC attempt budget including the first try (default
 	// 4). BackoffBase doubles per retry up to BackoffMax (defaults 25ms
@@ -160,7 +145,6 @@ type tObs struct {
 	frameBytesOut *obs.Counter
 	frameBytesIn  *obs.Counter
 	decodeErrors  *obs.Counter
-	idleConns     *obs.Gauge
 }
 
 func newTObs(reg *obs.Registry) tObs {
@@ -177,15 +161,13 @@ func newTObs(reg *obs.Registry) tObs {
 		frameBytesOut: reg.Counter("transport.frame_bytes_out"),
 		frameBytesIn:  reg.Counter("transport.frame_bytes_in"),
 		decodeErrors:  reg.Counter("transport.decode_errors"),
-		idleConns:     reg.Gauge("transport.conns_idle"),
 	}
 }
 
 // TCP is a chord.Transport over real sockets.
 type TCP struct {
-	cfg  Config
-	pool *pool
-	obs  tObs
+	cfg Config
+	obs tObs
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -193,11 +175,14 @@ type TCP struct {
 	mu          sync.Mutex
 	ln          net.Listener
 	lnAddr      string
+	peers       map[string]*peer // by address: at most one live client connection each
 	serverConns map[net.Conn]*connServer
 	closed      bool
 
 	done chan struct{}
-	wg   sync.WaitGroup
+	// wg tracks the accept loop, server connections and client read loops.
+	// Add happens under mu while !closed, so it cannot race Close's Wait.
+	wg sync.WaitGroup
 }
 
 // New validates cfg, fills defaults and builds a transport. Call Start
@@ -219,12 +204,6 @@ func New(cfg Config) (*TCP, error) {
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 2 * time.Second
 	}
-	if cfg.IdleTimeout <= 0 {
-		cfg.IdleTimeout = 60 * time.Second
-	}
-	if cfg.MaxInflight <= 0 {
-		cfg.MaxInflight = 4
-	}
 	if cfg.Attempts <= 0 {
 		cfg.Attempts = 4
 	}
@@ -239,9 +218,9 @@ func New(cfg Config) (*TCP, error) {
 	}
 	t := &TCP{
 		cfg:         cfg,
-		pool:        newPool(cfg.MaxInflight, cfg.IdleTimeout),
 		obs:         newTObs(cfg.Obs),
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
+		peers:       make(map[string]*peer),
 		serverConns: make(map[net.Conn]*connServer),
 		done:        make(chan struct{}),
 	}
@@ -249,15 +228,14 @@ func New(cfg Config) (*TCP, error) {
 }
 
 // Start begins serving peer connections on ln (which tests bind to port
-// 0) and starts the idle reaper. It returns immediately.
+// 0). It returns immediately.
 func (t *TCP) Start(ln net.Listener) {
 	t.mu.Lock()
 	t.ln = ln
 	t.lnAddr = ln.Addr().String()
 	t.mu.Unlock()
-	t.wg.Add(2)
+	t.wg.Add(1)
 	go t.acceptLoop(ln)
-	go t.reapLoop()
 }
 
 // ListenAndServe binds cfg.Self and starts serving.
@@ -270,8 +248,8 @@ func (t *TCP) ListenAndServe() error {
 	return nil
 }
 
-// Close stops the listener, the reaper and every connection, then waits
-// for the server goroutines to drain.
+// Close stops the listener and every connection, then waits for the
+// server goroutines and read loops to drain.
 func (t *TCP) Close() error {
 	t.mu.Lock()
 	if t.closed {
@@ -284,6 +262,12 @@ func (t *TCP) Close() error {
 	for c := range t.serverConns {
 		conns = append(conns, c)
 	}
+	var clients []*clientConn
+	for _, p := range t.peers {
+		if p.conn != nil {
+			clients = append(clients, p.conn)
+		}
+	}
 	t.mu.Unlock()
 	close(t.done)
 	if ln != nil {
@@ -292,9 +276,10 @@ func (t *TCP) Close() error {
 	for _, c := range conns {
 		_ = c.Close()
 	}
-	t.pool.closeAll()
+	for _, cc := range clients {
+		cc.poison(errClosed)
+	}
 	t.wg.Wait()
-	t.pool.wait()
 	return nil
 }
 
@@ -414,7 +399,7 @@ func (t *TCP) rpcInto(addr, dstKey string, msgs []chord.Message, acks []bool) er
 }
 
 // errClosed is what an RPC the transport closed under before its first
-// attempt fails with.
+// attempt fails with, and what Close poisons each client connection with.
 var errClosed = errors.New("transport: closed")
 
 // rpc runs one request/reply exchange with addr — a batch or a membership
@@ -429,17 +414,15 @@ func (t *TCP) rpc(addr string, want uint64, build func(w *wire.Buffer, seq uint6
 			t.obs.retries.Inc()
 			t.backoff(attempt)
 		}
-		if t.isClosed() {
+		cc, err := t.conn(addr)
+		if errors.Is(err, errClosed) {
 			break
 		}
-		pc, err := t.checkout(addr)
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		err = t.roundTrip(pc, want, build, read)
-		t.pool.release(pc, time.Now())
-		t.obs.idleConns.Set(int64(t.pool.idleCount()))
+		err = t.roundTrip(cc, want, build, read)
 		if err == nil || errors.Is(err, errUnencodable) {
 			return err
 		}
@@ -457,33 +440,64 @@ func (t *TCP) listenAddr() string {
 	return t.lnAddr
 }
 
-// checkout returns a connection to addr with a reserved in-flight slot,
-// dialing a fresh one (with the hello exchange) when every pooled
-// connection is saturated or stale.
-func (t *TCP) checkout(addr string) (*pooledConn, error) {
-	if pc := t.pool.get(addr, time.Now()); pc != nil {
-		t.obs.idleConns.Set(int64(t.pool.idleCount()))
-		return pc, nil
+// conn returns the connection to addr, dialing it — with the hello
+// exchange — when the peer has none or its connection is poisoned. One dial
+// to a peer runs at a time, outside t.mu, so a slow peer stalls no other;
+// the RPCs that waited on it take the connection it made.
+func (t *TCP) conn(addr string) (*clientConn, error) {
+	p, cc, err := t.peer(addr)
+	if cc != nil || err != nil {
+		return cc, err
+	}
+	p.dial.Lock()
+	defer p.dial.Unlock()
+	if _, cc, err := t.peer(addr); cc != nil || err != nil {
+		return cc, err
 	}
 	c, err := net.DialTimeout("tcp", addr, t.cfg.DialTimeout)
 	if err != nil {
 		return nil, err
 	}
 	t.obs.dials.Inc()
-	if t.pool.markConnected(addr) {
+	if p.dialed {
 		t.obs.reconnects.Inc()
 	}
-	pc := newPooledConn(addr, c, t.cfg.MaxInflight)
-	if err := t.hello(pc); err != nil {
+	p.dialed = true
+	cc = newClientConn(c)
+	if err := t.hello(cc); err != nil {
 		_ = c.Close()
 		return nil, err
 	}
-	if !t.pool.register(pc) {
+	t.mu.Lock()
+	if t.closed {
+		t.mu.Unlock()
 		_ = c.Close()
-		return nil, errPoolClosed
+		return nil, errClosed
 	}
-	go t.readLoop(pc)
-	return pc, nil
+	p.conn = cc
+	t.wg.Add(1)
+	t.mu.Unlock()
+	go t.readLoop(p, cc)
+	return cc, nil
+}
+
+// peer returns addr's entry, made on first use, with its connection while
+// that is usable, or errClosed once the transport is closed.
+func (t *TCP) peer(addr string) (*peer, *clientConn, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed {
+		return nil, nil, errClosed
+	}
+	p := t.peers[addr]
+	if p == nil {
+		p = new(peer)
+		t.peers[addr] = p
+	}
+	if p.conn == nil || p.conn.broken() != nil {
+		return p, nil, nil
+	}
+	return p, p.conn, nil
 }
 
 // readLoop completes this connection's in-flight calls: read a reply
@@ -492,15 +506,21 @@ func (t *TCP) checkout(addr string) (*pooledConn, error) {
 // seq is the demultiplexer. Each reply is read into the loop's spare buffer,
 // which it then swaps for the buffer of the slot it completes. On any read
 // error or poisoning (which closes the socket, unblocking the read) it fails
-// every remaining call, so no caller waits past the connection's death.
-func (t *TCP) readLoop(pc *pooledConn) {
-	defer t.pool.wg.Done()
+// every remaining call, so no caller waits past the connection's death,
+// and lets go of the connection, so a peer that is gone keeps no buffers.
+func (t *TCP) readLoop(p *peer, cc *clientConn) {
+	defer t.wg.Done()
 	var spare []byte
 	for {
-		err := t.readReply(pc, &spare)
+		err := t.readReply(cc, &spare)
 		if err != nil {
-			pc.poison(err)
-			pc.failAll()
+			cc.poison(err)
+			cc.failAll()
+			t.mu.Lock()
+			if p.conn == cc {
+				p.conn = nil
+			}
+			t.mu.Unlock()
 			return
 		}
 	}
@@ -509,8 +529,8 @@ func (t *TCP) readLoop(pc *pooledConn) {
 // readReply reads one reply frame into *spare and completes the slot
 // awaiting it, which takes *spare as its buffer and leaves its old one
 // there for the next reply.
-func (t *TCP) readReply(pc *pooledConn, spare *[]byte) error {
-	payload, err := readFrameReuse(pc.br, spare)
+func (t *TCP) readReply(cc *clientConn, spare *[]byte) error {
+	payload, err := readFrameReuse(cc.br, spare)
 	if err != nil {
 		return err
 	}
@@ -520,7 +540,7 @@ func (t *TCP) readReply(pc *pooledConn, spare *[]byte) error {
 	if err != nil {
 		return err
 	}
-	s := pc.take(seq)
+	s := cc.take(seq)
 	if s == nil {
 		return fmt.Errorf("transport: reply for unknown seq %d", seq)
 	}
@@ -531,15 +551,15 @@ func (t *TCP) readReply(pc *pooledConn, spare *[]byte) error {
 }
 
 // hello performs the version and catalog handshake on a fresh connection.
-func (t *TCP) hello(pc *pooledConn) error {
+func (t *TCP) hello(cc *clientConn) error {
 	deadline := time.Now().Add(DefaultIOTimeout)
-	_ = pc.c.SetDeadline(deadline)
-	defer func() { _ = pc.c.SetDeadline(time.Time{}) }()
+	_ = cc.c.SetDeadline(deadline)
+	defer func() { _ = cc.c.SetDeadline(time.Time{}) }()
 	digest := t.cfg.Codec.CatalogDigest()
-	if err := t.writeFrameCounted(pc.c, encodeHello(t.cfg.Self, digest)); err != nil {
+	if err := t.writeFrameCounted(cc.c, encodeHello(t.cfg.Self, digest)); err != nil {
 		return fmt.Errorf("transport: hello write: %w", err)
 	}
-	payload, err := readFrame(pc.br)
+	payload, err := readFrame(cc.br)
 	if err != nil {
 		return fmt.Errorf("transport: hello read: %w", err)
 	}
@@ -577,26 +597,26 @@ func (t *TCP) hello(pc *pooledConn) error {
 // not a reader: a pointer handed to a func value escapes). Batches and
 // membership frames interleave freely on one connection: every reply
 // demultiplexes by its seq.
-func (t *TCP) roundTrip(pc *pooledConn, want uint64, build func(w *wire.Buffer, seq uint64) error, read func(body []byte) error) error {
-	pc.wmu.Lock()
-	pc.seq++
-	seq := pc.seq
-	beginFrame(&pc.w)
+func (t *TCP) roundTrip(cc *clientConn, want uint64, build func(w *wire.Buffer, seq uint64) error, read func(body []byte) error) error {
+	cc.wmu.Lock()
+	cc.seq++
+	seq := cc.seq
+	beginFrame(&cc.w)
 	var frame []byte
-	err := build(&pc.w, seq)
+	err := build(&cc.w, seq)
 	if err == nil {
-		frame, err = finishFrame(&pc.w)
+		frame, err = finishFrame(&cc.w)
 	}
 	if err != nil {
-		trimFrameBuf(&pc.w)
-		pc.wmu.Unlock()
+		trimFrameBuf(&cc.w)
+		cc.wmu.Unlock()
 		return err
 	}
-	s, err := t.writeAndAwait(pc, seq, frame)
+	s, err := t.writeAndAwait(cc, seq, frame)
 	if err != nil {
 		return err
 	}
-	defer pc.release(s)
+	defer cc.release(s)
 	r := wire.NewReader(s.payload)
 	if err := readReplyHeader(r, want, seq); err != nil {
 		return err
@@ -614,26 +634,26 @@ var errAckTimeout = errors.New("transport: timed out waiting for reply")
 // the write so the read loop owns its completion from that point on: a
 // failed write poisons the connection and the read loop fails the slot,
 // never leaving a waiter stuck.
-func (t *TCP) writeAndAwait(pc *pooledConn, seq uint64, frame []byte) (*slot, error) {
-	s, err := pc.claim(seq)
+func (t *TCP) writeAndAwait(cc *clientConn, seq uint64, frame []byte) (*slot, error) {
+	s, err := cc.claim(seq)
 	if err != nil {
-		pc.wmu.Unlock()
+		cc.wmu.Unlock()
 		return nil, err
 	}
-	_ = pc.c.SetWriteDeadline(time.Now().Add(DefaultIOTimeout))
-	_, werr := pc.c.Write(frame)
-	_ = pc.c.SetWriteDeadline(time.Time{})
-	trimFrameBuf(&pc.w)
+	_ = cc.c.SetWriteDeadline(time.Now().Add(DefaultIOTimeout))
+	_, werr := cc.c.Write(frame)
+	_ = cc.c.SetWriteDeadline(time.Time{})
+	trimFrameBuf(&cc.w)
 	if werr != nil {
-		pc.poison(werr)
-		pc.wmu.Unlock()
+		cc.poison(werr)
+		cc.wmu.Unlock()
 		<-s.done
-		pc.release(s)
+		cc.release(s)
 		return nil, werr
 	}
 	t.obs.framesOut.Inc()
 	t.obs.frameBytesOut.Add(int64(len(frame) - frameHeaderLen))
-	pc.wmu.Unlock()
+	cc.wmu.Unlock()
 
 	if s.timer == nil {
 		s.timer = time.NewTimer(DefaultIOTimeout)
@@ -645,7 +665,7 @@ func (t *TCP) writeAndAwait(pc *pooledConn, seq uint64, frame []byte) (*slot, er
 	case <-s.timer.C:
 		// Poisoning closes the socket, so the read loop unblocks and
 		// completes every pending call (this one included) promptly.
-		pc.poison(errAckTimeout)
+		cc.poison(errAckTimeout)
 		<-s.done
 	}
 	if !s.timer.Stop() {
@@ -655,7 +675,7 @@ func (t *TCP) writeAndAwait(pc *pooledConn, seq uint64, frame []byte) (*slot, er
 		}
 	}
 	if err := s.err; err != nil {
-		pc.release(s)
+		cc.release(s)
 		return nil, err
 	}
 	return s, nil

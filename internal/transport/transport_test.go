@@ -109,6 +109,18 @@ func (l *testLocal) snapshot() []string {
 	return append([]string(nil), l.got...)
 }
 
+// clientConnTo returns tr's connection to addr.
+func clientConnTo(t *testing.T, tr *TCP, addr string) *clientConn {
+	t.Helper()
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	p := tr.peers[addr]
+	if p == nil || p.conn == nil {
+		t.Fatalf("no connection to %s", addr)
+	}
+	return p.conn
+}
+
 // handleFrame processes one standalone frame and returns the reply payload
 // (or nil for none): what a connection's serveFrame does over its state.
 func (t *TCP) handleFrame(payload []byte) ([]byte, error) {
@@ -315,20 +327,25 @@ func TestPoolReuseAndReconnect(t *testing.T) {
 		}
 	}
 	if v := reg.Counter("transport.dials").Value(); v != 1 {
-		t.Fatalf("dials = %d, want 1 (pooled connection reused)", v)
+		t.Fatalf("dials = %d, want 1 (the peer's connection reused)", v)
 	}
 
-	// Kill the pooled connection underneath the pool. The read loop sits
-	// in a blocking read even while the connection idles, so the close is
-	// detected eagerly: either checkout skips the already-poisoned conn,
-	// or the first RPC on it fails and retries — both end in a
-	// transparent re-dial.
-	pc := trA.pool.get(addrB, time.Now())
-	if pc == nil {
-		t.Fatalf("no pooled connection to sabotage")
+	// Break the peer's one connection underneath the transport. The read
+	// loop sits in a blocking read even while the connection idles, so the
+	// close is detected eagerly: the loop lets go of the connection, and the
+	// next RPC dials afresh.
+	_ = clientConnTo(t, trA, addrB).c.Close()
+	for end := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		trA.mu.Lock()
+		held := trA.peers[addrB].conn != nil
+		trA.mu.Unlock()
+		if !held {
+			break
+		}
+		if time.Now().After(end) {
+			t.Fatal("the transport still holds the broken connection")
+		}
 	}
-	_ = pc.c.Close()
-	trA.pool.release(pc, time.Now())
 
 	if !trA.Deliver(from, dst, &testMsg{Body: "after"}) {
 		t.Fatalf("Deliver after broken conn returned false")
@@ -382,7 +399,7 @@ func (l *blockingLocal) DeliverLocal(string, chord.Message) bool {
 	return true
 }
 
-// Membership RPCs ride the batch path: the same pooled, pipelined connection
+// Membership RPCs ride the batch path: the same pipelined connection
 // (a join and a view answered while a batch waits on that connection, one dial
 // in all) and the same retry budget and counters when nothing answers.
 func TestMembershipAndBatchShareOneConnection(t *testing.T) {
@@ -414,7 +431,7 @@ func TestMembershipAndBatchShareOneConnection(t *testing.T) {
 		t.Fatalf("the batch behind the membership RPCs was not acked")
 	}
 	if v := reg.Counter("transport.dials").Value(); v != 1 {
-		t.Fatalf("dials = %d, want 1: membership and batch share the pooled connection", v)
+		t.Fatalf("dials = %d, want 1: membership and batch share the peer's connection", v)
 	}
 
 	// A listener that hangs up before any reply: every attempt dials and fails.
@@ -509,33 +526,6 @@ func TestDeadDestinationNacks(t *testing.T) {
 	})
 	if tr.Deliver(from, dst, &testMsg{Body: "x"}) {
 		t.Fatalf("Deliver returned true for a refusing destination")
-	}
-}
-
-func TestIdleReaping(t *testing.T) {
-	from, dst := testNodes(t)
-	remote := &testLocal{}
-	_, addrB := startTransport(t, Config{Local: remote})
-
-	reg := obs.NewRegistry()
-	tr, _ := startTransport(t, Config{
-		Local:       &testLocal{},
-		OwnerOf:     func(id.ID) string { return addrB },
-		Obs:         reg,
-		IdleTimeout: 20 * time.Millisecond,
-	})
-	if !tr.Deliver(from, dst, &testMsg{Body: "x"}) {
-		t.Fatalf("Deliver returned false")
-	}
-	if n := tr.pool.idleCount(); n != 1 {
-		t.Fatalf("idle = %d after RPC, want 1", n)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for tr.pool.idleCount() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("idle connection never reaped")
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 
