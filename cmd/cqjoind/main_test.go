@@ -11,7 +11,11 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"cqjoin/internal/leakcheck"
 )
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // The signal contract, tested against the real binary: a cqjoind that
 // receives SIGTERM runs the same graceful path as -leave — checkpoint the

@@ -9,20 +9,17 @@ import (
 	"strings"
 )
 
-// callgraph.go is the interprocedural layer under lockorder and goroleak:
-// an intra-module call graph over every fully loaded package, with a
-// per-function summary of lock effects, send reachability and goroutine
-// stop paths. The graph is built lazily, once per Prog, from
-// the loader's full-package set (the module or fixture packages — stdlib
-// imports are signature-only and contribute no nodes).
+// callgraph.go is lockorder: an intra-module call graph over every fully
+// loaded package (the module or fixture packages — stdlib imports are
+// signature-only and contribute no nodes), with a per-function summary of
+// lock effects and send reachability, and the findings derived from them.
 //
 // The summaries are deliberately branch-insensitive: lock effects are the
 // net sum of Lock/Unlock tokens in source order, so a function whose
 // branches disagree (one path unlocks, another returns locked) summarizes
 // to whichever direction releases more. Callers clamp the held count at
 // zero, which biases every approximation toward fewer findings — the
-// analyzers built on the graph are gates, and a gate that cries wolf gets
-// deleted.
+// check is a gate, and a gate that cries wolf gets deleted.
 
 // networkSends are the overlay send entry points: each one can traverse
 // O(log N) simulated hops, run delivery handlers on other nodes, and (in a
@@ -53,7 +50,7 @@ func isBlockingSend(fn *types.Func) bool {
 }
 
 // FuncNode is one declared function or method with a body, plus the
-// summary facts the interprocedural analyzers consume.
+// summary facts lockorder consumes.
 type FuncNode struct {
 	Fn   *types.Func
 	Decl *ast.FuncDecl
@@ -78,20 +75,9 @@ type FuncNode struct {
 	sendHop     *FuncNode
 	sendSink    *types.Func
 
-	// HasStop marks a body containing a goroutine stop marker (WaitGroup
-	// Done, select with a receive, channel receive or range); deferred
-	// closures count, since they run in this function's extent.
-	// HasStopReach adds markers reached through same-package callees
-	// only: a receive buried in another subsystem (a transport RPC's
-	// reply select) is incidental blocking, not this goroutine's
-	// shutdown discipline.
-	HasStop      bool
-	HasStopReach bool
-
-	calls        []*FuncNode // resolved calls outside closure bodies
-	closureCalls []*FuncNode // resolved calls inside closure bodies
-	valueRefs    []*FuncNode // method/function values referenced, not called
-	guarded      []guardedCall
+	calls     []*FuncNode // resolved calls outside closure bodies
+	valueRefs []*FuncNode // method/function values referenced, not called
+	guarded   []guardedCall
 }
 
 // guardedCall is a resolved call made while at least one lock class
@@ -104,13 +90,13 @@ type guardedCall struct {
 	held    []types.Object
 }
 
-// Callees returns every function this node references (calls, deferred
-// calls, closure-interior calls and method values), deduplicated, in
+// Callees returns every function this node references outside closure
+// bodies (calls, deferred calls and method values), deduplicated, in
 // funcKey order.
 func (n *FuncNode) Callees() []*FuncNode {
 	seen := make(map[*FuncNode]bool)
 	var out []*FuncNode
-	for _, group := range [][]*FuncNode{n.calls, n.closureCalls, n.valueRefs} {
+	for _, group := range [][]*FuncNode{n.calls, n.valueRefs} {
 		for _, c := range group {
 			if !seen[c] {
 				seen[c] = true
@@ -152,11 +138,10 @@ func (n *FuncNode) TransitiveAcquireNames(g *CallGraph) []string {
 	return out
 }
 
-// finding is a pre-rendered diagnostic owned by a package; the lockorder
-// pass re-reports it through its own Pass so //lint:allow applies.
-type finding struct {
-	pos token.Pos
-	msg string
+// Finding is one lockorder report, positioned in the loader's FileSet.
+type Finding struct {
+	Pos     token.Pos
+	Message string
 }
 
 // lockEdge records "to was acquired while from was held" with the
@@ -164,34 +149,20 @@ type finding struct {
 type lockEdge struct {
 	from, to types.Object
 	pos      token.Pos
-	pkg      *Package
 }
 
 // CallGraph is the whole-program graph plus the lockorder facts derived
 // from it.
 type CallGraph struct {
-	prog     *Prog
 	nodes    map[*types.Func]*FuncNode
 	ordered  []*FuncNode // deterministic iteration order
 	lockName map[types.Object]string
 
 	edges      []lockEdge
 	edgeSet    map[[2]types.Object]bool
-	lockDiags  map[*Package][]finding
+	findings   []Finding
 	ifaceImpls map[*types.Func][]*FuncNode // interface method -> implementations
 }
-
-// CallGraph returns the lazily built interprocedural graph for the
-// program's full package set.
-func (prog *Prog) CallGraph() *CallGraph {
-	if prog.cg == nil {
-		prog.cg = buildCallGraph(prog)
-	}
-	return prog.cg
-}
-
-// Node returns the graph node for a declared function, or nil.
-func (g *CallGraph) Node(fn *types.Func) *FuncNode { return g.nodes[fn] }
 
 // NodeByKey looks a node up by its funcKey ("pkgpath.Recv.Name").
 func (g *CallGraph) NodeByKey(key string) *FuncNode {
@@ -212,15 +183,15 @@ func (g *CallGraph) LockName(obj types.Object) string {
 	return obj.Name()
 }
 
-func buildCallGraph(prog *Prog) *CallGraph {
+// NewCallGraph builds the graph over every package l has fully loaded and
+// derives lockorder's findings from it.
+func NewCallGraph(l *Loader) *CallGraph {
 	g := &CallGraph{
-		prog:      prog,
-		nodes:     make(map[*types.Func]*FuncNode),
-		lockName:  make(map[types.Object]string),
-		edgeSet:   make(map[[2]types.Object]bool),
-		lockDiags: make(map[*Package][]finding),
+		nodes:    make(map[*types.Func]*FuncNode),
+		lockName: make(map[types.Object]string),
+		edgeSet:  make(map[[2]types.Object]bool),
 	}
-	pkgs := prog.Loader.FullPackages()
+	pkgs := l.FullPackages()
 
 	// Nodes: every declared function or method with a body.
 	for _, pkg := range pkgs {
@@ -392,8 +363,8 @@ func (g *CallGraph) resolveCallees(info *types.Info, call *ast.CallExpr) (*types
 }
 
 // summarizeBody runs the single source-order walk that fills a node's
-// direct facts: lock effects, guarded calls, call edges, stop markers and
-// lock-order edges for acquisitions made while another class is held.
+// direct facts: lock effects, guarded calls, call edges and lock-order
+// edges for acquisitions made while another class is held.
 func (g *CallGraph) summarizeBody(n *FuncNode) {
 	info := n.Pkg.Info
 	held := make(map[types.Object]int)
@@ -423,22 +394,6 @@ func (g *CallGraph) summarizeBody(n *FuncNode) {
 			}
 		}
 		switch node := node.(type) {
-		case *ast.SelectStmt:
-			for _, clause := range node.Body.List {
-				if comm, ok := clause.(*ast.CommClause); ok && isReceiveComm(comm.Comm) {
-					n.HasStop = true
-				}
-			}
-		case *ast.UnaryExpr:
-			if node.Op == token.ARROW {
-				n.HasStop = true
-			}
-		case *ast.RangeStmt:
-			if tv, ok := info.Types[node.X]; ok {
-				if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-					n.HasStop = true
-				}
-			}
 		case *ast.Ident:
 			if fn, ok := info.Uses[node].(*types.Func); ok {
 				if callee := g.nodes[fn]; callee != nil {
@@ -448,9 +403,6 @@ func (g *CallGraph) summarizeBody(n *FuncNode) {
 		case *ast.CallExpr:
 			deferred := len(stack) > 0 && isDeferOf(stack[len(stack)-1], node)
 			fn, targets := g.resolveCallees(info, node)
-			if fn != nil && isStopMarkerFunc(fn) {
-				n.HasStop = true
-			}
 			if obj, delta := g.mutexClass(info, node); obj != nil {
 				if inClosure {
 					return true // a closure's lock discipline is its own
@@ -461,7 +413,7 @@ func (g *CallGraph) summarizeBody(n *FuncNode) {
 					if !deferred {
 						for _, h := range heldSnapshot() {
 							if h != obj {
-								g.addEdge(h, obj, node.Pos(), n.Pkg)
+								g.addEdge(h, obj, node.Pos())
 							}
 						}
 						held[obj]++
@@ -473,21 +425,16 @@ func (g *CallGraph) summarizeBody(n *FuncNode) {
 				}
 				return true
 			}
-			if fn == nil {
+			if fn == nil || inClosure {
 				return true
 			}
-			switch {
-			case inClosure:
-				n.closureCalls = append(n.closureCalls, targets...)
-			default:
-				n.calls = append(n.calls, targets...)
-				if !deferred {
-					if snapshot := heldSnapshot(); len(snapshot) > 0 {
-						n.guarded = append(n.guarded, guardedCall{pos: node.Pos(), fn: fn, targets: targets, held: snapshot})
-					}
+			n.calls = append(n.calls, targets...)
+			if !deferred {
+				if snapshot := heldSnapshot(); len(snapshot) > 0 {
+					n.guarded = append(n.guarded, guardedCall{pos: node.Pos(), fn: fn, targets: targets, held: snapshot})
 				}
 			}
-			if isBlockingSend(fn) && !inClosure {
+			if isBlockingSend(fn) {
 				n.DirectSend = true
 				if n.sendSink == nil {
 					n.sendSink = fn
@@ -509,38 +456,12 @@ func isDeferOf(parent ast.Node, call *ast.CallExpr) bool {
 	return ok && d.Call == call
 }
 
-// isReceiveComm reports whether a select comm statement is a receive.
-func isReceiveComm(comm ast.Stmt) bool {
-	switch comm := comm.(type) {
-	case *ast.ExprStmt:
-		u, ok := comm.X.(*ast.UnaryExpr)
-		return ok && u.Op == token.ARROW
-	case *ast.AssignStmt:
-		if len(comm.Rhs) == 1 {
-			u, ok := comm.Rhs[0].(*ast.UnaryExpr)
-			return ok && u.Op == token.ARROW
-		}
-	}
-	return false
-}
-
-// isStopMarkerFunc recognizes sync.WaitGroup.Done (the other markers are
-// syntactic: selects, receives, channel ranges).
-func isStopMarkerFunc(fn *types.Func) bool {
-	if fn.Pkg() == nil || fn.Pkg().Path() != "sync" || fn.Name() != "Done" {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Recv() != nil
-}
-
-// fixpoint propagates TransitiveAcquires, ReachesSend and HasStopReach
-// over the call edges until nothing changes. Recursion terminates because
-// every fact only ever grows.
+// fixpoint propagates TransitiveAcquires and ReachesSend over the call
+// edges until nothing changes. Recursion terminates because every fact
+// only ever grows.
 func (g *CallGraph) fixpoint() {
 	for _, n := range g.ordered {
 		n.ReachesSend = n.DirectSend
-		n.HasStopReach = n.HasStop
 	}
 	for changed := true; changed; {
 		changed = false
@@ -556,15 +477,6 @@ func (g *CallGraph) fixpoint() {
 					n.ReachesSend = true
 					n.sendHop = c
 					changed = true
-				}
-			}
-			if !n.HasStopReach {
-				for _, c := range append(n.calls, n.closureCalls...) {
-					if c.HasStopReach && c.Pkg == n.Pkg {
-						n.HasStopReach = true
-						changed = true
-						break
-					}
 				}
 			}
 		}
@@ -589,21 +501,21 @@ func (n *FuncNode) sendPath() string {
 	return strings.Join(parts, " -> ")
 }
 
-func (g *CallGraph) addEdge(from, to types.Object, pos token.Pos, pkg *Package) {
+func (g *CallGraph) addEdge(from, to types.Object, pos token.Pos) {
 	key := [2]types.Object{from, to}
 	if from == to || g.edgeSet[key] {
 		return
 	}
 	g.edgeSet[key] = true
-	g.edges = append(g.edges, lockEdge{from: from, to: to, pos: pos, pkg: pkg})
+	g.edges = append(g.edges, lockEdge{from: from, to: to, pos: pos})
 }
 
 // deriveLockDiags materializes lockorder's findings now that the
 // fixpoint is known: transitive sends under held locks, summary-derived
 // lock-order edges, and cycles over the class graph.
 func (g *CallGraph) deriveLockDiags() {
-	report := func(pkg *Package, pos token.Pos, format string, args ...any) {
-		g.lockDiags[pkg] = append(g.lockDiags[pkg], finding{pos: pos, msg: fmt.Sprintf(format, args...)})
+	report := func(pos token.Pos, format string, args ...any) {
+		g.findings = append(g.findings, Finding{Pos: pos, Message: fmt.Sprintf(format, args...)})
 	}
 	for _, n := range g.ordered {
 		for _, gc := range n.guarded {
@@ -613,11 +525,11 @@ func (g *CallGraph) deriveLockDiags() {
 			}
 			heldText := strings.Join(heldNames, ", ")
 			if isBlockingSend(gc.fn) {
-				report(n.Pkg, gc.pos, "%s blocks on the overlay/transport while mutex %s is held; release it before sending", gc.fn.Name(), heldText)
+				report(gc.pos, "%s blocks on the overlay/transport while mutex %s is held; release it before sending", gc.fn.Name(), heldText)
 			} else {
 				for _, target := range gc.targets {
 					if target.ReachesSend {
-						report(n.Pkg, gc.pos, "call to %s reaches a blocking send (%s) while mutex %s is held; release it before sending", gc.fn.Name(), target.sendPath(), heldText)
+						report(gc.pos, "call to %s reaches a blocking send (%s) while mutex %s is held; release it before sending", gc.fn.Name(), target.sendPath(), heldText)
 						break
 					}
 				}
@@ -625,7 +537,7 @@ func (g *CallGraph) deriveLockDiags() {
 			for _, target := range gc.targets {
 				for obj := range target.TransitiveAcquires {
 					for _, h := range gc.held {
-						g.addEdge(h, obj, gc.pos, n.Pkg)
+						g.addEdge(h, obj, gc.pos)
 					}
 				}
 			}
@@ -657,14 +569,80 @@ func (g *CallGraph) deriveLockDiags() {
 	}
 	for _, e := range g.edges {
 		if reaches(e.to, e.from) {
-			report(e.pkg, e.pos, "acquiring %s while %s is held closes a lock-order cycle (%s is also acquired, possibly transitively, under %s)",
+			report(e.pos, "acquiring %s while %s is held closes a lock-order cycle (%s is also acquired, possibly transitively, under %s)",
 				g.LockName(e.to), g.LockName(e.from), g.LockName(e.from), g.LockName(e.to))
 		}
 	}
-	for _, diags := range g.lockDiags {
-		sort.Slice(diags, func(i, j int) bool { return diags[i].pos < diags[j].pos })
-	}
+	sort.Slice(g.findings, func(i, j int) bool { return g.findings[i].Pos < g.findings[j].Pos })
 }
 
-// LockFindings returns the lockorder findings owned by pkg.
-func (g *CallGraph) LockFindings(pkg *Package) []finding { return g.lockDiags[pkg] }
+// Findings returns lockorder's findings in position order:
+//
+//  1. sends under a lock — a chord overlay send or blocking transport
+//     entry point called while a mutex acquired in the same function is
+//     held, directly or through any chain of module functions (interface
+//     dispatch included). This is the pipelining deadlock class: batch
+//     handlers that called back into the overlay while holding a
+//     connection lock head-of-line-cycled the in-order reply protocol
+//     into timeouts.
+//  2. lock-order cycles — an acquisition of class B while class A is
+//     held (directly, or summarized through a callee) when B's holders
+//     also, possibly transitively, acquire A.
+//
+// Lock classes are identified per struct field (clientConn.wmu is one
+// class across every instance) or per variable.
+func (g *CallGraph) Findings() []Finding { return g.findings }
+
+// funcKey renders a *types.Func as "pkgpath.Name" for package functions or
+// "pkgpath.Recv.Name" for methods (pointerness of the receiver ignored),
+// the form the send tables use.
+func funcKey(fn *types.Func) string {
+	if fn.Pkg() == nil {
+		return fn.Name()
+	}
+	sig, ok := fn.Type().(*types.Signature)
+	if ok && sig.Recv() != nil {
+		t := sig.Recv().Type()
+		if ptr, isPtr := t.(*types.Pointer); isPtr {
+			t = ptr.Elem()
+		}
+		if named, isNamed := t.(*types.Named); isNamed {
+			return fn.Pkg().Path() + "." + named.Obj().Name() + "." + fn.Name()
+		}
+	}
+	return fn.Pkg().Path() + "." + fn.Name()
+}
+
+// calleeFunc resolves the *types.Func a call expression invokes, or nil
+// for indirect calls, conversions and builtins.
+func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	default:
+		return nil
+	}
+	fn, _ := info.Uses[id].(*types.Func)
+	return fn
+}
+
+// walkStack is ast.Inspect with an ancestor stack: fn receives each node
+// with the path from the root (excluding n itself); returning false prunes
+// the subtree.
+func walkStack(root ast.Node, fn func(n ast.Node, stack []ast.Node) bool) {
+	var stack []ast.Node
+	ast.Inspect(root, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		if !fn(n, stack) {
+			return false // pruned: Inspect sends no closing nil for n
+		}
+		stack = append(stack, n)
+		return true
+	})
+}

@@ -17,8 +17,7 @@ func fixtureGraph(t *testing.T) *analysis.CallGraph {
 	if _, err := loader.Load("callgraph/a"); err != nil {
 		t.Fatalf("load callgraph/a: %v", err)
 	}
-	prog := analysis.NewProg(loader, loader.FullPackages())
-	return prog.CallGraph()
+	return analysis.NewCallGraph(loader)
 }
 
 func node(t *testing.T, g *analysis.CallGraph, key string) *analysis.FuncNode {
@@ -79,19 +78,5 @@ func TestCallGraphLockSummaries(t *testing.T) {
 		if acq := node(t, g, key).TransitiveAcquireNames(g); len(acq) != 1 || acq[0] != "worker.mu" {
 			t.Errorf("%s transitive acquires = %v, want [worker.mu]", key, acq)
 		}
-	}
-}
-
-func TestCallGraphStopReachSamePackageOnly(t *testing.T) {
-	g := fixtureGraph(t)
-	runs := node(t, g, "callgraph/a.runs")
-	if runs.HasStop {
-		t.Error("runs has no direct stop marker; HasStop should be false")
-	}
-	if !runs.HasStopReach {
-		t.Error("runs reaches waitDone's receive in the same package; HasStopReach should be true")
-	}
-	if cross := node(t, g, "callgraph/a.crossWait"); cross.HasStopReach {
-		t.Error("crossWait's only marker sits across a package boundary; HasStopReach should be false")
 	}
 }

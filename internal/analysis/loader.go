@@ -1,15 +1,13 @@
-// Package analysis is a self-contained static-analysis framework plus the
-// cqlint analyzer suite that proves the repository's concurrency
-// invariants at compile time (DESIGN.md §9).
+// Package analysis is lockorder, the one static concurrency check the
+// repository keeps (DESIGN.md §9): a call graph over the module that
+// reports overlay and transport sends under a held mutex and lock-order
+// cycles. TestSuiteCleanOnTree runs it over the tree.
 //
-// The framework mirrors the shape of golang.org/x/tools/go/analysis
-// (Analyzer / Pass / Diagnostic, analysistest-style golden tests) but is
-// built entirely on the standard library (go/build, go/parser, go/types):
-// the build environment is offline and the module has no dependencies, so
-// x/tools is deliberately not imported. Imported packages — including the
-// standard library, type-checked from GOROOT sources — are loaded with
-// IgnoreFuncBodies, so only the packages under analysis pay for full body
-// checking.
+// It is built entirely on the standard library (go/build, go/parser,
+// go/types): the module has no dependencies, so x/tools is deliberately
+// not imported. Imported packages — including the standard library,
+// type-checked from GOROOT sources — are loaded with IgnoreFuncBodies, so
+// only the packages under analysis pay for full body checking.
 package analysis
 
 import (
@@ -44,7 +42,7 @@ type Loader struct {
 
 	moduleDir  string // module root; "" when loading test fixtures only
 	modulePath string // from go.mod; "" when moduleDir is ""
-	srcRoot    string // extra source root (analysistest fixtures); "" in cqlint
+	srcRoot    string // extra source root (test fixtures); "" for the module
 	ctx        build.Context
 
 	full    map[string]*Package       // fully checked packages (module + srcRoot)
@@ -54,8 +52,8 @@ type Loader struct {
 
 // NewLoader builds a loader. moduleDir is the module root whose go.mod
 // names the module path (may be "" for fixture-only loads); srcRoot is an
-// optional extra root consulted before GOROOT, used by the analysistest
-// harness to supply fake dependency packages.
+// optional extra root consulted before GOROOT, used by the fixture tests
+// to supply fake dependency packages.
 func NewLoader(moduleDir, srcRoot string) (*Loader, error) {
 	l := &Loader{
 		Fset:    token.NewFileSet(),
@@ -256,8 +254,7 @@ func (l *Loader) loadShallow(path, dir string) (*types.Package, error) {
 }
 
 // FullPackages returns every fully loaded package, including fixture
-// dependencies pulled in transitively (used by the analysistest harness to
-// scan directives across the whole fixture graph).
+// dependencies pulled in transitively.
 func (l *Loader) FullPackages() []*Package {
 	out := make([]*Package, 0, len(l.full))
 	for _, p := range l.full {
@@ -283,62 +280,22 @@ func (l *Loader) Load(path string) (*Package, error) {
 	return l.loadFull(path, dir)
 }
 
-// LoadPatterns expands package patterns relative to the module root.
-// Supported forms: "./...", "./dir/...", "./dir", and plain import paths.
-func (l *Loader) LoadPatterns(patterns []string) ([]*Package, error) {
+// LoadModule loads every package of the module.
+func (l *Loader) LoadModule() ([]*Package, error) {
 	if l.moduleDir == "" {
-		return nil, fmt.Errorf("analysis: LoadPatterns requires a module root")
+		return nil, fmt.Errorf("analysis: LoadModule requires a module root")
 	}
-	seen := make(map[string]bool)
-	var pkgs []*Package
-	add := func(path string) error {
-		if seen[path] {
-			return nil
-		}
-		seen[path] = true
+	paths, err := l.walkModule(l.moduleDir)
+	if err != nil {
+		return nil, err
+	}
+	pkgs := make([]*Package, 0, len(paths))
+	for _, path := range paths {
 		p, err := l.Load(path)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		pkgs = append(pkgs, p)
-		return nil
-	}
-	for _, pat := range patterns {
-		switch {
-		case pat == "./..." || pat == "...":
-			paths, err := l.walkModule(l.moduleDir)
-			if err != nil {
-				return nil, err
-			}
-			for _, p := range paths {
-				if err := add(p); err != nil {
-					return nil, err
-				}
-			}
-		case strings.HasSuffix(pat, "/..."):
-			root := filepath.Join(l.moduleDir, filepath.FromSlash(strings.TrimSuffix(strings.TrimPrefix(pat, "./"), "/...")))
-			paths, err := l.walkModule(root)
-			if err != nil {
-				return nil, err
-			}
-			for _, p := range paths {
-				if err := add(p); err != nil {
-					return nil, err
-				}
-			}
-		case strings.HasPrefix(pat, "./"):
-			rel, err := filepath.Rel(l.moduleDir, filepath.Join(l.moduleDir, filepath.FromSlash(pat[2:])))
-			if err != nil {
-				return nil, err
-			}
-			if err := add(l.importPathFor(rel)); err != nil {
-				return nil, err
-			}
-		default:
-			if err := add(pat); err != nil {
-				return nil, err
-			}
-		}
 	}
 	return pkgs, nil
 }

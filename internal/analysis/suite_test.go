@@ -1,32 +1,63 @@
 package analysis_test
 
 import (
+	"fmt"
+	"os"
+	"regexp"
+	"slices"
+	"strings"
 	"testing"
 
 	"cqjoin/internal/analysis"
-	"cqjoin/internal/analysis/analysistest"
 )
 
-// The analyzer suites run against golden fixtures under
-// testdata/src, each with positive (diagnostic expected) and suppressed
-// (//lint:allow) cases.
+var wantRE = regexp.MustCompile(`// want "(.*)"\s*$`)
 
+// TestLockOrderAnalyzer runs lockorder over its golden fixture,
+// testdata/src/lockorder/a: each finding must match the `// want "regexp"`
+// comment on its line, and each want comment must be matched.
 func TestLockOrderAnalyzer(t *testing.T) {
-	analysistest.Run(t, "testdata/src", analysis.LockOrderAnalyzer, "lockorder/a")
+	loader, err := analysis.NewLoader("", "testdata/src")
+	if err != nil {
+		t.Fatalf("loader: %v", err)
+	}
+	pkg, err := loader.Load("lockorder/a")
+	if err != nil {
+		t.Fatalf("load lockorder/a: %v", err)
+	}
+	wants := make(map[string][]*regexp.Regexp) // "file:line" -> patterns not yet matched
+	for _, f := range pkg.Files {
+		name := loader.Fset.Position(f.Pos()).Filename
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatalf("read %s: %v", name, err)
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			if m := wantRE.FindStringSubmatch(line); m != nil {
+				key := fmt.Sprintf("%s:%d", name, i+1)
+				wants[key] = append(wants[key], regexp.MustCompile(m[1]))
+			}
+		}
+	}
+	for _, f := range analysis.NewCallGraph(loader).Findings() {
+		pos := loader.Fset.Position(f.Pos)
+		key := fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
+		i := slices.IndexFunc(wants[key], func(re *regexp.Regexp) bool { return re.MatchString(f.Message) })
+		if i < 0 {
+			t.Errorf("%s: unexpected finding: %s", key, f.Message)
+			continue
+		}
+		wants[key] = slices.Delete(wants[key], i, i+1)
+	}
+	for key, res := range wants {
+		for _, re := range res {
+			t.Errorf("%s: no finding matching %q", key, re)
+		}
+	}
 }
 
-// TestGoroLeakAnalyzer runs the goroleak fixture under a fixture path
-// inside the analyzer's production scope (a transport subpackage), so the
-// same filter that gates the real tree gates the fixture.
-func TestGoroLeakAnalyzer(t *testing.T) {
-	analysistest.Run(t, "testdata/src", analysis.GoroLeakAnalyzer,
-		"cqjoin/internal/transport/goroleakfix")
-}
-
-// TestSuiteCleanOnTree is the in-repo form of the CI gate: the full suite
-// over the whole module must produce zero diagnostics. Any regression a
-// developer introduces fails `go test` before it ever reaches the cqlint
-// CI job.
+// TestSuiteCleanOnTree is lockorder's gate: over the whole module it must
+// report nothing.
 func TestSuiteCleanOnTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
@@ -35,26 +66,21 @@ func TestSuiteCleanOnTree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loader: %v", err)
 	}
-	pkgs, err := loader.LoadPatterns([]string{"./..."})
+	pkgs, err := loader.LoadModule()
 	if err != nil {
 		t.Fatalf("load module: %v", err)
 	}
 	if len(pkgs) < 10 {
 		t.Fatalf("suspiciously few packages loaded: %d", len(pkgs))
 	}
-	prog := analysis.NewProg(loader, pkgs)
-	diags, err := prog.Run(analysis.All())
-	if err != nil {
-		t.Fatalf("run suite: %v", err)
-	}
-	for _, d := range diags {
-		t.Errorf("%s: %s (%s)", loader.Fset.Position(d.Pos), d.Message, d.Analyzer)
+	for _, f := range analysis.NewCallGraph(loader).Findings() {
+		t.Errorf("%s: %s", loader.Fset.Position(f.Pos), f.Message)
 	}
 }
 
-// TestLoaderResolvesStdlibOffline pins the property the whole suite
-// depends on: the loader type-checks module packages (and their stdlib
-// closure) without network access or pre-compiled export data.
+// TestLoaderResolvesStdlibOffline pins the property lockorder depends on:
+// the loader type-checks module packages (and their stdlib closure)
+// without network access or pre-compiled export data.
 func TestLoaderResolvesStdlibOffline(t *testing.T) {
 	loader, err := analysis.NewLoader("../..", "")
 	if err != nil {

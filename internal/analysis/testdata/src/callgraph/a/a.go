@@ -1,15 +1,10 @@
-// Package a exercises the call-graph builder directly (no analyzer):
-// recursion and mutual recursion terminate the fixpoint, method values
-// become value edges, interface dispatch fans out to every module
-// implementation, lock summaries propagate transitively, and stop-path
-// reachability respects the same-package rule.
+// Package a exercises the call-graph builder directly: recursion and
+// mutual recursion terminate the fixpoint, method values become value
+// edges, interface dispatch fans out to every module implementation, and
+// lock summaries propagate transitively.
 package a
 
-import (
-	"sync"
-
-	"callgraph/b"
-)
+import "sync"
 
 // fact is directly recursive: its callee set contains itself.
 func fact(n int) int {
@@ -71,18 +66,4 @@ func lockChain(w *worker) {
 
 func helper(w *worker) {
 	w.step()
-}
-
-// waitDone holds a stop marker; runs proves it through a same-package
-// call; crossWait must NOT inherit one through the package boundary.
-func waitDone(ch chan struct{}) {
-	<-ch
-}
-
-func runs(ch chan struct{}) {
-	waitDone(ch)
-}
-
-func crossWait(ch chan struct{}) {
-	b.Wait(ch)
 }

@@ -1,5 +1,5 @@
-// Package chord is a fixture stand-in for the real overlay package: the
-// analyzers resolve sinks and sends by import path + receiver + method
+// Package chord is a fixture stand-in for the real overlay package:
+// lockorder resolves sinks and sends by import path + receiver + method
 // name, so only the shape matters, not the behaviour.
 package chord
 

@@ -1,10 +1,9 @@
-// Package a exercises the lockorder analyzer: transitive sends reached
-// through a call chain while a mutex is held, direct sends under a lock
-// (plain, deferred-unlock and read lock) but not after it or in a closure,
-// lock-order cycles between two classes, and the //lint:allow escape
-// hatch. The chord import resolves to the fixture fake under this
-// testdata root, whose Node.Send et al carry the production funcKeys the
-// analyzer's sink set matches on.
+// Package a exercises lockorder: transitive sends reached through a call
+// chain while a mutex is held, direct sends under a lock (plain,
+// deferred-unlock and read lock) but not after it or in a closure, and
+// lock-order cycles between two classes. The chord import resolves to the
+// fixture fake under this testdata root, whose Node.Send et al carry the
+// production funcKeys lockorder's sink set matches on.
 package a
 
 import (
@@ -87,13 +86,4 @@ func (s *state) lockBThenA() {
 	s.mu.Lock() // want "acquiring state.mu while state.ack is held closes a lock-order cycle"
 	s.mu.Unlock()
 	s.ack.Unlock()
-}
-
-// suppressed documents the escape hatch: the finding on the next line is
-// swallowed by the allow directive.
-func (s *state) suppressed() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	//lint:allow lockorder fixture documents the intentional-send escape hatch
-	s.node.Send(nil, 0)
 }

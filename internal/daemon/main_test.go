@@ -1,0 +1,9 @@
+package daemon
+
+import (
+	"testing"
+
+	"cqjoin/internal/leakcheck"
+)
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }

@@ -1,0 +1,9 @@
+package durable
+
+import (
+	"testing"
+
+	"cqjoin/internal/leakcheck"
+)
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }

@@ -24,7 +24,8 @@ func X71(sc Scale) *Table {
 	rows := make([][]string, len(ks))
 	ForEach(len(ks), func(ki int) {
 		k := ks[ki]
-		r, _, _ := chainRun(sc, k)
+		r := chainSetup(sc)
+		chainRun(r, sc, k)
 		m := r.Measure(sc.Tuples)
 		rows[ki] = []string{d(int64(k)), f1(m.HopsPerTuple),
 			d(r.Net.Traffic().Messages("mjoin")),
@@ -36,15 +37,18 @@ func X71(sc Scale) *Table {
 	return t
 }
 
-// chainRun is one X7.1 cell: sc.Queries/8 chain queries of arity k, then
-// sc.Tuples chain tuples, meters reset in between. It returns the queries
-// as indexed and the tuples as stamped, so a test can join the same stream
-// by brute force.
-func chainRun(sc Scale, k int) (*Run, []*query.Query, []*relation.Tuple) {
-	// A moderately sparse value domain keeps the number of completed
-	// combinations from exploding combinatorially with k while still
-	// exercising every pipeline stage.
-	r := Setup(engine.Config{Algorithm: engine.SAI}, sc, workload.Params{Pairs: 2, Attrs: 2, Domain: 200, Theta: 0.5})
+// chainSetup is X7.1's overlay and workload. A moderately sparse value
+// domain keeps the number of completed combinations from exploding
+// combinatorially with k while still exercising every pipeline stage.
+func chainSetup(sc Scale) *Run {
+	return Setup(engine.Config{Algorithm: engine.SAI}, sc, workload.Params{Pairs: 2, Attrs: 2, Domain: 200, Theta: 0.5})
+}
+
+// chainRun is one X7.1 cell on r: sc.Queries/8 chain queries of arity k,
+// then sc.Tuples chain tuples, meters reset in between. It returns the
+// queries as indexed and the tuples as stamped, so a test can join the
+// same stream by brute force.
+func chainRun(r *Run, sc Scale, k int) ([]*query.Query, []*relation.Tuple) {
 	queries := make([]*query.Query, max(sc.Queries/8, 1))
 	for i := range queries {
 		mq, err := r.Eng.Subscribe(r.randomNode(), r.Gen.QueryChain(k))
@@ -62,5 +66,5 @@ func chainRun(sc Scale, k int) (*Run, []*query.Query, []*relation.Tuple) {
 		}
 		tuples[i] = tu
 	}
-	return r, queries, tuples
+	return queries, tuples
 }

@@ -79,7 +79,9 @@ func TestX71Oracle(t *testing.T) {
 		t.Skip("expensive")
 	}
 	for _, k := range []int{2, 3, 4} {
-		r, queries, tuples := chainRun(CI(), k)
+		r := chainSetup(CI())
+		r.Eng.OnNotify(nil) // keep every notification for the oracles
+		queries, tuples := chainRun(r, CI(), k)
 		if k == 2 {
 			o := engine.NewOracle()
 			for _, q := range queries {

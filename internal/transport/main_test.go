@@ -1,0 +1,9 @@
+package transport
+
+import (
+	"testing"
+
+	"cqjoin/internal/leakcheck"
+)
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }

@@ -76,6 +76,7 @@ type runFingerprint struct {
 func transportScenario(t *testing.T, alg engine.Algorithm, sc exp.Scale, overTCP bool, subscribe func(*exp.Run, int)) runFingerprint {
 	t.Helper()
 	r := exp.Setup(engine.Config{Algorithm: alg, MaxRetries: 3}, sc, workload.Params{})
+	r.Eng.OnNotify(nil) // the fingerprint holds every notification
 	var reg *obs.Registry
 	if overTCP {
 		var cleanup func()
