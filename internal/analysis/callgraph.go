@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 	"strings"
 )
@@ -19,7 +20,10 @@ import (
 // branches disagree (one path unlocks, another returns locked) summarizes
 // to whichever direction releases more. Callers clamp the held count at
 // zero, which biases every approximation toward fewer findings — the
-// check is a gate, and a gate that cries wolf gets deleted.
+// check is a gate, and a gate that cries wolf gets deleted. The one branch
+// the walk does tell apart is one that ends in return: no statement after it
+// runs in its lock state, so an early `mu.Unlock(); return` leaves the lock
+// held for the rest of the function.
 
 // networkSends are the overlay send entry points: each one can traverse
 // O(log N) simulated hops, run delivery handlers on other nodes, and (in a
@@ -385,7 +389,23 @@ func (g *CallGraph) summarizeBody(n *FuncNode) {
 		return out
 	}
 
+	// A branch that ends in return hands its lock state to no statement
+	// after it: past its end, held is what it was where the branch began.
+	type restore struct {
+		end  token.Pos
+		held map[types.Object]int
+	}
+	var branches []restore
 	walkStack(n.Decl.Body, func(node ast.Node, stack []ast.Node) bool {
+		for len(branches) > 0 && node.Pos() >= branches[len(branches)-1].end {
+			held = branches[len(branches)-1].held
+			branches = branches[:len(branches)-1]
+		}
+		if body := branchBody(node); len(body) > 0 {
+			if _, ok := body[len(body)-1].(*ast.ReturnStmt); ok {
+				branches = append(branches, restore{end: node.End(), held: maps.Clone(held)})
+			}
+		}
 		inClosure := false
 		for _, anc := range stack {
 			if _, ok := anc.(*ast.FuncLit); ok {
@@ -446,6 +466,20 @@ func (g *CallGraph) summarizeBody(n *FuncNode) {
 	for obj := range n.Acquires {
 		n.TransitiveAcquires[obj] = true
 	}
+}
+
+// branchBody returns the statements of a block or a case clause, nil for any
+// other node.
+func branchBody(node ast.Node) []ast.Stmt {
+	switch node := node.(type) {
+	case *ast.BlockStmt:
+		return node.List
+	case *ast.CaseClause:
+		return node.Body
+	case *ast.CommClause:
+		return node.Body
+	}
+	return nil
 }
 
 // isDeferOf reports whether parent is a DeferStmt whose call is exactly

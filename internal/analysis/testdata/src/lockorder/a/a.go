@@ -1,7 +1,8 @@
 // Package a exercises lockorder: transitive sends reached through a call
 // chain while a mutex is held, direct sends under a lock (plain,
-// deferred-unlock and read lock) but not after it or in a closure, and
-// lock-order cycles between two classes. The chord import resolves to the
+// deferred-unlock and read lock) but not after it or in a closure, a lock
+// an early return releases still held past that return, and lock-order
+// cycles between two classes. The chord import resolves to the
 // fixture fake under this testdata root, whose Node.Send et al carry the
 // production funcKeys lockorder's sink set matches on.
 package a
@@ -86,4 +87,69 @@ func (s *state) lockBThenA() {
 	s.mu.Lock() // want "acquiring state.mu while state.ack is held closes a lock-order cycle"
 	s.mu.Unlock()
 	s.ack.Unlock()
+}
+
+// transport and peer take TCP.Close's shape: an early return under `if
+// t.closed` unlocks mu, and the path that goes on still holds it, so the
+// dial lock close takes there is ordered under mu, the reverse of conn's.
+type transport struct {
+	mu     sync.Mutex
+	closed bool
+	peers  []*peer
+}
+
+type peer struct{ dial sync.Mutex }
+
+func (t *transport) close() error {
+	t.mu.Lock()
+	if t.closed {
+		t.mu.Unlock()
+		return nil
+	}
+	t.closed = true
+	for _, p := range t.peers {
+		p.dial.Lock() // want "acquiring peer.dial while transport.mu is held closes a lock-order cycle"
+		p.dial.Unlock()
+	}
+	t.mu.Unlock()
+	return nil
+}
+
+func (t *transport) conn(p *peer) {
+	p.dial.Lock()
+	t.mu.Lock() // want "acquiring transport.mu while peer.dial is held closes a lock-order cycle"
+	t.mu.Unlock()
+	p.dial.Unlock()
+}
+
+// earlyReturnThenSend takes a handler's shape: each early return, from a
+// loop's branch or a switch case, unlocks on its way out, and the path that
+// goes on reaches a send with mu still held.
+func (s *state) earlyReturnThenSend(dup bool, items []int) {
+	s.mu.Lock()
+	for _, it := range items {
+		if it == 0 {
+			s.mu.Unlock()
+			return
+		}
+	}
+	switch {
+	case dup:
+		s.mu.Unlock()
+		return
+	}
+	s.hop() // want "call to hop reaches a blocking send .* while mutex state.mu is held"
+	s.mu.Unlock()
+}
+
+// unlockOnEveryBranch: both branches release mu and neither returns, so the
+// send after them is clean.
+func (s *state) unlockOnEveryBranch(fast bool) {
+	s.mu.Lock()
+	if fast {
+		s.mu.Unlock()
+	} else {
+		s.mu.Unlock()
+	}
+	s.hop()
 }

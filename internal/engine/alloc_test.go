@@ -115,31 +115,32 @@ func TestBlindPublicationSendsNoVLIndexAllocation(t *testing.T) {
 // shared target, whose trigger is the publication, the identifier-cache
 // entries of the fresh key, and every other publication's four
 // notifications, each an identity in delivered and a Notification in the
-// sink: 830 measured (925 while each query of a group recorded the target in
-// a purge set of its own and the target said its want as two strings, 932
-// while each identity was a string of its own and each notification's values
-// an array of their own, 964 while the target held a projected copy of the
-// trigger, 1080 while each stored rewrite had a
-// wrapper and a string of its Key(q'), 1136 while a stamped tuple copied its
-// values and each stored rewrite and its times were allocations of their own,
-// 1658 with a tuple stored under all three of its attributes, 1679 while an
-// identity repeated its subscriber, 2439 with a map in every bucket), plus
-// 15 %, rounded down. One eager map per bucket, or one tuple copy under an
-// attribute nobody queries, costs more than the margin.
+// sink: 660 measured (763 while each identity was a string in a map, 925
+// while each query of a group recorded the target in a purge set of its own
+// and the target said its want as two strings, 932 while each identity was a
+// string of its own and each notification's values an array of their own,
+// 964 while the target held a projected copy of the trigger, 1080 while each
+// stored rewrite had a wrapper and a string of its Key(q'), 1136 while a
+// stamped tuple copied its values and each stored rewrite and its times were
+// allocations of their own, 1658 with a tuple stored under all three of its
+// attributes, 1679 while an identity repeated its subscriber, 2439 with a map
+// in every bucket), plus 15 %, rounded down. One eager map per bucket, or one
+// tuple copy under an attribute nobody queries, costs more than the margin.
 //
 // retainedBytesCeilingConsumed bounds the same with an OnNotify callback
-// taking the notifications: 472 measured (567 before the group's one purge
-// list and the 64-byte target, 575 while each identity was a string of its
-// own, 607 while the target held a projected trigger, 723 and 778 before the
-// two changes before that, 1301 stored blind), plus 15 %. Of
-// the 1679 bytes, 21 were the repeated subscriber and 357 the sink's — per
-// publication two 96-byte Notifications, their two 64-byte Values arrays and
-// the slack of the slice that held them; an identity's bytes in a shared
-// chunk and its slot in delivered are what stays of a notification. One kept
-// anywhere else costs more than the margin.
+// taking the notifications: 303 measured (406 while each identity was a
+// string in a map, 567 before the group's one purge list and the 64-byte
+// target, 575 while each identity was a string of its own, 607 while the
+// target held a projected trigger, 723 and 778 before the two changes before
+// that, 1301 stored blind), plus 15 %. Of the 1679 bytes, 21 were the
+// repeated subscriber and 357 the sink's — per publication two 96-byte
+// Notifications, their two 64-byte Values arrays and the slack of the slice
+// that held them; an identity's bytes in a shared chunk and its table slot
+// are what stays of a notification. One kept anywhere else costs more than
+// the margin.
 const (
-	retainedBytesCeiling         = 954
-	retainedBytesCeilingConsumed = 542
+	retainedBytesCeiling         = 759
+	retainedBytesCeilingConsumed = 348
 )
 
 func TestRetainedBytesPerPublicationCeiling(t *testing.T) {

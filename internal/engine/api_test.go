@@ -206,20 +206,20 @@ func TestSnapshotCarriesDeliveredIdentities(t *testing.T) {
 	}
 }
 
-// Delivered identities are cut from shared chunks: across several chunks,
-// and for a key longer than a chunk, each stays the deliveryKey of its
+// Delivered identities are appended to shared chunks: across several chunks,
+// and for an identity longer than a chunk, each stays the identity of its
 // notification, suppresses a replay of it, and survives a snapshot.
 func TestDeliveredIdentitiesAcrossChunks(t *testing.T) {
 	env := newTestEnv(t, 32, Config{Algorithm: SAI})
 	var taken []Notification
 	env.eng.OnNotify(func(n Notification) { taken = append(taken, n) })
 	env.subscribe(t, 0, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
-	pad := strings.Repeat("x", keyChunkSize/10)
+	pad := strings.Repeat("x", identChunkSize/8)
 	for i := 0; i < 40; i++ {
 		env.publish(t, 1+i, relation.MustTuple(env.r, relation.S(fmt.Sprint(i, pad)), relation.N(float64(i)), relation.N(0)))
 		env.publish(t, 2+i, sTuple(env, float64(i), float64(i), 0))
 	}
-	env.publish(t, 3, relation.MustTuple(env.r, relation.S(strings.Repeat("y", keyChunkSize+1)), relation.N(99), relation.N(0)))
+	env.publish(t, 3, relation.MustTuple(env.r, relation.S(strings.Repeat("y", identChunkSize+1)), relation.N(99), relation.N(0)))
 	env.publish(t, 4, sTuple(env, 99, 99, 0))
 	if len(taken) != 41 {
 		t.Fatalf("the stream delivered %d notifications, want 41", len(taken))
@@ -230,21 +230,24 @@ func TestDeliveredIdentitiesAcrossChunks(t *testing.T) {
 		want[deliveryKey(n)] = true
 		bytes += len(deliveryKey(n))
 	}
-	if bytes < 4*keyChunkSize {
+	if bytes < 4*identChunkSize {
 		t.Fatalf("the identities hold %d bytes, want several chunks' worth", bytes)
 	}
 	knows := func(what string, e *Engine) {
 		t.Helper()
 		e.mu.Lock()
 		defer e.mu.Unlock()
-		if len(e.delivered) != len(want) {
-			t.Fatalf("%s: %d identities delivered, want %d", what, len(e.delivered), len(want))
+		if e.delivered.len() != len(want) {
+			t.Fatalf("%s: %d identities delivered, want %d", what, e.delivered.len(), len(want))
 		}
-		for k := range e.delivered {
-			if !want[k] {
+		if len(e.delivered.chunks) < 5 {
+			t.Fatalf("%s: the identities fill %d chunks, want at least 5", what, len(e.delivered.chunks))
+		}
+		e.delivered.each(func(id []byte) {
+			if k := identityKey(id); !want[k] {
 				t.Fatalf("%s: delivered holds %.40q..., no notification's deliveryKey", what, k)
 			}
-		}
+		})
 	}
 	knows("recorded", env.eng)
 	for _, n := range taken {

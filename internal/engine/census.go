@@ -30,7 +30,7 @@ func (e *Engine) Census() map[string]CensusEntry {
 		e.state(n).census(c)
 	}
 	e.mu.Lock()
-	c.engineWide("delivered", len(e.delivered))
+	c.engineWide("delivered", e.delivered.len())
 	e.mu.Unlock()
 	queries, parsed, strs := e.memo.Sizes()
 	c.engineWide("wire_memo_queries", queries)

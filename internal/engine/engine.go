@@ -16,8 +16,6 @@ package engine
 import (
 	"fmt"
 	"math/rand"
-	"strconv"
-	"strings"
 	"sync"
 
 	"cqjoin/internal/chord"
@@ -162,10 +160,9 @@ type Engine struct {
 	subs      map[string]standing   // query key -> the query its subscriber here indexed
 	rng       *rand.Rand
 	onNotify  func(Notification)
-	delivered map[string]struct{} // deliveryKey of every match delivered: the receiver-side dedupe
-	keys      keyChunks           // the bytes of delivered's keys
-	count     int                 // notifications delivered since the last ResetNotifications
-	sink      []Notification      // those of them no onNotify callback was installed to take
+	delivered deliveredSet   // the identity of every match delivered: the receiver-side dedupe
+	count     int            // notifications delivered since the last ResetNotifications
+	sink      []Notification // those of them no onNotify callback was installed to take
 }
 
 // New creates an engine over the given overlay and schema catalog, has the
@@ -177,17 +174,16 @@ func New(net *chord.Network, catalog *relation.Catalog, cfg Config) *Engine {
 		cfg.ReplicationFactor = 1
 	}
 	e := &Engine{
-		cfg:       cfg,
-		net:       net,
-		catalog:   catalog,
-		obs:       newEngObs(cfg.Obs),
-		states:    make(map[*chord.Node]*nodeState),
-		byKey:     make(map[string]*nodeState),
-		seq:       make(map[string]int),
-		subs:      make(map[string]standing),
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		delivered: make(map[string]struct{}),
-		memo:      new(wire.Memo),
+		cfg:     cfg,
+		net:     net,
+		catalog: catalog,
+		obs:     newEngObs(cfg.Obs),
+		states:  make(map[*chord.Node]*nodeState),
+		byKey:   make(map[string]*nodeState),
+		seq:     make(map[string]int),
+		subs:    make(map[string]standing),
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		memo:    new(wire.Memo),
 	}
 	e.alIDs, e.alOrds = alIdents(catalog, cfg.ReplicationFactor)
 	if cfg.HotKeyThreshold > 0 && cfg.Algorithm == SAI {
@@ -304,30 +300,11 @@ func (e *Engine) ResetNotifications() {
 	e.count = 0
 }
 
-// deliveryKey is the full match identity of a notification: projected
-// content — which leads with Key(q), subscriber#seq, so the subscriber is
-// said — and the publication times of the matched pair. Two distinct tuple
-// pairs can project to equal values, so the content key alone is NOT an
-// identity; publication times are (the logical clock gives every published
-// tuple a unique timestamp). Snapshots persist these strings.
-func deliveryKey(n Notification) string {
-	var buf [keyScratch]byte
-	return string(n.appendDeliveryKey(buf[:0]))
-}
-
-func (n Notification) appendDeliveryKey(b []byte) []byte {
-	b = n.appendContentKey(b)
-	b = append(b, '|')
-	b = strconv.AppendInt(b, n.LeftPubT, 10)
-	b = append(b, '|')
-	return strconv.AppendInt(b, n.RightPubT, 10)
-}
-
 func (e *Engine) record(n Notification) {
 	var buf [keyScratch]byte
-	key := n.appendDeliveryKey(buf[:0])
+	id := n.appendIdentity(buf[:0])
 	e.mu.Lock()
-	if _, dup := e.delivered[string(key)]; dup {
+	if !e.delivered.add(id) {
 		// A duplicated or replayed delivery of a match the subscriber has
 		// already consumed: suppress it. This is the receiver-side half of
 		// at-least-once delivery.
@@ -335,7 +312,6 @@ func (e *Engine) record(n Notification) {
 		e.net.Traffic().RecordDuplicate("notification")
 		return
 	}
-	e.delivered[e.keys.keep(key)] = struct{}{}
 	e.count++
 	fn := e.onNotify
 	if fn == nil {
@@ -345,28 +321,6 @@ func (e *Engine) record(n Notification) {
 	}
 	e.mu.Unlock()
 	fn(n)
-}
-
-// keyChunkSize is the size of the chunks keyChunks cuts its strings from.
-const keyChunkSize = 16 << 10
-
-// keyChunks keeps the identities delivered holds: each a string cut from an
-// append-only chunk grown once to keyChunkSize and never outgrown, so no
-// string handed out moves and a kept key costs its bytes, not an allocation
-// of its own. A key longer than a chunk is a string of its own.
-type keyChunks struct{ b strings.Builder }
-
-func (c *keyChunks) keep(key []byte) string {
-	if len(key) > keyChunkSize {
-		return string(key)
-	}
-	if c.b.Cap()-c.b.Len() < len(key) {
-		c.b = strings.Builder{}
-		c.b.Grow(keyChunkSize)
-	}
-	start := c.b.Len()
-	_, _ = c.b.Write(key)
-	return c.b.String()[start:]
 }
 
 // DeliveredContentKeys returns the content key of every notification in the

@@ -80,7 +80,7 @@ type snapMetaMsg struct {
 	Sink      []Notification
 	HotEpochs []hotEpochEntry
 	HotCounts []hotCountEntry
-	Delivered []string       // every deliveryKey, in no order, unless Sink implies them all
+	Delivered []string       // every deliveryKey, in the order recorded, unless Sink implies them all
 	Count     int            // NotificationCount
 	Marks     bool           // the node sections carry their buckets' interest marks
 	Standing  []*query.Query // the queries of Subs that their subscriber posed here
@@ -124,12 +124,9 @@ func (e *Engine) ExportSnapshot(down []string) (chord.Message, []NodeSnapshot) {
 	}
 	meta.Sink = append([]Notification(nil), e.sink...)
 	meta.Count = e.count
-	if len(e.delivered) > len(e.sink) { // a consumer took some, or the record was reset
-		// A set, in no order: sorting it would be most of a checkpoint.
-		meta.Delivered = make([]string, 0, len(e.delivered))
-		for k := range e.delivered {
-			meta.Delivered = append(meta.Delivered, k)
-		}
+	if e.delivered.len() > len(e.sink) { // a consumer took some, or the record was reset
+		meta.Delivered = make([]string, 0, e.delivered.len())
+		e.delivered.each(func(id []byte) { meta.Delivered = append(meta.Delivered, identityKey(id)) })
 	}
 	e.mu.Unlock()
 
@@ -202,11 +199,17 @@ func (e *Engine) RestoreSnapshot(meta chord.Message, nodes []NodeSnapshot) (deri
 	for _, q := range m.Standing { // each the query of a key of Subs
 		e.subs[q.Key()] = standing{q: q, inputs: e.subs[q.Key()].inputs}
 	}
+	var buf [keyScratch]byte
 	for _, n := range m.Sink {
-		e.delivered[deliveryKey(n)] = struct{}{}
+		e.delivered.add(n.appendIdentity(buf[:0]))
 	}
 	for _, k := range m.Delivered {
-		e.delivered[k] = struct{}{}
+		id, err := appendKeyIdentity(buf[:0], k)
+		if err != nil {
+			e.mu.Unlock()
+			return 0, fmt.Errorf("engine: restore: %w", err)
+		}
+		e.delivered.add(id)
 	}
 	e.count += m.Count
 	if e.onNotify == nil { // as record: a consumer's engine keeps identities only
