@@ -131,7 +131,11 @@ func main() {
 			cfg.StateDir, info.SnapshotLSN, info.Replayed)
 	}
 	if cfg.OverlayAddr != "" {
-		if err := srv.ListenAndServeOverlay(); err != nil {
+		oln, err := net.Listen("tcp", cfg.OverlayAddr)
+		if err != nil {
+			log.Fatalf("cqjoind: overlay: %v", err)
+		}
+		if err := srv.StartOverlay(oln); err != nil {
 			log.Fatalf("cqjoind: overlay: %v", err)
 		}
 		log.Printf("cqjoind: overlay transport on %s (%d peers)", cfg.OverlayAddr, len(cfg.Peers))

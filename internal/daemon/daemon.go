@@ -64,8 +64,8 @@ type Config struct {
 	// JoinExisting marks this process as entering an already-running
 	// overlay: Peers lists the current members (obtained from a running
 	// daemon's overlay-config op) and must NOT contain OverlayAddr. After
-	// StartOverlay/ListenAndServeOverlay, call JoinOverlay to enter the
-	// ring; until then this process owns no nodes.
+	// StartOverlay, call JoinOverlay to enter the ring; until then this
+	// process owns no nodes.
 	JoinExisting bool
 
 	// StateDir, when non-empty, arms per-process durability: every
@@ -117,7 +117,7 @@ type serverMetrics struct {
 // New builds a server around a fresh cluster. With cfg.OverlayAddr set it
 // also wires a TCP transport into the overlay so deliveries to ring
 // positions owned by other processes cross the network; call
-// StartOverlay or ListenAndServeOverlay before serving clients.
+// StartOverlay before serving clients.
 func New(cfg Config) (*Server, error) {
 	catalog, err := ParseSchemaDSL(cfg.SchemaDSL)
 	if err != nil {
@@ -243,23 +243,21 @@ func (s *Server) openDurable() error {
 // Recovery reports what the state directory restored (zero without one).
 func (s *Server) Recovery() durable.RecoveryInfo { return s.recovery }
 
-// StartOverlay begins serving inter-node traffic on an existing listener
-// (tests bind port 0 first so the peer list can carry concrete ports).
+// StartOverlay begins serving inter-node traffic on ln. A restarted process
+// binds ln once New has returned: New's replay re-sends deliveries whose
+// peers call back, and a listener bound before would accept those calls with
+// nobody serving them. A process with a state directory then hands back what
+// its recovered view gives away, as a view event does, and checkpoints once a
+// hand-back is acked, so that the next start replays nothing it gave away.
 func (s *Server) StartOverlay(ln net.Listener) error {
 	if s.tr == nil {
 		return fmt.Errorf("daemon: no overlay transport configured")
 	}
 	s.tr.Start(ln)
-	return nil
-}
-
-// ListenAndServeOverlay binds Config.OverlayAddr and begins serving
-// inter-node traffic. It returns immediately.
-func (s *Server) ListenAndServeOverlay() error {
-	if s.tr == nil {
-		return fmt.Errorf("daemon: no overlay transport configured")
+	if s.store != nil && s.exportMoved() {
+		return s.store.Checkpoint()
 	}
-	return s.tr.ListenAndServe()
+	return nil
 }
 
 // Cluster exposes the embedded cluster (for tests and embedding).
@@ -274,7 +272,7 @@ func (s *Server) Cluster() *cqjoin.Cluster { return s.cluster }
 // state. Only the overlay transport calls it, so there is a view.
 func (s *Server) DeliverLocal(dstKey string, msg chord.Message) bool {
 	dst := s.cluster.Overlay().NodeByKey(dstKey)
-	if dst == nil || s.members.ownerOf(dst.ID()) != s.cfg.OverlayAddr {
+	if dst == nil || !s.owns(dst) {
 		return false
 	}
 	if !s.cluster.Overlay().DeliverLocal(dstKey, msg) {
@@ -413,25 +411,34 @@ func (s *Server) spread(v *wire.MemberView) error {
 }
 
 // exportMoved hands off every node whose owner under the current view is
-// another process. Only nodes with non-empty movable state cross the
-// wire; re-running after a partial failure is therefore cheap and safe.
-// A handoff the new owner never acked is re-imported locally so state is
-// never dropped on the floor — it re-exports on the next view event.
-func (s *Server) exportMoved() {
+// another process, and reports whether any hand-off was acked. Only nodes
+// with non-empty movable state cross the wire; re-running after a partial
+// failure is therefore cheap and safe. A handoff the new owner never acked
+// is re-imported locally so state is never dropped on the floor: the next
+// view event, or the next start, hands it back.
+func (s *Server) exportMoved() (moved bool) {
 	for _, n := range s.cluster.Overlay().Nodes() {
-		owner := s.members.ownerOf(n.ID())
-		if owner == s.cfg.OverlayAddr {
+		if s.owns(n) {
 			continue
 		}
 		msg, ok := s.cluster.ExportHandoff(n)
 		if !ok {
 			continue
 		}
-		if !s.tr.Deliver(n, n, msg) {
+		if s.tr.Deliver(n, n, msg) {
+			moved = true
+		} else {
 			s.cluster.Overlay().DeliverLocal(n.Key(), msg)
-			s.logf("daemon: handoff of %s to %s failed; state retained locally", n.Key(), owner)
+			s.logf("daemon: handoff of %s to %s failed; state retained locally", n.Key(), s.members.ownerOf(n.ID()))
 		}
 	}
+	return moved
+}
+
+// owns reports whether this process holds node n under its installed view.
+// A single-process server holds every node.
+func (s *Server) owns(n *chord.Node) bool {
+	return s.members == nil || s.members.ownerOf(n.ID()) == s.cfg.OverlayAddr
 }
 
 // ParseSchemaDSL parses "R(A,B);S(D,E)" into a catalog.
@@ -679,10 +686,8 @@ func (s *Server) localNode(i int) (cqjoin.Node, error) {
 		return cqjoin.Node{}, fmt.Errorf("node %d out of range [0,%d)", i, s.cluster.Size())
 	}
 	n := *s.cluster.Node(i)
-	if s.members != nil {
-		if o := s.members.ownerOf(s.cluster.Overlay().NodeAt(i).ID()); o != s.cfg.OverlayAddr {
-			return cqjoin.Node{}, fmt.Errorf("node %d (%s) is hosted by peer %s", i, n.Key(), o)
-		}
+	if at := s.cluster.Overlay().NodeAt(i); !s.owns(at) {
+		return cqjoin.Node{}, fmt.Errorf("node %d (%s) is hosted by peer %s", i, n.Key(), s.members.ownerOf(at.ID()))
 	}
 	return n, nil
 }
@@ -692,13 +697,7 @@ func (s *Server) localNode(i int) (cqjoin.Node, error) {
 // position. Load harnesses use it to route operations to the right
 // daemon without probing for "hosted by peer" errors.
 func (s *Server) OwnsNode(i int) bool {
-	if i < 0 || i >= s.cluster.Size() {
-		return false
-	}
-	if s.members == nil {
-		return true
-	}
-	return s.members.ownerOf(s.cluster.Overlay().NodeAt(i).ID()) == s.cfg.OverlayAddr
+	return i >= 0 && i < s.cluster.Size() && s.owns(s.cluster.Overlay().NodeAt(i))
 }
 
 // The acknowledgements of the per-operation requests, appended as

@@ -405,39 +405,266 @@ func TestDaemonStateDirUnsubscribesARestoredQuery(t *testing.T) {
 
 // A seed that admits a joiner logs the view it answers with, so killed and
 // restarted it holds the two-process view and owns none of the joiner's
-// nodes (DESIGN.md §14.5).
+// nodes (DESIGN.md §14.5); and it holds state for none of them either: the
+// state its log replays for them goes back to the joiner once the overlay is
+// up, and the checkpoint that follows keeps the next restart from replaying
+// it at all (§14.6).
 func TestDaemonSeedCrashRestartKeepsItsJoinView(t *testing.T) {
-	base := defaultConfig()
-	lns, peers := listenOverlay(t, base, 1)
-	cfgA := base
-	cfgA.OverlayAddr, cfgA.Peers, cfgA.StateDir = peers[0], peers, t.TempDir()
-	a := startOverlayProc(t, cfgA, lns[0])
-	lnB, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen overlay B: %v", err)
-	}
-	b := startOverlayProc(t, joinerConfig(t, a, lnB), lnB)
-	if err := b.srv.JoinOverlay(a.addr); err != nil {
-		t.Fatalf("JoinOverlay: %v", err)
-	}
+	a, b, cfgA, _, _ := seedAndJoiner(t, "")
 	want := b.srv.members.view()
 	if len(want.Procs) != 2 {
 		t.Fatalf("the joiner holds %+v, want both processes", want)
 	}
-
-	a.srv.store.Abandon() // kill -9
-	_ = a.srv.Close()
-	restarted, err := New(cfgA)
-	if err != nil {
-		t.Fatalf("restart the seed: %v", err)
+	if held := heldFor(a.srv); len(held) != 0 {
+		t.Fatalf("the seed still holds state for the joiner's nodes %v after the hand-off", held)
 	}
-	t.Cleanup(func() { _ = restarted.Close() })
-	if got := restarted.members.view(); !reflect.DeepEqual(got, want) {
+
+	kill(a)
+	restarted := startOverlayProc(t, cfgA, nil)
+	if got := restarted.srv.members.view(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("the restarted seed holds v%d %v, want v%d %v", got.Version, got.Procs, want.Version, want.Procs)
 	}
-	for i := 0; i < restarted.Cluster().Size(); i++ {
-		if restarted.OwnsNode(i) == b.ownsNode(i) {
-			t.Fatalf("node %d: the restarted seed owns it %v, the joiner %v", i, restarted.OwnsNode(i), b.ownsNode(i))
+	for i := 0; i < restarted.srv.Cluster().Size(); i++ {
+		if restarted.srv.OwnsNode(i) == b.ownsNode(i) {
+			t.Fatalf("node %d: the restarted seed owns it %v, the joiner %v", i, restarted.srv.OwnsNode(i), b.ownsNode(i))
 		}
+	}
+	if held := heldFor(restarted.srv); len(held) != 0 {
+		t.Fatalf("the restarted seed holds state for the joiner's nodes %v", held)
+	}
+
+	kill(restarted)
+	again, err := New(cfgA)
+	if err != nil {
+		t.Fatalf("restart the seed again: %v", err)
+	}
+	defer again.Close()
+	if held := heldFor(again); len(held) != 0 {
+		t.Fatalf("the seed's state directory replays state for the joiner's nodes %v", held)
+	}
+}
+
+// listenTaker binds a joiner's overlay listener whose address, joined to
+// seed's view, takes over some node seed holds state for, and leaves seed at
+// least two nodes to publish through: a joiner whose arc holds no state moves
+// nothing, and one that takes the whole ring leaves the tests no seed node.
+// Ownership follows the hash of the address, so the port is drawn again until
+// both hold.
+func listenTaker(t *testing.T, seed *overlayProc) net.Listener {
+	t.Helper()
+	ring := seed.srv.Cluster().Overlay()
+	_, nodes := seed.srv.Cluster().Engine().ExportSnapshot(nil)
+	for draw := 0; draw < 20; draw++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listen joiner: %v", err)
+		}
+		view := newMembership(seed.addr, append(seed.srv.members.view().Procs, ln.Addr().String()), 1)
+		takes, kept := false, 0
+		for _, n := range nodes {
+			takes = takes || view.ownerOf(ring.NodeByKey(n.Key).ID()) == ln.Addr().String()
+		}
+		for _, n := range ring.Nodes() {
+			if view.ownerOf(n.ID()) == seed.addr {
+				kept++
+			}
+		}
+		if takes && kept >= 2 {
+			return ln
+		}
+		_ = ln.Close()
+	}
+	t.Fatalf("no joiner address drawn takes a node %s holds state for and leaves it two", seed.addr)
+	return nil
+}
+
+// heldFor lists the nodes s holds movable state for, as a checkpoint taken
+// now would write them, that its view gives to another process.
+func heldFor(s *Server) []string {
+	var held []string
+	_, nodes := s.Cluster().Engine().ExportSnapshot(nil)
+	for _, n := range nodes {
+		if s.members.ownerOf(s.Cluster().Overlay().NodeByKey(n.Key).ID()) != s.cfg.OverlayAddr {
+			held = append(held, n.Key)
+		}
+	}
+	return held
+}
+
+// seedAndJoiner starts a seed with a state directory, subscribes on every
+// third node through it and publishes a matching pair, admits a joiner that
+// takes some of that state over (with dirB as its state directory, empty for
+// none), and publishes a second pair. Every pair goes through the seed: a
+// tuple matches the queries stamped before it, and each process has a clock
+// of its own (DESIGN.md §10.4), the fresh joiner's far behind the seed's.
+func seedAndJoiner(t *testing.T, dirB string) (a, b *overlayProc, cfgA, cfgB Config, keys []string) {
+	t.Helper()
+	base := defaultConfig()
+	lns, peers := listenOverlay(t, base, 1)
+	cfgA = base
+	cfgA.OverlayAddr, cfgA.Peers, cfgA.StateDir = peers[0], peers, t.TempDir()
+	a = startOverlayProc(t, cfgA, lns[0])
+	for i := 0; i < a.srv.Cluster().Size(); i += 3 {
+		keys = append(keys, subscribeDaemon(t, a.c, i))
+	}
+	publishPair(t, []*overlayProc{a}, "pre-join")
+	lnB := listenTaker(t, a)
+	cfgB = joinerConfig(t, a, lnB)
+	cfgB.StateDir = dirB
+	b = startOverlayProc(t, cfgB, lnB)
+	if err := b.srv.JoinOverlay(a.addr); err != nil {
+		t.Fatalf("JoinOverlay: %v", err)
+	}
+	publishPair(t, []*overlayProc{a, b}, "post-join")
+	return a, b, cfgA, cfgB, keys
+}
+
+// kill drops p's WAL descriptor with no checkpoint, as kill -9 does, and
+// closes its sockets.
+func kill(p *overlayProc) {
+	p.srv.store.Abandon()
+	_ = p.srv.Close()
+}
+
+// deliveredOnce checks what the processes know as delivered against the
+// oracle: every query of keys notified for each of pairs matching pairs, and
+// nothing else; knownDelivered refuses a process that counted one twice.
+func deliveredOnce(t *testing.T, keys []string, pairs int, procs ...*Server) {
+	t.Helper()
+	seen := make(map[ackedEvent]bool)
+	for _, s := range procs {
+		for ev := range knownDelivered(t, s) {
+			seen[ev] = true
+		}
+	}
+	perKey := make(map[string][]string)
+	for ev := range seen {
+		perKey[ev.query] = append(perKey[ev.query], ev.values)
+	}
+	for _, k := range keys {
+		if len(perKey[k]) != pairs {
+			t.Fatalf("query %s was notified %d times, want %d: %v", k, len(perKey[k]), pairs, perKey[k])
+		}
+	}
+	if len(seen) != len(keys)*pairs {
+		t.Fatalf("%d notifications known as delivered, want %d", len(seen), len(keys)*pairs)
+	}
+}
+
+// A seed restarted from its state directory hands back what its recovered view
+// gives away at two crash points, and no notification is lost or delivered
+// twice at either:
+//   - its joiner is down when it restarts: the hand-back is not acked, the
+//     seed keeps the state, and the next view event hands it back;
+//   - it restarts from its state directory as it was after New and before the
+//     checkpoint that followed the acked hand-back, as a kill between the two
+//     leaves it: the joiner absorbs the second hand-back and its census does
+//     not change.
+func TestDaemonSeedRestartHandsBackAtItsCrashPoints(t *testing.T) {
+	t.Run("joiner down", func(t *testing.T) {
+		a, b, cfgA, cfgB, keys := seedAndJoiner(t, t.TempDir())
+		kill(b)
+		kill(a)
+		start := time.Now()
+		a2 := startOverlayProc(t, cfgA, nil)
+		took := time.Since(start)
+		held := heldFor(a2.srv)
+		if len(held) == 0 {
+			t.Fatal("the restarted seed holds no state for its joiner's nodes: nothing was there to hand back")
+		}
+		t.Logf("the seed restarted in %v with its joiner down, keeping state for %v", took, held)
+		if took > transport.DefaultIOTimeout {
+			t.Fatalf("restarting the seed took %v, more than one transport IOTimeout (%v)", took, transport.DefaultIOTimeout)
+		}
+		b2 := startOverlayProc(t, cfgB, nil)
+		// A member that joins again is admitted to the view it is in; the
+		// view it gossips is the seed's next view event.
+		if err := b2.srv.JoinOverlay(a2.addr); err != nil {
+			t.Fatalf("JoinOverlay: %v", err)
+		}
+		if held := heldFor(a2.srv); len(held) != 0 {
+			t.Fatalf("after a view event the seed still holds state for the joiner's nodes %v", held)
+		}
+		publishPair(t, []*overlayProc{a2, b2}, "after")
+		deliveredOnce(t, keys, 3, a2.srv, b2.srv)
+	})
+	t.Run("killed between ack and checkpoint", func(t *testing.T) {
+		a, b, cfgA, _, keys := seedAndJoiner(t, "")
+		kill(a)
+		srv, err := New(cfgA)
+		if err != nil {
+			t.Fatalf("restart the seed: %v", err)
+		}
+		if len(heldFor(srv)) == 0 {
+			t.Fatal("the seed's log replays no state for its joiner's nodes: nothing was there to hand back")
+		}
+		cfgCopy := cfgA
+		cfgCopy.StateDir = t.TempDir()
+		files, err := os.ReadDir(cfgA.StateDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			data, err := os.ReadFile(filepath.Join(cfgA.StateDir, f.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(cfgCopy.StateDir, f.Name()), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a2 := serveOverlayProc(t, srv, nil)
+		if held := heldFor(a2.srv); len(held) != 0 {
+			t.Fatalf("the restarted seed holds state for the joiner's nodes %v", held)
+		}
+		census := b.srv.Cluster().Engine().Census()
+
+		kill(a2)
+		a3 := startOverlayProc(t, cfgCopy, nil)
+		if held := heldFor(a3.srv); len(held) != 0 {
+			t.Fatalf("the seed restarted before its checkpoint holds state for the joiner's nodes %v", held)
+		}
+		if got := b.srv.Cluster().Engine().Census(); !reflect.DeepEqual(got, census) {
+			t.Fatalf("a second hand-back changed the joiner's census:\n got %v\nwant %v", got, census)
+		}
+		publishPair(t, []*overlayProc{a3, b}, "after")
+		deliveredOnce(t, keys, 3, a3.srv, b.srv)
+		if d := b.srv.Cluster().Traffic().Duplicates("notification"); d != 0 {
+			t.Fatalf("the joiner delivered %d duplicate notifications", d)
+		}
+	})
+}
+
+// A query retracted after the seed has handed its index to a joiner stays
+// retracted when the seed restarts and hands back the copy its log resurrects,
+// and when the joiner later leaves and hands every node back to the seed.
+func TestDaemonRetractionSurvivesHandBack(t *testing.T) {
+	a, b, cfgA, _, keys := seedAndJoiner(t, "")
+	for _, key := range keys {
+		if resp := a.c.call(map[string]interface{}{"op": "unsubscribe", "key": key}); resp["ok"] != true {
+			t.Fatalf("unsubscribe %s: %v", key, resp)
+		}
+	}
+	kill(a)
+	a2 := startOverlayProc(t, cfgA, nil)
+	notified := func() int { return a2.srv.Cluster().NotificationCount() + b.srv.Cluster().NotificationCount() }
+
+	before := notified()
+	publishPair(t, []*overlayProc{a2, b}, "restarted")
+	if got := notified() - before; got != 0 {
+		t.Fatalf("a matching pair notified %d times after the seed restarted, want 0", got)
+	}
+	if resp := b.c.call(map[string]interface{}{"op": "leave"}); resp["ok"] != true {
+		t.Fatalf("leave: %v", resp)
+	}
+	publishPair(t, []*overlayProc{a2}, "left")
+	if got := notified() - before; got != 0 {
+		t.Fatalf("a matching pair notified %d times after the joiner left, want 0", got)
+	}
+	// The overlay still evaluates: a fresh query is notified.
+	subscribeDaemon(t, a2.c, a2.nodeOwnedBy(t))
+	publishPair(t, []*overlayProc{a2}, "fresh")
+	if got := notified() - before; got != 1 {
+		t.Fatalf("a fresh query's matching pair notified %d times, want 1", got)
 	}
 }

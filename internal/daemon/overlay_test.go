@@ -176,33 +176,44 @@ func (p *overlayProc) nodeOwnedBy(t *testing.T, exclude ...int) int {
 
 // startOverlayProc builds one daemon process around an already-bound
 // overlay listener — or, given none, binds cfg.OverlayAddr once New has
-// returned, as cqjoind does — and connects a protocol client to it.
+// returned, as cqjoind does: New's replay makes a peer call back, and a
+// listener bound before would hold those calls unserved — and connects a
+// protocol client to it.
 func startOverlayProc(t *testing.T, cfg Config, ln net.Listener) *overlayProc {
 	t.Helper()
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New server %s: %v", cfg.OverlayAddr, err)
 	}
+	return serveOverlayProc(t, srv, ln)
+}
+
+// serveOverlayProc starts the overlay of a server New has built, as
+// startOverlayProc does, and connects a protocol client to it.
+func serveOverlayProc(t *testing.T, srv *Server, ln net.Listener) *overlayProc {
+	t.Helper()
+	addr := srv.cfg.OverlayAddr
+	t.Cleanup(func() { _ = srv.Close() })
 	if ln == nil {
-		err = srv.ListenAndServeOverlay()
-	} else {
-		err = srv.StartOverlay(ln)
+		var err error
+		if ln, err = net.Listen("tcp", addr); err != nil {
+			t.Fatalf("listen overlay %s: %v", addr, err)
+		}
 	}
-	if err != nil {
-		t.Fatalf("start overlay %s: %v", cfg.OverlayAddr, err)
+	if err := srv.StartOverlay(ln); err != nil {
+		t.Fatalf("start overlay %s: %v", addr, err)
 	}
 	cln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		t.Fatalf("listen client %s: %v", cfg.OverlayAddr, err)
+		t.Fatalf("listen client %s: %v", addr, err)
 	}
 	go func() { _ = srv.Serve(cln) }()
-	t.Cleanup(func() { _ = srv.Close() })
 	conn, err := net.Dial("tcp", cln.Addr().String())
 	if err != nil {
-		t.Fatalf("dial %s: %v", cfg.OverlayAddr, err)
+		t.Fatalf("dial %s: %v", addr, err)
 	}
 	t.Cleanup(func() { _ = conn.Close() })
-	return &overlayProc{srv: srv, c: newClient(t, conn), addr: cfg.OverlayAddr, clientAddr: cln.Addr().String()}
+	return &overlayProc{srv: srv, c: newClient(t, conn), addr: addr, clientAddr: cln.Addr().String()}
 }
 
 // listenOverlay binds count overlay listeners on loopback whose addresses,

@@ -185,9 +185,8 @@ type TCP struct {
 	wg sync.WaitGroup
 }
 
-// New validates cfg, fills defaults and builds a transport. Call Start
-// (or ListenAndServe) to begin accepting peer connections, and Close to
-// tear everything down.
+// New validates cfg, fills defaults and builds a transport. Call Start to
+// begin accepting peer connections, and Close to tear everything down.
 func New(cfg Config) (*TCP, error) {
 	if cfg.Self == "" {
 		return nil, fmt.Errorf("transport: Config.Self is required")
@@ -236,16 +235,6 @@ func (t *TCP) Start(ln net.Listener) {
 	t.mu.Unlock()
 	t.wg.Add(1)
 	go t.acceptLoop(ln)
-}
-
-// ListenAndServe binds cfg.Self and starts serving.
-func (t *TCP) ListenAndServe() error {
-	ln, err := net.Listen("tcp", t.cfg.Self)
-	if err != nil {
-		return err
-	}
-	t.Start(ln)
-	return nil
 }
 
 // Close stops the listener and every connection, then waits for the
