@@ -414,11 +414,20 @@ func (s *Server) spread(v *wire.MemberView) error {
 // another process, and reports whether any hand-off was acked. Only nodes
 // with non-empty movable state cross the wire; re-running after a partial
 // failure is therefore cheap and safe. A handoff the new owner never acked
-// is re-imported locally so state is never dropped on the floor: the next
-// view event, or the next start, hands it back.
+// is re-imported locally so state is never dropped on the floor, and the
+// pass sends that owner nothing more: a peer that is down would cost every
+// further node a full RPC budget. What it keeps, the next view event or the
+// next start hands back.
 func (s *Server) exportMoved() (moved bool) {
+	var down []string            // owners a handoff failed to, in that order
+	kept := make(map[string]int) // and how many of their nodes stay here
 	for _, n := range s.cluster.Overlay().Nodes() {
 		if s.owns(n) {
+			continue
+		}
+		owner := s.members.ownerOf(n.ID())
+		if kept[owner] > 0 {
+			kept[owner]++
 			continue
 		}
 		msg, ok := s.cluster.ExportHandoff(n)
@@ -429,8 +438,11 @@ func (s *Server) exportMoved() (moved bool) {
 			moved = true
 		} else {
 			s.cluster.Overlay().DeliverLocal(n.Key(), msg)
-			s.logf("daemon: handoff of %s to %s failed; state retained locally", n.Key(), s.members.ownerOf(n.ID()))
+			down, kept[owner] = append(down, owner), 1
 		}
+	}
+	for _, owner := range down {
+		s.logf("daemon: handoff to %s failed; %d of its nodes stay here until the next view event or start", owner, kept[owner])
 	}
 	return moved
 }

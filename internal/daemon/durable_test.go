@@ -445,9 +445,11 @@ func TestDaemonSeedCrashRestartKeepsItsJoinView(t *testing.T) {
 }
 
 // listenTaker binds a joiner's overlay listener whose address, joined to
-// seed's view, takes over some node seed holds state for, and leaves seed at
-// least two nodes to publish through: a joiner whose arc holds no state moves
-// nothing, and one that takes the whole ring leaves the tests no seed node.
+// seed's view, takes over at least two nodes seed holds state for, and leaves
+// seed at least two nodes to publish through: a joiner whose arc holds no
+// state moves nothing, one that takes a single such node cannot tell a
+// hand-back that gives up on a peer after one failure from one that tries
+// every node, and one that takes the whole ring leaves the tests no seed node.
 // Ownership follows the hash of the address, so the port is drawn again until
 // both hold.
 func listenTaker(t *testing.T, seed *overlayProc) net.Listener {
@@ -460,21 +462,23 @@ func listenTaker(t *testing.T, seed *overlayProc) net.Listener {
 			t.Fatalf("listen joiner: %v", err)
 		}
 		view := newMembership(seed.addr, append(seed.srv.members.view().Procs, ln.Addr().String()), 1)
-		takes, kept := false, 0
+		taken, kept := 0, 0
 		for _, n := range nodes {
-			takes = takes || view.ownerOf(ring.NodeByKey(n.Key).ID()) == ln.Addr().String()
+			if view.ownerOf(ring.NodeByKey(n.Key).ID()) == ln.Addr().String() {
+				taken++
+			}
 		}
 		for _, n := range ring.Nodes() {
 			if view.ownerOf(n.ID()) == seed.addr {
 				kept++
 			}
 		}
-		if takes && kept >= 2 {
+		if taken >= 2 && kept >= 2 {
 			return ln
 		}
 		_ = ln.Close()
 	}
-	t.Fatalf("no joiner address drawn takes a node %s holds state for and leaves it two", seed.addr)
+	t.Fatalf("no joiner address drawn takes two nodes %s holds state for and leaves it two", seed.addr)
 	return nil
 }
 
@@ -565,16 +569,27 @@ func TestDaemonSeedRestartHandsBackAtItsCrashPoints(t *testing.T) {
 		a, b, cfgA, cfgB, keys := seedAndJoiner(t, t.TempDir())
 		kill(b)
 		kill(a)
+		srv, err := New(cfgA)
+		if err != nil {
+			t.Fatalf("restart the seed: %v", err)
+		}
+		failures := srv.reg.Counter("transport.rpc_failures")
+		before := failures.Value()
 		start := time.Now()
-		a2 := startOverlayProc(t, cfgA, nil)
+		a2 := serveOverlayProc(t, srv, nil)
 		took := time.Since(start)
 		held := heldFor(a2.srv)
-		if len(held) == 0 {
-			t.Fatal("the restarted seed holds no state for its joiner's nodes: nothing was there to hand back")
+		if len(held) < 2 {
+			t.Fatalf("the restarted seed holds state for its joiner's nodes %v, want at least two to hand back", held)
 		}
-		t.Logf("the seed restarted in %v with its joiner down, keeping state for %v", took, held)
+		t.Logf("the seed started its overlay in %v with its joiner down, keeping state for %v", took, held)
+		// One failed hand-back tells the seed its joiner is down; every
+		// further node it tried would spend a full RPC budget on it too.
+		if f := failures.Value() - before; f > 1 {
+			t.Fatalf("handing back %d nodes to a joiner that is down failed %d RPCs, want at most 1", len(held), f)
+		}
 		if took > transport.DefaultIOTimeout {
-			t.Fatalf("restarting the seed took %v, more than one transport IOTimeout (%v)", took, transport.DefaultIOTimeout)
+			t.Fatalf("starting the seed's overlay took %v, more than one transport IOTimeout (%v)", took, transport.DefaultIOTimeout)
 		}
 		b2 := startOverlayProc(t, cfgB, nil)
 		// A member that joins again is admitted to the view it is in; the

@@ -155,9 +155,8 @@ type Engine struct {
 
 	mu        sync.Mutex
 	states    map[*chord.Node]*nodeState
-	byKey     map[string]*nodeState // subscriber key -> state (for delivery)
-	seq       map[string]int        // per-subscriber query sequence numbers
-	subs      map[string]standing   // query key -> the query its subscriber here indexed
+	seq       map[string]int      // per-subscriber query sequence numbers
+	subs      map[string]standing // query key -> the query its subscriber here indexed
 	rng       *rand.Rand
 	onNotify  func(Notification)
 	delivered deliveredSet   // the identity of every match delivered: the receiver-side dedupe
@@ -179,7 +178,6 @@ func New(net *chord.Network, catalog *relation.Catalog, cfg Config) *Engine {
 		catalog: catalog,
 		obs:     newEngObs(cfg.Obs),
 		states:  make(map[*chord.Node]*nodeState),
-		byKey:   make(map[string]*nodeState),
 		seq:     make(map[string]int),
 		subs:    make(map[string]standing),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
@@ -215,7 +213,6 @@ func (e *Engine) Attach(n *chord.Node) *nodeState {
 	}
 	st := newNodeState(e, n)
 	e.states[n] = st
-	e.byKey[n.Key()] = st
 	n.SetHandler(st)
 	return st
 }
@@ -225,9 +222,6 @@ func (e *Engine) Detach(n *chord.Node) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	delete(e.states, n)
-	if st, ok := e.byKey[n.Key()]; ok && st.node == n {
-		delete(e.byKey, n.Key())
-	}
 }
 
 // state returns the node's processing state, attaching lazily so nodes that

@@ -222,17 +222,15 @@ func (e *Engine) RestoreSnapshot(meta chord.Message, nodes []NodeSnapshot) (deri
 	}
 
 	for _, ns := range nodes {
-		e.mu.Lock()
-		st := e.byKey[ns.Key]
-		e.mu.Unlock()
-		if st == nil {
+		n := e.net.NodeByKey(ns.Key)
+		if n == nil {
 			return 0, fmt.Errorf("engine: restore: node %s not in overlay", ns.Key)
 		}
 		hm, ok := ns.Msg.(handoffMsg)
 		if !ok {
 			return 0, fmt.Errorf("engine: restore: node %s section is %T, want handoffMsg", ns.Key, ns.Msg)
 		}
-		st.merge(st.node, hm, false)
+		e.state(n).merge(n, hm, false)
 	}
 	if !m.Marks {
 		for _, ns := range nodes {

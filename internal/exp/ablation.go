@@ -6,60 +6,41 @@ import (
 	"cqjoin/internal/workload"
 )
 
-// X45 is the ablation for Section 4.5's keyed DAI-V extension
+// x45 is the ablation for Section 4.5's keyed DAI-V extension
 // (VIndex = Key(q) + valJC). The thesis reports that in a 10^4-node
 // network with 10^5 indexed queries the keyed variant creates roughly 250x
 // more traffic per inserted tuple, because rewritten queries can no longer
 // be grouped; in exchange the load spreads over per-query evaluators. The
 // table shows both effects and how the traffic factor grows with the
 // number of indexed queries.
-func X45(sc Scale) *Table {
-	t := &Table{
-		ID:     "X4.5",
-		Title:  "DAI-V keyed extension: traffic vs load-spread ablation",
-		Note:   "expected shape: keyed/grouped traffic factor grows with queries; keyed spreads TF over more nodes",
-		Header: []string{"queries", "grouped join hops/tuple", "keyed join hops/tuple", "factor", "grouped TF used", "keyed TF used"},
-	}
-	type cell struct {
-		q     int
-		keyed bool
-	}
-	type out struct {
-		hops float64
-		used int
-	}
+func x45(sc Scale) [][]string {
 	var qs []int
-	var cells []cell
 	for _, q := range []int{sc.Queries / 4, sc.Queries, 2 * sc.Queries} {
-		if q == 0 {
-			continue
+		if q != 0 {
+			qs = append(qs, q)
 		}
-		qs = append(qs, q)
-		cells = append(cells, cell{q, false}, cell{q, true})
 	}
-	outs := make([]out, len(cells))
-	ForEach(len(cells), func(i int) {
-		c := cells[i]
-		r := Setup(engine.Config{Algorithm: engine.DAIV, DAIVKeyed: c.keyed}, sc,
-			workload.Params{Pairs: 1, Attrs: 2})
-		r.SubscribeT1(c.q)
-		r.ResetMeters()
-		r.PublishTuples(sc.Tuples)
-		// The thesis factor-of-250 claim is about reindexing traffic;
-		// count the join-message hops alone so notification volume
-		// (which grows with queries under both variants) cancels out.
-		joinHops := float64(r.Net.Traffic().Hops("join")) / float64(sc.Tuples)
-		evalTF := metrics.SummarizeInt(r.Eng.RoleLoads(metrics.Evaluator, false))
-		outs[i] = out{hops: joinHops, used: evalTF.NonZero}
-	})
-	for qi, q := range qs {
-		grouped, keyed := outs[2*qi], outs[2*qi+1]
+	return fill(len(qs), func(i int) []string {
+		grouped, groupedUsed := keyedRun(sc, qs[i], false)
+		keyed, keyedUsed := keyedRun(sc, qs[i], true)
 		factor := 0.0
-		if grouped.hops > 0 {
-			factor = keyed.hops / grouped.hops
+		if grouped > 0 {
+			factor = keyed / grouped
 		}
-		t.AddRow(d(int64(q)), f1(grouped.hops), f1(keyed.hops), f1(factor),
-			d(int64(grouped.used)), d(int64(keyed.used)))
-	}
-	return t
+		return []string{d(qs[i]), f1(grouped), f1(keyed), f1(factor), d(groupedUsed), d(keyedUsed)}
+	})
+}
+
+// keyedRun is one x45 run of q queries, keyed or grouped: it returns the
+// join-message hops per tuple and the number of evaluators that filtered.
+func keyedRun(sc Scale, q int, keyed bool) (joinHops float64, used int) {
+	r := Setup(engine.Config{Algorithm: engine.DAIV, DAIVKeyed: keyed}, sc, workload.Params{Pairs: 1, Attrs: 2})
+	r.SubscribeT1(q)
+	r.ResetMeters()
+	r.PublishTuples(sc.Tuples)
+	// The thesis factor-of-250 claim is about reindexing traffic; count the
+	// join-message hops alone so notification volume (which grows with
+	// queries under both variants) cancels out.
+	joinHops = float64(r.Net.Traffic().Hops("join")) / float64(sc.Tuples)
+	return joinHops, metrics.SummarizeInt(r.Eng.RoleLoads(metrics.Evaluator, false)).NonZero
 }

@@ -57,9 +57,6 @@ func TestAllExperimentsRunAndPrint(t *testing.T) {
 	for i, e := range All() {
 		tab, got, want := tabs[i], got[i+1], want[i+1]
 		t.Run(e.ID, func(t *testing.T) {
-			if tab.ID != e.ID {
-				t.Fatalf("table id %q != registry id %q", tab.ID, e.ID)
-			}
 			if len(tab.Rows) == 0 {
 				t.Fatal("no rows")
 			}
@@ -104,8 +101,8 @@ func TestParallelEquality(t *testing.T) {
 
 func TestPrintCSV(t *testing.T) {
 	tab := &Table{
-		ID: "X", Title: "demo", Header: []string{"a", "b"},
-		Rows: [][]string{{"1", "x,y"}, {"2", `quo"te`}},
+		Experiment: Experiment{ID: "X", Title: "demo", Header: []string{"a", "b"}},
+		Rows:       [][]string{{"1", "x,y"}, {"2", `quo"te`}},
 	}
 	var buf bytes.Buffer
 	if err := tab.PrintCSV(&buf); err != nil {
@@ -136,8 +133,18 @@ func TestLookup(t *testing.T) {
 // Shape assertions: the qualitative claims of the paper must hold in the
 // regenerated tables (EXPERIMENTS.md records the quantitative outputs).
 
+// tinyTable runs the experiment with the given id at tinyScale.
+func tinyTable(t *testing.T, id string) *Table {
+	t.Helper()
+	e, err := Lookup(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e.Run(tinyScale())
+}
+
 func TestFig48Shape(t *testing.T) {
-	tab := Fig48(tinyScale())
+	tab := tinyTable(t, "F4.8")
 	// For every k >= 16, the recursive design must beat the iterative one.
 	for i, row := range tab.Rows {
 		k := numCell(t, tab, i, 1)
@@ -155,7 +162,7 @@ func TestFig52Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("expensive")
 	}
-	tab := Fig52(tinyScale())
+	tab := tinyTable(t, "F5.2")
 	// Rows come in (JFRT off, JFRT on) pairs per algorithm: on must not
 	// exceed off in join hops.
 	for i := 0; i+1 < len(tab.Rows); i += 2 {
@@ -171,7 +178,7 @@ func TestFig55Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("expensive")
 	}
-	tab := Fig55(tinyScale())
+	tab := tinyTable(t, "F5.5")
 	last := len(tab.Rows) - 1
 	// At heavy imbalance min-rate must save traffic over random.
 	random := numCell(t, tab, last, 1)
@@ -185,7 +192,7 @@ func TestFig56Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("expensive")
 	}
-	tab := Fig56(tinyScale())
+	tab := tinyTable(t, "F5.6")
 	// Max rewriter filtering load must fall from k=1 to k=8.
 	first := numCell(t, tab, 0, 3)
 	lastRow := len(tab.Rows) - 1
@@ -199,7 +206,7 @@ func TestFig514Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("expensive")
 	}
-	tab := Fig514(tinyScale())
+	tab := tinyTable(t, "F5.14")
 	// Within each algorithm's three rows, mean load must fall as N grows.
 	for i := 0; i+2 < len(tab.Rows); i += 3 {
 		small := numCell(t, tab, i, 3)   // mean at N/4

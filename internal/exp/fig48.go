@@ -12,23 +12,18 @@ type multisendProbe struct{}
 
 func (multisendProbe) Kind() string { return "ms-probe" }
 
-// Fig48 regenerates Figure 4.8: recursive vs. iterative design for the
+// fig48 regenerates Figure 4.8: recursive vs. iterative design for the
 // multisend function. For growing destination counts k, one node sends a
 // batch of messages to k random identifiers with both designs; the figure
 // reports total overlay hops per batch. The recursive walk shares the
 // routing path across destinations, so its advantage grows with k.
-func Fig48(sc Scale) *Table {
-	t := &Table{
-		ID:     "F4.8",
-		Title:  "Recursive vs. iterative design for the multisend function",
-		Note:   "expected shape: recursive < iterative, gap grows with k (Section 2.3)",
-		Header: []string{"N", "k", "iterative hops", "recursive hops", "ratio"},
-	}
+func fig48(sc Scale) [][]string {
 	rng := rand.New(rand.NewSource(sc.Seed))
 	net := chord.New(chord.Config{})
 	net.AddNodes("peer", sc.Nodes)
 	src := net.Nodes()[0]
 
+	var rows [][]string
 	for _, k := range []int{1, 4, 16, 64, 256} {
 		const trials = 10
 		var iterTotal, recTotal int
@@ -56,7 +51,7 @@ func Fig48(sc Scale) *Table {
 		if rec > 0 {
 			ratio = iter / rec
 		}
-		t.AddRow(d(int64(sc.Nodes)), d(int64(k)), f1(iter), f1(rec), f2(ratio))
+		rows = append(rows, []string{d(sc.Nodes), d(k), f1(iter), f1(rec), f2(ratio)})
 	}
-	return t
+	return rows
 }

@@ -9,58 +9,44 @@ import (
 // distCells renders the distribution columns shared by the load figures.
 func distCells(dist metrics.Distribution) []string {
 	return []string{
-		d(int64(dist.NonZero)), f1(dist.Mean), f1(dist.Max), f3(dist.Gini), f2(dist.Top1Share),
+		d(dist.NonZero), f1(dist.Mean), f1(dist.Max), f3(dist.Gini), f2(dist.Top1Share),
 	}
 }
 
 var distHeader = []string{"nodes used", "mean", "max", "gini", "top1% share"}
 
-// Fig56 regenerates Figure 5.6: the effect of the attribute-level
+// roleTotal sums the filtering (or, with storage, the storage) load the
+// nodes of one role carry.
+func roleTotal(r *Run, role metrics.Role, storage bool) int64 {
+	var total int64
+	for _, l := range r.Eng.RoleLoads(role, storage) {
+		total += l
+	}
+	return total
+}
+
+// fig56 regenerates Figure 5.6: the effect of the attribute-level
 // replication scheme on the filtering-load distribution. Replicating the
 // rewriter role over k nodes splits each hot attribute's triggering work k
 // ways, lowering the maximum and the skew.
-func Fig56(sc Scale) *Table {
-	t := &Table{
-		ID:     "F5.6",
-		Title:  "Effect of the replication scheme in filtering load distribution",
-		Note:   "rewriter-role TF only; expected shape: max and gini fall, used nodes rise with k",
-		Header: append([]string{"replication k"}, distHeader...),
-	}
+func fig56(sc Scale) [][]string {
 	ks := []int{1, 2, 4, 8}
-	rows := make([][]string, len(ks))
-	ForEach(len(ks), func(i int) {
-		r := replicationRun(sc, ks[i])
-		dist := metrics.SummarizeInt(r.Eng.RoleLoads(metrics.Rewriter, false))
-		rows[i] = append([]string{d(int64(ks[i]))}, distCells(dist)...)
+	return fill(len(ks), func(i int) []string {
+		dist := metrics.SummarizeInt(replicationRun(sc, ks[i]).Eng.RoleLoads(metrics.Rewriter, false))
+		return append([]string{d(ks[i])}, distCells(dist)...)
 	})
-	for _, row := range rows {
-		t.AddRow(row...)
-	}
-	return t
 }
 
-// Fig57 regenerates Figure 5.7: the replication scheme's effect on the
+// fig57 regenerates Figure 5.7: the replication scheme's effect on the
 // storage-load distribution. Queries are stored at all k replicas, so
 // total rewriter storage grows k-fold while spreading across k-times as
 // many nodes.
-func Fig57(sc Scale) *Table {
-	t := &Table{
-		ID:     "F5.7",
-		Title:  "Effect of the replication scheme in storage load distribution",
-		Note:   "rewriter-role TS only; expected shape: total grows k-fold, spread over k-times the nodes",
-		Header: append([]string{"replication k", "total"}, distHeader...),
-	}
+func fig57(sc Scale) [][]string {
 	ks := []int{1, 2, 4, 8}
-	rows := make([][]string, len(ks))
-	ForEach(len(ks), func(i int) {
-		r := replicationRun(sc, ks[i])
-		dist := metrics.SummarizeInt(r.Eng.RoleLoads(metrics.Rewriter, true))
-		rows[i] = append([]string{d(int64(ks[i])), f1(dist.Total)}, distCells(dist)...)
+	return fill(len(ks), func(i int) []string {
+		dist := metrics.SummarizeInt(replicationRun(sc, ks[i]).Eng.RoleLoads(metrics.Rewriter, true))
+		return append([]string{d(ks[i]), f1(dist.Total)}, distCells(dist)...)
 	})
-	for _, row := range rows {
-		t.AddRow(row...)
-	}
-	return t
 }
 
 func replicationRun(sc Scale, k int) *Run {
@@ -73,57 +59,24 @@ func replicationRun(sc Scale, k int) *Run {
 	return r
 }
 
-// Fig58 regenerates Figure 5.8: the effect of window size and installed
+// fig58 regenerates Figure 5.8: the effect of window size and installed
 // queries on the total evaluator filtering load. A longer window keeps more
 // tuples resident, so every rewritten query scans more candidates; more
 // queries trigger more rewrites.
-func Fig58(sc Scale) *Table {
-	t := &Table{
-		ID:     "F5.8",
-		Title:  "Effect of window size and installed queries in total evaluator filtering load",
-		Note:   "expected shape: total TF grows with both window length and query count",
-		Header: []string{"window", "queries", "total evaluator TF"},
-	}
-	forWindowSweep(sc, func(window int64, queries int, r *Run) {
-		var total int64
-		for _, l := range r.Eng.RoleLoads(metrics.Evaluator, false) {
-			total += l
-		}
-		t.AddRow(d(window), d(int64(queries)), d(total))
-	})
-	return t
-}
+func fig58(sc Scale) [][]string { return windowSweep(sc, false) }
 
-// Fig59 regenerates Figure 5.9: window size and installed queries against
+// fig59 regenerates Figure 5.9: window size and installed queries against
 // total evaluator storage load. Stored tuples are bounded by the window;
 // stored rewritten queries grow with the query count.
-func Fig59(sc Scale) *Table {
-	t := &Table{
-		ID:     "F5.9",
-		Title:  "Effect of window size and installed queries in total evaluator storage load",
-		Note:   "expected shape: total TS grows with window length (resident tuples) and query count (stored rewrites)",
-		Header: []string{"window", "queries", "total evaluator TS"},
-	}
-	forWindowSweep(sc, func(window int64, queries int, r *Run) {
-		var total int64
-		for _, l := range r.Eng.RoleLoads(metrics.Evaluator, true) {
-			total += l
-		}
-		t.AddRow(d(window), d(int64(queries)), d(total))
-	})
-	return t
-}
+func fig59(sc Scale) [][]string { return windowSweep(sc, true) }
 
-// forWindowSweep runs the window × queries grid shared by Figures 5.8/5.9.
-// The clock ticks once per insertion, so a window of w keeps roughly the
-// last w insertions' tuples resident. Cells run on the worker pool; visit
-// is called sequentially in grid order.
-func forWindowSweep(sc Scale, visit func(window int64, queries int, r *Run)) {
+// windowSweep runs the window × queries grid shared by Figures 5.8/5.9 and
+// reports each cell's total evaluator filtering (or, with storage, storage)
+// load. The clock ticks once per insertion, so a window of w keeps roughly
+// the last w insertions' tuples resident.
+func windowSweep(sc Scale, storage bool) [][]string {
 	batches := 8
-	perWindow := sc.Tuples / batches
-	if perWindow == 0 {
-		perWindow = 1
-	}
+	perWindow := max(sc.Tuples/batches, 1)
 	type cell struct {
 		window  int64
 		queries int
@@ -131,281 +84,134 @@ func forWindowSweep(sc Scale, visit func(window int64, queries int, r *Run)) {
 	var cells []cell
 	for _, window := range []int64{int64(perWindow), int64(4 * perWindow)} {
 		for _, queries := range []int{sc.Queries / 4, sc.Queries} {
-			if queries == 0 {
-				continue
+			if queries != 0 {
+				cells = append(cells, cell{window, queries})
 			}
-			cells = append(cells, cell{window, queries})
 		}
 	}
-	runs := make([]*Run, len(cells))
-	ForEach(len(cells), func(i int) {
+	return fill(len(cells), func(i int) []string {
 		c := cells[i]
 		r := Setup(engine.Config{Algorithm: engine.SAI, Window: c.window}, sc, workload.Params{})
 		r.SubscribeT1(c.queries)
 		r.ResetMeters()
 		r.PublishWindows(batches, perWindow)
-		runs[i] = r
+		return []string{d(c.window), d(c.queries), d(roleTotal(r, metrics.Evaluator, storage))}
 	})
-	for i, c := range cells {
-		visit(c.window, c.queries, runs[i])
-	}
 }
 
-// Fig510 regenerates Figure 5.10: the TF and TS load-distribution
+// fig510 regenerates Figure 5.10: the TF and TS load-distribution
 // comparison for all four algorithms on the same workload.
-func Fig510(sc Scale) *Table {
-	t := &Table{
-		ID:    "F5.10",
-		Title: "TF and TS load distribution comparison for all algorithms",
-		Note:  "expected shape: DAI better spread than SAI; DAI-V the most concentrated DAI (unprefixed values) but lowest traffic",
-		Header: []string{"algorithm",
-			"TF used", "TF max", "TF gini",
-			"TS used", "TS max", "TS gini"},
-	}
+func fig510(sc Scale) [][]string {
 	algs := mainAlgorithms()
-	rows := make([][]string, len(algs))
-	ForEach(len(algs), func(i int) {
-		r := standardRun(sc, algs[i])
-		m := r.Measure(sc.Tuples)
-		rows[i] = []string{algs[i].String(),
-			d(int64(m.TF.NonZero)), f1(m.TF.Max), f3(m.TF.Gini),
-			d(int64(m.TS.NonZero)), f1(m.TS.Max), f3(m.TS.Gini)}
+	return fill(len(algs), func(i int) []string {
+		_, m := standardRun(sc, algs[i])
+		return []string{algs[i].String(),
+			d(m.TF.NonZero), f1(m.TF.Max), f3(m.TF.Gini),
+			d(m.TS.NonZero), f1(m.TS.Max), f3(m.TS.Gini)}
 	})
-	for _, row := range rows {
-		t.AddRow(row...)
-	}
-	return t
 }
 
-// Fig511 regenerates Figure 5.11: total filtering and storage load split
+// fig511 regenerates Figure 5.11: total filtering and storage load split
 // between the two indexing levels (rewriters vs evaluators) for the
 // two-level algorithms.
-func Fig511(sc Scale) *Table {
-	t := &Table{
-		ID:    "F5.11",
-		Title: "Total filtering and storage load distribution for the two-level indexing algorithms",
-		Note:  "expected shape: DAI-T shifts storage to evaluators (stored rewrites) and minimizes evaluator filtering on reindex",
-		Header: []string{"algorithm",
-			"rewriter TF", "evaluator TF", "rewriter TS", "evaluator TS"},
-	}
+func fig511(sc Scale) [][]string {
 	algs := mainAlgorithms()
-	rows := make([][]string, len(algs))
-	ForEach(len(algs), func(i int) {
-		r := standardRun(sc, algs[i])
-		row := []string{algs[i].String()}
-		for _, c := range []struct {
-			role    metrics.Role
-			storage bool
-		}{
-			{metrics.Rewriter, false}, {metrics.Evaluator, false},
-			{metrics.Rewriter, true}, {metrics.Evaluator, true},
-		} {
-			var total int64
-			for _, l := range r.Eng.RoleLoads(c.role, c.storage) {
-				total += l
-			}
-			row = append(row, d(total))
-		}
-		rows[i] = row
+	return fill(len(algs), func(i int) []string {
+		r, _ := standardRun(sc, algs[i])
+		return []string{algs[i].String(),
+			d(roleTotal(r, metrics.Rewriter, false)), d(roleTotal(r, metrics.Evaluator, false)),
+			d(roleTotal(r, metrics.Rewriter, true)), d(roleTotal(r, metrics.Evaluator, true))}
 	})
-	for _, row := range rows {
-		t.AddRow(row...)
-	}
-	return t
 }
 
-// standardRun is the shared workload for the load-distribution figures:
-// subscribe, reset, publish.
-func standardRun(sc Scale, alg engine.Algorithm) *Run {
+// standardRun is the recipe most load figures share: sc.Nodes peers running
+// alg, sc.Queries T1 queries, meters reset, then sc.Tuples tuples, measured.
+// A figure sweeps a dimension by passing it in through sc.
+func standardRun(sc Scale, alg engine.Algorithm) (*Run, Measurements) {
 	r := Setup(engine.Config{Algorithm: alg}, sc, workload.Params{})
 	r.SubscribeT1(sc.Queries)
 	r.ResetMeters()
 	r.PublishTuples(sc.Tuples)
-	return r
+	return r, r.Measure(sc.Tuples)
 }
 
-// Fig512 regenerates Figure 5.12: the filtering-load distribution as the
+// scaling is the algorithm × value grid of Figures 5.12–5.15: one
+// standardRun a cell, set writing the cell's value into its copy of sc, and
+// the cell's row made by row.
+func scaling(sc Scale, set func(*Scale, int), vs []int, row func(algCell, Measurements) []string) [][]string {
+	cells := algorithmGrid(vs...)
+	return fill(len(cells), func(i int) []string {
+		sz := sc
+		set(&sz, cells[i].v)
+		_, m := standardRun(sz, cells[i].alg)
+		return row(cells[i], m)
+	})
+}
+
+// tfRow is a scaling row: the cell's algorithm and value, then its
+// filtering-load distribution.
+func tfRow(c algCell, m Measurements) []string {
+	return append([]string{c.alg.String(), d(c.v)}, distCells(m.TF)...)
+}
+
+// fig512 regenerates Figure 5.12: the filtering-load distribution as the
 // frequency of incoming tuples grows. Load totals scale with the stream
 // rate while the distribution shape stays stable — the scalability claim of
 // Chapter 1.
-func Fig512(sc Scale) *Table {
-	t := &Table{
-		ID:     "F5.12",
-		Title:  "Effect in filtering load distribution of increasing the frequency of incoming tuples",
-		Note:   "expected shape: mean/max scale with tuple count, gini roughly stable",
-		Header: append([]string{"algorithm", "tuples"}, distHeader...),
-	}
-	type cell struct {
-		alg    engine.Algorithm
-		tuples int
-	}
-	var cells []cell
-	for _, alg := range mainAlgorithms() {
-		for _, tuples := range []int{sc.Tuples / 4, sc.Tuples, 2 * sc.Tuples} {
-			if tuples == 0 {
-				continue
-			}
-			cells = append(cells, cell{alg, tuples})
-		}
-	}
-	rows := make([][]string, len(cells))
-	ForEach(len(cells), func(i int) {
-		c := cells[i]
-		r := Setup(engine.Config{Algorithm: c.alg}, sc, workload.Params{})
-		r.SubscribeT1(sc.Queries)
-		r.ResetMeters()
-		r.PublishTuples(c.tuples)
-		m := r.Measure(c.tuples)
-		rows[i] = append([]string{c.alg.String(), d(int64(c.tuples))}, distCells(m.TF)...)
-	})
-	for _, row := range rows {
-		t.AddRow(row...)
-	}
-	return t
+func fig512(sc Scale) [][]string {
+	return scaling(sc, func(s *Scale, v int) { s.Tuples = v }, []int{sc.Tuples / 4, sc.Tuples, 2 * sc.Tuples}, tfRow)
 }
 
-// Fig513 regenerates Figure 5.13: the filtering-load distribution as the
+// fig513 regenerates Figure 5.13: the filtering-load distribution as the
 // number of indexed queries grows.
-func Fig513(sc Scale) *Table {
-	t := &Table{
-		ID:     "F5.13",
-		Title:  "Effect in filtering load distribution of increasing the number of indexed queries",
-		Note:   "expected shape: load grows with queries, spread over more evaluators",
-		Header: append([]string{"algorithm", "queries"}, distHeader...),
-	}
-	type cell struct {
-		alg     engine.Algorithm
-		queries int
-	}
-	var cells []cell
-	for _, alg := range mainAlgorithms() {
-		for _, queries := range []int{sc.Queries / 4, sc.Queries, 2 * sc.Queries} {
-			if queries == 0 {
-				continue
-			}
-			cells = append(cells, cell{alg, queries})
-		}
-	}
-	rows := make([][]string, len(cells))
-	ForEach(len(cells), func(i int) {
-		c := cells[i]
-		r := Setup(engine.Config{Algorithm: c.alg}, sc, workload.Params{})
-		r.SubscribeT1(c.queries)
-		r.ResetMeters()
-		r.PublishTuples(sc.Tuples)
-		m := r.Measure(sc.Tuples)
-		rows[i] = append([]string{c.alg.String(), d(int64(c.queries))}, distCells(m.TF)...)
-	})
-	for _, row := range rows {
-		t.AddRow(row...)
-	}
-	return t
+func fig513(sc Scale) [][]string {
+	return scaling(sc, func(s *Scale, v int) { s.Queries = v }, []int{sc.Queries / 4, sc.Queries, 2 * sc.Queries}, tfRow)
 }
 
-// Fig514 regenerates Figure 5.14: the filtering-load distribution as the
+// fig514 regenerates Figure 5.14: the filtering-load distribution as the
 // network grows under a fixed workload. New nodes take over identifier
 // arcs and relieve existing rewriters and evaluators.
-func Fig514(sc Scale) *Table {
-	t := &Table{
-		ID:     "F5.14",
-		Title:  "Effect in filtering load distribution of increasing the network size",
-		Note:   "expected shape: mean and max per-node load fall as N grows (scalability)",
-		Header: append([]string{"algorithm", "N"}, distHeader...),
-	}
-	forNetworkSweep(sc, func(alg engine.Algorithm, n int, m Measurements) {
-		t.AddRow(append([]string{alg.String(), d(int64(n))}, distCells(m.TF)...)...)
-	})
-	return t
-}
+func fig514(sc Scale) [][]string { return networkSweep(sc, tfRow) }
 
-// Fig515 regenerates Figure 5.15: the same network-size sweep restricted to
+// fig515 regenerates Figure 5.15: the same network-size sweep restricted to
 // the most loaded nodes — the share of total filtering work carried by the
 // top 1% and 10%.
-func Fig515(sc Scale) *Table {
-	t := &Table{
-		ID:     "F5.15",
-		Title:  "Effect in filtering load distribution of increasing the network size for the most loaded nodes",
-		Note:   "expected shape: the hottest node's absolute load falls as N grows",
-		Header: []string{"algorithm", "N", "max TF", "top1% share", "top10% share"},
-	}
-	forNetworkSweep(sc, func(alg engine.Algorithm, n int, m Measurements) {
-		t.AddRow(alg.String(), d(int64(n)), f1(m.TF.Max), f2(m.TF.Top1Share), f2(m.TF.Top10Share))
+func fig515(sc Scale) [][]string {
+	return networkSweep(sc, func(c algCell, m Measurements) []string {
+		return []string{c.alg.String(), d(c.v), f1(m.TF.Max), f2(m.TF.Top1Share), f2(m.TF.Top10Share)}
 	})
-	return t
 }
 
-// forNetworkSweep runs the algorithm × network-size grid shared by
-// Figures 5.14/5.15 on the worker pool; visit is called sequentially in
-// grid order.
-func forNetworkSweep(sc Scale, visit func(alg engine.Algorithm, n int, m Measurements)) {
-	type cell struct {
-		alg engine.Algorithm
-		n   int
-	}
-	var cells []cell
-	for _, alg := range mainAlgorithms() {
-		for _, n := range []int{sc.Nodes / 4, sc.Nodes, 4 * sc.Nodes} {
-			if n == 0 {
-				continue
-			}
-			cells = append(cells, cell{alg, n})
-		}
-	}
-	ms := make([]Measurements, len(cells))
-	ForEach(len(cells), func(i int) {
-		c := cells[i]
-		sz := sc
-		sz.Nodes = c.n
-		r := Setup(engine.Config{Algorithm: c.alg}, sz, workload.Params{})
-		r.SubscribeT1(sc.Queries)
-		r.ResetMeters()
-		r.PublishTuples(sc.Tuples)
-		ms[i] = r.Measure(sc.Tuples)
-	})
-	for i, c := range cells {
-		visit(c.alg, c.n, ms[i])
-	}
+// networkSweep is the algorithm × network-size grid of Figures 5.14/5.15.
+func networkSweep(sc Scale, row func(algCell, Measurements) []string) [][]string {
+	return scaling(sc, func(s *Scale, v int) { s.Nodes = v }, []int{sc.Nodes / 4, sc.Nodes, 4 * sc.Nodes}, row)
 }
 
-// Fig516 regenerates Figure 5.16: DAI-V's filtering-load distribution under
+// fig516 regenerates Figure 5.16: DAI-V's filtering-load distribution under
 // each of the three growth dimensions — network size, queries and tuples —
 // exercised with type-T2 queries, the workload only DAI-V supports.
-func Fig516(sc Scale) *Table {
-	t := &Table{
-		ID:     "F5.16",
-		Title:  "Effect in filtering load distribution of DAI-V of increasing the network size, queries or tuples",
-		Note:   "type-T2 workload; expected shape: graceful scaling on every dimension",
-		Header: append([]string{"sweep", "value"}, distHeader...),
-	}
+func fig516(sc Scale) [][]string {
 	type cell struct {
-		sweep                  string
-		value                  int
-		nodes, queries, tuples int
+		sweep string
+		value int
+		sc    Scale
 	}
 	var cells []cell
 	for _, n := range []int{sc.Nodes / 4, sc.Nodes, 4 * sc.Nodes} {
-		cells = append(cells, cell{"network", n, n, sc.Queries, sc.Tuples})
+		cells = append(cells, cell{"network", n, Scale{n, sc.Queries, sc.Tuples, sc.Seed}})
 	}
 	for _, q := range []int{sc.Queries / 4, sc.Queries, 2 * sc.Queries} {
-		cells = append(cells, cell{"queries", q, sc.Nodes, q, sc.Tuples})
+		cells = append(cells, cell{"queries", q, Scale{sc.Nodes, q, sc.Tuples, sc.Seed}})
 	}
 	for _, tu := range []int{sc.Tuples / 4, sc.Tuples, 2 * sc.Tuples} {
-		cells = append(cells, cell{"tuples", tu, sc.Nodes, sc.Queries, tu})
+		cells = append(cells, cell{"tuples", tu, Scale{sc.Nodes, sc.Queries, tu, sc.Seed}})
 	}
-	rows := make([][]string, len(cells))
-	ForEach(len(cells), func(i int) {
+	return fill(len(cells), func(i int) []string {
 		c := cells[i]
-		sz := sc
-		sz.Nodes = c.nodes
-		r := Setup(engine.Config{Algorithm: engine.DAIV}, sz, workload.Params{})
-		r.SubscribeT2(c.queries)
+		r := Setup(engine.Config{Algorithm: engine.DAIV}, c.sc, workload.Params{})
+		r.SubscribeT2(c.sc.Queries)
 		r.ResetMeters()
-		r.PublishTuples(c.tuples)
-		m := r.Measure(c.tuples)
-		rows[i] = append([]string{c.sweep, d(int64(c.value))}, distCells(m.TF)...)
+		r.PublishTuples(c.sc.Tuples)
+		return append([]string{c.sweep, d(c.value)}, distCells(r.Measure(c.sc.Tuples).TF)...)
 	})
-	for _, row := range rows {
-		t.AddRow(row...)
-	}
-	return t
 }

@@ -9,9 +9,9 @@ import (
 // Deterministic parallel execution (DESIGN.md §8): experiment cells run
 // on a bounded worker pool. Every cell owns an isolated
 // Network/Clock/RNG built by its own Setup call, so concurrent cells
-// cannot observe each other; tables collect per-cell rows into a slice
-// indexed by declaration order and append them after the pool drains,
-// making the output bit-identical to a sequential run by construction.
+// cannot observe each other; fill stores each cell's row at the cell's
+// index and returns the rows once the pool drains, making the output
+// bit-identical to a sequential run by construction.
 
 // parallelism holds ForEach's configured worker budget; 0 means "default
 // to GOMAXPROCS".
@@ -85,4 +85,12 @@ func ForEach(n int, fn func(i int)) {
 	if panicked != nil {
 		panic(panicked)
 	}
+}
+
+// fill runs row(0..n-1) on ForEach and returns the rows in cell order. It is
+// how every table runs its cells.
+func fill(n int, row func(i int) []string) [][]string {
+	rows := make([][]string, n)
+	ForEach(n, func(i int) { rows[i] = row(i) })
+	return rows
 }

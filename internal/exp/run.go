@@ -146,3 +146,23 @@ func (r *Run) Measure(tuples int) Measurements {
 func mainAlgorithms() []engine.Algorithm {
 	return []engine.Algorithm{engine.SAI, engine.DAIQ, engine.DAIT, engine.DAIV}
 }
+
+// algCell is one cell of an algorithm × value grid.
+type algCell struct {
+	alg engine.Algorithm
+	v   int
+}
+
+// algorithmGrid lists the four algorithms × vs in row order, leaving out a
+// value that a small scale rounds to 0.
+func algorithmGrid(vs ...int) []algCell {
+	var cells []algCell
+	for _, alg := range mainAlgorithms() {
+		for _, v := range vs {
+			if v != 0 {
+				cells = append(cells, algCell{alg, v})
+			}
+		}
+	}
+	return cells
+}

@@ -1,9 +1,8 @@
 // Package exp regenerates every table and figure of the paper's evaluation
-// chapter. Each experiment is a function returning a Table whose rows are
-// the series the corresponding thesis figure plots; cmd/joinsim prints them
-// and TestAllExperimentsRunAndPrint pins every cell at CI scale. The
-// experiment ids follow the thesis List of Figures (see DESIGN.md §3 for
-// the full index and the reconstruction caveats).
+// chapter. All lists each experiment once — its id, caption, note and
+// header, and the function that returns its rows, which run their cells on
+// fill; cmd/joinsim prints them and TestAllExperimentsRunAndPrint pins every
+// cell at CI scale. The ids follow the thesis List of Figures.
 package exp
 
 import (
@@ -13,19 +12,10 @@ import (
 	"strings"
 )
 
-// Table is one regenerated experiment: an id matching the thesis figure or
-// table number, a caption, a header and data rows.
+// Table is one experiment's rows at one scale.
 type Table struct {
-	ID     string
-	Title  string
-	Note   string // reconstruction caveats, expected shape
-	Header []string
-	Rows   [][]string
-}
-
-// AddRow appends one formatted row.
-func (t *Table) AddRow(cells ...string) {
-	t.Rows = append(t.Rows, cells)
+	Experiment
+	Rows [][]string
 }
 
 // Print renders the table with aligned columns.
@@ -92,4 +82,4 @@ func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
 
 // d formats an integer cell.
-func d(v int64) string { return fmt.Sprintf("%d", v) }
+func d[T int | int64](v T) string { return fmt.Sprintf("%d", v) }

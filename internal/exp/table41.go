@@ -7,7 +7,7 @@ import (
 	"cqjoin/internal/workload"
 )
 
-// Table41 regenerates Table 4.1: a comparison of all algorithms. The first
+// table41 regenerates Table 4.1: a comparison of all algorithms. The first
 // five columns state each protocol's defining choices; the measured columns
 // run one canonical scenario and count the messages each protocol actually
 // sent, making the step-sequence contrast of the thesis table observable:
@@ -19,14 +19,7 @@ import (
 // SAI indexes the query under the left attribute (deterministically, so
 // the row is reproducible); phase 2 exposes DAI-T's reindex-once rule —
 // it alone sends no new join messages for recurring rewrites.
-func Table41(sc Scale) *Table {
-	t := &Table{
-		ID:    "T4.1",
-		Title: "A comparison of all algorithms",
-		Note:  "static protocol properties + measured messages (phase 1: 8 R-tuples + 1 S-tuple; phase 2: same 8 R-tuples again)",
-		Header: []string{"algorithm", "rewriters/query", "eval stores tuples", "eval stores rewrites",
-			"notif created on", "T2 queries", "query msgs", "join msgs", "repeat join msgs", "notifications"},
-	}
+func table41(sc Scale) [][]string {
 	static := map[engine.Algorithm][]string{
 		engine.SAI:  {"1", "yes", "yes", "both arrivals", "no"},
 		engine.DAIQ: {"2", "yes", "no", "rewrite arrival", "no"},
@@ -34,8 +27,7 @@ func Table41(sc Scale) *Table {
 		engine.DAIV: {"2", "yes (by value)", "no", "rewrite arrival", "yes"},
 	}
 	algs := mainAlgorithms()
-	rows := make([][]string, len(algs))
-	ForEach(len(algs), func(ai int) {
+	return fill(len(algs), func(ai int) []string {
 		alg := algs[ai]
 		r := Setup(engine.Config{Algorithm: alg, Strategy: engine.StrategyLeft},
 			Scale{Nodes: 64, Seed: sc.Seed}, workload.Params{Pairs: 1, Attrs: 2})
@@ -67,12 +59,6 @@ func Table41(sc Scale) *Table {
 		repeatJoins := r.Net.Traffic().Messages("join")
 
 		row := append([]string{alg.String()}, static[alg]...)
-		row = append(row, d(queryMsgs), d(joinMsgs), d(repeatJoins),
-			d(int64(r.Eng.NotificationCount())))
-		rows[ai] = row
+		return append(row, d(queryMsgs), d(joinMsgs), d(repeatJoins), d(r.Eng.NotificationCount()))
 	})
-	for _, row := range rows {
-		t.AddRow(row...)
-	}
-	return t
 }

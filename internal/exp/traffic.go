@@ -7,34 +7,18 @@ import (
 	"cqjoin/internal/workload"
 )
 
-// Fig52 regenerates Figure 5.2: network traffic per inserted tuple for all
+// fig52 regenerates Figure 5.2: network traffic per inserted tuple for all
 // four algorithms, with and without the Join Fingers Routing Table. The
 // JFRT removes the O(log N) lookup from repeat reindexing, so the hops per
 // tuple drop by roughly the routing factor once recurring join values warm
-// the cache.
-func Fig52(sc Scale) *Table {
-	t := &Table{
-		ID:     "F5.2",
-		Title:  "Traffic cost and JFRT effect",
-		Note:   "expected shape: JFRT cuts join-message hops toward 1 per reindex; DAI-T lowest steady-state traffic",
-		Header: []string{"algorithm", "JFRT", "hops/tuple", "msgs/tuple", "join hops", "notifications"},
-	}
-	type cell struct {
-		alg  engine.Algorithm
-		jfrt bool
-	}
-	var cells []cell
-	for _, alg := range mainAlgorithms() {
-		for _, jfrt := range []bool{false, true} {
-			cells = append(cells, cell{alg, jfrt})
-		}
-	}
-	rows := make([][]string, len(cells))
-	ForEach(len(cells), func(i int) {
-		c := cells[i]
+// the cache. Each algorithm has two rows, JFRT off and then on.
+func fig52(sc Scale) [][]string {
+	algs := mainAlgorithms()
+	return fill(2*len(algs), func(i int) []string {
+		alg, jfrt := algs[i/2], i%2 == 1
 		// A moderate value domain makes join values recur — the regime
 		// the JFRT targets (recurring rewrites to the same evaluator).
-		r := Setup(engine.Config{Algorithm: c.alg, UseJFRT: c.jfrt}, sc, workload.Params{Domain: 100})
+		r := Setup(engine.Config{Algorithm: alg, UseJFRT: jfrt}, sc, workload.Params{Domain: 100})
 		r.SubscribeT1(sc.Queries)
 		// Warm up so the JFRT effect is measured in steady state: the
 		// cache fills during the first half of the stream.
@@ -42,131 +26,72 @@ func Fig52(sc Scale) *Table {
 		r.ResetMeters()
 		r.PublishTuples(sc.Tuples)
 		m := r.Measure(sc.Tuples)
-		rows[i] = []string{c.alg.String(), fmt.Sprintf("%v", c.jfrt),
+		return []string{alg.String(), fmt.Sprintf("%v", jfrt),
 			f1(m.HopsPerTuple), f1(m.MsgsPerTuple),
-			d(r.Net.Traffic().Hops("join")), d(int64(m.Notifications))}
+			d(r.Net.Traffic().Hops("join")), d(m.Notifications)}
 	})
-	for _, row := range rows {
-		t.AddRow(row...)
-	}
-	return t
 }
 
-// Fig53 regenerates Figure 5.3: the effect of the number of indexed queries
+// fig53 regenerates Figure 5.3: the effect of the number of indexed queries
 // on network traffic. More installed queries mean more triggered groups per
 // tuple and so more rewritten-query traffic; DAI-T flattens because stored
 // rewritten queries are never reindexed twice.
-func Fig53(sc Scale) *Table {
-	t := &Table{
-		ID:     "F5.3",
-		Title:  "Effect of the number of indexed queries in network traffic",
-		Note:   "expected shape: hops/tuple grows with queries for SAI/DAI-Q; DAI-T flattens after warm-up",
-		Header: []string{"algorithm", "queries", "hops/tuple", "join msgs/tuple"},
-	}
-	type cell struct {
-		alg     engine.Algorithm
-		queries int
-	}
-	var cells []cell
-	for _, alg := range mainAlgorithms() {
-		for _, q := range []int{sc.Queries / 8, sc.Queries / 2, sc.Queries, 2 * sc.Queries} {
-			if q == 0 {
-				continue
-			}
-			cells = append(cells, cell{alg, q})
-		}
-	}
-	rows := make([][]string, len(cells))
-	ForEach(len(cells), func(i int) {
+func fig53(sc Scale) [][]string {
+	cells := algorithmGrid(sc.Queries/8, sc.Queries/2, sc.Queries, 2*sc.Queries)
+	return fill(len(cells), func(i int) []string {
 		c := cells[i]
 		r := Setup(engine.Config{Algorithm: c.alg}, sc, workload.Params{})
-		r.SubscribeT1(c.queries)
+		r.SubscribeT1(c.v)
 		// Warm up so DAI-T's reindex-once effect shows in steady state.
 		r.PublishTuples(sc.Tuples / 2)
 		r.ResetMeters()
 		r.PublishTuples(sc.Tuples)
 		m := r.Measure(sc.Tuples)
 		joinMsgs := float64(r.Net.Traffic().Messages("join")) / float64(sc.Tuples)
-		rows[i] = []string{c.alg.String(), d(int64(c.queries)), f1(m.HopsPerTuple), f2(joinMsgs)}
+		return []string{c.alg.String(), d(c.v), f1(m.HopsPerTuple), f2(joinMsgs)}
 	})
-	for _, row := range rows {
-		t.AddRow(row...)
-	}
-	return t
 }
 
-// Fig54 regenerates Figure 5.4: comparison of the index attribute selection
+// fig54 regenerates Figure 5.4: comparison of the index attribute selection
 // strategies in SAI. Streams are asymmetric (bos ratio 4): the min-rate
 // strategy indexes queries under the quiet relation, so far fewer tuple
 // insertions trigger rewriting than under the random choice.
-func Fig54(sc Scale) *Table {
-	t := &Table{
-		ID:     "F5.4",
-		Title:  "Comparison of the index attribute selection strategies in SAI",
-		Note:   "bos ratio 4 (left stream 4x hotter); expected shape: min-rate cheapest; random pays a grouping penalty (same-condition queries split across rewriters)",
-		Header: []string{"strategy", "hops/tuple", "join msgs/tuple", "evaluators used"},
-	}
+func fig54(sc Scale) [][]string {
 	strats := []engine.Strategy{engine.StrategyRandom, engine.StrategyMinRate, engine.StrategyMinDomain, engine.StrategyLeft}
-	rows := make([][]string, len(strats))
-	ForEach(len(strats), func(i int) {
-		strat := strats[i]
-		r := Setup(engine.Config{Algorithm: engine.SAI, Strategy: strat}, sc, workload.Params{BosRatio: 4})
-		// Arrival statistics must exist before the strategies can probe
-		// them (Section 4.3.6): warm up with tuples first.
-		r.PublishTuples(sc.Tuples / 2)
-		r.SubscribeT1(sc.Queries)
-		r.ResetMeters()
-		r.PublishTuples(sc.Tuples)
-		m := r.Measure(sc.Tuples)
+	return fill(len(strats), func(i int) []string {
+		r, m := strategyRun(sc, strats[i], 4)
 		joinMsgs := float64(r.Net.Traffic().Messages("join")) / float64(sc.Tuples)
-		rows[i] = []string{strat.String(), f1(m.HopsPerTuple), f2(joinMsgs), d(int64(m.TF.NonZero))}
+		return []string{strats[i].String(), f1(m.HopsPerTuple), f2(joinMsgs), d(m.TF.NonZero)}
 	})
-	for _, row := range rows {
-		t.AddRow(row...)
-	}
-	return t
 }
 
-// Fig55 regenerates Figure 5.5: the effect of the bos ratio — the rate
+// fig55 regenerates Figure 5.5: the effect of the bos ratio — the rate
 // imbalance between the two joined streams — on SAI's traffic, for the
 // min-rate strategy against the random baseline. As the imbalance grows,
 // min-rate's advantage grows: it parks queries on the quiet side.
-func Fig55(sc Scale) *Table {
-	t := &Table{
-		ID:     "F5.5",
-		Title:  "Effect of the bos ratio",
-		Note:   "bos = left:right stream ratio (DESIGN.md §2); expected shape: min-rate advantage grows with imbalance",
-		Header: []string{"bos", "random hops/tuple", "min-rate hops/tuple", "savings"},
-	}
-	type cell struct {
-		bos   float64
-		strat engine.Strategy
-	}
+func fig55(sc Scale) [][]string {
 	bosValues := []float64{1, 2, 4, 8, 16}
-	strats := []engine.Strategy{engine.StrategyRandom, engine.StrategyMinRate}
-	var cells []cell
-	for _, bos := range bosValues {
-		for _, strat := range strats {
-			cells = append(cells, cell{bos, strat})
-		}
-	}
-	hops := make([]float64, len(cells))
-	ForEach(len(cells), func(i int) {
-		c := cells[i]
-		r := Setup(engine.Config{Algorithm: engine.SAI, Strategy: c.strat}, sc, workload.Params{BosRatio: c.bos})
-		r.PublishTuples(sc.Tuples / 2)
-		r.SubscribeT1(sc.Queries)
-		r.ResetMeters()
-		r.PublishTuples(sc.Tuples)
-		hops[i] = r.Measure(sc.Tuples).HopsPerTuple
-	})
-	for bi, bos := range bosValues {
-		random, minRate := hops[2*bi], hops[2*bi+1]
+	return fill(len(bosValues), func(i int) []string {
+		bos := bosValues[i]
+		_, random := strategyRun(sc, engine.StrategyRandom, bos)
+		_, minRate := strategyRun(sc, engine.StrategyMinRate, bos)
 		saving := 0.0
-		if random > 0 {
-			saving = 1 - minRate/random
+		if random.HopsPerTuple > 0 {
+			saving = 1 - minRate.HopsPerTuple/random.HopsPerTuple
 		}
-		t.AddRow(f1(bos), f1(random), f1(minRate), fmt.Sprintf("%.0f%%", 100*saving))
-	}
-	return t
+		return []string{f1(bos), f1(random.HopsPerTuple), f1(minRate.HopsPerTuple), fmt.Sprintf("%.0f%%", 100*saving)}
+	})
+}
+
+// strategyRun is one SAI run of Figures 5.4 and 5.5, indexing under strat
+// with the left stream bos times as hot as the right.
+func strategyRun(sc Scale, strat engine.Strategy, bos float64) (*Run, Measurements) {
+	r := Setup(engine.Config{Algorithm: engine.SAI, Strategy: strat}, sc, workload.Params{BosRatio: bos})
+	// Arrival statistics must exist before the strategies can probe
+	// them (Section 4.3.6): warm up with tuples first.
+	r.PublishTuples(sc.Tuples / 2)
+	r.SubscribeT1(sc.Queries)
+	r.ResetMeters()
+	r.PublishTuples(sc.Tuples)
+	return r, r.Measure(sc.Tuples)
 }

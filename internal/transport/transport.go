@@ -86,8 +86,8 @@ const DefaultIOTimeout = 5 * time.Second
 // Config parameterizes a TCP transport. daemon.New builds the production one.
 type Config struct {
 	// Self is this process's advertised overlay address; deliveries whose
-	// owner resolves to Self stay in-process (unless ForceLoopback). Set by
-	// daemon.New (the -overlay address) and tests.
+	// owner resolves to Self stay in-process. Set by daemon.New (the
+	// -overlay address) and tests.
 	Self string
 	// OwnerOf maps a node's ring position (chord.Node.ID) to the advertised
 	// address of the process hosting it. An empty result means locally
@@ -118,12 +118,6 @@ type Config struct {
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
 	Seed        int64
-
-	// ForceLoopback sends locally-owned deliveries over the socket too.
-	// The differential harness uses it to push every delivery of a
-	// workload through dial/frame/decode/ack on one process. Set by tests;
-	// the daemon runs the default.
-	ForceLoopback bool
 
 	// Obs receives transport metrics ("transport.*"). Nil disables them.
 	// Set by daemon.New (its registry) and tests.
@@ -174,7 +168,6 @@ type TCP struct {
 
 	mu          sync.Mutex
 	ln          net.Listener
-	lnAddr      string
 	peers       map[string]*peer // by address: at most one live client connection each
 	serverConns map[net.Conn]*connServer
 	closed      bool
@@ -231,7 +224,6 @@ func New(cfg Config) (*TCP, error) {
 func (t *TCP) Start(ln net.Listener) {
 	t.mu.Lock()
 	t.ln = ln
-	t.lnAddr = ln.Addr().String()
 	t.mu.Unlock()
 	t.wg.Add(1)
 	go t.acceptLoop(ln)
@@ -289,18 +281,11 @@ func (t *TCP) DeliverBatch(from, dst *chord.Node, msgs []chord.Message) []bool {
 		return acks
 	}
 	addr := t.cfg.OwnerOf(dst.ID())
-	if (addr == "" || addr == t.cfg.Self) && !t.cfg.ForceLoopback {
+	if addr == "" || addr == t.cfg.Self {
 		for i, m := range msgs {
 			acks[i] = t.cfg.Local.DeliverLocal(dst.Key(), m)
 		}
 		return acks
-	}
-	if addr == "" || addr == t.cfg.Self {
-		// ForceLoopback: push the delivery through our own listener.
-		addr = t.listenAddr()
-		if addr == "" {
-			return acks
-		}
 	}
 	for start := 0; start < len(msgs); {
 		end := t.frameEnd(dst.Key(), msgs, start)
@@ -419,14 +404,6 @@ func (t *TCP) rpc(addr string, want uint64, build func(w *wire.Buffer, seq uint6
 	}
 	t.obs.rpcFailures.Inc()
 	return fmt.Errorf("transport: rpc to %s failed after %d attempts: %w", addr, t.cfg.Attempts, lastErr)
-}
-
-// listenAddr returns the started listener's address, cached by Start so
-// the per-batch ForceLoopback lookup does not re-render it.
-func (t *TCP) listenAddr() string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.lnAddr
 }
 
 // conn returns the connection to addr, dialing it — with the hello

@@ -285,29 +285,6 @@ func TestLocalShortCircuit(t *testing.T) {
 	}
 }
 
-func TestForceLoopbackCrossesSocket(t *testing.T) {
-	from, dst := testNodes(t)
-	reg := obs.NewRegistry()
-	local := &testLocal{}
-	// Locally-owned destination + ForceLoopback: the delivery must still
-	// dial our own listener and cross a real socket.
-	tr, _ := startTransport(t, Config{
-		Local:         local,
-		OwnerOf:       func(id.ID) string { return "" },
-		Obs:           reg,
-		ForceLoopback: true,
-	})
-	if !tr.Deliver(from, dst, &testMsg{Body: "loop"}) {
-		t.Fatalf("Deliver returned false")
-	}
-	if got := local.snapshot(); len(got) != 1 || got[0] != dst.Key()+":loop" {
-		t.Fatalf("local got %v", got)
-	}
-	if v := reg.Counter("transport.dials").Value(); v == 0 {
-		t.Fatalf("dials = 0, want a real socket under ForceLoopback")
-	}
-}
-
 func TestPoolReuseAndReconnect(t *testing.T) {
 	from, dst := testNodes(t)
 	remote := &testLocal{}

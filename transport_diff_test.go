@@ -28,23 +28,23 @@ import (
 
 // loopbackTransport pushes every delivery of cnet through a real TCP
 // socket on 127.0.0.1 and returns the transport's metric registry plus a
-// cleanup func. OwnerOf reporting "" for every key plus ForceLoopback
-// means each delivery dials this process's own listener.
+// cleanup func. OwnerOf names the transport's own listener for every node,
+// and Self is another address, so each delivery dials that listener: the
+// server it reaches never checks Self.
 func loopbackTransport(t testing.TB, cnet *chord.Network, catalog *relation.Catalog) (*obs.Registry, func()) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
-	reg := obs.NewRegistry()
+	reg, addr := obs.NewRegistry(), ln.Addr().String()
 	tr, err := transport.New(transport.Config{
-		Self:          ln.Addr().String(),
-		OwnerOf:       func(id.ID) string { return "" },
-		Codec:         engine.NewWireCodec(catalog),
-		Local:         cnet,
-		ForceLoopback: true,
-		Seed:          7,
-		Obs:           reg,
+		Self:    "loopback-sender",
+		OwnerOf: func(id.ID) string { return addr },
+		Codec:   engine.NewWireCodec(catalog),
+		Local:   cnet,
+		Seed:    7,
+		Obs:     reg,
 	})
 	if err != nil {
 		_ = ln.Close()
