@@ -265,8 +265,10 @@ func (s *Server) Cluster() *cqjoin.Cluster { return s.cluster }
 
 // DeliverLocal implements transport.LocalDeliverer with an ownership gate:
 // a message for a node this process does not own (per the current
-// membership view) is refused, which surfaces to the sender as a missing
-// ack — its retry re-resolves the owner under the view it converges to.
+// membership view) is refused, and the sender reads a missing ack. Nothing
+// re-sends it — the daemon's engine runs with no retry budget, and the
+// transport retries a failed round trip, not a refused entry — so the
+// message is lost, like any best-effort delivery (paper §3.2).
 // Without the gate, a delivery racing a membership change would run a
 // handler on a process that no longer holds the node's authoritative
 // state. Only the overlay transport calls it, so there is a view.

@@ -1,13 +1,9 @@
 package daemon
 
 import (
-	"bytes"
-	"errors"
+	"encoding/json"
 	"fmt"
 	"strconv"
-	"unicode"
-	"unicode/utf16"
-	"unicode/utf8"
 
 	"cqjoin/internal/relation"
 )
@@ -39,107 +35,83 @@ type oddValue struct {
 	typ string
 }
 
-// maxNestingDepth is encoding/json's: an array or object nested deeper is
-// refused.
-const maxNestingDepth = 10000
-
-var errEndOfInput = errors.New("unexpected end of JSON input")
+// jsonLine is what json.Unmarshal decodes a request line into.
+type jsonLine struct {
+	Op       string        `json:"op"`
+	Node     int           `json:"node"`
+	SQL      string        `json:"sql"`
+	Relation string        `json:"relation"`
+	Values   []interface{} `json:"values"`
+	Key      string        `json:"key"`
+}
 
 // requestDecoder reads a connection's request lines into one request,
-// reused line after line. It accepts exactly the lines json.Unmarshal
-// accepts into a struct of the request's fields, and decodes the same
-// values (FuzzRequestDecoding holds it to that): keys matched exactly, else
-// case-folded as encoding/json folds them, the last of duplicate keys
-// winning, unknown keys skipped but held to JSON's grammar, null leaving a
-// field as it was (and "values" nil). Every string of a line is copied out
-// of it into one string, which each field and value is a piece of, so a
+// reused line after line. A line means what json.Unmarshal makes of it
+// into a jsonLine, and every line not in the plain form goes there. The
+// plain form is an object whose keys are request fields, each spelled
+// exactly and given once, whose strings are printable ASCII with no
+// backslash, whose "node" is an integer and whose "values" holds only such
+// strings and numbers; it is decoded in one pass, every string of the line
+// copied into one string that each field and value is a piece of, so a
 // publish line costs that string and its values slice.
+// FuzzRequestDecoding holds the pass to encoding/json.
 type requestDecoder struct {
 	req  request
 	line []byte
 	pos  int
 
-	strs []byte // the line's decoded strings, back to back
-	// Where each string field's last value sits in strs, valid when set.
-	op, sql, rel, key span
-	// The last "values" array: its elements, and whether it was null.
-	vals       []pendingValue
-	haveVals   bool
-	nullValues bool
-	keyBuf     []byte // the key being matched; scratch for a string skipped
+	strs []byte // the line's strings, back to back
+	vals []pendingValue
 }
 
-type span struct {
-	start, end int
-	set        bool
-}
+// span is where a string sits in strs.
+type span struct{ start, end int }
 
-// into sets *dst to the span's piece of all, if the line said the field.
-func (s span) into(dst *string, all string) {
-	if s.set {
-		*dst = all[s.start:s.end]
-	}
-}
+func (s span) in(all string) string { return all[s.start:s.end] }
 
 // pendingValue is one element of "values" until the line's string exists:
-// a number, a string at strs[start:end], or an odd value of type odd.
+// a number, or the string at span of strs.
 type pendingValue struct {
-	num        float64
-	start, end int
-	str        bool
-	odd        string
+	num float64
+	span
+	str bool
 }
 
 // decode parses one line. On success the returned request is the
-// decoder's own, valid until the next call; on failure the error says why
-// the line is not a request.
+// decoder's own, valid until the next call; on failure the error is
+// encoding/json's.
 func (d *requestDecoder) decode(line []byte) (*request, error) {
-	d.req = request{odd: d.req.odd[:0]}
-	d.line, d.pos = line, 0
-	d.strs, d.vals = d.strs[:0], d.vals[:0]
-	d.op, d.sql, d.rel, d.key = span{}, span{}, span{}, span{}
-	d.haveVals, d.nullValues = false, false
-
-	d.space()
-	var err error
-	switch {
-	case d.peek() == '{':
-		err = d.object()
-	case d.literal("null"):
-		// The zero request.
-	default:
-		if err = d.skip(1, false); err == nil {
-			err = errors.New("a request is a JSON object")
-		}
+	if d.plain(line) {
+		return &d.req, nil
 	}
-	if err == nil {
-		if d.space(); d.pos < len(d.line) {
-			err = d.unexpected("after top-level value")
-		}
-	}
-	if err != nil {
+	if err := d.unmarshal(line); err != nil {
 		return nil, err
 	}
+	return &d.req, nil
+}
 
-	all := string(d.strs) // the one allocation every string of the line shares
-	d.op.into(&d.req.Op, all)
-	d.sql.into(&d.req.SQL, all)
-	d.rel.into(&d.req.Relation, all)
-	d.key.into(&d.req.Key, all)
-	if d.haveVals && !d.nullValues {
-		d.req.Values = make([]relation.Value, len(d.vals))
-		for i, v := range d.vals {
-			switch {
-			case v.odd != "":
-				d.req.odd = append(d.req.odd, oddValue{i, v.odd})
-			case v.str:
-				d.req.Values[i] = relation.S(all[v.start:v.end])
+// unmarshal decodes a line not in the plain form into d.req, with
+// json.Unmarshal.
+func (d *requestDecoder) unmarshal(line []byte) error {
+	var j jsonLine
+	if err := json.Unmarshal(line, &j); err != nil {
+		return err
+	}
+	d.req = request{Op: j.Op, Node: j.Node, SQL: j.SQL, Relation: j.Relation, Key: j.Key}
+	if j.Values != nil {
+		d.req.Values = make([]relation.Value, len(j.Values))
+		for i, v := range j.Values {
+			switch v := v.(type) {
+			case string:
+				d.req.Values[i] = relation.S(v)
+			case float64:
+				d.req.Values[i] = relation.N(v)
 			default:
-				d.req.Values[i] = relation.N(v.num)
+				d.req.odd = append(d.req.odd, oddValue{i, fmt.Sprintf("%T", v)})
 			}
 		}
 	}
-	return &d.req, nil
+	return nil
 }
 
 // The fields of a request, by key.
@@ -155,308 +127,153 @@ const (
 
 var fieldNames = [...]string{fieldOp: "op", fieldNode: "node", fieldSQL: "sql", fieldRelation: "relation", fieldValues: "values", fieldKey: "key"}
 
-// fieldOf matches a decoded key to a field: exactly, else as bytes.EqualFold
-// matches, which is how encoding/json folds a key it has no exact field for
-// ("ſql" is "sql", "\u212aey" is "key").
-func fieldOf(key []byte) int {
-	for f := fieldOp; f < len(fieldNames); f++ {
-		if string(key) == fieldNames[f] {
-			return f
+// plain decodes line into d.req and reports true if the line is in the
+// plain form; it reports false for any other line, leaving d.req dirty.
+func (d *requestDecoder) plain(line []byte) bool {
+	d.req = request{}
+	d.line, d.pos = line, 0
+	d.strs, d.vals = d.strs[:0], d.vals[:0]
+	var spans [len(fieldNames)]span
+	var seen [len(fieldNames)]bool
+	if !d.next('{') {
+		return false
+	}
+	for more := !d.next('}'); more; {
+		f := d.field()
+		if f == fieldNone || seen[f] || !d.next(':') {
+			return false
+		}
+		seen[f] = true
+		d.space()
+		var ok bool
+		switch f {
+		case fieldNode:
+			ok = d.node()
+		case fieldValues:
+			ok = d.values()
+		default:
+			spans[f], ok = d.strValue()
+		}
+		if !ok {
+			return false
+		}
+		if more = !d.next('}'); more && !d.next(',') {
+			return false
 		}
 	}
-	for f := fieldOp; f < len(fieldNames); f++ {
-		if bytes.EqualFold(key, []byte(fieldNames[f])) {
+	if d.space(); d.pos < len(line) {
+		return false
+	}
+
+	all := string(d.strs) // the one allocation every string of the line shares
+	d.req.Op, d.req.SQL = spans[fieldOp].in(all), spans[fieldSQL].in(all)
+	d.req.Relation, d.req.Key = spans[fieldRelation].in(all), spans[fieldKey].in(all)
+	if seen[fieldValues] {
+		d.req.Values = make([]relation.Value, len(d.vals))
+		for i, v := range d.vals {
+			if v.str {
+				d.req.Values[i] = relation.S(v.in(all))
+			} else {
+				d.req.Values[i] = relation.N(v.num)
+			}
+		}
+	}
+	return true
+}
+
+// field steps over the key at pos and returns its field, fieldNone unless
+// it spells one exactly.
+func (d *requestDecoder) field() int {
+	d.space()
+	start, end, ok := d.str()
+	for f := fieldOp; ok && f < len(fieldNames); f++ {
+		if string(d.line[start:end]) == fieldNames[f] {
 			return f
 		}
 	}
 	return fieldNone
 }
 
-// object decodes the top-level object.
-func (d *requestDecoder) object() error {
-	return d.each(1, func() error {
-		switch f := fieldOf(d.keyBuf); f {
-		case fieldOp:
-			return d.stringField(&d.op, f)
-		case fieldSQL:
-			return d.stringField(&d.sql, f)
-		case fieldRelation:
-			return d.stringField(&d.rel, f)
-		case fieldKey:
-			return d.stringField(&d.key, f)
-		case fieldNode:
-			return d.node()
-		case fieldValues:
-			return d.values()
-		}
-		return d.skip(2, false)
-	})
+// node decodes "node": an integer literal that fits an int.
+func (d *requestDecoder) node() bool {
+	lit, ok := d.number()
+	if !ok {
+		return false
+	}
+	var err error // Atoi refuses a fraction or an exponent, as encoding/json does
+	d.req.Node, err = strconv.Atoi(string(lit))
+	return err == nil
 }
 
-// each steps through the object or array at pos, nested depth deep (the
-// top-level value is at 1), calling value at each of its values: an
-// object's with its key decoded into keyBuf.
-func (d *requestDecoder) each(depth int, value func() error) error {
-	if depth > maxNestingDepth {
-		return errors.New("exceeded max depth")
+// values decodes "values": an array of strings and numbers.
+func (d *requestDecoder) values() bool {
+	if !d.next('[') {
+		return false
 	}
-	isObject, end := d.peek() == '{', byte(']')
-	if isObject {
-		end = '}'
-	}
-	d.pos++
-	if d.space(); d.peek() == end {
-		d.pos++
-		return nil
+	if d.next(']') {
+		return true
 	}
 	for {
 		d.space()
-		if isObject {
-			if d.peek() != '"' {
-				return d.unexpected("looking for beginning of object key string")
-			}
-			var err error
-			if d.keyBuf, err = d.str(d.keyBuf[:0]); err != nil {
-				return err
-			}
-			if d.space(); d.peek() != ':' {
-				return d.unexpected("after object key")
-			}
-			d.pos++
-			d.space()
-		}
-		if err := value(); err != nil {
-			return err
-		}
-		switch d.space(); d.peek() {
-		case ',':
-			d.pos++
-		case end:
-			d.pos++
-			return nil
-		default:
-			return d.unexpected("after object key:value pair or array element")
-		}
-	}
-}
-
-// stringField decodes a string field's value into strs; null leaves the
-// field as it was.
-func (d *requestDecoder) stringField(s *span, f int) error {
-	if d.peek() != '"' {
-		return d.mismatch(f, "string")
-	}
-	start := len(d.strs)
-	var err error
-	if d.strs, err = d.str(d.strs); err != nil {
-		return err
-	}
-	*s = span{start, len(d.strs), true}
-	return nil
-}
-
-// node decodes "node": an integer literal that fits an int, or null.
-func (d *requestDecoder) node() error {
-	if c := d.peek(); c != '-' && (c < '0' || c > '9') {
-		return d.mismatch(fieldNode, "number")
-	}
-	lit, err := d.number()
-	if err != nil {
-		return err
-	}
-	if d.req.Node, err = strconv.Atoi(string(lit)); err != nil {
-		return fmt.Errorf("field node: %s is not an int", lit)
-	}
-	return nil
-}
-
-// values decodes "values": an array, or null.
-func (d *requestDecoder) values() error {
-	if d.peek() != '[' {
-		if err := d.mismatch(fieldValues, "array"); err != nil {
-			return err
-		}
-		d.haveVals, d.nullValues = true, true
-		return nil
-	}
-	d.haveVals, d.nullValues = true, false
-	d.vals = d.vals[:0]
-	return d.each(2, func() error {
 		var v pendingValue
-		switch c := d.peek(); {
-		case c == '"':
-			v.start = len(d.strs)
-			var err error
-			if d.strs, err = d.str(d.strs); err != nil {
-				return err
+		var ok bool
+		if d.peek() == '"' {
+			v.span, ok = d.strValue()
+			v.str = true
+		} else {
+			var lit []byte
+			if lit, ok = d.number(); ok {
+				var err error
+				v.num, err = strconv.ParseFloat(string(lit), 64)
+				ok = err == nil
 			}
-			v.end, v.str = len(d.strs), true
-		case c == '-' || '0' <= c && c <= '9':
-			lit, err := d.number()
-			if err != nil {
-				return err
-			}
-			if v.num, err = parseFloat(lit); err != nil {
-				return err
-			}
-		default:
-			v.odd = oddType(c)
-			if err := d.skip(3, true); err != nil {
-				return err
-			}
+		}
+		if !ok {
+			return false
 		}
 		d.vals = append(d.vals, v)
-		return nil
-	})
-}
-
-// mismatch is the error for field f's value, not a want, or nil for a
-// null, which leaves the field as it was.
-func (d *requestDecoder) mismatch(f int, want string) error {
-	if d.literal("null") {
-		return nil
-	}
-	if err := d.skip(2, false); err != nil {
-		return err
-	}
-	return fmt.Errorf("field %s is not a %s", fieldNames[f], want)
-}
-
-// oddType is the type encoding/json's interface{} gives a value that starts
-// with c and is neither a string nor a number.
-func oddType(c byte) string {
-	switch c {
-	case 't', 'f':
-		return "bool"
-	case '[':
-		return "[]interface {}"
-	case '{':
-		return "map[string]interface {}"
-	}
-	return "<nil>" // or not a value: skip refuses it
-}
-
-// parseFloat converts a number literal as encoding/json does for an
-// interface{}: to the nearest float64, refused past its range.
-func parseFloat(lit []byte) (float64, error) {
-	f, err := strconv.ParseFloat(string(lit), 64)
-	if err != nil {
-		return 0, fmt.Errorf("%s is not a float64", lit)
-	}
-	return f, nil
-}
-
-// skip validates one value of any kind and steps over it. A container it
-// opens is nested depth deep; nums also holds its numbers to float64's
-// range, as decoding into an interface{} does.
-func (d *requestDecoder) skip(depth int, nums bool) error {
-	switch c := d.peek(); {
-	case c == '"':
-		var err error
-		d.keyBuf, err = d.str(d.keyBuf[:0])
-		return err
-	case c == '-' || '0' <= c && c <= '9':
-		lit, err := d.number()
-		if err == nil && nums {
-			_, err = parseFloat(lit)
+		if d.next(']') {
+			return true
 		}
-		return err
-	case c == '[' || c == '{':
-		return d.each(depth, func() error { return d.skip(depth+1, nums) })
-	case d.literal("true"), d.literal("false"), d.literal("null"):
-		return nil
+		if !d.next(',') {
+			return false
+		}
 	}
-	return d.unexpected("looking for beginning of value")
 }
 
-// str decodes the string at pos and appends it to dst as encoding/json
-// unquotes it: escapes resolved, a \u surrogate pair combined and any
-// other surrogate escape, like each byte of invalid UTF-8, made U+FFFD.
-func (d *requestDecoder) str(dst []byte) ([]byte, error) {
-	s := d.line
-	i := d.pos + 1 // past '"'
-	start := i
-	for {
-		if i >= len(s) {
-			d.pos = i
-			return dst, errEndOfInput
-		}
-		c := s[i]
-		switch {
+// strValue copies the string at pos into strs and returns where it sits.
+func (d *requestDecoder) strValue() (span, bool) {
+	start, end, ok := d.str()
+	if !ok {
+		return span{}, false
+	}
+	s := span{len(d.strs), len(d.strs) + end - start}
+	d.strs = append(d.strs, d.line[start:end]...)
+	return s, true
+}
+
+// str steps over the string at pos and returns where its contents sit in
+// the line, reporting false unless it is printable ASCII with no backslash.
+func (d *requestDecoder) str() (start, end int, ok bool) {
+	if d.peek() != '"' {
+		return 0, 0, false
+	}
+	start = d.pos + 1
+	for i := start; i < len(d.line); i++ {
+		switch c := d.line[i]; {
 		case c == '"':
 			d.pos = i + 1
-			return append(dst, s[start:i]...), nil
-		case c < ' ':
-			d.pos = i
-			return dst, d.unexpected("in string literal")
-		case c == '\\':
-			dst = append(dst, s[start:i]...)
-			d.pos = i + 1 // where an error in the escape is
-			switch e := d.peek(); {
-			case unescaped[e] != 0:
-				dst = append(dst, unescaped[e])
-				i += 2
-			case e == 'u':
-				r := getu4(s[i:])
-				if r < 0 {
-					return dst, d.unexpected("in \\u hexadecimal character escape")
-				}
-				i += 6
-				if utf16.IsSurrogate(r) {
-					if dec := utf16.DecodeRune(r, getu4(s[i:])); dec != unicode.ReplacementChar {
-						r = dec
-						i += 6
-					} else {
-						r = unicode.ReplacementChar
-					}
-				}
-				dst = utf8.AppendRune(dst, r)
-			default:
-				return dst, d.unexpected("in string escape code")
-			}
-			start = i
-		case c < utf8.RuneSelf:
-			i++
-		default:
-			r, size := utf8.DecodeRune(s[i:])
-			if r == utf8.RuneError && size == 1 {
-				dst = append(append(dst, s[start:i]...), "\uFFFD"...)
-				start = i + 1
-			}
-			i += size
+			return start, i, true
+		case c < ' ' || c > '~' || c == '\\':
+			return 0, 0, false
 		}
 	}
-}
-
-// unescaped maps the byte after a backslash to what it stands for, 0 for
-// none ('u' is read by getu4).
-var unescaped = [256]byte{'"': '"', '\\': '\\', '/': '/', 'b': '\b', 'f': '\f', 'n': '\n', 'r': '\r', 't': '\t'}
-
-// getu4 decodes the \uXXXX escape s starts with, or returns -1.
-func getu4(s []byte) rune {
-	if len(s) < 6 || s[0] != '\\' || s[1] != 'u' {
-		return -1
-	}
-	var r rune
-	for _, c := range s[2:6] {
-		switch {
-		case '0' <= c && c <= '9':
-			c -= '0'
-		case 'a' <= c && c <= 'f':
-			c -= 'a' - 10
-		case 'A' <= c && c <= 'F':
-			c -= 'A' - 10
-		default:
-			return -1
-		}
-		r = r*16 + rune(c)
-	}
-	return r
+	return 0, 0, false
 }
 
 // number steps over the number literal at pos, held to JSON's grammar,
 // and returns it.
-func (d *requestDecoder) number() ([]byte, error) {
+func (d *requestDecoder) number() ([]byte, bool) {
 	s, start := d.line, d.pos
 	i := start
 	digits := func() bool {
@@ -473,13 +290,11 @@ func (d *requestDecoder) number() ([]byte, error) {
 	case i < len(s) && s[i] == '0':
 		i++
 	case !digits():
-		d.pos = i
-		return nil, d.unexpected("in numeric literal")
+		return nil, false
 	}
 	if i < len(s) && s[i] == '.' {
 		if i++; !digits() {
-			d.pos = i
-			return nil, d.unexpected("after decimal point in numeric literal")
+			return nil, false
 		}
 	}
 	if i < len(s) && (s[i] == 'e' || s[i] == 'E') {
@@ -488,18 +303,17 @@ func (d *requestDecoder) number() ([]byte, error) {
 			i++
 		}
 		if !digits() {
-			d.pos = i
-			return nil, d.unexpected("in exponent of numeric literal")
+			return nil, false
 		}
 	}
 	d.pos = i
-	return s[start:i], nil
+	return s[start:i], true
 }
 
-// literal steps over lit if the line says it at pos.
-func (d *requestDecoder) literal(lit string) bool {
-	if len(d.line)-d.pos >= len(lit) && string(d.line[d.pos:d.pos+len(lit)]) == lit {
-		d.pos += len(lit)
+// next steps over JSON whitespace and then c, if c comes next.
+func (d *requestDecoder) next(c byte) bool {
+	if d.space(); d.peek() == c {
+		d.pos++
 		return true
 	}
 	return false
@@ -523,12 +337,4 @@ func (d *requestDecoder) peek() byte {
 		return d.line[d.pos]
 	}
 	return 0
-}
-
-// unexpected is the syntax error at pos, worded as encoding/json words it.
-func (d *requestDecoder) unexpected(context string) error {
-	if d.pos >= len(d.line) {
-		return errEndOfInput
-	}
-	return fmt.Errorf("invalid character %q %s", d.line[d.pos], context)
 }

@@ -252,47 +252,38 @@ func (st *nodeState) sendNotificationsByMap(batch []Notification) {
 func (st *nodeState) deliverNotify(msg *notifyMsg) {
 	e := st.engine
 	sub := msg.Subscriber
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			if attempt > e.cfg.MaxRetries || !st.node.Alive() {
-				e.net.Traffic().RecordLost(kindNotify)
-				return
-			}
-			e.net.Traffic().RecordRetry(kindNotify)
-			e.advanceBackoff()
-		}
+	e.retry(kindNotify, st.node, func() bool {
 		dst := e.net.NodeByKey(sub)
 		if dst == nil {
 			// Subscriber offline: route to Successor(Id(n)) for storage
 			// until it reconnects (Section 4.6).
-			if _, _, err := st.node.Send(msg, id.Hash(sub)); err == nil {
-				return
-			}
-			continue
+			_, _, err := st.node.Send(msg, id.Hash(sub))
+			return err == nil
 		}
 		if st.knownIP(sub, msg.Batch) == dst.IP() {
 			// Online at the known address: one hop.
 			if st.node.DirectSend(msg, dst) {
-				return
+				return true
 			}
 			// The address stopped answering; forget the learned entry so
 			// the next attempt goes through the DHT.
 			st.mu.Lock()
 			delete(st.subIPs, sub)
 			st.mu.Unlock()
-			continue
+			return false
 		}
 		// Online, but the known address is stale: deliver through the DHT
 		// and learn the new address from the subscriber's reply (one extra
 		// direct hop, charged as ip-update).
-		if _, _, err := st.node.Send(msg, id.Hash(sub)); err == nil {
-			e.net.Traffic().Record("ip-update", 1)
-			st.mu.Lock()
-			st.learnIP(sub, dst.IP())
-			st.mu.Unlock()
-			return
+		if _, _, err := st.node.Send(msg, id.Hash(sub)); err != nil {
+			return false
 		}
-	}
+		e.net.Traffic().Record("ip-update", 1)
+		st.mu.Lock()
+		st.learnIP(sub, dst.IP())
+		st.mu.Unlock()
+		return true
+	})
 }
 
 // subIPsMax bounds the subscriber addresses one evaluator learns: full, they
@@ -381,25 +372,12 @@ func (st *nodeState) replayStoredNotifications(sub string, dst *chord.Node) {
 	}
 	e := st.engine
 	msg := &notifyMsg{Subscriber: sub, Batch: batch}
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			if attempt > e.cfg.MaxRetries {
-				break
-			}
-			e.net.Traffic().RecordRetry(kindNotify)
-			e.advanceBackoff()
-		}
-		if st.node.DirectSend(msg, dst) {
-			e.obs.notifyReplayed.Add(int64(len(batch)))
-			return
-		}
-		if !dst.Alive() {
-			// The subscriber vanished again mid-replay; stop retrying and
-			// keep the batch for its next reconnect.
-			break
-		}
+	// Retries stop when the subscriber vanishes again mid-replay, keeping
+	// the batch for its next reconnect.
+	if e.retry(kindNotify, dst, func() bool { return st.node.DirectSend(msg, dst) }) {
+		e.obs.notifyReplayed.Add(int64(len(batch)))
+		return
 	}
-	e.net.Traffic().RecordLost(kindNotify)
 	st.mu.Lock()
 	st.storeNotifs(sub, batch)
 	st.mu.Unlock()

@@ -21,6 +21,27 @@ func (e *Engine) advanceBackoff() {
 	e.net.Clock().Advance(1)
 }
 
+// retry calls send until it reports the message done with (taken, or
+// passed over), at most 1+Config.MaxRetries times, and reports whether it
+// did. Each retry follows a clock advance and is booked under kind; none is
+// made once node is down (the sender, or the receiver the retries wait
+// for). A message never done with is booked lost.
+func (e *Engine) retry(kind string, node *chord.Node, send func() bool) bool {
+	for attempt := 0; ; attempt++ {
+		if attempt > 0 {
+			if attempt > e.cfg.MaxRetries || !node.Alive() {
+				e.net.Traffic().RecordLost(kind)
+				return false
+			}
+			e.net.Traffic().RecordRetry(kind)
+			e.advanceBackoff()
+		}
+		if send() {
+			return true
+		}
+	}
+}
+
 // retryFailed re-sends every deliverable of batch whose recipient slot is
 // still nil, up to Config.MaxRetries attempts each, and returns the updated
 // recipient slice. It is a no-op when retries are disabled. Deliverables

@@ -80,24 +80,17 @@ type revocation struct {
 func (st *nodeState) revoke(input string, grantees []string) {
 	e := st.engine
 	for _, key := range grantees {
-		for attempt := 0; ; attempt++ {
-			if attempt > 0 {
-				if attempt > e.cfg.MaxRetries || !st.node.Alive() {
-					e.net.Traffic().RecordLost(kindRevoke)
-					break
-				}
-				e.net.Traffic().RecordRetry(kindRevoke)
-				e.advanceBackoff()
-			}
+		e.retry(kindRevoke, st.node, func() bool {
 			dst := e.net.NodeByKey(key)
 			if dst == nil {
-				break
+				return true
 			}
-			if st.node.DirectSend(revokeMsg{Input: input}, dst) {
-				e.obs.revokes.Inc()
-				break
+			if !st.node.DirectSend(revokeMsg{Input: input}, dst) {
+				return false
 			}
-		}
+			e.obs.revokes.Inc()
+			return true
+		})
 	}
 }
 
