@@ -227,10 +227,7 @@ func listsExact(net *Network) bool {
 	net.mu.RLock()
 	defer net.mu.RUnlock()
 	for i, n := range net.ring {
-		n.mu.Lock()
-		exact := slices.Equal(n.succs, net.successorsOfLocked(i))
-		n.mu.Unlock()
-		if !exact {
+		if !slices.Equal(n.view.Load().succs, net.successorsOfLocked(i)) {
 			return false
 		}
 	}

@@ -256,10 +256,11 @@ func (net *Network) JoinProtocol(key string) (*Node, error) {
 	}
 	pred := succ.Predecessor()
 	n.mu.Lock()
-	n.succs = list
+	v := n.view.Load().withSuccs(entries(list))
 	if pred != nil && pred.Alive() && pred != n {
-		n.pred = pred
+		v = v.withPred(pred)
 	}
+	n.view.Store(v)
 	n.mu.Unlock()
 	return n, nil
 }
@@ -270,14 +271,7 @@ func (net *Network) JoinProtocol(key string) (*Node, error) {
 // already in the ring, nil on an empty one. A key already in the overlay, or
 // an occupied position, is refused.
 func (net *Network) admit(key string, nid id.ID) (n, bootstrap *Node, err error) {
-	n = &Node{
-		net:   net,
-		key:   key,
-		ip:    fmt.Sprintf("sim://%s", nid.Short()),
-		id:    nid,
-		succs: make([]*Node, 0, net.succListLen),
-	}
-	n.alive.Store(true)
+	n = newNode(net, key, nid)
 
 	net.mu.Lock()
 	defer net.mu.Unlock()
@@ -365,14 +359,7 @@ func (net *Network) AddNodes(prefix string, count int) []*Node {
 		if _, ok := net.byKey[key]; ok {
 			continue
 		}
-		nid := id.Hash(key)
-		n := &Node{
-			net: net,
-			key: key,
-			ip:  fmt.Sprintf("sim://%s", nid.Short()),
-			id:  nid,
-		}
-		n.alive.Store(true)
+		n := newNode(net, key, id.Hash(key))
 		net.insertLocked(n)
 		nodes = append(nodes, n)
 	}
@@ -421,10 +408,10 @@ func (net *Network) remove(n *Node) {
 	predIdx := (succIdx - 1 + len(net.ring)) % len(net.ring)
 	pred := net.ring[predIdx]
 	pred.mu.Lock()
-	pred.succs = net.successorsOfLocked(predIdx)
+	pred.view.Store(pred.view.Load().withSuccs(net.successorsOfLocked(predIdx)))
 	pred.mu.Unlock()
 	succ.mu.Lock()
-	succ.pred = pred
+	succ.view.Store(succ.view.Load().withPred(pred))
 	succ.mu.Unlock()
 }
 
@@ -460,7 +447,7 @@ func (net *Network) OracleSuccessor(k id.ID) *Node {
 
 // successorsOfLocked returns the successor list for the node at ring index
 // i. Callers hold net.mu.
-func (net *Network) successorsOfLocked(i int) []*Node {
+func (net *Network) successorsOfLocked(i int) []routeEntry {
 	n := len(net.ring)
 	r := net.succListLen
 	if r > n-1 {
@@ -468,11 +455,11 @@ func (net *Network) successorsOfLocked(i int) []*Node {
 	}
 	if r == 0 {
 		// Singleton ring: a node is its own successor.
-		return []*Node{net.ring[i]}
+		return []routeEntry{entry(net.ring[i])}
 	}
-	out := make([]*Node, 0, r)
+	out := make([]routeEntry, 0, r)
 	for j := 1; j <= r; j++ {
-		out = append(out, net.ring[(i+j)%n])
+		out = append(out, entry(net.ring[(i+j)%n]))
 	}
 	return out
 }
@@ -492,12 +479,12 @@ func (net *Network) repairAround(n *Node) {
 	for d := -net.succListLen; d <= 1; d++ {
 		j := ((i+d)%cnt + cnt) % cnt
 		m := net.ring[j]
-		m.mu.Lock()
-		m.pred = net.ring[((j-1)%cnt+cnt)%cnt]
-		if m.pred == m {
-			m.pred = nil
+		pred := net.ring[((j-1)%cnt+cnt)%cnt]
+		if pred == m {
+			pred = nil
 		}
-		m.succs = net.successorsOfLocked(j)
+		m.mu.Lock()
+		m.view.Store(m.view.Load().withPred(pred).withSuccs(net.successorsOfLocked(j)))
 		m.mu.Unlock()
 	}
 }
@@ -509,13 +496,19 @@ func (net *Network) buildFingers(n *Node) {
 	if len(net.ring) == 0 {
 		return
 	}
+	table := net.fingersOfLocked(n)
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for j := 0; j < id.Bits; j++ {
-		start := n.id.AddPow2(uint(j))
-		i := net.ringIndexLocked(start) % len(net.ring)
-		n.fingers[j] = net.ring[i]
+	n.view.Store(n.view.Load().withFingers(fingerRuns(n, &table)))
+}
+
+// fingersOfLocked returns n's exact finger table, entry j the owner of
+// id(n) + 2^j. Callers hold net.mu, on a ring that is not empty.
+func (net *Network) fingersOfLocked(n *Node) (table [id.Bits]*Node) {
+	for j := range table {
+		table[j] = net.ring[net.ringIndexLocked(n.id.AddPow2(uint(j)))%len(net.ring)]
 	}
+	return table
 }
 
 // MoveNode re-positions an alive node at a new ring identifier — the
@@ -550,18 +543,14 @@ func (net *Network) RepairAll() {
 	defer net.mu.RUnlock()
 	cnt := len(net.ring)
 	for i, n := range net.ring {
-		n.mu.Lock()
+		v := &routeView{succs: net.successorsOfLocked(i)}
 		if cnt > 1 {
-			n.pred = net.ring[((i-1)%cnt+cnt)%cnt]
-		} else {
-			n.pred = nil
+			v.pred = entry(net.ring[((i-1)%cnt+cnt)%cnt])
 		}
-		n.succs = net.successorsOfLocked(i)
-		for j := 0; j < id.Bits; j++ {
-			start := n.id.AddPow2(uint(j))
-			k := net.ringIndexLocked(start) % cnt
-			n.fingers[j] = net.ring[k]
-		}
+		table := net.fingersOfLocked(n)
+		v.fingers = fingerRuns(n, &table)
+		n.mu.Lock()
+		n.view.Store(v)
 		n.mu.Unlock()
 	}
 }

@@ -14,30 +14,29 @@ import (
 // reach test and its start-offset finger scan, must agree with in every overlay
 // state.
 func linearNextHop(n *Node, target id.ID) (*Node, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+	t := n.spelled()
 	last := n
-	for _, s := range n.succs {
+	for _, s := range t.succs {
 		if s != nil && s.Alive() {
 			last = s
 		}
 	}
 	if id.BetweenRightIncl(target, n.id, last.id) {
-		for _, s := range n.succs {
+		for _, s := range t.succs {
 			if s != nil && s.Alive() && id.BetweenRightIncl(target, n.id, s.id) {
 				return s, true
 			}
 		}
 		return n, true
 	}
-	return linearClosestPrecedingAlive(n, target), false
+	return linearClosestPrecedingAlive(n, &t, target), false
 }
 
 // linearClosestPrecedingAlive is the finger rule as first written: walk all
-// 160 fingers from the top, then the successor list. The caller holds n.mu.
-func linearClosestPrecedingAlive(n *Node, target id.ID) *Node {
+// 160 fingers of t, n's routing state, from the top, then the successor list.
+func linearClosestPrecedingAlive(n *Node, t *routeTable, target id.ID) *Node {
 	for j := id.Bits - 1; j >= 0; j-- {
-		f := n.fingers[j]
+		f := t.fingers[j]
 		if f == nil || !f.Alive() {
 			continue
 		}
@@ -45,8 +44,8 @@ func linearClosestPrecedingAlive(n *Node, target id.ID) *Node {
 			return f
 		}
 	}
-	for j := len(n.succs) - 1; j >= 0; j-- {
-		s := n.succs[j]
+	for j := len(t.succs) - 1; j >= 0; j-- {
+		s := t.succs[j]
 		if s != nil && s.Alive() && id.Between(s.id, n.id, target) {
 			return s
 		}
@@ -70,9 +69,8 @@ func linearRoute(n *Node, target id.ID) (*Node, int) {
 		if id.BetweenRightIncl(target, cur.ID(), succ.ID()) {
 			return succ, hops + 1
 		}
-		cur.mu.Lock()
-		next := linearClosestPrecedingAlive(cur, target)
-		cur.mu.Unlock()
+		t := cur.spelled()
+		next := linearClosestPrecedingAlive(cur, &t, target)
 		if next == cur {
 			next = succ
 		}
@@ -112,13 +110,11 @@ func nextHopTargets(n *Node, members []*Node, rng *rand.Rand) []id.ID {
 func assertNextHopsMatchLinear(t *testing.T, net *Network, everSeen []*Node, rng *rand.Rand) {
 	t.Helper()
 	for _, n := range net.Nodes() {
-		n.mu.Lock()
-		for j, f := range n.fingers {
+		for j, f := range n.spelled().fingers {
 			if f != nil && f != n && id.Distance(n.id, f.id).BitLen() <= j {
 				t.Fatalf("finger %d of %s is %s, closer than 2^%d", j+1, n, f, j)
 			}
 		}
-		n.mu.Unlock()
 		for _, target := range nextHopTargets(n, everSeen, rng) {
 			got, final := n.nextHop(target)
 			want, wantFinal := linearNextHop(n, target)

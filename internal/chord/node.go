@@ -60,13 +60,30 @@ type Node struct {
 	runBusy atomic.Bool
 	run     []Message
 
+	head uint64 // id.Head(), copied into every view entry naming the node
+
+	// view is the node's routing state (routeView), never nil: replaced
+	// under mu, read without it.
+	view atomic.Pointer[routeView]
+
 	mu         sync.Mutex
 	ip         string
-	pred       *Node
-	succs      []*Node // successor list; succs[0] is the immediate successor
-	fingers    [id.Bits]*Node
 	nextFinger int // round-robin cursor for amortized fix-fingers
 	handler    Handler
+}
+
+// newNode makes the live node of key at ring position nid, with an empty view.
+func newNode(net *Network, key string, nid id.ID) *Node {
+	n := &Node{
+		net:  net,
+		key:  key,
+		ip:   fmt.Sprintf("sim://%s", nid.Short()),
+		id:   nid,
+		head: nid.Head(),
+	}
+	n.view.Store(&routeView{})
+	n.alive.Store(true)
+	return n
 }
 
 // Key returns the node's unique key (Section 2.2: e.g. derived from its
@@ -111,18 +128,12 @@ func (n *Node) Handler() Handler {
 	return n.handler
 }
 
-// Successor returns the node's immediate successor. A node in a singleton
-// network is its own successor.
+// Successor returns the node's immediate successor: the first live entry of
+// its successor list. A node in a singleton network is its own successor.
 func (n *Node) Successor() *Node {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.successorLocked()
-}
-
-func (n *Node) successorLocked() *Node {
-	for _, s := range n.succs {
-		if s != nil && s.Alive() {
-			return s
+	for _, s := range n.view.Load().succs {
+		if s.node != nil && s.node.Alive() {
+			return s.node
 		}
 	}
 	return n
@@ -130,20 +141,19 @@ func (n *Node) successorLocked() *Node {
 
 // Predecessor returns the node's predecessor pointer, or nil when unknown.
 func (n *Node) Predecessor() *Node {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.pred != nil && !n.pred.Alive() {
-		return nil
+	if p := n.view.Load().pred.node; p != nil && p.Alive() {
+		return p
 	}
-	return n.pred
+	return nil
 }
 
 // SuccessorList returns a copy of the node's successor list.
 func (n *Node) SuccessorList() []*Node {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]*Node, len(n.succs))
-	copy(out, n.succs)
+	succs := n.view.Load().succs
+	out := make([]*Node, len(succs))
+	for i, s := range succs {
+		out[i] = s.node
+	}
 	return out
 }
 
@@ -153,74 +163,78 @@ func (n *Node) Finger(j int) *Node {
 	if j < 1 || j > id.Bits {
 		panic(fmt.Sprintf("chord: finger index %d out of range [1,%d]", j, id.Bits))
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.fingers[j-1]
+	for _, f := range n.view.Load().fingers {
+		if int(f.lo) < j {
+			return f.node
+		}
+	}
+	return nil
 }
 
 // OwnsKey reports whether identifier k is in this node's arc of
 // responsibility, i.e. k ∈ (pred(n), n]. A node with no predecessor
 // (singleton ring) owns every key.
 func (n *Node) OwnsKey(k id.ID) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.pred == nil || !n.pred.Alive() {
+	p := n.view.Load().pred
+	if p.node == nil || !p.node.Alive() {
 		return true
 	}
-	return id.BetweenRightIncl(k, n.pred.id, n.id)
+	return betweenRightIncl(&k, &p.node.id, &n.id, k.Head(), p.head, n.head)
 }
 
 // nextHop is the one routing step, shared by route and Multisend: the node a
-// message for target leaves n toward, read from everything n holds under one
-// acquisition of its lock. When target lies within the successor list's reach
-// — (n, last live entry] — the hop goes to the first live entry at or past
-// target and is final: n names the owner itself, and where the message lands
-// ownership is checked (Network.land), so a list that lags a join costs a hop
-// back, never a misdelivery. A list with no live entry reaches the whole ring
-// and names n, the ring of one successorLocked describes.
+// message for target leaves n toward, read from one view of what n holds. When
+// target lies within the successor list's reach — (n, last live entry] — the
+// hop goes to the first live entry at or past target and is final: n names the
+// owner itself, and where the message lands ownership is checked
+// (Network.land), so a list that lags a join costs a hop back, never a
+// misdelivery. A list with no live entry reaches the whole ring and names n,
+// the ring of one Successor describes.
 //
 // Otherwise the hop is Chord's: the furthest live finger strictly between n
 // and target or, when no finger qualifies, the last live list entry, which
-// target lies beyond. Finger j is what a lookup of id(n) + 2^j returned, and a
-// lookup ends at the owner, at or past its target: the entry lies at least 2^j
-// clockwise of n and cannot precede a target closer than that. So the scan
-// starts at the highest finger that can, and — runs of table entries being one
-// node — examines each node once.
+// target lies beyond. The view holds each run of equal table entries once,
+// highest index first, so each node is examined once. Finger j is what a
+// lookup of id(n) + 2^j returned, and a lookup ends at the owner, at or past
+// its target: a run lies at least 2^lo clockwise of n, so one starting at or
+// above BitLen(Distance(n, target)) cannot precede target — the interval test
+// refuses it, and only a stray run needs that bound asked.
+//
+// Every interval test is decided on heads, and on full identifiers where two
+// heads tie; Alive is read only of an entry inside its interval.
 func (n *Node) nextHop(target id.ID) (next *Node, final bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	last := n
-	for j := len(n.succs) - 1; j >= 0; j-- {
-		if s := n.succs[j]; s != nil && s.Alive() {
+	v := n.view.Load()
+	th := target.Head()
+	last := entry(n)
+	for j := len(v.succs) - 1; j >= 0; j-- {
+		if s := v.succs[j]; s.node != nil && s.node.Alive() {
 			last = s
 			break
 		}
 	}
-	if id.BetweenRightIncl(target, n.id, last.id) {
-		for _, s := range n.succs {
-			if s != nil && s.Alive() && id.BetweenRightIncl(target, n.id, s.id) {
-				return s, true
+	if betweenRightIncl(&target, &n.id, &last.node.id, th, n.head, last.head) {
+		for _, s := range v.succs {
+			if s.node != nil && betweenRightIncl(&target, &n.id, &s.node.id, th, n.head, s.head) && s.node.Alive() {
+				return s.node, true
 			}
 		}
-		return last, true
+		return last.node, true
 	}
-	// Distance 0 is the whole ring: target == id(n) excludes only n.
-	top := id.Bits - 1
-	if b := id.Distance(n.id, target).BitLen(); b > 0 {
-		top = b - 1
-	}
-	var seen *Node
-	for j := top; j >= 0; j-- {
-		f := n.fingers[j]
-		if f == seen {
+	for _, f := range v.fingers {
+		if f.node == nil || !between(&f.node.id, &n.id, &target, f.head, n.head, th) {
 			continue
 		}
-		seen = f
-		if f != nil && f.Alive() && id.Between(f.id, n.id, target) {
-			return f, false
+		if f.stray {
+			// Distance 0 is the whole ring: target == id(n) excludes only n.
+			if b := id.Distance(n.id, target).BitLen(); b > 0 && int(f.lo) >= b {
+				continue
+			}
+		}
+		if f.node.Alive() {
+			return f.node, false
 		}
 	}
-	return last, false
+	return last.node, false
 }
 
 // String renders the node as key@shortid for logs.

@@ -56,9 +56,7 @@ func TestCheckRingDetectsSecondRing(t *testing.T) {
 	wire := func(group []*Node) {
 		for i, n := range group {
 			next := group[(i+1)%len(group)]
-			n.mu.Lock()
-			n.succs = []*Node{next}
-			n.mu.Unlock()
+			n.rewire(func(t *routeTable) { t.succs = []*Node{next} })
 		}
 	}
 	wire(nodes[:half])
@@ -80,15 +78,9 @@ func TestCheckRingDetectsUnorderedCycle(t *testing.T) {
 	// Swap two adjacent nodes in the successor cycle: ...->a->b->... becomes
 	// ...->b->a->..., which wraps more than once.
 	a, b := nodes[2], nodes[3]
-	nodes[1].mu.Lock()
-	nodes[1].succs = []*Node{b}
-	nodes[1].mu.Unlock()
-	b.mu.Lock()
-	b.succs = []*Node{a}
-	b.mu.Unlock()
-	a.mu.Lock()
-	a.succs = []*Node{nodes[4]}
-	a.mu.Unlock()
+	nodes[1].rewire(func(t *routeTable) { t.succs = []*Node{b} })
+	b.rewire(func(t *routeTable) { t.succs = []*Node{a} })
+	a.rewire(func(t *routeTable) { t.succs = []*Node{nodes[4]} })
 	rep := CheckRing(net)
 	if rep.OK() {
 		t.Fatalf("unordered cycle passed: %s", rep)
@@ -105,31 +97,23 @@ func TestCheckRingDetectsBadSuccessorList(t *testing.T) {
 	net.AddNodes("l", 8)
 	n := net.Nodes()[0]
 
-	n.mu.Lock()
-	saved := append([]*Node(nil), n.succs...)
-	n.succs = []*Node{saved[0], saved[0]}
-	n.mu.Unlock()
+	saved := n.SuccessorList()
+	n.rewire(func(t *routeTable) { t.succs = []*Node{saved[0], saved[0]} })
 	if rep := CheckRing(net); rep.OK() || !strings.Contains(rep.String(), "repeats") {
 		t.Fatalf("repeated successor-list entry not flagged: %s", rep)
 	}
 
-	n.mu.Lock()
-	n.succs = []*Node{saved[0], n}
-	n.mu.Unlock()
+	n.rewire(func(t *routeTable) { t.succs = []*Node{saved[0], n} })
 	if rep := CheckRing(net); rep.OK() || !strings.Contains(rep.String(), "contains itself") {
 		t.Fatalf("self entry not flagged: %s", rep)
 	}
 
-	n.mu.Lock()
-	n.succs = []*Node{saved[1], saved[0]}
-	n.mu.Unlock()
+	n.rewire(func(t *routeTable) { t.succs = []*Node{saved[1], saved[0]} })
 	if rep := CheckRing(net); rep.OK() || !strings.Contains(rep.String(), "clockwise order") {
 		t.Fatalf("order violation not flagged: %s", rep)
 	}
 
-	n.mu.Lock()
-	n.succs = saved
-	n.mu.Unlock()
+	n.rewire(func(t *routeTable) { t.succs = saved })
 	if rep := CheckRing(net); !rep.Converged() {
 		t.Fatalf("restored ring reported broken: %s", rep)
 	}

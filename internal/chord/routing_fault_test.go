@@ -55,14 +55,7 @@ func TestMultisendPartialHopAccounting(t *testing.T) {
 	// progress.
 	ring := net.Nodes()
 	poisoned := ring[0]
-	deadID := id.Hash("acct-dead")
-	dead := &Node{net: net, key: "acct-dead", id: deadID}
-	poisoned.mu.Lock()
-	poisoned.succs = []*Node{dead}
-	for j := range poisoned.fingers {
-		poisoned.fingers[j] = dead
-	}
-	poisoned.mu.Unlock()
+	knowsOnly(poisoned, deadNode(net, "acct-dead"))
 
 	// Target a key owned by the poisoned node's true successor, so the
 	// batch has to route through/over it.
@@ -106,6 +99,17 @@ func TestMultisendPartialHopAccounting(t *testing.T) {
 	}
 }
 
+// knowsOnly leaves next the only node n's routing state names: its whole
+// successor list and every finger.
+func knowsOnly(n, next *Node) {
+	n.rewire(func(t *routeTable) {
+		t.succs = []*Node{next}
+		for j := range t.fingers {
+			t.fingers[j] = next
+		}
+	})
+}
+
 // sizedMsg is a test message with a wire size: size bytes in full, of which it
 // leaves shared to the message before it aboard when that one is of its group
 // (group 0: none). A network prices it once sizeSized is installed.
@@ -147,13 +151,7 @@ func strandingWalk(t *testing.T, net *Network) (origin, mid *Node, target id.ID,
 			legs++
 		}
 		if legs >= 2 {
-			dead := &Node{net: net, key: "dead-end", id: id.Hash("dead-end")}
-			mid.mu.Lock()
-			mid.succs = []*Node{dead}
-			for j := range mid.fingers {
-				mid.fingers[j] = dead
-			}
-			mid.mu.Unlock()
+			knowsOnly(mid, deadNode(net, "dead-end"))
 			return origin, mid, target, legs
 		}
 	}
@@ -172,13 +170,7 @@ func TestFailedSendChargesTheBytesItMoved(t *testing.T) {
 	net.AddNodes("crawl", 64)
 	ring := net.Nodes()
 	for i, n := range ring {
-		succ := ring[(i+1)%len(ring)]
-		n.mu.Lock()
-		n.succs = []*Node{succ}
-		for j := range n.fingers {
-			n.fingers[j] = succ
-		}
-		n.mu.Unlock()
+		knowsOnly(n, ring[(i+1)%len(ring)])
 	}
 	net.mu.Lock()
 	net.ring = net.ring[:4] // budget 2*4+16 = 24 hops, the walk below needs 40

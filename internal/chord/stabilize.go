@@ -66,7 +66,7 @@ func (n *Node) stabilizeNotify(succ *Node) {
 		}
 	}
 	n.mu.Lock()
-	n.succs = list
+	n.view.Store(n.view.Load().withSuccs(entries(list)))
 	n.mu.Unlock()
 }
 
@@ -88,15 +88,15 @@ func (n *Node) notify(p *Node) {
 		return
 	}
 	n.mu.Lock()
-	old := n.pred
-	adopted := false
-	if n.pred == nil || !n.pred.Alive() || id.Between(p.ID(), n.pred.ID(), n.ID()) {
-		adopted = n.pred != p
-		n.pred = p
+	v := n.view.Load()
+	old := v.pred.node
+	adopted := old != p && (old == nil || !old.Alive() || id.Between(p.ID(), old.ID(), n.ID()))
+	if adopted {
+		n.view.Store(v.withPred(p))
 	}
 	h := n.handler
 	n.mu.Unlock()
-	if !adopted || old == nil || old == p || !old.Alive() {
+	if !adopted || old == nil || !old.Alive() {
 		return
 	}
 	if kt, ok := h.(KeyTransferrer); ok {
@@ -109,8 +109,8 @@ func (n *Node) notify(p *Node) {
 func (n *Node) CheckPredecessor() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.pred != nil && !n.pred.Alive() {
-		n.pred = nil
+	if v := n.view.Load(); v.pred.node != nil && !v.pred.node.Alive() {
+		n.view.Store(v.withPred(nil))
 	}
 }
 
@@ -130,7 +130,10 @@ func (n *Node) FixFinger(j int) {
 	}
 	n.net.traffic.Record("chord-maintain", hops)
 	n.mu.Lock()
-	n.fingers[j-1] = dst
+	v := n.view.Load()
+	table := v.table()
+	table[j-1] = dst
+	n.view.Store(v.withFingers(fingerRuns(n, &table)))
 	n.mu.Unlock()
 }
 

@@ -282,8 +282,10 @@ func (s *Server) DeliverLocal(dstKey string, msg chord.Message) bool {
 	}
 	if s.store != nil {
 		// Log after applying, before acking: an acked delivery is always
-		// durable, and a delivery whose log append failed is re-sent by the
-		// peer and absorbed idempotently.
+		// durable. One whose log append failed is applied but neither logged
+		// nor acked, and nothing re-sends it (the engine runs with MaxRetries
+		// 0, the transport re-sends no nacked entry): a restart loses it, and
+		// no counter books the loss.
 		var w wire.Buffer
 		if err := s.codec.Encode(&w, msg); err != nil {
 			s.logf("daemon: encode delivery for wal: %v", err)

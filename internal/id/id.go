@@ -9,6 +9,7 @@ package id
 
 import (
 	"crypto/sha1"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math/bits"
@@ -152,6 +153,23 @@ func BetweenRightIncl(x, a, b ID) bool {
 // BetweenLeftIncl reports whether x lies in the half-open ring interval [a, b).
 func BetweenLeftIncl(x, a, b ID) bool {
 	return x.Equal(a) || Between(x, a, b)
+}
+
+// Head returns x's first 64 bits, big-endian: its position on the ring to
+// within 2^96. Identifiers whose heads differ order as their heads do.
+func (x ID) Head() uint64 { return binary.BigEndian.Uint64(x[:8]) }
+
+// BetweenHeads decides Between(x, a, b) from the heads of the three
+// identifiers, and reports ok false when two of the heads tie: then only the
+// full identifiers can. Pairwise-distinct heads order as their identifiers do,
+// and from a the ring of heads turns where the ring of identifiers does, so the
+// clockwise distance modulo 2^64 settles it. BetweenRightIncl agrees: its one
+// extra point, x == b, ties two heads.
+func BetweenHeads(xh, ah, bh uint64) (in, ok bool) {
+	if xh == ah || xh == bh || ah == bh {
+		return false, false
+	}
+	return xh-ah < bh-ah, true
 }
 
 // Distance returns the clockwise distance from a to b on the ring, i.e. the

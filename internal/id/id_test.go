@@ -2,6 +2,7 @@ package id
 
 import (
 	"crypto/sha1"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -194,6 +195,62 @@ func TestDistanceSymmetry(t *testing.T) {
 		sum := Distance(a, b).Add(Distance(b, a))
 		if sum != (ID{}) {
 			t.Fatalf("distance sum nonzero: a=%s b=%s", a.Short(), b.Short())
+		}
+	}
+}
+
+// at is the identifier whose head is head and whose last byte is tail.
+func at(head uint64, tail byte) ID {
+	var x ID
+	binary.BigEndian.PutUint64(x[:8], head)
+	x[bytesLen-1] = tail
+	return x
+}
+
+// The head fast path answers only where its answer is Between's, and declines
+// every case two tied heads leave open: a point in the same 2^96 as an end
+// lies on either side of it, and an interval whose ends share a head is a
+// sliver inside it or the whole ring less one.
+func TestBetweenHeadsDeclinesTiedHeads(t *testing.T) {
+	const top = ^uint64(0)
+	cases := []struct {
+		name     string
+		x, a, b  ID
+		ok, want bool
+	}{
+		{"inside, no wrap", at(5, 0), at(1, 0), at(9, 0), true, true},
+		{"outside, no wrap", at(10, 0), at(1, 0), at(9, 0), true, false},
+		{"inside, wrapping", at(1, 0), at(top-1, 0), at(3, 0), true, true},
+		{"outside, wrapping", at(top-2, 0), at(top-1, 0), at(3, 0), true, false},
+		{"x just past a", at(1, 2), at(1, 1), at(9, 0), false, true},
+		{"x just before a", at(1, 0), at(1, 1), at(9, 0), false, false},
+		{"x just before b", at(9, 0), at(1, 0), at(9, 1), false, true},
+		{"x at b", at(9, 1), at(1, 0), at(9, 1), false, false},
+		{"x just past b", at(9, 2), at(1, 0), at(9, 1), false, false},
+		{"a, b one head: sliver", at(5, 0), at(1, 1), at(1, 2), false, false},
+		{"a, b one head: all but a", at(5, 0), at(1, 2), at(1, 1), false, true},
+		{"one head for all three", at(1, 2), at(1, 1), at(1, 3), false, true},
+	}
+	for _, c := range cases {
+		if got := Between(c.x, c.a, c.b); got != c.want {
+			t.Fatalf("%s: Between = %v, the case says %v", c.name, got, c.want)
+		}
+		in, ok := BetweenHeads(c.x.Head(), c.a.Head(), c.b.Head())
+		if ok != c.ok || ok && (in != c.want || in != BetweenRightIncl(c.x, c.a, c.b)) {
+			t.Errorf("%s: BetweenHeads = %v, %v; want ok %v and Between's %v", c.name, in, ok, c.ok, c.want)
+		}
+	}
+	// Heads from a set of four tie often; every answer given must be exact.
+	rng := rand.New(rand.NewSource(3))
+	heads := []uint64{0, 1, top / 2, top}
+	for i := 0; i < 20000; i++ {
+		var p [3]ID
+		for j := range p {
+			p[j] = at(heads[rng.Intn(len(heads))], byte(rng.Intn(4)))
+		}
+		x, a, b := p[0], p[1], p[2]
+		if in, ok := BetweenHeads(x.Head(), a.Head(), b.Head()); ok && (in != Between(x, a, b) || in != BetweenRightIncl(x, a, b)) {
+			t.Fatalf("BetweenHeads(%s, %s, %s) = %v, Between says %v", x, a, b, in, Between(x, a, b))
 		}
 	}
 }
