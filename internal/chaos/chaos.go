@@ -15,10 +15,10 @@ package chaos
 
 import (
 	"fmt"
-	"sync"
 
 	"cqjoin/internal/chord"
 	"cqjoin/internal/engine"
+	"cqjoin/internal/lockdep"
 	"cqjoin/internal/sim"
 	"cqjoin/internal/wire"
 )
@@ -123,7 +123,7 @@ type Injector struct {
 	rng *sim.Source
 	dq  *sim.DelayQueue
 
-	mu          sync.Mutex
+	mu          lockdep.Mutex[injectorMu]
 	calm        bool
 	draining    bool
 	steps       int
@@ -144,6 +144,8 @@ type Injector struct {
 	// (guarded by draining) touches it.
 	scratch []func()
 }
+
+type injectorMu struct{} // Injector.mu's lock class
 
 // New builds an Injector over the engine's overlay, installs it as the
 // network interceptor and hangs its delay queue on the logical clock, so

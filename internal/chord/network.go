@@ -3,9 +3,9 @@ package chord
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"cqjoin/internal/id"
+	"cqjoin/internal/lockdep"
 	"cqjoin/internal/metrics"
 	"cqjoin/internal/obs"
 	"cqjoin/internal/sim"
@@ -28,7 +28,7 @@ const defaultSuccessorListLen = 8
 // data path — routing always walks finger tables), the shared logical clock
 // and the traffic ledger.
 type Network struct {
-	mu    sync.RWMutex
+	mu    lockdep.RWMutex[networkMu]
 	byKey map[string]*Node
 	ring  []*Node // alive nodes in ascending identifier order
 
@@ -37,7 +37,7 @@ type Network struct {
 	clock       *sim.Clock
 	handbacks   obs.Counter // hops back to the owner after a final hop (land)
 
-	icMu        sync.RWMutex
+	icMu        lockdep.RWMutex[networkIcMu]
 	interceptor Interceptor
 
 	sizer func(msg, prev Message) (size, shared int) // SetSizer's; nil: no bytes charged
@@ -45,10 +45,14 @@ type Network struct {
 	// trMu guards the pluggable delivery transport (transport.go). simT is
 	// the pre-built in-process default, created once so the hot path never
 	// boxes a fresh interface value.
-	trMu   sync.RWMutex
+	trMu   lockdep.RWMutex[networkTrMu]
 	custom Transport
 	simT   Transport
 }
+
+type networkMu struct{}   // Network.mu's lock class
+type networkIcMu struct{} // Network.icMu's lock class
+type networkTrMu struct{} // Network.trMu's lock class
 
 // SetInterceptor installs (or, with nil, removes) the delivery interceptor.
 // Every subsequent message delivery — routed, direct or relayed inside a

@@ -13,10 +13,10 @@ package chord
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"cqjoin/internal/id"
+	"cqjoin/internal/lockdep"
 )
 
 // Message is an application-level message routed through the overlay. The
@@ -66,11 +66,13 @@ type Node struct {
 	// under mu, read without it.
 	view atomic.Pointer[routeView]
 
-	mu         sync.Mutex
+	mu         lockdep.Mutex[nodeMu]
 	ip         string
 	nextFinger int // round-robin cursor for amortized fix-fingers
 	handler    Handler
 }
+
+type nodeMu struct{} // Node.mu's lock class
 
 // newNode makes the live node of key at ring position nid, with an empty view.
 func newNode(net *Network, key string, nid id.ID) *Node {

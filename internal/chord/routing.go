@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"cqjoin/internal/id"
+	"cqjoin/internal/lockdep"
 )
 
 // ErrRoutingFailed is returned when a lookup cannot converge, e.g. on an
@@ -126,6 +127,7 @@ func (n *Node) Lookup(target id.ID) (*Node, int, error) {
 // synchronously (dropped, delayed or dead destination) the recipient and
 // hops are still returned alongside ErrDropped so the sender can retry.
 func (n *Node) Send(msg Message, target id.ID) (*Node, int, error) {
+	lockdep.Sending("chord.Node.Send")
 	dst, hops, err := n.route(target)
 	n.chargeBytes(msg, nil, 0, hops) // a walk that gave up moved its bytes all the same
 	if err != nil {
@@ -151,6 +153,7 @@ func (n *Node) arrive(msg Message, dst *Node, hops int) (*Node, int, error) {
 // the address no longer answers, and the sender should fall back to DHT
 // routing or retry.
 func (n *Node) DirectSend(msg Message, dst *Node) bool {
+	lockdep.Sending("chord.Node.DirectSend")
 	n.net.traffic.Record(msg.Kind(), 1)
 	n.chargeBytes(msg, nil, 0, 1)
 	return n.deliverTo(dst, msg)
@@ -171,6 +174,7 @@ func (n *Node) DirectSend(msg Message, dst *Node) bool {
 // lander that owns them all takes it: there is no one node to hand it back or
 // route it to, so refused or unanswered it is the sender's again (ErrDropped).
 func (n *Node) SendHinted(msg Message, target id.ID, hint *Node, also ...id.ID) (*Node, int, error) {
+	lockdep.Sending("chord.Node.SendHinted")
 	dst, hops, ok := hint, 1, hint.Alive()
 	switch {
 	case !ok:
@@ -229,6 +233,7 @@ type Deliverable struct {
 // coin flip per batch, and only the sum of the kinds' hop counts means
 // anything.
 func (n *Node) Multisend(batch []Deliverable, recipients []*Node) ([]*Node, int, error) {
+	lockdep.Sending("chord.Node.Multisend")
 	if len(batch) == 0 {
 		return recipients[:0], 0, nil
 	}
@@ -370,6 +375,7 @@ const multisendKeep = 64
 // O(k log N) hops with no path sharing. Figure 4.8 contrasts it with the
 // recursive Multisend.
 func (n *Node) MultisendIterative(batch []Deliverable) ([]*Node, int, error) {
+	lockdep.Sending("chord.Node.MultisendIterative")
 	total := 0
 	var firstErr error
 	recipients := make([]*Node, len(batch))

@@ -23,6 +23,7 @@ import (
 	"cqjoin/internal/chord"
 	"cqjoin/internal/durable"
 	"cqjoin/internal/engine"
+	"cqjoin/internal/lockdep"
 	"cqjoin/internal/obs"
 	"cqjoin/internal/relation"
 	"cqjoin/internal/transport"
@@ -94,7 +95,7 @@ type Server struct {
 	recovery durable.RecoveryInfo
 	logf     func(format string, args ...interface{})
 
-	mu        sync.Mutex
+	mu        lockdep.Mutex[serverMu]
 	listeners []*listener // copy-on-write: broadcast reads it outside mu
 	listening net.Listener
 	// conns tracks accepted client connections and connWG their handler
@@ -104,6 +105,8 @@ type Server struct {
 	connWG sync.WaitGroup
 	closed bool
 }
+
+type serverMu struct{} // Server.mu's lock class
 
 // serverMetrics is the client-socket side of the daemon as stats reports it.
 type serverMetrics struct {
@@ -268,7 +271,9 @@ func (s *Server) Cluster() *cqjoin.Cluster { return s.cluster }
 // membership view) is refused, and the sender reads a missing ack. Nothing
 // re-sends it — the daemon's engine runs with no retry budget, and the
 // transport retries a failed round trip, not a refused entry — so the
-// message is lost, like any best-effort delivery (paper §3.2).
+// message is lost, like any best-effort delivery (paper §3.2). The sender's
+// engine books the loss (stats "lost") on each path that goes through its
+// retry helper, retryFailed, whose budget is then 0.
 // Without the gate, a delivery racing a membership change would run a
 // handler on a process that no longer holds the node's authoritative
 // state. Only the overlay transport calls it, so there is a view.
@@ -285,7 +290,7 @@ func (s *Server) DeliverLocal(dstKey string, msg chord.Message) bool {
 		// durable. One whose log append failed is applied but neither logged
 		// nor acked, and nothing re-sends it (the engine runs with MaxRetries
 		// 0, the transport re-sends no nacked entry): a restart loses it, and
-		// no counter books the loss.
+		// the sender books the loss as for a refused delivery.
 		var w wire.Buffer
 		if err := s.codec.Encode(&w, msg); err != nil {
 			s.logf("daemon: encode delivery for wal: %v", err)
@@ -808,6 +813,7 @@ func (s *Server) dispatch(req *request, lst *listener) []byte {
 			"notifications":  s.cluster.NotificationCount(),
 			"hops":           tr.TotalHops(),
 			"messages":       tr.TotalMessages(),
+			"lost":           tr.TotalLost(),
 			"bytes":          tr.TotalBytes(),
 			"ring":           ring.String(),
 			"ring_ok":        ring.OK(),

@@ -25,6 +25,9 @@ func startServer(t *testing.T, cfg Config) (*Server, net.Conn) {
 	}
 	go func() { _ = srv.Serve(ln) }()
 	t.Cleanup(func() { _ = srv.Close() })
+	for srv.Addr() == nil { // until Serve has taken ln, tests that ask srv.Addr() read nil
+		time.Sleep(time.Millisecond)
+	}
 
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"unicode/utf8"
 
 	"cqjoin"
+	"cqjoin/internal/lockdep"
 )
 
 const (
@@ -37,11 +38,13 @@ type listener struct {
 	queued bool          // "listen" was issued; handler goroutine only
 	done   chan struct{} // closed when writeLoop returns
 
-	mu     sync.Mutex
+	mu     lockdep.Mutex[listenerMu]
 	wake   sync.Cond // queue became non-empty, or closed was set
 	queue  []byte
 	closed bool // nothing more is queued; writeLoop flushes and returns
 }
+
+type listenerMu struct{} // listener.mu's lock class
 
 // replyBuf is a reply line being built: appended to by hand, or written by
 // a json.Encoder.

@@ -3,9 +3,9 @@ package daemon
 import (
 	"slices"
 	"sort"
-	"sync"
 
 	"cqjoin/internal/id"
+	"cqjoin/internal/lockdep"
 	"cqjoin/internal/wire"
 )
 
@@ -29,7 +29,7 @@ import (
 // reflect it, at a strictly higher version, so both concurrent changes
 // land in a single linear version history (DESIGN.md §14.5).
 type membership struct {
-	mu      sync.Mutex
+	mu      lockdep.Mutex[membershipMu]
 	self    string // this process's overlay address (origin of local changes)
 	version uint64
 	origin  string       // originator of the installed view
@@ -38,6 +38,8 @@ type membership struct {
 	pending *pendingDelta
 	history []viewStamp
 }
+
+type membershipMu struct{} // membership.mu's lock class
 
 // ownerPoint is one process's position on the identifier ring.
 type ownerPoint struct {

@@ -5,6 +5,8 @@ import (
 	"net"
 	"strings"
 	"testing"
+
+	"cqjoin/internal/id"
 )
 
 // TestDaemonMultiUnsubscribe is the regression test for the protocol bug
@@ -661,5 +663,31 @@ func TestStatsMetricNamesAreFixed(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDaemonBooksARefusedDelivery: a process refuses a delivery for a node its
+// view no longer gives it, and nothing re-sends it (cqjoind runs with no retry
+// budget), so the sender books the loss, and its stats report it. X owns the
+// rewriter of Orders.Product in the founding view, then takes a view in which
+// P owns everything; P's publication of Orders walks to X, which refuses it.
+func TestDaemonBooksARefusedDelivery(t *testing.T) {
+	procs := startOverlayProcs(t, defaultConfig(), 2)
+	rewriter := procs[0].srv.Cluster().Overlay().OracleSuccessor(id.Hash("Orders+Product"))
+	x, p := procs[0], procs[1]
+	if !x.srv.owns(rewriter) {
+		x, p = p, x
+	}
+	x.srv.members.mu.Lock()
+	x.srv.members.install(x.srv.members.version+1, p.addr, []string{p.addr})
+	x.srv.members.mu.Unlock()
+
+	if resp := p.c.call(map[string]interface{}{
+		"op": "publish", "node": p.nodeOwnedBy(t), "relation": "Orders", "values": []interface{}{1, "acme", "widget"},
+	}); resp["ok"] != true {
+		t.Fatalf("publish through %s: %v", p.addr, resp)
+	}
+	if lost, _ := p.c.call(map[string]interface{}{"op": "stats"})["lost"].(float64); lost < 1 {
+		t.Fatalf("stats report %v lost after %s refused a delivery, want at least 1", lost, x.addr)
 	}
 }

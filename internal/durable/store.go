@@ -10,6 +10,7 @@ import (
 
 	"cqjoin/internal/chord"
 	"cqjoin/internal/engine"
+	"cqjoin/internal/lockdep"
 	"cqjoin/internal/query"
 	"cqjoin/internal/relation"
 	"cqjoin/internal/wire"
@@ -84,9 +85,9 @@ type Store struct {
 	// holds it across the snapshot, so none observes an op mid-cascade.
 	// Deliveries and views do not take it: they are replayed verbatim and
 	// draw from neither the clock nor the seq space.
-	applyMu sync.Mutex
+	applyMu lockdep.Mutex[storeApplyMu]
 
-	mu       sync.Mutex // orders file appends: file order == LSN order
+	mu       lockdep.Mutex[storeMu] // orders file appends: file order == LSN order
 	f        *os.File
 	lsn      uint64 // last appended LSN
 	synced   uint64 // last fsynced LSN
@@ -101,6 +102,15 @@ type Store struct {
 	pending *snapImage
 	recs    []any
 	torn    int64
+}
+
+type storeApplyMu struct{} // Store.applyMu's lock class
+type storeMu struct{}      // Store.mu's lock class
+
+// HeldAcrossSends: an op holds applyMu across its apply, whose engine call
+// sends and, over TCP, waits for acks (logged).
+func (storeApplyMu) HeldAcrossSends() string {
+	return "apply order is log order until the durable commit is pipelined (ROADMAP B)"
 }
 
 // Open loads (or creates) the durable state under dir. The returned

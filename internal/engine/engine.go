@@ -16,10 +16,10 @@ package engine
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"cqjoin/internal/chord"
 	"cqjoin/internal/id"
+	"cqjoin/internal/lockdep"
 	"cqjoin/internal/metrics"
 	"cqjoin/internal/obs"
 	"cqjoin/internal/query"
@@ -153,7 +153,7 @@ type Engine struct {
 	hotK    int                   // shard count k of a promoted input; 0 while hot-key sharding is off
 	memo    *wire.Memo            // WireCodec's: what a receiving process has decoded
 
-	mu        sync.Mutex
+	mu        lockdep.Mutex[engineMu]
 	states    map[*chord.Node]*nodeState
 	seq       map[string]int      // per-subscriber query sequence numbers
 	subs      map[string]standing // query key -> the query its subscriber here indexed
@@ -163,6 +163,8 @@ type Engine struct {
 	count     int            // notifications delivered since the last ResetNotifications
 	sink      []Notification // those of them no onNotify callback was installed to take
 }
+
+type engineMu struct{} // Engine.mu's lock class
 
 // New creates an engine over the given overlay and schema catalog, has the
 // overlay price its messages by their encodings (sizeAfter), and attaches it

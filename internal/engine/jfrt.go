@@ -1,10 +1,9 @@
 package engine
 
 import (
-	"sync"
-
 	"cqjoin/internal/chord"
 	"cqjoin/internal/id"
+	"cqjoin/internal/lockdep"
 	"cqjoin/internal/obs"
 )
 
@@ -20,9 +19,11 @@ import (
 // the identifier the rewriter sends to, and bounded by jfrtMax: full, it is
 // dropped and restarted.
 type jfrtCache struct {
-	mu      sync.Mutex
+	mu      lockdep.Mutex[jfrtCacheMu]
 	entries map[id.ID]*chord.Node
 }
+
+type jfrtCacheMu struct{} // jfrtCache.mu's lock class
 
 // jfrtMax bounds one rewriter's table.
 const jfrtMax = 1 << 16

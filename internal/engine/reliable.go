@@ -44,16 +44,13 @@ func (e *Engine) retry(kind string, node *chord.Node, send func() bool) bool {
 
 // retryFailed re-sends every deliverable of batch whose recipient slot is
 // still nil, up to Config.MaxRetries attempts each, and returns the updated
-// recipient slice. It is a no-op when retries are disabled. Deliverables
-// unacked after the budget are charged to the traffic ledger's lost
-// counter — the completeness invariant tolerates a loss probability of
+// recipient slice. Deliverables unacked after the budget, every one of them
+// when the budget is 0, as cqjoind runs, are charged to the traffic ledger's
+// lost counter — the completeness invariant tolerates a loss probability of
 // p_drop^(1+MaxRetries), negligible for the budgets chaos runs configure.
 func (e *Engine) retryFailed(from *chord.Node, batch []chord.Deliverable, recipients []*chord.Node) []*chord.Node {
 	if recipients == nil {
 		recipients = make([]*chord.Node, len(batch))
-	}
-	if e.cfg.MaxRetries <= 0 {
-		return recipients
 	}
 	var pending []int
 	for i, r := range recipients {

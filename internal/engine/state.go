@@ -3,10 +3,10 @@ package engine
 import (
 	"maps"
 	"slices"
-	"sync"
 
 	"cqjoin/internal/chord"
 	"cqjoin/internal/id"
+	"cqjoin/internal/lockdep"
 	"cqjoin/internal/metrics"
 	"cqjoin/internal/query"
 	"cqjoin/internal/relation"
@@ -33,7 +33,7 @@ type nodeState struct {
 	node   *chord.Node
 	load   metrics.Load
 
-	mu           sync.Mutex
+	mu           lockdep.Mutex[nodeStateMu]
 	alqt         map[string]*alBucket
 	vl           map[id.ID]vlSlot
 	vstore       map[string]*daivBucket
@@ -46,6 +46,8 @@ type nodeState struct {
 	retracted    map[string]struct{}  // queries retracted here: refused from then on (unsubscribe.go)
 	hot          map[string]*hotInput // the hot-key detector at the inputs this node is the base of (hotkey.go); nil while the layer is off
 }
+
+type nodeStateMu struct{} // nodeState.mu's lock class
 
 // A rewriter's verdict on an attribute-level input, as it answers a publisher
 // that asks (alAskMsg's reply) and as the publisher keeps it

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -97,6 +98,25 @@ func TestParallelEquality(t *testing.T) {
 	if seq.String() != par.String() {
 		t.Fatalf("tables differ between 1 and %d workers:\n--- sequential\n%s\n--- parallel\n%s", Parallelism(), &seq, &par)
 	}
+}
+
+// TestForEachRepanicsACellsPanic: a cell's panic ends no worker early, and
+// ForEach raises it in its caller once every cell has run.
+func TestForEachRepanicsACellsPanic(t *testing.T) {
+	defer SetParallelism(0)
+	SetParallelism(2)
+	var ran atomic.Int64
+	defer func() {
+		if r := recover(); r != "cell 3" || ran.Load() != 8 {
+			t.Fatalf("recovered %v after %d cells, want cell 3 after 8", r, ran.Load())
+		}
+	}()
+	ForEach(8, func(i int) {
+		ran.Add(1)
+		if i == 3 {
+			panic("cell 3")
+		}
+	})
 }
 
 func TestPrintCSV(t *testing.T) {

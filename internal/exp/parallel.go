@@ -54,8 +54,7 @@ func ForEach(n int, fn func(i int)) {
 	var (
 		next     atomic.Int64
 		wg       sync.WaitGroup
-		panicMu  sync.Mutex
-		panicked any
+		panicked atomic.Pointer[any] // the first panic a cell raised
 	)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -69,11 +68,7 @@ func ForEach(n int, fn func(i int)) {
 				func() {
 					defer func() {
 						if r := recover(); r != nil {
-							panicMu.Lock()
-							if panicked == nil {
-								panicked = r
-							}
-							panicMu.Unlock()
+							panicked.CompareAndSwap(nil, &r)
 						}
 					}()
 					fn(i)
@@ -82,8 +77,8 @@ func ForEach(n int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
+	if p := panicked.Load(); p != nil {
+		panic(*p)
 	}
 }
 

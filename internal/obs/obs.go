@@ -19,8 +19,9 @@ package obs
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
+
+	"cqjoin/internal/lockdep"
 )
 
 // Counter is a monotonically increasing (or explicitly reset) int64 metric.
@@ -113,9 +114,11 @@ func (g *Gauge) HighWater() int64 {
 // interned on first use; the steady-state path is a read-locked map lookup
 // plus an atomic add. A nil *CounterVec discards all updates.
 type CounterVec struct {
-	mu sync.RWMutex
+	mu lockdep.RWMutex[counterVecMu]
 	m  map[string]*Counter
 }
+
+type counterVecMu struct{} // CounterVec.mu's lock class
 
 // With returns the counter for the given label value, creating it on first
 // use. Returns nil (the no-op counter) on a nil receiver.
@@ -196,11 +199,13 @@ func (v *CounterVec) Reset() {
 // layer: every constructor returns a nil handle and every handle method is
 // a no-op. Construct with NewRegistry.
 type Registry struct {
-	mu       sync.Mutex
+	mu       lockdep.Mutex[registryMu]
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	vecs     map[string]*CounterVec
 }
+
+type registryMu struct{} // Registry.mu's lock class
 
 // NewRegistry creates an empty, enabled registry.
 func NewRegistry() *Registry {

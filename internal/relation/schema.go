@@ -5,9 +5,10 @@ import (
 	"hash/fnv"
 	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"unicode"
+
+	"cqjoin/internal/lockdep"
 )
 
 // Schema describes a relation: its name and the ordered attribute names.
@@ -25,9 +26,11 @@ type Schema struct {
 	// projections interns the sub-schemas Projection has handed out, so
 	// every query needing the same attributes of this relation shares one
 	// *Schema. Queries come in few shapes: a list searched in order.
-	projMu      sync.Mutex
+	projMu      lockdep.Mutex[schemaProjMu]
 	projections []*Schema
 }
+
+type schemaProjMu struct{} // Schema.projMu's lock class
 
 // NewSchema builds a schema. The relation and attribute names must be
 // identifiers (isIdent), the only names a query can spell, and the attribute

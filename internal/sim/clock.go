@@ -3,7 +3,7 @@
 // and deterministic random sources for reproducible workloads.
 package sim
 
-import "sync"
+import "cqjoin/internal/lockdep"
 
 // Clock is the single logical clock of a simulated network. The paper
 // assumes nodes synchronize real clocks within a few milliseconds via NTP;
@@ -14,10 +14,12 @@ import "sync"
 // The zero Clock is ready to use and starts at time 1 so that time value 0
 // can mean "unset".
 type Clock struct {
-	mu        sync.Mutex
+	mu        lockdep.Mutex[clockMu]
 	now       int64
 	listeners []func(now int64)
 }
+
+type clockMu struct{} // Clock.mu's lock class
 
 // AddListener registers fn to run after every Tick or Advance, outside the
 // clock's lock, with the new time. The chaos layer hangs its delay queue

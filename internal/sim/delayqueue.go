@@ -2,7 +2,8 @@ package sim
 
 import (
 	"container/heap"
-	"sync"
+
+	"cqjoin/internal/lockdep"
 )
 
 // DelayQueue holds deferred actions ordered by logical due time. A fault
@@ -11,10 +12,12 @@ import (
 // a deterministic, replayable event. Ties on the due time release in push
 // order, so a run is reproducible from the sequence of pushes alone.
 type DelayQueue struct {
-	mu    sync.Mutex
+	mu    lockdep.Mutex[delayQueueMu]
 	items delayHeap
 	seq   int64
 }
+
+type delayQueueMu struct{} // DelayQueue.mu's lock class
 
 type delayItem struct {
 	due int64

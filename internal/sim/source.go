@@ -2,7 +2,8 @@ package sim
 
 import (
 	"math/rand"
-	"sync"
+
+	"cqjoin/internal/lockdep"
 )
 
 // Source is a mutex-guarded deterministic random source. Every stochastic
@@ -10,9 +11,11 @@ import (
 // probes) draws from its own Source so that one int64 seed reproduces the
 // whole run event for event, even when components interleave.
 type Source struct {
-	mu sync.Mutex
+	mu lockdep.Mutex[sourceMu]
 	r  *rand.Rand
 }
+
+type sourceMu struct{} // Source.mu's lock class
 
 // NewSource returns a Source seeded with the given value.
 func NewSource(seed int64) *Source {

@@ -3,9 +3,9 @@ package transport
 import (
 	"bufio"
 	"net"
-	"sync"
 	"time"
 
+	"cqjoin/internal/lockdep"
 	"cqjoin/internal/wire"
 )
 
@@ -40,7 +40,7 @@ type clientConn struct {
 	// wmu serializes seq assignment, building a request in w, claiming its
 	// slot and writing it; the request frame carrying a seq is on the wire
 	// before any later seq can be assigned.
-	wmu sync.Mutex
+	wmu lockdep.Mutex[clientConnWmu]
 	seq uint64
 	w   wire.Buffer
 
@@ -48,11 +48,14 @@ type clientConn struct {
 	// first fatal error and closes the socket, which unblocks the read loop to
 	// fail every slot still awaiting its reply. claim runs under errMu, so no
 	// request can slip in after that final drain.
-	errMu sync.Mutex
+	errMu lockdep.Mutex[clientConnErrMu]
 	werr  error
 	slots []*slot // every slot made: as many as requests were ever in flight at once
 	free  []*slot
 }
+
+type clientConnWmu struct{}   // clientConn.wmu's lock class
+type clientConnErrMu struct{} // clientConn.errMu's lock class
 
 // newClientConn wraps a freshly dialed connection. The caller performs the
 // hello exchange before any RPC uses it.
@@ -141,7 +144,12 @@ func (cc *clientConn) failAll() {
 // peer is what a transport keeps for one peer address: its connection, and
 // the lock that lets one dial to it run at a time.
 type peer struct {
-	dial   sync.Mutex  // held across a dial and its hello; never taken under TCP.mu
+	// dial is held across a dial and its hello. It is never taken under
+	// TCP.mu: conn takes TCP.mu under it, and the lock gate fails a test
+	// that takes the two in the other order.
+	dial   lockdep.Mutex[peerDial]
 	conn   *clientConn // guarded by TCP.mu; nil, or poisoned, while a dial is due
 	dialed bool        // guarded by dial: a later dial is a reconnect
 }
+
+type peerDial struct{} // peer.dial's lock class

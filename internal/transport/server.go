@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"cqjoin/internal/chord"
+	"cqjoin/internal/lockdep"
 	"cqjoin/internal/wire"
 )
 
@@ -141,13 +142,16 @@ type inboundFrame struct {
 type connServer struct {
 	t       *TCP
 	c       net.Conn
-	wmu     sync.Mutex
+	wmu     lockdep.Mutex[connServerWmu]
 	dead    atomic.Bool
-	freeMu  sync.Mutex
+	freeMu  lockdep.Mutex[connServerFreeMu]
 	free    []*serveState
 	frames  chan inboundFrame
 	workers sync.WaitGroup
 }
+
+type connServerWmu struct{}    // connServer.wmu's lock class
+type connServerFreeMu struct{} // connServer.freeMu's lock class
 
 // work serves f, then every frame handed to it while it waits idle, until
 // the connection's read loop closes the channel.

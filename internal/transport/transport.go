@@ -36,6 +36,7 @@ import (
 
 	"cqjoin/internal/chord"
 	"cqjoin/internal/id"
+	"cqjoin/internal/lockdep"
 	"cqjoin/internal/obs"
 	"cqjoin/internal/wire"
 )
@@ -163,10 +164,10 @@ type TCP struct {
 	cfg Config
 	obs tObs
 
-	rngMu sync.Mutex
+	rngMu lockdep.Mutex[tcpRngMu]
 	rng   *rand.Rand
 
-	mu          sync.Mutex
+	mu          lockdep.Mutex[tcpMu]
 	ln          net.Listener
 	peers       map[string]*peer // by address: at most one live client connection each
 	serverConns map[net.Conn]*connServer
@@ -177,6 +178,9 @@ type TCP struct {
 	// Add happens under mu while !closed, so it cannot race Close's Wait.
 	wg sync.WaitGroup
 }
+
+type tcpRngMu struct{} // TCP.rngMu's lock class
+type tcpMu struct{}    // TCP.mu's lock class
 
 // New validates cfg, fills defaults and builds a transport. Call Start to
 // begin accepting peer connections, and Close to tear everything down.
@@ -276,6 +280,7 @@ func (t *TCP) Deliver(from, dst *chord.Node, msg chord.Message) bool {
 // which starts over with an entry in full; each frame's entries are encoded,
 // each behind the one before it, straight into its connection's frame buffer.
 func (t *TCP) DeliverBatch(from, dst *chord.Node, msgs []chord.Message) []bool {
+	lockdep.Sending("transport.TCP.DeliverBatch")
 	acks := make([]bool, len(msgs))
 	if len(msgs) == 0 {
 		return acks
@@ -652,6 +657,7 @@ func (t *TCP) writeAndAwait(cc *clientConn, seq uint64, frame []byte) (*slot, er
 // delivery RPC; the join is idempotent on the receiver (re-admitting an
 // already-listed address just returns the current view).
 func (t *TCP) SendJoin(addr string) (*wire.MemberView, error) {
+	lockdep.Sending("transport.TCP.SendJoin")
 	var v *wire.MemberView
 	err := t.rpc(addr, frameView, func(w *wire.Buffer, seq uint64) error {
 		joinInto(w, seq, t.cfg.Self)
@@ -666,6 +672,7 @@ func (t *TCP) SendJoin(addr string) (*wire.MemberView, error) {
 // SendView gossips a membership view to the process at addr and returns
 // the receiver's view version after it applied (or ignored) the gossip.
 func (t *TCP) SendView(addr string, v *wire.MemberView) (uint64, error) {
+	lockdep.Sending("transport.TCP.SendView")
 	var version uint64
 	err := t.rpc(addr, frameViewAck, func(w *wire.Buffer, seq uint64) error {
 		viewInto(w, seq, v)

@@ -3,8 +3,8 @@ package wire
 import (
 	"bytes"
 	"fmt"
-	"sync"
 
+	"cqjoin/internal/lockdep"
 	"cqjoin/internal/obs"
 	"cqjoin/internal/query"
 	"cqjoin/internal/relation"
@@ -20,7 +20,7 @@ import (
 // dropped and restarted. The zero Memo is ready to use; one Memo serves
 // concurrent decoders.
 type Memo struct {
-	mu      sync.Mutex
+	mu      lockdep.Mutex[memoMu]
 	queries map[string]*query.Query // by Key(q); returned only on an exact match
 	parsed  map[string]*query.Query // by SQL text, without identity: a token form is looked up by the text it spells
 	strs    map[string]string
@@ -29,6 +29,8 @@ type Memo struct {
 	// restarts. Nil counters discard.
 	Hits, Misses, Resets *obs.Counter
 }
+
+type memoMu struct{} // Memo.mu's lock class
 
 // memoMax bounds a Memo's entries, the three tables together: a few MB at
 // worst, far above a daemon's standing queries and their subscribers.

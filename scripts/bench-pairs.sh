@@ -13,8 +13,9 @@
 # runs, `cqbench -out <side>/.bench_build/out --workload W --seed N --seconds
 # S`. Pair i runs the parent first when i is odd and the change first when it
 # is even. Every run's output stays in .bench_build/pairs/runs/W/, one file a
-# pair and side: a call for another workload leaves it, and only the two
-# unpacked trees are cleared before each call rebuilds them.
+# pair and side. Each call clears that directory and the two unpacked trees
+# before it rebuilds them, so the files there are all its own; a call for
+# another workload leaves them.
 #
 # A bound is relative to the parent's median: a metric is past it when the
 # change's median is worse by more than that fraction, and unresolved when
@@ -60,7 +61,7 @@ change=$(git rev-parse --verify "${change:-HEAD}^{commit}")
 build="$root/.bench_build"
 work="$build/pairs"
 runs="$work/runs/$workload"
-rm -rf "$work/parent" "$work/change"
+rm -rf "$work/parent" "$work/change" "$runs"
 mkdir -p "$runs" "$build/tmp"
 export GOCACHE="$build/gocache" GOMODCACHE="$build/gomod" GOTMPDIR="$build/tmp" TMPDIR="$build/tmp"
 export GOPROXY=off GOTOOLCHAIN=local GOFLAGS=
