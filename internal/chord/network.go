@@ -3,6 +3,7 @@ package chord
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"cqjoin/internal/id"
 	"cqjoin/internal/lockdep"
@@ -37,31 +38,31 @@ type Network struct {
 	clock       *sim.Clock
 	handbacks   obs.Counter // hops back to the owner after a final hop (land)
 
-	icMu        lockdep.RWMutex[networkIcMu]
-	interceptor Interceptor
+	interceptor atomic.Pointer[Interceptor] // SetInterceptor's; nil: none
 
 	sizer func(msg, prev Message) (size, shared int) // SetSizer's; nil: no bytes charged
 
-	// trMu guards the pluggable delivery transport (transport.go). simT is
-	// the pre-built in-process default, created once so the hot path never
-	// boxes a fresh interface value.
-	trMu   lockdep.RWMutex[networkTrMu]
-	custom Transport
-	simT   Transport
+	// transport is the pluggable delivery transport (transport.go), never
+	// nil once New returns. simT is the in-process default, boxed once so
+	// that restoring it stores a pointer and a delivery loads one.
+	transport atomic.Pointer[Transport]
+	simT      Transport
 }
 
-type networkMu struct{}   // Network.mu's lock class
-type networkIcMu struct{} // Network.icMu's lock class
-type networkTrMu struct{} // Network.trMu's lock class
+type networkMu struct{} // Network.mu's lock class
 
 // SetInterceptor installs (or, with nil, removes) the delivery interceptor.
 // Every subsequent message delivery — routed, direct or relayed inside a
 // multisend — passes through it. There is exactly one slot: fault layers
-// that compose should wrap each other before installing.
+// that compose should wrap each other before installing. It may be called
+// at any time, also while messages are in flight: a delivery reads the slot
+// once, atomically, and runs the interceptor it read.
 func (net *Network) SetInterceptor(ic Interceptor) {
-	net.icMu.Lock()
-	defer net.icMu.Unlock()
-	net.interceptor = ic
+	if ic == nil {
+		net.interceptor.Store(nil)
+		return
+	}
+	net.interceptor.Store(&ic)
 }
 
 // SetSizer installs the function that prices a message for the byte ledger:
@@ -76,9 +77,10 @@ func (net *Network) SetSizer(size func(msg, prev Message) (size, shared int)) { 
 
 // Interceptor returns the installed delivery interceptor, or nil.
 func (net *Network) Interceptor() Interceptor {
-	net.icMu.RLock()
-	defer net.icMu.RUnlock()
-	return net.interceptor
+	if ic := net.interceptor.Load(); ic != nil {
+		return *ic
+	}
+	return nil
 }
 
 // New creates an empty overlay.
@@ -93,6 +95,7 @@ func New(cfg Config) *Network {
 		clock:       &sim.Clock{},
 	}
 	net.simT = &simTransport{net: net}
+	net.transport.Store(&net.simT)
 	return net
 }
 
@@ -508,9 +511,22 @@ func (net *Network) buildFingers(n *Node) {
 
 // fingersOfLocked returns n's exact finger table, entry j the owner of
 // id(n) + 2^j. Callers hold net.mu, on a ring that is not empty.
+//
+// Entry 0 is next, the first ring node past id(n), n itself included or not.
+// With d its clockwise distance and b = d.BitLen(), every j < b has
+// 2^j <= 2^(b-1) <= d, so id(n) + 2^j lies in (id(n), id(next)], where no
+// other node is: entry j is next, with no search. Only the entries from b up,
+// about log2 N of them, are searched (all of them on a ring of one node,
+// where d is 0).
 func (net *Network) fingersOfLocked(n *Node) (table [id.Bits]*Node) {
+	next := net.ring[net.ringIndexLocked(n.id.AddPow2(0))%len(net.ring)]
+	b := id.Distance(n.id, next.id).BitLen()
 	for j := range table {
-		table[j] = net.ring[net.ringIndexLocked(n.id.AddPow2(uint(j)))%len(net.ring)]
+		if j < b {
+			table[j] = next
+		} else {
+			table[j] = net.ring[net.ringIndexLocked(n.id.AddPow2(uint(j)))%len(net.ring)]
+		}
 	}
 	return table
 }
@@ -541,7 +557,9 @@ func (net *Network) MoveNode(n *Node, newID id.ID) (*Node, error) {
 // RepairAll rebuilds exact predecessor pointers, successor lists and finger
 // tables for every node — the fixed point the periodic stabilization
 // protocol converges to. Experiments on static networks call it once after
-// construction.
+// construction. A table costs about log2 N searches of the ring index, not
+// 160: every finger that starts short of a node's successor is that
+// successor (fingersOfLocked).
 func (net *Network) RepairAll() {
 	net.mu.RLock()
 	defer net.mu.RUnlock()

@@ -72,24 +72,21 @@ func (t *simTransport) DeliverBatch(from, dst *Node, msgs []Message) []bool {
 }
 
 // SetTransport installs (or, with nil, restores the simulated default)
-// delivery transport. Install before any traffic flows; the routing and
-// accounting layers above the transport are unchanged either way.
+// delivery transport; the routing and accounting layers above the transport
+// are unchanged either way. It may be called at any time, also while
+// messages are in flight: each delivery reads the slot once, atomically, and
+// uses the transport it read.
 func (net *Network) SetTransport(t Transport) {
-	net.trMu.Lock()
-	defer net.trMu.Unlock()
-	net.custom = t
+	if t == nil {
+		net.transport.Store(&net.simT)
+		return
+	}
+	net.transport.Store(&t)
 }
 
 // Transport returns the delivery transport in effect: the installed custom
 // transport, or the in-process simulated default.
-func (net *Network) Transport() Transport {
-	net.trMu.RLock()
-	defer net.trMu.RUnlock()
-	if net.custom != nil {
-		return net.custom
-	}
-	return net.simT
-}
+func (net *Network) Transport() Transport { return *net.transport.Load() }
 
 // DeliverLocal hands msg straight to the alive node with the given key on
 // this process — the receive path of a remote transport, which has already

@@ -5,9 +5,9 @@
 // variation, top-k shares) used to plot the load-balance figures.
 //
 // The ledger and the load counters are thin facades over internal/obs:
-// every count lives in an obs.CounterVec / obs.Counter, so the hot-path
-// cost is an interned map read plus an atomic add instead of a
-// mutex-guarded map write.
+// every count lives in an obs.CounterVec / obs.Counter, so a record is an
+// atomic load, a read of an immutable map and an atomic add, with no lock;
+// only a kind's first record copies its family's map.
 package metrics
 
 import (

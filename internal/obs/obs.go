@@ -14,11 +14,13 @@
 // Metric names are dotted paths ("engine.vl_forwards", "daemon.listeners").
 // Dimensions (per message kind, per algorithm, per node) are modelled by
 // CounterVec, which interns one *Counter per label value so steady-state
-// recording is a map read plus an atomic add, with no per-event formatting.
+// recording is an atomic load, a map read and an atomic add, with no lock
+// and no per-event formatting.
 package obs
 
 import (
 	"fmt"
+	"maps"
 	"sync/atomic"
 
 	"cqjoin/internal/lockdep"
@@ -111,14 +113,25 @@ func (g *Gauge) HighWater() int64 {
 
 // CounterVec is a family of counters sharing one name and distinguished by
 // one label value (a message kind, an algorithm, a node key). Counters are
-// interned on first use; the steady-state path is a read-locked map lookup
-// plus an atomic add. A nil *CounterVec discards all updates.
+// interned on first use in a map that is never written once published: a
+// label's first With copies it with the new counter under mu, so the
+// steady-state path is an atomic load, a map read and an atomic add, and no
+// read takes a lock. The zero CounterVec is ready to use; a nil *CounterVec
+// discards all updates.
 type CounterVec struct {
-	mu lockdep.RWMutex[counterVecMu]
-	m  map[string]*Counter
+	mu lockdep.Mutex[counterVecMu] // serializes the copies of first uses
+	m  atomic.Pointer[map[string]*Counter]
 }
 
 type counterVecMu struct{} // CounterVec.mu's lock class
+
+// labels returns the family's current, immutable label map (nil: empty).
+func (v *CounterVec) labels() map[string]*Counter {
+	if m := v.m.Load(); m != nil {
+		return *m
+	}
+	return nil
+}
 
 // With returns the counter for the given label value, creating it on first
 // use. Returns nil (the no-op counter) on a nil receiver.
@@ -126,19 +139,20 @@ func (v *CounterVec) With(label string) *Counter {
 	if v == nil {
 		return nil
 	}
-	v.mu.RLock()
-	c, ok := v.m[label]
-	v.mu.RUnlock()
-	if ok {
+	if c, ok := v.labels()[label]; ok {
 		return c
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if c, ok = v.m[label]; ok {
+	old := v.labels()
+	if c, ok := old[label]; ok {
 		return c
 	}
-	c = &Counter{}
-	v.m[label] = c
+	m := make(map[string]*Counter, len(old)+1)
+	maps.Copy(m, old)
+	c := &Counter{}
+	m[label] = c
+	v.m.Store(&m)
 	return c
 }
 
@@ -150,9 +164,7 @@ func (v *CounterVec) Value(label string) int64 {
 	if v == nil {
 		return 0
 	}
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return v.m[label].Value()
+	return v.labels()[label].Value()
 }
 
 // Total sums the counts across all labels.
@@ -160,10 +172,8 @@ func (v *CounterVec) Total() int64 {
 	if v == nil {
 		return 0
 	}
-	v.mu.RLock()
-	defer v.mu.RUnlock()
 	var n int64
-	for _, c := range v.m {
+	for _, c := range v.labels() {
 		n += c.Value()
 	}
 	return n
@@ -174,10 +184,9 @@ func (v *CounterVec) Snapshot() map[string]int64 {
 	if v == nil {
 		return nil
 	}
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	out := make(map[string]int64, len(v.m))
-	for label, c := range v.m {
+	m := v.labels()
+	out := make(map[string]int64, len(m))
+	for label, c := range m {
 		out[label] = c.Value()
 	}
 	return out
@@ -192,7 +201,7 @@ func (v *CounterVec) Reset() {
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.m = make(map[string]*Counter)
+	v.m.Store(nil)
 }
 
 // Registry is a namespace of metrics. A nil *Registry is the disabled
@@ -258,7 +267,7 @@ func (r *Registry) CounterVec(name string) *CounterVec {
 	defer r.mu.Unlock()
 	v, ok := r.vecs[name]
 	if !ok {
-		v = &CounterVec{m: make(map[string]*Counter)}
+		v = &CounterVec{}
 		r.vecs[name] = v
 	}
 	return v

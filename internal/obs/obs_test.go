@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -86,6 +87,107 @@ func TestRegistryConcurrency(t *testing.T) {
 	}
 	if got := r.CounterVec("v").Total(); got != 8000 {
 		t.Fatalf("concurrent vec total = %d, want 8000", got)
+	}
+}
+
+// With, Value, Total and Snapshot read a family's label map without a lock
+// while first uses copy it. Writers intern fresh labels and repeat known ones
+// while readers read; every label must resolve to one counter, and the
+// counts must be the adds made. Under -race this is where a read the
+// published map does not cover shows.
+func TestCounterVecReadsWhileLabelsIntern(t *testing.T) {
+	const writers, labels, rounds = 4, 48, 50
+	v := NewRegistry().CounterVec("v")
+	got := make([][labels]*Counter, writers)
+	var wg, readers sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				total := v.Total()
+				var sum int64
+				for _, n := range v.Snapshot() {
+					sum += n
+				}
+				if total < 0 || sum < 0 || v.Value("l0") < 0 || total > writers*labels*rounds {
+					t.Errorf("read total %d, snapshot sum %d", total, sum)
+					return
+				}
+			}
+		}()
+	}
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round := 0; round < rounds; round++ {
+				for i := 0; i < labels; i++ {
+					// Each writer walks the labels from its own start, so
+					// first uses of a label race between writers.
+					l := (i + w*labels/writers) % labels
+					c := v.With(fmt.Sprintf("l%d", l))
+					if got[w][l] == nil {
+						got[w][l] = c
+					} else if got[w][l] != c {
+						t.Errorf("writer %d: label l%d resolved to two counters", w, l)
+					}
+					c.Inc()
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+	for l := 0; l < labels; l++ {
+		label := fmt.Sprintf("l%d", l)
+		for w := 1; w < writers; w++ {
+			if got[w][l] != got[0][l] {
+				t.Fatalf("label %s resolved to two counters across writers", label)
+			}
+		}
+		if v.With(label) != got[0][l] {
+			t.Fatalf("label %s resolves to a counter no writer got", label)
+		}
+		if n := v.Value(label); n != writers*rounds {
+			t.Fatalf("%s = %d, want %d", label, n, writers*rounds)
+		}
+	}
+	if n := v.Total(); n != writers*labels*rounds {
+		t.Fatalf("total = %d, want %d", n, writers*labels*rounds)
+	}
+	if len(v.Snapshot()) != labels {
+		t.Fatalf("snapshot has %d labels, want %d", len(v.Snapshot()), labels)
+	}
+}
+
+// A known label's With is a load and a map read: it allocates nothing.
+func TestCounterVecWithAllocatesNothing(t *testing.T) {
+	v := NewRegistry().CounterVec("v")
+	v.Add("known", 1)
+	if n := testing.AllocsPerRun(100, func() { v.With("known").Inc() }); n != 0 {
+		t.Fatalf("With on a known label: %v allocations, want 0", n)
+	}
+}
+
+// Reset empties the family; a label used after it is interned afresh.
+func TestCounterVecReset(t *testing.T) {
+	var v CounterVec
+	old := v.With("k")
+	old.Add(3)
+	v.Reset()
+	if v.Total() != 0 || v.Value("k") != 0 || len(v.Snapshot()) != 0 {
+		t.Fatalf("after Reset: total %d, snapshot %v", v.Total(), v.Snapshot())
+	}
+	if v.With("k") == old {
+		t.Fatal("Reset kept the old counter reachable")
 	}
 }
 
