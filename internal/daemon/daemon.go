@@ -421,8 +421,9 @@ func (s *Server) spread(v *wire.MemberView) error {
 
 // exportMoved hands off every node whose owner under the current view is
 // another process, and reports whether any hand-off was acked. Only nodes
-// with non-empty movable state cross the wire; re-running after a partial
-// failure is therefore cheap and safe. A handoff the new owner never acked
+// with non-empty movable state cross the wire, a process that retracted a
+// query having its retraction memory to send with each; re-running after a
+// partial failure is safe. A handoff the new owner never acked
 // is re-imported locally so state is never dropped on the floor, and the
 // pass sends that owner nothing more: a peer that is down would cost every
 // further node a full RPC budget. What it keeps, the next view event or the

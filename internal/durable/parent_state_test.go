@@ -37,15 +37,23 @@ import (
 // byte, what 3d63375 wrote: the last whose value-level sections say their
 // input, which recovery hashes, not their identifier; state-pr58 at 7c5f42a,
 // the last whose snapshot meta says each standing query's key and inputs but
-// not the query, so that the queries it restores cannot be retracted by key.
+// not the query, so that the queries it restores cannot be retracted by key;
+// state-pr68 at f861414, the last whose snapshot sections each say their
+// node's retraction memory, where the meta now says the process's once — here
+// none, the checkpoint preceding the retraction, so that a build writing the
+// meta's memory writes these files byte for byte too.
 // snapshot.bin is a graceful checkpoint taken mid-script, wal.log the records
 // appended after it up to a kill -9.
 
-var parentStateDirs = []string{"testdata/state-pr18", "testdata/state-pr19", "testdata/state-pr20", "testdata/state-pr25", "testdata/state-pr32", "testdata/state-pr36", "testdata/state-pr38", "testdata/state-pr58"}
+var parentStateDirs = []string{"testdata/state-pr18", "testdata/state-pr19", "testdata/state-pr20", "testdata/state-pr25", "testdata/state-pr32", "testdata/state-pr36", "testdata/state-pr38", "testdata/state-pr58", "testdata/state-pr68"}
 
 // parentStateUnmarked is the last of parentStateDirs whose writer kept no
 // interest marks: recovery derives none for the ones after it.
 const parentStateUnmarked = "testdata/state-pr25"
+
+// parentStateUnstanding is the last of parentStateDirs whose snapshot says no
+// standing query: those after it restore theirs.
+const parentStateUnstanding = "testdata/state-pr58"
 
 const (
 	parentStateNodes = 32
@@ -207,9 +215,13 @@ func parentStateRecovers(t *testing.T, from string, consumed bool) {
 	if got := eng.NotificationCount(); got != parentStateNotifs+1 {
 		t.Fatalf("a fresh matching pair delivered %d notifications, want 1", got-parentStateNotifs)
 	}
-	// A parent's snapshot says no standing query: only the one its log
+	// Up to PR 58 a snapshot says no standing query: only the one its log
 	// replays stands.
-	checkStanding(t, eng, false)
+	checkStanding(t, eng, slices.Index(parentStateDirs, from) > slices.Index(parentStateDirs, parentStateUnstanding))
+	// The retraction the log replays is remembered once, by the process.
+	if got := eng.Census()["retracted"]; got != (engine.CensusEntry{Sum: 1, Max: 1}) {
+		t.Fatalf("recovery remembers %+v retractions, want the one the log replays", got)
+	}
 }
 
 // checkStanding holds eng, recovered from parentStateScript's files, to the

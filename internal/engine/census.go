@@ -15,13 +15,14 @@ type CensusEntry struct{ Sum, Max int }
 //   - alqt_queries, alqt_purge_entries (the inputs on the condition groups'
 //     purge lists, each once a group however many of its queries it serves),
 //     alqt_marks and alqt_grants;
-//   - retracted, sub_ips and stored_notifs;
+//   - sub_ips and stored_notifs;
 //   - jfrt_entries, and publisher_verdicts (the attribute-level inputs whose
 //     rewriter told a publisher whether a query reads them);
 //   - hot_counters and hot_entries, the inputs the hot-key detector tallies
 //     at their bases and those of them it promoted;
-//   - engine-wide, delivered; and wire_memo_queries, wire_memo_parsed and
-//     wire_memo_strings, what the memo of the engine's WireCodec holds.
+//   - engine-wide, delivered and retracted (the retraction memory); and
+//     wire_memo_queries, wire_memo_parsed and wire_memo_strings, what the
+//     memo of the engine's WireCodec holds.
 //
 // It takes each live node's lock in turn, and costs nothing until called.
 func (e *Engine) Census() map[string]CensusEntry {
@@ -32,6 +33,7 @@ func (e *Engine) Census() map[string]CensusEntry {
 	e.mu.Lock()
 	c.engineWide("delivered", e.delivered.len())
 	e.mu.Unlock()
+	c.engineWide("retracted", int(e.retracted.n.Load()))
 	queries, parsed, strs := e.memo.Sizes()
 	c.engineWide("wire_memo_queries", queries)
 	c.engineWide("wire_memo_parsed", parsed)
@@ -136,7 +138,6 @@ func (st *nodeState) census(c census) {
 	c.add("alqt_purge_entries", targets)
 	c.add("alqt_marks", marks)
 	c.add("alqt_grants", grants)
-	c.add("retracted", len(st.retracted))
 	c.add("sub_ips", len(st.subIPs))
 	c.add("stored_notifs", h.notifs)
 	c.add("publisher_verdicts", verdicts)

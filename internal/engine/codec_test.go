@@ -155,6 +155,9 @@ func codecFixtures(t testing.TB, extra ...*relation.Schema) (*relation.Catalog, 
 			Clock: 12, Nodes: []string{"peer0"}, Subs: []subsEntry{{Key: q.Key(), Inputs: []string{"R+B", "S+E"}}},
 			Marks: true, Standing: []*query.Query{q},
 		},
+		// The meta of a snapshot that says its process's retraction memory
+		// behind its standing queries, here none.
+		snapMetaMsg{Clock: 12, Nodes: []string{"peer0"}, Marks: true, Retracted: []string{"peer3#1", "peer5#2"}},
 	}
 	return full, msgs
 }
@@ -359,7 +362,7 @@ func assertSemanticEqual(t *testing.T, want, got chord.Message) {
 		if g.Clock != w.Clock || g.Multi != w.Multi || g.Count != w.Count || g.Marks != w.Marks ||
 			!same(g.Nodes, w.Nodes) || !same(g.Down, w.Down) || !same(g.Seq, w.Seq) || !same(g.Subs, w.Subs) ||
 			!same(g.HotEpochs, w.HotEpochs) || !same(g.HotCounts, w.HotCounts) || !same(g.Delivered, w.Delivered) ||
-			len(g.Conds) != len(w.Conds) || len(g.Sink) != len(w.Sink) || len(g.Standing) != len(w.Standing) {
+			!same(g.Retracted, w.Retracted) || len(g.Conds) != len(w.Conds) || len(g.Sink) != len(w.Sink) || len(g.Standing) != len(w.Standing) {
 			t.Fatalf("snapMetaMsg mismatch: %+v", g)
 		}
 		for i := range w.Conds {
@@ -610,22 +613,30 @@ func TestDecodeTruncated(t *testing.T) {
 		full := w.Bytes()
 		// Some prefixes are whole messages, cut where an earlier build ended
 		// them: a snapshot meta before Delivered and Count (PR 20), which says
-		// that its Sink is all that was delivered, before Marks (eda9bcf) and
-		// before its standing queries (7c5f42a); a
+		// that its Sink is all that was delivered, before Marks (eda9bcf),
+		// before its standing queries (7c5f42a) and before its retraction
+		// memory (f861414); a
 		// hand-off before its marks and retraction memory (PR 25) and before its
 		// grants (PR 32).
 		whole := map[int]func(chord.Message) bool{}
 		switch m := msg.(type) {
 		case snapMetaMsg:
 			var tail wire.Coder
-			if len(m.Standing) > 0 {
+			if len(m.Retracted) > 0 {
+				tail.Strings(&m.Retracted)
+				whole[len(full)-tail.Size()] = func(got chord.Message) bool {
+					g, ok := got.(snapMetaMsg)
+					return ok && g.Retracted == nil && len(g.Standing) == len(m.Standing) && g.Marks == m.Marks
+				}
+			}
+			if len(m.Standing) > 0 || len(m.Retracted) > 0 {
 				tail.Queries(&m.Standing)
 				whole[len(full)-tail.Size()] = func(got chord.Message) bool {
 					g, ok := got.(snapMetaMsg)
 					return ok && g.Standing == nil && g.Marks == m.Marks && len(g.Subs) == len(m.Subs)
 				}
 			}
-			if m.Marks || len(m.Standing) > 0 {
+			if m.Marks || len(m.Standing) > 0 || len(m.Retracted) > 0 {
 				tail.Bool(&m.Marks)
 				whole[len(full)-tail.Size()] = func(got chord.Message) bool {
 					g, ok := got.(snapMetaMsg)

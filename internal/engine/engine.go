@@ -153,6 +153,8 @@ type Engine struct {
 	hotK    int                   // shard count k of a promoted input; 0 while hot-key sharding is off
 	memo    *wire.Memo            // WireCodec's: what a receiving process has decoded
 
+	retracted retractions // the queries a node of this process retracted (unsubscribe.go)
+
 	mu        lockdep.Mutex[engineMu]
 	states    map[*chord.Node]*nodeState
 	seq       map[string]int      // per-subscriber query sequence numbers

@@ -32,7 +32,7 @@ func (st *nodeState) handleJoin(m *joinMsg) {
 	e := st.engine
 	// A rewrite that arrives behind its query's purge is refused. The
 	// message is not written: a duplicated delivery hands it over again.
-	rws := st.liveRewrites(m.Rewrites)
+	rws := e.liveRewrites(m.Rewrites)
 	var buf [keyScratch]byte
 	var mbuf [matchScratch]match
 	ms := mbuf[:0]

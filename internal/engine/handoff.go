@@ -110,7 +110,7 @@ type handoffMsg struct {
 	VT        []vtSection
 	DV        []dvSection
 	Notifs    []notifSection
-	Retracted []string     // the node's retraction memory, sorted (unsubscribe.go)
+	Retracted []string     // a hand-off's process's retraction memory, sorted; a parent's snapshot section, its node's (unsubscribe.go)
 	Hot       []hotSection // the hot-key detector at the arc's bases, by input; walked behind the VQ targets
 }
 
@@ -182,12 +182,15 @@ func (m handoffMsg) forwarded() bool {
 }
 
 // ExportHandoff removes node n's movable engine state from this process
-// and returns it as a handoffMsg bound for n on its new owning process.
-// The second return is false when there was nothing to move. The caller
-// delivers the message through the transport; a lost delivery loses the
-// state, so callers should use the acked delivery path.
+// and returns it as a handoffMsg bound for n on its new owning process, with
+// a copy of the process's retraction memory, which stays: n's late arrivals
+// are refused there as here. The second return is false when there was
+// nothing to move. The caller delivers the message through the transport; a
+// lost delivery loses the state, so callers should use the acked delivery
+// path.
 func (e *Engine) ExportHandoff(n *chord.Node) (chord.Message, bool) {
 	m := e.state(n).cut(nil, true)
+	m.Retracted = e.retractedKeys()
 	return m, !m.empty()
 }
 
@@ -198,9 +201,8 @@ func (e *Engine) ExportHandoff(n *chord.Node) (chord.Message, bool) {
 // are copied so later engine activity cannot reach into the message; the
 // immutable leaves (tuples, queries, rewrites) are shared. With take set it
 // removes what it renders and adds what only an in-process move carries (the
-// unwalked fields). The retraction memory is keyed by query, not
-// input: every cut copies all of it, and only a taking cut of the whole node
-// empties it.
+// unwalked fields). The retraction memory is the process's, not the node's:
+// no cut renders it.
 func (st *nodeState) cut(inArc func(id.ID) bool, take bool) handoffMsg {
 	var m handoffMsg
 	st.mu.Lock()
@@ -270,10 +272,6 @@ func (st *nodeState) cut(inArc func(id.ID) bool, take bool) handoffMsg {
 	cutEach(st.storedNotifs, inArc, take, func(sub string, batch []Notification) {
 		m.Notifs = append(m.Notifs, notifSection{Subscriber: sub, Batch: append([]Notification(nil), batch...)})
 	})
-	m.Retracted = sortedKeys(st.retracted)
-	if take && inArc == nil {
-		clear(st.retracted)
-	}
 	st.mu.Unlock()
 	return m
 }
@@ -327,9 +325,7 @@ func (st *nodeState) merge(on *chord.Node, m handoffMsg, replayNotifs bool) {
 	for _, sec := range m.DV {
 		st.mergeDAIV(sec)
 	}
-	for _, key := range m.Retracted {
-		st.retract(key)
-	}
+	st.engine.retract(m.Retracted...)
 	if st.engine.hotK > 0 {
 		for _, sec := range m.Hot {
 			st.mergeHot(sec)

@@ -232,7 +232,8 @@ func TestEveryMoveKeepsEveryTable(t *testing.T) {
 				}
 				parcels = append(parcels, parcel{n, decoded})
 			}
-			if left := wireOnly(stateDump(env)); len(left) != 0 {
+			// The retraction memory is the process's, not a node's: it stays.
+			if left := nodeTables(wireOnly(stateDump(env))); len(left) != 0 {
 				t.Fatalf("the hand-off left behind\n%s", strings.Join(left, "\n"))
 			}
 			for _, p := range parcels {
@@ -259,7 +260,7 @@ func censusSums(eng *Engine) map[string]int {
 
 // stateDump renders what the ring stores as a sorted set of lines that name
 // no node: every node's cut, copied, then the probe statistics that only a
-// move inside the process carries.
+// move inside the process carries, and the process's retraction memory.
 func stateDump(env *testEnv) []string {
 	var lines []string
 	add := func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) }
@@ -313,9 +314,6 @@ func stateDump(env *testEnv) []string {
 				add("notif %s %s", sec.Subscriber, n.ContentKey())
 			}
 		}
-		for _, k := range m.Retracted {
-			add("retracted %s", k)
-		}
 		for _, sec := range m.Hot {
 			add("hot %s %d %d %v", sec.Input, sec.Count, sec.WindowStart, sec.Promoted)
 		}
@@ -329,14 +327,25 @@ func stateDump(env *testEnv) []string {
 		}
 		st.mu.Unlock()
 	}
+	for _, k := range env.eng.retractedKeys() {
+		add("retracted %s", k)
+	}
 	sort.Strings(lines)
-	return slices.Compact(lines) // a partial move copies the retraction memory
+	return lines
 }
 
 // wireOnly drops from a dump the lines no wire form carries.
 func wireOnly(dump []string) []string {
 	return slices.DeleteFunc(slices.Clone(dump), func(line string) bool {
 		return strings.HasPrefix(line, "probe ")
+	})
+}
+
+// nodeTables drops from a dump the lines of what the process, not a node,
+// holds.
+func nodeTables(dump []string) []string {
+	return slices.DeleteFunc(slices.Clone(dump), func(line string) bool {
+		return strings.HasPrefix(line, "retracted ")
 	})
 }
 
@@ -355,40 +364,45 @@ func keyTaking(t *testing.T, net *chord.Network, input string) string {
 	return ""
 }
 
-// A move replays the source's retraction memory into the heir's, and an heir
-// that fills up restarts its memory part-way: which keys it keeps depends on
-// the order they arrive in, so two runs from one seed must send one order.
+// A hand-off unions its process's retraction memory into the receiver's, and
+// a memory that fills up restarts part-way: which keys it keeps depends on the
+// order they arrive in, so two runs from one seed must send one order.
 func TestRetractionMemoryMovesInOneOrder(t *testing.T) {
 	kept := func() []string {
-		env := newTestEnv(t, 8, Config{Algorithm: SAI})
-		src, heir := env.nodes[0], env.nodes[1]
+		src, heir := newTestEnv(t, 8, Config{Algorithm: SAI}), newTestEnv(t, 8, Config{Algorithm: SAI})
 		for _, fill := range []struct {
-			n      *chord.Node
+			env    *testEnv
 			prefix string
 			count  int
 		}{{heir, "old", retractedMax - 10}, {src, "new", 100}} {
-			st := env.eng.state(fill.n)
-			st.mu.Lock()
-			for i := 0; i < fill.count; i++ {
-				st.retract(fmt.Sprintf("%s-%d", fill.prefix, i))
+			keys := make([]string, fill.count)
+			for i := range keys {
+				keys[i] = fmt.Sprintf("%s-%d", fill.prefix, i)
 			}
-			st.mu.Unlock()
+			fill.env.eng.retract(keys...)
 		}
-		env.eng.FailNode(src)
-		if got := env.net.OracleSuccessor(src.ID()); got != heir {
-			t.Fatalf("%s's arc went to %s, want %s", src, got, heir)
+		node := src.nodes[0]
+		msg, ok := src.eng.ExportHandoff(node)
+		if !ok {
+			t.Fatalf("%s's hand-off carries nothing", node)
 		}
-		st := env.eng.state(heir)
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		return sortedKeys(st.retracted)
+		var w wire.Buffer
+		if err := EncodeMessage(&w, msg); err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := DecodeMessage(wire.NewReader(w.Bytes()), heir.catalog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		heir.eng.state(heir.nodes[0]).HandleMessage(heir.nodes[0], decoded)
+		return heir.eng.retractedKeys()
 	}
 	first, second := kept(), kept()
 	if len(first) != 90 {
 		t.Fatalf("the heir kept %d retractions, want the 90 that followed its restart", len(first))
 	}
 	if !slices.Equal(first, second) {
-		t.Fatalf("two identical moves left different retraction memories:\n%v\n%v", first, second)
+		t.Fatalf("two identical hand-offs left different retraction memories:\n%v\n%v", first, second)
 	}
 }
 

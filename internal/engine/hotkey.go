@@ -264,12 +264,12 @@ func (st *nodeState) relayHot(key []byte, t *relation.Tuple) bool {
 func (e *Engine) hotShard(shard int) bool { return shard >= 1 && shard < e.hotK }
 
 // handleHotJoin lands rewrites at a shard: its bucket takes the rewrites of
-// queries not retracted here as handleJoin's does.
+// queries this process did not retract, as handleJoin's does.
 func (st *nodeState) handleHotJoin(m hotJoinMsg) {
 	if !st.engine.hotShard(m.Shard) {
 		return
 	}
-	rws := st.liveRewrites(m.Rewrites)
+	rws := st.engine.liveRewrites(m.Rewrites)
 	var buf [keyScratch]byte
 	var mbuf [matchScratch]match
 	work := 1

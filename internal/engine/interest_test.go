@@ -734,11 +734,11 @@ func TestX42IndexTrafficByArity(t *testing.T) {
 	}
 }
 
-// Marks and the retraction memory are a node's state like its query groups:
-// exported, sent over the wire and merged on the new owner, a rewriter goes on
-// forwarding for the query still live and the evaluator goes on refusing the
-// rewrite of the one retracted — and a ring split by a join hands both to the
-// joiner through TransferKeys.
+// Marks are a node's state like its query groups, and the retraction memory
+// its process's: exported, sent over the wire and merged on the new owner, a
+// rewriter goes on forwarding for the query still live and the evaluator goes
+// on refusing the rewrite of the one retracted — and after a ring split by a
+// join, the joiner, which TransferKeys handed the marks, refuses it too.
 func TestMarksAndRetractionMemoryMoveWithTheNode(t *testing.T) {
 	const sql = `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`
 	for _, move := range []string{"hand-off", "join"} {
@@ -790,12 +790,8 @@ func TestMarksAndRetractionMemoryMoveWithTheNode(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				st := env.eng.state(joiner)
-				st.mu.Lock()
-				knows := st.isRetracted(gone.Key())
-				st.mu.Unlock()
-				if !knows {
-					t.Fatalf("the new owner of %s was not told of the retraction its predecessor processed", input)
+				if owner := env.net.OracleSuccessor(id.Hash(input)); owner != joiner {
+					t.Fatalf("%s took over %s, not the joiner", owner, input)
 				}
 			}
 		}

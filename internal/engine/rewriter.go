@@ -25,7 +25,7 @@ func (st *nodeState) handleQueryIndex(m queryMsg) {
 	cond := m.Q.ConditionKey()
 
 	st.mu.Lock()
-	if st.isRetracted(m.Q.Key()) {
+	if st.engine.isRetracted(m.Q.Key()) {
 		st.mu.Unlock()
 		return
 	}
@@ -55,7 +55,7 @@ func (st *nodeState) handleQueryIndex(m queryMsg) {
 func (st *nodeState) handleInterest(m interestMsg) {
 	var granted []string
 	st.mu.Lock()
-	if !st.isRetracted(m.QueryKey) {
+	if !st.engine.isRetracted(m.QueryKey) {
 		b := st.alBucketFor(m.Input)
 		b.mark(m.QueryKey)
 		granted = b.takeGrants()

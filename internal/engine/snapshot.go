@@ -17,11 +17,12 @@ import (
 // per-subscriber query sequence counters (so replayed subscribes re-derive
 // the same Key(q)), the subscription index and its queries, what has been
 // delivered (the notifications in the record, the bare identities of those a
-// consumer took, the count). The hot-key detector is a base's own state and travels in its
-// node's section. Deliberately NOT carried: what only a taking cut hands over
-// (probe statistics), the caches no move carries,
-// and the engine's private rng state (it only picks index attributes and
-// replicas, which never changes match content — see DESIGN.md §14.3).
+// consumer took, the count), and the retraction memory, the process's. The
+// hot-key detector is a base's own state and travels in its node's section.
+// Deliberately NOT carried: what only a taking cut hands over (probe
+// statistics), the caches no move carries, and the engine's private rng
+// state (it only picks index attributes and replicas, which never changes
+// match content — see DESIGN.md §14.3).
 
 // kindSnapMeta names the snapshot-meta message class.
 const kindSnapMeta = "snapmeta"
@@ -68,7 +69,10 @@ type hotCountEntry struct {
 // follows in turn, written only when set, as ExportSnapshot does: without it
 // the node sections are a blind build's and hold no interest marks. Standing
 // follows Marks, written only where there are any: a frame that ends before
-// it restores each key of Subs with no query to retract it by.
+// it restores each key of Subs with no query to retract it by. Retracted
+// follows Standing, written only where there are any: a frame that ends before
+// it is a build's whose node sections each carried a retraction memory, which
+// RestoreSnapshot unions with this one.
 type snapMetaMsg struct {
 	Clock     int64
 	Nodes     []string // alive node keys, ring order
@@ -84,6 +88,7 @@ type snapMetaMsg struct {
 	Count     int            // NotificationCount
 	Marks     bool           // the node sections carry their buckets' interest marks
 	Standing  []*query.Query // the queries of Subs that their subscriber posed here
+	Retracted []string       // the process's retraction memory, sorted
 }
 
 func (snapMetaMsg) Kind() string { return kindSnapMeta }
@@ -129,6 +134,7 @@ func (e *Engine) ExportSnapshot(down []string) (chord.Message, []NodeSnapshot) {
 		e.delivered.each(func(id []byte) { meta.Delivered = append(meta.Delivered, identityKey(id)) })
 	}
 	e.mu.Unlock()
+	meta.Retracted = e.retractedKeys()
 
 	var out []NodeSnapshot
 	for _, n := range nodes {
@@ -217,6 +223,7 @@ func (e *Engine) RestoreSnapshot(meta chord.Message, nodes []NodeSnapshot) (deri
 	}
 	e.mu.Unlock()
 
+	e.retract(m.Retracted...)
 	if e.hotK > 0 {
 		e.installHot(m)
 	}

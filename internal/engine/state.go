@@ -43,7 +43,6 @@ type nodeState struct {
 	alOwners     alHints              // who took this node's publications at the attribute level (index.go)
 	verdicts     []byte               // the rewriters' answers to this node's asks, by alIdent.ord (index.go: verdict); nil before its first
 	revokes      uint64               // revocations received: an answer read back after this moved since its ask is discarded
-	retracted    map[string]struct{}  // queries retracted here: refused from then on (unsubscribe.go)
 	hot          map[string]*hotInput // the hot-key detector at the inputs this node is the base of (hotkey.go); nil while the layer is off
 }
 
@@ -113,8 +112,8 @@ func (h *alHints) claim(schema *relation.Schema, n int) (owners []*chord.Node, e
 }
 
 // newNodeState makes the tables every node fills. The DAI-V value store, the
-// stored notifications, the learned addresses and the retraction memory,
-// which most nodes never write, are made at their first write.
+// stored notifications and the learned addresses, which most nodes never
+// write, are made at their first write.
 func newNodeState(e *Engine, n *chord.Node) *nodeState {
 	return &nodeState{
 		engine: e,

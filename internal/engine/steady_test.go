@@ -14,7 +14,7 @@ import (
 var growsToday = map[string]string{
 	"delivered":     "AG: one identity per match, never aged out",
 	"vlqt_rewrites": "J(ii): stored rewrites outlive their trigger's window",
-	"retracted":     "J(i): the retraction memory, aged by nothing but its restart",
+	"retracted":     "J(i): the retraction memory, bounded at retractedMax per process and aged by nothing but its restart",
 }
 
 // A daemon that has run for a week must behave like one that has run for a

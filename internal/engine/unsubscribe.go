@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync/atomic"
 
 	"cqjoin/internal/chord"
 	"cqjoin/internal/id"
+	"cqjoin/internal/lockdep"
 	"cqjoin/internal/metrics"
 	"cqjoin/internal/query"
 )
@@ -23,9 +25,10 @@ import (
 //
 // A retraction can overtake what it retracts — a rewriter sends a join after
 // releasing the lock it recorded the target under, and a mark or the query
-// itself can be held up in the network — so a node that processed a
-// retraction of Key(q) remembers the key and refuses whatever arrives under it
-// afterwards (retract). Keys never recur: no live query is ever refused.
+// itself can be held up in the network — so a process one of whose nodes
+// processed a retraction of Key(q) remembers the key, and every node of it
+// refuses whatever arrives under it afterwards (Engine.retract). Keys never
+// recur, and only a retraction adds one: no live query is ever refused.
 
 // unsubMsg retracts one query at an attribute-level rewriter. It travels as
 // a pointer: a retraction's messages are one array (retractQuery).
@@ -101,7 +104,7 @@ func (st *nodeState) handleUnsub(m *unsubMsg) {
 	var purges []purgeMsg
 
 	st.mu.Lock()
-	st.retract(m.QueryKey)
+	st.engine.retract(m.QueryKey)
 	if b := st.alqt[m.Input]; b != nil {
 		delete(b.interest, m.QueryKey)
 		if g := condEntryOf(&b.byCond, m.Cond, nil); g != nil {
@@ -175,7 +178,7 @@ func (st *nodeState) handlePurge(m *purgeMsg) {
 
 	h := vlHash([]byte(m.Input))
 	st.mu.Lock()
-	st.retract(m.QueryKey)
+	st.engine.retract(m.QueryKey)
 	if s := st.vl[h]; s.q != nil {
 		s.q.rewrites.removeIf(func(rw *rewritten) bool {
 			var buf [keyScratch]byte
@@ -202,34 +205,88 @@ func (st *nodeState) handlePurge(m *purgeMsg) {
 	st.sendPurges(cascade)
 }
 
-// retractedMax bounds a node's retraction memory: full, it restarts (a late
-// message outlives its retraction by a network delay).
+// retractedMax bounds a process's retraction memory: full, it restarts (a
+// late message outlives its retraction by a network delay).
 const retractedMax = 1 << 16
 
-// retract remembers that this node processed a retraction of query key. The
-// caller holds st.mu, as isRetracted's does.
-func (st *nodeState) retract(key string) {
-	if st.retracted == nil {
-		st.retracted = make(map[string]struct{})
-	} else if len(st.retracted) >= retractedMax {
-		st.engine.obs.retractedResets.Inc()
-		clear(st.retracted)
-	}
-	st.retracted[key] = struct{}{}
+// retractions is a process's retraction memory: the keys of the queries a node
+// of the engine processed a retraction of. Its lock is a leaf, taken under
+// nodeState.mu or alone, and read-locked by every check; n lets a process that
+// retracted nothing check with one atomic load.
+type retractions struct {
+	n    atomic.Int64 // len(keys), stored under mu
+	mu   lockdep.RWMutex[retractionsMu]
+	keys map[string]struct{}
 }
 
-func (st *nodeState) isRetracted(key string) bool {
-	_, ok := st.retracted[key]
+type retractionsMu struct{} // retractions.mu's lock class
+
+// retract remembers that a node of this process processed a retraction of
+// each of keys. A handler calls it under its st.mu, before it drops what the
+// retraction names, so a later arrival at that node sees the key. Most calls
+// name keys the memory holds — a retraction's purges each name its key again
+// — and those take only the read lock, which the arrivals at other nodes
+// share.
+func (e *Engine) retract(keys ...string) {
+	r := &e.retracted
+	r.mu.RLock()
+	held := !slices.ContainsFunc(keys, func(key string) bool {
+		_, ok := r.keys[key]
+		return !ok
+	})
+	r.mu.RUnlock()
+	if held {
+		return
+	}
+	r.mu.Lock()
+	for _, key := range keys {
+		if r.keys == nil {
+			r.keys = make(map[string]struct{})
+		} else if len(r.keys) >= retractedMax {
+			e.obs.retractedResets.Inc()
+			clear(r.keys)
+		}
+		r.keys[key] = struct{}{}
+	}
+	r.n.Store(int64(len(r.keys)))
+	r.mu.Unlock()
+}
+
+// isRetracted reports whether a node of this process processed a retraction
+// of query key.
+func (e *Engine) isRetracted(key string) bool {
+	r := &e.retracted
+	if r.n.Load() == 0 {
+		return false
+	}
+	r.mu.RLock()
+	_, ok := r.keys[key]
+	r.mu.RUnlock()
 	return ok
 }
 
-// liveRewrites returns rws, less those of queries retracted here: rws itself
-// when none is, else a copy.
-func (st *nodeState) liveRewrites(rws []rewritten) []rewritten {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	dead := func(rw rewritten) bool { return st.isRetracted(rw.Orig.Key()) }
-	if len(st.retracted) == 0 || !slices.ContainsFunc(rws, dead) {
+// retractedKeys returns the process's retraction memory, sorted.
+func (e *Engine) retractedKeys() []string {
+	r := &e.retracted
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return sortedKeys(r.keys)
+}
+
+// liveRewrites returns rws, less those of queries this process retracted: rws
+// itself when none is, else a copy.
+func (e *Engine) liveRewrites(rws []rewritten) []rewritten {
+	r := &e.retracted
+	if r.n.Load() == 0 {
+		return rws
+	}
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	dead := func(rw rewritten) bool {
+		_, ok := r.keys[rw.Orig.Key()]
+		return ok
+	}
+	if !slices.ContainsFunc(rws, dead) {
 		return rws
 	}
 	return slices.DeleteFunc(slices.Clone(rws), dead)

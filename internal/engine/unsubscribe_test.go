@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"cqjoin/internal/chord"
@@ -662,5 +663,315 @@ func TestRepeatTriggerKeepsThePurgeList(t *testing.T) {
 		if left := heldAt(env, q.Key()); len(left) != 0 {
 			t.Fatalf("%s's rewrites survive its retraction at %v", q.Key(), left)
 		}
+	}
+}
+
+// handlers records the nodes that handled a message of kind, and keeps a copy
+// of each join it delivers that carries rewrites of n queries.
+type handlers struct {
+	kind  string
+	n     int
+	at    map[*chord.Node]bool
+	joins []joinMsg
+}
+
+func (h *handlers) Deliver(_, dst *chord.Node, msg chord.Message, forward func() bool) int {
+	if msg.Kind() == h.kind {
+		h.at[dst] = true
+	}
+	msgs := []chord.Message{msg}
+	if b, ok := msg.(joinBatch); ok {
+		msgs = b.Msgs
+	}
+	for _, m := range msgs {
+		if j, ok := m.(*joinMsg); ok && len(j.Rewrites) == h.n {
+			h.joins = append(h.joins, joinMsg{Rewrites: slices.Clone(j.Rewrites)})
+		}
+	}
+	return btoi(forward())
+}
+
+// storedOf counts the rewrites of query key st stores.
+func storedOf(st *nodeState, key string) int {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	n := 0
+	for _, s := range st.vl {
+		if s.q != nil {
+			for _, rw := range s.q.rewrites.all() {
+				if rw.Orig.Key() == key {
+					n++
+				}
+			}
+		}
+	}
+	return n
+}
+
+// holdsAt reports whether st's bucket of input holds query key in a group,
+// and its interest mark.
+func holdsAt(st *nodeState, input, key string) (indexed, marked bool) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	b := st.alqt[input]
+	if b == nil {
+		return false, false
+	}
+	for _, g := range b.byCond.all() {
+		for _, q := range g.queries {
+			indexed = indexed || q.Key() == key
+		}
+	}
+	_, marked = b.interest[key]
+	return indexed, marked
+}
+
+// A process remembers a retraction once, not once a node that handled it: k
+// retractions whose purges reach many evaluators leave k keys, and a node that
+// handled none of them refuses a join, a query and an interest mark under a
+// retracted key, while it takes the same of a live query.
+func TestRetractionMemoryIsOnePerProcess(t *testing.T) {
+	const (
+		k      = 6
+		values = 40
+		sql    = `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`
+	)
+	env := newTestEnv(t, 64, Config{Algorithm: SAI, Strategy: StrategyLeft})
+	rec := &handlers{kind: kindUnsub, n: k + 1, at: map[*chord.Node]bool{}}
+	env.net.SetInterceptor(rec)
+	var gone []*query.Query
+	for i := 0; i < k; i++ {
+		gone = append(gone, env.subscribe(t, i, sql))
+	}
+	live := env.subscribe(t, k, sql) // one condition group with gone
+	for v := 0; v < values; v++ {
+		env.publish(t, 10+v, rTuple(env, float64(v), float64(v), 0))
+	}
+	if len(rec.joins) == 0 {
+		t.Fatal("no join carried the whole group's rewrites")
+	}
+	for _, q := range gone {
+		if err := env.eng.Unsubscribe(env.node(0), q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	env.net.SetInterceptor(nil)
+	if len(rec.at) < values/4 {
+		t.Fatalf("the retractions reached %d nodes, want purges at many evaluators", len(rec.at))
+	}
+	if got := env.eng.Census()["retracted"]; got != (CensusEntry{k, k}) {
+		t.Fatalf("the census counts %+v retractions, want %d once for the process", got, k)
+	}
+
+	var x *chord.Node // a node that handled no retraction or purge
+	for _, n := range env.nodes {
+		if !rec.at[n] {
+			x = n
+			break
+		}
+	}
+	if x == nil {
+		t.Fatal("every node handled a retraction")
+	}
+	st := env.eng.state(x)
+	join := rec.joins[0]
+	st.HandleMessage(x, &join)
+	for _, q := range []string{"S+D", "S+F"} {
+		st.HandleMessage(x, interestMsg{QueryKey: gone[0].Key(), Input: q})
+		st.HandleMessage(x, interestMsg{QueryKey: live.Key(), Input: q})
+	}
+	st.HandleMessage(x, queryMsg{Q: gone[1], Side: query.SideLeft, Attr: "A"})
+	st.HandleMessage(x, queryMsg{Q: live, Side: query.SideLeft, Attr: "A"})
+	for _, q := range gone {
+		if n := storedOf(st, q.Key()); n != 0 {
+			t.Fatalf("%s, which handled no purge, stored %d rewrites of retracted %s", x, n, q.Key())
+		}
+	}
+	if n := storedOf(st, live.Key()); n != 1 {
+		t.Fatalf("%s stored %d rewrites of the live query from the join, want 1", x, n)
+	}
+	for _, input := range []string{"S+D", "S+F"} {
+		if _, marked := holdsAt(st, input, gone[0].Key()); marked {
+			t.Fatalf("%s took an interest mark of retracted %s at %s", x, gone[0].Key(), input)
+		}
+		if _, marked := holdsAt(st, input, live.Key()); !marked {
+			t.Fatalf("%s refused the live query's interest mark at %s", x, input)
+		}
+	}
+	if indexed, _ := holdsAt(st, "R+A", gone[1].Key()); indexed {
+		t.Fatalf("%s indexed retracted %s", x, gone[1].Key())
+	}
+	if indexed, _ := holdsAt(st, "R+A", live.Key()); !indexed {
+		t.Fatalf("%s refused to index the live query", x)
+	}
+}
+
+// A process whose only part in a retraction is a purge — the query's rewriter
+// is another process's — remembers it as well: a join of the query that
+// arrives behind the purge is refused, one of a live query is not.
+func TestPurgeAloneTeachesItsProcess(t *testing.T) {
+	const sql = `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`
+	env := newTestEnv(t, 16, Config{Algorithm: SAI, Strategy: StrategyLeft})
+	rec := &handlers{kind: kindUnsub, n: 2, at: map[*chord.Node]bool{}}
+	env.net.SetInterceptor(rec)
+	gone, live := env.subscribe(t, 0, sql), env.subscribe(t, 1, sql)
+	env.publish(t, 2, rTuple(env, 1, 7, 0))
+	env.net.SetInterceptor(nil)
+	if len(rec.joins) != 1 {
+		t.Fatalf("%d joins carried both queries' rewrites, want 1", len(rec.joins))
+	}
+
+	other := newTestEnv(t, 16, Config{Algorithm: SAI, Strategy: StrategyLeft})
+	x := other.nodes[3]
+	st := other.eng.state(x)
+	st.HandleMessage(x, &purgeMsg{QueryKey: gone.Key(), Input: vlInput("S", "E", relation.N(7))})
+	join := rec.joins[0]
+	st.HandleMessage(x, &join)
+	if n := storedOf(st, gone.Key()); n != 0 {
+		t.Fatalf("%s stored %d rewrites of %s behind its purge", x, n, gone.Key())
+	}
+	if n := storedOf(st, live.Key()); n != 1 {
+		t.Fatalf("%s stored %d rewrites of the live query, want 1", x, n)
+	}
+}
+
+// Retractions handled at many nodes race joins, interest marks and queries
+// under the retracted keys and a live one at the other nodes of the engine:
+// each arrival reads the process's memory as the handlers write it. Once all
+// are done every node refuses the retracted keys and takes the live one's.
+func TestRetractionsRaceArrivalsAtOtherNodes(t *testing.T) {
+	const (
+		k   = 6
+		sql = `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`
+	)
+	env := newTestEnv(t, 32, Config{Algorithm: SAI, Strategy: StrategyLeft})
+	rec := &handlers{kind: kindUnsub, n: k + 1, at: map[*chord.Node]bool{}}
+	env.net.SetInterceptor(rec)
+	var gone []*query.Query
+	for i := 0; i < k; i++ {
+		gone = append(gone, env.subscribe(t, i, sql))
+	}
+	live := env.subscribe(t, k, sql)
+	for v := 0; v < 16; v++ {
+		env.publish(t, 10+v, rTuple(env, float64(v), float64(v), 0))
+	}
+	env.net.SetInterceptor(nil)
+	if len(rec.joins) == 0 {
+		t.Fatal("no join carried the whole group's rewrites")
+	}
+	join := rec.joins[0]
+
+	arrive := func(n *chord.Node) {
+		st := env.eng.state(n)
+		j := join
+		st.HandleMessage(n, &j)
+		for _, q := range append(slices.Clone(gone), live) {
+			st.HandleMessage(n, interestMsg{QueryKey: q.Key(), Input: "S+F"})
+			st.HandleMessage(n, queryMsg{Q: q, Side: query.SideLeft, Attr: "C"})
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, q := range gone {
+			if err := env.eng.Unsubscribe(env.node(0), q); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				arrive(env.node(12 + g*4 + i))
+			}
+		}()
+	}
+	wg.Wait()
+
+	if got := env.eng.Census()["retracted"]; got != (CensusEntry{k, k}) {
+		t.Fatalf("the census counts %+v retractions, want %d", got, k)
+	}
+	for _, n := range env.nodes[28:] { // no arrival reached these before
+		arrive(n)
+		st := env.eng.state(n)
+		for _, q := range gone {
+			indexed, marked := holdsAt(st, "S+F", q.Key())
+			if storedOf(st, q.Key()) != 0 || indexed || marked {
+				t.Fatalf("%s took an arrival of retracted %s", n, q.Key())
+			}
+		}
+		if _, marked := holdsAt(st, "S+F", live.Key()); !marked || storedOf(st, live.Key()) != 1 {
+			t.Fatalf("%s refused the live query's arrivals", n)
+		}
+	}
+}
+
+// A snapshot says its process's retraction memory once, in its meta, and no
+// node section says it. A parent's node sections each said their node's, and
+// its meta none: a restore unions the meta's with every section's.
+func TestSnapshotSaysTheRetractionMemoryOnce(t *testing.T) {
+	const sql = `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`
+	env := newTestEnv(t, 32, Config{Algorithm: SAI, Strategy: StrategyLeft})
+	gone, live := env.subscribe(t, 0, sql), env.subscribe(t, 1, sql)
+	for v := 0; v < 8; v++ {
+		env.publish(t, 2+v, rTuple(env, float64(v), float64(v), 0))
+	}
+	if err := env.eng.Unsubscribe(env.node(0), gone); err != nil {
+		t.Fatal(err)
+	}
+	meta, nodes := env.eng.ExportSnapshot(nil)
+	if got := meta.(snapMetaMsg).Retracted; !slices.Equal(got, []string{gone.Key()}) {
+		t.Fatalf("the meta says the retractions %v, want %s", got, gone.Key())
+	}
+	for _, ns := range nodes {
+		if got := ns.Msg.(handoffMsg).Retracted; len(got) != 0 {
+			t.Fatalf("%s's section says the retractions %v", ns.Key, got)
+		}
+	}
+
+	wired := func(m chord.Message) chord.Message {
+		var w wire.Buffer
+		if err := EncodeMessage(&w, m); err != nil {
+			t.Fatal(err)
+		}
+		back, err := DecodeMessage(wire.NewReader(w.Bytes()), env.catalog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return back
+	}
+	restore := func(meta snapMetaMsg, sections map[int][]string) []string {
+		t.Helper()
+		moved := make([]NodeSnapshot, len(nodes))
+		for i, ns := range nodes {
+			hm := ns.Msg.(handoffMsg)
+			hm.Retracted = sections[i]
+			moved[i] = NodeSnapshot{Key: ns.Key, Msg: wired(hm)}
+		}
+		fresh := newTestEnv(t, len(env.nodes), env.eng.Config())
+		if _, err := fresh.eng.RestoreSnapshot(wired(meta), moved); err != nil {
+			t.Fatal(err)
+		}
+		if fresh.eng.isRetracted(live.Key()) {
+			t.Fatalf("the restored engine refuses live %s", live.Key())
+		}
+		return fresh.eng.retractedKeys()
+	}
+	if got := restore(meta.(snapMetaMsg), nil); !slices.Equal(got, []string{gone.Key()}) {
+		t.Fatalf("the snapshot restored the retractions %v, want %s", got, gone.Key())
+	}
+	parent := meta.(snapMetaMsg)
+	parent.Retracted = nil
+	sections := map[int][]string{0: {gone.Key()}, len(nodes) - 1: {gone.Key(), "peer9#4"}}
+	if got, want := restore(parent, sections), []string{gone.Key(), "peer9#4"}; !slices.Equal(got, want) {
+		t.Fatalf("a parent's snapshot restored the retractions %v, want %v", got, want)
+	}
+	both := meta.(snapMetaMsg)
+	both.Retracted = []string{"peer8#1"}
+	if got, want := restore(both, sections), []string{gone.Key(), "peer8#1", "peer9#4"}; !slices.Equal(got, want) {
+		t.Fatalf("the meta and the sections restored the retractions %v, want %v", got, want)
 	}
 }
