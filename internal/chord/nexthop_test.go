@@ -1,9 +1,9 @@
 package chord
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cqjoin/internal/id"
@@ -369,10 +369,12 @@ func TestMultisendWalkCost(t *testing.T) {
 	}
 }
 
-// One deliverable is one message in the ledger whatever path it took: a hinted
-// send whose hint no longer answers charges the attempt its hop and then books
-// the routed walk's message, where a failed DirectSend followed by a walk
-// booked two.
+// One deliverable is one message in the ledger whatever path it took, and a
+// hinted leg is one message whatever it carries: a hint that no longer
+// answers, or whose chain runs out, charges its leg's hops and bytes, and what
+// it carried is then booked as the walk's, where a failed DirectSend followed
+// by a walk booked two. Each case states the hops, messages and hand-backs it
+// books.
 func TestHintedSendCountsOneMessage(t *testing.T) {
 	net := New(Config{})
 	nodes := net.AddNodes("hint", 64)
@@ -383,54 +385,58 @@ func TestHintedSendCountsOneMessage(t *testing.T) {
 	src, tr := nodes[0], net.Traffic()
 	target := nodes[40].ID()
 	owner := net.OracleSuccessor(target)
-	msg := testMsg{kind: "hinted"}
-	_, routed, err := src.Send(msg, target)
+	_, routed, err := src.route(target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sent := func(name string, hint *Node, wantTaker *Node, wantHops int, also ...id.ID) {
+	r := net.SuccessorListLen()
+	sent := func(name string, hint *Node, targets []id.ID, takers []*Node, hops, msgs, handbacks int) {
 		t.Helper()
-		msgs, hops := tr.Messages("hinted"), tr.Hops("hinted")
-		taker, got, err := src.SendHinted(msg, target, hint, also...)
-		if wantTaker == nil {
-			if !errors.Is(err, ErrDropped) || tr.Messages("hinted") != msgs {
-				t.Fatalf("%s: err %v and %d messages booked, want ErrDropped and none", name, err, tr.Messages("hinted")-msgs)
-			}
-		} else if err != nil || taker != wantTaker || tr.Messages("hinted") != msgs+1 {
-			t.Fatalf("%s: taken by %v (err %v), %d messages booked; want %v and one", name, taker, err, tr.Messages("hinted")-msgs, wantTaker)
+		m0, h0, b0 := tr.Messages("hinted"), tr.Hops("hinted"), net.Handbacks()
+		batch := make([]Deliverable, len(targets))
+		for i, k := range targets {
+			batch[i] = Deliverable{Target: k, Msg: testMsg{kind: "hinted"}, Hint: hint}
 		}
-		if got != wantHops || tr.Hops("hinted") != hops+int64(wantHops) {
-			t.Fatalf("%s: %d hops returned, %d charged, want %d", name, got, tr.Hops("hinted")-hops, wantHops)
+		got, gotHops, err := src.Multisend(batch, nil)
+		if err != nil || !slices.Equal(got, takers) {
+			t.Fatalf("%s: taken by %v (err %v), want %v", name, got, err, takers)
+		}
+		if gotHops != hops || tr.Hops("hinted")-h0 != int64(hops) {
+			t.Fatalf("%s: %d hops returned, %d charged, want %d", name, gotHops, tr.Hops("hinted")-h0, hops)
+		}
+		if got := tr.Messages("hinted") - m0; got != int64(msgs) {
+			t.Fatalf("%s: %d messages booked, want %d", name, got, msgs)
+		}
+		if got := net.Handbacks() - b0; got != int64(handbacks) {
+			t.Fatalf("%s: %d hand-backs, want %d", name, got, handbacks)
 		}
 	}
-	sent("owner hinted", owner, owner, 1)
-	if got := net.Handbacks(); got != 0 {
-		t.Fatalf("Handbacks = %d after a hint that held, want 0", got)
-	}
+	one := []id.ID{target}
+	sent("owner hinted", owner, one, []*Node{owner}, 1, 1, 0)
 	// Two nodes past the owner: a live non-owner hands back along predecessors.
-	sent("two past the owner", owner.Successor().Successor(), owner, 3)
-	if got := net.Handbacks(); got != 2 {
-		t.Fatalf("Handbacks = %d, want 2", got)
-	}
-	// Further back than a successor list reaches the chain gives up and routes.
+	sent("two past the owner", owner.Successor().Successor(), one, []*Node{owner}, 3, 1, 2)
+	// Further back than a successor list reaches the chain gives up, and the
+	// deliverable walks from the sender.
 	far := owner
-	for i := 0; i <= net.SuccessorListLen(); i++ {
+	for i := 0; i <= r; i++ {
 		far = far.Successor()
 	}
-	sent("out of reach", far, owner, 1+net.SuccessorListLen()+routed)
-	// A group is taken only by a node that owns everything it names.
-	sent("group, all owned", owner, owner, 1, owner.Predecessor().ID().AddPow2(0))
-	sent("group, one not owned", owner, nil, 1, owner.Predecessor().ID())
-	// The hint does not answer: its hop, then the routed walk and its one message.
+	sent("out of reach", far, one, []*Node{owner}, 1+r+routed, 1, r)
+	// A leg's deliverables land where they are owned: the one the hint does
+	// not own is handed back to the predecessor that does, in the same leg.
+	pred := owner.Predecessor()
+	sent("group, all owned", owner, []id.ID{target, pred.ID().AddPow2(0)}, []*Node{owner, owner}, 1, 1, 0)
+	sent("group, one not owned", owner, []id.ID{target, pred.ID()}, []*Node{owner, pred}, 2, 1, 1)
+	// The hint does not answer: its hop, then the walk and its one message a
+	// deliverable.
 	net.Fail(owner)
 	heir := net.OracleSuccessor(target)
-	_, routed, err = src.Send(msg, target)
-	if err != nil {
+	if _, routed, err = src.route(target); err != nil {
 		t.Fatal(err)
 	}
-	sent("dead hint", owner, heir, 1+routed)
-	sent("dead hint, group", owner, nil, 1, target)
-	if got := rec.count(); got != 7 {
-		t.Fatalf("%d deliveries, want 7: one per message booked", got)
+	sent("dead hint", owner, one, []*Node{heir}, 1+routed, 1, 0)
+	sent("dead hint, group", owner, []id.ID{target, target}, []*Node{heir, heir}, 1+routed, 2, 0)
+	if got := rec.count(); got != 10 {
+		t.Fatalf("%d deliveries, want 10: one per deliverable", got)
 	}
 }

@@ -226,6 +226,98 @@ func TestNextHopMatchesTheTableScanOnAnyTable(t *testing.T) {
 	}
 }
 
+// A hint decides only where a deliverable goes first: on tables of random
+// members — stray, dead, nil and out of order fingers — on a ring with tied
+// heads, a hinted multisend must reach every deliverable's owner as the plain
+// walk does, whether its hint owns it, is live but stale within a successor
+// list's reach or past it, is dead, is nil, or is shared with other
+// deliverables. Crashes here are Fail's, which mends the predecessors, so
+// ownership stays exact and the walk's recipients are the oracle's.
+func TestHintedMultisendMatchesTheWalkOnAnyTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	net, nodes := tiedRing(t, rng, 4, 5)
+	targets := tiedTargets(nodes, rng)
+	dead := []*Node{deadNode(net, "never-joined")}
+	pick := func(hints []*Node, target id.ID) *Node {
+		live := net.Nodes()
+		owner := net.OracleSuccessor(target)
+		switch rng.Intn(6) {
+		case 0:
+			return owner
+		case 1: // live and stale: a few nodes past the owner, within reach or not
+			h := owner
+			for i := rng.Intn(2 * net.SuccessorListLen()); i >= 0; i-- {
+				h = h.Successor()
+			}
+			return h
+		case 2:
+			return live[rng.Intn(len(live))]
+		case 3:
+			return dead[rng.Intn(len(dead))]
+		case 4:
+			if len(hints) > 0 {
+				return hints[rng.Intn(len(hints))]
+			}
+		}
+		return nil
+	}
+	for trial := 0; trial < 20; trial++ {
+		pool := append(append([]*Node{nil}, dead...), net.Nodes()...)
+		for _, n := range net.Nodes() {
+			n.rewire(func(rt *routeTable) {
+				for j := range rt.fingers {
+					if j == 0 || rng.Intn(8) == 0 {
+						rt.fingers[j] = pool[rng.Intn(len(pool))]
+					} else {
+						rt.fingers[j] = rt.fingers[j-1]
+					}
+				}
+			})
+		}
+		for b := 0; b < 40; b++ {
+			live := net.Nodes()
+			src := live[rng.Intn(len(live))]
+			walked := make([]Deliverable, 1+rng.Intn(multisendStack+2))
+			hinted := make([]Deliverable, len(walked))
+			var hints []*Node
+			for i := range walked {
+				walked[i] = Deliverable{Target: targets[rng.Intn(len(targets))], Msg: testMsg{kind: "walk"}}
+				hinted[i] = Deliverable{Target: walked[i].Target, Msg: testMsg{kind: "hint"}, Hint: pick(hints, walked[i].Target)}
+				if hinted[i].Hint != nil {
+					hints = append(hints, hinted[i].Hint)
+				}
+			}
+			want, _, err := src.Multisend(walked, nil)
+			if err != nil {
+				t.Fatalf("trial %d: walk from %s: %v", trial, src, err)
+			}
+			hops := net.Traffic().Hops("hint")
+			got, gotHops, err := src.Multisend(hinted, nil)
+			if err != nil {
+				t.Fatalf("trial %d: hinted multisend from %s: %v", trial, src, err)
+			}
+			for i, d := range hinted {
+				if got[i] != want[i] || got[i] != net.OracleSuccessor(d.Target) {
+					t.Fatalf("trial %d: deliverable %d of %d, hinted to %v, taken by %s; the walk's went to %s",
+						trial, i, len(hinted), d.Hint, got[i], want[i])
+				}
+			}
+			if charged := net.Traffic().Hops("hint") - hops; charged != int64(gotHops) {
+				t.Fatalf("trial %d: %d hops returned, %d charged", trial, gotHops, charged)
+			}
+		}
+		if trial%5 == 4 {
+			live := net.Nodes()
+			n := live[rng.Intn(len(live))]
+			net.Fail(n)
+			dead = append(dead, n)
+		}
+	}
+	if net.Handbacks() == 0 {
+		t.Fatal("no leg was handed back: the stale hints went untried")
+	}
+}
+
 // Hops read a node's view without its lock while joins, leaves, crashes and
 // maintenance replace views under it. Under -race this is where a write the
 // view does not cover shows; every walk must end at a node or fail as a walk

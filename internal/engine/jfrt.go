@@ -13,7 +13,7 @@ import (
 // recurring join values. The JFRT remembers the node that took delivery for
 // each value-level identifier the rewriter has sent to, so a repeat reindexing
 // costs a single hinted hop instead of an O(log N) overlay lookup
-// (chord.Node.SendHinted). Entries are soft state, and whether one still holds
+// (chord.Deliverable.Hint). Entries are soft state, and whether one still holds
 // is not the rewriter's to know: the node the message lands on decides, and
 // the rewriter remembers whoever took delivery in the end. It is keyed by
 // the identifier the rewriter sends to, and bounded by jfrtMax: full, it is
@@ -28,12 +28,32 @@ type jfrtCacheMu struct{} // jfrtCache.mu's lock class
 // jfrtMax bounds one rewriter's table.
 const jfrtMax = 1 << 16
 
-// lookup returns the evaluator remembered for the value-level identifier.
-func (c *jfrtCache) lookup(target id.ID) (*chord.Node, bool) {
+// lookup returns the evaluator remembered for the value-level identifier, nil
+// for none.
+func (c *jfrtCache) lookup(target id.ID) *chord.Node {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n, ok := c.entries[target]
-	return n, ok
+	return c.entries[target]
+}
+
+// learn counts each deliverable of batch, which went hinted from the table,
+// as a hit, a stale entry or a miss in hints, and remembers who took it,
+// got[i], where that is news.
+func (c *jfrtCache) learn(batch []chord.Deliverable, got []*chord.Node, hints *obs.CounterVec) {
+	for i, d := range batch {
+		switch {
+		case d.Hint == nil:
+			hints.Add("jfrt.miss", 1)
+		case got[i] == d.Hint:
+			hints.Add("jfrt.hit", 1)
+			continue
+		default:
+			hints.Add("jfrt.stale", 1)
+		}
+		if got[i] != nil {
+			c.store(d.Target, got[i], hints)
+		}
+	}
 }
 
 // store records the node that took delivery for target; a full table is

@@ -335,10 +335,11 @@ type joinVMsg struct {
 
 func (joinVMsg) Kind() string { return kindJoin }
 
-// joinBatch groups several value-level messages bound for one recipient
-// node into a single physical message — the grouping of Section 4.3.5
-// applied to the JFRT's direct-delivery path, so a warm cache never costs
-// more than one hop per destination node.
+// joinBatch grouped several value-level messages bound for one recipient node
+// into a single physical message, the JFRT's direct delivery before a hinted
+// multisend leg carried such a group as one run. No sender makes it now; it
+// decodes and is handled because a parent cqjoind with -jfrt on logged its
+// deliveries to the WAL (Server.DeliverLocal), and replay hands them back.
 type joinBatch struct {
 	Msgs []chord.Message
 }

@@ -32,13 +32,13 @@ type engObs struct {
 	alIndexIdle     *obs.Counter
 	retractedResets *obs.Counter
 	revokes         *obs.Counter
-	// hints counts lookups in the tables behind chord.Node.SendHinted, labelled
+	// hints counts lookups in the tables behind chord.Deliverable.Hint, labelled
 	// client.outcome. The publisher's ("al") looks up once a publication: hit,
 	// every message went to a remembered node that kept it; stale, one did not;
 	// miss, the batch walked; reset, a claim evicted another relation; and
 	// silent once per al-index message the publication skipped, its rewriter
-	// having said nothing reads it. The JFRT ("jfrt") looks up once a
-	// rewritten-query message; reset is a full restart.
+	// having said nothing reads it. The JFRT ("jfrt") looks up once a join or
+	// purge message; reset is a full restart.
 	hints *obs.CounterVec
 }
 

@@ -6,8 +6,8 @@ import (
 
 // This file adds bounded sender-side retries on top of the overlay's
 // best-effort delivery. The simulated network acks every synchronous
-// delivery (chord.Send and SendHinted return chord.ErrDropped on a miss;
-// DirectSend and Multisend report per-recipient); a sender under fault injection re-sends
+// delivery (chord.Send returns chord.ErrDropped on a miss; DirectSend and
+// Multisend report per-recipient); a sender under fault injection re-sends
 // unacked messages up to Config.MaxRetries times, advancing the logical
 // clock between attempts so delayed in-flight copies get a chance to land.
 // Receivers stay idempotent (rewritten-key dedup, value-store content

@@ -294,88 +294,30 @@ func rewriteGroupV(g *queryGroup, triggered []*query.Query, t *relation.Tuple, k
 	return outs
 }
 
-// sendJoins routes rewritten-query messages to their evaluators. With the
-// JFRT enabled (Section 4.7.1) a remembered evaluator is reached in one hinted
-// hop; misses pay the O(log N) lookup and the table learns who took them.
-// Without the JFRT the whole batch goes through one multisend.
+// sendJoins routes rewritten-query messages to their evaluators in one
+// multisend. With the JFRT enabled (Section 4.7.1) a remembered evaluator is
+// each message's hint, reached in one hop with the others it took — Section
+// 4.3.5's grouping applied to direct delivery; misses pay the O(log N) walk,
+// and the table learns who took each.
 func (st *nodeState) sendJoins(outs []outbound) {
 	if len(outs) == 0 {
 		return
 	}
 	e := st.engine
-	if e.cfg.UseJFRT {
-		// Cache hits are grouped per recipient node (Section 4.3.5's
-		// grouping applied to direct delivery): one physical message and
-		// one hop per warm destination, regardless of how many rewritten
-		// groups it carries.
-		var misses []outbound
-		var hitOrder []*chord.Node
-		hits := make(map[*chord.Node][]outbound)
-		for _, o := range outs {
-			dst, ok := st.jfrt.lookup(o.target)
-			if !ok {
-				e.obs.hints.Add("jfrt.miss", 1)
-				misses = append(misses, o)
-				continue
-			}
-			if _, seen := hits[dst]; !seen {
-				hitOrder = append(hitOrder, dst)
-			}
-			hits[dst] = append(hits[dst], o)
-		}
-		for _, dst := range hitOrder {
-			group := hits[dst]
-			msg := group[0].msg
-			var also []id.ID // a group names every identifier it carries
-			if len(group) > 1 {
-				msgs := make([]chord.Message, len(group))
-				for i, o := range group {
-					msgs[i] = o.msg
-				}
-				msg = joinBatch{Msgs: msgs}
-				for _, o := range group[1:] {
-					also = append(also, o.target)
-				}
-			}
-			taker, _, err := st.node.SendHinted(msg, group[0].target, dst, also...)
-			switch {
-			case err != nil:
-				// Nobody took it — the lander does not own all the group
-				// carries, or the delivery was lost. Fall back to DHT routing
-				// for the whole group, which re-learns the evaluators.
-				e.obs.hints.Add("jfrt.stale", int64(len(group)))
-				misses = append(misses, group...)
-			case taker != dst:
-				e.obs.hints.Add("jfrt.stale", 1)
-				st.jfrt.store(group[0].target, taker, e.obs.hints)
-			default:
-				e.obs.hints.Add("jfrt.hit", int64(len(group)))
-			}
-		}
-		// Misses travel in the normal recursive multisend, and who took each
-		// is the join finger remembered for it.
-		if len(misses) > 0 {
-			batch := make([]chord.Deliverable, len(misses))
-			for i, o := range misses {
-				batch[i] = chord.Deliverable{Target: o.target, Msg: o.msg}
-			}
-			recipients, _, _ := st.node.Multisend(batch, nil)
-			for i, dst := range e.retryFailed(st.node, batch, recipients) {
-				if dst != nil {
-					st.jfrt.store(misses[i].target, dst, e.obs.hints)
-				}
-			}
-		}
-		return
-	}
 	var batchBuf [4]chord.Deliverable
 	var recBuf [4]*chord.Node
 	batch := batchBuf[:0]
 	for _, o := range outs {
-		batch = append(batch, chord.Deliverable{Target: o.target, Msg: o.msg})
+		d := chord.Deliverable{Target: o.target, Msg: o.msg}
+		if e.cfg.UseJFRT {
+			d.Hint = st.jfrt.lookup(o.target)
+		}
+		batch = append(batch, d)
 	}
 	// Best-effort (Section 3.2): an unroutable overlay drops the batch.
 	// With retries configured, unacked deliverables are re-sent.
-	recipients, _, _ := st.node.Multisend(batch, recBuf[:0])
-	e.retryFailed(st.node, batch, recipients)
+	got, _ := e.send(st.node, batch, recBuf[:0])
+	if e.cfg.UseJFRT {
+		st.jfrt.learn(batch, got, e.obs.hints)
+	}
 }

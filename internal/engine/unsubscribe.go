@@ -128,41 +128,37 @@ func (st *nodeState) handleUnsub(m *unsubMsg) {
 	st.sendPurges(purges)
 }
 
-// sendPurges sends msgs, one array of purges in one batch. With the JFRT on
-// (Section 4.7.1) a purge whose evaluator the table remembers taking its
-// input's joins goes there in one hinted hop, retried like any other where it
-// fails, and only the rest walk; with it off the table is not read.
+// sendPurges sends msgs, one array of purges. With the JFRT on (Section
+// 4.7.1) a purge whose evaluator the table remembers taking its input's joins
+// goes there hinted, on a leg of its own: one hop and one message a purge, and
+// nothing allocated for it, however many share an evaluator
+// (TestRetractionAllocCeiling). The rest walk in one multisend, and the table
+// learns who took each; with the JFRT off it is not read.
 func (st *nodeState) sendPurges(msgs []purgeMsg) {
 	if len(msgs) == 0 {
 		return
 	}
 	e := st.engine
 	batch := make([]chord.Deliverable, len(msgs))
+	walk := batch[:0]
+	var recBuf [8]*chord.Node
 	for i := range msgs {
-		batch[i] = chord.Deliverable{Target: vlHash([]byte(msgs[i].Input)), Msg: &msgs[i]}
+		d := chord.Deliverable{Target: vlHash([]byte(msgs[i].Input)), Msg: &msgs[i]}
+		if e.cfg.UseJFRT {
+			d.Hint = st.jfrt.lookup(d.Target)
+		}
+		if d.Hint == nil {
+			walk = append(walk, d)
+			continue
+		}
+		one := [1]chord.Deliverable{d}
+		got, _ := e.send(st.node, one[:], recBuf[:0])
+		st.jfrt.learn(one[:], got, e.obs.hints)
 	}
-
+	got, _ := e.send(st.node, walk, recBuf[:0])
 	if e.cfg.UseJFRT {
-		walk := batch[:0]
-		var failed []chord.Deliverable
-		for _, d := range batch {
-			dst, ok := st.jfrt.lookup(d.Target)
-			if !ok {
-				walk = append(walk, d)
-				continue
-			}
-			if taker, _, err := st.node.SendHinted(d.Msg, d.Target, dst); err != nil {
-				failed = append(failed, d)
-			} else if taker != dst {
-				st.jfrt.store(d.Target, taker, e.obs.hints)
-			}
-		}
-		if len(failed) > 0 {
-			e.retryFailed(st.node, failed, nil)
-		}
-		batch = walk
+		st.jfrt.learn(walk, got, e.obs.hints)
 	}
-	_ = e.dispatch(st.node, batch)
 }
 
 // handlePurge drops the retracted query's stored rewrites from the VLQT

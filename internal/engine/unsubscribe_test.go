@@ -679,14 +679,8 @@ func (h *handlers) Deliver(_, dst *chord.Node, msg chord.Message, forward func()
 	if msg.Kind() == h.kind {
 		h.at[dst] = true
 	}
-	msgs := []chord.Message{msg}
-	if b, ok := msg.(joinBatch); ok {
-		msgs = b.Msgs
-	}
-	for _, m := range msgs {
-		if j, ok := m.(*joinMsg); ok && len(j.Rewrites) == h.n {
-			h.joins = append(h.joins, joinMsg{Rewrites: slices.Clone(j.Rewrites)})
-		}
+	if j, ok := msg.(*joinMsg); ok && len(j.Rewrites) == h.n {
+		h.joins = append(h.joins, joinMsg{Rewrites: slices.Clone(j.Rewrites)})
 	}
 	return btoi(forward())
 }

@@ -45,7 +45,6 @@ func (s *state) hop()        { s.sendHelper() }
 var sends = map[string]func(){
 	"Node.Send":               func() { (*chord.Node)(nil).Send(nil, id.ID{}) },
 	"Node.DirectSend":         func() { (*chord.Node)(nil).DirectSend(nil, nil) },
-	"Node.SendHinted":         func() { (*chord.Node)(nil).SendHinted(nil, id.ID{}, nil) },
 	"Node.Multisend":          func() { (*chord.Node)(nil).Multisend(nil, nil) },
 	"Node.MultisendIterative": func() { (*chord.Node)(nil).MultisendIterative(nil) },
 	"TCP.Deliver":             func() { (*transport.TCP)(nil).Deliver(nil, nil, nil) },
