@@ -455,6 +455,9 @@ func TestAllMessagesImplementSizer(t *testing.T) {
 		if size, _ := sizeAfter(m, nil); size <= 0 {
 			t.Fatalf("%T reports size %d", m, size)
 		}
+		if m.Kind() == "" {
+			t.Fatalf("%T names no kind for the traffic ledger", m)
+		}
 	}
 }
 
