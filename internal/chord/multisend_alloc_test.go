@@ -229,3 +229,35 @@ func TestMultisendKeepsNoSliceLongerThanItsKeep(t *testing.T) {
 		t.Errorf("the node kept a slice of capacity %d after a run of %d, want none", c, multisendKeep+1)
 	}
 }
+
+// The in-process transport answers a run whose every message landed with
+// acks it shares, so a landed run of two or more allocates nothing; a refusal
+// takes acks of its own and leaves the shared ones true.
+func TestSimDeliverBatchOfALandedRunAllocatesNothing(t *testing.T) {
+	net := buildNet(t, 8)
+	from, dst := net.Nodes()[0], net.Nodes()[1]
+	msgs := make([]Message, multisendKeep+1)
+	for i := range msgs {
+		msgs[i] = testMsg{kind: "k"}
+	}
+	tr := net.Transport()
+	for _, n := range []int{2, 3, multisendKeep} {
+		var acks []bool
+		if allocs := testing.AllocsPerRun(100, func() { acks = tr.DeliverBatch(from, dst, msgs[:n]) }); allocs != 0 {
+			t.Errorf("a landed run of %d allocates %.0f times, want 0", n, allocs)
+		}
+		if len(acks) != n || slices.Contains(acks, false) {
+			t.Fatalf("a landed run of %d acks %v", n, acks)
+		}
+	}
+	if acks := tr.DeliverBatch(from, dst, msgs); len(acks) != len(msgs) || slices.Contains(acks, false) {
+		t.Fatalf("a landed run of %d acks %v", len(msgs), acks)
+	}
+	net.Fail(dst)
+	if acks := tr.DeliverBatch(from, dst, msgs[:3]); !slices.Equal(acks, []bool{false, false, false}) {
+		t.Fatalf("a run to a dead node acks %v", acks)
+	}
+	if slices.Contains(allLanded[:], false) {
+		t.Fatal("a refused run wrote the shared acks")
+	}
+}

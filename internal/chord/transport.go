@@ -1,5 +1,7 @@
 package chord
 
+import "slices"
+
 // Transport is the pluggable delivery layer under the routing algorithms:
 // once Send/DirectSend/Multisend have resolved which node a message must
 // reach, the transport moves it there and reports the synchronous ack the
@@ -15,9 +17,10 @@ package chord
 // Contract: Deliver returns true only when the destination's handler ran
 // (at least once) before Deliver returned — the ack semantics the engine's
 // retry layer (reliable.go) depends on. DeliverBatch delivers msgs to one
-// destination in order and returns one ack per message; it exists so a
-// remote transport can move a whole multisend leg in a single frame; the
-// msgs slice belongs to the caller again once DeliverBatch returns.
+// destination in order and returns one ack per message, which the caller
+// only reads; it exists so a remote transport can move a whole multisend leg
+// in a single frame; the msgs slice belongs to the caller again once
+// DeliverBatch returns.
 // Implementations must tolerate reentrancy: handlers send new messages
 // from inside a delivery.
 type Transport interface {
@@ -63,13 +66,35 @@ func handOver(dst *Node, msg Message) bool {
 	return true
 }
 
+// DeliverBatch answers a run of which every message landed with allLanded,
+// where it would allocate: its caller, deliverRun, only reads the acks. The
+// first refusal, or a run longer than allLanded, takes acks of its own.
 func (t *simTransport) DeliverBatch(from, dst *Node, msgs []Message) []bool {
-	acks := make([]bool, len(msgs))
+	n := min(len(msgs), len(allLanded))
+	acks, shared := allLanded[:n:n], n == len(msgs)
+	if !shared {
+		acks = make([]bool, len(msgs))
+	}
 	for i, m := range msgs {
-		acks[i] = t.Deliver(from, dst, m)
+		ok := t.Deliver(from, dst, m)
+		if !ok && shared {
+			acks, shared = slices.Clone(acks), false
+		}
+		if !shared {
+			acks[i] = ok
+		}
 	}
 	return acks
 }
+
+// allLanded is the acks of a run of up to multisendKeep messages that all
+// landed. Nothing writes it.
+var allLanded = func() (acks [multisendKeep]bool) {
+	for i := range acks {
+		acks[i] = true
+	}
+	return acks
+}()
 
 // SetTransport installs (or, with nil, restores the simulated default)
 // delivery transport; the routing and accounting layers above the transport

@@ -24,20 +24,19 @@ func eventOf(m map[string]interface{}) ackedEvent {
 	return ackedEvent{query: fmt.Sprint(m["query"]), values: fmt.Sprint(m["values"])}
 }
 
-// knownDelivered lists what s's engine knows as delivered, as a checkpoint
-// taken now would write it. The daemon's listeners take the notifications, so
-// the engine keeps none: every match is a bare identity,
+// knownDelivered lists what s's engine knows as delivered
+// (Engine.KnownDeliveryKeys). The daemon's listeners take the notifications,
+// so the engine keeps none: every match is a bare identity,
 // "Key(q)|value|…|leftPubT|rightPubT" — cut here to its content, in the shape
 // the protocol events use — and, nothing ever resetting it, the count is
-// theirs. (The snapshot's meta message is of an unexported type with exported
-// fields.)
+// theirs.
 func knownDelivered(t *testing.T, s *Server) map[ackedEvent]bool {
 	t.Helper()
-	meta, _ := s.Cluster().Engine().ExportSnapshot(nil)
-	if n := reflect.ValueOf(meta).FieldByName("Sink").Len(); n != 0 {
+	eng := s.Cluster().Engine()
+	if n := len(eng.Notifications()); n != 0 {
 		t.Fatalf("the engine keeps %d notifications the daemon's listeners took", n)
 	}
-	identities := reflect.ValueOf(meta).FieldByName("Delivered").Interface().([]string)
+	identities := eng.KnownDeliveryKeys()
 	if got := s.Cluster().NotificationCount(); got != len(identities) {
 		t.Fatalf("the engine counts %d notifications and knows %d as delivered", got, len(identities))
 	}

@@ -17,9 +17,10 @@ import (
 //     through its joiner, whose clock is far behind the seed's; the count is
 //     the queries not notified.
 //   - AU: two matches of one query, published through the two processes at
-//     equal time pairs, project to the number 1 and the string "1": their
-//     identities collide and the second is taken for a duplicate; the count
-//     is the matches never notified.
+//     equal time pairs, project to the number 1 and the string "1"; the count
+//     is the matches never notified. It reads 0: a delivered identity says
+//     each value's kind, where its text said both as 1 and took the second
+//     for a duplicate.
 //   - AV(a): a seed is killed and restarted after its joiner took some of its
 //     queries over and subscribed one of its own, and pairs went through the
 //     seed; its replay runs what its joiner delivered as its own, and the
@@ -30,7 +31,6 @@ import (
 //     delivered, and the count is the publications booked.
 var daemonLosses = map[string]int{
 	"AT":    15,
-	"AU":    1,
 	"AV(a)": 1,
 	"AV(b)": 1,
 }

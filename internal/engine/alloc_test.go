@@ -115,7 +115,8 @@ func TestBlindPublicationSendsNoVLIndexAllocation(t *testing.T) {
 // shared target, whose trigger is the publication, the identifier-cache
 // entries of the fresh key, and every other publication's four
 // notifications, each an identity in delivered and a Notification in the
-// sink: 660 measured (763 while each identity was a string in a map, 925
+// sink: 627 measured (660 while each identity said its query key in full and
+// its values as text, 763 while each identity was a string in a map, 925
 // while each query of a group recorded the target in a purge set of its own
 // and the target said its want as two strings, 932 while each identity was a
 // string of its own and each notification's values an array of their own,
@@ -128,7 +129,8 @@ func TestBlindPublicationSendsNoVLIndexAllocation(t *testing.T) {
 // tuple copy under an attribute nobody queries, costs more than the margin.
 //
 // retainedBytesCeilingConsumed bounds the same with an OnNotify callback
-// taking the notifications: 303 measured (406 while each identity was a
+// taking the notifications: 270 measured (303 while each identity said its
+// query key in full and its values as text, 406 while each identity was a
 // string in a map, 567 before the group's one purge list and the 64-byte
 // target, 575 while each identity was a string of its own, 607 while the
 // target held a projected trigger, 723 and 778 before the two changes before
@@ -139,8 +141,8 @@ func TestBlindPublicationSendsNoVLIndexAllocation(t *testing.T) {
 // are what stays of a notification. One kept anywhere else costs more than
 // the margin.
 const (
-	retainedBytesCeiling         = 759
-	retainedBytesCeilingConsumed = 348
+	retainedBytesCeiling         = 721
+	retainedBytesCeilingConsumed = 310
 )
 
 func TestRetainedBytesPerPublicationCeiling(t *testing.T) {

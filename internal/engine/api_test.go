@@ -167,9 +167,10 @@ func TestSnapshotCarriesDeliveredIdentities(t *testing.T) {
 	var taken []Notification
 	consumed.eng.OnNotify(func(n Notification) { taken = append(taken, n) })
 	stream(consumed)
-	if meta, _ := consumed.eng.ExportSnapshot(nil); len(meta.(snapMetaMsg).Sink) != 0 || len(meta.(snapMetaMsg).Delivered) != len(want) {
-		t.Fatalf("a consumer's snapshot carries %d notifications and %d identities, want 0 and %d",
-			len(meta.(snapMetaMsg).Sink), len(meta.(snapMetaMsg).Delivered), len(want))
+	meta, _ := consumed.eng.ExportSnapshot(nil)
+	if m := meta.(snapMetaMsg); len(m.Sink) != 0 || len(m.Identities) != len(want) || len(m.Delivered) != 0 {
+		t.Fatalf("a consumer's snapshot carries %d notifications, %d identities and %d text ones, want 0, %d and 0",
+			len(m.Sink), len(m.Identities), len(m.Delivered), len(want))
 	}
 	// Either snapshot, restored under a consumer or not: the count is back and
 	// every pre-snapshot match is known delivered.
@@ -244,7 +245,7 @@ func TestDeliveredIdentitiesAcrossChunks(t *testing.T) {
 			t.Fatalf("%s: the identities fill %d chunks, want at least 5", what, len(e.delivered.chunks))
 		}
 		e.delivered.each(func(id []byte) {
-			if k := identityKey(id); !want[k] {
+			if k := e.delivered.render(id); !want[k] {
 				t.Fatalf("%s: delivered holds %.40q..., no notification's deliveryKey", what, k)
 			}
 		})

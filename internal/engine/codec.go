@@ -479,22 +479,27 @@ func (m *snapMetaMsg) walk(c *wire.Coder) {
 	c.Strings(&m.Delivered)
 	c.Int(&m.Count)
 	// A build that kept no interest marks ended it here; Marks is written
-	// only when set, or when Standing or Retracted follows it.
-	if c.AtEnd() || !c.Decoding() && !m.Marks && len(m.Standing) == 0 && len(m.Retracted) == 0 {
+	// only when set, or when a field behind it is.
+	if c.AtEnd() || !c.Decoding() && !m.Marks && len(m.Standing) == 0 && len(m.Retracted) == 0 && len(m.Identities) == 0 {
 		return
 	}
 	c.Bool(&m.Marks)
 	// A build that kept no standing query ended it here.
-	if c.AtEnd() || !c.Decoding() && len(m.Standing) == 0 && len(m.Retracted) == 0 {
+	if c.AtEnd() || !c.Decoding() && len(m.Standing) == 0 && len(m.Retracted) == 0 && len(m.Identities) == 0 {
 		return
 	}
 	c.Queries(&m.Standing)
 	// A build that kept a retraction memory in each node section ended it
 	// here.
-	if c.AtEnd() || !c.Decoding() && len(m.Retracted) == 0 {
+	if c.AtEnd() || !c.Decoding() && len(m.Retracted) == 0 && len(m.Identities) == 0 {
 		return
 	}
 	c.Strings(&m.Retracted)
+	// A build that listed its identities as text, in Delivered, ended it here.
+	if c.AtEnd() || !c.Decoding() && len(m.Identities) == 0 {
+		return
+	}
+	c.Strings(&m.Identities)
 }
 
 func (s *seqEntry) walk(c *wire.Coder) {

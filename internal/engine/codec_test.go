@@ -158,6 +158,10 @@ func codecFixtures(t testing.TB, extra ...*relation.Schema) (*relation.Catalog, 
 		// The meta of a snapshot that says its process's retraction memory
 		// behind its standing queries, here none.
 		snapMetaMsg{Clock: 12, Nodes: []string{"peer0"}, Marks: true, Retracted: []string{"peer3#1", "peer5#2"}},
+		// A consumer's engine restored from a parent's snapshot: the text
+		// identity the parent listed, and its own typed identities behind the
+		// retraction memory, here none.
+		snapMetaMsg{Clock: 12, Nodes: []string{"peer0"}, Delivered: []string{"peer3#1|2|5|8"}, Count: 2, Identities: []string{spelledIdentity(notif)}},
 	}
 	return full, msgs
 }
@@ -362,7 +366,7 @@ func assertSemanticEqual(t *testing.T, want, got chord.Message) {
 		if g.Clock != w.Clock || g.Multi != w.Multi || g.Count != w.Count || g.Marks != w.Marks ||
 			!same(g.Nodes, w.Nodes) || !same(g.Down, w.Down) || !same(g.Seq, w.Seq) || !same(g.Subs, w.Subs) ||
 			!same(g.HotEpochs, w.HotEpochs) || !same(g.HotCounts, w.HotCounts) || !same(g.Delivered, w.Delivered) ||
-			!same(g.Retracted, w.Retracted) || len(g.Conds) != len(w.Conds) || len(g.Sink) != len(w.Sink) || len(g.Standing) != len(w.Standing) {
+			!same(g.Retracted, w.Retracted) || !same(g.Identities, w.Identities) || len(g.Conds) != len(w.Conds) || len(g.Sink) != len(w.Sink) || len(g.Standing) != len(w.Standing) {
 			t.Fatalf("snapMetaMsg mismatch: %+v", g)
 		}
 		for i := range w.Conds {
@@ -383,6 +387,12 @@ func assertSemanticEqual(t *testing.T, want, got chord.Message) {
 	default:
 		t.Fatalf("no comparer for %T", want)
 	}
+}
+
+// spelledIdentity is n's typed identity as a snapshot says it.
+func spelledIdentity(n Notification) string {
+	var s deliveredSet
+	return s.spell(s.identity(nil, n))
 }
 
 // assertRewrittenEqual compares two rewrites field by field, each trigger
@@ -625,21 +635,28 @@ func TestDecodeTruncated(t *testing.T) {
 		switch m := msg.(type) {
 		case snapMetaMsg:
 			var tail wire.Coder
-			if len(m.Retracted) > 0 {
+			if len(m.Identities) > 0 {
+				tail.Strings(&m.Identities)
+				whole[len(full)-tail.Size()] = func(got chord.Message) bool {
+					g, ok := got.(snapMetaMsg)
+					return ok && g.Identities == nil && len(g.Retracted) == len(m.Retracted) && len(g.Delivered) == len(m.Delivered)
+				}
+			}
+			if len(m.Retracted) > 0 || len(m.Identities) > 0 {
 				tail.Strings(&m.Retracted)
 				whole[len(full)-tail.Size()] = func(got chord.Message) bool {
 					g, ok := got.(snapMetaMsg)
 					return ok && g.Retracted == nil && len(g.Standing) == len(m.Standing) && g.Marks == m.Marks
 				}
 			}
-			if len(m.Standing) > 0 || len(m.Retracted) > 0 {
+			if len(m.Standing) > 0 || len(m.Retracted) > 0 || len(m.Identities) > 0 {
 				tail.Queries(&m.Standing)
 				whole[len(full)-tail.Size()] = func(got chord.Message) bool {
 					g, ok := got.(snapMetaMsg)
 					return ok && g.Standing == nil && g.Marks == m.Marks && len(g.Subs) == len(m.Subs)
 				}
 			}
-			if m.Marks || len(m.Standing) > 0 || len(m.Retracted) > 0 {
+			if m.Marks || len(m.Standing) > 0 || len(m.Retracted) > 0 || len(m.Identities) > 0 {
 				tail.Bool(&m.Marks)
 				whole[len(full)-tail.Size()] = func(got chord.Message) bool {
 					g, ok := got.(snapMetaMsg)

@@ -161,7 +161,8 @@ type Engine struct {
 	subs      map[string]standing // query key -> the query its subscriber here indexed
 	rng       *rand.Rand
 	onNotify  func(Notification)
-	delivered deliveredSet   // the identity of every match delivered: the receiver-side dedupe
+	delivered deliveredSet   // the typed identity of every match delivered: the receiver-side dedupe
+	legacy    deliveredSet   // the text identities a parent's snapshot listed (snapMetaMsg.Delivered)
 	count     int            // notifications delivered since the last ResetNotifications
 	sink      []Notification // those of them no onNotify callback was installed to take
 }
@@ -300,12 +301,12 @@ func (e *Engine) ResetNotifications() {
 
 func (e *Engine) record(n Notification) {
 	var buf [keyScratch]byte
-	id := n.appendIdentity(buf[:0])
 	e.mu.Lock()
-	if !e.delivered.add(id) {
+	if e.legacy.len() > 0 && e.legacy.has(n.appendTextIdentity(buf[:0])) || !e.delivered.add(e.delivered.identity(buf[:0], n)) {
 		// A duplicated or replayed delivery of a match the subscriber has
 		// already consumed: suppress it. This is the receiver-side half of
-		// at-least-once delivery.
+		// at-least-once delivery. A match a parent build's snapshot
+		// listed is known by its text identity alone (snapMetaMsg.Delivered).
 		e.mu.Unlock()
 		e.net.Traffic().RecordDuplicate("notification")
 		return
@@ -331,6 +332,19 @@ func (e *Engine) DeliveredContentKeys() []string {
 	for i, n := range e.sink {
 		out[i] = n.ContentKey()
 	}
+	return out
+}
+
+// KnownDeliveryKeys returns the delivery identity, in DeliveryKeys' form, of
+// every match the engine knows as delivered, whether or not a consumer took
+// it, in the order recorded; those a parent build's snapshot listed follow.
+// The form says a value without its kind, so S("1") and N(1) render alike.
+func (e *Engine) KnownDeliveryKeys() []string {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	out := make([]string, 0, e.delivered.len()+e.legacy.len())
+	e.delivered.each(func(id []byte) { out = append(out, e.delivered.render(id)) })
+	e.legacy.each(func(id []byte) { out = append(out, textIdentityKey(id)) })
 	return out
 }
 

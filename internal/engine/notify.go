@@ -100,7 +100,8 @@ func (m *match) combo(buf []*relation.Tuple) []*relation.Tuple {
 // met it (appendChainKey), which lists their publication times. The SELECT
 // list may name the end relations only, and then combinations that differ
 // in an interior tuple share their content and both end times; delivery
-// deduplication (deliveryKey) would drop all but one of them as repeats.
+// deduplication (deliveredSet.identity) would drop all but one of them as
+// repeats.
 func (m *match) chainID() int64 {
 	var buf [keyScratch]byte
 	h := id.Hash(string(appendChainKey(buf[:0], m.q.Key(), m.prefix, m.trig)))
