@@ -20,7 +20,8 @@ type CensusEntry struct{ Sum, Max int }
 //     rewriter told a publisher whether a query reads them);
 //   - hot_counters and hot_entries, the inputs the hot-key detector tallies
 //     at their bases and those of them it promoted;
-//   - engine-wide, delivered and retracted (the retraction memory); and
+//   - engine-wide, delivered (typed and a parent's text identities) and
+//     retracted (the retraction memory); and
 //     wire_memo_queries, wire_memo_parsed and wire_memo_strings, what the
 //     memo of the engine's WireCodec holds.
 //
@@ -31,7 +32,7 @@ func (e *Engine) Census() map[string]CensusEntry {
 		e.state(n).census(c)
 	}
 	e.mu.Lock()
-	c.engineWide("delivered", e.delivered.len())
+	c.engineWide("delivered", e.delivered.len()+e.legacy.len())
 	e.mu.Unlock()
 	c.engineWide("retracted", int(e.retracted.n.Load()))
 	queries, parsed, strs := e.memo.Sizes()
