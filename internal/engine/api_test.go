@@ -207,32 +207,30 @@ func TestSnapshotCarriesDeliveredIdentities(t *testing.T) {
 	}
 }
 
-// Delivered identities are appended to shared chunks: across several chunks,
-// and for an identity longer than a chunk, each stays the identity of its
-// notification, suppresses a replay of it, and survives a snapshot.
-func TestDeliveredIdentitiesAcrossChunks(t *testing.T) {
+// Delivered identities freeze into runs, which merge, and a run's identity
+// longer than a page takes a page of its own: across runs of several levels
+// and such pages, each stays the identity of its notification, suppresses a
+// replay of it, and survives a snapshot.
+func TestDeliveredIdentitiesAcrossRuns(t *testing.T) {
+	defer func(m int) { recentMax = m }(recentMax)
+	recentMax = 4
 	env := newTestEnv(t, 32, Config{Algorithm: SAI})
 	var taken []Notification
 	env.eng.OnNotify(func(n Notification) { taken = append(taken, n) })
 	env.subscribe(t, 0, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
-	pad := strings.Repeat("x", identChunkSize/8)
+	pad := strings.Repeat("x", pageSize/4)
+	env.publish(t, 3, relation.MustTuple(env.r, relation.S(strings.Repeat("y", 2*pageSize+1)), relation.N(99), relation.N(0)))
+	env.publish(t, 4, sTuple(env, 99, 99, 0))
 	for i := 0; i < 40; i++ {
 		env.publish(t, 1+i, relation.MustTuple(env.r, relation.S(fmt.Sprint(i, pad)), relation.N(float64(i)), relation.N(0)))
 		env.publish(t, 2+i, sTuple(env, float64(i), float64(i), 0))
 	}
-	env.publish(t, 3, relation.MustTuple(env.r, relation.S(strings.Repeat("y", identChunkSize+1)), relation.N(99), relation.N(0)))
-	env.publish(t, 4, sTuple(env, 99, 99, 0))
 	if len(taken) != 41 {
 		t.Fatalf("the stream delivered %d notifications, want 41", len(taken))
 	}
 	want := make(map[string]bool)
-	bytes := 0
 	for _, n := range taken {
 		want[deliveryKey(n)] = true
-		bytes += len(deliveryKey(n))
-	}
-	if bytes < 4*identChunkSize {
-		t.Fatalf("the identities hold %d bytes, want several chunks' worth", bytes)
 	}
 	knows := func(what string, e *Engine) {
 		t.Helper()
@@ -241,14 +239,30 @@ func TestDeliveredIdentitiesAcrossChunks(t *testing.T) {
 		if e.delivered.len() != len(want) {
 			t.Fatalf("%s: %d identities delivered, want %d", what, e.delivered.len(), len(want))
 		}
-		if len(e.delivered.chunks) < 5 {
-			t.Fatalf("%s: the identities fill %d chunks, want at least 5", what, len(e.delivered.chunks))
-		}
-		e.delivered.each(func(id []byte) {
-			if k := e.delivered.render(id); !want[k] {
-				t.Fatalf("%s: delivered holds %.40q..., no notification's deliveryKey", what, k)
+		levels, pages, big := map[int]bool{}, 0, 0
+		for _, r := range e.delivered.runs {
+			levels[r.level] = true
+			for _, p := range r.pages {
+				pages++
+				if len(p) > pageSize {
+					big++
+				}
 			}
+		}
+		if len(levels) < 2 || pages < 10 || big != 1 {
+			t.Fatalf("%s: the runs are of %d levels on %d pages, %d of them past a page's size; want 2 levels, 10 pages and 1", what, len(levels), pages, big)
+		}
+		seen := make(map[string]bool)
+		e.delivered.each(func(id []byte) {
+			k := e.delivered.render(id)
+			if !want[k] || seen[k] {
+				t.Fatalf("%s: delivered holds %.40q... twice or as no notification's deliveryKey", what, k)
+			}
+			seen[k] = true
 		})
+		if len(seen) != len(want) {
+			t.Fatalf("%s: each yields %d identities, want %d", what, len(seen), len(want))
+		}
 	}
 	knows("recorded", env.eng)
 	for _, n := range taken {

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -139,36 +141,61 @@ func parseMatch(b []byte) (left, right int64, vals []relation.Value, err error) 
 	return left, right, vals, nil
 }
 
-// identChunkSize is the size of the chunks a deliveredSet appends its
-// identities to, and identChunksMax how many chunks a 32-bit reference can
-// name: 4 GiB of identities.
+// The tiers of a deliveredSet. recentSize is M, the most identities the recent
+// tier holds; restartEvery how many entries a run's block holds; filterBits
+// and filterProbes size a run's membership filter (about 2 % false
+// positives); mergeFanIn how many runs of one level merge into one of the
+// next; pageSize the size of the pages a run is written to.
 const (
-	identChunkSize = 1 << 16
-	identChunksMax = 1 << 16
+	recentSize   = 4096
+	restartEvery = 32
+	filterBits   = 8
+	filterProbes = 5
+	mergeFanIn   = 4
+	pageSize     = 1 << 12
 )
 
+// recentMax is recentSize but where a test freezes the recent tier at small
+// sizes: only _test.go files set it.
+var recentMax = recentSize
+
 // deliveredSet is the receiver-side dedupe record: a set of identities that
-// only grows. Each identity is appended, after its uvarint length, to an
-// append-only chunk of identChunkSize bytes (one longer than that gets a chunk
-// of its own), and is named by a 32-bit reference, chunk<<16 | offset. A
-// power-of-two table of references, at most 3/4 full, finds an identity by
-// linear probing from its indexHash; beside each reference a tag byte, 0 where
-// the slot is empty, keeps 7 bits of the hash, so a probe reads the chunks
-// only where the tags agree. The table is rebuilt from the chunks when it
-// doubles. So an identity costs its bytes, a byte or two of length and 7 to 13
-// bytes of table. add panics past identChunksMax chunks rather than wrap a
-// reference. The zero value is an empty set.
+// only grows, kept in two tiers, as the log-structured merge tree keeps its
+// (O'Neil et al., Acta Informatica 1996).
+//
+// The recent tier holds the newest identities, at most recentMax: each after
+// its uvarint length on a page of arena, named by a 32-bit reference,
+// page<<12 | offset, found by linear probing from its indexHash in a
+// power-of-two table of references, at most 3/4 full; beside each reference
+// a tag byte, 0 where the slot is empty, keeps 7 bits of the hash, so a probe
+// reads the arena only where the tags agree. When it holds recentMax, the
+// tier freezes: its identities, sorted bytewise, become a run, the table is
+// emptied in place and the arena's pages become spare.
+//
+// The settled tier is those runs, oldest first, each immutable and prefix-
+// coded (run). Four runs of one level merge into one of the next, so a set of
+// n identities keeps at most 3 runs a level, about log4(n/recentMax) levels.
+// A merge writes to the pages its inputs free as it reads them (spare), so
+// the runs take about what they hold. In a run an identity costs its bytes
+// less what it shares with the one before it, a header byte, a byte of
+// filter and an eighth of a byte of block index: 10.6 B for the 10.5 B
+// identities of TestDeliveredSetBytesPerIdentity, 11.4 B with the recent
+// tier. add panics past 2^20 pages in the arena or in one run (4 GiB) rather
+// than wrap a reference. The zero value is an empty set.
 //
 // The engine's set holds typed identities, uvarint(ref) ‖ appendMatch: each
 // query key is said once, in keys, and an identity names it by its index
 // there, which refs finds.
 type deliveredSet struct {
-	chunks [][]byte
-	slots  []uint32
-	tags   []uint8
-	n      int
-	refs   map[string]uint64 // query key -> its index in keys
-	keys   []string
+	arena [][]byte
+	slots []uint32
+	tags  []uint8
+	rn    int // identities in the recent tier
+	runs  []*run
+	spare [][]byte // empty pages of pageSize bytes, for the arena and runs
+	n     int
+	refs  map[string]uint64 // query key -> its index in keys
+	keys  []string
 }
 
 // identity appends n's typed identity to b, giving its query key a ref if it
@@ -234,25 +261,42 @@ func (s *deliveredSet) len() int { return s.n }
 func (s *deliveredSet) add(id []byte) bool {
 	h := indexHash(id)
 	i, found := s.probe(id, h)
-	if found {
+	if found || s.settled(id, h) {
 		return false
 	}
-	if 4*(s.n+1) > 3*len(s.slots) {
+	if 4*(s.rn+1) > 3*len(s.slots) {
 		s.grow()
 		i, _ = s.probe(id, h)
 	}
 	s.slots[i] = s.keep(id)
 	s.tags[i] = tagOf(h)
+	s.rn++
 	s.n++
+	if s.rn >= recentMax {
+		s.freeze()
+	}
 	return true
 }
 
 func (s *deliveredSet) has(id []byte) bool {
-	_, found := s.probe(id, indexHash(id))
-	return found
+	h := indexHash(id)
+	_, found := s.probe(id, h)
+	return found || s.settled(id, h)
 }
 
-// probe returns the slot holding id, or the empty slot where it would go.
+// settled reports whether a run holds id, whose indexHash is h: the newest
+// run first, as a repeat is most likely of a recent match.
+func (s *deliveredSet) settled(id []byte, h uint64) bool {
+	for i := len(s.runs) - 1; i >= 0; i-- {
+		if s.runs[i].has(id, h) {
+			return true
+		}
+	}
+	return false
+}
+
+// probe returns the slot of the recent tier holding id, or the empty slot
+// where it would go.
 func (s *deliveredSet) probe(id []byte, h uint64) (int, bool) {
 	if len(s.slots) == 0 {
 		return 0, false
@@ -287,43 +331,343 @@ func (s *deliveredSet) grow() {
 	}
 }
 
-// keep appends id to the chunks and returns its reference.
+// keep appends id to the arena and returns its reference.
 func (s *deliveredSet) keep(id []byte) uint32 {
 	var lb [binary.MaxVarintLen64]byte
 	need := binary.PutUvarint(lb[:], uint64(len(id))) + len(id)
-	last := len(s.chunks) - 1
-	if last < 0 || cap(s.chunks[last])-len(s.chunks[last]) < need {
-		if len(s.chunks) == identChunksMax {
-			panic("engine: the delivered set is full")
+	last := len(s.arena) - 1
+	if last < 0 || cap(s.arena[last])-len(s.arena[last]) < need {
+		if last++; last == 1<<20 {
+			panic("engine: the delivered set's recent tier is full")
 		}
-		s.chunks = append(s.chunks, make([]byte, 0, max(identChunkSize, need)))
-		last++
+		s.arena = append(s.arena, s.page(need))
 	}
-	c := s.chunks[last]
-	ref := uint32(last)<<16 | uint32(len(c))
-	c = binary.AppendUvarint(c, uint64(len(id)))
-	s.chunks[last] = append(c, id...)
-	return ref
+	p := s.arena[last]
+	s.arena[last] = append(append(p, lb[:need-len(id)]...), id...)
+	return uint32(last)<<12 | uint32(len(p))
 }
 
 // tagOf is the tag of hash h: its top 7 bits, and a bit that no empty slot's
 // tag has.
 func tagOf(h uint64) uint8 { return uint8(h>>57) | 0x80 }
 
-// at returns the identity ref names.
+// at returns the identity of the recent tier at offset ref.
 func (s *deliveredSet) at(ref uint32) []byte {
-	c := s.chunks[ref>>16][ref&0xffff:]
+	c := s.arena[ref>>12][ref&0xfff:]
 	n, w := binary.Uvarint(c)
 	return c[w : w+int(n)]
 }
 
-// each calls fn with every identity, in the order they were added.
+// freeze writes the recent tier's identities, sorted, as a run of level 0,
+// empties the tier in place, and merges what that completes.
+func (s *deliveredSet) freeze() {
+	refs := s.slots[:0] // the slots are compacted in place: ref j lands at or before slot j
+	for j, ref := range s.slots {
+		if s.tags[j] != 0 {
+			refs = append(refs, ref)
+		}
+	}
+	// Sort words that hold an identity's first 5 bytes above its index in
+	// refs (recentMax is far below 2^24), then each group of equal heads
+	// on the whole identity.
+	const idx = 1<<24 - 1
+	order := make([]uint64, len(refs))
+	for i, ref := range refs {
+		var head [8]byte
+		copy(head[:5], s.at(ref))
+		order[i] = binary.BigEndian.Uint64(head[:]) | uint64(i)
+	}
+	slices.Sort(order)
+	for i := 0; i < len(order); {
+		j := i + 1
+		for j < len(order) && order[j]&^idx == order[i]&^idx {
+			j++
+		}
+		if j-i > 1 {
+			slices.SortFunc(order[i:j], func(a, b uint64) int { return bytes.Compare(s.at(refs[a&idx]), s.at(refs[b&idx])) })
+		}
+		i = j
+	}
+	w := s.newRun(len(refs), 0)
+	for _, o := range order {
+		w.put(s.at(refs[o&idx]))
+	}
+	s.runs = append(s.runs, w.r)
+	clear(s.tags)
+	for i, p := range s.arena {
+		if cap(p) == pageSize {
+			s.spare = append(s.spare, p[:0])
+		}
+		s.arena[i] = nil
+	}
+	s.arena, s.rn = s.arena[:0], 0
+	for len(s.runs) >= mergeFanIn {
+		k := len(s.runs) - mergeFanIn
+		if s.runs[k].level != s.runs[len(s.runs)-1].level {
+			return
+		}
+		merged := s.merge(s.runs[k:])
+		clear(s.runs[k:])
+		s.runs = append(s.runs[:k], merged)
+	}
+}
+
+// merge writes the identities of runs, all of one level, as one run of the
+// next, handing each page of theirs to spare once it has been read.
+func (s *deliveredSet) merge(runs []*run) *run {
+	n := 0
+	its := make([]runIter, 0, len(runs))
+	for _, r := range runs {
+		n += r.n
+		if it := (runIter{r: r, free: &s.spare}); it.next() {
+			its = append(its, it)
+		}
+	}
+	w := s.newRun(n, runs[0].level+1)
+	for len(its) > 0 {
+		least := 0
+		for i := range its {
+			if bytes.Compare(its[i].key, its[least].key) < 0 {
+				least = i
+			}
+		}
+		w.put(its[least].key)
+		if !its[least].next() {
+			its = slices.Delete(its, least, least+1)
+		}
+	}
+	return w.r
+}
+
+// newRun returns a writer of a run of level that will hold n identities.
+func (s *deliveredSet) newRun(n, level int) *runWriter {
+	r := &run{level: level, blocks: make([]uint32, 0, n/restartEvery+1), filter: make([]uint64, (n*filterBits+511)/512*8)}
+	return &runWriter{s: s, r: r}
+}
+
+// each calls fn with every identity: each run's in order, oldest run first,
+// then the recent tier's in the order they were added. id is valid only
+// until fn returns.
 func (s *deliveredSet) each(fn func(id []byte)) {
-	for _, c := range s.chunks {
+	for _, r := range s.runs {
+		for it := (runIter{r: r}); it.next(); {
+			fn(it.key)
+		}
+	}
+	for _, c := range s.arena {
 		for len(c) > 0 {
 			n, w := binary.Uvarint(c)
 			fn(c[w : w+int(n)])
 			c = c[w+int(n):]
 		}
 	}
+}
+
+// A run is an immutable, sorted list of identities, written to pages of
+// pageSize bytes (an identity that outgrows one gets a page of its own, and
+// no entry straddles two). Each entry is one header byte, the length of the
+// prefix it shares with the identity before it in its high nibble and that
+// of the rest, its suffix, in its low, either a nibble of 15 meaning that
+// much more follows as a uvarint (prefix first), and then the suffix. Every
+// restartEvery entries, and at the top of every page, a block starts with an
+// entry that shares nothing; blocks names where each starts, so a lookup
+// binary-searches the blocks' first identities and decodes one block. A
+// membership filter of filterBits bits an identity, read before that, keeps a
+// lookup of an identity the run lacks from reading the run at all, but for
+// about 2 % of them.
+type run struct {
+	pages  [][]byte
+	blocks []uint32 // page<<12 | offset of each block's first entry
+	filter []uint64
+	level  int // the merges behind it: it holds recentMax·mergeFanIn^level identities
+	n      int
+}
+
+// has reports whether r holds id, whose indexHash is h.
+func (r *run) has(id []byte, h uint64) bool {
+	if !r.bloom(h, false) {
+		return false
+	}
+	lo, hi := 0, len(r.blocks) // the first block whose first identity is past id
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if _, first, _ := decodeEntry(r.at(r.blocks[mid])); bytes.Compare(first, id) <= 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == 0 {
+		return false
+	}
+	p := r.at(r.blocks[lo-1])
+	var buf [keyScratch]byte
+	key := buf[:0]
+	for range restartEvery {
+		shared, suffix, rest := decodeEntry(p)
+		key = append(key[:shared], suffix...)
+		switch c := bytes.Compare(key, id); {
+		case c == 0:
+			return true
+		case c > 0 || len(rest) == 0:
+			return false
+		}
+		p = rest
+	}
+	return false
+}
+
+// at returns what r holds from ref on, to the end of ref's page.
+func (r *run) at(ref uint32) []byte { return r.pages[ref>>12][ref&0xfff:] }
+
+// decodeEntry decodes the entry p starts with: the length of the prefix it
+// shares with the identity before it, its suffix, and the bytes past it.
+func decodeEntry(p []byte) (shared int, suffix, rest []byte) {
+	h := p[0]
+	p = p[1:]
+	shared, n := int(h>>4), int(h&15)
+	if shared == 15 {
+		v, w := binary.Uvarint(p)
+		shared += int(v)
+		p = p[w:]
+	}
+	if n == 15 {
+		v, w := binary.Uvarint(p)
+		n += int(v)
+		p = p[w:]
+	}
+	return shared, p[:n], p[n:]
+}
+
+// bloom sets, or with set false tests, the filterProbes bits of r's filter
+// that stand for the identity whose indexHash is h, and reports whether all
+// were set. h, mixed (splitmix64's finalizer), picks one 512-bit block, a
+// cache line, by its high bits and the bits in it by its low 45.
+func (r *run) bloom(h uint64, set bool) bool {
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	h ^= h >> 31
+	b, _ := bits.Mul64(h, uint64(len(r.filter)/8))
+	block := r.filter[b*8 : b*8+8]
+	for range filterProbes {
+		word, bit := &block[h>>6&7], uint64(1)<<(h&63)
+		switch {
+		case set:
+			*word |= bit
+		case *word&bit == 0:
+			return false
+		}
+		h >>= 9
+	}
+	return true
+}
+
+// A runWriter appends identities, in order, to a run.
+type runWriter struct {
+	s     *deliveredSet // whose spare pages it writes to
+	r     *run
+	prev  []byte // the identity put last
+	block int    // the entries of the block being written
+}
+
+// put appends id, which sorts after every identity put before it.
+func (w *runWriter) put(id []byte) {
+	r := w.r
+	if w.block == restartEvery {
+		w.block = 0
+	}
+	shared := 0
+	if w.block > 0 {
+		shared = commonPrefix(w.prev, id)
+	}
+	var hb [1 + 2*binary.MaxVarintLen64]byte
+	head := appendEntryHead(hb[:0], shared, len(id)-shared)
+	last := len(r.pages) - 1
+	if last < 0 || cap(r.pages[last])-len(r.pages[last]) < len(head)+len(id)-shared {
+		shared, w.block = 0, 0
+		head = appendEntryHead(hb[:0], 0, len(id))
+		if last++; last == 1<<20 {
+			panic("engine: a run of the delivered set is full")
+		}
+		r.pages = append(r.pages, w.s.page(len(head)+len(id)))
+	}
+	p := r.pages[last]
+	if w.block == 0 {
+		r.blocks = append(r.blocks, uint32(last)<<12|uint32(len(p)))
+	}
+	r.pages[last] = append(append(p, head...), id[shared:]...)
+	w.block++
+	r.n++
+	w.prev = append(w.prev[:0], id...)
+	r.bloom(indexHash(id), true)
+}
+
+// appendEntryHead appends the header of an entry that shares shared bytes
+// with the identity before it and has a suffix of n.
+func appendEntryHead(b []byte, shared, n int) []byte {
+	hs, hn := min(shared, 15), min(n, 15)
+	b = append(b, byte(hs<<4|hn))
+	if hs == 15 {
+		b = binary.AppendUvarint(b, uint64(shared-15))
+	}
+	if hn == 15 {
+		b = binary.AppendUvarint(b, uint64(n-15))
+	}
+	return b
+}
+
+func commonPrefix(a, b []byte) int {
+	n := min(len(a), len(b))
+	for i := range n {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return n
+}
+
+// page returns an empty page that takes need bytes: a spare one where a page
+// of pageSize does.
+func (s *deliveredSet) page(need int) []byte {
+	if need > pageSize {
+		return make([]byte, 0, need)
+	}
+	if n := len(s.spare); n > 0 {
+		p := s.spare[n-1]
+		s.spare = s.spare[:n-1]
+		return p
+	}
+	return make([]byte, 0, pageSize)
+}
+
+// A runIter reads a run's identities in order.
+type runIter struct {
+	r    *run
+	page int       // the next page to read
+	p    []byte    // what is left of the page being read
+	key  []byte    // the identity read last
+	free *[][]byte // where a page of pageSize goes once read, if anywhere
+}
+
+// next reads the next identity into key and reports whether there was one.
+func (it *runIter) next() bool {
+	for len(it.p) == 0 {
+		if it.page > 0 && it.free != nil {
+			if p := it.r.pages[it.page-1]; cap(p) == pageSize {
+				*it.free = append(*it.free, p[:0])
+			}
+			it.r.pages[it.page-1] = nil
+		}
+		if it.page == len(it.r.pages) {
+			return false
+		}
+		it.p = it.r.pages[it.page]
+		it.page++
+	}
+	shared, suffix, rest := decodeEntry(it.p)
+	it.key = append(it.key[:shared], suffix...)
+	it.p = rest
+	return true
 }

@@ -337,7 +337,8 @@ func (e *Engine) DeliveredContentKeys() []string {
 
 // KnownDeliveryKeys returns the delivery identity, in DeliveryKeys' form, of
 // every match the engine knows as delivered, whether or not a consumer took
-// it, in the order recorded; those a parent build's snapshot listed follow.
+// it, in deliveredSet.each's order, which is not the order recorded; those a
+// parent build's snapshot listed follow.
 // The form says a value without its kind, so S("1") and N(1) render alike.
 func (e *Engine) KnownDeliveryKeys() []string {
 	e.mu.Lock()

@@ -94,7 +94,8 @@ type snapMetaMsg struct {
 	Standing  []*query.Query // the queries of Subs that their subscriber posed here
 	Retracted []string       // the process's retraction memory, sorted
 	// Identities is every typed identity delivered, its query key spelled
-	// (deliveredSet.spell), in the order recorded, unless Sink implies them all.
+	// (deliveredSet.spell), in deliveredSet.each's order, unless Sink implies
+	// them all.
 	Identities []string
 }
 
